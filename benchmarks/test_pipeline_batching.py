@@ -7,7 +7,8 @@ once with the batched pipeline (per-destination batch envelopes flushed
 every scheduling quantum).  The two runs must be observably identical
 (same ledger contents, same receipts modulo timing, same contract state
 fingerprints) while the batched run exchanges at least 2x fewer simulated
-inter-cell messages and finishes in less wall-clock time.
+inter-cell messages and performs no more canonical-JSON encodes (a count,
+not a timing: no tier-1 outcome may depend on machine load).
 
 Results are written both as rendered text and as the machine-readable
 ``BENCH_pipeline.json`` baseline at the repository root.
@@ -33,10 +34,22 @@ SUBMIT_AT = 60.0
 
 def run_mode(batched: bool):
     deployment = azure_deployment(CELLS, seed=7_000, message_batching=batched)
+    encodes = 0
+    encode = canonical_json.dumps
+
+    def counting_encode(value):
+        nonlocal encodes
+        encodes += 1
+        return encode(value)
+
+    canonical_json.dumps = counting_encode
     started = time.perf_counter()
-    report = run_burst_transfers(deployment, count=BURST, pools=8, submit_at=SUBMIT_AT)
-    wall_clock = time.perf_counter() - started
-    return deployment, report, wall_clock
+    try:
+        report = run_burst_transfers(deployment, count=BURST, pools=8, submit_at=SUBMIT_AT)
+    finally:
+        wall_clock = time.perf_counter() - started
+        canonical_json.dumps = encode
+    return deployment, report, wall_clock, encodes
 
 
 def ledger_digest(deployment):
@@ -93,7 +106,7 @@ def inter_cell_traffic(deployment):
     return messages, bytes_total
 
 
-def mode_metrics(deployment, report, wall_clock):
+def mode_metrics(deployment, report, wall_clock, encodes):
     latencies = report.latencies()
     throughput = report.throughput()
     messages, bytes_total = inter_cell_traffic(deployment)
@@ -101,6 +114,7 @@ def mode_metrics(deployment, report, wall_clock):
         "transactions": len(report.results),
         "failures": report.failure_count,
         "wall_clock_s": round(wall_clock, 3),
+        "canonical_encodes": encodes,
         "sim_makespan_s": round(throughput.makespan, 3),
         "throughput_tps": round(throughput.throughput, 1),
         "latency_p50_s": round(latencies.p50(), 4),
@@ -125,8 +139,8 @@ def test_pipeline_batching(benchmark):
         return {batched: run_mode(batched) for batched in (False, True)}
 
     runs = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    per_tx_deploy, per_tx_report, per_tx_wall = runs[False]
-    batched_deploy, batched_report, batched_wall = runs[True]
+    per_tx_deploy, per_tx_report = runs[False][:2]
+    batched_deploy, batched_report = runs[True][:2]
 
     # Equivalence: same ledgers, receipts, and state fingerprints.
     ledgers_identical = ledger_digest(per_tx_deploy) == ledger_digest(batched_deploy)
@@ -137,8 +151,8 @@ def test_pipeline_batching(benchmark):
         set(per_tx_fp.values()) == set(batched_fp.values()) and len(set(per_tx_fp.values())) == 1
     )
 
-    per_tx = mode_metrics(per_tx_deploy, per_tx_report, per_tx_wall)
-    batched = mode_metrics(batched_deploy, batched_report, batched_wall)
+    per_tx = mode_metrics(*runs[False])
+    batched = mode_metrics(*runs[True])
     reduction = per_tx["inter_cell_messages"] / max(1, batched["inter_cell_messages"])
 
     payload = {
@@ -162,6 +176,7 @@ def test_pipeline_batching(benchmark):
     )
     for key in (
         "wall_clock_s",
+        "canonical_encodes",
         "sim_makespan_s",
         "throughput_tps",
         "latency_p50_s",
@@ -186,8 +201,7 @@ def test_pipeline_batching(benchmark):
     assert ledgers_identical and receipts_identical and fingerprints_identical
     # The batched overlay saves at least 2x the inter-cell messages...
     assert reduction >= 2.0
-    # ...and must not cost wall-clock time.  The recorded baseline shows the
-    # real saving (~20% on this burst); the assertion compares the raw
-    # (unrounded) timings with headroom so scheduler noise on a loaded CI
-    # runner cannot flake the build, while a genuine slowdown still fails.
-    assert batched_wall < per_tx_wall * 1.15
+    # ...and must not cost serialisation work: batch envelopes replace the
+    # per-transaction forward and confirmation envelopes, so the batched
+    # run encodes no more often.  The wall clock is recorded, not asserted.
+    assert batched["canonical_encodes"] <= per_tx["canonical_encodes"]

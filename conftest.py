@@ -40,3 +40,10 @@ def pytest_addoption(parser):
         metavar="MINUTES",
         help="steady-phase sim-minutes for the endurance benchmark (default: 30)",
     )
+
+
+def pytest_configure(config):
+    """Register the repo's custom markers (no ``PytestUnknownMarkWarning``)."""
+    config.addinivalue_line(
+        "markers", "slow: end-to-end headline-claim runs that take several seconds each"
+    )

@@ -216,7 +216,10 @@ def _entry_digest(key: str, value: Any) -> bytes:
 
 
 def _xor_bytes(left: bytes, right: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(left, right))
+    """XOR of two equal-length digests."""
+    return (int.from_bytes(left, "big") ^ int.from_bytes(right, "big")).to_bytes(
+        len(left), "big"
+    )
 
 
 #: Fingerprint of the empty store.

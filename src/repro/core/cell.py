@@ -17,6 +17,7 @@ service times come from the deployment's :class:`CellServiceModel`.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 if TYPE_CHECKING:
@@ -1216,19 +1217,11 @@ class BlockumulusCell:
             # Forge: an always-yes vote whose signature cannot verify —
             # the coordinator and every certificate check must refuse it
             # (destroying a genuine no-vote's abort evidence on the way).
-            body = CrossShardVote.signing_body(
-                self.signer.address, xtx, self.shard_group, tuple(participants),
-                phase, True,
+            honest = CrossShardVote.create(
+                self.signer, xtx, self.shard_group, participants, phase, True
             )
-            forged = CrossShardVote(
-                voter=self.signer.address,
-                xtx=xtx,
-                group=self.shard_group,
-                participants=tuple(participants),
-                phase=phase,
-                ok=True,
-                signature=bytes(byte ^ 0xFF for byte in self.signer.sign(body)),
-                scheme=self.signer.scheme,
+            forged = dataclasses.replace(
+                honest, signature=bytes(byte ^ 0xFF for byte in honest.signature)
             )
             self._reply(
                 src_node, request, Opcode.XSHARD_VOTE,
@@ -1399,21 +1392,12 @@ class BlockumulusCell:
                 "lying_gateway", mode="voucher", xtx=body.xtx, honest_ok=ok
             )
             self.metrics.increment(f"{self.node_name}/xshard_vouchers_forged")
-            signing = CrossShardVoucher.signing_body(
-                self.signer.address, body.xtx, self.shard_group, body.target_group,
+            honest = CrossShardVoucher.create(
+                self.signer, body.xtx, self.shard_group, body.target_group,
                 str(body.target_contract), recipient, amount, expires_at,
             )
-            voucher = CrossShardVoucher(
-                issuer=self.signer.address,
-                xtx=body.xtx,
-                source_group=self.shard_group,
-                target_group=body.target_group,
-                contract=str(body.target_contract),
-                recipient=recipient,
-                amount=amount,
-                expires_at=expires_at,
-                signature=bytes(byte ^ 0xFF for byte in self.signer.sign(signing)),
-                scheme=self.signer.scheme,
+            voucher = dataclasses.replace(
+                honest, signature=bytes(byte ^ 0xFF for byte in honest.signature)
             )
         else:
             voucher = CrossShardVoucher.create(

@@ -15,7 +15,8 @@ from typing import Any, Optional
 
 from ..crypto.keys import Address
 from ..encoding import canonical_json
-from ..messages.signer import Signer, verify_signature
+from ..encoding.hexutil import strip_0x
+from ..messages.signer import SignedStatement, Signer, verify_signature
 
 
 class ReceiptError(ValueError):
@@ -23,7 +24,7 @@ class ReceiptError(ValueError):
 
 
 @dataclass(frozen=True)
-class Confirmation:
+class Confirmation(SignedStatement):
     """One cell's signed statement about an executed transaction."""
 
     cell: Address
@@ -32,32 +33,7 @@ class Confirmation:
     fingerprint_hex: str
     status: str                 # "executed" | "rejected"
     timestamp: float
-    signature: bytes
-    scheme: str = "ecdsa"
     error: Optional[str] = None
-
-    @staticmethod
-    def signing_body(
-        cell: Address,
-        tx_id: str,
-        contract: str,
-        fingerprint_hex: str,
-        status: str,
-        timestamp: float,
-        error: Optional[str] = None,
-    ) -> bytes:
-        """Canonical bytes a cell signs when confirming a transaction."""
-        return canonical_json.dump_bytes(
-            {
-                "cell": cell.hex(),
-                "tx_id": tx_id,
-                "contract": contract,
-                "fingerprint": fingerprint_hex,
-                "status": status,
-                "timestamp": round(float(timestamp), 6),
-                "error": error,
-            }
-        )
 
     @classmethod
     def create(
@@ -71,9 +47,6 @@ class Confirmation:
         error: Optional[str] = None,
     ) -> "Confirmation":
         """Build and sign a confirmation on behalf of ``signer``."""
-        body = cls.signing_body(
-            signer.address, tx_id, contract, fingerprint_hex, status, timestamp, error
-        )
         return cls(
             cell=signer.address,
             tx_id=tx_id,
@@ -81,21 +54,12 @@ class Confirmation:
             fingerprint_hex=fingerprint_hex,
             status=status,
             timestamp=timestamp,
-            signature=signer.sign(body),
+            signature=b"",
             scheme=signer.scheme,
             error=error,
-        )
+        )._signed_by(signer)
 
-    def verify(self) -> bool:
-        """Check the cell's signature over the confirmation body."""
-        body = self.signing_body(
-            self.cell, self.tx_id, self.contract, self.fingerprint_hex,
-            self.status, self.timestamp, self.error,
-        )
-        return verify_signature(self.scheme, self.cell, body, self.signature)
-
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-serializable form (embedded in receipts and messages)."""
+    def _signed_fields(self) -> dict[str, Any]:
         return {
             "cell": self.cell.hex(),
             "tx_id": self.tx_id,
@@ -104,14 +68,24 @@ class Confirmation:
             "status": self.status,
             "timestamp": round(float(self.timestamp), 6),
             "error": self.error,
-            "signature": "0x" + self.signature.hex(),
-            "scheme": self.scheme,
         }
+
+    def verify(self) -> bool:
+        """Check the cell's signature over the confirmation body."""
+        return verify_signature(self.scheme, self.cell, self.body(), self.signature)
+
+    def to_wire(self) -> dict[str, Any]:
+        """JSON-serializable form (embedded in receipts and messages)."""
+        # Stays this class's own attribute: the boundary tracer wraps it here.
+        return super().to_wire()
 
     @classmethod
     def from_wire(cls, raw: dict[str, Any]) -> "Confirmation":
         """Parse a confirmation from its wire form."""
         try:
+            signature = bytes.fromhex(strip_0x(raw["signature"]))
+            if len(signature) != 65:
+                raise ValueError("signature must be exactly 65 bytes")
             return cls(
                 cell=Address.from_hex(raw["cell"]),
                 tx_id=raw["tx_id"],
@@ -120,10 +94,10 @@ class Confirmation:
                 status=raw["status"],
                 timestamp=float(raw["timestamp"]),
                 error=raw.get("error"),
-                signature=bytes.fromhex(raw["signature"][2:]),
+                signature=signature,
                 scheme=raw.get("scheme", "ecdsa"),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ReceiptError(f"malformed confirmation: {exc}") from exc
 
 

@@ -13,7 +13,6 @@ modelled HTTP header, mirroring the paper's WireShark methodology.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 from .hexutil import to_hex
@@ -23,28 +22,15 @@ class CanonicalJSONError(ValueError):
     """Raised when a value cannot be canonically serialized."""
 
 
-def _normalize(value: Any) -> Any:
-    """Convert a payload value into plain JSON-serializable types."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise CanonicalJSONError("cannot serialize NaN or infinite floats")
-        return value
+def _default(value: Any) -> Any:
+    """Encoder hook: the JSON form of a value the encoder does not know."""
     if isinstance(value, (bytes, bytearray, memoryview)):
         return to_hex(bytes(value))
-    if isinstance(value, (list, tuple)):
-        return [_normalize(item) for item in value]
-    if isinstance(value, dict):
-        normalized = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise CanonicalJSONError("canonical JSON object keys must be strings")
-            normalized[key] = _normalize(item)
-        return normalized
     # Objects exposing a to_payload()/hex() hook (addresses, signatures).
     if hasattr(value, "to_payload"):
-        return _normalize(value.to_payload())
+        payload = value.to_payload()
+        _require_string_keys(payload)
+        return payload
     if hasattr(value, "hex") and callable(value.hex):
         return value.hex()
     raise CanonicalJSONError(
@@ -52,9 +38,50 @@ def _normalize(value: Any) -> Any:
     )
 
 
+# check_circular off: a cycle ends in RecursionError, without the
+# per-container bookkeeping that would turn it into a ValueError.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    allow_nan=False,
+    check_circular=False,
+    default=_default,
+)
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _require_string_keys(value: Any) -> None:
+    """Refuse the keys the encoder would silently coerce (1 -> "1").
+
+    ``json`` offers no hook for keys, so this looks at them itself; it
+    descends into containers only and builds nothing.
+    """
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise CanonicalJSONError("canonical JSON object keys must be strings")
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return
+    for item in value:
+        if type(item) not in _SCALARS:
+            _require_string_keys(item)
+
+
 def dumps(value: Any) -> str:
-    """Serialize ``value`` to a canonical JSON string."""
-    return json.dumps(_normalize(value), sort_keys=True, separators=(",", ":"))
+    """Serialize ``value`` to a canonical JSON string in one encoder pass."""
+    try:
+        text = _ENCODER.encode(value)
+    except CanonicalJSONError:
+        raise
+    except TypeError as exc:
+        # A key json cannot coerce, or keys of mixed types (unsortable).
+        raise CanonicalJSONError(f"canonical JSON object keys must be strings: {exc}") from exc
+    except ValueError as exc:
+        raise CanonicalJSONError("cannot serialize NaN or infinite floats") from exc
+    _require_string_keys(value)
+    return text
 
 
 def dump_bytes(value: Any) -> bytes:

@@ -8,12 +8,13 @@ claimed sender) the first step of serving any transaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address
 from ..encoding import canonical_json
+from ..encoding.hexutil import strip_0x
 from .opcodes import Opcode
 from .payload import Payload, PayloadError
 from .signer import Signer, verify_signature
@@ -21,6 +22,10 @@ from .signer import Signer, verify_signature
 
 class EnvelopeError(ValueError):
     """Raised for malformed or incorrectly signed envelopes."""
+
+
+#: JSON text of the scheme tags a signer can produce.
+_SCHEME_JSON = {"ecdsa": b'"ecdsa"', "sim": b'"sim"'}
 
 
 class NonceFactory:
@@ -49,6 +54,8 @@ class Envelope:
     payload: Payload
     signature: bytes
     scheme: str = "ecdsa"
+    #: Size of the wire form; the bytes themselves live on the payload.
+    _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.signature) != 65:
@@ -107,12 +114,24 @@ class Envelope:
         }
 
     def wire_bytes(self) -> bytes:
-        """Canonical JSON encoding of the wire form."""
-        return canonical_json.dump_bytes(self.to_wire())
+        """Canonical JSON encoding of the wire form.
+
+        A splice around the payload's carried bytes, not an encode: the
+        three keys of :meth:`to_wire` are already in sorted order.
+        """
+        # A scheme tag no signer produces (it never verifies) is still sized.
+        scheme = _SCHEME_JSON.get(self.scheme) or canonical_json.dump_bytes(self.scheme)
+        return b'{"payload":%b,"scheme":%b,"signature":"0x%b"}' % (
+            self.payload.canonical_bytes(), scheme, self.signature.hex().encode()
+        )
 
     def byte_size(self) -> int:
         """Size of the HTTP body in bytes (used for Table II accounting)."""
-        return len(self.wire_bytes())
+        size = self._size
+        if size is None:
+            size = len(self.wire_bytes())
+            object.__setattr__(self, "_size", size)
+        return size
 
     @classmethod
     def from_wire(cls, raw: dict[str, Any] | bytes | str) -> "Envelope":
@@ -121,12 +140,10 @@ class Envelope:
             raw = canonical_json.loads(raw)
         try:
             payload = Payload.from_dict(raw["payload"])
-            signature_hex = raw["signature"]
+            signature = bytes.fromhex(strip_0x(raw["signature"]))
             scheme = raw.get("scheme", "ecdsa")
-            signature_text = (
-                signature_hex[2:] if signature_hex.startswith("0x") else signature_hex
-            )
-            signature = bytes.fromhex(signature_text)
+            if not isinstance(scheme, str):
+                raise TypeError("scheme must be a string")
         except (KeyError, TypeError, AttributeError, ValueError, PayloadError) as exc:
             raise EnvelopeError(f"malformed envelope: {exc}") from exc
         return cls(payload=payload, signature=signature, scheme=scheme)

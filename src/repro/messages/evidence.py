@@ -26,8 +26,7 @@ from typing import Any
 
 from ..core.receipts import Confirmation, ReceiptError
 from ..crypto.keys import Address
-from ..encoding import canonical_json
-from .signer import Signer, verify_signature
+from .signer import SignedStatement, Signer, verify_signature
 
 
 class EvidenceError(ValueError):
@@ -91,7 +90,7 @@ class EquivocationEvidence:
 
 
 @dataclass(frozen=True)
-class PartitionEvent:
+class PartitionEvent(SignedStatement):
     """One cell's signed observation of a network cut (or its healing)."""
 
     observer: Address
@@ -99,8 +98,6 @@ class PartitionEvent:
     members: tuple[str, ...]
     action: str  # "cut" | "heal"
     at: float
-    signature: bytes
-    scheme: str = "ecdsa"
     #: When the observer saw the cut heal; the sentinel ``-1.0`` means
     #: unknown (pre-extension events carry no ``healed_at`` on the wire).
     healed_at: float = -1.0
@@ -116,25 +113,6 @@ class PartitionEvent:
         if not self.members:
             raise EvidenceError("a partition event names at least one member")
 
-    @staticmethod
-    def signing_body(
-        observer: Address,
-        members: tuple[str, ...],
-        action: str,
-        at: float,
-        healed_at: float = -1.0,
-    ) -> bytes:
-        """Canonical bytes the observer signs."""
-        return canonical_json.dump_bytes(
-            {
-                "observer": observer.hex(),
-                "members": sorted(members),
-                "action": action,
-                "at": round(float(at), 6),
-                "healed_at": round(float(healed_at), 6),
-            }
-        )
-
     @classmethod
     def create(
         cls,
@@ -145,24 +123,28 @@ class PartitionEvent:
         healed_at: float = -1.0,
     ) -> "PartitionEvent":
         """Build and sign an event on behalf of ``signer``."""
-        members = tuple(members)
-        body = cls.signing_body(signer.address, members, action, at, healed_at)
         return cls(
             observer=signer.address,
-            members=members,
+            members=tuple(members),
             action=action,
             at=at,
-            signature=signer.sign(body),
+            signature=b"",
             scheme=signer.scheme,
             healed_at=healed_at,
-        )
+        )._signed_by(signer)
+
+    def _signed_fields(self) -> dict[str, Any]:
+        return {
+            "observer": self.observer.hex(),
+            "members": sorted(self.members),
+            "action": self.action,
+            "at": round(float(self.at), 6),
+            "healed_at": round(float(self.healed_at), 6),
+        }
 
     def verify(self) -> bool:
         """Check the observer's signature over the event body."""
-        body = self.signing_body(
-            self.observer, self.members, self.action, self.at, self.healed_at
-        )
-        return verify_signature(self.scheme, self.observer, body, self.signature)
+        return verify_signature(self.scheme, self.observer, self.body(), self.signature)
 
     def to_wire(self) -> dict[str, Any]:
         """JSON-serializable form."""

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..crypto.keys import Address
-from ..encoding import canonical_json
-from .signer import Signer, verify_signature
+from .signer import SignedStatement, Signer, verify_signature
 
 
 class MembershipError(ValueError):
@@ -68,7 +67,7 @@ class ExclusionProposal:
 
 
 @dataclass(frozen=True)
-class ExclusionVote:
+class ExclusionVote(SignedStatement):
     """One cell's signed verdict on an exclusion proposal.
 
     ``agree`` is True when the voter's own liveness probe of the suspect
@@ -79,52 +78,34 @@ class ExclusionVote:
     suspect: Address
     cycle: int
     agree: bool
-    signature: bytes
-    scheme: str = "ecdsa"
 
-    @staticmethod
-    def signing_body(voter: Address, suspect: Address, cycle: int, agree: bool) -> bytes:
-        """Canonical bytes a voter signs for an exclusion vote."""
-        return canonical_json.dump_bytes(
-            {
-                "kind": "exclusion_vote",
-                "voter": voter.hex(),
-                "suspect": suspect.hex(),
-                "cycle": cycle,
-                "agree": agree,
-            }
-        )
+    KIND = "exclusion_vote"
 
     @classmethod
     def create(
         cls, signer: Signer, suspect: Address, cycle: int, agree: bool
     ) -> "ExclusionVote":
         """Build and sign a vote on behalf of ``signer``."""
-        body = cls.signing_body(signer.address, suspect, cycle, agree)
         return cls(
             voter=signer.address,
             suspect=suspect,
             cycle=cycle,
             agree=agree,
-            signature=signer.sign(body),
+            signature=b"",
             scheme=signer.scheme,
-        )
+        )._signed_by(signer)
 
-    def verify(self) -> bool:
-        """Check the voter's signature over the vote body."""
-        body = self.signing_body(self.voter, self.suspect, self.cycle, self.agree)
-        return verify_signature(self.scheme, self.voter, body, self.signature)
-
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-serializable form (embedded in votes and updates)."""
+    def _signed_fields(self) -> dict[str, Any]:
         return {
             "voter": self.voter.hex(),
             "suspect": self.suspect.hex(),
             "cycle": self.cycle,
             "agree": self.agree,
-            "signature": "0x" + self.signature.hex(),
-            "scheme": self.scheme,
         }
+
+    def verify(self) -> bool:
+        """Check the voter's signature over the vote body."""
+        return verify_signature(self.scheme, self.voter, self.body(), self.signature)
 
     @classmethod
     def from_wire(cls, raw: dict[str, Any]) -> "ExclusionVote":
@@ -200,7 +181,7 @@ class RejoinRequest:
 
 
 @dataclass(frozen=True)
-class RejoinAck:
+class RejoinAck(SignedStatement):
     """A live cell's signed verdict on a rejoin request.
 
     ``agree`` is True when the rejoiner's claimed state fingerprint matched
@@ -219,33 +200,11 @@ class RejoinAck:
     cycle: int
     fingerprint_hex: str
     agree: bool
-    signature: bytes
-    scheme: str = "ecdsa"
     #: The voter's ledger length when it checked the request (-1 for acks
     #: from peers that predate the in-flight-aware handshake).
     admitted_head: int = -1
 
-    @staticmethod
-    def signing_body(
-        voter: Address,
-        rejoiner: Address,
-        cycle: int,
-        fingerprint_hex: str,
-        agree: bool,
-        admitted_head: int = -1,
-    ) -> bytes:
-        """Canonical bytes a voter signs for a rejoin ack."""
-        return canonical_json.dump_bytes(
-            {
-                "kind": "rejoin_ack",
-                "voter": voter.hex(),
-                "rejoiner": rejoiner.hex(),
-                "cycle": cycle,
-                "fingerprint": fingerprint_hex,
-                "agree": agree,
-                "admitted_head": admitted_head,
-            }
-        )
+    KIND = "rejoin_ack"
 
     @classmethod
     def create(
@@ -258,44 +217,30 @@ class RejoinAck:
         admitted_head: int = -1,
     ) -> "RejoinAck":
         """Build and sign an ack on behalf of ``signer``."""
-        body = cls.signing_body(
-            signer.address, rejoiner, cycle, fingerprint_hex, agree, admitted_head
-        )
         return cls(
             voter=signer.address,
             rejoiner=rejoiner,
             cycle=cycle,
             fingerprint_hex=fingerprint_hex,
             agree=agree,
-            signature=signer.sign(body),
+            signature=b"",
             scheme=signer.scheme,
             admitted_head=admitted_head,
-        )
+        )._signed_by(signer)
 
-    def verify(self) -> bool:
-        """Check the voter's signature over the ack body."""
-        body = self.signing_body(
-            self.voter,
-            self.rejoiner,
-            self.cycle,
-            self.fingerprint_hex,
-            self.agree,
-            self.admitted_head,
-        )
-        return verify_signature(self.scheme, self.voter, body, self.signature)
-
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-serializable form (embedded in acks and updates)."""
+    def _signed_fields(self) -> dict[str, Any]:
         return {
             "voter": self.voter.hex(),
             "rejoiner": self.rejoiner.hex(),
             "cycle": self.cycle,
             "fingerprint": self.fingerprint_hex,
             "agree": self.agree,
-            "signature": "0x" + self.signature.hex(),
-            "scheme": self.scheme,
             "admitted_head": self.admitted_head,
         }
+
+    def verify(self) -> bool:
+        """Check the voter's signature over the ack body."""
+        return verify_signature(self.scheme, self.voter, self.body(), self.signature)
 
     @classmethod
     def from_wire(cls, raw: dict[str, Any]) -> "RejoinAck":

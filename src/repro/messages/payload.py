@@ -37,6 +37,11 @@ class Payload:
     timestamp: float
     data: dict[str, Any] = field(default_factory=dict)
     reply_to: Optional[str] = None
+    #: The canonical encoding, bound to this instance once it was signed or
+    #: first needed; a re-built or ``replace``d copy starts without it.
+    _canonical: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    #: Its hash, which outlives the bytes (see :meth:`hash`).
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.sender, Address) or not isinstance(self.recipient, Address):
@@ -66,12 +71,26 @@ class Payload:
         }
 
     def canonical_bytes(self) -> bytes:
-        """The exact bytes that get signed."""
-        return canonical_json.dump_bytes(self.to_dict())
+        """The exact bytes that get signed: encoded once, then carried."""
+        encoded = self._canonical
+        if encoded is None:
+            encoded = canonical_json.dump_bytes(self.to_dict())
+            object.__setattr__(self, "_canonical", encoded)
+        return encoded
 
     def hash(self) -> bytes:
-        """Hash of the canonical payload (the message/transaction id)."""
-        return fast_hash(self.canonical_bytes())
+        """Hash of the canonical payload (the message/transaction id).
+
+        Signing, sizing and verifying come before a transaction is filed
+        under its id, and a ledger keeps the envelope for good: taking the
+        id keeps the 32-byte digest and lets the carried bytes go.
+        """
+        digest = self._digest
+        if digest is None:
+            digest = fast_hash(self.canonical_bytes())
+            object.__setattr__(self, "_digest", digest)
+            object.__setattr__(self, "_canonical", None)
+        return digest
 
     def hash_hex(self) -> str:
         """0x-prefixed payload hash."""

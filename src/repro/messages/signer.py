@@ -21,11 +21,13 @@ This substitution is documented in DESIGN.md (section "Substitutions").
 
 from __future__ import annotations
 
-from typing import Protocol
+from dataclasses import dataclass, field
+from typing import Any, ClassVar, Optional, Protocol, TypeVar
 
 from ..crypto.ecdsa import Signature, SignatureError
 from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address, PrivateKey, recover_address
+from ..encoding import canonical_json
 
 
 class Signer(Protocol):
@@ -117,6 +119,62 @@ class SimulatedSigner:
     def clear_registry(cls) -> None:
         """Drop all registered simulated identities (test isolation)."""
         cls._registry.clear()
+
+
+_S = TypeVar("_S", bound="SignedStatement")
+
+
+@dataclass(frozen=True)
+class SignedStatement:
+    """Base of the individually signed statements (confirmations, votes…).
+
+    A statement names its signed fields once (:meth:`_signed_fields`).  The
+    signer keeps the bytes it signed on the instance, so verifying that same
+    object costs no second encode; a parsed statement is verified once by
+    its receiver and encodes for it without keeping anything.  The bytes
+    belong to the instance, never to its field values: a
+    ``dataclasses.replace``d or re-built copy encodes afresh, so a tampered
+    one cannot verify.
+    """
+
+    #: Domain tag mixed into the signed bytes (not into the wire form).
+    KIND: ClassVar[Optional[str]] = None
+
+    signature: bytes = field(kw_only=True)
+    scheme: str = field(default="ecdsa", kw_only=True)
+    _body: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+
+    def _signed_fields(self) -> dict[str, Any]:
+        """The fields the signature covers, under their wire names."""
+        raise NotImplementedError
+
+    def body(self) -> bytes:
+        """The canonical bytes that get signed."""
+        if self._body is not None:
+            return self._body
+        fields = self._signed_fields()
+        if self.KIND is not None:
+            fields["kind"] = self.KIND
+        return canonical_json.dump_bytes(fields)
+
+    def to_wire(self) -> dict[str, Any]:
+        """JSON-serializable form: the signed fields plus the signature."""
+        return {
+            **self._signed_fields(),
+            "signature": "0x" + self.signature.hex(),
+            "scheme": self.scheme,
+        }
+
+    def _signed_by(self: _S, signer: Signer) -> _S:
+        """Sign a statement just built with an empty signature.
+
+        For the ``create`` factories only: the instance has not escaped
+        yet, so filling in its signature breaks nobody's frozen view.
+        """
+        body = self.body()
+        object.__setattr__(self, "_body", body)
+        object.__setattr__(self, "signature", signer.sign(body))
+        return self
 
 
 def verify_signature(scheme: str, address: Address, message: bytes, signature: bytes) -> bool:

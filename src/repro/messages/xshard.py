@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from ..crypto.keys import Address
-from ..encoding import canonical_json
-from .signer import Signer, verify_signature
+from .signer import SignedStatement, Signer, verify_signature
 
 
 class CrossShardError(ValueError):
@@ -112,7 +111,7 @@ class CrossShardPrepare:
 
 
 @dataclass(frozen=True)
-class CrossShardVote:
+class CrossShardVote(SignedStatement):
     """A gateway cell's signed verdict on one phase of a cross-shard tx.
 
     For the prepare phase, ``ok=True`` means this group executed and
@@ -130,30 +129,12 @@ class CrossShardVote:
     participants: tuple[int, ...]
     phase: str
     ok: bool
-    signature: bytes
-    scheme: str = "ecdsa"
+
+    KIND = "xshard_vote"
 
     def __post_init__(self) -> None:
         if self.phase not in PHASES:
             raise CrossShardError(f"unknown cross-shard phase {self.phase!r}")
-
-    @staticmethod
-    def signing_body(
-        voter: Address, xtx: str, group: int, participants: tuple[int, ...],
-        phase: str, ok: bool,
-    ) -> bytes:
-        """Canonical bytes a gateway signs for a cross-shard vote."""
-        return canonical_json.dump_bytes(
-            {
-                "kind": "xshard_vote",
-                "voter": voter.hex(),
-                "xtx": xtx,
-                "group": group,
-                "participants": list(participants),
-                "phase": phase,
-                "ok": ok,
-            }
-        )
 
     @classmethod
     def create(
@@ -161,7 +142,6 @@ class CrossShardVote:
         phase: str, ok: bool,
     ) -> "CrossShardVote":
         """Build and sign a vote on behalf of ``signer``."""
-        body = cls.signing_body(signer.address, xtx, group, participants, phase, ok)
         return cls(
             voter=signer.address,
             xtx=xtx,
@@ -169,19 +149,11 @@ class CrossShardVote:
             participants=tuple(participants),
             phase=phase,
             ok=ok,
-            signature=signer.sign(body),
+            signature=b"",
             scheme=signer.scheme,
-        )
+        )._signed_by(signer)
 
-    def verify(self) -> bool:
-        """Check the voter's signature over the vote body."""
-        body = self.signing_body(
-            self.voter, self.xtx, self.group, self.participants, self.phase, self.ok
-        )
-        return verify_signature(self.scheme, self.voter, body, self.signature)
-
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-serializable form (embedded in votes and certificates)."""
+    def _signed_fields(self) -> dict[str, Any]:
         return {
             "voter": self.voter.hex(),
             "xtx": self.xtx,
@@ -189,9 +161,11 @@ class CrossShardVote:
             "participants": list(self.participants),
             "phase": self.phase,
             "ok": self.ok,
-            "signature": "0x" + self.signature.hex(),
-            "scheme": self.scheme,
         }
+
+    def verify(self) -> bool:
+        """Check the voter's signature over the vote body."""
+        return verify_signature(self.scheme, self.voter, self.body(), self.signature)
 
     @classmethod
     def from_wire(cls, raw: dict[str, Any]) -> "CrossShardVote":
@@ -336,7 +310,7 @@ VOUCHER_PHASES = ("mint", "redeem")
 
 
 @dataclass(frozen=True)
-class CrossShardVoucher:
+class CrossShardVoucher(SignedStatement):
     """A signed, single-use credit voucher minted by a source gateway.
 
     The fast path for cross-shard transfers whose destination effect is a
@@ -361,8 +335,8 @@ class CrossShardVoucher:
     recipient: str
     amount: int
     expires_at: float
-    signature: bytes
-    scheme: str = "ecdsa"
+
+    KIND = "xshard_voucher"
 
     def __post_init__(self) -> None:
         if not self.xtx:
@@ -370,36 +344,12 @@ class CrossShardVoucher:
         if self.source_group == self.target_group:
             raise CrossShardError("a voucher must cross group boundaries")
 
-    @staticmethod
-    def signing_body(
-        issuer: Address, xtx: str, source_group: int, target_group: int,
-        contract: str, recipient: str, amount: int, expires_at: float,
-    ) -> bytes:
-        """Canonical bytes a source gateway signs for a credit voucher."""
-        return canonical_json.dump_bytes(
-            {
-                "kind": "xshard_voucher",
-                "issuer": issuer.hex(),
-                "xtx": xtx,
-                "source_group": source_group,
-                "target_group": target_group,
-                "contract": contract,
-                "recipient": recipient,
-                "amount": amount,
-                "expires_at": expires_at,
-            }
-        )
-
     @classmethod
     def create(
         cls, signer: Signer, xtx: str, source_group: int, target_group: int,
         contract: str, recipient: str, amount: int, expires_at: float,
     ) -> "CrossShardVoucher":
         """Build and sign a voucher on behalf of the minting gateway."""
-        body = cls.signing_body(
-            signer.address, xtx, source_group, target_group,
-            contract, recipient, amount, expires_at,
-        )
         return cls(
             issuer=signer.address,
             xtx=xtx,
@@ -409,17 +359,25 @@ class CrossShardVoucher:
             recipient=recipient,
             amount=amount,
             expires_at=expires_at,
-            signature=signer.sign(body),
+            signature=b"",
             scheme=signer.scheme,
-        )
+        )._signed_by(signer)
+
+    def _signed_fields(self) -> dict[str, Any]:
+        return {
+            "issuer": self.issuer.hex(),
+            "xtx": self.xtx,
+            "source_group": self.source_group,
+            "target_group": self.target_group,
+            "contract": self.contract,
+            "recipient": self.recipient,
+            "amount": self.amount,
+            "expires_at": self.expires_at,
+        }
 
     def verify(self) -> bool:
         """Check the issuer's signature over the voucher body."""
-        body = self.signing_body(
-            self.issuer, self.xtx, self.source_group, self.target_group,
-            self.contract, self.recipient, self.amount, self.expires_at,
-        )
-        return verify_signature(self.scheme, self.issuer, body, self.signature)
+        return verify_signature(self.scheme, self.issuer, self.body(), self.signature)
 
     def verify_against(
         self, directory: Mapping[int, frozenset[Address]]
@@ -440,21 +398,6 @@ class CrossShardVoucher:
         if not self.verify():
             return "voucher carries an invalid issuer signature"
         return None
-
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-serializable form (relayed by the coordinator)."""
-        return {
-            "issuer": self.issuer.hex(),
-            "xtx": self.xtx,
-            "source_group": self.source_group,
-            "target_group": self.target_group,
-            "contract": self.contract,
-            "recipient": self.recipient,
-            "amount": self.amount,
-            "expires_at": self.expires_at,
-            "signature": "0x" + self.signature.hex(),
-            "scheme": self.scheme,
-        }
 
     @classmethod
     def from_wire(cls, raw: dict[str, Any]) -> "CrossShardVoucher":

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.client import BlockumulusClient, CasClient
+from repro.client import BlockumulusClient, CasClient, run_burst_transfers
 from repro.core.receipts import Confirmation, ConfirmationBatch, ReceiptError
 from repro.encoding import canonical_json
 from repro.messages.signer import EcdsaSigner
@@ -149,3 +149,24 @@ def test_singleton_deployment_has_no_batcher(burst_runs):
     assert all(cell.batcher is None for cell in deployment.cells)
     stats = deployment.cell(0).statistics()
     assert stats["batching"] is None
+
+
+# ----------------------------------------------------------------------
+# Encode budget: the wire path encodes once per signed object
+# ----------------------------------------------------------------------
+def test_batched_burst_stays_within_the_encode_budget(monkeypatch):
+    """A count, not a timing: each payload and confirmation is encoded once
+    by its signer and once by each cell that parsed it off the wire, and
+    sizing, verifying the sender's own object and taking the transaction
+    id are free."""
+    transactions, pools = 50, 2
+    deployment = make_deployment(signature_scheme="sim")
+    encodes = []
+    encode = canonical_json.dumps
+    monkeypatch.setattr(
+        canonical_json, "dumps", lambda value: encodes.append(None) or encode(value)
+    )
+    report = run_burst_transfers(deployment, count=transactions, pools=pools)
+    assert report.failure_count == 0 and len(report.results) == transactions
+    # One funding transaction per pool rides through the same pipeline.
+    assert len(encodes) / (transactions + pools) <= 6.5

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.crypto.keys import PrivateKey
+from repro.encoding import canonical_json
 from repro.messages import EcdsaSigner, Envelope, EnvelopeError, NonceFactory, Opcode, SimulatedSigner
 
 SIGNER = EcdsaSigner.from_seed("envelope-signer")
@@ -86,6 +87,19 @@ def test_nonce_factory_produces_unique_nonces():
 def test_byte_size_matches_wire_length():
     envelope = make_envelope()
     assert envelope.byte_size() == len(envelope.wire_bytes())
+
+
+def test_unknown_scheme_tag_is_sized_like_a_full_encode_and_never_verifies():
+    envelope = make_envelope()
+    wire = envelope.to_wire()
+    wire["scheme"] = 'rsa"\u00e9'
+    odd = Envelope.from_wire(wire)
+    assert odd.wire_bytes() == canonical_json.dump_bytes(odd.to_wire())
+    assert odd.byte_size() == len(odd.wire_bytes())
+    assert not odd.verify()
+    wire["scheme"] = ["ecdsa"]
+    with pytest.raises(EnvelopeError):
+        Envelope.from_wire(wire)
 
 
 def test_accessors():

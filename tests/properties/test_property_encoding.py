@@ -1,10 +1,16 @@
 """Property-based tests for the encoding layers (hypothesis)."""
 
+import dataclasses
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.receipts import Confirmation
 from repro.crypto.fingerprint import canonical_bytes, fingerprint_state
+from repro.crypto.keys import Address
 from repro.encoding import canonical_json, rlp
+from repro.messages import Envelope, Opcode, SimulatedSigner
 
 # JSON-like values with string keys, bounded depth.
 json_values = st.recursive(
@@ -65,3 +71,119 @@ def test_canonical_bytes_injective_enough(a, b):
     # Distinct values must not collide in their canonical encoding.
     if a != b:
         assert canonical_bytes(a) != canonical_bytes(b)
+
+
+# ----------------------------------------------------------------------
+# Encode-once wire path: carried bytes and the single-pass encoder
+# ----------------------------------------------------------------------
+SENDER = SimulatedSigner("prop-encoding-sender")
+RECIPIENT = SimulatedSigner("prop-encoding-recipient").address
+
+addresses = st.binary(min_size=20, max_size=20).map(Address)
+
+# What a payload may carry beyond plain JSON: bytes, tuples, addresses.
+rich_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-10**12, max_value=10**12)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=20)
+    | st.binary(max_size=12) | addresses,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _reference_dumps(value):
+    """The two-pass encoder this repository used to have: normalise, then dump."""
+
+    def normalize(item):
+        if item is None or isinstance(item, (bool, int, str, float)):
+            return item
+        if isinstance(item, (bytes, bytearray, memoryview)):
+            return "0x" + bytes(item).hex()
+        if isinstance(item, (list, tuple)):
+            return [normalize(child) for child in item]
+        if isinstance(item, dict):
+            return {key: normalize(child) for key, child in item.items()}
+        return item.hex()
+
+    return json.dumps(normalize(value), sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rich_values)
+def test_single_pass_dumps_equals_normalise_then_dump(value):
+    assert canonical_json.dumps(value) == _reference_dumps(value)
+
+
+payload_data = st.dictionaries(st.text(max_size=8), json_values, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload_data, st.floats(min_value=0, max_value=10**6))
+def test_carried_bytes_equal_a_fresh_encoding_and_survive_the_wire(data, timestamp):
+    envelope = Envelope.create(
+        signer=SENDER, recipient=RECIPIENT, operation=Opcode.TX_SUBMIT,
+        data=data, timestamp=timestamp, nonce="0x01",
+    )
+    payload = envelope.payload
+    fresh = canonical_json.dump_bytes(payload.to_dict())
+    assert payload.canonical_bytes() == fresh
+    assert envelope.wire_bytes() == canonical_json.dump_bytes(envelope.to_wire())
+    assert envelope.byte_size() == len(envelope.wire_bytes())
+    # Taking the id lets the bytes go; asking again gives the same ones.
+    tx_id = payload.hash_hex()
+    assert payload.canonical_bytes() == fresh and payload.hash_hex() == tx_id
+    for restored in (
+        Envelope.from_wire(envelope.to_wire()),
+        Envelope.from_wire(envelope.wire_bytes()),
+    ):
+        assert restored.payload.canonical_bytes() == fresh
+        assert restored.wire_bytes() == envelope.wire_bytes()
+        assert restored.payload.hash_hex() == tx_id
+        assert restored.verify()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.text(min_size=1, max_size=12), st.text(max_size=12),
+    st.sampled_from(["executed", "rejected"]),
+    st.floats(min_value=0, max_value=10**6), st.none() | st.text(max_size=12),
+)
+def test_confirmation_body_is_carried_and_survives_the_wire(
+    tx_id, contract, status, timestamp, error
+):
+    confirmation = Confirmation.create(
+        SENDER, tx_id, contract, "0x" + "ab" * 32, status, timestamp, error
+    )
+    unsigned = dict(confirmation.to_wire())
+    del unsigned["signature"], unsigned["scheme"]
+    assert confirmation.body() == canonical_json.dump_bytes(unsigned)
+    assert confirmation.verify()
+    restored = Confirmation.from_wire(confirmation.to_wire())
+    assert restored.to_wire() == confirmation.to_wire()
+    assert restored.body() == confirmation.body()
+    assert restored.verify()
+    tampered = dataclasses.replace(confirmation, status="forged")
+    assert tampered.body() != confirmation.body() and not tampered.verify()
+
+
+def test_rebuilt_envelope_with_altered_data_fails_verification():
+    envelope = Envelope.create(
+        signer=SENDER, recipient=RECIPIENT, operation=Opcode.TX_SUBMIT,
+        data={"contract": "fastmoney", "args": {"amount": 1}}, timestamp=1.0, nonce="0x02",
+    )
+    assert envelope.verify()
+    tx_id = envelope.payload.hash_hex()
+    altered = dataclasses.replace(
+        envelope.payload, data={"contract": "fastmoney", "args": {"amount": 1000}}
+    )
+    for forged in (
+        Envelope(payload=altered, signature=envelope.signature, scheme=envelope.scheme),
+        dataclasses.replace(envelope, payload=altered),
+    ):
+        assert not forged.verify()
+        assert forged.payload.hash_hex() != tx_id
+        assert forged.byte_size() == len(canonical_json.dump_bytes(forged.to_wire()))
+    # The original is untouched by the forgeries built from it.
+    assert envelope.verify() and envelope.payload.hash_hex() == tx_id
