@@ -32,7 +32,7 @@ returns the process, whose value is a :class:`CrossShardResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Union
 
 from ..contracts.community.fastmoney import FastMoney
 from ..core.lanes import AccessFootprint
@@ -335,12 +335,16 @@ class ShardedClient:
         return safe
 
     def _send_phase(
-        self, signer: Signer, plan: ParticipantPlan, data: dict[str, Any], opcode: Opcode
+        self,
+        signer: Signer,
+        plan: Union[ParticipantPlan, int],
+        data: dict[str, Any],
+        opcode: Opcode,
     ) -> Event:
-        """Send one phase envelope to a group's gateway; returns the safe waiter."""
-        _request, waiter = self._gateway_client(plan.group).request(
-            opcode, data, signer=signer
-        )
+        """Send one 2PC phase (of ``plan``'s group) or voucher leg (to a group
+        index) to that group's gateway; returns the safe waiter."""
+        group = plan.group if isinstance(plan, ParticipantPlan) else plan
+        _request, waiter = self._gateway_client(group).request(opcode, data, signer=signer)
         return self._safe_reply(waiter)
 
     def _parse_vote(
@@ -582,20 +586,6 @@ class ShardedClient:
             )
         )
 
-    def _shard_gateway_directory(self) -> dict[int, frozenset]:
-        """The shard directory: each group's designated gateway address."""
-        return {
-            group.index: frozenset({group.gateway.address})
-            for group in self.deployment.groups
-        }
-
-    def _send_voucher(self, signer: Signer, group: int, data: dict[str, Any]) -> Event:
-        """Send one voucher leg to a group's gateway; returns the safe waiter."""
-        _request, waiter = self._gateway_client(group).request(
-            Opcode.XSHARD_VOUCHER, data, signer=signer
-        )
-        return self._safe_reply(waiter)
-
     def _coordinate_voucher(
         self,
         source_group: int,
@@ -647,7 +637,7 @@ class ShardedClient:
             transaction=inner.to_wire(),
             target_group=target_group, target_contract=redeem[0],
         )
-        waiter = self._send_voucher(signer, source_group, body.to_data())
+        waiter = self._send_phase(signer, source_group, body.to_data(), Opcode.XSHARD_VOUCHER)
         yield self.env.any_of([waiter, self.env.timeout(deadline)])
         reply = waiter.value if waiter.triggered else None
         if reply is None:
@@ -679,7 +669,7 @@ class ShardedClient:
             # deadline, after which the escrow reclaims.  The signature
             # check is load-bearing for the early ok, so a forged
             # voucher is refused here, before the promise is made.
-            refusal = voucher.verify_against(self._shard_gateway_directory())
+            refusal = voucher.verify_against(self.deployment.gateway_directory())
             if refusal is not None:
                 return result(
                     False, "abort", in_transit=True,
@@ -740,7 +730,7 @@ class ShardedClient:
             xtx=xtx, phase="redeem", group=target_group,
             transaction=inner.to_wire(), voucher=voucher.to_wire(),
         )
-        waiter = self._send_voucher(signer, target_group, body.to_data())
+        waiter = self._send_phase(signer, target_group, body.to_data(), Opcode.XSHARD_VOUCHER)
         yield self.env.any_of([waiter, self.env.timeout(deadline)])
         reply = waiter.value if waiter.triggered else None
         if reply is None:

@@ -34,14 +34,6 @@ from ..messages.envelope import Envelope, NonceFactory
 from ..messages.membership import MembershipError, SyncRequest, SyncState
 from ..messages.opcodes import Opcode
 from ..messages.signer import Signer
-from ..messages.xshard import (
-    CrossShardDecision,
-    CrossShardError,
-    CrossShardPrepare,
-    CrossShardVote,
-    CrossShardVoucher,
-    CrossShardVoucherTransfer,
-)
 from ..sim.environment import Environment
 from ..sim.events import Event
 from ..sim.latency import CellServiceModel
@@ -53,6 +45,7 @@ from .config import SystemInvariants
 from .consensus import OverlayConsensus
 from .executor import ExecutionOutcome, TransactionExecutor
 from .faults import FaultPlan
+from .gateway import CrossShardGateway
 from .lanes import LaneScheduler
 from .ledger import LedgerEntry, LedgerError, TransactionLedger
 from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch, ReceiptError
@@ -65,6 +58,16 @@ from .subscription import PricingPolicy, SubscriptionManager, SubscriptionError
 #: matches on it); the reply reuses the existing ``TX_ERROR`` opcode so
 #: shedding needs no new protocol message.
 OVERLOADED_ERROR = "OVERLOADED: the cell's admission queue is full"
+
+#: Client opcodes served by the ingress stage (:meth:`BlockumulusCell._serve_client`):
+#: direct submissions, and the cross-shard requests only a gateway cell serves.
+_SUBMISSIONS = (Opcode.TX_SUBMIT, Opcode.DEPLOY_CONTRACT)
+_CLIENT_INGRESS = _SUBMISSIONS + (
+    Opcode.XSHARD_PREPARE,
+    Opcode.XSHARD_COMMIT,
+    Opcode.XSHARD_ABORT,
+    Opcode.XSHARD_VOUCHER,
+)
 
 
 def _flip_fingerprint(fingerprint_hex: str) -> str:
@@ -79,6 +82,7 @@ def _flip_fingerprint(fingerprint_hex: str) -> str:
     return "0x" + bytes(byte ^ 0xFF for byte in honest).hex()
 
 
+@dataclasses.dataclass
 class _ServiceResult:
     """What the shared service pipeline learned about one transaction.
 
@@ -87,28 +91,14 @@ class _ServiceResult:
     which differ only in how they report this result back.
     """
 
-    def __init__(
-        self,
-        *,
-        entry: Optional[LedgerEntry] = None,
-        outcome: Optional[ExecutionOutcome] = None,
-        cycle: int = 0,
-        receipt: Optional[AggregatedReceipt] = None,
-        missing: Optional[list[Address]] = None,
-        mismatched: Optional[list[Address]] = None,
-        rejected: Optional[list["Confirmation"]] = None,
-        admit_error: Optional[str] = None,
-        aborted: bool = False,
-    ) -> None:
-        self.entry = entry
-        self.outcome = outcome
-        self.cycle = cycle
-        self.receipt = receipt
-        self.missing = missing or []
-        self.mismatched = mismatched or []
-        self.rejected = rejected or []
-        self.admit_error = admit_error
-        self.aborted = aborted
+    entry: Optional[LedgerEntry] = None
+    outcome: Optional[ExecutionOutcome] = None
+    receipt: Optional[AggregatedReceipt] = None
+    missing: list[Address] = dataclasses.field(default_factory=list)
+    mismatched: list[Address] = dataclasses.field(default_factory=list)
+    rejected: list[Confirmation] = dataclasses.field(default_factory=list)
+    admit_error: Optional[str] = None
+    aborted: bool = False
 
     @property
     def confirmed(self) -> bool:
@@ -119,9 +109,15 @@ class _ServiceResult:
         """Human-readable reason the transaction reverted."""
         if self.admit_error is not None:
             return self.admit_error
-        return BlockumulusCell._failure_reason(
-            self.outcome, self.missing, self.mismatched, self.rejected
-        )
+        if self.outcome is not None and not self.outcome.ok:
+            return self.outcome.error or "execution rejected"
+        if self.rejected:
+            return self.rejected[0].error or "execution rejected by a consortium cell"
+        if self.missing:
+            return "forwarding deadline missed by one or more cells"
+        if self.mismatched:
+            return "fingerprint mismatch across consortium cells"
+        return "transaction reverted"
 
 
 class _PendingTransaction:
@@ -252,20 +248,11 @@ class BlockumulusCell:
         self._client_nodes: dict[Address, str] = {}
         self._pending: dict[str, _PendingTransaction] = {}
 
-        # Contract-state sharding (repro.core.sharding).  In a sharded
-        # deployment exactly one cell per group is the cross-shard
-        # *gateway*: the directory maps group index -> gateway addresses
-        # (used to verify decision certificates), and the gateway's
-        # per-xtx state machine rejects out-of-order or contradictory
-        # phases.  Non-gateway cells refuse XSHARD traffic outright —
-        # were siblings allowed to serve it, a duplicate prepare to a
-        # sibling would yield a signed no-vote (the group-wide escrow
-        # rejects the replay) while the hold stands, manufacturing abort
-        # evidence against a commit-eligible transaction.
+        # Contract-state sharding (repro.core.sharding): every cell knows
+        # its group, and exactly one cell per group also holds the gateway
+        # role object; all others refuse XSHARD traffic (repro.core.gateway).
         self.shard_group: Optional[int] = None
-        self.is_xshard_gateway: bool = False
-        self._shard_directory: Optional[dict[int, frozenset[Address]]] = None
-        self._xshard_state: dict[str, str] = {}
+        self.gateway: Optional[CrossShardGateway] = None
 
         # While a resync is in flight the cell must not take snapshots: it
         # would anchor fingerprints of half-restored state.  For the same
@@ -332,15 +319,16 @@ class BlockumulusCell:
         lists every group's designated *gateway* addresses, which is what
         lets a gateway verify that a decision certificate's prepare votes
         really come from the other groups' gateways.  Only the cell
-        installed with ``gateway=True`` serves ``XSHARD_*`` traffic: the
-        2PC state machine must have one authoritative owner per group.
+        installed with ``gateway=True`` gets the
+        :class:`~repro.core.gateway.CrossShardGateway` role (and with it
+        the directory) and serves ``XSHARD_*`` traffic: the 2PC state
+        machine must have one authoritative owner per group.
         Installed by :class:`~repro.core.sharding.ShardedDeployment`;
         unsharded deployments never call this and reject all ``XSHARD_*``
         traffic.
         """
         self.shard_group = group
-        self.is_xshard_gateway = gateway
-        self._shard_directory = {g: frozenset(addresses) for g, addresses in directory.items()}
+        self.gateway = CrossShardGateway(self, group, directory) if gateway else None
 
     def start(self) -> None:
         """Start the cell's background processes (report cycle lifecycle)."""
@@ -357,10 +345,10 @@ class BlockumulusCell:
             return
         envelope = payload
         operation = envelope.operation
-        if operation in (Opcode.TX_SUBMIT, Opcode.DEPLOY_CONTRACT):
+        if operation in _CLIENT_INGRESS:
             self._client_nodes[envelope.sender] = src_node
             self.subscriptions.record_traffic(envelope.sender, size)
-            self.env.process(self._serve_transaction(src_node, envelope))
+            self.env.process(self._serve_client(src_node, envelope))
         elif operation == Opcode.TX_FORWARD:
             self.env.process(self._process_forwarded(src_node, envelope))
         elif operation == Opcode.TX_FORWARD_BATCH:
@@ -375,14 +363,6 @@ class BlockumulusCell:
         elif operation == Opcode.QUERY_STATE:
             self._client_nodes[envelope.sender] = src_node
             self.env.process(self._serve_query(src_node, envelope))
-        elif operation in (Opcode.XSHARD_PREPARE, Opcode.XSHARD_COMMIT, Opcode.XSHARD_ABORT):
-            self._client_nodes[envelope.sender] = src_node
-            self.subscriptions.record_traffic(envelope.sender, size)
-            self.env.process(self._serve_xshard(src_node, envelope))
-        elif operation == Opcode.XSHARD_VOUCHER:
-            self._client_nodes[envelope.sender] = src_node
-            self.subscriptions.record_traffic(envelope.sender, size)
-            self.env.process(self._serve_xshard_voucher(src_node, envelope))
         elif operation == Opcode.SNAPSHOT_REQUEST:
             self.env.process(self._serve_snapshot_request(src_node, envelope))
         elif operation == Opcode.LEDGER_REQUEST:
@@ -429,6 +409,10 @@ class BlockumulusCell:
             self.subscriptions.record_traffic(request.sender, size)
         self.network.send(self.node_name, dst_node, reply, size)
 
+    def _refuse(self, dst_node: str, request: Envelope, error: str, **details: Any) -> None:
+        """Answer ``request`` with a plain ``TX_ERROR`` (never a signed statement)."""
+        self._reply(dst_node, request, Opcode.TX_ERROR, {"error": error, **details})
+
     # ------------------------------------------------------------------
     # Client transaction servicing (Fig. 7 steps 1-4)
     # ------------------------------------------------------------------
@@ -458,28 +442,54 @@ class BlockumulusCell:
         self._inflight_peak = max(self._inflight_peak, self._inflight)
         return True
 
-    def _serve_transaction(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
+    def _serve_client(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
+        """The one client-ingress stage: admission slot, authentication, handler.
+
+        Every client request that costs a confirmation round enters here.
+        Authentication is the first step of serving (Section III-D3), so
+        the handlers start from an authenticated envelope; however one
+        exits, its slot is released exactly once.
+        """
         started = self.env.now
-        if not self._admit_ingress():
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": OVERLOADED_ERROR, "shed": True},
-            )
+        operation = envelope.operation
+        # Commit/abort decisions are never shed: they complete a transaction
+        # whose funds are already held, and the timeout contingencies expect
+        # the decision to land eventually.  Everything else is new work —
+        # shedding a prepare before any escrow hold exists simply aborts the
+        # cross-shard transaction (the coordinator reads the TX_ERROR as a
+        # no-vote), a shed mint fails the transfer before any value moves,
+        # and a shed redeem behaves exactly like a lost voucher (the value
+        # stays in transit until the source holder reclaims it).
+        sheddable = operation not in (Opcode.XSHARD_COMMIT, Opcode.XSHARD_ABORT)
+        if sheddable and not self._admit_ingress():
+            self._refuse(src_node, envelope, OVERLOADED_ERROR, shed=True)
             return
         try:
-            yield from self._serve_admitted_transaction(src_node, envelope, started)
+            yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
+            if not envelope.verify() or envelope.recipient != self.address:
+                self.metrics.increment(f"{self.node_name}/auth_failures")
+                self._refuse(src_node, envelope, "authentication failed")
+            elif operation in _SUBMISSIONS:
+                yield from self._serve_submission(src_node, envelope, started)
+            elif self.gateway is not None:
+                yield from self.gateway.handle_request(src_node, envelope)
+            else:
+                # One authoritative 2PC state machine per group: a sibling
+                # cell serving the same xtx could be tricked into signing a
+                # verdict that contradicts the gateway's.
+                self._refuse(
+                    src_node, envelope,
+                    "this deployment is not sharded" if self.shard_group is None
+                    else f"{self.node_name} is not the cross-shard gateway of its group",
+                )
         finally:
-            self._inflight -= 1
+            if sheddable:
+                self._inflight -= 1
 
-    def _serve_admitted_transaction(
+    def _serve_submission(
         self, src_node: str, envelope: Envelope, started: float
     ) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-
-        if not envelope.verify() or envelope.recipient != self.address:
-            self.metrics.increment(f"{self.node_name}/auth_failures")
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": "authentication failed"})
-            return
+        """Service an authenticated ``TX_SUBMIT`` and report its receipt."""
         if self.fault.is_censored(envelope):
             # A censoring cell silently drops the transaction (Section V-B).
             self.metrics.increment(f"{self.node_name}/censored")
@@ -487,7 +497,7 @@ class BlockumulusCell:
         try:
             self.subscriptions.check_access(envelope.sender)
         except SubscriptionError as exc:
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": str(exc)})
+            self._refuse(src_node, envelope, str(exc))
             return
 
         result = yield from self._service_pipeline(envelope)
@@ -495,7 +505,7 @@ class BlockumulusCell:
             # The cell crashed mid-service; it stays silent.
             return
         if result.admit_error is not None:
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": result.admit_error})
+            self._refuse(src_node, envelope, result.admit_error)
             return
 
         self.subscriptions.record_transaction(envelope.sender)
@@ -512,16 +522,13 @@ class BlockumulusCell:
         if result.mismatched:
             self.metrics.increment(f"{self.node_name}/fingerprint_mismatches")
         self.metrics.increment(f"{self.node_name}/transactions_failed")
-        self._reply(
+        self._refuse(
             src_node,
             envelope,
-            Opcode.TX_ERROR,
-            {
-                "error": result.failure_reason(),
-                "tx_id": result.entry.tx_id,
-                "missing_cells": [address.hex() for address in result.missing],
-                "mismatched_cells": [address.hex() for address in result.mismatched],
-            },
+            result.failure_reason(),
+            tx_id=result.entry.tx_id,
+            missing_cells=[address.hex() for address in result.missing],
+            mismatched_cells=[address.hex() for address in result.mismatched],
         )
 
     def _service_pipeline(self, envelope: Envelope) -> Generator[Event, Any, _ServiceResult]:
@@ -532,54 +539,20 @@ class BlockumulusCell:
         confirmation collection against the forwarding deadline, and
         fingerprint aggregation into a multi-signature receipt.  Used by
         the client-facing ``TX_SUBMIT`` path and by the cross-shard
-        gateway (which services the inner prepare/commit/abort
-        transactions of a two-phase cross-shard commit); only the reply
-        that reports the returned :class:`_ServiceResult` differs.
+        gateway (which services the inner transactions of 2PC phases and
+        voucher legs); only the reply that reports the returned
+        :class:`_ServiceResult` differs.
         """
-        # Admission: the ordering point, under the ledger mutex.
-        yield self.ledger.mutex.request()
         try:
-            if self.in_report_stage:
-                yield self._stage_resume
-            cycle = self.consensus.cycle_of(self.env.now)
-            try:
-                entry = self.ledger.admit(envelope, cycle)
-            except LedgerError as exc:
-                return _ServiceResult(admit_error=str(exc), cycle=cycle)
-        finally:
-            self.ledger.mutex.release()
-
-        # Forward to every active consortium peer — plus any rejoiner this
-        # cell agreed to readmit whose commit is still in flight.  Without
-        # the provisional targets, everything admitted between the rejoin
-        # ack and the readmit commit would silently never reach the
-        # rejoiner (it is not in the active view yet).  Provisional
-        # targets buffer the forward mid-resync and are *not* part of the
-        # confirmation quorum, so they never gate the receipt.
+            entry = yield from self._admit_to_ledger(envelope)
+        except LedgerError as exc:
+            return _ServiceResult(admit_error=str(exc))
         active_peers = self.active_peer_nodes()
-        forward_targets = dict(active_peers)
-        for address, node in self.membership.provisional_forward_targets().items():
-            forward_targets.setdefault(address, node)
         pending = _PendingTransaction(self.env, entry.tx_id, set(active_peers))
         self._pending[entry.tx_id] = pending
-        for peer_address, peer_node in forward_targets.items():
-            yield from self.cpu.use(self.service_model.forward_cpu_per_cell)
-            if self.fault.crashed:
-                return _ServiceResult(entry=entry, cycle=cycle, aborted=True)
-            if self.batcher is not None:
-                # Batched pipeline: the client envelope joins this peer's next
-                # batch flush instead of costing a dedicated network message.
-                self.batcher.queue_forward(peer_node, peer_address, envelope)
-                continue
-            forward = Envelope.create(
-                signer=self.signer,
-                recipient=peer_address,
-                operation=Opcode.TX_FORWARD,
-                data={"client_envelope": envelope.to_wire()},
-                timestamp=self.env.now,
-                nonce=self.nonces.next(),
-            )
-            self.network.send(self.node_name, peer_node, forward, forward.byte_size())
+        forwarded = yield from self._forward_to_peers(envelope, active_peers)
+        if not forwarded:
+            return _ServiceResult(entry=entry, aborted=True)
 
         # Execute locally while peers work in parallel.
         outcome = yield from self._execute_entry(entry)
@@ -597,7 +570,67 @@ class BlockumulusCell:
             yield self.env.timeout(
                 self.service_model.aggregate_overhead_per_cell * len(active_peers)
             )
+        return self._aggregate(entry, outcome, pending, active_peers)
 
+    def _admit_to_ledger(self, envelope: Envelope) -> Generator[Event, Any, LedgerEntry]:
+        """Admission: the ordering point, under the ledger mutex.
+
+        Waits out a report stage in progress, so the entry lands in the
+        cycle that follows the snapshot.  Raises :class:`LedgerError`
+        (mutex released) when the transaction is already in the ledger.
+        """
+        yield self.ledger.mutex.request()
+        try:
+            if self.in_report_stage:
+                yield self._stage_resume
+            return self.ledger.admit(envelope, self.consensus.cycle_of(self.env.now))
+        finally:
+            self.ledger.mutex.release()
+
+    def _forward_to_peers(
+        self, envelope: Envelope, active_peers: dict[Address, str]
+    ) -> Generator[Event, Any, bool]:
+        """Forward an admitted transaction; False if the cell crashed midway.
+
+        Targets are every active consortium peer — plus any rejoiner this
+        cell agreed to readmit whose commit is still in flight.  Without
+        the provisional targets, everything admitted between the rejoin
+        ack and the readmit commit would silently never reach the
+        rejoiner (it is not in the active view yet).  Provisional
+        targets buffer the forward mid-resync and are *not* part of the
+        confirmation quorum, so they never gate the receipt.
+        """
+        forward_targets = dict(active_peers)
+        for address, node in self.membership.provisional_forward_targets().items():
+            forward_targets.setdefault(address, node)
+        for peer_address, peer_node in forward_targets.items():
+            yield from self.cpu.use(self.service_model.forward_cpu_per_cell)
+            if self.fault.crashed:
+                return False
+            if self.batcher is not None:
+                # Batched pipeline: the client envelope joins this peer's next
+                # batch flush instead of costing a dedicated network message.
+                self.batcher.queue_forward(peer_node, peer_address, envelope)
+                continue
+            forward = Envelope.create(
+                signer=self.signer,
+                recipient=peer_address,
+                operation=Opcode.TX_FORWARD,
+                data={"client_envelope": envelope.to_wire()},
+                timestamp=self.env.now,
+                nonce=self.nonces.next(),
+            )
+            self.network.send(self.node_name, peer_node, forward, forward.byte_size())
+        return True
+
+    def _aggregate(
+        self,
+        entry: LedgerEntry,
+        outcome: ExecutionOutcome,
+        pending: _PendingTransaction,
+        active_peers: dict[Address, str],
+    ) -> _ServiceResult:
+        """Judge the collected confirmations; sign the receipt if all agree."""
         missing = [address for address in active_peers if address not in pending.confirmations]
         mismatched: list[Address] = []
         rejected: list[Confirmation] = []
@@ -609,13 +642,13 @@ class BlockumulusCell:
             elif confirmation.fingerprint_hex != expected_fingerprint:
                 mismatched.append(address)
         for address in missing:
-            newly_excluded = self.consensus.record_miss(address, cycle)
+            newly_excluded = self.consensus.record_miss(address, entry.cycle)
             if newly_excluded:
                 self.metrics.increment(f"{self.node_name}/cells_excluded")
                 # Spread the observation: open a consortium-wide vote so the
                 # other cells stop forwarding to the dead peer as well.
                 self.membership.propose_exclusion(
-                    address, cycle, reason="forwarding deadline missed"
+                    address, entry.cycle, reason="forwarding deadline missed"
                 )
 
         receipt: Optional[AggregatedReceipt] = None
@@ -635,37 +668,19 @@ class BlockumulusCell:
                 result=outcome.result,
                 service_cell=self.address,
                 fingerprint_hex=expected_fingerprint,
-                cycle=cycle,
-                submitted_at=envelope.payload.timestamp,
+                cycle=entry.cycle,
+                submitted_at=entry.envelope.payload.timestamp,
                 completed_at=self.env.now,
                 confirmations=[own_confirmation] + list(pending.confirmations.values()),
             )
         return _ServiceResult(
             entry=entry,
             outcome=outcome,
-            cycle=cycle,
             receipt=receipt,
             missing=missing,
             mismatched=mismatched,
             rejected=rejected,
         )
-
-    @staticmethod
-    def _failure_reason(
-        outcome: ExecutionOutcome,
-        missing: list[Address],
-        mismatched: list[Address],
-        rejected: list[Confirmation],
-    ) -> str:
-        if not outcome.ok:
-            return outcome.error or "execution rejected"
-        if rejected:
-            return rejected[0].error or "execution rejected by a consortium cell"
-        if missing:
-            return "forwarding deadline missed by one or more cells"
-        if mismatched:
-            return "fingerprint mismatch across consortium cells"
-        return "transaction reverted"
 
     # ------------------------------------------------------------------
     # Forwarded transactions from other cells (Fig. 7 step 3)
@@ -746,57 +761,14 @@ class BlockumulusCell:
             # never admitted, exactly as if the envelope had been dropped.
             return
 
-        duplicate = None
-        yield self.ledger.mutex.request()
         try:
-            if self.in_report_stage:
-                yield self._stage_resume
-            cycle = self.consensus.cycle_of(self.env.now)
-            try:
-                entry = self.ledger.admit(client_envelope, cycle)
-            except LedgerError:
-                # Already admitted: a duplicate submission through another
-                # cell, or a forward drained from the recovery buffer whose
-                # entry the post-readmit backfill admitted first.
-                duplicate = self.ledger.get(client_envelope.payload.hash_hex())
-        finally:
-            self.ledger.mutex.release()
-
-        if duplicate is not None:
-            # Report the recorded outcome instead of re-executing — but an
-            # entry that is merely *admitted* has an execution still in
-            # flight (or about to be replayed); calling it rejected would
-            # manufacture a spurious failed confirmation.  Wait it out,
-            # bounded by the forwarding deadline the origin is under
-            # anyway.
-            wait_deadline = self.env.now + self.invariants.forwarding_deadline
-            while duplicate.status == "admitted" and self.env.now < wait_deadline:
-                yield self.env.timeout(0.01)
-            if duplicate.status == "executed":
-                # The origin compares the order-independent *execution*
-                # fingerprint, not the stored post-execution state
-                # fingerprint — recompute it from the recorded outcome.
-                recorded = ExecutionOutcome(
-                    tx_id=duplicate.tx_id,
-                    contract=duplicate.contract or "",
-                    method=duplicate.envelope.data.get("method", ""),
-                    status="executed",
-                    result=duplicate.result,
-                    error=duplicate.error,
-                    fingerprint=duplicate.fingerprint or b"",
-                )
-                self._confirm(
-                    src_node, origin, reply_nonce, duplicate.tx_id,
-                    duplicate.contract or "", recorded.execution_fingerprint_hex(),
-                    status="executed", error=duplicate.error,
-                )
-            else:
-                self._confirm(
-                    src_node, origin, reply_nonce, duplicate.tx_id,
-                    duplicate.contract or "", "0x" + "00" * 32,
-                    status="rejected",
-                    error=duplicate.error or "duplicate transaction",
-                )
+            entry = yield from self._admit_to_ledger(client_envelope)
+        except LedgerError:
+            # Already admitted: a duplicate submission through another
+            # cell, or a forward drained from the recovery buffer whose
+            # entry the post-readmit backfill admitted first.
+            duplicate = self.ledger.get(client_envelope.payload.hash_hex())
+            yield from self._confirm_duplicate(src_node, origin, reply_nonce, duplicate)
             return
 
         outcome = yield from self._execute_entry(entry)
@@ -809,6 +781,45 @@ class BlockumulusCell:
             outcome.execution_fingerprint_hex(),
             status=outcome.status,
             error=outcome.error,
+        )
+
+    def _confirm_duplicate(
+        self, src_node: str, origin: Address, reply_nonce: str, duplicate: LedgerEntry
+    ) -> Generator[Event, Any, None]:
+        """Confirm a forward whose transaction this cell had already admitted.
+
+        Reports the recorded outcome instead of re-executing — but an
+        entry that is merely *admitted* has an execution still in flight
+        (or about to be replayed); calling it rejected would manufacture
+        a spurious failed confirmation.  Wait it out, bounded by the
+        forwarding deadline the origin is under anyway.
+        """
+        wait_deadline = self.env.now + self.invariants.forwarding_deadline
+        while duplicate.status == "admitted" and self.env.now < wait_deadline:
+            yield self.env.timeout(0.01)
+        if duplicate.status == "executed":
+            # The origin compares the order-independent *execution*
+            # fingerprint, not the stored post-execution state
+            # fingerprint — recompute it from the recorded outcome.
+            recorded = ExecutionOutcome(
+                tx_id=duplicate.tx_id,
+                contract=duplicate.contract or "",
+                method=duplicate.envelope.data.get("method", ""),
+                status="executed",
+                result=duplicate.result,
+                error=duplicate.error,
+                fingerprint=duplicate.fingerprint or b"",
+            )
+            fingerprint_hex, status, error = (
+                recorded.execution_fingerprint_hex(), "executed", duplicate.error
+            )
+        else:
+            fingerprint_hex, status, error = (
+                "0x" + "00" * 32, "rejected", duplicate.error or "duplicate transaction"
+            )
+        self._confirm(
+            src_node, origin, reply_nonce, duplicate.tx_id, duplicate.contract or "",
+            fingerprint_hex, status=status, error=error,
         )
 
     def drain_recovery_forwards(self) -> None:
@@ -922,44 +933,30 @@ class BlockumulusCell:
     # Local execution (shared by service and forwarded paths)
     # ------------------------------------------------------------------
     def _execute_entry(self, entry: LedgerEntry) -> Generator[Event, Any, ExecutionOutcome]:
-        if self.lanes is None:
-            # Legacy serial schedule: the execution stage gates on the
-            # invoker pool only (conflict-oblivious).
-            yield self.invokers.request()
-            try:
-                yield self.env.timeout(self.service_model.invoke_overhead.sample(self.rng))
-                yield from self.cpu.use(self.service_model.invoke_cpu)
-            finally:
+        # The execution stage runs behind one gate, picked here: the lane
+        # scheduler (the transaction holds an execution lane for its whole
+        # invocation, and the conflict gate guarantees no conflicting
+        # transaction is in flight with it), or — with a single lane — the
+        # legacy serial schedule's conflict-oblivious invoker pool.
+        lanes = self.lanes
+        yield self.invokers.request() if lanes is None else lanes.acquire(entry)
+        try:
+            lane = None if lanes is None else lanes.granted(entry)
+            yield self.env.timeout(self.service_model.invoke_overhead.sample(self.rng))
+            yield from self.cpu.use(self.service_model.invoke_cpu)
+            outcome = self.executor.execute_safely(entry, lane=lane)
+        finally:
+            if lanes is None:
                 self.invokers.release()
-            outcome = self.executor.execute_safely(entry)
-        else:
-            # Lane-parallel schedule: the transaction holds an execution
-            # lane for its whole invocation, and the conflict gate
-            # guarantees no conflicting transaction is in flight with it.
-            yield self.lanes.acquire(entry)
-            try:
-                lane = self.lanes.granted(entry)
-                yield self.env.timeout(self.service_model.invoke_overhead.sample(self.rng))
-                yield from self.cpu.use(self.service_model.invoke_cpu)
-                outcome = self.executor.execute_safely(entry, lane=lane)
-            finally:
-                self.lanes.release(entry)
+            else:
+                lanes.release(entry)
         if self.fault.tamper_state and outcome.ok:
             # A compromised cell silently corrupts its contract data; its
             # fingerprints now diverge from the honest cells.
             contract = self.contracts.get(outcome.contract)
             contract.store.put("__tampered__", self.env.now)
             self.fault.record("tamper_state", contract=outcome.contract)
-            outcome = ExecutionOutcome(
-                tx_id=outcome.tx_id,
-                contract=outcome.contract,
-                method=outcome.method,
-                status=outcome.status,
-                result=outcome.result,
-                error=outcome.error,
-                fingerprint=contract.fingerprint(),
-                access=outcome.access,
-            )
+            outcome = dataclasses.replace(outcome, fingerprint=contract.fingerprint())
         if outcome.ok:
             self.ledger.mark_executed(
                 outcome.tx_id, outcome.contract, outcome.result, outcome.fingerprint,
@@ -979,7 +976,7 @@ class BlockumulusCell:
     def _serve_subscription(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
         yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
         if not envelope.verify():
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": "authentication failed"})
+            self._refuse(src_node, envelope, "authentication failed")
             return
         subscription = self.subscriptions.subscribe(envelope.sender, self.env.now)
         self._reply(
@@ -996,7 +993,7 @@ class BlockumulusCell:
     def _serve_query(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
         yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
         if not envelope.verify():
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": "authentication failed"})
+            self._refuse(src_node, envelope, "authentication failed")
             return
         data = envelope.data
         try:
@@ -1005,527 +1002,7 @@ class BlockumulusCell:
             )
             self._reply(src_node, envelope, Opcode.QUERY_RESULT, {"result": result})
         except Exception as exc:  # noqa: BLE001 - report query errors to the client
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": str(exc)})
-
-    # ------------------------------------------------------------------
-    # Cross-shard gateway (contract-state sharding, two-phase commit)
-    # ------------------------------------------------------------------
-    def _serve_xshard(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
-        """Serve one phase of a cross-shard transaction for this group.
-
-        The coordinator's outer envelope carries this group's inner
-        client-signed transaction (hold, settle/credit, or refund/cancel).
-        The gateway enforces the 2PC state machine — no commit without a
-        verified certificate of every participant's prepare vote, no
-        decision reversal — and services the inner transaction through
-        the exact pipeline directly submitted transactions use, so the
-        group's ledgers, receipts, and fingerprints treat cross-shard
-        traffic like any other traffic.  The reply is the gateway's
-        signed :class:`CrossShardVote` for the phase.
-
-        Admission control covers *prepares* only: a prepare is new work,
-        and shedding it before any escrow hold exists simply aborts the
-        cross-shard transaction (the coordinator reads the ``TX_ERROR``
-        as a no-vote).  Commit/abort decisions are never shed — they
-        complete a transaction whose funds are already held, and the
-        timeout contingencies expect the decision to land eventually.
-        """
-        prepare = envelope.operation == Opcode.XSHARD_PREPARE
-        if prepare and not self._admit_ingress():
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": OVERLOADED_ERROR, "shed": True},
-            )
-            return
-        try:
-            yield from self._serve_xshard_admitted(src_node, envelope)
-        finally:
-            if prepare:
-                self._inflight -= 1
-
-    def _serve_xshard_admitted(
-        self, src_node: str, envelope: Envelope
-    ) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-        if not envelope.verify() or envelope.recipient != self.address:
-            self.metrics.increment(f"{self.node_name}/auth_failures")
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": "authentication failed"})
-            return
-        if self.shard_group is None or self._shard_directory is None:
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": "this deployment is not sharded"},
-            )
-            return
-        if not self.is_xshard_gateway:
-            # One authoritative 2PC state machine per group: a sibling
-            # cell serving the same xtx could be tricked into signing a
-            # verdict that contradicts the gateway's.
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": f"{self.node_name} is not the cross-shard gateway of its group"},
-            )
-            return
-        try:
-            # Cross-shard phases are client traffic: the same access
-            # subscription that gates TX_SUBMIT gates them.
-            self.subscriptions.check_access(envelope.sender)
-        except SubscriptionError as exc:
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": str(exc)})
-            return
-
-        phase = {
-            Opcode.XSHARD_PREPARE: "prepare",
-            Opcode.XSHARD_COMMIT: "commit",
-            Opcode.XSHARD_ABORT: "abort",
-        }[envelope.operation]
-        try:
-            if phase == "prepare":
-                body: Any = CrossShardPrepare.from_data(envelope.data)
-            else:
-                body = CrossShardDecision.from_data(envelope.data)
-                if (phase == "commit") != (body.decision == "commit"):
-                    raise CrossShardError("decision does not match the envelope opcode")
-        except CrossShardError as exc:
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": str(exc)})
-            return
-        if body.group != self.shard_group:
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": f"cell group {self.shard_group} is not group {body.group}"},
-            )
-            return
-
-        refusal = self._xshard_refusal(phase, body)
-        if refusal is not None:
-            # Protocol refusals are plain errors, never signed votes: a
-            # signed no-vote is abort *evidence*, and a coordinator must
-            # not be able to manufacture one by, say, sending a duplicate
-            # prepare to a group that actually holds funds.
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR, {"error": refusal, "xtx": body.xtx}
-            )
-            return
-
-        try:
-            inner = Envelope.from_wire(body.transaction)
-        except Exception:  # noqa: BLE001 - malformed inner envelopes vote no
-            inner = None
-        if inner is None or (
-            not inner.verify()
-            or inner.sender != envelope.sender
-            or inner.operation != Opcode.TX_SUBMIT
-            or inner.recipient != self.address
-        ):
-            # The inner transaction must be an ordinary TX_SUBMIT, signed
-            # by the same client that coordinates the cross-shard
-            # transaction (a coordinator can only move funds it could
-            # have moved with direct submissions), and addressed to
-            # *this* cell — otherwise one signed envelope could be
-            # replayed onto several groups, breaking the namespace
-            # partition the routing layer guarantees.  A failed prepare
-            # poisons the xtx state so a later well-formed prepare cannot
-            # coexist with this signed no-vote (which is abort evidence).
-            if phase == "prepare":
-                self._xshard_state[body.xtx] = "prepare-failed"
-            self._xshard_vote(
-                src_node, envelope, body.xtx, body.participants, phase, ok=False,
-                error="inner transaction invalid for this gateway",
-            )
-            return
-        if self.fault.is_censored(inner):
-            # A censoring cell drops cross-shard traffic exactly as it
-            # drops direct submissions (Section V-B).
-            self.metrics.increment(f"{self.node_name}/censored")
-            return
-
-        result = yield from self._service_pipeline(inner)
-        if result.aborted:
-            return
-        ok = result.confirmed
-        if result.admit_error is None:
-            # Bill the inner transaction exactly like a direct TX_SUBMIT
-            # (which records serviced transactions whether or not the
-            # confirmation round succeeded).
-            self.subscriptions.record_transaction(envelope.sender)
-        if phase == "prepare":
-            self._xshard_state[body.xtx] = "prepared" if ok else "prepare-failed"
-        elif ok:
-            self._xshard_state[body.xtx] = "committed" if phase == "commit" else "aborted"
-        self.metrics.increment(f"{self.node_name}/xshard_{phase}_{'ok' if ok else 'failed'}")
-        self._xshard_vote(
-            src_node, envelope, body.xtx, body.participants, phase, ok=ok,
-            receipt=result.receipt.to_wire() if result.receipt is not None else None,
-            error=None if ok else result.failure_reason(),
-        )
-
-    def _xshard_refusal(self, phase: str, body: Any) -> Optional[str]:
-        """Why this phase must be refused outright (None to proceed).
-
-        Encodes the per-xtx 2PC state machine: one prepare, then exactly
-        one of commit/abort, and a commit only with a verified
-        certificate.  The contract-level escrow status machine enforces
-        the same transitions group-wide; this check merely refuses bad
-        decisions before they waste a full confirmation round.
-        """
-        state = self._xshard_state.get(body.xtx)
-        if phase == "prepare":
-            if state is not None:
-                return f"cross-shard transaction {body.xtx} was already prepared"
-            return None
-        if state is None or state == "prepare-failed":
-            return f"no prepared cross-shard transaction {body.xtx}"
-        if state in ("committed", "aborted"):
-            return f"cross-shard transaction {body.xtx} was already {state}"
-        # Both decisions need evidence: commit a full yes-certificate,
-        # abort at least one genuine no-vote (mutually exclusive).
-        assert self._shard_directory is not None
-        certificate_error = body.certificate_error(self._shard_directory)
-        if certificate_error is not None:
-            # The directory-verified certificate caught a half-commit
-            # (forged, missing, or wrong-shaped votes) — count it so the
-            # chaos attribution oracle can name this mechanism.
-            self.metrics.increment(f"{self.node_name}/xshard_certificate_refusals")
-            return certificate_error
-        return None
-
-    def _xshard_vote(
-        self,
-        src_node: str,
-        request: Envelope,
-        xtx: str,
-        participants: tuple[int, ...],
-        phase: str,
-        *,
-        ok: bool,
-        receipt: Optional[dict[str, Any]] = None,
-        error: Optional[str] = None,
-    ) -> None:
-        """Sign and send this gateway's vote / acknowledgement for a phase."""
-        assert self.shard_group is not None
-        if self.fault.lying_gateway in ("forge", "withhold") and phase == "prepare":
-            # The "voucher" lying mode corrupts voucher mints instead of
-            # 2PC prepare votes (see _voucher_reply); it must leave the
-            # vote path honest so its probe traffic isolates the forgery.
-            mode = self.fault.lying_gateway
-            self.fault.record("lying_gateway", mode=mode, xtx=xtx, honest_ok=ok)
-            self.metrics.increment(f"{self.node_name}/xshard_votes_{mode}d")
-            if mode == "withhold":
-                # The gateway never answers: no signed yes-vote can exist,
-                # so no commit certificate over this group can assemble.
-                return
-            # Forge: an always-yes vote whose signature cannot verify —
-            # the coordinator and every certificate check must refuse it
-            # (destroying a genuine no-vote's abort evidence on the way).
-            honest = CrossShardVote.create(
-                self.signer, xtx, self.shard_group, participants, phase, True
-            )
-            forged = dataclasses.replace(
-                honest, signature=bytes(byte ^ 0xFF for byte in honest.signature)
-            )
-            self._reply(
-                src_node, request, Opcode.XSHARD_VOTE,
-                forged.to_data(receipt=receipt, error=error),
-            )
-            return
-        vote = CrossShardVote.create(
-            self.signer, xtx, self.shard_group, participants, phase, ok
-        )
-        self._reply(
-            src_node, request, Opcode.XSHARD_VOTE, vote.to_data(receipt=receipt, error=error)
-        )
-
-    # ------------------------------------------------------------------
-    # Cross-shard voucher fast path (one-way credit vouchers)
-    # ------------------------------------------------------------------
-    def _serve_xshard_voucher(
-        self, src_node: str, envelope: Envelope
-    ) -> Generator[Event, Any, None]:
-        """Serve one leg of the voucher fast path for this group.
-
-        Both legs are new work for their group (unlike 2PC decisions,
-        which complete an already-held escrow), so both pass admission
-        control: a shed mint simply fails the transfer before any value
-        moves, and a shed redeem behaves exactly like a lost voucher —
-        the value stays in transit until the source holder reclaims it.
-        """
-        if not self._admit_ingress():
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": OVERLOADED_ERROR, "shed": True},
-            )
-            return
-        try:
-            yield from self._serve_xshard_voucher_admitted(src_node, envelope)
-        finally:
-            self._inflight -= 1
-
-    def _serve_xshard_voucher_admitted(
-        self, src_node: str, envelope: Envelope
-    ) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-        if not envelope.verify() or envelope.recipient != self.address:
-            self.metrics.increment(f"{self.node_name}/auth_failures")
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": "authentication failed"})
-            return
-        if self.shard_group is None or self._shard_directory is None:
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": "this deployment is not sharded"},
-            )
-            return
-        if not self.is_xshard_gateway:
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": f"{self.node_name} is not the cross-shard gateway of its group"},
-            )
-            return
-        try:
-            self.subscriptions.check_access(envelope.sender)
-        except SubscriptionError as exc:
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": str(exc)})
-            return
-        try:
-            body = CrossShardVoucherTransfer.from_data(envelope.data)
-        except CrossShardError as exc:
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": str(exc)})
-            return
-        if body.group != self.shard_group:
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": f"cell group {self.shard_group} is not group {body.group}"},
-            )
-            return
-        if body.phase == "mint":
-            yield from self._voucher_mint(src_node, envelope, body)
-        else:
-            yield from self._voucher_redeem(src_node, envelope, body)
-
-    def _voucher_inner(
-        self, envelope: Envelope, body: CrossShardVoucherTransfer, method: str
-    ) -> Optional[Envelope]:
-        """Parse and authenticate a voucher leg's inner transaction.
-
-        Same rules as the 2PC inner transactions — client-signed
-        ``TX_SUBMIT`` from the coordinating sender, addressed to this
-        cell — plus the leg's method and xtx must match the outer
-        request, so a gateway never signs a voucher (or credits one)
-        over a transaction that does something else.
-        """
-        try:
-            inner = Envelope.from_wire(body.transaction)
-        except Exception:  # noqa: BLE001 - malformed inner envelopes are refused
-            return None
-        if (
-            not inner.verify()
-            or inner.sender != envelope.sender
-            or inner.operation != Opcode.TX_SUBMIT
-            or inner.recipient != self.address
-        ):
-            return None
-        data = inner.data
-        if data.get("method") != method:
-            return None
-        if data.get("args", {}).get("xtx") != body.xtx:
-            return None
-        return inner
-
-    def _voucher_mint(
-        self, src_node: str, envelope: Envelope, body: CrossShardVoucherTransfer
-    ) -> Generator[Event, Any, None]:
-        """Service a voucher mint and reply with the signed voucher."""
-        state = self._xshard_state.get(body.xtx)
-        if state is not None:
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": f"cross-shard transaction {body.xtx} was already used",
-                 "xtx": body.xtx},
-            )
-            return
-        inner = self._voucher_inner(envelope, body, "xshard_voucher_mint")
-        if inner is not None:
-            args = inner.data.get("args", {})
-            try:
-                recipient = str(args["to"])
-                amount = int(args["amount"])
-                expires_at = float(args["expires_at"])
-            except (KeyError, TypeError, ValueError):
-                inner = None
-        if inner is None:
-            # Refused before anything executes: no debit, no voucher,
-            # and the xtx is poisoned against a later well-formed mint
-            # (single-use ids, exactly as in the 2PC state machine).
-            self._xshard_state[body.xtx] = "voucher-failed"
-            self.metrics.increment(f"{self.node_name}/xshard_voucher_mint_failed")
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": "inner transaction invalid for this gateway", "xtx": body.xtx},
-            )
-            return
-        if self.fault.is_censored(inner):
-            self.metrics.increment(f"{self.node_name}/censored")
-            return
-        result = yield from self._service_pipeline(inner)
-        if result.aborted:
-            return
-        ok = result.confirmed
-        if result.admit_error is None:
-            self.subscriptions.record_transaction(envelope.sender)
-        self._xshard_state[body.xtx] = "voucher-minted" if ok else "voucher-failed"
-        self.metrics.increment(
-            f"{self.node_name}/xshard_voucher_mint_{'ok' if ok else 'failed'}"
-        )
-        if not ok:
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": result.failure_reason() or "voucher mint failed",
-                 "xtx": body.xtx},
-            )
-            return
-        assert self.shard_group is not None and body.target_group is not None
-        if self.fault.lying_gateway == "voucher":
-            # The Byzantine voucher forger: the debit is real, but the
-            # emitted voucher's signature cannot verify — every
-            # directory check at the destination must refuse it, so the
-            # value stays in transit and nothing credits.
-            self.fault.record(
-                "lying_gateway", mode="voucher", xtx=body.xtx, honest_ok=ok
-            )
-            self.metrics.increment(f"{self.node_name}/xshard_vouchers_forged")
-            honest = CrossShardVoucher.create(
-                self.signer, body.xtx, self.shard_group, body.target_group,
-                str(body.target_contract), recipient, amount, expires_at,
-            )
-            voucher = dataclasses.replace(
-                honest, signature=bytes(byte ^ 0xFF for byte in honest.signature)
-            )
-        else:
-            voucher = CrossShardVoucher.create(
-                self.signer, body.xtx, self.shard_group, body.target_group,
-                str(body.target_contract), recipient, amount, expires_at,
-            )
-        if self.fault.drop_voucher:
-            # The voucher is lost in flight: the debit stands, the reply
-            # never leaves, and the source holder reclaims after the
-            # deadline (the lost-voucher recovery path).
-            self.fault.record("voucher_loss", xtx=body.xtx)
-            self.metrics.increment(f"{self.node_name}/xshard_vouchers_dropped")
-            return
-        self._reply(
-            src_node, envelope, Opcode.XSHARD_VOUCHER,
-            {
-                "phase": "minted",
-                "xtx": body.xtx,
-                "voucher": voucher.to_wire(),
-                "receipt": result.receipt.to_wire() if result.receipt is not None else None,
-            },
-        )
-
-    def _voucher_redeem(
-        self, src_node: str, envelope: Envelope, body: CrossShardVoucherTransfer
-    ) -> Generator[Event, Any, None]:
-        """Verify a voucher against the directory and credit its recipient."""
-        state = self._xshard_state.get(body.xtx)
-        if state == "voucher-redeemed":
-            # The redeemed-voucher registry: duplicate delivery is a
-            # no-op acknowledged as such, never a second credit.
-            self.metrics.increment(f"{self.node_name}/xshard_voucher_duplicates")
-            self._reply(
-                src_node, envelope, Opcode.XSHARD_VOUCHER,
-                {"phase": "redeemed", "xtx": body.xtx, "duplicate": True},
-            )
-            return
-        if state is not None:
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": f"cross-shard transaction {body.xtx} was already used",
-                 "xtx": body.xtx},
-            )
-            return
-        try:
-            voucher = CrossShardVoucher.from_wire(body.voucher or {})
-        except CrossShardError as exc:
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": str(exc)})
-            return
-        refusal: Optional[str] = None
-        if voucher.xtx != body.xtx:
-            refusal = "voucher is for a different cross-shard transaction"
-        elif voucher.target_group != self.shard_group:
-            refusal = f"voucher targets group {voucher.target_group}, not this group"
-        else:
-            assert self._shard_directory is not None
-            refusal = voucher.verify_against(self._shard_directory)
-        if refusal is not None:
-            # A forged (or misdirected) voucher dies here, before any
-            # credit — the voucher analogue of certificate refusals,
-            # counted for the chaos attribution oracle.
-            self.metrics.increment(f"{self.node_name}/xshard_voucher_refusals")
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": refusal, "xtx": body.xtx},
-            )
-            return
-        inner = self._voucher_inner(envelope, body, "xshard_voucher_redeem")
-        if inner is not None:
-            args = inner.data.get("args", {})
-            if (
-                str(args.get("to")) != voucher.recipient
-                or args.get("amount") != voucher.amount
-                or args.get("expires_at") != voucher.expires_at
-                or inner.data.get("contract") != voucher.contract
-            ):
-                # The inner credit must spend exactly what the voucher
-                # vouches for — nothing more, nowhere else.
-                inner = None
-        if inner is None:
-            self._xshard_state[body.xtx] = "voucher-redeem-failed"
-            self.metrics.increment(f"{self.node_name}/xshard_voucher_redeem_failed")
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": "inner transaction does not match the voucher", "xtx": body.xtx},
-            )
-            return
-        if self.fault.is_censored(inner):
-            self.metrics.increment(f"{self.node_name}/censored")
-            return
-        result = yield from self._service_pipeline(inner)
-        if result.aborted:
-            return
-        ok = result.confirmed
-        if result.admit_error is None:
-            self.subscriptions.record_transaction(envelope.sender)
-        self._xshard_state[body.xtx] = (
-            "voucher-redeemed" if ok else "voucher-redeem-failed"
-        )
-        self.metrics.increment(
-            f"{self.node_name}/xshard_voucher_redeem_{'ok' if ok else 'failed'}"
-        )
-        if not ok:
-            self._reply(
-                src_node, envelope, Opcode.TX_ERROR,
-                {"error": result.failure_reason() or "voucher redeem failed",
-                 "xtx": body.xtx},
-            )
-            return
-        self._reply(
-            src_node, envelope, Opcode.XSHARD_VOUCHER,
-            {
-                "phase": "redeemed",
-                "xtx": body.xtx,
-                "duplicate": False,
-                "receipt": result.receipt.to_wire() if result.receipt is not None else None,
-            },
-        )
-        if self.fault.duplicate_voucher:
-            # The network redelivers the redeem: the registry answers it
-            # as a duplicate without touching the pipeline — observable
-            # through the metric, inert on state.
-            self.fault.record("voucher_duplication", xtx=body.xtx)
-            self.metrics.increment(f"{self.node_name}/xshard_voucher_duplicates")
-            self._reply(
-                src_node, envelope, Opcode.XSHARD_VOUCHER,
-                {"phase": "redeemed", "xtx": body.xtx, "duplicate": True},
-            )
+            self._refuse(src_node, envelope, str(exc))
 
     # ------------------------------------------------------------------
     # Auditor interface
@@ -1539,7 +1016,7 @@ class BlockumulusCell:
         if cycle is None and self.snapshots.latest_cycle is not None:
             cycle = self.snapshots.latest_cycle
         if cycle is None or not self.snapshots.has(int(cycle)):
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": f"no snapshot for cycle {cycle}"})
+            self._refuse(src_node, envelope, f"no snapshot for cycle {cycle}")
             return
         snapshot = self.snapshots.get(int(cycle))
         self._reply(
@@ -1578,7 +1055,7 @@ class BlockumulusCell:
         try:
             request = SyncRequest.from_data(envelope.data)
         except MembershipError as exc:
-            self._reply(src_node, envelope, Opcode.TX_ERROR, {"error": str(exc)})
+            self._refuse(src_node, envelope, str(exc))
             return
         snapshot_wire = None
         start = request.since_sequence
@@ -1714,6 +1191,11 @@ class BlockumulusCell:
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def inflight(self) -> int:
+        """Client requests currently holding an admission slot."""
+        return self._inflight
+
+    @property
     def reports_submitted(self) -> list[dict[str, Any]]:
         """Snapshot reports this cell has anchored on Ethereum."""
         return list(self._reports_submitted)
@@ -1742,7 +1224,9 @@ class BlockumulusCell:
                 "shed_recovering": self._shed_recovering,
             },
             "shard_group": self.shard_group,
-            "xshard_transactions": len(self._xshard_state),
+            "xshard_transactions": (
+                self.gateway.transaction_count if self.gateway is not None else 0
+            ),
             "recovering": self.recovering,
             "last_recovery": (
                 {

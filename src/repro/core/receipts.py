@@ -15,7 +15,6 @@ from typing import Any, Optional
 
 from ..crypto.keys import Address
 from ..encoding import canonical_json
-from ..encoding.hexutil import strip_0x
 from ..messages.signer import SignedStatement, Signer, verify_signature
 
 
@@ -83,9 +82,6 @@ class Confirmation(SignedStatement):
     def from_wire(cls, raw: dict[str, Any]) -> "Confirmation":
         """Parse a confirmation from its wire form."""
         try:
-            signature = bytes.fromhex(strip_0x(raw["signature"]))
-            if len(signature) != 65:
-                raise ValueError("signature must be exactly 65 bytes")
             return cls(
                 cell=Address.from_hex(raw["cell"]),
                 tx_id=raw["tx_id"],
@@ -94,7 +90,7 @@ class Confirmation(SignedStatement):
                 status=raw["status"],
                 timestamp=float(raw["timestamp"]),
                 error=raw.get("error"),
-                signature=signature,
+                signature=cls.signature_from_wire(raw),
                 scheme=raw.get("scheme", "ecdsa"),
             )
         except (KeyError, ValueError, TypeError, AttributeError) as exc:

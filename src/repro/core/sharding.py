@@ -46,6 +46,7 @@ from ..contracts.system.cas import ContentAddressableStorage
 from ..contracts.system.deployer import CommunityDeployer
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
+from ..crypto.keys import Address
 from ..sim.environment import Environment
 from ..sim.metrics import MetricsRegistry
 from ..sim.rng import SeedSequence
@@ -327,12 +328,7 @@ class ShardedDeployment:
             if self.config.deploy_default_contracts:
                 self.deploy_contract_instances(BlockumulusDeployment._default_contracts())
 
-        # The shard directory lists only each group's designated gateway:
-        # decision certificates must carry votes from *the* gateway, and
-        # sibling cells refuse XSHARD traffic altogether.
-        directory = {
-            group.index: frozenset({group.gateway.address}) for group in self.groups
-        }
+        directory = self.gateway_directory()
         for group in self.groups:
             for cell in group.cells:
                 cell.install_shard_directory(
@@ -346,6 +342,15 @@ class ShardedDeployment:
     def shard_count(self) -> int:
         """Number of cell groups N."""
         return len(self.groups)
+
+    def gateway_directory(self) -> dict[int, frozenset[Address]]:
+        """The shard directory: each group's designated gateway address.
+
+        It lists only the gateway: decision certificates and vouchers must
+        carry *the* gateway's signature, and sibling cells refuse XSHARD
+        traffic altogether.
+        """
+        return {group.index: frozenset({group.gateway.address}) for group in self.groups}
 
     def group(self, index: int) -> CellGroup:
         """Cell group by index."""

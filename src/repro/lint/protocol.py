@@ -19,7 +19,9 @@ the envelope — so they are checked statically over the whole tree:
   ``_accept_*`` / ``handle_*`` functions taking an ``Envelope``), the
   envelope's ``.data`` / ``.payload`` must not be consumed before
   ``.verify()``: Section III-D3 makes authentication the first step of
-  serving any request.
+  serving any request.  A handler may leave that step to an ingress
+  stage only if *every* reference to it is a call made after the caller
+  verified the envelope it passes.
 """
 
 from __future__ import annotations
@@ -225,14 +227,64 @@ def _annotation_is_envelope(annotation: Optional[ast.expr]) -> bool:
     return False
 
 
+def _verified_names(function: ast.FunctionDef) -> dict[str, int]:
+    """``{variable: first line}`` of the ``<variable>.verify()`` calls in ``function``."""
+    lines: dict[str, int] = {}
+    for sub in ast.walk(function):
+        if (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr == "verify"
+            and isinstance(sub.func.value, ast.Name)
+        ):
+            name = sub.func.value.id
+            lines[name] = min(sub.lineno, lines.get(name, sub.lineno))
+    return lines
+
+
+def _authenticated_by_callers(handler: ast.FunctionDef, trees: Sequence[ast.Module]) -> bool:
+    """Whether an ingress stage verifies the envelope before every use of ``handler``.
+
+    True when every reference to the handler's name in the dispatch
+    package is a method call made from a function that, on an earlier
+    line, called ``.verify()`` on a variable it passes along.  Callees
+    resolve by method name; a handler stored or passed around uncalled
+    counts as reachable without authentication.
+    """
+    references = {
+        id(sub)
+        for tree in trees
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and sub.attr == handler.name
+    }
+    vouched = set()
+    for tree in trees:
+        for caller in ast.walk(tree):
+            if not isinstance(caller, ast.FunctionDef):
+                continue
+            verified = _verified_names(caller)
+            for call in ast.walk(caller):
+                if isinstance(call, ast.Call) and id(call.func) in references:
+                    passed = [*call.args, *(keyword.value for keyword in call.keywords)]
+                    if any(
+                        isinstance(arg, ast.Name)
+                        and verified.get(arg.id, call.lineno) < call.lineno
+                        for arg in passed
+                    ):
+                        vouched.add(id(call.func))
+    return bool(references) and vouched == references
+
+
 def _check_verify_order(sources: Sequence[SourceFile]) -> Iterator[Finding]:
     """PROTO003 — handlers must verify the envelope before reading payload."""
-    for source in sources:
-        if not (
-            source.module == DISPATCH_PACKAGE
-            or source.module.startswith(DISPATCH_PACKAGE + ".")
-        ):
-            continue
+    dispatch = [
+        source
+        for source in sources
+        if source.module == DISPATCH_PACKAGE
+        or source.module.startswith(DISPATCH_PACKAGE + ".")
+    ]
+    trees = [source.tree for source in dispatch]
+    for source in dispatch:
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
@@ -243,32 +295,26 @@ def _check_verify_order(sources: Sequence[SourceFile]) -> Iterator[Finding]:
                 for arg in [*node.args.args, *node.args.kwonlyargs]
                 if _annotation_is_envelope(arg.annotation)
             ]
+            verified = _verified_names(node)
             for param in envelope_params:
-                verify_line = None
-                consumed: list[tuple[int, str]] = []
-                for sub in ast.walk(node):
-                    if (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr == "verify"
-                        and isinstance(sub.func.value, ast.Name)
-                        and sub.func.value.id == param
-                    ):
-                        if verify_line is None or sub.lineno < verify_line:
-                            verify_line = sub.lineno
-                    elif (
-                        isinstance(sub, ast.Attribute)
-                        and sub.attr in ("data", "payload")
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == param
-                    ):
-                        consumed.append((sub.lineno, sub.attr))
-                for line, attr in sorted(consumed):
+                verify_line = verified.get(param)
+                if verify_line is None and _authenticated_by_callers(node, trees):
+                    continue
+                consumed = sorted(
+                    (sub.lineno, sub.attr)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute)
+                    and sub.attr in ("data", "payload")
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == param
+                )
+                for line, attr in consumed:
                     if verify_line is None or line < verify_line:
                         problem = (
                             "before the envelope signature is verified"
                             if verify_line is not None
-                            else "and the handler never verifies the envelope"
+                            else "and the handler never verifies the envelope "
+                            "(nor does every caller, before passing it)"
                         )
                         yield _finding(
                             source,

@@ -412,7 +412,7 @@ def run_endurance(
 
     def total_inflight() -> int:
         return sum(
-            cell._inflight for group in deployment.groups for cell in group.cells
+            cell.inflight for group in deployment.groups for cell in group.cells
         )
 
     def sampler() -> Generator[Event, Any, None]:

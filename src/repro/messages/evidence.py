@@ -173,7 +173,7 @@ class PartitionEvent(SignedStatement):
                 action=raw["action"],
                 at=float(raw["at"]),
                 healed_at=float(raw.get("healed_at", -1.0)),
-                signature=bytes.fromhex(raw["signature"][2:]),
+                signature=cls.signature_from_wire(raw),
                 scheme=raw.get("scheme", "ecdsa"),
             )
         except (KeyError, ValueError, TypeError) as exc:

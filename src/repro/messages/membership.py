@@ -116,7 +116,7 @@ class ExclusionVote(SignedStatement):
                 suspect=_address(raw["suspect"], "suspect"),
                 cycle=int(raw["cycle"]),
                 agree=bool(raw["agree"]),
-                signature=bytes.fromhex(raw["signature"][2:]),
+                signature=cls.signature_from_wire(raw),
                 scheme=raw.get("scheme", "ecdsa"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -252,7 +252,7 @@ class RejoinAck(SignedStatement):
                 cycle=int(raw["cycle"]),
                 fingerprint_hex=str(raw["fingerprint"]),
                 agree=bool(raw["agree"]),
-                signature=bytes.fromhex(raw["signature"][2:]),
+                signature=cls.signature_from_wire(raw),
                 scheme=raw.get("scheme", "ecdsa"),
                 admitted_head=int(raw.get("admitted_head", -1)),
             )

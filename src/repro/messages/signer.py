@@ -28,6 +28,7 @@ from ..crypto.ecdsa import Signature, SignatureError
 from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address, PrivateKey, recover_address
 from ..encoding import canonical_json
+from ..encoding.hexutil import strip_0x
 
 
 class Signer(Protocol):
@@ -164,6 +165,21 @@ class SignedStatement:
             "signature": "0x" + self.signature.hex(),
             "scheme": self.scheme,
         }
+
+    @staticmethod
+    def signature_from_wire(raw: dict[str, Any]) -> bytes:
+        """The signature of a wire form: hex, ``0x`` optional, exactly 65 bytes.
+
+        Raises ``KeyError``/``ValueError``; each statement's ``from_wire``
+        maps them to its own typed error.
+        """
+        text = raw["signature"]
+        if not isinstance(text, str):
+            raise ValueError("signature must be a hex string")
+        signature = bytes.fromhex(strip_0x(text))
+        if len(signature) != 65:
+            raise ValueError("signature must be exactly 65 bytes")
+        return signature
 
     def _signed_by(self: _S, signer: Signer) -> _S:
         """Sign a statement just built with an empty signature.

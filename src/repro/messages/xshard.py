@@ -178,7 +178,7 @@ class CrossShardVote(SignedStatement):
                 participants=tuple(int(g) for g in raw["participants"]),
                 phase=str(raw["phase"]),
                 ok=bool(raw["ok"]),
-                signature=bytes.fromhex(raw["signature"][2:]),
+                signature=cls.signature_from_wire(raw),
                 scheme=raw.get("scheme", "ecdsa"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -412,7 +412,7 @@ class CrossShardVoucher(SignedStatement):
                 recipient=str(raw["recipient"]),
                 amount=int(raw["amount"]),
                 expires_at=float(raw["expires_at"]),
-                signature=bytes.fromhex(raw["signature"][2:]),
+                signature=cls.signature_from_wire(raw),
                 scheme=raw.get("scheme", "ecdsa"),
             )
         except (KeyError, TypeError, ValueError) as exc:

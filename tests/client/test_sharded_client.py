@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.client import BlockumulusClient
 from repro.contracts.community import FastMoney
 from repro.client.sharded import (
     CrossShardResult,
@@ -14,6 +15,7 @@ from repro.messages.xshard import (
     CrossShardDecision,
     CrossShardPrepare,
     CrossShardVote,
+    CrossShardVoucherTransfer,
 )
 from tests.conftest import make_deployment, make_sharded_deployment
 
@@ -264,50 +266,90 @@ def test_inner_envelope_for_another_gateway_is_rejected():
     assert len(deployment.group(0).cells[0].ledger) == 0
 
 
-def test_sibling_cells_refuse_xshard_traffic():
+def xshard_request(kind, xtx, inner_wire, names):
+    """(opcode, data) of one well-formed cross-shard request for group 0."""
+    participants = (0, 1)
+    if kind == "prepare":
+        return Opcode.XSHARD_PREPARE, CrossShardPrepare(
+            xtx=xtx, group=0, participants=participants, transaction=inner_wire
+        ).to_data()
+    if kind in ("commit", "abort"):
+        opcode = Opcode.XSHARD_COMMIT if kind == "commit" else Opcode.XSHARD_ABORT
+        return opcode, CrossShardDecision(
+            xtx=xtx, decision=kind, group=0, participants=participants,
+            transaction=inner_wire,
+        ).to_data()
+    if kind == "mint":
+        return Opcode.XSHARD_VOUCHER, CrossShardVoucherTransfer(
+            xtx=xtx, phase="mint", group=0, transaction=inner_wire,
+            target_group=1, target_contract=names[1],
+        ).to_data()
+    return Opcode.XSHARD_VOUCHER, CrossShardVoucherTransfer(
+        xtx=xtx, phase="redeem", group=0, transaction=inner_wire, voucher={},
+    ).to_data()
+
+
+@pytest.mark.parametrize("kind", ["prepare", "commit", "abort", "mint", "redeem"])
+@pytest.mark.parametrize(
+    "where, refusal",
+    [
+        ("sibling", "g0/cell-1 is not the cross-shard gateway of its group"),
+        ("unsharded", "this deployment is not sharded"),
+    ],
+)
+def test_cells_without_the_gateway_role_refuse_xshard_traffic(where, refusal, kind):
     """Only the designated gateway owns a group's 2PC state machine.
 
     A prepare replayed to a sibling cell after the gateway holds funds
     must be refused with a plain error — were the sibling to service it,
     the group-wide escrow would reject the duplicate and the sibling
     would sign a no-vote, manufacturing abort evidence against a
-    commit-eligible transaction.
+    commit-eligible transaction.  The same holds for every other
+    cross-shard request, and for every cell of an unsharded deployment:
+    a cell without the gateway role object answers from one place.
     """
-    deployment = make_sharded_deployment(2)
-    alice = deployment.group(0).deployment.make_client_signer("alice")
-    names = pay_instances(deployment, alice)
-    client = ShardedClient(deployment, signer=alice)
-    xtx = client.next_xtx()
+    if where == "sibling":
+        sharded = make_sharded_deployment(2)
+        deployment = sharded.group(0).deployment
+        alice = deployment.make_client_signer("alice")
+        names = pay_instances(sharded, alice)
+        coordinator = ShardedClient(sharded, signer=alice)
+        xtx = coordinator.next_xtx()
+        # The gateway prepares first, so the replayed hold really is held.
+        opcode, data = xshard_request(
+            "prepare", xtx, coordinator._sign_call(
+                alice, 0, (names[0], "xshard_reserve", {"xtx": xtx, "amount": 10})
+            ).to_wire(), names,
+        )
+        _request, waiter = coordinator.clients[0].request(opcode, data, signer=alice)
+        assert CrossShardVote.from_data(run_event(sharded, waiter).data).ok
+        client = BlockumulusClient(deployment, signer=alice, service_cell_index=1)
+    else:
+        deployment = make_deployment()
+        alice = deployment.make_client_signer("alice")
+        names = ["pay", "pay"]
+        xtx = "0x1"
+        client = BlockumulusClient(deployment, signer=alice)
+    cell = client.service_cell
+    assert cell.gateway is None
 
-    inner = client._sign_call(alice, 0, (names[0], "xshard_reserve", {"xtx": xtx, "amount": 10}))
-    prepare = CrossShardPrepare(
-        xtx=xtx, group=0, participants=(0, 1), transaction=inner.to_wire()
-    )
-    _request, waiter = client.clients[0].request(
-        Opcode.XSHARD_PREPARE, prepare.to_data(), signer=alice
-    )
-    assert CrossShardVote.from_data(run_event(deployment, waiter).data).ok
-
-    # Replay the prepare to the sibling cell of the same group.
-    from repro.client import BlockumulusClient
-
-    sibling_client = BlockumulusClient(
-        deployment.group(0).deployment, signer=alice, service_cell_index=1
-    )
-    inner2 = Envelope.create(
-        signer=alice, recipient=sibling_client.service_cell.address,
-        operation=Opcode.TX_SUBMIT,
+    inner = Envelope.create(
+        signer=alice, recipient=cell.address, operation=Opcode.TX_SUBMIT,
         data={"contract": names[0], "method": "xshard_reserve",
               "args": {"xtx": xtx, "amount": 10}},
-        timestamp=deployment.env.now, nonce=sibling_client.nonces.next(),
+        timestamp=deployment.env.now, nonce=client.nonces.next(),
     )
-    replay = CrossShardPrepare(
-        xtx=xtx, group=0, participants=(0, 1), transaction=inner2.to_wire()
-    )
-    _request, waiter = sibling_client.request(Opcode.XSHARD_PREPARE, replay.to_data())
+    admitted = len(cell.ledger)
+    opcode, data = xshard_request(kind, xtx, inner.to_wire(), names)
+    _request, waiter = client.request(opcode, data)
     reply = run_event(deployment, waiter)
+
     assert reply.operation == Opcode.TX_ERROR
-    assert "not the cross-shard gateway" in reply.data["error"]
+    assert reply.data == {"error": refusal}
+    assert len(cell.ledger) == admitted, "a refused request admits nothing"
+    statistics = cell.statistics()
+    assert statistics["xshard_transactions"] == 0
+    assert statistics["admission"]["inflight"] == 0
 
 
 def test_abort_after_all_yes_votes_is_refused():
@@ -359,17 +401,3 @@ def test_abort_after_all_yes_votes_is_refused():
     assert status["status"] == "held"
 
 
-def test_unsharded_deployments_reject_xshard_traffic():
-    deployment = make_deployment()
-    from repro.client import BlockumulusClient
-
-    client = BlockumulusClient(deployment)
-    inner = client.request  # the raw request API
-    prepare = CrossShardPrepare(
-        xtx="0x1", group=0, participants=(0, 1), transaction={"payload": {}}
-    )
-    _request, waiter = inner(Opcode.XSHARD_PREPARE, prepare.to_data())
-    deployment.env.run(waiter)
-    reply = waiter.value
-    assert reply.operation == Opcode.TX_ERROR
-    assert "not sharded" in reply.data["error"]

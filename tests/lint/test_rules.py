@@ -422,6 +422,62 @@ def test_proto003_fires_when_handler_never_verifies(tree):
     assert "never verifies" in findings[0].message
 
 
+INGRESS = DISPATCH + """
+    def _serve_client(self, src_node, envelope: Envelope):
+        if not envelope.verify():
+            return None
+        return self.gateway.handle_request(src_node, envelope)
+"""
+
+GATEWAY = """
+    class Gateway:
+        def handle_request(self, src_node, envelope: Envelope):
+            return envelope.data["phase"]
+"""
+
+
+def test_proto003_clean_when_the_ingress_stage_verified_first(tree):
+    # The gateway handler never verifies: its only caller already did.
+    write_protocol_tree(tree, dispatch=INGRESS)
+    tree("core/gateway.py", GATEWAY)
+    assert lint_paths([tree.root]) == []
+
+
+@pytest.mark.parametrize(
+    "bypass",
+    [
+        # a second caller that never verified what it passes
+        """
+    def _on_timer(self, src_node, envelope):
+        return self.gateway.handle_request(src_node, envelope)
+""",
+        # a caller that verifies only after handing the envelope on
+        """
+    def _serve_late(self, src_node, envelope: Envelope):
+        reply = self.gateway.handle_request(src_node, envelope)
+        return reply if envelope.verify() else None
+""",
+        # the handler escapes as a callback nobody can vouch for
+        """
+    def _install(self):
+        self.callbacks.append(self.gateway.handle_request)
+""",
+        # the ingress stage verifies one envelope and passes another
+        """
+    def _serve_inner(self, src_node, envelope: Envelope, inner):
+        if envelope.verify():
+            return self.gateway.handle_request(src_node, inner)
+""",
+    ],
+)
+def test_proto003_fires_when_a_path_bypasses_the_ingress_stage(tree, bypass):
+    write_protocol_tree(tree, dispatch=INGRESS + bypass)
+    tree("core/gateway.py", GATEWAY)
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["PROTO003"]
+    assert "handle_request" in findings[0].message
+
+
 # ----------------------------------------------------------------------
 # LINT001 — suppression hygiene
 # ----------------------------------------------------------------------

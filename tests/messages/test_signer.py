@@ -1,7 +1,13 @@
 """Signature schemes and opcode classification."""
 
+import pytest
+
+from repro.core.receipts import Confirmation, ReceiptError
+from repro.messages.evidence import EvidenceError, PartitionEvent
+from repro.messages.membership import ExclusionVote, MembershipError, RejoinAck
 from repro.messages.opcodes import AUDITOR_OPCODES, CELL_OPCODES, CLIENT_OPCODES, Opcode
 from repro.messages.signer import EcdsaSigner, SimulatedSigner, verify_signature
+from repro.messages.xshard import CrossShardError, CrossShardVote, CrossShardVoucher
 
 
 def test_ecdsa_signer_sign_and_verify():
@@ -55,3 +61,61 @@ def test_opcode_categories_are_disjoint_enough():
     assert Opcode.SNAPSHOT_REQUEST in AUDITOR_OPCODES
     assert Opcode.TX_FORWARD not in CLIENT_OPCODES
     assert str(Opcode.TX_SUBMIT) == "tx_submit"
+
+
+# ----------------------------------------------------------------------
+# The six signed statements share one signature parse
+# ----------------------------------------------------------------------
+PEER = SimulatedSigner("statement-peer").address
+FINGERPRINT = "0x" + "22" * 32
+
+#: class -> (its typed parse error, how a signer creates one)
+STATEMENTS = {
+    Confirmation: (
+        ReceiptError,
+        lambda signer: Confirmation.create(
+            signer, "0x" + "11" * 32, "fastmoney", FINGERPRINT, "executed", 12.5
+        ),
+    ),
+    CrossShardVote: (
+        CrossShardError,
+        lambda signer: CrossShardVote.create(signer, "0xa1", 0, (0, 1), "prepare", True),
+    ),
+    CrossShardVoucher: (
+        CrossShardError,
+        lambda signer: CrossShardVoucher.create(
+            signer, "0xa1", 0, 1, "pay@1", "0x" + "55" * 20, 10, 99.0
+        ),
+    ),
+    ExclusionVote: (MembershipError, lambda signer: ExclusionVote.create(signer, PEER, 3, True)),
+    RejoinAck: (
+        MembershipError,
+        lambda signer: RejoinAck.create(signer, PEER, 3, FINGERPRINT, True, admitted_head=7),
+    ),
+    PartitionEvent: (
+        EvidenceError,
+        lambda signer: PartitionEvent.create(signer, ["cell-0", "cell-1"], "cut", 4.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("statement_class", STATEMENTS, ids=lambda cls: cls.__name__)
+def test_statement_signature_without_0x_prefix_keeps_every_byte(statement_class):
+    _error, create = STATEMENTS[statement_class]
+    statement = create(SimulatedSigner("statement-signer"))
+    wire = statement.to_wire()
+    assert wire["signature"].startswith("0x")
+    wire["signature"] = wire["signature"][2:]
+    restored = statement_class.from_wire(wire)
+    assert restored.signature == statement.signature
+    assert restored == statement and restored.verify()
+
+
+@pytest.mark.parametrize("signature", ["0x" + "ab" * 64, "0x" + "ab" * 66, "ab" * 64, "0x", 7])
+@pytest.mark.parametrize("statement_class", STATEMENTS, ids=lambda cls: cls.__name__)
+def test_statement_signature_of_wrong_length_rejected(statement_class, signature):
+    error, create = STATEMENTS[statement_class]
+    wire = create(SimulatedSigner("statement-signer")).to_wire()
+    wire["signature"] = signature
+    with pytest.raises(error):
+        statement_class.from_wire(wire)
