@@ -14,7 +14,8 @@ lever.  Three properties are asserted:
   verifies;
 * **compatibility** — the ``shard_count=1`` run is bit-for-bit the
   pre-shard serial pipeline (same digest as a plain
-  ``BlockumulusDeployment`` driving ``run_burst_transfers``);
+  ``BlockumulusDeployment`` driving the same ``run_burst_transfers``
+  through its one-group view);
 * **fast path** — a dedicated 4-shard arm re-runs the cross-shard rates
   with the voucher fast path on and off: with it on, cross-shard p50
   latency at the heaviest rate stays within 1.5x of the same run's
@@ -27,11 +28,7 @@ and as the machine-readable ``BENCH_sharding.json`` baseline.
 import time
 
 from repro.audit import ShardedAuditor
-from repro.client import (
-    run_burst_transfers,
-    run_sharded_burst_transfers,
-    run_sharded_contended_transfers,
-)
+from repro.client import run_burst_transfers, run_contended_transfers
 from repro.core import BlockumulusDeployment, DeploymentConfig, ShardedDeployment
 from repro.crypto.fingerprint import snapshot_fingerprint
 from repro.crypto.hashing import fast_hash
@@ -72,9 +69,7 @@ def bench_config(shards: int) -> DeploymentConfig:
 
 
 def all_cells(deployment) -> list:
-    if isinstance(deployment, ShardedDeployment):
-        return [cell for group in deployment.groups for cell in group.cells]
-    return list(deployment.cells)
+    return [cell for group in deployment.as_sharded().groups for cell in group.cells]
 
 
 def equivalence_digest(deployment, report) -> str:
@@ -108,7 +103,7 @@ def equivalence_digest(deployment, report) -> str:
         ),
         "cross": sorted(
             (result.xtx, result.decision, result.ok)
-            for result in getattr(report, "cross_results", [])
+            for result in report.cross_results
         ),
         "state": {
             cell.node_name: "0x" + snapshot_fingerprint(cell.contracts.fingerprints()).hex()
@@ -121,7 +116,7 @@ def equivalence_digest(deployment, report) -> str:
 def run_burst(shards: int, cross_rate: float, fast_path: bool = False):
     deployment = ShardedDeployment(bench_config(shards))
     started = time.perf_counter()
-    report = run_sharded_burst_transfers(
+    report = run_burst_transfers(
         deployment, count=BURST, cross_shard_rate=cross_rate, fast_path=fast_path,
         # The fast path completes at the asynchronous commit point (the
         # directory-verified voucher); the redeem deliveries are drained
@@ -147,7 +142,7 @@ def run_burst(shards: int, cross_rate: float, fast_path: bool = False):
 
 def run_contended(shards: int, cross_rate: float):
     deployment = ShardedDeployment(bench_config(shards))
-    report = run_sharded_contended_transfers(
+    report = run_contended_transfers(
         deployment, count=BURST, conflict_rate=CONTENDED_CONFLICT,
         cross_shard_rate=cross_rate,
     )
@@ -155,7 +150,7 @@ def run_contended(shards: int, cross_rate: float):
 
 
 def run_plain_baseline():
-    """The pre-shard pipeline: a plain deployment driving the plain burst."""
+    """The pre-shard pipeline: a plain deployment, viewed as one group by the burst."""
     deployment = BlockumulusDeployment(bench_config(1))
     report = run_burst_transfers(deployment, count=BURST)
     return deployment, report
@@ -164,8 +159,8 @@ def run_plain_baseline():
 def config_metrics(deployment, report, wall_clock=None):
     throughput = report.throughput()
     metrics = {
-        "transactions": len(report.results) + len(getattr(report, "cross_results", [])),
-        "cross_shard_transactions": len(getattr(report, "cross_results", [])),
+        "transactions": len(report.results) + len(report.cross_results),
+        "cross_shard_transactions": len(report.cross_results),
         "failures": report.failure_count,
         "sim_makespan_s": round(throughput.makespan, 3),
         "throughput_tps": round(throughput.throughput, 1),
@@ -174,8 +169,7 @@ def config_metrics(deployment, report, wall_clock=None):
     }
     if wall_clock is not None:
         metrics["wall_clock_s"] = round(wall_clock, 3)
-    cross_successes = getattr(report, "cross_successes", [])
-    if cross_successes:
+    if report.cross_successes:
         metrics["cross_latency_p50_s"] = round(report.cross_latencies().p50(), 4)
     return metrics
 

@@ -41,7 +41,7 @@ from ..client.client import BlockumulusClient
 from ..client.sharded import CrossShardResult, ShardedFastMoneyClient
 from ..client.workload import (
     MixedWorkloadReport,
-    mixed_instance_names,
+    instance_names,
     plan_mixed_genesis,
     run_mixed_operations,
 )
@@ -553,7 +553,7 @@ def run_reference(
         primary.make_client_signer(seed).address.hex(): primary.make_client_signer(seed)
         for seed in spec.account_seeds()
     }
-    instance = mixed_instance_names(deployment, CHAOS_CONTRACT)[0]
+    instance = instance_names(deployment, CHAOS_CONTRACT)[0]
     genesis = {
         account: amount for account, amount in genesis_by_account.items() if amount > 0
     }
@@ -706,7 +706,7 @@ def check_scenario(
     run = run_scenario(spec)
     results: list[OracleResult] = []
     minted = {}
-    instances = mixed_instance_names(run.deployment, CHAOS_CONTRACT)
+    instances = instance_names(run.deployment, CHAOS_CONTRACT)
     for group, name in enumerate(instances):
         minted[name] = sum(
             amount

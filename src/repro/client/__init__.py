@@ -15,20 +15,17 @@ from .workload import (
     MIXED_OP_KINDS,
     MixedOperation,
     MixedWorkloadReport,
-    ShardedWorkloadReport,
     WorkloadError,
     WorkloadReport,
     build_client_pools,
-    build_sharded_client_pools,
-    mixed_instance_names,
+    instance_names,
     plan_mixed_genesis,
     run_burst_cas_uploads,
     run_burst_transfers,
     run_contended_transfers,
     run_mixed_operations,
     run_sequential_transfers,
-    run_sharded_burst_transfers,
-    run_sharded_contended_transfers,
+    run_sharded_burst_transfers,  # alias for the frozen bench/workloads.py
 )
 
 __all__ = [
@@ -47,20 +44,16 @@ __all__ = [
     "ShardRoutingError",
     "ShardedClient",
     "ShardedFastMoneyClient",
-    "ShardedWorkloadReport",
     "TransactionResult",
     "WorkloadError",
     "WorkloadReport",
     "build_client_pools",
-    "build_sharded_client_pools",
     "deploy_contract_source",
-    "mixed_instance_names",
+    "instance_names",
     "plan_mixed_genesis",
     "run_mixed_operations",
     "run_burst_cas_uploads",
     "run_burst_transfers",
     "run_contended_transfers",
     "run_sequential_transfers",
-    "run_sharded_burst_transfers",
-    "run_sharded_contended_transfers",
 ]

@@ -57,6 +57,7 @@ from ..messages.xshard import (
     CrossShardVoucherTransfer,
 )
 from ..sim.events import Event
+from .apps import FastMoneyClient
 from .client import BlockumulusClient, ClientError
 
 
@@ -801,6 +802,10 @@ class ShardedFastMoneyClient:
         """Home group of an account (stable hash of its address)."""
         return self.account_home(self.base_name, account, self.shard_count)
 
+    def on_group(self, group: int) -> FastMoneyClient:
+        """The plain FastMoney client of this app's instance on ``group``."""
+        return FastMoneyClient(self.client.client_for(group), contract_name=self.instance(group))
+
     def transfer(
         self,
         to: Address | str,
@@ -811,27 +816,41 @@ class ShardedFastMoneyClient:
     ) -> Event:
         """Transfer with automatic routing: plain in-group, 2PC across groups.
 
-        The event value is a
-        :class:`~repro.client.client.TransactionResult` for an in-group
-        transfer and a :class:`CrossShardResult` for a cross-group one.
-        ``hold_expiry`` (seconds from now) arms the cross-shard escrow
-        safety valve — see :meth:`transfer_cross`; it is ignored for
-        in-group transfers, which hold nothing.  ``fast_path`` opts a
-        cross-group transfer into the one-way voucher path when its
-        destination footprint proves safe.
+        Sender and recipient are placed by :meth:`shard_of_account`; the
+        rest is :meth:`transfer_between`.  ``hold_expiry`` (seconds from
+        now) arms the cross-shard escrow safety valve — see
+        :meth:`transfer_cross`; it is ignored for in-group transfers,
+        which hold nothing.  ``fast_path`` opts a cross-group transfer
+        into the one-way voucher path when its destination footprint
+        proves safe.
         """
         signer = signer or self.client.signer
-        recipient = to.hex() if isinstance(to, Address) else to
-        source = self.shard_of_account(signer.address)
-        target = self.shard_of_account(recipient)
-        if source == target:
-            return self.client.clients[source].submit(
-                self.instance(source), "transfer",
-                {"to": recipient, "amount": amount}, signer=signer,
-            )
+        return self.transfer_between(
+            self.shard_of_account(signer.address), self.shard_of_account(to), to, amount,
+            signer=signer, hold_expiry=hold_expiry, fast_path=fast_path,
+        )
+
+    def transfer_between(
+        self,
+        source_group: int,
+        target_group: Optional[int],
+        to: Address | str,
+        amount: int,
+        signer: Optional[Signer] = None,
+        **cross_options: Any,
+    ) -> Event:
+        """Transfer with explicit placement (how the workloads spread load).
+
+        With no ``target_group`` (or the source group again) this is a
+        plain transfer on the source group's instance and the event value
+        is a :class:`~repro.client.client.TransactionResult`; otherwise it
+        is :meth:`transfer_cross` with ``cross_options`` and the value is
+        a :class:`CrossShardResult`.
+        """
+        if target_group is None or target_group == source_group:
+            return self.on_group(source_group).transfer(to, amount, signer=signer)
         return self.transfer_cross(
-            source, target, recipient, amount, signer=signer,
-            hold_expiry=hold_expiry, fast_path=fast_path,
+            source_group, target_group, to, amount, signer=signer, **cross_options
         )
 
     #: Voucher deadline when the caller arms no explicit hold_expiry,

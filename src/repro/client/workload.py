@@ -10,36 +10,50 @@ same inside the simulation:
 * :func:`run_burst_cas_uploads` — N simultaneous CAS ``put`` requests
   (Fig. 9).
 * :func:`run_burst_transfers` — N simultaneous FastMoney transfers
-  (Fig. 10 / the 20,000-transaction headline).
+  (Fig. 10 / the 20,000-transaction headline), optionally with a
+  cross-shard share.
 * :func:`run_contended_transfers` — N simultaneous transfers with a
   tunable write-conflict rate (the execution-lane benchmark workload).
 * :func:`run_mixed_operations` — a scripted multi-contract mix (FastMoney
   transfers incl. cross-shard 2PC, CAS uploads, ballot votes, dividend
-  investments) submitted at fixed simulated times over a sharded
-  deployment (the chaos engine's workload shape).
+  investments) submitted at fixed simulated times (the chaos engine's
+  workload shape).
 
-Each returns a :class:`WorkloadReport` with the raw per-transaction results
-plus the latency series and throughput figures the benchmark harness
-prints.
+There is one harness for every number of cell groups.  Each generator
+takes a :class:`~repro.core.sharding.ShardedDeployment` — or a plain
+:class:`~repro.core.deployment.BlockumulusDeployment`, viewed as one
+group through ``as_sharded()`` — spreads transaction ``i`` over the groups
+round-robin, and returns a :class:`WorkloadReport` with the raw
+per-transaction results plus the latency series and throughput figures
+the benchmark harness prints.  One group is a parameter value: every home
+group is 0 and the cross-shard dial has nobody to cross to.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Sequence
 
 from ..contracts.community import FastMoney
 from ..core.deployment import BlockumulusDeployment
 from ..core.sharding import ShardedDeployment
-from ..crypto.keys import Address
+from ..crypto.hashing import fast_hash
+from ..sim.environment import Environment
 from ..sim.events import Event
 from ..sim.metrics import SampleSeries, ThroughputResult
-from .apps import CasClient, FastMoneyClient
-from .client import BlockumulusClient, TransactionResult
+from .apps import CasClient
+from .client import TransactionResult
 from .sharded import CrossShardResult, ShardedClient, ShardedFastMoneyClient
+
+#: What every generator accepts; a plain consortium is viewed as one group.
+Deployment = BlockumulusDeployment | ShardedDeployment
 
 #: Number of client-pool machines in the paper's harness.
 DEFAULT_CLIENT_POOLS = 8
+
+#: How long the (unmeasured) funding phase of a workload may take.
+FUNDING_HORIZON = 3_600.0
 
 
 class WorkloadError(Exception):
@@ -76,355 +90,38 @@ def _validate_rate(rate: float, what: str) -> float:
     return value
 
 
+def validate_cross_rate(deployment: ShardedDeployment, cross_shard_rate: float) -> float:
+    """The cross-shard dial: a probability, and zero unless there is a second group."""
+    cross_shard_rate = _validate_rate(cross_shard_rate, "cross_shard_rate")
+    if cross_shard_rate > 0.0 and deployment.shard_count < 2:
+        raise WorkloadError("cross_shard_rate requires at least two shards")
+    return cross_shard_rate
+
+
 @dataclass
 class WorkloadReport:
-    """Everything measured while running one workload."""
+    """Everything measured while running one workload.
+
+    In-group transactions land in ``results``; cross-shard transfers
+    (two-phase or voucher) land in ``cross_results``, which stays empty on
+    one cell group.  Failure counts and throughput cover both kinds; the
+    latency series are kept apart because the two kinds do different work.
+    """
 
     label: str
     consortium_size: int
     results: list[TransactionResult] = field(default_factory=list)
+    cross_results: list[CrossShardResult] = field(default_factory=list)
 
     @property
     def successes(self) -> list[TransactionResult]:
-        """Transactions that received a valid aggregated receipt."""
+        """In-group transactions that received a valid aggregated receipt."""
         return [result for result in self.results if result.ok]
 
     @property
     def failures(self) -> list[TransactionResult]:
-        """Transactions that reverted or timed out."""
+        """In-group transactions that reverted or timed out."""
         return [result for result in self.results if not result.ok]
-
-    @property
-    def failure_count(self) -> int:
-        """Number of failed transactions."""
-        return len(self.failures)
-
-    def latencies(self) -> SampleSeries:
-        """Latency series over successful transactions."""
-        series = SampleSeries(self.label)
-        series.extend(result.latency for result in self.successes)
-        return series
-
-    def throughput(self) -> ThroughputResult:
-        """Throughput over successful transactions (burst workloads)."""
-        successes = self.successes
-        if not successes:
-            raise WorkloadError(f"workload {self.label!r} produced no successful transactions")
-        return ThroughputResult(
-            operations=len(successes),
-            first_start=min(result.submitted_at for result in successes),
-            last_end=max(result.completed_at for result in successes),
-        )
-
-    def summary(self) -> dict[str, Any]:
-        """Headline numbers for EXPERIMENTS.md and the benchmark output."""
-        latencies = self.latencies()
-        throughput = self.throughput()
-        return {
-            "label": self.label,
-            "cells": self.consortium_size,
-            "transactions": len(self.results),
-            "failures": self.failure_count,
-            "latency_p50": latencies.p50(),
-            "latency_p90": latencies.p90(),
-            "latency_p99": latencies.p99(),
-            "latency_max": latencies.max(),
-            "makespan": throughput.makespan,
-            "throughput_tps": throughput.throughput,
-        }
-
-
-def build_client_pools(
-    deployment: BlockumulusDeployment,
-    pools: int = DEFAULT_CLIENT_POOLS,
-    subscribe: bool = False,
-) -> list[BlockumulusClient]:
-    """Create client-pool machines, assigned round-robin to the cells."""
-    if pools < 1:
-        raise WorkloadError("at least one client pool is required")
-    clients = []
-    for index in range(pools):
-        client = BlockumulusClient(
-            deployment,
-            signer=deployment.make_client_signer(f"pool/{index}"),
-            service_cell_index=index % deployment.consortium_size,
-            node_name=f"client-pool-{index}",
-        )
-        clients.append(client)
-    if subscribe or deployment.config.enforce_subscriptions:
-        waiters = [client.subscribe() for client in clients]
-        deployment.env.run(deployment.env.all_of(waiters))
-    return clients
-
-
-def _collect(
-    deployment: BlockumulusDeployment, events: list[Event], horizon: float
-) -> list[TransactionResult]:
-    """Run the simulation until all result events fire (or the horizon)."""
-    env = deployment.env
-    done = env.all_of(events)
-    guard = env.any_of([done, env.timeout(horizon)])
-    env.run(guard)
-    results = []
-    for event in events:
-        if event.processed or event.triggered:
-            results.append(event.value)
-        else:
-            results.append(
-                TransactionResult(
-                    ok=False,
-                    submitted_at=env.now - horizon,
-                    completed_at=env.now,
-                    error="workload horizon exceeded before a reply arrived",
-                )
-            )
-    return results
-
-
-def _fund_pools(
-    deployment: BlockumulusDeployment,
-    pool_clients: list[BlockumulusClient],
-    amount: int,
-    horizon: float = 3_600.0,
-) -> None:
-    """Give every pool account a large FastMoney balance (not measured)."""
-    events = [FastMoneyClient(client).faucet(amount) for client in pool_clients]
-    results = _collect(deployment, events, horizon)
-    failed = [result for result in results if not result.ok]
-    if failed:
-        raise WorkloadError(f"pool funding failed: {failed[0].error}")
-
-
-def _fresh_recipient(index: int) -> str:
-    """A deterministic throwaway recipient address for transfer ``index``."""
-    from ..crypto.hashing import fast_hash
-
-    return "0x" + fast_hash(f"recipient/{index}".encode())[-20:].hex()
-
-
-# ----------------------------------------------------------------------
-# Fig. 8 — consecutive transfers under normal load
-# ----------------------------------------------------------------------
-def run_sequential_transfers(
-    deployment: BlockumulusDeployment,
-    count: int = 500,
-    pools: int = DEFAULT_CLIENT_POOLS,
-    amount: int = 5,
-    label: Optional[str] = None,
-    per_transaction_timeout: float = 120.0,
-) -> WorkloadReport:
-    """Execute ``count`` consecutive FastMoney transfers and measure latency."""
-    _validate_count(count)
-    _validate_amount(amount)
-    clients = build_client_pools(deployment, pools)
-    _fund_pools(deployment, clients, amount * count * 2)
-    report = WorkloadReport(
-        label=label or f"fig8/{deployment.consortium_size}cells",
-        consortium_size=deployment.consortium_size,
-    )
-    env = deployment.env
-
-    def driver() -> Generator[Event, Any, None]:
-        for index in range(count):
-            client = clients[index % len(clients)]
-            result_event = FastMoneyClient(client).transfer(_fresh_recipient(index), amount)
-            guard = env.any_of([result_event, env.timeout(per_transaction_timeout)])
-            yield guard
-            if result_event.triggered:
-                report.results.append(result_event.value)
-            else:
-                report.results.append(
-                    TransactionResult(
-                        ok=False,
-                        submitted_at=env.now - per_transaction_timeout,
-                        completed_at=env.now,
-                        error="per-transaction timeout",
-                    )
-                )
-
-    process = env.process(driver())
-    env.run(process)
-    return report
-
-
-# ----------------------------------------------------------------------
-# Fig. 9 — simultaneous CAS uploads
-# ----------------------------------------------------------------------
-def run_burst_cas_uploads(
-    deployment: BlockumulusDeployment,
-    count: int = 5_000,
-    pools: int = DEFAULT_CLIENT_POOLS,
-    blob_bytes: int = 64,
-    label: Optional[str] = None,
-    horizon: float = 3_600.0,
-) -> WorkloadReport:
-    """Submit ``count`` CAS uploads at the same instant and measure latency."""
-    _validate_count(count)
-    if blob_bytes < 1:
-        raise WorkloadError(f"blob_bytes must be positive, got {blob_bytes!r}")
-    clients = build_client_pools(deployment, pools)
-    report = WorkloadReport(
-        label=label or f"fig9/{deployment.consortium_size}cells/{count}tx",
-        consortium_size=deployment.consortium_size,
-    )
-    rng = deployment.seeds.stream("workload-cas")
-    events = []
-    for index in range(count):
-        client = clients[index % len(clients)]
-        content = rng.getrandbits(8 * blob_bytes).to_bytes(blob_bytes, "big")
-        # A fresh random account per request, as in the paper's harness.
-        signer = deployment.make_client_signer(f"cas-account/{index}")
-        events.append(CasClient(client).put(content, signer=signer))
-    report.results = _collect(deployment, events, horizon)
-    return report
-
-
-# ----------------------------------------------------------------------
-# Fig. 10 — simultaneous FastMoney transfers
-# ----------------------------------------------------------------------
-def run_burst_transfers(
-    deployment: BlockumulusDeployment,
-    count: int = 5_000,
-    pools: int = DEFAULT_CLIENT_POOLS,
-    amount: int = 1,
-    label: Optional[str] = None,
-    horizon: float = 3_600.0,
-    submit_at: Optional[float] = None,
-) -> WorkloadReport:
-    """Submit ``count`` FastMoney transfers at the same instant.
-
-    ``submit_at`` pins the submission to an absolute simulated time after
-    the funding phase.  Experiments that compare two configurations of the
-    same workload (e.g. the batched-pipeline ablation) use it so both runs
-    sign transactions with identical timestamps and therefore identical
-    transaction ids.
-    """
-    _validate_count(count)
-    _validate_amount(amount)
-    clients = build_client_pools(deployment, pools)
-    _fund_pools(deployment, clients, amount * count * 2)
-    if submit_at is not None:
-        if submit_at < deployment.env.now:
-            raise WorkloadError(
-                f"cannot submit at {submit_at}: funding finished at {deployment.env.now}"
-            )
-        deployment.run(until=submit_at)
-    report = WorkloadReport(
-        label=label or f"fig10/{deployment.consortium_size}cells/{count}tx",
-        consortium_size=deployment.consortium_size,
-    )
-    events = []
-    for index in range(count):
-        client = clients[index % len(clients)]
-        events.append(
-            FastMoneyClient(client).transfer(_fresh_recipient(index), amount)
-        )
-    report.results = _collect(deployment, events, horizon)
-    return report
-
-
-# ----------------------------------------------------------------------
-# Tunable-contention transfers (the execution-lane benchmark workload)
-# ----------------------------------------------------------------------
-#: Deployment name of the contention workload's FastMoney instance (kept
-#: apart from the default "fastmoney" so both can coexist).
-CONTENDED_CONTRACT = "fastmoney.contended"
-
-
-def run_contended_transfers(
-    deployment: BlockumulusDeployment,
-    count: int = 200,
-    conflict_rate: float = 0.0,
-    hot_accounts: int = 4,
-    pools: int = DEFAULT_CLIENT_POOLS,
-    amount: int = 1,
-    label: Optional[str] = None,
-    horizon: float = 3_600.0,
-    submit_at: Optional[float] = None,
-) -> WorkloadReport:
-    """Submit ``count`` simultaneous transfers with a tunable conflict rate.
-
-    Every transaction normally comes from its own genesis-funded account
-    and pays a fresh recipient, so its write set is disjoint from every
-    other transaction's and the conflict-aware lane scheduler can run them
-    all in parallel.  With probability ``conflict_rate`` a transaction is
-    instead sent *from* one of ``hot_accounts`` shared hot accounts — a
-    genuine read-modify-write on the hot balance key (the insufficient-funds
-    check), which conflicts with every other transfer from the same hot
-    account and forces the scheduler to serialize them.
-
-    ``conflict_rate=0`` is the embarrassingly parallel end of the dial,
-    ``conflict_rate=1`` with one hot account reproduces the fully serial
-    schedule.  The workload funds accounts through genesis balances (no
-    measurable funding phase), and ``submit_at`` pins the submission
-    instant so runs under different configurations sign byte-identical
-    payloads (identical transaction ids), which is what lets the benchmark
-    assert ledger/receipt/fingerprint equality across lane counts.
-    """
-    _validate_count(count)
-    _validate_amount(amount)
-    conflict_rate = _validate_rate(conflict_rate, "conflict_rate")
-    if hot_accounts < 1:
-        raise WorkloadError("at least one hot account is required")
-    clients = build_client_pools(deployment, pools)
-    cold_signers = [
-        deployment.make_client_signer(f"contention-account/{index}") for index in range(count)
-    ]
-    hot_signers = [
-        deployment.make_client_signer(f"contention-hot/{index}") for index in range(hot_accounts)
-    ]
-    genesis = {signer.address.hex(): amount for signer in cold_signers}
-    for signer in hot_signers:
-        genesis[signer.address.hex()] = amount * count  # never runs dry
-    deployment.deploy_community_contract_instances(
-        [
-            FastMoney(
-                CONTENDED_CONTRACT,
-                params={"genesis_balances": genesis, "allow_faucet": False},
-            )
-        ]
-    )
-    rng = deployment.seeds.stream("workload-contention")
-    if submit_at is not None:
-        if submit_at < deployment.env.now:
-            raise WorkloadError(f"cannot submit at {submit_at}: now is {deployment.env.now}")
-        deployment.run(until=submit_at)
-    report = WorkloadReport(
-        label=label
-        or f"lanes/{deployment.consortium_size}cells/{count}tx/conflict{conflict_rate:.2f}",
-        consortium_size=deployment.consortium_size,
-    )
-    events = []
-    for index in range(count):
-        client = clients[index % len(clients)]
-        if rng.random() < conflict_rate:
-            signer = hot_signers[rng.randrange(hot_accounts)]
-        else:
-            signer = cold_signers[index]
-        events.append(
-            FastMoneyClient(client, contract_name=CONTENDED_CONTRACT).transfer(
-                _fresh_recipient(index), amount, signer=signer
-            )
-        )
-    report.results = _collect(deployment, events, horizon)
-    return report
-
-
-# ----------------------------------------------------------------------
-# Sharded workloads (contract-state sharding across cell groups)
-# ----------------------------------------------------------------------
-@dataclass
-class ShardedWorkloadReport(WorkloadReport):
-    """A workload report whose burst may include cross-shard transactions.
-
-    In-group transactions land in ``results`` exactly as in the unsharded
-    reports; cross-shard two-phase transfers land in ``cross_results``.
-    Throughput covers both kinds.  With one shard there are no
-    cross-shard transactions and this degenerates to a plain
-    :class:`WorkloadReport`.
-    """
-
-    cross_results: list[CrossShardResult] = field(default_factory=list)
 
     @property
     def cross_successes(self) -> list[CrossShardResult]:
@@ -456,6 +153,12 @@ class ShardedWorkloadReport(WorkloadReport):
         """Failed transactions, in-group and cross-shard combined."""
         return len(self.failures) + len(self.cross_failures)
 
+    def latencies(self) -> SampleSeries:
+        """Latency series over successful in-group transactions."""
+        series = SampleSeries(self.label)
+        series.extend(result.latency for result in self.successes)
+        return series
+
     def cross_latencies(self) -> SampleSeries:
         """End-to-end latency series over committed cross-shard transfers."""
         series = SampleSeries(f"{self.label}/cross")
@@ -463,27 +166,26 @@ class ShardedWorkloadReport(WorkloadReport):
         return series
 
     def throughput(self) -> ThroughputResult:
-        """Aggregate throughput over all successful transactions."""
-        completed = [
-            (result.submitted_at, result.completed_at) for result in self.successes
-        ] + [
-            (result.submitted_at, result.completed_at) for result in self.cross_successes
-        ]
+        """Aggregate throughput over all successful transactions (burst workloads)."""
+        completed = [*self.successes, *self.cross_successes]
         if not completed:
             raise WorkloadError(f"workload {self.label!r} produced no successful transactions")
         return ThroughputResult(
             operations=len(completed),
-            first_start=min(start for start, _end in completed),
-            last_end=max(end for _start, end in completed),
+            first_start=min(result.submitted_at for result in completed),
+            last_end=max(result.completed_at for result in completed),
         )
 
     def summary(self) -> dict[str, Any]:
-        """Headline numbers including the cross-shard share.
+        """Headline numbers for EXPERIMENTS.md and the benchmark output.
 
-        Built without assuming any in-group successes exist — a workload
-        run entirely at ``cross_shard_rate=1.0`` has an empty in-group
-        latency series, and its percentiles are reported as ``None``
-        rather than raising.
+        The keys are the same for every workload and group count (the
+        ``cross_shard_*`` counts are 0 on one group); only
+        ``cross_latency_p50`` needs a committed cross-shard transfer to
+        exist.  Built without assuming any in-group successes — a
+        workload run entirely at ``cross_shard_rate=1.0`` has an empty
+        in-group latency series, and its percentiles are reported as
+        ``None`` rather than raising.
         """
         latencies = self.latencies() if self.successes else None
         throughput = self.throughput()
@@ -507,19 +209,30 @@ class ShardedWorkloadReport(WorkloadReport):
         return summary
 
 
-def build_sharded_client_pools(
-    deployment: ShardedDeployment,
-    pools: int = DEFAULT_CLIENT_POOLS,
+def _new_report(
+    figure: str, deployment: ShardedDeployment, count: int, label: Optional[str], **dials: float
+) -> WorkloadReport:
+    """An empty report; the default label has one format for every group count:
+    ``<figure>/<groups>x<cells>cells/<count>tx[/<dial><value>...]``."""
+    cells = deployment.config.consortium_size
+    parts = [figure, f"{deployment.shard_count}x{cells}cells", f"{count}tx"]
+    parts += [f"{name}{value:.2f}" for name, value in dials.items()]
+    return WorkloadReport(label=label or "/".join(parts), consortium_size=cells)
+
+
+def build_client_pools(
+    deployment: Deployment, pools: int = DEFAULT_CLIENT_POOLS
 ) -> list[ShardedClient]:
     """Create client-pool machines spanning every cell group.
 
-    Pool ``i`` reuses the unsharded pools' identity seed (``pool/<i>``)
-    and cell assignment (``i mod consortium_size``), so with one shard
-    the pools are indistinguishable from :func:`build_client_pools` —
-    the anchor of the shards=1 equivalence guarantee.
+    Pool ``i`` signs as ``pool/<i>`` and attaches to cell
+    ``i mod consortium_size`` of each group (``pool.client_for(g)`` is its
+    per-group client), so the pools are spread round-robin over the cells
+    whatever the group count.
     """
     if pools < 1:
         raise WorkloadError("at least one client pool is required")
+    deployment = deployment.as_sharded()
     primary = deployment.group(0).deployment
     clients = [
         ShardedClient(
@@ -538,7 +251,7 @@ def build_sharded_client_pools(
     return clients
 
 
-def _sharded_instances(deployment: ShardedDeployment, base_name: str) -> list[str]:
+def instance_names(deployment: ShardedDeployment, base_name: str) -> list[str]:
     """Per-group instance names of one sharded application contract."""
     return [
         ShardedFastMoneyClient.instance_name(base_name, group, deployment.shard_count)
@@ -546,155 +259,345 @@ def _sharded_instances(deployment: ShardedDeployment, base_name: str) -> list[st
     ]
 
 
-def _collect_sharded(
-    deployment: ShardedDeployment,
-    events: list[tuple[Event, bool]],
-    horizon: float,
-) -> tuple[list[TransactionResult], list[CrossShardResult]]:
-    """Run until all events fire, splitting plain and cross-shard results.
+def collect_replies(
+    env: Environment, events: Sequence[Optional[Event]], timeout: float
+) -> list[Optional[Any]]:
+    """Run the simulation until every event fired or ``timeout`` seconds passed.
 
-    Each event is tagged with whether it is a cross-shard coordination
-    (so a timed-out cross-shard transaction is still accounted as one,
-    not mislabelled as an in-group failure).
+    Returns each event's value in order — ``None`` where no reply arrived
+    in time (or nothing was submitted); with no time left it only reads
+    what already fired.  The one collector behind every generator here
+    and the endurance harness.
     """
+    done = env.all_of([event for event in events if event is not None])
+    if timeout > 0:
+        env.run(env.any_of([done, env.timeout(timeout)]))
+    return [
+        event.value if event is not None and (event.processed or event.triggered) else None
+        for event in events
+    ]
+
+
+def _record(
+    report: WorkloadReport, env: Environment, events: list[tuple[Event, bool]], horizon: float
+) -> None:
+    """Collect a burst into ``report``, writing off what the horizon cut short.
+
+    Each event is tagged with whether it is a cross-shard coordination, so
+    a timed-out cross-shard transaction is still accounted as one, not
+    mislabelled as an in-group failure.
+    """
+    values = collect_replies(env, [event for event, _is_cross in events], horizon)
+    lost = {"ok": False, "submitted_at": env.now - horizon, "completed_at": env.now}
+    for value, (_event, is_cross) in zip(values, events):
+        if value is None and is_cross:
+            value = CrossShardResult(
+                xtx="", decision="abort", **lost,
+                error="workload horizon exceeded before the cross-shard commit completed",
+            )
+        elif value is None:
+            value = TransactionResult(
+                **lost, error="workload horizon exceeded before a reply arrived"
+            )
+        (report.cross_results if is_cross else report.results).append(value)
+
+
+def _fresh_recipient(index: int) -> str:
+    """A deterministic throwaway recipient address for transfer ``index``."""
+    return "0x" + fast_hash(f"recipient/{index}".encode())[-20:].hex()
+
+
+def _placement(
+    index: int, apps: list[ShardedFastMoneyClient]
+) -> tuple[int, ShardedFastMoneyClient]:
+    """Home group and client pool of transaction ``index``: round-robin over
+    the groups first, then over the pools."""
+    shards = apps[0].shard_count
+    return index % shards, apps[(index // shards) % len(apps)]
+
+
+def cross_target(
+    rng: Optional[random.Random], cross_shard_rate: float, home: int, shards: int
+) -> Optional[int]:
+    """Draw the cross-shard dial: another group to pay into, or ``None``.
+
+    ``rng`` is ``None`` at a zero rate, so a run without cross-shard
+    traffic draws nothing.
+    """
+    if rng is not None and rng.random() < cross_shard_rate:
+        return (home + 1 + rng.randrange(shards - 1)) % shards
+    return None
+
+
+def _fastmoney_pools(
+    deployment: ShardedDeployment, pools: int, funding: int
+) -> list[ShardedFastMoneyClient]:
+    """Client pools with ``funding`` units on every group's FastMoney instance.
+
+    Makes sure each group has its instance of the default FastMoney (one
+    group already carries it as the base instance), then runs the funding
+    phase (not measured): every pool faucets on every group's instance,
+    so any pool can send from any home group.
+    """
+    for group, name in enumerate(instance_names(deployment, FastMoney.DEFAULT_NAME)):
+        if name not in deployment.contract_locations:
+            deployment.deploy_contract_instances([FastMoney(name)], group=group)
+    apps = [ShardedFastMoneyClient(pool) for pool in build_client_pools(deployment, pools)]
+    groups = range(deployment.shard_count)
+    faucets = [app.on_group(group).faucet(funding) for app in apps for group in groups]
+    for result in collect_replies(deployment.env, faucets, FUNDING_HORIZON):
+        if result is None or not result.ok:
+            error = "no reply within the funding horizon" if result is None else result.error
+            raise WorkloadError(f"pool funding failed: {error}")
+    return apps
+
+
+def _run_until_submission(deployment: ShardedDeployment, submit_at: Optional[float]) -> None:
+    """Advance to the pinned submission instant, if one was given."""
+    if submit_at is not None:
+        if submit_at < deployment.env.now:
+            raise WorkloadError(
+                f"cannot submit at {submit_at}: setup finished at {deployment.env.now}"
+            )
+        deployment.run(until=submit_at)
+
+
+# ----------------------------------------------------------------------
+# Fig. 8 — consecutive transfers under normal load
+# ----------------------------------------------------------------------
+def run_sequential_transfers(
+    deployment: Deployment,
+    count: int = 500,
+    pools: int = DEFAULT_CLIENT_POOLS,
+    amount: int = 5,
+    label: Optional[str] = None,
+    per_transaction_timeout: float = 120.0,
+) -> WorkloadReport:
+    """Execute ``count`` consecutive FastMoney transfers and measure latency."""
+    _validate_count(count)
+    _validate_amount(amount)
+    deployment = deployment.as_sharded()
+    apps = _fastmoney_pools(deployment, pools, amount * count * 2)
+    report = _new_report("fig8", deployment, count, label)
     env = deployment.env
-    done = env.all_of([event for event, _is_cross in events])
-    env.run(env.any_of([done, env.timeout(horizon)]))
-    results: list[TransactionResult] = []
-    cross: list[CrossShardResult] = []
-    for event, is_cross in events:
-        if event.processed or event.triggered:
-            value = event.value
-            if isinstance(value, CrossShardResult):
-                cross.append(value)
+
+    def driver() -> Generator[Event, Any, None]:
+        for index in range(count):
+            home, app = _placement(index, apps)
+            result_event = app.on_group(home).transfer(_fresh_recipient(index), amount)
+            guard = env.any_of([result_event, env.timeout(per_transaction_timeout)])
+            yield guard
+            if result_event.triggered:
+                report.results.append(result_event.value)
             else:
-                results.append(value)
-        elif is_cross:
-            cross.append(
-                CrossShardResult(
-                    ok=False,
-                    xtx="",
-                    decision="abort",
-                    submitted_at=env.now - horizon,
-                    completed_at=env.now,
-                    error="workload horizon exceeded before the cross-shard commit completed",
+                report.results.append(
+                    TransactionResult(
+                        ok=False,
+                        submitted_at=env.now - per_transaction_timeout,
+                        completed_at=env.now,
+                        error="per-transaction timeout",
+                    )
                 )
-            )
-        else:
-            results.append(
-                TransactionResult(
-                    ok=False,
-                    submitted_at=env.now - horizon,
-                    completed_at=env.now,
-                    error="workload horizon exceeded before a reply arrived",
-                )
-            )
-    return results, cross
+
+    process = env.process(driver())
+    env.run(process)
+    return report
 
 
-def _validate_cross_rate(deployment: ShardedDeployment, cross_shard_rate: float) -> float:
-    cross_shard_rate = _validate_rate(cross_shard_rate, "cross_shard_rate")
-    if cross_shard_rate > 0.0 and deployment.shard_count < 2:
-        raise WorkloadError("cross_shard_rate requires at least two shards")
-    return cross_shard_rate
-
-
-def run_sharded_burst_transfers(
-    deployment: ShardedDeployment,
+# ----------------------------------------------------------------------
+# Fig. 9 — simultaneous CAS uploads
+# ----------------------------------------------------------------------
+def run_burst_cas_uploads(
+    deployment: Deployment,
     count: int = 5_000,
-    cross_shard_rate: float = 0.0,
+    pools: int = DEFAULT_CLIENT_POOLS,
+    blob_bytes: int = 64,
+    label: Optional[str] = None,
+    horizon: float = 3_600.0,
+) -> WorkloadReport:
+    """Submit ``count`` CAS uploads at the same instant and measure latency.
+
+    Each blob goes to the group that owns its digest (the CAS namespace
+    is partitioned by content hash).
+    """
+    _validate_count(count)
+    if blob_bytes < 1:
+        raise WorkloadError(f"blob_bytes must be positive, got {blob_bytes!r}")
+    deployment = deployment.as_sharded()
+    clients = build_client_pools(deployment, pools)
+    primary = deployment.group(0).deployment
+    report = _new_report("fig9", deployment, count, label)
+    rng = deployment.seeds.stream("workload-cas")
+    events = []
+    for index in range(count):
+        client = clients[index % len(clients)]
+        content = rng.getrandbits(8 * blob_bytes).to_bytes(blob_bytes, "big")
+        # A fresh random account per request, as in the paper's harness.
+        signer = primary.make_client_signer(f"cas-account/{index}")
+        events.append((CasClient(client).put(content, signer=signer), False))
+    _record(report, deployment.env, events, horizon)
+    return report
+
+
+# ----------------------------------------------------------------------
+# Fig. 10 — simultaneous FastMoney transfers
+# ----------------------------------------------------------------------
+def run_burst_transfers(
+    deployment: Deployment,
+    count: int = 5_000,
     pools: int = DEFAULT_CLIENT_POOLS,
     amount: int = 1,
     label: Optional[str] = None,
     horizon: float = 3_600.0,
     submit_at: Optional[float] = None,
+    cross_shard_rate: float = 0.0,
     fast_path: bool = False,
     await_redeem: bool = True,
-) -> ShardedWorkloadReport:
-    """The Fig. 10 burst, spread across cell groups.
+) -> WorkloadReport:
+    """Submit ``count`` FastMoney transfers at the same instant.
 
     Transaction ``i`` lives on its *home group* ``i mod N`` and is a
     plain transfer on that group's FastMoney instance; with probability
     ``cross_shard_rate`` it instead runs as a two-phase escrow transfer
-    to a different group.  With ``shard_count == 1`` every choice
-    collapses to exactly :func:`run_burst_transfers` — same pool
-    identities, same funding phase, same recipients, no RNG draws — so
-    the two produce identical ledgers, receipts, and fingerprints.
-    ``fast_path`` routes eligible cross transfers over the voucher fast
-    path; ``await_redeem=False`` additionally completes each one at the
-    asynchronous commit point (voucher secured), leaving
-    ``CrossShardResult.redeem`` events for the caller to drain.
+    to a different group.  ``fast_path`` routes eligible cross transfers
+    over the voucher fast path; ``await_redeem=False`` additionally
+    completes each one at the asynchronous commit point (voucher
+    secured), leaving ``CrossShardResult.redeem`` events for the caller
+    to drain.
+
+    ``submit_at`` pins the submission to an absolute simulated time after
+    the funding phase.  Experiments that compare two configurations of the
+    same workload (e.g. the batched-pipeline ablation) use it so both runs
+    sign transactions with identical timestamps and therefore identical
+    transaction ids.
     """
     _validate_count(count)
     _validate_amount(amount)
-    cross_shard_rate = _validate_cross_rate(deployment, cross_shard_rate)
-    shards = deployment.shard_count
-    instances = _sharded_instances(deployment, FastMoney.DEFAULT_NAME)
-    if shards > 1:
-        # One FastMoney instance per group (the unsharded deployment
-        # already carries the base instance).
-        for group, name in enumerate(instances):
-            deployment.deploy_contract_instances([FastMoney(name)], group=group)
-    pool_clients = build_sharded_client_pools(deployment, pools)
-
-    # Funding phase (not measured): every pool faucets on every group's
-    # instance, so any pool can send from any home group.
-    funding = [
-        (
-            FastMoneyClient(pool.client_for(group), contract_name=instances[group]).faucet(
-                amount * count * 2
-            ),
-            False,
-        )
-        for pool in pool_clients
-        for group in range(shards)
-    ]
-    funded, _ = _collect_sharded(deployment, funding, horizon)
-    failed = [result for result in funded if not result.ok]
-    if failed:
-        raise WorkloadError(f"pool funding failed: {failed[0].error}")
-
-    if submit_at is not None:
-        if submit_at < deployment.env.now:
-            raise WorkloadError(
-                f"cannot submit at {submit_at}: funding finished at {deployment.env.now}"
-            )
-        deployment.run(until=submit_at)
-
-    report = ShardedWorkloadReport(
-        label=label
-        or f"sharding/{shards}shards/{count}tx/cross{cross_shard_rate:.2f}",
-        consortium_size=deployment.config.consortium_size,
-    )
+    deployment = deployment.as_sharded()
+    cross_shard_rate = validate_cross_rate(deployment, cross_shard_rate)
+    apps = _fastmoney_pools(deployment, pools, amount * count * 2)
+    _run_until_submission(deployment, submit_at)
+    report = _new_report("fig10", deployment, count, label, cross=cross_shard_rate)
     rng = deployment.seeds.stream("workload-xshard") if cross_shard_rate > 0.0 else None
-    events: list[tuple[Event, bool]] = []
+    events = []
     for index in range(count):
-        home = index % shards
-        pool = pool_clients[(index // shards) % len(pool_clients)]
-        recipient = _fresh_recipient(index)
-        if rng is not None and rng.random() < cross_shard_rate:
-            target = (home + 1 + rng.randrange(shards - 1)) % shards
-            app = ShardedFastMoneyClient(pool, base_name=FastMoney.DEFAULT_NAME)
-            events.append(
-                (
-                    app.transfer_cross(
-                        home, target, recipient, amount,
-                        signer=pool.signer, fast_path=fast_path,
-                        await_redeem=await_redeem,
-                    ),
-                    True,
-                )
-            )
-        else:
-            events.append(
-                (
-                    FastMoneyClient(
-                        pool.client_for(home), contract_name=instances[home]
-                    ).transfer(recipient, amount),
-                    False,
-                )
-            )
-    report.results, report.cross_results = _collect_sharded(deployment, events, horizon)
+        home, app = _placement(index, apps)
+        target = cross_target(rng, cross_shard_rate, home, deployment.shard_count)
+        event = app.transfer_between(
+            home, target, _fresh_recipient(index), amount,
+            fast_path=fast_path, await_redeem=await_redeem,
+        )
+        events.append((event, target is not None))
+    _record(report, deployment.env, events, horizon)
+    return report
+
+
+#: Imported by the frozen ``bench/workloads.py``; delete with the next
+#: ``benchmark`` PR.
+run_sharded_burst_transfers = run_burst_transfers
+
+
+# ----------------------------------------------------------------------
+# Tunable-contention transfers (the execution-lane benchmark workload)
+# ----------------------------------------------------------------------
+#: Deployment name of the contention workload's FastMoney instance (kept
+#: apart from the default "fastmoney" so both can coexist).
+CONTENDED_CONTRACT = "fastmoney.contended"
+
+
+def run_contended_transfers(
+    deployment: Deployment,
+    count: int = 200,
+    conflict_rate: float = 0.0,
+    hot_accounts: int = 4,
+    pools: int = DEFAULT_CLIENT_POOLS,
+    amount: int = 1,
+    label: Optional[str] = None,
+    horizon: float = 3_600.0,
+    submit_at: Optional[float] = None,
+    cross_shard_rate: float = 0.0,
+) -> WorkloadReport:
+    """Submit ``count`` simultaneous transfers with a tunable conflict rate.
+
+    Every transaction normally comes from its own genesis-funded account
+    and pays a fresh recipient, so its write set is disjoint from every
+    other transaction's and the conflict-aware lane scheduler can run them
+    all in parallel.  With probability ``conflict_rate`` a transaction is
+    instead sent *from* one of ``hot_accounts`` shared hot accounts — a
+    genuine read-modify-write on the hot balance key (the insufficient-funds
+    check), which conflicts with every other transfer from the same hot
+    account and forces the scheduler to serialize them.
+
+    ``conflict_rate=0`` is the embarrassingly parallel end of the dial,
+    ``conflict_rate=1`` with one hot account reproduces the fully serial
+    schedule.  The workload funds accounts through genesis balances (no
+    measurable funding phase), and ``submit_at`` pins the submission
+    instant so runs under different configurations sign byte-identical
+    payloads (identical transaction ids), which is what lets the benchmark
+    assert ledger/receipt/fingerprint equality across lane counts.
+
+    Contention is an intra-group effect: within each group the dial works
+    as above, and across groups the ``cross_shard_rate`` dial turns *cold*
+    transfers into two-phase escrow transfers to another group.  The two
+    dials draw from separate RNG streams, so the contention draws do not
+    depend on the group count or the cross rate.
+    """
+    _validate_count(count)
+    _validate_amount(amount)
+    conflict_rate = _validate_rate(conflict_rate, "conflict_rate")
+    deployment = deployment.as_sharded()
+    cross_shard_rate = validate_cross_rate(deployment, cross_shard_rate)
+    if hot_accounts < 1:
+        raise WorkloadError("at least one hot account is required")
+    shards = deployment.shard_count
+    primary = deployment.group(0).deployment
+
+    cold_signers = [
+        primary.make_client_signer(f"contention-account/{index}") for index in range(count)
+    ]
+    hot_signers = [
+        primary.make_client_signer(f"contention-hot/{index}") for index in range(hot_accounts)
+    ]
+    # Genesis funding per instance: cold account i lives on its home
+    # group's instance; hot accounts are funded everywhere so intra-group
+    # conflicts exist on every shard.
+    for group, name in enumerate(instance_names(deployment, CONTENDED_CONTRACT)):
+        genesis = {
+            signer.address.hex(): amount
+            for index, signer in enumerate(cold_signers)
+            if index % shards == group
+        }
+        for signer in hot_signers:
+            genesis[signer.address.hex()] = amount * count  # never runs dry
+        prototype = FastMoney(
+            name, params={"genesis_balances": genesis, "allow_faucet": False}
+        )
+        deployment.deploy_contract_instances([prototype], group=group)
+
+    apps = [
+        ShardedFastMoneyClient(pool, base_name=CONTENDED_CONTRACT)
+        for pool in build_client_pools(deployment, pools)
+    ]
+    contention_rng = deployment.seeds.stream("workload-contention")
+    cross_rng = (
+        deployment.seeds.stream("workload-xshard") if cross_shard_rate > 0.0 else None
+    )
+    _run_until_submission(deployment, submit_at)
+    report = _new_report(
+        "lanes", deployment, count, label, conflict=conflict_rate, cross=cross_shard_rate
+    )
+    events = []
+    for index in range(count):
+        home, app = _placement(index, apps)
+        hot = contention_rng.random() < conflict_rate
+        signer = (
+            hot_signers[contention_rng.randrange(hot_accounts)] if hot else cold_signers[index]
+        )
+        # Hot senders stay in-group: contention is an intra-group effect.
+        target = None if hot else cross_target(cross_rng, cross_shard_rate, home, shards)
+        event = app.transfer_between(home, target, _fresh_recipient(index), amount, signer=signer)
+        events.append((event, target is not None))
+    _record(report, deployment.env, events, horizon)
     return report
 
 
@@ -814,11 +717,6 @@ class MixedWorkloadReport:
         return sum(1 for result in self.results if result is None)
 
 
-def mixed_instance_names(deployment: ShardedDeployment, base_name: str) -> list[str]:
-    """Per-group FastMoney instance names of a mixed workload."""
-    return _sharded_instances(deployment, base_name)
-
-
 def plan_mixed_genesis(
     operations: list[MixedOperation], accounts: int
 ) -> dict[int, int]:
@@ -840,7 +738,7 @@ def plan_mixed_genesis(
 
 
 def run_mixed_operations(
-    deployment: ShardedDeployment,
+    deployment: Deployment,
     operations: list[MixedOperation],
     account_seeds: list[str],
     base_name: str = "fastmoney.chaos",
@@ -852,7 +750,7 @@ def run_mixed_operations(
     label: Optional[str] = None,
     fast_path: bool = False,
 ) -> MixedWorkloadReport:
-    """Drive a scripted multi-contract workload over a sharded deployment.
+    """Drive a scripted multi-contract workload over the cell groups.
 
     Deploys one genesis-funded FastMoney instance of ``base_name`` per
     cell group, creates the given ballot ``elections`` (driving the
@@ -877,6 +775,7 @@ def run_mixed_operations(
     for op in operations:
         op.validate(accounts)
 
+    deployment = deployment.as_sharded()
     primary = deployment.group(0).deployment
     signers = [primary.make_client_signer(seed) for seed in account_seeds]
 
@@ -884,7 +783,7 @@ def run_mixed_operations(
     if genesis is not None:
         funding.update(genesis)
     shards = deployment.shard_count
-    instances = _sharded_instances(deployment, base_name)
+    instances = instance_names(deployment, base_name)
     homes = [
         ShardedFastMoneyClient.account_home(base_name, signer.address, shards)
         for signer in signers
@@ -900,7 +799,7 @@ def run_mixed_operations(
         )
         deployment.deploy_contract_instances([prototype], group=group)
 
-    pool_clients = build_sharded_client_pools(deployment, pools)
+    pool_clients = build_client_pools(deployment, pools)
 
     # Setup phase: elections exist (and are visible consortium-wide)
     # before any vote is submitted.
@@ -968,117 +867,7 @@ def run_mixed_operations(
 
     process = env.process(driver())
     env.run(process)
-    live = [event for event in events if event is not None]
-    done = env.all_of(live)
     if horizon <= env.now:
         raise WorkloadError(f"horizon {horizon} is not after the last submission ({env.now})")
-    env.run(env.any_of([done, env.timeout(horizon - env.now)]))
-    report.results = [
-        event.value if event is not None and (event.processed or event.triggered) else None
-        for event in events
-    ]
-    return report
-
-
-def run_sharded_contended_transfers(
-    deployment: ShardedDeployment,
-    count: int = 200,
-    conflict_rate: float = 0.0,
-    cross_shard_rate: float = 0.0,
-    hot_accounts: int = 4,
-    pools: int = DEFAULT_CLIENT_POOLS,
-    amount: int = 1,
-    label: Optional[str] = None,
-    horizon: float = 3_600.0,
-    submit_at: Optional[float] = None,
-) -> ShardedWorkloadReport:
-    """The tunable-contention workload, spread across cell groups.
-
-    Within each group the contention dial works exactly as in
-    :func:`run_contended_transfers` (hot senders force serialization);
-    across groups the ``cross_shard_rate`` dial turns cold transfers into
-    two-phase escrow transfers to another group.  The contention RNG
-    stream is drawn identically to the unsharded workload and the
-    cross-shard decision uses a separate stream, so with one shard and a
-    zero cross rate this is the unsharded workload, artifact-for-artifact
-    (the sharding differential suite asserts it).
-    """
-    _validate_count(count)
-    _validate_amount(amount)
-    conflict_rate = _validate_rate(conflict_rate, "conflict_rate")
-    cross_shard_rate = _validate_cross_rate(deployment, cross_shard_rate)
-    if hot_accounts < 1:
-        raise WorkloadError("at least one hot account is required")
-    shards = deployment.shard_count
-    instances = _sharded_instances(deployment, CONTENDED_CONTRACT)
-    primary = deployment.group(0).deployment
-
-    cold_signers = [
-        primary.make_client_signer(f"contention-account/{index}") for index in range(count)
-    ]
-    hot_signers = [
-        primary.make_client_signer(f"contention-hot/{index}") for index in range(hot_accounts)
-    ]
-    # Genesis funding per instance: cold account i lives on its home
-    # group's instance; hot accounts are funded everywhere so intra-group
-    # conflicts exist on every shard.
-    for group, name in enumerate(instances):
-        genesis = {
-            signer.address.hex(): amount
-            for index, signer in enumerate(cold_signers)
-            if index % shards == group
-        }
-        for signer in hot_signers:
-            genesis[signer.address.hex()] = amount * count  # never runs dry
-        prototype = FastMoney(
-            name, params={"genesis_balances": genesis, "allow_faucet": False}
-        )
-        deployment.deploy_contract_instances([prototype], group=group)
-
-    pool_clients = build_sharded_client_pools(deployment, pools)
-    contention_rng = deployment.seeds.stream("workload-contention")
-    cross_rng = (
-        deployment.seeds.stream("workload-xshard") if cross_shard_rate > 0.0 else None
-    )
-    if submit_at is not None:
-        if submit_at < deployment.env.now:
-            raise WorkloadError(f"cannot submit at {submit_at}: now is {deployment.env.now}")
-        deployment.run(until=submit_at)
-
-    report = ShardedWorkloadReport(
-        label=label
-        or (
-            f"sharding/{shards}shards/{count}tx/"
-            f"conflict{conflict_rate:.2f}/cross{cross_shard_rate:.2f}"
-        ),
-        consortium_size=deployment.config.consortium_size,
-    )
-    events: list[tuple[Event, bool]] = []
-    for index in range(count):
-        home = index % shards
-        pool = pool_clients[(index // shards) % len(pool_clients)]
-        recipient = _fresh_recipient(index)
-        if contention_rng.random() < conflict_rate:
-            signer: Any = hot_signers[contention_rng.randrange(hot_accounts)]
-            hot = True
-        else:
-            signer = cold_signers[index]
-            hot = False
-        # Hot senders stay in-group: contention is an intra-group effect.
-        if not hot and cross_rng is not None and cross_rng.random() < cross_shard_rate:
-            target = (home + 1 + cross_rng.randrange(shards - 1)) % shards
-            app = ShardedFastMoneyClient(pool, base_name=CONTENDED_CONTRACT)
-            events.append(
-                (app.transfer_cross(home, target, recipient, amount, signer=signer), True)
-            )
-        else:
-            events.append(
-                (
-                    FastMoneyClient(
-                        pool.client_for(home), contract_name=instances[home]
-                    ).transfer(recipient, amount, signer=signer),
-                    False,
-                )
-            )
-    report.results, report.cross_results = _collect_sharded(deployment, events, horizon)
+    report.results = collect_replies(env, events, horizon - env.now)
     return report

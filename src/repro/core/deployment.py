@@ -19,7 +19,7 @@ is exactly the historical single-group deployment.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..contracts.community import Ballot, DividendPool, FastMoney
 from ..crypto.keys import Address, PrivateKey
@@ -37,6 +37,9 @@ from ..sim.rng import SeedSequence
 from .cell import BlockumulusCell
 from .config import DeploymentConfig, SystemInvariants
 from .subscription import PricingPolicy
+
+if TYPE_CHECKING:
+    from .sharding import ShardedDeployment
 
 #: Funding given to each cell's Ethereum account (wei) to pay report fees.
 CELL_ETH_FUNDING_WEI = 1_000 * 10 ** 18
@@ -253,6 +256,18 @@ class BlockumulusDeployment:
     def cell(self, index: int) -> BlockumulusCell:
         """Cell by index."""
         return self.cells[index]
+
+    def as_sharded(self) -> "ShardedDeployment":
+        """This consortium as a one-group :class:`ShardedDeployment` view.
+
+        Workloads, pools and oracles are written once, against the sharded
+        front door; they call this on whatever deployment they are given
+        (a ``ShardedDeployment`` answers with itself).  A fresh view is
+        taken each time — see :meth:`ShardedDeployment.over`.
+        """
+        from .sharding import ShardedDeployment  # sharding builds on this module
+
+        return ShardedDeployment.over(self)
 
     def cell_by_address(self, address: Address) -> BlockumulusCell:
         """Cell by consortium address."""

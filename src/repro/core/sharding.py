@@ -17,11 +17,12 @@ Three pieces cooperate (see ``docs/SCALING.md`` for the full model):
   group (stable hash, overridable by explicit pins), CAS blob digest ->
   owning group, and span detection over
   :class:`~repro.core.lanes.AccessFootprint` qualified keys.
-* :class:`ShardedDeployment` — builds the groups (``shard_count == 1``
-  constructs exactly one plain :class:`BlockumulusDeployment` from the
-  untouched config, so the unsharded pipeline is preserved bit-for-bit),
-  deploys each community contract on its owning group, and installs the
-  cross-shard *shard directory* on every cell.
+* :class:`ShardedDeployment` — builds the groups by one path for every
+  count (a single group keeps the configured ids, names and seed, so it
+  is the unsharded pipeline bit for bit), deploys each community contract
+  on its owning group, and installs the cross-shard *shard directory* on
+  every cell; :meth:`ShardedDeployment.over` is the one-group view of an
+  already-built plain consortium.
 * the **shard digest** — per cycle, every group's cells agree on one
   per-group execution fingerprint
   (:meth:`~repro.core.ledger.TransactionLedger.cycle_execution_fingerprint`);
@@ -266,74 +267,98 @@ def chain_shard_digest(
 class ShardedDeployment:
     """N independent cell groups sharing one simulation, network, and chain.
 
-    With ``config.shard_count == 1`` this constructs exactly one
-    :class:`BlockumulusDeployment` from the **untouched** config — same
-    deployment id, node names, seeds, and RNG draws — so the unsharded
-    pipeline is preserved bit-for-bit and every existing experiment can
-    be re-run through the sharded front door.
+    This is the one deployment front door: every ``shard_count`` —
+    including 1 — is built by the same steps.  The shared environment,
+    network fabric, metrics registry and anchor chain are created once;
+    each group ``g`` is a :class:`BlockumulusDeployment` built inside them
+    from a derived config (seed offset by ``g``, no default contracts);
+    the default community contracts are then deployed once each, on their
+    hash-assigned owning groups, and every cell receives the shard
+    directory that enables its cross-shard gateway role.
 
-    With ``shard_count > 1`` each group ``g`` gets a derived config
-    (``deployment_id`` suffixed ``/g<g>``, node namespace ``g<g>/``,
-    seed offset by ``g``) and is built inside the shared environment /
-    network / metrics / anchor chain.  The default community contracts
-    are then deployed once each, on their hash-assigned owning groups,
-    and every cell receives the shard directory that enables its
-    cross-shard gateway role.
+    Only the *naming* depends on the group count.  Several groups are
+    told apart by a ``/g<g>`` deployment-id suffix and a ``g<g>/`` node
+    namespace; a single group keeps the configured ``deployment_id`` and
+    ``node_namespace`` (and ``seed + 0``), so its cell identities, node
+    names and every named RNG stream are exactly those of a plain
+    :class:`BlockumulusDeployment` of the same config — the unsharded
+    pipeline is one group, bit for bit.
+
+    An already-built consortium enters through :meth:`over`.
     """
 
     def __init__(self, config: Optional[DeploymentConfig] = None) -> None:
-        self.config = config or DeploymentConfig()
-        self.shard_map = ShardMap(self.config.shard_count)
-        self.seeds = SeedSequence(self.config.seed)
-        #: Community contracts deployed through this front door: name -> group.
-        self.contract_locations: dict[str, int] = {}
-
-        if self.config.shard_count == 1:
-            primary = BlockumulusDeployment(self.config)
-            self.groups: list[CellGroup] = [CellGroup(0, primary)]
-            self.env = primary.env
-            self.network = primary.network
-            self.metrics = primary.metrics
-            self.eth_node = primary.eth_node
-            if self.config.deploy_default_contracts:
-                for prototype in BlockumulusDeployment._default_contracts():
-                    self.contract_locations[prototype.name] = 0
-                    self.shard_map.pin(prototype.name, 0)
-        else:
-            self.env = Environment()
-            self.metrics = MetricsRegistry()
-            self.network = BlockumulusDeployment.build_network(
-                self.env, self.seeds, self.config
+        config = config or DeploymentConfig()
+        seeds = SeedSequence(config.seed)
+        env = Environment()
+        metrics = MetricsRegistry()
+        network = BlockumulusDeployment.build_network(env, seeds, config)
+        eth_node = BlockumulusDeployment.build_eth_node(env, seeds, config)
+        deployments = []
+        for index in range(config.shard_count):
+            # The one place the group count shows: several groups need
+            # distinct ids and node names, a single group keeps its own.
+            naming: dict[str, str] = {}
+            if config.shard_count > 1:
+                naming["deployment_id"] = f"{config.deployment_id}/g{index}"
+                naming["node_namespace"] = f"g{index}/"
+            group_config = replace(
+                config, seed=config.seed + index, deploy_default_contracts=False, **naming
             )
-            self.eth_node = BlockumulusDeployment.build_eth_node(
-                self.env, self.seeds, self.config
+            deployments.append(
+                BlockumulusDeployment(
+                    group_config, env=env, network=network, metrics=metrics, eth_node=eth_node
+                )
             )
-            self.groups = []
-            for index in range(self.config.shard_count):
-                group_config = replace(
-                    self.config,
-                    deployment_id=f"{self.config.deployment_id}/g{index}",
-                    node_namespace=f"g{index}/",
-                    seed=self.config.seed + index,
-                    deploy_default_contracts=False,
-                )
-                deployment = BlockumulusDeployment(
-                    group_config,
-                    env=self.env,
-                    network=self.network,
-                    metrics=self.metrics,
-                    eth_node=self.eth_node,
-                )
-                self.groups.append(CellGroup(index, deployment))
-            if self.config.deploy_default_contracts:
-                self.deploy_contract_instances(BlockumulusDeployment._default_contracts())
-
+        self._bind(config, deployments)
+        if config.deploy_default_contracts:
+            self.deploy_contract_instances(BlockumulusDeployment._default_contracts())
         directory = self.gateway_directory()
         for group in self.groups:
             for cell in group.cells:
                 cell.install_shard_directory(
                     group.index, directory, gateway=(cell is group.gateway)
                 )
+
+    @classmethod
+    def over(cls, deployment: BlockumulusDeployment) -> "ShardedDeployment":
+        """The one-group view of an already-built consortium.
+
+        The view shares the consortium's config, environment, network,
+        metrics and anchor chain and builds nothing: it is how workloads,
+        oracles and clients written against the front door accept a plain
+        :class:`BlockumulusDeployment`.  The community contracts already
+        deployed are read off cell 0's registry, so a view taken later
+        still routes to what an earlier one deployed.  The cells stay
+        unsharded (no gateway role): one group has nobody to cross to.
+        """
+        view = cls.__new__(cls)
+        view._bind(deployment.config, [deployment])
+        for name in deployment.cell(0).contracts.names():
+            if name not in NAMESPACE_SHARDED_CONTRACTS:
+                view.shard_map.pin(name, 0)
+                view.contract_locations[name] = 0
+        return view
+
+    def as_sharded(self) -> "ShardedDeployment":
+        """Itself — so callers take this or a plain deployment alike."""
+        return self
+
+    def _bind(self, config: DeploymentConfig, deployments: list[BlockumulusDeployment]) -> None:
+        """Adopt ``deployments`` (all on one shared infrastructure) as the groups."""
+        shared = deployments[0]
+        self.config = config
+        self.seeds = SeedSequence(config.seed)
+        self.env = shared.env
+        self.network = shared.network
+        self.metrics = shared.metrics
+        self.eth_node = shared.eth_node
+        self.groups = [
+            CellGroup(index, deployment) for index, deployment in enumerate(deployments)
+        ]
+        self.shard_map = ShardMap(len(deployments))
+        #: Community contracts deployed through this front door: name -> group.
+        self.contract_locations: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Accessors

@@ -33,10 +33,16 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Any, Generator, Optional
 
 from ..audit.oracles import OracleResult, run_conservation_oracle
-from ..client.apps import FastMoneyClient
 from ..client.client import BlockumulusClient, TransactionResult
 from ..client.sharded import CrossShardResult, ShardedFastMoneyClient
-from ..client.workload import WorkloadError, build_sharded_client_pools
+from ..client.workload import (
+    WorkloadError,
+    build_client_pools,
+    collect_replies,
+    cross_target,
+    instance_names,
+    validate_cross_rate,
+)
 from ..contracts.community import FastMoney
 from ..core.sharding import ShardedDeployment
 from ..crypto.hashing import fast_hash
@@ -99,12 +105,7 @@ class EndurancePlan:
             raise WorkloadError("horizon and bucket_seconds must be positive")
         if self.horizon < self.bucket_seconds:
             raise WorkloadError("horizon must cover at least one bucket")
-        if not 0.0 <= self.cross_shard_rate <= 1.0:
-            raise WorkloadError(
-                f"cross_shard_rate must be in [0, 1], got {self.cross_shard_rate!r}"
-            )
-        if self.cross_shard_rate > 0.0 and deployment.shard_count < 2:
-            raise WorkloadError("cross_shard_rate requires at least two shards")
+        validate_cross_rate(deployment, self.cross_shard_rate)
         if self.pools < 1:
             raise WorkloadError("at least one client pool is required")
         if self.amount < 1:
@@ -296,7 +297,7 @@ def _plan_schedule(
     seeds = deployment.seeds.child("loadgen")
     arrival_rng = seeds.stream("arrivals")
     population_rng = seeds.stream("population")
-    cross_rng = seeds.stream("xshard")
+    cross_rng = seeds.stream("xshard") if plan.cross_shard_rate > 0.0 else None
     if plan.process == "poisson":
         times = poisson_arrivals(arrival_rng, plan.rate, plan.horizon, start=start)
     else:
@@ -313,13 +314,7 @@ def _plan_schedule(
     for at in times:
         user = population_rng.randrange(plan.users)
         home = user % shards
-        target: Optional[int] = None
-        if (
-            plan.cross_shard_rate > 0.0
-            and shards > 1
-            and cross_rng.random() < plan.cross_shard_rate
-        ):
-            target = (home + 1 + cross_rng.randrange(shards - 1)) % shards
+        target = cross_target(cross_rng, plan.cross_shard_rate, home, shards)
         schedule.append(_Arrival(at=at, user=user, home=home, target=target))
     return schedule
 
@@ -367,11 +362,7 @@ def run_endurance(
         user: primary.make_client_signer(f"endurance/user/{user}")
         for user in sorted(spend)
     }
-    instances = [
-        ShardedFastMoneyClient.instance_name(ENDURANCE_CONTRACT, group, shards)
-        for group in range(shards)
-    ]
-    for group, name in enumerate(instances):
+    for group, name in enumerate(instance_names(deployment, ENDURANCE_CONTRACT)):
         genesis = {
             report.accounts[user].address.hex(): amount
             for user, amount in sorted(spend.items())
@@ -388,21 +379,17 @@ def run_endurance(
         for user, amount in sorted(spend.items())
     }
 
-    pool_clients = build_sharded_client_pools(deployment, plan.pools)
+    apps = [
+        ShardedFastMoneyClient(pool, base_name=ENDURANCE_CONTRACT)
+        for pool in build_client_pools(deployment, plan.pools)
+    ]
     events: list[Optional[Event]] = [None] * len(report.schedule)
 
     def submit(index: int, arrival: _Arrival) -> Event:
-        pool = pool_clients[arrival.user % len(pool_clients)]
-        signer = report.accounts[arrival.user]
-        recipient = _recipient(run_id, index)
-        if arrival.cross:
-            app = ShardedFastMoneyClient(pool, base_name=ENDURANCE_CONTRACT)
-            return app.transfer_cross(
-                arrival.home, arrival.target, recipient, plan.amount, signer=signer
-            )
-        return FastMoneyClient(
-            pool.client_for(arrival.home), contract_name=instances[arrival.home]
-        ).transfer(recipient, plan.amount, signer=signer)
+        return apps[arrival.user % len(apps)].transfer_between(
+            arrival.home, arrival.target, _recipient(run_id, index), plan.amount,
+            signer=report.accounts[arrival.user],
+        )
 
     def driver() -> Generator[Event, Any, None]:
         for index, arrival in enumerate(report.schedule):
@@ -429,15 +416,8 @@ def run_endurance(
     env.process(sampler())
     submissions = env.process(driver())
     env.run(submissions)
-    live = [event for event in events if event is not None]
-    done = env.all_of(live)
     deadline = start + plan.horizon + plan.drain
-    if deadline > env.now:
-        env.run(env.any_of([done, env.timeout(deadline - env.now)]))
-    report.results = [
-        event.value if event is not None and (event.processed or event.triggered) else None
-        for event in events
-    ]
+    report.results = collect_replies(env, events, deadline - env.now)
     return report
 
 

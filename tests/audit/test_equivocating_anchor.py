@@ -17,7 +17,7 @@ together, and this module pins both:
 import pytest
 
 from repro.audit import AuditError, ShardedAuditor
-from repro.client import run_sharded_burst_transfers
+from repro.client import run_burst_transfers
 from repro.core.receipts import Confirmation
 from repro.messages import EquivocationEvidence
 from tests.conftest import make_sharded_deployment
@@ -28,7 +28,7 @@ FORGED_FP = "0x" + "ab" * 32
 @pytest.fixture(scope="module")
 def audited_deployment():
     deployment = make_sharded_deployment(2)
-    run_sharded_burst_transfers(deployment, count=12, pools=4)
+    run_burst_transfers(deployment, count=12, pools=4)
     deployment.run_cycles(1)
     return deployment
 

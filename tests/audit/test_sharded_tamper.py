@@ -12,7 +12,7 @@ Two attack shapes against the deployment-level shard digest:
 import pytest
 
 from repro.audit import AuditError, ShardedAuditor
-from repro.client import run_sharded_burst_transfers
+from repro.client import run_burst_transfers
 from tests.conftest import make_sharded_deployment
 
 COUNT = 12
@@ -22,7 +22,7 @@ POOLS = 4
 @pytest.fixture(scope="module")
 def audited_deployment():
     deployment = make_sharded_deployment(2)
-    run_sharded_burst_transfers(deployment, count=COUNT, pools=POOLS)
+    run_burst_transfers(deployment, count=COUNT, pools=POOLS)
     deployment.run_cycles(1)
     return deployment
 

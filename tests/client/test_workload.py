@@ -3,6 +3,7 @@
 import pytest
 
 from repro.client.workload import (
+    CONTENDED_CONTRACT,
     MixedOperation,
     WorkloadError,
     build_client_pools,
@@ -12,8 +13,6 @@ from repro.client.workload import (
     run_contended_transfers,
     run_mixed_operations,
     run_sequential_transfers,
-    run_sharded_burst_transfers,
-    run_sharded_contended_transfers,
 )
 from tests.conftest import make_deployment, make_sharded_deployment
 
@@ -21,8 +20,8 @@ from tests.conftest import make_deployment, make_sharded_deployment
 def test_build_client_pools_round_robin(four_cell_deployment):
     pools = build_client_pools(four_cell_deployment, pools=8)
     assert len(pools) == 8
-    assert pools[0].service_cell is four_cell_deployment.cell(0)
-    assert pools[5].service_cell is four_cell_deployment.cell(1)
+    assert pools[0].client_for(0).service_cell is four_cell_deployment.cell(0)
+    assert pools[5].client_for(0).service_cell is four_cell_deployment.cell(1)
     with pytest.raises(WorkloadError):
         build_client_pools(four_cell_deployment, pools=0)
 
@@ -99,29 +98,50 @@ def test_bad_amounts_and_rates_fail_fast():
         run_burst_cas_uploads(deployment, count=5, blob_bytes=0)
 
 
-def test_all_cross_shard_workload_summarizes_cleanly():
-    deployment = make_sharded_deployment(2)
-    report = run_sharded_burst_transfers(
-        deployment, count=4, cross_shard_rate=1.0, pools=2
+@pytest.mark.parametrize("shards, cross_shard_rate", [(2, 1.0), (1, 0.0)])
+def test_summary_is_uniform_from_all_cross_shard_to_one_group(shards, cross_shard_rate):
+    deployment = make_sharded_deployment(shards)
+    report = run_burst_transfers(
+        deployment, count=4, cross_shard_rate=cross_shard_rate, pools=2
     )
-    assert len(report.cross_results) == 4 and not report.results
+    crossing = 4 if cross_shard_rate else 0
+    assert len(report.cross_results) == crossing and len(report.results) == 4 - crossing
     assert report.failure_count == 0
     summary = report.summary()
     assert summary["transactions"] == 4
-    assert summary["cross_shard_transactions"] == 4
-    assert summary["latency_p50"] is None
+    assert summary["cross_shard_transactions"] == crossing
+    assert summary["cross_shard_failures"] == summary["cross_shard_in_transit"] == 0
     assert summary["throughput_tps"] > 0
-    assert summary["cross_latency_p50"] > 0
+    if crossing:
+        # Every success is cross-shard: no in-group percentiles to report.
+        assert summary["latency_p50"] is None
+        assert summary["cross_latency_p50"] > 0
+    else:
+        assert summary["latency_p50"] > 0
+        assert "cross_latency_p50" not in summary
+
+
+def test_a_later_workload_routes_to_what_an_earlier_one_deployed():
+    """Every workload takes its own one-group view of a plain consortium."""
+    deployment = make_deployment()
+    first = run_contended_transfers(deployment, count=4, hot_accounts=1, pools=2)
+    assert first.failure_count == 0
+    pool = build_client_pools(deployment, pools=1)[0]
+    supply = pool.query(CONTENDED_CONTRACT, "total_supply")
+    deployment.env.run(supply)
+    assert supply.value == 4 + 4  # four cold accounts of 1, one hot account of 4
+    second = run_burst_transfers(deployment, count=4, pools=2)
+    assert second.failure_count == 0
 
 
 def test_sharded_workload_validation():
     deployment = make_sharded_deployment(1)
     with pytest.raises(WorkloadError, match="positive integer"):
-        run_sharded_burst_transfers(deployment, count=0)
+        run_burst_transfers(deployment, count=0)
     with pytest.raises(WorkloadError, match="at least two shards"):
-        run_sharded_burst_transfers(deployment, count=5, cross_shard_rate=0.1)
+        run_burst_transfers(deployment, count=5, cross_shard_rate=0.1)
     with pytest.raises(WorkloadError, match="cross_shard_rate"):
-        run_sharded_contended_transfers(deployment, count=5, cross_shard_rate=2.0)
+        run_contended_transfers(deployment, count=5, cross_shard_rate=2.0)
 
 
 # ----------------------------------------------------------------------

@@ -539,7 +539,7 @@ def test_forged_voucher_is_refused_before_any_credit():
 # ----------------------------------------------------------------------
 def test_dropped_commit_ack_reports_in_transit_with_the_certificate():
     from repro.client.sharded import ShardedFastMoneyClient
-    from repro.client.workload import ShardedWorkloadReport
+    from repro.client.workload import WorkloadReport
 
     deployment, alice, names, client = build()
     app = ShardedFastMoneyClient(client, base_name=BASE)
@@ -573,7 +573,7 @@ def test_dropped_commit_ack_reports_in_transit_with_the_certificate():
     assert_conserved(deployment, expect_in_transit=20)
 
     # Workload accounting files it as in-transit, never as a failure.
-    report = ShardedWorkloadReport(
+    report = WorkloadReport(
         label="in-transit", consortium_size=2, cross_results=[result]
     )
     assert report.cross_failures == [] and report.cross_in_transit == [result]

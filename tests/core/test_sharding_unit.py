@@ -6,7 +6,7 @@ from repro.contracts.community import FastMoney
 from repro.core import DeploymentConfig, ShardMap, ShardingError, chain_shard_digest
 from repro.core.lanes import AccessFootprint
 from repro.core.sharding import NAMESPACE_SHARDED_CONTRACTS, _stable_shard
-from tests.conftest import make_sharded_deployment
+from tests.conftest import make_deployment, make_sharded_deployment
 
 
 # ----------------------------------------------------------------------
@@ -111,16 +111,39 @@ def test_shard_digest_requires_one_fingerprint_per_group():
 # ----------------------------------------------------------------------
 # ShardedDeployment construction
 # ----------------------------------------------------------------------
-def test_single_shard_reuses_the_plain_deployment_untouched():
+def test_single_shard_is_the_plain_deployment_by_the_same_construction_path():
     deployment = make_sharded_deployment(1)
     assert deployment.shard_count == 1
     group = deployment.group(0)
     assert group.deployment.config.node_namespace == ""
     assert group.deployment.config.deployment_id == deployment.config.deployment_id
+    assert group.deployment.config.seed == deployment.config.seed
     assert [cell.node_name for cell in group.cells] == ["cell-0", "cell-1"]
+    plain = make_deployment()
+    assert [cell.address for cell in group.cells] == [cell.address for cell in plain.cells]
+    assert group.deployment.registry_contract.address == plain.registry_contract.address
     # The default contracts are all recorded as owned by group 0.
     assert set(deployment.contract_locations) == {"fastmoney", "ballot", "dividendpool"}
     assert set(deployment.contract_locations.values()) == {0}
+
+
+def test_view_over_a_plain_consortium_builds_nothing_and_sees_earlier_deployments():
+    plain = make_deployment()
+    view = plain.as_sharded()
+    assert view.as_sharded() is view
+    assert view.shard_count == 1 and view.group(0).deployment is plain
+    assert (view.config, view.env, view.network, view.metrics, view.eth_node) == (
+        plain.config, plain.env, plain.network, plain.metrics, plain.eth_node
+    )
+    assert set(view.contract_locations) == {"fastmoney", "ballot", "dividendpool"}
+    # The cells are not reshaped: a plain consortium keeps refusing XSHARD traffic.
+    assert all(cell.gateway is None for cell in plain.cells)
+    # A contract deployed through one view is routable through the next.
+    view.deploy_contract_instances([FastMoney("fastmoney.later")])
+    later = plain.as_sharded()
+    assert later is not view
+    assert later.group_of_contract("fastmoney.later").index == 0
+    assert later.shard_map.route_call("fastmoney.later", "transfer", {}) == 0
 
 
 def test_multi_shard_groups_are_namespaced_and_disjoint():

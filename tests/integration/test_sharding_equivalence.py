@@ -2,23 +2,23 @@
 
 Two guarantees are asserted:
 
-* **shards = 1 is the pre-shard pipeline, artifact for artifact** — the
-  sharded workload generators driven through a one-group
-  ``ShardedDeployment`` produce exactly the ledgers, receipts, per-cycle
-  execution fingerprints, and contract state of the plain
-  ``BlockumulusDeployment`` running the plain workload generators.
+* **one group is the pre-shard pipeline, artifact for artifact and
+  instant for instant** — a plain ``BlockumulusDeployment`` viewed
+  through the front door and a constructed ``shard_count=1``
+  ``ShardedDeployment`` produce, under the same workload, exactly the
+  same ledgers, receipts, per-cycle execution fingerprints, contract
+  state, per-transaction submission and completion times, and network
+  byte and message totals — for the burst and for the contended burst at
+  every lane count and batching setting.
 * **repeat determinism** — running the same multi-shard configuration
   (including cross-shard two-phase transfers) twice yields identical
   per-shard ledgers, receipts, fingerprints, and the same deployment
   shard digest.
 """
 
-from repro.client import (
-    run_burst_transfers,
-    run_contended_transfers,
-    run_sharded_burst_transfers,
-    run_sharded_contended_transfers,
-)
+import pytest
+
+from repro.client import run_burst_transfers, run_contended_transfers
 from repro.crypto.fingerprint import snapshot_fingerprint
 from repro.encoding import canonical_json
 from tests.conftest import make_deployment, make_sharded_deployment
@@ -30,13 +30,11 @@ POOLS = 4
 
 
 def cells_of(deployment):
-    if hasattr(deployment, "cells"):
-        return list(deployment.cells)
-    return [cell for group in deployment.groups for cell in group.cells]
+    return [cell for group in deployment.as_sharded().groups for cell in group.cells]
 
 
 def artifacts(deployment, report):
-    """Timing-free observable artifacts of one run."""
+    """Observable artifacts of one run, timing and traffic included."""
     cells = cells_of(deployment)
     return {
         "ledgers": {
@@ -68,42 +66,44 @@ def artifacts(deployment, report):
             cell.node_name: "0x" + snapshot_fingerprint(cell.contracts.fingerprints()).hex()
             for cell in cells
         },
+        "timings": [
+            (result.tx_id, result.submitted_at, result.completed_at)
+            for result in report.results
+        ],
+        "network_bytes": deployment.network.total_bytes(),
+        "network_messages": deployment.network.total_messages(),
     }
 
 
-def test_one_shard_burst_equals_the_plain_pipeline():
-    plain = make_deployment()
-    plain_report = run_burst_transfers(plain, count=COUNT, pools=POOLS)
-    sharded = make_sharded_deployment(1)
-    sharded_report = run_sharded_burst_transfers(sharded, count=COUNT, pools=POOLS)
-    assert sharded_report.cross_results == []
-    expected = artifacts(plain, plain_report)
-    got = artifacts(sharded, sharded_report)
-    for name, value in expected.items():
-        assert got[name] == value, f"{name} diverged between plain and shards=1"
+WORKLOADS = {
+    "burst": lambda deployment: run_burst_transfers(deployment, count=COUNT, pools=POOLS),
+    "contended": lambda deployment: run_contended_transfers(
+        deployment, count=COUNT, conflict_rate=CONFLICT_RATE,
+        hot_accounts=HOT_ACCOUNTS, pools=POOLS, submit_at=5.0,
+    ),
+}
 
 
-def test_one_shard_contended_equals_the_plain_pipeline():
-    plain = make_deployment()
-    plain_report = run_contended_transfers(
-        plain, count=COUNT, conflict_rate=CONFLICT_RATE,
-        hot_accounts=HOT_ACCOUNTS, pools=POOLS, submit_at=5.0,
-    )
-    sharded = make_sharded_deployment(1)
-    sharded_report = run_sharded_contended_transfers(
-        sharded, count=COUNT, conflict_rate=CONFLICT_RATE,
-        hot_accounts=HOT_ACCOUNTS, pools=POOLS, submit_at=5.0,
-    )
-    assert sharded_report.cross_results == []
+@pytest.mark.parametrize("message_batching", [False, True])
+@pytest.mark.parametrize("execution_lanes", [1, 4])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_one_group_equals_the_plain_pipeline(workload, execution_lanes, message_batching):
+    """A viewed plain consortium vs. a constructed ``shard_count=1`` deployment."""
+    config = dict(execution_lanes=execution_lanes, message_batching=message_batching)
+    plain = make_deployment(**config)
+    plain_report = WORKLOADS[workload](plain)
+    constructed = make_sharded_deployment(1, **config)
+    constructed_report = WORKLOADS[workload](constructed)
+    assert plain_report.cross_results == constructed_report.cross_results == []
     expected = artifacts(plain, plain_report)
-    got = artifacts(sharded, sharded_report)
+    got = artifacts(constructed, constructed_report)
     for name, value in expected.items():
         assert got[name] == value, f"{name} diverged between plain and shards=1"
 
 
 def run_multi_shard():
     deployment = make_sharded_deployment(2)
-    report = run_sharded_burst_transfers(
+    report = run_burst_transfers(
         deployment, count=COUNT, cross_shard_rate=0.25, pools=POOLS
     )
     deployment.run_cycles(1)
