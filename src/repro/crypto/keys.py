@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import secrets  # lint: disable=DET001 — entropy is quarantined in PrivateKey.generate below
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .ecdsa import Signature, recover_public_key, sign_hash, sign_message, verify_message
 from .keccak import keccak256
@@ -73,7 +73,11 @@ class PublicKey:
     point: Point
 
     def address(self) -> Address:
-        """Derive the Ethereum-style address of this key."""
+        """The Ethereum-style address of this key (hashed once per instance)."""
+        return self._address
+
+    @cached_property
+    def _address(self) -> Address:
         return Address.from_public_key(self.point)
 
     def encode(self, compressed: bool = False) -> bytes:
@@ -94,8 +98,8 @@ class PrivateKey:
     """A secp256k1 private key.
 
     The secret scalar is kept on a private attribute; the public key and
-    address are computed lazily and cached because address derivation is the
-    hot path when constructing thousands of workload clients.
+    address are computed lazily and cached on the instance, because every
+    signer reads its address for every message it creates.
     """
 
     def __init__(self, secret: int) -> None:
@@ -139,13 +143,9 @@ class PrivateKey:
         """The raw secret scalar."""
         return self._secret
 
-    @property
+    @cached_property
     def public_key(self) -> PublicKey:
         """The corresponding public key."""
-        return self._public_key()
-
-    @lru_cache(maxsize=1)
-    def _public_key(self) -> PublicKey:
         return PublicKey(scalar_multiply(self._secret, GENERATOR))
 
     @property

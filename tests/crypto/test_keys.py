@@ -87,3 +87,23 @@ def test_addresses_are_orderable_and_hashable():
     addresses = {PrivateKey.from_seed(str(i)).address for i in range(10)}
     assert len(addresses) == 10
     assert sorted(addresses)
+
+
+def test_public_key_and_address_are_cached_per_instance():
+    """Two alternating keys cost two multiplications and two address hashes.
+
+    The cache used to be one ``lru_cache`` slot shared by every instance of
+    the class, so alternating between two keys recomputed both every time.
+    """
+    from unittest import mock
+
+    from repro.crypto import keys
+
+    first, second = PrivateKey.from_seed("cache-a"), PrivateKey.from_seed("cache-b")
+    with mock.patch.object(keys, "scalar_multiply", wraps=keys.scalar_multiply) as multiply, \
+            mock.patch.object(keys, "keccak256", wraps=keys.keccak256) as digest:
+        seen = set()
+        for _ in range(100):
+            seen.update((first.address, second.address, first.public_key.address()))
+    assert len(seen) == 2
+    assert (multiply.call_count, digest.call_count) == (2, 2)

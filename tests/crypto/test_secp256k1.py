@@ -1,6 +1,8 @@
 """secp256k1 group arithmetic."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.secp256k1 import (
     GENERATOR,
@@ -10,6 +12,7 @@ from repro.crypto.secp256k1 import (
     P,
     Point,
     decode_point,
+    double_scalar_multiply,
     point_add,
     recover_y,
     scalar_multiply,
@@ -86,3 +89,67 @@ def test_recover_y_parities():
 def test_encode_infinity_rejected():
     with pytest.raises(InvalidPointError):
         INFINITY.encode()
+
+
+# -- the scalar-multiplication kernel against the affine group law -----------------
+
+NEGATED_GENERATOR = Point(GENERATOR.x, P - GENERATOR.y)
+
+
+def reference_multiply(scalar: int, point: Point) -> Point:
+    """Bit-serial double-and-add over the affine ``point_add`` (the oracle)."""
+    result = INFINITY
+    for bit in bin(scalar % N)[2:]:
+        result = point_add(result, result)
+        if bit == "1":
+            result = point_add(result, point)
+    return result
+
+
+def reference_double_multiply(u1: int, u2: int, point: Point) -> Point:
+    return point_add(reference_multiply(u1, GENERATOR), reference_multiply(u2, point))
+
+
+scalars = st.one_of(
+    st.integers(min_value=0, max_value=2 * N),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=N - 20, max_value=N + 20),
+    st.sampled_from([2**255, 2**256 - 1, 2**256, (2**256) // 3, N // 2, N // 2 + 1]),
+)
+points = st.one_of(
+    st.sampled_from([GENERATOR, NEGATED_GENERATOR, INFINITY]),
+    st.integers(min_value=1, max_value=N - 1).map(lambda k: reference_multiply(k, GENERATOR)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalar=scalars, point=points)
+def test_scalar_multiply_matches_the_affine_group_law(scalar, point):
+    assert scalar_multiply(scalar, point) == reference_multiply(scalar, point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(u1=scalars, u2=scalars, point=points)
+def test_double_scalar_multiply_matches_the_affine_group_law(u1, u2, point):
+    assert double_scalar_multiply(u1, u2, point) == reference_double_multiply(u1, u2, point)
+
+
+@pytest.mark.parametrize("point", [GENERATOR, NEGATED_GENERATOR, INFINITY,
+                                   reference_multiply(0xC0FFEE, GENERATOR)],
+                         ids=["G", "-G", "infinity", "other"])
+@pytest.mark.parametrize("u1,u2", [
+    (0, 0), (0, 5), (5, 0), (0, N), (N, 0), (N, N),   # either side absent
+    (N + 3, 2 * N + 9),                               # scalars at or beyond the order
+    (7, 7), (7, N - 7),      # point = +-G: the joint pass adds equal or opposite points
+    (1, 1), (1, N - 1), (2, N - 1), (N - 2, 1),
+    (2**255, 2**255 + 1),
+])
+def test_double_scalar_multiply_named_edge_cases(u1, u2, point):
+    assert double_scalar_multiply(u1, u2, point) == reference_double_multiply(u1, u2, point)
+
+
+def test_fixed_base_table_reaches_position_256():
+    # The NAF of a scalar just below N has its top digit at bit 256, so the
+    # table of powers of two needs 257 entries.
+    assert scalar_multiply(N - 1) == NEGATED_GENERATOR
+    assert scalar_multiply(N - 2) == reference_multiply(N - 2, GENERATOR)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,8 @@ from repro.core.receipts import Confirmation
 from repro.crypto.fingerprint import canonical_bytes, fingerprint_state
 from repro.crypto.keys import Address
 from repro.encoding import canonical_json, rlp
-from repro.messages import Envelope, Opcode, SimulatedSigner
+from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner
+from repro.messages import signer as signer_module
 
 # JSON-like values with string keys, bounded depth.
 json_values = st.recursive(
@@ -187,3 +189,89 @@ def test_rebuilt_envelope_with_altered_data_fails_verification():
         assert forged.byte_size() == len(canonical_json.dump_bytes(forged.to_wire()))
     # The original is untouched by the forgeries built from it.
     assert envelope.verify() and envelope.payload.hash_hex() == tx_id
+
+
+# ----------------------------------------------------------------------
+# The ECDSA verification memo: a hit vouches for exactly what was checked
+# ----------------------------------------------------------------------
+ECDSA_SENDER = EcdsaSigner.from_seed("prop-encoding-ecdsa-sender")
+ECDSA_OTHER = EcdsaSigner.from_seed("prop-encoding-ecdsa-other")
+
+
+def _counted_recoveries():
+    """Patch that counts the curve recoveries of ``verify_signature`` (memo misses)."""
+    return mock.patch.object(
+        signer_module, "recover_address", wraps=signer_module.recover_address)
+
+
+def _assert_never_vouched_for(forged, recover) -> None:
+    """A forgery fails each time it is asked, at full price: no failure is kept."""
+    before = recover.call_count
+    assert not forged.verify() and not forged.verify()
+    # (Only the ECDSA scheme recovers anything.)
+    assert recover.call_count == before + (2 if forged.scheme == "ecdsa" else 0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(payload_data)
+def test_memo_hit_on_an_envelope_never_vouches_for_a_replaced_one(data):
+    signer_module._VERIFIED_ECDSA.clear()
+    envelope = Envelope.create(
+        signer=ECDSA_SENDER, recipient=RECIPIENT, operation=Opcode.TX_SUBMIT,
+        data=data, timestamp=1.0, nonce="0x03",
+    )
+    payload = envelope.payload
+    with _counted_recoveries() as recover:
+        assert envelope.verify() and envelope.verify()
+        assert Envelope.from_wire(envelope.wire_bytes()).verify()
+        assert recover.call_count == 1  # the second and third check were memo hits
+        other_signature = ECDSA_OTHER.sign(payload.canonical_bytes())
+        flipped = bytes([envelope.signature[0] ^ 1]) + envelope.signature[1:]
+        for forged in (
+            dataclasses.replace(envelope, payload=dataclasses.replace(
+                payload, data={**data, "a key no strategy draws": 1})),
+            dataclasses.replace(envelope, payload=dataclasses.replace(
+                payload, sender=ECDSA_OTHER.address)),
+            dataclasses.replace(envelope, payload=dataclasses.replace(payload, nonce="0x04")),
+            dataclasses.replace(envelope, signature=other_signature),
+            dataclasses.replace(envelope, signature=flipped),
+            dataclasses.replace(envelope, scheme="sim"),
+        ):
+            _assert_never_vouched_for(forged, recover)
+        assert envelope.verify()
+    assert len(signer_module._VERIFIED_ECDSA) == 1
+
+
+def test_memo_hit_on_a_confirmation_never_vouches_for_a_replaced_one():
+    signer_module._VERIFIED_ECDSA.clear()
+    confirmation = Confirmation.create(
+        ECDSA_SENDER, "0x" + "cd" * 32, "fastmoney", "0x" + "ab" * 32, "executed", 2.0)
+    with _counted_recoveries() as recover:
+        assert confirmation.verify() and confirmation.verify()
+        assert Confirmation.from_wire(confirmation.to_wire()).verify()
+        assert recover.call_count == 1
+        for forged in (
+            dataclasses.replace(confirmation, status="rejected"),
+            dataclasses.replace(confirmation, cell=ECDSA_OTHER.address),
+            dataclasses.replace(confirmation, tx_id="0x" + "ce" * 32),
+            dataclasses.replace(confirmation, signature=ECDSA_OTHER.sign(confirmation.body())),
+            dataclasses.replace(confirmation, scheme="sim"),
+        ):
+            _assert_never_vouched_for(forged, recover)
+    assert len(signer_module._VERIFIED_ECDSA) == 1
+
+
+def test_memo_is_bounded_and_forgets_oldest_first(monkeypatch):
+    signer_module._VERIFIED_ECDSA.clear()
+    monkeypatch.setattr(signer_module, "_VERIFIED_ECDSA_LIMIT", 3)
+    messages = [b"memo-bound-%d" % index for index in range(5)]
+    for message in messages:
+        assert signer_module.verify_signature(
+            "ecdsa", ECDSA_SENDER.address, message, ECDSA_SENDER.sign(message))
+    assert [key[1] for key in signer_module._VERIFIED_ECDSA] == messages[2:]
+    registered = dict(SimulatedSigner._registry)  # other modules' signers live there
+    try:
+        SimulatedSigner.clear_registry()
+        assert not signer_module._VERIFIED_ECDSA
+    finally:
+        SimulatedSigner._registry.update(registered)
