@@ -2,10 +2,10 @@
 
 Runs a slice of the pinned chaos corpus (every scenario through the full
 oracle stack — conservation, serial-reference differential, bit-for-bit
-replay, per-group audits + shard digest) and records:
+replay, per-group audits + shard digest), prints **scenarios per minute**
+of wall clock — the cost of one corpus pass, which is what bounds how much
+chaos a CI push can afford — to stdout, and records what is deterministic:
 
-* **scenarios per minute** of wall clock — the cost of one corpus pass,
-  which is what bounds how much chaos a CI push can afford;
 * **oracle coverage counts** — how many scenarios each oracle judged and
   how much work it did (cells audited, escrow pairs checked, committed
   operations replayed on the reference);
@@ -59,12 +59,14 @@ def test_chaos_scenarios_per_minute():
     elapsed = time.perf_counter() - started
 
     assert not failures, f"chaos scenarios failed their oracles: {failures}"
-    per_minute = len(specs) / (elapsed / 60.0)
+    # Host time goes to stdout, never into the committed baseline.
+    print(
+        f"[chaos: {len(specs)} scenarios in {elapsed:.1f} s wall clock -> "
+        f"{len(specs) / (elapsed / 60.0):.1f} scenarios/minute]"
+    )
     payload = {
         "scenarios": len(specs),
         "corpus_size": CORPUS_SIZE,
-        "wall_seconds": round(elapsed, 2),
-        "scenarios_per_minute": round(per_minute, 2),
         "oracle_runs": dict(sorted(oracle_runs.items())),
         "oracle_passes": dict(sorted(oracle_passes.items())),
         "oracle_work": dict(sorted(work.items())),
@@ -75,7 +77,6 @@ def test_chaos_scenarios_per_minute():
     lines = [
         "Chaos-scenario engine — corpus throughput and oracle coverage",
         f"  scenarios: {len(specs)} (pinned corpus: {CORPUS_SIZE})",
-        f"  wall clock: {elapsed:.1f}s  ->  {per_minute:.1f} scenarios/minute",
         f"  matrix points covered: {span['matrix_points']}/12, "
         f"fault kinds: {sorted(span['fault_kinds'])}",
         "  oracle runs (all passing): "

@@ -47,9 +47,10 @@ def run_mode(batched: bool):
     try:
         report = run_burst_transfers(deployment, count=BURST, pools=8, submit_at=SUBMIT_AT)
     finally:
-        wall_clock = time.perf_counter() - started
+        # Host time goes to stdout, never into the committed baseline.
+        print(f"[pipeline batched={batched}: {time.perf_counter() - started:.3f} s wall clock]")
         canonical_json.dumps = encode
-    return deployment, report, wall_clock, encodes
+    return deployment, report, encodes
 
 
 def ledger_digest(deployment):
@@ -106,14 +107,13 @@ def inter_cell_traffic(deployment):
     return messages, bytes_total
 
 
-def mode_metrics(deployment, report, wall_clock, encodes):
+def mode_metrics(deployment, report, encodes):
     latencies = report.latencies()
     throughput = report.throughput()
     messages, bytes_total = inter_cell_traffic(deployment)
     metrics = {
         "transactions": len(report.results),
         "failures": report.failure_count,
-        "wall_clock_s": round(wall_clock, 3),
         "canonical_encodes": encodes,
         "sim_makespan_s": round(throughput.makespan, 3),
         "throughput_tps": round(throughput.throughput, 1),
@@ -175,7 +175,6 @@ def test_pipeline_batching(benchmark):
         f"{'metric':<24}{'per-tx':>14}{'batched':>14}\n" + "-" * 52 + "\n"
     )
     for key in (
-        "wall_clock_s",
         "canonical_encodes",
         "sim_makespan_s",
         "throughput_tps",
@@ -203,5 +202,5 @@ def test_pipeline_batching(benchmark):
     assert reduction >= 2.0
     # ...and must not cost serialisation work: batch envelopes replace the
     # per-transaction forward and confirmation envelopes, so the batched
-    # run encodes no more often.  The wall clock is recorded, not asserted.
+    # run encodes no more often.
     assert batched["canonical_encodes"] <= per_tx["canonical_encodes"]

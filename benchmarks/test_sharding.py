@@ -136,8 +136,12 @@ def run_burst(shards: int, cross_rate: float, fast_path: bool = False):
             final.error for final in finals if not final.ok
         ]
         delivered = len(finals)
-    wall_clock = time.perf_counter() - started
-    return deployment, report, wall_clock, delivered
+    # Host time goes to stdout, never into the committed baseline.
+    print(
+        f"[sharding shards={shards} cross={cross_rate} fast_path={fast_path}: "
+        f"{time.perf_counter() - started:.3f} s wall clock]"
+    )
+    return deployment, report, delivered
 
 
 def run_contended(shards: int, cross_rate: float):
@@ -156,7 +160,7 @@ def run_plain_baseline():
     return deployment, report
 
 
-def config_metrics(deployment, report, wall_clock=None):
+def config_metrics(deployment, report):
     throughput = report.throughput()
     metrics = {
         "transactions": len(report.results) + len(report.cross_results),
@@ -167,8 +171,6 @@ def config_metrics(deployment, report, wall_clock=None):
         "latency_p50_s": round(report.latencies().p50(), 4),
         "latency_p99_s": round(report.latencies().p99(), 4),
     }
-    if wall_clock is not None:
-        metrics["wall_clock_s"] = round(wall_clock, 3)
     if report.cross_successes:
         metrics["cross_latency_p50_s"] = round(report.cross_latencies().p50(), 4)
     return metrics
@@ -187,8 +189,8 @@ def test_sharding_throughput(benchmark):
 
     sweep = []
     throughputs: dict[float, dict[int, float]] = {}
-    for (shards, cross), (deployment, report, wall_clock, _delivered) in runs.items():
-        metrics = config_metrics(deployment, report, wall_clock)
+    for (shards, cross), (deployment, report, _delivered) in runs.items():
+        metrics = config_metrics(deployment, report)
         digest = equivalence_digest(deployment, report)
         throughputs.setdefault(cross, {})[shards] = metrics["throughput_tps"]
         sweep.append(
@@ -197,7 +199,7 @@ def test_sharding_throughput(benchmark):
 
     # Determinism: repeating the heaviest configuration reproduces every
     # per-shard artifact, and the shard digest chain verifies.
-    repeat_deployment, repeat_report, _, _ = run_burst(4, 0.05)
+    repeat_deployment, repeat_report, _ = run_burst(4, 0.05)
     repeat_identical = equivalence_digest(repeat_deployment, repeat_report) == next(
         row["digest"] for row in sweep
         if row["shards"] == 4 and row["cross_shard_rate"] == 0.05
@@ -238,14 +240,12 @@ def test_sharding_throughput(benchmark):
     for cross in FAST_PATH_CROSS_RATES:
         for fast in (False, True):
             if fast:
-                deployment, report, wall_clock, delivered = run_burst(
+                deployment, report, delivered = run_burst(
                     FAST_PATH_SHARDS, cross, fast_path=True
                 )
             else:
-                deployment, report, wall_clock, delivered = runs[
-                    (FAST_PATH_SHARDS, cross)
-                ]
-            metrics = config_metrics(deployment, report, wall_clock)
+                deployment, report, delivered = runs[(FAST_PATH_SHARDS, cross)]
+            metrics = config_metrics(deployment, report)
             ratio = round(
                 metrics["cross_latency_p50_s"] / metrics["latency_p50_s"], 2
             )

@@ -209,6 +209,28 @@ def harvest_escrows(
     return escrows
 
 
+def harvest_cells(
+    deployment: ShardedDeployment,
+) -> tuple[dict[str, tuple[Any, ...]], dict[str, tuple[Any, ...]]]:
+    """``(ledgers, states)``: every cell's ledger digest and contract fingerprints.
+
+    The per-cell half of the replay-equality material, shared by the chaos
+    and endurance artifact collectors.
+    """
+    ledgers = {}
+    states = {}
+    for group in deployment.groups:
+        for cell in group.cells:
+            ledgers[cell.node_name] = tuple(map(tuple, cell.ledger.sync_digest()))
+            states[cell.node_name] = tuple(
+                sorted(
+                    (name, cell.contracts.get(name).fingerprint_hex())
+                    for name in cell.contracts.names()
+                )
+            )
+    return ledgers, states
+
+
 def run_conservation_oracle(
     deployment: ShardedDeployment,
     minted: dict[str, int],

@@ -28,11 +28,12 @@ the oracles must judge what the system did, not what one client saw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from ..audit.oracles import (
     OracleResult,
     fastmoney_instances,
+    harvest_cells,
     harvest_escrows,
     run_audit_oracle,
     run_conservation_oracle,
@@ -49,8 +50,10 @@ from ..contracts.community.ballot import Ballot
 from ..contracts.community.dividend_pool import DividendPool
 from ..contracts.community.fastmoney import FastMoney
 from ..contracts.system.cas import ContentAddressableStorage
+from ..core.config import DeploymentConfig
 from ..core.faults import ScheduledFault, censor_sender
 from ..core.sharding import ShardedDeployment
+from ..messages.signer import Signer
 from .report import ScenarioReport
 from .scenario import CHAOS_CONTRACT, ScenarioSpec, sample_scenario
 
@@ -311,17 +314,7 @@ def collect_artifacts(deployment: ShardedDeployment, spec: ScenarioSpec,
                       workload: MixedWorkloadReport) -> dict[str, Any]:
     """Everything two same-seed runs must agree on, bit for bit."""
     cycle = spec.audited_cycle
-    ledgers = {}
-    states = {}
-    for group in deployment.groups:
-        for cell in group.cells:
-            ledgers[cell.node_name] = tuple(map(tuple, cell.ledger.sync_digest()))
-            states[cell.node_name] = tuple(
-                sorted(
-                    (name, cell.contracts.get(name).fingerprint_hex())
-                    for name in cell.contracts.names()
-                )
-            )
+    ledgers, states = harvest_cells(deployment)
     return {
         "ledgers": ledgers,
         "fingerprints": {
@@ -525,35 +518,40 @@ def harvest_semantics(
 
 
 def run_reference(
-    spec: ScenarioSpec,
+    config: DeploymentConfig,
+    label: str,
+    base_name: str,
     genesis_by_account: dict[str, int],
+    signers: dict[str, Signer],
     calls: list[dict[str, Any]],
     cross: list[dict[str, Any]],
+    elections: Sequence[tuple[str, Sequence[str]]] = (),
 ) -> tuple[ShardedDeployment, list[str]]:
-    """Serially re-execute the committed set on the reference pipeline.
+    """Serially re-execute a committed set on the reference pipeline.
 
-    The reference is the scenario with every feature axis at its plain
-    setting — one shard, one lane, no batching, no standbys, no faults —
-    and the committed calls submitted one at a time, each driven to its
-    receipt before the next is signed.  Returns the reference deployment
-    plus any findings (a committed call that fails on the reference is
-    itself a differential violation).
+    The reference is ``config`` with every feature axis at its plain
+    setting — one shard, one lane, no batching, no standbys, no admission
+    limit, no faults — and the committed calls submitted one at a time,
+    each driven to its receipt before the next is signed.  ``signers``
+    maps the run's account addresses to their signers, ``label`` names the
+    run (``chaos/<seed>``, ``endurance``).  Returns the reference
+    deployment plus any findings (a committed call that fails on the
+    reference is itself a differential violation).
     """
-    config = dc_replace(
-        spec.config(),
-        shard_count=1,
-        execution_lanes=1,
-        message_batching=False,
-        standby_cells=0,
-        deployment_id=f"chaos-{spec.seed}-ref",
+    deployment = ShardedDeployment(
+        dc_replace(
+            config,
+            shard_count=1,
+            execution_lanes=1,
+            message_batching=False,
+            standby_cells=0,
+            max_inflight=None,
+            node_namespace="",
+            deployment_id=f"{config.deployment_id}-ref",
+        )
     )
-    deployment = ShardedDeployment(config)
     primary = deployment.group(0).deployment
-    signers = {
-        primary.make_client_signer(seed).address.hex(): primary.make_client_signer(seed)
-        for seed in spec.account_seeds()
-    }
-    instance = instance_names(deployment, CHAOS_CONTRACT)[0]
+    instance = instance_names(deployment, base_name)[0]
     genesis = {
         account: amount for account, amount in genesis_by_account.items() if amount > 0
     }
@@ -564,8 +562,8 @@ def run_reference(
     )
     client = BlockumulusClient(
         primary,
-        signer=primary.make_client_signer(f"chaos/{spec.seed}/reference-client"),
-        node_name="chaos-reference-client",
+        signer=primary.make_client_signer(f"{label}/reference-client"),
+        node_name="reference-client",
     )
     findings: list[str] = []
 
@@ -581,13 +579,13 @@ def run_reference(
             return f"{what}: fails on the reference: {result.error}"
         return None
 
-    for election_id, choices in spec.elections:
+    for election_id, choices in elections:
         event = client.submit(
             "ballot",
             "create_election",
             {
                 "election_id": election_id,
-                "question": f"chaos/{election_id}",
+                "question": f"{label}/{election_id}",
                 "choices": list(choices),
                 "closes_at": 1_000_000.0,
             },
@@ -603,7 +601,7 @@ def run_reference(
     pending: list[tuple[str, str, dict[str, Any], str, str]] = []
     for call in calls:
         contract = call["contract"]
-        if isinstance(contract, str) and contract.split("@s", 1)[0] == CHAOS_CONTRACT:
+        if isinstance(contract, str) and contract.split("@s", 1)[0] == base_name:
             contract = instance
         pending.append(
             (contract, call["method"], call["args"], call["sender"],
@@ -658,20 +656,29 @@ def run_replay_oracle(run: ScenarioRun) -> OracleResult:
     )
 
 
-def run_differential_oracle(run: ScenarioRun) -> OracleResult:
-    """Chaos run ≡ serial/unsharded/unbatched reference on the committed set."""
-    deployment = run.deployment
-    calls, cross = harvest_committed(deployment, CHAOS_CONTRACT)
-    genesis_by_account = {
-        signer.address.hex(): amount
-        for signer, amount in zip(run.workload.accounts, run.workload.genesis)
-    }
-    reference, findings = run_reference(run.spec, genesis_by_account, calls, cross)
-    chaos_state = harvest_semantics(deployment, CHAOS_CONTRACT)
-    reference_state = harvest_semantics(reference, CHAOS_CONTRACT)
-    for section in chaos_state:
-        if chaos_state[section] != reference_state[section]:
-            ours, theirs = chaos_state[section], reference_state[section]
+def differential_findings(
+    deployment: ShardedDeployment,
+    label: str,
+    base_name: str,
+    genesis_by_account: dict[str, int],
+    signers: dict[str, Signer],
+    elections: Sequence[tuple[str, Sequence[str]]] = (),
+) -> tuple[list[str], int, int]:
+    """Replay what ``deployment`` committed on the reference and diff the state.
+
+    Returns ``(findings, committed calls, committed cross transfers)``: a
+    committed call the reference refuses, and every section of semantic
+    state (balances, CAS, ballots, dividends) on which the two disagree.
+    """
+    calls, cross = harvest_committed(deployment, base_name)
+    reference, findings = run_reference(
+        deployment.config, label, base_name, genesis_by_account, signers, calls, cross, elections
+    )
+    ours_by_section = harvest_semantics(deployment, base_name)
+    theirs_by_section = harvest_semantics(reference, base_name)
+    for section, ours in ours_by_section.items():
+        theirs = theirs_by_section[section]
+        if ours != theirs:
             delta = {
                 key: (ours.get(key), theirs.get(key))
                 for key in set(ours) | set(theirs)
@@ -680,14 +687,25 @@ def run_differential_oracle(run: ScenarioRun) -> OracleResult:
             findings.append(
                 f"{section} state diverges from the serial reference: {delta}"
             )
+    return findings, len(calls), len(cross)
+
+
+def run_differential_oracle(run: ScenarioRun) -> OracleResult:
+    """Chaos run ≡ serial/unsharded/unbatched reference on the committed set."""
+    accounts = run.workload.accounts
+    findings, calls, cross = differential_findings(
+        run.deployment,
+        f"chaos/{run.spec.seed}",
+        CHAOS_CONTRACT,
+        {signer.address.hex(): amount for signer, amount in zip(accounts, run.workload.genesis)},
+        {signer.address.hex(): signer for signer in accounts},
+        run.spec.elections,
+    )
     return OracleResult(
         oracle="differential",
         passed=not findings,
         findings=findings,
-        metrics={
-            "committed_calls": len(calls),
-            "committed_cross_transfers": len(cross),
-        },
+        metrics={"committed_calls": calls, "committed_cross_transfers": cross},
     )
 
 

@@ -18,6 +18,7 @@ service times come from the deployment's :class:`CellServiceModel`.
 from __future__ import annotations
 
 import dataclasses
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 if TYPE_CHECKING:
@@ -29,9 +30,10 @@ from ..contracts.system.deployer import CommunityDeployer
 from ..crypto.keys import Address, PrivateKey
 from ..ethchain.contracts.snapshot_registry import SnapshotRegistry
 from ..ethchain.provider import Web3Provider
-from ..messages.batch import BatchError, ForwardBatch
+from ..messages import requests
+from ..messages.batch import ForwardedTransactions
 from ..messages.envelope import Envelope, NonceFactory
-from ..messages.membership import MembershipError, SyncRequest, SyncState
+from ..messages.membership import SyncRequest, SyncState
 from ..messages.opcodes import Opcode
 from ..messages.signer import Signer
 from ..sim.environment import Environment
@@ -48,8 +50,9 @@ from .faults import FaultPlan
 from .gateway import CrossShardGateway
 from .lanes import LaneScheduler
 from .ledger import LedgerEntry, LedgerError, TransactionLedger
-from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch, ReceiptError
+from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch
 from .recovery import MembershipManager, RecoveryCoordinator
+from .routes import ROUTES, Admission, Route, Sender
 from .snapshot import SnapshotEngine
 from .subscription import PricingPolicy, SubscriptionManager, SubscriptionError
 
@@ -58,16 +61,6 @@ from .subscription import PricingPolicy, SubscriptionManager, SubscriptionError
 #: matches on it); the reply reuses the existing ``TX_ERROR`` opcode so
 #: shedding needs no new protocol message.
 OVERLOADED_ERROR = "OVERLOADED: the cell's admission queue is full"
-
-#: Client opcodes served by the ingress stage (:meth:`BlockumulusCell._serve_client`):
-#: direct submissions, and the cross-shard requests only a gateway cell serves.
-_SUBMISSIONS = (Opcode.TX_SUBMIT, Opcode.DEPLOY_CONTRACT)
-_CLIENT_INGRESS = _SUBMISSIONS + (
-    Opcode.XSHARD_PREPARE,
-    Opcode.XSHARD_COMMIT,
-    Opcode.XSHARD_ABORT,
-    Opcode.XSHARD_VOUCHER,
-)
 
 
 def _flip_fingerprint(fingerprint_hex: str) -> str:
@@ -343,46 +336,20 @@ class BlockumulusCell:
         if not isinstance(payload, Envelope):
             self.metrics.increment(f"{self.node_name}/malformed_messages")
             return
-        envelope = payload
-        operation = envelope.operation
-        if operation in _CLIENT_INGRESS:
-            self._client_nodes[envelope.sender] = src_node
-            self.subscriptions.record_traffic(envelope.sender, size)
-            self.env.process(self._serve_client(src_node, envelope))
-        elif operation == Opcode.TX_FORWARD:
-            self.env.process(self._process_forwarded(src_node, envelope))
-        elif operation == Opcode.TX_FORWARD_BATCH:
-            self.env.process(self._process_forward_batch(src_node, envelope))
-        elif operation in (Opcode.TX_CONFIRM, Opcode.TX_REJECT):
-            self._accept_confirmation(envelope)
-        elif operation == Opcode.TX_CONFIRM_BATCH:
-            self._accept_confirmation_batch(envelope)
-        elif operation == Opcode.SUBSCRIBE:
-            self._client_nodes[envelope.sender] = src_node
-            self.env.process(self._serve_subscription(src_node, envelope))
-        elif operation == Opcode.QUERY_STATE:
-            self._client_nodes[envelope.sender] = src_node
-            self.env.process(self._serve_query(src_node, envelope))
-        elif operation == Opcode.SNAPSHOT_REQUEST:
-            self.env.process(self._serve_snapshot_request(src_node, envelope))
-        elif operation == Opcode.LEDGER_REQUEST:
-            self.env.process(self._serve_ledger_request(src_node, envelope))
-        elif operation == Opcode.CELL_SYNC:
-            self.env.process(self._serve_sync(src_node, envelope))
-        elif operation == Opcode.CELL_EXCLUDE:
-            self.env.process(self.membership.handle_proposal(src_node, envelope))
-        elif operation == Opcode.CELL_EXCLUDE_VOTE:
-            self.membership.handle_vote(envelope)
-        elif operation == Opcode.CELL_REJOIN:
-            self.env.process(self.membership.handle_rejoin(src_node, envelope))
-        elif operation == Opcode.MEMBERSHIP_UPDATE:
-            self.membership.handle_update(envelope)
-        elif operation in (Opcode.CELL_SYNC_STATE, Opcode.CELL_REJOIN_ACK, Opcode.PONG):
-            self.membership.resolve_reply(envelope)
-        elif operation == Opcode.PING:
-            self._reply(src_node, envelope, Opcode.PONG, {"node": self.node_name})
+        route = ROUTES.get(payload.operation)
+        if route is None:
+            # A reply-only opcode: cells emit it, nobody may send them one.
+            self.metrics.increment(f"{self.node_name}/unhandled_{payload.operation.value}")
+            return
+        if route.sender is Sender.CLIENT:
+            self._client_nodes[payload.sender] = src_node
+            if route.admission is not None:
+                # Requests that cost a confirmation round are metered on arrival.
+                self.subscriptions.record_traffic(payload.sender, size)
+        if route.delayed:
+            self.env.process(self._serve_delayed(route, src_node, payload))
         else:
-            self.metrics.increment(f"{self.node_name}/unhandled_{operation.value}")
+            self._serve_message(route, src_node, payload)
 
     def _reply(
         self, dst_node: str, request: Envelope, operation: Opcode, data: dict[str, Any]
@@ -400,12 +367,7 @@ class BlockumulusCell:
             reply_to=request.nonce,
         )
         size = reply.byte_size()
-        if request.sender in self._client_nodes or operation in (
-            Opcode.TX_RECEIPT,
-            Opcode.TX_ERROR,
-            Opcode.QUERY_RESULT,
-            Opcode.SUBSCRIBE_ACK,
-        ):
+        if request.sender in self._client_nodes:
             self.subscriptions.record_traffic(request.sender, size)
         self.network.send(self.node_name, dst_node, reply, size)
 
@@ -442,81 +404,116 @@ class BlockumulusCell:
         self._inflight_peak = max(self._inflight_peak, self._inflight)
         return True
 
-    def _serve_client(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
-        """The one client-ingress stage: admission slot, authentication, handler.
+    def _serve_delayed(
+        self, route: Route, src_node: str, envelope: Envelope
+    ) -> Generator[Event, Any, None]:
+        """Ingress of a delayed route: slot, auth delay, :meth:`_serve_message`, release.
 
-        Every client request that costs a confirmation round enters here.
-        Authentication is the first step of serving (Section III-D3), so
-        the handlers start from an authenticated envelope; however one
-        exits, its slot is released exactly once.
+        Authentication is the first step of serving (Section III-D3) and
+        costs the sampled delay; however the request exits, the admission
+        slot it took is released exactly once.
         """
         started = self.env.now
-        operation = envelope.operation
-        # Commit/abort decisions are never shed: they complete a transaction
-        # whose funds are already held, and the timeout contingencies expect
-        # the decision to land eventually.  Everything else is new work —
-        # shedding a prepare before any escrow hold exists simply aborts the
-        # cross-shard transaction (the coordinator reads the TX_ERROR as a
-        # no-vote), a shed mint fails the transfer before any value moves,
-        # and a shed redeem behaves exactly like a lost voucher (the value
-        # stays in transit until the source holder reclaims it).
-        sheddable = operation not in (Opcode.XSHARD_COMMIT, Opcode.XSHARD_ABORT)
+        sheddable = route.admission is Admission.SHEDDABLE
         if sheddable and not self._admit_ingress():
             self._refuse(src_node, envelope, OVERLOADED_ERROR, shed=True)
             return
         try:
             yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-            if not envelope.verify() or envelope.recipient != self.address:
-                self.metrics.increment(f"{self.node_name}/auth_failures")
-                self._refuse(src_node, envelope, "authentication failed")
-            elif operation in _SUBMISSIONS:
-                yield from self._serve_submission(src_node, envelope, started)
-            elif self.gateway is not None:
-                yield from self.gateway.handle_request(src_node, envelope)
-            else:
-                # One authoritative 2PC state machine per group: a sibling
-                # cell serving the same xtx could be tricked into signing a
-                # verdict that contradicts the gateway's.
-                self._refuse(
-                    src_node, envelope,
-                    "this deployment is not sharded" if self.shard_group is None
-                    else f"{self.node_name} is not the cross-shard gateway of its group",
+            service = self._serve_message(route, src_node, envelope)
+            if service is not None and (yield from service):
+                # The handler serviced its request end to end.
+                self.metrics.record_latency(
+                    f"{self.node_name}/service_latency", started, self.env.now
                 )
         finally:
             if sheddable:
                 self._inflight -= 1
 
+    def _serve_message(self, route: Route, src_node: str, envelope: Envelope) -> Any:
+        """Authenticate ``envelope``, parse its body, call the route's handler.
+
+        The one place an arriving envelope is verified and its data field
+        read untyped.  Returns what the handler returned (for a delayed
+        route, the generator that keeps serving), None after a refusal.
+        """
+        if route.sender is Sender.CLIENT:
+            entitled = envelope.recipient == self.address
+        elif route.sender is Sender.CELL:
+            entitled = self.invariants.is_cell(envelope.sender)
+        else:
+            entitled = True
+        if not envelope.verify() or not entitled:
+            self._refuse_unauthenticated(src_node, envelope)
+            return None
+        try:
+            body = None if route.body is None else route.body.from_data(envelope.data)
+        except ValueError as exc:
+            # Every body parser raises its family's ValueError subclass.
+            self.metrics.increment(f"{self.node_name}/{route.refusal.malformed_counter}")
+            if route.refusal.answered:
+                self._refuse(src_node, envelope, str(exc))
+            return None
+        return attrgetter(route.handler)(self)(src_node, envelope, body)
+
+    def _refuse_unauthenticated(self, src_node: str, envelope: Envelope) -> None:
+        """Count (and on answered routes report) a message of unproven origin.
+
+        A bad envelope signature or a sender of the wrong class, found by
+        the stage — or a signed statement in the body that is not the
+        envelope sender's own, found by its handler.
+        """
+        refusal = ROUTES[envelope.operation].refusal
+        self.metrics.increment(f"{self.node_name}/{refusal.auth_counter}")
+        if refusal.answered:
+            self._refuse(src_node, envelope, "authentication failed")
+
+    def _serve_xshard(
+        self, src_node: str, envelope: Envelope, body: Any
+    ) -> Optional[Generator[Event, Any, None]]:
+        """Hand a cross-shard request to the gateway role, if this cell holds it."""
+        if self.gateway is None:
+            # One authoritative 2PC state machine per group: a sibling
+            # cell serving the same xtx could be tricked into signing a
+            # verdict that contradicts the gateway's.
+            self._refuse(
+                src_node, envelope,
+                "this deployment is not sharded" if self.shard_group is None
+                else f"{self.node_name} is not the cross-shard gateway of its group",
+            )
+            return None
+        return self.gateway.handle_request(src_node, envelope, body)
+
     def _serve_submission(
-        self, src_node: str, envelope: Envelope, started: float
-    ) -> Generator[Event, Any, None]:
-        """Service an authenticated ``TX_SUBMIT`` and report its receipt."""
+        self, src_node: str, envelope: Envelope, call: requests.TransactionCall
+    ) -> Generator[Event, Any, bool]:
+        """Service an authenticated ``TX_SUBMIT``; True once its receipt went out."""
         if self.fault.is_censored(envelope):
             # A censoring cell silently drops the transaction (Section V-B).
             self.metrics.increment(f"{self.node_name}/censored")
-            return
+            return False
         try:
             self.subscriptions.check_access(envelope.sender)
         except SubscriptionError as exc:
             self._refuse(src_node, envelope, str(exc))
-            return
+            return False
 
         result = yield from self._service_pipeline(envelope)
         if result.aborted:
             # The cell crashed mid-service; it stays silent.
-            return
+            return False
         if result.admit_error is not None:
             self._refuse(src_node, envelope, result.admit_error)
-            return
+            return False
 
         self.subscriptions.record_transaction(envelope.sender)
 
         if result.confirmed:
             self.metrics.increment(f"{self.node_name}/transactions_confirmed")
-            self.metrics.record_latency(f"{self.node_name}/service_latency", started, self.env.now)
             self._reply(
                 src_node, envelope, Opcode.TX_RECEIPT, {"receipt": result.receipt.to_wire()}
             )
-            return
+            return True
 
         # Failure path: the transaction reverts from the client's viewpoint.
         if result.mismatched:
@@ -530,6 +527,7 @@ class BlockumulusCell:
             missing_cells=[address.hex() for address in result.missing],
             mismatched_cells=[address.hex() for address in result.mismatched],
         )
+        return False
 
     def _service_pipeline(self, envelope: Envelope) -> Generator[Event, Any, _ServiceResult]:
         """Admit, replicate, and aggregate one transaction (Fig. 7 steps 2-4).
@@ -685,38 +683,24 @@ class BlockumulusCell:
     # ------------------------------------------------------------------
     # Forwarded transactions from other cells (Fig. 7 step 3)
     # ------------------------------------------------------------------
-    def _process_forwarded(self, src_node: str, forward: Envelope) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-        if not forward.verify() or not self.invariants.is_cell(forward.sender):
-            self.metrics.increment(f"{self.node_name}/forward_auth_failures")
-            return
-        try:
-            client_envelope = Envelope.from_wire(forward.data["client_envelope"])
-        except (KeyError, ValueError) as exc:
-            self.metrics.increment(f"{self.node_name}/malformed_forwards")
-            return
+    def _serve_forward(
+        self, src_node: str, forward: Envelope, body: ForwardedTransactions
+    ) -> Generator[Event, Any, None]:
+        """Handle the one client transaction of a per-transaction ``TX_FORWARD``."""
+        (client_envelope,) = body.client_envelopes
         yield from self._handle_forwarded(src_node, forward.sender, client_envelope, forward.nonce)
 
-    def _process_forward_batch(
-        self, src_node: str, batch_envelope: Envelope
-    ) -> Generator[Event, Any, None]:
-        """Authenticate one batch envelope, then fan out its transactions.
+    def _serve_forward_batch(
+        self, src_node: str, batch_envelope: Envelope, body: ForwardedTransactions
+    ) -> None:
+        """Fan out the transactions of one authenticated batch envelope.
 
-        The authentication overhead is paid once per batch — this is where
-        the batched pipeline saves cell time on top of network messages.
+        The authentication overhead was paid once for the batch — this is
+        where the batched pipeline saves cell time on top of network messages.
         Each inner transaction still runs in its own process (parallel up to
         the service model's invocation limit), exactly like singletons.
         """
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-        if not batch_envelope.verify() or not self.invariants.is_cell(batch_envelope.sender):
-            self.metrics.increment(f"{self.node_name}/forward_auth_failures")
-            return
-        try:
-            client_envelopes = ForwardBatch.from_data(batch_envelope.data).envelopes()
-        except BatchError:
-            self.metrics.increment(f"{self.node_name}/malformed_forwards")
-            return
-        for client_envelope in client_envelopes:
+        for client_envelope in body.client_envelopes:
             self.env.process(
                 self._handle_forwarded(
                     src_node, batch_envelope.sender, client_envelope, batch_envelope.nonce
@@ -895,39 +879,22 @@ class BlockumulusCell:
         )
         self.network.send(self.node_name, dst_node, reply, reply.byte_size())
 
-    def _accept_confirmation(self, envelope: Envelope) -> None:
-        """Handle TX_CONFIRM / TX_REJECT arriving at the service cell."""
-        if not envelope.verify() or not self.invariants.is_cell(envelope.sender):
-            self.metrics.increment(f"{self.node_name}/confirm_auth_failures")
-            return
-        try:
-            confirmation = Confirmation.from_wire(envelope.data["confirmation"])
-        except (KeyError, ValueError):
-            self.metrics.increment(f"{self.node_name}/malformed_confirmations")
-            return
-        self._register_confirmation(envelope.sender, confirmation)
+    def _accept_confirmations(
+        self, src_node: str, envelope: Envelope, batch: ConfirmationBatch
+    ) -> None:
+        """Route the confirmations of a ``TX_CONFIRM`` / ``TX_REJECT`` / ``TX_CONFIRM_BATCH``.
 
-    def _accept_confirmation_batch(self, envelope: Envelope) -> None:
-        """Handle a TX_CONFIRM_BATCH arriving at the service cell."""
-        if not envelope.verify() or not self.invariants.is_cell(envelope.sender):
-            self.metrics.increment(f"{self.node_name}/confirm_auth_failures")
-            return
-        try:
-            batch = ConfirmationBatch.from_data(envelope.data)
-        except ReceiptError:
-            self.metrics.increment(f"{self.node_name}/malformed_confirmations")
-            return
+        Every confirmation is a statement its cell signed on its own (it
+        must later be embeddable in an aggregated receipt), so each is
+        verified and must come from the cell that sent the envelope.
+        """
         for confirmation in batch.confirmations:
-            self._register_confirmation(envelope.sender, confirmation)
-
-    def _register_confirmation(self, sender: Address, confirmation: Confirmation) -> None:
-        """Verify one confirmation and route it to its waiting transaction."""
-        if confirmation.cell != sender or not confirmation.verify():
-            self.metrics.increment(f"{self.node_name}/confirm_auth_failures")
-            return
-        pending = self._pending.get(confirmation.tx_id)
-        if pending is not None:
-            pending.add(confirmation)
+            if confirmation.cell != envelope.sender or not confirmation.verify():
+                self._refuse_unauthenticated(src_node, envelope)
+                continue
+            pending = self._pending.get(confirmation.tx_id)
+            if pending is not None:
+                pending.add(confirmation)
 
     # ------------------------------------------------------------------
     # Local execution (shared by service and forwarded paths)
@@ -971,13 +938,11 @@ class BlockumulusCell:
         return outcome
 
     # ------------------------------------------------------------------
-    # Subscriptions and queries
+    # Subscriptions, queries, liveness
     # ------------------------------------------------------------------
-    def _serve_subscription(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-        if not envelope.verify():
-            self._refuse(src_node, envelope, "authentication failed")
-            return
+    def _serve_subscription(
+        self, src_node: str, envelope: Envelope, request: requests.SubscriptionRequest
+    ) -> None:
         subscription = self.subscriptions.subscribe(envelope.sender, self.env.now)
         self._reply(
             src_node,
@@ -990,46 +955,35 @@ class BlockumulusCell:
             },
         )
 
-    def _serve_query(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-        if not envelope.verify():
-            self._refuse(src_node, envelope, "authentication failed")
-            return
-        data = envelope.data
+    def _serve_query(self, src_node: str, envelope: Envelope, query: requests.StateQuery) -> None:
         try:
-            result = self.executor.query(
-                data.get("contract", ""), data.get("view", ""), data.get("args", {})
-            )
+            result = self.executor.query(query.contract, query.view, query.args)
             self._reply(src_node, envelope, Opcode.QUERY_RESULT, {"result": result})
         except Exception as exc:  # noqa: BLE001 - report query errors to the client
             self._refuse(src_node, envelope, str(exc))
 
+    def _serve_ping(self, src_node: str, envelope: Envelope, body: None) -> None:
+        self._reply(src_node, envelope, Opcode.PONG, {"node": self.node_name})
+
     # ------------------------------------------------------------------
     # Auditor interface
     # ------------------------------------------------------------------
-    def _serve_snapshot_request(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-        if not envelope.verify():
-            self.metrics.increment(f"{self.node_name}/auditor_auth_failures")
-            return
-        cycle = envelope.data.get("cycle")
-        if cycle is None and self.snapshots.latest_cycle is not None:
-            cycle = self.snapshots.latest_cycle
-        if cycle is None or not self.snapshots.has(int(cycle)):
+    def _serve_snapshot_request(
+        self, src_node: str, envelope: Envelope, request: requests.SnapshotRequest
+    ) -> None:
+        cycle = request.cycle if request.cycle is not None else self.snapshots.latest_cycle
+        if cycle is None or not self.snapshots.has(cycle):
             self._refuse(src_node, envelope, f"no snapshot for cycle {cycle}")
             return
-        snapshot = self.snapshots.get(int(cycle))
+        snapshot = self.snapshots.get(cycle)
         self._reply(
             src_node, envelope, Opcode.SNAPSHOT_RESPONSE, {"snapshot": snapshot.to_wire()}
         )
 
-    def _serve_ledger_request(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-        if not envelope.verify():
-            self.metrics.increment(f"{self.node_name}/auditor_auth_failures")
-            return
-        first = int(envelope.data.get("first_cycle", 0))
-        last = int(envelope.data.get("last_cycle", first))
+    def _serve_ledger_request(
+        self, src_node: str, envelope: Envelope, request: requests.LedgerRequest
+    ) -> None:
+        first, last = request.first_cycle, request.last_cycle
         segment = self.ledger.segment(first, last)
         self._reply(
             src_node,
@@ -1041,22 +995,13 @@ class BlockumulusCell:
     # ------------------------------------------------------------------
     # Resync donor interface (crash recovery, Section V)
     # ------------------------------------------------------------------
-    def _serve_sync(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
+    def _serve_sync(self, src_node: str, envelope: Envelope, request: SyncRequest) -> None:
         """Serve a recovering peer the snapshot + ledger tail it is missing.
 
         Any consortium cell may ask — including one this cell currently
         holds excluded, since the whole point of the request is to get back
         into the quorum.
         """
-        yield self.env.timeout(self.service_model.auth_overhead.sample(self.rng))
-        if not envelope.verify() or not self.invariants.is_cell(envelope.sender):
-            self.metrics.increment(f"{self.node_name}/membership_auth_failures")
-            return
-        try:
-            request = SyncRequest.from_data(envelope.data)
-        except MembershipError as exc:
-            self._refuse(src_node, envelope, str(exc))
-            return
         snapshot_wire = None
         start = request.since_sequence
         if request.delta_only:

@@ -22,6 +22,7 @@ from ..contracts.state_store import AccessSet
 from ..contracts.system.cas import ContentAddressableStorage
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
+from ..messages.requests import RequestError, named_call
 from .ledger import LedgerEntry
 
 
@@ -101,17 +102,10 @@ class TransactionExecutor:
     @staticmethod
     def parse_call(entry: LedgerEntry) -> tuple[str, str, dict[str, Any]]:
         """Extract (contract, method, args) from a TX_SUBMIT payload."""
-        data = entry.envelope.data
-        contract = data.get("contract")
-        method = data.get("method")
-        args = data.get("args", {})
-        if not isinstance(contract, str) or not contract:
-            raise BContractError("transaction does not name a target bContract")
-        if not isinstance(method, str) or not method:
-            raise BContractError("transaction does not name a method")
-        if not isinstance(args, dict):
-            raise BContractError("transaction arguments must be an object")
-        return contract, method, args
+        try:
+            return named_call(entry.envelope.data, "transaction", "method")
+        except RequestError as exc:
+            raise BContractError(str(exc)) from exc
 
     def execute(self, entry: LedgerEntry, lane: Optional[int] = None) -> ExecutionOutcome:
         """Run the transaction in ``entry`` and return the outcome.

@@ -85,32 +85,31 @@ class CrossShardGateway:
     # ------------------------------------------------------------------
     # Entry point (reached from the cell's ingress stage)
     # ------------------------------------------------------------------
-    def handle_request(self, src_node: str, envelope: Envelope) -> Generator[Event, Any, None]:
-        """Serve one authenticated ``XSHARD_*`` request for this group.
+    def handle_request(
+        self,
+        src_node: str,
+        envelope: Envelope,
+        body: Union[_PhaseBody, CrossShardVoucherTransfer],
+    ) -> Generator[Event, Any, None]:
+        """Serve one authenticated, parsed ``XSHARD_*`` request for this group.
 
         The coordinator's outer envelope carries this group's inner
         client-signed transaction: a 2PC hold, settle/credit or
         refund/cancel — answered with the gateway's signed
         :class:`CrossShardVote` — or one leg of the voucher fast path.
         """
-        operation = envelope.operation
-        body: Union[_PhaseBody, CrossShardVoucherTransfer]
         try:
             # Cross-shard phases are client traffic: the same access
             # subscription that gates TX_SUBMIT gates them.
             self.cell.subscriptions.check_access(envelope.sender)
-            if operation == Opcode.XSHARD_VOUCHER:
-                body = CrossShardVoucherTransfer.from_data(envelope.data)
-            elif operation == Opcode.XSHARD_PREPARE:
-                body = CrossShardPrepare.from_data(envelope.data)
-            else:
-                body = CrossShardDecision.from_data(envelope.data)
-                if (operation == Opcode.XSHARD_COMMIT) != (body.decision == "commit"):
-                    raise CrossShardError("decision does not match the envelope opcode")
-        except (SubscriptionError, CrossShardError) as exc:
+        except SubscriptionError as exc:
             self.cell._refuse(src_node, envelope, str(exc))
             return
-        if body.group != self.group:
+        if isinstance(body, CrossShardDecision) and (
+            (envelope.operation == Opcode.XSHARD_COMMIT) != (body.decision == "commit")
+        ):
+            self.cell._refuse(src_node, envelope, "decision does not match the envelope opcode")
+        elif body.group != self.group:
             self.cell._refuse(
                 src_node, envelope, f"cell group {self.group} is not group {body.group}"
             )

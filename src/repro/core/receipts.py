@@ -138,6 +138,15 @@ class ConfirmationBatch:
         return cls(confirmations=tuple(Confirmation.from_wire(item) for item in items))
 
 
+class SingleConfirmation(ConfirmationBatch):
+    """The data field D of a per-transaction ``TX_CONFIRM`` / ``TX_REJECT``: a batch of one."""
+
+    @classmethod
+    def from_data(cls, raw: dict[str, Any]) -> "SingleConfirmation":
+        """Parse the one confirmation a singleton reply carries."""
+        return cls(confirmations=(Confirmation.from_wire(raw.get("confirmation")),))
+
+
 @dataclass
 class AggregatedReceipt:
     """The multi-signature proof returned to the client."""

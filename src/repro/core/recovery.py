@@ -41,7 +41,6 @@ from ..messages.envelope import Envelope
 from ..messages.membership import (
     ExclusionProposal,
     ExclusionVote,
-    MembershipError,
     MembershipUpdate,
     RejoinAck,
     RejoinRequest,
@@ -49,6 +48,7 @@ from ..messages.membership import (
     SyncState,
 )
 from ..messages.opcodes import Opcode
+from ..messages.requests import Pong
 from ..sim.events import Event
 from .ledger import LedgerError
 from .snapshot import DataSnapshot, SnapshotError
@@ -174,8 +174,10 @@ class MembershipManager:
 
     def __init__(self, cell: "BlockumulusCell") -> None:
         self.cell = cell
-        #: Pending PING / CELL_SYNC_STATE waiters, keyed by request nonce.
-        self._waiters: dict[str, Event] = {}
+        #: Pending PING / CELL_SYNC waiters, keyed by request nonce: the peer
+        #: the request was addressed to (the only one whose reply counts)
+        #: and the event its reply body resolves.
+        self._waiters: dict[str, tuple[Address, Event]] = {}
         #: Votes collected for exclusion proposals this cell initiated,
         #: keyed by (suspect hex, cycle).
         self._exclusion_votes: dict[tuple[str, int], dict[str, ExclusionVote]] = {}
@@ -195,14 +197,12 @@ class MembershipManager:
     # Outgoing plumbing
     # ------------------------------------------------------------------
     def _send(
-        self,
-        dst_node: str,
-        recipient: Address,
-        operation: Opcode,
-        data: dict[str, Any],
-        reply_to: Optional[str] = None,
-    ) -> Envelope:
-        """Sign and send one membership envelope (crashed cells stay silent)."""
+        self, dst_node: str, recipient: Address, operation: Opcode, data: dict[str, Any]
+    ) -> Optional[Envelope]:
+        """Sign and send one membership envelope; None if it never left the cell.
+
+        Crashed cells stay silent, and the network refuses an offline peer.
+        """
         cell = self.cell
         envelope = Envelope.create(
             signer=cell.signer,
@@ -211,32 +211,47 @@ class MembershipManager:
             data=data,
             timestamp=cell.env.now,
             nonce=cell.nonces.next(),
-            reply_to=reply_to,
         )
-        if not cell.fault.crashed:
-            cell.network.send(cell.node_name, dst_node, envelope, envelope.byte_size())
+        if cell.fault.crashed or not cell.network.send(
+            cell.node_name, dst_node, envelope, envelope.byte_size()
+        ):
+            return None
         return envelope
 
-    def register_waiter(self, nonce: str) -> Event:
-        """Create an event that fires when a reply to ``nonce`` arrives."""
-        waiter = self.cell.env.event()
-        self._waiters[nonce] = waiter
-        return waiter
+    def request(
+        self, dst_node: str, peer: Address, operation: Opcode, data: dict[str, Any], patience: float
+    ) -> Generator[Event, Any, Optional[Any]]:
+        """Ask ``peer`` and wait for *its* reply body (a process).
 
-    def resolve_reply(self, envelope: Envelope) -> None:
-        """Route PONG / CELL_SYNC_STATE / CELL_REJOIN_ACK replies."""
-        if not envelope.verify():
-            self.cell.metrics.increment(f"{self.cell.node_name}/membership_auth_failures")
+        None when the request never left or ``patience`` seconds pass
+        without an answer from the cell it was addressed to.
+        """
+        sent = self._send(dst_node, peer, operation, data)
+        if sent is None:
+            return None
+        waiter = self.cell.env.event()
+        self._waiters[sent.nonce] = (peer, waiter)
+        yield self.cell.env.any_of([waiter, self.cell.env.timeout(patience)])
+        del self._waiters[sent.nonce]
+        return waiter.value if waiter.triggered else None
+
+    def resolve_reply(
+        self, src_node: str, envelope: Envelope, body: Pong | SyncState | RejoinAck
+    ) -> None:
+        """Route an authenticated PONG / CELL_SYNC_STATE / CELL_REJOIN_ACK body."""
+        if isinstance(body, RejoinAck):
+            self._on_rejoin_ack(src_node, envelope, body)
             return
-        if envelope.operation == Opcode.CELL_REJOIN_ACK:
-            self._on_rejoin_ack(envelope)
+        peer, waiter = self._waiters.get(envelope.payload.reply_to, (None, None))
+        if waiter is None:
             return
-        reply_to = envelope.payload.reply_to
-        if reply_to is None:
-            return
-        waiter = self._waiters.pop(reply_to, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(envelope)
+        if envelope.sender != peer:
+            # Another cell answering in the asked peer's name: a third
+            # party's PONG must not vouch for a suspect, nor its state
+            # pass for the donor's.
+            self.cell._refuse_unauthenticated(src_node, envelope)
+        elif not waiter.triggered:
+            waiter.succeed(body)
 
     # ------------------------------------------------------------------
     # Exclusion: proposal, probing, votes, commit
@@ -267,19 +282,10 @@ class MembershipManager:
         self._maybe_commit_exclusion(suspect, cycle)
 
     def handle_proposal(
-        self, src_node: str, envelope: Envelope
+        self, src_node: str, envelope: Envelope, proposal: ExclusionProposal
     ) -> Generator[Event, Any, None]:
         """Probe the suspect named in a peer's proposal and vote (a process)."""
         cell = self.cell
-        yield cell.env.timeout(cell.service_model.auth_overhead.sample(cell.rng))
-        if not envelope.verify() or not cell.invariants.is_cell(envelope.sender):
-            cell.metrics.increment(f"{cell.node_name}/membership_auth_failures")
-            return
-        try:
-            proposal = ExclusionProposal.from_data(envelope.data)
-        except MembershipError:
-            cell.metrics.increment(f"{cell.node_name}/malformed_membership")
-            return
         if proposal.suspect == cell.address or not cell.invariants.is_cell(proposal.suspect):
             return
         if not cell.consensus.is_active(proposal.suspect):
@@ -287,13 +293,7 @@ class MembershipManager:
         else:
             agree = yield from self._probe(proposal.suspect)
         vote = ExclusionVote.create(cell.signer, proposal.suspect, proposal.cycle, agree)
-        self._send(
-            src_node,
-            envelope.sender,
-            Opcode.CELL_EXCLUDE_VOTE,
-            vote.to_data(),
-            reply_to=envelope.nonce,
-        )
+        cell._reply(src_node, envelope, Opcode.CELL_EXCLUDE_VOTE, vote.to_data())
         cell.metrics.increment(f"{cell.node_name}/exclusion_votes_cast")
 
     def _probe(self, suspect: Address) -> Generator[Event, Any, bool]:
@@ -302,38 +302,15 @@ class MembershipManager:
         node = cell.peer_node(suspect)
         if node is None:
             return True
-        ping = Envelope.create(
-            signer=cell.signer,
-            recipient=suspect,
-            operation=Opcode.PING,
-            data={"probe": True},
-            timestamp=cell.env.now,
-            nonce=cell.nonces.next(),
+        pong = yield from self.request(
+            node, suspect, Opcode.PING, {"probe": True}, cell.invariants.probe_deadline
         )
-        waiter = self.register_waiter(ping.nonce)
-        accepted = cell.network.send(cell.node_name, node, ping, ping.byte_size())
-        if not accepted:
-            self._waiters.pop(ping.nonce, None)
-            return True
-        deadline = cell.env.timeout(cell.invariants.probe_deadline)
-        yield cell.env.any_of([waiter, deadline])
-        alive = waiter.triggered
-        self._waiters.pop(ping.nonce, None)
-        return not alive
+        return pong is None
 
-    def handle_vote(self, envelope: Envelope) -> None:
+    def handle_vote(self, src_node: str, envelope: Envelope, vote: ExclusionVote) -> None:
         """Count one incoming vote on a proposal this cell initiated."""
-        cell = self.cell
-        if not envelope.verify() or not cell.invariants.is_cell(envelope.sender):
-            cell.metrics.increment(f"{cell.node_name}/membership_auth_failures")
-            return
-        try:
-            vote = ExclusionVote.from_data(envelope.data)
-        except MembershipError:
-            cell.metrics.increment(f"{cell.node_name}/malformed_membership")
-            return
         if vote.voter != envelope.sender or not vote.verify():
-            cell.metrics.increment(f"{cell.node_name}/membership_auth_failures")
+            self.cell._refuse_unauthenticated(src_node, envelope)
             return
         collected = self._exclusion_votes.get((vote.suspect.hex(), vote.cycle))
         if collected is None:
@@ -368,17 +345,9 @@ class MembershipManager:
     # ------------------------------------------------------------------
     # Membership updates (commit messages from peers)
     # ------------------------------------------------------------------
-    def handle_update(self, envelope: Envelope) -> None:
+    def handle_update(self, src_node: str, envelope: Envelope, update: MembershipUpdate) -> None:
         """Apply a quorum-backed exclude/readmit after re-verifying evidence."""
         cell = self.cell
-        if not envelope.verify() or not cell.invariants.is_cell(envelope.sender):
-            cell.metrics.increment(f"{cell.node_name}/membership_auth_failures")
-            return
-        try:
-            update = MembershipUpdate.from_data(envelope.data)
-        except MembershipError:
-            cell.metrics.increment(f"{cell.node_name}/malformed_membership")
-            return
         if update.subject == cell.address or not cell.invariants.is_cell(update.subject):
             return
         supporters = {
@@ -446,20 +415,9 @@ class MembershipManager:
         """Combined fingerprint of this cell's non-excluded contract data."""
         return "0x" + snapshot_fingerprint(self.cell.contracts.fingerprints()).hex()
 
-    def handle_rejoin(
-        self, src_node: str, envelope: Envelope
-    ) -> Generator[Event, Any, None]:
+    def handle_rejoin(self, src_node: str, envelope: Envelope, request: RejoinRequest) -> None:
         """Check a rejoiner's state fingerprint and answer with a signed ack."""
         cell = self.cell
-        yield cell.env.timeout(cell.service_model.auth_overhead.sample(cell.rng))
-        if not envelope.verify() or not cell.invariants.is_cell(envelope.sender):
-            cell.metrics.increment(f"{cell.node_name}/membership_auth_failures")
-            return
-        try:
-            request = RejoinRequest.from_data(envelope.data)
-        except MembershipError:
-            cell.metrics.increment(f"{cell.node_name}/malformed_membership")
-            return
         if request.cell != envelope.sender:
             return
         own_fingerprint = self._combined_fingerprint_hex()
@@ -482,33 +440,20 @@ class MembershipManager:
                 src_node,
                 cell.env.now + 2 * cell.invariants.forwarding_deadline,
             )
-        self._send(
-            src_node,
-            envelope.sender,
-            Opcode.CELL_REJOIN_ACK,
-            ack.to_data(),
-            reply_to=envelope.nonce,
-        )
+        cell._reply(src_node, envelope, Opcode.CELL_REJOIN_ACK, ack.to_data())
         cell.metrics.increment(f"{cell.node_name}/rejoin_checks")
 
-    def _on_rejoin_ack(self, envelope: Envelope) -> None:
+    def _on_rejoin_ack(self, src_node: str, envelope: Envelope, ack: RejoinAck) -> None:
         """Collect one ack for this cell's in-flight rejoin attempt."""
-        cell = self.cell
         collection = self._rejoin_collection
         if collection is None:
             return
-        try:
-            ack = RejoinAck.from_data(envelope.data)
-        except MembershipError:
-            cell.metrics.increment(f"{cell.node_name}/malformed_membership")
-            return
         if (
             ack.voter != envelope.sender
-            or not cell.invariants.is_cell(ack.voter)
-            or ack.rejoiner != cell.address
+            or ack.rejoiner != self.cell.address
             or not ack.verify()
         ):
-            cell.metrics.increment(f"{cell.node_name}/membership_auth_failures")
+            self.cell._refuse_unauthenticated(src_node, envelope)
             return
         collection.add(ack)
 
@@ -870,31 +815,11 @@ class RecoveryCoordinator:
         attempt of a recovery ever moves a full snapshot.
         """
         cell = self.cell
-        request = Envelope.create(
-            signer=cell.signer,
-            recipient=donor,
-            operation=Opcode.CELL_SYNC,
-            data=SyncRequest(
-                since_sequence=len(cell.ledger), delta_only=delta_only
-            ).to_data(),
-            timestamp=cell.env.now,
-            nonce=cell.nonces.next(),
+        sync = SyncRequest(since_sequence=len(cell.ledger), delta_only=delta_only)
+        bundle = yield from cell.membership.request(
+            donor_node, donor, Opcode.CELL_SYNC, sync.to_data(), cell.invariants.forwarding_deadline
         )
-        waiter = cell.membership.register_waiter(request.nonce)
-        accepted = cell.network.send(
-            cell.node_name, donor_node, request, request.byte_size()
-        )
-        if not accepted:
-            return None
-        deadline = cell.env.timeout(cell.invariants.forwarding_deadline)
-        yield cell.env.any_of([waiter, deadline])
-        if not waiter.triggered:
-            return None
-        reply: Envelope = waiter.value
-        try:
-            return SyncState.from_data(reply.data)
-        except MembershipError:
-            return None
+        return bundle
 
     def _adopt_membership_view(self, bundle: SyncState) -> None:
         """Replace this cell's stale membership view with the donor's.

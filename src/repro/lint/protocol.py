@@ -1,27 +1,29 @@
 """Message-protocol wiring rules (``PROTO*``).
 
 The uniform RESTful interface routes every message by its opcode
-(Section III-C2 of the paper).  Three wiring mistakes survive unit tests
-easily — an opcode nobody dispatches, a structured opcode without a typed
-body class, and a handler that trusts payload data before authenticating
-the envelope — so they are checked statically over the whole tree:
+(Section III-C2 of the paper), and the cell's route table
+(:mod:`repro.core.routes`) is the one declaration of that routing.  Three
+wiring mistakes survive unit tests easily — an opcode the table does not
+know, a route without a resolvable body parser, and a handler that trusts
+payload data before authenticating the envelope — so they are checked
+statically over the whole tree:
 
 * ``PROTO001`` — every member of :class:`repro.messages.opcodes.Opcode`
-  must be referenced somewhere in ``repro.core`` (the cell dispatch /
-  reply paths).  An unreferenced opcode is either dead protocol surface or
-  a handler someone forgot to register.
-* ``PROTO002`` — every *structured* opcode (``CELL_*``, ``XSHARD_*``, and
-  the ``*_BATCH`` families, whose payloads carry signed sub-structures)
-  must have a body-class entry in ``repro.messages.registry`` —
-  and every registry entry must name a real opcode and an importable
-  class.
+  must be declared in the route table exactly once: as the key of an
+  ``Opcode.X: Route(...)`` row or as a member of ``REPLY_ONLY``.  An
+  undeclared opcode is either dead protocol surface or a handler someone
+  forgot to route; a doubly declared one has a row the dict silently drops.
+* ``PROTO002`` — the body of every ``Route(...)`` row must be ``None`` or a
+  class, defined in the scanned tree, that defines a ``from_data`` parser
+  — one parser per body, named in one place.
 * ``PROTO003`` — inside message handlers (``_serve_*`` / ``_process_*`` /
   ``_accept_*`` / ``handle_*`` functions taking an ``Envelope``), the
   envelope's ``.data`` / ``.payload`` must not be consumed before
   ``.verify()``: Section III-D3 makes authentication the first step of
   serving any request.  A handler may leave that step to an ingress
   stage only if *every* reference to it is a call made after the caller
-  verified the envelope it passes.
+  verified the envelope it passes.  Handlers the route table names get a
+  typed body from the stage and have no business reading ``.data`` at all.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ from typing import Iterator, Optional, Sequence
 from .engine import Finding, SourceFile
 
 OPCODES_MODULE = "repro.messages.opcodes"
-REGISTRY_MODULE = "repro.messages.registry"
+ROUTES_MODULE = "repro.core.routes"
 DISPATCH_PACKAGE = "repro.core"
-
-#: Opcode-name families whose payloads are typed body classes.
-STRUCTURED_PREFIXES = ("CELL_", "XSHARD_")
-STRUCTURED_SUFFIXES = ("_BATCH",)
 
 _HANDLER_PREFIXES = ("_serve_", "_process_", "_accept_", "handle_")
 
@@ -69,150 +67,111 @@ def _opcode_members(source: SourceFile) -> dict[str, int]:
     return members
 
 
-def _opcode_references(source: SourceFile) -> set[str]:
-    """Names referenced as ``Opcode.X`` anywhere in the file."""
-    refs: set[str] = set()
+def _opcode_name(node: ast.AST) -> Optional[str]:
+    """``X`` for an ``Opcode.X`` expression."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Opcode"
+    ):
+        return node.attr
+    return None
+
+
+def _route_rows(source: SourceFile) -> list[tuple[str, Optional[ast.expr], int]]:
+    """``(opcode member, body expression, line)`` of every ``Opcode.X: Route(...)`` row."""
+    rows = []
     for node in ast.walk(source.tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "Opcode"
+        if not isinstance(node, ast.Dict):
+            continue
+        for key, value in zip(node.keys, node.values):
+            name = _opcode_name(key) if key is not None else None
+            if (
+                name is not None
+                and isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id == "Route"
+            ):
+                keywords = {keyword.arg: keyword.value for keyword in value.keywords}
+                body = value.args[1] if len(value.args) > 1 else keywords.get("body")
+                rows.append((name, body, key.lineno))
+    return rows
+
+
+def _reply_only(source: SourceFile) -> list[str]:
+    """The opcode member of every ``Opcode.X`` assigned to ``REPLY_ONLY``."""
+    for node in ast.walk(source.tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+            isinstance(target, ast.Name) and target.id == "REPLY_ONLY"
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         ):
-            refs.add(node.attr)
-    return refs
+            return [
+                name for sub in ast.walk(node) if (name := _opcode_name(sub)) is not None
+            ]
+    return []
 
 
-def is_structured(name: str) -> bool:
-    """Whether the opcode family carries a typed body class."""
-    return name.startswith(STRUCTURED_PREFIXES) or name.endswith(STRUCTURED_SUFFIXES)
-
-
-def _registry_entries(source: SourceFile) -> dict[str, tuple[str, int]]:
-    """``{opcode member: (\"module:Class\" target, line)}`` from OPCODE_BODIES."""
-    entries: dict[str, tuple[str, int]] = {}
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target: ast.expr = node.targets[0]
-        elif isinstance(node, ast.AnnAssign):
-            target = node.target
-        else:
-            continue
-        if not (isinstance(target, ast.Name) and target.id == "OPCODE_BODIES"):
-            continue
-        value = node.value
-        if isinstance(value, ast.Dict):
-            for key, item in zip(value.keys, value.values):
-                if (
-                    isinstance(key, ast.Attribute)
-                    and isinstance(key.value, ast.Name)
-                    and key.value.id == "Opcode"
-                ):
-                    spec = item.value if isinstance(item, ast.Constant) else ""
-                    entries[key.attr] = (str(spec), key.lineno)
-    return entries
+def _parser_classes(sources: Sequence[SourceFile]) -> set[str]:
+    """Names of the scanned classes that define a ``from_data`` parser."""
+    return {
+        node.name
+        for source in sources
+        for node in ast.walk(source.tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "from_data"
+    }
 
 
 def _check_opcode_wiring(sources: Sequence[SourceFile]) -> Iterator[Finding]:
     by_module = {source.module: source for source in sources}
     opcodes_source = by_module.get(OPCODES_MODULE)
+    routes_source = by_module.get(ROUTES_MODULE)
     if opcodes_source is None:
         return
     members = _opcode_members(opcodes_source)
-    if not members:
-        return
-
-    # PROTO001 — dispatch coverage in repro.core.
-    referenced: set[str] = set()
-    for source in sources:
-        if source.module == DISPATCH_PACKAGE or source.module.startswith(
-            DISPATCH_PACKAGE + "."
-        ):
-            referenced |= _opcode_references(source)
     # Only meaningful when the dispatch package is actually in the scan
     # (fixture trees exercising other rules may omit it).
-    if any(
+    if not members or not any(
         s.module == DISPATCH_PACKAGE or s.module.startswith(DISPATCH_PACKAGE + ".")
         for s in sources
     ):
-        for name, line in sorted(members.items()):
-            if name not in referenced:
-                yield _finding(
-                    opcodes_source,
-                    line,
-                    "PROTO001",
-                    f"opcode {name} has no reference in {DISPATCH_PACKAGE} "
-                    f"(no cell dispatches, emits, or replies with it)",
-                    "register a handler branch in Cell._on_message (or remove "
-                    "the dead opcode)",
-                    f"opcode:{name}",
-                )
-
-    # PROTO002 — structured opcodes need a registry body class.
-    registry_source = by_module.get(REGISTRY_MODULE)
-    structured = {name: line for name, line in members.items() if is_structured(name)}
-    if registry_source is None:
-        for name, line in sorted(structured.items()):
-            yield _finding(
-                opcodes_source,
-                line,
-                "PROTO002",
-                f"structured opcode {name} but {REGISTRY_MODULE} is missing",
-                "add repro/messages/registry.py with an OPCODE_BODIES entry "
-                "mapping the opcode to its body class",
-                f"registry:{name}",
-            )
         return
-    entries = _registry_entries(registry_source)
-    for name, line in sorted(structured.items()):
-        if name not in entries:
+    rows = _route_rows(routes_source) if routes_source is not None else []
+    declared = [name for name, _body, _line in rows]
+    if routes_source is not None:
+        declared += _reply_only(routes_source)
+
+    # PROTO001 — every opcode is declared exactly once: routed or reply-only.
+    for name, line in sorted(members.items()):
+        count = declared.count(name)
+        if count != 1:
             yield _finding(
                 opcodes_source,
                 line,
-                "PROTO002",
-                f"structured opcode {name} has no body class in "
-                f"{REGISTRY_MODULE}.OPCODE_BODIES",
-                "map it to its 'module:Class' body so handlers and audits "
-                "share one parser",
-                f"registry:{name}",
-            )
-    for name, (spec, line) in sorted(entries.items()):
-        if name not in members:
-            yield _finding(
-                registry_source,
-                line,
-                "PROTO002",
-                f"OPCODE_BODIES maps unknown opcode {name}",
-                "remove the stale entry or add the opcode to the enum",
-                f"registry-stale:{name}",
-            )
-            continue
-        target = _resolve_body_class(spec, by_module)
-        if target is False:
-            yield _finding(
-                registry_source,
-                line,
-                "PROTO002",
-                f"OPCODE_BODIES entry for {name} names {spec!r}, which does "
-                f"not resolve to a class in the scanned tree",
-                "point the entry at an existing 'module:Class'",
-                f"registry-target:{name}",
+                "PROTO001",
+                f"opcode {name} is declared {count} times in {ROUTES_MODULE} "
+                f"(one Route row or one REPLY_ONLY member)",
+                "add an Opcode.X: Route(...) row naming its sender, body and handler, list "
+                "it in REPLY_ONLY, or remove the dead opcode",
+                f"opcode:{name}",
             )
 
-
-def _resolve_body_class(
-    spec: str, by_module: dict[str, SourceFile]
-) -> Optional[bool]:
-    """True if resolvable, False if provably wrong, None if out of scope."""
-    if ":" not in spec:
-        return False
-    module_name, class_name = spec.split(":", 1)
-    source = by_module.get(module_name)
-    if source is None:
-        return None
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return True
-    return False
+    # PROTO002 — every row names a body parser (or declares there is no body).
+    parsers = _parser_classes(sources)
+    for name, body, line in rows:
+        carries_nothing = isinstance(body, ast.Constant) and body.value is None
+        if not carries_nothing and not (isinstance(body, ast.Name) and body.id in parsers):
+            yield _finding(
+                routes_source,
+                line,
+                "PROTO002",
+                f"the route of {name} names no class with a from_data parser "
+                f"in the scanned tree",
+                "point the row at the class that parses the opcode's data "
+                "field (None only for an opcode that carries none)",
+                f"route-body:{name}",
+            )
 
 
 def _annotation_is_envelope(annotation: Optional[ast.expr]) -> bool:

@@ -29,11 +29,11 @@ was minted or destroyed, sheds present or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from ..audit.oracles import OracleResult, run_conservation_oracle
-from ..client.client import BlockumulusClient, TransactionResult
+from ..audit.oracles import OracleResult, harvest_cells, run_conservation_oracle
+from ..client.client import TransactionResult
 from ..client.sharded import CrossShardResult, ShardedFastMoneyClient
 from ..client.workload import (
     WorkloadError,
@@ -431,18 +431,10 @@ def collect_endurance_artifacts(
     which arrivals were shed), per-cell shed counters, and the whole
     per-minute series.  Used by the endurance benchmark's replay check.
     """
-    ledgers = {}
-    states = {}
+    ledgers, states = harvest_cells(deployment)
     admission = {}
     for group in deployment.groups:
         for cell in group.cells:
-            ledgers[cell.node_name] = tuple(map(tuple, cell.ledger.sync_digest()))
-            states[cell.node_name] = tuple(
-                sorted(
-                    (name, cell.contracts.get(name).fingerprint_hex())
-                    for name in cell.contracts.names()
-                )
-            )
             stats = cell.statistics()["admission"]
             admission[cell.node_name] = (stats["shed"], stats["peak_inflight"])
 
@@ -480,101 +472,21 @@ def endurance_differential(
     The reference is the endurance deployment with every feature axis at
     its plain setting — one shard, one lane, no batching, *no admission
     limit* — and the ledger-derived committed calls submitted one at a
-    time (fixpoint retry for order-dependent funding, exactly like the
-    chaos differential).  A shed transaction never reached any ledger,
-    so it must appear in the committed set exactly never; a committed
-    transaction must replay cleanly and land on identical semantic
-    state.
+    time (the chaos differential's replay and diff,
+    :func:`repro.chaos.runner.differential_findings`).  A shed transaction
+    never reached any ledger, so it must appear in the committed set
+    exactly never; a committed transaction must replay cleanly and land
+    on identical semantic state.
     """
-    from ..chaos.runner import harvest_committed, harvest_semantics
+    # Imported here: the chaos engine is ~1 MiB and ~25 ms of imports that a
+    # load generator run without its differential oracle (bench/) never needs.
+    from ..chaos.runner import differential_findings
 
-    calls, cross = harvest_committed(deployment, ENDURANCE_CONTRACT)
-    config = dc_replace(
-        deployment.config,
-        shard_count=1,
-        execution_lanes=1,
-        message_batching=False,
-        standby_cells=0,
-        max_inflight=None,
-        node_namespace="",
-        deployment_id=f"{deployment.config.deployment_id}-endure-ref",
+    findings, _calls, _cross = differential_findings(
+        deployment,
+        "endurance",
+        ENDURANCE_CONTRACT,
+        report.genesis_by_account,
+        {signer.address.hex(): signer for signer in report.accounts.values()},
     )
-    reference = ShardedDeployment(config)
-    ref_primary = reference.group(0).deployment
-    instance = ShardedFastMoneyClient.instance_name(ENDURANCE_CONTRACT, 0, 1)
-    genesis = {
-        account: amount
-        for account, amount in report.genesis_by_account.items()
-        if amount > 0
-    }
-    reference.deploy_contract_instances(
-        [FastMoney(instance, params={"genesis_balances": genesis,
-                                     "allow_faucet": False})],
-        group=0,
-    )
-    signers = {
-        signer.address.hex(): signer for signer in report.accounts.values()
-    }
-    client = BlockumulusClient(
-        ref_primary,
-        signer=ref_primary.make_client_signer("endurance/reference-client"),
-        node_name="endurance-reference-client",
-    )
-    findings: list[str] = []
-
-    pending: list[tuple[str, str, dict[str, Any], str, str]] = []
-    for call in calls:
-        contract = call["contract"]
-        if isinstance(contract, str) and contract.split("@s", 1)[0] == ENDURANCE_CONTRACT:
-            contract = instance
-        pending.append(
-            (contract, call["method"], call["args"], call["sender"],
-             f"committed {call['method']} {call['tx_id'][:18]}...")
-        )
-    for transfer in cross:
-        pending.append(
-            (instance, "transfer",
-             {"to": transfer["to"], "amount": transfer["amount"]},
-             transfer["sender"], f"committed cross transfer {transfer['xtx']}")
-        )
-
-    def drive(contract: str, method: str, args: dict[str, Any], sender: str,
-              what: str) -> Optional[str]:
-        signer = signers.get(sender)
-        if signer is None:
-            return f"{what}: committed by unknown sender {sender}"
-        event = client.submit(contract, method, args, signer=signer)
-        reference.env.run(event)
-        result = event.value
-        if not result.ok:
-            return f"{what}: fails on the reference: {result.error}"
-        return None
-
-    while pending:
-        retry: list[tuple[str, str, dict[str, Any], str, str]] = []
-        errors: list[str] = []
-        for item in pending:
-            error = drive(*item)
-            if error is not None:
-                retry.append(item)
-                errors.append(error)
-        if len(retry) == len(pending):
-            findings.extend(errors)
-            break
-        pending = retry
-    reference.run(until=reference.env.now + 1.0)
-
-    endurance_state = harvest_semantics(deployment, ENDURANCE_CONTRACT)
-    reference_state = harvest_semantics(reference, ENDURANCE_CONTRACT)
-    for section in endurance_state:
-        if endurance_state[section] != reference_state[section]:
-            ours, theirs = endurance_state[section], reference_state[section]
-            delta = {
-                key: (ours.get(key), theirs.get(key))
-                for key in set(ours) | set(theirs)
-                if ours.get(key) != theirs.get(key)
-            }
-            findings.append(
-                f"{section} state diverges from the serial reference: {delta}"
-            )
     return findings

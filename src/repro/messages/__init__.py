@@ -13,7 +13,7 @@ from .membership import (
     SyncRequest,
     SyncState,
 )
-from .opcodes import AUDITOR_OPCODES, CELL_OPCODES, CLIENT_OPCODES, Opcode
+from .opcodes import Opcode
 from .payload import Payload, PayloadError
 from .signer import EcdsaSigner, SimulatedSigner, Signer, verify_signature
 from .xshard import (
@@ -26,10 +26,7 @@ from .xshard import (
 )
 
 __all__ = [
-    "AUDITOR_OPCODES",
     "BatchError",
-    "CELL_OPCODES",
-    "CLIENT_OPCODES",
     "CrossShardDecision",
     "CrossShardError",
     "CrossShardPrepare",

@@ -9,7 +9,7 @@ same destination cell during one scheduling quantum into a single signed
 signature, while every inner item keeps the original client signature, so
 the receiving cell can still authenticate each transaction independently.
 
-Only the forward batch lives here; the confirmation batch is built from
+Only the forward bodies live here; the confirmation batch is built from
 :class:`repro.core.receipts.Confirmation` objects and is defined next to
 them to avoid a layering cycle (``core`` imports ``messages``, never the
 other way around).
@@ -74,3 +74,32 @@ class ForwardBatch:
         if not all(isinstance(item, dict) for item in transactions):
             raise BatchError("every forwarded transaction must be a wire-form object")
         return cls(transactions=tuple(transactions))
+
+
+@dataclass(frozen=True)
+class ForwardedTransactions:
+    """What a ``TX_FORWARD_BATCH`` delivers: its client envelopes, parsed.
+
+    The receiving cell's view of a :class:`ForwardBatch` — every inner
+    envelope is structurally sound by the time a handler sees it, so one
+    malformed item refuses the whole message at the ingress stage.
+    """
+
+    client_envelopes: tuple[Envelope, ...]
+
+    @classmethod
+    def from_data(cls, raw: dict[str, Any]) -> "ForwardedTransactions":
+        """Parse a batch envelope's data field down to its client envelopes."""
+        return cls(tuple(ForwardBatch.from_data(raw).envelopes()))
+
+
+class SingleForward(ForwardedTransactions):
+    """What a per-transaction ``TX_FORWARD`` delivers: a batch of one."""
+
+    @classmethod
+    def from_data(cls, raw: dict[str, Any]) -> "SingleForward":
+        """Parse the one client envelope a singleton forward carries."""
+        wire = raw.get("client_envelope")
+        if not isinstance(wire, dict):
+            raise BatchError("forward carries no client envelope")
+        return cls(tuple(ForwardBatch(transactions=(wire,)).envelopes()))

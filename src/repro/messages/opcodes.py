@@ -5,7 +5,8 @@ how the data field ``D`` is interpreted (Section III-C2).  The codes cover
 the six communication vectors the paper lists: client-cell, cell-cell,
 auditor-cell, cell-blockchain, auditor-blockchain, and client-auditor (the
 last three are carried over the Ethereum provider rather than this message
-layer, so only the first three appear here).
+layer, so only the first three appear here).  Who may send which code to a
+cell, and what body it carries, is declared in :mod:`repro.core.routes`.
 """
 
 from __future__ import annotations
@@ -68,41 +69,3 @@ class Opcode(str, Enum):
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
-
-#: Opcodes a client is allowed to originate.
-CLIENT_OPCODES = frozenset(
-    {
-        Opcode.TX_SUBMIT,
-        Opcode.SUBSCRIBE,
-        Opcode.DEPLOY_CONTRACT,
-        Opcode.QUERY_STATE,
-        Opcode.XSHARD_PREPARE,
-        Opcode.XSHARD_COMMIT,
-        Opcode.XSHARD_ABORT,
-        Opcode.XSHARD_VOUCHER,
-        Opcode.PING,
-    }
-)
-
-#: Opcodes only another consortium cell may originate.
-CELL_OPCODES = frozenset(
-    {
-        Opcode.TX_FORWARD,
-        Opcode.TX_FORWARD_BATCH,
-        Opcode.TX_CONFIRM,
-        Opcode.TX_CONFIRM_BATCH,
-        Opcode.TX_REJECT,
-        Opcode.CELL_EXCLUDE,
-        Opcode.CELL_EXCLUDE_VOTE,
-        Opcode.MEMBERSHIP_UPDATE,
-        Opcode.CELL_REJOIN,
-        Opcode.CELL_REJOIN_ACK,
-        Opcode.CELL_SYNC,
-        Opcode.CELL_SYNC_STATE,
-        Opcode.PING,
-        Opcode.PONG,
-    }
-)
-
-#: Opcodes an auditor may originate.
-AUDITOR_OPCODES = frozenset({Opcode.SNAPSHOT_REQUEST, Opcode.LEDGER_REQUEST, Opcode.PING})

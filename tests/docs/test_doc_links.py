@@ -78,3 +78,12 @@ def test_checker_accepts_valid_anchors(tmp_path):
         [sys.executable, str(CHECKER), str(good)], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_opcode_reference_matches_the_route_table():
+    """docs/ARCHITECTURE.md's opcode table is generated from repro.core.routes."""
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "check_opcode_table.py")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

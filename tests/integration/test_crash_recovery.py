@@ -335,7 +335,7 @@ def test_stale_readmission_acks_cannot_revive_a_reexcluded_cell():
         operation=Opcode.MEMBERSHIP_UPDATE, data=stale.to_data(),
         timestamp=deployment.env.now, nonce=cell2.nonces.next(),
     )
-    cell0.membership.handle_update(envelope)
+    cell0._on_message(cell2.node_name, envelope, envelope.byte_size())
     assert cell2.address in cell0.consensus.excluded_cells()
 
     # Re-labelled with a fresh cycle: the acks no longer match update.cycle,
@@ -349,7 +349,7 @@ def test_stale_readmission_acks_cannot_revive_a_reexcluded_cell():
         operation=Opcode.MEMBERSHIP_UPDATE, data=relabelled.to_data(),
         timestamp=deployment.env.now, nonce=cell2.nonces.next(),
     )
-    cell0.membership.handle_update(envelope)
+    cell0._on_message(cell2.node_name, envelope, envelope.byte_size())
     assert cell2.address in cell0.consensus.excluded_cells()
 
 
@@ -368,7 +368,7 @@ def test_forged_membership_update_without_quorum_evidence_is_ignored():
         timestamp=deployment.env.now,
         nonce=cell2.nonces.next(),
     )
-    cell0.membership.handle_update(envelope)
+    cell0._on_message(cell2.node_name, envelope, envelope.byte_size())
     assert cell1.address in cell0.consensus.active_cells()
 
     # Even a two-vote update fails if one signature does not verify.
@@ -386,5 +386,5 @@ def test_forged_membership_update_without_quorum_evidence_is_ignored():
         timestamp=deployment.env.now,
         nonce=cell2.nonces.next(),
     )
-    cell0.membership.handle_update(envelope)
+    cell0._on_message(cell2.node_name, envelope, envelope.byte_size())
     assert cell1.address in cell0.consensus.active_cells()

@@ -297,7 +297,7 @@ def test_plan_rules_skip_planless_contracts(tree):
 
 
 # ----------------------------------------------------------------------
-# PROTO rules — opcode / registry / verify-order wiring
+# PROTO rules — opcode / route-table / verify-order wiring
 # ----------------------------------------------------------------------
 OPCODES = """
     from enum import Enum
@@ -305,33 +305,45 @@ OPCODES = """
 
     class Opcode(str, Enum):
         TX_SUBMIT = "tx_submit"
+        TX_ERROR = "tx_error"
         CELL_SYNC = "cell_sync"
+        PING = "ping"
 """
 
-REGISTRY = """
-    OPCODE_BODIES = {
-        Opcode.CELL_SYNC: "repro.messages.bodies:SyncRequest",
+ROUTES = """
+    from ..messages.bodies import SyncRequest
+
+    ROUTES = {
+        Opcode.TX_SUBMIT: Route(Sender.CLIENT, Call, "_serve_submit", ANSWER),
+        Opcode.CELL_SYNC: Route(Sender.CELL, SyncRequest, "_serve_sync", DROP),
+        Opcode.PING: Route(Sender.ANYONE, None, "_serve_ping", DROP),
     }
+    REPLY_ONLY = frozenset({Opcode.TX_ERROR})
+
+
+    class Call:
+        @classmethod
+        def from_data(cls, raw):
+            return cls()
 """
 
 BODIES = """
     class SyncRequest:
-        pass
+        @classmethod
+        def from_data(cls, raw):
+            return cls()
 """
 
 DISPATCH = """
     def dispatch(self, envelope):
-        if envelope.operation == Opcode.TX_SUBMIT:
-            return self._serve_submit(envelope)
-        if envelope.operation == Opcode.CELL_SYNC:
-            return None
+        return ROUTES[envelope.operation]
 """
 
 
-def write_protocol_tree(tree, opcodes=OPCODES, registry=REGISTRY, dispatch=DISPATCH):
+def write_protocol_tree(tree, opcodes=OPCODES, routes=ROUTES, dispatch=DISPATCH):
     tree("messages/opcodes.py", opcodes)
-    tree("messages/registry.py", registry)
     tree("messages/bodies.py", BODIES)
+    tree("core/routes.py", routes)
     tree("core/cell.py", dispatch)
 
 
@@ -340,41 +352,47 @@ def test_proto_clean_wiring(tree):
     assert lint_paths([tree.root]) == []
 
 
-def test_proto001_fires_on_undispatched_opcode(tree):
+def test_proto001_fires_on_undeclared_opcode(tree):
     write_protocol_tree(
         tree,
-        opcodes=OPCODES + '        PING = "ping"\n',
+        opcodes=OPCODES + '        PONG = "pong"\n',
     )
     findings = lint_paths([tree.root])
     assert rules_of(findings) == ["PROTO001"]
-    assert "PING" in findings[0].message
+    assert "PONG is declared 0 times" in findings[0].message
 
 
-def test_proto002_fires_on_unregistered_structured_opcode(tree):
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # a second row, which the dict silently drops
+        ("    }", '        Opcode.PING: Route(Sender.CELL, None, "_serve_probe", DROP),\n    }'),
+        # served and reply-only at once
+        ("{Opcode.TX_ERROR}", "{Opcode.TX_ERROR, Opcode.PING}"),
+    ],
+)
+def test_proto001_fires_on_an_opcode_declared_twice(tree, old, new):
+    write_protocol_tree(tree, routes=ROUTES.replace(old, new, 1))
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["PROTO001"]
+    assert "PING is declared 2 times" in findings[0].message
+
+
+def test_proto002_fires_on_a_row_without_a_body_parser(tree):
     write_protocol_tree(
         tree,
-        opcodes=OPCODES + '        XSHARD_VOTE = "xshard_vote"\n',
-        dispatch=DISPATCH + "        if envelope.operation == Opcode.XSHARD_VOTE:\n            return None\n",
+        routes=ROUTES.replace("Sender.CELL, SyncRequest,", "Sender.CELL, NoSuchClass,"),
     )
     findings = lint_paths([tree.root])
     assert rules_of(findings) == ["PROTO002"]
-    assert "XSHARD_VOTE" in findings[0].message
+    assert "CELL_SYNC" in findings[0].message
 
 
-def test_proto002_fires_on_stale_and_dangling_registry_entries(tree):
-    write_protocol_tree(
-        tree,
-        registry="""
-        OPCODE_BODIES = {
-            Opcode.CELL_SYNC: "repro.messages.bodies:NoSuchClass",
-            Opcode.GHOST: "repro.messages.bodies:SyncRequest",
-        }
-        """,
-    )
+def test_proto002_fires_on_a_class_that_cannot_parse(tree):
+    write_protocol_tree(tree, routes=ROUTES.replace("def from_data(", "def from_wire("))
     findings = lint_paths([tree.root])
-    assert sorted(rules_of(findings)) == ["PROTO002", "PROTO002"]
-    messages = " / ".join(finding.message for finding in findings)
-    assert "NoSuchClass" in messages and "GHOST" in messages
+    assert rules_of(findings) == ["PROTO002"]
+    assert "TX_SUBMIT" in findings[0].message
 
 
 def test_proto003_fires_on_data_before_verify(tree):

@@ -1,11 +1,11 @@
-"""Signature schemes and opcode classification."""
+"""Signature schemes and the signed statements' shared signature parse."""
 
 import pytest
 
 from repro.core.receipts import Confirmation, ReceiptError
 from repro.messages.evidence import EvidenceError, PartitionEvent
 from repro.messages.membership import ExclusionVote, MembershipError, RejoinAck
-from repro.messages.opcodes import AUDITOR_OPCODES, CELL_OPCODES, CLIENT_OPCODES, Opcode
+from repro.messages.opcodes import Opcode
 from repro.messages.signer import EcdsaSigner, SimulatedSigner, verify_signature
 from repro.messages.xshard import CrossShardError, CrossShardVote, CrossShardVoucher
 
@@ -55,11 +55,9 @@ def test_garbage_ecdsa_signature_rejected():
     assert not verify_signature("ecdsa", signer.address, b"m", b"\xff" * 65)
 
 
-def test_opcode_categories_are_disjoint_enough():
-    assert Opcode.TX_SUBMIT in CLIENT_OPCODES
-    assert Opcode.TX_FORWARD in CELL_OPCODES
-    assert Opcode.SNAPSHOT_REQUEST in AUDITOR_OPCODES
-    assert Opcode.TX_FORWARD not in CLIENT_OPCODES
+def test_an_opcode_prints_as_its_wire_value():
+    # Who may send which opcode is declared (and tested) with the route
+    # table: tests/core/test_ingress_routes.py.
     assert str(Opcode.TX_SUBMIT) == "tx_submit"
 
 
