@@ -669,7 +669,7 @@ class BlockumulusCell:
                 cycle=entry.cycle,
                 submitted_at=entry.envelope.payload.timestamp,
                 completed_at=self.env.now,
-                confirmations=[own_confirmation] + list(pending.confirmations.values()),
+                confirmations=(own_confirmation, *pending.confirmations.values()),
             )
         return _ServiceResult(
             entry=entry,

@@ -19,6 +19,7 @@ from ..contracts.state_store import AccessSet
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
 from ..messages.envelope import Envelope
+from ..messages.membership import EntrySummary, SyncEntry
 from ..sim.environment import Environment
 from ..sim.resources import Resource
 
@@ -49,21 +50,23 @@ class LedgerEntry:
     #: format of audits and resync bundles is unchanged).
     access: Optional[AccessSet] = None
 
+    def record(self) -> EntrySummary:
+        """The entry without its envelope, as resync bundles carry it."""
+        return EntrySummary(
+            sequence=self.sequence,
+            tx_id=self.tx_id,
+            cycle=self.cycle,
+            admitted_at=self.admitted_at,
+            status=self.status,
+            contract=self.contract,
+            error=self.error,
+            contingency=self.contingency,
+            fingerprint=self.fingerprint,
+        )
+
     def summary(self) -> dict[str, Any]:
         """Compact dict used in audits, resync bundles, and logs."""
-        return {
-            "sequence": self.sequence,
-            "tx_id": self.tx_id,
-            "cycle": self.cycle,
-            "admitted_at": self.admitted_at,
-            "status": self.status,
-            "contract": self.contract,
-            "error": self.error,
-            "contingency": self.contingency,
-            "fingerprint": (
-                "0x" + self.fingerprint.hex() if self.fingerprint is not None else None
-            ),
-        }
+        return self.record().to_wire()
 
 
 class TransactionLedger:
@@ -233,8 +236,8 @@ class TransactionLedger:
     # ------------------------------------------------------------------
     # Resync support (crash recovery, Section V)
     # ------------------------------------------------------------------
-    def sync_segment(self, since_sequence: int) -> list[dict[str, Any]]:
-        """Wire-friendly export of every entry from ``since_sequence`` on.
+    def sync_segment(self, since_sequence: int) -> list[SyncEntry]:
+        """Export of every entry from ``since_sequence`` on, for a resync bundle.
 
         This is what a donor cell ships to a recovering peer: the summary
         (including the per-entry execution fingerprint), the signed client
@@ -242,15 +245,11 @@ class TransactionLedger:
         backfill its ledger and check its own replay entry by entry.
         """
         return [
-            {
-                "summary": entry.summary(),
-                "envelope": entry.envelope.to_wire(),
-                "result": entry.result,
-            }
+            SyncEntry(entry.record(), entry.envelope.to_wire(), entry.result)
             for entry in self._entries[max(0, since_sequence):]
         ]
 
-    def backfill(self, envelope: Envelope, summary: dict[str, Any], result: Any) -> LedgerEntry:
+    def backfill(self, envelope: Envelope, summary: EntrySummary, result: Any) -> LedgerEntry:
         """Install a donor-provided entry whose effects a snapshot already covers.
 
         Used during resync for entries at or below the donor snapshot's
@@ -259,31 +258,28 @@ class TransactionLedger:
         The donor's sequence number must be exactly the next local sequence —
         anything else means the ledgers diverged and recovery must abort.
         """
-        sequence = int(summary["sequence"])
-        if sequence != len(self._entries):
+        if summary.sequence != len(self._entries):
             raise LedgerError(
-                f"backfill sequence {sequence} does not follow local head {len(self._entries)}"
+                f"backfill sequence {summary.sequence} does not follow local head "
+                f"{len(self._entries)}"
             )
         tx_id = envelope.payload.hash_hex()
-        if tx_id != summary.get("tx_id"):
-            raise LedgerError(f"backfill envelope does not hash to tx {summary.get('tx_id')}")
+        if tx_id != summary.tx_id:
+            raise LedgerError(f"backfill envelope does not hash to tx {summary.tx_id}")
         if tx_id in self._by_tx_id:
             raise LedgerError(f"transaction {tx_id} is already in the ledger")
-        fingerprint_hex = summary.get("fingerprint")
         entry = LedgerEntry(
-            sequence=sequence,
+            sequence=summary.sequence,
             tx_id=tx_id,
-            cycle=int(summary["cycle"]),
-            admitted_at=float(summary.get("admitted_at", self.env.now)),
+            cycle=summary.cycle,
+            admitted_at=summary.admitted_at,
             envelope=envelope,
-            status=str(summary.get("status", "admitted")),
+            status=summary.status,
             result=result,
-            error=summary.get("error"),
-            fingerprint=(
-                bytes.fromhex(fingerprint_hex[2:]) if fingerprint_hex else None
-            ),
-            contract=summary.get("contract"),
-            contingency=bool(summary.get("contingency", False)),
+            error=summary.error,
+            fingerprint=summary.fingerprint,
+            contract=summary.contract,
+            contingency=summary.contingency,
         )
         self._entries.append(entry)
         self._by_tx_id[tx_id] = entry

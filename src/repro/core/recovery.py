@@ -39,6 +39,7 @@ from ..crypto.fingerprint import snapshot_fingerprint
 from ..crypto.keys import Address
 from ..messages.envelope import Envelope
 from ..messages.membership import (
+    EntrySummary,
     ExclusionProposal,
     ExclusionVote,
     MembershipUpdate,
@@ -888,11 +889,11 @@ class RecoveryCoordinator:
         """
         cell = self.cell
         for item in bundle.entries:
-            summary = item.get("summary", {})
-            sequence = int(summary.get("sequence", -1))
+            summary = item.summary
+            sequence = summary.sequence
             if sequence < len(cell.ledger):
                 local_tx = cell.ledger.entry_at(sequence).tx_id
-                if local_tx == summary.get("tx_id"):
+                if local_tx == summary.tx_id:
                     continue
                 divergence = self._drop_admitted_suffix(sequence, summary, result)
                 if divergence is not None:
@@ -900,14 +901,14 @@ class RecoveryCoordinator:
                 # The admitted-only local suffix is gone; fall through and
                 # admit the donor's entry at this now-free sequence.
             try:
-                envelope = Envelope.from_wire(item["envelope"])
-            except (KeyError, ValueError) as exc:
+                envelope = Envelope.from_wire(item.envelope)
+            except ValueError as exc:
                 return f"malformed donor ledger entry at sequence {sequence}: {exc}"
             if not envelope.verify():
                 return f"donor ledger entry {sequence} has an invalid client signature"
             if sequence <= replay_base:
                 try:
-                    cell.ledger.backfill(envelope, summary, item.get("result"))
+                    cell.ledger.backfill(envelope, summary, item.result)
                 except LedgerError as exc:
                     return f"ledger backfill failed: {exc}"
                 result.backfilled += 1
@@ -917,9 +918,7 @@ class RecoveryCoordinator:
             yield from cell.cpu.use(cell.service_model.invoke_cpu)
             try:
                 entry = cell.ledger.admit(
-                    envelope,
-                    cycle=int(summary.get("cycle", 0)),
-                    contingency=bool(summary.get("contingency", False)),
+                    envelope, cycle=summary.cycle, contingency=summary.contingency
                 )
             except LedgerError as exc:
                 return f"ledger replay admission failed: {exc}"
@@ -935,22 +934,21 @@ class RecoveryCoordinator:
                 cell.ledger.mark_rejected(
                     outcome.tx_id, outcome.contract, outcome.error or ""
                 )
-            donor_status = summary.get("status")
+            donor_status = summary.status
             # A donor status of "admitted" is not a claim about execution:
             # the donor simply had not executed the entry yet when it
             # served the sync (the backfill phase fetches exactly such
             # entries).  Executing ahead of the donor is safe — execution
             # is deterministic in ledger order.
-            if donor_status not in (None, "admitted") and outcome.status != donor_status:
+            if donor_status != "admitted" and outcome.status != donor_status:
                 return (
                     f"replay of sequence {sequence} diverged: local status "
                     f"{outcome.status!r} vs donor {donor_status!r}"
                 )
-            donor_fingerprint = summary.get("fingerprint")
             if (
-                donor_fingerprint is not None
+                summary.fingerprint is not None
                 and outcome.ok
-                and "0x" + outcome.fingerprint.hex() != donor_fingerprint
+                and outcome.fingerprint != summary.fingerprint
             ):
                 # Not fatal: the donor executes entries as they clear its
                 # invoker pool, which under concurrent traffic is not
@@ -963,7 +961,7 @@ class RecoveryCoordinator:
         return None
 
     def _drop_admitted_suffix(
-        self, sequence: int, summary: dict[str, Any], result: RecoveryResult
+        self, sequence: int, summary: EntrySummary, result: RecoveryResult
     ) -> Optional[str]:
         """Roll back a local admitted-only suffix that diverged from the donor.
 
@@ -983,7 +981,7 @@ class RecoveryCoordinator:
                 local_tx = cell.ledger.entry_at(sequence).tx_id
                 return (
                     f"ledger divergence at sequence {sequence}: "
-                    f"local {local_tx} vs donor {summary.get('tx_id')} "
+                    f"local {local_tx} vs donor {summary.tx_id} "
                     f"with executed entries in the divergent suffix"
                 )
         result.truncated += cell.ledger.truncate(sequence - 1)

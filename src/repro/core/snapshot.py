@@ -75,6 +75,21 @@ class LazySnapshotExport(Mapping):
         return self._materialize()
 
 
+#: The exact JSON types of a snapshot's wire fields: nothing is coerced.
+_WIRE_TYPES: dict[str, tuple[type, ...]] = {
+    "cycle": (int,),
+    "taken_at": (int, float),
+    "cell_id": (str,),
+    "fingerprint": (str,),
+    "contract_fingerprints": (dict,),
+    "excluded_contracts": (list,),
+    "contract_types": (dict,),
+    "state_export": (dict,),
+    "first_sequence": (int,),
+    "last_sequence": (int,),
+}
+
+
 @dataclass(frozen=True)
 class DataSnapshot:
     """An immutable snapshot of a cell's bContract data for one cycle."""
@@ -139,10 +154,20 @@ class DataSnapshot:
         adopt a donor's snapshot under its own identity.
         """
         try:
+            for key in raw:
+                kinds = _WIRE_TYPES.get(key)
+                if kinds is not None and type(raw[key]) not in kinds:
+                    raise TypeError(f"{key} must be {' or '.join(k.__name__ for k in kinds)}")
+            types, states = raw.get("contract_types", {}), raw.get("state_export", {})
+            names = [*raw.get("excluded_contracts", []), *(types[name] for name in types)]
+            if not all(type(name) is str for name in names):
+                raise TypeError("contract names and type tags must be strings")
+            if not all(type(states[name]) is dict for name in states):
+                raise TypeError("a contract's exported state must be an object")
             return cls(
-                cycle=int(raw["cycle"]),
-                taken_at=float(raw["taken_at"]),
-                cell_id=cell_id if cell_id is not None else str(raw["cell_id"]),
+                cycle=raw["cycle"],
+                taken_at=raw["taken_at"],
+                cell_id=cell_id if cell_id is not None else raw["cell_id"],
                 contract_fingerprints={
                     name: bytes.fromhex(value[2:])
                     for name, value in sorted(raw["contract_fingerprints"].items())
@@ -151,8 +176,8 @@ class DataSnapshot:
                 contract_types=dict(raw.get("contract_types", {})),
                 fingerprint=bytes.fromhex(raw["fingerprint"][2:]),
                 state_export=dict(raw.get("state_export", {})),
-                first_sequence=int(raw.get("first_sequence", 0)),
-                last_sequence=int(raw.get("last_sequence", -1)),
+                first_sequence=raw.get("first_sequence", 0),
+                last_sequence=raw.get("last_sequence", -1),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SnapshotError(f"malformed snapshot wire form: {exc}") from exc

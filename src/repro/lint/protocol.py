@@ -14,8 +14,10 @@ statically over the whole tree:
   undeclared opcode is either dead protocol surface or a handler someone
   forgot to route; a doubly declared one has a row the dict silently drops.
 * ``PROTO002`` — the body of every ``Route(...)`` row must be ``None`` or a
-  class, defined in the scanned tree, that defines a ``from_data`` parser
-  — one parser per body, named in one place.
+  class, defined in the scanned tree, that can parse the data field: it
+  declares its wire fields under the codec base (``wire.Body`` derives
+  ``from_data`` from them) or defines ``from_data`` by hand — one parser
+  per body, named in one place.
 * ``PROTO003`` — inside message handlers (``_serve_*`` / ``_process_*`` /
   ``_accept_*`` / ``handle_*`` functions taking an ``Envelope``), the
   envelope's ``.data`` / ``.payload`` must not be consumed before
@@ -111,16 +113,47 @@ def _reply_only(source: SourceFile) -> list[str]:
     return []
 
 
+def _declares_wire_field(node: ast.ClassDef) -> bool:
+    """Whether the class body has a ``name: type = wire.<kind>(...)`` field."""
+    for item in node.body:
+        call = item.value if isinstance(item, ast.AnnAssign) else None
+        while isinstance(call, ast.Call):
+            call = call.func  # ``wire.list_of(wire.text)(default=())`` calls twice
+        if isinstance(call, ast.Attribute) and getattr(call.value, "id", None) == "wire":
+            return True
+    return False
+
+
 def _parser_classes(sources: Sequence[SourceFile]) -> set[str]:
-    """Names of the scanned classes that define a ``from_data`` parser."""
-    return {
-        node.name
+    """Names of the scanned classes that can parse a data field.
+
+    Either the class defines ``from_data`` itself, or it (or a base) declares
+    wire fields under the codec base ``wire.Body``, which derives the parser
+    from them (:mod:`repro.messages.wire`).
+    """
+    classes = {
+        node.name: node
         for source in sources
         for node in ast.walk(source.tree)
         if isinstance(node, ast.ClassDef)
-        for item in node.body
-        if isinstance(item, ast.FunctionDef) and item.name == "from_data"
     }
+
+    def lineage(node: ast.ClassDef) -> Iterator[ast.ClassDef]:
+        yield node
+        for base in node.bases:
+            parent = classes.get(getattr(base, "id", None) or getattr(base, "attr", ""))
+            if parent is not None and parent is not node:
+                yield from lineage(parent)
+
+    def parses(node: ast.ClassDef) -> bool:
+        if any(getattr(item, "name", None) == "from_data" for item in node.body):
+            return True  # written by hand
+        ancestry = list(lineage(node))
+        return any(cls.name == "Body" for cls in ancestry) and any(
+            _declares_wire_field(cls) for cls in ancestry
+        )
+
+    return {name for name, node in classes.items() if parses(node)}
 
 
 def _check_opcode_wiring(sources: Sequence[SourceFile]) -> Iterator[Finding]:
@@ -166,8 +199,8 @@ def _check_opcode_wiring(sources: Sequence[SourceFile]) -> Iterator[Finding]:
                 routes_source,
                 line,
                 "PROTO002",
-                f"the route of {name} names no class with a from_data parser "
-                f"in the scanned tree",
+                f"the route of {name} names no class with declared wire fields or a "
+                f"from_data parser in the scanned tree",
                 "point the row at the class that parses the opcode's data "
                 "field (None only for an opcode that carries none)",
                 f"route-body:{name}",

@@ -1,15 +1,24 @@
-"""The uniform RESTful message layer of Blockumulus (Section III-C2)."""
+"""The uniform RESTful message layer of Blockumulus (Section III-C2).
+
+Every message is an :class:`Envelope` — a :class:`Payload` tuple plus the
+sender's signature — whose data field ``D`` has an opcode-specific body.
+Each body class declares its wire fields once (:mod:`~repro.messages.wire`);
+the wire form, the bytes a signed statement covers and a strict parser are
+all derived from that declaration.
+"""
 
 from .batch import BatchError, ForwardBatch
 from .envelope import Envelope, EnvelopeError, NonceFactory
 from .evidence import EquivocationEvidence, EvidenceError, PartitionEvent
 from .membership import (
+    EntrySummary,
     ExclusionProposal,
     ExclusionVote,
     MembershipError,
     MembershipUpdate,
     RejoinAck,
     RejoinRequest,
+    SyncEntry,
     SyncRequest,
     SyncState,
 )
@@ -35,6 +44,7 @@ __all__ = [
     "CrossShardVoucherTransfer",
     "EcdsaSigner",
     "Envelope",
+    "EntrySummary",
     "EnvelopeError",
     "EquivocationEvidence",
     "EvidenceError",
@@ -52,6 +62,7 @@ __all__ = [
     "RejoinRequest",
     "SimulatedSigner",
     "Signer",
+    "SyncEntry",
     "SyncRequest",
     "SyncState",
     "verify_signature",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from . import wire
 from .envelope import Envelope, EnvelopeError
 
 
@@ -28,7 +29,7 @@ class BatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class ForwardBatch:
+class ForwardBatch(wire.Body, error=BatchError):
     """An ordered set of client envelopes forwarded in one message.
 
     The batch stores the *wire forms* of the client envelopes, which is
@@ -36,7 +37,7 @@ class ForwardBatch:
     client-signature verification stay per-transaction on the receiver.
     """
 
-    transactions: tuple[dict[str, Any], ...]
+    transactions: tuple[dict[str, Any], ...] = wire.list_of(wire.obj)()
 
     def __post_init__(self) -> None:
         if not self.transactions:
@@ -61,23 +62,9 @@ class ForwardBatch:
         except (EnvelopeError, TypeError) as exc:
             raise BatchError(f"malformed forwarded transaction: {exc}") from exc
 
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of a ``TX_FORWARD_BATCH`` envelope."""
-        return {"transactions": list(self.transactions)}
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "ForwardBatch":
-        """Rebuild a batch from an envelope's data field."""
-        transactions = raw.get("transactions")
-        if not isinstance(transactions, list) or not transactions:
-            raise BatchError("forward batch carries no transaction list")
-        if not all(isinstance(item, dict) for item in transactions):
-            raise BatchError("every forwarded transaction must be a wire-form object")
-        return cls(transactions=tuple(transactions))
-
 
 @dataclass(frozen=True)
-class ForwardedTransactions:
+class ForwardedTransactions(wire.Body, error=BatchError):
     """What a ``TX_FORWARD_BATCH`` delivers: its client envelopes, parsed.
 
     The receiving cell's view of a :class:`ForwardBatch` — every inner
@@ -85,21 +72,15 @@ class ForwardedTransactions:
     malformed item refuses the whole message at the ingress stage.
     """
 
-    client_envelopes: tuple[Envelope, ...]
+    client_envelopes: tuple[Envelope, ...] = wire.list_of(wire.nested(Envelope))("transactions")
 
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "ForwardedTransactions":
-        """Parse a batch envelope's data field down to its client envelopes."""
-        return cls(tuple(ForwardBatch.from_data(raw).envelopes()))
+    def __post_init__(self) -> None:
+        if not self.client_envelopes:
+            raise BatchError("a forward batch must carry at least one transaction")
 
 
+@dataclass(frozen=True)
 class SingleForward(ForwardedTransactions):
     """What a per-transaction ``TX_FORWARD`` delivers: a batch of one."""
 
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "SingleForward":
-        """Parse the one client envelope a singleton forward carries."""
-        wire = raw.get("client_envelope")
-        if not isinstance(wire, dict):
-            raise BatchError("forward carries no client envelope")
-        return cls(tuple(ForwardBatch(transactions=(wire,)).envelopes()))
+    client_envelopes: tuple[Envelope, ...] = wire.single(wire.nested(Envelope))("client_envelope")

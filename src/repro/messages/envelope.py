@@ -16,7 +16,7 @@ from ..crypto.keys import Address
 from ..encoding import canonical_json
 from ..encoding.hexutil import strip_0x
 from .opcodes import Opcode
-from .payload import Payload, PayloadError
+from .payload import Payload
 from .signer import Signer, verify_signature
 
 
@@ -136,15 +136,15 @@ class Envelope:
     @classmethod
     def from_wire(cls, raw: dict[str, Any] | bytes | str) -> "Envelope":
         """Parse an envelope from its wire form, verifying structure only."""
-        if isinstance(raw, (bytes, str)):
-            raw = canonical_json.loads(raw)
         try:
+            if isinstance(raw, (bytes, str)):
+                raw = canonical_json.loads(raw)
             payload = Payload.from_dict(raw["payload"])
             signature = bytes.fromhex(strip_0x(raw["signature"]))
             scheme = raw.get("scheme", "ecdsa")
             if not isinstance(scheme, str):
                 raise TypeError("scheme must be a string")
-        except (KeyError, TypeError, AttributeError, ValueError, PayloadError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise EnvelopeError(f"malformed envelope: {exc}") from exc
         return cls(payload=payload, signature=signature, scheme=scheme)
 

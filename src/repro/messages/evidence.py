@@ -22,11 +22,11 @@ plain data fields, exactly like the vote certificates of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-from ..core.receipts import Confirmation, ReceiptError
+from ..core.receipts import Confirmation
 from ..crypto.keys import Address
-from .signer import SignedStatement, Signer, verify_signature
+from . import wire
+from .signer import SignedStatement, Signer
 
 
 class EvidenceError(ValueError):
@@ -34,7 +34,7 @@ class EvidenceError(ValueError):
 
 
 @dataclass(frozen=True)
-class EquivocationEvidence:
+class EquivocationEvidence(wire.Body, error=EvidenceError):
     """Two same-cell, same-transaction confirmations that contradict.
 
     The canonical proof that a cell signed *different* payloads for the
@@ -42,8 +42,8 @@ class EquivocationEvidence:
     fault of :mod:`repro.core.faults`.
     """
 
-    first: Confirmation
-    second: Confirmation
+    first: Confirmation = wire.nested(Confirmation)()
+    second: Confirmation = wire.nested(Confirmation)()
 
     def cell(self) -> Address:
         """The accused cell (both confirmations must name it)."""
@@ -70,37 +70,24 @@ class EquivocationEvidence:
             or self.first.error != self.second.error
         )
 
-    def to_data(self) -> dict[str, Any]:
-        """JSON-serializable form (embedded in membership/audit payloads)."""
-        return {
-            "first": self.first.to_wire(),
-            "second": self.second.to_wire(),
-        }
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "EquivocationEvidence":
-        """Inverse of :meth:`to_data` (shape-validates, see :meth:`verify`)."""
-        try:
-            return cls(
-                first=Confirmation.from_wire(raw["first"]),
-                second=Confirmation.from_wire(raw["second"]),
-            )
-        except (KeyError, TypeError, ReceiptError) as exc:
-            raise EvidenceError(f"malformed equivocation evidence: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class PartitionEvent(SignedStatement):
+class PartitionEvent(SignedStatement, error=EvidenceError):
     """One cell's signed observation of a network cut (or its healing)."""
 
-    observer: Address
-    #: Node names observed on the unreachable side of the cut.
-    members: tuple[str, ...]
-    action: str  # "cut" | "heal"
-    at: float
+    SIGNER = "observer"
+
+    observer: Address = wire.address()
+    #: Node names observed on the unreachable side of the cut, sorted: the
+    #: signature covers the member *set*.
+    members: tuple[str, ...] = wire.list_of(wire.text)()
+    action: str = wire.text()  # "cut" | "heal"
+    at: float = wire.seconds()
     #: When the observer saw the cut heal; the sentinel ``-1.0`` means
-    #: unknown (pre-extension events carry no ``healed_at`` on the wire).
-    healed_at: float = -1.0
+    #: unknown (pre-extension events carry no ``healed_at`` on the wire —
+    #: but the field *is* signed, so an event that carried one cannot have
+    #: it stripped or altered and still verify).
+    healed_at: float = wire.seconds(default=-1.0)
 
     ACTIONS = ("cut", "heal")
 
@@ -123,58 +110,6 @@ class PartitionEvent(SignedStatement):
         healed_at: float = -1.0,
     ) -> "PartitionEvent":
         """Build and sign an event on behalf of ``signer``."""
-        return cls(
-            observer=signer.address,
-            members=tuple(members),
-            action=action,
-            at=at,
-            signature=b"",
-            scheme=signer.scheme,
-            healed_at=healed_at,
-        )._signed_by(signer)
-
-    def _signed_fields(self) -> dict[str, Any]:
-        return {
-            "observer": self.observer.hex(),
-            "members": sorted(self.members),
-            "action": self.action,
-            "at": round(float(self.at), 6),
-            "healed_at": round(float(self.healed_at), 6),
-        }
-
-    def verify(self) -> bool:
-        """Check the observer's signature over the event body."""
-        return verify_signature(self.scheme, self.observer, self.body(), self.signature)
-
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-serializable form."""
-        return {
-            "observer": self.observer.hex(),
-            "members": list(self.members),
-            "action": self.action,
-            "at": round(float(self.at), 6),
-            "healed_at": round(float(self.healed_at), 6),
-            "signature": "0x" + self.signature.hex(),
-            "scheme": self.scheme,
-        }
-
-    @classmethod
-    def from_wire(cls, raw: dict[str, Any]) -> "PartitionEvent":
-        """Inverse of :meth:`to_wire`.
-
-        Tolerates pre-extension wire forms without ``healed_at`` (the
-        unknown sentinel) — but the field *is* signed, so an event that
-        carried one cannot have it stripped or altered and still verify.
-        """
-        try:
-            return cls(
-                observer=Address.from_hex(raw["observer"]),
-                members=tuple(raw["members"]),
-                action=raw["action"],
-                at=float(raw["at"]),
-                healed_at=float(raw.get("healed_at", -1.0)),
-                signature=cls.signature_from_wire(raw),
-                scheme=raw.get("scheme", "ecdsa"),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise EvidenceError(f"malformed partition event: {exc}") from exc
+        return cls._signed(
+            signer, members=tuple(sorted(members)), action=action, at=at, healed_at=healed_at
+        )

@@ -22,121 +22,54 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..crypto.keys import Address
-from .signer import SignedStatement, Signer, verify_signature
+from . import wire
+from .signer import SignedStatement, Signer
 
 
 class MembershipError(ValueError):
     """Raised for malformed membership or resync message bodies."""
 
 
-def _address(raw: Any, what: str) -> Address:
-    """Parse a hex address field, mapping failures to MembershipError."""
-    try:
-        return Address.from_hex(raw)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise MembershipError(f"malformed {what} address: {raw!r}") from exc
-
-
 @dataclass(frozen=True)
-class ExclusionProposal:
+class ExclusionProposal(wire.Body, error=MembershipError):
     """A cell's claim that ``suspect`` stopped meeting its deadlines.
 
     Carried in the data field of a ``CELL_EXCLUDE`` envelope; the outer
     envelope signature identifies the proposer.
     """
 
-    suspect: Address
-    cycle: int
-    reason: str
-
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of a ``CELL_EXCLUDE`` envelope."""
-        return {"suspect": self.suspect.hex(), "cycle": self.cycle, "reason": self.reason}
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "ExclusionProposal":
-        """Rebuild a proposal from an envelope's data field."""
-        try:
-            return cls(
-                suspect=_address(raw["suspect"], "suspect"),
-                cycle=int(raw["cycle"]),
-                reason=str(raw.get("reason", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MembershipError(f"malformed exclusion proposal: {exc}") from exc
+    suspect: Address = wire.address()
+    cycle: int = wire.integer()
+    reason: str = wire.text(default="")
 
 
 @dataclass(frozen=True)
-class ExclusionVote(SignedStatement):
+class ExclusionVote(SignedStatement, error=MembershipError):
     """One cell's signed verdict on an exclusion proposal.
 
     ``agree`` is True when the voter's own liveness probe of the suspect
     timed out (or the voter had already excluded the suspect itself).
     """
 
-    voter: Address
-    suspect: Address
-    cycle: int
-    agree: bool
-
     KIND = "exclusion_vote"
+    SIGNER = "voter"
+    DATA_KEY = "vote"  # alone in a ``CELL_EXCLUDE_VOTE`` envelope
+
+    voter: Address = wire.address()
+    suspect: Address = wire.address()
+    cycle: int = wire.integer()
+    agree: bool = wire.flag()
 
     @classmethod
     def create(
         cls, signer: Signer, suspect: Address, cycle: int, agree: bool
     ) -> "ExclusionVote":
         """Build and sign a vote on behalf of ``signer``."""
-        return cls(
-            voter=signer.address,
-            suspect=suspect,
-            cycle=cycle,
-            agree=agree,
-            signature=b"",
-            scheme=signer.scheme,
-        )._signed_by(signer)
-
-    def _signed_fields(self) -> dict[str, Any]:
-        return {
-            "voter": self.voter.hex(),
-            "suspect": self.suspect.hex(),
-            "cycle": self.cycle,
-            "agree": self.agree,
-        }
-
-    def verify(self) -> bool:
-        """Check the voter's signature over the vote body."""
-        return verify_signature(self.scheme, self.voter, self.body(), self.signature)
-
-    @classmethod
-    def from_wire(cls, raw: dict[str, Any]) -> "ExclusionVote":
-        """Parse a vote from its wire form."""
-        try:
-            return cls(
-                voter=_address(raw["voter"], "voter"),
-                suspect=_address(raw["suspect"], "suspect"),
-                cycle=int(raw["cycle"]),
-                agree=bool(raw["agree"]),
-                signature=cls.signature_from_wire(raw),
-                scheme=raw.get("scheme", "ecdsa"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MembershipError(f"malformed exclusion vote: {exc}") from exc
-
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of a ``CELL_EXCLUDE_VOTE`` envelope."""
-        return {"vote": self.to_wire()}
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "ExclusionVote":
-        """Rebuild a vote from an envelope's data field."""
-        vote = raw.get("vote")
-        if not isinstance(vote, dict):
-            raise MembershipError("exclusion-vote envelope carries no vote object")
-        return cls.from_wire(vote)
+        return cls._signed(signer, suspect=suspect, cycle=cycle, agree=agree)
 
 
 @dataclass(frozen=True)
-class RejoinRequest:
+class RejoinRequest(wire.Body, error=MembershipError):
     """A recovered cell's request to re-enter the confirmation quorum.
 
     ``fingerprint_hex`` is the combined fingerprint of the rejoiner's
@@ -149,39 +82,15 @@ class RejoinRequest:
     a later exclusion (receivers reject updates older than the exclusion).
     """
 
-    cell: Address
-    cycle: int
-    basis_cycle: int
-    last_sequence: int
-    fingerprint_hex: str
-
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of a ``CELL_REJOIN`` envelope."""
-        return {
-            "cell": self.cell.hex(),
-            "cycle": self.cycle,
-            "basis_cycle": self.basis_cycle,
-            "last_sequence": self.last_sequence,
-            "fingerprint": self.fingerprint_hex,
-        }
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "RejoinRequest":
-        """Rebuild a rejoin request from an envelope's data field."""
-        try:
-            return cls(
-                cell=_address(raw["cell"], "cell"),
-                cycle=int(raw["cycle"]),
-                basis_cycle=int(raw["basis_cycle"]),
-                last_sequence=int(raw["last_sequence"]),
-                fingerprint_hex=str(raw["fingerprint"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MembershipError(f"malformed rejoin request: {exc}") from exc
+    cell: Address = wire.address()
+    cycle: int = wire.integer()
+    basis_cycle: int = wire.integer()
+    last_sequence: int = wire.integer()
+    fingerprint_hex: str = wire.text("fingerprint")
 
 
 @dataclass(frozen=True)
-class RejoinAck(SignedStatement):
+class RejoinAck(SignedStatement, error=MembershipError):
     """A live cell's signed verdict on a rejoin request.
 
     ``agree`` is True when the rejoiner's claimed state fingerprint matched
@@ -195,16 +104,18 @@ class RejoinAck(SignedStatement):
     backfilled after readmission before the cell anchors fingerprints.
     """
 
-    voter: Address
-    rejoiner: Address
-    cycle: int
-    fingerprint_hex: str
-    agree: bool
+    KIND = "rejoin_ack"
+    SIGNER = "voter"
+    DATA_KEY = "ack"  # alone in a ``CELL_REJOIN_ACK`` envelope
+
+    voter: Address = wire.address()
+    rejoiner: Address = wire.address()
+    cycle: int = wire.integer()
+    fingerprint_hex: str = wire.text("fingerprint")
+    agree: bool = wire.flag()
     #: The voter's ledger length when it checked the request (-1 for acks
     #: from peers that predate the in-flight-aware handshake).
-    admitted_head: int = -1
-
-    KIND = "rejoin_ack"
+    admitted_head: int = wire.integer(default=-1)
 
     @classmethod
     def create(
@@ -217,63 +128,14 @@ class RejoinAck(SignedStatement):
         admitted_head: int = -1,
     ) -> "RejoinAck":
         """Build and sign an ack on behalf of ``signer``."""
-        return cls(
-            voter=signer.address,
-            rejoiner=rejoiner,
-            cycle=cycle,
-            fingerprint_hex=fingerprint_hex,
-            agree=agree,
-            signature=b"",
-            scheme=signer.scheme,
-            admitted_head=admitted_head,
-        )._signed_by(signer)
-
-    def _signed_fields(self) -> dict[str, Any]:
-        return {
-            "voter": self.voter.hex(),
-            "rejoiner": self.rejoiner.hex(),
-            "cycle": self.cycle,
-            "fingerprint": self.fingerprint_hex,
-            "agree": self.agree,
-            "admitted_head": self.admitted_head,
-        }
-
-    def verify(self) -> bool:
-        """Check the voter's signature over the ack body."""
-        return verify_signature(self.scheme, self.voter, self.body(), self.signature)
-
-    @classmethod
-    def from_wire(cls, raw: dict[str, Any]) -> "RejoinAck":
-        """Parse an ack from its wire form."""
-        try:
-            return cls(
-                voter=_address(raw["voter"], "voter"),
-                rejoiner=_address(raw["rejoiner"], "rejoiner"),
-                cycle=int(raw["cycle"]),
-                fingerprint_hex=str(raw["fingerprint"]),
-                agree=bool(raw["agree"]),
-                signature=cls.signature_from_wire(raw),
-                scheme=raw.get("scheme", "ecdsa"),
-                admitted_head=int(raw.get("admitted_head", -1)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MembershipError(f"malformed rejoin ack: {exc}") from exc
-
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of a ``CELL_REJOIN_ACK`` envelope."""
-        return {"ack": self.to_wire()}
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "RejoinAck":
-        """Rebuild an ack from an envelope's data field."""
-        ack = raw.get("ack")
-        if not isinstance(ack, dict):
-            raise MembershipError("rejoin-ack envelope carries no ack object")
-        return cls.from_wire(ack)
+        return cls._signed(
+            signer, rejoiner=rejoiner, cycle=cycle, fingerprint_hex=fingerprint_hex,
+            agree=agree, admitted_head=admitted_head,
+        )
 
 
 @dataclass(frozen=True)
-class MembershipUpdate:
+class MembershipUpdate(wire.Body, error=MembershipError):
     """A quorum-backed membership change, broadcast consortium-wide.
 
     ``action`` is ``"exclude"`` (evidence: agreeing :class:`ExclusionVote`
@@ -283,11 +145,11 @@ class MembershipUpdate:
     as trustworthy as the evidence it carries.
     """
 
-    action: str                      # "exclude" | "readmit"
-    subject: Address
-    cycle: int
-    votes: tuple[ExclusionVote, ...] = ()
-    acks: tuple[RejoinAck, ...] = ()
+    action: str = wire.text()         # "exclude" | "readmit"
+    subject: Address = wire.address()
+    cycle: int = wire.integer()
+    votes: tuple[ExclusionVote, ...] = wire.list_of(wire.nested(ExclusionVote))(default=())
+    acks: tuple[RejoinAck, ...] = wire.list_of(wire.nested(RejoinAck))(default=())
 
     def __post_init__(self) -> None:
         if self.action not in ("exclude", "readmit"):
@@ -296,32 +158,6 @@ class MembershipUpdate:
             raise MembershipError("an exclusion update must carry votes")
         if self.action == "readmit" and not self.acks:
             raise MembershipError("a readmission update must carry acks")
-
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of a ``MEMBERSHIP_UPDATE`` envelope."""
-        return {
-            "action": self.action,
-            "subject": self.subject.hex(),
-            "cycle": self.cycle,
-            "votes": [vote.to_wire() for vote in self.votes],
-            "acks": [ack.to_wire() for ack in self.acks],
-        }
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "MembershipUpdate":
-        """Rebuild an update from an envelope's data field."""
-        try:
-            return cls(
-                action=str(raw["action"]),
-                subject=_address(raw["subject"], "subject"),
-                cycle=int(raw["cycle"]),
-                votes=tuple(
-                    ExclusionVote.from_wire(item) for item in raw.get("votes", [])
-                ),
-                acks=tuple(RejoinAck.from_wire(item) for item in raw.get("acks", [])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MembershipError(f"malformed membership update: {exc}") from exc
 
     def verified_supporters(self) -> set[Address]:
         """Distinct voters whose *agreeing* evidence carries a valid signature.
@@ -354,7 +190,7 @@ class MembershipUpdate:
 
 
 @dataclass(frozen=True)
-class SyncRequest:
+class SyncRequest(wire.Body, error=MembershipError):
     """A recovering cell's request for a snapshot plus the ledger tail.
 
     ``since_sequence`` is the first ledger sequence number the requester is
@@ -365,28 +201,46 @@ class SyncRequest:
     which is what keeps retry and backfill traffic bounded under load.
     """
 
-    since_sequence: int
-    delta_only: bool = False
-
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of a ``CELL_SYNC`` envelope."""
-        return {"since_sequence": self.since_sequence, "delta_only": self.delta_only}
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "SyncRequest":
-        """Rebuild a sync request from an envelope's data field."""
-        try:
-            since = int(raw["since_sequence"])
-            delta_only = bool(raw.get("delta_only", False))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MembershipError(f"malformed sync request: {exc}") from exc
-        if since < 0:
-            raise MembershipError("since_sequence cannot be negative")
-        return cls(since_sequence=since, delta_only=delta_only)
+    since_sequence: int = wire.natural()
+    delta_only: bool = wire.flag(default=False)
 
 
 @dataclass(frozen=True)
-class SyncState:
+class EntrySummary(wire.Body, error=MembershipError):
+    """What a cell recorded about one ledger entry, without the envelope.
+
+    The compact form audits, resync bundles and logs carry
+    (``LedgerEntry.summary``): where the entry sits, what execution
+    decided, and the per-entry execution fingerprint.
+    """
+
+    sequence: int = wire.natural()
+    tx_id: str = wire.text()
+    cycle: int = wire.integer()
+    admitted_at: float = wire.number()
+    status: str = wire.text()          # admitted | executed | rejected
+    contract: Optional[str] = wire.optional(wire.text)()
+    error: Optional[str] = wire.optional(wire.text)()
+    contingency: bool = wire.flag()
+    fingerprint: Optional[bytes] = wire.optional(wire.digest)()
+
+
+@dataclass(frozen=True)
+class SyncEntry(wire.Body, error=MembershipError):
+    """One ledger entry of a resync bundle.
+
+    The donor's summary, the signed client envelope in wire form (parsed
+    and verified by the replay, which skips what it already holds) and the
+    recorded result.
+    """
+
+    summary: EntrySummary = wire.nested(EntrySummary)()
+    envelope: dict[str, Any] = wire.obj()
+    result: Any = wire.anything(default=None)
+
+
+@dataclass(frozen=True)
+class SyncState(wire.Body, error=MembershipError):
     """A donor cell's resync bundle: snapshot + post-snapshot ledger tail.
 
     ``snapshot`` is the donor's latest data snapshot in wire form (None if
@@ -402,46 +256,8 @@ class SyncState:
     already shipped (-1 from donors predating the field).
     """
 
-    donor: Address
-    snapshot: Optional[dict[str, Any]]
-    entries: tuple[dict[str, Any], ...]
-    excluded: tuple[str, ...] = ()
-    head: int = -1
-
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of a ``CELL_SYNC_STATE`` envelope."""
-        return {
-            "donor": self.donor.hex(),
-            "snapshot": self.snapshot,
-            "entries": list(self.entries),
-            "excluded": list(self.excluded),
-            "head": self.head,
-        }
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "SyncState":
-        """Rebuild a sync bundle from an envelope's data field."""
-        snapshot = raw.get("snapshot")
-        if snapshot is not None and not isinstance(snapshot, dict):
-            raise MembershipError("sync snapshot must be an object or null")
-        entries = raw.get("entries")
-        if not isinstance(entries, list) or not all(
-            isinstance(item, dict) for item in entries
-        ):
-            raise MembershipError("sync entries must be a list of objects")
-        excluded = raw.get("excluded", [])
-        if not isinstance(excluded, list) or not all(
-            isinstance(item, str) for item in excluded
-        ):
-            raise MembershipError("sync excluded view must be a list of hex addresses")
-        try:
-            head = int(raw.get("head", -1))
-        except (TypeError, ValueError) as exc:
-            raise MembershipError(f"malformed sync head: {exc}") from exc
-        return cls(
-            donor=_address(raw.get("donor"), "donor"),
-            snapshot=snapshot,
-            entries=tuple(entries),
-            excluded=tuple(excluded),
-            head=head,
-        )
+    donor: Address = wire.address()
+    snapshot: Optional[dict[str, Any]] = wire.optional(wire.obj)()
+    entries: tuple[SyncEntry, ...] = wire.list_of(wire.nested(SyncEntry))()
+    excluded: tuple[str, ...] = wire.list_of(wire.text)(default=())
+    head: int = wire.integer(default=-1)

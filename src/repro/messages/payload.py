@@ -20,6 +20,10 @@ class PayloadError(ValueError):
     """Raised when a payload is malformed."""
 
 
+#: Seconds past which a float no longer holds the microsecond it is rounded to.
+_HORIZON = 2.0**53 / 1e6
+
+
 @dataclass(frozen=True)
 class Payload:
     """The signed portion of every Blockumulus message.
@@ -48,8 +52,12 @@ class Payload:
             raise PayloadError("sender and recipient must be Address instances")
         if not isinstance(self.operation, Opcode):
             raise PayloadError("operation must be an Opcode")
-        if not self.nonce:
-            raise PayloadError("payload nonce must be non-empty")
+        if type(self.nonce) is not str or not self.nonce:
+            raise PayloadError("payload nonce must be a non-empty string")
+        if self.reply_to is not None and type(self.reply_to) is not str:
+            raise PayloadError("payload reply_to must be a string or None")
+        if type(self.timestamp) not in (int, float) or not -_HORIZON < self.timestamp < _HORIZON:
+            raise PayloadError("payload timestamp must be a finite number of seconds")
         if not isinstance(self.data, dict):
             raise PayloadError("payload data must be a dict")
         # Quantize the timestamp to the wire precision (microseconds) so the
@@ -102,16 +110,23 @@ class Payload:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "Payload":
-        """Rebuild a payload from its plain-dict form."""
+        """Rebuild a payload from its plain-dict form, coercing nothing.
+
+        The field types are checked where every payload is (``__post_init__``);
+        a hex field that is not a string fails inside ``Address.from_hex``.
+        """
         try:
+            data = raw.get("data", {})
+            if type(data) is not dict:
+                raise TypeError("data must be an object")
             return cls(
                 sender=Address.from_hex(raw["sender"]),
                 recipient=Address.from_hex(raw["recipient"]),
                 operation=Opcode(raw["operation"]),
                 nonce=raw["nonce"],
                 reply_to=raw.get("reply_to"),
-                timestamp=float(raw["timestamp"]),
-                data=dict(raw.get("data", {})),
+                timestamp=raw["timestamp"],
+                data=dict(data),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise PayloadError(f"malformed payload: {exc}") from exc

@@ -5,9 +5,10 @@ sub-structures and have body classes of their own
 (:mod:`~repro.messages.batch`, :mod:`~repro.messages.membership`,
 :mod:`~repro.messages.xshard`).  The opcodes here carry only names,
 arguments, and cycle numbers — but a cell still reads them off the wire
-from arbitrary senders, so each gets the same ``from_data`` parser shape:
-a typed body or a :class:`RequestError`, never a stray ``TypeError`` out
-of a handler.
+from arbitrary senders, so each gets the same ``from_data`` parser shape
+(derived from its declared fields, or ``named_call`` for the two calls
+into a bContract): a typed body or a :class:`RequestError`, never a stray
+``TypeError`` out of a handler.
 """
 
 from __future__ import annotations
@@ -15,16 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from . import wire
+
 
 class RequestError(ValueError):
     """Raised for a malformed request body."""
-
-
-def _cycle(raw: Any, what: str) -> int:
-    """A report-cycle number: a non-negative integer (``True`` is not one)."""
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
-        raise RequestError(f"{what} must be a non-negative integer, not {raw!r}")
-    return raw
 
 
 def named_call(
@@ -70,60 +66,39 @@ class StateQuery:
 
 
 @dataclass(frozen=True)
-class SubscriptionRequest:
+class SubscriptionRequest(wire.Body, error=RequestError):
     """The data field D of a ``SUBSCRIBE`` envelope."""
 
-    plan: str = "standard"
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "SubscriptionRequest":
-        """Parse a subscription request (the plan name is optional)."""
-        plan = raw.get("plan", "standard")
-        if not isinstance(plan, str):
-            raise RequestError(f"subscription plan must be a name, not {plan!r}")
-        return cls(plan=plan)
+    plan: str = wire.text(default="standard")
 
 
 @dataclass(frozen=True)
-class SnapshotRequest:
+class SnapshotRequest(wire.Body, error=RequestError):
     """The data field D of a ``SNAPSHOT_REQUEST``: a cycle, or the latest one."""
 
-    cycle: Optional[int] = None
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "SnapshotRequest":
-        """Parse the requested snapshot cycle (absent or null: the latest)."""
-        cycle = raw.get("cycle")
-        return cls(cycle=None if cycle is None else _cycle(cycle, "cycle"))
+    #: Absent or null: the latest snapshot.
+    cycle: Optional[int] = wire.optional(wire.natural)(default=None)
 
 
 @dataclass(frozen=True)
-class LedgerRequest:
+class LedgerRequest(wire.Body, error=RequestError):
     """The data field D of a ``LEDGER_REQUEST``: an inclusive cycle range."""
 
-    first_cycle: int = 0
-    last_cycle: int = 0
+    first_cycle: int = wire.natural(default=0)
+    #: Absent: ``first_cycle``, a range of one cycle.
+    last_cycle: int = wire.natural(default=None)
 
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "LedgerRequest":
-        """Parse the cycle range (``last_cycle`` defaults to ``first_cycle``)."""
-        first = _cycle(raw.get("first_cycle", 0), "first_cycle")
-        last = _cycle(raw.get("last_cycle", first), "last_cycle")
-        if last < first:
-            raise RequestError(f"last_cycle {last} precedes first_cycle {first}")
-        return cls(first_cycle=first, last_cycle=last)
+    def __post_init__(self) -> None:
+        if self.last_cycle is None:
+            object.__setattr__(self, "last_cycle", self.first_cycle)
+        if self.last_cycle < self.first_cycle:
+            raise RequestError(
+                f"last_cycle {self.last_cycle} precedes first_cycle {self.first_cycle}"
+            )
 
 
 @dataclass(frozen=True)
-class Pong:
+class Pong(wire.Body, error=RequestError):
     """The data field D of a ``PONG``: the answering cell's node name."""
 
-    node: str
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "Pong":
-        """Parse a liveness answer."""
-        node = raw.get("node")
-        if not isinstance(node, str):
-            raise RequestError(f"pong must name the answering node, not {node!r}")
-        return cls(node=node)
+    node: str = wire.text()

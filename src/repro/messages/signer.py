@@ -20,18 +20,23 @@ a 65-byte signature):
   remain meaningful.
 
 This substitution is documented in DESIGN.md (section "Substitutions").
+
+:class:`SignedStatement` is the base of everything that is signed *inside*
+a message (confirmations, votes, acks, vouchers): which fields a signature
+covers is the statement's field declaration (:mod:`~repro.messages.wire`),
+so the signed bytes, the wire form and the parser cannot disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Optional, Protocol, TypeVar
+from typing import Any, ClassVar, Optional, Protocol, Self
 
 from ..crypto.ecdsa import Signature, SignatureError
 from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address, PrivateKey, recover_address
 from ..encoding import canonical_json
-from ..encoding.hexutil import strip_0x
+from . import wire
 
 
 class Signer(Protocol):
@@ -131,14 +136,11 @@ class SimulatedSigner:
         _VERIFIED_ECDSA.clear()
 
 
-_S = TypeVar("_S", bound="SignedStatement")
-
-
 @dataclass(frozen=True)
-class SignedStatement:
+class SignedStatement(wire.Body):
     """Base of the individually signed statements (confirmations, votes…).
 
-    A statement names its signed fields once (:meth:`_signed_fields`).  The
+    A statement names its signed fields once (:class:`~.wire.Kind`).  The
     signer keeps the bytes it signed on the instance, so verifying that same
     object costs no second encode; a parsed statement is verified once by
     its receiver and encodes for it without keeping anything.  The bytes
@@ -149,57 +151,43 @@ class SignedStatement:
 
     #: Domain tag mixed into the signed bytes (not into the wire form).
     KIND: ClassVar[Optional[str]] = None
+    #: The field naming who signed; ``create`` fills it from its signer.
+    SIGNER: ClassVar[str]
+    _DERIVED = wire.Body._DERIVED + ("verify",)
 
-    signature: bytes = field(kw_only=True)
-    scheme: str = field(default="ecdsa", kw_only=True)
+    signature: bytes = wire.signature(signed=False, kw_only=True)
+    scheme: str = wire.text(signed=False, default="ecdsa", kw_only=True)
     _body: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
-
-    def _signed_fields(self) -> dict[str, Any]:
-        """The fields the signature covers, under their wire names."""
-        raise NotImplementedError
 
     def body(self) -> bytes:
         """The canonical bytes that get signed."""
         if self._body is not None:
             return self._body
-        fields = self._signed_fields()
+        fields = wire.encode(self, signed_only=True)
         if self.KIND is not None:
             fields["kind"] = self.KIND
         return canonical_json.dump_bytes(fields)
 
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-serializable form: the signed fields plus the signature."""
-        return {
-            **self._signed_fields(),
-            "signature": "0x" + self.signature.hex(),
-            "scheme": self.scheme,
-        }
+    def verify(self) -> bool:
+        """Check the signer's signature over the statement body."""
+        return verify_signature(
+            self.scheme, getattr(self, self.SIGNER), self.body(), self.signature
+        )
 
-    @staticmethod
-    def signature_from_wire(raw: dict[str, Any]) -> bytes:
-        """The signature of a wire form: hex, ``0x`` optional, exactly 65 bytes.
+    @classmethod
+    def _signed(cls, signer: Signer, **fields: Any) -> Self:
+        """Build a statement of ``fields`` on behalf of ``signer`` and sign it.
 
-        Raises ``KeyError``/``ValueError``; each statement's ``from_wire``
-        maps them to its own typed error.
+        For the ``create`` factories: the instance has not escaped yet, so
+        filling in its signature breaks nobody's frozen view.
         """
-        text = raw["signature"]
-        if not isinstance(text, str):
-            raise ValueError("signature must be a hex string")
-        signature = bytes.fromhex(strip_0x(text))
-        if len(signature) != 65:
-            raise ValueError("signature must be exactly 65 bytes")
-        return signature
-
-    def _signed_by(self: _S, signer: Signer) -> _S:
-        """Sign a statement just built with an empty signature.
-
-        For the ``create`` factories only: the instance has not escaped
-        yet, so filling in its signature breaks nobody's frozen view.
-        """
-        body = self.body()
-        object.__setattr__(self, "_body", body)
-        object.__setattr__(self, "signature", signer.sign(body))
-        return self
+        statement = cls(
+            **{cls.SIGNER: signer.address}, **fields, signature=b"", scheme=signer.scheme
+        )
+        body = statement.body()
+        object.__setattr__(statement, "_body", body)
+        object.__setattr__(statement, "signature", signer.sign(body))
+        return statement
 
 
 #: Successful ECDSA checks, oldest first: ``(address, message, signature)``.

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from ..crypto.keys import Address
-from .signer import SignedStatement, Signer, verify_signature
+from . import wire
+from .signer import SignedStatement, Signer
 
 
 class CrossShardError(ValueError):
@@ -53,16 +54,8 @@ class CrossShardError(ValueError):
 PHASES = ("prepare", "commit", "abort")
 
 
-def _address(raw: Any, what: str) -> Address:
-    """Parse a hex address field, mapping failures to CrossShardError."""
-    try:
-        return Address.from_hex(raw)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise CrossShardError(f"malformed {what} address: {raw!r}") from exc
-
-
 @dataclass(frozen=True)
-class CrossShardPrepare:
+class CrossShardPrepare(wire.Body, error=CrossShardError, what="cross-shard prepare"):
     """Phase-1 request to one participant group's gateway cell.
 
     ``transaction`` is the wire form of the inner client-signed
@@ -71,10 +64,10 @@ class CrossShardPrepare:
     like a directly submitted transaction.
     """
 
-    xtx: str
-    group: int
-    participants: tuple[int, ...]
-    transaction: dict[str, Any]
+    xtx: str = wire.text()
+    group: int = wire.integer()
+    participants: tuple[int, ...] = wire.list_of(wire.integer)()
+    transaction: dict[str, Any] = wire.obj()
 
     def __post_init__(self) -> None:
         if not self.xtx:
@@ -84,34 +77,9 @@ class CrossShardPrepare:
         if self.group not in self.participants:
             raise CrossShardError("the addressed group must be a participant")
 
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of an ``XSHARD_PREPARE`` envelope."""
-        return {
-            "xtx": self.xtx,
-            "group": self.group,
-            "participants": list(self.participants),
-            "transaction": self.transaction,
-        }
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "CrossShardPrepare":
-        """Rebuild a prepare request from an envelope's data field."""
-        try:
-            transaction = raw["transaction"]
-            if not isinstance(transaction, dict):
-                raise TypeError("transaction must be an envelope object")
-            return cls(
-                xtx=str(raw["xtx"]),
-                group=int(raw["group"]),
-                participants=tuple(int(g) for g in raw["participants"]),
-                transaction=transaction,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CrossShardError(f"malformed cross-shard prepare: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class CrossShardVote(SignedStatement):
+class CrossShardVote(SignedStatement, error=CrossShardError, what="cross-shard vote"):
     """A gateway cell's signed verdict on one phase of a cross-shard tx.
 
     For the prepare phase, ``ok=True`` means this group executed and
@@ -123,14 +91,16 @@ class CrossShardVote(SignedStatement):
     as acknowledgements.
     """
 
-    voter: Address
-    xtx: str
-    group: int
-    participants: tuple[int, ...]
-    phase: str
-    ok: bool
-
     KIND = "xshard_vote"
+    SIGNER = "voter"
+    DATA_KEY = "vote"  # in an ``XSHARD_VOTE`` reply envelope
+
+    voter: Address = wire.address()
+    xtx: str = wire.text()
+    group: int = wire.integer()
+    participants: tuple[int, ...] = wire.list_of(wire.integer)()
+    phase: str = wire.text()
+    ok: bool = wire.flag()
 
     def __post_init__(self) -> None:
         if self.phase not in PHASES:
@@ -142,69 +112,24 @@ class CrossShardVote(SignedStatement):
         phase: str, ok: bool,
     ) -> "CrossShardVote":
         """Build and sign a vote on behalf of ``signer``."""
-        return cls(
-            voter=signer.address,
-            xtx=xtx,
-            group=group,
-            participants=tuple(participants),
-            phase=phase,
-            ok=ok,
-            signature=b"",
-            scheme=signer.scheme,
-        )._signed_by(signer)
-
-    def _signed_fields(self) -> dict[str, Any]:
-        return {
-            "voter": self.voter.hex(),
-            "xtx": self.xtx,
-            "group": self.group,
-            "participants": list(self.participants),
-            "phase": self.phase,
-            "ok": self.ok,
-        }
-
-    def verify(self) -> bool:
-        """Check the voter's signature over the vote body."""
-        return verify_signature(self.scheme, self.voter, self.body(), self.signature)
-
-    @classmethod
-    def from_wire(cls, raw: dict[str, Any]) -> "CrossShardVote":
-        """Parse a vote from its wire form."""
-        try:
-            return cls(
-                voter=_address(raw["voter"], "voter"),
-                xtx=str(raw["xtx"]),
-                group=int(raw["group"]),
-                participants=tuple(int(g) for g in raw["participants"]),
-                phase=str(raw["phase"]),
-                ok=bool(raw["ok"]),
-                signature=cls.signature_from_wire(raw),
-                scheme=raw.get("scheme", "ecdsa"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CrossShardError(f"malformed cross-shard vote: {exc}") from exc
+        return cls._signed(
+            signer, xtx=xtx, group=group, participants=tuple(participants),
+            phase=phase, ok=ok,
+        )
 
     def to_data(self, receipt: Optional[dict[str, Any]] = None,
                 error: Optional[str] = None) -> dict[str, Any]:
         """The data field D of an ``XSHARD_VOTE`` reply envelope."""
-        data: dict[str, Any] = {"vote": self.to_wire()}
+        data = super().to_data()
         if receipt is not None:
             data["receipt"] = receipt
         if error is not None:
             data["error"] = error
         return data
 
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "CrossShardVote":
-        """Rebuild a vote from an envelope's data field."""
-        vote = raw.get("vote")
-        if not isinstance(vote, dict):
-            raise CrossShardError("cross-shard vote envelope carries no vote object")
-        return cls.from_wire(vote)
-
 
 @dataclass(frozen=True)
-class CrossShardDecision:
+class CrossShardDecision(wire.Body, error=CrossShardError, what="cross-shard decision"):
     """Phase-2 decision (commit or abort) sent to one participant gateway.
 
     ``transaction`` is this group's inner client-signed settle/credit (on
@@ -216,49 +141,18 @@ class CrossShardDecision:
     exist, which is what makes the two decisions mutually exclusive.
     """
 
-    xtx: str
-    decision: str
-    group: int
-    participants: tuple[int, ...]
-    transaction: dict[str, Any]
-    votes: tuple[CrossShardVote, ...] = ()
+    xtx: str = wire.text()
+    decision: str = wire.text()
+    group: int = wire.integer()
+    participants: tuple[int, ...] = wire.list_of(wire.integer)()
+    transaction: dict[str, Any] = wire.obj()
+    votes: tuple[CrossShardVote, ...] = wire.list_of(wire.nested(CrossShardVote))(default=())
 
     def __post_init__(self) -> None:
         if self.decision not in ("commit", "abort"):
             raise CrossShardError(f"unknown cross-shard decision {self.decision!r}")
         if self.group not in self.participants:
             raise CrossShardError("the addressed group must be a participant")
-
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of an ``XSHARD_COMMIT``/``XSHARD_ABORT`` envelope."""
-        return {
-            "xtx": self.xtx,
-            "decision": self.decision,
-            "group": self.group,
-            "participants": list(self.participants),
-            "transaction": self.transaction,
-            "votes": [vote.to_wire() for vote in self.votes],
-        }
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "CrossShardDecision":
-        """Rebuild a decision from an envelope's data field."""
-        try:
-            transaction = raw["transaction"]
-            if not isinstance(transaction, dict):
-                raise TypeError("transaction must be an envelope object")
-            return cls(
-                xtx=str(raw["xtx"]),
-                decision=str(raw["decision"]),
-                group=int(raw["group"]),
-                participants=tuple(int(g) for g in raw["participants"]),
-                transaction=transaction,
-                votes=tuple(
-                    CrossShardVote.from_wire(vote) for vote in raw.get("votes", [])
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CrossShardError(f"malformed cross-shard decision: {exc}") from exc
 
     def certificate_error(
         self, directory: Mapping[int, frozenset[Address]]
@@ -310,7 +204,7 @@ VOUCHER_PHASES = ("mint", "redeem")
 
 
 @dataclass(frozen=True)
-class CrossShardVoucher(SignedStatement):
+class CrossShardVoucher(SignedStatement, error=CrossShardError, what="cross-shard voucher"):
     """A signed, single-use credit voucher minted by a source gateway.
 
     The fast path for cross-shard transfers whose destination effect is a
@@ -327,16 +221,17 @@ class CrossShardVoucher(SignedStatement):
     holder reclaims the debit — lost vouchers reclaim cleanly.
     """
 
-    issuer: Address
-    xtx: str
-    source_group: int
-    target_group: int
-    contract: str
-    recipient: str
-    amount: int
-    expires_at: float
-
     KIND = "xshard_voucher"
+    SIGNER = "issuer"
+
+    issuer: Address = wire.address()
+    xtx: str = wire.text()
+    source_group: int = wire.integer()
+    target_group: int = wire.integer()
+    contract: str = wire.text()
+    recipient: str = wire.text()
+    amount: int = wire.integer()
+    expires_at: float = wire.number()
 
     def __post_init__(self) -> None:
         if not self.xtx:
@@ -350,34 +245,10 @@ class CrossShardVoucher(SignedStatement):
         contract: str, recipient: str, amount: int, expires_at: float,
     ) -> "CrossShardVoucher":
         """Build and sign a voucher on behalf of the minting gateway."""
-        return cls(
-            issuer=signer.address,
-            xtx=xtx,
-            source_group=source_group,
-            target_group=target_group,
-            contract=contract,
-            recipient=recipient,
-            amount=amount,
-            expires_at=expires_at,
-            signature=b"",
-            scheme=signer.scheme,
-        )._signed_by(signer)
-
-    def _signed_fields(self) -> dict[str, Any]:
-        return {
-            "issuer": self.issuer.hex(),
-            "xtx": self.xtx,
-            "source_group": self.source_group,
-            "target_group": self.target_group,
-            "contract": self.contract,
-            "recipient": self.recipient,
-            "amount": self.amount,
-            "expires_at": self.expires_at,
-        }
-
-    def verify(self) -> bool:
-        """Check the issuer's signature over the voucher body."""
-        return verify_signature(self.scheme, self.issuer, self.body(), self.signature)
+        return cls._signed(
+            signer, xtx=xtx, source_group=source_group, target_group=target_group,
+            contract=contract, recipient=recipient, amount=amount, expires_at=expires_at,
+        )
 
     def verify_against(
         self, directory: Mapping[int, frozenset[Address]]
@@ -399,28 +270,11 @@ class CrossShardVoucher(SignedStatement):
             return "voucher carries an invalid issuer signature"
         return None
 
-    @classmethod
-    def from_wire(cls, raw: dict[str, Any]) -> "CrossShardVoucher":
-        """Parse a voucher from its wire form."""
-        try:
-            return cls(
-                issuer=_address(raw["issuer"], "issuer"),
-                xtx=str(raw["xtx"]),
-                source_group=int(raw["source_group"]),
-                target_group=int(raw["target_group"]),
-                contract=str(raw["contract"]),
-                recipient=str(raw["recipient"]),
-                amount=int(raw["amount"]),
-                expires_at=float(raw["expires_at"]),
-                signature=cls.signature_from_wire(raw),
-                scheme=raw.get("scheme", "ecdsa"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CrossShardError(f"malformed cross-shard voucher: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class CrossShardVoucherTransfer:
+class CrossShardVoucherTransfer(
+    wire.Body, error=CrossShardError, what="cross-shard voucher request"
+):
     """One leg of the voucher fast path, sent to a gateway cell.
 
     ``phase="mint"`` asks the *source* gateway to service the inner
@@ -434,13 +288,15 @@ class CrossShardVoucherTransfer:
     through the group's normal pipeline.
     """
 
-    xtx: str
-    phase: str
-    group: int
-    transaction: dict[str, Any]
-    target_group: Optional[int] = None
-    target_contract: Optional[str] = None
-    voucher: Optional[dict[str, Any]] = None
+    xtx: str = wire.text()
+    phase: str = wire.text()
+    group: int = wire.integer()
+    transaction: dict[str, Any] = wire.obj()
+    # Each phase sends only its own fields: a mint names its target, a
+    # redeem carries the voucher.
+    target_group: Optional[int] = wire.integer(omit_none=True, default=None)
+    target_contract: Optional[str] = wire.text(omit_none=True, default=None)
+    voucher: Optional[dict[str, Any]] = wire.obj(omit_none=True, default=None)
 
     def __post_init__(self) -> None:
         if not self.xtx:
@@ -454,45 +310,3 @@ class CrossShardVoucherTransfer:
                 )
         elif self.voucher is None:
             raise CrossShardError("a voucher redeem must carry the voucher")
-
-    def to_data(self) -> dict[str, Any]:
-        """The data field D of an ``XSHARD_VOUCHER`` request envelope."""
-        data: dict[str, Any] = {
-            "xtx": self.xtx,
-            "phase": self.phase,
-            "group": self.group,
-            "transaction": self.transaction,
-        }
-        if self.phase == "mint":
-            data["target_group"] = self.target_group
-            data["target_contract"] = self.target_contract
-        else:
-            data["voucher"] = self.voucher
-        return data
-
-    @classmethod
-    def from_data(cls, raw: dict[str, Any]) -> "CrossShardVoucherTransfer":
-        """Rebuild a voucher request from an envelope's data field."""
-        try:
-            transaction = raw["transaction"]
-            if not isinstance(transaction, dict):
-                raise TypeError("transaction must be an envelope object")
-            phase = str(raw["phase"])
-            voucher = raw.get("voucher")
-            if voucher is not None and not isinstance(voucher, dict):
-                raise TypeError("voucher must be a wire object")
-            return cls(
-                xtx=str(raw["xtx"]),
-                phase=phase,
-                group=int(raw["group"]),
-                transaction=transaction,
-                target_group=(
-                    int(raw["target_group"]) if phase == "mint" else None
-                ),
-                target_contract=(
-                    str(raw["target_contract"]) if phase == "mint" else None
-                ),
-                voucher=voucher,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CrossShardError(f"malformed cross-shard voucher request: {exc}") from exc

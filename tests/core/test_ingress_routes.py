@@ -18,7 +18,7 @@ import pytest
 from repro.contracts.community import FastMoney
 from repro.core.receipts import Confirmation, ConfirmationBatch
 from repro.core.routes import REPLY_ONLY, ROUTES, Sender
-from repro.messages import Envelope, Opcode
+from repro.messages import Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch
 from repro.messages.envelope import NonceFactory
 from repro.messages.membership import (
@@ -30,9 +30,11 @@ from repro.messages.membership import (
     SyncRequest,
     SyncState,
 )
+from repro.messages.signer import SignedStatement
 from repro.messages.xshard import (
     CrossShardDecision,
     CrossShardPrepare,
+    CrossShardVote,
     CrossShardVoucherTransfer,
 )
 from tests.conftest import make_deployment, make_sharded_deployment
@@ -301,6 +303,100 @@ def test_a_malformed_body_is_refused_on_every_route(opcode, shape):
         )
         assert probe.refusal_ticks() == {}
         assert len(probe.replies) == 1
+
+
+# ----------------------------------------------------------------------
+# The statement matrix: every signed statement a route carries x every
+# declared field x every JSON value of another type, *validly signed*
+# ----------------------------------------------------------------------
+WRONG_VALUES = [None, True, 7, 1.5, "x", [], {}, [1], {"a": 1}]
+
+
+def carried_statements(body, path=()):
+    """``(wire keys down to it, in a list?, statement class)`` of every statement in ``body``."""
+    if issubclass(body, SignedStatement):
+        yield path, body
+        return
+    for item in wire.fields(body):
+        kind, listed = item.kind, False
+        while kind.shape in ("optional", "list", "single"):
+            kind, listed = kind.of, listed or kind.shape == "list"
+        if kind.shape == "nested" and issubclass(kind.of, wire.Body):
+            yield from carried_statements(kind.of, path + ((item.key, listed),))
+
+
+STATEMENT_FIELDS = [
+    pytest.param(opcode, path, statement, item, id=f"{opcode.value}-{statement.__name__}-{item.key}")
+    for opcode in ROUTED
+    if ROUTES[opcode].body is not None and issubclass(ROUTES[opcode].body, wire.Body)
+    for path, statement in carried_statements(ROUTES[opcode].body)
+    for item in wire.fields(statement)
+    if item.signed and item.name != statement.SIGNER  # what ``create`` takes
+]
+
+
+def test_the_statement_matrix_covers_every_statement_a_route_carries():
+    carried = {(values[0], values[2].__name__) for values in (p.values for p in STATEMENT_FIELDS)}
+    assert carried == {
+        (Opcode.TX_CONFIRM, "Confirmation"), (Opcode.TX_REJECT, "Confirmation"),
+        (Opcode.TX_CONFIRM_BATCH, "Confirmation"),
+        (Opcode.CELL_EXCLUDE_VOTE, "ExclusionVote"), (Opcode.CELL_REJOIN_ACK, "RejoinAck"),
+        (Opcode.MEMBERSHIP_UPDATE, "ExclusionVote"), (Opcode.MEMBERSHIP_UPDATE, "RejoinAck"),
+        (Opcode.XSHARD_COMMIT, "CrossShardVote"), (Opcode.XSHARD_ABORT, "CrossShardVote"),
+    }
+
+
+def wrongly_typed_statements(statement, item, signer, subject):
+    """Every ``statement`` ``signer`` can validly sign with ``item`` of the wrong JSON type."""
+    honest = {
+        Confirmation: dict(tx_id="0x" + "11" * 32, contract="pay", fingerprint_hex=FINGERPRINT,
+                           status="executed", timestamp=0.0, error=None),
+        ExclusionVote: dict(suspect=subject, cycle=0, agree=True),
+        RejoinAck: dict(rejoiner=subject, cycle=0, fingerprint_hex=FINGERPRINT, agree=True,
+                        admitted_head=3),
+        CrossShardVote: dict(xtx="0xfeed", group=0, participants=(0, 1), phase="prepare", ok=True),
+    }[statement]
+    for value in WRONG_VALUES:
+        if type(value) in item.kind.types:
+            continue
+        try:
+            hostile = statement.create(signer, **{**honest, item.name: value})
+        except (ValueError, TypeError, AttributeError):
+            continue  # cannot even be built: nothing to send
+        if type(hostile.to_wire()[item.key]) not in item.kind.types:  # else: its encoder mended it
+            assert hostile.verify(), "validly signed: only the field's type is wrong"
+            yield hostile
+
+
+def test_most_of_the_statement_matrix_can_be_signed_and_sent():
+    signer = SimulatedSigner("matrix-signer")
+    built = sum(
+        len(list(wrongly_typed_statements(statement, item, signer, signer.address)))
+        for _opcode, _path, statement, item in (param.values for param in STATEMENT_FIELDS)
+    )
+    assert built >= 200  # the rest (addresses, phases) are refused by ``create``
+
+
+@pytest.mark.parametrize("opcode, path, statement, item", STATEMENT_FIELDS)
+def test_a_well_signed_statement_with_a_wrongly_typed_field_is_a_malformed_body(
+    opcode, path, statement, item
+):
+    probe = RouteProbe()
+    before = probe.protocol_state()
+    sent = 0
+    for hostile in wrongly_typed_statements(
+        statement, item, probe.peer.signer, probe.third.address
+    ):
+        data = hostile.to_data() if not path else probe.well_formed(opcode)
+        for key, listed in path:
+            data[key] = [hostile.to_wire()] if listed else hostile.to_wire()
+        probe.send(probe.envelope(opcode, data, signer=probe.entitled_signer(opcode)))
+        probe.settle()  # used to raise TypeError: unhashable type for ``tx_id: []``
+        sent += 1
+        assert probe.refusal_ticks() == {ROUTES[opcode].refusal.malformed_counter: sent}
+        assert probe.protocol_state() == before
+    replies = [reply.operation for reply in probe.replies]
+    assert replies == ([Opcode.TX_ERROR] * sent if ROUTES[opcode].refusal.answered else [])
 
 
 def test_a_reply_only_opcode_sent_to_a_cell_is_counted_and_dropped():

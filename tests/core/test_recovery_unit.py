@@ -1,14 +1,18 @@
 """Unit coverage for the recovery plumbing: ledger sync, snapshot adoption,
 membership quorums, and evidence verification on membership updates."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import DataSnapshot, LedgerError, SnapshotError, TransactionLedger
 from repro.core.consensus import ConsensusError, OverlayConsensus
 from repro.core.config import SystemInvariants
 from repro.crypto import PrivateKey
-from repro.messages import EcdsaSigner, Envelope, ExclusionVote, Opcode
+from repro.client import BlockumulusClient, FastMoneyClient
+from repro.messages import EcdsaSigner, Envelope, ExclusionVote, Opcode, SyncState
 from repro.sim import Environment
+from tests.conftest import make_deployment
 
 
 @pytest.fixture
@@ -48,10 +52,11 @@ def test_sync_segment_carries_summary_envelope_and_result(env):
     segment = ledger.sync_segment(0)
     assert len(segment) == 1
     item = segment[0]
-    assert item["summary"]["tx_id"] == entry.tx_id
-    assert item["summary"]["fingerprint"] == "0x" + "11" * 32
-    assert item["result"] == {"minted": 1}
-    assert Envelope.from_wire(item["envelope"]).payload.hash_hex() == entry.tx_id
+    assert item.summary.tx_id == entry.tx_id
+    assert item.summary.fingerprint == b"\x11" * 32
+    assert item.to_wire()["summary"] == entry.summary()
+    assert item.result == {"minted": 1}
+    assert Envelope.from_wire(item.envelope).payload.hash_hex() == entry.tx_id
     # since_sequence past the head yields nothing.
     assert ledger.sync_segment(1) == []
 
@@ -64,9 +69,7 @@ def test_backfill_reconstructs_a_peer_entry(env):
     item = donor.sync_segment(0)[0]
 
     rejoiner = TransactionLedger(env, "rejoiner")
-    restored = rejoiner.backfill(
-        Envelope.from_wire(item["envelope"]), item["summary"], item["result"]
-    )
+    restored = rejoiner.backfill(Envelope.from_wire(item.envelope), item.summary, item.result)
     assert restored.status == "executed"
     assert restored.cycle == 3
     assert restored.fingerprint == b"\x22" * 32
@@ -82,14 +85,42 @@ def test_backfill_rejects_sequence_gaps_and_forged_tx_ids(env):
     rejoiner = TransactionLedger(env, "rejoiner")
     with pytest.raises(LedgerError):
         # Skipping sequence 0 must be detected as divergence.
-        rejoiner.backfill(
-            Envelope.from_wire(items[1]["envelope"]), items[1]["summary"], None
-        )
-    mismatched = dict(items[0]["summary"])
-    mismatched["tx_id"] = second.tx_id
+        rejoiner.backfill(Envelope.from_wire(items[1].envelope), items[1].summary, None)
+    mismatched = dataclasses.replace(items[0].summary, tx_id=second.tx_id)
     with pytest.raises(LedgerError):
-        rejoiner.backfill(Envelope.from_wire(items[0]["envelope"]), mismatched, None)
+        rejoiner.backfill(Envelope.from_wire(items[0].envelope), mismatched, None)
     assert first.tx_id != second.tx_id
+
+
+def test_a_mistyped_donor_sync_record_is_a_malformed_body_not_a_crash():
+    """A consortium member answers CELL_SYNC with ``"sequence": "abc"``."""
+    deployment = make_deployment(consortium_size=3, signature_scheme="sim")
+    deployment.env.run(FastMoneyClient(BlockumulusClient(deployment, service_cell_index=0)).faucet(5))
+    donor, rejoiner = deployment.cell(1), deployment.cell(2)
+    deployment.crash_cell(2)
+    deployment.exclude_cell(2)
+
+    def answer_with_a_mistyped_record(_src, request, _size) -> None:
+        data = SyncState(
+            donor=donor.address, snapshot=None,
+            entries=tuple(donor.ledger.sync_segment(0)), head=len(donor.ledger),
+        ).to_data()
+        data["entries"][0]["summary"]["sequence"] = "abc"
+        reply = Envelope.create(
+            signer=donor.signer, recipient=rejoiner.address, operation=Opcode.CELL_SYNC_STATE,
+            data=data, timestamp=deployment.env.now, nonce=donor.nonces.next(),
+            reply_to=request.nonce,
+        )
+        deployment.network.send("byzantine-donor", rejoiner.node_name, reply, reply.byte_size())
+
+    deployment.network.register("byzantine-donor", handler=answer_with_a_mistyped_record)
+    deployment.restore_cell(2)
+    recovery = deployment.env.process(rejoiner.recovery.resync(donor.address, "byzantine-donor"))
+    deployment.env.run(recovery)  # used to raise ValueError out of _replay_entries
+
+    assert not recovery.value.ok and "timed out" in recovery.value.reason
+    assert deployment.metrics.counter(f"{rejoiner.node_name}/malformed_membership") == 1
+    assert rejoiner.fault.crashed  # as after any failed recovery
 
 
 def test_entry_at_bounds(env):

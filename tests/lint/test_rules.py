@@ -340,9 +340,33 @@ DISPATCH = """
 """
 
 
-def write_protocol_tree(tree, opcodes=OPCODES, routes=ROUTES, dispatch=DISPATCH):
+#: The other shape of a body parser: fields declared under the codec base,
+#: which derives ``from_data`` from them.
+DECLARED_BODIES = """
+    from . import wire
+
+
+    class SyncRequest(wire.Body):
+        since_sequence: int = wire.natural()
+        peers: tuple = wire.list_of(wire.text)(default=())
+
+
+    class DeltaSyncRequest(SyncRequest):
+        pass
+"""
+
+CODEC = """
+    class Body:
+        @classmethod
+        def from_data(cls, raw):
+            return cls()
+"""
+
+
+def write_protocol_tree(tree, opcodes=OPCODES, routes=ROUTES, dispatch=DISPATCH, bodies=BODIES):
     tree("messages/opcodes.py", opcodes)
-    tree("messages/bodies.py", BODIES)
+    tree("messages/wire.py", CODEC)
+    tree("messages/bodies.py", bodies)
     tree("core/routes.py", routes)
     tree("core/cell.py", dispatch)
 
@@ -393,6 +417,33 @@ def test_proto002_fires_on_a_class_that_cannot_parse(tree):
     findings = lint_paths([tree.root])
     assert rules_of(findings) == ["PROTO002"]
     assert "TX_SUBMIT" in findings[0].message
+
+
+@pytest.mark.parametrize("body", ["SyncRequest", "DeltaSyncRequest"])
+def test_proto002_accepts_a_body_that_declares_its_wire_fields(tree, body):
+    write_protocol_tree(
+        tree, routes=ROUTES.replace("SyncRequest", body), bodies=DECLARED_BODIES
+    )
+    assert lint_paths([tree.root]) == []
+
+
+@pytest.mark.parametrize(
+    "bodies",
+    [
+        # under the codec base, with nothing declared for it to derive from
+        DECLARED_BODIES.replace("wire.natural()", "0").replace(
+            "wire.list_of(wire.text)(default=())", "()"
+        ),
+        # fields that look declared, on a class the codec does not know
+        DECLARED_BODIES.replace("(wire.Body)", ""),
+    ],
+    ids=["no-wire-field", "no-codec-base"],
+)
+def test_proto002_fires_on_a_body_the_codec_derives_no_parser_for(tree, bodies):
+    write_protocol_tree(tree, bodies=bodies)
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["PROTO002"]
+    assert "CELL_SYNC" in findings[0].message
 
 
 def test_proto003_fires_on_data_before_verify(tree):

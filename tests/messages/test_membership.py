@@ -5,6 +5,7 @@ import pytest
 from repro.crypto import PrivateKey
 from repro.messages import (
     EcdsaSigner,
+    EntrySummary,
     ExclusionProposal,
     ExclusionVote,
     MembershipError,
@@ -12,6 +13,7 @@ from repro.messages import (
     RejoinAck,
     RejoinRequest,
     SimulatedSigner,
+    SyncEntry,
     SyncRequest,
     SyncState,
 )
@@ -178,13 +180,16 @@ def test_sync_state_round_trip(signer):
     bundle = SyncState(
         donor=signer.address,
         snapshot={"cycle": 0, "fingerprint": "0x" + "00" * 32},
-        entries=({"summary": {"sequence": 0}, "envelope": {}, "result": None},),
+        entries=(SyncEntry(
+            EntrySummary(0, "0x" + "11" * 32, 0, 1.5, "admitted", None, None, False, None),
+            envelope={}, result=None,
+        ),),
         head=12,
     )
     rebuilt = SyncState.from_data(bundle.to_data())
     assert rebuilt.donor == signer.address
     assert rebuilt.snapshot["cycle"] == 0
-    assert len(rebuilt.entries) == 1
+    assert rebuilt.entries == bundle.entries
     assert rebuilt.head == 12
     # Pre-extension bundles carry no head: the unknown sentinel.
     legacy = {"donor": signer.address.hex(), "snapshot": None, "entries": []}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.keys import PrivateKey
+from repro.messages import Envelope, EnvelopeError, SimulatedSigner
 from repro.messages.opcodes import Opcode
 from repro.messages.payload import Payload, PayloadError
 
@@ -64,3 +65,42 @@ def test_from_dict_rejects_missing_fields():
 def test_byte_size_reports_canonical_length():
     payload = make_payload()
     assert payload.byte_size() == len(payload.canonical_bytes())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reply_to", ["a"]), ("reply_to", 7), ("nonce", 7), ("nonce", ["0xabc"]), ("nonce", None),
+        ("timestamp", "7"), ("timestamp", True), ("timestamp", None), ("timestamp", float("nan")),
+        ("timestamp", float("inf")), ("timestamp", 10**400), ("data", [["a", 1]]),
+    ],
+)
+def test_a_wrongly_typed_field_can_be_neither_built_nor_parsed(field, value):
+    # A member-signed PONG with ``reply_to: ["a"]`` used to reach the cell's
+    # waiter table and raise ``TypeError: unhashable type`` out of env.run().
+    with pytest.raises(PayloadError):
+        make_payload(**{field: value})
+    with pytest.raises(PayloadError):
+        Payload.from_dict({**make_payload().to_dict(), field: value})
+
+
+def test_an_unsigned_hostile_pong_never_reaches_a_cell():
+    signer = SimulatedSigner("payload-member")
+    with pytest.raises(PayloadError):
+        Envelope.create(
+            signer=signer, recipient=CELL, operation=Opcode.PONG, data={"node": "cell-1"},
+            timestamp=0.0, nonce="0xabc", reply_to=["a"],
+        )
+    honest = Envelope.create(
+        signer=signer, recipient=CELL, operation=Opcode.PONG, data={"node": "cell-1"},
+        timestamp=0.0, nonce="0xabc", reply_to="0xdef",
+    ).to_wire()
+    honest["payload"]["reply_to"] = ["a"]
+    with pytest.raises(EnvelopeError):
+        Envelope.from_wire(honest)
+
+
+@pytest.mark.parametrize("raw", [None, 7, "text", [1], {"sender": 7}, {"sender": ALICE.hex()}])
+def test_from_dict_refuses_what_is_not_a_payload_with_its_own_error(raw):
+    with pytest.raises(PayloadError):
+        Payload.from_dict(raw)

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.core.receipts import Confirmation, ReceiptError
-from repro.messages.evidence import EvidenceError, PartitionEvent
-from repro.messages.membership import ExclusionVote, MembershipError, RejoinAck
 from repro.messages.opcodes import Opcode
-from repro.messages.signer import EcdsaSigner, SimulatedSigner, verify_signature
-from repro.messages.xshard import CrossShardError, CrossShardVote, CrossShardVoucher
+from repro.messages.signer import EcdsaSigner, SignedStatement, SimulatedSigner, verify_signature
+from tests.messages.wire_samples import build
 
 
 def test_ecdsa_signer_sign_and_verify():
@@ -62,58 +59,38 @@ def test_an_opcode_prints_as_its_wire_value():
 
 
 # ----------------------------------------------------------------------
-# The six signed statements share one signature parse
+# The signed statements share one signature parse
 # ----------------------------------------------------------------------
-PEER = SimulatedSigner("statement-peer").address
-FINGERPRINT = "0x" + "22" * 32
-
-#: class -> (its typed parse error, how a signer creates one)
-STATEMENTS = {
-    Confirmation: (
-        ReceiptError,
-        lambda signer: Confirmation.create(
-            signer, "0x" + "11" * 32, "fastmoney", FINGERPRINT, "executed", 12.5
-        ),
-    ),
-    CrossShardVote: (
-        CrossShardError,
-        lambda signer: CrossShardVote.create(signer, "0xa1", 0, (0, 1), "prepare", True),
-    ),
-    CrossShardVoucher: (
-        CrossShardError,
-        lambda signer: CrossShardVoucher.create(
-            signer, "0xa1", 0, 1, "pay@1", "0x" + "55" * 20, 10, 99.0
-        ),
-    ),
-    ExclusionVote: (MembershipError, lambda signer: ExclusionVote.create(signer, PEER, 3, True)),
-    RejoinAck: (
-        MembershipError,
-        lambda signer: RejoinAck.create(signer, PEER, 3, FINGERPRINT, True, admitted_head=7),
-    ),
-    PartitionEvent: (
-        EvidenceError,
-        lambda signer: PartitionEvent.create(signer, ["cell-0", "cell-1"], "cut", 4.0),
-    ),
-}
+#: One signed sample per statement class: the golden table's (a new
+#: statement is here once it has a sample there, which
+#: ``tests/messages/test_golden_wire.py`` insists on).
+STATEMENTS = build()[0]
+by_statement = pytest.mark.parametrize("name", sorted(STATEMENTS))
 
 
-@pytest.mark.parametrize("statement_class", STATEMENTS, ids=lambda cls: cls.__name__)
-def test_statement_signature_without_0x_prefix_keeps_every_byte(statement_class):
-    _error, create = STATEMENTS[statement_class]
-    statement = create(SimulatedSigner("statement-signer"))
+def test_every_statement_class_has_a_sample():
+    from repro.messages import evidence, membership, xshard  # noqa: F401 - define the classes
+
+    declared = {cls.__name__ for cls in SignedStatement.__subclasses__()}
+    assert declared == {type(statement).__name__ for statement in STATEMENTS.values()}
+
+
+@by_statement
+def test_statement_signature_without_0x_prefix_keeps_every_byte(name):
+    statement = STATEMENTS[name]
     wire = statement.to_wire()
     assert wire["signature"].startswith("0x")
     wire["signature"] = wire["signature"][2:]
-    restored = statement_class.from_wire(wire)
+    restored = type(statement).from_wire(wire)
     assert restored.signature == statement.signature
-    assert restored == statement and restored.verify()
+    assert restored == type(statement).from_wire(statement.to_wire()) and restored.verify()
 
 
 @pytest.mark.parametrize("signature", ["0x" + "ab" * 64, "0x" + "ab" * 66, "ab" * 64, "0x", 7])
-@pytest.mark.parametrize("statement_class", STATEMENTS, ids=lambda cls: cls.__name__)
-def test_statement_signature_of_wrong_length_rejected(statement_class, signature):
-    error, create = STATEMENTS[statement_class]
-    wire = create(SimulatedSigner("statement-signer")).to_wire()
+@by_statement
+def test_statement_signature_of_wrong_length_rejected(name, signature):
+    statement = STATEMENTS[name]
+    wire = statement.to_wire()
     wire["signature"] = signature
-    with pytest.raises(error):
-        statement_class.from_wire(wire)
+    with pytest.raises(type(statement).ERROR):
+        type(statement).from_wire(wire)

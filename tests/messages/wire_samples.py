@@ -1,0 +1,149 @@
+"""One fixed sample of every signed statement and every body with an encoder.
+
+Everything here goes through ``create`` / the constructors / ``of`` — the
+calls that exist unchanged on both sides of the move to declared wire
+fields — so running this file as a script on the commit *before* that move
+recorded ``golden_wire.json``, and ``test_golden_wire.py`` rebuilds the same
+samples on the current tree and compares bytes.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).with_name("golden_wire.json")
+
+TX_ID = "0x" + "11" * 32
+FINGERPRINT = "0x" + "22" * 32
+HOLDER = "0x" + "55" * 20
+
+
+def build():
+    """``(statements, bodies)``: name -> signed statement, name -> data field."""
+    from repro.core.ledger import TransactionLedger
+    from repro.core.receipts import AggregatedReceipt, Confirmation, ConfirmationBatch
+    from repro.messages import Envelope, Opcode, SimulatedSigner
+    from repro.messages.batch import ForwardBatch
+    from repro.messages.evidence import EquivocationEvidence, PartitionEvent
+    from repro.messages.membership import (
+        ExclusionProposal,
+        ExclusionVote,
+        MembershipUpdate,
+        RejoinAck,
+        RejoinRequest,
+        SyncRequest,
+        SyncState,
+    )
+    from repro.messages.xshard import (
+        CrossShardDecision,
+        CrossShardPrepare,
+        CrossShardVote,
+        CrossShardVoucher,
+        CrossShardVoucherTransfer,
+    )
+    from repro.sim import Environment
+
+    signer = SimulatedSigner("golden-signer")
+    peer = SimulatedSigner("golden-peer").address
+    statements = {
+        # An unrounded timestamp: six places under the signature and on the wire.
+        "Confirmation": Confirmation.create(
+            signer, TX_ID, "fastmoney", FINGERPRINT, "executed", 12.3456789
+        ),
+        "Confirmation/rejected": Confirmation.create(
+            signer, TX_ID, "fastmoney", FINGERPRINT, "rejected", 3.0, error="insufficient funds"
+        ),
+        "ExclusionVote": ExclusionVote.create(signer, peer, 3, True),
+        "RejoinAck": RejoinAck.create(signer, peer, 3, FINGERPRINT, True, admitted_head=7),
+        "RejoinAck/legacy-head": RejoinAck.create(signer, peer, 4, FINGERPRINT, False),
+        "CrossShardVote": CrossShardVote.create(signer, "0xa1", 0, (0, 1), "prepare", True),
+        # The expiry is an exact number: not rounded.
+        "CrossShardVoucher": CrossShardVoucher.create(
+            signer, "0xa1", 0, 1, "pay@1", HOLDER, 10, 99.123456789
+        ),
+        "PartitionEvent": PartitionEvent.create(
+            signer, ["cell-0", "cell-1"], "cut", 4.00000049
+        ),
+        "PartitionEvent/healed": PartitionEvent.create(
+            signer, ("cell-1",), "heal", 13.0, healed_at=12.75
+        ),
+    }
+
+    inner = Envelope.create(
+        signer=signer, recipient=peer, operation=Opcode.TX_SUBMIT,
+        data={"contract": "pay", "method": "transfer", "args": {"to": HOLDER, "amount": 1}},
+        timestamp=1.25, nonce="0xabcdef",
+    )
+    ledger = TransactionLedger(Environment(), "golden-cell")
+    executed = ledger.admit(inner, cycle=2)
+    ledger.mark_executed(executed.tx_id, "pay", {"moved": 1}, b"\x33" * 32)
+    admitted = Envelope.create(
+        signer=signer, recipient=peer, operation=Opcode.TX_SUBMIT,
+        data={"contract": "pay", "method": "faucet", "args": {"amount": 2}},
+        timestamp=2.5, nonce="0xabcdf0",
+    )
+    ledger.admit(admitted, cycle=2, contingency=True)
+
+    confirmation, rejected = statements["Confirmation"], statements["Confirmation/rejected"]
+    vote, ack = statements["ExclusionVote"], statements["RejoinAck"]
+    xvote, voucher = statements["CrossShardVote"], statements["CrossShardVoucher"]
+    shape = dict(xtx="0xa1", group=0, participants=(0, 1), transaction=inner.to_wire())
+    bodies = {
+        "ExclusionProposal": ExclusionProposal(peer, 3, "missed deadlines").to_data(),
+        "ExclusionVote": vote.to_data(),
+        "RejoinRequest": RejoinRequest(peer, 5, 4, 17, FINGERPRINT).to_data(),
+        "RejoinAck": ack.to_data(),
+        "MembershipUpdate/exclude": MembershipUpdate("exclude", peer, 3, votes=(vote,)).to_data(),
+        "MembershipUpdate/readmit": MembershipUpdate("readmit", peer, 3, acks=(ack,)).to_data(),
+        "SyncRequest": SyncRequest(4, delta_only=True).to_data(),
+        "SyncState": SyncState(
+            donor=peer, snapshot={"cycle": 1, "fingerprint": FINGERPRINT},
+            entries=tuple(ledger.sync_segment(0)), excluded=(peer.hex(),), head=2,
+        ).to_data(),
+        "CrossShardPrepare": CrossShardPrepare(**shape).to_data(),
+        "CrossShardVote": xvote.to_data(),
+        "CrossShardVote/reply": xvote.to_data(receipt={"tx_id": TX_ID}, error="late"),
+        "CrossShardDecision": CrossShardDecision(
+            decision="commit", votes=(xvote,), **shape
+        ).to_data(),
+        "CrossShardVoucherTransfer/mint": CrossShardVoucherTransfer(
+            xtx="0xa1", phase="mint", group=0, transaction=inner.to_wire(),
+            target_group=1, target_contract="pay@1",
+        ).to_data(),
+        "CrossShardVoucherTransfer/redeem": CrossShardVoucherTransfer(
+            xtx="0xa1", phase="redeem", group=1, transaction=inner.to_wire(),
+            voucher=voucher.to_wire(),
+        ).to_data(),
+        "ConfirmationBatch": ConfirmationBatch.of([confirmation, rejected]).to_data(),
+        "AggregatedReceipt": AggregatedReceipt(
+            tx_id=TX_ID, contract="fastmoney", method="transfer", result={"amount": 5},
+            service_cell=peer, fingerprint_hex=FINGERPRINT, cycle=1,
+            submitted_at=1.0000004, completed_at=3.4999996, confirmations=[confirmation],
+        ).to_wire(),
+        "EquivocationEvidence": EquivocationEvidence(confirmation, rejected).to_data(),
+        "ForwardBatch": ForwardBatch.of([inner, admitted]).to_data(),
+        "LedgerEntry.summary": executed.summary(),
+    }
+    return statements, bodies
+
+
+def record():
+    """The JSON-serializable golden table of the tree this runs on."""
+    statements, bodies = build()
+    return {
+        "statements": {
+            name: {
+                "body": statement.body().decode(),
+                "signature": statement.signature.hex(),
+                "wire": statement.to_wire(),
+            }
+            for name, statement in statements.items()
+        },
+        "bodies": bodies,
+    }
+
+
+if __name__ == "__main__":
+    # python tests/messages/wire_samples.py <repo root whose src/ to record>
+    sys.path.insert(0, str(Path(sys.argv[1]) / "src"))
+    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")

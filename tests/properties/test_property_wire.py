@@ -1,0 +1,346 @@
+"""Property tests generated from the wire-field declarations (hypothesis).
+
+Every class that declares its fields through :mod:`repro.messages.wire` is
+found by walking the declarations — the route table's bodies, the signed
+statements, and whatever they nest — so a new body or a new field is
+covered the moment it is declared:
+
+(a) an instance generated from the declared kinds round-trips, and a signed
+    one still verifies;
+(b) arbitrary JSON yields an instance or *that class's* typed error, never
+    another exception;
+(c) a valid wire form with one field replaced by arbitrary JSON, if
+    accepted, re-encodes to exactly what was sent: nothing is coerced.
+    (Hex spelling is the one leniency: ``0x`` is optional and case is free,
+    which random JSON never produces.)
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.receipts import ConfirmationBatch
+from repro.core.routes import ROUTES
+from repro.core.snapshot import DataSnapshot, SnapshotError
+from repro.crypto.keys import Address
+from repro.messages import Envelope, Opcode, SimulatedSigner, wire
+from repro.messages.batch import ForwardBatch, ForwardedTransactions
+from repro.messages.envelope import EnvelopeError
+from repro.messages.evidence import PartitionEvent
+from repro.messages.membership import MembershipUpdate
+from repro.messages.payload import Payload, PayloadError
+from repro.messages.requests import LedgerRequest, StateQuery, TransactionCall
+from repro.messages.signer import SignedStatement
+from repro.messages.xshard import (
+    PHASES,
+    VOUCHER_PHASES,
+    CrossShardDecision,
+    CrossShardPrepare,
+    CrossShardVote,
+    CrossShardVoucher,
+    CrossShardVoucherTransfer,
+)
+
+SIGNER = SimulatedSigner("property-wire-signer")
+
+#: Parsers that stay written by hand, each for a stated reason; everything
+#: else a route or a statement uses must declare its fields.
+HAND_WRITTEN = {
+    # The one (contract, verb, args) rule is shared with the executor, and
+    # its refusal texts are replies clients read (``named_call``).
+    TransactionCall, StateQuery,
+}
+#: Hand-written for PR 13's encode-once splice (envelopes) and for the
+#: ``include_state`` / ``cell_id`` parameters (snapshots): strict all the
+#: same, so property (b) holds for them too.
+HAND_WRITTEN_PARSERS = [
+    (Envelope.from_wire, EnvelopeError),
+    (Payload.from_dict, PayloadError),
+    (DataSnapshot.from_wire, SnapshotError),
+]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def declared_bodies() -> list[type]:
+    """Every class with declared wire fields, reached from the declarations."""
+    found: dict[str, type] = {}
+
+    def visit(cls) -> None:
+        if cls in HAND_WRITTEN or cls is Envelope or cls.__name__ in found:
+            return
+        assert issubclass(cls, wire.Body) and wire.fields(cls), (
+            f"{cls.__name__} neither declares wire fields nor is a listed exception"
+        )
+        found[cls.__name__] = cls
+        for item in wire.fields(cls):
+            kind = item.kind
+            while kind.shape and kind.shape != "nested":
+                kind = kind.of
+            if kind.shape == "nested":
+                visit(kind.of)
+
+    for route in ROUTES.values():
+        if route.body is not None:
+            visit(route.body)
+    for statement in _subclasses(SignedStatement):
+        visit(statement)
+    # Bodies no route parses on a cell: receipts and evidence that clients
+    # and auditors read, and the sending side of a forward batch.
+    for body in _subclasses(wire.Body):
+        if body is not SignedStatement:
+            visit(body)
+    return [found[name] for name in sorted(found)]
+
+
+BODIES = declared_bodies()
+by_name = pytest.mark.parametrize("body", BODIES, ids=lambda cls: cls.__name__)
+
+
+def test_every_route_body_and_statement_is_declared_or_a_listed_exception():
+    names = {cls.__name__ for cls in BODIES}
+    for opcode, route in ROUTES.items():
+        if route.body is not None and route.body not in HAND_WRITTEN:
+            assert route.body.__name__ in names, opcode
+    assert {cls.__name__ for cls in _subclasses(SignedStatement)} <= names
+    # The golden table and the ingress matrix lean on the same discovery.
+    assert {"Confirmation", "SyncEntry", "EntrySummary", "AggregatedReceipt"} <= names
+
+
+# ----------------------------------------------------------------------
+# Strategies, from the declared kinds
+# ----------------------------------------------------------------------
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**12, 10**12)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+#: What a hostile peer can put on a socket: JSON text also spells these.
+hostile_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+objects = st.dictionaries(st.text(max_size=6), json_values, max_size=3)
+ids = st.text(min_size=1, max_size=8)
+groups = st.lists(st.integers(0, 7), min_size=2, max_size=4, unique=True).map(tuple)
+
+ATOMS = {
+    "text": st.text(max_size=12),
+    "integer": st.integers(-10**12, 10**12),
+    "non-negative integer": st.integers(0, 10**9),
+    "flag": st.booleans(),
+    "number": st.integers(-10**9, 10**9) | st.floats(allow_nan=False, allow_infinity=False),
+    "seconds": st.integers(-10**6, 10**12).map(lambda micros: round(micros / 1_000_000, 6)),
+    "address": st.binary(min_size=20, max_size=20).map(Address),
+    "signature": st.binary(min_size=65, max_size=65),
+    "hex bytes": st.binary(max_size=40),
+    "object": objects,
+    "any": json_values,
+}
+
+
+def envelopes():
+    return st.builds(
+        lambda amount, nonce: Envelope.create(
+            signer=SIGNER, recipient=SIGNER.address, operation=Opcode.TX_SUBMIT,
+            data={"contract": "pay", "method": "faucet", "args": {"amount": amount}},
+            timestamp=1.5, nonce=nonce,
+        ),
+        st.integers(0, 100), ids,
+    )
+
+
+def values(kind: wire.Kind):
+    """In-memory values of a declared kind."""
+    if kind.shape == "optional":
+        return st.none() | values(kind.of)
+    if kind.shape == "list":
+        return st.lists(values(kind.of), max_size=3).map(tuple)
+    if kind.shape == "single":
+        return values(kind.of).map(lambda value: (value,))
+    if kind.shape == "nested":
+        return envelopes() if kind.of is Envelope else instances(kind.of)
+    return ATOMS[kind.name]
+
+
+def _participant(_body, kwargs, draw) -> None:
+    kwargs["xtx"] = draw(ids)
+    kwargs["participants"] = draw(groups)
+    kwargs["group"] = draw(st.sampled_from(kwargs["participants"]))
+
+
+def _decision(body, kwargs, draw) -> None:
+    _participant(body, kwargs, draw)
+    kwargs["decision"] = draw(st.sampled_from(["commit", "abort"]))
+
+
+def _voucher(_body, kwargs, draw) -> None:
+    kwargs["xtx"] = draw(ids)
+    kwargs["source_group"], kwargs["target_group"] = draw(groups)[:2]
+
+
+def _transfer(_body, kwargs, draw) -> None:
+    kwargs["xtx"] = draw(ids)
+    kwargs["phase"] = draw(st.sampled_from(VOUCHER_PHASES))
+    if kwargs["phase"] == "mint":
+        kwargs.update(target_group=draw(st.integers(0, 7)), target_contract=draw(ids))
+    else:
+        kwargs["voucher"] = draw(objects)
+
+
+def _at_least_one(name):
+    def rule(body, kwargs, draw) -> None:
+        kind = next(item.kind for item in wire.fields(body) if item.name == name)
+        if kind.shape == "list" and not kwargs[name]:
+            kwargs[name] = (draw(values(kind.of)),)
+    return rule
+
+
+def _membership_update(body, kwargs, draw) -> None:
+    kwargs["action"] = draw(st.sampled_from(["exclude", "readmit"]))
+    _at_least_one("votes" if kwargs["action"] == "exclude" else "acks")(body, kwargs, draw)
+
+
+#: What ``__post_init__`` demands across fields and a random draw would
+#: almost never meet: the rules, not the fields, are listed here.
+RULES = {
+    CrossShardPrepare: _participant,
+    CrossShardDecision: _decision,
+    CrossShardVote: lambda _body, kwargs, draw: kwargs.update(
+        phase=draw(st.sampled_from(PHASES))
+    ),
+    CrossShardVoucher: _voucher,
+    CrossShardVoucherTransfer: _transfer,
+    MembershipUpdate: _membership_update,
+    PartitionEvent: lambda _body, kwargs, draw: kwargs.update(
+        action=draw(st.sampled_from(PartitionEvent.ACTIONS)),
+        members=tuple(sorted(draw(st.lists(ids, min_size=1, max_size=3)))),
+    ),
+    LedgerRequest: lambda _body, kwargs, draw: kwargs.update(
+        last_cycle=kwargs["first_cycle"] + draw(st.integers(0, 5))
+    ),
+    ConfirmationBatch: _at_least_one("confirmations"),
+    ForwardBatch: _at_least_one("transactions"),
+    ForwardedTransactions: _at_least_one("client_envelopes"),
+}
+
+
+@st.composite
+def instances(draw, body):
+    """A valid instance of a declared body; a statement is properly signed."""
+    kwargs = {
+        item.name: draw(values(item.kind))
+        for item in wire.fields(body)
+        if not item.omit_none  # absent unless a rule below asks for it
+    }
+    for cls in body.__mro__:
+        if cls in RULES:
+            RULES[cls](body, kwargs, draw)
+            break
+    if issubclass(body, SignedStatement):
+        for name in (body.SIGNER, "signature", "scheme"):
+            del kwargs[name]
+        return body.create(SIGNER, **kwargs)
+    return body(**kwargs)
+
+
+def as_json(value) -> str:
+    """Text, so that ``5`` and ``5.0`` (equal in Python) are told apart."""
+    return json.dumps(value, sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# (a) round trip
+# ----------------------------------------------------------------------
+@by_name
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_generated_instance_round_trips(body, data):
+    instance = data.draw(instances(body))
+    assert body.from_wire(instance.to_wire()) == instance
+    assert body.from_data(instance.to_data()) == instance
+    if isinstance(instance, SignedStatement):
+        assert instance.verify() and body.from_wire(instance.to_wire()).verify()
+
+
+# ----------------------------------------------------------------------
+# (b) arbitrary JSON: an instance or the family's error
+# ----------------------------------------------------------------------
+@by_name
+@settings(max_examples=40, deadline=None)
+@given(junk=hostile_json)
+def test_arbitrary_json_is_an_instance_or_the_typed_error(body, junk):
+    for parse in (body.from_wire, body.from_data):
+        try:
+            parse(junk)
+        except body.ERROR:
+            pass
+
+
+@pytest.mark.parametrize("opcode", sorted(ROUTES, key=str), ids=str)
+@settings(max_examples=25, deadline=None)
+@given(junk=st.dictionaries(st.text(max_size=6), hostile_json, max_size=3))
+def test_any_data_field_is_a_body_or_a_value_error_on_every_route(opcode, junk):
+    # What the ingress stage relies on, hand-written parsers included.
+    body = ROUTES[opcode].body
+    if body is not None:
+        try:
+            body.from_data(junk)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "parse, error", HAND_WRITTEN_PARSERS, ids=["Envelope", "Payload", "DataSnapshot"]
+)
+@settings(max_examples=60, deadline=None)
+@given(junk=hostile_json)
+def test_the_hand_written_parsers_refuse_arbitrary_json_with_their_own_error(parse, error, junk):
+    try:
+        parse(junk)
+    except error:
+        pass
+
+
+# ----------------------------------------------------------------------
+# (c) one field replaced: refused, or taken exactly as sent
+# ----------------------------------------------------------------------
+@by_name
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), junk=hostile_json)
+def test_a_replaced_field_is_refused_or_taken_exactly_as_sent(body, data, junk):
+    sent = data.draw(instances(body)).to_wire()
+    item = data.draw(st.sampled_from(wire.fields(body)))
+    sent[item.key] = junk
+    try:
+        parsed = body.from_wire(sent)
+    except body.ERROR:
+        return
+    assert as_json(parsed.to_wire()) == as_json(sent)
+    if isinstance(parsed, SignedStatement):
+        assert parsed.verify() in (True, False)  # a wrong value fails the check, not the cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), junk=json_values)  # non-finite numbers inside D: ROADMAP, envelopes over a socket
+def test_an_envelope_with_one_replaced_field_is_refused_or_verifiable(data, junk):
+    sent = data.draw(envelopes()).to_wire()
+    key = data.draw(st.sampled_from(["sender", "recipient", "operation", "nonce", "reply_to",
+                                     "timestamp", "data", "signature", "scheme"]))
+    (sent if key in sent else sent["payload"])[key] = junk
+    try:
+        parsed = Envelope.from_wire(sent)
+    except EnvelopeError:
+        return
+    assert parsed.verify() in (True, False)
+    assert parsed.byte_size() > 0
