@@ -13,7 +13,11 @@ deployment.  It performs the two audits the paper defines:
 
 Auditors talk to cells over the same signed message interface as clients
 and read the anchor contract through the Ethereum provider, so a cheating
-cell cannot show the auditor anything it did not sign or anchor.
+cell cannot show the auditor anything it did not sign or anchor.  It can
+answer with garbage, though: every download is read strictly, into the
+reply body the cell side declares (:func:`repro.core.routes.read_reply`),
+and one that does not parse is a finding of the audit, never an exception
+out of it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,13 @@ from ..contracts.system.deployer import CommunityDeployer
 from ..core.deployment import BlockumulusDeployment
 from ..core.executor import TransactionExecutor
 from ..core.ledger import LedgerEntry
+from ..core.replies import ReplyError
+from ..core.routes import read_reply
+from ..core.snapshot import DataSnapshot
 from ..crypto.fingerprint import snapshot_fingerprint
-from ..crypto.keys import Address
-from ..messages.envelope import Envelope, NonceFactory
+from ..messages.endpoint import Endpoint
+from ..messages.envelope import Envelope, EnvelopeError
+from ..messages.membership import LedgerRecord
 from ..messages.opcodes import Opcode
 from ..messages.signer import Signer
 from ..sim.events import Event
@@ -75,20 +83,9 @@ class AuditReport:
         )
 
 
-def _default_contract_factories() -> dict[str, Any]:
-    """How an auditor reconstructs each known contract type for replay."""
-    return {
-        ContentAddressableStorage.DEFAULT_NAME: lambda name: ContentAddressableStorage(name),
-        CommunityDeployer.DEFAULT_NAME: lambda name: CommunityDeployer(name),
-        FastMoney.DEFAULT_NAME: lambda name: FastMoney(name),
-        Ballot.DEFAULT_NAME: lambda name: Ballot(name),
-        DividendPool.DEFAULT_NAME: lambda name: DividendPool(name),
-    }
-
-
-#: Contract classes an auditor can instantiate from a snapshot's
-#: ``contract_types`` tag — the general path, covering per-shard and
-#: renamed instances the name-based factories above cannot know about.
+#: Contract classes an auditor can instantiate for replay, by the type tag a
+#: snapshot records for every contract (``contract_types``) — whatever name
+#: the instance was deployed under, per-shard instances included.
 _TYPE_FACTORIES: dict[str, Any] = {
     cls.TYPE: cls
     for cls in (
@@ -117,50 +114,52 @@ class Auditor:
         type(self)._counter += 1
         self.node_name = node_name or f"auditor-{type(self)._counter}"
         self.signer = signer or deployment.make_client_signer(f"auditor/{self.node_name}")
-        self.nonces = NonceFactory(self.signer.address)
-        self._waiting: dict[str, Event] = {}
+        self.endpoint = Endpoint(self.env, deployment.network, self.node_name, self.signer)
         deployment.network.register(self.node_name, handler=self._on_message)
 
     # ------------------------------------------------------------------
     # Cell communication
     # ------------------------------------------------------------------
     def _on_message(self, src_node: str, payload: Any, size: int) -> None:
-        if not isinstance(payload, Envelope) or payload.payload.reply_to is None:
-            return
-        waiter = self._waiting.pop(payload.payload.reply_to, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(payload)
+        if isinstance(payload, Envelope):
+            self.endpoint.resolve(payload)
 
-    def _request(self, cell_index: int, operation: Opcode, data: dict[str, Any]) -> Event:
+    def _fetch(
+        self, cell_index: int, operation: Opcode, data: dict[str, Any], expected: Opcode
+    ) -> Generator[Event, Any, Any]:
+        """Ask one cell and read its ``expected`` reply (a process step).
+
+        Raises :class:`AuditError` when the request never left, and
+        :class:`~repro.core.replies.ReplyError` for a refusal or a reply
+        the declared body does not parse.
+        """
         cell = self.deployment.cell(cell_index)
-        request = Envelope.create(
-            signer=self.signer,
-            recipient=cell.address,
-            operation=operation,
-            data=data,
-            timestamp=self.env.now,
-            nonce=self.nonces.next(),
-        )
-        waiter = self.env.event()
-        self._waiting[request.nonce] = waiter
-        accepted = self.deployment.network.send(
-            self.node_name, cell.node_name, request, request.byte_size()
-        )
-        if not accepted:
-            waiter.fail(AuditError(f"cell {cell.node_name} is unreachable"))
-        return waiter
+        _request, waiter = self.endpoint.ask(cell.node_name, cell.address, operation, data)
+        reply = yield waiter
+        if reply is None:
+            raise AuditError(f"cell {cell.node_name} is unreachable")
+        return read_reply(reply, expected)
 
-    def fetch_snapshot(self, cell_index: int, cycle: int) -> Event:
-        """Download a cell's data snapshot for ``cycle``."""
-        return self._request(cell_index, Opcode.SNAPSHOT_REQUEST, {"cycle": cycle})
+    def fetch_snapshot(
+        self, cell_index: int, cycle: Optional[int]
+    ) -> Generator[Event, Any, DataSnapshot]:
+        """Download a cell's data snapshot for ``cycle`` (None: its latest)."""
+        response = yield from self._fetch(
+            cell_index, Opcode.SNAPSHOT_REQUEST, {"cycle": cycle}, Opcode.SNAPSHOT_RESPONSE
+        )
+        return response.snapshot
 
-    def fetch_ledger_segment(self, cell_index: int, first_cycle: int, last_cycle: int) -> Event:
+    def fetch_ledger_segment(
+        self, cell_index: int, first_cycle: int, last_cycle: int
+    ) -> Generator[Event, Any, tuple[LedgerRecord, ...]]:
         """Download a cell's ledger entries for a range of cycles."""
-        return self._request(
+        response = yield from self._fetch(
             cell_index,
             Opcode.LEDGER_REQUEST,
             {"first_cycle": first_cycle, "last_cycle": last_cycle},
+            Opcode.LEDGER_RESPONSE,
         )
+        return response.entries
 
     # ------------------------------------------------------------------
     # Audits
@@ -179,69 +178,61 @@ class Auditor:
             auditor=self.node_name, cell=cell.node_name, cycle=cycle, passed=True
         )
 
-        snapshot_reply = yield self.fetch_snapshot(cell_index, cycle)
-        if snapshot_reply.operation != Opcode.SNAPSHOT_RESPONSE:
-            report.add("snapshot_unavailable", snapshot_reply.data.get("error", "no snapshot"))
+        try:
+            snapshot = yield from self.fetch_snapshot(cell_index, cycle)
+        except ReplyError as exc:
+            report.add("snapshot_unavailable", str(exc))
             return report
-        snapshot = snapshot_reply.data["snapshot"]
 
-        previous_reply = yield self.fetch_snapshot(cell_index, cycle - 1)
-        previous = (
-            previous_reply.data["snapshot"]
-            if previous_reply.operation == Opcode.SNAPSHOT_RESPONSE
-            else None
-        )
+        previous: Optional[DataSnapshot] = None
+        try:
+            previous = yield from self.fetch_snapshot(cell_index, cycle - 1)
+        except ReplyError as exc:
+            if exc.refusal is None:
+                # Not "no snapshot for that cycle" but something unreadable:
+                # garbling the predecessor must not get a cell out of the replay.
+                report.add("snapshot_unavailable", f"cycle {cycle - 1}: {exc}")
 
-        ledger_reply = yield self.fetch_ledger_segment(cell_index, cycle, cycle)
-        entries = (
-            ledger_reply.data.get("entries", [])
-            if ledger_reply.operation == Opcode.LEDGER_RESPONSE
-            else []
-        )
+        entries: Optional[tuple[LedgerRecord, ...]] = None
+        try:
+            entries = yield from self.fetch_ledger_segment(cell_index, cycle, cycle)
+        except ReplyError as exc:
+            report.add("ledger_unavailable", str(exc))
 
         self._check_anchoring(report, cell_index, cycle, snapshot)
         self._check_internal_consistency(report, snapshot)
-        if previous is not None:
+        if previous is not None and entries is not None:
             self._check_succession(report, previous, snapshot, entries)
         return report
 
     # -- data integrity ------------------------------------------------
     def _check_anchoring(
-        self, report: AuditReport, cell_index: int, cycle: int, snapshot: dict[str, Any]
+        self, report: AuditReport, cell_index: int, cycle: int, snapshot: DataSnapshot
     ) -> None:
         anchored = self.deployment.anchored_report(cycle, cell_index)
         if anchored is None:
             report.add("missing_report", f"cycle {cycle} has no anchored fingerprint")
-            return
-        served = snapshot.get("fingerprint", "")
-        if "0x" + anchored.hex() != served:
+        elif anchored != snapshot.fingerprint:
             report.add(
                 "fingerprint_mismatch",
-                f"anchored {('0x' + anchored.hex())[:18]}... differs from served {served[:18]}...",
+                f"anchored {('0x' + anchored.hex())[:18]}... differs from served "
+                f"{snapshot.fingerprint_hex()[:18]}...",
             )
 
-    def _check_internal_consistency(self, report: AuditReport, snapshot: dict[str, Any]) -> None:
+    def _check_internal_consistency(self, report: AuditReport, snapshot: DataSnapshot) -> None:
         """The served snapshot's combined fingerprint must match its parts."""
-        parts = {
-            name: bytes.fromhex(value[2:])
-            for name, value in snapshot.get("contract_fingerprints", {}).items()
-        }
-        expected = "0x" + snapshot_fingerprint(parts).hex()
-        if expected != snapshot.get("fingerprint"):
+        parts = snapshot.contract_fingerprints
+        if snapshot_fingerprint(parts) != snapshot.fingerprint:
             report.add(
                 "inconsistent_snapshot",
                 "combined fingerprint does not match the per-contract fingerprints",
             )
-        state_export = snapshot.get("state_export", {})
-        types = snapshot.get("contract_types", {})
         for name, digest in parts.items():
-            if name not in state_export:
+            if name not in snapshot.state_export:
                 report.add("missing_state", f"snapshot omits state for contract {name!r}")
                 continue
-            rebuilt = _rebuild_contract(name, state_export[name], types.get(name))
-            if rebuilt is None:
-                continue
-            if rebuilt.fingerprint() != digest:
+            rebuilt = _rebuild_contract(snapshot, name)
+            if rebuilt is not None and rebuilt.fingerprint() != digest:
                 report.add(
                     "state_fingerprint_mismatch",
                     f"contract {name!r} state does not hash to its claimed fingerprint",
@@ -251,14 +242,13 @@ class Auditor:
     def _check_succession(
         self,
         report: AuditReport,
-        previous: dict[str, Any],
-        snapshot: dict[str, Any],
-        entries: list[dict[str, Any]],
+        previous: DataSnapshot,
+        snapshot: DataSnapshot,
+        entries: tuple[LedgerRecord, ...],
     ) -> None:
         registry = ContractRegistry()
-        previous_types = previous.get("contract_types", {})
-        for name, state in previous.get("state_export", {}).items():
-            contract = _rebuild_contract(name, state, previous_types.get(name))
+        for name in previous.state_export:
+            contract = _rebuild_contract(previous, name)
             if contract is not None:
                 registry.register(contract)
         if not len(registry):
@@ -266,28 +256,28 @@ class Auditor:
             return
         executor = TransactionExecutor("auditor-replay", registry)
         replayed = 0
-        for item in entries:
-            summary = item.get("summary", {})
-            if summary.get("status") != "executed":
+        for record in entries:
+            summary = record.summary
+            if summary.status != "executed":
                 continue
             try:
-                envelope = Envelope.from_wire(item["envelope"])
-            except Exception:  # noqa: BLE001 - malformed entries are findings
-                report.add("malformed_ledger_entry", f"sequence {summary.get('sequence')}")
+                envelope = Envelope.from_wire(record.envelope)
+            except EnvelopeError:
+                report.add("malformed_ledger_entry", f"sequence {summary.sequence}")
                 continue
             if not envelope.verify():
                 report.add(
                     "forged_transaction",
-                    f"ledger entry {summary.get('sequence')} has an invalid client signature",
+                    f"ledger entry {summary.sequence} has an invalid client signature",
                 )
                 continue
             entry = LedgerEntry(
-                sequence=summary.get("sequence", replayed),
+                sequence=summary.sequence,
                 tx_id=envelope.payload.hash_hex(),
-                cycle=summary.get("cycle", snapshot.get("cycle", 0)),
-                admitted_at=summary.get("admitted_at", 0.0),
+                cycle=summary.cycle,
+                admitted_at=summary.admitted_at,
                 envelope=envelope,
-                contingency=summary.get("contingency", False),
+                contingency=summary.contingency,
             )
             outcome = executor.execute(entry)
             if not outcome.ok:
@@ -298,21 +288,12 @@ class Auditor:
             replayed += 1
         report.checked_transactions = replayed
 
-        expected = {
-            name: registry.get(name).fingerprint()
-            for name in registry.names()
-            if name in snapshot.get("contract_fingerprints", {})
-        }
-        claimed = {
-            name: bytes.fromhex(value[2:])
-            for name, value in snapshot.get("contract_fingerprints", {}).items()
-            if name in expected
-        }
-        for name, digest in expected.items():
-            if claimed.get(name) != digest:
+        for name in registry.names():
+            claimed = snapshot.contract_fingerprints.get(name)
+            if claimed is not None and claimed != registry.get(name).fingerprint():
                 report.add(
                     "succession_mismatch",
-                    f"replaying cycle {snapshot.get('cycle')} does not reproduce "
+                    f"replaying cycle {snapshot.cycle} does not reproduce "
                     f"the fingerprint of contract {name!r}",
                 )
 
@@ -335,40 +316,36 @@ class Auditor:
             auditor=self.node_name, cell=cell.node_name, cycle=cycle or -1, passed=True
         )
 
-        recovered_reply = yield self.fetch_snapshot(cell_index, cycle)
-        if recovered_reply.operation != Opcode.SNAPSHOT_RESPONSE:
-            report.add(
-                "snapshot_unavailable",
-                recovered_reply.data.get("error", "recovered cell serves no snapshot"),
-            )
+        try:
+            recovered = yield from self.fetch_snapshot(cell_index, cycle)
+        except ReplyError as exc:
+            report.add("snapshot_unavailable", str(exc))
             return report
-        recovered = recovered_reply.data["snapshot"]
-        report.cycle = int(recovered.get("cycle", -1))
+        report.cycle = recovered.cycle
 
-        reference_reply = yield self.fetch_snapshot(reference_index, report.cycle)
-        if reference_reply.operation != Opcode.SNAPSHOT_RESPONSE:
+        try:
+            expected = yield from self.fetch_snapshot(reference_index, report.cycle)
+        except ReplyError:
             report.add(
                 "reference_unavailable",
                 f"reference cell {reference.node_name} serves no snapshot "
                 f"for cycle {report.cycle}",
             )
             return report
-        expected = reference_reply.data["snapshot"]
 
-        if recovered.get("fingerprint") != expected.get("fingerprint"):
+        if recovered.fingerprint != expected.fingerprint:
             report.add(
                 "recovery_divergence",
                 f"cycle {report.cycle} fingerprints differ from {reference.node_name}",
             )
-        recovered_parts = recovered.get("contract_fingerprints", {})
-        for name, digest in expected.get("contract_fingerprints", {}).items():
-            if recovered_parts.get(name) != digest:
+        for name, digest in expected.contract_fingerprints.items():
+            if recovered.contract_fingerprints.get(name) != digest:
                 report.add(
                     "recovery_divergence",
                     f"contract {name!r} fingerprint differs from {reference.node_name}",
                 )
         anchored = self.deployment.anchored_report(report.cycle, cell_index)
-        if anchored is not None and "0x" + anchored.hex() != recovered.get("fingerprint"):
+        if anchored is not None and anchored != recovered.fingerprint:
             report.add(
                 "fingerprint_mismatch",
                 f"recovered cell's anchored cycle-{report.cycle} report does not "
@@ -605,26 +582,17 @@ class ShardedAuditor:
         return {"passed": passed, "digest": digest_report, "groups": group_reports}
 
 
-def _rebuild_contract(
-    name: str, state: dict[str, Any], type_tag: Optional[str] = None
-) -> Optional[BContract]:
-    """Reconstruct a contract instance of a known type and restore its state.
+def _rebuild_contract(snapshot: DataSnapshot, name: str) -> Optional[BContract]:
+    """Reconstruct one contract of ``snapshot`` and restore its exported state.
 
     The snapshot's ``contract_types`` tag identifies the implementation
-    regardless of the deployed name; the name-based factories remain as
-    the fallback for snapshots recorded before the tag existed.
+    regardless of the deployed name.  Community contracts deployed from
+    source would be rebuilt through the deployer record; an unknown type is
+    skipped rather than failed.
     """
-    contract: Optional[BContract] = None
-    cls = _TYPE_FACTORIES.get(type_tag) if type_tag else None
-    if cls is not None:
-        contract = cls(name)
-    else:
-        factory = _default_contract_factories().get(name)
-        if factory is None:
-            # Community contracts deployed from source would be rebuilt
-            # through the deployer record; unknown names are skipped
-            # rather than failed.
-            return None
-        contract = factory(name)
-    contract.restore_state(state)
+    cls = _TYPE_FACTORIES.get(snapshot.contract_types.get(name, ""))
+    if cls is None:
+        return None
+    contract: BContract = cls(name)
+    contract.restore_state(snapshot.state_export[name])
     return contract

@@ -7,17 +7,26 @@ object here models one client machine (or one of the paper's geographically
 scattered *client pools*): it owns a network node, and can submit requests
 either under its own identity or on behalf of freshly generated throwaway
 accounts, exactly as the paper's test harness does.
+
+What the client says goes through its message endpoint
+(:mod:`repro.messages.endpoint`), and what it hears back is read through
+:func:`repro.core.routes.read_reply` into the body the cell declared for
+that reply — or one error text: "service cell is unreachable", the cell's
+own words for a refusal, or the reader's for a malformed reply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..core.deployment import BlockumulusDeployment
-from ..core.receipts import AggregatedReceipt, ReceiptError
+from ..core.receipts import AggregatedReceipt
+from ..core.replies import ReplyError
+from ..core.routes import read_reply
 from ..crypto.keys import Address
-from ..messages.envelope import Envelope, NonceFactory
+from ..messages.endpoint import Endpoint
+from ..messages.envelope import Envelope
 from ..messages.opcodes import Opcode
 from ..messages.signer import Signer
 from ..sim.events import Event
@@ -65,8 +74,8 @@ class BlockumulusClient:
     typed result (:class:`TransactionResult` for :meth:`submit`, the raw
     view value for :meth:`query`, the reply envelope for
     :meth:`request`); drive the environment to make progress.  Replies
-    are matched to requests by nonce, so any number of requests may be
-    in flight concurrently.
+    are matched to requests by nonce (and taken from the service cell
+    only), so any number of requests may be in flight concurrently.
     """
 
     _counter = 0
@@ -85,8 +94,8 @@ class BlockumulusClient:
         self.node_name = node_name or f"client-{type(self)._counter}"
         self.signer = signer or deployment.make_client_signer(f"client/{self.node_name}")
         self.service_cell = deployment.cell(service_cell_index)
-        self.nonces = NonceFactory(self.signer.address)
-        self._waiting: dict[str, Event] = {}
+        self.endpoint = Endpoint(self.env, self.network, self.node_name, self.signer)
+        self.nonces = self.endpoint.nonces
         self.network.register(self.node_name, handler=self._on_message)
         self.network.set_link(
             self.node_name, self.service_cell.node_name, deployment.config.client_cell_latency
@@ -104,47 +113,13 @@ class BlockumulusClient:
     # Message plumbing
     # ------------------------------------------------------------------
     def _on_message(self, src_node: str, payload: Any, size: int) -> None:
-        """Network handler: route a reply envelope to its waiting request.
+        """Network handler: hand a reply envelope to the request it answers.
 
-        Replies carry the originating request's nonce in ``reply_to``;
-        unsolicited or duplicate messages are dropped silently (a client
-        never serves requests).
+        Unsolicited or duplicate messages, and replies from anyone but the
+        service cell, are dropped silently (a client never serves requests).
         """
-        if not isinstance(payload, Envelope):
-            return
-        reply_to = payload.payload.reply_to
-        if reply_to is None:
-            return
-        waiter = self._waiting.pop(reply_to, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(payload)
-
-    def _send_request(
-        self,
-        operation: Opcode,
-        data: dict[str, Any],
-        signer: Optional[Signer] = None,
-    ) -> tuple[Envelope, Event]:
-        """Sign, send, and register a waiter for the reply."""
-        signer = signer or self.signer
-        request = Envelope.create(
-            signer=signer,
-            recipient=self.service_cell.address,
-            operation=operation,
-            data=data,
-            timestamp=self.env.now,
-            nonce=self.nonces.next(),
-        )
-        waiter = self.env.event()
-        self._waiting[request.nonce] = waiter
-        accepted = self.network.send(
-            self.node_name, self.service_cell.node_name, request, request.byte_size()
-        )
-        if not accepted:
-            # The service cell is offline; fail the waiter immediately so
-            # callers do not hang forever.
-            waiter.fail(ClientError("service cell is unreachable"))
-        return request, waiter
+        if isinstance(payload, Envelope):
+            self.endpoint.resolve(payload)
 
     # ------------------------------------------------------------------
     # Public API
@@ -157,19 +132,21 @@ class BlockumulusClient:
     ) -> tuple[Envelope, Event]:
         """Send one signed request to the service cell; returns (request, waiter).
 
-        The waiter event fires with the reply :class:`Envelope` (or fails
-        with :class:`ClientError` when the service cell is unreachable).
+        The waiter event fires with the reply :class:`Envelope`, or with
+        ``None`` at once when the service cell is unreachable.
         This is the raw building block under :meth:`submit` and
         :meth:`query`; protocol layers that add their own reply handling —
         e.g. the cross-shard coordinator in
         :class:`~repro.client.sharded.ShardedClient`, which drives
         ``XSHARD_*`` phases against several groups — use it directly.
         """
-        return self._send_request(operation, data, signer=signer)
+        return self.endpoint.ask(
+            self.service_cell.node_name, self.service_cell.address, operation, data, signer
+        )
 
     def subscribe(self) -> Event:
         """Open an access subscription with the service cell."""
-        _request, waiter = self._send_request(Opcode.SUBSCRIBE, {"plan": "standard"})
+        _request, waiter = self.request(Opcode.SUBSCRIBE, {"plan": "standard"})
         return waiter
 
     def submit(
@@ -181,82 +158,58 @@ class BlockumulusClient:
     ) -> Event:
         """Submit a bContract transaction; the event fires with a TransactionResult."""
         submitted_at = self.env.now
-        request, waiter = self._send_request(
+        request, waiter = self.request(
             Opcode.TX_SUBMIT,
             {"contract": contract, "method": method, "args": args},
             signer=signer,
         )
-        result_event = self.env.event()
-
-        def _resolve(event: Event) -> None:
-            if not event._ok:
-                event.defused = True
-                result_event.succeed(
-                    TransactionResult(
-                        ok=False,
-                        submitted_at=submitted_at,
-                        completed_at=self.env.now,
-                        error=str(event.value),
-                        tx_id=request.payload.hash_hex(),
-                    )
-                )
-                return
-            reply: Envelope = event.value
-            result_event.succeed(self._parse_reply(reply, submitted_at, request))
-
-        waiter.add_callback(_resolve)
-        return result_event
-
-    def _parse_reply(
-        self, reply: Envelope, submitted_at: float, request: Envelope
-    ) -> TransactionResult:
-        if reply.operation == Opcode.TX_RECEIPT:
-            try:
-                receipt = AggregatedReceipt.from_wire(reply.data["receipt"])
-            except (KeyError, ReceiptError) as exc:
-                return TransactionResult(
-                    ok=False,
-                    submitted_at=submitted_at,
-                    completed_at=self.env.now,
-                    error=f"malformed receipt: {exc}",
-                    tx_id=request.payload.hash_hex(),
-                )
-            return TransactionResult(
-                ok=True,
-                submitted_at=submitted_at,
-                completed_at=self.env.now,
-                receipt=receipt,
-                tx_id=receipt.tx_id,
-            )
-        error = reply.data.get("error", f"unexpected reply {reply.operation.value}")
-        return TransactionResult(
-            ok=False,
-            submitted_at=submitted_at,
-            completed_at=self.env.now,
-            error=error,
-            tx_id=request.payload.hash_hex(),
+        return self._answer(
+            waiter,
+            Opcode.TX_RECEIPT,
+            lambda reply: TransactionResult(
+                True, submitted_at, self.env.now, receipt=reply.receipt, tx_id=reply.receipt.tx_id
+            ),
+            # Silence, the cell's own words for a refusal, or a malformed reply.
+            lambda error: TransactionResult(
+                False, submitted_at, self.env.now, error=error, tx_id=request.payload.hash_hex()
+            ),
         )
 
     def query(self, contract: str, view: str, args: dict[str, Any] | None = None) -> Event:
         """Read-only state query served by the service cell alone."""
-        _request, waiter = self._send_request(
+        _request, waiter = self.request(
             Opcode.QUERY_STATE, {"contract": contract, "view": view, "args": args or {}}
         )
-        result_event = self.env.event()
+        return self._answer(waiter, Opcode.QUERY_RESULT, lambda reply: reply.result)
+
+    def _answer(
+        self,
+        waiter: Event,
+        expected: Opcode,
+        answered: Callable[[Any], Any],
+        unanswered: Optional[Callable[[str], Any]] = None,
+    ) -> Event:
+        """An event exactly one hop behind ``waiter``, fired with a typed result.
+
+        That is ``answered(body)`` for the ``expected`` reply, and
+        ``unanswered(why)`` for anything else — or, without one, the event
+        fails with a :class:`ClientError` saying why.
+        """
+        answer = self.env.event()
 
         def _resolve(event: Event) -> None:
-            if not event._ok:
-                event.defused = True
-                result_event.fail(ClientError(str(event.value)))
-                return
-            reply: Envelope = event.value
-            if reply.operation == Opcode.QUERY_RESULT:
-                result_event.succeed(reply.data.get("result"))
+            try:
+                body = read_reply(event.value, expected, "service cell is unreachable")
+            except ReplyError as exc:
+                if unanswered is None:
+                    answer.fail(ClientError(str(exc)))
+                else:
+                    answer.succeed(unanswered(str(exc)))
             else:
-                result_event.fail(ClientError(reply.data.get("error", "query failed")))
+                answer.succeed(answered(body))
 
         waiter.add_callback(_resolve)
-        return result_event
+        return answer
 
     def submit_contingency(self, contract: str, method: str, args: dict[str, Any],
                            eth_key, signer: Optional[Signer] = None) -> Event:
@@ -268,14 +221,11 @@ class BlockumulusClient:
         execute everything recorded there.  Returns the event of the
         Ethereum receipt.
         """
-        signer = signer or self.signer
-        envelope = Envelope.create(
+        envelope = self.endpoint.sign(
+            self.service_cell.address,
+            Opcode.TX_SUBMIT,
+            {"contract": contract, "method": method, "args": args},
             signer=signer,
-            recipient=self.service_cell.address,
-            operation=Opcode.TX_SUBMIT,
-            data={"contract": contract, "method": method, "args": args},
-            timestamp=self.env.now,
-            nonce=self.nonces.next(),
         )
         return self.deployment.eth.transact_and_wait(
             eth_key,

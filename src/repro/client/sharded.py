@@ -36,6 +36,8 @@ from typing import Any, Generator, Optional, Union
 
 from ..contracts.community.fastmoney import FastMoney
 from ..core.lanes import AccessFootprint
+from ..core.replies import ReplyError
+from ..core.routes import read_reply
 from ..core.sharding import (
     GATEWAY_CELL_INDEX,
     NAMESPACE_SHARDED_CONTRACTS,
@@ -50,7 +52,6 @@ from ..messages.opcodes import Opcode
 from ..messages.signer import Signer
 from ..messages.xshard import (
     CrossShardDecision,
-    CrossShardError,
     CrossShardPrepare,
     CrossShardVote,
     CrossShardVoucher,
@@ -77,6 +78,9 @@ Call = tuple[str, str, dict[str, Any]]
 #: symmetric; the chaos engine samples per-node skews up to 0.5s, so the
 #: default covers both endpoints of one delivery.
 DEFAULT_SKEW_PAD = 1.0
+
+#: What a phase outcome says of a gateway whose reply never came.
+GATEWAY_SILENT = "gateway unreachable or timed out"
 
 
 @dataclass(frozen=True)
@@ -312,28 +316,12 @@ class ShardedClient:
         """Sign one inner transaction addressed to a group's gateway cell."""
         contract, method, args = call
         client = self._gateway_client(group)
-        return Envelope.create(
+        return client.endpoint.sign(
+            client.service_cell.address,
+            Opcode.TX_SUBMIT,
+            {"contract": contract, "method": method, "args": args},
             signer=signer,
-            recipient=client.service_cell.address,
-            operation=Opcode.TX_SUBMIT,
-            data={"contract": contract, "method": method, "args": args},
-            timestamp=self.env.now,
-            nonce=client.nonces.next(),
         )
-
-    def _safe_reply(self, waiter: Event) -> Event:
-        """Wrap a reply waiter so it always succeeds (with None on failure)."""
-        safe = self.env.event()
-
-        def _resolve(event: Event) -> None:
-            if not event._ok:
-                event.defused = True
-                safe.succeed(None)
-            else:
-                safe.succeed(event.value)
-
-        waiter.add_callback(_resolve)
-        return safe
 
     def _send_phase(
         self,
@@ -343,10 +331,11 @@ class ShardedClient:
         opcode: Opcode,
     ) -> Event:
         """Send one 2PC phase (of ``plan``'s group) or voucher leg (to a group
-        index) to that group's gateway; returns the safe waiter."""
+        index) to that group's gateway; returns the event its reply fires
+        (with None at once for an unreachable gateway)."""
         group = plan.group if isinstance(plan, ParticipantPlan) else plan
         _request, waiter = self._gateway_client(group).request(opcode, data, signer=signer)
-        return self._safe_reply(waiter)
+        return waiter
 
     def _parse_vote(
         self,
@@ -357,16 +346,11 @@ class ShardedClient:
         phase: str,
     ) -> PhaseOutcome:
         """Turn one gateway reply (or its absence) into a PhaseOutcome."""
-        if reply is None:
-            return PhaseOutcome(ok=False, error="gateway unreachable or timed out")
-        if reply.operation != Opcode.XSHARD_VOTE:
-            return PhaseOutcome(
-                ok=False, error=str(reply.data.get("error", f"unexpected {reply.operation}"))
-            )
         try:
-            vote = CrossShardVote.from_data(reply.data)
-        except CrossShardError as exc:
+            answer = read_reply(reply, Opcode.XSHARD_VOTE, GATEWAY_SILENT)
+        except ReplyError as exc:
             return PhaseOutcome(ok=False, error=str(exc))
+        vote = answer.vote
         if (
             vote.xtx != xtx
             or vote.group != group
@@ -376,19 +360,33 @@ class ShardedClient:
             or vote.voter != reply.sender
         ):
             return PhaseOutcome(ok=False, error="gateway vote failed verification")
-        return PhaseOutcome(
-            ok=vote.ok,
-            vote=vote,
-            receipt=reply.data.get("receipt"),
-            error=reply.data.get("error"),
-        )
+        return PhaseOutcome(ok=vote.ok, vote=vote, receipt=answer.receipt, error=answer.error)
+
+    def _collect_votes(
+        self, waiters: dict[int, Event], xtx: str, participants: tuple[int, ...], phase: str
+    ) -> Generator[Event, Any, dict[int, PhaseOutcome]]:
+        """Every asked gateway's outcome for ``phase``, by group (a process step).
+
+        Waits until all of them answered or the forwarding deadline passed;
+        a gateway still silent then is an outcome like any other.
+        """
+        if waiters:
+            deadline = self.deployment.config.forwarding_deadline
+            yield self.env.any_of(
+                [self.env.all_of(list(waiters.values())), self.env.timeout(deadline)]
+            )
+        return {
+            group: self._parse_vote(
+                waiter.value if waiter.triggered else None, xtx, group, participants, phase
+            )
+            for group, waiter in waiters.items()
+        }
 
     def _coordinate(
         self, plans: list[ParticipantPlan], signer: Signer, xtx: str
     ) -> Generator[Event, Any, CrossShardResult]:
         submitted_at = self.env.now
         participants = tuple(sorted(plan.group for plan in plans))
-        deadline = self.deployment.config.forwarding_deadline
 
         # Phase 1: prepare everywhere, in parallel.
         prepare_waiters: dict[int, Event] = {}
@@ -401,18 +399,7 @@ class ShardedClient:
             prepare_waiters[plan.group] = self._send_phase(
                 signer, plan, body.to_data(), Opcode.XSHARD_PREPARE
             )
-        yield self.env.any_of(
-            [self.env.all_of(list(prepare_waiters.values())), self.env.timeout(deadline)]
-        )
-        prepare: dict[int, PhaseOutcome] = {
-            plan.group: self._parse_vote(
-                prepare_waiters[plan.group].value
-                if prepare_waiters[plan.group].triggered
-                else None,
-                xtx, plan.group, participants, "prepare",
-            )
-            for plan in plans
-        }
+        prepare = yield from self._collect_votes(prepare_waiters, xtx, participants, "prepare")
 
         committing = all(outcome.ok for outcome in prepare.values())
         decision = "commit" if committing else "abort"
@@ -452,16 +439,7 @@ class ShardedClient:
                     signer, plan, body.to_data(),
                     Opcode.XSHARD_COMMIT if committing else Opcode.XSHARD_ABORT,
                 )
-        if ack_waiters:
-            yield self.env.any_of(
-                [self.env.all_of(list(ack_waiters.values())), self.env.timeout(deadline)]
-            )
-        acks = {
-            group: self._parse_vote(
-                waiter.value if waiter.triggered else None, xtx, group, participants, decision
-            )
-            for group, waiter in ack_waiters.items()
-        }
+        acks = yield from self._collect_votes(ack_waiters, xtx, participants, decision)
 
         ok = committing and all(outcome.ok for outcome in acks.values())
         error: Optional[str] = None
@@ -649,19 +627,14 @@ class ShardedClient:
                     "voucher reclaims after its deadline"
                 ),
             )
-        if reply.operation != Opcode.XSHARD_VOUCHER:
-            return result(
-                False, "abort",
-                error=str(reply.data.get("error", f"unexpected {reply.operation}")),
-            )
-        voucher_wire = reply.data.get("voucher")
-        if reply.data.get("phase") != "minted" or not isinstance(voucher_wire, dict):
-            return result(False, "abort", error="malformed voucher mint reply")
         try:
-            voucher = CrossShardVoucher.from_wire(voucher_wire)
-        except CrossShardError as exc:
+            minted = read_reply(reply, Opcode.XSHARD_VOUCHER)
+        except ReplyError as exc:
             return result(False, "abort", error=str(exc))
-        mint_outcome = PhaseOutcome(ok=True, receipt=reply.data.get("receipt"))
+        voucher = minted.voucher
+        if minted.phase != "minted" or voucher is None:
+            return result(False, "abort", error="malformed voucher mint reply")
+        mint_outcome = PhaseOutcome(ok=True, receipt=minted.receipt)
 
         if not await_redeem:
             # The asynchronous commit point: once the client holds a
@@ -737,30 +710,26 @@ class ShardedClient:
         if reply is None:
             return result(
                 False, in_transit=True,
-                acks={target_group: PhaseOutcome(
-                    ok=False, error="gateway unreachable or timed out"
-                )},
+                acks={target_group: PhaseOutcome(ok=False, error=GATEWAY_SILENT)},
                 error=(
                     "voucher minted but the redeem was unanswered; value is in "
                     "transit until redeemed or reclaimed"
                 ),
             )
-        if reply.operation != Opcode.XSHARD_VOUCHER or reply.data.get("phase") != "redeemed":
-            refusal = str(reply.data.get("error", f"unexpected {reply.operation}"))
+        try:
+            redeemed = read_reply(reply, Opcode.XSHARD_VOUCHER)
+            if redeemed.phase != "redeemed":
+                raise ReplyError(f"unexpected voucher reply phase {redeemed.phase!r}")
+        except ReplyError as refusal:
             return result(
                 False, in_transit=True,
-                acks={target_group: PhaseOutcome(ok=False, error=refusal)},
+                acks={target_group: PhaseOutcome(ok=False, error=str(refusal))},
                 error=(
                     f"voucher minted but the redeem was refused ({refusal}); value "
                     "is in transit until redeemed or reclaimed"
                 ),
             )
-        return result(
-            True,
-            acks={target_group: PhaseOutcome(
-                ok=True, receipt=reply.data.get("receipt")
-            )},
-        )
+        return result(True, acks={target_group: PhaseOutcome(ok=True, receipt=redeemed.receipt)})
 
 
 class ShardedFastMoneyClient:

@@ -18,10 +18,8 @@ from .faults import (
 from .lanes import (
     AccessFootprint,
     LaneError,
-    LaneSchedule,
     LaneScheduler,
     footprint_for_entry,
-    partition_footprints,
 )
 from .ledger import LedgerEntry, LedgerError, TransactionLedger
 from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch, ReceiptError
@@ -35,7 +33,6 @@ from .sharding import (
 from .recovery import (
     MembershipManager,
     RecoveryCoordinator,
-    RecoveryError,
     RecoveryResult,
 )
 from .snapshot import DataSnapshot, LazySnapshotExport, SnapshotEngine, SnapshotError
@@ -62,7 +59,6 @@ __all__ = [
     "FaultSchedule",
     "ScheduledFault",
     "LaneError",
-    "LaneSchedule",
     "LaneScheduler",
     "LazySnapshotExport",
     "LedgerEntry",
@@ -72,7 +68,6 @@ __all__ = [
     "PricingPolicy",
     "ReceiptError",
     "RecoveryCoordinator",
-    "RecoveryError",
     "RecoveryResult",
     "ShardMap",
     "ShardedDeployment",
@@ -89,5 +84,4 @@ __all__ = [
     "censor_sender",
     "chain_shard_digest",
     "footprint_for_entry",
-    "partition_footprints",
 ]

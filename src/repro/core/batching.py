@@ -14,21 +14,23 @@ authentication (client signatures on forwards, cell signatures on
 confirmations) is preserved inside the batches, and the singleton opcodes
 remain fully supported for deployments running with batching disabled
 (the per-tx ablation that reproduces the paper's Table II numbers).
+
+A batch is signed and sent by the cell's message endpoint
+(:mod:`repro.messages.endpoint`) like everything else the cell says; the
+dispatcher holds no signer, nonce factory or network of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..crypto.keys import Address
 from ..messages.batch import ForwardBatch
-from ..messages.envelope import Envelope, NonceFactory
+from ..messages.endpoint import Endpoint
+from ..messages.envelope import Envelope
 from ..messages.opcodes import Opcode
-from ..messages.signer import Signer
-from ..sim.environment import Environment
 from ..sim.metrics import MetricsRegistry
-from ..sim.network import Network
 from .receipts import Confirmation, ConfirmationBatch
 
 
@@ -50,30 +52,19 @@ class BatchDispatcher:
     """Coalesces a cell's outgoing overlay messages per destination."""
 
     def __init__(
-        self,
-        env: Environment,
-        network: Network,
-        signer: Signer,
-        nonces: NonceFactory,
-        node_name: str,
-        quantum: float,
-        metrics: Optional[MetricsRegistry] = None,
-        offline: Optional[Callable[[], bool]] = None,
+        self, endpoint: Endpoint, quantum: float, metrics: Optional[MetricsRegistry] = None
     ) -> None:
         if quantum < 0:
             raise ValueError("the batch quantum cannot be negative")
-        self.env = env
-        self.network = network
-        self.signer = signer
-        self.nonces = nonces
-        self.node_name = node_name
-        self.quantum = quantum
-        self.metrics = metrics
-        #: Liveness gate checked at flush time: a cell that crashed between
+        #: The cell's endpoint signs and sends each batch.  Its ``silent``
+        #: gate is checked at flush time: a cell that crashed between
         #: queueing and flushing must not emit the batch (a per-transaction
         #: sender would already have gone silent), so crash behaviour is
         #: identical with batching on and off.
-        self.offline = offline
+        self.endpoint = endpoint
+        self.node_name = endpoint.node_name
+        self.quantum = quantum
+        self.metrics = metrics
         self._queues: dict[str, _DestinationQueue] = {}
         #: Lifetime counters (exposed through the cell's statistics).
         self.batches_sent = 0
@@ -108,7 +99,7 @@ class BatchDispatcher:
         if queue.flush_pending:
             return
         queue.flush_pending = True
-        self.env.timeout(self.quantum).add_callback(lambda _event: self._flush(dst_node))
+        self.endpoint.env.timeout(self.quantum).add_callback(lambda _event: self._flush(dst_node))
 
     # ------------------------------------------------------------------
     # Flushing
@@ -122,7 +113,7 @@ class BatchDispatcher:
             return
         forwards, queue.forwards = queue.forwards, []
         confirmations, queue.confirmations = queue.confirmations, []
-        if self.offline is not None and self.offline():
+        if self.endpoint.silent():
             # The cell crashed while the batch was waiting for its quantum:
             # the queued items die with the process, like any unflushed
             # outbound buffer on a crashed machine.
@@ -155,15 +146,7 @@ class BatchDispatcher:
         data: dict[str, Any],
         item_count: int,
     ) -> None:
-        envelope = Envelope.create(
-            signer=self.signer,
-            recipient=recipient,
-            operation=operation,
-            data=data,
-            timestamp=self.env.now,
-            nonce=self.nonces.next(),
-        )
-        self.network.send(self.node_name, dst_node, envelope, envelope.byte_size())
+        self.endpoint.send(dst_node, recipient, operation, data)
         self.batches_sent += 1
         self.items_coalesced += item_count
         if self.metrics is not None:

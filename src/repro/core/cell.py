@@ -32,7 +32,8 @@ from ..ethchain.contracts.snapshot_registry import SnapshotRegistry
 from ..ethchain.provider import Web3Provider
 from ..messages import requests
 from ..messages.batch import ForwardedTransactions
-from ..messages.envelope import Envelope, NonceFactory
+from ..messages.endpoint import Endpoint
+from ..messages.envelope import Envelope
 from ..messages.membership import SyncRequest, SyncState
 from ..messages.opcodes import Opcode
 from ..messages.signer import Signer
@@ -52,6 +53,14 @@ from .lanes import LaneScheduler
 from .ledger import LedgerEntry, LedgerError, TransactionLedger
 from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch
 from .recovery import MembershipManager, RecoveryCoordinator
+from .replies import (
+    ErrorReply,
+    LedgerResponse,
+    QueryResult,
+    ReceiptReply,
+    SnapshotResponse,
+    SubscriptionAck,
+)
 from .routes import ROUTES, Admission, Route, Sender
 from .snapshot import SnapshotEngine
 from .subscription import PricingPolicy, SubscriptionManager, SubscriptionError
@@ -181,27 +190,17 @@ class BlockumulusCell:
             policy=pricing or PricingPolicy(), enforce=enforce_subscriptions
         )
         self.fault = FaultPlan()
-        self.nonces = NonceFactory(signer.address)
+        # Everything this cell says leaves through its endpoint, which a
+        # crash silences: replies, forwards, membership traffic and the
+        # batches queued before the crash alike.
+        self.endpoint = Endpoint(env, network, node_name, signer, lambda: self.fault.crashed)
+        self.nonces = self.endpoint.nonces
         self.membership = MembershipManager(self)
         self.recovery = RecoveryCoordinator(self)
         # Batched overlay pipeline: outgoing forwards/confirmations for the
         # same destination coalesce into one envelope per scheduling quantum.
-        # The ``offline`` gate keeps a crashed cell from flushing batches it
-        # queued before the crash (a per-transaction sender would never have
-        # queued them), so both pipeline modes crash identically.
         self.batcher: Optional[BatchDispatcher] = (
-            BatchDispatcher(
-                env=env,
-                network=network,
-                signer=signer,
-                nonces=self.nonces,
-                node_name=node_name,
-                quantum=batch_quantum,
-                metrics=metrics,
-                offline=lambda: self.fault.crashed,
-            )
-            if message_batching
-            else None
+            BatchDispatcher(self.endpoint, batch_quantum, metrics) if message_batching else None
         )
 
         # Simulated hardware.
@@ -357,23 +356,14 @@ class BlockumulusCell:
         """Sign and send a reply to ``request`` (crashed cells stay silent)."""
         if self.fault.crashed:
             return
-        reply = Envelope.create(
-            signer=self.signer,
-            recipient=request.sender,
-            operation=operation,
-            data=data,
-            timestamp=self.env.now,
-            nonce=self.nonces.next(),
-            reply_to=request.nonce,
-        )
-        size = reply.byte_size()
+        reply = self.endpoint.sign(request.sender, operation, data, reply_to=request.nonce)
         if request.sender in self._client_nodes:
-            self.subscriptions.record_traffic(request.sender, size)
-        self.network.send(self.node_name, dst_node, reply, size)
+            self.subscriptions.record_traffic(request.sender, reply.byte_size())
+        self.endpoint.post(dst_node, reply)
 
     def _refuse(self, dst_node: str, request: Envelope, error: str, **details: Any) -> None:
         """Answer ``request`` with a plain ``TX_ERROR`` (never a signed statement)."""
-        self._reply(dst_node, request, Opcode.TX_ERROR, {"error": error, **details})
+        self._reply(dst_node, request, Opcode.TX_ERROR, ErrorReply(error, **details).to_data())
 
     # ------------------------------------------------------------------
     # Client transaction servicing (Fig. 7 steps 1-4)
@@ -511,7 +501,7 @@ class BlockumulusCell:
         if result.confirmed:
             self.metrics.increment(f"{self.node_name}/transactions_confirmed")
             self._reply(
-                src_node, envelope, Opcode.TX_RECEIPT, {"receipt": result.receipt.to_wire()}
+                src_node, envelope, Opcode.TX_RECEIPT, ReceiptReply(result.receipt).to_data()
             )
             return True
 
@@ -524,8 +514,8 @@ class BlockumulusCell:
             envelope,
             result.failure_reason(),
             tx_id=result.entry.tx_id,
-            missing_cells=[address.hex() for address in result.missing],
-            mismatched_cells=[address.hex() for address in result.mismatched],
+            missing_cells=tuple(address.hex() for address in result.missing),
+            mismatched_cells=tuple(address.hex() for address in result.mismatched),
         )
         return False
 
@@ -610,15 +600,10 @@ class BlockumulusCell:
                 # batch flush instead of costing a dedicated network message.
                 self.batcher.queue_forward(peer_node, peer_address, envelope)
                 continue
-            forward = Envelope.create(
-                signer=self.signer,
-                recipient=peer_address,
-                operation=Opcode.TX_FORWARD,
-                data={"client_envelope": envelope.to_wire()},
-                timestamp=self.env.now,
-                nonce=self.nonces.next(),
+            self.endpoint.send(
+                peer_node, peer_address, Opcode.TX_FORWARD,
+                {"client_envelope": envelope.to_wire()},
             )
-            self.network.send(self.node_name, peer_node, forward, forward.byte_size())
         return True
 
     def _aggregate(
@@ -868,16 +853,9 @@ class BlockumulusCell:
             self.batcher.queue_confirmation(dst_node, origin, confirmation)
             return
         opcode = Opcode.TX_CONFIRM if status == "executed" else Opcode.TX_REJECT
-        reply = Envelope.create(
-            signer=self.signer,
-            recipient=origin,
-            operation=opcode,
-            data={"confirmation": confirmation.to_wire()},
-            timestamp=self.env.now,
-            nonce=self.nonces.next(),
-            reply_to=reply_nonce,
+        self.endpoint.send(
+            dst_node, origin, opcode, {"confirmation": confirmation.to_wire()}, reply_nonce
         )
-        self.network.send(self.node_name, dst_node, reply, reply.byte_size())
 
     def _accept_confirmations(
         self, src_node: str, envelope: Envelope, batch: ConfirmationBatch
@@ -944,26 +922,20 @@ class BlockumulusCell:
         self, src_node: str, envelope: Envelope, request: requests.SubscriptionRequest
     ) -> None:
         subscription = self.subscriptions.subscribe(envelope.sender, self.env.now)
-        self._reply(
-            src_node,
-            envelope,
-            Opcode.SUBSCRIBE_ACK,
-            {
-                "cell": self.address.hex(),
-                "opened_at": subscription.opened_at,
-                "price_per_mbyte": subscription.policy.price_per_mbyte,
-            },
+        ack = SubscriptionAck(
+            self.address, subscription.opened_at, subscription.policy.price_per_mbyte
         )
+        self._reply(src_node, envelope, Opcode.SUBSCRIBE_ACK, ack.to_data())
 
     def _serve_query(self, src_node: str, envelope: Envelope, query: requests.StateQuery) -> None:
         try:
             result = self.executor.query(query.contract, query.view, query.args)
-            self._reply(src_node, envelope, Opcode.QUERY_RESULT, {"result": result})
+            self._reply(src_node, envelope, Opcode.QUERY_RESULT, QueryResult(result).to_data())
         except Exception as exc:  # noqa: BLE001 - report query errors to the client
             self._refuse(src_node, envelope, str(exc))
 
     def _serve_ping(self, src_node: str, envelope: Envelope, body: None) -> None:
-        self._reply(src_node, envelope, Opcode.PONG, {"node": self.node_name})
+        self._reply(src_node, envelope, Opcode.PONG, requests.Pong(self.node_name).to_data())
 
     # ------------------------------------------------------------------
     # Auditor interface
@@ -975,22 +947,15 @@ class BlockumulusCell:
         if cycle is None or not self.snapshots.has(cycle):
             self._refuse(src_node, envelope, f"no snapshot for cycle {cycle}")
             return
-        snapshot = self.snapshots.get(cycle)
-        self._reply(
-            src_node, envelope, Opcode.SNAPSHOT_RESPONSE, {"snapshot": snapshot.to_wire()}
-        )
+        response = SnapshotResponse(self.snapshots.get(cycle))
+        self._reply(src_node, envelope, Opcode.SNAPSHOT_RESPONSE, response.to_data())
 
     def _serve_ledger_request(
         self, src_node: str, envelope: Envelope, request: requests.LedgerRequest
     ) -> None:
         first, last = request.first_cycle, request.last_cycle
-        segment = self.ledger.segment(first, last)
-        self._reply(
-            src_node,
-            envelope,
-            Opcode.LEDGER_RESPONSE,
-            {"first_cycle": first, "last_cycle": last, "entries": segment},
-        )
+        response = LedgerResponse(first, last, tuple(self.ledger.segment(first, last)))
+        self._reply(src_node, envelope, Opcode.LEDGER_RESPONSE, response.to_data())
 
     # ------------------------------------------------------------------
     # Resync donor interface (crash recovery, Section V)

@@ -151,8 +151,7 @@ class TransactionExecutor:
 
         Malformed payloads and unknown contracts revert rather than crash
         the executing cell; the client receives the reason in its TX_ERROR
-        reply.  Shared by the cell's execution paths and the offline
-        :meth:`~repro.core.lanes.LaneSchedule.execute` drain.
+        reply.  Shared by the cell's service and forwarded execution paths.
         """
         try:
             return self.execute(entry, lane=lane)

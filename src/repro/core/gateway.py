@@ -38,6 +38,7 @@ from ..messages.xshard import (
     CrossShardVoucherTransfer,
 )
 from ..sim.events import Event
+from .replies import VoteReply, VoucherReply
 from .subscription import SubscriptionError
 
 if TYPE_CHECKING:
@@ -291,7 +292,7 @@ class CrossShardGateway:
         if lying:
             vote = _forged(vote)
         cell._reply(
-            src_node, request, Opcode.XSHARD_VOTE, vote.to_data(receipt=receipt, error=error)
+            src_node, request, Opcode.XSHARD_VOTE, VoteReply(vote, receipt, error).to_data()
         )
 
     # ------------------------------------------------------------------
@@ -382,15 +383,11 @@ class CrossShardGateway:
             cell.fault.record("voucher_loss", xtx=body.xtx)
             cell.metrics.increment(f"{cell.node_name}/xshard_vouchers_dropped")
             return
-        cell._reply(
-            src_node, envelope, Opcode.XSHARD_VOUCHER,
-            {
-                "phase": "minted",
-                "xtx": body.xtx,
-                "voucher": voucher.to_wire(),
-                "receipt": result.receipt.to_wire() if result.receipt is not None else None,
-            },
+        minted = VoucherReply(
+            "minted", body.xtx, voucher=voucher,
+            receipt=result.receipt.to_wire() if result.receipt is not None else None,
         )
+        cell._reply(src_node, envelope, Opcode.XSHARD_VOUCHER, minted.to_data())
 
     def _serve_redeem(
         self, src_node: str, envelope: Envelope, body: CrossShardVoucherTransfer
@@ -432,15 +429,11 @@ class CrossShardGateway:
         )
         if result is None:
             return
-        cell._reply(
-            src_node, envelope, Opcode.XSHARD_VOUCHER,
-            {
-                "phase": "redeemed",
-                "xtx": body.xtx,
-                "duplicate": False,
-                "receipt": result.receipt.to_wire() if result.receipt is not None else None,
-            },
+        redeemed = VoucherReply(
+            "redeemed", body.xtx, duplicate=False,
+            receipt=result.receipt.to_wire() if result.receipt is not None else None,
         )
+        cell._reply(src_node, envelope, Opcode.XSHARD_VOUCHER, redeemed.to_data())
         if cell.fault.duplicate_voucher:
             # The network redelivers the redeem: the registry answers it
             # as a duplicate without touching the pipeline — observable
@@ -453,5 +446,5 @@ class CrossShardGateway:
         self.cell.metrics.increment(f"{self.cell.node_name}/xshard_voucher_duplicates")
         self.cell._reply(
             src_node, envelope, Opcode.XSHARD_VOUCHER,
-            {"phase": "redeemed", "xtx": xtx, "duplicate": True},
+            VoucherReply("redeemed", xtx, duplicate=True).to_data(),
         )

@@ -16,9 +16,8 @@ protocol depends on:
   flight at the same time, and conflicting transactions always start in
   canonical ledger order;
 * non-conflicting transactions run concurrently on up to ``lanes``
-  execution lanes — as simulated concurrency inside a cell (through
-  :class:`~repro.sim.resources.ConflictGate`) and as real thread-pool
-  concurrency in the offline :meth:`LaneSchedule.execute` drain;
+  execution lanes — simulated concurrency inside a cell, through
+  :class:`~repro.sim.resources.ConflictGate`;
 * results are committed to the ledger in canonical sequence order, so
   ledgers, receipts, and per-cycle execution fingerprints are bit-identical
   to the serial schedule.
@@ -30,17 +29,14 @@ XOR fingerprint is order-independent for disjoint final contents.  Pure
 increments of a shared key are the one sanctioned read-modify-write
 overlap: their sum is order-independent, and any method whose *result*
 exposes the running value must declare the key as a write instead.
-Conflicting transactions never overlap; the *offline*
-:class:`LaneSchedule` additionally runs them in strict canonical
-(sequence) order, making its replay exactly serial-equivalent.  The
-*online* in-cell scheduler orders conflicting grants canonically among
-queued waiters, but — like the legacy serial path, where execution order
-is arrival order — it cannot see a conflicting transaction that has not
-arrived yet.  A workload whose conflicting outcomes are order-sensitive
-(e.g. racing an account to insolvency) is therefore timing-dependent
-per cell under *every* schedule, serial included; the cross-cell
-fingerprint comparison is what catches any divergence, exactly as in the
-paper.  For workloads whose conflicting outcomes commute (what the
+Conflicting transactions never overlap.  The scheduler is *online*: it
+orders conflicting grants canonically among queued waiters, but — like the
+legacy serial path, where execution order is arrival order — it cannot see
+a conflicting transaction that has not arrived yet.  A workload whose
+conflicting outcomes are order-sensitive (e.g. racing an account to
+insolvency) is therefore timing-dependent per cell under *every* schedule,
+serial included; the cross-cell fingerprint comparison is what catches any
+divergence, exactly as in the paper.  For workloads whose conflicting outcomes commute (what the
 access-plan discipline is designed to encourage), ledgers, receipts, and
 fingerprints are identical across all lane counts and the serial
 schedule — the differential suite asserts this configuration matrix.
@@ -48,9 +44,8 @@ schedule — the differential suite asserts this configuration matrix.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Any, Optional, TYPE_CHECKING
 
 from ..contracts.registry import ContractRegistry
 from ..contracts.state_store import AccessSet, access_sets_conflict
@@ -59,8 +54,7 @@ from ..sim.events import Event
 from ..sim.resources import ConflictGate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .executor import ExecutionOutcome, TransactionExecutor
-    from .ledger import LedgerEntry, TransactionLedger
+    from .ledger import LedgerEntry
 
 
 class LaneError(Exception):
@@ -138,211 +132,7 @@ def footprint_for_entry(entry: "LedgerEntry", registry: ContractRegistry) -> Acc
 
 
 # ----------------------------------------------------------------------
-# Deterministic wave partition (the planning half of the engine)
-# ----------------------------------------------------------------------
-def partition_footprints(
-    footprints: list[AccessFootprint], lanes: int
-) -> list[list[int]]:
-    """Partition transaction indices into parallel *waves*.
-
-    Transactions are considered in canonical (index) order.  Each one is
-    placed in the earliest wave that (a) is strictly later than every wave
-    holding a transaction it conflicts with — conflicting transactions
-    never share a wave and never lose their relative order — and (b) still
-    has a free lane (waves are at most ``lanes`` wide).  Capacity overflow
-    only ever pushes a transaction to a *later* wave, so rule (a) is
-    preserved.  The partition is a pure function of the footprints, hence
-    identical on every cell that holds the same ledger segment.
-
-    Classic list scheduling: instead of scanning all earlier transactions
-    (quadratic in segment length — ruinous for 20k-tx cycles), per-key
-    maps remember the last wave that read, wrote, or delta'd each key, so
-    planning costs O(transactions × keys-per-transaction).
-    """
-    if lanes < 1:
-        raise LaneError("at least one execution lane is required")
-    waves: list[list[int]] = []
-    last_read: dict[QualifiedKey, int] = {}
-    last_write: dict[QualifiedKey, int] = {}
-    last_delta: dict[QualifiedKey, int] = {}
-    last_exclusive = -1      # wave of the most recent exclusive transaction
-    last_any = -1            # latest wave assigned to any transaction so far
-    for index, footprint in enumerate(footprints):
-        earliest = last_exclusive + 1
-        if footprint.exclusive:
-            earliest = max(earliest, last_any + 1)
-        else:
-            for key in footprint.reads:
-                earliest = max(
-                    earliest, last_write.get(key, -1) + 1, last_delta.get(key, -1) + 1
-                )
-            for key in footprint.writes:
-                earliest = max(
-                    earliest,
-                    last_read.get(key, -1) + 1,
-                    last_write.get(key, -1) + 1,
-                    last_delta.get(key, -1) + 1,
-                )
-            for key in footprint.deltas:
-                earliest = max(
-                    earliest, last_read.get(key, -1) + 1, last_write.get(key, -1) + 1
-                )
-        wave = earliest
-        while wave < len(waves) and len(waves[wave]) >= lanes:
-            wave += 1
-        while wave >= len(waves):
-            waves.append([])
-        waves[wave].append(index)
-        last_any = max(last_any, wave)
-        if footprint.exclusive:
-            last_exclusive = max(last_exclusive, wave)
-        else:
-            for key in footprint.reads:
-                last_read[key] = max(last_read.get(key, -1), wave)
-            for key in footprint.writes:
-                last_write[key] = max(last_write.get(key, -1), wave)
-            for key in footprint.deltas:
-                last_delta[key] = max(last_delta.get(key, -1), wave)
-    return waves
-
-
-@dataclass
-class LaneSchedule:
-    """A planned parallel execution of one ledger segment.
-
-    ``waves`` holds ledger entries grouped into parallel waves; within a
-    wave entries are in canonical sequence order and mutually
-    non-conflicting.  :meth:`execute` drains the schedule (optionally on a
-    real thread pool) and commits results in canonical ledger order.
-    """
-
-    entries: list["LedgerEntry"]
-    footprints: list[AccessFootprint]
-    lanes: int
-    waves: list[list[int]] = field(default_factory=list)
-
-    @classmethod
-    def plan(
-        cls,
-        entries: Iterable["LedgerEntry"],
-        registry: ContractRegistry,
-        lanes: int,
-    ) -> "LaneSchedule":
-        """Build the deterministic wave partition for ``entries``."""
-        ordered = sorted(entries, key=lambda entry: entry.sequence)
-        footprints = [footprint_for_entry(entry, registry) for entry in ordered]
-        schedule = cls(entries=ordered, footprints=footprints, lanes=lanes)
-        schedule.waves = partition_footprints(footprints, lanes)
-        return schedule
-
-    @property
-    def wave_count(self) -> int:
-        """Number of sequential waves in the schedule."""
-        return len(self.waves)
-
-    @property
-    def max_wave_width(self) -> int:
-        """Widest wave (the achieved intra-cycle parallelism)."""
-        return max((len(wave) for wave in self.waves), default=0)
-
-    @property
-    def exclusive_count(self) -> int:
-        """Transactions that fell back to the exclusive footprint."""
-        return sum(1 for footprint in self.footprints if footprint.exclusive)
-
-    def conflict_pairs(self) -> int:
-        """Number of conflicting transaction pairs (diagnostic only, O(n²))."""
-        count = 0
-        for i in range(len(self.footprints)):
-            for j in range(i + 1, len(self.footprints)):
-                if self.footprints[i].conflicts_with(self.footprints[j]):
-                    count += 1
-        return count
-
-    def replay_order(self) -> list["LedgerEntry"]:
-        """Entries in wave-major order — a serializable schedule.
-
-        Replaying the entries serially in this order reproduces the serial
-        store fingerprint: conflicting entries keep canonical order across
-        waves, and entries reordered by capacity overflow are
-        non-conflicting, hence commute.
-        """
-        return [self.entries[index] for wave in self.waves for index in wave]
-
-    def execute(
-        self,
-        executor: "TransactionExecutor",
-        ledger: Optional["TransactionLedger"] = None,
-        threads: Optional[int] = None,
-    ) -> list["ExecutionOutcome"]:
-        """Drain the schedule and return outcomes in canonical order.
-
-        With ``threads`` set, each wave's entries are executed on a thread
-        pool, grouped by target contract — entries of the *same* contract
-        stay on one thread because the store journal is not reentrant, so
-        the thread pool parallelizes across contracts (and, under
-        CPython's GIL, mainly wins when contract execution blocks).  The
-        simulated lane mode inside :class:`~repro.core.cell.BlockumulusCell`
-        is what models intra-contract lane parallelism deterministically.
-
-        Ledger marks (when a ``ledger`` is supplied) are applied strictly
-        in canonical sequence order after all waves have drained — the
-        "commit in ledger order" half of the determinism argument.
-        """
-        outcomes: dict[int, "ExecutionOutcome"] = {}
-
-        def run_group(group: list["LedgerEntry"]) -> list[tuple[int, Any]]:
-            return [(entry.sequence, executor.execute_safely(entry)) for entry in group]
-
-        for wave in self.waves:
-            wave_entries = [self.entries[index] for index in wave]
-            groups: dict[str, list["LedgerEntry"]] = {}
-            for entry in wave_entries:
-                target = str(entry.envelope.data.get("contract", ""))
-                groups.setdefault(target, []).append(entry)
-            if threads and threads > 1 and len(groups) > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    for result in pool.map(run_group, groups.values()):
-                        for sequence, outcome in result:
-                            outcomes[sequence] = outcome
-            else:
-                for group in groups.values():
-                    for sequence, outcome in run_group(group):
-                        outcomes[sequence] = outcome
-
-        ordered = [outcomes[entry.sequence] for entry in sorted(
-            self.entries, key=lambda entry: entry.sequence
-        )]
-        if ledger is not None:
-            for outcome in ordered:
-                if outcome.ok:
-                    ledger.mark_executed(
-                        outcome.tx_id,
-                        outcome.contract,
-                        outcome.result,
-                        outcome.fingerprint,
-                        access=outcome.access,
-                    )
-                else:
-                    ledger.mark_rejected(
-                        outcome.tx_id, outcome.contract, outcome.error or "",
-                        access=outcome.access,
-                    )
-        return ordered
-
-    def statistics(self) -> dict[str, Any]:
-        """Planning statistics for benchmarks and cell introspection."""
-        return {
-            "transactions": len(self.entries),
-            "lanes": self.lanes,
-            "waves": self.wave_count,
-            "max_wave_width": self.max_wave_width,
-            "exclusive_fallbacks": self.exclusive_count,
-        }
-
-
-# ----------------------------------------------------------------------
-# Simulated lane scheduler (the in-cell, online half of the engine)
+# Simulated lane scheduler (in-cell, online)
 # ----------------------------------------------------------------------
 class LaneScheduler:
     """Online conflict-aware lane admission for one simulated cell.

@@ -19,7 +19,7 @@ from ..contracts.state_store import AccessSet
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
 from ..messages.envelope import Envelope
-from ..messages.membership import EntrySummary, SyncEntry
+from ..messages.membership import EntrySummary, LedgerRecord, SyncEntry
 from ..sim.environment import Environment
 from ..sim.resources import Resource
 
@@ -222,13 +222,10 @@ class TransactionLedger:
             if entry.cycle == cycle and entry.status == "executed"
         ]
 
-    def segment(self, first_cycle: int, last_cycle: int) -> list[dict[str, Any]]:
-        """Wire-friendly export of all entries in a cycle range (inclusive)."""
+    def segment(self, first_cycle: int, last_cycle: int) -> list[LedgerRecord]:
+        """Export of all entries in a cycle range (inclusive), for an audit download."""
         return [
-            {
-                "summary": entry.summary(),
-                "envelope": entry.envelope.to_wire(),
-            }
+            LedgerRecord(entry.record(), entry.envelope.to_wire())
             for entry in self._entries
             if first_cycle <= entry.cycle <= last_cycle
         ]

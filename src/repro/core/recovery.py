@@ -58,10 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cell import BlockumulusCell
 
 
-class RecoveryError(Exception):
-    """Raised for unrecoverable resync failures (ledger divergence etc.)."""
-
-
 @dataclass
 class RecoveryResult:
     """Outcome of one crash→resync→rejoin cycle, for tests and benchmarks."""
@@ -175,10 +171,6 @@ class MembershipManager:
 
     def __init__(self, cell: "BlockumulusCell") -> None:
         self.cell = cell
-        #: Pending PING / CELL_SYNC waiters, keyed by request nonce: the peer
-        #: the request was addressed to (the only one whose reply counts)
-        #: and the event its reply body resolves.
-        self._waiters: dict[str, tuple[Address, Event]] = {}
         #: Votes collected for exclusion proposals this cell initiated,
         #: keyed by (suspect hex, cycle).
         self._exclusion_votes: dict[tuple[str, int], dict[str, ExclusionVote]] = {}
@@ -195,45 +187,25 @@ class MembershipManager:
         self._provisional_forwards: dict[str, tuple[Address, str, float]] = {}
 
     # ------------------------------------------------------------------
-    # Outgoing plumbing
+    # Requests to a peer and their replies
     # ------------------------------------------------------------------
-    def _send(
-        self, dst_node: str, recipient: Address, operation: Opcode, data: dict[str, Any]
-    ) -> Optional[Envelope]:
-        """Sign and send one membership envelope; None if it never left the cell.
-
-        Crashed cells stay silent, and the network refuses an offline peer.
-        """
-        cell = self.cell
-        envelope = Envelope.create(
-            signer=cell.signer,
-            recipient=recipient,
-            operation=operation,
-            data=data,
-            timestamp=cell.env.now,
-            nonce=cell.nonces.next(),
-        )
-        if cell.fault.crashed or not cell.network.send(
-            cell.node_name, dst_node, envelope, envelope.byte_size()
-        ):
-            return None
-        return envelope
-
     def request(
         self, dst_node: str, peer: Address, operation: Opcode, data: dict[str, Any], patience: float
     ) -> Generator[Event, Any, Optional[Any]]:
         """Ask ``peer`` and wait for *its* reply body (a process).
 
-        None when the request never left or ``patience`` seconds pass
+        None when the request never left (a crashed cell stays silent, and
+        the network refuses an offline peer) or ``patience`` seconds pass
         without an answer from the cell it was addressed to.
         """
-        sent = self._send(dst_node, peer, operation, data)
-        if sent is None:
+        endpoint = self.cell.endpoint
+        request, waiter = endpoint.ask(dst_node, peer, operation, data)
+        if waiter.triggered:
+            # Never left: return before any deadline is scheduled, or a run
+            # with no horizon would last ``patience`` seconds longer.
             return None
-        waiter = self.cell.env.event()
-        self._waiters[sent.nonce] = (peer, waiter)
         yield self.cell.env.any_of([waiter, self.cell.env.timeout(patience)])
-        del self._waiters[sent.nonce]
+        endpoint.forget(request)
         return waiter.value if waiter.triggered else None
 
     def resolve_reply(
@@ -242,17 +214,11 @@ class MembershipManager:
         """Route an authenticated PONG / CELL_SYNC_STATE / CELL_REJOIN_ACK body."""
         if isinstance(body, RejoinAck):
             self._on_rejoin_ack(src_node, envelope, body)
-            return
-        peer, waiter = self._waiters.get(envelope.payload.reply_to, (None, None))
-        if waiter is None:
-            return
-        if envelope.sender != peer:
+        elif not self.cell.endpoint.resolve(envelope, body):
             # Another cell answering in the asked peer's name: a third
             # party's PONG must not vouch for a suspect, nor its state
             # pass for the donor's.
             self.cell._refuse_unauthenticated(src_node, envelope)
-        elif not waiter.triggered:
-            waiter.succeed(body)
 
     # ------------------------------------------------------------------
     # Exclusion: proposal, probing, votes, commit
@@ -278,7 +244,7 @@ class MembershipManager:
         for address, node in cell._peers.items():
             if address == suspect:
                 continue
-            self._send(node, address, Opcode.CELL_EXCLUDE, proposal.to_data())
+            cell.endpoint.send(node, address, Opcode.CELL_EXCLUDE, proposal.to_data())
         cell.metrics.increment(f"{cell.node_name}/exclusion_proposals")
         self._maybe_commit_exclusion(suspect, cycle)
 
@@ -340,7 +306,7 @@ class MembershipManager:
         for address, node in cell._peers.items():
             if address == suspect:
                 continue
-            self._send(node, address, Opcode.MEMBERSHIP_UPDATE, update.to_data())
+            cell.endpoint.send(node, address, Opcode.MEMBERSHIP_UPDATE, update.to_data())
         cell.metrics.increment(f"{cell.node_name}/exclusions_committed")
 
     # ------------------------------------------------------------------
@@ -493,7 +459,7 @@ class MembershipManager:
         # be live, and skipping it would permanently split the membership
         # views.  The quorum is still measured against the active view.
         for address, node in cell._peers.items():
-            self._send(node, address, Opcode.CELL_REJOIN, request.to_data())
+            cell.endpoint.send(node, address, Opcode.CELL_REJOIN, request.to_data())
         deadline = cell.env.timeout(cell.invariants.forwarding_deadline)
         yield cell.env.any_of([collection.done, deadline])
         self._rejoin_collection = None
@@ -511,7 +477,7 @@ class MembershipManager:
             action="readmit", subject=cell.address, cycle=handshake_cycle, acks=agreeing
         )
         for address, node in cell._peers.items():
-            self._send(node, address, Opcode.MEMBERSHIP_UPDATE, update.to_data())
+            cell.endpoint.send(node, address, Opcode.MEMBERSHIP_UPDATE, update.to_data())
         cell.metrics.increment(f"{cell.node_name}/rejoins_committed")
         return RejoinOutcome(readmitted=True, acks=acks, silent=silent)
 

@@ -5,11 +5,13 @@ The opcode ``O`` alone decides how the data field ``D`` is read
 (Section III-D3).  That policy — who may say what to a cell, and what
 happens to a message before a handler runs — is written down here and
 nowhere else: :data:`ROUTES` has one row per opcode a cell *serves*,
-:data:`REPLY_ONLY` lists the opcodes a cell only ever emits.  The ingress
-stage of :class:`~repro.core.cell.BlockumulusCell` reads the row and runs
+:data:`REPLIES` one per opcode it *answers with* (the ones it never serves
+are :data:`REPLY_ONLY`).  The ingress stage of
+:class:`~repro.core.cell.BlockumulusCell` reads the row and runs
 slot → auth delay → ``verify()`` → sender class → body parser → handler, so
-handlers start from an authenticated envelope and a typed body; the static
-analyzer (``PROTO001``/``PROTO002``) and the opcode reference in
+handlers start from an authenticated envelope and a typed body; requesters
+read what comes back through :func:`read_reply`; the static analyzer
+(``PROTO001``/``PROTO002``) and the opcode reference in
 ``docs/ARCHITECTURE.md`` read the same rows.
 """
 
@@ -19,7 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
+from ..messages import wire
 from ..messages.batch import ForwardedTransactions, SingleForward
+from ..messages.envelope import Envelope
 from ..messages.membership import (
     ExclusionProposal,
     ExclusionVote,
@@ -44,6 +48,17 @@ from ..messages.xshard import (
     CrossShardVoucherTransfer,
 )
 from .receipts import ConfirmationBatch, SingleConfirmation
+from .replies import (
+    ErrorReply,
+    LedgerResponse,
+    QueryResult,
+    ReceiptReply,
+    ReplyError,
+    SnapshotResponse,
+    SubscriptionAck,
+    VoteReply,
+    VoucherReply,
+)
 
 
 class Sender(Enum):
@@ -162,16 +177,38 @@ ROUTES: dict[Opcode, Route] = {
                        DROP_MEMBERSHIP, delayed=False),
 }
 
+#: What a cell answers a client or an auditor with: the class that builds
+#: and parses the data field of each reply opcode.
+REPLIES: dict[Opcode, type[wire.Body]] = {
+    Opcode.TX_RECEIPT: ReceiptReply,
+    Opcode.TX_ERROR: ErrorReply,
+    Opcode.SUBSCRIBE_ACK: SubscriptionAck,
+    Opcode.QUERY_RESULT: QueryResult,
+    Opcode.XSHARD_VOTE: VoteReply,
+    Opcode.XSHARD_VOUCHER: VoucherReply,  # a request on its way in, see ROUTES
+    Opcode.SNAPSHOT_RESPONSE: SnapshotResponse,
+    Opcode.LEDGER_RESPONSE: LedgerResponse,
+}
+
 #: Opcodes a cell emits and never serves; one arriving at a cell is counted
 #: as ``unhandled_<opcode>`` and dropped.
-REPLY_ONLY: frozenset[Opcode] = frozenset(
-    {
-        Opcode.TX_RECEIPT,
-        Opcode.TX_ERROR,
-        Opcode.SUBSCRIBE_ACK,
-        Opcode.QUERY_RESULT,
-        Opcode.XSHARD_VOTE,
-        Opcode.SNAPSHOT_RESPONSE,
-        Opcode.LEDGER_RESPONSE,
-    }
-)
+REPLY_ONLY: frozenset[Opcode] = frozenset(REPLIES) - frozenset(ROUTES)
+
+
+def read_reply(reply: Optional[Envelope], expected: Opcode, silence: str = "no reply") -> Any:
+    """The typed body of the ``expected`` reply, or :class:`ReplyError`.
+
+    ``reply`` is what a request's waiter fired with: None (``silence``
+    says what that means to the requester) or the envelope of the cell
+    that was asked.  A ``TX_ERROR`` is raised in the cell's own words with
+    its body attached, any other opcode as unexpected, and a data field
+    the declared class refuses as malformed.  Nothing is read leniently.
+    """
+    if reply is None:
+        raise ReplyError(silence)
+    if reply.operation is Opcode.TX_ERROR:
+        refusal = ErrorReply.from_data(reply.data)
+        raise ReplyError(refusal.error, refusal)
+    if reply.operation is not expected:
+        raise ReplyError(f"unexpected reply {reply.operation.value}")
+    return REPLIES[expected].from_data(reply.data)

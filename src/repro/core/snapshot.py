@@ -25,8 +25,8 @@ from ..contracts.state_store import StateExport
 from ..crypto.fingerprint import snapshot_fingerprint
 
 
-class SnapshotError(Exception):
-    """Raised for invalid snapshot queries."""
+class SnapshotError(ValueError):
+    """Raised for invalid snapshot queries and malformed snapshot wire forms."""
 
 
 class LazySnapshotExport(Mapping):

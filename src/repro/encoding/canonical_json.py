@@ -13,6 +13,7 @@ modelled HTTP header, mirroring the paper's WireShark methodology.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .hexutil import to_hex
@@ -89,8 +90,24 @@ def dump_bytes(value: Any) -> bytes:
     return dumps(value).encode()
 
 
+def _refuse_constant(name: str) -> Any:
+    raise CanonicalJSONError(f"{name} is not canonical JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise CanonicalJSONError(f"{text} overflows a float")
+    return value
+
+
 def loads(text: str | bytes) -> Any:
-    """Parse JSON text produced by :func:`dumps`."""
+    """Parse JSON text produced by :func:`dumps`.
+
+    What :func:`dumps` can never have written is refused rather than
+    parsed into a value it cannot serialize again: ``NaN``, ``Infinity``
+    and a number too large for a float (``1e999``).
+    """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode()
-    return json.loads(text)
+    return json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)

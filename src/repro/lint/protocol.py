@@ -2,22 +2,28 @@
 
 The uniform RESTful interface routes every message by its opcode
 (Section III-C2 of the paper), and the cell's route table
-(:mod:`repro.core.routes`) is the one declaration of that routing.  Three
-wiring mistakes survive unit tests easily — an opcode the table does not
-know, a route without a resolvable body parser, and a handler that trusts
-payload data before authenticating the envelope — so they are checked
-statically over the whole tree:
+(:mod:`repro.core.routes`) is the one declaration of that routing.  Four
+wiring mistakes survive unit tests easily — an opcode the tables do not
+know, a row without a resolvable body parser, a handler that trusts
+payload data before authenticating the envelope, and a sender that signs
+and sends beside the endpoint — so they are checked statically over the
+whole tree:
 
 * ``PROTO001`` — every member of :class:`repro.messages.opcodes.Opcode`
-  must be declared in the route table exactly once: as the key of an
-  ``Opcode.X: Route(...)`` row or as a member of ``REPLY_ONLY``.  An
-  undeclared opcode is either dead protocol surface or a handler someone
-  forgot to route; a doubly declared one has a row the dict silently drops.
+  must be declared in the route module: as the key of an
+  ``Opcode.X: Route(...)`` row of ``ROUTES`` (an opcode a cell serves), of
+  an ``Opcode.X: Class`` row of ``REPLIES`` (one it answers with; the
+  reply-only opcodes are the ``REPLIES`` keys that have no route), or of
+  one row in each — never of two rows of the same table.  An undeclared
+  opcode is either dead protocol surface or a handler someone forgot to
+  route; a doubly declared one has a row the dict silently drops.
 * ``PROTO002`` — the body of every ``Route(...)`` row must be ``None`` or a
   class, defined in the scanned tree, that can parse the data field: it
   declares its wire fields under the codec base (``wire.Body`` derives
   ``from_data`` from them) or defines ``from_data`` by hand — one parser
-  per body, named in one place.
+  per body, named in one place.  The class of every ``REPLIES`` row must
+  declare its wire fields under the codec base: a reply is built *and*
+  read from its declaration.
 * ``PROTO003`` — inside message handlers (``_serve_*`` / ``_process_*`` /
   ``_accept_*`` / ``handle_*`` functions taking an ``Envelope``), the
   envelope's ``.data`` / ``.payload`` must not be consumed before
@@ -26,6 +32,11 @@ statically over the whole tree:
   stage only if *every* reference to it is a call made after the caller
   verified the envelope it passes.  Handlers the route table names get a
   typed body from the stage and have no business reading ``.data`` at all.
+* ``PROTO004`` — ``Envelope.create(...)`` and ``<...>.network.send(...)``
+  are called by the participant's endpoint
+  (:mod:`repro.messages.endpoint`) and nowhere else: it owns the nonce
+  sequence, the clock stamp, the crashed-cell gate and the request → reply
+  map, and a hand-rolled sender beside it has to re-state all four.
 """
 
 from __future__ import annotations
@@ -38,6 +49,8 @@ from .engine import Finding, SourceFile
 OPCODES_MODULE = "repro.messages.opcodes"
 ROUTES_MODULE = "repro.core.routes"
 DISPATCH_PACKAGE = "repro.core"
+#: Where ``Envelope.create`` is defined, and the one module that may call it.
+SENDER_MODULES = ("repro.messages.envelope", "repro.messages.endpoint")
 
 _HANDLER_PREFIXES = ("_serve_", "_process_", "_accept_", "handle_")
 
@@ -100,16 +113,20 @@ def _route_rows(source: SourceFile) -> list[tuple[str, Optional[ast.expr], int]]
     return rows
 
 
-def _reply_only(source: SourceFile) -> list[str]:
-    """The opcode member of every ``Opcode.X`` assigned to ``REPLY_ONLY``."""
+def _reply_rows(source: SourceFile) -> list[tuple[str, ast.expr, int]]:
+    """``(opcode member, class expression, line)`` of every ``Opcode.X: Class`` reply row."""
     for node in ast.walk(source.tree):
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
-            isinstance(target, ast.Name) and target.id == "REPLY_ONLY"
+            isinstance(target, ast.Name) and target.id == "REPLIES"
             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         ):
-            return [
-                name for sub in ast.walk(node) if (name := _opcode_name(sub)) is not None
-            ]
+            table = node.value
+            if isinstance(table, ast.Dict):
+                return [
+                    (name, value, key.lineno)
+                    for key, value in zip(table.keys, table.values)
+                    if key is not None and (name := _opcode_name(key)) is not None
+                ]
     return []
 
 
@@ -124,12 +141,13 @@ def _declares_wire_field(node: ast.ClassDef) -> bool:
     return False
 
 
-def _parser_classes(sources: Sequence[SourceFile]) -> set[str]:
+def _parser_classes(sources: Sequence[SourceFile]) -> tuple[set[str], set[str]]:
     """Names of the scanned classes that can parse a data field.
 
-    Either the class defines ``from_data`` itself, or it (or a base) declares
-    wire fields under the codec base ``wire.Body``, which derives the parser
-    from them (:mod:`repro.messages.wire`).
+    First the ones that declare it: the class (or a base) has wire fields
+    under the codec base ``wire.Body``, which derives the parser from them
+    (:mod:`repro.messages.wire`).  Second those and the ones that define
+    ``from_data`` by hand.
     """
     classes = {
         node.name: node
@@ -145,15 +163,19 @@ def _parser_classes(sources: Sequence[SourceFile]) -> set[str]:
             if parent is not None and parent is not node:
                 yield from lineage(parent)
 
-    def parses(node: ast.ClassDef) -> bool:
-        if any(getattr(item, "name", None) == "from_data" for item in node.body):
-            return True  # written by hand
+    def declares(node: ast.ClassDef) -> bool:
         ancestry = list(lineage(node))
         return any(cls.name == "Body" for cls in ancestry) and any(
             _declares_wire_field(cls) for cls in ancestry
         )
 
-    return {name for name, node in classes.items() if parses(node)}
+    declared = {name for name, node in classes.items() if declares(node)}
+    by_hand = {
+        name
+        for name, node in classes.items()
+        if any(getattr(item, "name", None) == "from_data" for item in node.body)
+    }
+    return declared, declared | by_hand
 
 
 def _check_opcode_wiring(sources: Sequence[SourceFile]) -> Iterator[Finding]:
@@ -171,27 +193,38 @@ def _check_opcode_wiring(sources: Sequence[SourceFile]) -> Iterator[Finding]:
     ):
         return
     rows = _route_rows(routes_source) if routes_source is not None else []
-    declared = [name for name, _body, _line in rows]
-    if routes_source is not None:
-        declared += _reply_only(routes_source)
+    replies = _reply_rows(routes_source) if routes_source is not None else []
+    routed = [name for name, _body, _line in rows]
+    answered = [name for name, _body, _line in replies]
 
-    # PROTO001 — every opcode is declared exactly once: routed or reply-only.
+    # PROTO001 — every opcode is served, answered with, or both: once per table.
     for name, line in sorted(members.items()):
-        count = declared.count(name)
+        count = max(routed.count(name), answered.count(name))
         if count != 1:
             yield _finding(
                 opcodes_source,
                 line,
                 "PROTO001",
                 f"opcode {name} is declared {count} times in {ROUTES_MODULE} "
-                f"(one Route row or one REPLY_ONLY member)",
-                "add an Opcode.X: Route(...) row naming its sender, body and handler, list "
-                "it in REPLY_ONLY, or remove the dead opcode",
+                "(one Route row, one REPLIES row, or one of each)",
+                "add an Opcode.X: Route(...) row naming its sender, body and handler, an "
+                "Opcode.X: Class row in REPLIES, or remove the dead opcode",
                 f"opcode:{name}",
             )
 
     # PROTO002 — every row names a body parser (or declares there is no body).
-    parsers = _parser_classes(sources)
+    declared, parsers = _parser_classes(sources)
+    for name, body, line in replies:
+        if not (isinstance(body, ast.Name) and body.id in declared):
+            yield _finding(
+                routes_source,
+                line,
+                "PROTO002",
+                f"the REPLIES row of {name} names no class with declared wire fields "
+                "in the scanned tree",
+                "point the row at the wire.Body class that declares the reply's fields",
+                f"reply-body:{name}",
+            )
     for name, body, line in rows:
         carries_nothing = isinstance(body, ast.Constant) and body.value is None
         if not carries_nothing and not (isinstance(body, ast.Name) and body.id in parsers):
@@ -319,7 +352,36 @@ def _check_verify_order(sources: Sequence[SourceFile]) -> Iterator[Finding]:
                         )
 
 
+def _check_single_sender(sources: Sequence[SourceFile]) -> Iterator[Finding]:
+    """PROTO004 — nobody signs or sends an envelope beside the endpoint."""
+    for source in sources:
+        if source.module in SENDER_MODULES:
+            continue
+        for node in ast.walk(source.tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner, call = node.func.value, node.func.attr
+            if call == "create" and getattr(owner, "id", None) == "Envelope":
+                what = "Envelope.create"
+            elif call == "send" and "network" in (
+                getattr(owner, "id", None), getattr(owner, "attr", None)
+            ):
+                what = "network.send"
+            else:
+                continue
+            yield _finding(
+                source,
+                node.lineno,
+                "PROTO004",
+                f"{what}(...) is called outside the message endpoint",
+                "sign and send through the participant's endpoint "
+                "(Endpoint.sign / post / send / ask)",
+                f"{what}:L{node.lineno}",
+            )
+
+
 def check_protocol(sources: Sequence[SourceFile]) -> Iterator[Finding]:
     """Apply every PROTO rule across the scanned tree."""
     yield from _check_opcode_wiring(sources)
     yield from _check_verify_order(sources)
+    yield from _check_single_sender(sources)

@@ -14,6 +14,7 @@ from .membership import (
     EntrySummary,
     ExclusionProposal,
     ExclusionVote,
+    LedgerRecord,
     MembershipError,
     MembershipUpdate,
     RejoinAck,
@@ -51,6 +52,7 @@ __all__ = [
     "ExclusionProposal",
     "ExclusionVote",
     "ForwardBatch",
+    "LedgerRecord",
     "MembershipError",
     "MembershipUpdate",
     "NonceFactory",

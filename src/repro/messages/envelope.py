@@ -27,6 +27,28 @@ class EnvelopeError(ValueError):
 #: JSON text of the scheme tags a signer can produce.
 _SCHEME_JSON = {"ecdsa": b'"ecdsa"', "sim": b'"sim"'}
 
+#: The largest envelope :meth:`Envelope.from_wire` reads from bytes (a resync
+#: bundle or audit download of a 20,000-transaction cycle is a few tens of
+#: MB) and the deepest nesting it accepts (a batch of client envelopes is
+#: ~10 levels, plus what contract arguments and exported state nest); the
+#: depth bound also keeps every later recursive pass — ``verify()``
+#: re-encodes the payload — far from the interpreter's recursion limit.
+MAX_WIRE_BYTES = 64 * 1024 * 1024
+MAX_WIRE_DEPTH = 64
+
+
+def _require_depth(value: Any, remaining: int) -> None:
+    """Refuse JSON nested more than ``remaining`` containers deep."""
+    if type(value) is dict:
+        value = value.values()
+    elif type(value) is not list:
+        return
+    if remaining == 0:
+        raise ValueError(f"nested deeper than {MAX_WIRE_DEPTH} levels")
+    for item in value:
+        if type(item) in (dict, list):
+            _require_depth(item, remaining - 1)
+
 
 class NonceFactory:
     """Deterministic generator of unique message nonces (η).
@@ -135,16 +157,26 @@ class Envelope:
 
     @classmethod
     def from_wire(cls, raw: dict[str, Any] | bytes | str) -> "Envelope":
-        """Parse an envelope from its wire form, verifying structure only."""
+        """Parse an envelope from its wire form, verifying structure only.
+
+        Bytes (what a socket hands over) are bounded first — at most
+        :data:`MAX_WIRE_BYTES` long, at most :data:`MAX_WIRE_DEPTH` deep,
+        no non-finite number — so that nothing accepted here can make a
+        later ``verify()`` raise.
+        """
         try:
             if isinstance(raw, (bytes, str)):
+                if len(raw) > MAX_WIRE_BYTES:
+                    raise ValueError(f"larger than {MAX_WIRE_BYTES} bytes")
                 raw = canonical_json.loads(raw)
+                _require_depth(raw, MAX_WIRE_DEPTH)
             payload = Payload.from_dict(raw["payload"])
             signature = bytes.fromhex(strip_0x(raw["signature"]))
             scheme = raw.get("scheme", "ecdsa")
             if not isinstance(scheme, str):
                 raise TypeError("scheme must be a string")
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
+            # RecursionError: nesting so deep that the JSON parser gave up.
             raise EnvelopeError(f"malformed envelope: {exc}") from exc
         return cls(payload=payload, signature=signature, scheme=scheme)
 

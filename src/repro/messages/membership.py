@@ -226,16 +226,25 @@ class EntrySummary(wire.Body, error=MembershipError):
 
 
 @dataclass(frozen=True)
-class SyncEntry(wire.Body, error=MembershipError):
-    """One ledger entry of a resync bundle.
+class LedgerRecord(wire.Body, error=MembershipError):
+    """One ledger entry as a cell serves it: to auditors, and in a resync bundle.
 
-    The donor's summary, the signed client envelope in wire form (parsed
-    and verified by the replay, which skips what it already holds) and the
-    recorded result.
+    The cell's summary and the signed client envelope in wire form (parsed
+    and verified by whoever replays it).
     """
 
     summary: EntrySummary = wire.nested(EntrySummary)()
     envelope: dict[str, Any] = wire.obj()
+
+
+@dataclass(frozen=True)
+class SyncEntry(LedgerRecord):
+    """One ledger entry of a resync bundle: the record plus the recorded result.
+
+    The replay skips what the recovering cell already holds, and backfills
+    what a snapshot covers with this result instead of re-executing it.
+    """
+
     result: Any = wire.anything(default=None)
 
 

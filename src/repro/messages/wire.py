@@ -161,7 +161,7 @@ def single(kind: Kind) -> Kind:
 
 
 def nested(body: type[Any]) -> Kind:
-    """A :class:`Body` (or an ``Envelope``), embedded as its wire form."""
+    """A :class:`Body` (or an ``Envelope`` / ``DataSnapshot``), embedded as its wire form."""
     # Its methods are looked up per call, so a tracer that wraps them on the
     # class sees the calls.
     return Kind(

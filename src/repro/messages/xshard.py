@@ -117,16 +117,6 @@ class CrossShardVote(SignedStatement, error=CrossShardError, what="cross-shard v
             phase=phase, ok=ok,
         )
 
-    def to_data(self, receipt: Optional[dict[str, Any]] = None,
-                error: Optional[str] = None) -> dict[str, Any]:
-        """The data field D of an ``XSHARD_VOTE`` reply envelope."""
-        data = super().to_data()
-        if receipt is not None:
-            data["receipt"] = receipt
-        if error is not None:
-            data["error"] = error
-        return data
-
 
 @dataclass(frozen=True)
 class CrossShardDecision(wire.Body, error=CrossShardError, what="cross-shard decision"):

@@ -256,14 +256,15 @@ def test_redelivered_gateway_vote_is_ignored_by_the_coordinator():
     )
     assert vote is not None and vote.ok
     # Re-deliver the very same signed vote envelope to the client's node:
-    # its request waiter is gone, so the duplicate is dropped on the
-    # floor rather than resolving anything twice.
+    # its request is no longer pending at the endpoint, so the duplicate is
+    # dropped on the floor rather than resolving anything twice.
     inner_client = client.clients[0]
-    before = dict(inner_client._waiting)
+    before = dict(inner_client.endpoint._pending)
     inner_client._on_message(
         deployment.group(0).cells[0].node_name, reply, reply.byte_size()
     )
-    assert inner_client._waiting == before
+    assert inner_client.endpoint._pending == before
+    assert reply.payload.reply_to not in before
     assert_conserved(deployment)
 
 

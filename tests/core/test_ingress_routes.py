@@ -17,7 +17,7 @@ import pytest
 
 from repro.contracts.community import FastMoney
 from repro.core.receipts import Confirmation, ConfirmationBatch
-from repro.core.routes import REPLY_ONLY, ROUTES, Sender
+from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES, Sender
 from repro.messages import Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch
 from repro.messages.envelope import NonceFactory
@@ -50,6 +50,37 @@ def test_every_opcode_is_routed_or_reply_only():
     assert set(ROUTES) | REPLY_ONLY == set(Opcode)
     assert not set(ROUTES) & REPLY_ONLY
     assert (len(ROUTES), len(REPLY_ONLY)) == (24, 7)
+
+
+def test_every_opcode_a_cell_answers_with_has_a_declared_body():
+    """Read off the sources: each ``_reply(node, request, Opcode.X, …)`` of the cell side.
+
+    What goes to a client or an auditor must have a ``REPLIES`` row (its
+    requester reads it through ``read_reply``); what goes to a peer must be
+    a routed opcode with a body, which the peer's ingress stage parses.
+    """
+    import ast
+    import pathlib
+
+    import repro.core
+
+    emitted = set()
+    for path in pathlib.Path(repro.core.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "_reply":
+                opcode = node.args[2]
+                assert isinstance(opcode, ast.Attribute) and opcode.value.id == "Opcode", (
+                    f"{path.name}:{node.lineno}: name the reply opcode where it is sent"
+                )
+                emitted.add(Opcode[opcode.attr])
+    assert len(emitted) >= 12
+    for opcode in emitted:
+        route = ROUTES.get(opcode)
+        assert opcode in REPLIES or (route is not None and route.sender is Sender.CELL
+                                     and route.body is not None), opcode
+    assert REPLY_ONLY < emitted, "a reply-only opcode no cell ever sends is dead surface"
+    assert set(REPLIES) <= emitted
+    assert REPLY_ONLY == set(REPLIES) - set(ROUTES)
 
 
 def test_every_routed_opcode_has_a_parser_and_a_handler():

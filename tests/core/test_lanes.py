@@ -1,4 +1,4 @@
-"""The conflict-aware lane engine: footprints, partition, schedule, gate."""
+"""The conflict-aware lane engine: footprints, gate, online scheduler."""
 
 import pytest
 
@@ -6,13 +6,7 @@ from repro.contracts import AccessSet, ContractRegistry, FastMoney
 from repro.contracts.community.ballot import Ballot
 from repro.contracts.system.cas import ContentAddressableStorage
 from repro.core.executor import TransactionExecutor
-from repro.core.lanes import (
-    AccessFootprint,
-    LaneError,
-    LaneSchedule,
-    footprint_for_entry,
-    partition_footprints,
-)
+from repro.core.lanes import AccessFootprint, footprint_for_entry
 from repro.core.ledger import TransactionLedger
 from repro.crypto.keys import PrivateKey
 from repro.messages import EcdsaSigner, Envelope, Opcode
@@ -153,109 +147,6 @@ def test_access_set_conflict_semantics():
     assert not delta.conflicts_with(delta)
     assert AccessSet(writes=frozenset({"a"})).covers_mutations_of(delta) is False
     assert AccessSet(writes=frozenset({"k"})).covers_mutations_of(delta)
-
-
-# ----------------------------------------------------------------------
-# Wave partition
-# ----------------------------------------------------------------------
-def test_partition_respects_lane_width():
-    free = [AccessFootprint(writes=frozenset({("c", str(i))})) for i in range(10)]
-    waves = partition_footprints(free, lanes=4)
-    assert all(len(wave) <= 4 for wave in waves)
-    assert sorted(index for wave in waves for index in wave) == list(range(10))
-
-
-def test_partition_orders_conflicting_entries_across_waves():
-    hot = AccessFootprint(
-        reads=frozenset({("c", "hot")}), writes=frozenset({("c", "hot")})
-    )
-    cold = AccessFootprint(writes=frozenset({("c", "cold")}))
-    waves = partition_footprints([hot, cold, hot, hot], lanes=8)
-    wave_of = {index: n for n, wave in enumerate(waves) for index in wave}
-    # The three hot transactions land in three distinct, increasing waves.
-    assert wave_of[0] < wave_of[2] < wave_of[3]
-    # The cold one shares the first wave with the first hot one.
-    assert wave_of[1] == wave_of[0]
-
-
-def test_partition_rejects_zero_lanes():
-    with pytest.raises(LaneError):
-        partition_footprints([], lanes=0)
-
-
-# ----------------------------------------------------------------------
-# Schedule execution (offline drain)
-# ----------------------------------------------------------------------
-def run_workload_entries(ledger):
-    hot = "0x" + "dd" * 20
-    entries = [
-        admit(ledger, ALICE, transfer("0x" + "aa" * 20, 5), "0xa1"),
-        admit(ledger, BOB, transfer("0x" + "bb" * 20, 7), "0xb1"),
-        admit(ledger, ALICE, transfer(hot, 3), "0xa2"),
-        admit(ledger, BOB, transfer(hot, 2), "0xb2"),
-        admit(ledger, ALICE, {"contract": "fastmoney", "method": "burn",
-                              "args": {"amount": 1}}, "0xa3"),
-        admit(ledger, BOB, {"contract": "system.cas", "method": "put",
-                            "args": {"content_hex": "0x" + b"blob".hex()}}, "0xb3"),
-    ]
-    return entries
-
-
-def serial_fingerprints(entries):
-    registry = build_registry()
-    executor = TransactionExecutor("cell-s", registry)
-    outcomes = [executor.execute_safely(entry) for entry in entries]
-    return {
-        name: registry.get(name).fingerprint_hex() for name in registry.names()
-    }, [(o.tx_id, o.status, o.execution_fingerprint_hex()) for o in outcomes]
-
-
-@pytest.mark.parametrize("threads", [None, 4])
-def test_schedule_execution_matches_serial(setup, threads):
-    _registry, ledger, _ = setup
-    entries = run_workload_entries(ledger)
-    expected_state, expected_outcomes = serial_fingerprints(entries)
-
-    registry = build_registry()
-    executor = TransactionExecutor("cell-p", registry)
-    schedule = LaneSchedule.plan(entries, registry, lanes=4)
-    assert schedule.wave_count >= 2          # same-sender chains force waves
-    assert schedule.max_wave_width > 1       # and some parallelism survives
-    outcomes = schedule.execute(executor, ledger=ledger, threads=threads)
-
-    got_state = {name: registry.get(name).fingerprint_hex() for name in registry.names()}
-    assert got_state == expected_state
-    assert [(o.tx_id, o.status, o.execution_fingerprint_hex()) for o in outcomes] \
-        == expected_outcomes
-    # Commit order: the ledger was marked in canonical sequence order.
-    for entry, outcome in zip(sorted(entries, key=lambda e: e.sequence), outcomes):
-        assert entry.tx_id == outcome.tx_id
-        assert entry.status == outcome.status
-
-
-def test_schedule_replay_order_reproduces_serial_state(setup):
-    _registry, ledger, _ = setup
-    entries = run_workload_entries(ledger)
-    expected_state, _ = serial_fingerprints(entries)
-    registry = build_registry()
-    schedule = LaneSchedule.plan(entries, registry, lanes=3)
-    executor = TransactionExecutor("cell-r", registry)
-    for entry in schedule.replay_order():
-        executor.execute_safely(entry)
-    got = {name: registry.get(name).fingerprint_hex() for name in registry.names()}
-    assert got == expected_state
-
-
-def test_schedule_statistics(setup):
-    registry, ledger, _ = setup
-    entries = run_workload_entries(ledger)
-    schedule = LaneSchedule.plan(entries, registry, lanes=4)
-    stats = schedule.statistics()
-    assert stats["transactions"] == len(entries)
-    assert stats["lanes"] == 4
-    assert stats["waves"] == schedule.wave_count
-    assert stats["exclusive_fallbacks"] == 0
-    assert schedule.conflict_pairs() >= 2
 
 
 # ----------------------------------------------------------------------

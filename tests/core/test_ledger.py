@@ -69,9 +69,10 @@ def test_segment_export_roundtrips_envelopes(ledger):
     ledger.admit(make_envelope("0x2"), cycle=1, contingency=True)
     segment = ledger.segment(0, 1)
     assert len(segment) == 2
-    restored = Envelope.from_wire(segment[0]["envelope"])
+    restored = Envelope.from_wire(segment[0].envelope)
     assert restored.verify()
-    assert segment[1]["summary"]["contingency"] is True
+    assert segment[1].summary.contingency is True
+    assert segment[1].to_wire()["summary"] == ledger.entry_at(1).summary()
 
 
 def test_mutex_serializes_admission(ledger):

@@ -51,3 +51,10 @@ def test_dump_bytes_is_utf8_of_dumps():
 
 def test_loads_accepts_bytes():
     assert loads(dump_bytes({"a": 1})) == {"a": 1}
+
+
+@pytest.mark.parametrize("text", ["NaN", "[Infinity]", '{"a": -Infinity}', "1e999", "[-1e999]"])
+def test_loads_refuses_what_dumps_can_never_have_written(text):
+    with pytest.raises(CanonicalJSONError):
+        loads(text)
+    assert loads("[1e308, -1.5, 0.0]") == [1e308, -1.5, 0.0]

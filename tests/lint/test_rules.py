@@ -318,13 +318,23 @@ ROUTES = """
         Opcode.CELL_SYNC: Route(Sender.CELL, SyncRequest, "_serve_sync", DROP),
         Opcode.PING: Route(Sender.ANYONE, None, "_serve_ping", DROP),
     }
-    REPLY_ONLY = frozenset({Opcode.TX_ERROR})
+    REPLIES = {Opcode.TX_ERROR: ErrorReply}
+    REPLY_ONLY = frozenset(REPLIES) - frozenset(ROUTES)
 
 
     class Call:
         @classmethod
         def from_data(cls, raw):
             return cls()
+"""
+
+#: What a cell answers with is declared on the codec, like ``DECLARED_BODIES``.
+REPLY_BODIES = """
+    from . import wire
+
+
+    class ErrorReply(wire.Body):
+        error: str = wire.text()
 """
 
 BODIES = """
@@ -367,6 +377,7 @@ def write_protocol_tree(tree, opcodes=OPCODES, routes=ROUTES, dispatch=DISPATCH,
     tree("messages/opcodes.py", opcodes)
     tree("messages/wire.py", CODEC)
     tree("messages/bodies.py", bodies)
+    tree("core/replies.py", REPLY_BODIES)
     tree("core/routes.py", routes)
     tree("core/cell.py", dispatch)
 
@@ -391,8 +402,9 @@ def test_proto001_fires_on_undeclared_opcode(tree):
     [
         # a second row, which the dict silently drops
         ("    }", '        Opcode.PING: Route(Sender.CELL, None, "_serve_probe", DROP),\n    }'),
-        # served and reply-only at once
-        ("{Opcode.TX_ERROR}", "{Opcode.TX_ERROR, Opcode.PING}"),
+        # likewise in the reply table
+        ("TX_ERROR: ErrorReply}", "TX_ERROR: ErrorReply, Opcode.PING: ErrorReply,"
+                                  " Opcode.PING: ErrorReply}"),
     ],
 )
 def test_proto001_fires_on_an_opcode_declared_twice(tree, old, new):
@@ -400,6 +412,26 @@ def test_proto001_fires_on_an_opcode_declared_twice(tree, old, new):
     findings = lint_paths([tree.root])
     assert rules_of(findings) == ["PROTO001"]
     assert "PING is declared 2 times" in findings[0].message
+
+
+def test_proto001_accepts_an_opcode_that_is_served_and_answered_with(tree):
+    # XSHARD_VOUCHER: a request on its way in, a reply on its way out.
+    write_protocol_tree(
+        tree, routes=ROUTES.replace("TX_ERROR: ErrorReply}", "TX_ERROR: ErrorReply, "
+                                    "Opcode.PING: ErrorReply}")
+    )
+    assert lint_paths([tree.root]) == []
+
+
+def test_proto001_reads_the_reply_only_opcodes_off_the_replies_table(tree):
+    # A literal REPLY_ONLY set declares nothing any more.
+    write_protocol_tree(
+        tree, routes=ROUTES.replace("REPLIES = {Opcode.TX_ERROR: ErrorReply}", "REPLIES = {}")
+        .replace("frozenset(REPLIES) - frozenset(ROUTES)", "frozenset({Opcode.TX_ERROR})")
+    )
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["PROTO001"]
+    assert "TX_ERROR is declared 0 times" in findings[0].message
 
 
 def test_proto002_fires_on_a_row_without_a_body_parser(tree):
@@ -444,6 +476,23 @@ def test_proto002_fires_on_a_body_the_codec_derives_no_parser_for(tree, bodies):
     findings = lint_paths([tree.root])
     assert rules_of(findings) == ["PROTO002"]
     assert "CELL_SYNC" in findings[0].message
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("TX_ERROR: ErrorReply}", "TX_ERROR: NoSuchReply}"),
+        # a reply is built and read from its declaration: a hand-written parser is not one
+        ("TX_ERROR: ErrorReply}", "TX_ERROR: Call}"),
+        ("TX_ERROR: ErrorReply}", 'TX_ERROR: {"error": str}}'),
+    ],
+    ids=["unknown-class", "hand-written-parser", "not-a-class"],
+)
+def test_proto002_fires_on_a_reply_row_without_declared_wire_fields(tree, old, new):
+    write_protocol_tree(tree, routes=ROUTES.replace(old, new, 1))
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["PROTO002"]
+    assert "REPLIES row of TX_ERROR" in findings[0].message
 
 
 def test_proto003_fires_on_data_before_verify(tree):
@@ -545,6 +594,55 @@ def test_proto003_fires_when_a_path_bypasses_the_ingress_stage(tree, bypass):
     findings = lint_paths([tree.root])
     assert rules_of(findings) == ["PROTO003"]
     assert "handle_request" in findings[0].message
+
+
+ENDPOINT = """
+    class Endpoint:
+        def sign(self, recipient, operation, data):
+            return Envelope.create(signer=self.signer, recipient=recipient)
+
+        def post(self, dst_node, envelope):
+            return self.network.send(self.node_name, dst_node, envelope, 1)
+"""
+
+
+def test_proto004_clean_when_only_the_endpoint_signs_and_sends(tree):
+    write_protocol_tree(
+        tree,
+        dispatch=DISPATCH
+        + """
+        def _reply(self, dst_node, request, operation, data):
+            self.endpoint.post(dst_node, self.endpoint.sign(request.sender, operation, data))
+            self.batcher.send(dst_node)          # not the network
+            return Confirmation.create(self.signer)  # not an envelope
+        """,
+    )
+    tree("messages/endpoint.py", ENDPOINT)
+    tree("messages/envelope.py", "class Envelope:\n    create = classmethod(lambda cls, **kw: cls())\n")
+    assert lint_paths([tree.root]) == []
+
+
+@pytest.mark.parametrize(
+    "sender, what",
+    [
+        ("reply = Envelope.create(signer=self.signer, nonce=self.nonces.next())", "Envelope.create"),
+        ("self.network.send(self.node_name, dst_node, reply, 1)", "network.send"),
+        ("self.cell.network.send(self.cell.node_name, dst_node, reply, 1)", "network.send"),
+        ("network.send(node_name, dst_node, reply, 1)", "network.send"),
+    ],
+)
+def test_proto004_fires_on_a_hand_rolled_sender(tree, sender, what):
+    write_protocol_tree(tree)
+    tree("messages/endpoint.py", ENDPOINT)
+    tree("audit/auditor.py", f"""
+    class Auditor:
+        def _request(self, dst_node, reply=None):
+            {sender}
+    """)
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["PROTO004"]
+    assert what in findings[0].message and "audit/auditor.py" in findings[0].path
+    assert "endpoint" in findings[0].fixit
 
 
 # ----------------------------------------------------------------------

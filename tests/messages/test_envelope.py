@@ -7,6 +7,7 @@ import pytest
 from repro.crypto.keys import PrivateKey
 from repro.encoding import canonical_json
 from repro.messages import EcdsaSigner, Envelope, EnvelopeError, NonceFactory, Opcode, SimulatedSigner
+from repro.messages.envelope import MAX_WIRE_DEPTH
 
 SIGNER = EcdsaSigner.from_seed("envelope-signer")
 RECIPIENT = PrivateKey.from_seed("envelope-cell").address
@@ -76,6 +77,59 @@ def test_signature_must_be_65_bytes():
 def test_from_wire_rejects_garbage():
     with pytest.raises(EnvelopeError):
         Envelope.from_wire({"payload": {"sender": "xx"}, "signature": "0x00"})
+
+
+# ----------------------------------------------------------------------
+# Bytes off a socket: refused at the parse, never later in verify()
+# ----------------------------------------------------------------------
+def hostile(replacement: str) -> bytes:
+    """The wire bytes of a good envelope with ``"amount":1`` swapped out inside D."""
+    wire = make_envelope(signer=SimulatedSigner("hostile-bytes")).wire_bytes().decode()
+    assert '"amount":1' in wire
+    return wire.replace('"amount":1', '"amount":' + replacement).encode()
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_from_wire_refuses_a_non_finite_number_inside_the_data_field(number):
+    # On the parent these parsed, and verify() then raised CanonicalJSONError.
+    with pytest.raises(EnvelopeError, match="malformed envelope"):
+        Envelope.from_wire(hostile(number))
+    assert Envelope.from_wire(hostile("1e300")).verify() is False  # finite: merely unsigned
+
+
+@pytest.mark.parametrize("depth", [MAX_WIRE_DEPTH - 3, 2_000, 100_000])
+def test_from_wire_refuses_nesting_beyond_the_documented_depth(depth):
+    # 100,000 levels raised RecursionError out of from_wire on the parent.
+    with pytest.raises(EnvelopeError, match="malformed envelope"):
+        Envelope.from_wire(hostile("[" * depth + "]" * depth))
+    with pytest.raises(EnvelopeError, match="malformed envelope"):
+        Envelope.from_wire(b"[" * depth)
+
+
+def test_from_wire_accepts_nesting_up_to_the_documented_depth():
+    # envelope > payload > data > args: four levels above the replaced value.
+    depth = MAX_WIRE_DEPTH - 4
+    parsed = Envelope.from_wire(hostile("[" * depth + "]" * depth))
+    assert parsed.verify() is False and parsed.byte_size() > 2 * depth
+
+
+def test_from_wire_refuses_bytes_beyond_the_documented_size(monkeypatch):
+    good = make_envelope().wire_bytes()
+    monkeypatch.setattr("repro.messages.envelope.MAX_WIRE_BYTES", len(good))
+    assert Envelope.from_wire(good).verify()
+    with pytest.raises(EnvelopeError, match=f"larger than {len(good)} bytes"):
+        Envelope.from_wire(good + b" ")
+    with pytest.raises(EnvelopeError):
+        Envelope.from_wire((good + b" ").decode())
+
+
+def test_the_object_branch_of_from_wire_is_not_bounded():
+    # The simulator hands envelopes over as objects: that path does no extra work.
+    wire = make_envelope().to_wire()
+    wire["payload"]["data"]["args"]["deep"] = [[]]
+    for _ in range(MAX_WIRE_DEPTH):
+        wire["payload"]["data"]["args"]["deep"] = [wire["payload"]["data"]["args"]["deep"]]
+    assert Envelope.from_wire(wire).verify() is False
 
 
 def test_nonce_factory_produces_unique_nonces():

@@ -4,13 +4,16 @@
 commit whose body classes still spelled out ``_signed_fields`` / ``to_wire``
 / ``to_data`` by hand.  A change of the bytes a statement signs, of its
 signature or of any wire form fails here by the sample's name, not only as
-a moved ``sim_digest``.
+a moved ``sim_digest``.  The ``replies`` section holds what the cell's and
+the gateway's dict literals produced before the reply bodies were declared
+(see ``wire_samples.py`` for how it was recorded).
 """
 
 import json
 
 import pytest
 
+from repro.messages import Opcode
 from tests.messages.wire_samples import GOLDEN, build, record
 
 GOLD = json.loads(GOLDEN.read_text())
@@ -43,8 +46,27 @@ def test_a_body_sends_the_recorded_data_field(name, recorded):
     assert as_json(recorded["bodies"][name]) == as_json(GOLD["bodies"][name])
 
 
+@pytest.mark.parametrize("name", sorted(GOLD["replies"]))
+def test_a_reply_sends_the_recorded_data_field(name, recorded):
+    assert as_json(recorded["replies"][name]) == as_json(GOLD["replies"][name])
+
+
+def test_every_reply_opcode_has_a_recorded_shape_and_reads_back():
+    from repro.core.routes import REPLIES
+
+    _statements, _bodies, replies = build()
+    assert {name.partition("/")[0] for name in GOLD["replies"]} == {
+        opcode.name for opcode in REPLIES
+    }
+    for name, reply in replies.items():
+        assert REPLIES[Opcode[name.partition("/")[0]]] is type(reply), name
+        # (The samples hold unrounded times, so compare what is sent again.)
+        read = type(reply).from_data(GOLD["replies"][name])
+        assert as_json(read.to_data()) == as_json(GOLD["replies"][name]), name
+
+
 def test_every_recorded_statement_parses_back_and_verifies():
-    statements, _bodies = build()
+    statements, _bodies, _replies = build()
     for name, statement in statements.items():
         parsed = type(statement).from_wire(GOLD["statements"][name]["wire"])
         assert parsed.verify(), name

@@ -57,10 +57,13 @@ def test_vote_signature_round_trip():
 
 
 def test_vote_envelope_data_carries_receipt_and_error():
+    from repro.core.replies import VoteReply
+
     vote = make_vote("cell-a", 0)
-    data = vote.to_data(receipt={"tx_id": "0x1"}, error=None)
-    assert data["receipt"] == {"tx_id": "0x1"}
+    data = VoteReply(vote, receipt={"tx_id": "0x1"}).to_data()
+    assert data == {**vote.to_data(), "receipt": {"tx_id": "0x1"}}  # no "error" while unset
     assert CrossShardVote.from_data(data) == vote
+    assert VoteReply.from_data(data) == VoteReply(vote, {"tx_id": "0x1"}, None)
 
 
 def test_decision_round_trip():

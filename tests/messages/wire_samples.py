@@ -1,10 +1,20 @@
 """One fixed sample of every signed statement and every body with an encoder.
 
-Everything here goes through ``create`` / the constructors / ``of`` — the
-calls that exist unchanged on both sides of the move to declared wire
-fields — so running this file as a script on the commit *before* that move
-recorded ``golden_wire.json``, and ``test_golden_wire.py`` rebuilds the same
-samples on the current tree and compares bytes.
+Everything in ``statements`` and ``bodies`` goes through ``create`` / the
+constructors / ``of`` — the calls that exist unchanged on both sides of the
+move to declared wire fields — so running this file as a script on the
+commit *before* that move recorded ``golden_wire.json``, and
+``test_golden_wire.py`` rebuilds the same samples on the current tree and
+compares bytes.
+
+The ``replies`` section was recorded the same way one step later: on the
+last commit whose cell and gateway still spelled every reply out as a dict
+literal (``ca727af``), by a script that evaluated those literals — copied
+verbatim from ``core/cell.py`` / ``core/gateway.py`` — over the sample
+objects below.  Here the same samples go through the declared reply classes
+(``repro.core.replies``), so a reply byte that moves fails by name.  Do not
+re-record that section from this file: it would compare the classes with
+themselves.
 """
 
 import json
@@ -19,9 +29,21 @@ HOLDER = "0x" + "55" * 20
 
 
 def build():
-    """``(statements, bodies)``: name -> signed statement, name -> data field."""
+    """``(statements, bodies, replies)``: name -> signed statement / data field / reply data."""
+    from repro.core.cell import OVERLOADED_ERROR
     from repro.core.ledger import TransactionLedger
     from repro.core.receipts import AggregatedReceipt, Confirmation, ConfirmationBatch
+    from repro.core.replies import (
+        ErrorReply,
+        LedgerResponse,
+        QueryResult,
+        ReceiptReply,
+        SnapshotResponse,
+        SubscriptionAck,
+        VoteReply,
+        VoucherReply,
+    )
+    from repro.core.snapshot import DataSnapshot
     from repro.messages import Envelope, Opcode, SimulatedSigner
     from repro.messages.batch import ForwardBatch
     from repro.messages.evidence import EquivocationEvidence, PartitionEvent
@@ -87,6 +109,11 @@ def build():
     confirmation, rejected = statements["Confirmation"], statements["Confirmation/rejected"]
     vote, ack = statements["ExclusionVote"], statements["RejoinAck"]
     xvote, voucher = statements["CrossShardVote"], statements["CrossShardVoucher"]
+    receipt = AggregatedReceipt(
+        tx_id=TX_ID, contract="fastmoney", method="transfer", result={"amount": 5},
+        service_cell=peer, fingerprint_hex=FINGERPRINT, cycle=1,
+        submitted_at=1.0000004, completed_at=3.4999996, confirmations=[confirmation],
+    )
     shape = dict(xtx="0xa1", group=0, participants=(0, 1), transaction=inner.to_wire())
     bodies = {
         "ExclusionProposal": ExclusionProposal(peer, 3, "missed deadlines").to_data(),
@@ -102,7 +129,7 @@ def build():
         ).to_data(),
         "CrossShardPrepare": CrossShardPrepare(**shape).to_data(),
         "CrossShardVote": xvote.to_data(),
-        "CrossShardVote/reply": xvote.to_data(receipt={"tx_id": TX_ID}, error="late"),
+        "CrossShardVote/reply": VoteReply(xvote, {"tx_id": TX_ID}, "late").to_data(),
         "CrossShardDecision": CrossShardDecision(
             decision="commit", votes=(xvote,), **shape
         ).to_data(),
@@ -115,22 +142,52 @@ def build():
             voucher=voucher.to_wire(),
         ).to_data(),
         "ConfirmationBatch": ConfirmationBatch.of([confirmation, rejected]).to_data(),
-        "AggregatedReceipt": AggregatedReceipt(
-            tx_id=TX_ID, contract="fastmoney", method="transfer", result={"amount": 5},
-            service_cell=peer, fingerprint_hex=FINGERPRINT, cycle=1,
-            submitted_at=1.0000004, completed_at=3.4999996, confirmations=[confirmation],
-        ).to_wire(),
+        "AggregatedReceipt": receipt.to_wire(),
         "EquivocationEvidence": EquivocationEvidence(confirmation, rejected).to_data(),
         "ForwardBatch": ForwardBatch.of([inner, admitted]).to_data(),
         "LedgerEntry.summary": executed.summary(),
     }
-    return statements, bodies
+
+    snapshot = DataSnapshot(
+        cycle=2, taken_at=60.000001, cell_id="golden-cell",
+        contract_fingerprints={"pay": b"\x44" * 32, "cas": b"\x55" * 32},
+        excluded_contracts=("broken",), fingerprint=b"\x66" * 32,
+        contract_types={"pay": "fastmoney", "cas": "cas"},
+        state_export={"pay": {"balance/" + HOLDER: 3}, "cas": {}},
+        first_sequence=0, last_sequence=1,
+    )
+    replies = {
+        "TX_ERROR/bare": ErrorReply("authentication failed"),
+        "TX_ERROR/shed": ErrorReply(OVERLOADED_ERROR, shed=True),
+        "TX_ERROR/failed-with-cells": ErrorReply(
+            "fingerprint mismatch across consortium cells", tx_id=TX_ID,
+            missing_cells=(), mismatched_cells=(peer.hex(),),
+        ),
+        "TX_ERROR/xtx": ErrorReply("cross-shard transaction 0xa1 was already prepared", xtx="0xa1"),
+        "TX_RECEIPT": ReceiptReply(receipt),
+        "SUBSCRIBE_ACK": SubscriptionAck(peer, 12.3456789, 0.05),
+        "QUERY_RESULT": QueryResult({"balance": 5, "holders": [HOLDER]}),
+        "XSHARD_VOTE/bare": VoteReply(xvote),
+        "XSHARD_VOTE/receipt": VoteReply(xvote, receipt=receipt.to_wire()),
+        "XSHARD_VOTE/error": VoteReply(xvote, error="execution rejected"),
+        "XSHARD_VOUCHER/minted": VoucherReply(
+            "minted", "0xa1", voucher=voucher, receipt=receipt.to_wire()
+        ),
+        "XSHARD_VOUCHER/redeemed": VoucherReply(
+            "redeemed", "0xa1", duplicate=False, receipt=receipt.to_wire()
+        ),
+        "XSHARD_VOUCHER/duplicate": VoucherReply("redeemed", "0xa1", duplicate=True),
+        "SNAPSHOT_RESPONSE": SnapshotResponse(snapshot),
+        "LEDGER_RESPONSE": LedgerResponse(2, 2, tuple(ledger.segment(2, 2))),
+    }
+    return statements, bodies, replies
 
 
 def record():
     """The JSON-serializable golden table of the tree this runs on."""
-    statements, bodies = build()
+    statements, bodies, replies = build()
     return {
+        "replies": {name: reply.to_data() for name, reply in replies.items()},
         "statements": {
             name: {
                 "body": statement.body().decode(),
@@ -146,4 +203,6 @@ def record():
 if __name__ == "__main__":
     # python tests/messages/wire_samples.py <repo root whose src/ to record>
     sys.path.insert(0, str(Path(sys.argv[1]) / "src"))
-    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    recorded = record()
+    recorded["replies"] = json.loads(GOLDEN.read_text())["replies"]  # see the docstring
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")

@@ -1,23 +1,21 @@
-"""Property-based tests for the lane partition (hypothesis).
+"""Property-based tests for access footprints (hypothesis).
 
 Transactions are modeled abstractly as small programs over a shared
 key-value store — reads, order-sensitive puts, and commutative increments.
-From each program we derive the access footprint the scheduler would see,
-partition the batch into lanes/waves, and check the scheduler's two core
-guarantees on random workloads:
+From each program we derive the access footprint the lane scheduler would
+see, and check on random workloads what the online scheduler rests on:
 
-* soundness — no two conflicting transactions ever share a parallel wave,
-  conflicting transactions keep their canonical order across waves, and
-  waves never exceed the lane width;
-* determinism — replaying any lane schedule serially in commit
-  (wave-major) order reproduces the serial store fingerprint.
+* commutativity — two transactions whose footprints do not conflict leave
+  the same store fingerprint in either order;
+* observation — the store's mutation journal sees exactly the access
+  classes the footprint predicted.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.contracts.state_store import AccessSet, KeyValueStore
-from repro.core.lanes import AccessFootprint, partition_footprints
+from repro.core.lanes import AccessFootprint
 
 keys = st.sampled_from([f"k{i}" for i in range(6)])
 ops = st.lists(
@@ -29,8 +27,6 @@ ops = st.lists(
     min_size=1,
     max_size=5,
 )
-programs = st.lists(ops, min_size=1, max_size=24)
-lane_counts = st.integers(min_value=1, max_value=8)
 
 
 def footprint(index, program):
@@ -60,95 +56,6 @@ def run_program(store, index, program):
             store.put(key, (index + 1) * 1_000 + position)
         else:
             store.increment(key, index + 1)
-
-
-def naive_partition(footprints, lanes):
-    """Reference partition: quadratic scan of all conflicting predecessors."""
-    waves, wave_of = [], []
-    for index, fp in enumerate(footprints):
-        earliest = 0
-        for previous in range(index):
-            if footprints[previous].conflicts_with(fp):
-                earliest = max(earliest, wave_of[previous] + 1)
-        wave = earliest
-        while wave < len(waves) and len(waves[wave]) >= lanes:
-            wave += 1
-        while wave >= len(waves):
-            waves.append([])
-        waves[wave].append(index)
-        wave_of.append(wave)
-    return waves
-
-
-@settings(max_examples=150, deadline=None)
-@given(programs, lane_counts, st.booleans())
-def test_partition_matches_naive_reference(txs, lanes, with_exclusive):
-    """The per-key list scheduler equals the pairwise reference partition."""
-    footprints = [footprint(i, program) for i, program in enumerate(txs)]
-    if with_exclusive and footprints:
-        # Sprinkle exclusive fallbacks deterministically among the batch.
-        footprints = [
-            AccessFootprint.exclusive_footprint() if i % 3 == 2 else fp
-            for i, fp in enumerate(footprints)
-        ]
-    assert partition_footprints(footprints, lanes) == naive_partition(footprints, lanes)
-
-
-@settings(max_examples=150, deadline=None)
-@given(programs, lane_counts)
-def test_partition_is_sound(txs, lanes):
-    footprints = [footprint(i, program) for i, program in enumerate(txs)]
-    waves = partition_footprints(footprints, lanes)
-
-    # Every transaction is scheduled exactly once.
-    scheduled = [index for wave in waves for index in wave]
-    assert sorted(scheduled) == list(range(len(txs)))
-    # Wave width never exceeds the lane count.
-    assert all(len(wave) <= lanes for wave in waves)
-
-    wave_of = {index: n for n, wave in enumerate(waves) for index in wave}
-    for i in range(len(txs)):
-        for j in range(i + 1, len(txs)):
-            if footprints[i].conflicts_with(footprints[j]):
-                # Conflicting pairs never share a wave and never reorder.
-                assert wave_of[i] < wave_of[j]
-
-
-@settings(max_examples=150, deadline=None)
-@given(programs, lane_counts)
-def test_serial_replay_of_any_schedule_matches_serial_fingerprint(txs, lanes):
-    footprints = [footprint(i, program) for i, program in enumerate(txs)]
-    waves = partition_footprints(footprints, lanes)
-
-    serial = KeyValueStore()
-    for index, program in enumerate(txs):
-        run_program(serial, index, program)
-
-    replayed = KeyValueStore()
-    for wave in waves:
-        for index in wave:
-            run_program(replayed, index, txs[index])
-
-    assert replayed.fingerprint() == serial.fingerprint()
-    assert replayed.fingerprint() == replayed.recompute_fingerprint()
-
-
-@settings(max_examples=100, deadline=None)
-@given(programs)
-def test_single_lane_partition_is_the_serial_schedule(txs):
-    footprints = [footprint(i, program) for i, program in enumerate(txs)]
-    waves = partition_footprints(footprints, lanes=1)
-    assert all(len(wave) == 1 for wave in waves)
-    assert [wave[0] for wave in waves] == list(range(len(txs)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(programs)
-def test_exclusive_footprints_serialize_everything(txs):
-    footprints = [AccessFootprint.exclusive_footprint() for _ in txs]
-    waves = partition_footprints(footprints, lanes=8)
-    assert len(waves) == len(txs)
-    assert [wave[0] for wave in waves] == list(range(len(txs)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,9 +1,9 @@
 """Property tests generated from the wire-field declarations (hypothesis).
 
 Every class that declares its fields through :mod:`repro.messages.wire` is
-found by walking the declarations — the route table's bodies, the signed
-statements, and whatever they nest — so a new body or a new field is
-covered the moment it is declared:
+found by walking the declarations — the route table's bodies, the reply
+table's, the signed statements, and whatever they nest — so a new body or a
+new field is covered the moment it is declared:
 
 (a) an instance generated from the declared kinds round-trips, and a signed
     one still verifies;
@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.receipts import ConfirmationBatch
-from repro.core.routes import ROUTES
+from repro.core.replies import VoucherReply
+from repro.core.routes import REPLIES, ROUTES
 from repro.core.snapshot import DataSnapshot, SnapshotError
 from repro.crypto.keys import Address
 from repro.messages import Envelope, Opcode, SimulatedSigner, wire
@@ -54,7 +55,8 @@ HAND_WRITTEN = {
 }
 #: Hand-written for PR 13's encode-once splice (envelopes) and for the
 #: ``include_state`` / ``cell_id`` parameters (snapshots): strict all the
-#: same, so property (b) holds for them too.
+#: same, so property (b) holds for them too.  A declared body nests both.
+NESTED_BY_HAND = {Envelope, DataSnapshot}
 HAND_WRITTEN_PARSERS = [
     (Envelope.from_wire, EnvelopeError),
     (Payload.from_dict, PayloadError),
@@ -73,7 +75,7 @@ def declared_bodies() -> list[type]:
     found: dict[str, type] = {}
 
     def visit(cls) -> None:
-        if cls in HAND_WRITTEN or cls is Envelope or cls.__name__ in found:
+        if cls in HAND_WRITTEN or cls in NESTED_BY_HAND or cls.__name__ in found:
             return
         assert issubclass(cls, wire.Body) and wire.fields(cls), (
             f"{cls.__name__} neither declares wire fields nor is a listed exception"
@@ -89,6 +91,8 @@ def declared_bodies() -> list[type]:
     for route in ROUTES.values():
         if route.body is not None:
             visit(route.body)
+    for reply in REPLIES.values():
+        visit(reply)
     for statement in _subclasses(SignedStatement):
         visit(statement)
     # Bodies no route parses on a cell: receipts and evidence that clients
@@ -109,6 +113,8 @@ def test_every_route_body_and_statement_is_declared_or_a_listed_exception():
         if route.body is not None and route.body not in HAND_WRITTEN:
             assert route.body.__name__ in names, opcode
     assert {cls.__name__ for cls in _subclasses(SignedStatement)} <= names
+    # What a cell answers with is declared on the codec, without exception.
+    assert {reply.__name__ for reply in REPLIES.values()} <= names
     # The golden table and the ingress matrix lean on the same discovery.
     assert {"Confirmation", "SyncEntry", "EntrySummary", "AggregatedReceipt"} <= names
 
@@ -160,6 +166,21 @@ def envelopes():
     )
 
 
+def snapshots():
+    digests = st.binary(min_size=32, max_size=32)
+    return st.builds(
+        lambda names, cycle, taken_at, digest, state: DataSnapshot(
+            cycle=cycle, taken_at=taken_at, cell_id="cell-0",
+            contract_fingerprints=dict.fromkeys(names, digest),
+            excluded_contracts=tuple(names[:1]), fingerprint=digest,
+            contract_types=dict.fromkeys(names, "fastmoney"),
+            state_export=dict.fromkeys(names, state), first_sequence=0, last_sequence=cycle,
+        ),
+        st.lists(ids, max_size=3, unique=True).map(sorted), st.integers(0, 10**6),
+        ATOMS["number"], digests, objects,
+    )
+
+
 def values(kind: wire.Kind):
     """In-memory values of a declared kind."""
     if kind.shape == "optional":
@@ -169,7 +190,8 @@ def values(kind: wire.Kind):
     if kind.shape == "single":
         return values(kind.of).map(lambda value: (value,))
     if kind.shape == "nested":
-        return envelopes() if kind.of is Envelope else instances(kind.of)
+        by_hand = {Envelope: envelopes, DataSnapshot: snapshots}.get(kind.of)
+        return by_hand() if by_hand is not None else instances(kind.of)
     return ATOMS[kind.name]
 
 
@@ -198,6 +220,15 @@ def _transfer(_body, kwargs, draw) -> None:
         kwargs["voucher"] = draw(objects)
 
 
+def _voucher_reply(_body, kwargs, draw) -> None:
+    kwargs["xtx"] = draw(ids)
+    kwargs["phase"] = draw(st.sampled_from(["minted", "redeemed"]))
+    if kwargs["phase"] == "minted":
+        kwargs["voucher"] = draw(instances(CrossShardVoucher))
+    else:
+        kwargs["duplicate"] = draw(st.booleans())
+
+
 def _at_least_one(name):
     def rule(body, kwargs, draw) -> None:
         kind = next(item.kind for item in wire.fields(body) if item.name == name)
@@ -221,6 +252,7 @@ RULES = {
     ),
     CrossShardVoucher: _voucher,
     CrossShardVoucherTransfer: _transfer,
+    VoucherReply: _voucher_reply,
     MembershipUpdate: _membership_update,
     PartitionEvent: lambda _body, kwargs, draw: kwargs.update(
         action=draw(st.sampled_from(PartitionEvent.ACTIONS)),
@@ -342,5 +374,36 @@ def test_an_envelope_with_one_replaced_field_is_refused_or_verifiable(data, junk
         parsed = Envelope.from_wire(sent)
     except EnvelopeError:
         return
+    assert parsed.verify() in (True, False)
+    assert parsed.byte_size() > 0
+
+
+#: JSON text a hostile peer can spell and no encoder of ours writes: the
+#: non-finite constants (``json.dumps`` spells them), an overflowing float,
+#: nesting at and far beyond the documented depth.
+hostile_fragments = hostile_json.map(json.dumps) | st.sampled_from(
+    ["1e999", "-1e999", "[" * 70 + "]" * 70, "[" * 5_000 + "]" * 5_000, "[" * 5_000]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_arbitrary_bytes_are_an_envelope_or_refused_and_an_accepted_one_can_verify(data):
+    good = data.draw(envelopes()).wire_bytes()
+    assert b'"amount":' in good
+    raw = data.draw(
+        st.binary(max_size=64)
+        | hostile_fragments.map(
+            lambda text: good.replace(b'"amount":', b'"amount":' + text.encode() + b',"was":')
+        )
+        | st.tuples(st.integers(0, len(good)), st.binary(max_size=4)).map(
+            lambda cut: good[: cut[0]] + cut[1] + good[cut[0]:]
+        )
+    )
+    try:
+        parsed = Envelope.from_wire(raw)
+    except EnvelopeError:
+        return
+    # What was accepted off the socket never raises later, in a cell.
     assert parsed.verify() in (True, False)
     assert parsed.byte_size() > 0

@@ -4,13 +4,14 @@
 The table between the ``opcode-table`` markers is *generated* from
 :mod:`repro.core.routes` — the one declaration of who may send which
 opcode, what body it carries, what the ingress stage does before its
-handler runs, and which opcodes a cell only emits.  The one between the
-``wire-bodies`` markers is generated from the wire fields the body classes
-declare (:mod:`repro.messages.wire`): family error, signer and domain tag,
-and every field's key and kind.  Without arguments the script fails (exit
-status 1, with a diff) when a committed block differs from what the
-declarations render; ``--write`` regenerates them.  Used by the ``docs`` CI
-job and ``tests/docs/test_doc_links.py``.
+handler runs, and which body a cell answers with under each reply opcode.
+The one between the ``wire-bodies`` markers is generated from the wire
+fields the body classes declare (:mod:`repro.messages.wire`, the reply
+classes of :mod:`repro.core.replies` included): family error, signer and
+domain tag, and every field's key and kind.  Without arguments the script
+fails (exit status 1, with a diff) when a committed block differs from what
+the declarations render; ``--write`` regenerates them.  Used by the
+``docs`` CI job and ``tests/docs/test_doc_links.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.routes import REPLY_ONLY, ROUTES  # noqa: E402
+from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES  # noqa: E402
 from repro.messages import evidence, wire  # noqa: E402,F401 - evidence defines bodies no route names
 from repro.messages.opcodes import Opcode  # noqa: E402
 from repro.messages.signer import SignedStatement  # noqa: E402
@@ -62,15 +63,19 @@ def render_wire_bodies() -> str:
 def render() -> str:
     """The Markdown block for the current route table, in ``Opcode`` order."""
     lines = [
-        f"{len(Opcode)} opcodes: {len(ROUTES)} routed, {len(REPLY_ONLY)} reply-only.",
+        f"{len(Opcode)} opcodes: {len(ROUTES)} routed, {len(REPLY_ONLY)} reply-only; "
+        f"{len(REPLIES)} carry a declared reply body.",
         "",
-        "| Opcode | Sender | Served | Admission | Body `D` | Refused as | Handler |",
-        "| --- | --- | --- | --- | --- | --- | --- |",
+        "| Opcode | Sender | Served | Admission | Body `D` | Refused as | Handler | Body as a cell's reply |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- |",
     ]
     for opcode in Opcode:
         route = ROUTES.get(opcode)
+        reply = f"`{REPLIES[opcode].__name__}`" if opcode in REPLIES else "—"
         if route is None:
-            lines.append(f"| `{opcode.name}` | — | reply-only: a cell emits it | | | | |")
+            lines.append(
+                f"| `{opcode.name}` | — | reply-only: a cell emits it | | | | | {reply} |"
+            )
             continue
         refusal = route.refusal
         lines.append(
@@ -80,7 +85,7 @@ def render() -> str:
             f"| {f'`{route.body.__name__}`' if route.body is not None else '—'} "
             f"| `{refusal.auth_counter}` / `{refusal.malformed_counter}`, "
             f"{'`TX_ERROR`' if refusal.answered else 'silent'} "
-            f"| `{route.handler}` |"
+            f"| `{route.handler}` | {reply} |"
         )
     return "\n".join(lines)
 
