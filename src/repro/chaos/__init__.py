@@ -17,6 +17,7 @@ from .byzantine import (
 from .corpus import (
     BYZANTINE_CORPUS_SIZE,
     CORPUS_SIZE,
+    EXERCISED_SEEDS,
     byzantine_corpus_seeds,
     byzantine_corpus_specs,
     corpus_seeds,
@@ -50,6 +51,7 @@ __all__ = [
     "CHAOS_CONTRACT",
     "CORPUS_SIZE",
     "ChaosError",
+    "EXERCISED_SEEDS",
     "FaultAttribution",
     "ScenarioError",
     "ScenarioReport",

@@ -38,7 +38,7 @@ from typing import Any, Optional
 
 from ..audit.oracles import OracleResult, harvest_escrows
 from ..client.sharded import CrossShardResult
-from ..core.faults import BYZANTINE_FAULT_KINDS, ScheduledFault
+from ..core.faults import FAULT_TABLE, Family, ScheduledFault
 from .runner import ScenarioRun, check_scenario
 from .scenario import CHAOS_CONTRACT, ScenarioSpec
 
@@ -55,7 +55,7 @@ ATTRIBUTION_MECHANISMS = (
 #: scenarios are *expected* to fail it).  ``lying_gateway`` is the
 #: complement: refused at the certificate layer, audit stays green.
 ANCHORED_BYZANTINE_KINDS = frozenset(
-    {"tamper_state", "tamper_fingerprint", "equivocate"}
+    row.name for row in FAULT_TABLE if row.audit_fails
 )
 
 
@@ -130,7 +130,7 @@ def _attribute_lying_gateway(
     commit certificate over a forged or missing vote must be
     unassemblable.  Client-visible outcomes are cross-checked on top.
     """
-    mode = str(fault.params.get("mode", "forge"))
+    mode = str(fault.params["mode"])
     lied = {event["xtx"] for event in events if event.get("xtx")}
     escrows = harvest_escrows(run.deployment, CHAOS_CONTRACT)
     undetected: list[str] = []
@@ -241,12 +241,12 @@ def attribute_byzantine_faults(
     findings: list[str] = []
     attributions: list[FaultAttribution] = []
     byzantine = [
-        fault for fault in run.spec.faults if fault.kind in BYZANTINE_FAULT_KINDS
+        fault for fault in run.spec.faults if fault.row.family is Family.BYZANTINE
     ]
     for fault in byzantine:
         cell = run.deployment._group_cell(fault.group, fault.cell)
         events = [
-            event for event in cell.fault.events if event["kind"] == fault.kind
+            event for event in cell.fault.events if event["kind"] == fault.row.evidence
         ]
         if not events:
             findings.append(
@@ -255,13 +255,13 @@ def attribute_byzantine_faults(
                 f"exercise it"
             )
             continue
-        if fault.kind == "lying_gateway":
-            attribution = _attribute_lying_gateway(
-                run, fault, cell.node_name, events, findings
-            )
-        else:
+        if fault.row.audit_fails:
             attribution = _attribute_anchored(
                 run, fault, cell.node_name, audit, findings
+            )
+        else:
+            attribution = _attribute_lying_gateway(
+                run, fault, cell.node_name, events, findings
             )
         if attribution is not None:
             attributions.append(attribution)

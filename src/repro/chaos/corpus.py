@@ -30,6 +30,14 @@ from .scenario import (
 #: matrix × fault-kind rounds: lcm(12, 7) = 84).
 CORPUS_SIZE = 84
 
+#: The *exercised* stratum, pinned beside the contiguous range.  Scheduling
+#: a fault is not exercising it: on seeds 0–83 ``voucher_loss`` is
+#: scheduled six times and drops a voucher twice, ``voucher_duplication``
+#: re-delivers once.  On these seeds the voucher faults provably fire
+#: (102, 124: a loss; 142, 172: a duplication), so every kind whose table
+#: row names ``evidence`` fires in at least three pinned scenarios.
+EXERCISED_SEEDS = (102, 124, 142, 172)
+
 #: Seeds of the pinned *Byzantine* corpus: a whole number of rounds over
 #: the four must-be-caught kinds (``seed % 4``), sized so all three
 #: lying-gateway modes (``(seed // 4) % 3`` — forge, withhold, and the

@@ -28,6 +28,7 @@ the oracles must judge what the system did, not what one client saw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from ..audit.oracles import (
@@ -51,7 +52,7 @@ from ..contracts.community.dividend_pool import DividendPool
 from ..contracts.community.fastmoney import FastMoney
 from ..contracts.system.cas import ContentAddressableStorage
 from ..core.config import DeploymentConfig
-from ..core.faults import ScheduledFault, censor_sender
+from ..core.faults import ArmSite, ScheduledFault
 from ..core.sharding import ShardedDeployment
 from ..messages.signer import Signer
 from .report import ScenarioReport
@@ -87,201 +88,41 @@ def _arm_faults(
     """Schedule every fault of the spec on the shared simulation clock.
 
     The schedule was validated against the topology at spec construction;
-    here each entry becomes concrete ``call_at`` flips of the target
-    cell's :class:`~repro.core.faults.FaultPlan` or deployment
+    here each entry's :class:`~repro.core.faults.FaultKind` row binds it to
+    its target — ``call_at`` flips of the cell's
+    :class:`~repro.core.faults.FaultPlan`, or deployment
     crash/recover/activate calls.  Injection order at equal timestamps is
     the schedule order — deterministic, hence replayable.
-
-    Overlapping windows of the same kind on one cell resolve by *last
-    writer wins*: a later window supersedes the earlier one, and the
-    superseded window's end does nothing (logged as ``…_superseded``)
-    instead of clobbering the still-active later window.
     """
-    env = deployment.env
-    #: (cell id, fault kind) -> the window currently owning that switch.
-    window_owners: dict[tuple[str, str], ScheduledFault] = {}
-    #: schedule index of a partition fault -> active network partition id
-    #: (filled at inject; ScheduledFault carries a dict and is unhashable).
-    partition_ids: dict[int, int] = {}
-
-    def log(fault: ScheduledFault, action: str, **details: Any) -> None:
-        fault_log.append(
-            {"at": env.now, "kind": fault.kind, "group": fault.group,
-             "cell": fault.cell, "action": action, **details}
-        )
-
-    for fault_index, fault in enumerate(spec.faults):
+    owners: dict[tuple[str, str], ScheduledFault] = {}
+    for fault in spec.faults:
         cell = deployment._group_cell(fault.group, fault.cell)
-        if fault.kind in ("crash_recover", "crash_rejoin"):
+        site = ArmSite(deployment, cell, fault, account_addresses, fault_log, owners)
+        shape = fault.row.arm
+        deployment.env.call_at(fault.at, partial(shape.start, site))
+        if fault.until is not None:
+            deployment.env.call_at(fault.until, partial(shape.stop, site))
 
-            def inject(fault=fault) -> None:
-                deployment.crash_cell(fault.group, fault.cell)
-                if fault.kind == "crash_rejoin":
-                    deployment.exclude_cell(fault.group, fault.cell)
-                log(fault, "crash")
 
-            def resolve(fault=fault) -> None:
-                log(fault, "recover")
-                deployment.recover_cell(fault.group, fault.cell)
+def fired_kinds(run: ScenarioRun) -> set[str]:
+    """The scheduled fault kinds that provably *fired* during ``run``.
 
-            env.call_at(fault.at, inject)
-            env.call_at(fault.until, resolve)
-        elif fault.kind == "standby_activate":
-
-            def activate(fault=fault) -> None:
-                log(fault, "activate")
-                deployment.activate_standby(fault.group, fault.cell)
-
-            env.call_at(fault.at, activate)
-        elif fault.kind == "censor_window":
-            target = account_addresses[fault.params["account"]]
-            owner_key = (cell.node_name, "censor")
-
-            def censor_on(fault=fault, cell=cell, target=target,
-                          owner_key=owner_key) -> None:
-                window_owners[owner_key] = fault
-                cell.fault.censor = censor_sender(target)
-                log(fault, "censor_on", account=target)
-
-            def censor_off(fault=fault, cell=cell, owner_key=owner_key) -> None:
-                if window_owners.get(owner_key) is not fault:
-                    log(fault, "censor_off_superseded")
-                    return
-                del window_owners[owner_key]
-                cell.fault.censor = None
-                log(fault, "censor_off")
-
-            env.call_at(fault.at, censor_on)
-            env.call_at(fault.until, censor_off)
-        elif fault.kind == "delay_window":
-            seconds = float(fault.params["seconds"])
-            owner_key = (cell.node_name, "delay")
-
-            def delay_on(fault=fault, cell=cell, seconds=seconds,
-                         owner_key=owner_key) -> None:
-                window_owners[owner_key] = fault
-                cell.fault.extra_confirm_delay = seconds
-                log(fault, "delay_on", seconds=seconds)
-
-            def delay_off(fault=fault, cell=cell, owner_key=owner_key) -> None:
-                if window_owners.get(owner_key) is not fault:
-                    log(fault, "delay_off_superseded")
-                    return
-                del window_owners[owner_key]
-                cell.fault.extra_confirm_delay = 0.0
-                log(fault, "delay_off")
-
-            env.call_at(fault.at, delay_on)
-            env.call_at(fault.until, delay_off)
-        elif fault.kind == "partition_window":
-
-            def cut(fault=fault, cell=cell, fault_index=fault_index) -> None:
-                # The cell keeps running — it is only unreachable, which
-                # is what distinguishes a network cut from a crash.
-                partition_id = deployment.network.partition([cell.node_name])
-                partition_ids[fault_index] = partition_id
-                log(fault, "partition", members=[cell.node_name])
-
-            def merge(fault=fault, cell=cell, fault_index=fault_index) -> None:
-                partition_id = partition_ids.pop(fault_index, None)
-                if partition_id is None:  # pragma: no cover - inject always ran
-                    return
-                deployment.network.heal(partition_id)
-                log(fault, "heal")
-                # The rejoined side missed everything admitted during the
-                # cut; run the same resync + rejoin pipeline a crashed
-                # cell uses to backfill and re-enter the quorum.
-                deployment.recover_cell(fault.group, fault.cell)
-
-            env.call_at(fault.at, cut)
-            env.call_at(fault.until, merge)
-        elif fault.kind == "skew_window":
-            seconds = float(fault.params["seconds"])
-            owner_key = (cell.node_name, "skew")
-
-            def skew_on(fault=fault, cell=cell, seconds=seconds,
-                        owner_key=owner_key) -> None:
-                window_owners[owner_key] = fault
-                deployment.network.set_node_skew(cell.node_name, seconds)
-                log(fault, "skew_on", seconds=seconds)
-
-            def skew_off(fault=fault, cell=cell, owner_key=owner_key) -> None:
-                if window_owners.get(owner_key) is not fault:
-                    log(fault, "skew_off_superseded")
-                    return
-                del window_owners[owner_key]
-                deployment.network.set_node_skew(cell.node_name, 0.0)
-                log(fault, "skew_off")
-
-            env.call_at(fault.at, skew_on)
-            env.call_at(fault.until, skew_off)
-        elif fault.kind == "tamper_state":
-
-            def tamper(fault=fault, cell=cell) -> None:
-                cell.fault.tamper_state = True
-                log(fault, "tamper_state")
-
-            env.call_at(fault.at, tamper)
-        elif fault.kind == "tamper_fingerprint":
-
-            def tamper_fp(fault=fault, cell=cell) -> None:
-                cell.fault.tamper_fingerprint = True
-                log(fault, "tamper_fingerprint")
-
-            env.call_at(fault.at, tamper_fp)
-        elif fault.kind == "equivocate":
-
-            def equivocate(fault=fault, cell=cell) -> None:
-                cell.fault.equivocate = True
-                log(fault, "equivocate")
-
-            env.call_at(fault.at, equivocate)
-        elif fault.kind == "lying_gateway":
-            mode = str(fault.params.get("mode", "forge"))
-
-            def lie(fault=fault, cell=cell, mode=mode) -> None:
-                cell.fault.lying_gateway = mode
-                log(fault, "lying_gateway", mode=mode)
-
-            env.call_at(fault.at, lie)
-        elif fault.kind == "voucher_loss":
-            owner_key = (cell.node_name, "voucher_loss")
-
-            def drop_on(fault=fault, cell=cell, owner_key=owner_key) -> None:
-                window_owners[owner_key] = fault
-                cell.fault.drop_voucher = True
-                log(fault, "voucher_loss_on")
-
-            def drop_off(fault=fault, cell=cell, owner_key=owner_key) -> None:
-                if window_owners.get(owner_key) is not fault:
-                    log(fault, "voucher_loss_off_superseded")
-                    return
-                del window_owners[owner_key]
-                cell.fault.drop_voucher = False
-                log(fault, "voucher_loss_off")
-
-            env.call_at(fault.at, drop_on)
-            env.call_at(fault.until, drop_off)
-        elif fault.kind == "voucher_duplication":
-            owner_key = (cell.node_name, "voucher_duplication")
-
-            def dup_on(fault=fault, cell=cell, owner_key=owner_key) -> None:
-                window_owners[owner_key] = fault
-                cell.fault.duplicate_voucher = True
-                log(fault, "voucher_duplication_on")
-
-            def dup_off(fault=fault, cell=cell, owner_key=owner_key) -> None:
-                if window_owners.get(owner_key) is not fault:
-                    log(fault, "voucher_duplication_off_superseded")
-                    return
-                del window_owners[owner_key]
-                cell.fault.duplicate_voucher = False
-                log(fault, "voucher_duplication_off")
-
-            env.call_at(fault.at, dup_on)
-            env.call_at(fault.until, dup_off)
-        else:  # pragma: no cover - FaultSchedule already validated kinds
-            raise ChaosError(f"unhandled fault kind {fault.kind!r}")
+    A kind whose row names ``evidence`` fired when its target cell's
+    :class:`~repro.core.faults.FaultPlan` recorded that event (a censor
+    window that never met a matching transaction did not); a kind without
+    — a crash, a cut, a skew, an activation — fires by being injected.
+    """
+    fired: set[str] = set()
+    for fault in run.spec.faults:
+        evidence = fault.row.evidence
+        if evidence is None:
+            fires = any(entry["kind"] == fault.kind for entry in run.fault_log)
+        else:
+            cell = run.deployment._group_cell(fault.group, fault.cell)
+            fires = any(event["kind"] == evidence for event in cell.fault.events)
+        if fires:
+            fired.add(fault.kind)
+    return fired
 
 
 # ----------------------------------------------------------------------
@@ -770,6 +611,7 @@ def scenario_report(
             "operations": len(spec.operations),
             "faults": len(spec.faults),
             "fault_kinds": sorted(spec.faults.kinds()),
+            "fault_kinds_fired": sorted(fired_kinds(run)),
             "fault_events": len(run.fault_log),
             "committed_calls": len(calls),
             "committed_cross_transfers": len(cross),

@@ -25,11 +25,17 @@ from typing import Any, Optional
 from ..core.config import DeploymentConfig
 from ..core.faults import (
     BYZANTINE_FAULT_KINDS,
+    FAULTS_END,
+    FAULTS_START,
     LYING_GATEWAY_MODES,
     RECOVERABLE_FAULT_KINDS,
+    RESOLVE_BY,
     VOUCHER_FAULT_KINDS,
+    FaultKind,
     FaultSchedule,
     ScheduledFault,
+    Target,
+    fault_kind,
 )
 from ..client.sharded import ShardedFastMoneyClient
 from ..client.workload import MixedOperation
@@ -49,14 +55,10 @@ CHAOS_ELECTION = ("chaos-e0", ("yes", "no", "abstain"))
 
 # Scenario timeline (simulated seconds).  Setup (election creation)
 # happens right after construction and completes well before OPS_START;
-# fault injections start no earlier than FAULTS_START; every outage is
-# recovered by RESOLVE_BY so the final report cycle finds all cells live
-# and the per-cycle audits can cover every cell.
+# the fault half of the timeline (FAULTS_START, FAULTS_END, RESOLVE_BY)
+# is declared beside the fault table in ``repro.core.faults``.
 OPS_START = 4.0
 OPS_END = 22.0
-FAULTS_START = 5.0
-FAULTS_END = 20.0
-RESOLVE_BY = 45.0
 # Recoveries and standby activations are sampled anywhere inside the
 # fault/traffic window.  Earlier corpora pinned them after a QUIESCE_AT
 # quiesce point because the rejoin vote compared *state* fingerprints,
@@ -226,7 +228,7 @@ class ScenarioSpec:
         """
         standby = (
             self.standby_cells
-            if any(fault.kind == "standby_activate" for fault in faults)
+            if any(fault.row.target is Target.STANDBY for fault in faults)
             else 0
         )
         return replace(self, faults=faults, standby_cells=standby)
@@ -420,102 +422,48 @@ def _sample_faults(rng, space, shards, lead_kind, funded, fast_path=False):
         kinds.append(space.fault_kinds[rng.randrange(len(space.fault_kinds))])
 
     faults: list[ScheduledFault] = []
-    standby_cells = 0
     outage_groups: set[int] = set()
     cells = space.consortium_size
-    standby_base: Optional[float] = None
+    standby: Optional[tuple[FaultKind, float]] = None
     for kind in kinds:
+        row = fault_kind(kind)
+        # Drawn before the row is consulted, and consumed even by a kind
+        # that is then skipped: the stream position is the corpus's identity.
         at = round(rng.uniform(FAULTS_START, FAULTS_END), 3)
         group = rng.randrange(shards)
-        if kind in ("crash_recover", "crash_rejoin"):
+        if row.target is Target.STANDBY:
+            if standby is None:
+                standby = row, round(rng.uniform(FAULTS_START, RESOLVE_BY - 5.0), 3)
+            continue
+        if row.outage:
             if group in outage_groups:
                 continue
             outage_groups.add(group)
-            cell = rng.randrange(1, cells) if shards > 1 else rng.randrange(cells)
-            until = round(rng.uniform(at + 4.0, RESOLVE_BY), 3)
-            faults.append(
-                ScheduledFault(kind=kind, group=group, cell=cell, at=at, until=until)
-            )
-        elif kind == "standby_activate":
-            if standby_cells:
-                continue
-            standby_cells = 1
-            standby_base = round(rng.uniform(FAULTS_START, RESOLVE_BY - 5.0), 3)
-        elif kind == "partition_window":
-            if group in outage_groups:
-                continue
-            outage_groups.add(group)
-            cell = rng.randrange(1, cells) if shards > 1 else rng.randrange(cells)
-            # Unlike a crashed cell, a partitioned cell keeps its report
-            # lifecycle: if the cut straddled a report boundary it would
-            # anchor a stale-state fingerprint and (correctly) fail the
-            # anchor-agreement check.  The cut therefore heals — with
-            # margin for the resync + rejoin to settle — well before the
-            # first boundary.
-            at = round(rng.uniform(FAULTS_START, 13.0), 3)
-            until = round(at + rng.uniform(2.0, 6.0), 3)
-            faults.append(
-                ScheduledFault(kind=kind, group=group, cell=cell, at=at, until=until)
-            )
-        elif kind == "skew_window":
-            cell = rng.randrange(cells)
-            until = round(rng.uniform(at + 2.0, RESOLVE_BY), 3)
-            faults.append(
-                ScheduledFault(
-                    kind=kind, group=group, cell=cell, at=at, until=until,
-                    params={"seconds": round(rng.uniform(0.05, 0.5), 3)},
-                )
-            )
-        elif kind == "censor_window":
-            cell = rng.randrange(cells)
-            until = round(rng.uniform(at + 2.0, RESOLVE_BY), 3)
-            faults.append(
-                ScheduledFault(
-                    kind=kind, group=group, cell=cell, at=at, until=until,
-                    params={"account": rng.choice(funded)},
-                )
-            )
-        else:  # delay_window
-            cell = rng.randrange(cells)
-            until = round(rng.uniform(at + 2.0, RESOLVE_BY), 3)
-            faults.append(
-                ScheduledFault(
-                    kind=kind, group=group, cell=cell, at=at, until=until,
-                    params={"seconds": round(rng.uniform(0.05, 0.4), 3)},
-                )
-            )
-    if standby_base is not None:
+        faults.append(row.draw(rng, at, group, shards, cells, funded))
+    if standby is not None:
         # Every group is provisioned with the standby, and every standby
         # must join (an unactivated standby is a permanently crashed
         # consortium member as far as the audits care).  Activations may
         # land inside traffic and inside other cells' crash windows: the
         # rejoin handshake backfills in-flight admissions and votes out
         # silent peers, so neither needs to be scheduled around.
-        base = standby_base
-        for activate_group in range(shards):
-            faults.append(
-                ScheduledFault(
-                    kind="standby_activate",
-                    group=activate_group,
-                    cell=cells,
-                    at=round(base + activate_group, 3),
-                )
-            )
+        row, base = standby
+        faults.extend(
+            row.draw(rng, round(base + group, 3), group, shards, cells, funded)
+            for group in range(shards)
+        )
     # Voucher delivery faults ride along when the fast path is sampled
     # on: about half such scenarios lose or re-deliver vouchers at one
-    # group's gateway (cell 0 — the cell that mints and redeems).  These
-    # draws come strictly *after* every draw above on the same stream, so
-    # pre-voucher fault schedules stay bit-for-bit identical.
+    # group's gateway (the cell that mints and redeems).  These draws
+    # come strictly *after* every draw above on the same stream — and the
+    # rider's group after its window — so pre-voucher fault schedules
+    # stay bit-for-bit identical.
     if fast_path and shards > 1 and rng.random() < 0.5:
-        kind = VOUCHER_FAULT_KINDS[rng.randrange(len(VOUCHER_FAULT_KINDS))]
+        row = fault_kind(VOUCHER_FAULT_KINDS[rng.randrange(len(VOUCHER_FAULT_KINDS))])
         at = round(rng.uniform(FAULTS_START, FAULTS_END), 3)
-        until = round(rng.uniform(at + 2.0, RESOLVE_BY), 3)
-        faults.append(
-            ScheduledFault(
-                kind=kind, group=rng.randrange(shards), cell=0, at=at, until=until
-            )
-        )
-    return FaultSchedule(tuple(faults)), standby_cells
+        fault = row.draw(rng, at, 0, shards, cells, funded)
+        faults.append(replace(fault, group=rng.randrange(shards)))
+    return FaultSchedule(tuple(faults)), 0 if standby is None else 1
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +528,7 @@ def sample_byzantine_scenario(
     # the voucher-forging mode (below) switches it back on.
     spec = replace(base.with_faults(FaultSchedule(())), fast_path=False)
     params: dict[str, Any] = {}
-    if kind == "lying_gateway":
+    if fault_kind(kind).target is Target.GATEWAY:
         if spec.shards == 1:
             spec = replace(spec, shards=2)
         homes = _chaos_account_homes(spec)

@@ -33,15 +33,19 @@ from typing import Any, Callable, Optional
 from ..audit.oracles import OracleResult
 from ..client.sharded import CrossShardResult
 from ..client.workload import MixedOperation
-from ..core.faults import OUTAGE_KINDS, FaultSchedule, ScheduledFault
+from ..core.faults import (
+    FAULTS_END,
+    FAULTS_START,
+    Family,
+    FaultSchedule,
+    Target,
+    fault_kind,
+)
 from ..sim.rng import SeedSequence
 from .runner import ScenarioRun, check_scenario
 from .scenario import (
-    FAULTS_END,
-    FAULTS_START,
     OPS_END,
     OPS_START,
-    RESOLVE_BY,
     ScenarioSpace,
     ScenarioSpec,
     sample_scenario,
@@ -145,41 +149,22 @@ def grow_fault(spec: ScenarioSpec, kind: str, rng) -> Optional[ScenarioSpec]:
     group already has an outage, or a standby is already provisioned) —
     the caller falls back to a perturbation.
     """
-    cells = spec.consortium_size
+    row = fault_kind(kind)
     shards = spec.shards
-    outage_groups = {
-        fault.group for fault in spec.faults if fault.kind in OUTAGE_KINDS
-    }
+    cells = spec.consortium_size
     funded = [
         index
         for index in range(spec.account_count)
         if index not in spec.pauper_accounts
     ]
     at = round(rng.uniform(FAULTS_START, FAULTS_END), 3)
-    if kind in ("crash_recover", "crash_rejoin", "partition_window"):
-        free_groups = [
-            group for group in range(shards) if group not in outage_groups
-        ]
-        if not free_groups:
-            return None
-        group = free_groups[rng.randrange(len(free_groups))]
-        cell = rng.randrange(1, cells) if shards > 1 else rng.randrange(cells)
-        if kind == "partition_window":
-            # Same pre-boundary healing constraint as the sampler: a
-            # partitioned cell keeps anchoring, so the cut must heal
-            # with resync margin before the first report boundary.
-            at = round(rng.uniform(FAULTS_START, 13.0), 3)
-            until = round(at + rng.uniform(2.0, 6.0), 3)
-        else:
-            until = round(rng.uniform(at + 4.0, RESOLVE_BY), 3)
-        fault = ScheduledFault(kind=kind, group=group, cell=cell, at=at, until=until)
-    elif kind == "standby_activate":
+    if row.family is not Family.RECOVERABLE:
+        return None
+    if row.target is Target.STANDBY:
         if spec.standby_cells:
             return None
         activations = tuple(
-            ScheduledFault(
-                kind=kind, group=group, cell=cells, at=round(at + group, 3)
-            )
+            row.draw(rng, round(at + group, 3), group, shards, cells, funded)
             for group in range(shards)
         )
         return replace(
@@ -187,32 +172,14 @@ def grow_fault(spec: ScenarioSpec, kind: str, rng) -> Optional[ScenarioSpec]:
             standby_cells=1,
             faults=FaultSchedule(spec.faults.faults + activations),
         )
-    elif kind == "censor_window":
-        group = rng.randrange(shards)
-        cell = rng.randrange(cells)
-        until = round(rng.uniform(at + 2.0, RESOLVE_BY), 3)
-        fault = ScheduledFault(
-            kind=kind, group=group, cell=cell, at=at, until=until,
-            params={"account": funded[rng.randrange(len(funded))]},
-        )
-    elif kind == "delay_window":
-        group = rng.randrange(shards)
-        cell = rng.randrange(cells)
-        until = round(rng.uniform(at + 2.0, RESOLVE_BY), 3)
-        fault = ScheduledFault(
-            kind=kind, group=group, cell=cell, at=at, until=until,
-            params={"seconds": round(rng.uniform(0.05, 0.4), 3)},
-        )
-    elif kind == "skew_window":
-        group = rng.randrange(shards)
-        cell = rng.randrange(cells)
-        until = round(rng.uniform(at + 2.0, RESOLVE_BY), 3)
-        fault = ScheduledFault(
-            kind=kind, group=group, cell=cell, at=at, until=until,
-            params={"seconds": round(rng.uniform(0.05, 0.5), 3)},
-        )
-    else:
+    # Same constraint as the sampler — one outage per group — but drawn
+    # from the groups still free instead of drawn and skipped.
+    busy = {fault.group for fault in spec.faults if fault.row.outage} if row.outage else set()
+    free_groups = [group for group in range(shards) if group not in busy]
+    if not free_groups:
         return None
+    group = free_groups[rng.randrange(len(free_groups))]
+    fault = row.draw(rng, at, group, shards, cells, funded)
     return spec.with_faults(FaultSchedule(spec.faults.faults + (fault,)))
 
 

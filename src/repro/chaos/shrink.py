@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..core.faults import FaultSchedule
+from ..core.faults import FaultSchedule, Target
 from .scenario import ScenarioSpec
 
 #: A shrink unit: the schedule indices removed (and kept) together.
@@ -46,7 +46,7 @@ def _shrink_units(schedule: FaultSchedule) -> list[Unit]:
     units: list[Unit] = []
     standby: list[int] = []
     for index, fault in enumerate(schedule.faults):
-        if fault.kind == "standby_activate":
+        if fault.row.target is Target.STANDBY:
             standby.append(index)
         else:
             units.append((index,))

@@ -18,7 +18,8 @@ Both are enforceable statically.  This package walks the source tree with
 
 * ``DET*``   — ambient-nondeterminism rules (:mod:`repro.lint.determinism`);
 * ``PLAN*``  — access-plan conformance rules (:mod:`repro.lint.access_plans`);
-* ``PROTO*`` — message-protocol wiring rules (:mod:`repro.lint.protocol`).
+* ``PROTO*`` — message-protocol wiring rules (:mod:`repro.lint.protocol`),
+  and beside them ``FAULT001``: a fault kind is named in its table row only.
 
 Run it as ``python -m repro.lint src/repro`` (or ``python tools/lint.py``).
 Findings can be suppressed inline with a justified comment::

@@ -1,4 +1,4 @@
-"""Message-protocol wiring rules (``PROTO*``).
+"""Message-protocol wiring rules (``PROTO*``) and the fault-table rule (``FAULT001``).
 
 The uniform RESTful interface routes every message by its opcode
 (Section III-C2 of the paper), and the cell's route table
@@ -37,6 +37,13 @@ whole tree:
   (:mod:`repro.messages.endpoint`) and nowhere else: it owns the nonce
   sequence, the clock stamp, the crashed-cell gate and the request → reply
   map, and a hand-rolled sender beside it has to re-state all four.
+* ``FAULT001`` — the same "declared once" rule for the scheduled fault
+  kinds: what a kind *is* lives in its ``FaultKind(...)`` row of
+  :mod:`repro.core.faults`, so under :mod:`repro.chaos` and in that module
+  a kind's name as a string literal — compared, matched in a ``case``, or
+  passed as ``kind=`` — anywhere outside a row is a second place that has
+  to know the kind.  The ``fault.record("...")`` event names in the cell
+  and the gateway are out of scope: a row's ``evidence`` refers to them.
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ ROUTES_MODULE = "repro.core.routes"
 DISPATCH_PACKAGE = "repro.core"
 #: Where ``Envelope.create`` is defined, and the one module that may call it.
 SENDER_MODULES = ("repro.messages.envelope", "repro.messages.endpoint")
+#: Where the ``FaultKind(...)`` rows live, and the package that must ask them.
+FAULTS_MODULE = "repro.core.faults"
+CHAOS_PACKAGE = "repro.chaos"
 
 _HANDLER_PREFIXES = ("_serve_", "_process_", "_accept_", "handle_")
 
@@ -380,8 +390,66 @@ def _check_single_sender(sources: Sequence[SourceFile]) -> Iterator[Finding]:
             )
 
 
+def _string_constants(node: ast.AST) -> Iterator[ast.Constant]:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub
+
+
+def _check_fault_table(sources: Sequence[SourceFile]) -> Iterator[Finding]:
+    """FAULT001 — nobody spells a fault kind's name beside its table row."""
+    table = next((source for source in sources if source.module == FAULTS_MODULE), None)
+    if table is None:
+        return
+    rows = [
+        node
+        for node in ast.walk(table.tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FaultKind"
+    ]
+    kinds = set()
+    for row in rows:
+        name = row.args[0] if row.args else next(
+            (keyword.value for keyword in row.keywords if keyword.arg == "name"), None
+        )
+        if isinstance(name, ast.Constant) and isinstance(name.value, str):
+            kinds.add(name.value)
+    # Literals inside a row are the declaration; one reported is not reported
+    # again for an enclosing comparison.
+    settled = {id(sub) for row in rows for sub in ast.walk(row)}
+    for source in sources:
+        if not (
+            source is table
+            or source.module == CHAOS_PACKAGE
+            or source.module.startswith(CHAOS_PACKAGE + ".")
+        ):
+            continue
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.Compare):
+                how, literals = "compared", list(_string_constants(node))
+            elif isinstance(node, ast.match_case):
+                how, literals = "matched", list(_string_constants(node.pattern))
+            elif isinstance(node, ast.keyword) and node.arg == "kind":
+                how, literals = "passed as kind=", list(_string_constants(node.value))
+            else:
+                continue
+            for literal in literals:
+                if literal.value in kinds and id(literal) not in settled:
+                    settled.add(id(literal))
+                    yield _finding(
+                        source,
+                        literal.lineno,
+                        "FAULT001",
+                        f"fault kind {literal.value!r} is {how} as a string literal "
+                        f"outside its FaultKind row in {FAULTS_MODULE}",
+                        "ask the row (fault.row / fault_kind(name)): its family, target, "
+                        "window, outage, evidence or arm shape — or declare the property there",
+                        f"{literal.value}:L{literal.lineno}",
+                    )
+
+
 def check_protocol(sources: Sequence[SourceFile]) -> Iterator[Finding]:
-    """Apply every PROTO rule across the scanned tree."""
+    """Apply every PROTO rule, and FAULT001, across the scanned tree."""
     yield from _check_opcode_wiring(sources)
     yield from _check_verify_order(sources)
     yield from _check_single_sender(sources)
+    yield from _check_fault_table(sources)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.chaos import corpus_seeds
+from repro.chaos import CORPUS_SIZE, EXERCISED_SEEDS, corpus_seeds
 
 #: Where failing scenario reports are written (CI uploads these).
 REPORT_DIR = os.environ.get("CHAOS_REPORT_DIR", ".chaos-reports")
@@ -17,11 +17,14 @@ def pytest_generate_tests(metafunc):
 
     The ``--chaos-budget N`` option (see the root conftest) replaces the
     pinned corpus with seeds ``0..N-1`` — a prefix for quick smoke runs,
-    an extension beyond the pinned range for nightly soak runs.
+    an extension beyond the pinned range for nightly soak runs.  A run
+    that covers the pinned range also takes the exercised stratum.
     """
     if "chaos_seed" in metafunc.fixturenames:
-        budget = metafunc.config.getoption("--chaos-budget")
-        metafunc.parametrize("chaos_seed", corpus_seeds(budget))
+        seeds = corpus_seeds(metafunc.config.getoption("--chaos-budget"))
+        if len(seeds) >= CORPUS_SIZE:
+            seeds += [seed for seed in EXERCISED_SEEDS if seed not in seeds]
+        metafunc.parametrize("chaos_seed", seeds)
 
 
 @pytest.fixture

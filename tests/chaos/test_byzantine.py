@@ -31,7 +31,10 @@ from repro.chaos import (
     sample_byzantine_scenario,
 )
 from repro.chaos.byzantine import ANCHORED_BYZANTINE_KINDS
+from repro.chaos.runner import fired_kinds
 from repro.core.faults import BYZANTINE_FAULT_KINDS, LYING_GATEWAY_MODES
+
+from tests.chaos import goldens
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +164,19 @@ def test_anchored_kinds_fail_audit_and_lying_gateway_does_not(byzantine_outcomes
             assert not audit.passed, f"seed {seed}: anchored fault escaped audit"
         else:
             assert audit.passed, f"seed {seed}: {audit.findings}"
+
+
+def test_runs_match_the_goldens_recorded_before_the_fault_table(byzantine_outcomes):
+    golden = goldens.load()["runs"]["byzantine"]
+    for seed, (_spec, run, _results) in byzantine_outcomes.items():
+        assert goldens.run_digests(run) == golden[str(seed)], f"seed {seed}"
+
+
+def test_every_byzantine_kind_fires_in_three_pinned_scenarios(byzantine_outcomes):
+    fired = [
+        kind
+        for _spec, run, _results in byzantine_outcomes.values()
+        for kind in fired_kinds(run)
+    ]
+    for kind in BYZANTINE_FAULT_KINDS:
+        assert fired.count(kind) >= 3, f"{kind} fires in {fired.count(kind)} scenario(s)"

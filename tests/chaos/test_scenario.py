@@ -1,5 +1,7 @@
 """Scenario sampling: determinism, serialization, validation, coverage."""
 
+import json
+
 import pytest
 
 from repro.chaos import (
@@ -27,6 +29,8 @@ from repro.core.faults import (
     ScheduledFault,
 )
 
+from tests.chaos import goldens
+
 
 def test_sampling_is_a_pure_function_of_the_seed():
     for seed in (0, 7, 41, 59):
@@ -42,9 +46,21 @@ def test_distinct_seeds_draw_distinct_scenarios():
 
 
 def test_spec_round_trips_through_json_data():
-    for seed in (3, 17, 44):
+    """``to_data`` → JSON → ``from_data`` is the identity on every sampled
+    spec, with ``from_data`` coercing nothing in a fault."""
+    for seed in range(200):
         spec = sample_scenario(seed)
-        assert ScenarioSpec.from_data(spec.to_data()) == spec
+        assert ScenarioSpec.from_data(json.loads(json.dumps(spec.to_data()))) == spec
+
+
+def test_sampled_specs_match_the_goldens_recorded_before_the_fault_table():
+    """The draw order of both samplers is the corpus's identity."""
+    golden = goldens.load()["specs"]
+    now = goldens.spec_digests()
+    for family in ("recoverable", "byzantine"):
+        moved = [seed for seed, digest in golden[family].items() if now[family][seed] != digest]
+        assert not moved, f"{family} specs moved for seeds {moved}"
+        assert len(now[family]) == len(golden[family])
 
 
 def test_sampled_timelines_respect_the_scenario_phases():

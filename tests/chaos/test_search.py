@@ -24,6 +24,8 @@ from repro.core.faults import RECOVERABLE_FAULT_KINDS
 
 import pytest
 
+from tests.chaos import goldens
+
 
 @pytest.fixture(scope="module")
 def pinned_search() -> SearchOutcome:
@@ -41,6 +43,17 @@ def test_search_strictly_beats_uniform_at_equal_budget(pinned_search):
 
 def test_search_meets_the_pinned_coverage_floor(pinned_search):
     assert len(pinned_search.coverage) >= PINNED_COVERAGE_FLOOR
+
+
+def test_search_matches_the_golden_recorded_before_the_fault_table(pinned_search):
+    """Action strings are coverage signals and grown faults are sampler
+    draws: the same tuples, iteration by iteration, or something moved."""
+    golden = goldens.load()["search"]
+    assert golden["budget"] == PINNED_SEARCH_BUDGET
+    assert len(pinned_search.coverage) == golden["tuples"]
+    assert [
+        entry.new_tuples for entry in pinned_search.entries
+    ] == golden["new_tuples_by_iteration"]
 
 
 def test_search_scenarios_pass_their_oracle_stack(pinned_search):

@@ -71,6 +71,83 @@ def test_scheduled_fault_validates_kind_time_and_window():
                        params={"account": -3})
 
 
+@pytest.mark.parametrize(
+    "window",
+    [
+        {"at": float("nan"), "until": 9.0},
+        {"at": 5.0, "until": float("nan")},
+        {"at": 5.0, "until": float("inf")},
+        {"at": float("inf"), "until": float("inf")},
+        {"at": True, "until": 9.0},
+        {"at": 0.0, "until": True},
+    ],
+)
+def test_scheduled_fault_times_are_finite_numbers_and_not_bools(window):
+    """``nan < 0`` and ``nan <= nan`` are both false and ``bool`` is an
+    ``int``: a comparison alone lets all of these through to ``call_at``."""
+    with pytest.raises(FaultError, match="fault time|fault window"):
+        ScheduledFault(kind="censor_window", group=0, cell=0,
+                       params={"account": 1}, **window)
+
+
+@pytest.mark.parametrize("kind", ["delay_window", "skew_window"])
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), True, 0, -0.5, "1"])
+def test_window_seconds_are_positive_finite_numbers(kind, seconds):
+    with pytest.raises(FaultError, match=rf"{kind} needs .*params\['seconds'\]"):
+        ScheduledFault(kind=kind, group=0, cell=0, at=1.0, until=2.0,
+                       params={"seconds": seconds})
+
+
+def test_scheduled_fault_takes_exactly_the_params_its_kind_declares():
+    # A misspelt key used to run silently as the default mode.
+    with pytest.raises(FaultError, match=r"lying_gateway takes no params\['mod'\]"):
+        ScheduledFault(kind="lying_gateway", group=0, cell=0, at=1.0,
+                       params={"mod": "withhold", "mode": "forge"})
+    with pytest.raises(FaultError, match=r"lying_gateway needs params\['mode'\]"):
+        ScheduledFault(kind="lying_gateway", group=0, cell=0, at=1.0)
+    with pytest.raises(FaultError, match=r"tamper_state takes no params\['bogus'\]"):
+        ScheduledFault(kind="tamper_state", group=0, cell=0, at=1.0,
+                       params={"bogus": 1})
+    with pytest.raises(FaultError, match=r"censor_window takes no params\['seconds'\]"):
+        ScheduledFault(kind="censor_window", group=0, cell=0, at=1.0, until=2.0,
+                       params={"account": 0, "seconds": 0.1})
+    with pytest.raises(FaultError, match="params must be a dict"):
+        ScheduledFault(kind="tamper_state", group=0, cell=0, at=1.0, params=[])
+
+
+def test_from_data_reads_report_json_strictly():
+    """A report is read with exact JSON types — nothing is coerced — and a
+    wrong shape is a ``FaultError``, not a ``KeyError`` out of the CLI."""
+    good = {"kind": "censor_window", "group": 1, "cell": 1, "at": 3.0,
+            "until": 9.0, "params": {"account": 2}}
+    assert ScheduledFault.from_data(good).to_data() == good
+    for key, lenient in (("group", "1"), ("cell", 1.9), ("at", "3"), ("until", "9")):
+        with pytest.raises(FaultError, match="fault"):
+            ScheduledFault.from_data({**good, key: lenient})
+    for key in ("kind", "group", "cell", "at"):
+        with pytest.raises(FaultError, match=f"missing .*{key}"):
+            ScheduledFault.from_data({k: v for k, v in good.items() if k != key})
+    with pytest.raises(FaultError, match="JSON object"):
+        ScheduledFault.from_data(["censor_window"])
+    with pytest.raises(FaultError, match="JSON list"):
+        FaultSchedule.from_data({"faults": [good]})
+    with pytest.raises(FaultError, match="JSON object"):
+        FaultSchedule.from_data([good, "tamper_state"])
+    with pytest.raises(FaultError, match="unknown fault kind"):
+        ScheduledFault.from_data({**good, "kind": ["censor_window"]})
+
+
+def test_gateway_kinds_must_target_the_gateway_cell():
+    for kind, extra in (
+        ("lying_gateway", {"params": {"mode": "forge"}}),
+        ("voucher_loss", {"until": 9.0}),
+        ("voucher_duplication", {"until": 9.0}),
+    ):
+        sibling = ScheduledFault(kind=kind, group=0, cell=1, at=5.0, **extra)
+        with pytest.raises(FaultError, match="not a gateway cell"):
+            FaultSchedule((sibling,)).validate_for(shard_count=2, cells_per_group=2)
+
+
 def test_fault_kind_taxonomy_is_partitioned():
     """Every kind is recoverable, Byzantine, or a voucher delivery fault —
     never more than one — samplers and the attribution oracle branch on

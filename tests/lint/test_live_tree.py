@@ -4,7 +4,8 @@ These are the acceptance tests for the suite itself: the real ``src/repro``
 tree produces no findings beyond the committed baseline, and reintroducing
 two historical bug classes (an ambient ``import random`` and a silently
 narrowed access plan) each produce exactly one finding with the expected
-rule id.
+rule id.  A third mutation puts one fault-kind comparison back beside the
+fault table.
 """
 
 from __future__ import annotations
@@ -70,3 +71,15 @@ def test_mutation_dropped_plan_delta_is_one_plan001(tree_copy):
     assert [f.rule for f in findings] == ["PLAN001"]
     assert "stats/transfers" in findings[0].message
     assert "transfer" in findings[0].symbol
+
+
+def test_mutation_kind_comparison_beside_the_table_is_one_fault001(tree_copy):
+    mutate(
+        tree_copy / "chaos" / "shrink.py",
+        "if fault.row.target is Target.STANDBY:",
+        'if fault.kind == "standby_activate":',
+    )
+    findings = lint_paths([tree_copy])
+    assert [f.rule for f in findings] == ["FAULT001"]
+    assert findings[0].module == "repro.chaos.shrink"
+    assert "standby_activate" in findings[0].message

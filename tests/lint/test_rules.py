@@ -646,6 +646,87 @@ def test_proto004_fires_on_a_hand_rolled_sender(tree, sender, what):
 
 
 # ----------------------------------------------------------------------
+# FAULT001 — a fault kind's name is spelt in its table row and nowhere else
+# ----------------------------------------------------------------------
+FAULT_TABLE = """
+    FAULT_TABLE = (
+        FaultKind("crash_recover", Family.RECOVERABLE, Lifecycle("crash", _crash), outage=True),
+        FaultKind(name="tamper_state", family=Family.BYZANTINE, arm=Latch("tamper_state"),
+                  evidence="tamper_state"),
+    )
+    OUTAGE_KINDS = frozenset(row.name for row in FAULT_TABLE if row.outage)
+"""
+
+
+def test_fault001_clean_when_callers_ask_the_row(tree):
+    tree("core/faults.py", FAULT_TABLE)
+    tree("chaos/runner.py", """
+    def arm(fault, rows):
+        if fault.row.outage or fault.kind in rows:
+            return MixedOperation(kind="transfer")     # an operation kind, not a fault kind
+        return fault.kind == other.kind
+    """)
+    # The cell records the event a row's evidence names: out of the rule's scope.
+    tree("core/cell.py", """
+    def execute(self):
+        self.fault.record("tamper_state", contract=1)
+        return self.kind == "crash_recover"
+    """)
+    assert lint_paths([tree.root]) == []
+
+
+@pytest.mark.parametrize(
+    "module, code, how",
+    [
+        ("chaos/runner.py", 'armed = fault.kind == "crash_recover"', "compared"),
+        ("chaos/search.py", 'hit = kind in ("skew_window", "tamper_state")', "compared"),
+        ("chaos/shrink.py", 'hit = "tamper_state" != fault.kind', "compared"),
+        ("chaos/scenario.py", 'fault = ScheduledFault(kind="crash_recover", group=0)', "passed as kind="),
+    ],
+)
+def test_fault001_fires_on_a_kind_literal_outside_the_table(tree, module, code, how):
+    tree("core/faults.py", FAULT_TABLE)
+    tree(module, code + "\n")
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["FAULT001"]
+    assert how in findings[0].message and module in findings[0].path
+    assert "row" in findings[0].fixit
+
+
+def test_fault001_fires_in_the_table_module_outside_a_row(tree):
+    tree("core/faults.py", FAULT_TABLE + """
+    ANCHORED = frozenset(row.name for row in FAULT_TABLE if row.name == "tamper_state")
+    """)
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["FAULT001"]
+    assert "core/faults.py" in findings[0].path
+
+
+def test_fault001_fires_on_a_matched_kind(tree):
+    tree("core/faults.py", FAULT_TABLE)
+    tree("chaos/runner.py", """
+    def arm(fault):
+        match fault.kind:
+            case "crash_recover" | "tamper_state":
+                return 1
+            case "transfer":
+                return 2
+    """)
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["FAULT001", "FAULT001"]
+    assert all("matched" in finding.message for finding in findings)
+
+
+def test_fault001_suppressed_with_reason(tree):
+    tree("core/faults.py", FAULT_TABLE)
+    tree("chaos/runner.py", """
+    # lint: disable=FAULT001 — reads a pre-table report whose kinds were renamed
+    legacy = kind == "crash_recover"
+    """)
+    assert lint_paths([tree.root]) == []
+
+
+# ----------------------------------------------------------------------
 # LINT001 — suppression hygiene
 # ----------------------------------------------------------------------
 def test_lint001_fires_on_unjustified_suppression(tree):

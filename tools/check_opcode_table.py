@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keep the generated references of ``docs/ARCHITECTURE.md`` equal to the code.
+"""Keep the generated references of ``docs/`` equal to the code.
 
 The table between the ``opcode-table`` markers is *generated* from
 :mod:`repro.core.routes` — the one declaration of who may send which
@@ -8,7 +8,9 @@ handler runs, and which body a cell answers with under each reply opcode.
 The one between the ``wire-bodies`` markers is generated from the wire
 fields the body classes declare (:mod:`repro.messages.wire`, the reply
 classes of :mod:`repro.core.replies` included): family error, signer and
-domain tag, and every field's key and kind.  Without arguments the script
+domain tag, and every field's key and kind.  The ``fault-kinds`` block of
+``docs/FAULTS.md`` is generated from :data:`repro.core.faults.FAULT_TABLE`,
+the one declaration of every scheduled fault kind.  Without arguments the script
 fails (exit status 1, with a diff) when a committed block differs from what
 the declarations render; ``--write`` regenerates them.  Used by the
 ``docs`` CI job and ``tests/docs/test_doc_links.py``.
@@ -23,12 +25,14 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.faults import FAULT_TABLE, Family  # noqa: E402
 from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES  # noqa: E402
 from repro.messages import evidence, wire  # noqa: E402,F401 - evidence defines bodies no route names
 from repro.messages.opcodes import Opcode  # noqa: E402
 from repro.messages.signer import SignedStatement  # noqa: E402
 
-DOCUMENT = REPO_ROOT / "docs" / "ARCHITECTURE.md"
+ARCHITECTURE = REPO_ROOT / "docs" / "ARCHITECTURE.md"
+FAULTS = REPO_ROOT / "docs" / "FAULTS.md"
 
 
 def _subclasses(cls: type) -> list[type]:
@@ -90,41 +94,78 @@ def render() -> str:
     return "\n".join(lines)
 
 
-#: (marker name, what renders the block between its markers)
-BLOCKS = (("opcode-table", render), ("wire-bodies", render_wire_bodies))
+def render_fault_kinds() -> str:
+    """The Markdown block for the fault table, in declared order."""
+    lines = [
+        f"{len(FAULT_TABLE)} kinds: "
+        + ", ".join(
+            f"{sum(row.family is family for row in FAULT_TABLE)} {family.value}"
+            for family in Family
+        )
+        + ".  *Fired when*: the `FaultPlan.record` event that proves the fault acted "
+        "(`fault_kinds_fired` in a scenario report); a kind without one fires by being injected.",
+        "",
+        "| Kind | Family | Shape | Window | Outage | Target | Params | Fired when | Oracles |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
+    ]
+    for row in FAULT_TABLE:
+        if row.family is not Family.BYZANTINE:
+            oracles = "tolerated: every oracle passes"
+        elif row.audit_fails:
+            oracles = "caught: audit fails (`caught-by-anchor-agreement` / `caught-by-audit`)"
+        else:
+            oracles = "caught: refused before commit (`caught-by-certificate`), audit passes"
+        params = ", ".join(f"`{param.name}`: {param.what}" for param in row.params)
+        lines.append(
+            f"| `{row.name}` | {row.family.value} | {type(row.arm).__name__.lower()} "
+            f"| {'`[at, until)`' if row.window is not None else '`at`'} "
+            f"| {'yes' if row.outage else '—'} | {row.target.value} | {params or '—'} "
+            f"| {f'`{row.evidence}` recorded' if row.evidence else 'injected'} | {oracles} |"
+        )
+    return "\n".join(lines)
+
+
+#: (document, marker name, what renders the block between its markers)
+BLOCKS = (
+    (ARCHITECTURE, "opcode-table", render),
+    (ARCHITECTURE, "wire-bodies", render_wire_bodies),
+    (FAULTS, "fault-kinds", render_fault_kinds),
+)
 
 
 def main(argv: list[str]) -> int:
-    text = DOCUMENT.read_text()
-    stale = False
-    for name, render_block in BLOCKS:
+    texts = {document: document.read_text() for document, _name, _render in BLOCKS}
+    stale = set()
+    for document, name, render_block in BLOCKS:
+        shown = document.relative_to(REPO_ROOT)
         begin = f"<!-- {name}:begin (generated by tools/check_opcode_table.py --write) -->"
         end = f"<!-- {name}:end -->"
         try:
-            head, rest = text.split(begin, 1)
+            head, rest = texts[document].split(begin, 1)
             committed, tail = rest.split(end, 1)
         except ValueError:
-            print(f"{DOCUMENT}: the {name} markers are missing", file=sys.stderr)
+            print(f"{shown}: the {name} markers are missing", file=sys.stderr)
             return 1
         generated = f"\n{render_block()}\n"
         if committed == generated:
             continue
-        stale = True
-        text = head + begin + generated + end + tail
+        stale.add(document)
+        texts[document] = head + begin + generated + end + tail
         if "--write" not in argv:
             sys.stderr.writelines(
                 difflib.unified_diff(
                     committed.splitlines(keepends=True),
                     generated.splitlines(keepends=True),
-                    f"docs/ARCHITECTURE.md {name} (committed)",
+                    f"{shown} {name} (committed)",
                     f"{name} (rendered from the code)",
                 )
             )
     if not stale:
         return 0
     if "--write" in argv:
-        DOCUMENT.write_text(text)
-        print(f"{DOCUMENT}: generated references rewritten")
+        for document in sorted(stale):
+            document.write_text(texts[document])
+            print(f"{document}: generated references rewritten")
         return 0
     print("a generated reference is stale: run tools/check_opcode_table.py --write", file=sys.stderr)
     return 1
