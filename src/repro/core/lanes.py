@@ -45,6 +45,8 @@ schedule — the differential suite asserts this configuration matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Optional, TYPE_CHECKING
 
 from ..contracts.registry import ContractRegistry
@@ -104,9 +106,14 @@ class AccessFootprint:
         )
 
 
-def compatible(a: AccessFootprint, b: AccessFootprint) -> bool:
+#: What the scheduler hands the gate: a ledger sequence (the grant order of
+#: conflicting waiters) and the footprint that decides compatibility.
+LaneToken = tuple[int, AccessFootprint]
+
+
+def _may_share_lanes(a: LaneToken, b: LaneToken) -> bool:
     """Gate predicate: tokens may hold lanes together iff they don't conflict."""
-    return not a.conflicts_with(b)
+    return not a[1].conflicts_with(b[1])
 
 
 def footprint_for_entry(entry: "LedgerEntry", registry: ContractRegistry) -> AccessFootprint:
@@ -141,7 +148,7 @@ class LaneScheduler:
     underlying :class:`~repro.sim.resources.ConflictGate` grants at most
     ``lanes`` slots, never lets two conflicting footprints hold slots
     together, and biases conflicting grants toward canonical ledger order
-    (waiters are kept sorted by sequence).
+    (waiters are kept ordered by sequence).
     """
 
     def __init__(self, env: Environment, lanes: int, registry: ContractRegistry,
@@ -150,18 +157,18 @@ class LaneScheduler:
             raise LaneError("at least one execution lane is required")
         self.lanes = lanes
         self.registry = registry
-        self._tokens: dict[int, tuple[int, AccessFootprint]] = {}
+        self._tokens: dict[int, LaneToken] = {}
         self._lane_of: dict[int, int] = {}
-        #: Lane indices not currently held (lowest index granted first).
+        #: Min-heap of the lane indices not currently held (lowest granted first).
         self._free_lanes = list(range(lanes))
         self.executions = 0
         self.exclusive_fallbacks = 0
         self.gate = ConflictGate(
             env,
             capacity=lanes,
-            compatible=lambda a, b: compatible(a[1], b[1]),
+            compatible=_may_share_lanes,
             name=name,
-            order_key=lambda token: token[0],
+            order_key=itemgetter(0),  # the canonical ledger sequence
         )
 
     def acquire(self, entry: "LedgerEntry") -> Event:
@@ -183,7 +190,7 @@ class LaneScheduler:
         """
         if not self._free_lanes:
             raise LaneError("lane granted with no free lane (release mismatch)")
-        lane = self._free_lanes.pop(0)
+        lane = heappop(self._free_lanes)
         self._lane_of[entry.sequence] = lane
         self.executions += 1
         return lane
@@ -199,8 +206,7 @@ class LaneScheduler:
             return
         lane = self._lane_of.pop(entry.sequence, None)
         if lane is not None:
-            self._free_lanes.append(lane)
-            self._free_lanes.sort()
+            heappush(self._free_lanes, lane)
         self.gate.release(token)
 
     def statistics(self) -> dict[str, Any]:

@@ -11,44 +11,96 @@ invariant; this reproduction uses BLAKE2b-256 (see
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from itertools import chain
+from typing import Any, Callable, Iterable, Mapping
 
 from .hashing import fast_hash
 from .merkle import MerkleTree
+
+
+#: Exact builtin type -> the one-byte prefix its encoding starts with.
+_PREFIX_OF_TYPE = {
+    type(None): b"n", bool: b"b", int: b"i", float: b"f", str: b"s",
+    bytes: b"y", list: b"l", tuple: b"l", dict: b"d",
+}
+_ONLY_STR = frozenset({str})
 
 
 def canonical_bytes(value: Any) -> bytes:
     """Encode a JSON-like Python value into deterministic bytes.
 
     Supports None, bools, ints, floats, strings, bytes, and (possibly nested)
-    lists/tuples and dicts with string keys.  Dict keys are sorted so that two
-    semantically equal states always produce the same fingerprint, regardless
-    of insertion order — this is what lets independent cells agree on a
-    fingerprint after executing the same transactions.
+    lists/tuples and mappings.  Mapping keys are encoded as their ``str()``
+    and sorted by it, so that two semantically equal states always produce
+    the same fingerprint, regardless of insertion order — this is what lets
+    independent cells agree on a fingerprint after executing the same
+    transactions — and ``{1: x}`` encodes like the ``{"1": x}`` a JSON round
+    trip turns it into.  Keys that are not distinct after ``str()`` have no
+    canonical order and are refused with :class:`TypeError`, like a value
+    of an unsupported type.
+
+    **The byte format is frozen.**  It is inside every committed digest,
+    state fingerprint and receipt; ``tests/crypto/test_fingerprint.py``
+    holds golden bytes recorded by the encoder this one replaced, and that
+    encoder itself as a differential reference.  The encoding is one pass:
+    each value is classified once (by exact type; the ``isinstance`` ladder
+    only sees what is not an exact builtin), every piece goes into one
+    list, and the list is joined once.
     """
-    if value is None:
-        return b"n"
-    if isinstance(value, bool):
-        return b"b1" if value else b"b0"
+    out: list[bytes] = []
+    _encode_each((value,), out.append)
+    return b"".join(out)
+
+
+def _encode_each(values: Iterable[Any], append: Callable[[bytes], None]) -> None:
+    """Append the encoding of each of ``values``, in order (one call per container)."""
+    for value in values:
+        try:
+            prefix = _PREFIX_OF_TYPE[type(value)]
+        except KeyError:
+            prefix = _prefix_of(value)
+        if prefix == b"s":
+            raw = value.encode()
+            append(b"s%d:%b" % (len(raw), raw))
+        elif prefix == b"i":
+            append(b"i" + str(value).encode())
+        elif prefix == b"d":
+            if type(value) is not dict or not set(map(type, value)) <= _ONLY_STR:
+                by_text = {str(key): item for key, item in value.items()}
+                if len(by_text) != len(value):
+                    raise TypeError("cannot canonically encode a mapping whose keys collide after str()")
+                value = by_text
+            append(b"d%d:" % len(value))
+            # Distinct str keys: sorting the pairs never compares two items.
+            _encode_each(chain.from_iterable(sorted(value.items())), append)
+        elif prefix == b"l":
+            append(b"l%d:" % len(value))
+            _encode_each(value, append)
+        elif prefix == b"n":
+            append(b"n")
+        elif prefix == b"b":
+            append(b"b1" if value else b"b0")
+        elif prefix == b"f":
+            append(b"f" + repr(value).encode())
+        else:
+            raw = bytes(value)
+            append(b"y%d:%b" % (len(raw), raw))
+
+
+def _prefix_of(value: Any) -> bytes:
+    """Classify a value that is not an exact builtin (an ``IntEnum``, a proxy…)."""
     if isinstance(value, int):
-        return b"i" + str(value).encode()
+        return b"i"
     if isinstance(value, float):
-        return b"f" + repr(value).encode()
+        return b"f"
     if isinstance(value, str):
-        encoded = value.encode()
-        return b"s" + str(len(encoded)).encode() + b":" + encoded
+        return b"s"
     if isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        return b"y" + str(len(raw)).encode() + b":" + raw
+        return b"y"
     if isinstance(value, (list, tuple)):
-        parts = b"".join(canonical_bytes(item) for item in value)
-        return b"l" + str(len(value)).encode() + b":" + parts
+        return b"l"
     if isinstance(value, Mapping):
-        items = sorted(value.items(), key=lambda kv: str(kv[0]))
-        parts = b"".join(
-            canonical_bytes(str(key)) + canonical_bytes(item) for key, item in items
-        )
-        return b"d" + str(len(items)).encode() + b":" + parts
+        return b"d"
     raise TypeError(f"cannot canonically encode value of type {type(value).__name__}")
 
 

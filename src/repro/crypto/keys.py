@@ -33,12 +33,24 @@ class Address:
 
     @classmethod
     def from_hex(cls, text: str) -> "Address":
-        """Parse a 0x-prefixed (or bare) 40-character hex address."""
-        if text.startswith("0x") or text.startswith("0X"):
-            text = text[2:]
-        if len(text) != 40:
-            raise AddressError(f"expected 40 hex characters, got {len(text)}")
-        return cls(bytes.fromhex(text))
+        """Parse a 0x-prefixed (or bare) 40-character hex address.
+
+        A deployment names a few dozen addresses tens of thousands of times,
+        so a text that parsed once is remembered (exactly as received) and
+        answered with the same frozen instance.  A malformed text raises
+        every time and is never remembered.
+        """
+        known = _PARSED_ADDRESSES.get(text)
+        if known is not None:
+            return known
+        digits = text[2:] if text.startswith("0x") or text.startswith("0X") else text
+        if len(digits) != 40:
+            raise AddressError(f"expected 40 hex characters, got {len(digits)}")
+        address = cls(bytes.fromhex(digits))
+        if len(_PARSED_ADDRESSES) >= _PARSED_ADDRESSES_LIMIT:
+            del _PARSED_ADDRESSES[next(iter(_PARSED_ADDRESSES))]
+        _PARSED_ADDRESSES[text] = address
+        return address
 
     @classmethod
     def from_public_key(cls, public_key: Point) -> "Address":
@@ -64,6 +76,11 @@ class Address:
 
     def __repr__(self) -> str:
         return f"Address({self.hex()!r})"
+
+
+#: Process-wide memo of :meth:`Address.from_hex`, oldest entry evicted first.
+_PARSED_ADDRESSES: dict[str, Address] = {}
+_PARSED_ADDRESSES_LIMIT = 4096
 
 
 @dataclass(frozen=True)

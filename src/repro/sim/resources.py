@@ -10,7 +10,10 @@ throughput ceilings of Fig. 10.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Generator, Optional
 
 from .environment import Environment
@@ -91,20 +94,33 @@ class Resource:
         return min(1.0, self.busy_time / (horizon * self.capacity))
 
 
+#: Sort position of a :class:`ConflictGate` wait-list entry: its ``(key, arrival)`` pair.
+_POSITION = itemgetter(0)
+
+
 class ConflictGate:
     """A capacity-limited gate whose grants also require compatibility.
 
     Generalizes :class:`Resource`: every request carries a *token*, and a
     waiter is granted a slot only when (a) a slot is free and (b) its token
     is ``compatible`` with the token of every current holder.  The wait
-    list is kept sorted by ``order_key`` (arrival order when keys tie) and
-    scanned front to back on every grant opportunity, with two rules:
+    list is ordered by ``(order_key(token), arrival)`` and scanned front to
+    back on every grant opportunity, with two rules:
 
     * no head-of-line blocking — a blocked waiter does not stop a later
       *compatible* waiter from being granted;
     * no conflict reordering — a waiter is never granted while an earlier
       waiter it conflicts with is still queued, so mutually incompatible
       requests always enter in ``order_key`` order.
+
+    The list is ordered by construction, never re-sorted: ``order_key`` is
+    evaluated once per request, and the new entry is appended when it sorts
+    last (the common case — ledger sequences arrive nearly in order) and
+    placed by bisection on the ``(key, arrival)`` pair otherwise.  A
+    request or a release whose gate is full costs one addition (the
+    capacity-deferral tally is arithmetic); one that finds a free slot
+    scans from the front, removes what it grants in place and stops, without
+    touching the tail, as soon as the slots are taken again.
 
     This is the deterministic simulated-lane primitive of the execution
     engine: tokens are transaction access footprints, ``capacity`` is the
@@ -128,8 +144,8 @@ class ConflictGate:
         self.compatible = compatible
         self.order_key = order_key
         self._holding: list[Any] = []
-        #: (sort key, arrival counter, token, grant event), kept sorted.
-        self._waiting: list[tuple[Any, int, Any, Event]] = []
+        #: ((sort key, arrival counter), token, grant event), ordered by the pair.
+        self._waiting: list[tuple[tuple[Any, int], Any, Event]] = []
         self._arrivals = 0
         # Statistics.
         self.grants = 0
@@ -153,18 +169,21 @@ class ConflictGate:
         """The longest wait list observed so far."""
         return self._peak_queue
 
-    def _sort_key(self, token: Any) -> Any:
-        return self.order_key(token) if self.order_key is not None else None
-
     def request(self, token: Any) -> Event:
         """Return an event that fires once ``token`` holds a slot."""
         grant = self.env.event()
         self._arrivals += 1
-        entry = (self._sort_key(token), self._arrivals, token, grant)
-        self._waiting.append(entry)
-        if self.order_key is not None:
-            self._waiting.sort(key=lambda item: (item[0], item[1]))
-        self._peak_queue = max(self._peak_queue, len(self._waiting))
+        key = self.order_key(token) if self.order_key is not None else None
+        # Arrivals are unique, so positions never tie and neither the token
+        # nor the event is ever compared.
+        entry = ((key, self._arrivals), token, grant)
+        waiting = self._waiting
+        if not waiting or waiting[-1][0] < entry[0]:
+            waiting.append(entry)
+        else:
+            insort(waiting, entry, key=_POSITION)
+        if len(waiting) > self._peak_queue:
+            self._peak_queue = len(waiting)
         self._drain()
         return grant
 
@@ -186,24 +205,28 @@ class ConflictGate:
         counts N times, which is the contention signal the lane statistics
         report.
         """
-        still_waiting: list[tuple[Any, int, Any, Event]] = []
-        for index, entry in enumerate(self._waiting):
-            _key, _arrival, token, grant = entry
-            if len(self._holding) >= self.capacity:
-                self.capacity_deferrals += len(self._waiting) - index
-                still_waiting.extend(self._waiting[index:])
-                break
-            blocked = any(
-                not self.compatible(token, holder) for holder in self._holding
-            ) or any(
-                not self.compatible(token, earlier[2]) for earlier in still_waiting
-            )
-            if blocked:
-                self.conflict_deferrals += 1
-                still_waiting.append(entry)
-                continue
-            self._holding.append(token)
-            self.grants += 1
-            self.peak_in_use = max(self.peak_in_use, len(self._holding))
-            grant.succeed(self)
-        self._waiting = still_waiting
+        holding = self._holding
+        waiting = self._waiting
+        compatible = self.compatible
+        #: Tokens this pass left queued; a later waiter must not overtake
+        #: one it conflicts with.
+        passed_over: list[Any] = []
+        index = 0
+        while index < len(waiting):
+            if len(holding) >= self.capacity:
+                self.capacity_deferrals += len(waiting) - index
+                return
+            _position, token, grant = waiting[index]
+            for other in chain(holding, passed_over):
+                if not compatible(token, other):
+                    self.conflict_deferrals += 1
+                    passed_over.append(token)
+                    index += 1
+                    break
+            else:
+                del waiting[index]
+                holding.append(token)
+                self.grants += 1
+                if len(holding) > self.peak_in_use:
+                    self.peak_in_use = len(holding)
+                grant.succeed(self)

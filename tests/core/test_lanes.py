@@ -1,5 +1,10 @@
 """The conflict-aware lane engine: footprints, gate, online scheduler."""
 
+import cProfile
+import inspect
+import pstats
+from collections import Counter
+
 import pytest
 
 from repro.contracts import AccessSet, ContractRegistry, FastMoney
@@ -233,3 +238,87 @@ def test_lane_scheduler_lane_indices_are_unique_while_held(setup):
     assert held[first.sequence] == 0
     scheduler.release(first)
     assert scheduler.statistics()["in_flight"] == 0
+
+
+# ----------------------------------------------------------------------
+# Work budgets of the execute stage: counts, not timings
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def profiled_burst():
+    """One contended 400-transfer burst on 2 cells, profiled once.
+
+    ``execution_lanes=4`` is pinned here, so the budgets mean the same in
+    both legs of the CI ``unit`` matrix.  Each cell's gate queues 300
+    waiters at the peak and defers ~107 times on conflicts.
+    """
+    from repro.client.workload import run_contended_transfers
+    from tests.conftest import make_deployment
+
+    deployment = make_deployment(signature_scheme="sim", execution_lanes=4)
+    calls: Counter = Counter()
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for cell in deployment.cells:
+        gate = cell.lanes.gate
+        for name in ("order_key", "compatible", "request", "release"):
+            setattr(gate, name, counted(name, getattr(gate, name)))
+    profile = cProfile.Profile()
+    profile.enable()
+    report = run_contended_transfers(deployment, count=400, conflict_rate=0.3, pools=8)
+    profile.disable()
+    assert report.failure_count == 0 and len(report.results) == 400
+    assert all(cell.lanes.statistics()["peak_queue"] >= 200 for cell in deployment.cells)
+    return calls, pstats.Stats(profile).stats
+
+
+def _python_entries(stats, path_suffix, first_line=0, named=None):
+    """Calls of the functions ``path_suffix`` defines from ``first_line`` on (all, or one name)."""
+    return sum(
+        calls
+        for (path, line, name), (_, calls, _, _, _) in stats.items()
+        if path.endswith(path_suffix) and line >= first_line and named in (None, name)
+    )
+
+
+def test_gate_work_per_event_does_not_grow_with_the_wait_list(profiled_burst):
+    """A request or a release costs what it changes, not what is queued."""
+    calls, stats = profiled_burst
+    events = calls["request"] + calls["release"]
+    assert calls["request"] == calls["release"] == 800
+    # The order key is taken once, when the request is made.
+    assert calls["order_key"] == calls["request"]
+    # Pairwise checks end at the first conflict: measured 3.7 per release
+    # (the parent: 3.7 — same checks in the same order).
+    assert calls["compatible"] / calls["release"] <= 4.0
+    # Python-level entries into the gate's own code (methods, nested lambdas
+    # and generator expressions): measured 2.0 per event — request or
+    # release, plus the drain.  The parent: 79.8, of which 74.3 were the
+    # sort-key lambda, once per waiter per arrival.
+    gate_source_line = inspect.getsourcelines(ConflictGate)[1]
+    gate_entries = _python_entries(stats, "sim/resources.py", gate_source_line)
+    assert gate_entries / events <= 2.0
+    # The wait list stays ordered by construction: nothing in the gate (or
+    # the scheduler around it) sorts.
+    sorters = {
+        caller[2]
+        for (_path, _line, name), (_, _, _, _, callers) in stats.items()
+        if name == "<method 'sort' of 'list' objects>"
+        for caller in callers
+        if caller[0].endswith(("sim/resources.py", "core/lanes.py"))
+    }
+    assert sorters == set()
+
+
+def test_fingerprint_encoder_entries_per_state_write(profiled_burst):
+    """One pass per top-level value, one call per container inside it."""
+    _calls, stats = profiled_burst
+    writes = _python_entries(stats, "contracts/state_store.py", named="_apply_write")
+    assert writes > 4_000
+    # Measured 3.45 per write (execution and ledger fingerprints of the
+    # burst included); the parent's recursive encoder: 8.43.
+    assert _python_entries(stats, "crypto/fingerprint.py") / writes <= 4.0

@@ -40,6 +40,44 @@ def test_address_rejects_bad_lengths():
         Address.from_hex("0x1234")
 
 
+@pytest.fixture
+def parsed_addresses(monkeypatch):
+    """An empty ``Address.from_hex`` memo of four entries, for one test."""
+    from repro.crypto import keys
+
+    memo: dict = {}
+    monkeypatch.setattr(keys, "_PARSED_ADDRESSES", memo)
+    monkeypatch.setattr(keys, "_PARSED_ADDRESSES_LIMIT", 4)
+    return memo
+
+
+def test_from_hex_remembers_each_spelling_as_received(parsed_addresses):
+    address = PrivateKey.from_seed("interned").address
+    bare = address.value.hex()
+    spellings = ["0x" + bare, "0X" + bare.upper(), bare]
+    for text in spellings:
+        first = Address.from_hex(text)  # validated on first sight
+        assert first == address and Address.from_hex(text) is first
+    assert list(parsed_addresses) == spellings
+
+
+def test_from_hex_never_remembers_a_malformed_text(parsed_addresses):
+    bare = "ab" * 20
+    for malformed in ("0x1234", "0x" + "zz" * 20, "0x" + bare + "00", "0x" + " " * 40):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Address.from_hex(malformed)
+    assert parsed_addresses == {}
+
+
+def test_from_hex_memo_is_bounded_and_evicts_the_oldest_text(parsed_addresses):
+    texts = [f"{index:040x}" for index in range(6)]
+    for text in texts:
+        Address.from_hex(text)
+    assert list(parsed_addresses) == texts[2:]
+    assert Address.from_hex(texts[0]).value == bytes(20)
+
+
 def test_zero_address():
     assert Address.zero().value == b"\x00" * 20
 

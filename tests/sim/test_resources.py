@@ -1,9 +1,13 @@
 """Capacity-constrained resources."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.contracts.state_store import AccessSet
 from repro.sim import Environment, SimulationError
-from repro.sim.resources import Resource
+from repro.sim.resources import ConflictGate, Resource
+from tests.sim.reference_gate import ReferenceConflictGate
 
 
 def test_capacity_must_be_positive(env):
@@ -83,3 +87,76 @@ def test_busy_time_accumulates_across_jobs(env):
     env.process(job(3))
     env.run()
     assert resource.busy_time == pytest.approx(5)
+
+
+# ----------------------------------------------------------------------
+# ConflictGate against the implementation it replaced
+# ----------------------------------------------------------------------
+_keys = st.frozensets(st.sampled_from("abcd"), max_size=2)
+#: None is the exclusive footprint: it conflicts with everything.
+_footprints = st.one_of(
+    st.none(), st.builds(AccessSet, reads=_keys, writes=_keys, deltas=_keys)
+)
+_steps = st.lists(
+    st.one_of(
+        # Order keys from a small range: they arrive out of order and they tie.
+        st.tuples(st.just("request"), st.integers(0, 6), _footprints),
+        st.tuples(st.just("release"), st.integers(0, 7)),
+        st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 2.0])),
+    ),
+    max_size=60,
+)
+
+
+def _compatible(a, b):
+    return a[2] is not None and b[2] is not None and not a[2].conflicts_with(b[2])
+
+
+class _DrivenGate:
+    """One gate in an environment of its own, with everything a test can see."""
+
+    def __init__(self, gate_class, capacity, ordered):
+        self.env = Environment()
+        self.gate = gate_class(
+            self.env, capacity, _compatible,
+            order_key=(lambda token: token[0]) if ordered else None,
+        )
+        self.grants = []        # one event per request, in request order
+        self.granted_at = []    # (token serial, instant), as the events fire
+
+    def request(self, token):
+        grant = self.gate.request(token)
+        grant.add_callback(lambda _event: self.granted_at.append((token[1], self.env.now)))
+        self.grants.append(grant)
+
+    def observed(self):
+        gate = self.gate
+        return (
+            [grant.triggered for grant in self.grants], self.granted_at,
+            list(gate._holding), gate.in_use, gate.queue_length, gate.peak_queue_length,
+            gate.grants, gate.conflict_deferrals, gate.capacity_deferrals, gate.peak_in_use,
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 5), ordered=st.booleans(), steps=_steps)
+def test_conflict_gate_grants_exactly_like_the_reference(capacity, ordered, steps):
+    """Same grants, in the same order, at the same instants, same counters — after every step."""
+    new = _DrivenGate(ConflictGate, capacity, ordered)
+    reference = _DrivenGate(ReferenceConflictGate, capacity, ordered)
+    for serial, step in enumerate(steps):
+        for driven in (new, reference):
+            if step[0] == "request":
+                driven.request((step[1], serial, step[2]))
+            elif step[0] == "run":
+                driven.env.run(until=driven.env.now + step[1])
+            elif driven.gate._holding:
+                holders = driven.gate._holding
+                driven.gate.release(holders[step[1] % len(holders)])
+            else:
+                with pytest.raises(SimulationError):
+                    driven.gate.release(("never", "held", None))
+        assert new.observed() == reference.observed()
+    for driven in (new, reference):
+        driven.env.run()
+    assert new.observed() == reference.observed()
