@@ -6,13 +6,13 @@ fingerprints in the original paper are all derived from Keccak-256 (note:
 library exposes SHA3 but not legacy Keccak, so this module implements the
 Keccak-f[1600] permutation and the sponge construction from scratch.
 
-Every signature, verification and address in the real-ECDSA configuration
-starts with a pass through this sponge (it is about half of such a
-transaction's CPU, the curve arithmetic the other half), so the permutation
-is written out lane by lane and blocks are absorbed 17 lanes at a time:
-~0.13 ms per permutation, 0.39 ms for a 400-byte message, 2.7x faster than
-the specification's loops over lane tables, which are kept as the oracle in
-``tests/crypto/test_keccak.py``.
+Every signed message and every address in the real-ECDSA configuration
+passes through this sponge once per process (it is somewhat more than half
+of such a transaction's CPU -- ~33 permutations -- the curve arithmetic the
+rest), so the permutation is written out lane by lane and blocks are
+absorbed 17 lanes at a time: ~0.18 ms per permutation, 0.53 ms for a
+400-byte message, 2.7x faster than the specification's loops over lane
+tables, which are kept as the oracle in ``tests/crypto/test_keccak.py``.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 
 #: Field prime.
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -118,20 +119,25 @@ def _jacobian_add_affine(
     return nx, (r * (v - nx) - y1 * hcu) % P, (h * z1) % P
 
 
+def _inverse_each(values: list[int]) -> list[int]:
+    """The inverses mod P of non-zero ``values``, for the price of one inversion."""
+    prefix = [1]
+    for value in values:
+        prefix.append((prefix[-1] * value) % P)
+    inverse = pow(prefix[-1], -1, P)
+    inverses = [0] * len(values)
+    for index in range(len(values) - 1, -1, -1):
+        inverses[index] = (inverse * prefix[index]) % P
+        inverse = (inverse * values[index]) % P
+    return inverses
+
+
 def _to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
     """Convert finite Jacobian points to affine with one shared inversion."""
-    prefix = [1]
-    for _, _, z in points:
-        prefix.append((prefix[-1] * z) % P)
-    inverse = pow(prefix[-1], -1, P)
     affine = []
-    for index in range(len(points) - 1, -1, -1):
-        x, y, z = points[index]
-        z_inv = (inverse * prefix[index]) % P
-        inverse = (inverse * z) % P
+    for (x, y, _), z_inv in zip(points, _inverse_each([z for _, _, z in points])):
         z_inv_sq = (z_inv * z_inv) % P
         affine.append(((x * z_inv_sq) % P, (y * z_inv_sq * z_inv) % P))
-    affine.reverse()
     return affine
 
 
@@ -156,28 +162,93 @@ def _wnaf(scalar: int, width: int) -> list[tuple[int, int]]:
     return terms
 
 
-@cache
-def _generator_powers() -> tuple[tuple[int, int], ...]:
-    """The fixed-base table: ``2**i * G`` in affine form for ``i`` in 0..256.
+#: Bits per window of the fixed-base table (chosen by measurement, see
+#: :func:`_generator_table`).
+_WINDOW = 6
+#: Windows that cover a scalar below ``2**256`` plus the carry out of the top.
+_WINDOWS = -(-257 // _WINDOW)
 
-    With it ``k * G`` is ~85 mixed additions and no doubling (the NAF of a
-    scalar below N has at most 257 digits).  It is built on first use, not
-    at import: 256 doublings and one inversion, ~2 ms, which two
-    multiplications pay back.  A windowed table is faster per multiplication
-    but costs more to build than a small deployment's whole key set-up.
+
+def _affine_add_each(
+    points: list[tuple[int, int]], addends: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """``points[i] + addends[i]`` in affine form with one shared inversion.
+
+    Every pair must have distinct x coordinates (neither equal nor opposite
+    points), which is what the table build below feeds it.
     """
-    powers = [(GX, GY, 1)]
-    for _ in range(256):
-        powers.append(_jacobian_double(*powers[-1]))
-    return tuple(_to_affine(powers))
+    inverses = _inverse_each([x2 - x1 for (x1, _), (x2, _) in zip(points, addends)])
+    sums = []
+    for (x1, y1), (x2, y2), inverse in zip(points, addends, inverses):
+        slope = ((y2 - y1) * inverse) % P
+        x3 = (slope * slope - x1 - x2) % P
+        sums.append((x3, (slope * (x1 - x3) - y1) % P))
+    return sums
+
+
+@cache
+def _generator_table() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The fixed-base table: row ``i`` holds ``j * 2**(6i) * G`` for ``j`` in 1..32.
+
+    A scalar is cut into 43 signed 6-bit windows (digits in -31..32; a digit
+    above 32 borrows from the next window, and the top window, which holds
+    only 4 bits, absorbs the last carry), so ``k * G`` is at most 43 mixed
+    additions and no doubling, 0.23 ms (a NAF walk over the 257 powers
+    ``2**i * G`` needs ~85 additions, 0.46 ms).  Every signature, key
+    derivation and the ``u1 * G`` half of every recovery uses it.
+
+    It is built on first use, not at import, and kept for the life of the
+    process: one Jacobian doubling chain to ``2**253 * G`` gives every row's
+    ``1x`` and ``2x`` entry, then the rows grow side by side, ``(j+1)x = jx +
+    1x`` in affine form with one inversion per step shared by all rows.  That
+    is 6 ms and 0.24 MiB for 1,376 points.  Widths 4..8 were measured
+    (docs/BENCHMARKS.md): 5 is 0.27 ms per multiplication for a 4 ms build,
+    7 is 0.20 ms for 9.7 ms and 0.42 MiB, which ~125 multiplications earn
+    back -- more than a small test process performs.
+    """
+    chain = [(GX, GY, 1)]
+    for _ in range(_WINDOW * (_WINDOWS - 1) + 1):
+        chain.append(_jacobian_double(*chain[-1]))
+    affine = _to_affine(chain)
+    bases = affine[0::_WINDOW]
+    columns = [bases, affine[1::_WINDOW]]
+    while len(columns) < 1 << (_WINDOW - 1):
+        columns.append(_affine_add_each(columns[-1], bases))
+    return tuple(zip(*columns))
+
+
+#: The curve's efficient endomorphism: ``LAMBDA * (x, y) = (BETA * x, y)``,
+#: with ``LAMBDA**3 = 1 (mod N)`` and ``BETA**3 = 1 (mod P)``.
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+# A reduced basis (A1, B1), (A2, B2) of the lattice of pairs (a, b) with
+# a + b * LAMBDA = 0 (mod N); its determinant is N.
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
+
+def _split_scalar(scalar: int) -> tuple[int, int]:
+    """``(k1, k2)`` with ``k1 + k2 * LAMBDA = scalar (mod N)``, both below ``2**128``.
+
+    ``(scalar, 0)`` minus the nearest lattice vector (Gallant, Lambert and
+    Vanstone); either half may be negative or zero.
+    """
+    c1 = (_B2 * scalar + N // 2) // N
+    c2 = (-_B1 * scalar + N // 2) // N
+    return scalar - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
 def double_scalar_multiply(u1: int, u2: int, point: Point) -> Point:
     """Compute ``u1 * G + u2 * point`` in one pass over one accumulator.
 
-    ``u2 * point`` is a width-5 wNAF ladder over the odd multiples
-    ``1, 3, .., 15`` of ``point``; ``u1 * G`` is then added from the
-    fixed-base table of :func:`_generator_powers` by the NAF digits of ``u1``.
+    ``u2`` is split as ``k1 + k2 * LAMBDA`` with 128-bit halves, so ``u2 *
+    point = k1 * point + k2 * (LAMBDA * point)`` is two width-5 wNAF digit
+    streams over one ladder of ~128 doublings: one over the odd multiples
+    ``1, 3, .., 15`` of ``point``, one over their images under the
+    endomorphism, which cost one multiplication each.  ``u1 * G`` is then
+    added from the fixed-base table of :func:`_generator_table`.
     """
     u1 %= N
     u2 %= N
@@ -188,20 +259,34 @@ def double_scalar_multiply(u1: int, u2: int, point: Point) -> Point:
         for _ in range(7):
             multiples.append(_jacobian_add_affine(*multiples[-1], *twice))
         odd = _to_affine(multiples)
+        terms = []
+        for half, table in zip(
+            _split_scalar(u2), (odd, [((BETA * px) % P, py) for px, py in odd])
+        ):
+            sign = -1 if half < 0 else 1
+            for position, digit in _wnaf(abs(half), 5):
+                px, py = table[abs(digit) >> 1]
+                terms.append((position, px, py if digit * sign > 0 else P - py))
+        terms.sort(key=itemgetter(0), reverse=True)
         height = 0
-        for position, digit in reversed(_wnaf(u2, 5)):
+        for position, px, py in terms:
             for _ in range(height - position):
                 x, y, z = _jacobian_double(x, y, z)
             height = position
-            px, py = odd[abs(digit) >> 1]
-            x, y, z = _jacobian_add_affine(x, y, z, px, py if digit > 0 else P - py)
+            x, y, z = _jacobian_add_affine(x, y, z, px, py)
         for _ in range(height):
             x, y, z = _jacobian_double(x, y, z)
     if u1:
-        powers = _generator_powers()
-        for position, digit in _wnaf(u1, 2):
-            px, py = powers[position]
-            x, y, z = _jacobian_add_affine(x, y, z, px, py if digit > 0 else P - py)
+        full = 1 << _WINDOW
+        for row in _generator_table():
+            digit = u1 & (full - 1)
+            u1 >>= _WINDOW
+            if digit > full >> 1:
+                digit -= full
+                u1 += 1
+            if digit:
+                px, py = row[abs(digit) - 1]
+                x, y, z = _jacobian_add_affine(x, y, z, px, py if digit > 0 else P - py)
     if z == 0:
         return INFINITY
     return Point(*_to_affine([(x, y, z)])[0])

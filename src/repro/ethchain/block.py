@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Optional
 
 from ..crypto.keccak import keccak256
 from ..crypto.keys import Address
@@ -29,23 +30,33 @@ class BlockHeader:
     gas_used: int = 0
     gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT
     difficulty: int = 1
+    #: The fields last hashed and their hash (see :meth:`hash`).
+    _hashed: Optional[tuple[list[Any], bytes]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def hash(self) -> bytes:
-        """Keccak hash of the RLP-encoded header."""
-        encoded = rlp.encode(
-            [
-                self.number,
-                self.parent_hash,
-                int(self.timestamp * 1000),
-                self.miner.value,
-                self.transactions_root,
-                self.state_nonce,
-                self.gas_used,
-                self.gas_limit,
-                self.difficulty,
-            ]
-        )
-        return keccak256(encoded)
+        """Keccak hash of the RLP-encoded header.
+
+        Every child block, lookup and anchor receipt asks for it, so the hash
+        is kept with the field values it was computed from and recomputed
+        only when one of them differs (``gas_used`` is filled in after the
+        block's transactions ran).
+        """
+        fields = [
+            self.number,
+            self.parent_hash,
+            int(self.timestamp * 1000),
+            self.miner.value,
+            self.transactions_root,
+            self.state_nonce,
+            self.gas_used,
+            self.gas_limit,
+            self.difficulty,
+        ]
+        if self._hashed is None or self._hashed[0] != fields:
+            self._hashed = (fields, keccak256(rlp.encode(fields)))
+        return self._hashed[1]
 
     def hash_hex(self) -> str:
         """0x-prefixed block hash."""

@@ -11,6 +11,7 @@ Solidity ABI encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Optional
 
 from ..crypto.ecdsa import Signature
@@ -24,11 +25,16 @@ class TransactionError(Exception):
     """Raised for malformed or incorrectly signed transactions."""
 
 
+@lru_cache(maxsize=256)
+def _selector(method: str) -> bytes:
+    """The four-byte selector of a method name (hashed once per name)."""
+    return keccak256(method.encode())[:4]
+
+
 def encode_call_data(method: str, args: dict[str, Any]) -> bytes:
     """Encode a native-contract call as selector || canonical JSON."""
-    selector = keccak256(method.encode())[:4]
     body = canonical_json.dump_bytes({"method": method, "args": args})
-    return selector + body
+    return _selector(method) + body
 
 
 def decode_call_data(data: bytes) -> tuple[str, dict[str, Any]]:
@@ -40,8 +46,7 @@ def decode_call_data(data: bytes) -> tuple[str, dict[str, Any]]:
     args = payload.get("args", {})
     if not isinstance(method, str) or not isinstance(args, dict):
         raise TransactionError("malformed contract calldata")
-    expected_selector = keccak256(method.encode())[:4]
-    if data[:4] != expected_selector:
+    if data[:4] != _selector(method):
         raise TransactionError("calldata selector does not match method name")
     return method, args
 
@@ -59,6 +64,10 @@ class EthTransaction:
     signature: Optional[Signature] = None
     #: Cached sender address, populated on sign()/recovery.
     _sender: Optional[Address] = field(default=None, repr=False)
+    #: The fields last hashed and their hash (see :meth:`hash`).
+    _hashed: Optional[tuple[list[Any], bytes]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Encoding and hashing
@@ -71,20 +80,31 @@ class EthTransaction:
         """The hash that the sender signs."""
         return keccak256(rlp.encode(self._signing_fields()))
 
-    def encode(self) -> bytes:
-        """RLP encoding of the signed transaction."""
+    def _signed_fields(self) -> list[Any]:
         if self.signature is None:
             raise TransactionError("cannot encode an unsigned transaction")
-        fields = self._signing_fields() + [
+        return self._signing_fields() + [
             self.signature.v + 27,
             self.signature.r,
             self.signature.s,
         ]
-        return rlp.encode(fields)
+
+    def encode(self) -> bytes:
+        """RLP encoding of the signed transaction."""
+        return rlp.encode(self._signed_fields())
 
     def hash(self) -> bytes:
-        """Transaction hash (of the signed RLP encoding)."""
-        return keccak256(self.encode())
+        """Transaction hash (of the signed RLP encoding).
+
+        A transaction is hashed by the mempool, the block builder, the
+        receipt and every lookup, so the hash is kept with the field values
+        it was computed from and recomputed only when one of them differs
+        (``sign()`` replacing the signature, say).
+        """
+        fields = self._signed_fields()
+        if self._hashed is None or self._hashed[0] != fields:
+            self._hashed = (fields, keccak256(rlp.encode(fields)))
+        return self._hashed[1]
 
     def hash_hex(self) -> str:
         """0x-prefixed transaction hash."""

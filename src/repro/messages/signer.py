@@ -9,10 +9,11 @@ a 65-byte signature):
   tests, the Table II byte accounting, and the security scenarios.
 * :class:`SimulatedSigner` — a keyed-MAC stand-in used by the large burst
   benchmarks (5,000–20,000 transactions, Figures 9/10).  Real ECDSA in pure
-  Python costs ~0.5 ms per signature and ~2 ms per verification of a 400-byte
-  message (one double-scalar recovery plus two Keccak passes), i.e. ~24 ms
+  Python costs ~0.3 ms per signature and ~1.2 ms per verification (one
+  double-scalar recovery), plus one Keccak pass per signed message per
+  process (~0.5 ms for 400 bytes) and one per recovered address, i.e. ~16 ms
   of CPU per transaction on two cells against ~0.5 ms with this signer: a
-  20,000-transaction burst would spend eight minutes on signatures without
+  20,000-transaction burst would spend five minutes on signatures without
   changing any measured quantity.  The *simulated* CPU cost of verification
   is modelled separately in :class:`repro.sim.CellServiceModel`, and the byte
   size on the wire is the same 65 bytes.  Verification still fails for
@@ -34,7 +35,8 @@ from typing import Any, ClassVar, Optional, Protocol, Self
 
 from ..crypto.ecdsa import Signature, SignatureError
 from ..crypto.hashing import fast_hash
-from ..crypto.keys import Address, PrivateKey, recover_address
+from ..crypto.keys import MESSAGE_DIGESTS, Address, PrivateKey, recover_address
+from ..crypto.memo import BoundedMemo
 from ..encoding import canonical_json
 from . import wire
 
@@ -128,12 +130,14 @@ class SimulatedSigner:
     def clear_registry(cls) -> None:
         """Drop the process-wide verification state (test and benchmark isolation).
 
-        That is the registered simulated identities and the memo of verified
-        ECDSA signatures: a run that replays a seed in the same process must
-        not find its signatures already vouched for by the previous run.
+        That is the registered simulated identities, the memo of verified
+        ECDSA signatures and the memo of message digests: a run that replays
+        a seed in the same process must not find its signatures already
+        vouched for, or its messages already hashed, by the previous run.
         """
         cls._registry.clear()
         _VERIFIED_ECDSA.clear()
+        MESSAGE_DIGESTS.clear()
 
 
 @dataclass(frozen=True)
@@ -194,8 +198,7 @@ class SignedStatement(wire.Body):
 #: Cells of one simulated deployment share a process, so the envelope a
 #: client sent to one cell is checked again, bit for bit, by every cell it is
 #: forwarded to (20 of the 90 checks of a 16-transfer burst).
-_VERIFIED_ECDSA: dict[tuple[bytes, bytes, bytes], None] = {}
-_VERIFIED_ECDSA_LIMIT = 4096
+_VERIFIED_ECDSA: BoundedMemo[tuple[bytes, bytes, bytes], bool] = BoundedMemo(4096)
 
 
 def verify_signature(scheme: str, address: Address, message: bytes, signature: bytes) -> bool:
@@ -211,7 +214,7 @@ def verify_signature(scheme: str, address: Address, message: bytes, signature: b
     """
     if scheme == EcdsaSigner.scheme:
         key = (address.value, message, signature)
-        if key in _VERIFIED_ECDSA:
+        if _VERIFIED_ECDSA.get(key):
             return True
         try:
             recovered = recover_address(message, Signature.from_bytes(signature))
@@ -219,9 +222,7 @@ def verify_signature(scheme: str, address: Address, message: bytes, signature: b
             return False
         if recovered != address:
             return False
-        if len(_VERIFIED_ECDSA) >= _VERIFIED_ECDSA_LIMIT:
-            del _VERIFIED_ECDSA[next(iter(_VERIFIED_ECDSA))]
-        _VERIFIED_ECDSA[key] = None
+        _VERIFIED_ECDSA.put(key, True)
         return True
     if scheme == SimulatedSigner.scheme:
         return SimulatedSigner.verify(address, message, signature)

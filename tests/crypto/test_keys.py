@@ -44,10 +44,10 @@ def test_address_rejects_bad_lengths():
 def parsed_addresses(monkeypatch):
     """An empty ``Address.from_hex`` memo of four entries, for one test."""
     from repro.crypto import keys
+    from repro.crypto.memo import BoundedMemo
 
-    memo: dict = {}
+    memo: BoundedMemo = BoundedMemo(4)
     monkeypatch.setattr(keys, "_PARSED_ADDRESSES", memo)
-    monkeypatch.setattr(keys, "_PARSED_ADDRESSES_LIMIT", 4)
     return memo
 
 
@@ -67,7 +67,7 @@ def test_from_hex_never_remembers_a_malformed_text(parsed_addresses):
         for _ in range(2):
             with pytest.raises(ValueError):
                 Address.from_hex(malformed)
-    assert parsed_addresses == {}
+    assert list(parsed_addresses) == []
 
 
 def test_from_hex_memo_is_bounded_and_evicts_the_oldest_text(parsed_addresses):

@@ -4,12 +4,15 @@ import dataclasses
 import json
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.receipts import Confirmation
 from repro.crypto.fingerprint import canonical_bytes, fingerprint_state
-from repro.crypto.keys import Address
+from repro.crypto import keys
+from repro.crypto.ecdsa import Signature
+from repro.crypto.keccak import keccak256
+from repro.crypto.keys import Address, message_digest
 from repro.encoding import canonical_json, rlp
 from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner
 from repro.messages import signer as signer_module
@@ -225,6 +228,9 @@ def test_memo_hit_on_an_envelope_never_vouches_for_a_replaced_one(data):
         assert envelope.verify() and envelope.verify()
         assert Envelope.from_wire(envelope.wire_bytes()).verify()
         assert recover.call_count == 1  # the second and third check were memo hits
+        # The signer hashed these bytes, so every forgery below that keeps
+        # them finds their digest ready, and still pays the whole recovery.
+        assert keys.MESSAGE_DIGESTS.get(payload.canonical_bytes()) is not None
         other_signature = ECDSA_OTHER.sign(payload.canonical_bytes())
         flipped = bytes([envelope.signature[0] ^ 1]) + envelope.signature[1:]
         for forged in (
@@ -250,6 +256,7 @@ def test_memo_hit_on_a_confirmation_never_vouches_for_a_replaced_one():
         assert confirmation.verify() and confirmation.verify()
         assert Confirmation.from_wire(confirmation.to_wire()).verify()
         assert recover.call_count == 1
+        assert keys.MESSAGE_DIGESTS.get(confirmation.body()) is not None
         for forged in (
             dataclasses.replace(confirmation, status="rejected"),
             dataclasses.replace(confirmation, cell=ECDSA_OTHER.address),
@@ -263,7 +270,7 @@ def test_memo_hit_on_a_confirmation_never_vouches_for_a_replaced_one():
 
 def test_memo_is_bounded_and_forgets_oldest_first(monkeypatch):
     signer_module._VERIFIED_ECDSA.clear()
-    monkeypatch.setattr(signer_module, "_VERIFIED_ECDSA_LIMIT", 3)
+    monkeypatch.setattr(signer_module._VERIFIED_ECDSA, "limit", 3)
     messages = [b"memo-bound-%d" % index for index in range(5)]
     for message in messages:
         assert signer_module.verify_signature(
@@ -271,7 +278,75 @@ def test_memo_is_bounded_and_forgets_oldest_first(monkeypatch):
     assert [key[1] for key in signer_module._VERIFIED_ECDSA] == messages[2:]
     registered = dict(SimulatedSigner._registry)  # other modules' signers live there
     try:
+        assert len(keys.MESSAGE_DIGESTS) >= len(messages)
         SimulatedSigner.clear_registry()
         assert not signer_module._VERIFIED_ECDSA
+        # A benchmark repeat that replays a seed must hash its messages again.
+        assert not keys.MESSAGE_DIGESTS
     finally:
         SimulatedSigner._registry.update(registered)
+
+
+# ----------------------------------------------------------------------
+# The message-digest memo: keccak256 of the exact bytes, and nothing more
+# ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=300))
+@example(b"")
+@example(b"\x00" * 135)  # one byte short of a rate block: padding fits
+@example(b"\x00" * 136)  # exactly one block: the padding takes a second one
+@example(b"\x00" * 137)
+def test_message_digest_is_keccak256_of_the_exact_bytes(message):
+    keys.MESSAGE_DIGESTS.clear()
+    digest = keccak256(message)
+    assert message_digest(message) == digest and message_digest(message) == digest
+    # Another buffer type with the same content is the same entry...
+    assert message_digest(bytearray(message)) == digest
+    assert message_digest(memoryview(message)) == digest
+    assert list(keys.MESSAGE_DIGESTS) == [message]
+    assert all(type(key) is bytes for key in keys.MESSAGE_DIGESTS)
+    # ...and one different byte is a different one.
+    flipped = bytes([message[0] ^ 1]) + message[1:] if message else b"\x01"
+    for other in (message + b"\x00", flipped):
+        assert message_digest(other) == keccak256(other) != digest
+    assert len(keys.MESSAGE_DIGESTS) == 3
+
+
+def test_message_digest_hashes_once_for_every_signer_and_verifier():
+    keys.MESSAGE_DIGESTS.clear()
+    signer_module._VERIFIED_ECDSA.clear()
+    message = b"digest-memo: two signers, two verifiers"
+    with mock.patch.object(keys, "keccak256", wraps=keccak256) as hashed:
+        first, second = ECDSA_SENDER.sign(message), ECDSA_OTHER.sign(message)
+        assert signer_module.verify_signature("ecdsa", ECDSA_SENDER.address, message, first)
+        assert signer_module.verify_signature("ecdsa", ECDSA_OTHER.address, message, second)
+        assert ECDSA_SENDER.key.public_key.verify(message, Signature.from_bytes(first))
+    assert [call.args[0] for call in hashed.call_args_list].count(message) == 1
+
+
+def test_a_ready_digest_never_vouches_for_a_signature():
+    """The memo answers "what is the hash of these bytes", never "who signed them"."""
+    keys.MESSAGE_DIGESTS.clear()
+    signer_module._VERIFIED_ECDSA.clear()
+    message = b"digest-memo: warm digest, wrong signer"
+    signature = ECDSA_SENDER.sign(message)  # leaves the digest in the memo
+    assert list(keys.MESSAGE_DIGESTS) == [message]
+    with mock.patch.object(keys, "recover_public_key", wraps=keys.recover_public_key) as curve:
+        for _ in range(2):  # a failure costs the whole recovery, every time
+            assert not signer_module.verify_signature(
+                "ecdsa", ECDSA_OTHER.address, message, signature)
+            assert not signer_module.verify_signature(
+                "ecdsa", ECDSA_SENDER.address, message + b"!", signature)
+        assert curve.call_count == 4
+    assert not signer_module._VERIFIED_ECDSA
+
+
+def test_message_digest_memo_is_bounded_and_forgets_oldest_first(monkeypatch):
+    keys.MESSAGE_DIGESTS.clear()
+    monkeypatch.setattr(keys.MESSAGE_DIGESTS, "limit", 3)
+    messages = [b"digest-bound-%d" % index for index in range(5)]
+    for message in messages:
+        message_digest(message)
+    assert list(keys.MESSAGE_DIGESTS) == messages[2:]
+    assert message_digest(messages[0]) == keccak256(messages[0])  # hashed again, correctly
+    assert list(keys.MESSAGE_DIGESTS) == messages[3:] + messages[:1]
