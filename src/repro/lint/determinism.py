@@ -25,6 +25,11 @@ creep in:
   hashing is salted per process (PYTHONHASHSEED) and ``id()`` is an
   address, so neither may reach any serialized or ordered context.  Use
   :mod:`repro.crypto.hashing` digests instead.
+* ``DET005`` — a write to an attribute named ``now`` anywhere but
+  :mod:`repro.sim.environment`: the simulated clock is a plain attribute
+  (it is read tens of thousands of times per burst), so nothing but this
+  rule stops a component from moving time.  Plain, annotated and augmented
+  assignments and ``setattr(..., "now", ...)`` all count.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ AMBIENT_IMPORTS = frozenset({"random", "secrets", "uuid"})
 
 #: Wall-clock reads (simulation code must use ``env.now``).
 _CLOCK_CALLS = frozenset({"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter"})
+
+#: The one module that may write the simulated clock (DET005).
+CLOCK_OWNER = "repro.sim.environment"
 
 #: Function names marking order-sensitive contexts for DET003(b).
 _SINK_NAME_RE = re.compile(
@@ -133,6 +141,32 @@ def _enclosing_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node  # type: ignore[misc]
+
+
+def _assigned_attributes(node: ast.AST) -> Iterator[ast.Attribute]:
+    """Attribute nodes an assignment statement writes (unpacked targets too)."""
+    targets: list[ast.expr] = []
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Attribute):
+            yield target
+
+
+def _is_clock_setattr(node: ast.AST) -> bool:
+    """``setattr(x, "now", v)`` or ``object.__setattr__(x, "now", v)``."""
+    return (
+        isinstance(node, ast.Call)
+        and _dotted(node.func).split(".")[-1] in ("setattr", "__setattr__")
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == "now"
+    )
 
 
 def check_determinism(source: SourceFile) -> Iterator[Finding]:
@@ -224,6 +258,26 @@ def check_determinism(source: SourceFile) -> Iterator[Finding]:
                 "thread configuration through DeploymentConfig or CLI args",
                 "attr:os.environ",
             )
+
+    # ------------------------------------------------------------------
+    # DET005 — the simulated clock has one writer (all packages).
+    # ------------------------------------------------------------------
+    if module != CLOCK_OWNER:
+        for node in ast.walk(tree):
+            written = [t.lineno for t in _assigned_attributes(node) if t.attr == "now"]
+            if _is_clock_setattr(node):
+                written.append(node.lineno)
+            for lineno in written:
+                yield finding(
+                    lineno,
+                    "DET005",
+                    "write to an attribute named 'now': the simulated clock is "
+                    "moved by the kernel only",
+                    "schedule an event (env.timeout / env.call_at) and let "
+                    "Environment.step advance the clock; name other attributes "
+                    "differently",
+                    f"clock-write:L{lineno}",
+                )
 
     if not guarded:
         return

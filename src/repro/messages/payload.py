@@ -8,6 +8,7 @@ canonical JSON so that the signer and every verifier hash identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional
 
 from ..crypto.hashing import fast_hash
@@ -79,10 +80,25 @@ class Payload:
         }
 
     def canonical_bytes(self) -> bytes:
-        """The exact bytes that get signed: encoded once, then carried."""
+        """The exact bytes that get signed: encoded once, then carried.
+
+        ``canonical_json.dump_bytes(self.to_dict())``, written without the
+        dict: ``__post_init__`` fixed the exact type of the six header
+        fields, so they are written directly, in sorted-key order, around
+        the one generic encode of the free-form ``data``.
+        """
         encoded = self._canonical
         if encoded is None:
-            encoded = canonical_json.dump_bytes(self.to_dict())
+            reply_to = self.reply_to
+            encoded = (
+                f'{{"data":{canonical_json.dumps(self.data)}'
+                f',"nonce":{_quote(self.nonce)}'
+                f',"operation":{_quote(self.operation.value)}'
+                f',"recipient":"{self.recipient.hex()}"'
+                f',"reply_to":{"null" if reply_to is None else _quote(reply_to)}'
+                f',"sender":"{self.sender.hex()}"'
+                f',"timestamp":{float.__repr__(self.timestamp)}}}'
+            ).encode()
             object.__setattr__(self, "_canonical", encoded)
         return encoded
 

@@ -31,7 +31,8 @@ so the signed bytes, the wire form and the parser cannot disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Optional, Protocol, Self
+from functools import cache
+from typing import Any, Callable, ClassVar, Optional, Protocol, Self
 
 from ..crypto.ecdsa import Signature, SignatureError
 from ..crypto.hashing import fast_hash
@@ -164,13 +165,28 @@ class SignedStatement(wire.Body):
     _body: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def body(self) -> bytes:
-        """The canonical bytes that get signed."""
+        """The canonical bytes that get signed.
+
+        The canonical JSON object of the signed fields under their wire keys,
+        plus ``kind`` where the class has a :attr:`KIND`, written straight
+        from the class's plan (:func:`_signed_plan`): a value of exactly its
+        kind's type is written by the kind, anything else — a nested body,
+        a list, a free-form leaf, a ``bool`` where an integer is declared —
+        goes through the kind's ``encode`` and the generic encoder for that
+        one field, so what that encoder refuses is refused here the same way.
+        """
         if self._body is not None:
             return self._body
-        fields = wire.encode(self, signed_only=True)
-        if self.KIND is not None:
-            fields["kind"] = self.KIND
-        return canonical_json.dump_bytes(fields)
+        members = []
+        for prefix, name, emit, encode, omit_none in _signed_plan(type(self)):
+            value = getattr(self, name)
+            if value is None and omit_none:
+                continue
+            text = emit(value)
+            if text is None:
+                text = canonical_json.dumps(value if encode is None else encode(value))
+            members.append(prefix + text)
+        return ("{" + ",".join(members) + "}").encode()
 
     def verify(self) -> bool:
         """Check the signer's signature over the statement body."""
@@ -192,6 +208,38 @@ class SignedStatement(wire.Body):
         object.__setattr__(statement, "_body", body)
         object.__setattr__(statement, "signature", signer.sign(body))
         return statement
+
+
+def _generic(_value: Any) -> None:
+    """The ``emit`` of a kind without one: every value takes the generic encoder."""
+    return None
+
+
+#: One signed member: its pre-escaped ``"key":`` prefix, the attribute that
+#: holds it, the kind's ``emit`` and ``encode``, and whether ``None`` omits it.
+_Member = tuple[
+    str, str, Callable[[Any], Optional[str]], Optional[Callable[[Any], Any]], bool
+]
+
+
+@cache
+def _signed_plan(statement: type[SignedStatement]) -> tuple[_Member, ...]:
+    """What ``statement`` signs, in the order ``sort_keys`` puts the keys.
+
+    Derived once per class from its field declarations; the domain tag is
+    one more text member, read off the class attribute ``KIND``.
+    """
+    members = {
+        item.key: (item.name, item.kind, item.omit_none)
+        for item in wire.fields(statement)
+        if item.signed
+    }
+    if statement.KIND is not None:
+        members["kind"] = ("KIND", wire.text, False)
+    return tuple(
+        (wire.quote(key) + ":", name, kind.emit or _generic, kind.encode, omit_none)
+        for key, (name, kind, omit_none) in sorted(members.items())
+    )
 
 
 #: Successful ECDSA checks, oldest first: ``(address, message, signature)``.

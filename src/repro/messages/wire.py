@@ -26,6 +26,8 @@ import dataclasses
 import inspect
 import re
 from functools import cache
+from json.encoder import encode_basestring_ascii as quote
+from math import isfinite
 from operator import methodcaller
 from typing import Any, Callable, ClassVar, NamedTuple, Optional, Self
 
@@ -49,6 +51,11 @@ class Kind:
     #: ``single`` / ``nested``) and from what (a kind, or a body class).
     shape: str = ""
     of: Any = None
+    #: Field value -> its canonical JSON text, for a value of *exactly* the
+    #: expected type; ``None`` (the result, or no function at all) sends the
+    #: value through ``encode`` and the generic encoder instead, whose bytes
+    #: and refusals are the reference.  Used for the bytes a statement signs.
+    emit: Optional[Callable[[Any], Optional[str]]] = None
 
     def __call__(
         self, key: Optional[str] = None, *, signed: bool = True, omit_none: bool = False,
@@ -97,16 +104,37 @@ def _signature(value: str) -> bytes:
     return signature
 
 
-text = Kind("text", (str,))
-integer = Kind("integer", (int,))
+def _emit_text(value: Any) -> Optional[str]:
+    return quote(value) if type(value) is str else None
+
+
+def _emit_integer(value: Any) -> Optional[str]:
+    return int.__repr__(value) if type(value) is int else None  # True is not an integer
+
+
+def _emit_seconds(value: Any) -> Optional[str]:
+    if type(value) is float and isfinite(value):  # the generic encoder refuses the rest
+        return float.__repr__(round(value, 6))
+    return None
+
+
+def _emit_address(value: Any) -> Optional[str]:
+    return f'"{value.hex()}"' if type(value) is Address else None
+
+
+text = Kind("text", (str,), emit=_emit_text)
+integer = Kind("integer", (int,), emit=_emit_integer)
 #: A count, sequence or cycle number.
-natural = Kind("non-negative integer", (int,), _natural)
+natural = Kind("non-negative integer", (int,), _natural, emit=_emit_integer)
 flag = Kind("flag", (bool,))
 #: An exact number: neither rounded nor converted.
 number = Kind("number", (int, float), _finite)
 #: Simulated seconds: written as a float rounded to the microsecond.
-seconds = Kind("seconds", (float,), _whole_microseconds, lambda value: round(float(value), 6))
-address = Kind("address", (str,), Address.from_hex, Address.hex)
+seconds = Kind(
+    "seconds", (float,), _whole_microseconds, lambda value: round(float(value), 6),
+    emit=_emit_seconds,
+)
+address = Kind("address", (str,), Address.from_hex, Address.hex, emit=_emit_address)
 signature = Kind("signature", (str,), _signature, to_hex)
 #: Raw bytes (a fingerprint) as ``0x``-prefixed hex.
 digest = Kind("hex bytes", (str,), lambda value: bytes.fromhex(strip_0x(value)), to_hex)
@@ -117,7 +145,7 @@ anything = Kind("any")
 
 def optional(kind: Kind) -> Kind:
     """``kind`` or JSON ``null`` (``None`` in memory)."""
-    decode, encode = kind.decode, kind.encode
+    decode, encode, emit = kind.decode, kind.encode, kind.emit
     return Kind(
         f"{kind.name} or null",
         kind.types + (type(None),) if kind.types else (),
@@ -125,6 +153,7 @@ def optional(kind: Kind) -> Kind:
         None if encode is None else lambda value: None if value is None else encode(value),
         "optional",
         kind,
+        None if emit is None else lambda value: "null" if value is None else emit(value),
     )
 
 
@@ -193,14 +222,13 @@ def fields(body: type) -> tuple[Field, ...]:
     return tuple(sorted(declared, key=lambda item: not item.signed))
 
 
-def encode(body: Any, signed_only: bool = False) -> dict[str, Any]:
-    """The declared fields of ``body`` (or just the signed ones) under their wire keys."""
+def encode(body: Any) -> dict[str, Any]:
+    """The declared fields of ``body`` under their wire keys."""
     values, encoded = body.__dict__, {}
-    for name, key, kind, _required, signed, omit_none in fields(type(body)):
-        if signed or not signed_only:
-            value = values[name]
-            if value is not None or not omit_none:
-                encoded[key] = value if kind.encode is None else kind.encode(value)
+    for name, key, kind, _required, _signed, omit_none in fields(type(body)):
+        value = values[name]
+        if value is not None or not omit_none:
+            encoded[key] = value if kind.encode is None else kind.encode(value)
     return encoded
 
 

@@ -7,10 +7,27 @@ the environment resumes them when those events fire.  The protocol code in
 :mod:`repro.core` reads almost like the prose of the paper: "forward the
 transaction to all cells, wait for confirmations or the deadline, then reply
 to the client".
+
+**The kernel contract.**  What a simulation can observe of the kernel is the
+order in which events fire: the environment pops heap entries ``(time,
+sequence, event)``, ``sequence`` counting pushes, so that order is fixed by
+*where in program order* each push happens and with what time.  How an entry
+got onto the heap is not observable, and this module uses that freedom:
+:class:`Timeout`, :meth:`Event.succeed` / :meth:`Event.fail` and
+:class:`Process` push their own entries, the classes declare ``__slots__``,
+and the kernel reads ``_value`` / ``callbacks`` where outside code reads
+``triggered`` / ``processed``.  The invariant every edit here must keep (and
+``tests/sim/test_events.py`` checks against the kernel this one replaced,
+``tests/sim/reference_kernel.py``): **every push happens at the same point
+in program order with the same (time, sequence) key — no event is added,
+removed, merged or reordered.**  A process waiting on an already processed
+event still costs one relay event, an uncontended
+:meth:`~repro.sim.resources.Resource.request` still costs its grant event.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,6 +50,10 @@ class Event:
     callbacks added after triggering raise, which catches protocol bugs where
     a cell would wait on something that has already happened.
     """
+
+    # A burst creates some twenty-five events per transaction; slots keep
+    # them small and make an undeclared attribute an error.
+    __slots__ = ("env", "callbacks", "_value", "_ok", "defused", "__weakref__")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -69,22 +90,24 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError("event has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        env = self.env
+        heappush(env._queue, (env.now, next(env._sequence), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception."""
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError("event has already been triggered")
         self._ok = False
         self._value = exception
-        self.env._schedule(self)
+        env = self.env
+        heappush(env._queue, (env.now, next(env._sequence), self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -105,14 +128,19 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"timeout delay must be non-negative, got {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Born triggered: the fields of Event.__init__, with the outcome set.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self.defused = False
+        self.delay = delay
+        heappush(env._queue, (env.now + delay, next(env._sequence), self))
 
 
 class Process(Event):
@@ -124,39 +152,53 @@ class Process(Event):
     service cell spawning one forwarding process per consortium member.
     """
 
+    __slots__ = ("_generator", "_target", "_send", "_resumer")
+
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError("process() requires a generator")
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
+        # Bound once: a process is resumed once per event it waits on.  The
+        # resumer is dropped when the generator ends, so a finished process
+        # is not kept alive by a reference cycle through its own bound method.
+        self._send = generator.send
+        self._resumer: Optional[Callable[[Event], None]] = self._resume
         # Bootstrap: resume the generator as soon as the simulation starts.
-        bootstrap = Event(env)
-        bootstrap._ok = True
-        bootstrap._value = None
-        bootstrap.add_callback(self._resume)
-        env._schedule(bootstrap)
+        self._relay(True, None)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
-        return not self.triggered
+        return self._value is PENDING
+
+    def _relay(self, ok: Optional[bool], value: Any) -> None:
+        """Push a fresh, already triggered event that resumes this process."""
+        env = self.env
+        relay = Event(env)
+        relay._ok = ok
+        relay._value = value
+        relay.callbacks = [self._resumer]
+        heappush(env._queue, (env.now, next(env._sequence), relay))
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         self._target = None
         try:
             if event._ok:
-                target = self._generator.send(event._value)
+                target = self._send(event._value)
             else:
                 event.defused = True
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
-            if not self.triggered:
+            self._resumer = None
+            if self._value is PENDING:
                 self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via the event
-            if not self.triggered:
+            self._resumer = None
+            if self._value is PENDING:
                 self.fail(exc)
             return
         if not isinstance(target, Event):
@@ -169,17 +211,14 @@ class Process(Event):
             self.fail(SimulationError("cannot wait on an event from another environment"))
             return
         self._target = target
-        if target.processed:
+        callbacks = target.callbacks
+        if callbacks is None:
             # The event already fired; resume on the next scheduling step.
-            immediate = Event(self.env)
-            immediate._ok = target._ok
-            immediate._value = target._value
             if not target._ok:
                 target.defused = True
-            immediate.add_callback(self._resume)
-            self.env._schedule(immediate)
+            self._relay(target._ok, target._value)
         else:
-            target.add_callback(self._resume)
+            callbacks.append(self._resumer)
 
 
 class ConditionError(SimulationError):
@@ -189,6 +228,8 @@ class ConditionError(SimulationError):
 class AllOf(Event):
     """Fires when every child event has fired (or any child fails)."""
 
+    __slots__ = ("_events", "_remaining")
+
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
@@ -196,17 +237,18 @@ class AllOf(Event):
         if self._remaining == 0:
             self.succeed({})
             return
+        on_child = self._on_child
         for event in self._events:
-            if event.processed:
-                self._on_child_local(event)
+            if event.callbacks is None:
+                on_child(event)
             else:
-                event.add_callback(self._on_child)
+                event.callbacks.append(on_child)
 
     def _collect(self) -> dict[Event, Any]:
-        return {event: event._value for event in self._events if event.triggered}
+        return {event: event._value for event in self._events if event._value is not PENDING}
 
-    def _on_child_local(self, event: Event) -> None:
-        if self.triggered:
+    def _on_child(self, event: Event) -> None:
+        if self._value is not PENDING:
             return
         if not event._ok:
             event.defused = True
@@ -216,12 +258,11 @@ class AllOf(Event):
         if self._remaining == 0:
             self.succeed(self._collect())
 
-    def _on_child(self, event: Event) -> None:
-        self._on_child_local(event)
-
 
 class AnyOf(Event):
     """Fires as soon as any child event fires."""
+
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
@@ -229,14 +270,15 @@ class AnyOf(Event):
         if not self._events:
             self.succeed({})
             return
+        on_child = self._on_child
         for event in self._events:
-            if event.processed:
-                self._on_child(event)
+            if event.callbacks is None:
+                on_child(event)
             else:
-                event.add_callback(self._on_child)
+                event.callbacks.append(on_child)
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             if not event._ok:
                 event.defused = True
             return

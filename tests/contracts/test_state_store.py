@@ -212,3 +212,59 @@ def test_materialized_export_is_a_deep_copy():
     frozen = export.materialize()
     frozen["a"]["nested"].append(2)
     assert store.get("a") == {"nested": [1]}
+
+
+# ----------------------------------------------------------------------
+# The fingerprint is the XOR of what was folded in, whatever a contract did
+# to a value it had read (the store remembers each entry's digest).
+# ----------------------------------------------------------------------
+def test_fingerprint_survives_in_place_mutation_before_put():
+    store = KeyValueStore()
+    store.put("k", [1])
+    value = store.get("k")
+    value.append(2)  # the stored object itself
+    store.put("k", value)
+    assert store.fingerprint() == store.recompute_fingerprint()
+    assert store.fingerprint() == KeyValueStore({"k": [1, 2]}).fingerprint()
+
+
+def test_fingerprint_survives_in_place_mutation_inside_a_rolled_back_journal():
+    store = KeyValueStore({"k": {"n": 1}, "other": 7})
+    store.begin()
+    value = store.get("k")
+    value["n"] = 2
+    store.put("k", value)
+    store.put("other", 8)
+    store.rollback()
+    assert store.get("other") == 7
+    assert store.fingerprint() == store.recompute_fingerprint()
+
+
+def test_fingerprint_survives_delete_after_in_place_mutation():
+    store = KeyValueStore({"k": [1], "kept": 1})
+    store.get("k").append(2)
+    store.delete("k")
+    assert store.fingerprint() == store.recompute_fingerprint()
+    assert store.fingerprint() == KeyValueStore({"kept": 1}).fingerprint()
+
+
+def test_restore_state_rebuilds_the_remembered_digests():
+    store = KeyValueStore({"gone": [0], "k": [9]})
+    store.restore_state({"k": [1], "fresh": {"a": 1}})
+    assert store.fingerprint() == store.recompute_fingerprint()
+    # Rewrites and deletes after the restore fold out the restored entries.
+    value = store.get("k")
+    value.append(2)
+    store.put("k", value)
+    store.delete("fresh")
+    store.delete("gone")  # absent since the restore: nothing to fold out
+    assert store.fingerprint() == store.recompute_fingerprint()
+    assert store.fingerprint() == KeyValueStore({"k": [1, 2]}).fingerprint()
+
+
+def test_refused_write_leaves_the_fingerprint_coherent():
+    store = KeyValueStore({"k": 1})
+    with pytest.raises(TypeError):
+        store.put("k", object())  # not a JSON-like value: no digest, no write
+    assert store.get("k") == 1
+    assert store.fingerprint() == store.recompute_fingerprint()

@@ -61,6 +61,17 @@ def test_mutation_ambient_random_import_is_one_det001(tree_copy):
     assert "random" in findings[0].message
 
 
+def test_mutation_component_moving_the_clock_is_one_det005(tree_copy):
+    mutate(
+        tree_copy / "sim" / "resources.py",
+        "        started = self.env.now\n",
+        "        started = self.env.now\n        self.env.now = started + duration\n",
+    )
+    findings = lint_paths([tree_copy])
+    assert [f.rule for f in findings] == ["DET005"]
+    assert findings[0].module == "repro.sim.resources"
+
+
 def test_mutation_dropped_plan_delta_is_one_plan001(tree_copy):
     mutate(
         tree_copy / "contracts" / "community" / "fastmoney.py",

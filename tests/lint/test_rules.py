@@ -193,6 +193,53 @@ def test_det004_not_applied_outside_guarded_packages(tree):
 
 
 # ----------------------------------------------------------------------
+# DET005 — the simulated clock has one writer (every package)
+# ----------------------------------------------------------------------
+def test_det005_fires_on_every_way_to_write_the_clock(tree):
+    tree(
+        "loadgen/warp.py",
+        """
+        def warp(env, cell):
+            env.now = 5.0
+            cell.env.now += 1.0
+            env.now: float = 2.0
+            env.now, other = 1.0, 2.0
+            setattr(env, "now", 3.0)
+            object.__setattr__(env, "now", 4.0)
+        """,
+    )
+    assert rules_of(lint_paths([tree.root])) == ["DET005"] * 6
+
+
+def test_det005_allows_reads_and_other_names(tree):
+    tree(
+        "core/reader.py",
+        """
+        def stamp(env, record):
+            record.at = env.now
+            record.known = env.now + 1.0
+            now = env.now
+            record.now_seen = now
+            setattr(record, "at", now)
+            return getattr(env, "now")
+        """,
+    )
+    assert lint_paths([tree.root]) == []
+
+
+def test_det005_exempts_the_environment_module_only(tree):
+    body = """
+        class Environment:
+            def step(self):
+                self.now = 1.0
+        """
+    tree("sim/environment.py", body)
+    assert lint_paths([tree.root]) == []
+    tree("sim/events.py", body)
+    assert rules_of(lint_paths([tree.root])) == ["DET005"]
+
+
+# ----------------------------------------------------------------------
 # PLAN rules — access-plan conformance
 # ----------------------------------------------------------------------
 PLAN_CONTRACT = """

@@ -1,7 +1,11 @@
 """Signature schemes and the signed statements' shared signature parse."""
 
+import dataclasses
+
 import pytest
 
+from repro.encoding import canonical_json
+from repro.messages import wire
 from repro.messages.opcodes import Opcode
 from repro.messages.signer import EcdsaSigner, SignedStatement, SimulatedSigner, verify_signature
 from tests.messages.wire_samples import build
@@ -94,3 +98,101 @@ def test_statement_signature_of_wrong_length_rejected(name, signature):
     wire["signature"] = signature
     with pytest.raises(type(statement).ERROR):
         type(statement).from_wire(wire)
+
+
+# ----------------------------------------------------------------------
+# The signed bytes are written from the field declarations: same bytes as
+# the generic encoder gave the dict the previous code built
+# ----------------------------------------------------------------------
+def _reference_body(statement):
+    """``body()`` as it was computed before the per-class plan: the signed
+    fields under their wire keys, plus ``kind``, through the generic encoder."""
+    fields = {}
+    for name, key, kind, _required, signed, omit_none in wire.fields(type(statement)):
+        if signed:
+            value = getattr(statement, name)
+            if value is not None or not omit_none:
+                fields[key] = value if kind.encode is None else kind.encode(value)
+    if statement.KIND is not None:
+        fields["kind"] = statement.KIND
+    return canonical_json.dump_bytes(fields)
+
+
+def _hard_statements():
+    """One instance per statement class with the values an escaper can get wrong."""
+    from repro.core.receipts import Confirmation
+    from repro.messages.evidence import PartitionEvent
+    from repro.messages.membership import ExclusionVote, RejoinAck
+    from repro.messages.xshard import CrossShardVote, CrossShardVoucher
+
+    signer = SimulatedSigner("hard-signer")
+    peer = SimulatedSigner("hard-peer").address
+    nasty = 'quote " backslash \\ tab \t bell \x07 del \x7f é ж 漢 \U0001f600 </script>'
+    return [
+        # An integer-valued float timestamp, and every escape in one error text.
+        Confirmation.create(signer, "0x" + "ab" * 32, "fastmoney", "0x" + "cd" * 32,
+                            "rejected", 3.0, error=nasty),
+        Confirmation.create(signer, nasty, "", "0x", "executed", 1e-06),  # error: None
+        Confirmation.create(signer, "0x1", "c", "0x2", "executed", 1234567.8901234567),
+        Confirmation.create(signer, "0x1", "c", "0x2", "executed", -0.0),
+        Confirmation.create(signer, "0x1", "c", "0x2", "executed", 7),  # an int for seconds
+        ExclusionVote.create(signer, peer, -3, False),
+        ExclusionVote.create(signer, peer, 2**70, True),
+        RejoinAck.create(signer, peer, 0, nasty, True, admitted_head=7),
+        RejoinAck.create(signer, peer, 4, "0x" + "ee" * 32, False),
+        CrossShardVote.create(signer, nasty, 0, (0, 1, 5), "prepare", True),
+        CrossShardVoucher.create(signer, "0xa1", 0, 1, "pay@1", nasty, 10, 99.123456789),
+        CrossShardVoucher.create(signer, "0xa1", 1, 0, "pay@1", "holder", 0, 5),
+        PartitionEvent.create(signer, ["cell-1", nasty], "cut", 4.00000049),
+        PartitionEvent.create(signer, ("cell-1",), "heal", 13.0, healed_at=12.75),
+    ]
+
+
+def test_the_hard_samples_cover_every_statement_class():
+    assert {type(s) for s in _hard_statements()} == {type(s) for s in STATEMENTS.values()}
+
+
+@pytest.mark.parametrize(
+    "statement", list(STATEMENTS.values()) + _hard_statements(),
+    ids=lambda statement: type(statement).__name__,
+)
+def test_body_equals_the_generic_encoding_of_the_signed_fields(statement):
+    assert statement.body() == _reference_body(statement)
+    # Not only the bytes the signer kept: a copy encodes afresh, to the same.
+    copy = dataclasses.replace(statement)
+    assert copy._body is None and copy.body() == _reference_body(statement)
+    assert copy.verify()
+    on_the_wire = canonical_json.loads(canonical_json.dumps(statement.to_wire()))
+    parsed = type(statement).from_wire(on_the_wire)
+    assert parsed.body() == statement.body()
+
+
+def test_a_value_of_another_type_takes_the_generic_encoder():
+    """A fast path is for the exact type only; the rest is the encoder's
+    business, its bytes and its refusals included."""
+    from repro.core.receipts import Confirmation
+
+    class Text(str):
+        pass
+
+    good = STATEMENTS["Confirmation"]
+    for changes, expected in [
+        ({"tx_id": Text("0xsub")}, b'"tx_id":"0xsub"'),          # a str subclass
+        ({"timestamp": True}, b'"timestamp":1.0'),               # bool is not float
+        ({"error": 5}, b'"error":5'),                            # not text at all
+        ({"contract": ["a", {"b": None}]}, b'"contract":["a",{"b":null}]'),
+    ]:
+        odd = dataclasses.replace(good, **changes)
+        assert odd.body() == _reference_body(odd) and expected in odd.body()
+    vote = dataclasses.replace(STATEMENTS["ExclusionVote"], cycle=True)
+    assert vote.body() == _reference_body(vote) and b'"cycle":true' in vote.body()
+    for refused in (
+        {"timestamp": float("nan")}, {"timestamp": float("inf")},
+        {"contract": {1: "non-string key"}}, {"contract": object()},
+    ):
+        odd = dataclasses.replace(good, **refused)
+        with pytest.raises(canonical_json.CanonicalJSONError):
+            odd.body()
+        with pytest.raises(canonical_json.CanonicalJSONError):
+            _reference_body(odd)
+    assert Confirmation.from_wire(good.to_wire()).body() == good.body()

@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Count the Python-level calls of one benchmark drive.
+
+The host clock of the shared box cannot resolve a change of a few per cent
+(ROADMAP finding (b)); the number of Python-level calls one ``drive`` makes
+can: it is a pure function of the workload and the seed, so it repeats to
+the digit and a parent/change pair compares as two integers.
+
+    python tools/drive_calls.py [--workload NAME] [--seed N] [--smoke]
+
+builds the workload exactly as ``bench/run.py`` does (``bench.workloads``
+is imported, nothing under ``bench/`` is edited), profiles the one
+``drive`` call with :mod:`cProfile` and prints the total plus the functions
+and files that make the most calls.  Without ``--workload`` every workload
+is counted, each in a child process of its own: the process-wide memos a
+first drive fills would otherwise make the second one cheaper.  A count
+says nothing about waiting or about work inside native code; it ranks
+candidates and proves "no more calls than before", and ``bench/run.py``
+measures what a user pays.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import gc
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+for _entry in (ROOT / "src", ROOT):
+    if str(_entry) not in sys.path:
+        sys.path.insert(0, str(_entry))
+
+DEFAULT_SEED = 2021
+TOP = 15
+
+#: (file, line, function) -> calls, as :mod:`pstats` keys them.
+CallCounts = dict[tuple[str, int, str], int]
+
+
+def count_drive_calls(workload_name: str, seed: int, smoke: bool) -> tuple[int, CallCounts]:
+    """Total Python-level calls of one ``drive``, and the calls per function."""
+    from bench import workloads
+    from repro.messages.signer import SimulatedSigner
+
+    workload = workloads.WORKLOADS[workload_name]
+    gc.collect()
+    if not smoke:
+        # As bench/measure.py: a full-size drive starts with cold memos.  A
+        # smoke drive may share its process with a test suite whose
+        # module-level signers must stay registered.
+        SimulatedSigner.clear_registry()
+    deployment = workload.build(seed, smoke)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        driven = workload.drive(deployment, smoke)
+    finally:
+        profile.disable()
+    workload.observe(deployment, driven)  # the correctness gate of the benchmark
+    # Summed from the raw entries, one per code object.  ``pstats`` keys them
+    # by (file, line, name) and lets one entry *overwrite* another with the
+    # same key -- every dataclass ``__init__`` is ``<string>:2(__init__)`` --
+    # which loses calls and makes the total depend on memory layout.
+    per_function: Counter[tuple[str, int, str]] = Counter()
+    for entry in profile.getstats():
+        per_function[cProfile.label(entry.code)] += entry.callcount
+    return sum(per_function.values()), dict(per_function)
+
+
+def _file_of(path: str) -> str:
+    if path == "~":
+        return "(builtins)"
+    try:
+        return str(Path(path).resolve().relative_to(ROOT))
+    except ValueError:
+        return f"(stdlib) {Path(path).name}"
+
+
+def _where(function: tuple[str, int, str]) -> str:
+    path, line, name = function
+    # A builtin is all name: "<built-in method builtins.isinstance>".
+    return name if path == "~" else f"{_file_of(path)}:{line}({name})"
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    from bench import workloads
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
+                        help="count this workload in this process (default: each in a child)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--smoke", action="store_true", help="the benchmark's --smoke sizes")
+    args = parser.parse_args(argv)
+    if args.workload is None:
+        for name in workloads.WORKLOADS:
+            command = [sys.executable, str(Path(__file__).resolve()),
+                       "--workload", name, "--seed", str(args.seed)]
+            child = subprocess.run(command + ["--smoke"] * args.smoke)
+            if child.returncode != 0:
+                return child.returncode
+        return 0
+    total, per_function = count_drive_calls(args.workload, args.seed, args.smoke)
+    print(f"{args.workload}  seed={args.seed}  smoke={args.smoke}  python_calls={total}")
+    for function, calls in Counter(per_function).most_common(TOP):
+        print(f"  {calls:>10}  {_where(function)}")
+    per_file: Counter[str] = Counter()
+    for function, calls in per_function.items():
+        per_file[_file_of(function[0])] += calls
+    print("  by file:")
+    for file, calls in per_file.most_common(TOP):
+        print(f"  {calls:>10}  {file}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
