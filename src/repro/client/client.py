@@ -129,11 +129,13 @@ class BlockumulusClient:
         operation: Opcode,
         data: dict[str, Any],
         signer: Optional[Signer] = None,
+        deadline: Optional[float] = None,
     ) -> tuple[Envelope, Event]:
         """Send one signed request to the service cell; returns (request, waiter).
 
         The waiter event fires with the reply :class:`Envelope`, or with
-        ``None`` at once when the service cell is unreachable.
+        ``None`` at once when the service cell is unreachable — and, given
+        a ``deadline`` (seconds), with ``None`` once it passes unanswered.
         This is the raw building block under :meth:`submit` and
         :meth:`query`; protocol layers that add their own reply handling —
         e.g. the cross-shard coordinator in
@@ -141,7 +143,8 @@ class BlockumulusClient:
         ``XSHARD_*`` phases against several groups — use it directly.
         """
         return self.endpoint.ask(
-            self.service_cell.node_name, self.service_cell.address, operation, data, signer
+            self.service_cell.node_name, self.service_cell.address, operation, data, signer,
+            deadline,
         )
 
     def subscribe(self) -> Event:

@@ -32,7 +32,7 @@ returns the process, whose value is a :class:`CrossShardResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional, Union
+from typing import Any, Generator, Optional
 
 from ..contracts.community.fastmoney import FastMoney
 from ..core.lanes import AccessFootprint
@@ -323,19 +323,17 @@ class ShardedClient:
             signer=signer,
         )
 
-    def _send_phase(
-        self,
-        signer: Signer,
-        plan: Union[ParticipantPlan, int],
-        data: dict[str, Any],
-        opcode: Opcode,
-    ) -> Event:
-        """Send one 2PC phase (of ``plan``'s group) or voucher leg (to a group
-        index) to that group's gateway; returns the event its reply fires
-        (with None at once for an unreachable gateway)."""
-        group = plan.group if isinstance(plan, ParticipantPlan) else plan
-        _request, waiter = self._gateway_client(group).request(opcode, data, signer=signer)
-        return waiter
+    def _send_phase(self, signer: Signer, group: int, data: dict[str, Any], opcode: Opcode) -> Event:
+        """Send one 2PC phase or voucher leg to ``group``'s gateway.
+
+        Returns the event that fires with the gateway's reply, or with None
+        once the forwarding deadline passed (at once for an unreachable
+        gateway).
+        """
+        _request, answer = self._gateway_client(group).request(
+            opcode, data, signer=signer, deadline=self.deployment.config.forwarding_deadline
+        )
+        return answer
 
     def _parse_vote(
         self,
@@ -363,23 +361,18 @@ class ShardedClient:
         return PhaseOutcome(ok=vote.ok, vote=vote, receipt=answer.receipt, error=answer.error)
 
     def _collect_votes(
-        self, waiters: dict[int, Event], xtx: str, participants: tuple[int, ...], phase: str
+        self, answers: dict[int, Event], xtx: str, participants: tuple[int, ...], phase: str
     ) -> Generator[Event, Any, dict[int, PhaseOutcome]]:
         """Every asked gateway's outcome for ``phase``, by group (a process step).
 
-        Waits until all of them answered or the forwarding deadline passed;
-        a gateway still silent then is an outcome like any other.
+        Waits until each of them answered or ran into the forwarding
+        deadline; a gateway still silent then is an outcome like any other.
         """
-        if waiters:
-            deadline = self.deployment.config.forwarding_deadline
-            yield self.env.any_of(
-                [self.env.all_of(list(waiters.values())), self.env.timeout(deadline)]
-            )
+        if answers:
+            yield self.env.all_of(list(answers.values()))
         return {
-            group: self._parse_vote(
-                waiter.value if waiter.triggered else None, xtx, group, participants, phase
-            )
-            for group, waiter in waiters.items()
+            group: self._parse_vote(answer.value, xtx, group, participants, phase)
+            for group, answer in answers.items()
         }
 
     def _coordinate(
@@ -397,7 +390,7 @@ class ShardedClient:
                 transaction=inner.to_wire(),
             )
             prepare_waiters[plan.group] = self._send_phase(
-                signer, plan, body.to_data(), Opcode.XSHARD_PREPARE
+                signer, plan.group, body.to_data(), Opcode.XSHARD_PREPARE
             )
         prepare = yield from self._collect_votes(prepare_waiters, xtx, participants, "prepare")
 
@@ -436,7 +429,7 @@ class ShardedClient:
                     votes=certificate,
                 )
                 ack_waiters[plan.group] = self._send_phase(
-                    signer, plan, body.to_data(),
+                    signer, plan.group, body.to_data(),
                     Opcode.XSHARD_COMMIT if committing else Opcode.XSHARD_ABORT,
                 )
         acks = yield from self._collect_votes(ack_waiters, xtx, participants, decision)
@@ -593,7 +586,6 @@ class ShardedClient:
         the background and resolves ``CrossShardResult.redeem``.
         """
         submitted_at = self.env.now
-        deadline = self.deployment.config.forwarding_deadline
 
         def result(
             ok: bool, decision: str, *, error: Optional[str] = None,
@@ -616,9 +608,7 @@ class ShardedClient:
             transaction=inner.to_wire(),
             target_group=target_group, target_contract=redeem[0],
         )
-        waiter = self._send_phase(signer, source_group, body.to_data(), Opcode.XSHARD_VOUCHER)
-        yield self.env.any_of([waiter, self.env.timeout(deadline)])
-        reply = waiter.value if waiter.triggered else None
+        reply = yield self._send_phase(signer, source_group, body.to_data(), Opcode.XSHARD_VOUCHER)
         if reply is None:
             return result(
                 False, "abort", in_transit=True,
@@ -686,7 +676,6 @@ class ShardedClient:
         submitted_at: float,
     ) -> Generator[Event, Any, CrossShardResult]:
         """Deliver one voucher to the destination gateway for redemption."""
-        deadline = self.deployment.config.forwarding_deadline
 
         def result(
             ok: bool, *, error: Optional[str] = None, in_transit: bool = False,
@@ -704,9 +693,7 @@ class ShardedClient:
             xtx=xtx, phase="redeem", group=target_group,
             transaction=inner.to_wire(), voucher=voucher.to_wire(),
         )
-        waiter = self._send_phase(signer, target_group, body.to_data(), Opcode.XSHARD_VOUCHER)
-        yield self.env.any_of([waiter, self.env.timeout(deadline)])
-        reply = waiter.value if waiter.triggered else None
+        reply = yield self._send_phase(signer, target_group, body.to_data(), Opcode.XSHARD_VOUCHER)
         if reply is None:
             return result(
                 False, in_transit=True,

@@ -326,6 +326,11 @@ class BlockumulusCell:
         """Start the cell's background processes (report cycle lifecycle)."""
         self.env.process(self._lifecycle())
 
+    def crash(self) -> None:
+        """Go down: answer nothing, drop in-flight work, leave the network."""
+        self.fault.crashed = True
+        self.network.set_online(self.node_name, False)
+
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------

@@ -180,9 +180,7 @@ class BlockumulusDeployment:
                     cell.consensus.exclude(address, cycle=0)
         self._started: set[int] = set()
         for index in self.standby_indices:
-            standby = self.cells[index]
-            standby.fault.crashed = True
-            self.network.set_online(standby.node_name, False)
+            self.cells[index].crash()
         for index, cell in enumerate(self.cells):
             if index not in self.standby_indices:
                 cell.start()
@@ -281,9 +279,7 @@ class BlockumulusDeployment:
     # ------------------------------------------------------------------
     def crash_cell(self, index: int) -> None:
         """Crash a cell: it stops answering and drops all in-flight work."""
-        cell = self.cells[index]
-        cell.fault.crashed = True
-        self.network.set_online(cell.node_name, False)
+        self.cells[index].crash()
 
     def exclude_cell(self, index: int, cycle: int | None = None) -> None:
         """Exclude a cell from every peer's quorum view administratively.

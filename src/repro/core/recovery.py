@@ -32,7 +32,7 @@ letting the consortium actually *recover*:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, Optional, Sequence, TYPE_CHECKING
 
 from ..contracts.context import BContractError
 from ..crypto.fingerprint import snapshot_fingerprint
@@ -66,10 +66,6 @@ class RecoveryResult:
     donor: str
     ok: bool
     reason: Optional[str] = None
-    #: Whether the failure is a transient race (peers moved on during the
-    #: handshake) that a fresh delta resync can fix — the structured flag
-    #: the retry loop in :meth:`RecoveryCoordinator.resync` keys on.
-    retryable: bool = False
     snapshot_cycle: Optional[int] = None
     backfilled: int = 0
     replayed: int = 0
@@ -120,6 +116,24 @@ class RecoveryResult:
     def duration(self) -> float:
         """Recovery latency in simulated seconds (sync start to readmission)."""
         return self.completed_at - self.started_at
+
+
+class _ResyncFailure(Exception):
+    """Why one resync attempt stopped, raised where it stopped.
+
+    ``reason`` is what :attr:`RecoveryResult.reason` reports.  ``retryable``
+    marks a rejoin vote that merely raced live traffic, which a fresh delta
+    sync can win; ``silent`` names the active-view peers that never
+    answered that vote.
+    """
+
+    def __init__(
+        self, reason: str, retryable: bool = False, silent: Sequence[Address] = ()
+    ) -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.retryable = retryable
+        self.silent = silent
 
 
 @dataclass
@@ -187,27 +201,8 @@ class MembershipManager:
         self._provisional_forwards: dict[str, tuple[Address, str, float]] = {}
 
     # ------------------------------------------------------------------
-    # Requests to a peer and their replies
+    # Replies to this cell's requests
     # ------------------------------------------------------------------
-    def request(
-        self, dst_node: str, peer: Address, operation: Opcode, data: dict[str, Any], patience: float
-    ) -> Generator[Event, Any, Optional[Any]]:
-        """Ask ``peer`` and wait for *its* reply body (a process).
-
-        None when the request never left (a crashed cell stays silent, and
-        the network refuses an offline peer) or ``patience`` seconds pass
-        without an answer from the cell it was addressed to.
-        """
-        endpoint = self.cell.endpoint
-        request, waiter = endpoint.ask(dst_node, peer, operation, data)
-        if waiter.triggered:
-            # Never left: return before any deadline is scheduled, or a run
-            # with no horizon would last ``patience`` seconds longer.
-            return None
-        yield self.cell.env.any_of([waiter, self.cell.env.timeout(patience)])
-        endpoint.forget(request)
-        return waiter.value if waiter.triggered else None
-
     def resolve_reply(
         self, src_node: str, envelope: Envelope, body: Pong | SyncState | RejoinAck
     ) -> None:
@@ -269,10 +264,12 @@ class MembershipManager:
         node = cell.peer_node(suspect)
         if node is None:
             return True
-        pong = yield from self.request(
-            node, suspect, Opcode.PING, {"probe": True}, cell.invariants.probe_deadline
+        _request, pong = cell.endpoint.ask(
+            node, suspect, Opcode.PING, {"probe": True}, deadline=cell.invariants.probe_deadline
         )
-        return pong is None
+        if not pong.triggered:  # a PING that never left: vote in this same step
+            yield pong
+        return pong.value is None
 
     def handle_vote(self, src_node: str, envelope: Envelope, vote: ExclusionVote) -> None:
         """Count one incoming vote on a proposal this cell initiated."""
@@ -548,75 +545,66 @@ class RecoveryCoordinator:
         cell = self.cell
         started_at = cell.env.now
         messages_before, bytes_before = self._traffic_totals()
+        skews = 0
         cell.recovering = True
         try:
-            attempt = 0
-            carried: dict[str, int] = {}
-            while True:
-                attempt += 1
+            for attempt in range(1, self.REJOIN_ATTEMPTS + 1):
+                # Each attempt reports afresh, except for what the whole
+                # recovery spent: one delta sync per retry, and the replay
+                # skews of every attempt.
                 result = RecoveryResult(
                     cell=cell.node_name,
                     donor=donor.hex(),
                     ok=False,
+                    attempts=attempt,
+                    delta_syncs=attempt - 1,
+                    fingerprint_skews=skews,
                     started_at=started_at,
                 )
-                # Delta/backfill traffic counters accumulate across
-                # attempts so the final result reflects the whole
-                # recovery, not just the winning attempt.
-                result.live_backfilled = carried.get("live_backfilled", 0)
-                result.delta_syncs = carried.get("delta_syncs", 0)
-                result.fingerprint_skews = carried.get("fingerprint_skews", 0)
-                result = yield from self._resync_body(
-                    donor,
-                    donor_node,
-                    result,
-                    messages_before,
-                    bytes_before,
-                    delta_only=attempt > 1,
-                )
-                result.attempts = attempt
-                if result.ok or not result.retryable or attempt >= self.REJOIN_ATTEMPTS:
+                try:
+                    yield from self._resync_body(donor, donor_node, result)
                     break
+                except _ResyncFailure as failure:
+                    result.reason = failure.reason
+                    if not failure.retryable or attempt == self.REJOIN_ATTEMPTS:
+                        break
+                    silent = failure.silent
                 cell.metrics.increment(f"{cell.node_name}/rejoin_retries")
-                carried = {
-                    "live_backfilled": result.live_backfilled,
-                    "delta_syncs": result.delta_syncs,
-                    "fingerprint_skews": result.fingerprint_skews,
-                }
-                if result.silent_peers:
-                    # Active-view peers that never answered are most
-                    # likely crashed-but-unexcluded: shrink the quorum
-                    # denominator by voting them out before retrying,
-                    # instead of waiting out their crash window.
-                    yield from self._exclude_silent(result.silent_peers)
+                # Active-view peers that never answered are most likely
+                # crashed-but-unexcluded: shrink the quorum denominator by
+                # voting them out before retrying, instead of waiting out
+                # their crash window.
+                yield from self._exclude_silent(silent)
+                skews = result.fingerprint_skews
         finally:
             cell.recovering = False
+        messages_after, bytes_after = self._traffic_totals()
+        result.completed_at = cell.env.now
+        result.messages_used = messages_after - messages_before
+        result.bytes_used = bytes_after - bytes_before
+        self.last_result = result
         if not result.ok:
             # Half-restored state must not serve traffic or anchor
             # fingerprints; go back down until the operator retries.
-            cell.fault.crashed = True
-            cell.network.set_online(cell.node_name, False)
+            cell.crash()
         cell.drain_recovery_forwards()
         return result
 
     def _resync_body(
-        self,
-        donor: Address,
-        donor_node: str,
-        result: RecoveryResult,
-        messages_before: int,
-        bytes_before: int,
-        delta_only: bool = False,
-    ) -> Generator[Event, Any, RecoveryResult]:
+        self, donor: Address, donor_node: str, result: RecoveryResult
+    ) -> Generator[Event, Any, None]:
+        """One attempt, filling ``result`` in (a process).
+
+        Raises :class:`_ResyncFailure` at the step that fails.  Every
+        attempt after the first is a delta sync on top of the state the
+        first one restored.
+        """
         cell = self.cell
         bundle = yield from self._fetch_sync_state(
-            donor, donor_node, delta_only=delta_only
+            donor, donor_node, delta_only=result.attempts > 1
         )
-        if delta_only:
-            result.delta_syncs += 1
         if bundle is None:
-            result.reason = "donor unreachable or sync request timed out"
-            return self._finish(result, messages_before, bytes_before)
+            raise _ResyncFailure("donor unreachable or sync request timed out")
         self._adopt_membership_view(bundle)
 
         replay_base = -1
@@ -625,19 +613,12 @@ class RecoveryCoordinator:
             try:
                 snapshot = DataSnapshot.from_wire(bundle.snapshot, cell_id=cell.node_name)
             except SnapshotError as exc:
-                result.reason = f"malformed donor snapshot: {exc}"
-                return self._finish(result, messages_before, bytes_before)
+                raise _ResyncFailure(f"malformed donor snapshot: {exc}") from exc
             result.snapshot_cycle = snapshot.cycle
             replay_base = snapshot.last_sequence
-            restore_error = self._restore_snapshot(snapshot, result)
-            if restore_error is not None:
-                result.reason = restore_error
-                return self._finish(result, messages_before, bytes_before)
+            self._restore_snapshot(snapshot, result)
 
-        replay_error = yield from self._replay_entries(bundle, replay_base, result)
-        if replay_error is not None:
-            result.reason = replay_error
-            return self._finish(result, messages_before, bytes_before)
+        yield from self._replay_entries(bundle, replay_base, result)
         result.fingerprint_matched = True
 
         if snapshot is not None and (
@@ -658,27 +639,22 @@ class RecoveryCoordinator:
         result.readmitted = outcome.readmitted
         result.ack_count = len(outcome.acks)
         result.silent_peers = [address.hex() for address in outcome.silent]
-        result.ok = outcome.readmitted
+        cell.metrics.increment(f"{cell.node_name}/recoveries")
         if not outcome.readmitted:
-            result.reason = "readmission quorum not reached"
             # Either peers answered but their state had moved past our
             # synced tail (live traffic during the handshake — a fresh
             # delta sync can catch up) or part of the quorum stayed
             # silent (the coordinator excludes them before retrying).
-            result.retryable = True
-        elif self.backfill_enabled:
+            raise _ResyncFailure(
+                "readmission quorum not reached", retryable=True, silent=outcome.silent
+            )
+        if self.backfill_enabled:
             # The vote compared *state* fingerprints, which cannot see
             # entries peers admitted but had not executed yet.  Close
             # that window before this cell resumes anchoring: fetch the
             # delta past our head until the donor runs dry.
-            backfill_error = yield from self._backfill(
-                donor, donor_node, outcome.acks, result
-            )
-            if backfill_error is not None:
-                result.ok = False
-                result.reason = backfill_error
-        cell.metrics.increment(f"{cell.node_name}/recoveries")
-        return self._finish(result, messages_before, bytes_before)
+            yield from self._backfill(donor, donor_node, outcome.acks, result)
+        result.ok = True
 
     def _backfill(
         self,
@@ -686,15 +662,15 @@ class RecoveryCoordinator:
         donor_node: str,
         acks: list[RejoinAck],
         result: RecoveryResult,
-    ) -> Generator[Event, Any, Optional[str]]:
+    ) -> Generator[Event, Any, None]:
         """Admit the entries the rejoin vote's fingerprints could not see.
 
         Every agreeing ack carries the voter's ledger head at check time;
         if any head is past this cell's ledger, peers admitted
         transactions our sync missed.  Delta-fetch from the donor until
         two consecutive rounds apply nothing and the donor's own head is
-        covered — in-flight admissions settle between rounds.  Returns an
-        error string on divergence, None once converged (a process).
+        covered — in-flight admissions settle between rounds.  Raises
+        :class:`_ResyncFailure` on divergence (a process).
         """
         cell = self.cell
         heads = [
@@ -705,7 +681,7 @@ class RecoveryCoordinator:
         if not heads or max(heads) <= len(cell.ledger):
             # Every agreeing voter's head was already covered by the
             # synced tail: the quiesced fast path, zero extra messages.
-            return None
+            return
         dry = 0
         while result.backfill_rounds < self.BACKFILL_ROUNDS:
             result.backfill_rounds += 1
@@ -714,25 +690,20 @@ class RecoveryCoordinator:
             )
             result.delta_syncs += 1
             if bundle is None:
-                return "donor unreachable during post-readmit backfill"
+                raise _ResyncFailure("donor unreachable during post-readmit backfill")
             applied_before = result.replayed
-            error = yield from self._replay_entries(bundle, -1, result)
-            if error is not None:
-                return error
+            yield from self._replay_entries(bundle, -1, result)
             applied = result.replayed - applied_before
             result.live_backfilled += applied
             if applied == 0 and bundle.head <= len(cell.ledger):
                 dry += 1
                 if dry >= 2:
-                    return None
+                    return
             else:
                 dry = 0
             yield cell.env.timeout(self.BACKFILL_SETTLE)
-        return None
 
-    def _exclude_silent(
-        self, silent_hex: list[str]
-    ) -> Generator[Event, Any, None]:
+    def _exclude_silent(self, silent: Sequence[Address]) -> Generator[Event, Any, None]:
         """Open exclusion votes on peers that ignored the rejoin vote.
 
         A crashed-but-unexcluded peer inflates the readmission quorum
@@ -745,11 +716,8 @@ class RecoveryCoordinator:
         cell = self.cell
         cycle = cell.consensus.cycle_of(cell.env.now)
         proposed = False
-        for hex_address in silent_hex:
-            address = next(
-                (peer for peer in cell._peers if peer.hex() == hex_address), None
-            )
-            if address is None or not cell.consensus.is_active(address):
+        for address in silent:
+            if not cell.consensus.is_active(address):
                 continue
             cell.membership.propose_exclusion(
                 address, cycle, "no answer to rejoin vote"
@@ -759,17 +727,6 @@ class RecoveryCoordinator:
             # Give the live peers time to probe the suspects and vote
             # before the next attempt measures its quorum.
             yield cell.env.timeout(cell.invariants.probe_deadline + 1.0)
-
-    def _finish(
-        self, result: RecoveryResult, messages_before: int, bytes_before: int
-    ) -> RecoveryResult:
-        """Stamp timing/traffic totals and remember the result."""
-        messages_after, bytes_after = self._traffic_totals()
-        result.completed_at = self.cell.env.now
-        result.messages_used = messages_after - messages_before
-        result.bytes_used = bytes_after - bytes_before
-        self.last_result = result
-        return result
 
     def _fetch_sync_state(
         self, donor: Address, donor_node: str, delta_only: bool = False
@@ -783,10 +740,13 @@ class RecoveryCoordinator:
         """
         cell = self.cell
         sync = SyncRequest(since_sequence=len(cell.ledger), delta_only=delta_only)
-        bundle = yield from cell.membership.request(
-            donor_node, donor, Opcode.CELL_SYNC, sync.to_data(), cell.invariants.forwarding_deadline
+        _request, bundle = cell.endpoint.ask(
+            donor_node, donor, Opcode.CELL_SYNC, sync.to_data(),
+            deadline=cell.invariants.forwarding_deadline,
         )
-        return bundle
+        if not bundle.triggered:  # a request that never left: None in this same step
+            yield bundle
+        return bundle.value
 
     def _adopt_membership_view(self, bundle: SyncState) -> None:
         """Replace this cell's stale membership view with the donor's.
@@ -809,9 +769,7 @@ class RecoveryCoordinator:
             elif not cell.consensus.is_active(address):
                 cell.consensus.readmit(address, cycle)
 
-    def _restore_snapshot(
-        self, snapshot: DataSnapshot, result: RecoveryResult
-    ) -> Optional[str]:
+    def _restore_snapshot(self, snapshot: DataSnapshot, result: RecoveryResult) -> None:
         """Overwrite local contract state from the donor snapshot.
 
         Proof step 1: every restored contract must hash to the fingerprint
@@ -819,8 +777,7 @@ class RecoveryCoordinator:
         If the snapshot is *older* than this cell's ledger head, the local
         entries past the snapshot boundary are rolled back first — their
         effects vanish with the restore, and they are re-executed from the
-        donor's tail.  Returns an error string on mismatch, None on
-        success.
+        donor's tail.  Raises :class:`_ResyncFailure` on a mismatch.
         """
         cell = self.cell
         result.truncated = cell.ledger.truncate(snapshot.last_sequence)
@@ -837,21 +794,23 @@ class RecoveryCoordinator:
             contract.restore_state(state)
             expected = snapshot.contract_fingerprints.get(name)
             if expected is not None and contract.fingerprint() != expected:
-                return f"restored state of {name!r} does not match the donor fingerprint"
+                raise _ResyncFailure(
+                    f"restored state of {name!r} does not match the donor fingerprint"
+                )
         for name in snapshot.excluded_contracts:
             if cell.contracts.contains(name):
                 cell.contracts.exclude(name)
-        return None
 
     def _replay_entries(
         self, bundle: SyncState, replay_base: int, result: RecoveryResult
-    ) -> Generator[Event, Any, Optional[str]]:
+    ) -> Generator[Event, Any, None]:
         """Backfill snapshot-covered entries and re-execute the tail.
 
         Proof step 2: every re-executed entry's post-execution contract
         fingerprint must equal the donor's recorded one — matching the
         consortium's execution fingerprints entry by entry is what
-        qualifies the cell to rejoin the confirmation quorum.
+        qualifies the cell to rejoin the confirmation quorum.  Raises
+        :class:`_ResyncFailure` at the first entry that cannot be replayed.
         """
         cell = self.cell
         for item in bundle.entries:
@@ -861,22 +820,24 @@ class RecoveryCoordinator:
                 local_tx = cell.ledger.entry_at(sequence).tx_id
                 if local_tx == summary.tx_id:
                     continue
-                divergence = self._drop_admitted_suffix(sequence, summary, result)
-                if divergence is not None:
-                    return divergence
+                self._drop_admitted_suffix(sequence, summary, result)
                 # The admitted-only local suffix is gone; fall through and
                 # admit the donor's entry at this now-free sequence.
             try:
                 envelope = Envelope.from_wire(item.envelope)
             except ValueError as exc:
-                return f"malformed donor ledger entry at sequence {sequence}: {exc}"
+                raise _ResyncFailure(
+                    f"malformed donor ledger entry at sequence {sequence}: {exc}"
+                ) from exc
             if not envelope.verify():
-                return f"donor ledger entry {sequence} has an invalid client signature"
+                raise _ResyncFailure(
+                    f"donor ledger entry {sequence} has an invalid client signature"
+                )
             if sequence <= replay_base:
                 try:
                     cell.ledger.backfill(envelope, summary, item.result)
                 except LedgerError as exc:
-                    return f"ledger backfill failed: {exc}"
+                    raise _ResyncFailure(f"ledger backfill failed: {exc}") from exc
                 result.backfilled += 1
                 continue
             # Re-execute the post-snapshot tail, paying the same simulated
@@ -887,11 +848,11 @@ class RecoveryCoordinator:
                     envelope, cycle=summary.cycle, contingency=summary.contingency
                 )
             except LedgerError as exc:
-                return f"ledger replay admission failed: {exc}"
+                raise _ResyncFailure(f"ledger replay admission failed: {exc}") from exc
             try:
                 outcome = cell.executor.execute(entry)
             except BContractError as exc:
-                return f"replay of sequence {sequence} failed: {exc}"
+                raise _ResyncFailure(f"replay of sequence {sequence} failed: {exc}") from exc
             if outcome.ok:
                 cell.ledger.mark_executed(
                     outcome.tx_id, outcome.contract, outcome.result, outcome.fingerprint
@@ -907,7 +868,7 @@ class RecoveryCoordinator:
             # entries).  Executing ahead of the donor is safe — execution
             # is deterministic in ledger order.
             if donor_status != "admitted" and outcome.status != donor_status:
-                return (
+                raise _ResyncFailure(
                     f"replay of sequence {sequence} diverged: local status "
                     f"{outcome.status!r} vs donor {donor_status!r}"
                 )
@@ -924,11 +885,10 @@ class RecoveryCoordinator:
                 # the readmission vote over the full combined fingerprint.
                 result.fingerprint_skews += 1
             result.replayed += 1
-        return None
 
     def _drop_admitted_suffix(
         self, sequence: int, summary: EntrySummary, result: RecoveryResult
-    ) -> Optional[str]:
+    ) -> None:
         """Roll back a local admitted-only suffix that diverged from the donor.
 
         A cell can crash holding entries it admitted but never executed
@@ -938,17 +898,16 @@ class RecoveryCoordinator:
         donor's stream is safe; the client simply never gets a receipt,
         exactly as if the submission had been lost with the crash.  Any
         *executed* entry in the divergent suffix is real divergence and
-        stays fatal.  Returns an error string or None after truncating.
+        stays fatal: it raises :class:`_ResyncFailure`.
         """
         cell = self.cell
         for seq in range(sequence, len(cell.ledger)):
             entry = cell.ledger.entry_at(seq)
             if entry.status != "admitted":
                 local_tx = cell.ledger.entry_at(sequence).tx_id
-                return (
+                raise _ResyncFailure(
                     f"ledger divergence at sequence {sequence}: "
                     f"local {local_tx} vs donor {summary.tx_id} "
                     f"with executed entries in the divergent suffix"
                 )
         result.truncated += cell.ledger.truncate(sequence - 1)
-        return None

@@ -96,20 +96,24 @@ class Endpoint:
         operation: Opcode,
         data: dict[str, Any],
         signer: Optional[Signer] = None,
+        deadline: Optional[float] = None,
     ) -> tuple[Envelope, Event]:
         """Send a request; returns it and the event its reply fires.
 
-        The event's value is the reply envelope — or ``None``, at once,
-        when the request never left.  A requester with a deadline races
-        the event against it and then calls :meth:`forget`.
+        The event's value is the reply envelope — or ``None``, at once and
+        with no timer scheduled, when the request never left.  With a
+        ``deadline`` (seconds) the event fires with ``None`` once it
+        passes unanswered, and the request is no longer waited for either
+        way.
         """
         request = self.sign(recipient, operation, data, signer=signer)
         waiter = self.env.event()
-        if self.post(dst_node, request):
-            self._pending[request.nonce] = (recipient, waiter)
-        else:
-            waiter.succeed(None)
-        return request, waiter
+        if not self.post(dst_node, request):
+            return request, waiter.succeed(None)
+        self._pending[request.nonce] = (recipient, waiter)
+        if deadline is None:
+            return request, waiter
+        return request, _Answer(self, request, waiter, self.env.timeout(deadline))
 
     def resolve(self, reply: Envelope, answer: Any = None) -> bool:
         """Hand ``reply`` to the request it names, if the cell asked sent it.
@@ -131,6 +135,37 @@ class Endpoint:
         waiter.succeed(reply if answer is None else answer)
         return True
 
-    def forget(self, request: Envelope) -> None:
+    def _forget(self, request: Envelope) -> None:
         """Stop waiting for the reply to ``request``; a late one is dropped."""
         self._pending.pop(request.nonce, None)
+
+
+class _Answer(Event):
+    """The reply to one request, or ``None`` once its deadline passed.
+
+    It fires one step after the first of the two — the reply's event or
+    the deadline's timer — exactly as ``any_of`` over them would, so a
+    caller resumes where a hand-rolled race would have resumed it.  Its
+    value is settled only when it is processed, just before its waiters
+    run: a reply resolved in that same instant still counts.
+    """
+
+    __slots__ = ("_endpoint", "_request", "_waiter")
+
+    def __init__(self, endpoint: Endpoint, request: Envelope, waiter: Event, timer: Event) -> None:
+        super().__init__(endpoint.env)
+        self._endpoint = endpoint
+        self._request = request
+        self._waiter = waiter
+        self.add_callback(self._settle)
+        waiter.add_callback(self._fire)
+        timer.add_callback(self._fire)
+
+    def _fire(self, _event: Event) -> None:
+        if not self.triggered:
+            self.succeed()
+
+    def _settle(self, _event: Event) -> None:
+        self._endpoint._forget(self._request)
+        waiter = self._waiter
+        self._value = waiter.value if waiter.triggered else None

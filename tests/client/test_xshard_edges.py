@@ -548,12 +548,12 @@ def test_dropped_commit_ack_reports_in_transit_with_the_certificate():
 
     original = client._send_phase
 
-    def drop_target_commit(signer, plan, data, opcode):
-        if opcode == Opcode.XSHARD_COMMIT and plan.group == 1:
+    def drop_target_commit(signer, group, data, opcode):
+        if opcode == Opcode.XSHARD_COMMIT and group == 1:
             # The decision to the target is lost in flight: never
-            # delivered, never acknowledged.
-            return client.env.event()
-        return original(signer, plan, data, opcode)
+            # delivered, never acknowledged before the deadline.
+            return client.env.timeout(deployment.config.forwarding_deadline)
+        return original(signer, group, data, opcode)
 
     client._send_phase = drop_target_commit
     result = run_event(
@@ -590,6 +590,31 @@ def test_dropped_commit_ack_reports_in_transit_with_the_certificate():
     target = deployment.group(1).cells[0].contracts.get(names[1])
     assert target.query("balance_of", {"account": recipient}) == 20
     assert_conserved(deployment, expect_in_transit=0)
+
+
+# ----------------------------------------------------------------------
+# A gateway that dies holding a prepare: the deadline ends the wait
+# ----------------------------------------------------------------------
+def test_a_gateway_crashing_on_the_prepare_leaves_no_request_pending():
+    from repro.client.sharded import GATEWAY_SILENT, ShardedFastMoneyClient
+
+    deployment, alice, names, client = build()
+    app = ShardedFastMoneyClient(client, base_name=BASE)
+
+    def crash_on_receipt(_src_node, _envelope, _body):
+        deployment.crash_cell(1, 0)
+
+    deployment.group(1).cells[0]._serve_xshard = crash_on_receipt
+    result = run_event(deployment, app.transfer_cross(0, 1, "0x" + "7c" * 20, 20, signer=alice))
+
+    assert result.decision == "abort" and not result.ok
+    assert result.prepare[1].error == GATEWAY_SILENT
+    assert escrow_status(deployment, 0, names[0], result.xtx)["status"] == "held"
+    # Every phase request was answered or ran into its deadline: none is
+    # still waited for, on the per-group clients or the gateway clients.
+    clients = client.clients + [gateway for gateway in client._gateway_clients if gateway]
+    assert [dict(each.endpoint._pending) for each in clients] == [{} for _ in clients]
+    assert_conserved(deployment)
 
 
 # ----------------------------------------------------------------------
@@ -674,10 +699,10 @@ def test_transfer_cross_pads_the_destination_deadline_by_skew_pad():
     app = ShardedFastMoneyClient(client, base_name=BASE)
     original = client._send_phase
 
-    def drop_target_commit(signer, plan, data, opcode):
-        if opcode == Opcode.XSHARD_COMMIT and plan.group == 1:
-            return client.env.event()
-        return original(signer, plan, data, opcode)
+    def drop_target_commit(signer, group, data, opcode):
+        if opcode == Opcode.XSHARD_COMMIT and group == 1:
+            return client.env.timeout(deployment.config.forwarding_deadline)
+        return original(signer, group, data, opcode)
 
     client._send_phase = drop_target_commit
     armed_at = deployment.env.now

@@ -500,9 +500,10 @@ def test_only_the_donor_it_asked_can_answer_a_sync_request(answered_by):
     probe.sharded.network.register("wiretap", handler=answer_in_the_donors_place)
 
     def ask():
-        answers.append((yield from cell.membership.request(
-            "wiretap", donor.address, Opcode.CELL_SYNC, SyncRequest(0).to_data(), 1.0
-        )))
+        _request, answer = cell.endpoint.ask(
+            "wiretap", donor.address, Opcode.CELL_SYNC, SyncRequest(0).to_data(), deadline=1.0
+        )
+        answers.append((yield answer))
 
     probe.env.process(ask())
     probe.settle()

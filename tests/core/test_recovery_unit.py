@@ -1,16 +1,21 @@
 """Unit coverage for the recovery plumbing: ledger sync, snapshot adoption,
 membership quorums, and evidence verification on membership updates."""
 
+import copy
 import dataclasses
+import itertools
 
 import pytest
 
 from repro.core import DataSnapshot, LedgerError, SnapshotError, TransactionLedger
 from repro.core.consensus import ConsensusError, OverlayConsensus
 from repro.core.config import SystemInvariants
+from repro.core.recovery import RecoveryCoordinator
 from repro.crypto import PrivateKey
 from repro.client import BlockumulusClient, FastMoneyClient
-from repro.messages import EcdsaSigner, Envelope, ExclusionVote, Opcode, SyncState
+from repro.messages import (
+    EcdsaSigner, Envelope, ExclusionVote, Opcode, SimulatedSigner, SyncState,
+)
 from repro.sim import Environment
 from tests.conftest import make_deployment
 
@@ -121,6 +126,152 @@ def test_a_mistyped_donor_sync_record_is_a_malformed_body_not_a_crash():
     assert not recovery.value.ok and "timed out" in recovery.value.reason
     assert deployment.metrics.counter(f"{rejoiner.node_name}/malformed_membership") == 1
     assert rejoiner.fault.crashed  # as after any failed recovery
+
+
+# ----------------------------------------------------------------------
+# Every way a hostile donor can fail a resync, and the reason each gives
+# ----------------------------------------------------------------------
+def _forged_snapshot(**fields):
+    """A snapshot wire form no honest donor took (cycle 0, nothing excluded)."""
+    return {
+        "cycle": 0, "taken_at": 0.0, "cell_id": "forged", "fingerprint": "0x" + "00" * 32,
+        "contract_fingerprints": {}, "state_export": {}, "last_sequence": -1, **fields,
+    }
+
+
+def _signed_call_without_a_method():
+    return Envelope.create(
+        signer=SimulatedSigner("recovery-unit/forger"),
+        recipient=PrivateKey.from_seed("recovery-unit/cell").address,
+        operation=Opcode.TX_SUBMIT, data={"contract": "fastmoney", "args": {}},
+        timestamp=0.0, nonce="0x000000000001",
+    ).to_wire()
+
+
+def _with_entries(data, *entries):
+    data["entries"] = list(entries)
+    return data
+
+
+def _resequenced(entry, sequence):
+    return {**entry, "summary": {**entry["summary"], "sequence": sequence}}
+
+
+def _edited(data, path, value):
+    """``data`` with the value at ``path`` (keys and list indices) replaced."""
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+#: (how the donor tampers with the n-th CELL_SYNC_STATE it sends, or None to
+#: stay silent; the exact reason the recovery reports, with ``{A}`` / ``{B}``
+#: the tx ids of ledger entries 0 and 1; how many attempts it took).
+#: The first sync carries entries 1 (B, a faucet cell 2 missed) and 2 (a
+#: refused transfer, which moved no state).  Recorded by the code that
+#: returned error strings, before resync failures were raised.
+RESYNC_FAILURES = {
+    "silent donor": (
+        lambda data, n: None,
+        "donor unreachable or sync request timed out", 1,
+    ),
+    "malformed snapshot": (
+        lambda data, n: {**data, "snapshot": {"cycle": "x"}},
+        "malformed donor snapshot: malformed snapshot wire form: cycle must be int", 1,
+    ),
+    "restored state off its fingerprint": (
+        lambda data, n: {**data, "snapshot": _forged_snapshot(
+            contract_fingerprints={"fastmoney": "0x" + "11" * 32},
+            state_export={"fastmoney": {}}, last_sequence=0,
+        )},
+        "restored state of 'fastmoney' does not match the donor fingerprint", 1,
+    ),
+    "malformed ledger entry": (
+        lambda data, n: _edited(data, ("entries", 0, "envelope"), {}),
+        "malformed donor ledger entry at sequence 1: malformed envelope: 'payload'", 1,
+    ),
+    "invalid client signature": (
+        lambda data, n: _edited(
+            data, ("entries", 0, "envelope", "payload", "data", "args", "amount"), 4
+        ),
+        "donor ledger entry 1 has an invalid client signature", 1,
+    ),
+    "backfill off the local head": (
+        lambda data, n: _with_entries(
+            {**data, "snapshot": _forged_snapshot(last_sequence=2)},
+            _resequenced(data["entries"][0], 2),
+        ),
+        "ledger backfill failed: backfill sequence 2 does not follow local head 1", 1,
+    ),
+    "replayed entry admitted twice": (
+        lambda data, n: _with_entries(
+            data, data["entries"][0], _resequenced(data["entries"][0], 2)
+        ),
+        "ledger replay admission failed: transaction {B} is already in the ledger", 1,
+    ),
+    "replayed call without a method": (
+        lambda data, n: _edited(data, ("entries", 0, "envelope"), _signed_call_without_a_method()),
+        "replay of sequence 1 failed: transaction does not name a method", 1,
+    ),
+    "replay status divergence": (
+        lambda data, n: _edited(data, ("entries", 0, "summary", "status"), "rejected"),
+        "replay of sequence 1 diverged: local status 'executed' vs donor 'rejected'", 1,
+    ),
+    "executed entry in the divergent suffix": (
+        lambda data, n: _with_entries(data, _resequenced(data["entries"][0], 0)),
+        "ledger divergence at sequence 0: local {A} vs donor {B} "
+        "with executed entries in the divergent suffix", 1,
+    ),
+    "quorum not reached": (
+        lambda data, n: _with_entries(data),
+        "readmission quorum not reached", RecoveryCoordinator.REJOIN_ATTEMPTS,
+    ),
+    "donor silent after readmission": (
+        lambda data, n: None if n else _with_entries(data, data["entries"][0]),
+        "donor unreachable during post-readmit backfill", 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper, reason, attempts", RESYNC_FAILURES.values(), ids=RESYNC_FAILURES)
+def test_a_hostile_donor_fails_the_resync_with_its_reason_and_the_cell_goes_back_down(
+    tamper, reason, attempts
+):
+    deployment = make_deployment(consortium_size=3, signature_scheme="sim")
+    client = BlockumulusClient(
+        deployment, signer=SimulatedSigner("recovery-unit/payer"), node_name="recovery-unit-payer"
+    )
+    money = FastMoneyClient(client)
+    deployment.env.run(money.faucet(5))
+    deployment.crash_cell(2)
+    deployment.exclude_cell(2)
+    deployment.env.run(money.faucet(3))
+    assert not deployment.env.run(money.transfer("0x" + "7b" * 20, 100)).ok
+    donor, rejoiner = deployment.cell(1), deployment.cell(2)
+    honest_reply = donor._reply
+    syncs = itertools.count()
+
+    def reply(dst_node, request, operation, data):
+        if operation is Opcode.CELL_SYNC_STATE:
+            data = tamper(copy.deepcopy(data), next(syncs))
+            if data is None:
+                return
+        honest_reply(dst_node, request, operation, data)
+
+    donor._reply = reply
+    recovery = deployment.recover_cell(2, donor_index=1)
+    result = deployment.env.run(recovery)
+
+    tx_ids = {"A": donor.ledger.entry_at(0).tx_id, "B": donor.ledger.entry_at(1).tx_id}
+    assert result.reason == reason.format(**tx_ids)
+    assert result.ok is False and result.attempts == attempts
+    assert rejoiner.fault.crashed and not deployment.network.is_online(rejoiner.node_name)
+    assert rejoiner.recovery.last_result is result
+    assert result.completed_at == deployment.env.now > result.started_at
+    assert result.messages_used > 0 and result.bytes_used > 0
 
 
 def test_entry_at_bounds(env):

@@ -113,16 +113,75 @@ def test_a_silent_endpoint_puts_nothing_on_the_network(net):
     assert len(cell.inbox) == 1 and network.messages_between("quiet", "cell") == 1
 
 
-def test_forget_after_a_deadline_makes_a_late_reply_a_no_op(net):
+def ask_with_deadline(asker, cell, deadline=1.0):
+    return asker.endpoint.ask(
+        cell.endpoint.node_name, cell.address, Opcode.PING, {"probe": True}, deadline=deadline
+    )
+
+
+def test_a_deadline_fires_none_and_makes_a_late_reply_a_no_op(net):
     env, _network, asker, cell, _other = net
-    request, waiter = ask(asker, cell)
-    env.run(env.any_of([waiter, env.timeout(1.0)]))
-    assert not waiter.triggered
-    asker.endpoint.forget(request)
-    asker.endpoint.forget(request)  # idempotent
+    request, answer = ask_with_deadline(asker, cell)
+    assert env.run(answer) is None and env.now == 1.0
+    assert not asker.endpoint._pending
     cell.answer(asker, request)
     env.run()
-    assert len(asker.inbox) == 1 and not waiter.triggered and not asker.endpoint._pending
+    assert len(asker.inbox) == 1 and answer.value is None
+
+
+def test_a_reply_before_the_deadline_fires_with_the_reply_and_nothing_stays_pending(net):
+    env, _network, asker, cell, _other = net
+    request, answer = ask_with_deadline(asker, cell)
+    env.run(until=0.5)
+    cell.answer(asker, request)
+    reply = env.run(answer)
+    assert reply.sender == cell.address and reply.payload.reply_to == request.nonce
+    assert env.now < 1.0 and not asker.endpoint._pending
+
+
+def test_a_request_that_never_left_fires_none_at_once_and_schedules_no_deadline(net):
+    env, network, asker, cell, _other = net
+    network.set_online("cell", False)
+    _request, answer = ask_with_deadline(asker, cell, deadline=5.0)
+    assert answer.triggered and answer.value is None and not asker.endpoint._pending
+    env.run()
+    assert env.now == 0.0, "no timer may keep the run going"
+
+
+@pytest.mark.parametrize("replied", [True, False], ids=["replied", "deadline passed"])
+def test_a_deadline_wait_resumes_its_caller_where_a_race_against_a_timer_would(net, replied):
+    """Same-instant order is kept: a caller waiting on the answer resumes as
+    many steps after the reply (or the deadline) as one racing ``any_of``
+    over the reply's event and a timer — whichever of the two asked first
+    resumes first."""
+    env, _network, asker, cell, _other = net
+
+    def resumption_order(labels):
+        resumed, requests = [], []
+
+        def wait(label, event):
+            yield event
+            resumed.append(label)
+
+        for label in labels:
+            if label == "answer":
+                request, event = ask_with_deadline(asker, cell)
+            else:
+                request, waiter = ask(asker, cell)
+                event = env.any_of([waiter, env.timeout(1.0)])
+            requests.append(request)
+            env.process(wait(label, event))
+        if replied:
+            env.run(until=env.now + 0.5)
+            for request in requests:  # both replies resolve in one step
+                asker.endpoint.resolve(
+                    cell.endpoint.sign(asker.address, Opcode.PONG, {}, request.nonce)
+                )
+        env.run()
+        return resumed
+
+    assert resumption_order(["answer", "race"]) == ["answer", "race"]
+    assert resumption_order(["race", "answer"]) == ["race", "answer"]
 
 
 def test_the_nonces_of_one_node_are_one_sequence_across_sign_ask_and_batch_flushes(net):
