@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .context import BContractError, InvocationContext
-from .state_store import AccessSet, KeyValueStore, StateExport, StoreSnapshot
+from .state_store import AccessSet, KeyValueStore, MutationJournal, StateExport, StoreSnapshot
 
 
 def bcontract_method(func: Callable[..., Any]) -> Callable[..., Any]:
@@ -49,9 +49,10 @@ class BContract:
         self.store = KeyValueStore()
         self._methods: dict[str, Callable[..., Any]] = {}
         self._views: dict[str, Callable[..., Any]] = {}
-        #: Observed access set of the most recent invocation (committed or
-        #: rolled back), for lane statistics and plan verification.
-        self.last_access: Optional[AccessSet] = None
+        #: Mutation journal of the most recent invocation (committed or
+        #: rolled back; None if it was refused before reaching the store),
+        #: for plan verification and lane diagnostics.
+        self.last_journal: Optional[MutationJournal] = None
         #: Keys read by the most recent view query.
         self.last_view_reads: frozenset[str] = frozenset()
         for attr_name in dir(self):
@@ -91,6 +92,7 @@ class BContract:
         back and the error propagates to the executor, which reverts the
         transaction on this cell.
         """
+        self.last_journal = None
         handler = self._methods.get(method)
         if handler is None:
             raise BContractError(f"{self.name}: unknown method {method!r}")
@@ -100,16 +102,22 @@ class BContract:
         try:
             result = handler(ctx, **args)
         except BContractError:
-            self.last_access = self.store.rollback().access_set()
+            self.last_journal = self.store.rollback()
             raise
         except TypeError as exc:
-            self.last_access = self.store.rollback().access_set()
+            self.last_journal = self.store.rollback()
             raise BContractError(f"{self.name}.{method}: bad arguments ({exc})") from exc
         except Exception as exc:  # noqa: BLE001 - contract bugs must revert cleanly
-            self.last_access = self.store.rollback().access_set()
+            self.last_journal = self.store.rollback()
             raise BContractError(f"{self.name}.{method}: internal error ({exc})") from exc
-        self.last_access = self.store.commit().access_set()
+        self.last_journal = self.store.commit()
         return result
+
+    @property
+    def last_access(self) -> Optional[AccessSet]:
+        """Observed access set of the most recent invocation, frozen from its journal when read."""
+        journal = self.last_journal
+        return None if journal is None else journal.access_set()
 
     def query(self, view: str, args: dict[str, Any]) -> Any:
         """Execute a read-only view (never mutates state).
@@ -151,8 +159,11 @@ class BContract:
         everything, which is always safe.  Overrides must be conservative —
         every key the method can possibly write must appear in ``writes``
         (or ``deltas`` for pure :meth:`KeyValueStore.increment` keys whose
-        running value the result does not expose); the executor verifies
-        observed mutations against the declared plan and reports overruns.
+        running value the result does not expose); after every execution
+        it ran, the lane scheduler checks the invocation's written and
+        incremented keys against the declared plan and counts each
+        execution that touched an undeclared one as a ``plan_overruns``
+        (:meth:`repro.core.lanes.LaneScheduler.statistics`).
         Implementations must not raise and must not read contract state
         (plans are evaluated before the transaction's turn in the schedule).
         """

@@ -19,7 +19,7 @@ from .lanes import (
     AccessFootprint,
     LaneError,
     LaneScheduler,
-    footprint_for_entry,
+    lane_token,
 )
 from .ledger import LedgerEntry, LedgerError, TransactionLedger
 from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch, ReceiptError
@@ -83,5 +83,5 @@ __all__ = [
     "censor_method",
     "censor_sender",
     "chain_shard_digest",
-    "footprint_for_entry",
+    "lane_token",
 ]

@@ -895,6 +895,8 @@ class BlockumulusCell:
             yield self.env.timeout(self.service_model.invoke_overhead.sample(self.rng))
             yield from self.cpu.use(self.service_model.invoke_cpu)
             outcome = self.executor.execute_safely(entry, lane=lane)
+            if lanes is not None:
+                lanes.check_plan(entry, outcome.journal)
         finally:
             if lanes is None:
                 self.invokers.release()
@@ -909,14 +911,11 @@ class BlockumulusCell:
             outcome = dataclasses.replace(outcome, fingerprint=contract.fingerprint())
         if outcome.ok:
             self.ledger.mark_executed(
-                outcome.tx_id, outcome.contract, outcome.result, outcome.fingerprint,
-                access=outcome.access,
+                outcome.tx_id, outcome.contract, outcome.result, outcome.fingerprint
             )
             self.metrics.increment(f"{self.node_name}/transactions_executed")
         else:
-            self.ledger.mark_rejected(
-                outcome.tx_id, outcome.contract, outcome.error or "", access=outcome.access
-            )
+            self.ledger.mark_rejected(outcome.tx_id, outcome.contract, outcome.error or "")
             self.metrics.increment(f"{self.node_name}/transactions_rejected")
         return outcome
 

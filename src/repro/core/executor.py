@@ -13,17 +13,24 @@ confirmations) lives in :mod:`repro.core.cell`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..contracts.context import BContractError, InvocationContext
 from ..contracts.registry import ContractRegistry
-from ..contracts.state_store import AccessSet
+from ..contracts.state_store import AccessSet, MutationJournal
 from ..contracts.system.cas import ContentAddressableStorage
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
 from ..messages.requests import RequestError, named_call
 from .ledger import LedgerEntry
+
+#: ``canonical_bytes`` of the six-key execution-fingerprint dict: its keys in
+#: sorted order, each followed by its encoded value (text as ``s<len>:<utf-8>``).
+_EXECUTION_SHAPE = (
+    b"d6:s8:contracts%d:%b" b"s5:error%b" b"s6:methods%d:%b"
+    b"s6:result%b" b"s6:statuss%d:%b" b"s5:tx_ids%d:%b"
+)
 
 
 @dataclass(frozen=True)
@@ -37,10 +44,16 @@ class ExecutionOutcome:
     result: Any
     error: Optional[str]
     fingerprint: bytes
-    #: Observed store access of the invocation (None when the call never
-    #: reached a contract).  Excluded from both fingerprints: access sets
-    #: are per-cell diagnostics, not part of the cross-cell agreement.
-    access: Optional[AccessSet] = None
+    #: The invocation's mutation journal (None when the call never reached
+    #: a contract).  Excluded from both fingerprints and from equality:
+    #: observed access is a per-cell diagnostic, not part of the cross-cell
+    #: agreement.
+    journal: Optional[MutationJournal] = field(default=None, compare=False, repr=False)
+
+    @property
+    def access(self) -> Optional[AccessSet]:
+        """Observed store access of the invocation, frozen from the journal when read."""
+        return None if self.journal is None else self.journal.access_set()
 
     @property
     def ok(self) -> bool:
@@ -63,19 +76,27 @@ class ExecutionOutcome:
         is what lets the stress test of Fig. 9/10 run 20,000 simultaneous
         transactions without spurious mismatches, matching the paper's
         observation of zero failures.
+
+        The hashed bytes are ``canonical_bytes`` of the dict of those six
+        fields, written from its fixed shape — the keys in sorted order,
+        each text field encoded in place — so only ``result`` goes through
+        the generic encoder.
         """
-        return fast_hash(
-            canonical_bytes(
-                {
-                    "tx_id": self.tx_id,
-                    "contract": self.contract,
-                    "method": self.method,
-                    "status": self.status,
-                    "result": self.result,
-                    "error": self.error,
-                }
-            )
-        )
+        contract, method = self.contract.encode(), self.method.encode()
+        status, tx_id = self.status.encode(), self.tx_id.encode()
+        if self.error is None:
+            error = b"n"
+        else:
+            raw = self.error.encode()
+            error = b"s%d:%b" % (len(raw), raw)
+        return fast_hash(_EXECUTION_SHAPE % (
+            len(contract), contract,
+            error,
+            len(method), method,
+            canonical_bytes(self.result),
+            len(status), status,
+            len(tx_id), tx_id,
+        ))
 
     def execution_fingerprint_hex(self) -> str:
         """0x-prefixed execution fingerprint."""
@@ -143,7 +164,7 @@ class TransactionExecutor:
             result=result,
             error=error,
             fingerprint=contract.fingerprint(),
-            access=contract.last_access,
+            journal=contract.last_journal,
         )
 
     def execute_safely(self, entry: LedgerEntry, lane: Optional[int] = None) -> ExecutionOutcome:

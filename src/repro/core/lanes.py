@@ -6,18 +6,21 @@ workload touch disjoint contract state, so this module recovers the lost
 parallelism without giving up the determinism the cross-cell confirmation
 protocol depends on:
 
-* each transaction's **access footprint** — the contract-qualified keys it
-  reads, writes, or commutatively increments — is derived *before*
-  execution from the target bContract's declared
+* each transaction's **lane token** — its ledger sequence, its target
+  contract, and the keys of that contract it reads, writes, or
+  commutatively increments — is derived *before* execution from the
+  target bContract's declared
   :meth:`~repro.contracts.interface.BContract.access_plan` (contracts
-  without a plan fall back to a globally exclusive footprint, which is
-  always safe);
-* footprints that conflict (write/any or delta/read overlap) are never in
-  flight at the same time, and conflicting transactions always start in
-  canonical ledger order;
+  without a plan fall back to an exclusive token, which is always safe);
+* tokens that conflict (write/any or delta/read overlap on a key of the
+  same contract) are never in flight at the same time, and conflicting
+  transactions always start in canonical ledger order;
 * non-conflicting transactions run concurrently on up to ``lanes``
   execution lanes — simulated concurrency inside a cell, through
   :class:`~repro.sim.resources.ConflictGate`;
+* after each execution the invocation's mutation journal is checked
+  against the plan, and a write or increment the plan did not declare is
+  counted as a *plan overrun* (:meth:`LaneScheduler.statistics`);
 * results are committed to the ledger in canonical sequence order, so
   ledgers, receipts, and per-cycle execution fingerprints are bit-identical
   to the serial schedule.
@@ -46,11 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Optional, TYPE_CHECKING
 
 from ..contracts.registry import ContractRegistry
-from ..contracts.state_store import AccessSet, access_sets_conflict
+from ..contracts.state_store import AccessSet, MutationJournal
 from ..sim.environment import Environment
 from ..sim.events import Event
 from ..sim.resources import ConflictGate
@@ -69,12 +73,12 @@ QualifiedKey = tuple[str, str]
 
 @dataclass(frozen=True)
 class AccessFootprint:
-    """A transaction's contract-qualified access sets, known pre-execution.
+    """A call's contract-qualified access sets, known pre-execution.
 
-    ``exclusive`` footprints (unknown contracts, undeclared access plans,
-    malformed calls) conflict with everything, which degrades those
-    transactions to the serial schedule instead of risking a divergent
-    interleaving.
+    The sharded client's span classifier maps these qualified keys through
+    the shard map (:meth:`~repro.client.sharded.ShardedClient.plan_groups`);
+    the lane engine itself works on contract-local plans (:data:`LaneToken`).
+    An ``exclusive`` footprint stands for a call whose keys are unknown.
     """
 
     reads: frozenset[QualifiedKey] = frozenset()
@@ -96,46 +100,30 @@ class AccessFootprint:
             deltas=frozenset((contract, key) for key in access.deltas),
         )
 
-    def conflicts_with(self, other: "AccessFootprint") -> bool:
-        """Whether the two transactions must not run concurrently."""
-        if self.exclusive or other.exclusive:
-            return True
-        return access_sets_conflict(
-            self.reads, self.writes, self.deltas,
-            other.reads, other.writes, other.deltas,
-        )
+
+#: What the scheduler hands the gate: the ledger sequence (the grant order of
+#: conflicting waiters), the target contract (whose keys the plan names) and
+#: the contract's own declared plan — ``None`` for an exclusive token.
+LaneToken = tuple[int, str, Optional[AccessSet]]
 
 
-#: What the scheduler hands the gate: a ledger sequence (the grant order of
-#: conflicting waiters) and the footprint that decides compatibility.
-LaneToken = tuple[int, AccessFootprint]
-
-
-def _may_share_lanes(a: LaneToken, b: LaneToken) -> bool:
-    """Gate predicate: tokens may hold lanes together iff they don't conflict."""
-    return not a[1].conflicts_with(b[1])
-
-
-def footprint_for_entry(entry: "LedgerEntry", registry: ContractRegistry) -> AccessFootprint:
-    """Derive the pre-execution footprint of one admitted ledger entry.
+def lane_token(entry: "LedgerEntry", registry: ContractRegistry) -> LaneToken:
+    """Derive the pre-execution lane token of one admitted ledger entry.
 
     Never raises: anything that stops a precise plan from being built
     (malformed payload, unknown contract, a plan method that errors)
-    yields the exclusive footprint instead.
+    yields an exclusive token instead.
     """
     from .executor import TransactionExecutor
 
     try:
         contract_name, method, args = TransactionExecutor.parse_call(entry)
-        contract = registry.get(contract_name)
-        plan = contract.access_plan(
+        plan = registry.get(contract_name).access_plan(
             method, args, sender=entry.envelope.sender.hex(), tx_id=entry.tx_id
         )
     except Exception:  # noqa: BLE001 - exclusive is the safe fallback
-        return AccessFootprint.exclusive_footprint()
-    if plan is None:
-        return AccessFootprint.exclusive_footprint()
-    return AccessFootprint.from_access_set(contract_name, plan)
+        return (entry.sequence, "", None)
+    return (entry.sequence, contract_name, plan)
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +134,7 @@ class LaneScheduler:
 
     Transactions request a lane as they are ready to execute; the
     underlying :class:`~repro.sim.resources.ConflictGate` grants at most
-    ``lanes`` slots, never lets two conflicting footprints hold slots
+    ``lanes`` slots, never lets two conflicting tokens hold slots
     together, and biases conflicting grants toward canonical ledger order
     (waiters are kept ordered by sequence).
     """
@@ -163,20 +151,20 @@ class LaneScheduler:
         self._free_lanes = list(range(lanes))
         self.executions = 0
         self.exclusive_fallbacks = 0
+        #: Executions that wrote or incremented a key their plan did not declare.
+        self.plan_overruns = 0
         self.gate = ConflictGate(
             env,
             capacity=lanes,
-            compatible=_may_share_lanes,
             name=name,
             order_key=itemgetter(0),  # the canonical ledger sequence
         )
 
     def acquire(self, entry: "LedgerEntry") -> Event:
         """Request a lane for ``entry``; the event fires on grant."""
-        footprint = footprint_for_entry(entry, self.registry)
-        if footprint.exclusive:
+        token = lane_token(entry, self.registry)
+        if token[2] is None:
             self.exclusive_fallbacks += 1
-        token = (entry.sequence, footprint)
         if entry.sequence in self._tokens:
             raise LaneError(f"entry {entry.sequence} already holds or awaits a lane")
         self._tokens[entry.sequence] = token
@@ -199,6 +187,23 @@ class LaneScheduler:
         """The lane index granted to ``entry`` (informational)."""
         return self._lane_of.get(entry.sequence)
 
+    def check_plan(self, entry: "LedgerEntry", journal: Optional[MutationJournal]) -> None:
+        """Count ``entry``'s execution as a plan overrun if it mutated an undeclared key.
+
+        ``journal`` is the invocation's (None when the call never reached a
+        contract); its written and incremented keys are looked up in the
+        plan the lane was granted on.  An exclusive token declared nothing
+        and cannot overrun.
+        """
+        token = self._tokens.get(entry.sequence)
+        plan = None if token is None else token[2]
+        if journal is None or plan is None:
+            return
+        for key in chain(journal.writes, journal.deltas):
+            if key not in plan.writes and key not in plan.deltas:
+                self.plan_overruns += 1
+                return
+
     def release(self, entry: "LedgerEntry") -> None:
         """Give the lane back after execution (or on failure paths)."""
         token = self._tokens.pop(entry.sequence, None)
@@ -215,6 +220,7 @@ class LaneScheduler:
             "lanes": self.lanes,
             "executions": self.executions,
             "exclusive_fallbacks": self.exclusive_fallbacks,
+            "plan_overruns": self.plan_overruns,
             "conflict_deferrals": self.gate.conflict_deferrals,
             "capacity_deferrals": self.gate.capacity_deferrals,
             "peak_parallel": self.gate.peak_in_use,

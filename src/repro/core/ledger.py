@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
-from ..contracts.state_store import AccessSet
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
 from ..messages.envelope import Envelope
@@ -45,10 +44,6 @@ class LedgerEntry:
     contract: Optional[str] = None
     #: True if this transaction arrived via the on-chain contingency channel.
     contingency: bool = False
-    #: Observed store access of the execution (per-cell diagnostics for the
-    #: lane engine; deliberately kept out of :meth:`summary` so the wire
-    #: format of audits and resync bundles is unchanged).
-    access: Optional[AccessSet] = None
 
     def record(self) -> EntrySummary:
         """The entry without its envelope, as resync bundles carry it."""
@@ -133,12 +128,7 @@ class TransactionLedger:
     # Execution bookkeeping
     # ------------------------------------------------------------------
     def mark_executed(
-        self,
-        tx_id: str,
-        contract: str,
-        result: Any,
-        fingerprint: bytes,
-        access: Optional[AccessSet] = None,
+        self, tx_id: str, contract: str, result: Any, fingerprint: bytes
     ) -> LedgerEntry:
         """Record a successful execution."""
         entry = self.get(tx_id)
@@ -146,22 +136,14 @@ class TransactionLedger:
         entry.contract = contract
         entry.result = result
         entry.fingerprint = fingerprint
-        entry.access = access
         return entry
 
-    def mark_rejected(
-        self,
-        tx_id: str,
-        contract: Optional[str],
-        error: str,
-        access: Optional[AccessSet] = None,
-    ) -> LedgerEntry:
+    def mark_rejected(self, tx_id: str, contract: Optional[str], error: str) -> LedgerEntry:
         """Record a failed/reverted execution."""
         entry = self.get(tx_id)
         entry.status = "rejected"
         entry.contract = contract
         entry.error = error
-        entry.access = access
         return entry
 
     # ------------------------------------------------------------------

@@ -45,8 +45,15 @@ def canonical_bytes(value: Any) -> bytes:
     encoder itself as a differential reference.  The encoding is one pass:
     each value is classified once (by exact type; the ``isinstance`` ladder
     only sees what is not an exact builtin), every piece goes into one
-    list, and the list is joined once.
+    list, and the list is joined once.  An exact ``str`` or ``int`` — most
+    stored values are balances — is answered without that machinery.
     """
+    kind = type(value)
+    if kind is str:
+        raw = value.encode()
+        return b"s%d:%b" % (len(raw), raw)
+    if kind is int:
+        return b"i%d" % value
     out: list[bytes] = []
     _encode_each((value,), out.append)
     return b"".join(out)

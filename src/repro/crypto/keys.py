@@ -53,8 +53,19 @@ class Address:
 
     @classmethod
     def from_public_key(cls, public_key: Point) -> "Address":
-        """Derive the address as the low 20 bytes of keccak256(pubkey)."""
-        return cls(keccak256(public_key.encode())[-20:])
+        """Derive the address as the low 20 bytes of keccak256(pubkey).
+
+        Every signature recovery ends here, and a deployment recovers the
+        same few keys over and over, so each key is hashed once per process:
+        :data:`PUBLIC_KEY_ADDRESSES` remembers the address by the exact
+        64-byte encoding that was hashed.
+        """
+        encoded = public_key.encode()
+        address = PUBLIC_KEY_ADDRESSES.get(encoded)
+        if address is None:
+            address = cls(keccak256(encoded)[-20:])
+            PUBLIC_KEY_ADDRESSES.put(encoded, address)
+        return address
 
     @classmethod
     def zero(cls) -> "Address":
@@ -86,6 +97,11 @@ _PARSED_ADDRESSES: BoundedMemo[str, Address] = BoundedMemo(4096)
 
 #: Process-wide memo of :func:`message_digest`: message bytes -> Keccak-256.
 MESSAGE_DIGESTS: BoundedMemo[bytes, bytes] = BoundedMemo(4096)
+
+#: Process-wide memo of :meth:`Address.from_public_key`: the 64-byte public
+#: key encoding -> its address (a pure function of those bytes, like
+#: :data:`MESSAGE_DIGESTS`; emptied by the same ``clear_registry``).
+PUBLIC_KEY_ADDRESSES: BoundedMemo[bytes, Address] = BoundedMemo(4096)
 
 
 def message_digest(message: bytes) -> bytes:

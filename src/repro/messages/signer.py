@@ -36,7 +36,13 @@ from typing import Any, Callable, ClassVar, Optional, Protocol, Self
 
 from ..crypto.ecdsa import Signature, SignatureError
 from ..crypto.hashing import fast_hash
-from ..crypto.keys import MESSAGE_DIGESTS, Address, PrivateKey, recover_address
+from ..crypto.keys import (
+    MESSAGE_DIGESTS,
+    PUBLIC_KEY_ADDRESSES,
+    Address,
+    PrivateKey,
+    recover_address,
+)
 from ..crypto.memo import BoundedMemo
 from ..encoding import canonical_json
 from . import wire
@@ -132,13 +138,15 @@ class SimulatedSigner:
         """Drop the process-wide verification state (test and benchmark isolation).
 
         That is the registered simulated identities, the memo of verified
-        ECDSA signatures and the memo of message digests: a run that replays
-        a seed in the same process must not find its signatures already
-        vouched for, or its messages already hashed, by the previous run.
+        ECDSA signatures and the memos of message digests and public-key
+        addresses: a run that replays a seed in the same process must not
+        find its signatures already vouched for, or its messages and keys
+        already hashed, by the previous run.
         """
         cls._registry.clear()
         _VERIFIED_ECDSA.clear()
         MESSAGE_DIGESTS.clear()
+        PUBLIC_KEY_ADDRESSES.clear()
 
 
 @dataclass(frozen=True)

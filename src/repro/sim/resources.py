@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Generator, Optional
 
@@ -101,17 +100,31 @@ _POSITION = itemgetter(0)
 class ConflictGate:
     """A capacity-limited gate whose grants also require compatibility.
 
-    Generalizes :class:`Resource`: every request carries a *token*, and a
-    waiter is granted a slot only when (a) a slot is free and (b) its token
-    is ``compatible`` with the token of every current holder.  The wait
-    list is ordered by ``(order_key(token), arrival)`` and scanned front to
-    back on every grant opportunity, with two rules:
+    Generalizes :class:`Resource`: every request carries a *token*
+    ``(order, namespace, access)``, where ``access`` is what the holder
+    will touch — an object with ``reads``, ``writes`` and ``deltas`` sets
+    of keys (an :class:`~repro.contracts.state_store.AccessSet`), or
+    ``None`` for an exclusive token that conflicts with everything.  Keys
+    of different namespaces never meet.  Two tokens conflict under
+    :func:`~repro.contracts.state_store.access_sets_conflict`'s rule: a
+    write conflicts with any access to its key, an increment with a read
+    or a write, and reads with nothing but those.  A waiter is granted a
+    slot only when (a) a slot is free and (b) it conflicts with no current
+    holder.  The wait list is ordered by ``(order_key(token), arrival)``
+    and scanned front to back on every grant opportunity, with two rules:
 
     * no head-of-line blocking — a blocked waiter does not stop a later
-      *compatible* waiter from being granted;
+      compatible waiter from being granted;
     * no conflict reordering — a waiter is never granted while an earlier
       waiter it conflicts with is still queued, so mutually incompatible
       requests always enter in ``order_key`` order.
+
+    Conflicts are found by key, not by pairs of tokens: a drain pass that
+    finds a free slot builds one per-namespace table of the keys that are
+    read, written and incremented by the holders (at most ``capacity``
+    tokens) and then by each waiter the pass grants or leaves queued.
+    Deciding a waiter costs a few set tests on the keys it touches, however
+    many tokens are in its way.
 
     The list is ordered by construction, never re-sorted: ``order_key`` is
     evaluated once per request, and the new entry is appended when it sorts
@@ -123,16 +136,16 @@ class ConflictGate:
     touching the tail, as soon as the slots are taken again.
 
     This is the deterministic simulated-lane primitive of the execution
-    engine: tokens are transaction access footprints, ``capacity`` is the
-    number of execution lanes, and ``order_key`` is the canonical ledger
-    sequence, biasing conflicting grants toward ledger order.
+    engine: tokens are ``(ledger sequence, contract, access plan)``,
+    ``capacity`` is the number of execution lanes, and ``order_key`` is the
+    canonical ledger sequence, biasing conflicting grants toward ledger
+    order.
     """
 
     def __init__(
         self,
         env: Environment,
         capacity: int,
-        compatible: Callable[[Any, Any], bool],
         name: str = "conflict-gate",
         order_key: Optional[Callable[[Any], Any]] = None,
     ) -> None:
@@ -141,7 +154,6 @@ class ConflictGate:
         self.env = env
         self.name = name
         self.capacity = capacity
-        self.compatible = compatible
         self.order_key = order_key
         self._holding: list[Any] = []
         #: ((sort key, arrival counter), token, grant event), ordered by the pair.
@@ -207,22 +219,52 @@ class ConflictGate:
         """
         holding = self._holding
         waiting = self._waiting
-        compatible = self.compatible
-        #: Tokens this pass left queued; a later waiter must not overtake
-        #: one it conflicts with.
-        passed_over: list[Any] = []
+        if not waiting or len(holding) >= self.capacity:
+            self.capacity_deferrals += len(waiting)
+            return
+        # namespace -> (reads, writes, deltas): the keys each way touched by
+        # the holders and by every waiter this pass has granted or left
+        # queued (which a later waiter must not overtake), and whether one
+        # of those tokens is exclusive.
+        tables: dict[Any, tuple[set[Any], set[Any], set[Any]]] = {}
+        exclusive = False
+        for _order, namespace, access in holding:
+            if access is None:
+                exclusive = True
+                continue
+            table = tables.get(namespace)
+            if table is None:
+                table = tables[namespace] = (set(), set(), set())
+            table[0].update(access.reads)
+            table[1].update(access.writes)
+            table[2].update(access.deltas)
         index = 0
         while index < len(waiting):
             if len(holding) >= self.capacity:
                 self.capacity_deferrals += len(waiting) - index
                 return
             _position, token, grant = waiting[index]
-            for other in chain(holding, passed_over):
-                if not compatible(token, other):
-                    self.conflict_deferrals += 1
-                    passed_over.append(token)
-                    index += 1
-                    break
+            _order, namespace, access = token
+            table = None
+            if access is None:
+                # Exclusive: any holder, or any waiter passed over, is in the way.
+                blocked = bool(holding) or index > 0
+            elif exclusive:
+                blocked = True
+            else:
+                table = tables.get(namespace)
+                if table is None:
+                    table = tables[namespace] = (set(), set(), set())
+                reads, writes, deltas = table
+                blocked = not (
+                    access.writes.isdisjoint(writes) and access.writes.isdisjoint(reads)
+                    and access.writes.isdisjoint(deltas)
+                    and access.reads.isdisjoint(writes) and access.reads.isdisjoint(deltas)
+                    and access.deltas.isdisjoint(writes) and access.deltas.isdisjoint(reads)
+                )
+            if blocked:
+                self.conflict_deferrals += 1
+                index += 1
             else:
                 del waiting[index]
                 holding.append(token)
@@ -230,3 +272,10 @@ class ConflictGate:
                 if len(holding) > self.peak_in_use:
                     self.peak_in_use = len(holding)
                 grant.succeed(self)
+            # Granted or passed over, the token is now in every later waiter's way.
+            if table is None:
+                exclusive = True
+            else:
+                table[0].update(access.reads)
+                table[1].update(access.writes)
+                table[2].update(access.deltas)

@@ -1,10 +1,14 @@
 """The deterministic transaction executor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.contracts import BContractError, ContractRegistry, FastMoney, bcontract_view
 from repro.contracts.system.cas import ContentAddressableStorage
-from repro.core.executor import TransactionExecutor
+from repro.core.executor import ExecutionOutcome, TransactionExecutor
+from repro.crypto.fingerprint import canonical_bytes
+from repro.crypto.hashing import fast_hash
 from repro.core.ledger import TransactionLedger
 from repro.crypto.keys import PrivateKey
 from repro.messages import EcdsaSigner, Envelope, Opcode
@@ -76,6 +80,32 @@ def test_execution_fingerprint_is_order_independent_identifier(setup):
     outcome = executor.execute(entry)
     assert outcome.execution_fingerprint() != outcome.fingerprint
     assert outcome.execution_fingerprint_hex().startswith("0x")
+
+
+_results = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        st.dictionaries(st.integers(-5, 5), inner, max_size=3),  # keys that are not str
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(result=_results, error=st.one_of(st.none(), st.text()), text=st.text(max_size=8))
+def test_execution_fingerprint_is_the_generic_encoding_of_its_dict(result, error, text):
+    """Written from its shape, the fingerprint hashes exactly the bytes the dict encodes to."""
+    outcome = ExecutionOutcome(
+        tx_id="0x" + text, contract=text, method="tränsfer", status="executed",
+        result=result, error=error, fingerprint=b"\x00" * 32,
+    )
+    expected = fast_hash(canonical_bytes({
+        "tx_id": outcome.tx_id, "contract": outcome.contract, "method": outcome.method,
+        "status": outcome.status, "result": result, "error": error,
+    }))
+    assert outcome.execution_fingerprint() == expected
 
 
 def test_identical_transactions_produce_identical_execution_fingerprints(setup):

@@ -1,6 +1,7 @@
-"""The conflict-aware lane engine: footprints, gate, online scheduler."""
+"""The conflict-aware lane engine: lane tokens, gate, online scheduler."""
 
 import cProfile
+import gc
 import inspect
 import pstats
 from collections import Counter
@@ -11,7 +12,7 @@ from repro.contracts import AccessSet, ContractRegistry, FastMoney
 from repro.contracts.community.ballot import Ballot
 from repro.contracts.system.cas import ContentAddressableStorage
 from repro.core.executor import TransactionExecutor
-from repro.core.lanes import AccessFootprint, footprint_for_entry
+from repro.core.lanes import AccessFootprint, LaneScheduler, lane_token
 from repro.core.ledger import TransactionLedger
 from repro.crypto.keys import PrivateKey
 from repro.messages import EcdsaSigner, Envelope, Opcode
@@ -62,27 +63,27 @@ def setup():
 
 
 # ----------------------------------------------------------------------
-# Footprints
+# Lane tokens: (ledger sequence, contract, the contract's own plan)
 # ----------------------------------------------------------------------
 def test_same_sender_transfers_conflict(setup):
     registry, ledger, _ = setup
     a = admit(ledger, ALICE, transfer("0x" + "aa" * 20, 1), "0x1")
     b = admit(ledger, ALICE, transfer("0x" + "bb" * 20, 1), "0x2")
-    fa, fb = (footprint_for_entry(entry, registry) for entry in (a, b))
-    assert not fa.exclusive and not fb.exclusive
-    assert fa.conflicts_with(fb)
+    ta, tb = (lane_token(entry, registry) for entry in (a, b))
+    assert ta[:2] == (a.sequence, "fastmoney") and tb[:2] == (b.sequence, "fastmoney")
+    assert ta[2] is not None and tb[2] is not None
+    assert ta[2].conflicts_with(tb[2])
 
 
 def test_disjoint_transfers_do_not_conflict(setup):
     registry, ledger, _ = setup
     a = admit(ledger, ALICE, transfer("0x" + "aa" * 20, 1), "0x1")
     b = admit(ledger, BOB, transfer("0x" + "bb" * 20, 1), "0x2")
-    fa, fb = (footprint_for_entry(entry, registry) for entry in (a, b))
-    assert not fa.conflicts_with(fb)
+    pa, pb = (lane_token(entry, registry)[2] for entry in (a, b))
+    assert not pa.conflicts_with(pb)
     # The shared stats/transfers counter is a delta on both sides — the
-    # only sanctioned overlap.
-    shared = ("fastmoney", "stats/transfers")
-    assert shared in fa.deltas and shared in fb.deltas
+    # only sanctioned overlap.  Keys are the contract's own, unqualified.
+    assert "stats/transfers" in pa.deltas and "stats/transfers" in pb.deltas
 
 
 def test_writer_conflicts_with_delta_recipient(setup):
@@ -91,13 +92,13 @@ def test_writer_conflicts_with_delta_recipient(setup):
     # BOB pays the hot account (delta on its balance); a transfer *from*
     # the hot account would write the same key.  Model it via ALICE paying
     # hot too — delta/delta, no conflict — then check write-vs-delta using
-    # hand-built footprints.
+    # a hand-built plan.
     a = admit(ledger, ALICE, transfer(hot, 1), "0x1")
     b = admit(ledger, BOB, transfer(hot, 1), "0x2")
-    fa, fb = (footprint_for_entry(entry, registry) for entry in (a, b))
-    assert not fa.conflicts_with(fb)
-    writer = AccessFootprint(writes=frozenset({("fastmoney", f"balance/{hot}")}))
-    assert writer.conflicts_with(fa) and writer.conflicts_with(fb)
+    pa, pb = (lane_token(entry, registry)[2] for entry in (a, b))
+    assert not pa.conflicts_with(pb)
+    writer = AccessSet(writes=frozenset({f"balance/{hot}"}))
+    assert writer.conflicts_with(pa) and writer.conflicts_with(pb)
 
 
 def test_unplanned_method_falls_back_to_exclusive(setup):
@@ -116,9 +117,9 @@ def test_unplanned_method_falls_back_to_exclusive(setup):
          "args": {"election_id": "e", "choice": "y"}},
         "0x2",
     )
-    fa, fb = (footprint_for_entry(entry, registry) for entry in (a, b))
-    assert not fa.exclusive and not fb.exclusive
-    assert not fa.conflicts_with(fb)
+    pa, pb = (lane_token(entry, registry)[2] for entry in (a, b))
+    assert pa is not None and pb is not None
+    assert not pa.conflicts_with(pb)
     # A method without a plan branch still degrades to exclusive: the
     # dividend pool's whole-store sweep is the deliberate example.
     sweep = admit(
@@ -127,17 +128,15 @@ def test_unplanned_method_falls_back_to_exclusive(setup):
          "args": {"rate_percent": 10, "claim_deadline": 100.0}},
         "0x3",
     )
-    footprint = footprint_for_entry(sweep, registry)
-    assert footprint.exclusive
-    assert footprint.conflicts_with(AccessFootprint())
+    assert lane_token(sweep, registry)[2] is None
 
 
 def test_malformed_and_unknown_calls_are_exclusive(setup):
     registry, ledger, _ = setup
     missing = admit(ledger, ALICE, {"method": "x", "args": {}}, "0x1")
     unknown = admit(ledger, ALICE, {"contract": "ghost", "method": "x", "args": {}}, "0x2")
-    assert footprint_for_entry(missing, registry).exclusive
-    assert footprint_for_entry(unknown, registry).exclusive
+    assert lane_token(missing, registry) == (missing.sequence, "", None)
+    assert lane_token(unknown, registry) == (unknown.sequence, "", None)
 
 
 def test_access_set_conflict_semantics():
@@ -157,10 +156,13 @@ def test_access_set_conflict_semantics():
 # ----------------------------------------------------------------------
 # ConflictGate (the simulated-lane primitive)
 # ----------------------------------------------------------------------
+def _writes(key):
+    return AccessSet(writes=frozenset({key}))
+
+
 def test_conflict_gate_blocks_conflicting_tokens():
     env = Environment()
-    gate = ConflictGate(env, capacity=4, compatible=lambda a, b: a[1] != b[1],
-                        order_key=lambda token: token[0])
+    gate = ConflictGate(env, capacity=4, order_key=lambda token: token[0])
     log = []
 
     def holder(token, hold):
@@ -169,9 +171,9 @@ def test_conflict_gate_blocks_conflicting_tokens():
         yield env.timeout(hold)
         gate.release(token)
 
-    env.process(holder((0, "x"), 5.0))
-    env.process(holder((1, "x"), 1.0))   # conflicts with 0: waits for it
-    env.process(holder((2, "y"), 1.0))   # compatible: overtakes the waiter
+    env.process(holder((0, "c", _writes("x")), 5.0))
+    env.process(holder((1, "c", _writes("x")), 1.0))   # conflicts with 0: waits for it
+    env.process(holder((2, "c", _writes("y")), 1.0))   # compatible: overtakes the waiter
     env.run(until=20.0)
     grants = {seq: at for _, seq, at in log}
     assert grants[0] == 0.0 and grants[2] == 0.0
@@ -182,19 +184,18 @@ def test_conflict_gate_blocks_conflicting_tokens():
 
 def test_conflict_gate_capacity_and_order():
     env = Environment()
-    gate = ConflictGate(env, capacity=1, compatible=lambda a, b: True,
-                        order_key=lambda token: token)
+    gate = ConflictGate(env, capacity=1, order_key=lambda token: token[0])
     order = []
 
     def holder(token):
         yield gate.request(token)
-        order.append(token)
+        order.append(token[0])
         yield env.timeout(1.0)
         gate.release(token)
 
     # Submitted out of order at t=0; the gate grants by order key.
-    for token in (3, 1, 2):
-        env.process(holder(token))
+    for sequence in (3, 1, 2):
+        env.process(holder((sequence, "c", AccessSet())))
     env.run(until=10.0)
     assert order[0] == 3                 # first request grabs the free slot
     assert order[1:] == [1, 2]           # waiters drain in key order
@@ -203,11 +204,11 @@ def test_conflict_gate_capacity_and_order():
 
 def test_conflict_gate_rejects_bad_release():
     env = Environment()
-    gate = ConflictGate(env, capacity=1, compatible=lambda a, b: True)
+    gate = ConflictGate(env, capacity=1)
     from repro.sim import SimulationError
 
     with pytest.raises(SimulationError):
-        gate.release("never-held")
+        gate.release((0, "c", None))
 
 
 def test_lane_scheduler_lane_indices_are_unique_while_held(setup):
@@ -240,6 +241,48 @@ def test_lane_scheduler_lane_indices_are_unique_while_held(setup):
     assert scheduler.statistics()["in_flight"] == 0
 
 
+class CarelessFastMoney(FastMoney):
+    """FastMoney whose transfer plan leaves out a key the transfer writes."""
+
+    TYPE = "test/careless"
+
+    def access_plan(self, method, args, *, sender, tx_id):
+        plan = super().access_plan(method, args, sender=sender, tx_id=tx_id)
+        if method != "transfer":
+            return plan
+        omitted = frozenset({self._processed_key(tx_id)})
+        return AccessSet(reads=plan.reads, writes=plan.writes - omitted, deltas=plan.deltas)
+
+
+def test_an_undeclared_write_counts_as_one_plan_overrun(setup):
+    registry, ledger, executor = setup
+    registry.register(CarelessFastMoney(
+        "careless", params={"genesis_balances": {ALICE.address.hex(): 1_000}}
+    ))
+    env = Environment()
+    scheduler = LaneScheduler(env, lanes=2, registry=registry)
+
+    def run_on_a_lane(entry):
+        grant = scheduler.acquire(entry)
+        env.run(until=env.now)
+        assert grant.triggered
+        scheduler.granted(entry)
+        outcome = executor.execute_safely(entry)
+        scheduler.check_plan(entry, outcome.journal)
+        scheduler.release(entry)
+        return outcome
+
+    honest = admit(ledger, ALICE, transfer("0x" + "aa" * 20, 1), "0x1")
+    assert run_on_a_lane(honest).ok
+    assert scheduler.statistics()["plan_overruns"] == 0
+    careless = dict(transfer("0x" + "aa" * 20, 1), contract="careless")
+    assert run_on_a_lane(admit(ledger, ALICE, careless, "0x2")).ok
+    assert scheduler.statistics()["plan_overruns"] == 1
+    # A call that never reached a contract, or an exclusive token, promised nothing.
+    assert not run_on_a_lane(admit(ledger, ALICE, {"method": "x", "args": {}}, "0x3")).ok
+    assert scheduler.statistics()["plan_overruns"] == 1
+
+
 # ----------------------------------------------------------------------
 # Work budgets of the execute stage: counts, not timings
 # ----------------------------------------------------------------------
@@ -265,7 +308,7 @@ def profiled_burst():
 
     for cell in deployment.cells:
         gate = cell.lanes.gate
-        for name in ("order_key", "compatible", "request", "release"):
+        for name in ("order_key", "request", "release"):
             setattr(gate, name, counted(name, getattr(gate, name)))
     profile = cProfile.Profile()
     profile.enable()
@@ -292,9 +335,13 @@ def test_gate_work_per_event_does_not_grow_with_the_wait_list(profiled_burst):
     assert calls["request"] == calls["release"] == 800
     # The order key is taken once, when the request is made.
     assert calls["order_key"] == calls["request"]
-    # Pairwise checks end at the first conflict: measured 3.7 per release
-    # (the parent: 3.7 — same checks in the same order).
-    assert calls["compatible"] / calls["release"] <= 4.0
+    # Conflicts are looked up per key in the gate's tables: no pairwise
+    # predicate runs at all (the parent: 3.7 pairwise checks per release).
+    pairwise = sum(
+        _python_entries(stats, "contracts/state_store.py", named=name)
+        for name in ("access_sets_conflict", "conflicts_with")
+    )
+    assert pairwise == 0
     # Python-level entries into the gate's own code (methods, nested lambdas
     # and generator expressions): measured 2.0 per event — request or
     # release, plus the drain.  The parent: 79.8, of which 74.3 were the
@@ -322,3 +369,67 @@ def test_fingerprint_encoder_entries_per_state_write(profiled_burst):
     # Measured 3.45 per write (execution and ledger fingerprints of the
     # burst included); the parent's recursive encoder: 8.43.
     assert _python_entries(stats, "crypto/fingerprint.py") / writes <= 4.0
+
+
+def _frozensets_alive():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is frozenset)
+
+
+@pytest.fixture(scope="module")
+def xshard_drive():
+    """One full ``xshard_burst`` drive (seed 2021), counting plan and footprint builds."""
+    from bench.workloads import WORKLOADS
+
+    workload = WORKLOADS["xshard_burst"]
+    builds: Counter = Counter()
+
+    def counted(cls, init):
+        def __init__(self, *args, **kwargs):
+            builds[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        return __init__
+
+    alive_before = _frozensets_alive()
+    deployment = workload.build(2021, False)
+    originals = {cls: cls.__init__ for cls in (AccessSet, AccessFootprint)}
+    for cls, init in originals.items():
+        cls.__init__ = counted(cls, init)
+    try:
+        report = workload.drive(deployment, False)
+    finally:
+        for cls, init in originals.items():
+            cls.__init__ = init
+    assert report.failure_count == 0
+    assert len(report.results) + len(report.cross_results) == 2_400
+    alive = _frozensets_alive() - alive_before
+    cells = [cell for group in deployment.groups for cell in group.cells]
+    return cells, report, builds, alive
+
+
+def test_one_plan_per_execution_and_nothing_rebuilt_from_it(xshard_drive):
+    """An execution builds its contract's plan and no qualified copy of it."""
+    cells, report, builds, _alive = xshard_drive
+    executions = sum(cell.lanes.statistics()["executions"] for cell in cells)
+    # The only plans besides the lanes' are the sharded client's: one per
+    # cross-shard transfer, proving its destination leg a pure increment.
+    assert builds == {"AccessSet": executions + len(report.cross_results)}
+    # Measured 2.60 per transaction (2.41 executions + 0.19 cross-shard
+    # proofs); the parent: 5.0 AccessSet + 2.4 AccessFootprint builds (the
+    # plan, its qualified footprint, and a frozen journal per execution).
+    assert builds["AccessSet"] / (len(report.results) + len(report.cross_results)) <= 2.7
+
+
+def test_an_xshard_drive_leaves_no_access_sets_behind(xshard_drive):
+    """Ledger entries no longer keep observed access sets alive."""
+    _cells, _report, _builds, alive = xshard_drive
+    # The parent: 17,524 more frozensets alive after the drive, 17,352 of them
+    # in ``LedgerEntry.access``.
+    assert alive <= 1_000
+
+
+def test_bundled_plans_never_overrun_on_an_xshard_drive(xshard_drive):
+    cells, _report, _builds, _alive = xshard_drive
+    stats = [cell.lanes.statistics() for cell in cells]
+    assert sum(s["executions"] for s in stats) > 4_000
+    assert sum(s["plan_overruns"] for s in stats) == 0

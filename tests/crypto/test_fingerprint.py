@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import fingerprint as fingerprint_module
 from repro.crypto.fingerprint import (
     canonical_bytes,
     fingerprint_state,
@@ -213,6 +214,36 @@ def _keys_stay_distinct_as_text(value: Any) -> bool:
 def test_encoder_matches_the_reference_byte_for_byte(value):
     assume(_keys_stay_distinct_as_text(value))
     assert canonical_bytes(value) == reference_canonical_bytes(value)
+
+
+@pytest.mark.parametrize("value", [0, -1, 2 ** 200, -(2 ** 200), "", "a", "naïve ☃ 𝄞"])
+def test_scalar_fast_path_gives_the_generic_bytes(value):
+    assert canonical_bytes(value) == reference_canonical_bytes(value)
+    # Inside a container the same value is written by the generic encoder.
+    assert canonical_bytes([value]) == b"l1:" + canonical_bytes(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(), st.text()))
+def test_scalar_fast_path_matches_the_reference(value):
+    assert canonical_bytes(value) == reference_canonical_bytes(value)
+
+
+def test_only_an_exact_int_or_str_skips_the_generic_encoder(monkeypatch):
+    entered = []
+    generic = fingerprint_module._encode_each
+
+    def counted(values, append):
+        entered.append(values)
+        generic(values, append)
+
+    monkeypatch.setattr(fingerprint_module, "_encode_each", counted)
+    for value in (7, -7, 2 ** 200, "", "text"):
+        assert canonical_bytes(value) == reference_canonical_bytes(value)
+    assert entered == []
+    for value in (True, False, Colour.BLUE, 1.0, None):
+        assert canonical_bytes(value) == reference_canonical_bytes(value)
+    assert len(entered) == 5
 
 
 def test_keys_that_collide_as_text_are_refused_whatever_the_insertion_order():

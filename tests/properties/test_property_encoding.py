@@ -341,6 +341,43 @@ def test_a_ready_digest_never_vouches_for_a_signature():
     assert not signer_module._VERIFIED_ECDSA
 
 
+# ----------------------------------------------------------------------
+# The public-key address memo: keccak256 of the exact 64-byte key, once
+# ----------------------------------------------------------------------
+def test_recovered_addresses_are_unchanged_and_each_key_is_hashed_once():
+    keys.PUBLIC_KEY_ADDRESSES.clear()
+    signed = [
+        (message, Signature.from_bytes(signer.sign(message)), signer.address)
+        for signer in (ECDSA_SENDER, ECDSA_OTHER)
+        for message in (b"address-memo-%d" % index for index in range(3))
+    ]
+    with mock.patch.object(keys, "keccak256", wraps=keccak256) as hashed:
+        for message, signature, address in signed:
+            assert keys.recover_address(message, signature) == address
+    encodings = [signer.key.public_key.encode() for signer in (ECDSA_SENDER, ECDSA_OTHER)]
+    hashed_inputs = [call.args[0] for call in hashed.call_args_list]
+    assert [hashed_inputs.count(encoded) for encoded in encodings] == [1, 1]
+    assert list(keys.PUBLIC_KEY_ADDRESSES) == encodings
+    for encoded in encodings:
+        assert len(encoded) == 64
+        assert keys.PUBLIC_KEY_ADDRESSES.get(encoded).value == keccak256(encoded)[-20:]
+
+
+def test_clear_registry_empties_the_address_memo():
+    message = b"address-memo: cleared"
+    keys.recover_address(message, Signature.from_bytes(ECDSA_SENDER.sign(message)))
+    assert keys.PUBLIC_KEY_ADDRESSES
+    registered = dict(SimulatedSigner._registry)  # other modules' signers live there
+    try:
+        SimulatedSigner.clear_registry()
+        assert not keys.PUBLIC_KEY_ADDRESSES
+    finally:
+        SimulatedSigner._registry.update(registered)
+    # Recovering again hashes again, to the same address.
+    assert keys.recover_address(message, Signature.from_bytes(ECDSA_SENDER.sign(message))) \
+        == ECDSA_SENDER.address
+
+
 def test_message_digest_memo_is_bounded_and_forgets_oldest_first(monkeypatch):
     keys.MESSAGE_DIGESTS.clear()
     monkeypatch.setattr(keys.MESSAGE_DIGESTS, "limit", 3)

@@ -1,21 +1,20 @@
-"""Property-based tests for access footprints (hypothesis).
+"""Property-based tests for access plans (hypothesis).
 
 Transactions are modeled abstractly as small programs over a shared
 key-value store — reads, order-sensitive puts, and commutative increments.
-From each program we derive the access footprint the lane scheduler would
-see, and check on random workloads what the online scheduler rests on:
+From each program we derive the access plan the lane scheduler would see,
+and check on random workloads what the online scheduler rests on:
 
-* commutativity — two transactions whose footprints do not conflict leave
+* commutativity — two transactions whose plans do not conflict leave
   the same store fingerprint in either order;
 * observation — the store's mutation journal sees exactly the access
-  classes the footprint predicted.
+  classes the plan predicted.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.contracts.state_store import AccessSet, KeyValueStore
-from repro.core.lanes import AccessFootprint
 
 keys = st.sampled_from([f"k{i}" for i in range(6)])
 ops = st.lists(
@@ -30,18 +29,16 @@ ops = st.lists(
 
 
 def footprint(index, program):
-    """The pre-execution footprint of one abstract transaction."""
+    """The pre-execution access plan of one abstract transaction."""
     reads, writes, deltas = set(), set(), set()
     for op, key in program:
         if op == "get":
-            reads.add(("store", key))
+            reads.add(key)
         elif op == "put":
-            writes.add(("store", key))
+            writes.add(key)
         else:
-            deltas.add(("store", key))
-    return AccessFootprint(
-        reads=frozenset(reads), writes=frozenset(writes), deltas=frozenset(deltas)
-    )
+            deltas.add(key)
+    return AccessSet(reads=frozenset(reads), writes=frozenset(writes), deltas=frozenset(deltas))
 
 
 def run_program(store, index, program):
@@ -61,7 +58,7 @@ def run_program(store, index, program):
 @settings(max_examples=150, deadline=None)
 @given(ops, ops)
 def test_observed_access_sets_predict_commutativity(program_a, program_b):
-    """If the derived footprints don't conflict, execution order commutes."""
+    """If the derived plans don't conflict, execution order commutes."""
     fa, fb = footprint(0, program_a), footprint(1, program_b)
     if fa.conflicts_with(fb):
         return
@@ -76,19 +73,14 @@ def test_observed_access_sets_predict_commutativity(program_a, program_b):
 @settings(max_examples=120, deadline=None)
 @given(ops)
 def test_journal_observes_declared_access_classes(program):
-    """The mutation journal's observed sets mirror the abstract footprint."""
+    """The mutation journal's observed sets mirror the abstract plan."""
     store = KeyValueStore()
     store.begin()
     run_program(store, 0, program)
     observed = store.commit().access_set()
     predicted = footprint(0, program)
-    predicted_local = AccessSet(
-        reads=frozenset(k for _, k in predicted.reads),
-        writes=frozenset(k for _, k in predicted.writes),
-        deltas=frozenset(k for _, k in predicted.deltas),
-    )
     # Every observed mutation is covered by the prediction.
-    assert predicted_local.covers_mutations_of(observed)
+    assert predicted.covers_mutations_of(observed)
     # And reads were recorded (gets may overlap puts/increments, which
     # record their own classes).
-    assert predicted_local.reads <= observed.reads | observed.writes | observed.deltas
+    assert predicted.reads <= observed.reads | observed.writes | observed.deltas

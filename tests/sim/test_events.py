@@ -1,12 +1,20 @@
 """Event and process semantics of the simulation kernel."""
 
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim as sim_kernel
+from repro.contracts.state_store import AccessSet
 from repro.sim import ConflictGate, EmptySchedule, Environment, Resource, SimulationError
 from tests.sim import reference_kernel
+
+#: Gate tokens by name: each writes its own key, so equal names conflict.
+_GATE_TOKENS = {
+    name: (ord(name), "gate", AccessSet(writes=frozenset({name}))) for name in "ab"
+}
 
 
 def test_event_succeed_delivers_value(env):
@@ -199,7 +207,7 @@ class _Run:
         # The live Resource / ConflictGate on either kernel: they reach it
         # through env.event() / env.timeout() / env.now only.
         self.resources = [Resource(env, 1, name="r0"), Resource(env, 2, name="r1")]
-        self.gate = ConflictGate(env, 2, lambda a, b: a != b, name="gate", order_key=ord)
+        self.gate = ConflictGate(env, 2, name="gate", order_key=itemgetter(0))
         for index, event in enumerate(self.shared):
             event.add_callback(self._watch(f"shared-{index}"))
         self.processes = []
@@ -255,9 +263,10 @@ class _Run:
                 yield from resource.use(step[2])
                 got = (resource.in_use, resource.queue_length, resource.busy_time)
             elif op == "gate":
-                got = yield self.gate.request(step[1])
+                token = _GATE_TOKENS[step[1]]
+                got = yield self.gate.request(token)
                 yield env.timeout(step[2])
-                self.gate.release(step[1])
+                self.gate.release(token)
             elif op == "yield":
                 if step[1] == "negative":
                     yield env.timeout(-1)  # refused before anything is scheduled

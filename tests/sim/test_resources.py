@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.contracts.state_store import AccessSet
+from repro.contracts.state_store import AccessSet, access_sets_conflict
 from repro.sim import Environment, SimulationError
 from repro.sim.resources import ConflictGate, Resource
 from tests.sim.reference_gate import ReferenceConflictGate
@@ -99,8 +99,9 @@ _footprints = st.one_of(
 )
 _steps = st.lists(
     st.one_of(
-        # Order keys from a small range: they arrive out of order and they tie.
-        st.tuples(st.just("request"), st.integers(0, 6), _footprints),
+        # Order keys from a small range: they arrive out of order and they
+        # tie.  Two contracts: the same key in another one never conflicts.
+        st.tuples(st.just("request"), st.integers(0, 6), st.sampled_from("xy"), _footprints),
         st.tuples(st.just("release"), st.integers(0, 7)),
         st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 2.0])),
     ),
@@ -109,24 +110,26 @@ _steps = st.lists(
 
 
 def _compatible(a, b):
-    return a[2] is not None and b[2] is not None and not a[2].conflicts_with(b[2])
+    """The pairwise predicate the reference gate asks, for ``(order, contract, plan)`` tokens."""
+    if a[2] is None or b[2] is None:
+        return False
+    return a[1] != b[1] or not a[2].conflicts_with(b[2])
 
 
 class _DrivenGate:
     """One gate in an environment of its own, with everything a test can see."""
 
-    def __init__(self, gate_class, capacity, ordered):
+    def __init__(self, gate, capacity, ordered):
         self.env = Environment()
-        self.gate = gate_class(
-            self.env, capacity, _compatible,
-            order_key=(lambda token: token[0]) if ordered else None,
+        self.gate = gate(
+            self.env, capacity, order_key=(lambda token: token[0]) if ordered else None
         )
         self.grants = []        # one event per request, in request order
-        self.granted_at = []    # (token serial, instant), as the events fire
+        self.granted_at = []    # (request serial, instant), as the events fire
 
-    def request(self, token):
+    def request(self, serial, token):
         grant = self.gate.request(token)
-        grant.add_callback(lambda _event: self.granted_at.append((token[1], self.env.now)))
+        grant.add_callback(lambda _event: self.granted_at.append((serial, self.env.now)))
         self.grants.append(grant)
 
     def observed(self):
@@ -143,11 +146,16 @@ class _DrivenGate:
 def test_conflict_gate_grants_exactly_like_the_reference(capacity, ordered, steps):
     """Same grants, in the same order, at the same instants, same counters — after every step."""
     new = _DrivenGate(ConflictGate, capacity, ordered)
-    reference = _DrivenGate(ReferenceConflictGate, capacity, ordered)
+    reference = _DrivenGate(
+        lambda env, capacity, order_key: ReferenceConflictGate(
+            env, capacity, _compatible, order_key=order_key
+        ),
+        capacity, ordered,
+    )
     for serial, step in enumerate(steps):
         for driven in (new, reference):
             if step[0] == "request":
-                driven.request((step[1], serial, step[2]))
+                driven.request(serial, step[1:])
             elif step[0] == "run":
                 driven.env.run(until=driven.env.now + step[1])
             elif driven.gate._holding:
@@ -160,3 +168,37 @@ def test_conflict_gate_grants_exactly_like_the_reference(capacity, ordered, step
     for driven in (new, reference):
         driven.env.run()
     assert new.observed() == reference.observed()
+
+
+#: One key, touched each way a token can touch it; None is exclusive.
+_ONE_KEY = {
+    "read": AccessSet(reads=frozenset({"k"})),
+    "write": AccessSet(writes=frozenset({"k"})),
+    "increment": AccessSet(deltas=frozenset({"k"})),
+    "exclusive": None,
+}
+
+
+@pytest.mark.parametrize("in_the_way", ["holder", "passed over"])
+@pytest.mark.parametrize("asked", sorted(_ONE_KEY))
+@pytest.mark.parametrize("first", sorted(_ONE_KEY))
+def test_gate_answer_is_the_access_set_conflict_rule(first, asked, in_the_way):
+    """The per-key table says what ``access_sets_conflict`` says, from either table."""
+    a, b = _ONE_KEY[first], _ONE_KEY[asked]
+    conflict = a is None or b is None or access_sets_conflict(
+        a.reads, a.writes, a.deltas, b.reads, b.writes, b.deltas
+    )
+    gate = ConflictGate(Environment(), capacity=3)
+    if in_the_way == "holder":
+        assert gate.request((0, "c", a)).triggered
+    else:
+        # A holder of another key keeps the first token waiting, so the
+        # second meets it in the pass table.
+        assert gate.request((0, "c", AccessSet(writes=frozenset({"j"})))).triggered
+        blocked = a if a is None else AccessSet(a.reads, a.writes | {"j"}, a.deltas)
+        assert not gate.request((1, "c", blocked)).triggered
+    assert gate.request((2, "c", b)).triggered is not conflict
+    # The same keys of another contract never meet (unless a token is exclusive).
+    other = ConflictGate(Environment(), capacity=2)
+    other.request((0, "c", a))
+    assert other.request((1, "d", b)).triggered is (a is not None and b is not None)

@@ -34,6 +34,40 @@ def test_same_seed_gives_the_same_integer(workload):
     assert _counted("--workload", workload, "--seed", "8") != first
 
 
+def test_sample_prints_inclusive_and_self_shares_of_one_drive():
+    """Information only: the shares are readings, so only their shape is checked."""
+    result = subprocess.run(
+        [sys.executable, str(TOOL), "--smoke", "--sample", "--workload", "xshard_burst"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert re.fullmatch(
+        r"xshard_burst  seed=\d+  smoke=True  samples=\d+  cpu_s=\d+\.\d{3}  interval_ms=1", header
+    )
+    shares = [re.fullmatch(r"  +(\d+\.\d)%  +(\d+\.\d)%  (\S.*)", row) for row in rows]
+    shares = [match for match in shares if match]
+    assert len(shares) >= 2
+    for match in shares:
+        inclusive, own = float(match[1]), float(match[2])
+        assert 0.0 <= own <= inclusive <= 100.0
+    # The drive itself is on every sample's stack; the tool's own frames are not.
+    assert any(match[3].endswith("(drive)") and float(match[1]) == 100.0 for match in shares)
+    assert not any("drive_calls.py" in match[3] for match in shares)
+
+
+def test_a_reader_that_stops_early_is_not_a_failure():
+    """``tools/drive_calls.py … | head`` exits 0 without a traceback."""
+    child = subprocess.Popen(
+        [sys.executable, str(TOOL), "--smoke", "--workload", "burst_sim"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    child.stdout.close()  # the reader is gone before the first line is written
+    _, stderr = child.communicate(timeout=300)
+    assert child.returncode == 0, stderr
+    assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr
+
+
 def test_every_workload_is_counted_in_a_process_of_its_own():
     """A drive that follows another in one process finds its memos warm."""
     from bench.workloads import WORKLOADS
