@@ -71,7 +71,7 @@ def endurance_deployment():
     )
 
 
-def _run_phase(plan: EndurancePlan, label: str, differential: bool = True):
+def _run_phase(plan: EndurancePlan, label: str):
     """One endurance phase on a fresh deployment, with its oracles."""
     deployment = endurance_deployment()
     started = time.perf_counter()
@@ -83,12 +83,11 @@ def _run_phase(plan: EndurancePlan, label: str, differential: bool = True):
     assert conservation.passed, (
         f"{label}: conservation oracle failed: {conservation.findings[:3]}"
     )
-    if differential:
-        findings = endurance_differential(deployment, report)
-        assert not findings, f"{label}: differential oracle failed: {findings[:3]}"
+    findings = endurance_differential(deployment, report)
+    assert not findings, f"{label}: differential oracle failed: {findings[:3]}"
 
     payload = report.to_payload()
-    payload["oracles"] = {"conservation": True, "differential": differential}
+    payload["oracles"] = {"conservation": True, "differential": True}
     return deployment, report, payload
 
 
@@ -119,9 +118,7 @@ def test_endurance_open_loop_load(request):
         period=DIURNAL_MINUTES * 60.0, horizon=DIURNAL_MINUTES * 60.0,
         pools=8, drain=120.0,
     )
-    _dep, diurnal, diurnal_payload = _run_phase(
-        diurnal_plan, "endurance/diurnal", differential=False
-    )
+    _dep, diurnal, diurnal_payload = _run_phase(diurnal_plan, "endurance/diurnal")
     diurnal_series = diurnal_payload["series"]
     # The raised-cosine profile must actually show up in the series:
     # midday buckets busier than the night edges.

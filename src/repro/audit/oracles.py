@@ -28,9 +28,10 @@ oracle's fingerprint checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from ..contracts.community.fastmoney import FastMoney
+from ..contracts.registry import ContractRegistry
 from ..core.sharding import ShardedDeployment
 from .auditor import ShardedAuditor
 
@@ -168,27 +169,27 @@ def run_audit_oracle(
 # ----------------------------------------------------------------------
 # Value conservation across FastMoney escrows
 # ----------------------------------------------------------------------
-def fastmoney_instances(
-    deployment: ShardedDeployment,
-) -> list[tuple[int, str, FastMoney]]:
-    """Every FastMoney-family instance, as ``(group, name, contract)``.
+def group_registries(deployment: ShardedDeployment) -> list[ContractRegistry]:
+    """Each group's contracts, read from its cell 0: the within-group audit
+    (fingerprint agreement of all live cells) makes that store *the* group state."""
+    return [group.cells[0].contracts for group in deployment.groups]
 
-    Contracts are read from each group's cell 0; the within-group audit
-    (fingerprint agreement of all live cells) is what entitles an oracle
-    to treat one cell's store as *the* group state.
-    """
+
+def fastmoney_instances(
+    registries: Sequence[ContractRegistry],
+) -> list[tuple[int, str, FastMoney]]:
+    """Every FastMoney-family instance, as ``(group, name, contract)``."""
     instances: list[tuple[int, str, FastMoney]] = []
-    for group in deployment.groups:
-        registry = group.cells[0].contracts
+    for group, registry in enumerate(registries):
         for name in registry.names():
             contract = registry.get(name)
             if isinstance(contract, FastMoney):
-                instances.append((group.index, name, contract))
+                instances.append((group, name, contract))
     return instances
 
 
-def harvest_escrows(
-    deployment: ShardedDeployment, base_name: Optional[str] = None
+def registry_escrows(
+    registries: Sequence[ContractRegistry], base_name: Optional[str] = None
 ) -> dict[str, dict[str, dict[str, Any]]]:
     """All cross-shard escrow records, keyed ``xtx -> direction -> record``.
 
@@ -197,7 +198,7 @@ def harvest_escrows(
     per-group instances (e.g. ``fastmoney`` / ``fastmoney@s1``).
     """
     escrows: dict[str, dict[str, dict[str, Any]]] = {}
-    for group_index, name, contract in fastmoney_instances(deployment):
+    for group_index, name, contract in fastmoney_instances(registries):
         if base_name is not None and name.split("@s", 1)[0] != base_name:
             continue
         for key, record in contract.store.items("xshard/"):
@@ -207,6 +208,13 @@ def harvest_escrows(
             enriched["group"] = group_index
             escrows.setdefault(xtx, {})[record["direction"]] = enriched
     return escrows
+
+
+def harvest_escrows(
+    deployment: ShardedDeployment, base_name: Optional[str] = None
+) -> dict[str, dict[str, dict[str, Any]]]:
+    """:func:`registry_escrows` of a deployment's cell groups."""
+    return registry_escrows(group_registries(deployment), base_name)
 
 
 def harvest_cells(
@@ -257,7 +265,7 @@ def run_conservation_oracle(
       metrics so a stuck decision is visible.
     """
     findings: list[str] = []
-    instances = fastmoney_instances(deployment)
+    instances = fastmoney_instances(group_registries(deployment))
     known_names = {name for _g, name, _c in instances}
     for name in minted:
         if name not in known_names:

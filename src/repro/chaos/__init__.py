@@ -26,7 +26,6 @@ from .corpus import (
 )
 from .report import ScenarioReport
 from .runner import (
-    ChaosError,
     ScenarioRun,
     check_scenario,
     harvest_committed,
@@ -50,7 +49,6 @@ __all__ = [
     "BYZANTINE_CORPUS_SIZE",
     "CHAOS_CONTRACT",
     "CORPUS_SIZE",
-    "ChaosError",
     "EXERCISED_SEEDS",
     "FaultAttribution",
     "ScenarioError",

@@ -280,7 +280,6 @@ def attribute_byzantine_faults(
 def check_byzantine_scenario(
     spec: ScenarioSpec,
     replay: bool = True,
-    differential: bool = True,
 ) -> tuple[ScenarioRun, list[OracleResult]]:
     """Run a Byzantine scenario: the standard stack plus attribution.
 
@@ -289,7 +288,7 @@ def check_byzantine_scenario(
     oracle appended.  Use :func:`byzantine_verdict` to check the results
     against the per-kind expectations.
     """
-    run, results = check_scenario(spec, replay=replay, differential=differential)
+    run, results = check_scenario(spec, replay=replay)
     audit = next(result for result in results if result.oracle == "audit")
     results.append(attribute_byzantine_faults(run, audit))
     return run, results

@@ -15,9 +15,10 @@ workload, and runs through the scenario's report cycles.
    (ledger digests, per-cycle execution fingerprints, shard digest,
    contract state fingerprints, client-visible outcomes) bit for bit;
 4. **differential** — the operations the chaotic run actually committed,
-   re-executed serially on an unsharded, single-lane, unbatched,
-   fault-free reference deployment, produce the same semantic state
-   (balances, CAS blobs, ballot tallies, dividend positions).
+   applied one at a time to fresh contracts by the serial specification
+   (:mod:`repro.chaos.spec`: ``contract.invoke`` and nothing else of the
+   system), produce the same semantic state (balances, CAS blobs, ballot
+   tallies, dividend positions).
 
 The committed set is derived from the *ledgers* (and escrow records for
 cross-shard transfers), never from client receipts: under faults a
@@ -27,40 +28,31 @@ the oracles must judge what the system did, not what one client saw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from ..audit.oracles import (
     OracleResult,
     fastmoney_instances,
+    group_registries,
     harvest_cells,
     harvest_escrows,
+    registry_escrows,
     run_audit_oracle,
     run_conservation_oracle,
 )
-from ..client.client import BlockumulusClient
-from ..client.sharded import CrossShardResult, ShardedFastMoneyClient
-from ..client.workload import (
-    MixedWorkloadReport,
-    instance_names,
-    plan_mixed_genesis,
-    run_mixed_operations,
-)
+from ..client.sharded import CrossShardResult
+from ..client.workload import MixedWorkloadReport, instance_names, run_mixed_operations
 from ..contracts.community.ballot import Ballot
 from ..contracts.community.dividend_pool import DividendPool
-from ..contracts.community.fastmoney import FastMoney
+from ..contracts.registry import ContractRegistry
 from ..contracts.system.cas import ContentAddressableStorage
-from ..core.config import DeploymentConfig
 from ..core.faults import ArmSite, ScheduledFault
-from ..core.sharding import ShardedDeployment
-from ..messages.signer import Signer
+from ..core.sharding import ShardedDeployment, ShardingError
 from .report import ScenarioReport
 from .scenario import CHAOS_CONTRACT, ScenarioSpec, sample_scenario
-
-
-class ChaosError(Exception):
-    """Raised when a scenario cannot be run at all (not when oracles fail)."""
+from .spec import apply_committed
 
 
 @dataclass
@@ -156,6 +148,12 @@ def collect_artifacts(deployment: ShardedDeployment, spec: ScenarioSpec,
     """Everything two same-seed runs must agree on, bit for bit."""
     cycle = spec.audited_cycle
     ledgers, states = harvest_cells(deployment)
+    try:
+        shard_digest = deployment.shard_digest(cycle)
+    except ShardingError as exc:
+        # Cells of a group disagree: the audit oracle reports it as a
+        # finding, so the run must still yield its artifacts.
+        shard_digest = f"unverifiable: {exc}"
     return {
         "ledgers": ledgers,
         "fingerprints": {
@@ -164,7 +162,7 @@ def collect_artifacts(deployment: ShardedDeployment, spec: ScenarioSpec,
             )
             for group in deployment.groups
         },
-        "shard_digest": deployment.shard_digest(cycle),
+        "shard_digest": shard_digest,
         "states": states,
         "outcomes": tuple(_result_essence(result) for result in workload.results),
     }
@@ -224,11 +222,12 @@ def harvest_committed(
 
     Returns ``(calls, cross_transfers)``: ``calls`` are the executed
     plain entries in per-group ledger order, each as
-    ``{group, sender, contract, method, args}``; ``cross_transfers`` are
+    ``{group, sender, contract, method, args, tx_id, timestamp}`` (the
+    signed payload's); ``cross_transfers`` are
     the cross-shard escrow transfers whose source hold *settled* — i.e.
     a commit certificate existed — as ``{xtx, sender, to, amount}``
     (whether or not the target credit has executed yet: that value is in
-    transit, and the reference execution delivers it).
+    transit, and the specification delivers it).
     """
     calls: list[dict[str, Any]] = []
     for group in deployment.groups:
@@ -247,6 +246,7 @@ def harvest_committed(
                     "method": method,
                     "args": dict(data.get("args", {})),
                     "tx_id": entry.tx_id,
+                    "timestamp": entry.envelope.payload.timestamp,
                 }
             )
     cross: list[dict[str, Any]] = []
@@ -258,7 +258,7 @@ def harvest_committed(
         if out["status"] == "voucher":
             # Fast path: a minted voucher whose credit *redeemed* is a
             # complete transfer.  An unredeemed one is value in transit
-            # (the conservation oracle counts it); the reference cannot
+            # (the conservation oracle counts it); the specification cannot
             # place it, and the semantic harvest hands it back to its
             # sender on both sides.
             if into is None or into.get("status") != "redeemed":
@@ -284,9 +284,10 @@ def harvest_committed(
 # Semantic state (what the differential oracle compares)
 # ----------------------------------------------------------------------
 def harvest_semantics(
-    deployment: ShardedDeployment, base_name: str
+    registries: Sequence[ContractRegistry], base_name: str
 ) -> dict[str, Any]:
-    """The order-independent application state of one deployment.
+    """The order-independent application state of a deployment's group
+    registries (:func:`~repro.audit.oracles.group_registries`) or the specification's.
 
     FastMoney balances are summed per account across the application's
     per-group instances and *adjusted for escrowed value*: a still-held
@@ -298,13 +299,13 @@ def harvest_semantics(
     transaction-id-free by construction.
     """
     balances: dict[str, int] = {}
-    for _group, name, contract in fastmoney_instances(deployment):
+    for _group, name, contract in fastmoney_instances(registries):
         if name.split("@s", 1)[0] != base_name:
             continue
         for key, value in contract.store.items("balance/"):
             account = key.split("/", 1)[1]
             balances[account] = balances.get(account, 0) + int(value)
-    for _xtx, pair in harvest_escrows(deployment, base_name).items():
+    for _xtx, pair in registry_escrows(registries, base_name).items():
         out = pair.get("out")
         into = pair.get("in")
         if out is not None and out["status"] == "held":
@@ -332,8 +333,7 @@ def harvest_semantics(
     cas: dict[str, int] = {}
     ballots: dict[str, Any] = {}
     dividends: dict[str, Any] = {}
-    for group in deployment.groups:
-        registry = group.cells[0].contracts
+    for registry in registries:
         for name in registry.names():
             contract = registry.get(name)
             if isinstance(contract, ContentAddressableStorage):
@@ -356,126 +356,6 @@ def harvest_semantics(
         "ballot": dict(sorted(ballots.items())),
         "dividends": dict(sorted(dividends.items())),
     }
-
-
-def run_reference(
-    config: DeploymentConfig,
-    label: str,
-    base_name: str,
-    genesis_by_account: dict[str, int],
-    signers: dict[str, Signer],
-    calls: list[dict[str, Any]],
-    cross: list[dict[str, Any]],
-    elections: Sequence[tuple[str, Sequence[str]]] = (),
-) -> tuple[ShardedDeployment, list[str]]:
-    """Serially re-execute a committed set on the reference pipeline.
-
-    The reference is ``config`` with every feature axis at its plain
-    setting — one shard, one lane, no batching, no standbys, no admission
-    limit, no faults — and the committed calls submitted one at a time,
-    each driven to its receipt before the next is signed.  ``signers``
-    maps the run's account addresses to their signers, ``label`` names the
-    run (``chaos/<seed>``, ``endurance``).  Returns the reference
-    deployment plus any findings (a committed call that fails on the
-    reference is itself a differential violation).
-    """
-    deployment = ShardedDeployment(
-        dc_replace(
-            config,
-            shard_count=1,
-            execution_lanes=1,
-            message_batching=False,
-            standby_cells=0,
-            max_inflight=None,
-            node_namespace="",
-            deployment_id=f"{config.deployment_id}-ref",
-        )
-    )
-    primary = deployment.group(0).deployment
-    instance = instance_names(deployment, base_name)[0]
-    genesis = {
-        account: amount for account, amount in genesis_by_account.items() if amount > 0
-    }
-    deployment.deploy_contract_instances(
-        [FastMoney(instance, params={"genesis_balances": genesis,
-                                     "allow_faucet": False})],
-        group=0,
-    )
-    client = BlockumulusClient(
-        primary,
-        signer=primary.make_client_signer(f"{label}/reference-client"),
-        node_name="reference-client",
-    )
-    findings: list[str] = []
-
-    def drive(contract: str, method: str, args: dict[str, Any], sender: str,
-              what: str) -> Optional[str]:
-        signer = signers.get(sender)
-        if signer is None:
-            return f"{what}: committed by unknown sender {sender}"
-        event = client.submit(contract, method, args, signer=signer)
-        deployment.env.run(event)
-        result = event.value
-        if not result.ok:
-            return f"{what}: fails on the reference: {result.error}"
-        return None
-
-    for election_id, choices in elections:
-        event = client.submit(
-            "ballot",
-            "create_election",
-            {
-                "election_id": election_id,
-                "question": f"{label}/{election_id}",
-                "choices": list(choices),
-                "closes_at": 1_000_000.0,
-            },
-            signer=next(iter(signers.values())),
-        )
-        deployment.env.run(event)
-        if not event.value.ok:
-            raise ChaosError(
-                f"reference setup failed for election {election_id!r}: "
-                f"{event.value.error}"
-            )
-
-    pending: list[tuple[str, str, dict[str, Any], str, str]] = []
-    for call in calls:
-        contract = call["contract"]
-        if isinstance(contract, str) and contract.split("@s", 1)[0] == base_name:
-            contract = instance
-        pending.append(
-            (contract, call["method"], call["args"], call["sender"],
-             f"committed {call['method']} {call['tx_id'][:18]}...")
-        )
-    for transfer in cross:
-        pending.append(
-            (instance, "transfer",
-             {"to": transfer["to"], "amount": transfer["amount"]},
-             transfer["sender"], f"committed cross transfer {transfer['xtx']}")
-        )
-
-    # Fixpoint replay: the committed set is harvested per group (and the
-    # cross-shard pairs separately), so it carries no global order — and
-    # an account funded *by* one committed transfer may be the sender of
-    # another (e.g. a pauper spending a credit it received mid-run).  The
-    # chaotic execution itself is a witness that a valid order exists, so
-    # retrying the leftovers each round must drain the list; anything
-    # still failing when a round makes no progress is a real divergence.
-    while pending:
-        retry: list[tuple[str, str, dict[str, Any], str, str]] = []
-        errors: list[str] = []
-        for item in pending:
-            error = drive(*item)
-            if error is not None:
-                retry.append(item)
-                errors.append(error)
-        if len(retry) == len(pending):
-            findings.extend(errors)
-            break
-        pending = retry
-    deployment.run(until=deployment.env.now + 1.0)
-    return deployment, findings
 
 
 # ----------------------------------------------------------------------
@@ -502,21 +382,21 @@ def differential_findings(
     label: str,
     base_name: str,
     genesis_by_account: dict[str, int],
-    signers: dict[str, Signer],
     elections: Sequence[tuple[str, Sequence[str]]] = (),
 ) -> tuple[list[str], int, int]:
-    """Replay what ``deployment`` committed on the reference and diff the state.
+    """Apply what ``deployment`` committed to the specification and diff the state.
 
     Returns ``(findings, committed calls, committed cross transfers)``: a
-    committed call the reference refuses, and every section of semantic
-    state (balances, CAS, ballots, dividends) on which the two disagree.
+    committed call the specification refuses, and every section of
+    semantic state (balances, CAS, ballots, dividends) on which the two
+    disagree.
     """
     calls, cross = harvest_committed(deployment, base_name)
-    reference, findings = run_reference(
-        deployment.config, label, base_name, genesis_by_account, signers, calls, cross, elections
+    specification, findings = apply_committed(
+        label, base_name, genesis_by_account, calls, cross, elections
     )
-    ours_by_section = harvest_semantics(deployment, base_name)
-    theirs_by_section = harvest_semantics(reference, base_name)
+    ours_by_section = harvest_semantics(group_registries(deployment), base_name)
+    theirs_by_section = harvest_semantics([specification], base_name)
     for section, ours in ours_by_section.items():
         theirs = theirs_by_section[section]
         if ours != theirs:
@@ -526,20 +406,19 @@ def differential_findings(
                 if ours.get(key) != theirs.get(key)
             }
             findings.append(
-                f"{section} state diverges from the serial reference: {delta}"
+                f"{section} state diverges from the serial specification: {delta}"
             )
     return findings, len(calls), len(cross)
 
 
 def run_differential_oracle(run: ScenarioRun) -> OracleResult:
-    """Chaos run ≡ serial/unsharded/unbatched reference on the committed set."""
+    """Chaos run ≡ the serial specification applied to its committed set."""
     accounts = run.workload.accounts
     findings, calls, cross = differential_findings(
         run.deployment,
         f"chaos/{run.spec.seed}",
         CHAOS_CONTRACT,
         {signer.address.hex(): amount for signer, amount in zip(accounts, run.workload.genesis)},
-        {signer.address.hex(): signer for signer in accounts},
         run.spec.elections,
     )
     return OracleResult(
@@ -553,7 +432,6 @@ def run_differential_oracle(run: ScenarioRun) -> OracleResult:
 def check_scenario(
     spec: ScenarioSpec,
     replay: bool = True,
-    differential: bool = True,
 ) -> tuple["ScenarioRun", list[OracleResult]]:
     """Run a scenario and its full oracle stack.
 
@@ -575,8 +453,7 @@ def check_scenario(
             if home == group
         )
     results.append(run_conservation_oracle(run.deployment, minted))
-    if differential:
-        results.append(run_differential_oracle(run))
+    results.append(run_differential_oracle(run))
     if replay:
         results.append(run_replay_oracle(run))
     results.append(run_audit_oracle(run.deployment, spec.audited_cycle))
@@ -586,7 +463,6 @@ def check_scenario(
 def scenario_report(
     spec: ScenarioSpec,
     replay: bool = True,
-    differential: bool = True,
     shrink_on_failure: bool = False,
 ) -> ScenarioReport:
     """Check a scenario and package the outcome as a :class:`ScenarioReport`.
@@ -595,7 +471,7 @@ def scenario_report(
     bisected to a minimal failing one (:func:`repro.chaos.shrink_faults`)
     and recorded in the report's ``shrunk_spec``.
     """
-    run, results = check_scenario(spec, replay=replay, differential=differential)
+    run, results = check_scenario(spec, replay=replay)
     passed = all(result.passed for result in results)
     calls, cross = harvest_committed(run.deployment, CHAOS_CONTRACT)
     report = ScenarioReport(
@@ -623,9 +499,7 @@ def scenario_report(
         from .shrink import shrink_faults
 
         def fails(candidate: ScenarioSpec) -> bool:
-            _run, candidate_results = check_scenario(
-                candidate, replay=replay, differential=differential
-            )
+            _run, candidate_results = check_scenario(candidate, replay=replay)
             return not all(result.passed for result in candidate_results)
 
         shrunk, _runs = shrink_faults(spec, fails=fails)

@@ -65,15 +65,14 @@ PINNED_SEARCH_BUDGET = 10
 PINNED_COVERAGE_FLOOR = 577
 
 #: How one scenario is checked during search.  Search optimizes
-#: *discovery rate*, so the default drops the two expensive oracles
-#: (replay re-runs the scenario, the differential re-executes it
-#: serially); the full stack still covers every corpus seed in CI.
+#: *discovery rate*, so the default drops the one expensive oracle (replay
+#: re-runs the scenario); the full stack still covers every corpus seed in CI.
 CheckScenario = Callable[[ScenarioSpec], tuple[ScenarioRun, list[OracleResult]]]
 
 
 def cheap_check(spec: ScenarioSpec) -> tuple[ScenarioRun, list[OracleResult]]:
-    """Conservation + audit only — the search's default check."""
-    return check_scenario(spec, replay=False, differential=False)
+    """Conservation, the differential and audit — the search's default check."""
+    return check_scenario(spec, replay=False)
 
 
 # ----------------------------------------------------------------------
@@ -94,9 +93,13 @@ def run_signals(run: ScenarioRun, results: list[OracleResult]) -> set[str]:
     *schedules* a censor window but never censors anything covers less
     than one whose window provably dropped a transaction.
     """
+    # A passing differential adds no signal: the coverage map pinned in
+    # tests/chaos/golden_faults.json predates it in the search.  Drop this
+    # filter the next time that golden is re-recorded for another reason.
     signals = {
         f"oracle:{result.oracle}:{'pass' if result.passed else 'fail'}"
         for result in results
+        if result.oracle != "differential" or not result.passed
     }
     conservation = next(
         (result for result in results if result.oracle == "conservation"), None

@@ -36,10 +36,6 @@ class InvocationContext:
     cell_id: str
     cycle: int
     cas: Optional["ContentAddressableStorage"] = None
-    #: Execution lane that ran this invocation (None under the legacy
-    #: serial path).  Informational only — lanes differ across cells and
-    #: runs, so deterministic contracts must never branch on this value.
-    lane: Optional[int] = None
     #: Free-form metadata (e.g. whether this is a contingency transaction).
     extra: dict[str, Any] = field(default_factory=dict)
 

@@ -9,7 +9,7 @@ diverged across cells (Section III-A3).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator
 
 from .context import BContractError
 from .interface import BContract
@@ -110,10 +110,6 @@ class ContractRegistry:
         actually downloads the snapshot.
         """
         return {name: contract.export_state_lazy() for name, contract in self._contracts.items()}
-
-    def apply_to_all(self, action: Callable[[BContract], Any]) -> dict[str, Any]:
-        """Run ``action`` on every contract, returning per-name results."""
-        return {name: action(self._contracts[name]) for name in self.names()}
 
     def describe(self) -> list[dict[str, Any]]:
         """Summaries of all deployed contracts."""

@@ -25,8 +25,7 @@ if TYPE_CHECKING:
     import random
 
 from ..contracts.registry import ContractRegistry
-from ..contracts.system.cas import ContentAddressableStorage
-from ..contracts.system.deployer import CommunityDeployer
+from ..contracts.system import install_system_contracts
 from ..crypto.keys import Address, PrivateKey
 from ..ethchain.contracts.snapshot_registry import SnapshotRegistry
 from ..ethchain.provider import Web3Provider
@@ -205,19 +204,13 @@ class BlockumulusCell:
 
         # Simulated hardware.
         self.cpu = Resource(env, capacity=service_model.cpu_workers, name=f"{node_name}-cpu")
-        self.invokers = Resource(
-            env, capacity=service_model.max_parallel_invocations, name=f"{node_name}-invokers"
-        )
-        # Conflict-aware execution lanes (repro.core.lanes).  With lanes=1
-        # the legacy path is kept bit-for-bit: executions gate on the
-        # ``invokers`` pool exactly as before.  With lanes>1 the lane
-        # scheduler replaces that gate for the execution stage: at most
-        # ``execution_lanes`` transactions run concurrently, never two with
-        # conflicting access footprints.
-        self.lanes: Optional[LaneScheduler] = (
-            LaneScheduler(env, execution_lanes, self.contracts, name=f"{node_name}-lanes")
-            if execution_lanes > 1
-            else None
+        # The execution stage's one gate (repro.core.lanes): with lanes>1 at
+        # most ``execution_lanes`` transactions run concurrently, never two
+        # with conflicting access footprints; with one lane it plans nothing
+        # and admits up to ``max_parallel_invocations`` in arrival order.
+        self.lanes = LaneScheduler(
+            env, execution_lanes, self.contracts, name=f"{node_name}-lanes",
+            invocations=service_model.max_parallel_invocations,
         )
 
         # Admission control (backpressure).  The counter tracks client
@@ -262,7 +255,7 @@ class BlockumulusCell:
         self._contingencies_executed = 0
         self._reports_submitted: list[dict[str, Any]] = []
 
-        self._deploy_system_contracts()
+        install_system_contracts(self.contracts)
         network.register(node_name, handler=self._on_message)
 
     # ------------------------------------------------------------------
@@ -290,13 +283,6 @@ class BlockumulusCell:
             for address, node in self._peers.items()
             if self.consensus.is_active(address)
         }
-
-    def _deploy_system_contracts(self) -> None:
-        cas = ContentAddressableStorage(ContentAddressableStorage.DEFAULT_NAME)
-        deployer = CommunityDeployer(CommunityDeployer.DEFAULT_NAME)
-        deployer.bind(self.contracts.register, self.contracts.remove)
-        self.contracts.register(cas)
-        self.contracts.register(deployer)
 
     def deploy_contract(self, contract: Any) -> None:
         """Deploy a pre-built bContract instance (deployment orchestration)."""
@@ -883,25 +869,17 @@ class BlockumulusCell:
     # Local execution (shared by service and forwarded paths)
     # ------------------------------------------------------------------
     def _execute_entry(self, entry: LedgerEntry) -> Generator[Event, Any, ExecutionOutcome]:
-        # The execution stage runs behind one gate, picked here: the lane
-        # scheduler (the transaction holds an execution lane for its whole
-        # invocation, and the conflict gate guarantees no conflicting
-        # transaction is in flight with it), or — with a single lane — the
-        # legacy serial schedule's conflict-oblivious invoker pool.
-        lanes = self.lanes
-        yield self.invokers.request() if lanes is None else lanes.acquire(entry)
+        # The transaction holds an execution lane for its whole invocation;
+        # the gate guarantees no conflicting transaction is in flight with it.
+        yield self.lanes.acquire(entry)
+        journal = None
         try:
-            lane = None if lanes is None else lanes.granted(entry)
             yield self.env.timeout(self.service_model.invoke_overhead.sample(self.rng))
             yield from self.cpu.use(self.service_model.invoke_cpu)
-            outcome = self.executor.execute_safely(entry, lane=lane)
-            if lanes is not None:
-                lanes.check_plan(entry, outcome.journal)
+            outcome = self.executor.execute_safely(entry)
+            journal = outcome.journal
         finally:
-            if lanes is None:
-                self.invokers.release()
-            else:
-                lanes.release(entry)
+            self.lanes.release(entry, journal)
         if self.fault.tamper_state and outcome.ok:
             # A compromised cell silently corrupts its contract data; its
             # fingerprints now diverge from the honest cells.
@@ -1129,7 +1107,7 @@ class BlockumulusCell:
             "cpu_utilization": self.cpu.utilization(),
             "subscriber_count": len(self.subscriptions.subscribers()),
             "batching": self.batcher.statistics() if self.batcher is not None else None,
-            "lanes": self.lanes.statistics() if self.lanes is not None else None,
+            "lanes": self.lanes.statistics(),
             "admission": {
                 "max_inflight": self.max_inflight,
                 "inflight": self._inflight,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..contracts.community import Ballot, DividendPool, FastMoney
+from ..contracts.community import default_community_contracts
 from ..crypto.keys import Address, PrivateKey
 from ..ethchain.chain import Blockchain, ChainConfig
 from ..ethchain.contracts.snapshot_registry import SnapshotRegistry
@@ -167,7 +167,7 @@ class BlockumulusDeployment:
                     )
 
         if self.config.deploy_default_contracts:
-            self.deploy_community_contract_instances(self._default_contracts())
+            self.deploy_community_contract_instances(default_community_contracts())
 
         # Standby cells boot excluded in every cell's membership view (their
         # own view of other standbys included) and stay offline — they are
@@ -220,14 +220,6 @@ class BlockumulusDeployment:
     def make_client_signer(self, seed: str) -> Signer:
         """Create a client signer using the deployment's signature scheme."""
         return self._make_signer(seed)
-
-    @staticmethod
-    def _default_contracts() -> list[Any]:
-        return [
-            FastMoney(FastMoney.DEFAULT_NAME),
-            Ballot(Ballot.DEFAULT_NAME),
-            DividendPool(DividendPool.DEFAULT_NAME),
-        ]
 
     def deploy_community_contract_instances(self, prototype_list: list[Any]) -> None:
         """Deploy identical bContract instances on every cell.

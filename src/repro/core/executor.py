@@ -128,14 +128,12 @@ class TransactionExecutor:
         except RequestError as exc:
             raise BContractError(str(exc)) from exc
 
-    def execute(self, entry: LedgerEntry, lane: Optional[int] = None) -> ExecutionOutcome:
+    def execute(self, entry: LedgerEntry) -> ExecutionOutcome:
         """Run the transaction in ``entry`` and return the outcome.
 
         Both success and contract-level rejection are normal outcomes (the
         rejection is reported back to the client and recorded in the
-        ledger); only malformed envelopes raise.  ``lane`` tags the
-        invocation context with the execution lane that ran it
-        (informational — never part of the deterministic inputs).
+        ledger); only malformed envelopes raise.
         """
         contract_name, method, args = self.parse_call(entry)
         contract = self.registry.get(contract_name)
@@ -148,7 +146,6 @@ class TransactionExecutor:
             cell_id=self.cell_id,
             cycle=entry.cycle,
             cas=self._cas(),
-            lane=lane,
             extra={"contingency": entry.contingency},
         )
         try:
@@ -167,7 +164,7 @@ class TransactionExecutor:
             journal=contract.last_journal,
         )
 
-    def execute_safely(self, entry: LedgerEntry, lane: Optional[int] = None) -> ExecutionOutcome:
+    def execute_safely(self, entry: LedgerEntry) -> ExecutionOutcome:
         """Like :meth:`execute`, but malformed calls reject instead of raising.
 
         Malformed payloads and unknown contracts revert rather than crash
@@ -175,7 +172,7 @@ class TransactionExecutor:
         reply.  Shared by the cell's service and forwarded execution paths.
         """
         try:
-            return self.execute(entry, lane=lane)
+            return self.execute(entry)
         except BContractError as exc:
             data = entry.envelope.data
             return ExecutionOutcome(

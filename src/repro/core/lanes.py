@@ -18,6 +18,9 @@ protocol depends on:
 * non-conflicting transactions run concurrently on up to ``lanes``
   execution lanes — simulated concurrency inside a cell, through
   :class:`~repro.sim.resources.ConflictGate`;
+* with one lane the same gate plans nothing: every token is keyless, first
+  come first served, up to ``max_parallel_invocations`` at once — the
+  paper's mutex-protected executor;
 * after each execution the invocation's mutation journal is checked
   against the plan, and a write or increment the plan did not declare is
   counted as a *plan overrun* (:meth:`LaneScheduler.statistics`);
@@ -34,7 +37,7 @@ overlap: their sum is order-independent, and any method whose *result*
 exposes the running value must declare the key as a write instead.
 Conflicting transactions never overlap.  The scheduler is *online*: it
 orders conflicting grants canonically among queued waiters, but — like the
-legacy serial path, where execution order is arrival order — it cannot see
+one-lane schedule, where execution order is arrival order — it cannot see
 a conflicting transaction that has not arrived yet.  A workload whose
 conflicting outcomes are order-sensitive (e.g. racing an account to
 insolvency) is therefore timing-dependent per cell under *every* schedule,
@@ -48,7 +51,6 @@ schedule — the differential suite asserts this configuration matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Optional, TYPE_CHECKING
@@ -106,6 +108,9 @@ class AccessFootprint:
 #: the contract's own declared plan — ``None`` for an exclusive token.
 LaneToken = tuple[int, str, Optional[AccessSet]]
 
+#: The access of every one-lane token: no key, so nothing to conflict on.
+_KEYLESS = AccessSet()
+
 
 def lane_token(entry: "LedgerEntry", registry: ContractRegistry) -> LaneToken:
     """Derive the pre-execution lane token of one admitted ledger entry.
@@ -130,95 +135,83 @@ def lane_token(entry: "LedgerEntry", registry: ContractRegistry) -> LaneToken:
 # Simulated lane scheduler (in-cell, online)
 # ----------------------------------------------------------------------
 class LaneScheduler:
-    """Online conflict-aware lane admission for one simulated cell.
+    """The execution stage's one gate, for one simulated cell.
 
-    Transactions request a lane as they are ready to execute; the
-    underlying :class:`~repro.sim.resources.ConflictGate` grants at most
-    ``lanes`` slots, never lets two conflicting tokens hold slots
-    together, and biases conflicting grants toward canonical ledger order
-    (waiters are kept ordered by sequence).
+    Transactions request a lane as they are ready to execute.  With
+    ``lanes > 1`` the :class:`~repro.sim.resources.ConflictGate` grants at
+    most ``lanes`` slots, never to two conflicting tokens together, and
+    conflicting waiters in canonical ledger order; with one lane every
+    token is keyless and the gate is a FIFO pool of ``invocations`` slots.
     """
 
     def __init__(self, env: Environment, lanes: int, registry: ContractRegistry,
-                 name: str = "lanes") -> None:
+                 name: str = "lanes", invocations: int = 1) -> None:
         if lanes < 1:
             raise LaneError("at least one execution lane is required")
         self.lanes = lanes
         self.registry = registry
+        #: Whether tokens carry access plans (more than one lane).
+        self.planned = lanes > 1
+        #: Entry sequence -> the token it holds or waits with.
         self._tokens: dict[int, LaneToken] = {}
-        self._lane_of: dict[int, int] = {}
-        #: Min-heap of the lane indices not currently held (lowest granted first).
-        self._free_lanes = list(range(lanes))
-        self.executions = 0
         self.exclusive_fallbacks = 0
         #: Executions that wrote or incremented a key their plan did not declare.
         self.plan_overruns = 0
         self.gate = ConflictGate(
             env,
-            capacity=lanes,
+            capacity=lanes if self.planned else invocations,
             name=name,
-            order_key=itemgetter(0),  # the canonical ledger sequence
+            # Conflicting waiters enter in canonical ledger order; keyless
+            # ones never conflict, so they enter in arrival order.
+            order_key=itemgetter(0) if self.planned else None,
         )
 
     def acquire(self, entry: "LedgerEntry") -> Event:
         """Request a lane for ``entry``; the event fires on grant."""
-        token = lane_token(entry, self.registry)
-        if token[2] is None:
-            self.exclusive_fallbacks += 1
-        if entry.sequence in self._tokens:
-            raise LaneError(f"entry {entry.sequence} already holds or awaits a lane")
-        self._tokens[entry.sequence] = token
-        return self.gate.request(token)
+        sequence = entry.sequence
+        if sequence in self._tokens:
+            raise LaneError(f"entry {sequence} already holds or awaits a lane")
+        if self.planned:
+            token = lane_token(entry, self.registry)
+            if token[2] is None:
+                self.exclusive_fallbacks += 1
+        else:
+            token = (sequence, "", _KEYLESS)
+        grant = self.gate.request(token)
+        self._tokens[sequence] = token
+        return grant
 
-    def granted(self, entry: "LedgerEntry") -> int:
-        """Record the grant (after the acquire event fired); returns the lane.
+    def granted(self, entry: "LedgerEntry") -> bool:
+        """Whether ``entry`` holds or awaits a lane (acquired, not yet released)."""
+        return entry.sequence in self._tokens
 
-        Lanes are allocated from the free set, so a lane index uniquely
-        identifies one of the concurrently running invocations.
-        """
-        if not self._free_lanes:
-            raise LaneError("lane granted with no free lane (release mismatch)")
-        lane = heappop(self._free_lanes)
-        self._lane_of[entry.sequence] = lane
-        self.executions += 1
-        return lane
-
-    def lane_of(self, entry: "LedgerEntry") -> Optional[int]:
-        """The lane index granted to ``entry`` (informational)."""
-        return self._lane_of.get(entry.sequence)
-
-    def check_plan(self, entry: "LedgerEntry", journal: Optional[MutationJournal]) -> None:
-        """Count ``entry``'s execution as a plan overrun if it mutated an undeclared key.
+    def release(self, entry: "LedgerEntry", journal: Optional[MutationJournal] = None) -> None:
+        """Give the lane back after execution (or on failure paths).
 
         ``journal`` is the invocation's (None when the call never reached a
         contract); its written and incremented keys are looked up in the
-        plan the lane was granted on.  An exclusive token declared nothing
-        and cannot overrun.
+        plan the lane was granted on, and an execution that mutated an
+        undeclared key counts as a plan overrun.  An exclusive or keyless
+        token declared nothing and cannot overrun.
         """
-        token = self._tokens.get(entry.sequence)
-        plan = None if token is None else token[2]
-        if journal is None or plan is None:
-            return
-        for key in chain(journal.writes, journal.deltas):
-            if key not in plan.writes and key not in plan.deltas:
-                self.plan_overruns += 1
-                return
-
-    def release(self, entry: "LedgerEntry") -> None:
-        """Give the lane back after execution (or on failure paths)."""
         token = self._tokens.pop(entry.sequence, None)
         if token is None:
             return
-        lane = self._lane_of.pop(entry.sequence, None)
-        if lane is not None:
-            heappush(self._free_lanes, lane)
+        plan = token[2]
+        if journal is not None and plan is not None and self.planned:
+            for key in chain(journal.writes, journal.deltas):
+                if key not in plan.writes and key not in plan.deltas:
+                    self.plan_overruns += 1
+                    break
         self.gate.release(token)
 
-    def statistics(self) -> dict[str, Any]:
-        """Operational lane/conflict counters for cell introspection."""
+    def statistics(self) -> Optional[dict[str, Any]]:
+        """Lane/conflict counters for cell introspection (None with one lane, which plans nothing)."""
+        if not self.planned:
+            return None
         return {
             "lanes": self.lanes,
-            "executions": self.executions,
+            "executions": self.gate.grants,
             "exclusive_fallbacks": self.exclusive_fallbacks,
             "plan_overruns": self.plan_overruns,
             "conflict_deferrals": self.gate.conflict_deferrals,

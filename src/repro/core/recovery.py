@@ -101,7 +101,7 @@ class RecoveryResult:
     silent_peers: list[str] = field(default_factory=list)
     #: Replayed entries whose donor-recorded execution fingerprint did not
     #: match the ledger-order replay.  A live donor executes entries as
-    #: they clear its invoker pool — under concurrent traffic that is not
+    #: they clear its execution gate — under concurrent traffic that is not
     #: ledger order — so its per-entry fingerprints capture different
     #: intermediate states.  Non-zero skew is expected under load; actual
     #: divergence is caught by the readmission vote on the full state
@@ -878,7 +878,7 @@ class RecoveryCoordinator:
                 and outcome.fingerprint != summary.fingerprint
             ):
                 # Not fatal: the donor executes entries as they clear its
-                # invoker pool, which under concurrent traffic is not
+                # execution gate, which under concurrent traffic is not
                 # ledger order, so its recorded per-entry fingerprint can
                 # capture a different intermediate state than this
                 # ledger-order replay.  Real state divergence is caught by

@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
+from ..contracts.community import default_community_contracts
 from ..contracts.system.cas import ContentAddressableStorage
 from ..contracts.system.deployer import CommunityDeployer
 from ..crypto.fingerprint import canonical_bytes
@@ -312,7 +313,7 @@ class ShardedDeployment:
             )
         self._bind(config, deployments)
         if config.deploy_default_contracts:
-            self.deploy_contract_instances(BlockumulusDeployment._default_contracts())
+            self.deploy_contract_instances(default_community_contracts())
         directory = self.gateway_directory()
         for group in self.groups:
             for cell in group.cells:

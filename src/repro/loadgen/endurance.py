@@ -20,9 +20,9 @@ how the endurance benchmark proves admission-control shedding is
 deterministic rather than racy.
 
 Oracles: a shed arrival is rejected *before* ledger admission, so it
-must leave no trace — :func:`endurance_differential` replays the
-ledger-derived committed set on a serial/unsharded/unbatched reference
-deployment and compares semantic state, and the conservation oracle
+must leave no trace — :func:`endurance_differential` applies the
+ledger-derived committed set to the serial specification
+(:mod:`repro.chaos.spec`) and compares semantic state, and the conservation oracle
 (:func:`~repro.audit.oracles.run_conservation_oracle`) checks no value
 was minted or destroyed, sheds present or not.
 """
@@ -467,16 +467,14 @@ def run_endurance_conservation(
 def endurance_differential(
     deployment: ShardedDeployment, report: EnduranceReport
 ) -> list[str]:
-    """Replay the committed set on a serial reference; return divergences.
+    """Apply the committed set to the serial specification; return divergences.
 
-    The reference is the endurance deployment with every feature axis at
-    its plain setting — one shard, one lane, no batching, *no admission
-    limit* — and the ledger-derived committed calls submitted one at a
-    time (the chaos differential's replay and diff,
+    The ledger-derived committed calls are applied one at a time to fresh
+    contracts (the chaos differential's application and diff,
     :func:`repro.chaos.runner.differential_findings`).  A shed transaction
     never reached any ledger, so it must appear in the committed set
-    exactly never; a committed transaction must replay cleanly and land
-    on identical semantic state.
+    exactly never; a committed transaction must apply cleanly and land on
+    identical semantic state.
     """
     # Imported here: the chaos engine is ~1 MiB and ~25 ms of imports that a
     # load generator run without its differential oracle (bench/) never needs.
@@ -487,6 +485,5 @@ def endurance_differential(
         "endurance",
         ENDURANCE_CONTRACT,
         report.genesis_by_account,
-        {signer.address.hex(): signer for signer in report.accounts.values()},
     )
     return findings

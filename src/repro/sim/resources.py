@@ -1,8 +1,7 @@
 """Capacity-constrained resources for the simulation kernel.
 
 A :class:`Resource` models a pool of identical servers (for Blockumulus: a
-cell's CPU workers, or its pool of concurrently running bContract
-interpreters).  Processes request a slot, hold it while they consume
+cell's CPU workers).  Processes request a slot, hold it while they consume
 simulated service time, and release it; excess requests queue FIFO.  The
 contention captured here is what turns per-transaction CPU cost into the
 throughput ceilings of Fig. 10.
@@ -121,10 +120,15 @@ class ConflictGate:
 
     Conflicts are found by key, not by pairs of tokens: a drain pass that
     finds a free slot builds one per-namespace table of the keys that are
-    read, written and incremented by the holders (at most ``capacity``
-    tokens) and then by each waiter the pass grants or leaves queued.
-    Deciding a waiter costs a few set tests on the keys it touches, however
-    many tokens are in its way.
+    read, written and incremented by the holders and then by each waiter
+    the pass grants or leaves queued.  Deciding a waiter costs a few set
+    tests on the keys it touches, however many tokens are in its way.
+
+    A *keyless* token (an access naming no key) conflicts only with an
+    exclusive one, so keyless holders are counted, never visited: a request
+    or a release costs the same with 4,096 of them as with none.  With
+    every token keyless and no ``order_key`` the gate grants what a
+    :class:`Resource` of ``capacity`` slots would, at the same instants.
 
     The list is ordered by construction, never re-sorted: ``order_key`` is
     evaluated once per request, and the new entry is appended when it sorts
@@ -139,7 +143,7 @@ class ConflictGate:
     engine: tokens are ``(ledger sequence, contract, access plan)``,
     ``capacity`` is the number of execution lanes, and ``order_key`` is the
     canonical ledger sequence, biasing conflicting grants toward ledger
-    order.
+    order (with one lane: keyless tokens, no ``order_key``).
     """
 
     def __init__(
@@ -155,7 +159,8 @@ class ConflictGate:
         self.name = name
         self.capacity = capacity
         self.order_key = order_key
-        self._holding: list[Any] = []
+        self._holding: list[Any] = []  # keyed and exclusive holders
+        self._keyless = 0              # keyless holders, counted
         #: ((sort key, arrival counter), token, grant event), ordered by the pair.
         self._waiting: list[tuple[tuple[Any, int], Any, Event]] = []
         self._arrivals = 0
@@ -169,7 +174,7 @@ class ConflictGate:
     @property
     def in_use(self) -> int:
         """Number of tokens currently holding a slot."""
-        return len(self._holding)
+        return len(self._holding) + self._keyless
 
     @property
     def queue_length(self) -> int:
@@ -201,11 +206,18 @@ class ConflictGate:
 
     def release(self, token: Any) -> None:
         """Release the slot held by ``token`` and grant eligible waiters."""
-        try:
-            self._holding.remove(token)
-        except ValueError:
-            raise SimulationError(f"release() on {self.name} for a token not holding a slot")
-        self._drain()
+        access = token[2]
+        if access is not None and not (access.reads or access.writes or access.deltas):
+            if not self._keyless:
+                raise SimulationError(f"release() on {self.name} for a token not holding a slot")
+            self._keyless -= 1
+        else:
+            try:
+                self._holding.remove(token)
+            except ValueError:
+                raise SimulationError(f"release() on {self.name} for a token not holding a slot")
+        if self._waiting:
+            self._drain()
 
     def _drain(self) -> None:
         """Grant every eligible waiter in one front-to-back pass.
@@ -219,7 +231,8 @@ class ConflictGate:
         """
         holding = self._holding
         waiting = self._waiting
-        if not waiting or len(holding) >= self.capacity:
+        in_use = len(holding) + self._keyless
+        if not waiting or in_use >= self.capacity:
             self.capacity_deferrals += len(waiting)
             return
         # namespace -> (reads, writes, deltas): the keys each way touched by
@@ -240,17 +253,21 @@ class ConflictGate:
             table[2].update(access.deltas)
         index = 0
         while index < len(waiting):
-            if len(holding) >= self.capacity:
+            if in_use >= self.capacity:
                 self.capacity_deferrals += len(waiting) - index
                 return
             _position, token, grant = waiting[index]
             _order, namespace, access = token
             table = None
+            keyless = False
             if access is None:
                 # Exclusive: any holder, or any waiter passed over, is in the way.
-                blocked = bool(holding) or index > 0
+                blocked = in_use > 0 or index > 0
             elif exclusive:
                 blocked = True
+            elif not (access.reads or access.writes or access.deltas):
+                blocked = False
+                keyless = True
             else:
                 table = tables.get(namespace)
                 if table is None:
@@ -267,12 +284,19 @@ class ConflictGate:
                 index += 1
             else:
                 del waiting[index]
-                holding.append(token)
+                if keyless:
+                    self._keyless += 1
+                else:
+                    holding.append(token)
+                in_use += 1
                 self.grants += 1
-                if len(holding) > self.peak_in_use:
-                    self.peak_in_use = len(holding)
+                if in_use > self.peak_in_use:
+                    self.peak_in_use = in_use
                 grant.succeed(self)
-            # Granted or passed over, the token is now in every later waiter's way.
+            # Granted or passed over, the token is now in every later
+            # waiter's way — unless it is keyless.
+            if keyless:
+                continue
             if table is None:
                 exclusive = True
             else:

@@ -54,9 +54,7 @@ def test_tampered_scenario_shrinks_to_the_tamper_alone(tamper_outcome):
     spec, _run, _results = tamper_outcome
 
     def fails(candidate):
-        _candidate_run, results = check_scenario(
-            candidate, replay=False, differential=False
-        )
+        _candidate_run, results = check_scenario(candidate, replay=False)
         return not all(result.passed for result in results)
 
     shrunk, runs = shrink_faults(spec, fails=fails)
@@ -70,9 +68,7 @@ def test_tampered_scenario_shrinks_to_the_tamper_alone(tamper_outcome):
 
 def test_scenario_report_records_the_shrunk_spec():
     spec = tampered_spec()
-    report = scenario_report(
-        spec, replay=False, differential=False, shrink_on_failure=True
-    )
+    report = scenario_report(spec, replay=False, shrink_on_failure=True)
     assert not report.passed
     assert report.shrunk_spec is not None
     assert len(report.shrunk_spec["faults"]) == 1

@@ -7,6 +7,8 @@ import pstats
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.contracts import AccessSet, ContractRegistry, FastMoney
 from repro.contracts.community.ballot import Ballot
@@ -16,7 +18,7 @@ from repro.core.lanes import AccessFootprint, LaneScheduler, lane_token
 from repro.core.ledger import TransactionLedger
 from repro.crypto.keys import PrivateKey
 from repro.messages import EcdsaSigner, Envelope, Opcode
-from repro.sim import ConflictGate, Environment
+from repro.sim import ConflictGate, Environment, Resource
 
 CELL = PrivateKey.from_seed("lanes-cell").address
 ALICE = EcdsaSigner.from_seed("lanes-alice")
@@ -211,34 +213,110 @@ def test_conflict_gate_rejects_bad_release():
         gate.release((0, "c", None))
 
 
-def test_lane_scheduler_lane_indices_are_unique_while_held(setup):
-    from repro.core.lanes import LaneScheduler
+# ----------------------------------------------------------------------
+# One lane: the invoker pool's schedule, through the same gate
+# ----------------------------------------------------------------------
+class _Entry:
+    """The one field of a ledger entry a one-lane scheduler reads."""
 
-    registry, ledger, _ = setup
+    def __init__(self, sequence):
+        self.sequence = sequence
+
+
+def _one_lane_and_pool(capacity, steps, mutate=lambda scheduler: None):
+    """Drive a one-lane scheduler and a ``Resource`` through the same steps.
+
+    Returns each side's trace, one row per step (and one after running the
+    rest): which requests are granted, ``(request serial, instant)`` of
+    every grant as it fires, slots in use, and requests queued.
+    """
+    traces = []
+    for side in ("lanes", "pool"):
+        env = Environment()
+        if side == "lanes":
+            scheduler = LaneScheduler(env, lanes=1, registry=ContractRegistry(),
+                                      invocations=capacity)
+            mutate(scheduler)
+            counted = scheduler.gate
+            request = lambda serial: scheduler.acquire(_Entry(serial))
+            release = lambda serial: scheduler.release(_Entry(serial))
+        else:
+            counted = pool = Resource(env, capacity)
+            request = lambda serial: pool.request()
+            release = lambda serial: pool.release()
+        grants, released, granted_at, trace = [], set(), [], []
+
+        def observe():
+            trace.append((
+                [grant.triggered for _serial, grant in grants], list(granted_at),
+                counted.in_use, counted.queue_length,
+            ))
+
+        for serial, step in enumerate(steps):
+            if step[0] == "request":
+                grant = request(serial)
+                grant.add_callback(lambda _e, serial=serial: granted_at.append((serial, env.now)))
+                grants.append((serial, grant))
+            elif step[0] == "run":
+                env.run(until=env.now + step[1])
+            else:
+                held = [s for s, grant in grants if grant.triggered and s not in released]
+                if held:
+                    pick = held[step[1] % len(held)]
+                    released.add(pick)
+                    release(pick)
+            observe()
+        env.run()
+        observe()
+        traces.append(trace)
+    return traces
+
+
+_pool_steps = st.lists(
+    st.one_of(
+        st.just(("request",)),
+        st.tuples(st.just("release"), st.integers(0, 9)),
+        st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 2.0])),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.one_of(st.integers(1, 8), st.just(4_096)), steps=_pool_steps)
+def test_one_lane_grants_exactly_like_the_invoker_pool(capacity, steps):
+    """Same grants, at the same instants, after every step: the pool it replaced."""
+    lanes, pool = _one_lane_and_pool(capacity, steps)
+    assert lanes == pool
+
+
+def test_a_one_lane_gate_granting_past_capacity_is_caught():
+    """Mutation check: the differential above sees one slot too many."""
+    steps = [("request",)] * 3
+
+    def one_too_many(scheduler):
+        scheduler.gate.capacity += 1
+
+    lanes, pool = _one_lane_and_pool(2, steps)
+    assert lanes == pool
+    lanes, pool = _one_lane_and_pool(2, steps, mutate=one_too_many)
+    assert lanes != pool
+
+
+def test_one_lane_plans_nothing(setup):
+    registry, ledger, _executor = setup
     env = Environment()
-    scheduler = LaneScheduler(env, lanes=3, registry=registry)
-    entries = [
-        admit(ledger, EcdsaSigner.from_seed(f"unique-{i}"), transfer("0x" + "ee" * 20, 1), f"0xe{i}")
-        for i in range(4)
-    ]
-    held = {}
-    first = entries[0]
-    grant = scheduler.acquire(first)
-    env.run(until=0.0)
-    assert grant.triggered
-    held[first.sequence] = scheduler.granted(first)
-    # Release and re-grant cycles must never hand out a lane index that is
-    # still held by a running invocation (the old round-robin counter did).
-    for entry in entries[1:]:
-        grant = scheduler.acquire(entry)
-        env.run(until=env.now)
-        assert grant.triggered
-        lane = scheduler.granted(entry)
-        assert lane not in held.values(), "lane index collided with a held lane"
-        scheduler.release(entry)
-    assert held[first.sequence] == 0
-    scheduler.release(first)
-    assert scheduler.statistics()["in_flight"] == 0
+    scheduler = LaneScheduler(env, lanes=1, registry=registry, invocations=5)
+    entry = admit(ledger, ALICE, transfer("0x" + "aa" * 20, 1), "0x1")
+    plans = []
+    for contract in registry:
+        contract.access_plan = lambda *args, **kwargs: plans.append(args)
+    assert scheduler.acquire(entry).triggered and scheduler.gate.in_use == 1
+    assert plans == []                      # no plan derived
+    assert scheduler.gate.capacity == 5 and scheduler.gate.order_key is None
+    assert scheduler.statistics() is None   # what bench/ reads at one lane
+    scheduler.release(entry)
+    assert scheduler.gate.in_use == 0
 
 
 class CarelessFastMoney(FastMoney):
@@ -263,13 +341,9 @@ def test_an_undeclared_write_counts_as_one_plan_overrun(setup):
     scheduler = LaneScheduler(env, lanes=2, registry=registry)
 
     def run_on_a_lane(entry):
-        grant = scheduler.acquire(entry)
-        env.run(until=env.now)
-        assert grant.triggered
-        scheduler.granted(entry)
+        assert scheduler.acquire(entry).triggered
         outcome = executor.execute_safely(entry)
-        scheduler.check_plan(entry, outcome.journal)
-        scheduler.release(entry)
+        scheduler.release(entry, outcome.journal)
         return outcome
 
     honest = admit(ledger, ALICE, transfer("0x" + "aa" * 20, 1), "0x1")

@@ -93,9 +93,11 @@ def test_busy_time_accumulates_across_jobs(env):
 # ConflictGate against the implementation it replaced
 # ----------------------------------------------------------------------
 _keys = st.frozensets(st.sampled_from("abcd"), max_size=2)
-#: None is the exclusive footprint: it conflicts with everything.
+#: None is the exclusive footprint: it conflicts with everything.  An empty
+#: access set is keyless: it conflicts with nothing but an exclusive token.
 _footprints = st.one_of(
-    st.none(), st.builds(AccessSet, reads=_keys, writes=_keys, deltas=_keys)
+    st.none(), st.just(AccessSet()),
+    st.builds(AccessSet, reads=_keys, writes=_keys, deltas=_keys),
 )
 _steps = st.lists(
     st.one_of(
@@ -124,19 +126,37 @@ class _DrivenGate:
         self.gate = gate(
             self.env, capacity, order_key=(lambda token: token[0]) if ordered else None
         )
-        self.grants = []        # one event per request, in request order
+        self.requests = []      # (request serial, token, grant event), in request order
+        self.released = set()   # serials of the requests released again
         self.granted_at = []    # (request serial, instant), as the events fire
 
     def request(self, serial, token):
         grant = self.gate.request(token)
         grant.add_callback(lambda _event: self.granted_at.append((serial, self.env.now)))
-        self.grants.append(grant)
+        self.requests.append((serial, token, grant))
+
+    def held(self):
+        """(serial, token) of every request holding a slot, in request order."""
+        return [
+            (serial, token) for serial, token, grant in self.requests
+            if grant.triggered and serial not in self.released
+        ]
+
+    def release(self, pick):
+        serial, token = self.held()[pick]
+        self.released.add(serial)
+        self.gate.release(token)
 
     def observed(self):
         gate = self.gate
+        # Keyed and exclusive holders in grant order; a keyless one is only counted.
+        holders = [
+            token for token in gate._holding
+            if token[2] is None or token[2].reads or token[2].writes or token[2].deltas
+        ]
         return (
-            [grant.triggered for grant in self.grants], self.granted_at,
-            list(gate._holding), gate.in_use, gate.queue_length, gate.peak_queue_length,
+            [grant.triggered for _serial, _token, grant in self.requests], self.granted_at,
+            holders, gate.in_use, gate.queue_length, gate.peak_queue_length,
             gate.grants, gate.conflict_deferrals, gate.capacity_deferrals, gate.peak_in_use,
         )
 
@@ -158,24 +178,25 @@ def test_conflict_gate_grants_exactly_like_the_reference(capacity, ordered, step
                 driven.request(serial, step[1:])
             elif step[0] == "run":
                 driven.env.run(until=driven.env.now + step[1])
-            elif driven.gate._holding:
-                holders = driven.gate._holding
-                driven.gate.release(holders[step[1] % len(holders)])
+            elif driven.held():
+                driven.release(step[1] % len(driven.held()))
             else:
-                with pytest.raises(SimulationError):
-                    driven.gate.release(("never", "held", None))
+                for stranger in (("never", "held", None), ("never", "held", AccessSet())):
+                    with pytest.raises(SimulationError):
+                        driven.gate.release(stranger)
         assert new.observed() == reference.observed()
     for driven in (new, reference):
         driven.env.run()
     assert new.observed() == reference.observed()
 
 
-#: One key, touched each way a token can touch it; None is exclusive.
+#: One key, touched each way a token can touch it; None is exclusive, an empty set keyless.
 _ONE_KEY = {
     "read": AccessSet(reads=frozenset({"k"})),
     "write": AccessSet(writes=frozenset({"k"})),
     "increment": AccessSet(deltas=frozenset({"k"})),
     "exclusive": None,
+    "nothing": AccessSet(),
 }
 
 
@@ -202,3 +223,40 @@ def test_gate_answer_is_the_access_set_conflict_rule(first, asked, in_the_way):
     other = ConflictGate(Environment(), capacity=2)
     other.request((0, "c", a))
     assert other.request((1, "d", b)).triggered is (a is not None and b is not None)
+
+
+class _Watched:
+    """A keyless access that counts every look the gate takes at it."""
+
+    def __init__(self):
+        self.looks = 0
+
+    def _empty(self):
+        self.looks += 1
+        return frozenset()
+
+    reads = writes = deltas = property(_empty)
+
+
+def test_keyless_holders_are_counted_not_visited():
+    """With 4,000 keyless holders, a request or a release touches no other holder."""
+    gate = ConflictGate(Environment(), capacity=4_096)
+    held = [(serial, "", _Watched()) for serial in range(4_000)]
+    assert all(gate.request(token).triggered for token in held)
+    assert gate.in_use == 4_000 and gate._holding == []
+    for _serial, _namespace, access in held:
+        access.looks = 0
+    newcomer = (4_000, "", _Watched())
+    assert gate.request(newcomer).triggered
+    gate.release(held[17])
+    assert gate.in_use == 4_000
+    assert sum(access.looks for _s, _n, access in held[:17] + held[18:]) == 0
+    # A full pool: the release that frees a slot grants the one waiter.
+    for serial in range(4_001, 4_097):
+        gate.request((serial, "", _Watched()))
+    waiter = (5_000, "", _Watched())
+    grant = gate.request(waiter)
+    assert not grant.triggered
+    gate.release(held[18])
+    assert grant.triggered
+    assert sum(access.looks for _s, _n, access in held[:17] + held[19:]) == 0
