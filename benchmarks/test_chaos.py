@@ -1,14 +1,14 @@
 """Chaos-engine benchmark: scenario throughput and oracle coverage.
 
 Runs a slice of the pinned chaos corpus (every scenario through the full
-oracle stack — conservation, serial-reference differential, bit-for-bit
+oracle stack — conservation, serial-specification differential, bit-for-bit
 replay, per-group audits + shard digest), prints **scenarios per minute**
 of wall clock — the cost of one corpus pass, which is what bounds how much
 chaos a CI push can afford — to stdout, and records what is deterministic:
 
 * **oracle coverage counts** — how many scenarios each oracle judged and
   how much work it did (cells audited, escrow pairs checked, committed
-  operations replayed on the reference);
+  operations replayed on the serial specification);
 * the corpus **span** over the feature matrix and fault kinds.
 
 Every scenario in the slice must pass; a failure fails the benchmark
@@ -85,7 +85,7 @@ def test_chaos_scenarios_per_minute():
         f"{work['checked_transactions']} transactions replayed by auditors,",
         f"    {work['committed_calls']} committed calls + "
         f"{work['committed_cross_transfers']} cross-shard transfers replayed on "
-        f"the serial reference,",
+        f"the serial specification,",
         f"    {work['escrow_pairs']} escrow pairs conservation-checked, "
         f"{work['fault_events']} fault injections fired",
     ]

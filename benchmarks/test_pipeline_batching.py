@@ -4,7 +4,7 @@ The scaled 20,000-transaction Fig. 10 burst runs twice on a two-cell
 consortium — once with the per-transaction overlay (every forward and
 confirmation is its own network message, as in the paper's prototype) and
 once with the batched pipeline (per-destination batch envelopes flushed
-every scheduling quantum).  The two runs must be observably identical
+at most once per scheduling quantum).  The two runs must be observably identical
 (same ledger contents, same receipts modulo timing, same contract state
 fingerprints) while the batched run exchanges at least 2x fewer simulated
 inter-cell messages and performs no more canonical-JSON encodes (a count,

@@ -6,8 +6,18 @@ flowing back (Fig. 7 steps 2-3).  Sent individually this is O(N * cells)
 network messages for N simultaneous transactions — the dominant event count
 in the paper's 20,000-transaction stress runs.  The :class:`BatchDispatcher`
 instead queues outgoing forwards and confirmations per destination cell and
-flushes each queue once per *scheduling quantum* as a single signed batch
-envelope, so the same burst costs O(cells) messages per quantum.
+flushes each queue as a single signed batch envelope, so the same burst
+costs O(cells) messages per *scheduling quantum*.
+
+The quantum is a rate bound, not a delay: a destination gets at most one
+flush per quantum, and no item waits longer than one.  A flush is armed for
+``max(now, last flush + quantum)``, so an item queued at a destination that
+has been idle for a quantum leaves at once (a zero-delay timer: whatever is
+queued in the same instant still shares its batch), and only items that
+arrive while the destination is busy wait — for the rest of the quantum
+that the previous flush opened.  At low load a batch of one therefore costs
+what the paper's per-transaction forward costs, and under a burst the
+batches are as full as a fixed-period flush would make them.
 
 The dispatcher is purely a transport optimization: per-transaction
 authentication (client signatures on forwards, cell signatures on
@@ -36,12 +46,18 @@ from .receipts import Confirmation, ConfirmationBatch
 
 @dataclass
 class _DestinationQueue:
-    """Messages accumulated for one destination cell during a quantum."""
+    """Messages waiting for the next flush to one destination cell.
+
+    ``last_flush`` is the sim time of the previous flush (``-inf`` before
+    the first): the next one may not happen before ``last_flush +
+    quantum``, and happens at once if that instant has already passed.
+    """
 
     recipient: Address
     forwards: list[Envelope] = field(default_factory=list)
     confirmations: list[Confirmation] = field(default_factory=list)
     flush_pending: bool = False
+    last_flush: float = float("-inf")
 
     @property
     def empty(self) -> bool:
@@ -99,7 +115,9 @@ class BatchDispatcher:
         if queue.flush_pending:
             return
         queue.flush_pending = True
-        self.endpoint.env.timeout(self.quantum).add_callback(lambda _event: self._flush(dst_node))
+        env = self.endpoint.env
+        delay = max(0.0, queue.last_flush + self.quantum - env.now)
+        env.timeout(delay).add_callback(lambda _event: self._flush(dst_node))
 
     # ------------------------------------------------------------------
     # Flushing
@@ -111,10 +129,11 @@ class BatchDispatcher:
         queue.flush_pending = False
         if queue.empty:
             return
+        queue.last_flush = self.endpoint.env.now
         forwards, queue.forwards = queue.forwards, []
         confirmations, queue.confirmations = queue.confirmations, []
         if self.endpoint.silent():
-            # The cell crashed while the batch was waiting for its quantum:
+            # The cell crashed while the batch was waiting for its flush:
             # the queued items die with the process, like any unflushed
             # outbound buffer on a crashed machine.
             self.items_dropped += len(forwards) + len(confirmations)

@@ -197,7 +197,8 @@ class BlockumulusCell:
         self.membership = MembershipManager(self)
         self.recovery = RecoveryCoordinator(self)
         # Batched overlay pipeline: outgoing forwards/confirmations for the
-        # same destination coalesce into one envelope per scheduling quantum.
+        # same destination coalesce into at most one envelope per scheduling
+        # quantum, and leave at once when the destination has been idle.
         self.batcher: Optional[BatchDispatcher] = (
             BatchDispatcher(self.endpoint, batch_quantum, metrics) if message_batching else None
         )

@@ -114,10 +114,13 @@ class DeploymentConfig:
     #: Deploy the standard community contracts (FastMoney etc.) at boot.
     deploy_default_contracts: bool = True
     #: Coalesce inter-cell forwards/confirmations into per-destination batch
-    #: envelopes flushed once per scheduling quantum.  Disable for the
-    #: per-transaction ablation that reproduces the paper's Table II counts.
+    #: envelopes, flushed at most once per scheduling quantum.  Disable for
+    #: the per-transaction ablation that reproduces the paper's Table II counts.
     message_batching: bool = True
-    #: Scheduling quantum (seconds) between batch flushes to one destination.
+    #: Scheduling quantum (seconds): the least time between two batch
+    #: flushes to one destination, and the longest an item waits for one.
+    #: A rate bound, not a delay: an item queued at a destination idle for
+    #: a quantum is flushed in the instant it was queued.
     batch_quantum: float = 0.02
     #: Conflict-aware parallel execution lanes per cell.  ``1`` (default)
     #: keeps today's serial schedule; ``N > 1`` lets up to N transactions

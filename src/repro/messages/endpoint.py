@@ -147,16 +147,19 @@ class _Answer(Event):
     the deadline's timer — exactly as ``any_of`` over them would, so a
     caller resumes where a hand-rolled race would have resumed it.  Its
     value is settled only when it is processed, just before its waiters
-    run: a reply resolved in that same instant still counts.
+    run: a reply resolved in that same instant still counts.  Once settled
+    it leaves the timer, so a reply that beat its deadline is not kept
+    alive by the timer until the deadline passes.
     """
 
-    __slots__ = ("_endpoint", "_request", "_waiter")
+    __slots__ = ("_endpoint", "_request", "_waiter", "_timer")
 
     def __init__(self, endpoint: Endpoint, request: Envelope, waiter: Event, timer: Event) -> None:
         super().__init__(endpoint.env)
         self._endpoint = endpoint
         self._request = request
         self._waiter = waiter
+        self._timer = timer
         self.add_callback(self._settle)
         waiter.add_callback(self._fire)
         timer.add_callback(self._fire)
@@ -167,5 +170,8 @@ class _Answer(Event):
 
     def _settle(self, _event: Event) -> None:
         self._endpoint._forget(self._request)
+        timer_callbacks = self._timer.callbacks
+        if timer_callbacks is not None:
+            timer_callbacks.remove(self._fire)
         waiter = self._waiter
         self._value = waiter.value if waiter.triggered else None

@@ -260,7 +260,14 @@ class AllOf(Event):
 
 
 class AnyOf(Event):
-    """Fires as soon as any child event fires."""
+    """Fires as soon as any child event fires.
+
+    Once it has fired it lets go of every child that already succeeded and
+    so can no longer fail — typically the deadline ``Timeout`` of a race
+    that was won, which would otherwise keep the condition and everything
+    it reaches alive until the deadline passes.  It stays on pending
+    children, so that a failure after it fired is still defused.
+    """
 
     __slots__ = ("_events",)
 
@@ -274,7 +281,7 @@ class AnyOf(Event):
         for event in self._events:
             if event.callbacks is None:
                 on_child(event)
-            else:
+            elif self._value is PENDING or not event._ok:
                 event.callbacks.append(on_child)
 
     def _on_child(self, event: Event) -> None:
@@ -285,5 +292,14 @@ class AnyOf(Event):
         if not event._ok:
             event.defused = True
             self.fail(ConditionError(f"child event failed: {event._value!r}"))
-            return
-        self.succeed({event: event._value})
+        else:
+            self.succeed({event: event._value})
+        self._release()
+
+    def _release(self) -> None:
+        """Detach from the children that succeeded but are not processed yet."""
+        on_child = self._on_child
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks is not None and event._ok and on_child in callbacks:
+                callbacks.remove(on_child)

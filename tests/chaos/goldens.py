@@ -17,6 +17,25 @@ fault machinery must not move:
 
 Never re-record it from the current tree to make a test pass: a moved
 digest means a sampler draw, an action string or an artifact moved.
+
+Two sections have since been re-recorded deliberately, by the change that
+made the batch quantum a rate bound instead of a delay (a destination idle
+for a quantum is flushed at once), each from that change's own tree:
+
+* ``runs`` — the 32 recoverable seeds 4, 6, 8, 10, 16, 18, 20, 22, 24, 28,
+  30, 32, 34, 42, 44, 46, 52, 54, 56, 58, 64, 66, 68, 70, 76, 78, 80, 82,
+  102, 124, 142 and 172 and the 5 Byzantine seeds 0, 4, 6, 8 and 10: every
+  one runs with batching on, and only its artifacts moved (its fault log
+  did not), because batched flushes now leave earlier.  Every batching-off
+  run and every ``specs`` entry is as the pre-table code recorded it.
+* ``search`` — after the flush change alone had left it at 577 tuples,
+  ``run_signals`` stopped filtering out the passing differential, which
+  the pinned map had left out only because it predates the differential
+  oracle in the search.
+
+A deliberate re-record names its sections —
+``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
+rewrites nothing else; entries that did not move come out byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +44,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 GOLDEN_PATH = Path(__file__).with_name("golden_faults.json")
 
@@ -74,40 +93,54 @@ def load() -> dict[str, Any]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def record() -> dict[str, Any]:
+def run_section() -> dict[str, dict[str, list[str]]]:
     from repro.chaos import (
         EXERCISED_SEEDS,
         byzantine_corpus_seeds,
         corpus_seeds,
         run_scenario,
-        run_search,
         sample_byzantine_scenario,
         sample_scenario,
     )
-    from repro.chaos.search import PINNED_SEARCH_BUDGET
 
-    search = run_search(PINNED_SEARCH_BUDGET)
     return {
-        "specs": spec_digests(),
-        "runs": {
-            "recoverable": {
-                str(seed): run_digests(run_scenario(sample_scenario(seed)))
-                for seed in (*corpus_seeds(), *EXERCISED_SEEDS)
-            },
-            "byzantine": {
-                str(seed): run_digests(run_scenario(sample_byzantine_scenario(seed)))
-                for seed in byzantine_corpus_seeds()
-            },
+        "recoverable": {
+            str(seed): run_digests(run_scenario(sample_scenario(seed)))
+            for seed in (*corpus_seeds(), *EXERCISED_SEEDS)
         },
-        "search": {
-            "budget": PINNED_SEARCH_BUDGET,
-            "tuples": len(search.coverage),
-            "new_tuples_by_iteration": [entry.new_tuples for entry in search.entries],
+        "byzantine": {
+            str(seed): run_digests(run_scenario(sample_byzantine_scenario(seed)))
+            for seed in byzantine_corpus_seeds()
         },
     }
 
 
+def search_section() -> dict[str, Any]:
+    from repro.chaos import run_search
+    from repro.chaos.search import PINNED_SEARCH_BUDGET
+
+    search = run_search(PINNED_SEARCH_BUDGET)
+    return {
+        "budget": PINNED_SEARCH_BUDGET,
+        "tuples": len(search.coverage),
+        "new_tuples_by_iteration": [entry.new_tuples for entry in search.entries],
+    }
+
+
+SECTIONS = {"specs": spec_digests, "runs": run_section, "search": search_section}
+
+
+def record(sections: Iterable[str] = SECTIONS) -> dict[str, Any]:
+    return {name: SECTIONS[name]() for name in sections}
+
+
 if __name__ == "__main__":
     target = Path(sys.argv[1]) / "tests" / "chaos" / "golden_faults.json"
-    target.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-    print(f"recorded {target}")
+    sections = sys.argv[2:]
+    if sections:
+        # Re-record only the named sections; keep the rest as committed.
+        recorded = {**json.loads(target.read_text()), **record(sections)}
+    else:
+        recorded = record()
+    target.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {target}: {', '.join(sections) or 'every section'}")

@@ -75,20 +75,34 @@ def test_crash_mid_handling_suppresses_the_confirmation(batching):
 
 
 def test_batched_flush_after_crash_drops_queued_items():
+    """A confirmation held back by the batch rate bound dies with its cell.
+
+    A destination idle for a quantum is flushed at once, so a confirmation
+    only waits when its cell flushed to the same destination less than a
+    quantum earlier.  Cell 1 confirms the faucet late (an extra delay
+    before admitting it), which opens a quantum that is still running when
+    the transfer's confirmation is queued; the cell crashes before that
+    held-back flush.
+    """
     deployment = make_deployment(
         consortium_size=2, message_batching=True, batch_quantum=0.5, forwarding_deadline=3.0
     )
     client = BlockumulusClient(deployment, service_cell_index=0)
     fastmoney = FastMoneyClient(client)
-    deployment.env.run(fastmoney.faucet(100))
-
-    # Let cell 1 execute the forwarded transfer and queue its confirmation,
-    # then crash it inside the 0.5 s flush quantum (the forward itself sits
-    # in cell 0's outgoing batch for the first ~0.5 s).
-    event = fastmoney.transfer("0x" + "cc" * 20, 1)
-    deployment.run(until=deployment.env.now + 0.8)
     cell1 = deployment.cell(1)
+    cell1.fault.extra_confirm_delay = 0.3
+    deployment.env.run(fastmoney.faucet(100))
+    cell1.fault.extra_confirm_delay = 0.0
+
+    # Let cell 1 execute the forwarded transfer and queue its confirmation
+    # inside the quantum its faucet confirmation opened, then crash it.
+    event = fastmoney.transfer("0x" + "cc" * 20, 1)
+    while cell1.ledger.statistics()["executed"] < 2:
+        deployment.env.step()
     assert cell1.ledger.statistics()["executed"] == 2  # faucet + transfer applied
+    queue = cell1.batcher._queues[deployment.cell(0).node_name]
+    assert len(queue.confirmations) == 1 and queue.flush_pending
+    assert deployment.env.now < queue.last_flush + 0.5  # held back, not idle
     cell1.fault.crashed = True
     sent_at_crash = _cell_messages_out(deployment, 1)
 

@@ -8,7 +8,7 @@ from repro.core.batching import BatchDispatcher
 from repro.core.receipts import Confirmation
 from repro.messages import Envelope, NonceFactory, Opcode, SimulatedSigner
 from repro.messages.endpoint import Endpoint
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 from repro.sim.network import Network
 
 
@@ -137,6 +137,19 @@ def test_a_reply_before_the_deadline_fires_with_the_reply_and_nothing_stays_pend
     reply = env.run(answer)
     assert reply.sender == cell.address and reply.payload.reply_to == request.nonce
     assert env.now < 1.0 and not asker.endpoint._pending
+
+
+def test_an_answer_settled_by_its_reply_leaves_the_deadline_timer(net):
+    """The timer stays scheduled (no event is removed), but it no longer
+    keeps the answer, its request and its waiter alive until it fires."""
+    env, _network, asker, cell, _other = net
+    request, answer = ask_with_deadline(asker, cell, deadline=900.0)
+    env.run(until=0.5)
+    cell.answer(asker, request)
+    env.run(answer)
+    timers = [event for _at, _seq, event in env._queue if isinstance(event, Timeout)]
+    assert [timer.delay for timer in timers] == [900.0]
+    assert timers[0].callbacks == []
 
 
 def test_a_request_that_never_left_fires_none_at_once_and_schedules_no_deadline(net):

@@ -103,6 +103,37 @@ def test_any_of_fires_on_first_event(env):
     assert env.now == 2
 
 
+def test_a_fired_any_of_lets_go_of_a_child_that_can_no_longer_fail(env):
+    """The losing timer of a race must not keep the condition alive until it
+    fires: once the condition fired, it leaves every child that succeeded."""
+    slow = env.timeout(900)
+    fast = env.timeout(2)
+    env.run(env.any_of([slow, fast]))
+    assert slow.callbacks == []
+
+
+def test_a_fired_any_of_stays_on_a_pending_child_to_defuse_its_failure(env):
+    pending = env.event()
+    condition = env.any_of([pending, env.timeout(1)])
+    assert env.run(condition) is not None
+    assert len(pending.callbacks) == 1
+    pending.fail(KeyError("late"))
+    env.run()  # an undefused failure would raise here
+    assert pending.defused
+
+
+def test_an_any_of_that_fires_while_it_is_built_attaches_only_where_needed(env):
+    """Built over a child that was already processed, the condition fires at
+    once: it must not then attach to the succeeded children after it, and
+    must still attach to the pending ones."""
+    fired = env.timeout(0)
+    env.run()
+    later, pending = env.timeout(5), env.event()
+    condition = env.any_of([fired, later, pending])
+    assert condition.triggered
+    assert later.callbacks == [] and len(pending.callbacks) == 1
+
+
 def test_all_of_empty_fires_immediately(env):
     event = env.all_of([])
     assert event.triggered
