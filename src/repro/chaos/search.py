@@ -62,7 +62,7 @@ PINNED_SEARCH_BUDGET = 10
 #: ratcheted, minus nothing — the search is deterministic, so any drop
 #: is a real regression (a fault kind that stopped firing, a signal
 #: that vanished), not flakiness.
-PINNED_COVERAGE_FLOOR = 577
+PINNED_COVERAGE_FLOOR = 650
 
 #: How one scenario is checked during search.  Search optimizes
 #: *discovery rate*, so the default drops the one expensive oracle (replay
@@ -93,13 +93,9 @@ def run_signals(run: ScenarioRun, results: list[OracleResult]) -> set[str]:
     *schedules* a censor window but never censors anything covers less
     than one whose window provably dropped a transaction.
     """
-    # A passing differential adds no signal: the coverage map pinned in
-    # tests/chaos/golden_faults.json predates it in the search.  Drop this
-    # filter the next time that golden is re-recorded for another reason.
     signals = {
         f"oracle:{result.oracle}:{'pass' if result.passed else 'fail'}"
         for result in results
-        if result.oracle != "differential" or not result.passed
     }
     conservation = next(
         (result for result in results if result.oracle == "conservation"), None

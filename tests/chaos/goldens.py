@@ -31,7 +31,7 @@ for a quantum is flushed at once), each from that change's own tree:
 * ``search`` — after the flush change alone had left it at 577 tuples,
   ``run_signals`` stopped filtering out the passing differential, which
   the pinned map had left out only because it predates the differential
-  oracle in the search.
+  oracle in the search; re-recorded at 650 tuples, the new floor.
 
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
