@@ -16,8 +16,9 @@ has been idle for a quantum leaves at once (a zero-delay timer: whatever is
 queued in the same instant still shares its batch), and only items that
 arrive while the destination is busy wait — for the rest of the quantum
 that the previous flush opened.  At low load a batch of one therefore costs
-what the paper's per-transaction forward costs, and under a burst the
-batches are as full as a fixed-period flush would make them.
+no more time than the paper's per-transaction forward; under a burst only
+what is queued at the idle→busy edge leaves early, in a batch of its own,
+and every later batch collects a full quantum's worth of items.
 
 The dispatcher is purely a transport optimization: per-transaction
 authentication (client signatures on forwards, cell signatures on
