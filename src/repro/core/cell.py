@@ -208,7 +208,9 @@ class BlockumulusCell:
         # The execution stage's one gate (repro.core.lanes): with lanes>1 at
         # most ``execution_lanes`` transactions run concurrently, never two
         # with conflicting access footprints; with one lane it plans nothing
-        # and admits up to ``max_parallel_invocations`` in arrival order.
+        # and admits up to ``max_parallel_invocations`` at once.  Either way
+        # waiters are granted by (cycle, signed timestamp, tx id), a rank
+        # every replica computes alike for the same transaction.
         self.lanes = LaneScheduler(
             env, execution_lanes, self.contracts, name=f"{node_name}-lanes",
             invocations=service_model.max_parallel_invocations,

@@ -124,9 +124,10 @@ class DeploymentConfig:
     batch_quantum: float = 0.02
     #: Conflict-aware parallel execution lanes per cell.  ``1`` (default)
     #: keeps today's serial schedule; ``N > 1`` lets up to N transactions
-    #: with non-conflicting access footprints execute concurrently, with
-    #: results committed in canonical ledger order so ledgers, receipts,
-    #: and fingerprints are identical to the serial run (``repro.core.lanes``).
+    #: with non-conflicting access footprints execute concurrently; ledgers,
+    #: receipts, and fingerprints are identical to the serial run, and at
+    #: every lane count queued transactions start in one replica-independent
+    #: rank order (``repro.core.lanes``).
     execution_lanes: int = 1
     #: Number of independent cell groups (shards) the contract-state
     #: namespace is partitioned across (``repro.core.sharding``).  ``1``

@@ -6,27 +6,41 @@ workload touch disjoint contract state, so this module recovers the lost
 parallelism without giving up the determinism the cross-cell confirmation
 protocol depends on:
 
-* each transaction's **lane token** — its ledger sequence, its target
+* each transaction's **lane token** — its :func:`entry_rank`, its target
   contract, and the keys of that contract it reads, writes, or
   commutatively increments — is derived *before* execution from the
   target bContract's declared
   :meth:`~repro.contracts.interface.BContract.access_plan` (contracts
   without a plan fall back to an exclusive token, which is always safe);
+* queued transactions are granted by **rank** — ``(admission cycle,
+  signed timestamp, tx id)`` — which every replica computes alike for the
+  same transaction, because peers forward the client's signed envelope
+  unchanged.  Overlay consensus answers a client only once *every* active
+  cell has executed its transaction, so a queue served in each cell's own
+  arrival order (its own clients first, forwarded work behind) makes every
+  transaction wait for its place in the *other* cells' queues; one shared
+  order lets the replicas of a transaction execute it at nearly the same
+  instant;
 * tokens that conflict (write/any or delta/read overlap on a key of the
-  same contract) are never in flight at the same time, and conflicting
-  transactions always start in canonical ledger order;
+  same contract) are never in flight at the same time, and queued
+  conflicting transactions always start in rank order;
 * non-conflicting transactions run concurrently on up to ``lanes``
   execution lanes — simulated concurrency inside a cell, through
   :class:`~repro.sim.resources.ConflictGate`;
-* with one lane the same gate plans nothing: every token is keyless, first
-  come first served, up to ``max_parallel_invocations`` at once — the
-  paper's mutex-protected executor;
+* with one lane the same gate plans nothing: every token is keyless, up to
+  ``max_parallel_invocations`` run at once and a freed slot goes to the
+  lowest-ranked waiter — the paper's mutex-protected executor;
 * after each execution the invocation's mutation journal is checked
   against the plan, and a write or increment the plan did not declare is
   counted as a *plan overrun* (:meth:`LaneScheduler.statistics`);
-* results are committed to the ledger in canonical sequence order, so
-  ledgers, receipts, and per-cycle execution fingerprints are bit-identical
-  to the serial schedule.
+* ledger positions are fixed at admission, whatever order entries execute
+  in, so ledgers, receipts, and per-cycle execution fingerprints are
+  bit-identical to the serial schedule.
+
+The rank's leading cycle means no entry overtakes one admitted in an
+earlier report cycle: a client that backdates its signed timestamp moves
+ahead only within its own admission cycle, and can neither make
+conflicting transactions overlap nor make replicas order them differently.
 
 Why this is deterministic: non-conflicting transactions *commute* — their
 write sets are disjoint from each other's read/write/delta sets, so each
@@ -36,13 +50,15 @@ increments of a shared key are the one sanctioned read-modify-write
 overlap: their sum is order-independent, and any method whose *result*
 exposes the running value must declare the key as a write instead.
 Conflicting transactions never overlap.  The scheduler is *online*: it
-orders conflicting grants canonically among queued waiters, but — like the
-one-lane schedule, where execution order is arrival order — it cannot see
-a conflicting transaction that has not arrived yet.  A workload whose
+orders grants by rank among queued waiters, at every lane count, but it
+cannot see a transaction that has not arrived yet.  A workload whose
 conflicting outcomes are order-sensitive (e.g. racing an account to
-insolvency) is therefore timing-dependent per cell under *every* schedule,
-serial included; the cross-cell fingerprint comparison is what catches any
-divergence, exactly as in the paper.  For workloads whose conflicting outcomes commute (what the
+insolvency) is therefore still timing-dependent per cell under *every*
+schedule, serial included — two such transactions queued together start
+in the same order on every replica, but one that finds the other already
+running on one cell and still queued on another does not; the cross-cell
+fingerprint comparison is what catches any divergence, exactly as in the
+paper.  For workloads whose conflicting outcomes commute (what the
 access-plan discipline is designed to encourage), ledgers, receipts, and
 fingerprints are identical across all lane counts and the serial
 schedule — the differential suite asserts this configuration matrix.
@@ -103,10 +119,16 @@ class AccessFootprint:
         )
 
 
-#: What the scheduler hands the gate: the ledger sequence (the grant order of
-#: conflicting waiters), the target contract (whose keys the plan names) and
-#: the contract's own declared plan — ``None`` for an exclusive token.
-LaneToken = tuple[int, str, Optional[AccessSet]]
+#: The grant order of queued waiters, the same on every replica: the entry's
+#: admission cycle, the client's signed timestamp and the tx id (the hash of
+#: that signed payload).  Peers forward the client's envelope unchanged, so
+#: each replica computes the same rank for the same transaction.
+Rank = tuple[int, float, str]
+
+#: What the scheduler hands the gate: the entry's :data:`Rank`, the target
+#: contract (whose keys the plan names) and the contract's own declared
+#: plan — ``None`` for an exclusive token.
+LaneToken = tuple[Rank, str, Optional[AccessSet]]
 
 #: The access of every one-lane token: no key, so nothing to conflict on.
 _KEYLESS = AccessSet()
@@ -121,14 +143,25 @@ def lane_token(entry: "LedgerEntry", registry: ContractRegistry) -> LaneToken:
     """
     from .executor import TransactionExecutor
 
+    rank = entry_rank(entry)
     try:
         contract_name, method, args = TransactionExecutor.parse_call(entry)
         plan = registry.get(contract_name).access_plan(
             method, args, sender=entry.envelope.sender.hex(), tx_id=entry.tx_id
         )
     except Exception:  # noqa: BLE001 - exclusive is the safe fallback
-        return (entry.sequence, "", None)
-    return (entry.sequence, contract_name, plan)
+        return (rank, "", None)
+    return (rank, contract_name, plan)
+
+
+def entry_rank(entry: "LedgerEntry") -> Rank:
+    """The replica-independent grant order of one admitted ledger entry.
+
+    The leading cycle keeps an entry from overtaking one admitted in an
+    earlier report cycle, so a client that backdates its signed timestamp
+    moves only within its own admission cycle.
+    """
+    return (entry.cycle, entry.envelope.payload.timestamp, entry.tx_id)
 
 
 # ----------------------------------------------------------------------
@@ -139,9 +172,10 @@ class LaneScheduler:
 
     Transactions request a lane as they are ready to execute.  With
     ``lanes > 1`` the :class:`~repro.sim.resources.ConflictGate` grants at
-    most ``lanes`` slots, never to two conflicting tokens together, and
-    conflicting waiters in canonical ledger order; with one lane every
-    token is keyless and the gate is a FIFO pool of ``invocations`` slots.
+    most ``lanes`` slots, never to two conflicting tokens together; with
+    one lane every token is keyless and the gate is a pool of
+    ``invocations`` slots.  Either way queued waiters are granted in
+    :func:`entry_rank` order, which every replica computes alike.
     """
 
     def __init__(self, env: Environment, lanes: int, registry: ContractRegistry,
@@ -161,9 +195,7 @@ class LaneScheduler:
             env,
             capacity=lanes if self.planned else invocations,
             name=name,
-            # Conflicting waiters enter in canonical ledger order; keyless
-            # ones never conflict, so they enter in arrival order.
-            order_key=itemgetter(0) if self.planned else None,
+            order_key=itemgetter(0),
         )
 
     def acquire(self, entry: "LedgerEntry") -> Event:
@@ -176,7 +208,7 @@ class LaneScheduler:
             if token[2] is None:
                 self.exclusive_fallbacks += 1
         else:
-            token = (sequence, "", _KEYLESS)
+            token = (entry_rank(entry), "", _KEYLESS)
         grant = self.gate.request(token)
         self._tokens[sequence] = token
         return grant

@@ -865,8 +865,12 @@ class RecoveryCoordinator:
             # A donor status of "admitted" is not a claim about execution:
             # the donor simply had not executed the entry yet when it
             # served the sync (the backfill phase fetches exactly such
-            # entries).  Executing ahead of the donor is safe — execution
-            # is deterministic in ledger order.
+            # entries).  Executing ahead of the donor is safe.  Replay runs
+            # the tail serially in ledger order, which is not the order live
+            # execution used (the lane gate grants by rank, and lanes
+            # overlap), but transactions whose conflicting outcomes commute
+            # end the same either way; a status that differs from the
+            # donor's recorded one is a divergence and fails below.
             if donor_status != "admitted" and outcome.status != donor_status:
                 raise _ResyncFailure(
                     f"replay of sequence {sequence} diverged: local status "

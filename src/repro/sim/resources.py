@@ -132,7 +132,7 @@ class ConflictGate:
 
     The list is ordered by construction, never re-sorted: ``order_key`` is
     evaluated once per request, and the new entry is appended when it sorts
-    last (the common case — ledger sequences arrive nearly in order) and
+    last (the common case — ranks arrive nearly in order) and
     placed by bisection on the ``(key, arrival)`` pair otherwise.  A
     request or a release whose gate is full costs one addition (the
     capacity-deferral tally is arithmetic); one that finds a free slot
@@ -140,10 +140,11 @@ class ConflictGate:
     touching the tail, as soon as the slots are taken again.
 
     This is the deterministic simulated-lane primitive of the execution
-    engine: tokens are ``(ledger sequence, contract, access plan)``,
-    ``capacity`` is the number of execution lanes, and ``order_key`` is the
-    canonical ledger sequence, biasing conflicting grants toward ledger
-    order (with one lane: keyless tokens, no ``order_key``).
+    engine: tokens are ``(rank, contract, access plan)``, ``capacity`` is
+    the number of execution lanes, and ``order_key`` takes the rank — the
+    entry's ``(cycle, signed timestamp, tx id)``, the same on every
+    replica — so every cell grants its queued transactions in one shared
+    order (with one lane: keyless tokens, the same ``order_key``).
     """
 
     def __init__(

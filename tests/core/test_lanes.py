@@ -5,6 +5,7 @@ import gc
 import inspect
 import pstats
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from repro.contracts import AccessSet, ContractRegistry, FastMoney
 from repro.contracts.community.ballot import Ballot
 from repro.contracts.system.cas import ContentAddressableStorage
 from repro.core.executor import TransactionExecutor
-from repro.core.lanes import AccessFootprint, LaneScheduler, lane_token
+from repro.core.lanes import AccessFootprint, LaneScheduler, entry_rank, lane_token
 from repro.core.ledger import TransactionLedger
 from repro.crypto.keys import PrivateKey
 from repro.messages import EcdsaSigner, Envelope, Opcode
@@ -65,14 +66,16 @@ def setup():
 
 
 # ----------------------------------------------------------------------
-# Lane tokens: (ledger sequence, contract, the contract's own plan)
+# Lane tokens: (replica-independent rank, contract, the contract's own plan)
 # ----------------------------------------------------------------------
 def test_same_sender_transfers_conflict(setup):
     registry, ledger, _ = setup
     a = admit(ledger, ALICE, transfer("0x" + "aa" * 20, 1), "0x1")
     b = admit(ledger, ALICE, transfer("0x" + "bb" * 20, 1), "0x2")
     ta, tb = (lane_token(entry, registry) for entry in (a, b))
-    assert ta[:2] == (a.sequence, "fastmoney") and tb[:2] == (b.sequence, "fastmoney")
+    # The rank: (admission cycle, signed timestamp, tx id).
+    assert ta[:2] == ((0, 1.0, a.tx_id), "fastmoney")
+    assert tb[:2] == ((0, 1.0, b.tx_id), "fastmoney")
     assert ta[2] is not None and tb[2] is not None
     assert ta[2].conflicts_with(tb[2])
 
@@ -137,8 +140,8 @@ def test_malformed_and_unknown_calls_are_exclusive(setup):
     registry, ledger, _ = setup
     missing = admit(ledger, ALICE, {"method": "x", "args": {}}, "0x1")
     unknown = admit(ledger, ALICE, {"contract": "ghost", "method": "x", "args": {}}, "0x2")
-    assert lane_token(missing, registry) == (missing.sequence, "", None)
-    assert lane_token(unknown, registry) == (unknown.sequence, "", None)
+    assert lane_token(missing, registry) == ((0, 1.0, missing.tx_id), "", None)
+    assert lane_token(unknown, registry) == ((0, 1.0, unknown.tx_id), "", None)
 
 
 def test_access_set_conflict_semantics():
@@ -214,22 +217,68 @@ def test_conflict_gate_rejects_bad_release():
 
 
 # ----------------------------------------------------------------------
-# One lane: the invoker pool's schedule, through the same gate
+# One lane: a pool of slots granted in rank order, through the same gate
 # ----------------------------------------------------------------------
 class _Entry:
-    """The one field of a ledger entry a one-lane scheduler reads."""
+    """The fields of a ledger entry a one-lane scheduler reads.
 
-    def __init__(self, sequence):
+    Its rank is ``(0, timestamp, tx id)``; the timestamp defaults to the
+    serial, so ranks rise with arrival and rank order is arrival order.
+    """
+
+    def __init__(self, sequence, timestamp=None):
         self.sequence = sequence
+        self.cycle = 0
+        self.tx_id = f"{sequence:08d}"
+        self.envelope = SimpleNamespace(payload=SimpleNamespace(
+            timestamp=float(sequence if timestamp is None else timestamp)))
 
 
-def _one_lane_and_pool(capacity, steps, mutate=lambda scheduler: None):
-    """Drive a one-lane scheduler and a ``Resource`` through the same steps.
+class _RankedPool:
+    """Reference: ``capacity`` slots, a freed slot going to the lowest-ranked waiter."""
 
+    def __init__(self, env, capacity):
+        self.env = env
+        self.capacity = capacity
+        self.in_use = 0
+        self._waiting = []  # (rank, grant event)
+
+    @property
+    def queue_length(self):
+        return len(self._waiting)
+
+    def request(self, rank):
+        grant = self.env.event()
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            grant.succeed(self)
+        else:
+            self._waiting.append((rank, grant))
+        return grant
+
+    def release(self):
+        if self._waiting:
+            lowest = min(range(len(self._waiting)), key=lambda i: self._waiting[i][0])
+            self._waiting.pop(lowest)[1].succeed(self)
+        else:
+            self.in_use -= 1
+
+
+def _one_lane_and_pool(capacity, steps, mutate=lambda scheduler: None, ranked=False):
+    """Drive a one-lane scheduler and a reference pool through the same steps.
+
+    The reference is a FIFO ``Resource`` — what the serial executor was
+    before it became a gate configuration — when every request's rank
+    rises with its serial, and a :class:`_RankedPool` when ``ranked``
+    requests carry a drawn timestamp (``("request", timestamp)``).
     Returns each side's trace, one row per step (and one after running the
     rest): which requests are granted, ``(request serial, instant)`` of
     every grant as it fires, slots in use, and requests queued.
     """
+    def entry(serial):
+        step = steps[serial]
+        return _Entry(serial, step[1] if ranked else None)
+
     traces = []
     for side in ("lanes", "pool"):
         env = Environment()
@@ -238,8 +287,12 @@ def _one_lane_and_pool(capacity, steps, mutate=lambda scheduler: None):
                                       invocations=capacity)
             mutate(scheduler)
             counted = scheduler.gate
-            request = lambda serial: scheduler.acquire(_Entry(serial))
-            release = lambda serial: scheduler.release(_Entry(serial))
+            request = lambda serial: scheduler.acquire(entry(serial))
+            release = lambda serial: scheduler.release(entry(serial))
+        elif ranked:
+            counted = ranked_pool = _RankedPool(env, capacity)
+            request = lambda serial: ranked_pool.request(entry_rank(entry(serial)))
+            release = lambda serial: ranked_pool.release()
         else:
             counted = pool = Resource(env, capacity)
             request = lambda serial: pool.request()
@@ -290,6 +343,37 @@ def test_one_lane_grants_exactly_like_the_invoker_pool(capacity, steps):
     assert lanes == pool
 
 
+_ranked_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("request"), st.integers(0, 5)),
+        st.tuples(st.just("release"), st.integers(0, 9)),
+        st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 2.0])),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 4), steps=_ranked_steps)
+def test_one_lane_grants_its_lowest_ranked_waiter(capacity, steps):
+    """Out-of-order ranks: a freed slot goes to the waiter every replica ranks first."""
+    lanes, pool = _one_lane_and_pool(capacity, steps, ranked=True)
+    assert lanes == pool
+
+
+def test_a_one_lane_gate_granting_in_arrival_order_is_caught():
+    """Mutation check: the ranked differential sees a FIFO gate."""
+    steps = [("request", 0), ("request", 5), ("request", 1), ("release", 0)]
+
+    def arrival_order(scheduler):
+        scheduler.gate.order_key = None
+
+    lanes, pool = _one_lane_and_pool(1, steps, ranked=True)
+    assert lanes == pool
+    lanes, pool = _one_lane_and_pool(1, steps, mutate=arrival_order, ranked=True)
+    assert lanes != pool
+
+
 def test_a_one_lane_gate_granting_past_capacity_is_caught():
     """Mutation check: the differential above sees one slot too many."""
     steps = [("request",)] * 3
@@ -313,7 +397,8 @@ def test_one_lane_plans_nothing(setup):
         contract.access_plan = lambda *args, **kwargs: plans.append(args)
     assert scheduler.acquire(entry).triggered and scheduler.gate.in_use == 1
     assert plans == []                      # no plan derived
-    assert scheduler.gate.capacity == 5 and scheduler.gate.order_key is None
+    assert scheduler.gate.capacity == 5
+    assert scheduler.gate.order_key(scheduler._tokens[entry.sequence]) == (0, 1.0, entry.tx_id)
     assert scheduler.statistics() is None   # what bench/ reads at one lane
     scheduler.release(entry)
     assert scheduler.gate.in_use == 0

@@ -34,8 +34,8 @@ class ReferenceConflictGate:
 
     This is the deterministic simulated-lane primitive of the execution
     engine: tokens are transaction access footprints, ``capacity`` is the
-    number of execution lanes, and ``order_key`` is the canonical ledger
-    sequence, biasing conflicting grants toward ledger order.
+    number of execution lanes, and ``order_key`` is the entry's
+    replica-independent rank, ``(cycle, signed timestamp, tx id)``.
     """
 
     def __init__(
