@@ -117,8 +117,7 @@ class BatchDispatcher:
             return
         queue.flush_pending = True
         env = self.endpoint.env
-        delay = max(0.0, queue.last_flush + self.quantum - env.now)
-        env.timeout(delay).add_callback(lambda _event: self._flush(dst_node))
+        env.call_at(max(env.now, queue.last_flush + self.quantum), lambda: self._flush(dst_node))
 
     # ------------------------------------------------------------------
     # Flushing

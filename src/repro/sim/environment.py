@@ -68,7 +68,7 @@ class Environment:
         """Schedule ``callback`` to run at absolute simulated time ``when``."""
         if when < self.now:
             raise SimulationError(f"cannot schedule in the past ({when} < {self.now})")
-        event = Timeout(self, when - self.now)
+        event = Timeout(self, when - self.now, at=when)
         event.add_callback(lambda _event: callback())
         return event
 

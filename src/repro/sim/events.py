@@ -126,11 +126,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay.
+
+    ``at`` pins the instant exactly: ``now + (at - now)`` can miss ``at`` by
+    a rounding step, and an absolute instant must not.
+    """
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
+    def __init__(
+        self, env: "Environment", delay: float, value: Any = None,
+        at: Optional[float] = None,
+    ) -> None:
         if delay < 0:
             raise SimulationError(f"timeout delay must be non-negative, got {delay}")
         # Born triggered: the fields of Event.__init__, with the outcome set.
@@ -140,7 +147,7 @@ class Timeout(Event):
         self._ok = True
         self.defused = False
         self.delay = delay
-        heappush(env._queue, (env.now + delay, next(env._sequence), self))
+        heappush(env._queue, (env.now + delay if at is None else at, next(env._sequence), self))
 
 
 class Process(Event):

@@ -10,7 +10,7 @@ must keep the promises its module docstring makes.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batching import BatchDispatcher
@@ -147,6 +147,9 @@ def test_at_quantum_zero_the_policy_is_the_fixed_period_flush(steps, crash_at):
 
 @settings(max_examples=300, deadline=None)
 @given(steps=_steps, quantum=st.sampled_from([0.005, 0.02, 0.05]), crash_at=_crashes)
+# A flush armed at 0.02 for 0.01 + 0.05 once fired at 0.02 + (0.06 - 0.02),
+# one rounding step late, so the item queued at 0.06 waited for it.
+@example(steps=[(0.01, "cell-a", False)] * 6, quantum=0.05, crash_at=None)
 def test_the_quantum_bounds_the_rate_and_the_wait(steps, quantum, crash_at):
     endpoint, dispatcher, queued, sent_at_crash = _run(
         BatchDispatcher, quantum, steps, crash_at

@@ -63,6 +63,17 @@ def test_call_at_runs_callback(env):
     assert seen == [2.5]
 
 
+def test_call_at_fires_at_exactly_the_instant_asked_for(env):
+    # 0.02 + (when - 0.02) rounds to a different float than ``when``.
+    when = 0.01 + 0.05
+    seen = []
+    env.timeout(0.02)
+    env.run()
+    env.call_at(when, lambda: seen.append(env.now))
+    env.run()
+    assert seen == [when]
+
+
 def test_call_at_in_past_rejected(env):
     env.timeout(1)
     env.run()
