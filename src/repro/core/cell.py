@@ -539,10 +539,16 @@ class BlockumulusCell:
         # Execute locally while peers work in parallel.
         outcome = yield from self._execute_entry(entry)
 
-        # Wait for all confirmations or the forwarding deadline.
+        # Wait for all confirmations or the forwarding deadline.  A peer runs
+        # this transaction only after everything ranked before it, so its
+        # deadline starts once nothing ranked before it is queued here.
         if active_peers:
-            deadline = self.env.timeout(self.invariants.forwarding_deadline)
-            yield self.env.any_of([pending.all_received, deadline])
+            queue_ahead = self.lanes.queue_ahead(entry)
+            if queue_ahead is not None:
+                yield self.env.any_of([pending.all_received, queue_ahead])
+            if queue_ahead is None or not pending.all_received.triggered:
+                deadline = self.env.timeout(self.invariants.forwarding_deadline)
+                yield self.env.any_of([pending.all_received, deadline])
         self._pending.pop(entry.tx_id, None)
 
         # The service cell checks every returned fingerprint (Fig. 7 step 4);

@@ -67,6 +67,7 @@ schedule — the differential suite asserts this configuration matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Optional, TYPE_CHECKING
@@ -182,6 +183,7 @@ class LaneScheduler:
                  name: str = "lanes", invocations: int = 1) -> None:
         if lanes < 1:
             raise LaneError("at least one execution lane is required")
+        self.env = env
         self.lanes = lanes
         self.registry = registry
         #: Whether tokens carry access plans (more than one lane).
@@ -191,6 +193,8 @@ class LaneScheduler:
         self.exclusive_fallbacks = 0
         #: Executions that wrote or incremented a key their plan did not declare.
         self.plan_overruns = 0
+        #: (rank, event) of every :meth:`queue_ahead` wait, lowest rank first.
+        self._ahead_waits: list[tuple[Rank, Event]] = []
         self.gate = ConflictGate(
             env,
             capacity=lanes if self.planned else invocations,
@@ -211,6 +215,8 @@ class LaneScheduler:
             token = (entry_rank(entry), "", _KEYLESS)
         grant = self.gate.request(token)
         self._tokens[sequence] = token
+        if self._ahead_waits:
+            self._end_ahead_waits()
         return grant
 
     def granted(self, entry: "LedgerEntry") -> bool:
@@ -236,6 +242,29 @@ class LaneScheduler:
                     self.plan_overruns += 1
                     break
         self.gate.release(token)
+        if self._ahead_waits:
+            self._end_ahead_waits()
+
+    def queue_ahead(self, entry: "LedgerEntry") -> Optional[Event]:
+        """None if no transaction ranked before ``entry`` waits for a lane here.
+
+        Otherwise an event that fires once none does.  A peer serves the
+        same rank order, so the transactions still queued ahead of this one
+        here are ones it has to run before this one too.
+        """
+        rank = entry_rank(entry)
+        waiting = self.gate.waiting
+        if not waiting or waiting[0][0][0] > rank:
+            return None
+        event = self.env.event()
+        heappush(self._ahead_waits, (rank, event))
+        return event
+
+    def _end_ahead_waits(self) -> None:
+        """Fire the :meth:`queue_ahead` waits no queued rank precedes any more."""
+        waiting, waits = self.gate.waiting, self._ahead_waits
+        while waits and (not waiting or waiting[0][0][0] > waits[0][0]):
+            heappop(waits)[1].succeed()
 
     def statistics(self) -> Optional[dict[str, Any]]:
         """Lane/conflict counters for cell introspection (None with one lane, which plans nothing)."""

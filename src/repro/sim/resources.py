@@ -162,8 +162,10 @@ class ConflictGate:
         self.order_key = order_key
         self._holding: list[Any] = []  # keyed and exclusive holders
         self._keyless = 0              # keyless holders, counted
-        #: ((sort key, arrival counter), token, grant event), ordered by the pair.
-        self._waiting: list[tuple[tuple[Any, int], Any, Event]] = []
+        #: ((sort key, arrival counter), token, grant event), ordered by the
+        #: pair: the first entry is the lowest-ranked waiter.  Read it; only
+        #: the gate changes it.
+        self.waiting: list[tuple[tuple[Any, int], Any, Event]] = []
         self._arrivals = 0
         # Statistics.
         self.grants = 0
@@ -180,7 +182,7 @@ class ConflictGate:
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a grant."""
-        return len(self._waiting)
+        return len(self.waiting)
 
     @property
     def peak_queue_length(self) -> int:
@@ -195,7 +197,7 @@ class ConflictGate:
         # Arrivals are unique, so positions never tie and neither the token
         # nor the event is ever compared.
         entry = ((key, self._arrivals), token, grant)
-        waiting = self._waiting
+        waiting = self.waiting
         if not waiting or waiting[-1][0] < entry[0]:
             waiting.append(entry)
         else:
@@ -217,7 +219,7 @@ class ConflictGate:
                 self._holding.remove(token)
             except ValueError:
                 raise SimulationError(f"release() on {self.name} for a token not holding a slot")
-        if self._waiting:
+        if self.waiting:
             self._drain()
 
     def _drain(self) -> None:
@@ -231,7 +233,7 @@ class ConflictGate:
         report.
         """
         holding = self._holding
-        waiting = self._waiting
+        waiting = self.waiting
         in_use = len(holding) + self._keyless
         if not waiting or in_use >= self.capacity:
             self.capacity_deferrals += len(waiting)

@@ -64,3 +64,22 @@ def test_a_saturated_burst_starts_each_transaction_together_on_both_cells(lanes)
     assert last - first > 20 * INVOKE_OVERHEAD
     gaps = [abs(starts[0][tx] - starts[1][tx]) for tx in burst]
     assert statistics.median(gaps) < 2 * INVOKE_OVERHEAD
+
+
+def test_a_long_saturated_burst_keeps_every_healthy_peer_inside_the_deadline():
+    """A transaction an idle gate started at once still has time on its peers.
+
+    The first transaction a cell's own clients bring finds its gate idle and
+    starts there at once, whatever its rank; on the other cell it waits its
+    place in the shared rank order, which can be most of a makespan.  Its
+    forwarding deadline therefore starts only once nothing ranked before it
+    is queued at the service cell.  Counted from the end of local execution
+    instead, the deadline expired on one transaction of this 320-transfer
+    burst: the client was told a transfer failed that both cells had executed.
+    """
+    deployment = make_deployment(
+        signature_scheme="sim", service_model=SERIAL_EXECUTION, execution_lanes=1,
+    )
+    report = run_burst_transfers(deployment, count=320, pools=16)
+    assert [result.error for result in report.results if not result.ok] == []
+    assert len(report.results) == 320
