@@ -622,7 +622,12 @@ class BlockumulusCell:
             self.consensus.record_success(address)
             if confirmation.status != "executed":
                 rejected.append(confirmation)
-            elif confirmation.fingerprint_hex != expected_fingerprint:
+            elif (
+                confirmation.fingerprint_hex != expected_fingerprint
+                or confirmation.contract != outcome.contract
+                or confirmation.error is not None
+            ):
+                # Not the statement this cell signs: a receipt cannot carry it.
                 mismatched.append(address)
         for address in missing:
             newly_excluded = self.consensus.record_miss(address, entry.cycle)
@@ -644,17 +649,17 @@ class BlockumulusCell:
                 status="executed",
                 timestamp=self.env.now,
             )
-            receipt = AggregatedReceipt(
+            receipt = AggregatedReceipt.of(
+                (own_confirmation, *pending.confirmations.values()),
                 tx_id=entry.tx_id,
                 contract=outcome.contract,
+                fingerprint_hex=expected_fingerprint,
                 method=outcome.method,
                 result=outcome.result,
                 service_cell=self.address,
-                fingerprint_hex=expected_fingerprint,
                 cycle=entry.cycle,
                 submitted_at=entry.envelope.payload.timestamp,
                 completed_at=self.env.now,
-                confirmations=(own_confirmation, *pending.confirmations.values()),
             )
         return _ServiceResult(
             entry=entry,

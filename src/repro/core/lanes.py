@@ -215,8 +215,6 @@ class LaneScheduler:
             token = (entry_rank(entry), "", _KEYLESS)
         grant = self.gate.request(token)
         self._tokens[sequence] = token
-        if self._ahead_waits:
-            self._end_ahead_waits()
         return grant
 
     def granted(self, entry: "LedgerEntry") -> bool:
@@ -261,7 +259,11 @@ class LaneScheduler:
         return event
 
     def _end_ahead_waits(self) -> None:
-        """Fire the :meth:`queue_ahead` waits no queued rank precedes any more."""
+        """Fire the :meth:`queue_ahead` waits no queued rank precedes any more.
+
+        Only a release can move the wait list's lowest rank up: a request
+        adds a waiter, or grants the one it adds.
+        """
         waiting, waits = self.gate.waiting, self._ahead_waits
         while waits and (not waiting or waiting[0][0][0] > waits[0][0]):
             heappop(waits)[1].succeed()

@@ -5,13 +5,16 @@ signed *confirmation* carrying the resulting contract fingerprint.  The
 service cell verifies that the fingerprints agree with its own execution,
 serializes the confirmations into an *aggregated receipt*, and returns it
 to the client (Section III-D3).  The receipt is the client's cryptographic
-proof that every cell executed the transaction identically.
+proof that every cell executed the transaction identically.  Its
+confirmations all state the same transaction, so it carries that statement
+once and, per co-signing cell, only the cell, its timestamp and its
+signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from ..crypto.keys import Address
 from ..encoding import canonical_json
@@ -91,9 +94,32 @@ class SingleConfirmation(ConfirmationBatch):
     confirmations: tuple[Confirmation, ...] = wire.single(wire.nested(Confirmation))("confirmation")
 
 
+@dataclass(frozen=True)
+class CoSigner(wire.Body, error=ReceiptError, what="receipt co-signer"):
+    """One cell's signature on a receipt: what differs between its co-signers.
+
+    Every co-signer signed the same :class:`Confirmation` but for its own
+    ``cell`` and ``timestamp``; the statement they share travels once, on
+    the receipt.
+    """
+
+    cell: Address = wire.address()
+    timestamp: float = wire.seconds()
+    signature: bytes = wire.signature()
+    scheme: str = wire.text(default="ecdsa")
+
+
 @dataclass
 class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
-    """The multi-signature proof returned to the client."""
+    """The multi-signature proof returned to the client.
+
+    The receipt states the transaction once — ``tx_id``, ``contract``,
+    ``fingerprint`` and ``status`` — and each co-signer adds only its cell,
+    timestamp and signature (:class:`CoSigner`), the shape of a quorum
+    certificate.  :attr:`confirmations` rebuilds every co-signer's full
+    signed statement from the two, so a receipt whose co-signers signed
+    different statements cannot be expressed: :meth:`of` refuses to build one.
+    """
 
     tx_id: str = wire.text()
     contract: str = wire.text()
@@ -101,10 +127,65 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
     result: Any = wire.anything()
     service_cell: Address = wire.address()
     fingerprint_hex: str = wire.text("fingerprint")
+    status: str = wire.text()
     cycle: int = wire.integer()
     submitted_at: float = wire.seconds()
     completed_at: float = wire.seconds()
-    confirmations: tuple[Confirmation, ...] = wire.list_of(wire.nested(Confirmation))(default=())
+    cosigners: tuple[CoSigner, ...] = wire.list_of(wire.nested(CoSigner))(default=())
+
+    def __post_init__(self) -> None:
+        if self.status != "executed":
+            raise ReceiptError(f"a receipt states an executed transaction, not {self.status!r}")
+
+    @classmethod
+    def of(
+        cls,
+        confirmations: Iterable[Confirmation],
+        *,
+        tx_id: str,
+        contract: str,
+        fingerprint_hex: str,
+        **fields: Any,
+    ) -> "AggregatedReceipt":
+        """The receipt co-signed by ``confirmations``, which must all state it.
+
+        Raises :class:`ReceiptError` for a confirmation of another
+        transaction, contract or fingerprint, one that is not ``executed``,
+        or one that carries an error.
+        """
+        statement = (tx_id, contract, fingerprint_hex, "executed", None)
+        cosigners = []
+        for confirmation in confirmations:
+            signed = (
+                confirmation.tx_id, confirmation.contract, confirmation.fingerprint_hex,
+                confirmation.status, confirmation.error,
+            )
+            if signed != statement:
+                raise ReceiptError(
+                    f"cell {confirmation.cell.hex()} signed {signed!r}, "
+                    f"not the receipt's {statement!r}"
+                )
+            cosigners.append(CoSigner(
+                confirmation.cell, confirmation.timestamp, confirmation.signature,
+                confirmation.scheme,
+            ))
+        return cls(
+            tx_id=tx_id, contract=contract, fingerprint_hex=fingerprint_hex, status="executed",
+            cosigners=tuple(cosigners), **fields,
+        )
+
+    @property
+    def confirmations(self) -> tuple[Confirmation, ...]:
+        """Every co-signer's full signed statement, rebuilt from the shared fields."""
+        return tuple(
+            Confirmation(
+                cell=cosigner.cell, tx_id=self.tx_id, contract=self.contract,
+                fingerprint_hex=self.fingerprint_hex, status=self.status,
+                timestamp=cosigner.timestamp, signature=cosigner.signature,
+                scheme=cosigner.scheme,
+            )
+            for cosigner in self.cosigners
+        )
 
     @property
     def latency(self) -> float:
@@ -113,27 +194,22 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
 
     def cells(self) -> list[str]:
         """Hex addresses of every cell that signed the receipt."""
-        return [confirmation.cell.hex() for confirmation in self.confirmations]
+        return [cosigner.cell.hex() for cosigner in self.cosigners]
 
     def verify(self, expected_cells: Optional[list[Address]] = None) -> bool:
-        """Verify every embedded confirmation (and optionally cell coverage).
+        """Verify every co-signer's signature (and optionally cell coverage).
 
         ``expected_cells`` lets a client require that specific consortium
-        members signed; fingerprints must also all match the receipt's.
+        members signed.  Each signature is checked over the statement the
+        receipt states, so a receipt whose shared fields were changed after
+        signing verifies for none of its co-signers.
         """
-        if not self.confirmations:
+        if not self.cosigners:
             return False
-        for confirmation in self.confirmations:
-            if not confirmation.verify():
-                return False
-            if confirmation.status != "executed":
-                return False
-            if confirmation.fingerprint_hex != self.fingerprint_hex:
-                return False
-            if confirmation.tx_id != self.tx_id:
-                return False
+        if not all(confirmation.verify() for confirmation in self.confirmations):
+            return False
         if expected_cells is not None:
-            signed = {confirmation.cell for confirmation in self.confirmations}
+            signed = {cosigner.cell for cosigner in self.cosigners}
             if not set(expected_cells).issubset(signed):
                 return False
         return True

@@ -33,6 +33,14 @@ for a quantum is flushed at once), each from that change's own tree:
   the pinned map had left out only because it predates the differential
   oracle in the search; re-recorded at 650 tuples, the new floor.
 
+The ``runs`` section was re-recorded once more, by the change that made
+the aggregated receipt state its transaction once (each co-signer travels
+as cell, timestamp and signature), from that change's own tree: the
+artifacts of 58 of the 88 recoverable runs and 8 of the 12 Byzantine runs
+moved, because every receipt is smaller on the wire and so arrives a few
+microseconds sooner.  No fault log moved and every oracle verdict still
+passes; ``specs`` and ``search`` are untouched.
+
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
 rewrites nothing else; entries that did not move come out byte-identical.

@@ -24,6 +24,27 @@ def test_transfer_produces_verifiable_receipt(deployment):
     assert result.latency > 0
 
 
+
+def test_a_peer_signing_the_fingerprint_under_another_contract_is_mismatched(deployment):
+    """A receipt carries one statement: a confirmation of another cannot join it."""
+    client = BlockumulusClient(deployment)
+    fastmoney = FastMoneyClient(client)
+    assert run(deployment, fastmoney.faucet(100)).ok
+    peer = deployment.cell(1)
+    confirm = peer._confirm
+
+    def confirm_under_another_name(dst_node, origin, reply_nonce, tx_id, _contract, *rest, **kw):
+        # The right execution fingerprint, signed for a contract that was not called.
+        confirm(dst_node, origin, reply_nonce, tx_id, "fastmoney-v2", *rest, **kw)
+
+    peer._confirm = confirm_under_another_name
+    result = run(deployment, fastmoney.transfer("0x" + "ab" * 20, 40))
+    assert not result.ok and result.receipt is None
+    assert result.error == "fingerprint mismatch across consortium cells"
+    assert deployment.cell(0).metrics.counter(
+        f"{deployment.cell(0).node_name}/fingerprint_mismatches"
+    ) == 1
+
 def test_state_replicated_identically_on_all_cells(deployment):
     client = BlockumulusClient(deployment)
     fastmoney = FastMoneyClient(client)

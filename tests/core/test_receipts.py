@@ -13,18 +13,21 @@ TX_ID = "0x" + "11" * 32
 FP = "0x" + "22" * 32
 
 
-def make_confirmation(signer=CELL_A, status="executed", fingerprint=FP):
+def make_confirmation(
+    signer=CELL_A, status="executed", fingerprint=FP, tx_id=TX_ID, contract="fastmoney",
+    timestamp=3.0, error=None,
+):
     return Confirmation.create(
-        signer, tx_id=TX_ID, contract="fastmoney", fingerprint_hex=fingerprint,
-        status=status, timestamp=3.0,
+        signer, tx_id=tx_id, contract=contract, fingerprint_hex=fingerprint, status=status,
+        timestamp=timestamp, error=error,
     )
 
 
 def make_receipt(confirmations):
-    return AggregatedReceipt(
-        tx_id=TX_ID, contract="fastmoney", method="transfer", result={"amount": 5},
-        service_cell=CELL_A.address, fingerprint_hex=FP, cycle=1,
-        submitted_at=1.0, completed_at=3.5, confirmations=confirmations,
+    return AggregatedReceipt.of(
+        confirmations, tx_id=TX_ID, contract="fastmoney", fingerprint_hex=FP,
+        method="transfer", result={"amount": 5}, service_cell=CELL_A.address, cycle=1,
+        submitted_at=1.0, completed_at=3.5,
     )
 
 
@@ -74,13 +77,39 @@ def test_receipt_rejects_missing_expected_cell():
 
 def test_receipt_rejects_mismatched_fingerprint():
     bad = make_confirmation(CELL_B, fingerprint="0x" + "99" * 32)
-    receipt = make_receipt([make_confirmation(CELL_A), bad])
-    assert not receipt.verify()
+    with pytest.raises(ReceiptError):
+        make_receipt([make_confirmation(CELL_A), bad])
 
 
 def test_receipt_rejects_rejected_confirmation():
-    receipt = make_receipt([make_confirmation(CELL_A, status="rejected")])
-    assert not receipt.verify()
+    with pytest.raises(ReceiptError):
+        make_receipt([make_confirmation(CELL_A, status="rejected")])
+
+
+@pytest.mark.parametrize("statement", [
+    {"tx_id": "0x" + "33" * 32}, {"contract": "cas"}, {"error": "late"},
+], ids=["tx_id", "contract", "error"])
+def test_receipt_refuses_a_cosigner_of_another_statement(statement):
+    with pytest.raises(ReceiptError):
+        make_receipt([make_confirmation(CELL_A), make_confirmation(CELL_B, **statement)])
+
+
+def test_receipt_states_an_executed_transaction():
+    wire_form = make_receipt([make_confirmation(CELL_A)]).to_wire()
+    with pytest.raises(ReceiptError):
+        AggregatedReceipt.from_wire(dict(wire_form, status="rejected"))
+
+
+def test_receipt_rebuilds_each_cosigners_statement():
+    confirmations = [make_confirmation(CELL_A), make_confirmation(CELL_B, timestamp=3.25)]
+    receipt = make_receipt(confirmations)
+    assert receipt.confirmations == tuple(confirmations)
+    assert [c.body() for c in receipt.confirmations] == [c.body() for c in confirmations]
+    # The statement travels once; a co-signer is only what differs.
+    cosigners = receipt.to_wire()["cosigners"]
+    assert [sorted(cosigner) for cosigner in cosigners] == [
+        ["cell", "scheme", "signature", "timestamp"]
+    ] * 2
 
 
 def test_empty_receipt_does_not_verify():

@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.receipts import ConfirmationBatch
+from repro.core.receipts import AggregatedReceipt, Confirmation, ConfirmationBatch
 from repro.core.replies import VoucherReply
 from repro.core.routes import REPLIES, ROUTES
 from repro.core.snapshot import DataSnapshot, SnapshotError
 from repro.crypto.keys import Address
-from repro.messages import Envelope, Opcode, SimulatedSigner, wire
+from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch, ForwardedTransactions
 from repro.messages.envelope import EnvelopeError
 from repro.messages.evidence import PartitionEvent
@@ -262,6 +262,7 @@ RULES = {
         last_cycle=kwargs["first_cycle"] + draw(st.integers(0, 5))
     ),
     ConfirmationBatch: _at_least_one("confirmations"),
+    AggregatedReceipt: lambda _body, kwargs, _draw: kwargs.update(status="executed"),
     ForwardBatch: _at_least_one("transactions"),
     ForwardedTransactions: _at_least_one("client_envelopes"),
 }
@@ -407,3 +408,77 @@ def test_arbitrary_bytes_are_an_envelope_or_refused_and_an_accepted_one_can_veri
     # What was accepted off the socket never raises later, in a cell.
     assert parsed.verify() in (True, False)
     assert parsed.byte_size() > 0
+
+
+# ----------------------------------------------------------------------
+# Receipts: one statement, many co-signers
+# ----------------------------------------------------------------------
+#: Three cells per signature scheme, to co-sign generated receipts.
+COSIGNERS = {
+    "sim": [SimulatedSigner(f"property-receipt-cell-{index}") for index in range(3)],
+    "ecdsa": [EcdsaSigner.from_seed(f"property-receipt-cell-{index}") for index in range(3)],
+}
+fingerprints = st.binary(min_size=32, max_size=32).map(lambda digest: "0x" + digest.hex())
+
+
+@st.composite
+def receipts(draw, scheme):
+    """A receipt co-signed by one to three cells, each at its own moment."""
+    cells = draw(
+        st.lists(st.sampled_from(COSIGNERS[scheme]), min_size=1, max_size=3, unique_by=id)
+    )
+    statement = dict(tx_id=draw(ids), contract=draw(ids), fingerprint_hex=draw(fingerprints))
+    confirmations = [
+        Confirmation.create(cell, status="executed", timestamp=draw(ATOMS["seconds"]), **statement)
+        for cell in cells
+    ]
+    return AggregatedReceipt.of(
+        confirmations, **statement, method=draw(ids), result=draw(json_values),
+        service_cell=cells[0].address, cycle=draw(st.integers(0, 10**6)),
+        submitted_at=draw(ATOMS["seconds"]), completed_at=draw(ATOMS["seconds"]),
+    )
+
+
+def _sent(receipt):
+    """The receipt's wire form as a peer reads it off the socket."""
+    return json.loads(as_json(receipt.to_wire()))
+
+
+schemes = pytest.mark.parametrize("scheme", sorted(COSIGNERS))
+
+
+@schemes
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_compact_receipt_round_trips_and_still_verifies(scheme, data):
+    receipt = data.draw(receipts(scheme))
+    parsed = AggregatedReceipt.from_wire(_sent(receipt))
+    assert parsed == receipt
+    assert parsed.confirmations == receipt.confirmations
+    assert parsed.verify(expected_cells=[cosigner.cell for cosigner in receipt.cosigners])
+
+
+@schemes
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_receipt_stating_another_transaction_verifies_for_no_cosigner(scheme, data):
+    receipt = data.draw(receipts(scheme))
+    sent = _sent(receipt)
+    key = data.draw(st.sampled_from(["tx_id", "contract", "fingerprint"]))
+    sent[key] = data.draw((fingerprints if key == "fingerprint" else ids).filter(
+        lambda value: value != sent[key]
+    ))
+    assert not AggregatedReceipt.from_wire(sent).verify()
+
+
+@schemes
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_receipt_with_one_cosigners_moment_changed_does_not_verify(scheme, data):
+    receipt = data.draw(receipts(scheme))
+    sent = _sent(receipt)
+    cosigner = data.draw(st.sampled_from(sent["cosigners"]))
+    moment = cosigner["timestamp"]
+    cosigner["timestamp"] = round(moment + data.draw(st.integers(1, 10**6)) / 1_000_000, 6)
+    assert cosigner["timestamp"] != moment
+    assert not AggregatedReceipt.from_wire(sent).verify()

@@ -75,3 +75,31 @@ def test_every_workload_is_counted_in_a_process_of_its_own():
     together = _counted()
     assert list(together) == list(WORKLOADS)
     assert together["burst_sim"] == _counted("--workload", "burst_sim")["burst_sim"]
+
+
+def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
+    """``--bytes``: a deterministic breakdown whose parts add up to the benchmark's figure."""
+    command = [sys.executable, str(TOOL), "--smoke", "--bytes", "--workload", "xshard_burst"]
+    first = subprocess.run(command, capture_output=True, text=True)
+    assert first.returncode == 0, first.stderr
+    assert subprocess.run(command, capture_output=True, text=True).stdout == first.stdout
+    header, *rows = first.stdout.splitlines()
+    total, network = map(float, re.fullmatch(
+        r"xshard_burst  seed=\d+  smoke=True  wire_bytes_per_tx=(\d+\.\d)  network=(\d+\.\d)",
+        header,
+    ).groups())
+    assert total == network > 0
+    links = {}
+    for row in rows:
+        link = re.fullmatch(r"  (\S+) +(\d+\.\d) B/tx +\d+\.\d{3} msgs/tx", row)
+        if link:
+            current = links[link[1]] = [float(link[2]), 0.0]
+            continue
+        opcode = re.fullmatch(r"    ([a-z_]+) +(\d+\.\d) B/tx +\d+\.\d{3} msgs/tx", row)
+        assert opcode, row
+        current[1] += float(opcode[2])
+    assert set(links) == {"client<->cell", "cell<->cell"}
+    for link_bytes, opcode_bytes in links.values():
+        assert opcode_bytes == pytest.approx(link_bytes, abs=0.1 * len(rows))
+    assert sum(link_bytes for link_bytes, _ in links.values()) == pytest.approx(total, abs=0.2)
+    assert "    tx_receipt" in first.stdout and "    xshard_voucher" in first.stdout

@@ -6,7 +6,7 @@ The host clock of the shared box cannot resolve a change of a few per cent
 can: it is a pure function of the workload and the seed, so it repeats to
 the digit and a parent/change pair compares as two integers.
 
-    python tools/drive_calls.py [--workload NAME] [--seed N] [--smoke] [--sample]
+    python tools/drive_calls.py [--workload NAME] [--seed N] [--smoke] [--sample | --bytes]
 
 builds the workload exactly as ``bench/run.py`` does (``bench.workloads``
 is imported, nothing under ``bench/`` is edited), profiles the one
@@ -26,6 +26,13 @@ on top; a builtin's time is its Python caller's).  cProfile's per-call
 overhead inflates functions that make many small calls, so it misranks
 the hot path; a sampler does not.  Sample shares are readings of a clock:
 they move a little from run to run, unlike the call count.
+
+``--bytes`` attributes the benchmark's ``wire_bytes_per_tx`` instead: it
+wraps ``Endpoint.post`` on the class, from outside and for the build and
+the drive (every message leaves a node there), and prints the bytes and
+messages per transaction of each opcode, split into client<->cell and
+cell<->cell traffic.  Bytes include the network's framing, so the total is
+the benchmark's figure; like the call count it repeats to the digit.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import time
 from collections import Counter
 from pathlib import Path
 from types import FrameType, CodeType
-from typing import Optional
+from typing import Any, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 for _entry in (ROOT / "src", ROOT):
@@ -57,7 +64,7 @@ SAMPLE_INTERVAL = 0.001
 CallCounts = dict[tuple[str, int, str], int]
 
 
-def _built(workload_name: str, seed: int, smoke: bool) -> tuple[object, object]:
+def _built(workload_name: str, seed: int, smoke: bool) -> tuple[Any, Any]:
     """The workload and a freshly built deployment of it, memos cold."""
     from bench import workloads
     from repro.messages.signer import SimulatedSigner
@@ -140,6 +147,65 @@ def sample_drive(
     return samples, cpu_seconds, dict(inclusive), dict(own)
 
 
+#: (link, opcode) -> [bytes, messages]; the link is "client<->cell" or "cell<->cell".
+Traffic = dict[tuple[str, str], list[int]]
+
+
+def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, int, Traffic]:
+    """Transactions attempted, network bytes and the traffic by link and opcode of one run."""
+    from repro.messages.endpoint import Endpoint
+
+    #: (source node, destination node, opcode) -> [bytes, messages]
+    sent: dict[tuple[str, str, str], list[int]] = {}
+    post = Endpoint.post
+
+    def counted_post(endpoint: Any, dst_node: str, envelope: Any) -> bool:
+        delivered = post(endpoint, dst_node, envelope)
+        if delivered:
+            key = (endpoint.node_name, dst_node, envelope.operation.value)
+            tally = sent.setdefault(key, [0, 0])
+            tally[0] += endpoint.network.wire_size(envelope.byte_size())
+            tally[1] += 1
+        return delivered
+
+    setattr(Endpoint, "post", counted_post)
+    try:
+        workload, deployment = _built(workload_name, seed, smoke)
+        driven = workload.drive(deployment, smoke)
+    finally:
+        setattr(Endpoint, "post", post)
+    observed = workload.observe(deployment, driven)
+    groups = getattr(deployment, "groups", None)
+    deployments = [group.deployment for group in groups] if groups else [deployment]
+    cells = {cell.node_name for each in deployments for cell in each.cells}
+    traffic: Traffic = {}
+    for (src, dst, opcode), (size, count) in sent.items():
+        link = "cell<->cell" if src in cells and dst in cells else "client<->cell"
+        tally = traffic.setdefault((link, opcode), [0, 0])
+        tally[0] += size
+        tally[1] += count
+    return observed.attempted, observed.wire_bytes, traffic
+
+
+def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
+    attempted, network_bytes, traffic = count_drive_bytes(workload_name, seed, smoke)
+    counted = sum(size for size, _ in traffic.values())
+    print(f"{workload_name}  seed={seed}  smoke={smoke}  wire_bytes_per_tx="
+          f"{counted / attempted:.1f}  network={network_bytes / attempted:.1f}")
+    for link in ("client<->cell", "cell<->cell"):
+        rows = sorted(
+            ((size, count, opcode) for (kind, opcode), (size, count) in traffic.items()
+             if kind == link),
+            key=lambda row: (-row[0], row[2]),
+        )
+        size = sum(row[0] for row in rows)
+        count = sum(row[1] for row in rows)
+        print(f"  {link:<22}{size / attempted:>10.1f} B/tx  {count / attempted:>7.3f} msgs/tx")
+        for size, count, opcode in rows:
+            print(f"    {opcode:<20}{size / attempted:>10.1f} B/tx"
+                  f"  {count / attempted:>7.3f} msgs/tx")
+
+
 def _file_of(path: str) -> str:
     if path == "~":
         return "(builtins)"
@@ -163,8 +229,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="count this workload in this process (default: each in a child)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--smoke", action="store_true", help="the benchmark's --smoke sizes")
-    parser.add_argument("--sample", action="store_true",
-                        help="print sampled CPU shares by function instead of call counts")
+    shown = parser.add_mutually_exclusive_group()
+    shown.add_argument("--sample", action="store_true",
+                       help="print sampled CPU shares by function instead of call counts")
+    shown.add_argument("--bytes", action="store_true",
+                       help="print wire bytes and messages per transaction by opcode instead")
     args = parser.parse_args(argv)
     if args.workload is None:
         for name in workloads.WORKLOADS:
@@ -172,9 +241,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                        "--workload", name, "--seed", str(args.seed)]
             child = subprocess.run(
                 command + ["--smoke"] * args.smoke + ["--sample"] * args.sample
+                + ["--bytes"] * args.bytes
             )
             if child.returncode != 0:
                 return child.returncode
+        return 0
+    if args.bytes:
+        _print_bytes(args.workload, args.seed, args.smoke)
         return 0
     if args.sample:
         samples, cpu_seconds, inclusive, own = sample_drive(args.workload, args.seed, args.smoke)
