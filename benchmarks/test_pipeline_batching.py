@@ -124,13 +124,12 @@ def mode_metrics(deployment, report, encodes):
         "inter_cell_bytes": bytes_total,
         "total_messages": deployment.network.total_messages(),
     }
-    batchers = [cell.batcher for cell in deployment.cells if cell.batcher is not None]
-    if batchers:
-        metrics["batches_sent"] = sum(b.batches_sent for b in batchers)
-        metrics["items_coalesced"] = sum(b.items_coalesced for b in batchers)
-        metrics["mean_batch_size"] = round(
-            metrics["items_coalesced"] / max(1, metrics["batches_sent"]), 2
-        )
+    batchers = [cell.batcher for cell in deployment.cells]
+    metrics["batches_sent"] = sum(b.batches_sent for b in batchers)
+    metrics["items_coalesced"] = sum(b.items_coalesced for b in batchers)
+    metrics["mean_batch_size"] = round(
+        metrics["items_coalesced"] / max(1, metrics["batches_sent"]), 2
+    )
     return metrics
 
 
@@ -187,8 +186,8 @@ def test_pipeline_batching(benchmark):
         text += f"{key:<24}{per_tx[key]:>14,}{batched[key]:>14,}\n"
     text += (
         f"\ninter-cell message reduction: {reduction:.1f}x"
-        f"  (batched: {batched.get('batches_sent', 0)} batches, "
-        f"mean size {batched.get('mean_batch_size', 0)})"
+        f"  (batched: {batched['batches_sent']} batches, "
+        f"mean size {batched['mean_batch_size']})"
         f"\nidentical ledgers/receipts/fingerprints: "
         f"{ledgers_identical}/{receipts_identical}/{fingerprints_identical}"
     )

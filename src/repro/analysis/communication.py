@@ -124,8 +124,8 @@ def measure_profile(
 
     ``batched=False`` (the default) reproduces the paper's per-transaction
     message counts; ``batched=True`` measures the same transaction through
-    the batched overlay pipeline (each forward/confirmation rides in a batch
-    envelope of size one, so the delta is pure batching overhead).
+    the batched overlay pipeline.  Either way a lone transaction's forward
+    and confirmation each travel as a list of one under the same opcode.
     """
     payment = _measure_transaction(_local_deployment(cells, signature_scheme, batched), "payment")
     fingerprint = _measure_transaction(

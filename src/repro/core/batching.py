@@ -22,9 +22,9 @@ and every later batch collects a full quantum's worth of items.
 
 The dispatcher is purely a transport optimization: per-transaction
 authentication (client signatures on forwards, cell signatures on
-confirmations) is preserved inside the batches, and the singleton opcodes
-remain fully supported for deployments running with batching disabled
-(the per-tx ablation that reproduces the paper's Table II numbers).
+confirmations) is preserved inside the batches.  With batching disabled
+(``quantum=None``: the paper's per-transaction messages) each item leaves
+at once, as a list of one.
 
 A batch is signed and sent by the cell's message endpoint
 (:mod:`repro.messages.endpoint`) like everything else the cell says; the
@@ -42,7 +42,7 @@ from ..messages.endpoint import Endpoint
 from ..messages.envelope import Envelope
 from ..messages.opcodes import Opcode
 from ..sim.metrics import MetricsRegistry
-from .receipts import Confirmation, ConfirmationBatch
+from .receipts import ConfirmationBatch, LinkConfirmation
 
 
 @dataclass
@@ -56,7 +56,7 @@ class _DestinationQueue:
 
     recipient: Address
     forwards: list[Envelope] = field(default_factory=list)
-    confirmations: list[Confirmation] = field(default_factory=list)
+    confirmations: list[LinkConfirmation] = field(default_factory=list)
     flush_pending: bool = False
     last_flush: float = float("-inf")
 
@@ -69,9 +69,12 @@ class BatchDispatcher:
     """Coalesces a cell's outgoing overlay messages per destination."""
 
     def __init__(
-        self, endpoint: Endpoint, quantum: float, metrics: Optional[MetricsRegistry] = None
+        self,
+        endpoint: Endpoint,
+        quantum: Optional[float],
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if quantum < 0:
+        if quantum is not None and quantum < 0:
             raise ValueError("the batch quantum cannot be negative")
         #: The cell's endpoint signs and sends each batch.  Its ``silent``
         #: gate is checked at flush time: a cell that crashed between
@@ -80,6 +83,7 @@ class BatchDispatcher:
         #: identical with batching on and off.
         self.endpoint = endpoint
         self.node_name = endpoint.node_name
+        #: None: coalesce nothing, every item leaves when it is queued.
         self.quantum = quantum
         self.metrics = metrics
         self._queues: dict[str, _DestinationQueue] = {}
@@ -98,7 +102,7 @@ class BatchDispatcher:
         self._arm_flush(dst_node, queue)
 
     def queue_confirmation(
-        self, dst_node: str, recipient: Address, confirmation: Confirmation
+        self, dst_node: str, recipient: Address, confirmation: LinkConfirmation
     ) -> None:
         """Queue one signed confirmation owed to the service cell at ``dst_node``."""
         queue = self._queue_for(dst_node, recipient)
@@ -113,6 +117,9 @@ class BatchDispatcher:
         return queue
 
     def _arm_flush(self, dst_node: str, queue: _DestinationQueue) -> None:
+        if self.quantum is None:
+            self._flush(dst_node)
+            return
         if queue.flush_pending:
             return
         queue.flush_pending = True
@@ -136,15 +143,16 @@ class BatchDispatcher:
             # The cell crashed while the batch was waiting for its flush:
             # the queued items die with the process, like any unflushed
             # outbound buffer on a crashed machine.
-            self.items_dropped += len(forwards) + len(confirmations)
+            dropped = len(forwards) + len(confirmations)
+            self.items_dropped += dropped
             if self.metrics is not None:
-                self.metrics.increment(f"{self.node_name}/batch_items_dropped")
+                self.metrics.increment(f"{self.node_name}/batch_items_dropped", dropped)
             return
         if forwards:
             self._send(
                 dst_node,
                 queue.recipient,
-                Opcode.TX_FORWARD_BATCH,
+                Opcode.TX_FORWARD,
                 ForwardBatch.of(forwards).to_data(),
                 len(forwards),
             )
@@ -152,7 +160,7 @@ class BatchDispatcher:
             self._send(
                 dst_node,
                 queue.recipient,
-                Opcode.TX_CONFIRM_BATCH,
+                Opcode.TX_CONFIRM,
                 ConfirmationBatch.of(confirmations).to_data(),
                 len(confirmations),
             )

@@ -50,7 +50,7 @@ from .faults import FaultPlan
 from .gateway import CrossShardGateway
 from .lanes import LaneScheduler
 from .ledger import LedgerEntry, LedgerError, TransactionLedger
-from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch
+from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch, LinkConfirmation
 from .recovery import MembershipManager, RecoveryCoordinator
 from .replies import (
     ErrorReply,
@@ -196,11 +196,10 @@ class BlockumulusCell:
         self.nonces = self.endpoint.nonces
         self.membership = MembershipManager(self)
         self.recovery = RecoveryCoordinator(self)
-        # Batched overlay pipeline: outgoing forwards/confirmations for the
-        # same destination coalesce into at most one envelope per scheduling
-        # quantum, and leave at once when the destination has been idle.
-        self.batcher: Optional[BatchDispatcher] = (
-            BatchDispatcher(self.endpoint, batch_quantum, metrics) if message_batching else None
+        # Outgoing forwards/confirmations for the same destination coalesce
+        # into at most one envelope per scheduling quantum (none: each alone).
+        self.batcher = BatchDispatcher(
+            self.endpoint, batch_quantum if message_batching else None, metrics
         )
 
         # Simulated hardware.
@@ -251,7 +250,7 @@ class BlockumulusCell:
         # buffered forwards drain immediately afterwards.
         self.recovering = False
         self._shed_recovering = 0
-        self._recovery_forward_buffer: list[tuple[str, Address, Envelope, str]] = []
+        self._recovery_forward_buffer: list[tuple[str, Address, Envelope]] = []
         # Report-stage state: when True, incoming executions queue on the event.
         self.in_report_stage = False
         self._stage_resume: Event = env.event()
@@ -595,15 +594,7 @@ class BlockumulusCell:
             yield from self.cpu.use(self.service_model.forward_cpu_per_cell)
             if self.fault.crashed:
                 return False
-            if self.batcher is not None:
-                # Batched pipeline: the client envelope joins this peer's next
-                # batch flush instead of costing a dedicated network message.
-                self.batcher.queue_forward(peer_node, peer_address, envelope)
-                continue
-            self.endpoint.send(
-                peer_node, peer_address, Opcode.TX_FORWARD,
-                {"client_envelope": envelope.to_wire()},
-            )
+            self.batcher.queue_forward(peer_node, peer_address, envelope)
         return True
 
     def _aggregate(
@@ -673,36 +664,21 @@ class BlockumulusCell:
     # ------------------------------------------------------------------
     # Forwarded transactions from other cells (Fig. 7 step 3)
     # ------------------------------------------------------------------
-    def _serve_forward(
+    def _serve_forwards(
         self, src_node: str, forward: Envelope, body: ForwardedTransactions
-    ) -> Generator[Event, Any, None]:
-        """Handle the one client transaction of a per-transaction ``TX_FORWARD``."""
-        (client_envelope,) = body.client_envelopes
-        yield from self._handle_forwarded(src_node, forward.sender, client_envelope, forward.nonce)
-
-    def _serve_forward_batch(
-        self, src_node: str, batch_envelope: Envelope, body: ForwardedTransactions
     ) -> None:
-        """Fan out the transactions of one authenticated batch envelope.
+        """Fan out the transactions of one authenticated ``TX_FORWARD``.
 
-        The authentication overhead was paid once for the batch — this is
+        The authentication overhead was paid once for the message — this is
         where the batched pipeline saves cell time on top of network messages.
-        Each inner transaction still runs in its own process (parallel up to
-        the service model's invocation limit), exactly like singletons.
+        Each inner transaction runs in its own process (parallel up to the
+        service model's invocation limit).
         """
         for client_envelope in body.client_envelopes:
-            self.env.process(
-                self._handle_forwarded(
-                    src_node, batch_envelope.sender, client_envelope, batch_envelope.nonce
-                )
-            )
+            self.env.process(self._handle_forwarded(src_node, forward.sender, client_envelope))
 
     def _handle_forwarded(
-        self,
-        src_node: str,
-        origin: Address,
-        client_envelope: Envelope,
-        reply_nonce: str,
+        self, src_node: str, origin: Address, client_envelope: Envelope
     ) -> Generator[Event, Any, None]:
         """Admit, execute, and confirm one forwarded client transaction."""
         if self.fault.crashed:
@@ -718,12 +694,10 @@ class BlockumulusCell:
             # forwarding deadline, so the confirmation still reaches the
             # origin in time; if the recovery fails, the re-crashed cell
             # drops the buffer exactly like in-flight traffic at a crash.
-            self._recovery_forward_buffer.append(
-                (src_node, origin, client_envelope, reply_nonce)
-            )
+            self._recovery_forward_buffer.append((src_node, origin, client_envelope))
             return
         if not client_envelope.verify():
-            self._confirm(src_node, origin, reply_nonce, client_envelope.payload.hash_hex(),
+            self._confirm(src_node, origin, client_envelope, client_envelope.payload.hash_hex(),
                           contract="", fingerprint_hex="0x" + "00" * 32,
                           status="rejected", error="client signature invalid")
             return
@@ -742,14 +716,14 @@ class BlockumulusCell:
             # cell, or a forward drained from the recovery buffer whose
             # entry the post-readmit backfill admitted first.
             duplicate = self.ledger.get(client_envelope.payload.hash_hex())
-            yield from self._confirm_duplicate(src_node, origin, reply_nonce, duplicate)
+            yield from self._confirm_duplicate(src_node, origin, duplicate)
             return
 
         outcome = yield from self._execute_entry(entry)
         self._confirm(
             src_node,
             origin,
-            reply_nonce,
+            client_envelope,
             outcome.tx_id,
             outcome.contract,
             outcome.execution_fingerprint_hex(),
@@ -758,7 +732,7 @@ class BlockumulusCell:
         )
 
     def _confirm_duplicate(
-        self, src_node: str, origin: Address, reply_nonce: str, duplicate: LedgerEntry
+        self, src_node: str, origin: Address, duplicate: LedgerEntry
     ) -> Generator[Event, Any, None]:
         """Confirm a forward whose transaction this cell had already admitted.
 
@@ -792,7 +766,7 @@ class BlockumulusCell:
                 "0x" + "00" * 32, "rejected", duplicate.error or "duplicate transaction"
             )
         self._confirm(
-            src_node, origin, reply_nonce, duplicate.tx_id, duplicate.contract or "",
+            src_node, origin, duplicate.envelope, duplicate.tx_id, duplicate.contract or "",
             fingerprint_hex, status=status, error=error,
         )
 
@@ -809,27 +783,24 @@ class BlockumulusCell:
         buffered, self._recovery_forward_buffer = self._recovery_forward_buffer, []
         if self.fault.crashed:
             return
-        for src_node, origin, client_envelope, reply_nonce in buffered:
-            self.env.process(
-                self._handle_forwarded(src_node, origin, client_envelope, reply_nonce)
-            )
+        for src_node, origin, client_envelope in buffered:
+            self.env.process(self._handle_forwarded(src_node, origin, client_envelope))
 
     def _confirm(
         self,
         dst_node: str,
         origin: Address,
-        reply_nonce: str,
+        client_envelope: Envelope,
         tx_id: str,
         contract: str,
         fingerprint_hex: str,
         status: str,
         error: Optional[str] = None,
     ) -> None:
-        """Send a signed confirmation back to the service cell at ``origin``.
+        """Send a signed confirmation of ``client_envelope`` to the service cell at ``origin``.
 
         A cell that crashed between executing the transaction and this point
-        sends nothing — matching what its peers observe in either pipeline
-        mode (the batch dispatcher applies the same gate at flush time).
+        sends nothing (the batch dispatcher applies the same gate at flush time).
         """
         if self.fault.crashed:
             return
@@ -852,30 +823,31 @@ class BlockumulusCell:
             timestamp=self.env.now,
             error=error,
         )
-        if self.batcher is not None:
-            # The confirmation joins the next batch owed to the service cell;
-            # routing at the receiver is by tx_id, so no reply_to is needed.
-            self.batcher.queue_confirmation(dst_node, origin, confirmation)
-            return
-        opcode = Opcode.TX_CONFIRM if status == "executed" else Opcode.TX_REJECT
-        self.endpoint.send(
-            dst_node, origin, opcode, {"confirmation": confirmation.to_wire()}, reply_nonce
+        # Routing at the receiver is by tx_id, so no reply_to is needed.
+        self.batcher.queue_confirmation(
+            dst_node, origin, LinkConfirmation.of(confirmation, client_envelope)
         )
 
     def _accept_confirmations(
         self, src_node: str, envelope: Envelope, batch: ConfirmationBatch
     ) -> None:
-        """Route the confirmations of a ``TX_CONFIRM`` / ``TX_REJECT`` / ``TX_CONFIRM_BATCH``.
+        """Route the confirmations of a ``TX_CONFIRM``.
 
-        Every confirmation is a statement its cell signed on its own (it
-        must later be embeddable in an aggregated receipt), so each is
-        verified and must come from the cell that sent the envelope.
+        Each is rebuilt from this cell's own ledger entry and the envelope,
+        so it verifies only if the envelope's sender signed it; one for a
+        transaction this cell never admitted is refused like a bad signature.
         """
-        for confirmation in batch.confirmations:
-            if confirmation.cell != envelope.sender or not confirmation.verify():
+        for item in batch.confirmations:
+            try:
+                entry = self.ledger.get(item.tx_id)
+            except LedgerError:
                 self._refuse_unauthenticated(src_node, envelope)
                 continue
-            pending = self._pending.get(confirmation.tx_id)
+            confirmation = item.confirmation(envelope.sender, envelope.scheme, entry.envelope)
+            if not confirmation.verify():
+                self._refuse_unauthenticated(src_node, envelope)
+                continue
+            pending = self._pending.get(item.tx_id)
             if pending is not None:
                 pending.add(confirmation)
 
@@ -1120,7 +1092,7 @@ class BlockumulusCell:
             "contingencies_executed": self._contingencies_executed,
             "cpu_utilization": self.cpu.utilization(),
             "subscriber_count": len(self.subscriptions.subscribers()),
-            "batching": self.batcher.statistics() if self.batcher is not None else None,
+            "batching": self.batcher.statistics(),
             "lanes": self.lanes.statistics(),
             "admission": {
                 "max_inflight": self.max_inflight,

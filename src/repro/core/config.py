@@ -115,7 +115,8 @@ class DeploymentConfig:
     deploy_default_contracts: bool = True
     #: Coalesce inter-cell forwards/confirmations into per-destination batch
     #: envelopes, flushed at most once per scheduling quantum.  Disable for
-    #: the per-transaction ablation that reproduces the paper's Table II counts.
+    #: the per-transaction ablation that reproduces the paper's Table II
+    #: counts: the same dispatcher then sends each item alone, at once.
     message_batching: bool = True
     #: Scheduling quantum (seconds): the least time between two batch
     #: flushes to one destination, and the longest an item waits for one.

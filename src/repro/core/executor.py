@@ -24,6 +24,7 @@ from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
 from ..messages.requests import RequestError, named_call
 from .ledger import LedgerEntry
+from .receipts import called_contract
 
 #: ``canonical_bytes`` of the six-key execution-fingerprint dict: its keys in
 #: sorted order, each followed by its encoded value (text as ``s<len>:<utf-8>``).
@@ -177,7 +178,7 @@ class TransactionExecutor:
             data = entry.envelope.data
             return ExecutionOutcome(
                 tx_id=entry.tx_id,
-                contract=str(data.get("contract", "")),
+                contract=called_contract(entry.envelope),
                 method=str(data.get("method", "")),
                 status="rejected",
                 result=None,

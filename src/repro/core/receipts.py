@@ -19,6 +19,7 @@ from typing import Any, Iterable, Optional
 from ..crypto.keys import Address
 from ..encoding import canonical_json
 from ..messages import wire
+from ..messages.envelope import Envelope
 from ..messages.signer import SignedStatement, Signer
 
 
@@ -58,21 +59,60 @@ class Confirmation(SignedStatement, error=ReceiptError):
         )
 
 
-@dataclass(frozen=True)
-class ConfirmationBatch(wire.Body, error=ReceiptError):
-    """Confirmations for many transactions, shipped in one envelope.
+def called_contract(client_envelope: Envelope) -> str:
+    """The contract a client envelope calls, as the executor and both ends of the link name it."""
+    return str(client_envelope.data.get("contract", ""))
 
-    The batched pipeline coalesces every confirmation a cell owes the same
-    service cell during one scheduling quantum into a single
-    ``TX_CONFIRM_BATCH`` message.  Each inner confirmation keeps its own
-    signature (it must later be embeddable in an aggregated receipt), so the
-    receiver verifies items exactly as it would singleton confirmations.
-    Executed and rejected confirmations ride together; the per-item
-    ``status`` field carries the distinction the singleton path encodes in
-    the ``TX_CONFIRM`` / ``TX_REJECT`` opcode split.
+
+@dataclass(frozen=True)
+class LinkConfirmation(wire.Body, error=ReceiptError):
+    """A :class:`Confirmation` on the cell↔cell link: what the service cell lacks.
+
+    The signing cell and its scheme are the envelope's, and the contract,
+    unless the signer named another, is the one the service cell's own
+    ledger entry calls; :meth:`confirmation` rebuilds the signed statement,
+    which verifies only for the cell, contract and transaction it was signed for.
     """
 
-    confirmations: tuple[Confirmation, ...] = wire.list_of(wire.nested(Confirmation))()
+    tx_id: str = wire.text()
+    fingerprint_hex: str = wire.text("fingerprint")
+    status: str = wire.text()
+    timestamp: float = wire.seconds()
+    signature: bytes = wire.signature()
+    error: Optional[str] = wire.text(omit_none=True, default=None)
+    #: None: the contract the forwarded client envelope calls.
+    contract: Optional[str] = wire.text(omit_none=True, default=None)
+
+    @classmethod
+    def of(cls, confirmation: Confirmation, client_envelope: Envelope) -> "LinkConfirmation":
+        """The link item of ``confirmation`` about the transaction in ``client_envelope``."""
+        contract = confirmation.contract
+        return cls(
+            confirmation.tx_id, confirmation.fingerprint_hex, confirmation.status,
+            confirmation.timestamp, confirmation.signature, confirmation.error,
+            None if contract == called_contract(client_envelope) else contract,
+        )
+
+    def confirmation(self, cell: Address, scheme: str, client_envelope: Envelope) -> Confirmation:
+        """The full statement ``cell`` signed, if this item came from ``cell``."""
+        return Confirmation(
+            cell=cell, tx_id=self.tx_id,
+            contract=called_contract(client_envelope) if self.contract is None else self.contract,
+            fingerprint_hex=self.fingerprint_hex, status=self.status, timestamp=self.timestamp,
+            error=self.error, signature=self.signature, scheme=scheme,
+        )
+
+
+@dataclass(frozen=True)
+class ConfirmationBatch(wire.Body, error=ReceiptError):
+    """The data field of a ``TX_CONFIRM``: confirmations owed to one service cell.
+
+    Executed and rejected ones ride together, as many as the batch
+    dispatcher coalesced (one, with batching off).  Each item keeps its own
+    signature: it must later be embeddable in an aggregated receipt.
+    """
+
+    confirmations: tuple[LinkConfirmation, ...] = wire.list_of(wire.nested(LinkConfirmation))()
 
     def __post_init__(self) -> None:
         if not self.confirmations:
@@ -82,16 +122,9 @@ class ConfirmationBatch(wire.Body, error=ReceiptError):
         return len(self.confirmations)
 
     @classmethod
-    def of(cls, confirmations: list[Confirmation]) -> "ConfirmationBatch":
-        """Build a batch from already-signed confirmations."""
+    def of(cls, confirmations: list[LinkConfirmation]) -> "ConfirmationBatch":
+        """Build a batch from link items of already-signed confirmations."""
         return cls(confirmations=tuple(confirmations))
-
-
-@dataclass(frozen=True)
-class SingleConfirmation(ConfirmationBatch):
-    """The data field D of a per-transaction ``TX_CONFIRM`` / ``TX_REJECT``: a batch of one."""
-
-    confirmations: tuple[Confirmation, ...] = wire.single(wire.nested(Confirmation))("confirmation")
 
 
 @dataclass(frozen=True)

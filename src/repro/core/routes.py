@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Any, Optional
 
 from ..messages import wire
-from ..messages.batch import ForwardedTransactions, SingleForward
+from ..messages.batch import ForwardedTransactions
 from ..messages.envelope import Envelope
 from ..messages.membership import (
     ExclusionProposal,
@@ -47,7 +47,7 @@ from ..messages.xshard import (
     CrossShardPrepare,
     CrossShardVoucherTransfer,
 )
-from .receipts import ConfirmationBatch, SingleConfirmation
+from .receipts import ConfirmationBatch
 from .replies import (
     ErrorReply,
     LedgerResponse,
@@ -142,15 +142,10 @@ ROUTES: dict[Opcode, Route] = {
     Opcode.XSHARD_VOUCHER: Route(Sender.CLIENT, CrossShardVoucherTransfer, "_serve_xshard",
                                  ANSWER_CLIENT, admission=Admission.SHEDDABLE),
     # Service cell -> the other consortium cells, and their answers.
-    Opcode.TX_FORWARD: Route(Sender.CELL, SingleForward, "_serve_forward", DROP_FORWARD),
-    Opcode.TX_FORWARD_BATCH: Route(Sender.CELL, ForwardedTransactions, "_serve_forward_batch",
-                                   DROP_FORWARD),
-    Opcode.TX_CONFIRM: Route(Sender.CELL, SingleConfirmation, "_accept_confirmations",
+    Opcode.TX_FORWARD: Route(Sender.CELL, ForwardedTransactions, "_serve_forwards",
+                             DROP_FORWARD),
+    Opcode.TX_CONFIRM: Route(Sender.CELL, ConfirmationBatch, "_accept_confirmations",
                              DROP_CONFIRMATION, delayed=False),
-    Opcode.TX_REJECT: Route(Sender.CELL, SingleConfirmation, "_accept_confirmations",
-                            DROP_CONFIRMATION, delayed=False),
-    Opcode.TX_CONFIRM_BATCH: Route(Sender.CELL, ConfirmationBatch, "_accept_confirmations",
-                                   DROP_CONFIRMATION, delayed=False),
     # Dynamic membership and crash recovery (Section V).
     Opcode.CELL_EXCLUDE: Route(Sender.CELL, ExclusionProposal, "membership.handle_proposal",
                                DROP_MEMBERSHIP),

@@ -1,18 +1,17 @@
-"""Batch envelopes for the overlay hot path.
+"""The forward body of the overlay hot path.
 
 The paper's protocol forwards every client transaction to every other
 consortium cell as an individual signed message, so a burst of N
 simultaneous transactions costs O(N * cells) network events (Fig. 7
-steps 2-3).  The batched pipeline coalesces all forwards queued for the
-same destination cell during one scheduling quantum into a single signed
-*batch envelope*: the outer envelope carries the forwarding cell's
-signature, while every inner item keeps the original client signature, so
-the receiving cell can still authenticate each transaction independently.
+steps 2-3).  A ``TX_FORWARD`` carries a list of the client envelopes
+queued for one destination cell during one scheduling quantum (one, with
+batching off): the outer envelope carries the forwarding cell's signature,
+every inner item keeps its client's, so the receiving cell can still
+authenticate each transaction independently.
 
-Only the forward bodies live here; the confirmation batch is built from
-:class:`repro.core.receipts.Confirmation` objects and is defined next to
-them to avoid a layering cycle (``core`` imports ``messages``, never the
-other way around).
+Only the forward bodies live here; the confirmation batch is defined next
+to :class:`repro.core.receipts.Confirmation` to avoid a layering cycle
+(``core`` imports ``messages``, never the other way around).
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ class ForwardBatch(wire.Body, error=BatchError):
     def envelopes(self) -> list[Envelope]:
         """Parse every inner client envelope (structure check only).
 
-        Signature verification is the receiver's job, per transaction, just
-        as for singleton ``TX_FORWARD`` messages.
+        Signature verification is the receiver's job, per transaction.
         """
         try:
             return [Envelope.from_wire(raw) for raw in self.transactions]
@@ -65,7 +63,7 @@ class ForwardBatch(wire.Body, error=BatchError):
 
 @dataclass(frozen=True)
 class ForwardedTransactions(wire.Body, error=BatchError):
-    """What a ``TX_FORWARD_BATCH`` delivers: its client envelopes, parsed.
+    """What a ``TX_FORWARD`` delivers: its client envelopes, parsed.
 
     The receiving cell's view of a :class:`ForwardBatch` — every inner
     envelope is structurally sound by the time a handler sees it, so one
@@ -78,9 +76,3 @@ class ForwardedTransactions(wire.Body, error=BatchError):
         if not self.client_envelopes:
             raise BatchError("a forward batch must carry at least one transaction")
 
-
-@dataclass(frozen=True)
-class SingleForward(ForwardedTransactions):
-    """What a per-transaction ``TX_FORWARD`` delivers: a batch of one."""
-
-    client_envelopes: tuple[Envelope, ...] = wire.single(wire.nested(Envelope))("client_envelope")

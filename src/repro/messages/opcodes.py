@@ -24,11 +24,8 @@ class Opcode(str, Enum):
     QUERY_STATE = "query_state"             # read-only bContract state query
 
     # Service cell -> other consortium cells.
-    TX_FORWARD = "tx_forward"               # forward a client transaction
-    TX_FORWARD_BATCH = "tx_forward_batch"   # one envelope carrying many forwards
-    TX_CONFIRM = "tx_confirm"               # signed confirmation with fingerprint
-    TX_CONFIRM_BATCH = "tx_confirm_batch"   # one envelope carrying many confirmations
-    TX_REJECT = "tx_reject"                 # execution failed / fingerprint mismatch
+    TX_FORWARD = "tx_forward"               # forward client transactions (a list of one or more)
+    TX_CONFIRM = "tx_confirm"               # signed confirmations, executed or rejected
 
     # Dynamic membership (exclusion quorum + crash recovery, Section V).
     CELL_EXCLUDE = "cell_exclude"           # propose temporary exclusion of a cell

@@ -48,7 +48,7 @@ class Kind:
     #: Field value -> wire value; None: as it is.
     encode: Optional[Callable[[Any], Any]] = None
     #: For a kind built from another: how (``optional`` / ``list`` /
-    #: ``single`` / ``nested``) and from what (a kind, or a body class).
+    #: ``nested``) and from what (a kind, or a body class).
     shape: str = ""
     of: Any = None
     #: Field value -> its canonical JSON text, for a value of *exactly* the
@@ -173,20 +173,6 @@ def list_of(kind: Kind) -> Kind:
         return list(items) if encode is None else [encode(item) for item in items]
 
     return Kind(f"list of {kind.name}", (list,), decode_items, encode_items, "list", kind)
-
-
-def single(kind: Kind) -> Kind:
-    """One ``kind`` on the wire; a tuple of one in memory (a batch of one)."""
-    decode, encode = kind.decode, kind.encode
-
-    def encode_one(items: Any) -> Any:
-        (item,) = items
-        return item if encode is None else encode(item)
-
-    return Kind(
-        kind.name, kind.types, lambda value: (value if decode is None else decode(value),),
-        encode_one, "single", kind,
-    )
 
 
 def nested(body: type[Any]) -> Kind:

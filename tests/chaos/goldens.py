@@ -41,6 +41,17 @@ moved, because every receipt is smaller on the wire and so arrives a few
 microseconds sooner.  No fault log moved and every oracle verdict still
 passes; ``specs`` and ``search`` are untouched.
 
+And once more, by the change that made the cell↔cell link state each
+confirmation once (a ``LinkConfirmation`` leaves out the cell, scheme and
+called contract its receiver holds) and gave forwards and confirmations
+one opcode each (``tx_forward`` / ``tx_confirm``, 6 B shorter names than
+the batch opcodes), from that change's own tree: the artifacts of 58 of
+the 88 recoverable runs (4–11, 16–23, 28–35, 41–46, 52–59, 64–71, 76–83,
+102, 124, 142, 172) and 9 of the 12 Byzantine runs (0, 3–6, 8–11) moved,
+because those messages are smaller and arrive sooner.  No fault log
+moved and every oracle verdict still passes; ``specs`` and ``search`` are
+untouched.
+
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
 rewrites nothing else; entries that did not move come out byte-identical.

@@ -7,7 +7,11 @@ it replaced, which always flushed one full quantum after the first item
 reached an empty queue.  At ``quantum = 0`` the two policies are the same
 program, so ``test_batching_policy.py`` drives both with the same random
 programs and requires the same flush instants and the same batch contents.
-Do not "fix" or speed this class up: it is the oracle.
+Do not "fix" or speed this class up: it is the oracle.  (Two edits were
+made to it on purpose, in both classes alike: the opcodes and the
+confirmation item type were renamed with the wire, and the
+``batch_items_dropped`` metric now counts dropped items, as
+``items_dropped`` always did, instead of dropped flushes.)
 """
 
 
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.core.receipts import Confirmation, ConfirmationBatch
+from repro.core.receipts import ConfirmationBatch, LinkConfirmation
 from repro.crypto.keys import Address
 from repro.messages.batch import ForwardBatch
 from repro.messages.endpoint import Endpoint
@@ -31,7 +35,7 @@ class _DestinationQueue:
 
     recipient: Address
     forwards: list[Envelope] = field(default_factory=list)
-    confirmations: list[Confirmation] = field(default_factory=list)
+    confirmations: list[LinkConfirmation] = field(default_factory=list)
     flush_pending: bool = False
 
     @property
@@ -72,7 +76,7 @@ class ReferenceBatchDispatcher:
         self._arm_flush(dst_node, queue)
 
     def queue_confirmation(
-        self, dst_node: str, recipient: Address, confirmation: Confirmation
+        self, dst_node: str, recipient: Address, confirmation: LinkConfirmation
     ) -> None:
         """Queue one signed confirmation owed to the service cell at ``dst_node``."""
         queue = self._queue_for(dst_node, recipient)
@@ -108,15 +112,16 @@ class ReferenceBatchDispatcher:
             # The cell crashed while the batch was waiting for its quantum:
             # the queued items die with the process, like any unflushed
             # outbound buffer on a crashed machine.
-            self.items_dropped += len(forwards) + len(confirmations)
+            dropped = len(forwards) + len(confirmations)
+            self.items_dropped += dropped
             if self.metrics is not None:
-                self.metrics.increment(f"{self.node_name}/batch_items_dropped")
+                self.metrics.increment(f"{self.node_name}/batch_items_dropped", dropped)
             return
         if forwards:
             self._send(
                 dst_node,
                 queue.recipient,
-                Opcode.TX_FORWARD_BATCH,
+                Opcode.TX_FORWARD,
                 ForwardBatch.of(forwards).to_data(),
                 len(forwards),
             )
@@ -124,7 +129,7 @@ class ReferenceBatchDispatcher:
             self._send(
                 dst_node,
                 queue.recipient,
-                Opcode.TX_CONFIRM_BATCH,
+                Opcode.TX_CONFIRM,
                 ConfirmationBatch.of(confirmations).to_data(),
                 len(confirmations),
             )

@@ -10,13 +10,14 @@ from repro.client import BlockumulusClient, CasClient, run_burst_transfers
 from repro.contracts import state_store
 from repro.contracts.state_store import KeyValueStore
 from repro.core.batching import BatchDispatcher
-from repro.core.receipts import Confirmation, ConfirmationBatch, ReceiptError
+from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation, ReceiptError
 from repro.crypto import keccak, secp256k1
 from repro.crypto.keccak import Keccak256
 from repro.crypto.keys import PrivateKey
 from repro.encoding import canonical_json
 from repro.messages import signer as signer_module
 from repro.messages.envelope import Envelope
+from repro.messages.opcodes import Opcode
 from repro.messages.payload import Payload
 from repro.messages.signer import EcdsaSigner, SimulatedSigner
 from repro.sim import Environment
@@ -28,6 +29,11 @@ from tests.conftest import make_deployment
 # ----------------------------------------------------------------------
 def test_confirmation_batch_round_trip_preserves_signatures():
     signer = EcdsaSigner.from_seed("confirm-batch-cell")
+    forwarded = Envelope.create(
+        signer=EcdsaSigner.from_seed("confirm-batch-client"), recipient=signer.address,
+        operation=Opcode.TX_SUBMIT, data={"contract": "fastmoney", "method": "faucet"},
+        timestamp=1.0, nonce="0x01",
+    )
     confirmations = [
         Confirmation.create(
             signer,
@@ -40,16 +46,20 @@ def test_confirmation_batch_round_trip_preserves_signatures():
         )
         for index in range(3)
     ]
-    batch = ConfirmationBatch.of(confirmations)
+    batch = ConfirmationBatch.of(
+        [LinkConfirmation.of(confirmation, forwarded) for confirmation in confirmations]
+    )
     # Full canonical-JSON round trip, as the envelope data field travels.
     raw = canonical_json.loads(canonical_json.dump_bytes(batch.to_data()))
     parsed = ConfirmationBatch.from_data(raw)
     assert len(parsed) == 3
-    for original, round_tripped in zip(confirmations, parsed.confirmations):
-        assert round_tripped.verify()
-        assert round_tripped.tx_id == original.tx_id
-        assert round_tripped.status == original.status
-        assert round_tripped.error == original.error
+    for original, item in zip(confirmations, parsed.confirmations):
+        # What the receiver holds already — the signer, its scheme and the
+        # called contract — does not travel.
+        assert {"cell", "scheme", "contract"}.isdisjoint(item.to_wire())
+        rebuilt = item.confirmation(signer.address, signer.scheme, forwarded)
+        assert rebuilt == original and rebuilt.verify()
+        assert rebuilt.body() == original.body()
 
 
 def test_malformed_confirmation_batches_rejected():
@@ -158,11 +168,14 @@ def test_batching_at_least_halves_inter_cell_messages(burst_runs):
     assert stats["mean_batch_size"] > 1.0
 
 
-def test_singleton_deployment_has_no_batcher(burst_runs):
+def test_singleton_deployment_sends_every_item_alone(burst_runs):
+    """Batching off is the one dispatcher without a quantum: a message per item."""
     deployment = burst_runs[False][0]
-    assert all(cell.batcher is None for cell in deployment.cells)
-    stats = deployment.cell(0).statistics()
-    assert stats["batching"] is None
+    for cell in deployment.cells:
+        assert cell.batcher.quantum is None
+        stats = cell.statistics()["batching"]
+        assert stats["batches_sent"] == stats["items_coalesced"] > 0
+        assert stats["mean_batch_size"] == 1.0
 
 
 # ----------------------------------------------------------------------

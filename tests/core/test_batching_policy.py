@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batching import BatchDispatcher
-from repro.core.receipts import Confirmation, ConfirmationBatch
+from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
 from repro.messages import Opcode, SimulatedSigner
 from repro.messages.batch import ForwardBatch
 from repro.messages.envelope import Envelope
@@ -36,10 +36,11 @@ def _forward(item: int) -> Envelope:
     )
 
 
-def _confirmation(item: int) -> Confirmation:
-    return Confirmation.create(
+def _confirmation(item: int) -> LinkConfirmation:
+    confirmation = Confirmation.create(
         _SIGNER, f"0x{item:064x}", "pay", "0x" + "00" * 32, "executed", 0.0
     )
+    return LinkConfirmation.of(confirmation, _forward(item))
 
 
 #: Signed once: item ``i`` is the ``i``-th forward or confirmation.
@@ -61,13 +62,13 @@ class _Endpoint:
 
     def send(self, dst_node, recipient, operation, data) -> None:
         assert recipient == _DESTINATIONS[dst_node]
-        if operation is Opcode.TX_FORWARD_BATCH:
+        if operation is Opcode.TX_FORWARD:
             items = tuple(
                 envelope.payload.data["item"]
                 for envelope in ForwardBatch.from_data(data).envelopes()
             )
         else:
-            assert operation is Opcode.TX_CONFIRM_BATCH
+            assert operation is Opcode.TX_CONFIRM
             items = tuple(
                 int(confirmation.tx_id, 16)
                 for confirmation in ConfirmationBatch.from_data(data).confirmations
@@ -125,7 +126,7 @@ def _flushes(endpoint):
     """``(forward?, index) -> (sent at, destination)`` for every item sent."""
     flushed = {}
     for at, dst, operation, items in endpoint.sent:
-        forward = operation == Opcode.TX_FORWARD_BATCH.value
+        forward = operation == Opcode.TX_FORWARD.value
         for item in items:
             assert (forward, item) not in flushed, "an item was sent twice"
             flushed[(forward, item)] = (at, dst)
@@ -185,3 +186,21 @@ def test_the_quantum_bounds_the_rate_and_the_wait(steps, quantum, crash_at):
         assert len(endpoint.sent) == sent_at_crash
     assert dispatcher.items_dropped == len(queued) - len(flushed)
     assert dispatcher.items_coalesced == len(flushed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_steps, crash_at=_crashes)
+def test_without_a_quantum_every_item_leaves_alone_when_it_is_queued(steps, crash_at):
+    """``quantum=None`` (batching off): one message per item, in queue order, at once."""
+    endpoint, dispatcher, queued, sent_at_crash = _run(BatchDispatcher, None, steps, crash_at)
+    flushed = _flushes(endpoint)
+    assert all(len(items) == 1 for _at, _dst, _op, items in endpoint.sent)
+    assert list(flushed) == [key for key in queued if key in flushed]
+    for key, sent in flushed.items():
+        assert sent == queued[key][:2]
+    if sent_at_crash is None:
+        assert set(flushed) == set(queued)
+    else:
+        assert len(endpoint.sent) == sent_at_crash
+    assert dispatcher.items_dropped == len(queued) - len(flushed)
+    assert dispatcher.batches_sent == dispatcher.items_coalesced == len(flushed)

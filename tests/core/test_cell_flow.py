@@ -4,6 +4,9 @@ import pytest
 
 from repro.client import BallotClient, BlockumulusClient, CasClient, FastMoneyClient
 from repro.client import deploy_contract_source
+from repro.core.cell import _PendingTransaction
+from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
+from repro.messages import Opcode
 from tests.conftest import make_deployment
 
 
@@ -182,3 +185,52 @@ def test_duplicate_submission_rejected(deployment):
         for cell in deployment.cells
     }
     assert balances == {1}
+
+
+def _send_confirmation(deployment, sender, confirmation, forwarded) -> None:
+    """``sender`` sends the service cell a ``TX_CONFIRM`` carrying ``confirmation``."""
+    service = deployment.cell(0)
+    batch = ConfirmationBatch.of([LinkConfirmation.of(confirmation, forwarded)])
+    sender.endpoint.send(service.node_name, service.address, Opcode.TX_CONFIRM, batch.to_data())
+    deployment.run(until=deployment.env.now + 1.0)
+
+
+def test_a_confirmation_for_a_transaction_never_admitted_is_refused():
+    """Nothing to rebuild it from: counted like a bad signature, never pending."""
+    deployment = make_deployment(signature_scheme="sim")
+    service, peer = deployment.cell(0), deployment.cell(1)
+    client = BlockumulusClient(deployment)
+    forwarded = client.endpoint.sign(
+        service.address, Opcode.TX_SUBMIT,
+        {"contract": "fastmoney", "method": "faucet", "args": {"amount": 1}},
+    )
+    tx_id = forwarded.payload.hash_hex()
+    # Even a transaction the cell is waiting on does not make the item admissible.
+    pending = _PendingTransaction(deployment.env, tx_id, {peer.address})
+    service._pending[tx_id] = pending
+    confirmation = Confirmation.create(
+        peer.signer, tx_id, "fastmoney", "0x" + "00" * 32, "executed", deployment.env.now
+    )
+    _send_confirmation(deployment, peer, confirmation, forwarded)
+    assert not service.ledger.contains(tx_id)
+    assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
+    assert pending.confirmations == {} and not pending.all_received.triggered
+
+
+def test_a_confirmation_relayed_by_another_cell_does_not_verify(four_cell_deployment):
+    """The signer of a link item is the envelope's sender: a relayed one fails ``verify()``."""
+    deployment = four_cell_deployment
+    service, signer, relay = deployment.cell(0), deployment.cell(1), deployment.cell(2)
+    fastmoney = FastMoneyClient(BlockumulusClient(deployment))
+    result = run(deployment, fastmoney.faucet(100))
+    assert result.ok
+    entry = service.ledger.get(result.tx_id)
+    honest = next(
+        confirmation for confirmation in result.receipt.confirmations
+        if confirmation.cell == signer.address
+    )
+    assert honest.verify()
+    _send_confirmation(deployment, relay, honest, entry.envelope)
+    assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
+    _send_confirmation(deployment, signer, honest, entry.envelope)
+    assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1

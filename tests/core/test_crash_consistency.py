@@ -11,6 +11,7 @@ moment ``FaultPlan.crashed`` flips, in both pipeline modes.
 import pytest
 
 from repro.client import BlockumulusClient, FastMoneyClient
+from repro.messages import Opcode
 from tests.conftest import make_deployment
 
 
@@ -111,3 +112,28 @@ def test_batched_flush_after_crash_drops_queued_items():
     assert _cell_messages_out(deployment, 1) == sent_at_crash
     assert cell1.batcher.items_dropped >= 1
     assert cell1.batcher.statistics()["items_dropped"] == cell1.batcher.items_dropped
+
+
+def test_a_crash_drops_every_queued_item_and_counts_each_one():
+    """Three items held back by the rate bound die with their cell: both readings say 3."""
+    deployment = make_deployment(
+        consortium_size=2, signature_scheme="sim", message_batching=True, batch_quantum=0.5
+    )
+    cell, peer = deployment.cells
+    signer = deployment.make_client_signer("dropped-items")
+    forwards = [
+        cell.endpoint.sign(cell.address, Opcode.TX_SUBMIT, {"item": index}, signer=signer)
+        for index in range(4)
+    ]
+    # The first forward finds the destination idle and leaves at once,
+    # opening a quantum; the next three wait for its end.
+    cell.batcher.queue_forward(peer.node_name, peer.address, forwards[0])
+    deployment.run(until=deployment.env.now + 0.1)
+    for forward in forwards[1:]:
+        cell.batcher.queue_forward(peer.node_name, peer.address, forward)
+    cell.crash()
+    deployment.run(until=deployment.env.now + 1.0)
+
+    assert cell.batcher.batches_sent == 1
+    assert cell.statistics()["batching"]["items_dropped"] == 3
+    assert deployment.metrics.counter(f"{cell.node_name}/batch_items_dropped") == 3

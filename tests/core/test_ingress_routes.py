@@ -16,7 +16,7 @@ from operator import attrgetter
 import pytest
 
 from repro.contracts.community import FastMoney
-from repro.core.receipts import Confirmation, ConfirmationBatch
+from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
 from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES, Sender
 from repro.messages import Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch
@@ -49,7 +49,7 @@ FINGERPRINT = "0x" + "22" * 32
 def test_every_opcode_is_routed_or_reply_only():
     assert set(ROUTES) | REPLY_ONLY == set(Opcode)
     assert not set(ROUTES) & REPLY_ONLY
-    assert (len(ROUTES), len(REPLY_ONLY)) == (24, 7)
+    assert (len(ROUTES), len(REPLY_ONLY)) == (21, 7)
 
 
 def test_every_opcode_a_cell_answers_with_has_a_declared_body():
@@ -131,7 +131,8 @@ class RouteProbe:
     def well_formed(self, opcode) -> dict:
         """A data field the route's parser accepts."""
         call = {"contract": "pay", "method": "transfer", "args": {"to": "0x" + "55" * 20, "amount": 1}}
-        inner = self.envelope(Opcode.TX_SUBMIT, call).to_wire()
+        submission = self.envelope(Opcode.TX_SUBMIT, call)
+        inner = submission.to_wire()
         confirmation = Confirmation.create(
             self.peer.signer, tx_id="0x" + "11" * 32, contract="pay",
             fingerprint_hex=FINGERPRINT, status="executed", timestamp=0.0,
@@ -154,11 +155,10 @@ class RouteProbe:
                 xtx="0xfeed", phase="mint", group=0, transaction=inner,
                 target_group=1, target_contract="pay",
             ).to_data(),
-            Opcode.TX_FORWARD: {"client_envelope": inner},
-            Opcode.TX_FORWARD_BATCH: ForwardBatch(transactions=(inner,)).to_data(),
-            Opcode.TX_CONFIRM: {"confirmation": confirmation.to_wire()},
-            Opcode.TX_REJECT: {"confirmation": confirmation.to_wire()},
-            Opcode.TX_CONFIRM_BATCH: ConfirmationBatch.of([confirmation]).to_data(),
+            Opcode.TX_FORWARD: ForwardBatch(transactions=(inner,)).to_data(),
+            Opcode.TX_CONFIRM: ConfirmationBatch.of(
+                [LinkConfirmation.of(confirmation, submission)]
+            ).to_data(),
             Opcode.CELL_EXCLUDE: ExclusionProposal(self.third.address, 0, "probe").to_data(),
             Opcode.CELL_EXCLUDE_VOTE: vote.to_data(),
             Opcode.MEMBERSHIP_UPDATE: MembershipUpdate(
@@ -227,11 +227,8 @@ WRONGLY_TYPED: dict[Opcode, dict] = {
     Opcode.XSHARD_VOUCHER: {
         "xtx": "0xfeed", "phase": "mint", "group": 0, "transaction": "not an envelope",
     },
-    Opcode.TX_FORWARD: {"client_envelope": "not a wire object"},
-    Opcode.TX_FORWARD_BATCH: {"transactions": [{"payload": "garbage"}]},
-    Opcode.TX_CONFIRM: {"confirmation": {"cell": 7}},
-    Opcode.TX_REJECT: {"confirmation": [1]},
-    Opcode.TX_CONFIRM_BATCH: {"confirmations": ["not a wire object"]},
+    Opcode.TX_FORWARD: {"transactions": [{"payload": "garbage"}]},
+    Opcode.TX_CONFIRM: {"confirmations": ["not a wire object"]},
     Opcode.CELL_EXCLUDE: {"suspect": 7, "cycle": "abc"},
     Opcode.CELL_EXCLUDE_VOTE: {"vote": "not a wire object"},
     Opcode.MEMBERSHIP_UPDATE: {
@@ -344,13 +341,19 @@ WRONG_VALUES = [None, True, 7, 1.5, "x", [], {}, [1], {"a": 1}]
 
 
 def carried_statements(body, path=()):
-    """``(wire keys down to it, in a list?, statement class)`` of every statement in ``body``."""
+    """``(wire keys down to it, in a list?, statement class)`` of every statement in ``body``.
+
+    A link item carries a confirmation's signed fields under the same keys;
+    the cell rebuilds the statement from it.
+    """
+    if body is LinkConfirmation:
+        body = Confirmation
     if issubclass(body, SignedStatement):
         yield path, body
         return
     for item in wire.fields(body):
         kind, listed = item.kind, False
-        while kind.shape in ("optional", "list", "single"):
+        while kind.shape in ("optional", "list"):
             kind, listed = kind.of, listed or kind.shape == "list"
         if kind.shape == "nested" and issubclass(kind.of, wire.Body):
             yield from carried_statements(kind.of, path + ((item.key, listed),))
@@ -369,8 +372,7 @@ STATEMENT_FIELDS = [
 def test_the_statement_matrix_covers_every_statement_a_route_carries():
     carried = {(values[0], values[2].__name__) for values in (p.values for p in STATEMENT_FIELDS)}
     assert carried == {
-        (Opcode.TX_CONFIRM, "Confirmation"), (Opcode.TX_REJECT, "Confirmation"),
-        (Opcode.TX_CONFIRM_BATCH, "Confirmation"),
+        (Opcode.TX_CONFIRM, "Confirmation"),
         (Opcode.CELL_EXCLUDE_VOTE, "ExclusionVote"), (Opcode.CELL_REJOIN_ACK, "RejoinAck"),
         (Opcode.MEMBERSHIP_UPDATE, "ExclusionVote"), (Opcode.MEMBERSHIP_UPDATE, "RejoinAck"),
         (Opcode.XSHARD_COMMIT, "CrossShardVote"), (Opcode.XSHARD_ABORT, "CrossShardVote"),
@@ -405,7 +407,9 @@ def test_most_of_the_statement_matrix_can_be_signed_and_sent():
         len(list(wrongly_typed_statements(statement, item, signer, signer.address)))
         for _opcode, _path, statement, item in (param.values for param in STATEMENT_FIELDS)
     )
-    assert built >= 200  # the rest (addresses, phases) are refused by ``create``
+    # The rest (addresses, phases) are refused by ``create``.  183 are built:
+    # 261 (floor 200) when three routes carried a Confirmation, 39 each.
+    assert built >= 180
 
 
 @pytest.mark.parametrize("opcode, path, statement, item", STATEMENT_FIELDS)

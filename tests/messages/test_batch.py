@@ -36,7 +36,7 @@ def test_forward_batch_round_trip_preserves_client_signatures(cell_signer):
     outer = Envelope.create(
         signer=cell_signer,
         recipient=recipient,
-        operation=Opcode.TX_FORWARD_BATCH,
+        operation=Opcode.TX_FORWARD,
         data=batch.to_data(),
         timestamp=10.0,
         nonce="0x" + "ab" * 12,
@@ -44,7 +44,7 @@ def test_forward_batch_round_trip_preserves_client_signatures(cell_signer):
     # Full wire round trip of the outer envelope.
     parsed_outer = Envelope.from_wire(outer.wire_bytes())
     assert parsed_outer.verify()
-    assert parsed_outer.operation == Opcode.TX_FORWARD_BATCH
+    assert parsed_outer.operation == Opcode.TX_FORWARD
 
     parsed_batch = ForwardBatch.from_data(parsed_outer.data)
     assert len(parsed_batch) == 4
@@ -61,7 +61,7 @@ def test_tampered_outer_batch_fails_verification(cell_signer):
     outer = Envelope.create(
         signer=cell_signer,
         recipient=recipient,
-        operation=Opcode.TX_FORWARD_BATCH,
+        operation=Opcode.TX_FORWARD,
         data=batch.to_data(),
         timestamp=1.0,
         nonce="0x" + "cd" * 12,

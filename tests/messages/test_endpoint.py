@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.batching import BatchDispatcher
-from repro.core.receipts import Confirmation
+from repro.core.receipts import Confirmation, LinkConfirmation
 from repro.messages import Envelope, NonceFactory, Opcode, SimulatedSigner
 from repro.messages.endpoint import Endpoint
 from repro.sim import Environment, Timeout
@@ -212,14 +212,15 @@ def test_the_nonces_of_one_node_are_one_sequence_across_sign_ask_and_batch_flush
         endpoint.signer, "0x" + "11" * 32, "pay", "0x" + "22" * 32, "executed", 0.0
     )
     batcher.queue_forward("cell", cell.address, signed)
-    batcher.queue_confirmation("cell", cell.address, confirmation)
+    env.run()  # two flushes, so they arrive in the order they were signed
+    batcher.queue_confirmation("cell", cell.address, LinkConfirmation.of(confirmation, signed))
     env.run()
     endpoint.send("cell", cell.address, Opcode.PING, {})
     env.run()
 
     sent = [signed, for_another, *cell.inbox]
     assert [envelope.operation for envelope in cell.inbox] == [
-        Opcode.PING, Opcode.TX_FORWARD_BATCH, Opcode.TX_CONFIRM_BATCH, Opcode.PING,
+        Opcode.PING, Opcode.TX_FORWARD, Opcode.TX_CONFIRM, Opcode.PING,
     ]
     assert cell.inbox[0] == request
     assert [envelope.nonce for envelope in sent] == [expected.next() for _ in sent]

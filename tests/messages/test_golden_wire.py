@@ -4,9 +4,10 @@
 commit whose body classes still spelled out ``_signed_fields`` / ``to_wire``
 / ``to_data`` by hand.  A change of the bytes a statement signs, of its
 signature or of any wire form fails here by the sample's name, not only as
-a moved ``sim_digest``.  The ``replies`` section holds what the cell's and
-the gateway's dict literals produced before the reply bodies were declared
-(see ``wire_samples.py`` for how it was recorded).
+a moved ``sim_digest``; so does a renamed opcode (the ``opcodes``
+section).  The ``replies`` section holds what the cell's and the gateway's
+dict literals produced before the reply bodies were declared (see
+``wire_samples.py`` for how it was recorded).
 """
 
 import json
@@ -44,6 +45,11 @@ def test_a_statement_signs_and_sends_the_recorded_bytes(name, part, recorded):
 @pytest.mark.parametrize("name", sorted(GOLD["bodies"]))
 def test_a_body_sends_the_recorded_data_field(name, recorded):
     assert as_json(recorded["bodies"][name]) == as_json(GOLD["bodies"][name])
+
+
+@pytest.mark.parametrize("name", sorted(GOLD["opcodes"]))
+def test_an_opcode_travels_under_its_recorded_name(name, recorded):
+    assert recorded["opcodes"][name] == GOLD["opcodes"][name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLD["replies"]))

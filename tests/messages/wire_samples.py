@@ -24,6 +24,16 @@ then, from this file — ``bodies.AggregatedReceipt`` and the ``TX_RECEIPT``,
 ``XSHARD_VOTE/receipt`` and ``XSHARD_VOUCHER/minted`` / ``/redeemed``
 replies — and a script comparison showed every other entry byte-identical
 to the table it replaced.
+
+A second one: the cell↔cell link carries each confirmation as a
+``LinkConfirmation`` (without the cell, scheme and called contract its
+receiver holds), and ``tx_forward_batch``, ``tx_confirm_batch`` and
+``tx_reject`` are gone (``tx_forward`` / ``tx_confirm`` carry the lists).
+``bodies.ConfirmationBatch`` was re-recorded from this file, and the
+``opcodes`` section (every opcode's wire name) was added — recorded first
+on the commit before, by the same comprehension, then re-recorded here
+without the three removed opcodes; a script comparison showed every other
+entry byte-identical.
 """
 
 import json
@@ -41,7 +51,12 @@ def build():
     """``(statements, bodies, replies)``: name -> signed statement / data field / reply data."""
     from repro.core.cell import OVERLOADED_ERROR
     from repro.core.ledger import TransactionLedger
-    from repro.core.receipts import AggregatedReceipt, Confirmation, ConfirmationBatch
+    from repro.core.receipts import (
+        AggregatedReceipt,
+        Confirmation,
+        ConfirmationBatch,
+        LinkConfirmation,
+    )
     from repro.core.replies import (
         ErrorReply,
         LedgerResponse,
@@ -114,6 +129,12 @@ def build():
         timestamp=2.5, nonce="0xabcdf0",
     )
     ledger.admit(admitted, cycle=2, contingency=True)
+    # A forwarded call of the contract the sample confirmations name.
+    called = Envelope.create(
+        signer=signer, recipient=peer, operation=Opcode.TX_SUBMIT,
+        data={"contract": "fastmoney", "method": "transfer", "args": {"to": HOLDER, "amount": 1}},
+        timestamp=1.25, nonce="0xabcdf1",
+    )
 
     confirmation, rejected = statements["Confirmation"], statements["Confirmation/rejected"]
     vote, ack = statements["ExclusionVote"], statements["RejoinAck"]
@@ -150,7 +171,9 @@ def build():
             xtx="0xa1", phase="redeem", group=1, transaction=inner.to_wire(),
             voucher=voucher.to_wire(),
         ).to_data(),
-        "ConfirmationBatch": ConfirmationBatch.of([confirmation, rejected]).to_data(),
+        "ConfirmationBatch": ConfirmationBatch.of([
+            LinkConfirmation.of(confirmation, called), LinkConfirmation.of(rejected, inner),
+        ]).to_data(),
         "AggregatedReceipt": receipt.to_wire(),
         "EquivocationEvidence": EquivocationEvidence(confirmation, rejected).to_data(),
         "ForwardBatch": ForwardBatch.of([inner, admitted]).to_data(),
@@ -194,8 +217,11 @@ def build():
 
 def record():
     """The JSON-serializable golden table of the tree this runs on."""
+    from repro.messages import Opcode
+
     statements, bodies, replies = build()
     return {
+        "opcodes": {opcode.name: opcode.value for opcode in Opcode},
         "replies": {name: reply.to_data() for name, reply in replies.items()},
         "statements": {
             name: {

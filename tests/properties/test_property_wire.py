@@ -21,7 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.receipts import AggregatedReceipt, Confirmation, ConfirmationBatch
+from repro.core.receipts import (
+    AggregatedReceipt,
+    Confirmation,
+    ConfirmationBatch,
+    LinkConfirmation,
+    called_contract,
+)
 from repro.core.replies import VoucherReply
 from repro.core.routes import REPLIES, ROUTES
 from repro.core.snapshot import DataSnapshot, SnapshotError
@@ -187,8 +193,6 @@ def values(kind: wire.Kind):
         return st.none() | values(kind.of)
     if kind.shape == "list":
         return st.lists(values(kind.of), max_size=3).map(tuple)
-    if kind.shape == "single":
-        return values(kind.of).map(lambda value: (value,))
     if kind.shape == "nested":
         by_hand = {Envelope: envelopes, DataSnapshot: snapshots}.get(kind.of)
         return by_hand() if by_hand is not None else instances(kind.of)
@@ -482,3 +486,94 @@ def test_a_receipt_with_one_cosigners_moment_changed_does_not_verify(scheme, dat
     cosigner["timestamp"] = round(moment + data.draw(st.integers(1, 10**6)) / 1_000_000, 6)
     assert cosigner["timestamp"] != moment
     assert not AggregatedReceipt.from_wire(sent).verify()
+
+
+# ----------------------------------------------------------------------
+# The cell↔cell link: a confirmation without what its receiver holds
+# ----------------------------------------------------------------------
+OUTCOMES = [("executed", None), ("rejected", "insufficient funds"),
+            ("rejected", "client signature invalid")]
+
+
+@st.composite
+def linked(draw, scheme, contract=None):
+    """``(cell, forwarded client envelope, the cell's confirmation of it)``.
+
+    The confirmation names the called contract, ``""`` or another one
+    (``contract`` pins it: a strategy of contract names).
+    """
+    cell = draw(st.sampled_from(COSIGNERS[scheme]))
+    called = draw(ids)
+    forwarded = Envelope.create(
+        signer=SIGNER, recipient=cell.address, operation=Opcode.TX_SUBMIT,
+        data={"contract": called, "method": "transfer", "args": {}},
+        timestamp=1.5, nonce=draw(ids),
+    )
+    signed = draw(st.just(called) | st.just("") | ids if contract is None else contract)
+    status, error = draw(st.sampled_from(OUTCOMES))
+    confirmation = Confirmation.create(
+        cell, forwarded.payload.hash_hex(), signed, draw(fingerprints), status,
+        draw(ATOMS["seconds"]), error=error,
+    )
+    return cell, forwarded, confirmation
+
+
+@schemes
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_link_confirmation_round_trips_and_rebuilds_the_signed_statement(scheme, data):
+    cell, forwarded, confirmation = data.draw(linked(scheme))
+    item = LinkConfirmation.of(confirmation, forwarded)
+    sent = json.loads(as_json(item.to_wire()))
+    # What the receiver holds does not travel; an error and another contract do.
+    assert not {"cell", "scheme"} & set(sent)
+    assert ("contract" in sent) == (confirmation.contract != called_contract(forwarded))
+    assert ("error" in sent) == (confirmation.error is not None)
+    parsed = LinkConfirmation.from_wire(sent)
+    assert parsed == item
+    rebuilt = parsed.confirmation(cell.address, cell.scheme, forwarded)
+    assert rebuilt.body() == confirmation.body()
+    assert rebuilt == confirmation and rebuilt.verify()
+
+
+@schemes
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_link_confirmation_rebuilt_for_another_sender_contract_or_transaction_does_not_verify(
+    scheme, data
+):
+    cell, forwarded, confirmation = data.draw(linked(scheme))
+    sent = json.loads(as_json(LinkConfirmation.of(confirmation, forwarded).to_wire()))
+    sender = cell
+    change = data.draw(st.sampled_from(["sender", "contract", "tx_id"]))
+    if change == "sender":
+        sender = data.draw(st.sampled_from([
+            other for other in COSIGNERS[scheme] if other.address != cell.address
+        ]))
+    elif change == "contract":
+        sent["contract"] = data.draw(ids.filter(lambda name: name != confirmation.contract))
+    else:
+        sent["tx_id"] = data.draw(ids.filter(lambda tx_id: tx_id != confirmation.tx_id))
+    rebuilt = LinkConfirmation.from_wire(sent).confirmation(sender.address, sender.scheme, forwarded)
+    assert not rebuilt.verify()
+
+
+@schemes
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_contract_other_than_the_called_one_travels_and_still_verifies(scheme, data):
+    cell, forwarded, confirmation = data.draw(linked(scheme, st.just("") | ids))
+    called = called_contract(forwarded)
+    item = LinkConfirmation.of(confirmation, forwarded)
+    if confirmation.contract == called:
+        # The called contract is left out, and the receiver's entry fills it in.
+        assert item.contract is None
+        return
+    assert item.to_wire()["contract"] == confirmation.contract
+    for receivers_entry in (forwarded, Envelope.create(
+        signer=SIGNER, recipient=cell.address, operation=Opcode.TX_SUBMIT,
+        data={"contract": called + "-other", "method": "transfer", "args": {}},
+        timestamp=1.5, nonce="0x01",
+    )):
+        rebuilt = item.confirmation(cell.address, cell.scheme, receivers_entry)
+        assert rebuilt.contract == confirmation.contract and rebuilt.verify()

@@ -89,17 +89,32 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
         header,
     ).groups())
     assert total == network > 0
-    links = {}
+    links, split = {}, {}
     for row in rows:
         link = re.fullmatch(r"  (\S+) +(\d+\.\d) B/tx +\d+\.\d{3} msgs/tx", row)
         if link:
             current = links[link[1]] = [float(link[2]), 0.0]
             continue
-        opcode = re.fullmatch(r"    ([a-z_]+) +(\d+\.\d) B/tx +\d+\.\d{3} msgs/tx", row)
+        items = re.fullmatch(
+            r"      +(\d+\.\d\d) items/msg +(\d+\.\d) B/item +(\d+\.\d) B/msg besides the items",
+            row,
+        )
+        if items:
+            split[(link_name, opcode_name)] = (opcode_row, *map(float, items.groups()))
+            continue
+        opcode = re.fullmatch(r"    ([a-z_]+) +(\d+\.\d) B/tx +(\d+\.\d{3}) msgs/tx", row)
         assert opcode, row
         current[1] += float(opcode[2])
+        link_name, opcode_name = list(links)[-1], opcode[1]
+        opcode_row = (float(opcode[2]), float(opcode[3]))
     assert set(links) == {"client<->cell", "cell<->cell"}
     for link_bytes, opcode_bytes in links.values():
         assert opcode_bytes == pytest.approx(link_bytes, abs=0.1 * len(rows))
     assert sum(link_bytes for link_bytes, _ in links.values()) == pytest.approx(total, abs=0.2)
     assert "    tx_receipt" in first.stdout and "    xshard_voucher" in first.stdout
+    # The two list-carrying opcodes split into their items and the rest.
+    assert set(split) == {("cell<->cell", "tx_forward"), ("cell<->cell", "tx_confirm")}
+    for (opcode_bytes, messages), per_message, per_item, besides in split.values():
+        assert per_message >= 1.0 and per_item > 0 and besides > 0
+        rebuilt = messages * (per_message * per_item + besides)
+        assert rebuilt == pytest.approx(opcode_bytes, rel=0.01)

@@ -32,7 +32,12 @@ wraps ``Endpoint.post`` on the class, from outside and for the build and
 the drive (every message leaves a node there), and prints the bytes and
 messages per transaction of each opcode, split into client<->cell and
 cell<->cell traffic.  Bytes include the network's framing, so the total is
-the benchmark's figure; like the call count it repeats to the digit.
+the benchmark's figure; like the call count it repeats to the digit.  For
+the two opcodes that carry a list of items (``tx_forward``: client
+envelopes, ``tx_confirm``: confirmations) a second line splits a message
+into its items and the rest: items per message, canonical-JSON bytes per
+item, and the bytes per message that are not items (envelope, signature,
+network framing).
 """
 
 from __future__ import annotations
@@ -147,25 +152,34 @@ def sample_drive(
     return samples, cpu_seconds, dict(inclusive), dict(own)
 
 
-#: (link, opcode) -> [bytes, messages]; the link is "client<->cell" or "cell<->cell".
+#: (link, opcode) -> [bytes, messages, items, item bytes]; the link is
+#: "client<->cell" or "cell<->cell".
 Traffic = dict[tuple[str, str], list[int]]
+
+#: The opcodes whose data field is a list of items, and the list's key.
+LISTED = {"tx_forward": "transactions", "tx_confirm": "confirmations"}
 
 
 def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, int, Traffic]:
     """Transactions attempted, network bytes and the traffic by link and opcode of one run."""
+    from repro.encoding.canonical_json import dump_bytes
     from repro.messages.endpoint import Endpoint
 
-    #: (source node, destination node, opcode) -> [bytes, messages]
+    #: (source node, destination node, opcode) -> [bytes, messages, items, item bytes]
     sent: dict[tuple[str, str, str], list[int]] = {}
     post = Endpoint.post
 
     def counted_post(endpoint: Any, dst_node: str, envelope: Any) -> bool:
         delivered = post(endpoint, dst_node, envelope)
         if delivered:
-            key = (endpoint.node_name, dst_node, envelope.operation.value)
-            tally = sent.setdefault(key, [0, 0])
+            opcode = envelope.operation.value
+            tally = sent.setdefault((endpoint.node_name, dst_node, opcode), [0, 0, 0, 0])
             tally[0] += endpoint.network.wire_size(envelope.byte_size())
             tally[1] += 1
+            if opcode in LISTED:
+                items = envelope.data[LISTED[opcode]]
+                tally[2] += len(items)
+                tally[3] += sum(len(dump_bytes(item)) for item in items)
         return delivered
 
     setattr(Endpoint, "post", counted_post)
@@ -179,31 +193,33 @@ def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, 
     deployments = [group.deployment for group in groups] if groups else [deployment]
     cells = {cell.node_name for each in deployments for cell in each.cells}
     traffic: Traffic = {}
-    for (src, dst, opcode), (size, count) in sent.items():
+    for (src, dst, opcode), counts in sent.items():
         link = "cell<->cell" if src in cells and dst in cells else "client<->cell"
-        tally = traffic.setdefault((link, opcode), [0, 0])
-        tally[0] += size
-        tally[1] += count
+        tally = traffic.setdefault((link, opcode), [0, 0, 0, 0])
+        for index, count in enumerate(counts):
+            tally[index] += count
     return observed.attempted, observed.wire_bytes, traffic
 
 
 def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
     attempted, network_bytes, traffic = count_drive_bytes(workload_name, seed, smoke)
-    counted = sum(size for size, _ in traffic.values())
+    counted = sum(counts[0] for counts in traffic.values())
     print(f"{workload_name}  seed={seed}  smoke={smoke}  wire_bytes_per_tx="
           f"{counted / attempted:.1f}  network={network_bytes / attempted:.1f}")
     for link in ("client<->cell", "cell<->cell"):
         rows = sorted(
-            ((size, count, opcode) for (kind, opcode), (size, count) in traffic.items()
-             if kind == link),
-            key=lambda row: (-row[0], row[2]),
+            ((counts, opcode) for (kind, opcode), counts in traffic.items() if kind == link),
+            key=lambda row: (-row[0][0], row[1]),
         )
-        size = sum(row[0] for row in rows)
-        count = sum(row[1] for row in rows)
+        size = sum(counts[0] for counts, _ in rows)
+        count = sum(counts[1] for counts, _ in rows)
         print(f"  {link:<22}{size / attempted:>10.1f} B/tx  {count / attempted:>7.3f} msgs/tx")
-        for size, count, opcode in rows:
+        for (size, count, items, item_bytes), opcode in rows:
             print(f"    {opcode:<20}{size / attempted:>10.1f} B/tx"
                   f"  {count / attempted:>7.3f} msgs/tx")
+            if items:
+                print(f"      {items / count:>7.2f} items/msg  {item_bytes / items:>7.1f} B/item"
+                      f"  {(size - item_bytes) / count:>7.1f} B/msg besides the items")
 
 
 def _file_of(path: str) -> str:
