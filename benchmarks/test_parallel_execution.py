@@ -100,10 +100,11 @@ def equivalence_digest(deployment, report) -> str:
 
 def config_metrics(deployment, report):
     throughput = report.throughput()
+    # One lane plans nothing, so its cells report no lane statistics.
     lane_stats = [
-        cell.statistics()["lanes"]
+        stats
         for cell in deployment.cells
-        if cell.statistics()["lanes"] is not None
+        if (stats := cell.statistics()["lanes"]) is not None
     ]
     metrics = {
         "transactions": len(report.results),
@@ -258,10 +259,7 @@ def test_mixed_workload_lane_overlap():
     )
 
     lane_stats = [
-        cell.statistics()["lanes"]
-        for group in deployment.groups
-        for cell in group.cells
-        if cell.statistics()["lanes"] is not None
+        cell.statistics()["lanes"] for group in deployment.groups for cell in group.cells
     ]
     exclusive_fallbacks = sum(s["exclusive_fallbacks"] for s in lane_stats)
     peak_parallel = max(s["peak_parallel"] for s in lane_stats)

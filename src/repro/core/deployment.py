@@ -149,8 +149,9 @@ class BlockumulusDeployment:
                 enforce_subscriptions=self.config.enforce_subscriptions,
                 auto_report=self.config.auto_report,
                 snapshots_retained=self.config.snapshots_retained,
-                message_batching=self.config.message_batching,
-                batch_quantum=self.config.batch_quantum,
+                batch_quantum=(
+                    self.config.batch_quantum if self.config.message_batching else None
+                ),
                 execution_lanes=self.config.execution_lanes,
                 max_inflight=self.config.max_inflight,
             )

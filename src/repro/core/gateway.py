@@ -42,7 +42,8 @@ from .replies import VoteReply, VoucherReply
 from .subscription import SubscriptionError
 
 if TYPE_CHECKING:
-    from .cell import BlockumulusCell, _ServiceResult
+    from .cell import BlockumulusCell
+    from .stages import _ServiceResult
 
 _S = TypeVar("_S", bound=SignedStatement)
 
@@ -104,14 +105,14 @@ class CrossShardGateway:
             # subscription that gates TX_SUBMIT gates them.
             self.cell.subscriptions.check_access(envelope.sender)
         except SubscriptionError as exc:
-            self.cell._refuse(src_node, envelope, str(exc))
+            self.cell.refuse(src_node, envelope, str(exc))
             return
         if isinstance(body, CrossShardDecision) and (
             (envelope.operation == Opcode.XSHARD_COMMIT) != (body.decision == "commit")
         ):
-            self.cell._refuse(src_node, envelope, "decision does not match the envelope opcode")
+            self.cell.refuse(src_node, envelope, "decision does not match the envelope opcode")
         elif body.group != self.group:
-            self.cell._refuse(
+            self.cell.refuse(
                 src_node, envelope, f"cell group {self.group} is not group {body.group}"
             )
         elif isinstance(body, CrossShardVoucherTransfer):
@@ -181,7 +182,7 @@ class CrossShardGateway:
             # drops direct submissions (Section V-B).
             cell.metrics.increment(f"{cell.node_name}/censored")
             return None
-        result = yield from cell._service_pipeline(inner)
+        result = yield from cell.service.pipeline(inner)
         if result.aborted:
             return None
         if result.admit_error is None:
@@ -206,7 +207,7 @@ class CrossShardGateway:
             # signed no-vote is abort *evidence*, and a coordinator must
             # not be able to manufacture one by, say, sending a duplicate
             # prepare to a group that actually holds funds.
-            self.cell._refuse(src_node, envelope, refusal, xtx=body.xtx)
+            self.cell.refuse(src_node, envelope, refusal, xtx=body.xtx)
             return
         inner = self._inner_transaction(envelope, body)
         if inner is None:
@@ -291,7 +292,7 @@ class CrossShardGateway:
         )
         if lying:
             vote = _forged(vote)
-        cell._reply(
+        cell.reply(
             src_node, request, Opcode.XSHARD_VOTE, VoteReply(vote, receipt, error).to_data()
         )
 
@@ -317,11 +318,11 @@ class CrossShardGateway:
             # the xtx is poisoned against a later well-formed leg
             # (single-use ids, exactly as in the 2PC state machine).
             self._record(body.xtx, kind, ok=False)
-            self.cell._refuse(src_node, envelope, invalid, xtx=body.xtx)
+            self.cell.refuse(src_node, envelope, invalid, xtx=body.xtx)
             return None
         result = yield from self._service_inner(envelope, inner, body.xtx, kind)
         if result is not None and not result.confirmed:
-            self.cell._refuse(src_node, envelope, result.failure_reason(), xtx=body.xtx)
+            self.cell.refuse(src_node, envelope, result.failure_reason(), xtx=body.xtx)
             return None
         return result
 
@@ -335,7 +336,7 @@ class CrossShardGateway:
             # no-op acknowledged as such, never a second credit.
             self._acknowledge_duplicate(src_node, envelope, body.xtx)
         elif state is not None:
-            self.cell._refuse(
+            self.cell.refuse(
                 src_node, envelope,
                 f"cross-shard transaction {body.xtx} was already used", xtx=body.xtx,
             )
@@ -387,7 +388,7 @@ class CrossShardGateway:
             "minted", body.xtx, voucher=voucher,
             receipt=result.receipt.to_wire() if result.receipt is not None else None,
         )
-        cell._reply(src_node, envelope, Opcode.XSHARD_VOUCHER, minted.to_data())
+        cell.reply(src_node, envelope, Opcode.XSHARD_VOUCHER, minted.to_data())
 
     def _serve_redeem(
         self, src_node: str, envelope: Envelope, body: CrossShardVoucherTransfer
@@ -397,7 +398,7 @@ class CrossShardGateway:
         try:
             voucher = CrossShardVoucher.from_wire(body.voucher or {})
         except CrossShardError as exc:
-            self.cell._refuse(src_node, envelope, str(exc))
+            self.cell.refuse(src_node, envelope, str(exc))
             return
         if voucher.xtx != body.xtx:
             refusal: Optional[str] = "voucher is for a different cross-shard transaction"
@@ -410,7 +411,7 @@ class CrossShardGateway:
             # credit — the voucher analogue of certificate refusals,
             # counted for the chaos attribution oracle.
             cell.metrics.increment(f"{cell.node_name}/xshard_voucher_refusals")
-            self.cell._refuse(src_node, envelope, refusal, xtx=body.xtx)
+            self.cell.refuse(src_node, envelope, refusal, xtx=body.xtx)
             return
         inner = self._inner_transaction(envelope, body, "xshard_voucher_redeem")
         if inner is not None:
@@ -433,7 +434,7 @@ class CrossShardGateway:
             "redeemed", body.xtx, duplicate=False,
             receipt=result.receipt.to_wire() if result.receipt is not None else None,
         )
-        cell._reply(src_node, envelope, Opcode.XSHARD_VOUCHER, redeemed.to_data())
+        cell.reply(src_node, envelope, Opcode.XSHARD_VOUCHER, redeemed.to_data())
         if cell.fault.duplicate_voucher:
             # The network redelivers the redeem: the registry answers it
             # as a duplicate without touching the pipeline — observable
@@ -444,7 +445,7 @@ class CrossShardGateway:
     def _acknowledge_duplicate(self, src_node: str, envelope: Envelope, xtx: str) -> None:
         """Answer a redeem the registry already holds: counted, never re-credited."""
         self.cell.metrics.increment(f"{self.cell.node_name}/xshard_voucher_duplicates")
-        self.cell._reply(
+        self.cell.reply(
             src_node, envelope, Opcode.XSHARD_VOUCHER,
             VoucherReply("redeemed", xtx, duplicate=True).to_data(),
         )

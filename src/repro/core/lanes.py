@@ -74,7 +74,7 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from ..contracts.registry import ContractRegistry
 from ..contracts.state_store import AccessSet, MutationJournal
-from ..sim.environment import Environment
+from ..sim.environment import Clock
 from ..sim.events import Event
 from ..sim.resources import ConflictGate
 
@@ -179,7 +179,7 @@ class LaneScheduler:
     :func:`entry_rank` order, which every replica computes alike.
     """
 
-    def __init__(self, env: Environment, lanes: int, registry: ContractRegistry,
+    def __init__(self, env: Clock, lanes: int, registry: ContractRegistry,
                  name: str = "lanes", invocations: int = 1) -> None:
         if lanes < 1:
             raise LaneError("at least one execution lane is required")

@@ -19,7 +19,7 @@ from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
 from ..messages.envelope import Envelope
 from ..messages.membership import EntrySummary, LedgerRecord, SyncEntry
-from ..sim.environment import Environment
+from ..sim.environment import Clock
 from ..sim.resources import Resource
 
 
@@ -67,7 +67,7 @@ class LedgerEntry:
 class TransactionLedger:
     """Ordered, mutex-protected storage of all transactions seen by a cell."""
 
-    def __init__(self, env: Environment, cell_id: str) -> None:
+    def __init__(self, env: Clock, cell_id: str) -> None:
         self.env = env
         self.cell_id = cell_id
         self._entries: list[LedgerEntry] = []

@@ -50,6 +50,7 @@ from ..messages.membership import (
 )
 from ..messages.opcodes import Opcode
 from ..messages.requests import Pong
+from ..sim.environment import Clock
 from ..sim.events import Event
 from .ledger import LedgerError
 from .snapshot import DataSnapshot, SnapshotError
@@ -162,11 +163,11 @@ class _RejoinCollection:
     the full forwarding deadline.
     """
 
-    def __init__(self, env: Any, required: int, expected: set[str]) -> None:
+    def __init__(self, clock: Clock, required: int, expected: set[str]) -> None:
         self.required = required
         self.expected = expected
         self.acks: dict[str, RejoinAck] = {}
-        self.done: Event = env.event()
+        self.done: Event = clock.event()
 
     def add(self, ack: RejoinAck) -> None:
         """Record one verified ack, firing when quorum or all-answered."""
@@ -213,7 +214,7 @@ class MembershipManager:
             # Another cell answering in the asked peer's name: a third
             # party's PONG must not vouch for a suspect, nor its state
             # pass for the donor's.
-            self.cell._refuse_unauthenticated(src_node, envelope)
+            self.cell.refuse_unauthenticated(src_node, envelope)
 
     # ------------------------------------------------------------------
     # Exclusion: proposal, probing, votes, commit
@@ -236,7 +237,7 @@ class MembershipManager:
         proposal = ExclusionProposal(suspect=suspect, cycle=cycle, reason=reason)
         # Broadcast to every peer (not just this cell's active view): a peer
         # this cell holds excluded may be live again and entitled to vote.
-        for address, node in cell._peers.items():
+        for address, node in cell.peers.items():
             if address == suspect:
                 continue
             cell.endpoint.send(node, address, Opcode.CELL_EXCLUDE, proposal.to_data())
@@ -255,13 +256,13 @@ class MembershipManager:
         else:
             agree = yield from self._probe(proposal.suspect)
         vote = ExclusionVote.create(cell.signer, proposal.suspect, proposal.cycle, agree)
-        cell._reply(src_node, envelope, Opcode.CELL_EXCLUDE_VOTE, vote.to_data())
+        cell.reply(src_node, envelope, Opcode.CELL_EXCLUDE_VOTE, vote.to_data())
         cell.metrics.increment(f"{cell.node_name}/exclusion_votes_cast")
 
     def _probe(self, suspect: Address) -> Generator[Event, Any, bool]:
         """PING the suspect; True (= vote to exclude) if it stays silent."""
         cell = self.cell
-        node = cell.peer_node(suspect)
+        node = cell.peers.get(suspect)
         if node is None:
             return True
         _request, pong = cell.endpoint.ask(
@@ -274,7 +275,7 @@ class MembershipManager:
     def handle_vote(self, src_node: str, envelope: Envelope, vote: ExclusionVote) -> None:
         """Count one incoming vote on a proposal this cell initiated."""
         if vote.voter != envelope.sender or not vote.verify():
-            self.cell._refuse_unauthenticated(src_node, envelope)
+            self.cell.refuse_unauthenticated(src_node, envelope)
             return
         collected = self._exclusion_votes.get((vote.suspect.hex(), vote.cycle))
         if collected is None:
@@ -300,7 +301,7 @@ class MembershipManager:
         )
         # Commit goes to every peer so membership views converge even for
         # peers outside this cell's (possibly stale) active view.
-        for address, node in cell._peers.items():
+        for address, node in cell.peers.items():
             if address == suspect:
                 continue
             cell.endpoint.send(node, address, Opcode.MEMBERSHIP_UPDATE, update.to_data())
@@ -404,7 +405,7 @@ class MembershipManager:
                 src_node,
                 cell.env.now + 2 * cell.invariants.forwarding_deadline,
             )
-        cell._reply(src_node, envelope, Opcode.CELL_REJOIN_ACK, ack.to_data())
+        cell.reply(src_node, envelope, Opcode.CELL_REJOIN_ACK, ack.to_data())
         cell.metrics.increment(f"{cell.node_name}/rejoin_checks")
 
     def _on_rejoin_ack(self, src_node: str, envelope: Envelope, ack: RejoinAck) -> None:
@@ -417,7 +418,7 @@ class MembershipManager:
             or ack.rejoiner != self.cell.address
             or not ack.verify()
         ):
-            self.cell._refuse_unauthenticated(src_node, envelope)
+            self.cell.refuse_unauthenticated(src_node, envelope)
             return
         collection.add(ack)
 
@@ -436,7 +437,7 @@ class MembershipManager:
         proposals instead of re-running against the same dead quorum.
         """
         cell = self.cell
-        if not cell._peers:
+        if not cell.peers:
             return RejoinOutcome(readmitted=True)
         active_peers = cell.active_peer_nodes()
         expected = {address.hex() for address in active_peers}
@@ -455,7 +456,7 @@ class MembershipManager:
         # holds excluded (e.g. a standby view that predates the crash) may
         # be live, and skipping it would permanently split the membership
         # views.  The quorum is still measured against the active view.
-        for address, node in cell._peers.items():
+        for address, node in cell.peers.items():
             cell.endpoint.send(node, address, Opcode.CELL_REJOIN, request.to_data())
         deadline = cell.env.timeout(cell.invariants.forwarding_deadline)
         yield cell.env.any_of([collection.done, deadline])
@@ -473,7 +474,7 @@ class MembershipManager:
         update = MembershipUpdate(
             action="readmit", subject=cell.address, cycle=handshake_cycle, acks=agreeing
         )
-        for address, node in cell._peers.items():
+        for address, node in cell.peers.items():
             cell.endpoint.send(node, address, Opcode.MEMBERSHIP_UPDATE, update.to_data())
         cell.metrics.increment(f"{cell.node_name}/rejoins_committed")
         return RejoinOutcome(readmitted=True, acks=acks, silent=silent)
@@ -587,7 +588,7 @@ class RecoveryCoordinator:
             # Half-restored state must not serve traffic or anchor
             # fingerprints; go back down until the operator retries.
             cell.crash()
-        cell.drain_recovery_forwards()
+        cell.peer.drain_recovery_forwards()
         return result
 
     def _resync_body(
@@ -842,7 +843,7 @@ class RecoveryCoordinator:
                 continue
             # Re-execute the post-snapshot tail, paying the same simulated
             # CPU cost as live execution so recovery latency is honest.
-            yield from cell.cpu.use(cell.service_model.invoke_cpu)
+            yield from cell.execute.cpu.use(cell.service_model.invoke_cpu)
             try:
                 entry = cell.ledger.admit(
                     envelope, cycle=summary.cycle, contingency=summary.contingency

@@ -126,13 +126,13 @@ class Route:
 ROUTES: dict[Opcode, Route] = {
     # Client -> service cell.  The XSHARD_* requests are served by the
     # one cell per group that holds the gateway role.
-    Opcode.TX_SUBMIT: Route(Sender.CLIENT, TransactionCall, "_serve_submission",
+    Opcode.TX_SUBMIT: Route(Sender.CLIENT, TransactionCall, "service._serve_submission",
                             ANSWER_CLIENT, admission=Admission.SHEDDABLE),
-    Opcode.DEPLOY_CONTRACT: Route(Sender.CLIENT, TransactionCall, "_serve_submission",
+    Opcode.DEPLOY_CONTRACT: Route(Sender.CLIENT, TransactionCall, "service._serve_submission",
                                   ANSWER_CLIENT, admission=Admission.SHEDDABLE),
-    Opcode.SUBSCRIBE: Route(Sender.CLIENT, SubscriptionRequest, "_serve_subscription",
+    Opcode.SUBSCRIBE: Route(Sender.CLIENT, SubscriptionRequest, "read._serve_subscription",
                             ANSWER_CLIENT),
-    Opcode.QUERY_STATE: Route(Sender.CLIENT, StateQuery, "_serve_query", ANSWER_CLIENT),
+    Opcode.QUERY_STATE: Route(Sender.CLIENT, StateQuery, "read._serve_query", ANSWER_CLIENT),
     Opcode.XSHARD_PREPARE: Route(Sender.CLIENT, CrossShardPrepare, "_serve_xshard",
                                  ANSWER_CLIENT, admission=Admission.SHEDDABLE),
     Opcode.XSHARD_COMMIT: Route(Sender.CLIENT, CrossShardDecision, "_serve_xshard",
@@ -142,9 +142,9 @@ ROUTES: dict[Opcode, Route] = {
     Opcode.XSHARD_VOUCHER: Route(Sender.CLIENT, CrossShardVoucherTransfer, "_serve_xshard",
                                  ANSWER_CLIENT, admission=Admission.SHEDDABLE),
     # Service cell -> the other consortium cells, and their answers.
-    Opcode.TX_FORWARD: Route(Sender.CELL, ForwardedTransactions, "_serve_forwards",
+    Opcode.TX_FORWARD: Route(Sender.CELL, ForwardedTransactions, "peer._serve_forwards",
                              DROP_FORWARD),
-    Opcode.TX_CONFIRM: Route(Sender.CELL, ConfirmationBatch, "_accept_confirmations",
+    Opcode.TX_CONFIRM: Route(Sender.CELL, ConfirmationBatch, "service._accept_confirmations",
                              DROP_CONFIRMATION, delayed=False),
     # Dynamic membership and crash recovery (Section V).
     Opcode.CELL_EXCLUDE: Route(Sender.CELL, ExclusionProposal, "membership.handle_proposal",
@@ -157,17 +157,17 @@ ROUTES: dict[Opcode, Route] = {
                               DROP_MEMBERSHIP),
     Opcode.CELL_REJOIN_ACK: Route(Sender.CELL, RejoinAck, "membership.resolve_reply",
                                   DROP_MEMBERSHIP, delayed=False),
-    Opcode.CELL_SYNC: Route(Sender.CELL, SyncRequest, "_serve_sync", DROP_MEMBERSHIP),
+    Opcode.CELL_SYNC: Route(Sender.CELL, SyncRequest, "read._serve_sync", DROP_MEMBERSHIP),
     Opcode.CELL_SYNC_STATE: Route(Sender.CELL, SyncState, "membership.resolve_reply",
                                   DROP_MEMBERSHIP, delayed=False),
     # Auditor -> cell.
-    Opcode.SNAPSHOT_REQUEST: Route(Sender.ANYONE, SnapshotRequest, "_serve_snapshot_request",
+    Opcode.SNAPSHOT_REQUEST: Route(Sender.ANYONE, SnapshotRequest, "read._serve_snapshot_request",
                                    ANSWER_AUDITOR),
-    Opcode.LEDGER_REQUEST: Route(Sender.ANYONE, LedgerRequest, "_serve_ledger_request",
+    Opcode.LEDGER_REQUEST: Route(Sender.ANYONE, LedgerRequest, "read._serve_ledger_request",
                                  ANSWER_AUDITOR),
     # Liveness.  Anyone may probe a cell; only a consortium cell's answer
     # can vouch for a suspect in an exclusion vote.
-    Opcode.PING: Route(Sender.ANYONE, None, "_serve_ping", DROP_MEMBERSHIP, delayed=False),
+    Opcode.PING: Route(Sender.ANYONE, None, "read._serve_ping", DROP_MEMBERSHIP, delayed=False),
     Opcode.PONG: Route(Sender.CELL, Pong, "membership.resolve_reply",
                        DROP_MEMBERSHIP, delayed=False),
 }

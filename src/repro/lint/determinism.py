@@ -30,6 +30,12 @@ creep in:
   (it is read tens of thousands of times per burst), so nothing but this
   rule stops a component from moving time.  Plain, annotated and augmented
   assignments and ``setattr(..., "now", ...)`` all count.
+* ``DET006`` — an import of :class:`repro.sim.environment.Environment` (or
+  of the module that defines it) under :mod:`repro.core` or
+  :mod:`repro.messages`, except in the two modules that build and run the
+  simulation (:data:`SIMULATION_BUILDERS`).  Everything else takes a
+  :class:`~repro.sim.environment.Clock`, so what a stage may do with time
+  is the port's six members, never ``run`` or ``step``.
 """
 
 from __future__ import annotations
@@ -64,6 +70,11 @@ _CLOCK_CALLS = frozenset({"time", "time_ns", "monotonic", "monotonic_ns", "perf_
 
 #: The one module that may write the simulated clock (DET005).
 CLOCK_OWNER = "repro.sim.environment"
+
+#: Packages whose modules take a ``Clock`` instead of the ``Environment`` (DET006).
+CLOCK_PORT_PACKAGES: tuple[str, ...] = ("repro.core", "repro.messages")
+#: The modules of those packages that build and run the simulation (DET006).
+SIMULATION_BUILDERS: tuple[str, ...] = ("repro.core.deployment", "repro.core.sharding")
 
 #: Function names marking order-sensitive contexts for DET003(b).
 _SINK_NAME_RE = re.compile(
@@ -167,6 +178,32 @@ def _is_clock_setattr(node: ast.AST) -> bool:
         and isinstance(node.args[1], ast.Constant)
         and node.args[1].value == "now"
     )
+
+
+def _imported_module(source: SourceFile, node: ast.ImportFrom) -> str:
+    """The absolute module name ``from <...> import`` reads from."""
+    if node.level == 0:
+        return node.module or ""
+    package = source.module.split(".")
+    if source.path.name != "__init__.py":
+        package = package[:-1]
+    base = package[: len(package) - (node.level - 1)]
+    return ".".join([*base, node.module] if node.module else base)
+
+
+def _environment_imports(source: SourceFile) -> Iterator[int]:
+    """Lines importing the ``Environment`` class or its module (DET006)."""
+    for node in ast.walk(source.tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == CLOCK_OWNER for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = _imported_module(source, node)
+            names = {alias.name for alias in node.names}
+            if (module == CLOCK_OWNER and names & {"Environment", "*"}) or (
+                module == "repro.sim" and names & {"Environment", "environment", "*"}
+            ):
+                yield node.lineno
 
 
 def check_determinism(source: SourceFile) -> Iterator[Finding]:
@@ -278,6 +315,22 @@ def check_determinism(source: SourceFile) -> Iterator[Finding]:
                     "differently",
                     f"clock-write:L{lineno}",
                 )
+
+    # ------------------------------------------------------------------
+    # DET006 — stages take a Clock; only the simulation's builders import
+    # the Environment.
+    # ------------------------------------------------------------------
+    if _in_package(module, CLOCK_PORT_PACKAGES) and module not in SIMULATION_BUILDERS:
+        for lineno in _environment_imports(source):
+            yield finding(
+                lineno,
+                "DET006",
+                "import of the simulation Environment outside the modules that "
+                "build and run the simulation",
+                "take a repro.sim.environment.Clock (now, event, timeout, any_of, "
+                "call_at, process) and let the deployment pass its Environment",
+                f"environment-import:L{lineno}",
+            )
 
     if not guarded:
         return

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..crypto.keys import Address
-from ..sim.environment import Environment
+from ..sim.environment import Clock
 from ..sim.events import Event
 from ..sim.network import Network
 from .envelope import Envelope, NonceFactory
@@ -27,7 +27,7 @@ class Endpoint:
 
     def __init__(
         self,
-        env: Environment,
+        env: Clock,
         network: Network,
         node_name: str,
         signer: Signer,
@@ -155,7 +155,7 @@ class _Answer(Event):
     __slots__ = ("_endpoint", "_request", "_waiter", "_timer")
 
     def __init__(self, endpoint: Endpoint, request: Envelope, waiter: Event, timer: Event) -> None:
-        super().__init__(endpoint.env)
+        super().__init__(waiter.env)
         self._endpoint = endpoint
         self._request = request
         self._waiter = waiter

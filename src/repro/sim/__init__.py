@@ -6,7 +6,7 @@ resources, and metrics collection.  Every experiment in the benchmark
 harness runs inside this kernel.
 """
 
-from .environment import EmptySchedule, Environment
+from .environment import Clock, EmptySchedule, Environment
 from .events import AllOf, AnyOf, ConditionError, Event, Process, SimulationError, Timeout
 from .latency import (
     CellServiceModel,
@@ -22,7 +22,6 @@ from .latency import (
     wan_client_to_cell,
 )
 from .metrics import (
-    LatencySample,
     MetricsError,
     MetricsRegistry,
     SampleSeries,
@@ -46,6 +45,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CellServiceModel",
+    "Clock",
     "ConditionError",
     "ConflictGate",
     "ConstantLatency",
@@ -56,7 +56,6 @@ __all__ = [
     "Event",
     "HTTP_FRAMING_BYTES",
     "LatencyModel",
-    "LatencySample",
     "LogNormalLatency",
     "MetricsError",
     "MetricsRegistry",

@@ -19,9 +19,31 @@ from __future__ import annotations
 
 from heapq import heappop
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Protocol
 
 from .events import AllOf, AnyOf, Event, Process, SimulationError, Timeout
+
+
+class Clock(Protocol):
+    """What a component may know about time: read it, wait on it, start work.
+
+    The cell's stages and the state they drive take a ``Clock``, never an
+    :class:`Environment` (lint rule ``DET006``): running the simulation is
+    the deployment's business, and a transport backed by a real clock has
+    these six members to provide.  :class:`Environment` satisfies it as is.
+    """
+
+    now: float
+
+    def event(self) -> Event: ...
+
+    def timeout(self, delay: float, value: Any = None) -> Event: ...
+
+    def any_of(self, events: Iterable[Event]) -> Event: ...
+
+    def call_at(self, when: float, callback: Callable[[], None]) -> Event: ...
+
+    def process(self, generator: Generator[Event, Any, Any]) -> Event: ...
 
 
 class EmptySchedule(Exception):

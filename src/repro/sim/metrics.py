@@ -1,4 +1,4 @@
-"""Measurement utilities: counters, latency samples, percentiles, CDFs.
+"""Measurement utilities: counters, sample series, percentiles, CDFs.
 
 Every experiment in the benchmark harness reports through these classes so
 the output format (p50/p90/p99, CDF series, throughput) is uniform across
@@ -10,26 +10,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
 class MetricsError(ValueError):
     """Raised for invalid metric queries."""
-
-
-@dataclass
-class LatencySample:
-    """One completed operation with its start/end simulated timestamps."""
-
-    label: str
-    start: float
-    end: float
-
-    @property
-    def latency(self) -> float:
-        """Elapsed simulated seconds."""
-        return self.end - self.start
 
 
 class SampleSeries:
@@ -187,7 +173,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self.counters: dict[str, float] = defaultdict(float)
         self._series: dict[str, SampleSeries] = {}
-        self.latencies: list[LatencySample] = []
 
     def increment(self, name: str, amount: float = 1.0) -> None:
         """Add ``amount`` to the counter ``name``."""
@@ -202,27 +187,6 @@ class MetricsRegistry:
         if name not in self._series:
             self._series[name] = SampleSeries(name)
         return self._series[name]
-
-    def record_latency(self, label: str, start: float, end: float) -> None:
-        """Record a completed operation and add it to the matching series."""
-        if end < start:
-            raise MetricsError("operation cannot end before it starts")
-        sample = LatencySample(label=label, start=start, end=end)
-        self.latencies.append(sample)
-        self.series(label).add(sample.latency)
-
-    def throughput(self, label: str | None = None) -> ThroughputResult:
-        """Throughput over all recorded latencies (optionally one label)."""
-        samples = [
-            sample for sample in self.latencies if label is None or sample.label == label
-        ]
-        if not samples:
-            raise MetricsError("no latency samples recorded")
-        return ThroughputResult(
-            operations=len(samples),
-            first_start=min(sample.start for sample in samples),
-            last_end=max(sample.end for sample in samples),
-        )
 
     def series_names(self) -> list[str]:
         """All series that have received at least one sample."""

@@ -14,14 +14,14 @@ from collections import deque
 from operator import itemgetter
 from typing import Any, Callable, Generator, Optional
 
-from .environment import Environment
+from .environment import Clock
 from .events import Event, SimulationError
 
 
 class Resource:
     """A FIFO resource with fixed integer capacity."""
 
-    def __init__(self, env: Environment, capacity: int, name: str = "resource") -> None:
+    def __init__(self, env: Clock, capacity: int, name: str = "resource") -> None:
         if capacity < 1:
             raise SimulationError("resource capacity must be at least 1")
         self.env = env
@@ -149,7 +149,7 @@ class ConflictGate:
 
     def __init__(
         self,
-        env: Environment,
+        env: Clock,
         capacity: int,
         name: str = "conflict-gate",
         order_key: Optional[Callable[[Any], Any]] = None,

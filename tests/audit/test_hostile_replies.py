@@ -1,7 +1,7 @@
 """A cell under audit may be the one cheating: what it answers is never trusted.
 
 Every test replaces one handler of one cell by something that only answers
-messages — it ``_reply``s a shape the honest handler never produces — and
+messages — it ``reply``s a shape the honest handler never produces — and
 requires the audit to end as a finding, never as an exception out of
 ``run_audit`` / ``run_recovery_audit`` (which on the commit before the
 reply bodies were declared raised ``KeyError`` / ``AttributeError`` /
@@ -54,15 +54,15 @@ def audited_deployment():
 
 def answer_with(cell, handler_name, opcode, data, when=lambda request: True):
     """Make ``cell`` answer the requests ``when`` picks with ``data``; honest otherwise."""
-    honest = getattr(cell, handler_name)
+    honest = getattr(cell.read, handler_name)
 
     def handler(src_node, envelope, body):
         if when(body):
-            cell._reply(src_node, envelope, opcode, data)
+            cell.reply(src_node, envelope, opcode, data)
         else:
             honest(src_node, envelope, body)
 
-    setattr(cell, handler_name, handler)
+    setattr(cell.read, handler_name, handler)
 
 
 def kinds(report):
@@ -131,7 +131,7 @@ def test_a_reply_of_another_opcode_is_a_finding_in_the_readers_words():
 def test_a_snapshot_served_by_a_cell_that_was_not_asked_is_ignored():
     deployment = audited_deployment()
     asked, other = deployment.cell(1), deployment.cell(0)
-    honest = asked._serve_snapshot_request
+    honest = asked.read._serve_snapshot_request
     held = []
 
     def let_the_other_cell_answer(src_node, envelope, body):
@@ -139,9 +139,9 @@ def test_a_snapshot_served_by_a_cell_that_was_not_asked_is_ignored():
         # with its own, perfectly well-formed, snapshot.
         held.append((src_node, envelope, body))
         response = SnapshotResponse(other.snapshots.get(body.cycle))
-        other._reply(src_node, envelope, Opcode.SNAPSHOT_RESPONSE, response.to_data())
+        other.reply(src_node, envelope, Opcode.SNAPSHOT_RESPONSE, response.to_data())
 
-    asked._serve_snapshot_request = let_the_other_cell_answer
+    asked.read._serve_snapshot_request = let_the_other_cell_answer
     auditor = Auditor(deployment)
     audit = deployment.env.process(auditor.audit_cell(1, CYCLE))
     deployment.run(until=deployment.env.now + 5.0)
@@ -149,7 +149,7 @@ def test_a_snapshot_served_by_a_cell_that_was_not_asked_is_ignored():
     assert len(auditor.endpoint._pending) == 1
 
     # The asked cell answers after all: the audit goes on from where it waited.
-    asked._serve_snapshot_request = honest
+    asked.read._serve_snapshot_request = honest
     honest(*held[0])
     report = deployment.env.run(audit)
     assert report.passed and report.checked_transactions == 3

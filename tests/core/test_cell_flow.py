@@ -4,7 +4,7 @@ import pytest
 
 from repro.client import BallotClient, BlockumulusClient, CasClient, FastMoneyClient
 from repro.client import deploy_contract_source
-from repro.core.cell import _PendingTransaction
+from repro.core.stages import _PendingTransaction
 from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
 from repro.messages import Opcode
 from tests.conftest import make_deployment
@@ -34,13 +34,13 @@ def test_a_peer_signing_the_fingerprint_under_another_contract_is_mismatched(dep
     fastmoney = FastMoneyClient(client)
     assert run(deployment, fastmoney.faucet(100)).ok
     peer = deployment.cell(1)
-    confirm = peer._confirm
+    confirm = peer.peer._confirm
 
     def confirm_under_another_name(dst_node, origin, reply_nonce, tx_id, _contract, *rest, **kw):
         # The right execution fingerprint, signed for a contract that was not called.
         confirm(dst_node, origin, reply_nonce, tx_id, "fastmoney-v2", *rest, **kw)
 
-    peer._confirm = confirm_under_another_name
+    peer.peer._confirm = confirm_under_another_name
     result = run(deployment, fastmoney.transfer("0x" + "ab" * 20, 40))
     assert not result.ok and result.receipt is None
     assert result.error == "fingerprint mismatch across consortium cells"
@@ -207,7 +207,7 @@ def test_a_confirmation_for_a_transaction_never_admitted_is_refused():
     tx_id = forwarded.payload.hash_hex()
     # Even a transaction the cell is waiting on does not make the item admissible.
     pending = _PendingTransaction(deployment.env, tx_id, {peer.address})
-    service._pending[tx_id] = pending
+    service.service._pending[tx_id] = pending
     confirmation = Confirmation.create(
         peer.signer, tx_id, "fastmoney", "0x" + "00" * 32, "executed", deployment.env.now
     )

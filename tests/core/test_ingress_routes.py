@@ -53,7 +53,7 @@ def test_every_opcode_is_routed_or_reply_only():
 
 
 def test_every_opcode_a_cell_answers_with_has_a_declared_body():
-    """Read off the sources: each ``_reply(node, request, Opcode.X, …)`` of the cell side.
+    """Read off the sources: each ``reply(node, request, Opcode.X, …)`` of the cell side.
 
     What goes to a client or an auditor must have a ``REPLIES`` row (its
     requester reads it through ``read_reply``); what goes to a peer must be
@@ -67,7 +67,7 @@ def test_every_opcode_a_cell_answers_with_has_a_declared_body():
     emitted = set()
     for path in pathlib.Path(repro.core.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "_reply":
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "reply":
                 opcode = node.args[2]
                 assert isinstance(opcode, ast.Attribute) and opcode.value.id == "Opcode", (
                     f"{path.name}:{node.lineno}: name the reply opcode where it is sent"
@@ -535,7 +535,7 @@ def test_a_pong_from_a_third_cell_does_not_vouch_for_the_suspect():
         deployment.network.send("wiretap", prober.node_name, pong, pong.byte_size())
 
     deployment.network.register("wiretap", handler=answer_for_the_suspect)
-    prober._peers[suspect.address] = "wiretap"
+    prober.set_peers({**prober.peers, suspect.address: "wiretap"})
 
     def probe():
         verdicts.append((yield from prober.membership._probe(suspect.address)))

@@ -251,7 +251,7 @@ def test_a_hostile_donor_fails_the_resync_with_its_reason_and_the_cell_goes_back
     deployment.env.run(money.faucet(3))
     assert not deployment.env.run(money.transfer("0x" + "7b" * 20, 100)).ok
     donor, rejoiner = deployment.cell(1), deployment.cell(2)
-    honest_reply = donor._reply
+    honest_reply = donor.reply
     syncs = itertools.count()
 
     def reply(dst_node, request, operation, data):
@@ -261,7 +261,7 @@ def test_a_hostile_donor_fails_the_resync_with_its_reason_and_the_cell_goes_back
                 return
         honest_reply(dst_node, request, operation, data)
 
-    donor._reply = reply
+    donor.reply = reply
     recovery = deployment.recover_cell(2, donor_index=1)
     result = deployment.env.run(recovery)
 

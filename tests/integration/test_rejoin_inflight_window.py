@@ -101,7 +101,7 @@ def _execute_injected(deployment, injected):
     """The peers execute the in-flight entry, as they would have live."""
     env = deployment.env
     for cell, entry in injected["entries"]:
-        env.process(cell._execute_entry(entry))
+        env.process(cell.execute.run(entry))
     deployment.run(until=env.now + 1.0)
 
 

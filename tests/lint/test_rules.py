@@ -240,6 +240,39 @@ def test_det005_exempts_the_environment_module_only(tree):
 
 
 # ----------------------------------------------------------------------
+# DET006 — core and messages take a Clock, not the Environment
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "module, source",
+    [
+        ("core/cell.py", "from ..sim.environment import Environment\n"),
+        ("core/cell.py", "from ..sim.environment import Clock, Environment as Env\n"),
+        ("core/cell.py", "from ..sim import environment\n"),
+        ("core/cell.py", "import repro.sim.environment\n"),
+        ("core/__init__.py", "from ..sim import Environment\n"),
+        ("messages/endpoint.py", "from repro.sim.environment import Environment\n"),
+        ("core/cell.py", "from typing import TYPE_CHECKING\n\nif TYPE_CHECKING:\n"
+                         "    from ..sim.environment import Environment\n"),
+    ],
+)
+def test_det006_fires_on_an_environment_import_in_core_and_messages(tree, module, source):
+    tree(module, source)
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["DET006"]
+    assert "Clock" in findings[0].fixit
+
+
+def test_det006_allows_the_clock_and_the_simulation_builders(tree):
+    tree("core/cell.py", "from ..sim.environment import Clock\n")
+    tree("messages/endpoint.py", "from ..sim.events import Event\n")
+    for builder in ("core/deployment.py", "core/sharding.py"):
+        tree(builder, "from ..sim.environment import Environment\n")
+    tree("client/client.py", "from ..sim.environment import Environment\n")
+    tree("sim/resources.py", "from .environment import Environment\n")
+    assert lint_paths([tree.root]) == []
+
+
+# ----------------------------------------------------------------------
 # PLAN rules — access-plan conformance
 # ----------------------------------------------------------------------
 PLAN_CONTRACT = """

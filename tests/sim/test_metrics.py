@@ -149,18 +149,6 @@ def test_registry_counters_and_latencies():
     registry.increment("tx")
     assert registry.counter("tx") == 3
     assert registry.counter("missing") == 0
-    registry.record_latency("op", 1.0, 3.0)
-    registry.record_latency("op", 2.0, 2.5)
-    assert len(registry.series("op")) == 2
-    throughput = registry.throughput("op")
-    assert throughput.operations == 2 and throughput.makespan == pytest.approx(2.0)
-    assert registry.series_names() == ["op"]
-
-
-def test_latency_cannot_be_negative():
-    registry = MetricsRegistry()
-    with pytest.raises(MetricsError):
-        registry.record_latency("op", 5.0, 4.0)
 
 
 def test_format_seconds_scales():
