@@ -44,10 +44,6 @@ class ScenarioReport:
         target = self.report_path or f"scenario-{self.seed}.json"
         return f"python -m repro.chaos replay --spec {target}"
 
-    def failed_oracles(self) -> list[str]:
-        """Names of the oracles that failed."""
-        return [result["oracle"] for result in self.oracles if not result["passed"]]
-
     def findings(self) -> list[str]:
         """Every finding of every failed oracle, flattened."""
         return [

@@ -276,11 +276,9 @@ class BlockumulusCell:
             # OVERLOADED outcome as backpressure — clients retry
             # elsewhere, and no protocol trace is left.
             self._shed_recovering += 1
-            self.metrics.increment(f"{self.node_name}/transactions_shed_recovering")
             return False
         if self.max_inflight is not None and self._inflight >= self.max_inflight:
             self._shed_count += 1
-            self.metrics.increment(f"{self.node_name}/transactions_shed")
             return False
         self._inflight += 1
         self._inflight_peak = max(self._inflight_peak, self._inflight)

@@ -145,11 +145,11 @@ class DeploymentConfig:
     #: empty default keeps the historical ``cell-<i>`` names.
     node_namespace: str = ""
     #: Per-cell admission limit: the maximum number of client transactions
-    #: a cell services concurrently (``TX_SUBMIT`` / ``DEPLOY_CONTRACT``
-    #: plus new cross-shard prepares).  ``None`` (default) keeps today's
-    #: unbounded behaviour bit-for-bit; with a bound, arrivals above it
-    #: are *shed* deterministically — rejected before ledger admission
-    #: with a client-visible ``OVERLOADED`` error — so sustained overload
+    #: a cell services concurrently (``TX_SUBMIT`` plus new cross-shard
+    #: prepares).  ``None`` (default) keeps today's unbounded behaviour
+    #: bit-for-bit; with a bound, arrivals above it are *shed*
+    #: deterministically — rejected before ledger admission with a
+    #: client-visible ``OVERLOADED`` error — so sustained overload
     #: degrades gracefully instead of growing queues without bound.
     max_inflight: Optional[int] = None
 

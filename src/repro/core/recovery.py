@@ -241,7 +241,6 @@ class MembershipManager:
             if address == suspect:
                 continue
             cell.endpoint.send(node, address, Opcode.CELL_EXCLUDE, proposal.to_data())
-        cell.metrics.increment(f"{cell.node_name}/exclusion_proposals")
         self._maybe_commit_exclusion(suspect, cycle)
 
     def handle_proposal(
@@ -257,7 +256,6 @@ class MembershipManager:
             agree = yield from self._probe(proposal.suspect)
         vote = ExclusionVote.create(cell.signer, proposal.suspect, proposal.cycle, agree)
         cell.reply(src_node, envelope, Opcode.CELL_EXCLUDE_VOTE, vote.to_data())
-        cell.metrics.increment(f"{cell.node_name}/exclusion_votes_cast")
 
     def _probe(self, suspect: Address) -> Generator[Event, Any, bool]:
         """PING the suspect; True (= vote to exclude) if it stays silent."""
@@ -349,7 +347,6 @@ class MembershipManager:
             self._provisional_forwards.pop(update.subject.hex(), None)
             if not cell.consensus.is_active(update.subject):
                 cell.consensus.readmit(update.subject, update.cycle)
-                cell.metrics.increment(f"{cell.node_name}/cells_readmitted")
 
     def provisional_forward_targets(self) -> dict[Address, str]:
         """Rejoiners in their ack→readmit-commit window (address → node).
@@ -384,6 +381,7 @@ class MembershipManager:
         """Check a rejoiner's state fingerprint and answer with a signed ack."""
         cell = self.cell
         if request.cell != envelope.sender:
+            cell.refuse_unauthenticated(src_node, envelope)
             return
         own_fingerprint = self._combined_fingerprint_hex()
         agree = own_fingerprint == request.fingerprint_hex
@@ -406,7 +404,6 @@ class MembershipManager:
                 cell.env.now + 2 * cell.invariants.forwarding_deadline,
             )
         cell.reply(src_node, envelope, Opcode.CELL_REJOIN_ACK, ack.to_data())
-        cell.metrics.increment(f"{cell.node_name}/rejoin_checks")
 
     def _on_rejoin_ack(self, src_node: str, envelope: Envelope, ack: RejoinAck) -> None:
         """Collect one ack for this cell's in-flight rejoin attempt."""
@@ -476,7 +473,6 @@ class MembershipManager:
         )
         for address, node in cell.peers.items():
             cell.endpoint.send(node, address, Opcode.MEMBERSHIP_UPDATE, update.to_data())
-        cell.metrics.increment(f"{cell.node_name}/rejoins_committed")
         return RejoinOutcome(readmitted=True, acks=acks, silent=silent)
 
 
@@ -502,10 +498,6 @@ class RecoveryCoordinator:
     def __init__(self, cell: "BlockumulusCell") -> None:
         self.cell = cell
         self.last_result: Optional[RecoveryResult] = None
-        #: Escape hatch for the regression suite: with backfill disabled
-        #: the pre-fix behaviour (readmit on fingerprint agreement alone)
-        #: is reproduced so tests can prove the in-flight window is real.
-        self.backfill_enabled = True
 
     # ------------------------------------------------------------------
     # Accounting helpers
@@ -570,7 +562,6 @@ class RecoveryCoordinator:
                     if not failure.retryable or attempt == self.REJOIN_ATTEMPTS:
                         break
                     silent = failure.silent
-                cell.metrics.increment(f"{cell.node_name}/rejoin_retries")
                 # Active-view peers that never answered are most likely
                 # crashed-but-unexcluded: shrink the quorum denominator by
                 # voting them out before retrying, instead of waiting out
@@ -649,12 +640,11 @@ class RecoveryCoordinator:
             raise _ResyncFailure(
                 "readmission quorum not reached", retryable=True, silent=outcome.silent
             )
-        if self.backfill_enabled:
-            # The vote compared *state* fingerprints, which cannot see
-            # entries peers admitted but had not executed yet.  Close
-            # that window before this cell resumes anchoring: fetch the
-            # delta past our head until the donor runs dry.
-            yield from self._backfill(donor, donor_node, outcome.acks, result)
+        # The vote compared *state* fingerprints, which cannot see
+        # entries peers admitted but had not executed yet.  Close that
+        # window before this cell resumes anchoring: fetch the delta past
+        # our head until the donor runs dry.
+        yield from self._backfill(donor, donor_node, outcome.acks, result)
         result.ok = True
 
     def _backfill(

@@ -128,8 +128,6 @@ ROUTES: dict[Opcode, Route] = {
     # one cell per group that holds the gateway role.
     Opcode.TX_SUBMIT: Route(Sender.CLIENT, TransactionCall, "service._serve_submission",
                             ANSWER_CLIENT, admission=Admission.SHEDDABLE),
-    Opcode.DEPLOY_CONTRACT: Route(Sender.CLIENT, TransactionCall, "service._serve_submission",
-                                  ANSWER_CLIENT, admission=Admission.SHEDDABLE),
     Opcode.SUBSCRIBE: Route(Sender.CLIENT, SubscriptionRequest, "read._serve_subscription",
                             ANSWER_CLIENT),
     Opcode.QUERY_STATE: Route(Sender.CLIENT, StateQuery, "read._serve_query", ANSWER_CLIENT),

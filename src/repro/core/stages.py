@@ -142,10 +142,8 @@ class ExecuteStage:
             cell.ledger.mark_executed(
                 outcome.tx_id, outcome.contract, outcome.result, outcome.fingerprint
             )
-            cell.metrics.increment(f"{cell.node_name}/transactions_executed")
         else:
             cell.ledger.mark_rejected(outcome.tx_id, outcome.contract, outcome.error or "")
-            cell.metrics.increment(f"{cell.node_name}/transactions_rejected")
         return outcome
 
 
@@ -244,7 +242,6 @@ class ServiceStage:
         cell.subscriptions.record_transaction(envelope.sender)
 
         if result.confirmed:
-            cell.metrics.increment(f"{cell.node_name}/transactions_confirmed")
             cell.reply(
                 src_node, envelope, Opcode.TX_RECEIPT, ReceiptReply(result.receipt).to_data()
             )
@@ -253,7 +250,6 @@ class ServiceStage:
         # Failure path: the transaction reverts from the client's viewpoint.
         if result.mismatched:
             cell.metrics.increment(f"{cell.node_name}/fingerprint_mismatches")
-        cell.metrics.increment(f"{cell.node_name}/transactions_failed")
         cell.refuse(
             src_node,
             envelope,

@@ -22,11 +22,6 @@ class Account:
     contract_name: Optional[str] = None
     storage: dict[str, bytes] = field(default_factory=dict)
 
-    @property
-    def is_contract(self) -> bool:
-        """True if this account hosts a native contract."""
-        return self.contract_name is not None
-
 
 class WorldState:
     """The account trie of the simulated chain (a plain dict here)."""
@@ -39,10 +34,6 @@ class WorldState:
         if address not in self._accounts:
             self._accounts[address] = Account(address=address)
         return self._accounts[address]
-
-    def has_account(self, address: Address) -> bool:
-        """Whether the address has been touched before."""
-        return address in self._accounts
 
     def balance_of(self, address: Address) -> int:
         """Balance in wei (0 for untouched accounts)."""
@@ -102,7 +93,3 @@ class WorldState:
     def addresses(self) -> list[Address]:
         """All touched addresses."""
         return list(self._accounts)
-
-    def snapshot_balances(self) -> dict[str, int]:
-        """Hex-address -> balance mapping (handy for assertions in tests)."""
-        return {address.hex(): account.balance for address, account in self._accounts.items()}

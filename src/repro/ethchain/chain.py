@@ -74,12 +74,6 @@ class Blockchain:
         """The most recently appended block."""
         return self.blocks[-1]
 
-    def block_by_number(self, number: int) -> Block:
-        """Fetch a block by height."""
-        if not (0 <= number < len(self.blocks)):
-            raise ChainError(f"unknown block number {number}")
-        return self.blocks[number]
-
     def receipt(self, tx_hash: str) -> Optional[TransactionReceipt]:
         """Receipt of a mined transaction, or None if not yet mined."""
         return self.receipts.get(tx_hash)

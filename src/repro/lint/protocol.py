@@ -2,12 +2,12 @@
 
 The uniform RESTful interface routes every message by its opcode
 (Section III-C2 of the paper), and the cell's route table
-(:mod:`repro.core.routes`) is the one declaration of that routing.  Four
+(:mod:`repro.core.routes`) is the one declaration of that routing.  Five
 wiring mistakes survive unit tests easily — an opcode the tables do not
 know, a row without a resolvable body parser, a handler that trusts
-payload data before authenticating the envelope, and a sender that signs
-and sends beside the endpoint — so they are checked statically over the
-whole tree:
+payload data before authenticating the envelope, a sender that signs and
+sends beside the endpoint, and an opcode nothing sends — so they are
+checked statically over the whole tree:
 
 * ``PROTO001`` — every member of :class:`repro.messages.opcodes.Opcode`
   must be declared in the route module: as the key of an
@@ -37,6 +37,9 @@ whole tree:
   (:mod:`repro.messages.endpoint`) and nowhere else: it owns the nonce
   sequence, the clock stamp, the crashed-cell gate and the request → reply
   map, and a hand-rolled sender beside it has to re-state all four.
+* ``PROTO005`` — every opcode is named (``Opcode.X``) by some module other
+  than the two that declare it, ``opcodes`` and ``routes``: an opcode only
+  the tables know is a route no participant sends or reads.
 * ``FAULT001`` — the same "declared once" rule for the scheduled fault
   kinds: what a kind *is* lives in its ``FaultKind(...)`` row of
   :mod:`repro.core.faults`, so under :mod:`repro.chaos` and in that module
@@ -250,6 +253,33 @@ def _check_opcode_wiring(sources: Sequence[SourceFile]) -> Iterator[Finding]:
             )
 
 
+def _check_unsent_opcodes(sources: Sequence[SourceFile]) -> Iterator[Finding]:
+    """PROTO005 — every opcode is named beside the two modules that declare it."""
+    opcodes_source = next((s for s in sources if s.module == OPCODES_MODULE), None)
+    named = {
+        name
+        for source in sources
+        if source.module not in (OPCODES_MODULE, ROUTES_MODULE)
+        for node in ast.walk(source.tree)
+        if (name := _opcode_name(node)) is not None
+    }
+    # A scan that names no opcode at all (the fixture trees of the other
+    # rules) holds no sender to compare with.
+    if opcodes_source is None or not named:
+        return
+    for name, line in sorted(_opcode_members(opcodes_source).items()):
+        if name not in named:
+            yield _finding(
+                opcodes_source,
+                line,
+                "PROTO005",
+                f"opcode {name} is named nowhere but {OPCODES_MODULE} and {ROUTES_MODULE}: "
+                "no participant sends or reads it",
+                "send it where the protocol needs it, or delete the opcode and its route",
+                f"unsent:{name}",
+            )
+
+
 def _annotation_is_envelope(annotation: Optional[ast.expr]) -> bool:
     if annotation is None:
         return False
@@ -450,6 +480,7 @@ def _check_fault_table(sources: Sequence[SourceFile]) -> Iterator[Finding]:
 def check_protocol(sources: Sequence[SourceFile]) -> Iterator[Finding]:
     """Apply every PROTO rule, and FAULT001, across the scanned tree."""
     yield from _check_opcode_wiring(sources)
+    yield from _check_unsent_opcodes(sources)
     yield from _check_verify_order(sources)
     yield from _check_single_sender(sources)
     yield from _check_fault_table(sources)

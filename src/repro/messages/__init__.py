@@ -9,7 +9,6 @@ all derived from that declaration.
 
 from .batch import BatchError, ForwardBatch
 from .envelope import Envelope, EnvelopeError, NonceFactory
-from .evidence import EquivocationEvidence, EvidenceError, PartitionEvent
 from .membership import (
     EntrySummary,
     ExclusionProposal,
@@ -47,8 +46,6 @@ __all__ = [
     "Envelope",
     "EntrySummary",
     "EnvelopeError",
-    "EquivocationEvidence",
-    "EvidenceError",
     "ExclusionProposal",
     "ExclusionVote",
     "ForwardBatch",
@@ -57,7 +54,6 @@ __all__ = [
     "MembershipUpdate",
     "NonceFactory",
     "Opcode",
-    "PartitionEvent",
     "Payload",
     "PayloadError",
     "RejoinAck",

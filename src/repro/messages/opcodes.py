@@ -20,7 +20,6 @@ class Opcode(str, Enum):
     # Client -> service cell.
     TX_SUBMIT = "tx_submit"                 # invoke a bContract function
     SUBSCRIBE = "subscribe"                 # open an access subscription with a cell
-    DEPLOY_CONTRACT = "deploy_contract"     # community bContract deployment (via Deployer)
     QUERY_STATE = "query_state"             # read-only bContract state query
 
     # Service cell -> other consortium cells.

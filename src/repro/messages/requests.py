@@ -39,7 +39,7 @@ def named_call(
 
 @dataclass(frozen=True)
 class TransactionCall:
-    """The data field D of a ``TX_SUBMIT`` / ``DEPLOY_CONTRACT`` envelope."""
+    """The data field D of a ``TX_SUBMIT`` envelope."""
 
     contract: str
     method: str

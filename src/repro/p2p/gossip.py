@@ -40,11 +40,6 @@ class PropagationResult:
         return times[index]
 
     @property
-    def median_time(self) -> float:
-        """Median delivery time."""
-        return self.coverage_time(0.5)
-
-    @property
     def full_coverage_time(self) -> float:
         """Time until every node has the message."""
         return self.coverage_time(1.0)
@@ -90,14 +85,6 @@ class GossipSimulator:
                 edge_delay = self.link_latency.sample(self.rng) + self.relay_delay
                 heapq.heappush(queue, (time_now + edge_delay, peer))
         return PropagationResult(delivery_times=delivery)
-
-    def average_block_propagation(self, samples: int = 5) -> float:
-        """Mean time for a block to reach 90% of the network."""
-        total = 0.0
-        for index in range(samples):
-            origin = self.rng.randrange(self.topology.node_count)
-            total += self.propagate(origin).coverage_time(0.9)
-        return total / samples
 
 
 @dataclass

@@ -188,10 +188,6 @@ class MetricsRegistry:
             self._series[name] = SampleSeries(name)
         return self._series[name]
 
-    def series_names(self) -> list[str]:
-        """All series that have received at least one sample."""
-        return sorted(name for name, series in self._series.items() if len(series))
-
 
 def format_seconds(value: float) -> str:
     """Human-friendly rendering of a duration."""

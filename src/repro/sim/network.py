@@ -101,10 +101,6 @@ class Network:
         config.downlink_bps = downlink_bps
         return config
 
-    def set_handler(self, name: str, handler: MessageHandler) -> None:
-        """Attach or replace the message handler of a registered node."""
-        self._require_node(name).handler = handler
-
     def set_link(self, src: str, dst: str, latency: LatencyModel, symmetric: bool = True) -> None:
         """Set the latency model for the directed link ``src`` -> ``dst``."""
         self._links[(src, dst)] = latency

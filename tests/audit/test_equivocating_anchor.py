@@ -2,24 +2,21 @@
 
 The attack: at a report boundary one cell signs *two different* shard
 digests for the same cycle — the honest one on-chain, a forged one to a
-chosen peer (or vice versa).  Catching it takes two pieces working
-together, and this module pins both:
-
-* :class:`~repro.messages.EquivocationEvidence` proves the *act* — the
-  pair of same-cell, same-cycle signed digests is self-certifying;
-* :meth:`ShardedAuditor.localize_fingerprint_mismatch` and
-  :meth:`ShardedAuditor.verify_shard_digest` prove *which half lies*:
-  replayed history agrees with exactly one of the two publications, and
-  the mismatch is pinned to a (cycle, group) coordinate rather than
-  merely failing the end-of-chain digest comparison.
+chosen peer (or vice versa).  The public half of the lie is caught by
+anchor agreement (:func:`repro.audit.run_audit_oracle`): every cell of a
+group anchors its fingerprint for each cycle, and the one that anchored
+apart from its group is named.
+:meth:`ShardedAuditor.localize_fingerprint_mismatch` and
+:meth:`ShardedAuditor.verify_shard_digest` prove *which half lies*:
+replayed history agrees with exactly one of the two publications, and the
+mismatch is pinned to a (cycle, group) coordinate rather than merely
+failing the end-of-chain digest comparison.
 """
 
 import pytest
 
-from repro.audit import AuditError, ShardedAuditor
+from repro.audit import AuditError, ShardedAuditor, run_audit_oracle
 from repro.client import run_burst_transfers
-from repro.core.receipts import Confirmation
-from repro.messages import EquivocationEvidence
 from tests.conftest import make_sharded_deployment
 
 FORGED_FP = "0x" + "ab" * 32
@@ -43,32 +40,59 @@ def publications(audited_deployment):
     return honest, forged
 
 
-def _signed_digest(cell, cycle, fingerprint):
-    """One signed shard-digest statement from ``cell`` for ``cycle``."""
-    return Confirmation.create(
-        cell.signer,
-        tx_id=f"shard-digest/cycle-{cycle}",
-        contract="__audit__",
-        fingerprint_hex=fingerprint,
-        status="anchored",
-        timestamp=30.0,
+def anchored_group(consortium_size, liar=None, kind="equivocate"):
+    """One group run through two anchored report cycles; ``liar`` anchors apart."""
+    deployment = make_sharded_deployment(
+        1, consortium_size=consortium_size, report_period=15.0, eth_block_interval=2.0,
+        signature_scheme="sim",
     )
+    if liar is not None:
+        setattr(deployment.group(0).deployment.cells[liar].fault, kind, True)
+    deployment.run(until=50.0)
+    return deployment
 
 
-def test_two_signed_digests_for_one_cycle_are_self_certifying(
-    audited_deployment, publications
-):
-    honest, forged = publications
-    anchor = audited_deployment.group(1).cells[0]
-    evidence = EquivocationEvidence(
-        first=_signed_digest(anchor, 0, honest[0][1]),
-        second=_signed_digest(anchor, 0, forged[0][1]),
-    )
-    assert evidence.verify()
-    assert evidence.cell() == anchor.address
-    # The pair alone proves misbehaviour; no reporter signature needed —
-    # round-tripping through wire data preserves that.
-    assert EquivocationEvidence.from_data(evidence.to_data()).verify()
+def anchor_findings(result):
+    return [finding for finding in result.findings if "anchored snapshot" in finding]
+
+
+def test_agreeing_anchors_leave_the_oracle_nothing_to_report():
+    result = run_audit_oracle(anchored_group(3), cycle=1)
+    assert result.passed and result.findings == []
+    assert result.metrics["anchored_group_cycles"] == 2
+
+
+@pytest.mark.parametrize("liar", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["equivocate", "tamper_fingerprint"])
+def test_anchor_agreement_names_the_cell_that_anchored_apart(kind, liar):
+    result = run_audit_oracle(anchored_group(3, liar, kind), cycle=1)
+    assert not result.passed
+    assert anchor_findings(result) == [
+        f"[group 0] cycle {cycle}: anchored snapshot fingerprints disagree — "
+        f"cell-{liar} diverge(s) from the group majority"
+        for cycle in (0, 1)
+    ]
+    # The cell's own audit sides with its group: what it anchored is not
+    # what it serves.
+    audit = [finding for finding in result.findings if finding not in anchor_findings(result)]
+    assert audit and all(f"cell cell-{liar} " in finding for finding in audit)
+    assert all("fingerprint_mismatch" in finding for finding in audit)
+
+
+@pytest.mark.parametrize("kind", ["equivocate", "tamper_fingerprint"])
+def test_a_split_pair_is_reported_with_both_sides_and_no_outlier(kind):
+    deployment = anchored_group(2, liar=1, kind=kind)
+    cells = deployment.group(0).deployment
+    result = run_audit_oracle(deployment, cycle=1)
+    findings = anchor_findings(result)
+    assert [finding.split(":")[0] for finding in findings] == [
+        "[group 0] cycle 0", "[group 0] cycle 1",
+    ]
+    for cycle, finding in enumerate(findings):
+        assert "with no majority" in finding and "diverge(s)" not in finding
+        for index in (0, 1):
+            anchored = cells.anchored_report(cycle, index).hex()[:16]
+            assert f"cell-{index}=0x{anchored}..." in finding
 
 
 def test_localization_pins_the_lying_publication_to_its_coordinate(
@@ -84,6 +108,30 @@ def test_localization_pins_the_lying_publication_to_its_coordinate(
     assert auditor.localize_fingerprint_mismatch(0, forged, current=current) == [
         (0, 1)
     ]
+
+
+@pytest.fixture(scope="module")
+def three_cycle_history():
+    """A 2-group deployment's ``(auditor, fingerprints)`` through cycle 2."""
+    deployment = make_sharded_deployment(2)
+    run_burst_transfers(deployment, count=12, pools=4)
+    deployment.run_cycles(3)
+    auditor = ShardedAuditor(deployment)
+    return auditor, auditor.collect_group_fingerprints(2)
+
+
+@pytest.mark.parametrize("cycle", [0, 1, 2])
+@pytest.mark.parametrize("group", [0, 1])
+def test_a_lie_is_pinned_at_every_coordinate(three_cycle_history, cycle, group):
+    auditor, honest = three_cycle_history
+    forged = [list(row) for row in honest]
+    forged[cycle][group] = FORGED_FP
+    assert auditor.localize_fingerprint_mismatch(2, forged, current=honest) == [(cycle, group)]
+    report = auditor.verify_shard_digest(2, published_fingerprints=forged)
+    assert [(finding.kind, finding.details) for finding in report.findings] == [(
+        "shard_fingerprint_mismatch",
+        f"group {group} diverges from the published execution fingerprint at cycle {cycle}",
+    )]
 
 
 def test_digest_verification_rejects_the_forged_publication(

@@ -48,6 +48,30 @@ def test_a_peer_signing_the_fingerprint_under_another_contract_is_mismatched(dep
         f"{deployment.cell(0).node_name}/fingerprint_mismatches"
     ) == 1
 
+
+@pytest.mark.parametrize("service, lied_to", [(0, True), (1, False)])
+def test_an_equivocating_peer_fails_the_receipt_of_the_cell_it_lied_to(service, lied_to):
+    """Contradictory signed confirmations are caught where they meet: the
+    service cell that got the flipped fingerprint never assembles a receipt."""
+    deployment = make_deployment(consortium_size=3, signature_scheme="sim")
+    fastmoney = FastMoneyClient(BlockumulusClient(deployment, service_cell_index=service))
+    assert run(deployment, fastmoney.faucet(100)).ok
+    liar = deployment.cell(2)
+    liar.fault.equivocate = True
+    result = run(deployment, fastmoney.transfer("0x" + "ab" * 20, 40))
+    lies = [event["to"] for event in liar.fault.events if event["channel"] == "confirmation"]
+    service_cell = deployment.cell(service)
+    mismatches = deployment.metrics.counter(f"{service_cell.node_name}/fingerprint_mismatches")
+    if lied_to:
+        assert lies == [service_cell.address.hex()]
+        assert not result.ok and result.receipt is None
+        assert result.error == "fingerprint mismatch across consortium cells"
+        assert mismatches == 1
+    else:
+        assert lies == [] and mismatches == 0
+        assert result.ok
+        assert result.receipt.verify(expected_cells=[cell.address for cell in deployment.cells])
+
 def test_state_replicated_identically_on_all_cells(deployment):
     client = BlockumulusClient(deployment)
     fastmoney = FastMoneyClient(client)

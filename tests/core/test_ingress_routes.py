@@ -7,7 +7,8 @@ For every routed opcode a hostile probe sends a flipped signature, a
 sender of the wrong class, an empty data field and a wrongly typed one:
 the simulation must keep running, the route's *declared* counter must tick
 exactly once (with one ``TX_ERROR`` where the route answers), and nothing
-the protocol owns may move.
+the protocol owns may move.  As the control, the same well-formed sample
+from the entitled sender passes ingress with no refusal counter moving.
 """
 
 import dataclasses
@@ -49,7 +50,7 @@ FINGERPRINT = "0x" + "22" * 32
 def test_every_opcode_is_routed_or_reply_only():
     assert set(ROUTES) | REPLY_ONLY == set(Opcode)
     assert not set(ROUTES) & REPLY_ONLY
-    assert (len(ROUTES), len(REPLY_ONLY)) == (21, 7)
+    assert (len(ROUTES), len(REPLY_ONLY)) == (20, 7)
 
 
 def test_every_opcode_a_cell_answers_with_has_a_declared_body():
@@ -145,7 +146,6 @@ class RouteProbe:
         decision = dict(xtx="0xfeed", group=0, participants=(0, 1), transaction=inner)
         return {
             Opcode.TX_SUBMIT: call,
-            Opcode.DEPLOY_CONTRACT: call,
             Opcode.SUBSCRIBE: {"plan": "standard"},
             Opcode.QUERY_STATE: {"contract": "pay", "view": "balance_of", "args": {}},
             Opcode.XSHARD_PREPARE: CrossShardPrepare(**decision).to_data(),
@@ -212,7 +212,6 @@ class RouteProbe:
 #: wrong kinds of value.
 WRONGLY_TYPED: dict[Opcode, dict] = {
     Opcode.TX_SUBMIT: {"contract": 7, "method": "transfer", "args": {}},
-    Opcode.DEPLOY_CONTRACT: {"contract": "pay", "method": "transfer", "args": [1]},
     Opcode.SUBSCRIBE: {"plan": 7},
     Opcode.QUERY_STATE: {"contract": "pay", "view": ["balance_of"], "args": {}},
     Opcode.XSHARD_PREPARE: {
@@ -270,6 +269,31 @@ def assert_refused(probe: RouteProbe, opcode, counter: str, before: dict, error=
     else:
         assert probe.replies == []
     assert probe.protocol_state() == before
+
+
+@pytest.mark.parametrize("opcode", ROUTED, ids=lambda opcode: opcode.value)
+def test_the_well_formed_sample_from_its_sender_passes_ingress(opcode):
+    """The control for the matrix below: each refusal there is the hostile
+    change alone, not a sample the route would refuse anyway."""
+    probe = RouteProbe()
+    data = probe.well_formed(opcode)
+    if opcode is Opcode.TX_CONFIRM:
+        # A confirmation is rebuilt from its receiver's own ledger entry:
+        # the sample's transaction was never admitted here, so confirm one
+        # that was.
+        submission = probe.envelope(Opcode.TX_SUBMIT, {"contract": "pay", "method": "faucet"})
+        entry = probe.cell.ledger.admit(submission, cycle=0)
+        confirmation = Confirmation.create(
+            probe.peer.signer, tx_id=entry.tx_id, contract="pay",
+            fingerprint_hex=FINGERPRINT, status="executed", timestamp=0.0,
+        )
+        data = ConfirmationBatch.of([LinkConfirmation.of(confirmation, submission)]).to_data()
+    probe.send(probe.envelope(opcode, data, signer=probe.entitled_signer(opcode)))
+    probe.settle()
+    assert probe.refusal_ticks() == {}
+    assert all(
+        reply.data.get("error") != "authentication failed" for reply in probe.replies
+    )
 
 
 @pytest.mark.parametrize("opcode", ROUTED, ids=lambda opcode: opcode.value)
@@ -544,3 +568,33 @@ def test_a_pong_from_a_third_cell_does_not_vouch_for_the_suspect():
     deployment.run(until=deployment.config.probe_deadline + 1.0)
     assert verdicts == [True], "the suspect stayed silent: the vote must be to exclude"
     assert deployment.metrics.counter(f"{prober.node_name}/membership_auth_failures") == 1
+
+
+@pytest.mark.parametrize(
+    "named", ["an excluded cell", "a live cell", "the receiving cell", "a non-member"]
+)
+def test_a_rejoin_request_naming_another_cell_is_refused(named):
+    probe = RouteProbe()
+    cell, third = probe.cell, probe.third
+    subject = {
+        "an excluded cell": third.address,
+        "a live cell": third.address,
+        "the receiving cell": cell.address,
+        "a non-member": probe.client.address,
+    }[named]
+    if named == "an excluded cell":
+        # The request claims this cell's own state: only the sender check
+        # stands between it and an agreeing ack plus a provisional forward
+        # to the sender's node.
+        cell.consensus.exclude(third.address, 0)
+    before = probe.protocol_state()
+    request = RejoinRequest(
+        cell=subject, cycle=0, basis_cycle=0, last_sequence=-1,
+        fingerprint_hex=cell.membership._combined_fingerprint_hex(),
+    )
+    probe.send(probe.envelope(Opcode.CELL_REJOIN, request.to_data(), signer=probe.peer.signer))
+    probe.settle()
+    assert probe.refusal_ticks() == {"membership_auth_failures": 1}
+    assert probe.replies == []
+    assert cell.membership.provisional_forward_targets() == {}
+    assert probe.protocol_state() == before

@@ -11,14 +11,15 @@ rejoiner was not one yet.
 These tests *construct* that race deterministically instead of hoping
 chaos traffic hits the few-millisecond window: a watcher process admits
 a transaction at every live peer the instant the donor serves the sync,
-which is provably inside the sync→vote gap.  With backfill enabled the
-recovery converges (the ack-carried admitted heads trigger a delta
-fetch); with it disabled the old window reopens and the rejoiner's
-ledger and state demonstrably diverge.
+which is provably inside the sync→vote gap.  With backfill the recovery
+converges (the ack-carried admitted heads trigger a delta fetch); with
+``RecoveryCoordinator._backfill`` patched out the old window reopens and
+the rejoiner's ledger and state demonstrably diverge.
 """
 
 from repro.client import BlockumulusClient, FastMoneyClient
 from repro.contracts.community import FastMoney
+from repro.core.recovery import RecoveryCoordinator
 from repro.messages import Envelope, Opcode
 from tests.conftest import make_deployment
 
@@ -151,10 +152,10 @@ def test_backfill_closes_the_inflight_admission_window():
     assert len(fingerprints) == 1
 
 
-def test_inflight_window_is_lost_without_backfill():
+def test_inflight_window_is_lost_without_backfill(monkeypatch):
     """Regression guard: disabling backfill reopens the original bug.
 
-    Identical construction — but with the backfill phase switched off the
+    Identical construction — but with the backfill phase patched out the
     readmission succeeds on fingerprint agreement alone and the rejoiner
     never learns about the in-flight entry: its ledger stays short and,
     once the peers execute the entry, its contract state diverges from
@@ -165,7 +166,11 @@ def test_inflight_window_is_lost_without_backfill():
     client = _prepare_excluded_cell(deployment)
     injected = _admit_at_peers_when_donor_serves(deployment, client)
 
-    deployment.cell(2).recovery.backfill_enabled = False
+    def no_backfill(self, donor, donor_node, acks, result):
+        return
+        yield
+
+    monkeypatch.setattr(RecoveryCoordinator, "_backfill", no_backfill)
     recovery = deployment.recover_cell(2)
     deployment.env.run(recovery)
     result = recovery.value
@@ -184,14 +189,32 @@ def test_inflight_window_is_lost_without_backfill():
 
     # ...and once the peers execute it, the consortium's state has
     # diverged from the rejoiner's: silent entry loss, detected only
-    # here because the test looks.  With backfill enabled (previous
-    # test) the same schedule converges.
+    # here because the test looks.  With backfill (previous test) the
+    # same schedule converges.
     _execute_injected(deployment, injected)
     assert _state_fingerprints(rejoiner) != _state_fingerprints(deployment.cell(0))
     digests = {
         tuple(map(tuple, cell.ledger.sync_digest())) for cell in deployment.cells
     }
     assert len(digests) == 2
+
+
+def test_a_recovery_outside_the_window_takes_no_backfill_round():
+    """The same recovery without the race: every agreeing ack's head is
+    covered by the synced tail, so the backfill phase returns at once —
+    the path every measured corpus and benchmark recovery took."""
+    deployment = make_deployment(consortium_size=3, report_period=600.0)
+    _prepare_excluded_cell(deployment)
+
+    recovery = deployment.recover_cell(2)
+    deployment.env.run(recovery)
+    result = recovery.value
+    assert result.ok and result.readmitted and result.attempts == 1
+    assert result.live_backfilled == 0 and result.backfill_rounds == 0
+    digests = {
+        tuple(map(tuple, cell.ledger.sync_digest())) for cell in deployment.cells
+    }
+    assert len(digests) == 1
 
 
 def test_silent_peer_is_excluded_instead_of_waited_out():

@@ -7,11 +7,14 @@ until the donor's next report-cycle boundary.  That is a liveness bug, not
 noise: the consortium is healthy, the donor is live, and the rejoiner
 re-synced from it.
 
-This test pins one deployment seed on which the bug shows, built like the
+This test pins two deployment seeds on which the bug shows, built like the
 ``openloop_crash`` benchmark workload (3 cells, Poisson arrivals at 6 tx/s,
 exclude at 195 s, crash at 197 s, recover from 225 s) through the public
-API only.  It is a strict ``xfail`` until the cause is fixed, so the fix
-has to flip it.
+API only.  Seed 1,002,024 is that workload's second sub-seed at its
+default seed (2021 + 1,000,003): its first round fails after three
+attempts, and no later round of the benchmark readmits the victim.  Both
+are strict ``xfail`` until the cause is fixed, so the fix has to flip
+both.
 """
 
 import pytest
@@ -55,8 +58,9 @@ def open_loop_deployment(seed: int) -> ShardedDeployment:
     raises=AssertionError,
     reason="rejoin under load: the first round misses its readmission quorum",
 )
-def test_the_first_rejoin_round_under_open_loop_load_readmits():
-    deployment = open_loop_deployment(seed=1)
+@pytest.mark.parametrize("seed", [1, 1_002_024])
+def test_the_first_rejoin_round_under_open_loop_load_readmits(seed):
+    deployment = open_loop_deployment(seed=seed)
     env = deployment.env
     rounds = []
 

@@ -726,6 +726,87 @@ def test_proto004_fires_on_a_hand_rolled_sender(tree, sender, what):
 
 
 # ----------------------------------------------------------------------
+# PROTO005 — every opcode has a sender or a reader beside its two tables
+# ----------------------------------------------------------------------
+CLIENT = """
+    class Client:
+        def submit(self, address, call):
+            request, waiter = self.endpoint.ask(address, Opcode.TX_SUBMIT, call)
+            return waiter
+
+        def read(self, reply):
+            return reply.operation == Opcode.TX_ERROR
+"""
+
+CELL_SIDE = """
+    def ask_peers(self, peers):
+        for address in peers:
+            self.endpoint.send(address, Opcode.CELL_SYNC, {})
+            self.endpoint.send(address, Opcode.PING, {"probe": True})
+"""
+
+
+def test_proto005_clean_when_every_opcode_is_sent_or_read_somewhere(tree):
+    write_protocol_tree(tree)
+    tree("client/client.py", CLIENT)
+    tree("core/recovery.py", CELL_SIDE)
+    assert lint_paths([tree.root]) == []
+
+
+@pytest.mark.parametrize(
+    "opcodes",
+    [
+        OPCODES,
+        # A reference inside the declaring module sends nothing.
+        OPCODES + "\n\n    def is_probe(operation):\n        return operation is Opcode.PING\n",
+    ],
+    ids=["named-by-its-route-only", "named-by-its-own-module"],
+)
+def test_proto005_fires_on_an_opcode_only_its_tables_name(tree, opcodes):
+    write_protocol_tree(tree, opcodes=opcodes)
+    tree("client/client.py", CLIENT)
+    tree("core/recovery.py", CELL_SIDE.replace(
+        '            self.endpoint.send(address, Opcode.PING, {"probe": True})\n', ""
+    ))
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["PROTO005"]
+    assert "opcode PING is named nowhere but" in findings[0].message
+    assert findings[0].path.endswith("messages/opcodes.py")
+
+
+def test_proto005_does_not_take_the_wire_string_for_a_sender(tree):
+    # ``"ping"`` is what travels, but only ``Opcode.PING`` is a use of the
+    # member: a string spelling of it would outlive the member's deletion.
+    write_protocol_tree(tree)
+    tree("client/client.py", CLIENT)
+    tree("core/recovery.py", CELL_SIDE.replace("Opcode.PING", '"ping"'))
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["PROTO005"]
+    assert findings[0].symbol == "unsent:PING"
+
+
+def test_proto005_reports_each_unsent_opcode_at_its_member(tree):
+    write_protocol_tree(tree)
+    tree("client/client.py", CLIENT)
+    findings = lint_paths([tree.root])
+    assert rules_of(findings) == ["PROTO005", "PROTO005"]
+    lines = textwrap.dedent(OPCODES).splitlines()
+    assert [(finding.symbol, finding.line) for finding in findings] == [
+        ("unsent:CELL_SYNC", lines.index('    CELL_SYNC = "cell_sync"') + 1),
+        ("unsent:PING", lines.index('    PING = "ping"') + 1),
+    ]
+    assert all("delete the opcode and its route" in finding.fixit for finding in findings)
+
+
+def test_proto005_needs_the_opcode_module_to_compare_with(tree):
+    # Senders alone, as in a scan of one package: nothing declares an
+    # opcode here, so nothing can be unsent.
+    tree("client/client.py", CLIENT)
+    tree("core/recovery.py", CELL_SIDE)
+    assert lint_paths([tree.root]) == []
+
+
+# ----------------------------------------------------------------------
 # FAULT001 — a fault kind's name is spelt in its table row and nowhere else
 # ----------------------------------------------------------------------
 FAULT_TABLE = """

@@ -79,6 +79,19 @@ def test_from_wire_rejects_garbage():
         Envelope.from_wire({"payload": {"sender": "xx"}, "signature": "0x00"})
 
 
+@pytest.mark.parametrize(
+    "retired", ["deploy_contract", "tx_forward_batch", "tx_confirm_batch", "tx_reject"]
+)
+def test_from_wire_refuses_an_operation_the_protocol_retired(retired):
+    # Nothing sends these any more; a peer that still does is refused at
+    # the parse rather than handed to whichever route took their place.
+    wire = make_envelope().wire_bytes().decode()
+    assert '"operation":"tx_submit"' in wire
+    assert retired not in {opcode.value for opcode in Opcode}
+    with pytest.raises(EnvelopeError, match="malformed envelope"):
+        Envelope.from_wire(wire.replace('"tx_submit"', f'"{retired}"').encode())
+
+
 # ----------------------------------------------------------------------
 # Bytes off a socket: refused at the parse, never later in verify()
 # ----------------------------------------------------------------------

@@ -73,7 +73,7 @@ by_statement = pytest.mark.parametrize("name", sorted(STATEMENTS))
 
 
 def test_every_statement_class_has_a_sample():
-    from repro.messages import evidence, membership, xshard  # noqa: F401 - define the classes
+    from repro.messages import membership, xshard  # noqa: F401 - define the classes
 
     declared = {cls.__name__ for cls in SignedStatement.__subclasses__()}
     assert declared == {type(statement).__name__ for statement in STATEMENTS.values()}
@@ -121,7 +121,6 @@ def _reference_body(statement):
 def _hard_statements():
     """One instance per statement class with the values an escaper can get wrong."""
     from repro.core.receipts import Confirmation
-    from repro.messages.evidence import PartitionEvent
     from repro.messages.membership import ExclusionVote, RejoinAck
     from repro.messages.xshard import CrossShardVote, CrossShardVoucher
 
@@ -143,8 +142,6 @@ def _hard_statements():
         CrossShardVote.create(signer, nasty, 0, (0, 1, 5), "prepare", True),
         CrossShardVoucher.create(signer, "0xa1", 0, 1, "pay@1", nasty, 10, 99.123456789),
         CrossShardVoucher.create(signer, "0xa1", 1, 0, "pay@1", "holder", 0, 5),
-        PartitionEvent.create(signer, ["cell-1", nasty], "cut", 4.00000049),
-        PartitionEvent.create(signer, ("cell-1",), "heal", 13.0, healed_at=12.75),
     ]
 
 

@@ -35,7 +35,6 @@ from repro.crypto.keys import Address
 from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch, ForwardedTransactions
 from repro.messages.envelope import EnvelopeError
-from repro.messages.evidence import PartitionEvent
 from repro.messages.membership import MembershipUpdate
 from repro.messages.payload import Payload, PayloadError
 from repro.messages.requests import LedgerRequest, StateQuery, TransactionCall
@@ -101,8 +100,8 @@ def declared_bodies() -> list[type]:
         visit(reply)
     for statement in _subclasses(SignedStatement):
         visit(statement)
-    # Bodies no route parses on a cell: receipts and evidence that clients
-    # and auditors read, and the sending side of a forward batch.
+    # Bodies no route parses on a cell: receipts that clients and auditors
+    # read, and the sending side of a forward batch.
     for body in _subclasses(wire.Body):
         if body is not SignedStatement:
             visit(body)
@@ -258,10 +257,6 @@ RULES = {
     CrossShardVoucherTransfer: _transfer,
     VoucherReply: _voucher_reply,
     MembershipUpdate: _membership_update,
-    PartitionEvent: lambda _body, kwargs, draw: kwargs.update(
-        action=draw(st.sampled_from(PartitionEvent.ACTIONS)),
-        members=tuple(sorted(draw(st.lists(ids, min_size=1, max_size=3)))),
-    ),
     LedgerRequest: lambda _body, kwargs, draw: kwargs.update(
         last_cycle=kwargs["first_cycle"] + draw(st.integers(0, 5))
     ),

@@ -27,7 +27,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.faults import FAULT_TABLE, Family  # noqa: E402
 from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES  # noqa: E402
-from repro.messages import evidence, wire  # noqa: E402,F401 - evidence defines bodies no route names
+from repro.messages import wire  # noqa: E402
 from repro.messages.opcodes import Opcode  # noqa: E402
 from repro.messages.signer import SignedStatement  # noqa: E402
 
