@@ -45,3 +45,6 @@ def test_table2_communication(benchmark):
     assert worst < 8_000
     # ...and the available bandwidth supports tens of thousands of tx/s.
     assert ceiling > 30_000
+    # The receipt reply carries only what the client lacks: within 10 % of
+    # the paper's 2-cell payment reply.
+    assert two.client_cell_payment.inbound <= 1.1 * PAPER_2CELL_PAYMENT_IN

@@ -166,11 +166,13 @@ class BlockumulusClient:
             {"contract": contract, "method": method, "args": args},
             signer=signer,
         )
+        # The transaction is the one this client signed, whatever a reply says.
         return self._answer(
             waiter,
             Opcode.TX_RECEIPT,
-            lambda reply: TransactionResult(
-                True, submitted_at, self.env.now, receipt=reply.receipt, tx_id=reply.receipt.tx_id
+            lambda body, reply: TransactionResult(
+                True, submitted_at, self.env.now, receipt=body.receipt.rebuild(request, reply),
+                tx_id=request.payload.hash_hex(),
             ),
             # Silence, the cell's own words for a refusal, or a malformed reply.
             lambda error: TransactionResult(
@@ -183,19 +185,19 @@ class BlockumulusClient:
         _request, waiter = self.request(
             Opcode.QUERY_STATE, {"contract": contract, "view": view, "args": args or {}}
         )
-        return self._answer(waiter, Opcode.QUERY_RESULT, lambda reply: reply.result)
+        return self._answer(waiter, Opcode.QUERY_RESULT, lambda body, _reply: body.result)
 
     def _answer(
         self,
         waiter: Event,
         expected: Opcode,
-        answered: Callable[[Any], Any],
+        answered: Callable[[Any, Envelope], Any],
         unanswered: Optional[Callable[[str], Any]] = None,
     ) -> Event:
         """An event exactly one hop behind ``waiter``, fired with a typed result.
 
-        That is ``answered(body)`` for the ``expected`` reply, and
-        ``unanswered(why)`` for anything else — or, without one, the event
+        That is ``answered(body, reply envelope)`` for the ``expected``
+        reply, and ``unanswered(why)`` for anything else — or, without one, the event
         fails with a :class:`ClientError` saying why.
         """
         answer = self.env.event()
@@ -209,7 +211,7 @@ class BlockumulusClient:
                 else:
                     answer.succeed(unanswered(str(exc)))
             else:
-                answer.succeed(answered(body))
+                answer.succeed(answered(body, event.value))
 
         waiter.add_callback(_resolve)
         return answer

@@ -32,11 +32,12 @@ returns the process, whose value is a :class:`CrossShardResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Union
 
 from ..contracts.community.fastmoney import FastMoney
 from ..core.lanes import AccessFootprint
-from ..core.replies import ReplyError
+from ..core.receipts import AggregatedReceipt
+from ..core.replies import ReplyError, VoteReply, VoucherReply
 from ..core.routes import read_reply
 from ..core.sharding import (
     GATEWAY_CELL_INDEX,
@@ -98,13 +99,21 @@ class ParticipantPlan:
     abort: Call
 
 
+def _inner_receipt(
+    answer: Union[VoteReply, VoucherReply], inner: Envelope, reply: Envelope
+) -> Optional[AggregatedReceipt]:
+    """The receipt a gateway's ``reply`` carries of ``inner``, rebuilt from what was signed."""
+    return None if answer.receipt is None else answer.receipt.rebuild(inner, reply)
+
+
 @dataclass
 class PhaseOutcome:
     """What one gateway answered for one phase."""
 
     ok: bool
     vote: Optional[CrossShardVote] = None
-    receipt: Optional[dict[str, Any]] = None
+    #: The inner transaction's, rebuilt from what the coordinator signed.
+    receipt: Optional[AggregatedReceipt] = None
     error: Optional[str] = None
 
 
@@ -338,12 +347,13 @@ class ShardedClient:
     def _parse_vote(
         self,
         reply: Optional[Envelope],
+        inner: Envelope,
         xtx: str,
         group: int,
         participants: tuple[int, ...],
         phase: str,
     ) -> PhaseOutcome:
-        """Turn one gateway reply (or its absence) into a PhaseOutcome."""
+        """Turn one gateway reply (or its absence) to ``inner``'s phase into a PhaseOutcome."""
         try:
             answer = read_reply(reply, Opcode.XSHARD_VOTE, GATEWAY_SILENT)
         except ReplyError as exc:
@@ -358,21 +368,29 @@ class ShardedClient:
             or vote.voter != reply.sender
         ):
             return PhaseOutcome(ok=False, error="gateway vote failed verification")
-        return PhaseOutcome(ok=vote.ok, vote=vote, receipt=answer.receipt, error=answer.error)
+        return PhaseOutcome(
+            ok=vote.ok, vote=vote, receipt=_inner_receipt(answer, inner, reply), error=answer.error
+        )
 
     def _collect_votes(
-        self, answers: dict[int, Event], xtx: str, participants: tuple[int, ...], phase: str
+        self,
+        answers: dict[int, tuple[Envelope, Event]],
+        xtx: str,
+        participants: tuple[int, ...],
+        phase: str,
     ) -> Generator[Event, Any, dict[int, PhaseOutcome]]:
         """Every asked gateway's outcome for ``phase``, by group (a process step).
 
-        Waits until each of them answered or ran into the forwarding
-        deadline; a gateway still silent then is an outcome like any other.
+        ``answers`` holds, per group, the inner transaction sent and the
+        event of the reply.  Waits until each of them answered or ran into
+        the forwarding deadline; a gateway still silent then is an outcome
+        like any other.
         """
         if answers:
-            yield self.env.all_of(list(answers.values()))
+            yield self.env.all_of([answer for _inner, answer in answers.values()])
         return {
-            group: self._parse_vote(answer.value, xtx, group, participants, phase)
-            for group, answer in answers.items()
+            group: self._parse_vote(answer.value, inner, xtx, group, participants, phase)
+            for group, (inner, answer) in answers.items()
         }
 
     def _coordinate(
@@ -382,14 +400,14 @@ class ShardedClient:
         participants = tuple(sorted(plan.group for plan in plans))
 
         # Phase 1: prepare everywhere, in parallel.
-        prepare_waiters: dict[int, Event] = {}
+        prepare_waiters: dict[int, tuple[Envelope, Event]] = {}
         for plan in plans:
             inner = self._sign_call(signer, plan.group, plan.prepare)
             body = CrossShardPrepare(
                 xtx=xtx, group=plan.group, participants=participants,
                 transaction=inner.to_wire(),
             )
-            prepare_waiters[plan.group] = self._send_phase(
+            prepare_waiters[plan.group] = inner, self._send_phase(
                 signer, plan.group, body.to_data(), Opcode.XSHARD_PREPARE
             )
         prepare = yield from self._collect_votes(prepare_waiters, xtx, participants, "prepare")
@@ -408,7 +426,7 @@ class ShardedClient:
         )
 
         # Phase 2: commit everywhere, or roll back the groups that held.
-        ack_waiters: dict[int, Event] = {}
+        ack_waiters: dict[int, tuple[Envelope, Event]] = {}
         if committing or have_no_vote:
             for plan in plans:
                 if not committing:
@@ -428,7 +446,7 @@ class ShardedClient:
                     participants=participants, transaction=inner.to_wire(),
                     votes=certificate,
                 )
-                ack_waiters[plan.group] = self._send_phase(
+                ack_waiters[plan.group] = inner, self._send_phase(
                     signer, plan.group, body.to_data(),
                     Opcode.XSHARD_COMMIT if committing else Opcode.XSHARD_ABORT,
                 )
@@ -624,7 +642,7 @@ class ShardedClient:
         voucher = minted.voucher
         if minted.phase != "minted" or voucher is None:
             return result(False, "abort", error="malformed voucher mint reply")
-        mint_outcome = PhaseOutcome(ok=True, receipt=minted.receipt)
+        mint_outcome = PhaseOutcome(ok=True, receipt=_inner_receipt(minted, inner, reply))
 
         if not await_redeem:
             # The asynchronous commit point: once the client holds a
@@ -716,7 +734,8 @@ class ShardedClient:
                     "is in transit until redeemed or reclaimed"
                 ),
             )
-        return result(True, acks={target_group: PhaseOutcome(ok=True, receipt=redeemed.receipt)})
+        receipt = _inner_receipt(redeemed, inner, reply)
+        return result(True, acks={target_group: PhaseOutcome(ok=True, receipt=receipt)})
 
 
 class ShardedFastMoneyClient:

@@ -24,7 +24,7 @@ from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
 from ..messages.requests import RequestError, named_call
 from .ledger import LedgerEntry
-from .receipts import called_contract
+from .receipts import called_contract, called_method
 
 #: ``canonical_bytes`` of the six-key execution-fingerprint dict: its keys in
 #: sorted order, each followed by its encoded value (text as ``s<len>:<utf-8>``).
@@ -175,11 +175,10 @@ class TransactionExecutor:
         try:
             return self.execute(entry)
         except BContractError as exc:
-            data = entry.envelope.data
             return ExecutionOutcome(
                 tx_id=entry.tx_id,
                 contract=called_contract(entry.envelope),
-                method=str(data.get("method", "")),
+                method=called_method(entry.envelope),
                 status="rejected",
                 result=None,
                 error=str(exc),

@@ -38,6 +38,7 @@ from ..messages.xshard import (
     CrossShardVoucherTransfer,
 )
 from ..sim.events import Event
+from .receipts import CompactReceipt
 from .replies import VoteReply, VoucherReply
 from .subscription import SubscriptionError
 
@@ -226,7 +227,7 @@ class CrossShardGateway:
             return
         self._vote(
             src_node, envelope, body, phase, ok=result.confirmed,
-            receipt=result.receipt.to_wire() if result.receipt is not None else None,
+            receipt=self.cell.service.compact(result),
             error=None if result.confirmed else result.failure_reason(),
         )
 
@@ -266,7 +267,7 @@ class CrossShardGateway:
         phase: str,
         *,
         ok: bool,
-        receipt: Optional[dict[str, Any]] = None,
+        receipt: Optional[CompactReceipt] = None,
         error: Optional[str] = None,
     ) -> None:
         """Sign and send this gateway's vote / acknowledgement for a phase."""
@@ -386,7 +387,7 @@ class CrossShardGateway:
             return
         minted = VoucherReply(
             "minted", body.xtx, voucher=voucher,
-            receipt=result.receipt.to_wire() if result.receipt is not None else None,
+            receipt=cell.service.compact(result),
         )
         cell.reply(src_node, envelope, Opcode.XSHARD_VOUCHER, minted.to_data())
 
@@ -432,7 +433,7 @@ class CrossShardGateway:
             return
         redeemed = VoucherReply(
             "redeemed", body.xtx, duplicate=False,
-            receipt=result.receipt.to_wire() if result.receipt is not None else None,
+            receipt=cell.service.compact(result),
         )
         cell.reply(src_node, envelope, Opcode.XSHARD_VOUCHER, redeemed.to_data())
         if cell.fault.duplicate_voucher:

@@ -8,7 +8,8 @@ to the client (Section III-D3).  The receipt is the client's cryptographic
 proof that every cell executed the transaction identically.  Its
 confirmations all state the same transaction, so it carries that statement
 once and, per co-signing cell, only the cell, its timestamp and its
-signature.
+signature.  On its way to the client that signed the transaction it drops
+what that client holds already (:class:`CompactReceipt`).
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ class Confirmation(SignedStatement, error=ReceiptError):
 def called_contract(client_envelope: Envelope) -> str:
     """The contract a client envelope calls, as the executor and both ends of the link name it."""
     return str(client_envelope.data.get("contract", ""))
+
+
+def called_method(client_envelope: Envelope) -> str:
+    """The method a client envelope calls, as the executor and the client name it."""
+    return str(client_envelope.data.get("method", ""))
+
+
+def _unless(value: Any, derived: Any) -> Any:
+    """``value``, or None where the receiver derives exactly it."""
+    return None if value == derived else value
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ class CoSigner(wire.Body, error=ReceiptError, what="receipt co-signer"):
     scheme: str = wire.text(default="ecdsa")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
     """The multi-signature proof returned to the client.
 
@@ -250,3 +261,111 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
     def byte_size(self) -> int:
         """Serialized size in bytes (feeds the Table II accounting)."""
         return len(canonical_json.dump_bytes(self.to_wire()))
+
+
+@dataclass(frozen=True)
+class CompactCoSigner(wire.Body, error=ReceiptError, what="receipt co-signer"):
+    """A peer's :class:`CoSigner` in a :class:`CompactReceipt`: no scheme if it is the reply's."""
+
+    cell: Address = wire.address()
+    timestamp: float = wire.seconds()
+    signature: bytes = wire.signature()
+    #: None: the scheme of the reply that carries the receipt.
+    scheme: Optional[str] = wire.text(omit_none=True, default=None)
+
+
+@dataclass(frozen=True)
+class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
+    """An :class:`AggregatedReceipt` on its way to the client that signed its transaction.
+
+    It carries what that client lacks: the fingerprint, the cycle, the
+    result, the service cell's own signature and each peer co-signer.  The
+    client's own request states the transaction id, the called contract
+    and method and the submission time; the reply envelope that carries
+    the receipt states the service cell (its sender), the signature scheme
+    and the completion time, which is also the service cell's co-signing
+    moment.  Each of those travels only where the receipt states something
+    else, and :meth:`rebuild` puts the receipt back together from the
+    three.  Only the holder of the request can: the portable, third-party
+    checkable form stays :meth:`AggregatedReceipt.to_wire`.
+    """
+
+    fingerprint_hex: str = wire.text("fingerprint")
+    cycle: int = wire.integer()
+    result: Any = wire.anything()
+    #: The service cell's co-signature; its peers' follow in ``cosigners``.
+    signature: bytes = wire.signature()
+    cosigners: tuple[CompactCoSigner, ...] = wire.list_of(wire.nested(CompactCoSigner))(
+        default=()
+    )
+    #: None, each: what the request or the reply envelope states.
+    contract: Optional[str] = wire.text(omit_none=True, default=None)
+    method: Optional[str] = wire.text(omit_none=True, default=None)
+    submitted_at: Optional[float] = wire.seconds(omit_none=True, default=None)
+    completed_at: Optional[float] = wire.seconds(omit_none=True, default=None)
+    #: The service cell's co-signing moment and scheme.
+    timestamp: Optional[float] = wire.seconds(omit_none=True, default=None)
+    scheme: Optional[str] = wire.text(omit_none=True, default=None)
+
+    @classmethod
+    def of(
+        cls, receipt: AggregatedReceipt, request: Envelope, scheme: str, timestamp: float
+    ) -> "CompactReceipt":
+        """``receipt`` as a reply signed with ``scheme`` at ``timestamp`` carries it.
+
+        ``request`` is the client-signed transaction the receipt is of.
+        Raises :class:`ReceiptError` for a receipt of another transaction,
+        or one whose first co-signer is not its service cell.
+        """
+        if receipt.tx_id != request.payload.hash_hex():
+            raise ReceiptError(f"receipt of {receipt.tx_id}, not of the request it answers")
+        if not receipt.cosigners or receipt.cosigners[0].cell != receipt.service_cell:
+            raise ReceiptError("the service cell must be a receipt's first co-signer")
+        own, *peers = receipt.cosigners
+        moment = round(timestamp, 6)
+        return cls(
+            receipt.fingerprint_hex, receipt.cycle, receipt.result, own.signature,
+            tuple(
+                CompactCoSigner(peer.cell, peer.timestamp, peer.signature,
+                                _unless(peer.scheme, scheme))
+                for peer in peers
+            ),
+            contract=_unless(receipt.contract, called_contract(request)),
+            method=_unless(receipt.method, called_method(request)),
+            submitted_at=_unless(round(receipt.submitted_at, 6), request.payload.timestamp),
+            completed_at=_unless(round(receipt.completed_at, 6), moment),
+            timestamp=_unless(round(own.timestamp, 6), moment),
+            scheme=_unless(own.scheme, scheme),
+        )
+
+    def rebuild(self, request: Envelope, reply: Envelope) -> AggregatedReceipt:
+        """The receipt, from the client's own ``request`` and the ``reply`` that carried this.
+
+        It verifies only if ``request`` is the transaction its co-signers
+        signed and ``reply`` came from its service cell.
+        """
+        scheme, moment = reply.scheme, reply.payload.timestamp
+        own = CoSigner(
+            reply.sender, moment if self.timestamp is None else self.timestamp, self.signature,
+            scheme if self.scheme is None else self.scheme,
+        )
+        peers = (
+            CoSigner(peer.cell, peer.timestamp, peer.signature,
+                     scheme if peer.scheme is None else peer.scheme)
+            for peer in self.cosigners
+        )
+        return AggregatedReceipt(
+            tx_id=request.payload.hash_hex(),
+            contract=called_contract(request) if self.contract is None else self.contract,
+            method=called_method(request) if self.method is None else self.method,
+            result=self.result,
+            service_cell=reply.sender,
+            fingerprint_hex=self.fingerprint_hex,
+            status="executed",
+            cycle=self.cycle,
+            submitted_at=(
+                request.payload.timestamp if self.submitted_at is None else self.submitted_at
+            ),
+            completed_at=moment if self.completed_at is None else self.completed_at,
+            cosigners=(own, *peers),
+        )

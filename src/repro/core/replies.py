@@ -20,7 +20,7 @@ from ..crypto.keys import Address
 from ..messages import wire
 from ..messages.membership import LedgerRecord
 from ..messages.xshard import CrossShardVote, CrossShardVoucher
-from .receipts import AggregatedReceipt
+from .receipts import CompactReceipt
 from .snapshot import DataSnapshot
 
 
@@ -57,9 +57,14 @@ class ErrorReply(wire.Body, error=ReplyError, what="refusal"):
 
 @dataclass(frozen=True)
 class ReceiptReply(wire.Body, error=ReplyError):
-    """``TX_RECEIPT``: the aggregated multi-signature receipt of a transaction."""
+    """``TX_RECEIPT``: the aggregated multi-signature receipt of a transaction.
 
-    receipt: AggregatedReceipt = wire.nested(AggregatedReceipt)()
+    Like every receipt a cell sends the client that signed its transaction,
+    it is a :class:`~repro.core.receipts.CompactReceipt`: the client
+    rebuilds it from its request and this reply's envelope.
+    """
+
+    receipt: CompactReceipt = wire.nested(CompactReceipt)()
 
 
 @dataclass(frozen=True)
@@ -82,13 +87,15 @@ class QueryResult(wire.Body, error=ReplyError):
 class VoteReply(wire.Body, error=ReplyError):
     """``XSHARD_VOTE``: a gateway's signed vote on one 2PC phase.
 
-    ``receipt`` is the wire form of the inner transaction's receipt (kept
-    as sent: the coordinator hands it on unread); ``error`` says why a
-    no-vote was cast.
+    ``receipt`` is the inner transaction's, compact as in
+    :class:`ReceiptReply` (the coordinator signed that transaction);
+    ``error`` says why a no-vote was cast.
     """
 
     vote: CrossShardVote = wire.nested(CrossShardVote)()
-    receipt: Optional[dict[str, Any]] = wire.obj(omit_none=True, default=None)
+    receipt: Optional[CompactReceipt] = wire.nested(CompactReceipt)(
+        omit_none=True, default=None
+    )
     error: Optional[str] = wire.text(omit_none=True, default=None)
 
 
@@ -108,7 +115,9 @@ class VoucherReply(wire.Body, error=ReplyError):
         omit_none=True, default=None
     )
     duplicate: Optional[bool] = wire.flag(omit_none=True, default=None)
-    receipt: Optional[dict[str, Any]] = wire.obj(omit_none=True, default=None)
+    receipt: Optional[CompactReceipt] = wire.nested(CompactReceipt)(
+        omit_none=True, default=None
+    )
 
     def __post_init__(self) -> None:
         if self.phase not in ("minted", "redeemed"):

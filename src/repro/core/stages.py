@@ -40,7 +40,13 @@ from ..sim.resources import Resource
 from .executor import ExecutionOutcome
 from .lanes import LaneScheduler
 from .ledger import LedgerEntry, LedgerError
-from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch, LinkConfirmation
+from .receipts import (
+    AggregatedReceipt,
+    CompactReceipt,
+    Confirmation,
+    ConfirmationBatch,
+    LinkConfirmation,
+)
 from .replies import LedgerResponse, QueryResult, ReceiptReply, SnapshotResponse, SubscriptionAck
 from .subscription import SubscriptionError
 
@@ -241,10 +247,9 @@ class ServiceStage:
 
         cell.subscriptions.record_transaction(envelope.sender)
 
-        if result.confirmed:
-            cell.reply(
-                src_node, envelope, Opcode.TX_RECEIPT, ReceiptReply(result.receipt).to_data()
-            )
+        receipt = self.compact(result)
+        if receipt is not None:
+            cell.reply(src_node, envelope, Opcode.TX_RECEIPT, ReceiptReply(receipt).to_data())
             return
 
         # Failure path: the transaction reverts from the client's viewpoint.
@@ -257,6 +262,14 @@ class ServiceStage:
             tx_id=result.entry.tx_id,
             missing_cells=tuple(address.hex() for address in result.missing),
             mismatched_cells=tuple(address.hex() for address in result.mismatched),
+        )
+
+    def compact(self, result: _ServiceResult) -> Optional[CompactReceipt]:
+        """``result``'s receipt as a reply this cell signs now carries it to the client."""
+        if result.receipt is None or result.entry is None:
+            return None
+        return CompactReceipt.of(
+            result.receipt, result.entry.envelope, self.cell.signer.scheme, self.clock.now
         )
 
     def pipeline(self, envelope: Envelope) -> Generator[Event, Any, _ServiceResult]:

@@ -52,6 +52,15 @@ because those messages are smaller and arrive sooner.  No fault log
 moved and every oracle verdict still passes; ``specs`` and ``search`` are
 untouched.
 
+And once more, by the change that sends a receipt to the client that
+signed its transaction without what that client's request and the reply
+envelope state (a ``CompactReceipt``), from that change's own tree: the
+artifacts of the same 58 recoverable runs and 8 of the 12 Byzantine runs
+(3–6, 8–11) moved, because each receipt reply is ~350 B shorter, so it
+arrives sooner and a closed-loop client signs its next transaction at
+another moment.  No fault log moved and every oracle verdict still
+passes; ``specs`` and ``search`` are untouched.
+
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
 rewrites nothing else; entries that did not move come out byte-identical.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.client import BlockumulusClient, ClientError, FastMoneyClient, TransactionResult
 from repro.crypto.keys import PrivateKey
+from repro.messages import Opcode
 from tests.conftest import make_deployment
 
 
@@ -26,6 +27,35 @@ def test_submit_returns_transaction_result(deployment):
     assert result.ok and result.receipt is not None
     assert result.tx_id == result.receipt.tx_id
     assert result.latency > 0
+
+
+def test_the_tx_id_is_the_signed_transactions_whatever_the_receipt_says(deployment):
+    cell = deployment.cell(0)
+    client = BlockumulusClient(deployment)
+    honest_reply, receipts = cell.reply, []
+
+    def recording_reply(dst_node, request, operation, data):
+        if operation is Opcode.TX_RECEIPT:
+            receipts.append(data)
+        honest_reply(dst_node, request, operation, data)
+
+    cell.reply = recording_reply
+    first = run(deployment, client.submit("fastmoney", "faucet", {"amount": 5}))
+    assert first.ok and len(receipts) == 1
+
+    # The service cell answers the next submission with the first one's receipt.
+    asked = []
+
+    def answer_with_the_first_receipt(src_node, envelope, body):
+        asked.append(envelope)
+        honest_reply(src_node, envelope, Opcode.TX_RECEIPT, receipts[0])
+
+    cell.service._serve_submission = answer_with_the_first_receipt
+    second = run(deployment, client.submit("fastmoney", "faucet", {"amount": 6}))
+    assert second.tx_id == asked[0].payload.hash_hex() != first.tx_id
+    assert second.receipt.tx_id == second.tx_id
+    # Its co-signers signed the first transaction, not this one.
+    assert not second.receipt.verify()
 
 
 def test_submit_with_override_signer(deployment):

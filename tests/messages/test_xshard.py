@@ -57,13 +57,15 @@ def test_vote_signature_round_trip():
 
 
 def test_vote_envelope_data_carries_receipt_and_error():
+    from repro.core.receipts import CompactReceipt
     from repro.core.replies import VoteReply
 
     vote = make_vote("cell-a", 0)
-    data = VoteReply(vote, receipt={"tx_id": "0x1"}).to_data()
-    assert data == {**vote.to_data(), "receipt": {"tx_id": "0x1"}}  # no "error" while unset
+    receipt = CompactReceipt("0x22", 1, {"moved": 1}, b"\x01" * 65)
+    data = VoteReply(vote, receipt=receipt).to_data()
+    assert data == {**vote.to_data(), "receipt": receipt.to_wire()}  # no "error" while unset
     assert CrossShardVote.from_data(data) == vote
-    assert VoteReply.from_data(data) == VoteReply(vote, {"tx_id": "0x1"}, None)
+    assert VoteReply.from_data(data) == VoteReply(vote, receipt, None)
 
 
 def test_decision_round_trip():

@@ -35,9 +35,19 @@ on the commit before, by the same comprehension, then re-recorded here
 without the three removed opcodes; a script comparison showed every other
 entry byte-identical.
 
-Entries have since only been deleted, never re-recorded: the samples of
-two evidence formats and one opcode that no participant sent went with
-their classes and their enum member.
+Entries have since been deleted, not re-recorded: the samples of two
+evidence formats and one opcode that no participant sent went with their
+classes and their enum member.
+
+A third change moved bytes on purpose: a receipt on its way to the client
+that signed its transaction is a ``CompactReceipt``, without what that
+client's request and the reply envelope state (``CompactReceipt.of``
+builds it from the receipt, the request and the reply's scheme and
+moment).  Only the entries that embed one were re-recorded, from this
+file — the ``TX_RECEIPT``, ``XSHARD_VOTE/receipt`` and
+``XSHARD_VOUCHER/minted`` / ``/redeemed`` replies and
+``bodies.CrossShardVote/reply`` — and a script comparison showed every
+other entry, ``bodies.AggregatedReceipt`` included, byte-identical.
 """
 
 import json
@@ -57,6 +67,7 @@ def build():
     from repro.core.ledger import TransactionLedger
     from repro.core.receipts import (
         AggregatedReceipt,
+        CompactReceipt,
         Confirmation,
         ConfirmationBatch,
         LinkConfirmation,
@@ -141,6 +152,22 @@ def build():
         method="transfer", result={"amount": 5}, service_cell=peer, cycle=1,
         submitted_at=1.0000004, completed_at=3.4999996,
     )
+    # ``called``'s receipt as its service cell (the signer) replies with it
+    # at 3.5: its peer signed another moment, which travels.
+    called_id = called.payload.hash_hex()
+    served = AggregatedReceipt.of(
+        [
+            Confirmation.create(signer, called_id, "fastmoney", FINGERPRINT, "executed", 3.5),
+            Confirmation.create(
+                SimulatedSigner("golden-peer"), called_id, "fastmoney", FINGERPRINT, "executed",
+                3.2500004,
+            ),
+        ],
+        tx_id=called_id, contract="fastmoney", fingerprint_hex=FINGERPRINT, method="transfer",
+        result={"amount": 5}, service_cell=signer.address, cycle=1, submitted_at=1.25,
+        completed_at=3.5,
+    )
+    compact = CompactReceipt.of(served, called, signer.scheme, 3.5)
     shape = dict(xtx="0xa1", group=0, participants=(0, 1), transaction=inner.to_wire())
     bodies = {
         "ExclusionProposal": ExclusionProposal(peer, 3, "missed deadlines").to_data(),
@@ -156,7 +183,7 @@ def build():
         ).to_data(),
         "CrossShardPrepare": CrossShardPrepare(**shape).to_data(),
         "CrossShardVote": xvote.to_data(),
-        "CrossShardVote/reply": VoteReply(xvote, {"tx_id": TX_ID}, "late").to_data(),
+        "CrossShardVote/reply": VoteReply(xvote, compact, "late").to_data(),
         "CrossShardDecision": CrossShardDecision(
             decision="commit", votes=(xvote,), **shape
         ).to_data(),
@@ -192,17 +219,15 @@ def build():
             missing_cells=(), mismatched_cells=(peer.hex(),),
         ),
         "TX_ERROR/xtx": ErrorReply("cross-shard transaction 0xa1 was already prepared", xtx="0xa1"),
-        "TX_RECEIPT": ReceiptReply(receipt),
+        "TX_RECEIPT": ReceiptReply(compact),
         "SUBSCRIBE_ACK": SubscriptionAck(peer, 12.3456789, 0.05),
         "QUERY_RESULT": QueryResult({"balance": 5, "holders": [HOLDER]}),
         "XSHARD_VOTE/bare": VoteReply(xvote),
-        "XSHARD_VOTE/receipt": VoteReply(xvote, receipt=receipt.to_wire()),
+        "XSHARD_VOTE/receipt": VoteReply(xvote, receipt=compact),
         "XSHARD_VOTE/error": VoteReply(xvote, error="execution rejected"),
-        "XSHARD_VOUCHER/minted": VoucherReply(
-            "minted", "0xa1", voucher=voucher, receipt=receipt.to_wire()
-        ),
+        "XSHARD_VOUCHER/minted": VoucherReply("minted", "0xa1", voucher=voucher, receipt=compact),
         "XSHARD_VOUCHER/redeemed": VoucherReply(
-            "redeemed", "0xa1", duplicate=False, receipt=receipt.to_wire()
+            "redeemed", "0xa1", duplicate=False, receipt=compact
         ),
         "XSHARD_VOUCHER/duplicate": VoucherReply("redeemed", "0xa1", duplicate=True),
         "SNAPSHOT_RESPONSE": SnapshotResponse(snapshot),

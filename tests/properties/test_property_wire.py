@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.receipts import (
     AggregatedReceipt,
+    CompactReceipt,
     Confirmation,
     ConfirmationBatch,
     LinkConfirmation,
@@ -572,3 +573,94 @@ def test_a_contract_other_than_the_called_one_travels_and_still_verifies(scheme,
     )):
         rebuilt = item.confirmation(cell.address, cell.scheme, receivers_entry)
         assert rebuilt.contract == confirmation.contract and rebuilt.verify()
+
+
+# ----------------------------------------------------------------------
+# The client link: a receipt without what its client holds
+# ----------------------------------------------------------------------
+@st.composite
+def replied(draw):
+    """``(request, receipt, reply scheme, reply moment)``: a receipt about to be sent compact.
+
+    The first co-signer is the service cell.  Every field the client can
+    derive — from its request, or from the reply's scheme and moment —
+    is drawn either equal to that or otherwise.
+    """
+    cells = draw(st.lists(
+        st.sampled_from(COSIGNERS["sim"] + COSIGNERS["ecdsa"]), min_size=1, max_size=3,
+        unique_by=lambda cell: cell.address,
+    ))
+    called, method, moment = draw(ids), draw(ids), draw(ATOMS["seconds"])
+    request = Envelope.create(
+        signer=SIGNER, recipient=cells[0].address, operation=Opcode.TX_SUBMIT,
+        data={"contract": called, "method": method, "args": {}},
+        timestamp=draw(ATOMS["seconds"]), nonce=draw(ids),
+    )
+    statement = dict(
+        tx_id=request.payload.hash_hex(), contract=draw(st.just(called) | ids),
+        fingerprint_hex=draw(fingerprints),
+    )
+    confirmations = [
+        Confirmation.create(
+            cell, status="executed", timestamp=draw(st.just(moment) | ATOMS["seconds"]),
+            **statement,
+        )
+        for cell in cells
+    ]
+    receipt = AggregatedReceipt.of(
+        confirmations, **statement, method=draw(st.just(method) | ids),
+        result=draw(json_values), service_cell=cells[0].address,
+        cycle=draw(st.integers(0, 10**6)),
+        submitted_at=draw(st.just(request.payload.timestamp) | ATOMS["seconds"]),
+        completed_at=draw(st.just(moment) | ATOMS["seconds"]),
+    )
+    return request, receipt, draw(st.sampled_from(["sim", "ecdsa"])), moment
+
+
+def _reply(request, sender, scheme, moment, data):
+    """A reply envelope as the client reads it (its signature is not what is tested)."""
+    payload = Payload(sender, request.sender, Opcode.TX_RECEIPT, "0xfeed", moment, data,
+                      request.nonce)
+    return Envelope(payload=payload, signature=b"\x00" * 65, scheme=scheme)
+
+
+@settings(max_examples=30, deadline=None)
+@given(served=replied())
+def test_a_receipt_sent_compact_rebuilds_exactly_from_the_request_and_the_reply(served):
+    request, receipt, scheme, moment = served
+    sent = json.loads(as_json(CompactReceipt.of(receipt, request, scheme, moment).to_wire()))
+    # What the client derives travels only where the receipt states otherwise.
+    assert not {"tx_id", "service_cell", "status"} & set(sent)
+    own, *peers = receipt.cosigners
+    derived = {
+        "contract": (receipt.contract, called_contract(request)),
+        "method": (receipt.method, request.data["method"]),
+        "submitted_at": (receipt.submitted_at, request.payload.timestamp),
+        "completed_at": (receipt.completed_at, moment),
+        "timestamp": (own.timestamp, moment),
+        "scheme": (own.scheme, scheme),
+    }
+    for key, (stated, derivable) in derived.items():
+        assert (key in sent) == (stated != derivable), key
+    assert [("scheme" in peer) for peer in sent["cosigners"]] == [
+        peer.scheme != scheme for peer in peers
+    ]
+    reply = _reply(request, receipt.service_cell, scheme, moment, {"receipt": sent})
+    rebuilt = CompactReceipt.from_wire(sent).rebuild(request, reply)
+    assert rebuilt == receipt
+    assert as_json(rebuilt.to_wire()) == as_json(receipt.to_wire())
+    assert rebuilt.verify(expected_cells=[cosigner.cell for cosigner in receipt.cosigners])
+
+
+@settings(max_examples=20, deadline=None)
+@given(served=replied())
+def test_a_compact_receipt_rebuilt_from_another_request_verifies_for_no_cosigner(served):
+    request, receipt, scheme, moment = served
+    sent = CompactReceipt.of(receipt, request, scheme, moment).to_wire()
+    other = Envelope.create(
+        signer=SIGNER, recipient=request.recipient, operation=Opcode.TX_SUBMIT,
+        data=request.data, timestamp=request.payload.timestamp, nonce=request.nonce + "'",
+    )
+    reply = _reply(other, receipt.service_cell, scheme, moment, {"receipt": sent})
+    rebuilt = CompactReceipt.from_wire(sent).rebuild(other, reply)
+    assert not any(confirmation.verify() for confirmation in rebuilt.confirmations)

@@ -96,11 +96,12 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
             current = links[link[1]] = [float(link[2]), 0.0]
             continue
         items = re.fullmatch(
-            r"      +(\d+\.\d\d) items/msg +(\d+\.\d) B/item +(\d+\.\d) B/msg besides the items",
+            r"      +(\d+\.\d\d) (item|receipt)s/msg +(\d+\.\d) B/\2 +(\d+\.\d) B/msg"
+            r" besides the \2s",
             row,
         )
         if items:
-            split[(link_name, opcode_name)] = (opcode_row, *map(float, items.groups()))
+            split[(link_name, opcode_name)] = (opcode_row, *map(float, items.group(1, 3, 4)))
             continue
         opcode = re.fullmatch(r"    ([a-z_]+) +(\d+\.\d) B/tx +(\d+\.\d{3}) msgs/tx", row)
         assert opcode, row
@@ -112,9 +113,17 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
         assert opcode_bytes == pytest.approx(link_bytes, abs=0.1 * len(rows))
     assert sum(link_bytes for link_bytes, _ in links.values()) == pytest.approx(total, abs=0.2)
     assert "    tx_receipt" in first.stdout and "    xshard_voucher" in first.stdout
-    # The two list-carrying opcodes split into their items and the rest.
-    assert set(split) == {("cell<->cell", "tx_forward"), ("cell<->cell", "tx_confirm")}
-    for (opcode_bytes, messages), per_message, per_item, besides in split.values():
-        assert per_message >= 1.0 and per_item > 0 and besides > 0
+    # The two list-carrying opcodes split into their items and the rest, and
+    # the replies that carry a receipt into their receipts and the rest.
+    assert set(split) == {
+        ("cell<->cell", "tx_forward"), ("cell<->cell", "tx_confirm"),
+        ("client<->cell", "tx_receipt"), ("client<->cell", "xshard_voucher"),
+    }
+    for (_link, opcode), split_row in split.items():
+        (opcode_bytes, messages), per_message, per_item, besides = split_row
+        # A list holds at least one item; a message carries at most one receipt.
+        listed = opcode in ("tx_forward", "tx_confirm")
+        assert per_message >= 1.0 if listed else 0 < per_message <= 1.0
+        assert per_item > 0 and besides > 0
         rebuilt = messages * (per_message * per_item + besides)
         assert rebuilt == pytest.approx(opcode_bytes, rel=0.01)

@@ -37,7 +37,8 @@ the two opcodes that carry a list of items (``tx_forward``: client
 envelopes, ``tx_confirm``: confirmations) a second line splits a message
 into its items and the rest: items per message, canonical-JSON bytes per
 item, and the bytes per message that are not items (envelope, signature,
-network framing).
+network framing).  The replies that can carry a receipt (``tx_receipt``,
+``xshard_vote``, ``xshard_voucher``) get the same line for their receipts.
 """
 
 from __future__ import annotations
@@ -156,8 +157,12 @@ def sample_drive(
 #: "client<->cell" or "cell<->cell".
 Traffic = dict[tuple[str, str], list[int]]
 
-#: The opcodes whose data field is a list of items, and the list's key.
-LISTED = {"tx_forward": "transactions", "tx_confirm": "confirmations"}
+#: The opcodes whose data field carries items worth sizing apart: the key
+#: of a list, or of one receipt (present only on replies that carry one).
+CARRIED = {
+    "tx_forward": "transactions", "tx_confirm": "confirmations",
+    "tx_receipt": "receipt", "xshard_vote": "receipt", "xshard_voucher": "receipt",
+}
 
 
 def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, int, Traffic]:
@@ -176,8 +181,10 @@ def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, 
             tally = sent.setdefault((endpoint.node_name, dst_node, opcode), [0, 0, 0, 0])
             tally[0] += endpoint.network.wire_size(envelope.byte_size())
             tally[1] += 1
-            if opcode in LISTED:
-                items = envelope.data[LISTED[opcode]]
+            key = CARRIED.get(opcode)
+            carried = None if key is None else envelope.data.get(key)
+            if carried is not None:
+                items = carried if type(carried) is list else [carried]
                 tally[2] += len(items)
                 tally[3] += sum(len(dump_bytes(item)) for item in items)
         return delivered
@@ -218,8 +225,9 @@ def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
             print(f"    {opcode:<20}{size / attempted:>10.1f} B/tx"
                   f"  {count / attempted:>7.3f} msgs/tx")
             if items:
-                print(f"      {items / count:>7.2f} items/msg  {item_bytes / items:>7.1f} B/item"
-                      f"  {(size - item_bytes) / count:>7.1f} B/msg besides the items")
+                item = "receipt" if CARRIED[opcode] == "receipt" else "item"
+                print(f"      {items / count:>7.2f} {item}s/msg  {item_bytes / items:>7.1f} B/{item}"
+                      f"  {(size - item_bytes) / count:>7.1f} B/msg besides the {item}s")
 
 
 def _file_of(path: str) -> str:
