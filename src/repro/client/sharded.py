@@ -405,7 +405,7 @@ class ShardedClient:
             inner = self._sign_call(signer, plan.group, plan.prepare)
             body = CrossShardPrepare(
                 xtx=xtx, group=plan.group, participants=participants,
-                transaction=inner.to_wire(),
+                transaction=inner.to_link(with_sender=False),
             )
             prepare_waiters[plan.group] = inner, self._send_phase(
                 signer, plan.group, body.to_data(), Opcode.XSHARD_PREPARE
@@ -443,7 +443,7 @@ class ShardedClient:
                 inner = self._sign_call(signer, plan.group, call)
                 body = CrossShardDecision(
                     xtx=xtx, decision=decision, group=plan.group,
-                    participants=participants, transaction=inner.to_wire(),
+                    participants=participants, transaction=inner.to_link(with_sender=False),
                     votes=certificate,
                 )
                 ack_waiters[plan.group] = inner, self._send_phase(
@@ -623,7 +623,7 @@ class ShardedClient:
         inner = self._sign_call(signer, source_group, mint)
         body = CrossShardVoucherTransfer(
             xtx=xtx, phase="mint", group=source_group,
-            transaction=inner.to_wire(),
+            transaction=inner.to_link(with_sender=False),
             target_group=target_group, target_contract=redeem[0],
         )
         reply = yield self._send_phase(signer, source_group, body.to_data(), Opcode.XSHARD_VOUCHER)
@@ -709,7 +709,7 @@ class ShardedClient:
         inner = self._sign_call(signer, target_group, redeem)
         body = CrossShardVoucherTransfer(
             xtx=xtx, phase="redeem", group=target_group,
-            transaction=inner.to_wire(), voucher=voucher.to_wire(),
+            transaction=inner.to_link(with_sender=False), voucher=voucher.to_wire(),
         )
         reply = yield self._send_phase(signer, target_group, body.to_data(), Opcode.XSHARD_VOUCHER)
         if reply is None:

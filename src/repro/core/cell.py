@@ -310,15 +310,18 @@ class BlockumulusCell:
         """Authenticate ``envelope``, parse its body, call the route's handler.
 
         The one place an arriving envelope is verified and its data field
-        read untyped.  Returns what the handler returned (for a delayed
+        read untyped.  On every route the envelope must be addressed to
+        this cell: a message travels without its recipient and is read
+        under the receiver's own address (``Envelope.from_link``), so one
+        signed for another cell — a peer's forward relayed here, a
+        client's submission replayed onto a sibling — does not verify.
+        The simulator delivers the envelope itself, where that is this one
+        comparison.  Returns what the handler returned (for a delayed
         route, the generator that keeps serving), None after a refusal.
         """
-        if route.sender is Sender.CLIENT:
-            entitled = envelope.recipient == self.address
-        elif route.sender is Sender.CELL:
-            entitled = self.invariants.is_cell(envelope.sender)
-        else:
-            entitled = True
+        entitled = envelope.recipient == self.address and (
+            route.sender is not Sender.CELL or self.invariants.is_cell(envelope.sender)
+        )
         if not envelope.verify() or not entitled:
             self.refuse_unauthenticated(src_node, envelope)
             return None

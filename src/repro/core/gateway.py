@@ -26,7 +26,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Generator, Optional, TypeVar, Union
 
 from ..crypto.keys import Address
-from ..messages.envelope import Envelope
+from ..messages.envelope import Envelope, EnvelopeError
 from ..messages.opcodes import Opcode
 from ..messages.signer import SignedStatement
 from ..messages.xshard import (
@@ -137,22 +137,20 @@ class CrossShardGateway:
         (a coordinator can only move funds it could have moved with
         direct submissions), and addressed to *this* cell — otherwise one
         signed envelope could be replayed onto several groups, breaking
-        the namespace partition the routing layer guarantees.  Voucher
-        legs pass their ``method``: it and the inner xtx must match the
-        outer request, so a gateway never signs a voucher (or credits
-        one) over a transaction that does something else.  Returns None
-        for an inner transaction this gateway must not service.
+        the namespace partition the routing layer guarantees.  Both
+        identities travel only on the outer envelope: the inner one is
+        read under them, and verifies only if it was signed for them.
+        Voucher legs pass their ``method``: it and the inner xtx must
+        match the outer request, so a gateway never signs a voucher (or
+        credits one) over a transaction that does something else.
+        Returns None for an inner transaction this gateway must not
+        service.
         """
         try:
-            inner = Envelope.from_wire(body.transaction)
-        except Exception:  # noqa: BLE001 - malformed inner envelopes are refused
+            inner = Envelope.from_link(body.transaction, self.cell.address, envelope.sender)
+        except EnvelopeError:
             return None
-        if (
-            not inner.verify()
-            or inner.sender != envelope.sender
-            or inner.operation != Opcode.TX_SUBMIT
-            or inner.recipient != self.cell.address
-        ):
+        if not inner.verify() or inner.operation != Opcode.TX_SUBMIT:
             return None
         if method is not None:
             data = inner.data

@@ -62,9 +62,12 @@ from .replies import (
 
 
 class Sender(Enum):
-    """Who may originate a routed opcode (checked after the signature)."""
+    """Who may originate a routed opcode (checked after the signature).
 
-    CLIENT = "client"  # any identity, in an envelope addressed to this cell
+    Whoever it is, the envelope must be addressed to the receiving cell.
+    """
+
+    CLIENT = "client"  # any identity
     CELL = "cell"      # a member of the consortium
     ANYONE = "anyone"  # any identity: auditors and liveness probes
 

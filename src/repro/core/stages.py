@@ -30,7 +30,7 @@ from ..crypto.keys import Address, PrivateKey
 from ..ethchain.contracts.snapshot_registry import SnapshotRegistry
 from ..ethchain.provider import Web3Provider
 from ..messages import requests
-from ..messages.batch import ForwardedTransactions
+from ..messages.batch import BatchError, ForwardedTransactions
 from ..messages.envelope import Envelope
 from ..messages.membership import SyncRequest, SyncState
 from ..messages.opcodes import Opcode
@@ -48,6 +48,7 @@ from .receipts import (
     LinkConfirmation,
 )
 from .replies import LedgerResponse, QueryResult, ReceiptReply, SnapshotResponse, SubscriptionAck
+from .routes import DROP_FORWARD
 from .subscription import SubscriptionError
 
 if TYPE_CHECKING:
@@ -456,10 +457,18 @@ class PeerStage:
 
         The authentication overhead was paid once for the message — this is
         where the batched pipeline saves cell time on top of network messages.
-        Each inner transaction runs in its own process (parallel up to the
-        service model's invocation limit).
+        Each client envelope is read under the forwarder, to which its client
+        addressed it (one relayed from another cell fails its signature
+        check), and runs in its own process (parallel up to the service
+        model's invocation limit).
         """
-        for client_envelope in body.client_envelopes:
+        cell = self.cell
+        try:
+            client_envelopes = body.envelopes(forward.sender)
+        except BatchError:
+            cell.metrics.increment(f"{cell.node_name}/{DROP_FORWARD.malformed_counter}")
+            return
+        for client_envelope in client_envelopes:
             self.clock.process(self._handle_forwarded(src_node, forward.sender, client_envelope))
 
     def _handle_forwarded(

@@ -7,7 +7,8 @@ steps 2-3).  A ``TX_FORWARD`` carries a list of the client envelopes
 queued for one destination cell during one scheduling quantum (one, with
 batching off): the outer envelope carries the forwarding cell's signature,
 every inner item keeps its client's, so the receiving cell can still
-authenticate each transaction independently.
+authenticate each transaction independently — under the forwarding cell,
+to which the client addressed it.
 
 Only the forward bodies live here; the confirmation batch is defined next
 to :class:`repro.core.receipts.Confirmation` to avoid a layering cycle
@@ -19,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+from ..crypto.keys import Address
 from . import wire
-from .envelope import Envelope, EnvelopeError
+from .envelope import Envelope, EnvelopeError, LinkEnvelope
 
 
 class BatchError(ValueError):
@@ -31,9 +33,11 @@ class BatchError(ValueError):
 class ForwardBatch(wire.Body, error=BatchError):
     """An ordered set of client envelopes forwarded in one message.
 
-    The batch stores the *wire forms* of the client envelopes, which is
-    exactly what rides inside the outer envelope's data field; parsing and
-    client-signature verification stay per-transaction on the receiver.
+    The batch stores the *link forms* of the client envelopes, which is
+    exactly what rides inside the outer envelope's data field: each leaves
+    out its recipient, which is the forwarding cell, the outer envelope's
+    sender.  Parsing and client-signature verification stay
+    per-transaction on the receiver.
     """
 
     transactions: tuple[dict[str, Any], ...] = wire.list_of(wire.obj)()
@@ -47,32 +51,40 @@ class ForwardBatch(wire.Body, error=BatchError):
 
     @classmethod
     def of(cls, envelopes: Iterable[Envelope]) -> "ForwardBatch":
-        """Build a batch from parsed client envelopes."""
-        return cls(transactions=tuple(envelope.to_wire() for envelope in envelopes))
+        """Build a batch from client envelopes addressed to the forwarding cell."""
+        return cls(transactions=tuple(envelope.to_link() for envelope in envelopes))
 
-    def envelopes(self) -> list[Envelope]:
-        """Parse every inner client envelope (structure check only).
+    def envelopes(self, forwarder: Address) -> list[Envelope]:
+        """Parse every inner client envelope under ``forwarder`` (structure check only).
 
-        Signature verification is the receiver's job, per transaction.
+        Read as the receiving cell reads them; signature verification is
+        its job, per transaction.
         """
-        try:
-            return [Envelope.from_wire(raw) for raw in self.transactions]
-        except (EnvelopeError, TypeError) as exc:
-            raise BatchError(f"malformed forwarded transaction: {exc}") from exc
+        return ForwardedTransactions.from_wire(self.to_wire()).envelopes(forwarder)
 
 
 @dataclass(frozen=True)
 class ForwardedTransactions(wire.Body, error=BatchError):
-    """What a ``TX_FORWARD`` delivers: its client envelopes, parsed.
+    """What a ``TX_FORWARD`` delivers: its client envelopes, parsed but unaddressed.
 
-    The receiving cell's view of a :class:`ForwardBatch` — every inner
-    envelope is structurally sound by the time a handler sees it, so one
-    malformed item refuses the whole message at the ingress stage.
+    The receiving cell's view of a :class:`ForwardBatch`: every item is a
+    structurally sound link envelope by the time a handler sees it.  Its
+    recipient is the forwarder, which the handler knows once the message is
+    authenticated: :meth:`envelopes` supplies it, and refuses the whole
+    message for one item whose payload cannot be read, as ingress refuses
+    it for one that is not a link envelope at all.
     """
 
-    client_envelopes: tuple[Envelope, ...] = wire.list_of(wire.nested(Envelope))("transactions")
+    transactions: tuple[LinkEnvelope, ...] = wire.list_of(wire.nested(LinkEnvelope))()
 
     def __post_init__(self) -> None:
-        if not self.client_envelopes:
+        if not self.transactions:
             raise BatchError("a forward batch must carry at least one transaction")
 
+    def envelopes(self, forwarder: Address) -> list[Envelope]:
+        """Every client envelope, read under ``forwarder``: one that was
+        signed for another cell fails its ``verify()``."""
+        try:
+            return [item.envelope(forwarder) for item in self.transactions]
+        except EnvelopeError as exc:
+            raise BatchError(f"malformed forwarded transaction: {exc}") from exc

@@ -42,8 +42,9 @@ class Endpoint:
         self.nonces = NonceFactory(signer.address)
         #: True while nothing may leave the node (a crashed cell emits nothing).
         self.silent = silent
-        #: Request nonce -> (the cell that was asked, the event its reply fires).
-        self._pending: dict[str, tuple[Address, Event]] = {}
+        #: Request nonce -> (the cell that was asked, the identity that asked,
+        #: the event its reply fires).
+        self._pending: dict[str, tuple[Address, Address, Event]] = {}
 
     def sign(
         self,
@@ -110,7 +111,7 @@ class Endpoint:
         waiter = self.env.event()
         if not self.post(dst_node, request):
             return request, waiter.succeed(None)
-        self._pending[request.nonce] = (recipient, waiter)
+        self._pending[request.nonce] = (recipient, request.sender, waiter)
         if deadline is None:
             return request, waiter
         return request, _Answer(self, request, waiter, self.env.timeout(deadline))
@@ -121,15 +122,18 @@ class Endpoint:
         The request's event fires with ``answer`` (a receiver that already
         parsed the reply passes the typed body), else with the envelope.
         A reply nobody waits for is dropped.  False only when a pending
-        request is answered by someone other than the cell that was asked:
-        whoever sees a request learns its nonce, so the nonce alone must
-        not let a third party answer.  That request keeps waiting.
+        request is answered by someone other than the cell that was asked,
+        or in a reply addressed to someone other than the identity that
+        asked: whoever sees a request learns its nonce, so the nonce alone
+        must not let a third party answer, and a reply travels without its
+        recipient (the requester supplies it, see ``Envelope.from_link``).
+        That request keeps waiting.
         """
         reply_to = reply.payload.reply_to
         if reply_to is None or reply_to not in self._pending:
             return True
-        recipient, waiter = self._pending[reply_to]
-        if reply.sender != recipient:
+        asked, requester, waiter = self._pending[reply_to]
+        if reply.sender != asked or reply.recipient != requester:
             return False
         del self._pending[reply_to]
         waiter.succeed(reply if answer is None else answer)

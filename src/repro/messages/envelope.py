@@ -15,8 +15,9 @@ from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address
 from ..encoding import canonical_json
 from ..encoding.hexutil import strip_0x
+from . import wire
 from .opcodes import Opcode
-from .payload import Payload
+from .payload import Payload, PayloadError
 from .signer import Signer, verify_signature
 
 
@@ -27,6 +28,15 @@ class EnvelopeError(ValueError):
 #: JSON text of the scheme tags a signer can produce.
 _SCHEME_JSON = {"ecdsa": b'"ecdsa"', "sim": b'"sim"'}
 
+#: The scheme a wire or link form that names none was signed with: the
+#: paper's, so the link form names a scheme only when it is another.
+DEFAULT_SCHEME = "ecdsa"
+
+
+def _scheme_json(scheme: str) -> bytes:
+    """JSON text of a scheme tag; one no signer produces (it never verifies) is still sized."""
+    return _SCHEME_JSON.get(scheme) or canonical_json.dump_bytes(scheme)
+
 #: The largest envelope :meth:`Envelope.from_wire` reads from bytes (a resync
 #: bundle or audit download of a 20,000-transaction cycle is a few tens of
 #: MB) and the deepest nesting it accepts (a batch of client envelopes is
@@ -35,6 +45,15 @@ _SCHEME_JSON = {"ecdsa": b'"ecdsa"', "sim": b'"sim"'}
 #: re-encodes the payload — far from the interpreter's recursion limit.
 MAX_WIRE_BYTES = 64 * 1024 * 1024
 MAX_WIRE_DEPTH = 64
+
+
+def _bounded_json(raw: bytes | str) -> Any:
+    """Parse JSON bytes off the wire, refusing what a later pass could choke on."""
+    if len(raw) > MAX_WIRE_BYTES:
+        raise ValueError(f"larger than {MAX_WIRE_BYTES} bytes")
+    value = canonical_json.loads(raw)
+    _require_depth(value, MAX_WIRE_DEPTH)
+    return value
 
 
 def _require_depth(value: Any, remaining: int) -> None:
@@ -75,8 +94,8 @@ class Envelope:
 
     payload: Payload
     signature: bytes
-    scheme: str = "ecdsa"
-    #: Size of the wire form; the bytes themselves live on the payload.
+    scheme: str = DEFAULT_SCHEME
+    #: Size of the link form; the bytes themselves live on the payload.
     _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -141,19 +160,75 @@ class Envelope:
         A splice around the payload's carried bytes, not an encode: the
         three keys of :meth:`to_wire` are already in sorted order.
         """
-        # A scheme tag no signer produces (it never verifies) is still sized.
-        scheme = _SCHEME_JSON.get(self.scheme) or canonical_json.dump_bytes(self.scheme)
         return b'{"payload":%b,"scheme":%b,"signature":"0x%b"}' % (
-            self.payload.canonical_bytes(), scheme, self.signature.hex().encode()
+            self.payload.canonical_bytes(), _scheme_json(self.scheme),
+            self.signature.hex().encode(),
+        )
+
+    def to_link(self, with_sender: bool = True) -> dict[str, Any]:
+        """The link form as a JSON object, for an envelope nested in another.
+
+        The wire form without what its receiver supplies: the recipient, a
+        null ``reply_to`` and the ``ecdsa`` tag — and, ``with_sender=False``,
+        the sender, where the outer envelope has the same one.
+        """
+        payload = self.payload.to_dict()
+        del payload["recipient"]
+        if payload["reply_to"] is None:
+            del payload["reply_to"]
+        if not with_sender:
+            del payload["sender"]
+        link = {"payload": payload, "signature": "0x" + self.signature.hex()}
+        if self.scheme != DEFAULT_SCHEME:
+            link["scheme"] = self.scheme
+        return link
+
+    def link_bytes(self) -> bytes:
+        """What travels on a link: the canonical JSON of :meth:`to_link`.
+
+        A splice around :meth:`Payload.link_bytes`, like :meth:`wire_bytes`.
+        The signed bytes are :meth:`Payload.canonical_bytes`, unchanged: a
+        receiver rebuilds them with :meth:`from_link`, under its own
+        identity, so a message verifies only where it was signed to go.
+        """
+        scheme = self.scheme
+        tag = b"" if scheme == DEFAULT_SCHEME else b'"scheme":%b,' % _scheme_json(scheme)
+        return b'{"payload":%b,%b"signature":"0x%b"}' % (
+            self.payload.link_bytes(), tag, self.signature.hex().encode()
         )
 
     def byte_size(self) -> int:
-        """Size of the HTTP body in bytes (used for Table II accounting)."""
+        """Size of the HTTP body in bytes (used for Table II accounting).
+
+        The body is the link form (:meth:`link_bytes`).
+        """
         size = self._size
         if size is None:
-            size = len(self.wire_bytes())
+            size = len(self.link_bytes())
             object.__setattr__(self, "_size", size)
         return size
+
+    @classmethod
+    def from_link(
+        cls,
+        raw: dict[str, Any] | bytes | str,
+        recipient: Address,
+        sender: Optional[Address] = None,
+    ) -> "Envelope":
+        """Parse an envelope from its link form, verifying structure only.
+
+        ``recipient`` is what the receiver supplies: a cell its own address,
+        a requester the identity that signed the request, a cell reading a
+        nested client envelope the outer envelope's sender (a forward) —
+        and ``sender`` too, where the outer envelope has the same one.
+        Bytes are bounded as in :meth:`from_wire`.
+        """
+        try:
+            if isinstance(raw, (bytes, str)):
+                raw = _bounded_json(raw)
+        except (ValueError, RecursionError) as exc:
+            raise EnvelopeError(f"malformed envelope: {exc}") from exc
+        return LinkEnvelope.from_wire(raw).envelope(recipient, sender)
 
     @classmethod
     def from_wire(cls, raw: dict[str, Any] | bytes | str) -> "Envelope":
@@ -166,13 +241,10 @@ class Envelope:
         """
         try:
             if isinstance(raw, (bytes, str)):
-                if len(raw) > MAX_WIRE_BYTES:
-                    raise ValueError(f"larger than {MAX_WIRE_BYTES} bytes")
-                raw = canonical_json.loads(raw)
-                _require_depth(raw, MAX_WIRE_DEPTH)
+                raw = _bounded_json(raw)
             payload = Payload.from_dict(raw["payload"])
             signature = bytes.fromhex(strip_0x(raw["signature"]))
-            scheme = raw.get("scheme", "ecdsa")
+            scheme = raw.get("scheme", DEFAULT_SCHEME)
             if not isinstance(scheme, str):
                 raise TypeError("scheme must be a string")
         except (KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
@@ -207,3 +279,28 @@ class Envelope:
     def data(self) -> dict[str, Any]:
         """The operation-specific data field."""
         return self.payload.data
+
+
+@dataclass(frozen=True)
+class LinkEnvelope(wire.Body, error=EnvelopeError, what="link envelope"):
+    """An envelope in its link form, parsed but not yet given its identities.
+
+    What a receiver holds of a nested envelope before it knows under whom
+    to read it (``TX_FORWARD`` items are parsed with their message, the
+    forwarder is known once it is authenticated); :meth:`envelope` supplies
+    them, as :class:`~repro.core.receipts.LinkConfirmation` does for a
+    confirmation.
+    """
+
+    payload: dict[str, Any] = wire.obj()
+    signature: bytes = wire.signature()
+    scheme: str = wire.text(default=DEFAULT_SCHEME)
+
+    def envelope(self, recipient: Address, sender: Optional[Address] = None) -> Envelope:
+        """The envelope read under ``recipient`` (and ``sender``); it verifies
+        only if it was signed for them."""
+        try:
+            payload = Payload.from_dict(self.payload, recipient, sender)
+        except PayloadError as exc:
+            raise EnvelopeError(f"malformed link envelope: {exc}") from exc
+        return Envelope(payload=payload, signature=self.signature, scheme=self.scheme)

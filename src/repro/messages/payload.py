@@ -24,6 +24,13 @@ class PayloadError(ValueError):
 #: Seconds past which a float no longer holds the microsecond it is rounded to.
 _HORIZON = 2.0**53 / 1e6
 
+#: What the link form leaves out of the canonical bytes: the recipient (its
+#: key and a quoted 0x-hex address, 57 bytes) and, right after it, a null
+#: ``reply_to`` (16 bytes).
+_RECIPIENT_KEY = b',"recipient":"'
+_RECIPIENT_LEN = len(_RECIPIENT_KEY) + 42 + 1  # "0x", 40 hex digits, the closing quote
+_NULL_REPLY_LEN = len(b',"reply_to":null')
+
 
 @dataclass(frozen=True)
 class Payload:
@@ -102,6 +109,19 @@ class Payload:
             object.__setattr__(self, "_canonical", encoded)
         return encoded
 
+    def link_bytes(self) -> bytes:
+        """:meth:`canonical_bytes` without what every receiver supplies.
+
+        That is the recipient, and ``reply_to`` while it is null.  A splice,
+        not an encode: the recipient is the last ``,"recipient":"`` in the
+        bytes, since only ``data`` comes before it and every text after
+        ``data`` is a quoted string, whose quotes are escaped.
+        """
+        canonical = self.canonical_bytes()
+        start = canonical.rfind(_RECIPIENT_KEY)
+        end = start + _RECIPIENT_LEN + (_NULL_REPLY_LEN if self.reply_to is None else 0)
+        return canonical[:start] + canonical[end:]
+
     def hash(self) -> bytes:
         """Hash of the canonical payload (the message/transaction id).
 
@@ -125,19 +145,27 @@ class Payload:
         return len(self.canonical_bytes())
 
     @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "Payload":
+    def from_dict(
+        cls,
+        raw: dict[str, Any],
+        recipient: Optional[Address] = None,
+        sender: Optional[Address] = None,
+    ) -> "Payload":
         """Rebuild a payload from its plain-dict form, coercing nothing.
 
         The field types are checked where every payload is (``__post_init__``);
         a hex field that is not a string fails inside ``Address.from_hex``.
+        ``recipient`` / ``sender``, when given, are the identities the
+        receiver supplies, read in place of their keys (which a link form
+        leaves out, and which are ignored if present).
         """
         try:
             data = raw.get("data", {})
             if type(data) is not dict:
                 raise TypeError("data must be an object")
             return cls(
-                sender=Address.from_hex(raw["sender"]),
-                recipient=Address.from_hex(raw["recipient"]),
+                sender=Address.from_hex(raw["sender"]) if sender is None else sender,
+                recipient=Address.from_hex(raw["recipient"]) if recipient is None else recipient,
                 operation=Opcode(raw["operation"]),
                 nonce=raw["nonce"],
                 reply_to=raw.get("reply_to"),

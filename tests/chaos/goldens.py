@@ -61,6 +61,15 @@ arrives sooner and a closed-loop client signs its next transaction at
 another moment.  No fault log moved and every oracle verdict still
 passes; ``specs`` and ``search`` are untouched.
 
+And once more, by the change that sends every message in its link form,
+without what its receiver supplies (the recipient, a null ``reply_to``
+and the ``ecdsa`` tag; a forward item without its recipient, a
+cross-shard inner transaction without its sender and recipient), from
+that change's own tree: the artifacts of the same 58 recoverable runs and
+9 of the 12 Byzantine runs (0, 3–6, 8–11) moved, because every message is
+~75–90 B shorter and so arrives sooner.  No fault log moved and every
+oracle verdict still passes; ``specs`` and ``search`` are untouched.
+
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
 rewrites nothing else; entries that did not move come out byte-identical.

@@ -206,9 +206,9 @@ def test_batched_burst_stays_within_the_encode_budget(monkeypatch):
         counts["signed"] += 1
         return create(cls, *args, **kwargs)
 
-    def counted_from_dict(cls, raw):
+    def counted_from_dict(cls, raw, *supplied):
         counts["parsed"] += 1
-        return from_dict(cls, raw)
+        return from_dict(cls, raw, *supplied)
 
     monkeypatch.setattr(
         canonical_json, "dumps", lambda value: counts.update(["encodes"]) or encode(value)

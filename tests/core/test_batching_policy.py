@@ -65,7 +65,7 @@ class _Endpoint:
         if operation is Opcode.TX_FORWARD:
             items = tuple(
                 envelope.payload.data["item"]
-                for envelope in ForwardBatch.from_data(data).envelopes()
+                for envelope in ForwardBatch.from_data(data).envelopes(_SIGNER.address)
             )
         else:
             assert operation is Opcode.TX_CONFIRM

@@ -6,7 +6,7 @@ from repro.client import BallotClient, BlockumulusClient, CasClient, FastMoneyCl
 from repro.client import deploy_contract_source
 from repro.core.stages import _PendingTransaction
 from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
-from repro.messages import Opcode
+from repro.messages import ForwardBatch, Opcode
 from tests.conftest import make_deployment
 
 
@@ -258,3 +258,39 @@ def test_a_confirmation_relayed_by_another_cell_does_not_verify(four_cell_deploy
     assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
     _send_confirmation(deployment, signer, honest, entry.envelope)
     assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
+
+
+def test_client_envelopes_relayed_in_another_cells_forward_are_rejected_and_run_nowhere():
+    """A forward item is read under the cell that forwards it.
+
+    Cell 2 wraps what cell 0 would forward — client envelopes addressed to
+    cell 0 — in a ``TX_FORWARD`` of its own: cell 1 reads them under cell 2,
+    their client signatures do not verify, and it confirms them rejected.
+    """
+    deployment = make_deployment(consortium_size=3, signature_scheme="sim")
+    origin, peer, relay = deployment.cells
+    client = BlockumulusClient(deployment)
+    assert client.service_cell is origin
+    envelopes = [
+        client.endpoint.sign(
+            origin.address, Opcode.TX_SUBMIT,
+            {"contract": "fastmoney", "method": "faucet", "args": {"amount": amount}},
+        )
+        for amount in (1, 2)
+    ]
+    answered = []
+    relay.service._accept_confirmations = (
+        lambda _src, _envelope, batch: answered.extend(batch.confirmations)
+    )
+    relay.endpoint.send(
+        peer.node_name, peer.address, Opcode.TX_FORWARD, ForwardBatch.of(envelopes).to_data()
+    )
+    deployment.run(until=deployment.env.now + deployment.config.forwarding_deadline + 1.0)
+    # Each is confirmed under the id of what cell 1 read: the payload
+    # addressed to cell 2, which nobody signed.
+    read = ForwardBatch.of(envelopes).envelopes(relay.address)
+    assert [(item.tx_id, item.status, item.error) for item in answered] == [
+        (envelope.payload.hash_hex(), "rejected", "client signature invalid") for envelope in read
+    ]
+    tx_ids = {envelope.payload.hash_hex() for envelope in envelopes + read}
+    assert not any(cell.ledger.contains(tx_id) for cell in deployment.cells for tx_id in tx_ids)

@@ -133,7 +133,11 @@ class RouteProbe:
         """A data field the route's parser accepts."""
         call = {"contract": "pay", "method": "transfer", "args": {"to": "0x" + "55" * 20, "amount": 1}}
         submission = self.envelope(Opcode.TX_SUBMIT, call)
-        inner = submission.to_wire()
+        # A cross-shard body nests the client's submission without the
+        # identities of the outer envelope (the same client, this cell); a
+        # forward item without its recipient, the forwarding peer.
+        inner = submission.to_link(with_sender=False)
+        forwarded = self.envelope(Opcode.TX_SUBMIT, call, recipient=self.peer.address)
         confirmation = Confirmation.create(
             self.peer.signer, tx_id="0x" + "11" * 32, contract="pay",
             fingerprint_hex=FINGERPRINT, status="executed", timestamp=0.0,
@@ -155,7 +159,7 @@ class RouteProbe:
                 xtx="0xfeed", phase="mint", group=0, transaction=inner,
                 target_group=1, target_contract="pay",
             ).to_data(),
-            Opcode.TX_FORWARD: ForwardBatch(transactions=(inner,)).to_data(),
+            Opcode.TX_FORWARD: ForwardBatch.of([forwarded]).to_data(),
             Opcode.TX_CONFIRM: ConfirmationBatch.of(
                 [LinkConfirmation.of(confirmation, submission)]
             ).to_data(),
@@ -178,6 +182,23 @@ class RouteProbe:
             Opcode.PING: {"probe": True},
             Opcode.PONG: {"node": self.peer.node_name},
         }[opcode]
+
+    def passing(self, opcode) -> dict:
+        """:meth:`well_formed`, made to pass the handler too where it must.
+
+        A confirmation is rebuilt from its receiver's own ledger entry: the
+        sample's transaction was never admitted here, so one is admitted
+        and confirmed (call this before taking :meth:`protocol_state`).
+        """
+        if opcode is not Opcode.TX_CONFIRM:
+            return self.well_formed(opcode)
+        submission = self.envelope(Opcode.TX_SUBMIT, {"contract": "pay", "method": "faucet"})
+        entry = self.cell.ledger.admit(submission, cycle=0)
+        confirmation = Confirmation.create(
+            self.peer.signer, tx_id=entry.tx_id, contract="pay",
+            fingerprint_hex=FINGERPRINT, status="executed", timestamp=0.0,
+        )
+        return ConfirmationBatch.of([LinkConfirmation.of(confirmation, submission)]).to_data()
 
     def send(self, envelope: Envelope) -> None:
         self.sharded.network.send("probe", self.cell.node_name, envelope, envelope.byte_size())
@@ -276,18 +297,7 @@ def test_the_well_formed_sample_from_its_sender_passes_ingress(opcode):
     """The control for the matrix below: each refusal there is the hostile
     change alone, not a sample the route would refuse anyway."""
     probe = RouteProbe()
-    data = probe.well_formed(opcode)
-    if opcode is Opcode.TX_CONFIRM:
-        # A confirmation is rebuilt from its receiver's own ledger entry:
-        # the sample's transaction was never admitted here, so confirm one
-        # that was.
-        submission = probe.envelope(Opcode.TX_SUBMIT, {"contract": "pay", "method": "faucet"})
-        entry = probe.cell.ledger.admit(submission, cycle=0)
-        confirmation = Confirmation.create(
-            probe.peer.signer, tx_id=entry.tx_id, contract="pay",
-            fingerprint_hex=FINGERPRINT, status="executed", timestamp=0.0,
-        )
-        data = ConfirmationBatch.of([LinkConfirmation.of(confirmation, submission)]).to_data()
+    data = probe.passing(opcode)
     probe.send(probe.envelope(opcode, data, signer=probe.entitled_signer(opcode)))
     probe.settle()
     assert probe.refusal_ticks() == {}
@@ -329,6 +339,42 @@ def test_a_sender_of_the_wrong_class_is_refused_on_every_route(opcode):
     assert_refused(
         probe, opcode, ROUTES[opcode].refusal.auth_counter, before, "authentication failed"
     )
+
+
+@pytest.mark.parametrize(
+    "opcode",
+    [opcode for opcode in ROUTED if ROUTES[opcode].sender is not Sender.CLIENT],
+    ids=lambda opcode: opcode.value,
+)
+def test_an_envelope_addressed_to_another_cell_is_refused_on_every_route(opcode):
+    """A message travels without its recipient and is read under the
+    receiver's address: one its entitled sender signed for a sibling cell,
+    relayed here, does not verify."""
+    probe = RouteProbe()
+    data = probe.passing(opcode)
+    before = probe.protocol_state()
+    probe.send(probe.envelope(
+        opcode, data, signer=probe.entitled_signer(opcode), recipient=probe.third.address
+    ))
+    probe.settle()
+    assert_refused(
+        probe, opcode, ROUTES[opcode].refusal.auth_counter, before, "authentication failed"
+    )
+
+
+def test_a_forward_item_unreadable_under_its_forwarder_refuses_the_whole_forward():
+    """Ingress parses the items' structure; the payload is read with the
+    forwarder's address, and one that cannot be refuses every item."""
+    probe = RouteProbe()
+    before = probe.protocol_state()
+    (good,) = probe.well_formed(Opcode.TX_FORWARD)["transactions"]
+    bad = {**good, "payload": {**good["payload"], "nonce": 7}}
+    probe.send(probe.envelope(
+        Opcode.TX_FORWARD, {"transactions": [good, bad]}, signer=probe.peer.signer
+    ))
+    probe.settle()
+    assert_refused(probe, Opcode.TX_FORWARD, ROUTES[Opcode.TX_FORWARD].refusal.malformed_counter,
+                   before)
 
 
 @pytest.mark.parametrize("shape", ["empty", "wrongly_typed"])

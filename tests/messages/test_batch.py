@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.keys import PrivateKey
 from repro.messages import BatchError, Envelope, ForwardBatch, Opcode
+from repro.messages.batch import ForwardedTransactions
 from repro.messages.signer import EcdsaSigner
 
 
@@ -30,7 +31,8 @@ def cell_signer():
 
 def test_forward_batch_round_trip_preserves_client_signatures(cell_signer):
     recipient = make_signer("batch-peer").address
-    originals = [client_envelope(i, recipient) for i in range(4)]
+    # The clients addressed the cell that forwards their transactions.
+    originals = [client_envelope(i, cell_signer.address) for i in range(4)]
     batch = ForwardBatch.of(originals)
 
     outer = Envelope.create(
@@ -48,16 +50,37 @@ def test_forward_batch_round_trip_preserves_client_signatures(cell_signer):
 
     parsed_batch = ForwardBatch.from_data(parsed_outer.data)
     assert len(parsed_batch) == 4
-    inner = parsed_batch.envelopes()
+    inner = parsed_batch.envelopes(parsed_outer.sender)
+    assert inner == ForwardedTransactions.from_data(parsed_outer.data).envelopes(
+        parsed_outer.sender
+    )
     for original, round_tripped in zip(originals, inner):
         assert round_tripped.verify()
+        assert round_tripped == original
         assert round_tripped.payload.hash_hex() == original.payload.hash_hex()
-        assert round_tripped.data == original.data
+
+
+def test_forward_items_leave_out_what_the_receiver_supplies(cell_signer):
+    item = client_envelope(0, cell_signer.address)
+    link = ForwardBatch.of([item]).transactions[0]
+    assert set(link) == {"payload", "signature"}
+    assert set(link["payload"]) == {"data", "nonce", "operation", "sender", "timestamp"}
+
+
+def test_a_forward_item_read_under_another_forwarder_fails_verification(cell_signer):
+    """A client envelope relayed by a cell it was not addressed to."""
+    batch = ForwardBatch.of([client_envelope(0, cell_signer.address)])
+    other = make_signer("batch-relay").address
+    (relayed,) = batch.envelopes(other)
+    assert relayed.recipient == other
+    assert not relayed.verify()
+    (forwarded,) = batch.envelopes(cell_signer.address)
+    assert forwarded.verify()
 
 
 def test_tampered_outer_batch_fails_verification(cell_signer):
     recipient = make_signer("batch-peer").address
-    batch = ForwardBatch.of([client_envelope(0, recipient)])
+    batch = ForwardBatch.of([client_envelope(0, cell_signer.address)])
     outer = Envelope.create(
         signer=cell_signer,
         recipient=recipient,
@@ -68,12 +91,13 @@ def test_tampered_outer_batch_fails_verification(cell_signer):
     )
     wire = outer.to_wire()
     wire["payload"]["data"]["transactions"].append(
-        client_envelope(9, recipient).to_wire()
+        client_envelope(9, cell_signer.address).to_link()
     )
     assert not Envelope.from_wire(wire).verify()
 
 
-def test_empty_and_malformed_batches_rejected():
+def test_empty_and_malformed_batches_rejected(cell_signer):
+    forwarder = cell_signer.address
     with pytest.raises(BatchError):
         ForwardBatch(transactions=())
     with pytest.raises(BatchError):
@@ -83,15 +107,27 @@ def test_empty_and_malformed_batches_rejected():
     with pytest.raises(BatchError):
         ForwardBatch.from_data({"transactions": ["not a wire object"]})
     with pytest.raises(BatchError):
-        ForwardBatch.from_data({"transactions": [{"payload": "garbage"}]}).envelopes()
+        ForwardBatch.from_data({"transactions": [{"payload": "garbage"}]}).envelopes(forwarder)
+    with pytest.raises(BatchError):
+        ForwardedTransactions.from_data({"transactions": [{"payload": "garbage"}]})
+
+
+
+def test_a_forward_item_that_names_another_recipient_is_still_read_under_its_forwarder(
+    cell_signer,
+):
+    forwarder = cell_signer.address
+    addressed = client_envelope(0, make_signer("batch-peer").address).to_wire()
+    for batch in (ForwardBatch, ForwardedTransactions):
+        (read,) = batch.from_data({"transactions": [addressed]}).envelopes(forwarder)
+        assert read.recipient == forwarder and not read.verify()
 
 
 def test_inner_envelope_with_bad_signature_hex_raises_batch_error(cell_signer):
-    recipient = make_signer("batch-peer").address
-    wire = client_envelope(0, recipient).to_wire()
+    wire = client_envelope(0, cell_signer.address).to_link()
     wire["signature"] = "0xzz"  # not hex: must surface as BatchError, not ValueError
     with pytest.raises(BatchError):
-        ForwardBatch.from_data({"transactions": [wire]}).envelopes()
+        ForwardBatch.from_data({"transactions": [wire]}).envelopes(cell_signer.address)
     wire["signature"] = 1234  # not even a string
     with pytest.raises(BatchError):
-        ForwardBatch.from_data({"transactions": [wire]}).envelopes()
+        ForwardBatch.from_data({"transactions": [wire]}).envelopes(cell_signer.address)

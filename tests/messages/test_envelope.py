@@ -151,9 +151,108 @@ def test_nonce_factory_produces_unique_nonces():
     assert len(nonces) == 100
 
 
-def test_byte_size_matches_wire_length():
+def test_byte_size_matches_link_length():
     envelope = make_envelope()
-    assert envelope.byte_size() == len(envelope.wire_bytes())
+    assert envelope.byte_size() == len(envelope.link_bytes())
+
+
+# ----------------------------------------------------------------------
+# The link form: the envelope minus what its receiver supplies
+# ----------------------------------------------------------------------
+OTHER_CELL = PrivateKey.from_seed("envelope-other-cell").address
+
+
+def link_samples():
+    for signer in (SIGNER, SimulatedSigner("link-sim")):
+        for reply_to in (None, "0xabcd"):
+            yield Envelope.create(
+                signer=signer, recipient=RECIPIENT, operation=Opcode.TX_RECEIPT,
+                data={"receipt": {"cycle": 0}}, timestamp=2.5, nonce="0x99", reply_to=reply_to,
+            )
+
+
+@pytest.mark.parametrize("envelope", list(link_samples()), ids=["ecdsa", "ecdsa-reply", "sim", "sim-reply"])
+def test_the_link_form_round_trips_under_its_recipient(envelope):
+    assert envelope.link_bytes() == canonical_json.dump_bytes(envelope.to_link())
+    assert envelope.byte_size() == len(envelope.link_bytes())
+    for raw in (envelope.link_bytes(), envelope.link_bytes().decode(), envelope.to_link()):
+        restored = Envelope.from_link(raw, RECIPIENT)
+        assert restored == envelope and restored.verify()
+        assert restored.link_bytes() == envelope.link_bytes()
+        assert restored.wire_bytes() == envelope.wire_bytes()
+    under_another = Envelope.from_link(envelope.link_bytes(), OTHER_CELL)
+    assert under_another.recipient == OTHER_CELL and not under_another.verify()
+
+
+def test_the_link_form_leaves_out_the_recipient_a_null_reply_to_and_the_ecdsa_tag():
+    envelope = make_envelope()
+    link = envelope.link_bytes()
+    for left_out in (b'"recipient"', RECIPIENT.hex().encode(), b'"reply_to"', b'"scheme"'):
+        assert left_out not in link
+    # 57 B of recipient, 16 B of null reply_to, 17 B of scheme tag.
+    assert len(envelope.wire_bytes()) - len(link) == 57 + 16 + 17
+    # What is not the receiver's to supply still travels.
+    assert b'"scheme":"sim"' in make_envelope(signer=SimulatedSigner("link-sim")).link_bytes()
+    replied = Envelope.create(SIGNER, RECIPIENT, Opcode.TX_ERROR, {}, 1.0, "0x1", reply_to="0x2")
+    assert b'"reply_to":"0x2"' in replied.link_bytes()
+    # The signed bytes are the payload's canonical bytes, as before.
+    assert envelope.payload.canonical_bytes() == canonical_json.dump_bytes(
+        envelope.payload.to_dict()
+    )
+
+
+def test_a_nested_link_form_may_leave_out_its_sender_too():
+    envelope = make_envelope()
+    nested = envelope.to_link(with_sender=False)
+    assert set(nested["payload"]) == {"data", "nonce", "operation", "timestamp"}
+    restored = Envelope.from_link(nested, RECIPIENT, SIGNER.address)
+    assert restored == envelope and restored.verify()
+    assert not Envelope.from_link(nested, RECIPIENT, OTHER_CELL).verify()
+    with pytest.raises(EnvelopeError):
+        Envelope.from_link(nested, RECIPIENT)  # nobody supplies the sender
+
+
+def hostile_link(replacement: str) -> bytes:
+    link = make_envelope(signer=SimulatedSigner("hostile-bytes")).link_bytes().decode()
+    return link.replace('"amount":1', '"amount":' + replacement).encode()
+
+
+@pytest.mark.parametrize("raw", [
+    b"", b"not json", b"[]", b'"text"', b"{}",
+    b'{"payload":"garbage","signature":"0x' + b"00" * 65 + b'"}',
+    b'{"payload":{},"signature":"0x' + b"00" * 65 + b'"}',
+    b'{"payload":{"data":{}},"signature":"0x00"}',
+    hostile_link("NaN"), hostile_link("[" * 2_000 + "]" * 2_000), b"[" * 100_000,
+], ids=lambda raw: raw[:24].decode(errors="replace"))
+def test_malformed_link_bytes_raise_envelope_error(raw):
+    with pytest.raises(EnvelopeError, match="malformed"):
+        Envelope.from_link(raw, RECIPIENT)
+
+
+def test_what_a_receiver_supplies_wins_over_what_a_link_form_carries():
+    """Undeclared keys are ignored, as by every parser of the wire module."""
+    envelope = make_envelope()
+    assert Envelope.from_link(envelope.wire_bytes(), RECIPIENT) == envelope
+    relayed = Envelope.from_link(envelope.wire_bytes(), OTHER_CELL)
+    assert relayed.recipient == OTHER_CELL and not relayed.verify()
+    forged = Envelope.from_link(envelope.to_link(), RECIPIENT, OTHER_CELL)
+    assert forged.sender == OTHER_CELL and not forged.verify()
+
+
+def test_from_link_refuses_bytes_beyond_the_documented_size(monkeypatch):
+    good = make_envelope().link_bytes()
+    monkeypatch.setattr("repro.messages.envelope.MAX_WIRE_BYTES", len(good))
+    assert Envelope.from_link(good, RECIPIENT).verify()
+    with pytest.raises(EnvelopeError, match=f"larger than {len(good)} bytes"):
+        Envelope.from_link(good + b" ", RECIPIENT)
+
+
+def test_from_link_accepts_nesting_up_to_the_documented_depth():
+    depth = MAX_WIRE_DEPTH - 4
+    parsed = Envelope.from_link(hostile_link("[" * depth + "]" * depth), RECIPIENT)
+    assert parsed.verify() is False
+    with pytest.raises(EnvelopeError, match="malformed"):
+        Envelope.from_link(hostile_link("[" * (depth + 1) + "]" * (depth + 1)), RECIPIENT)
 
 
 def test_unknown_scheme_tag_is_sized_like_a_full_encode_and_never_verifies():
@@ -162,7 +261,8 @@ def test_unknown_scheme_tag_is_sized_like_a_full_encode_and_never_verifies():
     wire["scheme"] = 'rsa"\u00e9'
     odd = Envelope.from_wire(wire)
     assert odd.wire_bytes() == canonical_json.dump_bytes(odd.to_wire())
-    assert odd.byte_size() == len(odd.wire_bytes())
+    assert odd.link_bytes() == canonical_json.dump_bytes(odd.to_link())
+    assert odd.byte_size() == len(odd.link_bytes())
     assert not odd.verify()
     wire["scheme"] = ["ecdsa"]
     with pytest.raises(EnvelopeError):

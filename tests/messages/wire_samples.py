@@ -48,6 +48,18 @@ file — the ``TX_RECEIPT``, ``XSHARD_VOTE/receipt`` and
 ``XSHARD_VOUCHER/minted`` / ``/redeemed`` replies and
 ``bodies.CrossShardVote/reply`` — and a script comparison showed every
 other entry, ``bodies.AggregatedReceipt`` included, byte-identical.
+
+A fourth: a nested client envelope travels in its link form, without what
+its receiver supplies — the recipient, a null ``reply_to`` and the
+``ecdsa`` tag; a ``TX_FORWARD`` item keeps its sender (the outer one is the
+forwarding cell), a cross-shard body's ``transaction`` leaves it out too
+(the outer one is the same client).  Only the entries that embed one were
+re-recorded, from this file — ``bodies.ForwardBatch``,
+``bodies.CrossShardPrepare``, ``bodies.CrossShardDecision`` and
+``bodies.CrossShardVoucherTransfer/mint`` / ``/redeem`` — and a script
+comparison showed every other entry, ``bodies.SyncState``,
+``replies.LEDGER_RESPONSE`` and ``bodies.AggregatedReceipt`` included,
+byte-identical.
 """
 
 import json
@@ -168,7 +180,10 @@ def build():
         completed_at=3.5,
     )
     compact = CompactReceipt.of(served, called, signer.scheme, 3.5)
-    shape = dict(xtx="0xa1", group=0, participants=(0, 1), transaction=inner.to_wire())
+    # A cross-shard body nests its inner transaction without the identities
+    # of the outer envelope, which has the same ones.
+    nested = inner.to_link(with_sender=False)
+    shape = dict(xtx="0xa1", group=0, participants=(0, 1), transaction=nested)
     bodies = {
         "ExclusionProposal": ExclusionProposal(peer, 3, "missed deadlines").to_data(),
         "ExclusionVote": vote.to_data(),
@@ -188,11 +203,11 @@ def build():
             decision="commit", votes=(xvote,), **shape
         ).to_data(),
         "CrossShardVoucherTransfer/mint": CrossShardVoucherTransfer(
-            xtx="0xa1", phase="mint", group=0, transaction=inner.to_wire(),
+            xtx="0xa1", phase="mint", group=0, transaction=nested,
             target_group=1, target_contract="pay@1",
         ).to_data(),
         "CrossShardVoucherTransfer/redeem": CrossShardVoucherTransfer(
-            xtx="0xa1", phase="redeem", group=1, transaction=inner.to_wire(),
+            xtx="0xa1", phase="redeem", group=1, transaction=nested,
             voucher=voucher.to_wire(),
         ).to_data(),
         "ConfirmationBatch": ConfirmationBatch.of([

@@ -135,7 +135,8 @@ def test_carried_bytes_equal_a_fresh_encoding_and_survive_the_wire(data, timesta
     fresh = canonical_json.dump_bytes(payload.to_dict())
     assert payload.canonical_bytes() == fresh
     assert envelope.wire_bytes() == canonical_json.dump_bytes(envelope.to_wire())
-    assert envelope.byte_size() == len(envelope.wire_bytes())
+    assert envelope.link_bytes() == canonical_json.dump_bytes(envelope.to_link())
+    assert envelope.byte_size() == len(envelope.link_bytes())
     # Taking the id lets the bytes go; asking again gives the same ones.
     tx_id = payload.hash_hex()
     assert payload.canonical_bytes() == fresh and payload.hash_hex() == tx_id
@@ -189,7 +190,7 @@ def test_rebuilt_envelope_with_altered_data_fails_verification():
     ):
         assert not forged.verify()
         assert forged.payload.hash_hex() != tx_id
-        assert forged.byte_size() == len(canonical_json.dump_bytes(forged.to_wire()))
+        assert forged.byte_size() == len(canonical_json.dump_bytes(forged.to_link()))
     # The original is untouched by the forgeries built from it.
     assert envelope.verify() and envelope.payload.hash_hex() == tx_id
 

@@ -33,6 +33,7 @@ from repro.core.replies import VoucherReply
 from repro.core.routes import REPLIES, ROUTES
 from repro.core.snapshot import DataSnapshot, SnapshotError
 from repro.crypto.keys import Address
+from repro.encoding import canonical_json
 from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch, ForwardedTransactions
 from repro.messages.envelope import EnvelopeError
@@ -264,7 +265,7 @@ RULES = {
     ConfirmationBatch: _at_least_one("confirmations"),
     AggregatedReceipt: lambda _body, kwargs, _draw: kwargs.update(status="executed"),
     ForwardBatch: _at_least_one("transactions"),
-    ForwardedTransactions: _at_least_one("client_envelopes"),
+    ForwardedTransactions: _at_least_one("transactions"),
 }
 
 
@@ -408,6 +409,79 @@ def test_arbitrary_bytes_are_an_envelope_or_refused_and_an_accepted_one_can_veri
     # What was accepted off the socket never raises later, in a cell.
     assert parsed.verify() in (True, False)
     assert parsed.byte_size() > 0
+
+
+# ----------------------------------------------------------------------
+# The link form: an envelope minus what its receiver supplies
+# ----------------------------------------------------------------------
+ECDSA_SIGNER = EcdsaSigner.from_seed("property-wire-ecdsa")
+addresses = st.binary(min_size=20, max_size=20).map(Address)
+
+
+@st.composite
+def addressed_envelopes(draw):
+    return Envelope.create(
+        signer=draw(st.sampled_from([SIGNER, ECDSA_SIGNER])), recipient=draw(addresses),
+        operation=draw(st.sampled_from(list(Opcode))), data=draw(objects),
+        timestamp=draw(ATOMS["seconds"]), nonce=draw(ids.filter(bool)),
+        reply_to=draw(st.none() | st.text(max_size=12)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(envelope=addressed_envelopes(), other=addresses)
+def test_the_link_form_round_trips_under_its_recipient_and_verifies_only_there(envelope, other):
+    link = envelope.link_bytes()
+    assert envelope.byte_size() == len(link)
+    assert link == canonical_json.dump_bytes(envelope.to_link())
+    assert envelope.recipient.hex().encode() not in link
+    assert b'"reply_to":null' not in link and b'"scheme":"ecdsa"' not in link
+    restored = Envelope.from_link(link, envelope.recipient)
+    assert restored == envelope and restored.verify()
+    assert restored.payload.canonical_bytes() == envelope.payload.canonical_bytes()
+    if other != envelope.recipient:
+        assert not Envelope.from_link(link, other).verify()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_arbitrary_link_bytes_are_an_envelope_or_refused_and_an_accepted_one_can_verify(data):
+    good = data.draw(envelopes()).link_bytes()
+    raw = data.draw(
+        st.binary(max_size=64)
+        | hostile_fragments.map(
+            lambda text: good.replace(b'"amount":', b'"amount":' + text.encode() + b',"was":')
+        )
+        | st.tuples(st.integers(0, len(good)), st.binary(max_size=4)).map(
+            lambda cut: good[: cut[0]] + cut[1] + good[cut[0]:]
+        )
+    )
+    try:
+        parsed = Envelope.from_link(raw, SIGNER.address)
+    except EnvelopeError:
+        return
+    assert parsed.verify() in (True, False)
+    assert parsed.byte_size() > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), other=addresses)
+def test_a_nested_envelope_rebuilt_under_the_wrong_outer_identity_fails(data, other):
+    """A forward item under another forwarder, an xshard inner transaction
+    under another coordinator or gateway."""
+    inner = data.draw(addressed_envelopes())
+    forwarder = inner.recipient
+    (forwarded,) = ForwardedTransactions.from_data(
+        ForwardBatch.of([inner]).to_data()
+    ).envelopes(forwarder)
+    assert forwarded == inner and forwarded.verify()
+    nested = inner.to_link(with_sender=False)
+    assert Envelope.from_link(nested, inner.recipient, inner.sender).verify()
+    if other not in (inner.recipient, inner.sender):
+        (relayed,) = ForwardBatch.of([inner]).envelopes(other)
+        assert not relayed.verify()
+        assert not Envelope.from_link(nested, other, inner.sender).verify()
+        assert not Envelope.from_link(nested, inner.recipient, other).verify()
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,11 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 TOOL = REPO_ROOT / "tools" / "drive_calls.py"
 
+#: A ratchet: the bytes per cell<->cell message outside its data field
+#: (envelope header, signature, framing) on the smoke ``xshard_burst``,
+#: 379.99 B once messages travel in their link form, rounded up to 10 B.
+CELL_LINK_BYTES_OUTSIDE_DATA = 380
+
 
 def _counted(*arguments: str) -> dict[str, int]:
     """workload -> python_calls, as one invocation of the tool printed them."""
@@ -89,11 +94,15 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
         header,
     ).groups())
     assert total == network > 0
-    links, split = {}, {}
+    links, split, outside = {}, {}, {}
     for row in rows:
         link = re.fullmatch(r"  (\S+) +(\d+\.\d) B/tx +\d+\.\d{3} msgs/tx", row)
         if link:
             current = links[link[1]] = [float(link[2]), 0.0]
+            continue
+        data = re.fullmatch(r"      +(\d+\.\d) B/msg of data +(\d+\.\d) B/msg outside data", row)
+        if data:
+            outside[(link_name, opcode_name)] = (opcode_row, float(data[1]), float(data[2]))
             continue
         items = re.fullmatch(
             r"      +(\d+\.\d\d) (item|receipt)s/msg +(\d+\.\d) B/\2 +(\d+\.\d) B/msg"
@@ -127,3 +136,14 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
         assert per_item > 0 and besides > 0
         rebuilt = messages * (per_message * per_item + besides)
         assert rebuilt == pytest.approx(opcode_bytes, rel=0.01)
+    # Every opcode splits into its data field and the rest, which add up.
+    assert len(outside) == sum(row.startswith("    ") and not row.startswith("     ")
+                               for row in rows)
+    for (opcode_bytes, messages), data_bytes, besides in outside.values():
+        assert data_bytes > 0 and besides > 0
+        assert messages * (data_bytes + besides) == pytest.approx(opcode_bytes, rel=0.01)
+    cell_link = [row for (link, _), row in outside.items() if link == "cell<->cell"]
+    per_message = sum(messages * besides for (_, messages), _, besides in cell_link) / sum(
+        messages for (_, messages), _, _ in cell_link
+    )
+    assert per_message <= CELL_LINK_BYTES_OUTSIDE_DATA

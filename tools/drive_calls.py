@@ -39,6 +39,10 @@ into its items and the rest: items per message, canonical-JSON bytes per
 item, and the bytes per message that are not items (envelope, signature,
 network framing).  The replies that can carry a receipt (``tx_receipt``,
 ``xshard_vote``, ``xshard_voucher``) get the same line for their receipts.
+Every opcode also gets a line that splits a message into its data field
+(canonical-JSON bytes of ``D``) and the rest: the envelope header, the
+signature and the network framing, which are what a change to the envelope
+itself moves.
 """
 
 from __future__ import annotations
@@ -153,8 +157,8 @@ def sample_drive(
     return samples, cpu_seconds, dict(inclusive), dict(own)
 
 
-#: (link, opcode) -> [bytes, messages, items, item bytes]; the link is
-#: "client<->cell" or "cell<->cell".
+#: (link, opcode) -> [bytes, messages, items, item bytes, data bytes]; the
+#: link is "client<->cell" or "cell<->cell".
 Traffic = dict[tuple[str, str], list[int]]
 
 #: The opcodes whose data field carries items worth sizing apart: the key
@@ -170,7 +174,7 @@ def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, 
     from repro.encoding.canonical_json import dump_bytes
     from repro.messages.endpoint import Endpoint
 
-    #: (source node, destination node, opcode) -> [bytes, messages, items, item bytes]
+    #: (source node, destination node, opcode) -> [bytes, messages, items, item bytes, data bytes]
     sent: dict[tuple[str, str, str], list[int]] = {}
     post = Endpoint.post
 
@@ -178,9 +182,10 @@ def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, 
         delivered = post(endpoint, dst_node, envelope)
         if delivered:
             opcode = envelope.operation.value
-            tally = sent.setdefault((endpoint.node_name, dst_node, opcode), [0, 0, 0, 0])
+            tally = sent.setdefault((endpoint.node_name, dst_node, opcode), [0, 0, 0, 0, 0])
             tally[0] += endpoint.network.wire_size(envelope.byte_size())
             tally[1] += 1
+            tally[4] += len(dump_bytes(envelope.data))
             key = CARRIED.get(opcode)
             carried = None if key is None else envelope.data.get(key)
             if carried is not None:
@@ -202,7 +207,7 @@ def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, 
     traffic: Traffic = {}
     for (src, dst, opcode), counts in sent.items():
         link = "cell<->cell" if src in cells and dst in cells else "client<->cell"
-        tally = traffic.setdefault((link, opcode), [0, 0, 0, 0])
+        tally = traffic.setdefault((link, opcode), [0, 0, 0, 0, 0])
         for index, count in enumerate(counts):
             tally[index] += count
     return observed.attempted, observed.wire_bytes, traffic
@@ -221,9 +226,11 @@ def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
         size = sum(counts[0] for counts, _ in rows)
         count = sum(counts[1] for counts, _ in rows)
         print(f"  {link:<22}{size / attempted:>10.1f} B/tx  {count / attempted:>7.3f} msgs/tx")
-        for (size, count, items, item_bytes), opcode in rows:
+        for (size, count, items, item_bytes, data_bytes), opcode in rows:
             print(f"    {opcode:<20}{size / attempted:>10.1f} B/tx"
                   f"  {count / attempted:>7.3f} msgs/tx")
+            print(f"      {data_bytes / count:>7.1f} B/msg of data"
+                  f"  {(size - data_bytes) / count:>7.1f} B/msg outside data")
             if items:
                 item = "receipt" if CARRIED[opcode] == "receipt" else "item"
                 print(f"      {items / count:>7.2f} {item}s/msg  {item_bytes / items:>7.1f} B/{item}"
