@@ -58,5 +58,6 @@ def test_fig10_throughput(benchmark):
     for cells in CONSORTIUM_SIZES:
         assert throughput[(cells, largest)] > throughput[(cells, bursts[0])]
     # The projected 20k-burst completes within the same order of magnitude as
-    # the paper's 26 s (exact at scale 1.0; see EXPERIMENTS.md).
+    # the paper's 26 s (docs/BENCHMARKS.md, "Fig. 10: the projected
+    # 20,000-transfer burst", has the direct run at scale 1.0).
     assert best_projection < 60.0

@@ -12,7 +12,8 @@ from repro.sim import fast_test_service_model
 from _harness import azure_deployment, write_output
 
 #: Paper USD column (which is internally inconsistent with its own gas
-#: column at 22 gwei / $733; documented in EXPERIMENTS.md).
+#: column at 22 gwei / $733; see docs/BENCHMARKS.md, "Table III: the
+#: paper's USD column").
 PAPER_USD_10MIN = 218.08
 
 

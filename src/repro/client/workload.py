@@ -177,7 +177,7 @@ class WorkloadReport:
         )
 
     def summary(self) -> dict[str, Any]:
-        """Headline numbers for EXPERIMENTS.md and the benchmark output.
+        """Headline numbers for the benchmark output (docs/BENCHMARKS.md).
 
         The keys are the same for every workload and group count (the
         ``cross_shard_*`` counts are 0 on one group); only

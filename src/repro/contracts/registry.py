@@ -98,10 +98,6 @@ class ContractRegistry:
             if include_excluded or name not in self._excluded
         }
 
-    def export_all(self) -> dict[str, dict[str, Any]]:
-        """Full state export of every contract (auditor snapshot download)."""
-        return {name: contract.export_state() for name, contract in self._contracts.items()}
-
     def export_all_lazy(self) -> dict[str, Any]:
         """O(1) copy-on-write export handles for every contract.
 

@@ -182,11 +182,6 @@ class StateExport:
         """Whether the frozen dict has been built already."""
         return self._frozen is not None
 
-    @property
-    def dirty_key_count(self) -> int:
-        """Keys written since the export was taken (0 once materialized)."""
-        return len(self._overlay)
-
     def materialize(self) -> dict[str, Any]:
         """Build (once) and return the frozen export dict."""
         if self._frozen is not None:

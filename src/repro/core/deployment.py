@@ -28,7 +28,7 @@ from ..ethchain.contracts.snapshot_registry import SnapshotRegistry
 from ..ethchain.gas import FeeSchedule
 from ..ethchain.node import EthereumNode
 from ..ethchain.provider import Web3Provider
-from ..messages.signer import EcdsaSigner, Signer, SimulatedSigner
+from ..messages.signer import EcdsaSigner, Signer, SimulatedSigner, register_consortium_keys
 from ..sim.environment import Environment
 from ..sim.events import Process
 from ..sim.metrics import MetricsRegistry
@@ -105,6 +105,9 @@ class BlockumulusDeployment:
             self._make_signer(f"{self.config.deployment_id}/cell-{index}")
             for index in range(total_cells)
         ]
+        # Peers are known in advance: their signatures are checked against
+        # their keys, which deriving the addresses below has just computed.
+        register_consortium_keys(self.cell_signers)
         self.cell_eth_keys: list[PrivateKey] = [
             PrivateKey.from_seed(f"{self.config.deployment_id}/cell-eth-{index}")
             for index in range(total_cells)

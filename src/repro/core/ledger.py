@@ -149,10 +149,6 @@ class TransactionLedger:
     # ------------------------------------------------------------------
     # Audit support
     # ------------------------------------------------------------------
-    def entries_for_cycle(self, cycle: int) -> list[LedgerEntry]:
-        """All entries admitted during ``cycle``, in order."""
-        return [entry for entry in self._entries if entry.cycle == cycle]
-
     def cycle_execution_fingerprint(self, cycle: int) -> str:
         """One digest over everything execution decided for ``cycle``.
 

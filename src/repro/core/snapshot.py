@@ -119,13 +119,6 @@ class DataSnapshot:
         """0x-prefixed snapshot fingerprint."""
         return "0x" + self.fingerprint.hex()
 
-    def contract_fingerprint_hex(self, name: str) -> str:
-        """0x-prefixed fingerprint of one contract inside the snapshot."""
-        try:
-            return "0x" + self.contract_fingerprints[name].hex()
-        except KeyError:
-            raise SnapshotError(f"contract {name!r} is not part of this snapshot") from None
-
     def to_wire(self, include_state: bool = True) -> dict[str, Any]:
         """JSON-serializable form (auditor download)."""
         payload: dict[str, Any] = {

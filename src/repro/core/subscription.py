@@ -131,10 +131,6 @@ class SubscriptionManager:
             if subscription.is_active
         ]
 
-    def total_revenue(self, now: float) -> float:
-        """Total billing across all subscriptions."""
-        return sum(sub.bill(now) for sub in self._subscriptions.values())
-
     def _require(self, client: Address) -> Subscription:
         try:
             return self._subscriptions[client]

@@ -24,7 +24,9 @@ from .secp256k1 import (
     N,
     P,
     Point,
+    Table,
     double_scalar_multiply,
+    known_key_multiply,
     recover_y,
     scalar_multiply,
 )
@@ -139,6 +141,31 @@ def verify_hash(public_key: Point, message_hash: bytes, signature: Signature) ->
     if point.is_infinity():
         return False
     return point.x % N == signature.r
+
+
+def recovers_to(table: Table, message_hash: bytes, signature: Signature) -> bool:
+    """Whether ``recover_public_key(message_hash, signature)`` returns the key
+    whose :func:`~repro.crypto.secp256k1.known_key_table` is ``table``.
+
+    Recovery returns ``Q`` exactly when ``R = (r, y)`` with ``y & 1 == v`` is
+    a curve point and ``r^-1 (s*R - z*G) = Q``, that is ``R = u1*G + u2*Q``
+    with ``u1 = z/s`` and ``u2 = r/s``.  So the check computes ``R' = u1*G +
+    u2*Q`` from the key's table and accepts iff ``R'`` is finite, ``R'.x ==
+    r`` (not ``mod N``) and ``R'.y & 1 == v``: the same verdict without the
+    square root and the doublings of a recovery.  :func:`verify_hash` is
+    not this check: it ignores ``v`` and compares ``x mod N``, so it accepts
+    ``(r, s, v ^ 1)``, which recovery maps to another key.
+    """
+    if len(message_hash) != 32:
+        raise SignatureError("message hash must be exactly 32 bytes")
+    s_inv = pow(signature.s, -1, N)
+    z = int.from_bytes(message_hash, "big")
+    point = known_key_multiply(z * s_inv, signature.r * s_inv, table)
+    return (
+        not point.is_infinity()
+        and point.x == signature.r
+        and point.y & 1 == signature.v
+    )
 
 
 def verify_message(public_key: Point, message: bytes, signature: Signature) -> bool:

@@ -7,9 +7,10 @@ library exposes SHA3 but not legacy Keccak, so this module implements the
 Keccak-f[1600] permutation and the sponge construction from scratch.
 
 Every signed message and every address in the real-ECDSA configuration
-passes through this sponge once per process (it is somewhat more than half
-of such a transaction's CPU -- ~33 permutations -- the curve arithmetic the
-rest), so the permutation is written out lane by lane and blocks are
+passes through this sponge once per process (a large share of such a
+transaction's CPU, the curve arithmetic most of the rest; docs/BENCHMARKS.md,
+"What a real-ECDSA transaction costs now", has the measured split), so the
+permutation is written out lane by lane and blocks are
 absorbed 17 lanes at a time: ~0.18 ms per permutation, 0.53 ms for a
 400-byte message, 2.7x faster than the specification's loops over lane
 tables, which are kept as the oracle in ``tests/crypto/test_keccak.py``.

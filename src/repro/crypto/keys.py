@@ -12,10 +12,18 @@ import secrets  # lint: disable=DET001 — entropy is quarantined in PrivateKey.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ecdsa import Signature, recover_public_key, sign_hash, verify_hash
+from .ecdsa import Signature, recover_public_key, recovers_to, sign_hash, verify_hash
 from .keccak import keccak256
 from .memo import BoundedMemo
-from .secp256k1 import GENERATOR, N, Point, decode_point, scalar_multiply
+from .secp256k1 import (
+    GENERATOR,
+    N,
+    Point,
+    Table,
+    decode_point,
+    known_key_table,
+    scalar_multiply,
+)
 
 
 class AddressError(ValueError):
@@ -150,6 +158,21 @@ class PublicKey:
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Verify an ECDSA signature over keccak256(message)."""
         return verify_hash(self.point, message_digest(message), signature)
+
+    def is_recovered_from(self, message: bytes, signature: Signature) -> bool:
+        """Whether recovering the signer of ``(message, signature)`` gives this key.
+
+        The verdict of recover-and-compare (:func:`~.ecdsa.recovers_to`) at
+        well under half its cost once this instance's table is built.
+        The table (0.12 MiB) is built at the instance's first check and
+        kept with it, so only a key that is checked again and again should
+        be asked: the build costs as much as a few recoveries.
+        """
+        return recovers_to(self._table, message_digest(message), signature)
+
+    @cached_property
+    def _table(self) -> Table:
+        return known_key_table(self.point)
 
 
 class PrivateKey:

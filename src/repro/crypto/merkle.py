@@ -116,10 +116,6 @@ class MerkleTree:
         """The 32-byte Merkle root (empty-tree root for no leaves)."""
         return self._levels[-1][0]
 
-    def root_hex(self) -> str:
-        """The root as 0x-prefixed hex."""
-        return "0x" + self.root.hex()
-
     def __len__(self) -> int:
         return len(self._leaves)
 

@@ -168,6 +168,9 @@ _WINDOW = 6
 #: Windows that cover a scalar below ``2**256`` plus the carry out of the top.
 _WINDOWS = -(-257 // _WINDOW)
 
+#: A fixed-base table: rows of affine ``(x, y)`` multiples, see :func:`fixed_base_table`.
+Table = tuple[tuple[tuple[int, int], ...], ...]
+
 
 def _affine_add_each(
     points: list[tuple[int, int]], addends: list[tuple[int, int]]
@@ -186,9 +189,33 @@ def _affine_add_each(
     return sums
 
 
+def fixed_base_table(point: Point, windows: int = _WINDOWS) -> Table:
+    """The fixed-base table of a finite ``point``: row ``i`` holds ``j * 2**(6i) * point``.
+
+    ``j`` runs over 1..32, so a scalar below ``2**(6 * windows - 1)`` is a
+    walk over ``windows`` signed 6-bit digits (:func:`_walk_table`): at most
+    one mixed addition per row and no doubling.
+
+    One Jacobian doubling chain to ``2**(6 * (windows - 1) + 1) * point``
+    gives every row's ``1x`` and ``2x`` entry, then the rows grow side by
+    side, ``(j+1)x = jx + 1x`` in affine form with one inversion per step
+    shared by all rows (no ``jx`` is ``+-1x``: every finite point has the
+    prime order ``N``).
+    """
+    chain = [(point.x, point.y, 1)]
+    for _ in range(_WINDOW * (windows - 1) + 1):
+        chain.append(_jacobian_double(*chain[-1]))
+    affine = _to_affine(chain)
+    bases = affine[0::_WINDOW]
+    columns = [bases, affine[1::_WINDOW]]
+    while len(columns) < 1 << (_WINDOW - 1):
+        columns.append(_affine_add_each(columns[-1], bases))
+    return tuple(zip(*columns))
+
+
 @cache
-def _generator_table() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The fixed-base table: row ``i`` holds ``j * 2**(6i) * G`` for ``j`` in 1..32.
+def _generator_table() -> Table:
+    """The generator's :func:`fixed_base_table`, 43 rows for every scalar below ``2**256``.
 
     A scalar is cut into 43 signed 6-bit windows (digits in -31..32; a digit
     above 32 borrows from the next window, and the top window, which holds
@@ -198,23 +225,43 @@ def _generator_table() -> tuple[tuple[tuple[int, int], ...], ...]:
     derivation and the ``u1 * G`` half of every recovery uses it.
 
     It is built on first use, not at import, and kept for the life of the
-    process: one Jacobian doubling chain to ``2**253 * G`` gives every row's
-    ``1x`` and ``2x`` entry, then the rows grow side by side, ``(j+1)x = jx +
-    1x`` in affine form with one inversion per step shared by all rows.  That
-    is 6 ms and 0.24 MiB for 1,376 points.  Widths 4..8 were measured
+    process: 6 ms and 0.24 MiB for 1,376 points.  Widths 4..8 were measured
     (docs/BENCHMARKS.md): 5 is 0.27 ms per multiplication for a 4 ms build,
     7 is 0.20 ms for 9.7 ms and 0.42 MiB, which ~125 multiplications earn
     back -- more than a small test process performs.
     """
-    chain = [(GX, GY, 1)]
-    for _ in range(_WINDOW * (_WINDOWS - 1) + 1):
-        chain.append(_jacobian_double(*chain[-1]))
-    affine = _to_affine(chain)
-    bases = affine[0::_WINDOW]
-    columns = [bases, affine[1::_WINDOW]]
-    while len(columns) < 1 << (_WINDOW - 1):
-        columns.append(_affine_add_each(columns[-1], bases))
-    return tuple(zip(*columns))
+    return fixed_base_table(GENERATOR)
+
+
+def _walk_table(
+    x: int, y: int, z: int, scalar: int, table: Table, beta: int = 1
+) -> tuple[int, int, int]:
+    """Add ``scalar`` times the table's point to the Jacobian ``(x, y, z)``.
+
+    A negative ``scalar`` adds the negated multiples.  With ``beta = BETA``
+    every entry is read as its image under the endomorphism, so the walk
+    adds ``scalar * LAMBDA`` times the table's point.  The scalar must fit
+    the table: below ``2**(6 * len(table) - 1)`` in magnitude.
+    """
+    full = 1 << _WINDOW
+    negate = scalar < 0
+    scalar = abs(scalar)
+    for row in table:
+        if not scalar:
+            break
+        digit = scalar & (full - 1)
+        scalar >>= _WINDOW
+        if digit > full >> 1:
+            digit -= full
+            scalar += 1
+        if digit:
+            px, py = row[abs(digit) - 1]
+            if (digit < 0) != negate:
+                py = P - py
+            if beta != 1:
+                px = (px * beta) % P
+            x, y, z = _jacobian_add_affine(x, y, z, px, py)
+    return x, y, z
 
 
 #: The curve's efficient endomorphism: ``LAMBDA * (x, y) = (BETA * x, y)``,
@@ -277,16 +324,38 @@ def double_scalar_multiply(u1: int, u2: int, point: Point) -> Point:
         for _ in range(height):
             x, y, z = _jacobian_double(x, y, z)
     if u1:
-        full = 1 << _WINDOW
-        for row in _generator_table():
-            digit = u1 & (full - 1)
-            u1 >>= _WINDOW
-            if digit > full >> 1:
-                digit -= full
-                u1 += 1
-            if digit:
-                px, py = row[abs(digit) - 1]
-                x, y, z = _jacobian_add_affine(x, y, z, px, py if digit > 0 else P - py)
+        x, y, z = _walk_table(x, y, z, u1, _generator_table())
+    if z == 0:
+        return INFINITY
+    return Point(*_to_affine([(x, y, z)])[0])
+
+
+#: Rows of a known key's table (:func:`known_key_table`): ``6 * 22 - 1``
+#: bits hold either half of a split scalar, which is below ``2**128``.
+_HALF_WINDOWS = -(-129 // _WINDOW)
+
+
+def known_key_table(point: Point) -> Table:
+    """The table :func:`known_key_multiply` walks for ``point``: 22 rows.
+
+    It covers only the 128-bit halves of a split scalar; the rows of
+    ``LAMBDA * point`` are the same entries with ``x`` times ``BETA``.
+    """
+    return fixed_base_table(point, _HALF_WINDOWS)
+
+
+def known_key_multiply(u1: int, u2: int, table: Table) -> Point:
+    """``u1 * G + u2 * point``, where ``table`` is ``known_key_table(point)``.
+
+    Three table walks into one accumulator and no doubling: ``u1`` over the
+    generator's table, the halves of ``u2 = k1 + k2 * LAMBDA`` over the
+    point's table, ``k2`` reading it through the endomorphism.
+    """
+    x, y, z = 0, 1, 0
+    k1, k2 = _split_scalar(u2 % N)
+    x, y, z = _walk_table(x, y, z, k1, table)
+    x, y, z = _walk_table(x, y, z, k2, table, BETA)
+    x, y, z = _walk_table(x, y, z, u1 % N, _generator_table())
     if z == 0:
         return INFINITY
     return Point(*_to_affine([(x, y, z)])[0])

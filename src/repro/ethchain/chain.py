@@ -163,9 +163,7 @@ class Blockchain:
                     pass
             logs = []
 
-        gas_used = meter.settle() if success else meter.gas_used
-        gas_used = max(gas_used, tx.intrinsic_gas()) if gas_used else tx.intrinsic_gas()
-        gas_used = min(gas_used, tx.gas_limit)
+        gas_used = min(max(meter.gas_used, tx.intrinsic_gas()), tx.gas_limit)
         fee = gas_used * tx.gas_price
         # Refund unused gas to the sender and pay the miner later via block apply.
         self.state.credit(sender, max_fee - fee)

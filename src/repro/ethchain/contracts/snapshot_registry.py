@@ -115,15 +115,6 @@ class SnapshotRegistry(NativeContract):
         """
         return self.view(state, self._report_key(cycle, cell))
 
-    def reports_for_cycle(self, state, cycle: int) -> dict[str, bytes]:
-        """All reports recorded for ``cycle``, keyed by cell address hex."""
-        reports = {}
-        for cell in self.cells:
-            fingerprint = self.get_report(state, cycle, cell)
-            if fingerprint is not None:
-                reports[cell.hex()] = fingerprint
-        return reports
-
     def contingency_count(self, state) -> int:
         """Number of contingency transactions submitted so far."""
         raw = self.view(state, self._CONTINGENCY_COUNT_KEY)

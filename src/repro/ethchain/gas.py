@@ -75,12 +75,6 @@ class GasMeter:
             raise ValueError("gas limit must be non-negative")
         self.gas_limit = gas_limit
         self.gas_used = 0
-        self.refund = 0
-
-    @property
-    def gas_remaining(self) -> int:
-        """Gas still available to the executing call."""
-        return self.gas_limit - self.gas_used
 
     def charge(self, amount: int, reason: str = "") -> None:
         """Consume ``amount`` gas, raising :class:`OutOfGasError` if exhausted."""
@@ -90,15 +84,6 @@ class GasMeter:
             self.gas_used = self.gas_limit
             raise OutOfGasError(reason or "out of gas")
         self.gas_used += amount
-
-    def add_refund(self, amount: int) -> None:
-        """Accumulate a storage-clearing refund (capped at settlement)."""
-        self.refund += amount
-
-    def settle(self) -> int:
-        """Final gas used after applying the refund cap (max 1/5 of used)."""
-        capped_refund = min(self.refund, self.gas_used // 5)
-        return self.gas_used - capped_refund
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ views) with a deliberately familiar method naming.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..crypto.keys import Address, PrivateKey
 from ..sim.events import Event
 from .node import EthereumNode
-from .transaction import EthTransaction, TransactionReceipt
+from .transaction import EthTransaction
 
 
 class Web3Provider:
@@ -37,10 +37,6 @@ class Web3Provider:
     def get_balance(self, address: Address) -> int:
         """Account balance in wei."""
         return self.node.get_balance(address)
-
-    def get_transaction_receipt(self, tx_hash: str) -> Optional[TransactionReceipt]:
-        """Receipt if mined, else None."""
-        return self.node.get_receipt(tx_hash)
 
     def block_number(self) -> int:
         """Height of the latest block."""

@@ -9,14 +9,14 @@ a 65-byte signature):
   tests, the Table II byte accounting, and the security scenarios.
 * :class:`SimulatedSigner` — a keyed-MAC stand-in used by the large burst
   benchmarks (5,000–20,000 transactions, Figures 9/10).  Real ECDSA in pure
-  Python costs ~0.3 ms per signature and ~1.2 ms per verification (one
-  double-scalar recovery), plus one Keccak pass per signed message per
-  process (~0.5 ms for 400 bytes) and one per recovered address, i.e. ~16 ms
-  of CPU per transaction on two cells against ~0.5 ms with this signer: a
-  20,000-transaction burst would spend five minutes on signatures without
-  changing any measured quantity.  The *simulated* CPU cost of verification
-  is modelled separately in :class:`repro.sim.CellServiceModel`, and the byte
-  size on the wire is the same 65 bytes.  Verification still fails for
+  Python costs a transaction on two cells about twenty times the CPU this
+  signer does (signatures, signature checks and the Keccak passes under
+  both; docs/BENCHMARKS.md, "What a real-ECDSA transaction costs now", has
+  the measured split): a 20,000-transaction burst would spend minutes on
+  signatures without changing any measured quantity.  The *simulated* CPU
+  cost of verification is modelled separately in
+  :class:`repro.sim.CellServiceModel`, and the byte size on the wire is the
+  same 65 bytes.  Verification still fails for
   tampered payloads or wrong senders, so protocol-level authenticity checks
   remain meaningful.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Any, Callable, ClassVar, Optional, Protocol, Self
+from typing import Any, Callable, ClassVar, Iterable, Optional, Protocol, Self
 
 from ..crypto.ecdsa import Signature, SignatureError
 from ..crypto.hashing import fast_hash
@@ -41,6 +41,7 @@ from ..crypto.keys import (
     PUBLIC_KEY_ADDRESSES,
     Address,
     PrivateKey,
+    PublicKey,
     recover_address,
 )
 from ..crypto.memo import BoundedMemo
@@ -137,14 +138,17 @@ class SimulatedSigner:
     def clear_registry(cls) -> None:
         """Drop the process-wide verification state (test and benchmark isolation).
 
-        That is the registered simulated identities, the memo of verified
-        ECDSA signatures and the memos of message digests and public-key
-        addresses: a run that replays a seed in the same process must not
-        find its signatures already vouched for, or its messages and keys
-        already hashed, by the previous run.
+        That is the registered simulated identities, the registered
+        consortium keys (with the tables their checks built), the memo of
+        verified ECDSA signatures and the memos of message digests and
+        public-key addresses: a run that replays a seed in the same process
+        must not find its signatures already vouched for, its keys' tables
+        already built, or its messages and keys already hashed, by the
+        previous run.
         """
         cls._registry.clear()
         _VERIFIED_ECDSA.clear()
+        _CONSORTIUM_KEYS.clear()
         MESSAGE_DIGESTS.clear()
         PUBLIC_KEY_ADDRESSES.clear()
 
@@ -257,11 +261,37 @@ def _signed_plan(statement: type[SignedStatement]) -> tuple[_Member, ...]:
 _VERIFIED_ECDSA: BoundedMemo[tuple[bytes, bytes, bytes], bool] = BoundedMemo(4096)
 
 
+#: Registered consortium keys, oldest first: address bytes -> the key.  A
+#: cell's peers are a fixed set, so their signatures are checked against
+#: the key itself (:meth:`PublicKey.is_recovered_from`) instead of
+#: recovering it; each key's table is built at its first check and lives
+#: as long as its entry.  The bound caps those tables at ~8 MiB.
+_CONSORTIUM_KEYS: BoundedMemo[bytes, PublicKey] = BoundedMemo(64)
+
+
+def register_consortium_keys(signers: Iterable[Signer]) -> None:
+    """Let :func:`verify_signature` check these ECDSA signers' signatures by key.
+
+    A deployment registers its cells, standbys included; never a client.
+    A key already registered keeps its entry, and the table it may have
+    built.  Simulated signers need nothing: they registered themselves.
+    """
+    for signer in signers:
+        if isinstance(signer, EcdsaSigner):
+            address = signer.address.value
+            if _CONSORTIUM_KEYS.get(address) is None:
+                _CONSORTIUM_KEYS.put(address, PublicKey(signer.key.public_key.point))
+
+
 def verify_signature(scheme: str, address: Address, message: bytes, signature: bytes) -> bool:
     """Verify a signature under either scheme.
 
     For ECDSA the sender address must match the address recovered from the
-    signature; for the simulated scheme the keyed MAC must match.
+    signature; for the simulated scheme the keyed MAC must match.  When the
+    sender is a registered consortium key, the ECDSA check asks whether
+    the signature recovers to that key without recovering it
+    (:func:`register_consortium_keys`): the same verdict, for less than
+    half the curve work.
 
     A successful ECDSA check is remembered under exactly the three values
     that were checked, so a repeat costs a dictionary lookup (no Keccak pass,
@@ -273,10 +303,15 @@ def verify_signature(scheme: str, address: Address, message: bytes, signature: b
         if _VERIFIED_ECDSA.get(key):
             return True
         try:
-            recovered = recover_address(message, Signature.from_bytes(signature))
+            parsed = Signature.from_bytes(signature)
+            known = _CONSORTIUM_KEYS.get(address.value)
+            if known is not None:
+                verified = known.is_recovered_from(message, parsed)
+            else:
+                verified = recover_address(message, parsed) == address
         except (SignatureError, ValueError):
             return False
-        if recovered != address:
+        if not verified:
             return False
         _VERIFIED_ECDSA.put(key, True)
         return True

@@ -150,10 +150,6 @@ class CellServiceModel:
             raise ValueError("consortium size must be at least 1")
         return self.invoke_cpu + self.forward_cpu_per_cell * (consortium_size - 1)
 
-    def remote_cpu_per_transaction(self) -> float:
-        """CPU seconds a non-service cell spends on one transaction."""
-        return self.invoke_cpu
-
 
 # ----------------------------------------------------------------------
 # Pre-calibrated profiles

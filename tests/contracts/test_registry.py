@@ -67,9 +67,7 @@ def test_fingerprints_cover_all_contracts(registry):
     assert all(len(digest) == 32 for digest in fingerprints.values())
 
 
-def test_export_all_and_describe(registry):
-    exported = registry.export_all()
-    assert set(exported) == {"fastmoney", "system.cas"}
+def test_describe(registry):
     described = registry.describe()
     assert {item["name"] for item in described} == {"fastmoney", "system.cas"}
 

@@ -165,7 +165,7 @@ def test_cow_export_only_copies_dirty_keys():
     store.put("k0", -1)
     store.put("k1", -1)
     store.put("k0", -2)  # second write to the same key captures nothing new
-    assert export.dirty_key_count == 2
+    assert len(export._overlay) == 2
 
 
 def test_cow_export_unaffected_by_journal_rollback():

@@ -15,6 +15,7 @@ from repro.crypto import keccak, secp256k1
 from repro.crypto.keccak import Keccak256
 from repro.crypto.keys import PrivateKey
 from repro.encoding import canonical_json
+from repro.messages import envelope as envelope_module
 from repro.messages import signer as signer_module
 from repro.messages.envelope import Envelope
 from repro.messages.opcodes import Opcode
@@ -324,3 +325,35 @@ def test_ecdsa_burst_stays_within_the_crypto_budget():
     # more scalar multiplication per verify ~170, one message hashed twice
     # ~5 permutations: each breaks a ceiling.
     assert per_tx["_jacobian_double"] / per_tx["recover_address"] <= 132  # measured 126.6 (254.4)
+
+
+def test_only_client_signatures_are_recovered():
+    """A cell checks a peer's signature against the peer's registered key.
+
+    So a 2-cell burst recovers exactly one key per client-signed envelope
+    the cells verify (each transfer and each pool's funding transaction,
+    once however many cells check it), and never a cell's: 28 recoveries
+    for these 10 transactions before cells were registered.
+    """
+    transactions, pools = 8, 2
+    deployment = make_deployment()  # registers both cells' keys
+    cells = {cell.address for cell in deployment.cells}
+    signer_module._VERIFIED_ECDSA.clear()  # earlier tests may have checked these bytes
+    verify = signer_module.verify_signature
+    client_checks: set = set()
+
+    def verify_noting_clients(scheme, address, message, signature):
+        if address not in cells:
+            client_checks.add((address, message, signature))
+        return verify(scheme, address, message, signature)
+
+    calls: Counter = Counter()
+    with ExitStack() as stack:
+        _counting(stack, signer_module, "recover_address", calls)
+        for module in (signer_module, envelope_module):  # every caller's global
+            stack.enter_context(mock.patch.object(module, "verify_signature",
+                                                  verify_noting_clients))
+        report = run_burst_transfers(deployment, count=transactions, pools=pools)
+    assert report.failure_count == 0 and len(report.results) == transactions
+    assert calls["recover_address"] == len(client_checks) == transactions + pools
+

@@ -65,7 +65,6 @@ def test_billing_accumulates_traffic_and_time():
     bill = manager.bill(CLIENT, now=3_600.0)
     # 2.0 activation + 1.0 traffic + 3.6 for one hour.
     assert bill == pytest.approx(6.6)
-    assert manager.total_revenue(now=3_600.0) == pytest.approx(6.6)
 
 
 def test_traffic_for_unknown_client_is_ignored():

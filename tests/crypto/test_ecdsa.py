@@ -11,6 +11,7 @@ from repro.crypto.ecdsa import (
     Signature,
     SignatureError,
     recover_public_key,
+    recovers_to,
     sign_hash,
     sign_message,
     verify_hash,
@@ -18,7 +19,13 @@ from repro.crypto.ecdsa import (
 )
 from repro.crypto.keccak import keccak256
 from repro.crypto.keys import PrivateKey
-from repro.crypto.secp256k1 import InvalidPointError, P, recover_y, scalar_multiply
+from repro.crypto.secp256k1 import (
+    InvalidPointError,
+    P,
+    known_key_table,
+    recover_y,
+    scalar_multiply,
+)
 
 KEY = PrivateKey.from_seed("ecdsa-tests")
 MESSAGE = b"blockumulus transaction payload"
@@ -115,14 +122,15 @@ def test_recover_rejects_r_that_is_not_a_field_element():
         recover_public_key(keccak256(MESSAGE), forged)
 
 
-def test_recover_rejects_r_off_the_curve():
-    def on_curve(x: int) -> bool:
-        try:
-            recover_y(x, False)
-        except InvalidPointError:
-            return False
-        return True
+def on_curve(x: int) -> bool:
+    try:
+        recover_y(x, False)
+    except InvalidPointError:
+        return False
+    return True
 
+
+def test_recover_rejects_r_off_the_curve():
     off_curve = next(x for x in range(1, 50) if not on_curve(x))
     with pytest.raises(InvalidPointError):
         recover_public_key(keccak256(MESSAGE), Signature(r=off_curve, s=1, v=0))
@@ -150,6 +158,65 @@ def test_recovered_key_verifies_the_signature_it_came_from(secret, message_hash)
     # ... and of any well-formed (r, s, v) it accepts, not only of honest ones.
     forged = Signature(r=signature.r, s=signature.s % (N - 1) + 1, v=signature.v ^ 1)
     assert verify_hash(recover_public_key(message_hash, forged), message_hash, forged)
+
+
+# -- the known-key check: recover-and-compare's verdict, key in hand --------------
+
+
+def recovered_is(point, message_hash, signature) -> bool:
+    """The reference: recover the signer and compare, a refusal being False."""
+    try:
+        return recover_public_key(message_hash, signature) == point
+    except (SignatureError, ValueError):
+        return False
+
+
+def variants(signature, message_hash, r, s):
+    """``signature`` with one of ``r``, ``s``, ``v`` changed, or the hash."""
+    flipped = bytes([message_hash[0] ^ 1]) + message_hash[1:]
+    yield Signature(r=r, s=signature.s, v=signature.v), message_hash
+    yield Signature(r=signature.r, s=s, v=signature.v), message_hash
+    yield Signature(r=signature.r, s=signature.s, v=signature.v ^ 1), message_hash
+    yield signature, flipped
+
+
+@settings(max_examples=25, deadline=None)
+@given(secret=st.integers(min_value=1, max_value=N - 1),
+       other=st.integers(min_value=1, max_value=N - 1),
+       message_hash=st.binary(min_size=32, max_size=32),
+       r=st.integers(min_value=1, max_value=N - 1),
+       s=st.integers(min_value=1, max_value=N - 1))
+def test_known_key_check_gives_the_verdict_of_recovery(secret, other, message_hash, r, s):
+    point = scalar_multiply(secret)
+    table = known_key_table(point)
+    signature = sign_hash(secret, message_hash)
+    assert recovers_to(table, message_hash, signature)
+    assert recovered_is(point, message_hash, signature)
+    for changed, digest in variants(signature, message_hash, r, s):
+        assert recovers_to(table, digest, changed) == recovered_is(point, digest, changed)
+    foreign = sign_hash(other, message_hash)
+    assert recovers_to(table, message_hash, foreign) == recovered_is(point, message_hash, foreign)
+    # The high-s twin recovers the same key, so both accept it.
+    twin = Signature(r=signature.r, s=N - signature.s, v=signature.v ^ 1)
+    assert recovers_to(table, message_hash, twin) and recovered_is(point, message_hash, twin)
+
+
+def test_known_key_check_is_not_verify_hash():
+    """``verify_hash`` ignores ``v``; recovery, and so the check, does not."""
+    point = KEY.public_key.point
+    message_hash = keccak256(MESSAGE)
+    signature = sign_hash(KEY.secret, message_hash)
+    wrong_v = Signature(r=signature.r, s=signature.s, v=signature.v ^ 1)
+    assert verify_hash(point, message_hash, wrong_v)
+    assert recover_public_key(message_hash, wrong_v) != point
+    assert not recovers_to(known_key_table(point), message_hash, wrong_v)
+
+
+def test_known_key_check_refuses_an_r_off_the_curve_like_recovery():
+    point = KEY.public_key.point
+    off_curve = next(x for x in range(1, 50) if not on_curve(x))
+    assert not recovered_is(point, bytes(32), Signature(r=off_curve, s=1, v=0))
+    assert not recovers_to(known_key_table(point), bytes(32), Signature(r=off_curve, s=1, v=0))
 
 
 # RFC 6979 nonces and the low-s rule make signatures a pure function of

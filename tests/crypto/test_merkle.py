@@ -72,7 +72,3 @@ def test_alternative_hash_function():
     assert fast_tree.root != keccak_tree.root
     for index, item in enumerate(items):
         assert fast_tree.proof(index).verify(item, fast_tree.root, fast_hash)
-
-
-def test_root_hex_prefix():
-    assert MerkleTree(leaves(2)).root_hex().startswith("0x")

@@ -17,6 +17,9 @@ from repro.crypto.secp256k1 import (
     _split_scalar,
     decode_point,
     double_scalar_multiply,
+    fixed_base_table,
+    known_key_multiply,
+    known_key_table,
     point_add,
     recover_y,
     scalar_multiply,
@@ -194,11 +197,8 @@ def test_double_scalar_multiply_matches_the_affine_group_law(u1, u2, point):
     assert double_scalar_multiply(u1, u2, point) == reference_double_multiply(u1, u2, point)
 
 
-@pytest.mark.parametrize("point", [GENERATOR, NEGATED_GENERATOR, INFINITY,
-                                   reference_multiply(0xC0FFEE, GENERATOR),
-                                   LAMBDA_GENERATOR, NEGATED_LAMBDA_GENERATOR],
-                         ids=["G", "-G", "infinity", "other", "lambda*G", "-lambda*G"])
-@pytest.mark.parametrize("u1,u2", [
+#: ``(u1, u2)`` pairs at the corners of a joint pass.
+EDGE_PAIRS = [
     (0, 0), (0, 5), (5, 0), (0, N), (N, 0), (N, N),   # either side absent
     (N + 3, 2 * N + 9),                               # scalars at or beyond the order
     (7, 7), (7, N - 7),      # point = +-G: the joint pass adds equal or opposite points
@@ -209,7 +209,14 @@ def test_double_scalar_multiply_matches_the_affine_group_law(u1, u2, point):
     (LAMBDA, 1), (LAMBDA, N - 1), (1, LAMBDA), (N - 1, LAMBDA),
     (0, LAMBDA + 1), (0, LAMBDA - 1), (0, N - LAMBDA), (0, LAMBDA * LAMBDA % N),
     (0, 2**128 - 1), (0, 2**128 + 1),
-])
+]
+
+
+@pytest.mark.parametrize("point", [GENERATOR, NEGATED_GENERATOR, INFINITY,
+                                   reference_multiply(0xC0FFEE, GENERATOR),
+                                   LAMBDA_GENERATOR, NEGATED_LAMBDA_GENERATOR],
+                         ids=["G", "-G", "infinity", "other", "lambda*G", "-lambda*G"])
+@pytest.mark.parametrize("u1,u2", EDGE_PAIRS)
 def test_double_scalar_multiply_named_edge_cases(u1, u2, point):
     assert double_scalar_multiply(u1, u2, point) == reference_double_multiply(u1, u2, point)
 
@@ -241,3 +248,41 @@ def test_fixed_base_windows_carry_up_to_the_top(scalar):
     # window must absorb a carry; N - 1 is -G only if every window is right.
     assert scalar_multiply(scalar) == reference_multiply(scalar, GENERATOR)
     assert scalar_multiply(N - 1) == NEGATED_GENERATOR
+
+
+# -- a known key's table: u1 * G + u2 * Q without doublings ---------------------
+
+FINITE_POINTS = [GENERATOR, NEGATED_GENERATOR, reference_multiply(0xC0FFEE, GENERATOR),
+                 LAMBDA_GENERATOR, NEGATED_LAMBDA_GENERATOR]
+
+
+def test_a_fixed_base_table_of_any_point_holds_every_multiple_of_every_window():
+    point = FINITE_POINTS[2]
+    table = fixed_base_table(point, 5)
+    assert len(table) == 5 and {len(row) for row in table} == {2 ** (WINDOW - 1)}
+    for window in range(5):
+        for multiple in (1, 2, 2 ** (WINDOW - 1) - 1, 2 ** (WINDOW - 1)):
+            expected = reference_multiply(multiple << (WINDOW * window), point)
+            assert table[window][multiple - 1] == (expected.x, expected.y)
+
+
+def test_a_known_key_table_covers_either_half_of_a_split_scalar():
+    table = known_key_table(GENERATOR)
+    assert len(table) == 22 and WINDOW * len(table) - 1 >= 129
+    assert table == fixed_base_table(GENERATOR, 22)
+    assert table == secp256k1._generator_table()[:22]
+
+
+@pytest.mark.parametrize("point", FINITE_POINTS, ids=["G", "-G", "other", "lambda*G", "-lambda*G"])
+@pytest.mark.parametrize("u1,u2", EDGE_PAIRS)
+def test_known_key_multiply_named_edge_cases(u1, u2, point):
+    expected = reference_double_multiply(u1, u2, point)
+    assert known_key_multiply(u1, u2, known_key_table(point)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(u1=scalars, u2=scalars, secret=st.integers(min_value=1, max_value=N - 1))
+def test_known_key_multiply_matches_the_affine_group_law(u1, u2, secret):
+    point = scalar_multiply(secret)
+    expected = reference_double_multiply(u1, u2, point)
+    assert known_key_multiply(u1, u2, known_key_table(point)) == expected

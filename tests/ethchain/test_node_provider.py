@@ -31,7 +31,6 @@ def test_transfer_is_mined_and_receipt_delivered(node_setup):
     receipt = env.run(event)
     assert receipt.success
     assert provider.get_balance(recipient) == 10 ** 18
-    assert provider.get_transaction_receipt(tx_hash) is not None
 
 
 def test_nonce_tracking_includes_pending(node_setup):

@@ -67,10 +67,9 @@ def test_cells_report_independently(setup):
     env, node, provider, registry, cells, _ = setup
     report(provider, node, env, cells[0], registry, 4, FP_A)
     report(provider, node, env, cells[1], registry, 4, FP_B)
-    reports = registry.reports_for_cycle(node.chain.state, 4)
-    assert len(reports) == 2
-    assert reports[cells[0].address.hex()].hex() == "aa" * 32
-    assert reports[cells[1].address.hex()].hex() == "bb" * 32
+    state = node.chain.state
+    assert registry.get_report(state, 4, cells[0].address).hex() == "aa" * 32
+    assert registry.get_report(state, 4, cells[1].address).hex() == "bb" * 32
 
 
 def test_malformed_fingerprint_rejected(setup):

@@ -4,10 +4,19 @@ import dataclasses
 
 import pytest
 
+from repro.crypto.ecdsa import Signature
 from repro.encoding import canonical_json
+from repro.messages import signer as signer_module
 from repro.messages import wire
 from repro.messages.opcodes import Opcode
-from repro.messages.signer import EcdsaSigner, SignedStatement, SimulatedSigner, verify_signature
+from repro.messages.signer import (
+    EcdsaSigner,
+    SignedStatement,
+    SimulatedSigner,
+    register_consortium_keys,
+    verify_signature,
+)
+from tests.conftest import make_deployment
 from tests.messages.wire_samples import build
 
 
@@ -54,6 +63,67 @@ def test_unregistered_sim_address_rejected():
 def test_garbage_ecdsa_signature_rejected():
     signer = EcdsaSigner.from_seed("garbage")
     assert not verify_signature("ecdsa", signer.address, b"m", b"\xff" * 65)
+
+
+# -- registered consortium keys: checked by key, never a different verdict -------
+
+
+def _verdicts(signer, other, message=b"consortium message"):
+    """Verdicts on one honest signature and on each way to spoil it."""
+    signature = signer.sign(message)
+    parsed = Signature.from_bytes(signature)
+    wrong_v = Signature(r=parsed.r, s=parsed.s, v=parsed.v ^ 1).to_bytes()
+    cases = [
+        (signer.address, message, signature),
+        (signer.address, message + b"!", signature),
+        (signer.address, message, other.sign(message)),
+        (signer.address, message, wrong_v),
+        (signer.address, message, signature[:-1] + b"\x07"),
+        (other.address, message, signature),
+    ]
+    verdicts = []
+    for case in cases:
+        signer_module._VERIFIED_ECDSA.clear()
+        verdicts.append(verify_signature("ecdsa", *case))
+    return verdicts
+
+
+def test_a_registered_key_is_checked_by_key_with_the_verdicts_of_recovery(monkeypatch):
+    signer, other = EcdsaSigner.from_seed("consortium-a"), EcdsaSigner.from_seed("consortium-b")
+    monkeypatch.setattr(signer_module, "_CONSORTIUM_KEYS", signer_module.BoundedMemo(4))
+    recovered = _verdicts(signer, other)
+    assert recovered == [True, False, False, False, False, False]
+    register_consortium_keys([signer, other])
+
+    def no_recovery(*args):
+        pytest.fail("a registered key was recovered")
+
+    monkeypatch.setattr(signer_module, "recover_address", no_recovery)
+    assert _verdicts(signer, other) == recovered
+
+
+def test_registration_keeps_the_first_entry_skips_sim_and_clear_registry_drops_it(monkeypatch):
+    keys = signer_module.BoundedMemo(4)
+    monkeypatch.setattr(signer_module, "_CONSORTIUM_KEYS", keys)
+    monkeypatch.setattr(SimulatedSigner, "_registry", {})
+    ecdsa, sim = EcdsaSigner.from_seed("consortium-c"), SimulatedSigner("consortium-c")
+    register_consortium_keys([ecdsa, sim])
+    assert list(keys) == [ecdsa.address.value]
+    first = keys.get(ecdsa.address.value)
+    assert first.point == ecdsa.key.public_key.point
+    register_consortium_keys([EcdsaSigner.from_seed("consortium-c")])
+    assert keys.get(ecdsa.address.value) is first
+    SimulatedSigner.clear_registry()
+    assert len(keys) == 0
+
+
+def test_a_deployment_registers_its_cells_standbys_included_and_no_client(monkeypatch):
+    keys = signer_module.BoundedMemo(64)
+    monkeypatch.setattr(signer_module, "_CONSORTIUM_KEYS", keys)
+    deployment = make_deployment(standby_cells=1)
+    client = deployment.make_client_signer("consortium-client")
+    assert set(keys) == {cell.address.value for cell in deployment.cells}
+    assert len(deployment.cells) == 3 and client.address.value not in set(keys)
 
 
 def test_an_opcode_prints_as_its_wire_value():

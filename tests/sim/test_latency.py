@@ -60,7 +60,6 @@ def test_lognormal_validation():
 
 def test_service_model_cpu_accounting():
     model = CellServiceModel()
-    assert model.remote_cpu_per_transaction() == model.invoke_cpu
     assert model.service_cpu_per_transaction(1) == model.invoke_cpu
     extra = model.service_cpu_per_transaction(8) - model.service_cpu_per_transaction(2)
     assert extra == pytest.approx(6 * model.forward_cpu_per_cell)
