@@ -19,7 +19,6 @@ from .corpus import (
     CORPUS_SIZE,
     EXERCISED_SEEDS,
     byzantine_corpus_seeds,
-    byzantine_corpus_specs,
     corpus_seeds,
     corpus_specs,
     coverage,
@@ -59,7 +58,6 @@ __all__ = [
     "SearchOutcome",
     "attribute_byzantine_faults",
     "byzantine_corpus_seeds",
-    "byzantine_corpus_specs",
     "byzantine_verdict",
     "check_byzantine_scenario",
     "check_scenario",

@@ -22,7 +22,6 @@ from typing import Any, Optional
 from .scenario import (
     ScenarioSpace,
     ScenarioSpec,
-    sample_byzantine_scenario,
     sample_scenario,
 )
 
@@ -67,17 +66,6 @@ def byzantine_corpus_seeds(budget: Optional[int] = None) -> list[int]:
     if size < 1:
         raise ValueError(f"the chaos budget must be positive, got {budget!r}")
     return list(range(size))
-
-
-def byzantine_corpus_specs(
-    budget: Optional[int] = None, space: Optional[ScenarioSpace] = None
-) -> list[ScenarioSpec]:
-    """Sample the Byzantine corpus scenarios for one run."""
-    space = space or ScenarioSpace()
-    return [
-        sample_byzantine_scenario(seed, space)
-        for seed in byzantine_corpus_seeds(budget)
-    ]
 
 
 def coverage(specs: list[ScenarioSpec]) -> dict[str, Any]:

@@ -32,6 +32,9 @@ from .scenario import ScenarioSpec
 #: A shrink unit: the schedule indices removed (and kept) together.
 Unit = tuple[int, ...]
 
+#: The most candidate specs one shrink executes.
+MAX_RUNS = 24
+
 
 def default_fails(spec: ScenarioSpec) -> bool:
     """Whether a spec fails its full oracle stack (the default predicate)."""
@@ -59,12 +62,11 @@ def _shrink_units(schedule: FaultSchedule) -> list[Unit]:
 def shrink_faults(
     spec: ScenarioSpec,
     fails: Optional[Callable[[ScenarioSpec], bool]] = None,
-    max_runs: int = 24,
 ) -> tuple[ScenarioSpec, int]:
     """Bisect ``spec``'s fault schedule down to a minimal failing one.
 
     ``fails`` decides whether a candidate spec still reproduces the
-    failure (defaults to running the full oracle stack); ``max_runs``
+    failure (defaults to running the full oracle stack); :data:`MAX_RUNS`
     bounds the number of candidate executions.  Returns the smallest
     failing spec found plus the number of candidate runs spent.  The
     input spec is assumed to fail; if the candidate budget runs out the
@@ -81,7 +83,7 @@ def shrink_faults(
 
     def attempt(kept: list[Unit]) -> bool:
         nonlocal runs
-        if runs >= max_runs:
+        if runs >= MAX_RUNS:
             return False
         runs += 1
         return fails(spec_from(kept))

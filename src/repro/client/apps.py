@@ -124,13 +124,12 @@ def deploy_contract_source(
     name: str,
     source: str,
     params: dict[str, Any] | None = None,
-    destroyable: bool = True,
     signer: Optional[Signer] = None,
 ) -> Event:
-    """Deploy a community bContract from source through the system deployer."""
+    """Deploy a destroyable community bContract from source through the deployer."""
     return client.submit(
         "system.deployer",
         "deploy",
-        {"name": name, "source": source, "params": params or {}, "destroyable": destroyable},
+        {"name": name, "source": source, "params": params or {}, "destroyable": True},
         signer=signer,
     )

@@ -55,6 +55,9 @@ DEFAULT_CLIENT_POOLS = 8
 #: How long the (unmeasured) funding phase of a workload may take.
 FUNDING_HORIZON = 3_600.0
 
+#: How long a sequential transfer may take before it is counted as failed.
+SEQUENTIAL_TIMEOUT = 120.0
+
 
 class WorkloadError(Exception):
     """Raised when a workload cannot complete."""
@@ -371,7 +374,6 @@ def run_sequential_transfers(
     pools: int = DEFAULT_CLIENT_POOLS,
     amount: int = 5,
     label: Optional[str] = None,
-    per_transaction_timeout: float = 120.0,
 ) -> WorkloadReport:
     """Execute ``count`` consecutive FastMoney transfers and measure latency."""
     _validate_count(count)
@@ -385,7 +387,7 @@ def run_sequential_transfers(
         for index in range(count):
             home, app = _placement(index, apps)
             result_event = app.on_group(home).transfer(_fresh_recipient(index), amount)
-            guard = env.any_of([result_event, env.timeout(per_transaction_timeout)])
+            guard = env.any_of([result_event, env.timeout(SEQUENTIAL_TIMEOUT)])
             yield guard
             if result_event.triggered:
                 report.results.append(result_event.value)
@@ -393,7 +395,7 @@ def run_sequential_transfers(
                 report.results.append(
                     TransactionResult(
                         ok=False,
-                        submitted_at=env.now - per_transaction_timeout,
+                        submitted_at=env.now - SEQUENTIAL_TIMEOUT,
                         completed_at=env.now,
                         error="per-transaction timeout",
                     )
@@ -607,6 +609,9 @@ def run_contended_transfers(
 #: Operation kinds run_mixed_operations understands.
 MIXED_OP_KINDS = frozenset({"transfer", "cas_put", "vote", "invest"})
 
+#: When the ballots a mixed workload creates close: after any run ends.
+ELECTION_CLOSES_AT = 1_000_000.0
+
 
 @dataclass(frozen=True)
 class MixedOperation:
@@ -744,7 +749,6 @@ def run_mixed_operations(
     base_name: str = "fastmoney.chaos",
     genesis: Optional[dict[int, int]] = None,
     elections: Optional[list[tuple[str, list[str]]]] = None,
-    election_closes_at: float = 1_000_000.0,
     pools: int = 4,
     horizon: float = 60.0,
     label: Optional[str] = None,
@@ -811,7 +815,7 @@ def run_mixed_operations(
                 "election_id": election_id,
                 "question": f"chaos/{election_id}",
                 "choices": list(choices),
-                "closes_at": election_closes_at,
+                "closes_at": ELECTION_CLOSES_AT,
             },
             signer=signers[0],
         )

@@ -29,20 +29,11 @@ class CommunityDeployer(BContract):
     IS_SYSTEM = True
     DEFAULT_NAME = "system.deployer"
 
-    def __init__(
-        self,
-        name: str,
-        owner: Any = None,
-        params: dict[str, Any] | None = None,
-        register_callback: Optional[Callable[[BContract], None]] = None,
-        remove_callback: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        # Callbacks are wired by the cell so a successful deployment lands
-        # in the cell's contract registry; they are not part of contract
-        # state and therefore do not affect fingerprints.
-        self._register_callback = register_callback
-        self._remove_callback = remove_callback
-        super().__init__(name=name, owner=owner, params=params)
+    # The cell-side registry hooks, attached by :meth:`bind`: a successful
+    # deployment lands in the cell's contract registry.  They are not part
+    # of contract state and therefore do not affect fingerprints.
+    _register_callback: Optional[Callable[[BContract], None]] = None
+    _remove_callback: Optional[Callable[[str], None]] = None
 
     def bind(
         self,

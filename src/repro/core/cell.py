@@ -39,11 +39,10 @@ from ..messages.opcodes import Opcode
 from ..messages.signer import Signer
 from ..sim.environment import Clock
 from ..sim.events import Event
-from ..sim.latency import CellServiceModel
 from ..sim.metrics import MetricsRegistry
 from ..sim.network import Network
 from .batching import BatchDispatcher
-from .config import SystemInvariants
+from .config import DeploymentConfig, SystemInvariants
 from .consensus import OverlayConsensus
 from .executor import TransactionExecutor
 from .faults import FaultPlan
@@ -54,7 +53,7 @@ from .replies import ErrorReply
 from .routes import ROUTES, Admission, Route, Sender
 from .snapshot import SnapshotEngine
 from .stages import CycleStage, ExecuteStage, PeerStage, ReadStage, ServiceStage
-from .subscription import PricingPolicy, SubscriptionManager
+from .subscription import SubscriptionManager
 
 #: Error string of a transaction shed by the admission controller.  The
 #: prefix is the client-visible contract (``TransactionResult.shed``
@@ -76,17 +75,10 @@ class BlockumulusCell:
         invariants: SystemInvariants,
         network: Network,
         rng: random.Random,
-        service_model: CellServiceModel,
         metrics: MetricsRegistry,
-        eth_provider: Optional[Web3Provider] = None,
-        registry_contract: Optional[SnapshotRegistry] = None,
-        pricing: Optional[PricingPolicy] = None,
-        enforce_subscriptions: bool = False,
-        auto_report: bool = True,
-        snapshots_retained: int = 3,
-        batch_quantum: Optional[float] = 0.02,
-        execution_lanes: int = 1,
-        max_inflight: Optional[int] = None,
+        eth_provider: Web3Provider,
+        registry_contract: SnapshotRegistry,
+        config: DeploymentConfig,
     ) -> None:
         self.env = env
         self.index = index
@@ -95,18 +87,16 @@ class BlockumulusCell:
         self.invariants = invariants
         self.network = network
         self.rng = rng
-        self.service_model = service_model
+        self.service_model = config.service_model
         self.metrics = metrics
 
         # Protocol state, shared by the stages.
         self.contracts = ContractRegistry()
         self.ledger = TransactionLedger(env, node_name)
         self.consensus = OverlayConsensus(invariants)
-        self.snapshots = SnapshotEngine(node_name, self.contracts, retain=snapshots_retained)
+        self.snapshots = SnapshotEngine(node_name, self.contracts)
         self.executor = TransactionExecutor(node_name, self.contracts)
-        self.subscriptions = SubscriptionManager(
-            policy=pricing or PricingPolicy(), enforce=enforce_subscriptions
-        )
+        self.subscriptions = SubscriptionManager(enforce=config.enforce_subscriptions)
         self.fault = FaultPlan()
         # Everything this cell says leaves through its endpoint, which a
         # crash silences: replies, forwards, membership traffic and the
@@ -117,14 +107,16 @@ class BlockumulusCell:
         self.recovery = RecoveryCoordinator(self)
         # Outgoing forwards/confirmations for the same destination coalesce
         # into at most one envelope per scheduling quantum (none: each alone).
-        self.batcher = BatchDispatcher(self.endpoint, batch_quantum, metrics)
+        self.batcher = BatchDispatcher(
+            self.endpoint, config.batch_quantum if config.message_batching else None, metrics
+        )
 
         # The stages behind ingress (repro.core.stages).
-        self.execute = ExecuteStage(self, env, execution_lanes)
+        self.execute = ExecuteStage(self, env, config.execution_lanes)
         self.service = ServiceStage(self, env, self.execute)
         self.peer = PeerStage(self, env, self.execute)
         self.cycle = CycleStage(
-            self, env, self.execute, eth_provider, eth_key, registry_contract, auto_report
+            self, env, self.execute, eth_provider, eth_key, registry_contract, config.auto_report
         )
         self.read = ReadStage(self, env)
         #: The execute stage's lane gate, for introspection.
@@ -139,7 +131,7 @@ class BlockumulusCell:
         # shedding by construction.  Forwarded transactions from peer
         # cells are never shed: they were already admitted by their
         # service cell, and dropping them here would diverge the ledgers.
-        self.max_inflight = max_inflight
+        self.max_inflight = config.max_inflight
         self._inflight = 0
         self._inflight_peak = 0
         self._shed_count = 0

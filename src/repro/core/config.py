@@ -36,11 +36,9 @@ class SystemInvariants:
     report_period: float            # λ, seconds
     initial_timestamp: float        # t0, seconds
     #: Maximum forwarding+response delay δ before a transaction reverts.
-    forwarding_deadline: float = 10.0
+    forwarding_deadline: float
     #: Consecutive missed deadlines before a cell is temporarily excluded.
-    miss_threshold: int = 5
-    #: How long an exclusion-vote liveness probe (PING) waits for a PONG.
-    probe_deadline: float = 2.0
+    miss_threshold: int
 
     def __post_init__(self) -> None:
         if not self.deployment_id:
@@ -57,8 +55,6 @@ class SystemInvariants:
             raise ConfigError("the forwarding deadline δ must be positive")
         if self.miss_threshold < 1:
             raise ConfigError("the miss threshold must be at least 1")
-        if self.probe_deadline <= 0:
-            raise ConfigError("the probe deadline must be positive")
 
     @property
     def consortium_size(self) -> int:
@@ -82,8 +78,6 @@ class DeploymentConfig:
     forwarding_deadline: float = 10.0
     #: Missed-deadline threshold for temporary cell exclusion.
     miss_threshold: int = 5
-    #: Exclusion-vote liveness-probe timeout (seconds).
-    probe_deadline: float = 2.0
     #: Standby cells provisioned in the system invariants but booted into
     #: the excluded state: they hold no data and receive no traffic until
     #: :meth:`BlockumulusDeployment.activate_standby` bootstraps them from
@@ -103,10 +97,6 @@ class DeploymentConfig:
     signature_scheme: str = "ecdsa"
     #: Whether cells require an access subscription before serving a client.
     enforce_subscriptions: bool = False
-    #: Price (arbitrary currency units) per megabyte of client traffic.
-    price_per_mbyte: float = 0.05
-    #: How many past snapshots each cell keeps for auditors (paper: 3 total).
-    snapshots_retained: int = 3
     #: Whether cells automatically submit snapshot reports to Ethereum.
     auto_report: bool = True
     #: Ethereum target block interval in seconds (Ropsten-like).
@@ -160,14 +150,10 @@ class DeploymentConfig:
             raise ConfigError("signature_scheme must be 'ecdsa' or 'sim'")
         if self.report_period <= 0:
             raise ConfigError("report_period must be positive")
-        if self.snapshots_retained < 2:
-            raise ConfigError("at least two snapshots must be retained for auditing")
         if self.batch_quantum < 0:
             raise ConfigError("batch_quantum cannot be negative")
         if self.standby_cells < 0:
             raise ConfigError("standby_cells cannot be negative")
-        if self.probe_deadline <= 0:
-            raise ConfigError("probe_deadline must be positive")
         if self.execution_lanes < 1:
             raise ConfigError("execution_lanes must be at least 1")
         if self.shard_count < 1:
@@ -188,5 +174,4 @@ class DeploymentConfig:
             initial_timestamp=t0,
             forwarding_deadline=self.forwarding_deadline,
             miss_threshold=self.miss_threshold,
-            probe_deadline=self.probe_deadline,
         )

@@ -36,7 +36,6 @@ from ..sim.network import Network
 from ..sim.rng import SeedSequence
 from .cell import BlockumulusCell
 from .config import DeploymentConfig, SystemInvariants
-from .subscription import PricingPolicy
 
 if TYPE_CHECKING:
     from .sharding import ShardedDeployment
@@ -144,19 +143,10 @@ class BlockumulusDeployment:
                 invariants=self.invariants,
                 network=self.network,
                 rng=self.seeds.stream(f"cell-{index}"),
-                service_model=self.config.service_model,
                 metrics=self.metrics,
                 eth_provider=self.eth,
                 registry_contract=self.registry_contract,
-                pricing=PricingPolicy(price_per_mbyte=self.config.price_per_mbyte),
-                enforce_subscriptions=self.config.enforce_subscriptions,
-                auto_report=self.config.auto_report,
-                snapshots_retained=self.config.snapshots_retained,
-                batch_quantum=(
-                    self.config.batch_quantum if self.config.message_batching else None
-                ),
-                execution_lanes=self.config.execution_lanes,
-                max_inflight=self.config.max_inflight,
+                config=self.config,
             )
             self.cells.append(cell)
 

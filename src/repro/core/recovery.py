@@ -184,6 +184,9 @@ class _RejoinCollection:
 class MembershipManager:
     """Quorum voting on exclusions and readmissions, for one cell."""
 
+    #: How long an exclusion-vote liveness probe (PING) waits for a PONG.
+    PROBE_DEADLINE = 2.0
+
     def __init__(self, cell: "BlockumulusCell") -> None:
         self.cell = cell
         #: Votes collected for exclusion proposals this cell initiated,
@@ -264,7 +267,7 @@ class MembershipManager:
         if node is None:
             return True
         _request, pong = cell.endpoint.ask(
-            node, suspect, Opcode.PING, {"probe": True}, deadline=cell.invariants.probe_deadline
+            node, suspect, Opcode.PING, {"probe": True}, deadline=self.PROBE_DEADLINE
         )
         if not pong.triggered:  # a PING that never left: vote in this same step
             yield pong
@@ -717,7 +720,7 @@ class RecoveryCoordinator:
         if proposed:
             # Give the live peers time to probe the suspects and vote
             # before the next attempt measures its quorum.
-            yield cell.env.timeout(cell.invariants.probe_deadline + 1.0)
+            yield cell.env.timeout(MembershipManager.PROBE_DEADLINE + 1.0)
 
     def _fetch_sync_state(
         self, donor: Address, donor_node: str, delta_only: bool = False

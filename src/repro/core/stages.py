@@ -637,9 +637,9 @@ class CycleStage:
         cell: "BlockumulusCell",
         clock: Clock,
         execute: ExecuteStage,
-        eth: Optional[Web3Provider],
+        eth: Web3Provider,
         eth_key: PrivateKey,
-        registry_contract: Optional[SnapshotRegistry],
+        registry_contract: SnapshotRegistry,
         auto_report: bool,
     ) -> None:
         self.cell = cell
@@ -694,7 +694,7 @@ class CycleStage:
         self.execute.resume_admission()
         cell.metrics.increment(f"{cell.node_name}/snapshots_taken")
 
-        if self.auto_report and self.eth is not None and self.registry_contract is not None:
+        if self.auto_report:
             fingerprint_hex = snapshot.fingerprint_hex()
             if cell.fault.tamper_fingerprint:
                 fingerprint_hex = "0x" + bytes(32).hex()
@@ -736,8 +736,6 @@ class CycleStage:
         cell.metrics.series(f"{cell.node_name}/report_gas").add(receipt.gas_used)
 
     def _execute_contingencies(self) -> Generator[Event, Any, None]:
-        if self.eth is None or self.registry_contract is None:
-            return
         cell = self.cell
         contingencies = self.eth.call(self.registry_contract.address, "all_contingencies")
         for wire in contingencies[self.contingencies_executed:]:

@@ -11,7 +11,7 @@ This package implements, from scratch, everything the protocol needs:
 """
 
 from .ecdsa import Signature, SignatureError, recover_public_key, sign_message, verify_message
-from .hashing import combine_hashes, fast_hash, fast_hash_hex
+from .hashing import combine_hashes, fast_hash
 from .fingerprint import (
     canonical_bytes,
     fingerprint_state,
@@ -37,7 +37,6 @@ __all__ = [
     "canonical_bytes",
     "combine_hashes",
     "fast_hash",
-    "fast_hash_hex",
     "fingerprint_state",
     "fingerprint_state_hex",
     "keccak256",

@@ -28,11 +28,6 @@ def fast_hash(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
-def fast_hash_hex(data: bytes) -> str:
-    """0x-prefixed BLAKE2b-256 digest of ``data``."""
-    return "0x" + fast_hash(data).hex()
-
-
 def combine_hashes(*digests: bytes) -> bytes:
     """Hash a concatenation of digests (order-sensitive combiner)."""
     hasher = hashlib.blake2b(digest_size=DIGEST_SIZE)

@@ -23,7 +23,6 @@ from ..gas import (
     GasMeter,
     SSTORE_RESET_GAS,
     SSTORE_SET_GAS,
-    WARM_SLOAD_GAS,
     keccak_gas,
     log_gas,
 )
@@ -74,9 +73,9 @@ class NativeContract:
     # ------------------------------------------------------------------
     # Storage helpers (gas-metered)
     # ------------------------------------------------------------------
-    def sload(self, ctx: CallContext, key: str, warm: bool = False) -> Optional[bytes]:
-        """Read a storage slot, charging cold/warm SLOAD gas."""
-        ctx.gas.charge(WARM_SLOAD_GAS if warm else COLD_SLOAD_GAS, f"sload {key}")
+    def sload(self, ctx: CallContext, key: str) -> Optional[bytes]:
+        """Read a storage slot, charging cold SLOAD gas."""
+        ctx.gas.charge(COLD_SLOAD_GAS, f"sload {key}")
         return ctx.state.storage_get(self.address, key)
 
     def sstore(self, ctx: CallContext, key: str, value: bytes) -> None:

@@ -18,12 +18,12 @@ class ERC20Token(NativeContract):
     """Fixed-supply fungible token with transfer/approve/transferFrom."""
 
     NAME = "ERC20Token"
+    decimals = 18
 
-    def __init__(self, address: Address, name: str, symbol: str, decimals: int = 18) -> None:
+    def __init__(self, address: Address, name: str, symbol: str) -> None:
         super().__init__(address)
         self.token_name = name
         self.symbol = symbol
-        self.decimals = decimals
 
     @staticmethod
     def _balance_key(owner: str) -> str:

@@ -31,14 +31,13 @@ class EthereumNode:
         env: Environment,
         rng: random.Random,
         config: ChainConfig | None = None,
-        miner_key: PrivateKey | None = None,
         auto_mine: bool = True,
     ) -> None:
         self.env = env
         self.rng = rng
         self.chain = Blockchain(config=config, genesis_time=env.now)
         self.mempool = Mempool()
-        self.miner_key = miner_key or PrivateKey.from_seed("simulated-miner")
+        self.miner_key = PrivateKey.from_seed("simulated-miner")
         self._receipt_waiters: dict[str, list[Event]] = {}
         self._mining_process = None
         if auto_mine:
@@ -127,7 +126,3 @@ class EthereumNode:
     def get_balance(self, address: Address) -> int:
         """Confirmed balance in wei."""
         return self.chain.state.balance_of(address)
-
-    def get_receipt(self, tx_hash: str) -> Optional[TransactionReceipt]:
-        """Receipt for a mined transaction, if any."""
-        return self.chain.receipt(tx_hash)

@@ -20,12 +20,9 @@ from .transaction import EthTransaction
 class Web3Provider:
     """Thin account-aware wrapper around an :class:`EthereumNode`."""
 
-    def __init__(self, node: EthereumNode, default_gas_price_wei: int | None = None) -> None:
+    def __init__(self, node: EthereumNode) -> None:
         self.node = node
-        fee = node.chain.config.fee_schedule
-        self.default_gas_price_wei = (
-            default_gas_price_wei if default_gas_price_wei is not None else fee.gas_price_wei()
-        )
+        self.default_gas_price_wei = node.chain.config.fee_schedule.gas_price_wei()
 
     # ------------------------------------------------------------------
     # Reads
@@ -54,50 +51,29 @@ class Web3Provider:
         return self.node.submit_transaction(tx)
 
     def transact(
-        self,
-        key: PrivateKey,
-        contract_address: Address,
-        method: str,
-        args: dict[str, Any],
-        gas_limit: int = 500_000,
-        value: int = 0,
-        gas_price_wei: int | None = None,
+        self, key: PrivateKey, contract_address: Address, method: str, args: dict[str, Any]
     ) -> str:
         """Build, sign, and submit a contract call; returns the tx hash."""
-        tx = EthTransaction.contract_call(
-            key=key,
-            nonce=self.get_nonce(key.address),
-            contract=contract_address,
-            method=method,
-            args=args,
-            gas_price=gas_price_wei or self.default_gas_price_wei,
-            gas_limit=gas_limit,
-            value=value,
-        )
-        return self.send_raw_transaction(tx)
+        return self.send_raw_transaction(self._contract_call(key, contract_address, method, args))
 
     def transact_and_wait(
-        self,
-        key: PrivateKey,
-        contract_address: Address,
-        method: str,
-        args: dict[str, Any],
-        gas_limit: int = 500_000,
-        value: int = 0,
-        gas_price_wei: int | None = None,
+        self, key: PrivateKey, contract_address: Address, method: str, args: dict[str, Any]
     ) -> Event:
         """Like :meth:`transact` but returns an event firing with the receipt."""
-        tx = EthTransaction.contract_call(
+        return self.node.submit_and_wait(self._contract_call(key, contract_address, method, args))
+
+    def _contract_call(
+        self, key: PrivateKey, contract_address: Address, method: str, args: dict[str, Any]
+    ) -> EthTransaction:
+        """The signed call both submissions send, at the default gas price."""
+        return EthTransaction.contract_call(
             key=key,
-            nonce=self.get_nonce(key.address),
+            nonce=self.node.get_nonce(key.address),
             contract=contract_address,
             method=method,
             args=args,
-            gas_price=gas_price_wei or self.default_gas_price_wei,
-            gas_limit=gas_limit,
-            value=value,
+            gas_price=self.default_gas_price_wei,
         )
-        return self.node.submit_and_wait(tx)
 
     def transfer(self, key: PrivateKey, to: Address, value_wei: int) -> str:
         """Submit a plain value transfer."""

@@ -262,11 +262,11 @@ class SyncState(wire.Body, error=MembershipError):
     stale view along with its state.  ``head`` is the donor's ledger
     length at serve time: the requester tracks it across delta rounds so
     each follow-up sync asks for exactly the entries past what the donor
-    already shipped (-1 from donors predating the field).
+    already shipped.
     """
 
     donor: Address = wire.address()
     snapshot: Optional[dict[str, Any]] = wire.optional(wire.obj)()
     entries: tuple[SyncEntry, ...] = wire.list_of(wire.nested(SyncEntry))()
+    head: int = wire.integer()
     excluded: tuple[str, ...] = wire.list_of(wire.text)(default=())
-    head: int = wire.integer(default=-1)

@@ -48,18 +48,19 @@ class PropagationResult:
 class GossipSimulator:
     """Breadth-first gossip over a random unstructured topology."""
 
+    #: One-way latency of a P2P link.
+    LINK_LATENCY: LatencyModel = LogNormalLatency(median=0.12, sigma=0.6, floor=0.02)
+    #: Seconds a node spends validating a message before relaying it.
+    RELAY_DELAY = 0.05
+
     def __init__(
         self,
         node_count: int = 1_000,
         degree: int = 8,
         rng: Optional[random.Random] = None,
-        link_latency: Optional[LatencyModel] = None,
-        relay_delay: float = 0.05,
     ) -> None:
         self.rng = rng or random.Random(2021)
         self.topology: Topology = random_regularish_topology(node_count, degree, self.rng)
-        self.link_latency = link_latency or LogNormalLatency(median=0.12, sigma=0.6, floor=0.02)
-        self.relay_delay = relay_delay
 
     def propagate(self, origin: int = 0) -> PropagationResult:
         """Gossip one message from ``origin`` and record delivery times.
@@ -82,7 +83,7 @@ class GossipSimulator:
             for peer in adjacency[node]:
                 if peer in delivery:
                     continue
-                edge_delay = self.link_latency.sample(self.rng) + self.relay_delay
+                edge_delay = self.LINK_LATENCY.sample(self.rng) + self.RELAY_DELAY
                 heapq.heappush(queue, (time_now + edge_delay, peer))
         return PropagationResult(delivery_times=delivery)
 

@@ -15,7 +15,6 @@ from .latency import (
     LogNormalLatency,
     UniformLatency,
     azure_b1ms_service_model,
-    ethereum_inclusion_latency,
     fast_test_service_model,
     lan_latency,
     wan_cell_to_cell,
@@ -73,7 +72,6 @@ __all__ = [
     "ascii_bars",
     "ascii_cdf",
     "azure_b1ms_service_model",
-    "ethereum_inclusion_latency",
     "fast_test_service_model",
     "format_seconds",
     "lan_latency",

@@ -53,6 +53,9 @@ class EmptySchedule(Exception):
 class Environment:
     """A deterministic discrete-event simulation environment."""
 
+    #: Steps after which :meth:`run_all` gives up on a queue that never drains.
+    RUN_ALL_LIMIT = 10_000_000
+
     def __init__(self, initial_time: float = 0.0) -> None:
         #: Current simulated time in seconds.  A plain attribute, read tens
         #: of thousands of times per burst; :meth:`step` (and :meth:`run`,
@@ -155,12 +158,12 @@ class Environment:
             return stop_event._value
         raise stop_event._value  # pragma: no cover - defensive
 
-    def run_all(self, limit: int = 10_000_000) -> int:
+    def run_all(self) -> int:
         """Drain the event queue entirely, returning the number of steps."""
         steps = 0
         while self._queue:
             self.step()
             steps += 1
-            if steps >= limit:
-                raise SimulationError(f"exceeded {limit} simulation steps")
+            if steps >= self.RUN_ALL_LIMIT:
+                raise SimulationError(f"exceeded {self.RUN_ALL_LIMIT} simulation steps")
         return steps

@@ -170,11 +170,6 @@ def lan_latency() -> LatencyModel:
     return UniformLatency(0.0005, 0.0020)
 
 
-def ethereum_inclusion_latency() -> LatencyModel:
-    """Delay until a submitted Ethereum transaction is mined (Ropsten-ish)."""
-    return LogNormalLatency(median=15.0, sigma=0.5, floor=3.0)
-
-
 def azure_b1ms_service_model() -> CellServiceModel:
     """Service-time profile approximating the paper's Azure B1ms cells."""
     return CellServiceModel()

@@ -65,12 +65,10 @@ class Network:
         env: Environment,
         rng: random.Random,
         default_latency: LatencyModel | None = None,
-        framing_bytes: int = HTTP_FRAMING_BYTES,
     ) -> None:
         self.env = env
         self.rng = rng
         self.default_latency = default_latency or ConstantLatency(0.001)
-        self.framing_bytes = framing_bytes
         self._nodes: dict[str, NodeConfig] = {}
         self._links: dict[tuple[str, str], LatencyModel] = {}
         self._partitions: dict[int, frozenset[str]] = {}
@@ -101,11 +99,10 @@ class Network:
         config.downlink_bps = downlink_bps
         return config
 
-    def set_link(self, src: str, dst: str, latency: LatencyModel, symmetric: bool = True) -> None:
-        """Set the latency model for the directed link ``src`` -> ``dst``."""
+    def set_link(self, src: str, dst: str, latency: LatencyModel) -> None:
+        """Set the latency model for the link ``src`` <-> ``dst``, both directions."""
         self._links[(src, dst)] = latency
-        if symmetric:
-            self._links[(dst, src)] = latency
+        self._links[(dst, src)] = latency
 
     def set_online(self, name: str, online: bool) -> None:
         """Mark a node as reachable or unreachable (fault injection)."""
@@ -189,7 +186,7 @@ class Network:
     # ------------------------------------------------------------------
     def wire_size(self, payload_bytes: int) -> int:
         """Bytes on the wire for a message body of ``payload_bytes``."""
-        return payload_bytes + self.framing_bytes
+        return payload_bytes + HTTP_FRAMING_BYTES
 
     def transfer_delay(self, src: str, dst: str, size_bytes: int) -> float:
         """Sampled propagation + transmission delay for one message."""

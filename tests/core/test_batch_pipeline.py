@@ -20,7 +20,7 @@ from repro.messages import signer as signer_module
 from repro.messages.envelope import Envelope
 from repro.messages.opcodes import Opcode
 from repro.messages.payload import Payload
-from repro.messages.signer import EcdsaSigner, SimulatedSigner
+from repro.messages.signer import EcdsaSigner, SimulatedSigner, register_consortium_keys
 from repro.sim import Environment
 from tests.conftest import make_deployment
 
@@ -286,7 +286,8 @@ def _counting(stack: ExitStack, holder, name: str, calls: Counter) -> None:
     stack.enter_context(mock.patch.object(holder, name, counted))
 
 
-def test_ecdsa_burst_stays_within_the_crypto_budget():
+@pytest.mark.parametrize("cells_registered", [False, True], ids=["recovered", "registered"])
+def test_ecdsa_burst_stays_within_the_crypto_budget(cells_registered):
     """Counts, not timings, so that a cost cannot come back unnoticed.
 
     Per transaction, 2 cells: each signed object is signed once and its
@@ -296,12 +297,19 @@ def test_ecdsa_burst_stays_within_the_crypto_budget():
     the split scalar, ~95 additions) with no second verification behind it, a
     signature at most 43 additions and no doubling; an address is hashed when
     its key is first used, not per message.
+
+    Clearing the registry after building the deployment also forgets the
+    cells' keys, so every signature is recovered: the path a client takes.
+    With the keys registered again, as a deployment leaves them, a peer's
+    signature is checked against its key instead.
     """
     transactions, pools = 8, 2
     deployment = make_deployment()  # real ECDSA; builds the fixed-base table
     registered = dict(SimulatedSigner._registry)  # other modules' signers live there
     SimulatedSigner.clear_registry()
     SimulatedSigner._registry.update(registered)
+    if cells_registered:
+        register_consortium_keys(deployment.cell_signers)
     calls: Counter = Counter()
     with ExitStack() as stack:
         _counting(stack, signer_module, "recover_address", calls)
@@ -313,6 +321,19 @@ def test_ecdsa_burst_stays_within_the_crypto_budget():
         report = run_burst_transfers(deployment, count=transactions, pools=pools)
     assert report.failure_count == 0 and len(report.results) == transactions
     per_tx = {name: count / (transactions + pools) for name, count in calls.items()}
+    if cells_registered:
+        # Each ceiling at or below the recovered case's below; only clients'
+        # keys are recovered.  A check against a known key doubles too, so
+        # doublings are budgeted per transaction (132 per recovery below
+        # allows 369.6).
+        assert per_tx["sign"] <= 4.8                   # measured 4.8
+        assert per_tx["recover_address"] <= 1.0        # measured 1.0
+        assert per_tx["digest"] <= 5.4                 # measured 5.2
+        assert per_tx["_keccak_f1600"] <= 24.5         # measured 23.8
+        group_operations = per_tx["_jacobian_double"] + per_tx["_jacobian_add_affine"]
+        assert group_operations <= 630                 # measured 610.1
+        assert per_tx["_jacobian_double"] <= 158       # measured 152.7
+        return
     # "measured" is this code; in brackets the parent (PR 16's kernels), then
     # the code before PR 16.
     assert per_tx["sign"] <= 4.8               # measured 4.8 (4.8; 4.8)

@@ -14,6 +14,8 @@ def make_invariants(**overrides):
         cell_addresses=CELLS,
         report_period=600.0,
         initial_timestamp=0.0,
+        forwarding_deadline=10.0,
+        miss_threshold=5,
     )
     fields.update(overrides)
     return SystemInvariants(**fields)
@@ -54,8 +56,6 @@ def test_deployment_config_validation():
         DeploymentConfig(signature_scheme="rsa")
     with pytest.raises(ConfigError):
         DeploymentConfig(report_period=-5)
-    with pytest.raises(ConfigError):
-        DeploymentConfig(snapshots_retained=1)
 
 
 def test_make_invariants_freezes_cells():

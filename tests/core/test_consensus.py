@@ -13,7 +13,7 @@ CELLS = tuple(PrivateKey.from_seed(f"oc-cell-{i}").address for i in range(4))
 def consensus():
     invariants = SystemInvariants(
         deployment_id="oc", cell_addresses=CELLS, report_period=600.0,
-        initial_timestamp=1_000.0, miss_threshold=3,
+        initial_timestamp=1_000.0, forwarding_deadline=10.0, miss_threshold=3,
     )
     return OverlayConsensus(invariants)
 

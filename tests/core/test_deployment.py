@@ -1,7 +1,11 @@
 """Deployment orchestration."""
 
+import dataclasses
+import inspect
+
 import pytest
 
+from repro.core import BlockumulusCell, DeploymentConfig
 from repro.messages import EcdsaSigner, SimulatedSigner
 from tests.conftest import make_deployment
 
@@ -76,3 +80,26 @@ def test_deterministic_given_seed():
     b = make_deployment(seed=123)
     assert [cell.address for cell in a.cells] == [cell.address for cell in b.cells]
     assert a.registry_contract.address == b.registry_contract.address
+
+
+def test_every_cell_reads_its_settings_from_the_config():
+    deployment = make_deployment(
+        consortium_size=3, batch_quantum=0.05, execution_lanes=4, max_inflight=7,
+        auto_report=False, enforce_subscriptions=True,
+    )
+    for cell in deployment.cells:
+        assert cell.service_model is deployment.config.service_model
+        assert cell.batcher.quantum == 0.05
+        assert cell.lanes.lanes == 4
+        assert cell.max_inflight == 7
+        assert cell.cycle.auto_report is False
+        assert cell.subscriptions.enforce is True
+    unbatched = make_deployment(message_batching=False, batch_quantum=0.05)
+    assert [cell.batcher.quantum for cell in unbatched.cells] == [None, None]
+
+
+def test_the_cell_declares_no_setting_of_its_own():
+    """A setting is declared once, on the config the cell is built from."""
+    settings = {field.name for field in dataclasses.fields(DeploymentConfig)}
+    parameters = set(inspect.signature(BlockumulusCell.__init__).parameters)
+    assert parameters & settings == set()

@@ -18,6 +18,7 @@ import pytest
 
 from repro.contracts.community import FastMoney
 from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
+from repro.core.recovery import MembershipManager
 from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES, Sender
 from repro.messages import Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch
@@ -175,7 +176,7 @@ class RouteProbe:
             Opcode.CELL_REJOIN_ACK: ack.to_data(),
             Opcode.CELL_SYNC: SyncRequest(since_sequence=0).to_data(),
             Opcode.CELL_SYNC_STATE: SyncState(
-                donor=self.peer.address, snapshot=None, entries=()
+                donor=self.peer.address, snapshot=None, entries=(), head=0
             ).to_data(),
             Opcode.SNAPSHOT_REQUEST: {"cycle": 0},
             Opcode.LEDGER_REQUEST: {"first_cycle": 0, "last_cycle": 1},
@@ -566,7 +567,7 @@ def test_only_the_donor_it_asked_can_answer_a_sync_request(answered_by):
         # Whoever sees the request learns its nonce and answers it.
         reply = Envelope.create(
             signer=signer, recipient=cell.address, operation=Opcode.CELL_SYNC_STATE,
-            data=SyncState(donor=donor.address, snapshot=None, entries=()).to_data(),
+            data=SyncState(donor=donor.address, snapshot=None, entries=(), head=0).to_data(),
             timestamp=probe.env.now, nonce=probe.nonces.next(), reply_to=request.nonce,
         )
         probe.sharded.network.send("wiretap", cell.node_name, reply, reply.byte_size())
@@ -611,7 +612,7 @@ def test_a_pong_from_a_third_cell_does_not_vouch_for_the_suspect():
         verdicts.append((yield from prober.membership._probe(suspect.address)))
 
     deployment.env.process(probe())
-    deployment.run(until=deployment.config.probe_deadline + 1.0)
+    deployment.run(until=MembershipManager.PROBE_DEADLINE + 1.0)
     assert verdicts == [True], "the suspect stayed silent: the vote must be to exclude"
     assert deployment.metrics.counter(f"{prober.node_name}/membership_auth_failures") == 1
 

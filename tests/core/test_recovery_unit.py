@@ -43,6 +43,8 @@ def _invariants(addresses) -> SystemInvariants:
         cell_addresses=tuple(addresses),
         report_period=60.0,
         initial_timestamp=0.0,
+        forwarding_deadline=10.0,
+        miss_threshold=5,
     )
 
 

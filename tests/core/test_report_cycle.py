@@ -18,7 +18,7 @@ def test_cells_anchor_identical_fingerprints_each_cycle():
 
 
 def test_snapshot_retention_matches_configuration():
-    deployment = make_deployment(report_period=10.0, snapshots_retained=3)
+    deployment = make_deployment(report_period=10.0)
     deployment.run(until=65.0)
     for cell in deployment.cells:
         assert len(cell.snapshots.retained_cycles()) <= 3

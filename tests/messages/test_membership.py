@@ -191,10 +191,11 @@ def test_sync_state_round_trip(signer):
     assert rebuilt.snapshot["cycle"] == 0
     assert rebuilt.entries == bundle.entries
     assert rebuilt.head == 12
-    # Pre-extension bundles carry no head: the unknown sentinel.
-    legacy = {"donor": signer.address.hex(), "snapshot": None, "entries": []}
-    assert SyncState.from_data(legacy).head == -1
-    with pytest.raises(MembershipError):
-        SyncState.from_data({"donor": signer.address.hex(), "snapshot": "nope", "entries": []})
-    with pytest.raises(MembershipError):
-        SyncState.from_data({"donor": signer.address.hex(), "snapshot": None, "entries": "x"})
+    # Every donor states its head: a bundle without one is malformed.
+    headless = {"donor": signer.address.hex(), "snapshot": None, "entries": []}
+    with pytest.raises(MembershipError, match="head: is missing"):
+        SyncState.from_data(headless)
+    with pytest.raises(MembershipError, match="snapshot"):
+        SyncState.from_data({**headless, "head": 0, "snapshot": "nope"})
+    with pytest.raises(MembershipError, match="entries"):
+        SyncState.from_data({**headless, "head": 0, "entries": "x"})

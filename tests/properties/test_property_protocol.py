@@ -23,7 +23,8 @@ SIM_SIGNER = SimulatedSigner("prop-sim")
 )
 def test_cycle_arithmetic_invariants(period, t0, offset):
     invariants = SystemInvariants(
-        deployment_id="prop", cell_addresses=CELLS, report_period=period, initial_timestamp=t0
+        deployment_id="prop", cell_addresses=CELLS, report_period=period, initial_timestamp=t0,
+        forwarding_deadline=10.0, miss_threshold=5,
     )
     consensus = OverlayConsensus(invariants)
     timestamp = t0 + offset
