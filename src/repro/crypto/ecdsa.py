@@ -78,13 +78,19 @@ class Signature:
 
 
 def _rfc6979_nonce(private_key: int, message_hash: bytes) -> int:
-    """Derive the deterministic nonce ``k`` per RFC 6979 with HMAC-SHA256."""
+    """Derive the deterministic nonce ``k`` per RFC 6979 with HMAC-SHA256.
+
+    Both HMAC seeds take ``bits2octets(h1)``, the digest reduced mod ``N``
+    (section 2.3.4; step 3.2 d), which differs from the raw digest only
+    when that is at least ``N``.
+    """
     holder = private_key.to_bytes(32, "big")
+    reduced = (int.from_bytes(message_hash, "big") % N).to_bytes(32, "big")
     v = b"\x01" * 32
     k = b"\x00" * 32
-    k = hmac.new(k, v + b"\x00" + holder + message_hash, hashlib.sha256).digest()
+    k = hmac.new(k, v + b"\x00" + holder + reduced, hashlib.sha256).digest()
     v = hmac.new(k, v, hashlib.sha256).digest()
-    k = hmac.new(k, v + b"\x01" + holder + message_hash, hashlib.sha256).digest()
+    k = hmac.new(k, v + b"\x01" + holder + reduced, hashlib.sha256).digest()
     v = hmac.new(k, v, hashlib.sha256).digest()
     while True:
         v = hmac.new(k, v, hashlib.sha256).digest()

@@ -9,10 +9,10 @@ Two hash functions are used in the reproduction:
   hashing: bContract state fingerprints, message ids, and the simulated
   signature scheme.  The paper leaves the fingerprinting hash ``H`` as a
   deployment invariant rather than mandating Keccak, and the pure-Python
-  Keccak costs ~0.18 ms per 136-byte block (0.53 ms for 400 bytes) against
-  ~0.8 us for the C BLAKE2b (~600x), which would make the
-  20,000-transaction stress benchmarks wall-clock-bound on hashing rather
-  than on the protocol being measured.
+  Keccak costs ~0.12 ms per 136-byte block (0.36 ms for 400 bytes) against
+  ~0.7 us for the C BLAKE2b over the same 400 bytes (~500x), which would
+  make the 20,000-transaction stress benchmarks wall-clock-bound on hashing
+  rather than on the protocol being measured.
 """
 
 from __future__ import annotations

@@ -162,14 +162,23 @@ def _wnaf(scalar: int, width: int) -> list[tuple[int, int]]:
     return terms
 
 
-#: Bits per window of the fixed-base table (chosen by measurement, see
-#: :func:`_generator_table`).
-_WINDOW = 6
-#: Windows that cover a scalar below ``2**256`` plus the carry out of the top.
-_WINDOWS = -(-257 // _WINDOW)
-
 #: A fixed-base table: rows of affine ``(x, y)`` multiples, see :func:`fixed_base_table`.
 Table = tuple[tuple[tuple[int, int], ...], ...]
+
+#: Window bits of the generator's table (chosen by measurement, see
+#: :func:`_generator_table`) and of a known key's (:func:`known_key_table`).
+_GENERATOR_WIDTH = 8
+_KEY_WIDTH = 6
+
+
+def _half_windows(width: int) -> int:
+    """Rows of a ``width``-bit table that hold either half of a split scalar.
+
+    A half is below ``2**128`` in magnitude and a walk covers scalars below
+    ``2**(width * rows - 1)`` (:func:`_walk_table`), so ``width * rows`` must
+    reach 129: 17 rows at width 8, 22 at width 6.
+    """
+    return -(-129 // width)
 
 
 def _affine_add_each(
@@ -189,68 +198,71 @@ def _affine_add_each(
     return sums
 
 
-def fixed_base_table(point: Point, windows: int = _WINDOWS) -> Table:
-    """The fixed-base table of a finite ``point``: row ``i`` holds ``j * 2**(6i) * point``.
+def fixed_base_table(point: Point, windows: int, width: int) -> Table:
+    """The fixed-base table of a finite ``point``: row ``i`` holds ``j * 2**(width*i) * point``.
 
-    ``j`` runs over 1..32, so a scalar below ``2**(6 * windows - 1)`` is a
-    walk over ``windows`` signed 6-bit digits (:func:`_walk_table`): at most
-    one mixed addition per row and no doubling.
+    ``j`` runs over ``1 .. 2**(width-1)``, so a scalar below ``2**(width *
+    windows - 1)`` is a walk over ``windows`` signed ``width``-bit digits
+    (:func:`_walk_table`): at most one mixed addition per row and no
+    doubling.
 
-    One Jacobian doubling chain to ``2**(6 * (windows - 1) + 1) * point``
+    One Jacobian doubling chain to ``2**(width * (windows - 1) + 1) * point``
     gives every row's ``1x`` and ``2x`` entry, then the rows grow side by
     side, ``(j+1)x = jx + 1x`` in affine form with one inversion per step
     shared by all rows (no ``jx`` is ``+-1x``: every finite point has the
     prime order ``N``).
     """
     chain = [(point.x, point.y, 1)]
-    for _ in range(_WINDOW * (windows - 1) + 1):
+    for _ in range(width * (windows - 1) + 1):
         chain.append(_jacobian_double(*chain[-1]))
     affine = _to_affine(chain)
-    bases = affine[0::_WINDOW]
-    columns = [bases, affine[1::_WINDOW]]
-    while len(columns) < 1 << (_WINDOW - 1):
+    bases = affine[0::width]
+    columns = [bases, affine[1::width]]
+    while len(columns) < 1 << (width - 1):
         columns.append(_affine_add_each(columns[-1], bases))
     return tuple(zip(*columns))
 
 
 @cache
 def _generator_table() -> Table:
-    """The generator's :func:`fixed_base_table`, 43 rows for every scalar below ``2**256``.
+    """The generator's :func:`fixed_base_table`: 17 rows of 128 multiples, width 8.
 
-    A scalar is cut into 43 signed 6-bit windows (digits in -31..32; a digit
-    above 32 borrows from the next window, and the top window, which holds
-    only 4 bits, absorbs the last carry), so ``k * G`` is at most 43 mixed
-    additions and no doubling, 0.23 ms (a NAF walk over the 257 powers
-    ``2**i * G`` needs ~85 additions, 0.46 ms).  Every signature, key
-    derivation and the ``u1 * G`` half of every recovery uses it.
+    It covers the 128-bit halves of a split scalar (:func:`_split_scalar`),
+    not the whole scalar: ``u1 * G`` is ``k1 * G + k2 * (LAMBDA * G)``, two
+    walks of at most 17 mixed additions each, the second reading the table
+    through ``BETA``, and no doubling.  Every signature, key derivation,
+    known-key check and the ``u1 * G`` half of every recovery uses it.
 
     It is built on first use, not at import, and kept for the life of the
-    process: 6 ms and 0.24 MiB for 1,376 points.  Widths 4..8 were measured
-    (docs/BENCHMARKS.md): 5 is 0.27 ms per multiplication for a 4 ms build,
-    7 is 0.20 ms for 9.7 ms and 0.42 MiB, which ~125 multiplications earn
-    back -- more than a small test process performs.
+    process: ~8 ms and 0.38 MiB for 2,176 points.  Widths 5..9 of the half
+    table were measured beside the 43-row width-6 table of the whole scalar
+    it replaced (docs/BENCHMARKS.md, "What a real-ECDSA transaction costs
+    now"): ``k * G`` 0.148 ms against 0.183 ms, for 3 ms more build that
+    ~85 multiplications earn back (a ``burst_ecdsa`` drive makes ~190);
+    width 9 would save 0.005 ms more for 6 ms more.
     """
-    return fixed_base_table(GENERATOR)
+    return fixed_base_table(GENERATOR, _half_windows(_GENERATOR_WIDTH), _GENERATOR_WIDTH)
 
 
 def _walk_table(
-    x: int, y: int, z: int, scalar: int, table: Table, beta: int = 1
+    x: int, y: int, z: int, scalar: int, table: Table, width: int, beta: int = 1
 ) -> tuple[int, int, int]:
     """Add ``scalar`` times the table's point to the Jacobian ``(x, y, z)``.
 
-    A negative ``scalar`` adds the negated multiples.  With ``beta = BETA``
-    every entry is read as its image under the endomorphism, so the walk
-    adds ``scalar * LAMBDA`` times the table's point.  The scalar must fit
-    the table: below ``2**(6 * len(table) - 1)`` in magnitude.
+    ``table`` is a :func:`fixed_base_table` of window ``width``.  A negative
+    ``scalar`` adds the negated multiples.  With ``beta = BETA`` every entry
+    is read as its image under the endomorphism, so the walk adds ``scalar *
+    LAMBDA`` times the table's point.  The scalar must fit the table: below
+    ``2**(width * len(table) - 1)`` in magnitude.
     """
-    full = 1 << _WINDOW
+    full = 1 << width
     negate = scalar < 0
     scalar = abs(scalar)
     for row in table:
         if not scalar:
             break
         digit = scalar & (full - 1)
-        scalar >>= _WINDOW
+        scalar >>= width
         if digit > full >> 1:
             digit -= full
             scalar += 1
@@ -287,6 +299,19 @@ def _split_scalar(scalar: int) -> tuple[int, int]:
     return scalar - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
+def _walk_halves(
+    x: int, y: int, z: int, scalar: int, table: Table, width: int
+) -> tuple[int, int, int]:
+    """Add ``scalar`` times the point of a GLV half ``table`` to ``(x, y, z)``.
+
+    ``scalar = k1 + k2 * LAMBDA``: ``k1`` is walked over the table, ``k2``
+    over the same entries read through the endomorphism.
+    """
+    k1, k2 = _split_scalar(scalar % N)
+    x, y, z = _walk_table(x, y, z, k1, table, width)
+    return _walk_table(x, y, z, k2, table, width, BETA)
+
+
 def double_scalar_multiply(u1: int, u2: int, point: Point) -> Point:
     """Compute ``u1 * G + u2 * point`` in one pass over one accumulator.
 
@@ -295,7 +320,7 @@ def double_scalar_multiply(u1: int, u2: int, point: Point) -> Point:
     streams over one ladder of ~128 doublings: one over the odd multiples
     ``1, 3, .., 15`` of ``point``, one over their images under the
     endomorphism, which cost one multiplication each.  ``u1 * G`` is then
-    added from the fixed-base table of :func:`_generator_table`.
+    added, split the same way, from the half table of :func:`_generator_table`.
     """
     u1 %= N
     u2 %= N
@@ -324,38 +349,34 @@ def double_scalar_multiply(u1: int, u2: int, point: Point) -> Point:
         for _ in range(height):
             x, y, z = _jacobian_double(x, y, z)
     if u1:
-        x, y, z = _walk_table(x, y, z, u1, _generator_table())
+        x, y, z = _walk_halves(x, y, z, u1, _generator_table(), _GENERATOR_WIDTH)
     if z == 0:
         return INFINITY
     return Point(*_to_affine([(x, y, z)])[0])
 
 
-#: Rows of a known key's table (:func:`known_key_table`): ``6 * 22 - 1``
-#: bits hold either half of a split scalar, which is below ``2**128``.
-_HALF_WINDOWS = -(-129 // _WINDOW)
-
-
 def known_key_table(point: Point) -> Table:
-    """The table :func:`known_key_multiply` walks for ``point``: 22 rows.
+    """The table :func:`known_key_multiply` walks for ``point``: 22 rows, width 6.
 
     It covers only the 128-bit halves of a split scalar; the rows of
-    ``LAMBDA * point`` are the same entries with ``x`` times ``BETA``.
+    ``LAMBDA * point`` are the same entries with ``x`` times ``BETA``.  It
+    stays narrower than the generator's: a key's table is built once per key
+    and process (a wider one costs more to build than a key's few dozen
+    checks save).
     """
-    return fixed_base_table(point, _HALF_WINDOWS)
+    return fixed_base_table(point, _half_windows(_KEY_WIDTH), _KEY_WIDTH)
 
 
 def known_key_multiply(u1: int, u2: int, table: Table) -> Point:
     """``u1 * G + u2 * point``, where ``table`` is ``known_key_table(point)``.
 
-    Three table walks into one accumulator and no doubling: ``u1`` over the
-    generator's table, the halves of ``u2 = k1 + k2 * LAMBDA`` over the
-    point's table, ``k2`` reading it through the endomorphism.
+    Four table walks into one accumulator and no doubling: the halves of
+    ``u2 = k1 + k2 * LAMBDA`` over the point's table, the halves of ``u1``
+    over the generator's, each second half reading its table through the
+    endomorphism.
     """
-    x, y, z = 0, 1, 0
-    k1, k2 = _split_scalar(u2 % N)
-    x, y, z = _walk_table(x, y, z, k1, table)
-    x, y, z = _walk_table(x, y, z, k2, table, BETA)
-    x, y, z = _walk_table(x, y, z, u1 % N, _generator_table())
+    x, y, z = _walk_halves(0, 1, 0, u2, table, _KEY_WIDTH)
+    x, y, z = _walk_halves(x, y, z, u1, _generator_table(), _GENERATOR_WIDTH)
     if z == 0:
         return INFINITY
     return Point(*_to_affine([(x, y, z)])[0])

@@ -1,5 +1,6 @@
 """Deterministic ECDSA signing, verification, and recovery."""
 
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +11,7 @@ from repro.crypto.ecdsa import (
     N,
     Signature,
     SignatureError,
+    _rfc6979_nonce,
     recover_public_key,
     recovers_to,
     sign_hash,
@@ -276,3 +278,52 @@ def test_golden_addresses_and_signature_bytes(seed):
         signature = key.sign(message)
         assert signature.to_bytes().hex() == expected
         assert recover_public_key(keccak256(message), signature) == key.public_key.point
+
+
+# -- known answers published outside this repository ----------------------------
+
+# secp256k1 with HMAC-SHA256 nonces over SHA-256 digests, the vectors that
+# widely used secp256k1 libraries test their RFC 6979 code with; r, s and v
+# are the low-s signature.
+SATOSHI = hashlib.sha256(b"Satoshi Nakamoto").digest()
+TEARS = hashlib.sha256(
+    b"All those moments will be lost in time, like tears in rain. Time to die...").digest()
+
+PUBLISHED_NONCES = [
+    (1, SATOSHI, 0x8F8A276C19F4149656B280621E358CCE24F5F52542772691EE69063B74F15D15),
+    (N - 1, SATOSHI, 0x33A19B60E25FB6F4435AF53A3D42D493644827367E6453928554F43E49AA6F90),
+    (1, TEARS, 0x38AA22D72376B4DBC472E06C3BA403EE0A394DA63FC58D88686C611ABA98D6B3),
+]
+PUBLISHED_SIGNATURES = [
+    (1, SATOSHI, 0x934B1EA10A4B3C1757E2B0C017D0B6143CE3C9A7E6A4A49860D7A6AB210EE3D8,
+     0x2442CE9D2B916064108014783E923EC36B49743E2FFA1C4496F01A512AAFD9E5, 1),
+    (N - 1, SATOSHI, 0xFD567D121DB66E382991534ADA77A6BD3106F0A1098C231E47993447CD6AF2D0,
+     0x6B39CD0EB1BC8603E159EF5C20A5C8AD685A45B06CE9BEBED3F153D10D93BED5, None),
+]
+
+
+@pytest.mark.parametrize("secret,message_hash,expected", PUBLISHED_NONCES,
+                         ids=["key-1", "key-N-1", "key-1-tears"])
+def test_published_rfc6979_nonces(secret, message_hash, expected):
+    assert _rfc6979_nonce(secret, message_hash) == expected
+
+
+@pytest.mark.parametrize("secret,message_hash,r,s,v", PUBLISHED_SIGNATURES,
+                         ids=["key-1", "key-N-1"])
+def test_published_signatures(secret, message_hash, r, s, v):
+    signature = sign_hash(secret, message_hash)
+    assert (signature.r, signature.s) == (r, s)
+    if v is not None:
+        assert signature.v == v
+    assert recover_public_key(message_hash, signature) == scalar_multiply(secret)
+
+
+def test_the_nonce_reduces_a_digest_at_or_above_the_order():
+    # bits2octets(h1) = int2octets(h1 mod N): a digest >= N seeds the HMACs
+    # with its residue, so it shares its nonce with that residue's digest.
+    top = b"\xff" * 32
+    residue = ((2**256 - 1) % N).to_bytes(32, "big")
+    for secret in (1, 0xC0FFEE, N - 1):
+        assert _rfc6979_nonce(secret, top) == _rfc6979_nonce(secret, residue)
+    below = (N - 1).to_bytes(32, "big")
+    assert _rfc6979_nonce(1, below) != _rfc6979_nonce(1, residue)

@@ -1,7 +1,7 @@
 """Keccak-256 against published test vectors and API behaviour."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keccak import (
@@ -154,8 +154,20 @@ def _reference_f1600(state: list[int]) -> list[int]:
     return state
 
 
+_ONES = 2**64 - 1
+#: The lanes the permutation holds complemented between rounds.
+_COMPLEMENTED_LANES = (1, 2, 8, 12, 17, 20)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=25, max_size=25))
+@example([0] * 25)
+@example([_ONES] * 25)
+@example([1] * 25)
+@example([1 << 63] * 25)
+@example([1 << (lane * 5 % 64) for lane in range(25)])
+@example([_ONES if lane in _COMPLEMENTED_LANES else 0 for lane in range(25)])
+@example([0 if lane in _COMPLEMENTED_LANES else _ONES for lane in range(25)])
 def test_unrolled_permutation_matches_the_specification_loops(state):
     before = list(state)
     assert _keccak_f1600(state) == _reference_f1600(state)

@@ -221,56 +221,108 @@ def test_double_scalar_multiply_named_edge_cases(u1, u2, point):
     assert double_scalar_multiply(u1, u2, point) == reference_double_multiply(u1, u2, point)
 
 
-WINDOW, WINDOWS = secp256k1._WINDOW, secp256k1._WINDOWS
+G_WIDTH = secp256k1._GENERATOR_WIDTH
+G_ROWS = secp256k1._half_windows(G_WIDTH)
+KEY_WIDTH = secp256k1._KEY_WIDTH
+FINITE_POINTS = [GENERATOR, NEGATED_GENERATOR, reference_multiply(0xC0FFEE, GENERATOR),
+                 LAMBDA_GENERATOR, NEGATED_LAMBDA_GENERATOR]
 
 
 def test_fixed_base_table_holds_every_multiple_of_every_window():
     table = secp256k1._generator_table()
-    assert len(table) == WINDOWS and WINDOW * WINDOWS >= 257
-    assert {len(row) for row in table} == {2 ** (WINDOW - 1)}
-    for window in (0, 1, WINDOWS // 2, WINDOWS - 1):
-        for multiple in (1, 2, 3, 2 ** (WINDOW - 1) - 1, 2 ** (WINDOW - 1)):
-            expected = reference_multiply(multiple << (WINDOW * window), GENERATOR)
+    # 17 rows of 128 multiples: either 128-bit half of a split scalar fits.
+    assert (G_WIDTH, G_ROWS) == (8, 17) and G_WIDTH * G_ROWS - 1 >= 129
+    assert {len(row) for row in table} == {2 ** (G_WIDTH - 1)}
+    assert table == fixed_base_table(GENERATOR, G_ROWS, G_WIDTH)
+    for window in (0, G_ROWS // 2, G_ROWS - 1):
+        for multiple in (1, 2, 3, 2 ** (G_WIDTH - 1) - 1, 2 ** (G_WIDTH - 1)):
+            expected = reference_multiply(multiple << (G_WIDTH * window), GENERATOR)
             assert table[window][multiple - 1] == (expected.x, expected.y)
 
 
 @pytest.mark.parametrize("scalar", [
     N - 1, N - 2, 2**256 - 1,
-    2**255, 2**256 - 2**250,                  # digits only in the top windows
-    (1 << (WINDOW * (WINDOWS - 1))),          # lowest digit of the top window
-    (1 << (WINDOW * (WINDOWS - 1))) - 1,      # every lower window borrows: a carry chain
-    int("1" * 256, 2) % N,                    # every window above half: carries all the way up
-    sum((2 ** (WINDOW - 1) + 1) << (WINDOW * i) for i in range(WINDOWS - 1)),
-    sum(2 ** (WINDOW - 1) << (WINDOW * i) for i in range(WINDOWS - 1)),  # largest digit, no carry
+    2**255, 2**256 - 2**250,
+    # Digit patterns of a 6-bit window over 43 windows, the layout of the
+    # whole-scalar table the half table replaced.
+    (1 << (6 * 42)),
+    (1 << (6 * 42)) - 1,
+    int("1" * 256, 2) % N,
+    sum((2 ** 5 + 1) << (6 * i) for i in range(42)),
+    sum(2 ** 5 << (6 * i) for i in range(42)),
 ], ids=lambda scalar: f"{scalar % N:#x}"[:14])
 def test_fixed_base_windows_carry_up_to_the_top(scalar):
-    # A digit above half the window borrows from the next one, so the top
-    # window must absorb a carry; N - 1 is -G only if every window is right.
+    # N - 1 is -G only if both halves of its split are walked right.
     assert scalar_multiply(scalar) == reference_multiply(scalar, GENERATOR)
     assert scalar_multiply(N - 1) == NEGATED_GENERATOR
 
 
+def _from_halves(k1: int, k2: int) -> int:
+    return (k1 + k2 * LAMBDA) % N
+
+
+#: Halves at the reach of a width-8 walk: every window borrows (a carry
+#: chain into the top row), the largest digit in every window without a
+#: carry, the largest half, and those negated.
+G_HALVES = [
+    (1 << (G_WIDTH * (G_ROWS - 1))) - 1,
+    sum((2 ** (G_WIDTH - 1) + 1) << (G_WIDTH * i) for i in range(G_ROWS - 1)),
+    sum(2 ** (G_WIDTH - 1) << (G_WIDTH * i) for i in range(G_ROWS - 1)),
+    2**128 - 1,
+]
+
+
+@pytest.mark.parametrize("half", G_HALVES + [-half for half in G_HALVES],
+                         ids=lambda half: f"{half:#x}"[:14])
+def test_a_half_table_walk_carries_up_to_the_top_row(half):
+    table = secp256k1._generator_table()
+    for k1, k2 in ((half, 0), (0, half), (half, -half)):
+        x, y, z = secp256k1._walk_table(0, 1, 0, k1, table, G_WIDTH)
+        x, y, z = secp256k1._walk_table(x, y, z, k2, table, G_WIDTH, BETA)
+        point = Point(*secp256k1._to_affine([(x, y, z)])[0])
+        assert point == reference_multiply(_from_halves(k1, k2), GENERATOR)
+
+
+#: ``k`` for ``k * G`` and ``u1 * G`` at the corners of the generator's walk
+#: (the split corners hold LAMBDA, N - LAMBDA, 2**128 +- 1 and the halves
+#: that are negative or zero).
+GENERATOR_EDGE_SCALARS = [0, 1, 2, N - 1, N, *SPLIT_CORNERS]
+
+
+@pytest.mark.parametrize("scalar", GENERATOR_EDGE_SCALARS,
+                         ids=lambda scalar: f"{scalar:#x}"[:14])
+def test_generator_multiples_at_the_split_corners(scalar):
+    expected = reference_multiply(scalar, GENERATOR)
+    other = FINITE_POINTS[2]
+    assert scalar_multiply(scalar) == expected                       # k * G
+    assert double_scalar_multiply(scalar, 0, other) == expected      # u1 * G, no u2
+    assert known_key_multiply(scalar, 0, known_key_table(other)) == expected
+    assert double_scalar_multiply(scalar, 3, other) == point_add(
+        expected, reference_multiply(3, other))
+
+
 # -- a known key's table: u1 * G + u2 * Q without doublings ---------------------
-
-FINITE_POINTS = [GENERATOR, NEGATED_GENERATOR, reference_multiply(0xC0FFEE, GENERATOR),
-                 LAMBDA_GENERATOR, NEGATED_LAMBDA_GENERATOR]
-
 
 def test_a_fixed_base_table_of_any_point_holds_every_multiple_of_every_window():
     point = FINITE_POINTS[2]
-    table = fixed_base_table(point, 5)
-    assert len(table) == 5 and {len(row) for row in table} == {2 ** (WINDOW - 1)}
+    table = fixed_base_table(point, 5, KEY_WIDTH)
+    assert len(table) == 5 and {len(row) for row in table} == {2 ** (KEY_WIDTH - 1)}
     for window in range(5):
-        for multiple in (1, 2, 2 ** (WINDOW - 1) - 1, 2 ** (WINDOW - 1)):
-            expected = reference_multiply(multiple << (WINDOW * window), point)
+        for multiple in (1, 2, 2 ** (KEY_WIDTH - 1) - 1, 2 ** (KEY_WIDTH - 1)):
+            expected = reference_multiply(multiple << (KEY_WIDTH * window), point)
             assert table[window][multiple - 1] == (expected.x, expected.y)
 
 
 def test_a_known_key_table_covers_either_half_of_a_split_scalar():
     table = known_key_table(GENERATOR)
-    assert len(table) == 22 and WINDOW * len(table) - 1 >= 129
-    assert table == fixed_base_table(GENERATOR, 22)
-    assert table == secp256k1._generator_table()[:22]
+    assert KEY_WIDTH == 6 and len(table) == 22 and KEY_WIDTH * len(table) - 1 >= 129
+    assert table == fixed_base_table(GENERATOR, 22, KEY_WIDTH)
+    # Both tables start at 1 * G: the key table's first row is the first 32
+    # multiples of the generator table's.
+    assert table[0] == secp256k1._generator_table()[0][:2 ** (KEY_WIDTH - 1)]
+    for window in (0, 11, 21):
+        expected = reference_multiply(2 ** (KEY_WIDTH - 1) << (KEY_WIDTH * window), GENERATOR)
+        assert table[window][-1] == (expected.x, expected.y)
 
 
 @pytest.mark.parametrize("point", FINITE_POINTS, ids=["G", "-G", "other", "lambda*G", "-lambda*G"])
