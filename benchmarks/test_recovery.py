@@ -26,7 +26,7 @@ baseline ``BENCH_recovery.json`` at the repository root.
 from __future__ import annotations
 
 from repro.client import BlockumulusClient, FastMoneyClient
-from repro.core.recovery import RecoveryCoordinator
+from repro.core.recovery import RecoveryStage
 
 from _harness import azure_deployment, bench_scale, write_bench_json, write_output
 
@@ -144,8 +144,8 @@ def _recovery_under_load_run(log_length: int) -> dict:
     syncs_served = deployment.metrics.counter("cell-0/syncs_served") - syncs_before
     assert syncs_served == 1 + result.delta_syncs
     assert result.delta_syncs <= (result.attempts - 1) + result.backfill_rounds
-    assert result.attempts <= RecoveryCoordinator.REJOIN_ATTEMPTS
-    assert result.backfill_rounds <= RecoveryCoordinator.BACKFILL_ROUNDS
+    assert result.attempts <= RecoveryStage.REJOIN_ATTEMPTS
+    assert result.backfill_rounds <= RecoveryStage.BACKFILL_ROUNDS
 
     # Every receipt issued while the recovery ran was honoured.
     receipts = [event.value for event in in_flight]

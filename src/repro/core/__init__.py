@@ -32,8 +32,8 @@ from .sharding import (
 )
 from .recovery import (
     MembershipManager,
-    RecoveryCoordinator,
     RecoveryResult,
+    RecoveryStage,
 )
 from .snapshot import DataSnapshot, LazySnapshotExport, SnapshotEngine, SnapshotError
 from .subscription import PricingPolicy, Subscription, SubscriptionError, SubscriptionManager
@@ -67,8 +67,8 @@ __all__ = [
     "OverlayConsensus",
     "PricingPolicy",
     "ReceiptError",
-    "RecoveryCoordinator",
     "RecoveryResult",
+    "RecoveryStage",
     "ShardMap",
     "ShardedDeployment",
     "ShardingError",

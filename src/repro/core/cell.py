@@ -13,7 +13,8 @@ on-chain (the censorship escape hatch of Section V-B).
 :class:`BlockumulusCell` is the *ingress* stage of that pipeline and the
 owner of the state its stages share; every step behind ingress is a stage
 object of :mod:`repro.core.stages` (``execute``, ``service``, ``peer``,
-``cycle``, ``read``), reached by the route table's handler paths.  The cell
+``cycle``, ``read``) or :mod:`repro.core.recovery` (``recovery``), reached
+by the route table's handler paths.  The cell
 runs inside the discrete-event simulation, which it and its stages see
 only through a :class:`~repro.sim.environment.Clock`; all service times
 come from the deployment's :class:`CellServiceModel`.
@@ -48,7 +49,7 @@ from .executor import TransactionExecutor
 from .faults import FaultPlan
 from .gateway import CrossShardGateway
 from .ledger import TransactionLedger
-from .recovery import MembershipManager, RecoveryCoordinator
+from .recovery import MembershipManager, RecoveryStage
 from .replies import ErrorReply
 from .routes import ROUTES, Admission, Route, Sender
 from .snapshot import SnapshotEngine
@@ -103,8 +104,8 @@ class BlockumulusCell:
         # batches queued before the crash alike.
         self.endpoint = Endpoint(env, network, node_name, signer, lambda: self.fault.crashed)
         self.nonces = self.endpoint.nonces
-        self.membership = MembershipManager(self)
-        self.recovery = RecoveryCoordinator(self)
+        self.membership = MembershipManager(self, env)
+        self.recovery = RecoveryStage(self, env)
         # Outgoing forwards/confirmations for the same destination coalesce
         # into at most one envelope per scheduling quantum (none: each alone).
         self.batcher = BatchDispatcher(
@@ -146,14 +147,6 @@ class BlockumulusCell:
         # role object; all others refuse XSHARD traffic (repro.core.gateway).
         self.shard_group: Optional[int] = None
         self.gateway: Optional[CrossShardGateway] = None
-
-        # While a resync is in flight the cell must not take snapshots: it
-        # would anchor fingerprints of half-restored state.  For the same
-        # reason it sheds client ingress (half-restored state must never
-        # service transactions) and the peer stage buffers forwarded
-        # transactions instead of admitting them.
-        self.recovering = False
-        self._shed_recovering = 0
 
         install_system_contracts(self.contracts)
         network.register(node_name, handler=self._on_message)
@@ -261,13 +254,7 @@ class BlockumulusCell:
         entry, no forwards, no state), so the oracles never see it.
         Returns ``False`` when the arrival must be shed.
         """
-        if self.recovering:
-            # Mid-resync the cell holds half-restored state: servicing a
-            # transaction from it could admit on top of a ledger that is
-            # about to be truncated or replayed.  Shed with the same
-            # OVERLOADED outcome as backpressure — clients retry
-            # elsewhere, and no protocol trace is left.
-            self._shed_recovering += 1
+        if self.recovery.sheds_client():
             return False
         if self.max_inflight is not None and self._inflight >= self.max_inflight:
             self._shed_count += 1
@@ -389,13 +376,13 @@ class BlockumulusCell:
                 "inflight": self._inflight,
                 "peak_inflight": self._inflight_peak,
                 "shed": self._shed_count,
-                "shed_recovering": self._shed_recovering,
+                "shed_recovering": self.recovery.shed,
             },
             "shard_group": self.shard_group,
             "xshard_transactions": (
                 self.gateway.transaction_count if self.gateway is not None else 0
             ),
-            "recovering": self.recovering,
+            "recovering": self.recovery.recovering,
             "last_recovery": (
                 {
                     "ok": self.recovery.last_result.ok,

@@ -13,8 +13,9 @@ letting the consortium actually *recover*:
   answers rejoin requests by checking the rejoiner's claimed state
   fingerprint against its own contract data.
 
-* :class:`RecoveryCoordinator` — the resync half, run by a rejoining (or
-  brand-new standby) cell.  It downloads the donor's latest anchored
+* :class:`RecoveryStage` — the resync half, run by a rejoining (or
+  brand-new standby) cell, with the donor half that answers it and the
+  gate the cell holds meanwhile.  It downloads the donor's latest anchored
   snapshot and post-snapshot ledger tail in one ``CELL_SYNC`` exchange,
   restores contract state, backfills the ledger entries the snapshot
   already covers, replays the remainder through its own executor while
@@ -32,7 +33,7 @@ letting the consortium actually *recover*:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Generator, Optional, Sequence, TYPE_CHECKING
 
 from ..contracts.context import BContractError
 from ..crypto.fingerprint import snapshot_fingerprint
@@ -175,9 +176,7 @@ class _RejoinCollection:
         if self.done.triggered:
             return
         agreeing = sum(1 for item in self.acks.values() if item.agree)
-        if agreeing >= self.required:
-            self.done.succeed(agreeing)
-        elif self.expected and self.expected <= set(self.acks):
+        if agreeing >= self.required or (self.expected and self.expected <= set(self.acks)):
             self.done.succeed(agreeing)
 
 
@@ -187,8 +186,9 @@ class MembershipManager:
     #: How long an exclusion-vote liveness probe (PING) waits for a PONG.
     PROBE_DEADLINE = 2.0
 
-    def __init__(self, cell: "BlockumulusCell") -> None:
+    def __init__(self, cell: "BlockumulusCell", clock: Clock) -> None:
         self.cell = cell
+        self.clock = clock
         #: Votes collected for exclusion proposals this cell initiated,
         #: keyed by (suspect hex, cycle).
         self._exclusion_votes: dict[tuple[str, int], dict[str, ExclusionVote]] = {}
@@ -360,7 +360,7 @@ class MembershipManager:
         quorum — a mid-recovery rejoiner buffers forwards instead of
         confirming them.
         """
-        now = self.cell.env.now
+        now = self.clock.now
         expired = [
             key
             for key, (_, _, expiry) in self._provisional_forwards.items()
@@ -404,7 +404,7 @@ class MembershipManager:
             self._provisional_forwards[request.cell.hex()] = (
                 request.cell,
                 src_node,
-                cell.env.now + 2 * cell.invariants.forwarding_deadline,
+                self.clock.now + 2 * cell.invariants.forwarding_deadline,
             )
         cell.reply(src_node, envelope, Opcode.CELL_REJOIN_ACK, ack.to_data())
 
@@ -442,9 +442,9 @@ class MembershipManager:
         active_peers = cell.active_peer_nodes()
         expected = {address.hex() for address in active_peers}
         required = cell.consensus.quorum_size(max(1, len(active_peers)))
-        collection = _RejoinCollection(cell.env, required, expected)
+        collection = _RejoinCollection(self.clock, required, expected)
         self._rejoin_collection = collection
-        handshake_cycle = cell.consensus.cycle_of(cell.env.now)
+        handshake_cycle = cell.consensus.cycle_of(self.clock.now)
         request = RejoinRequest(
             cell=cell.address,
             cycle=handshake_cycle,
@@ -458,8 +458,8 @@ class MembershipManager:
         # views.  The quorum is still measured against the active view.
         for address, node in cell.peers.items():
             cell.endpoint.send(node, address, Opcode.CELL_REJOIN, request.to_data())
-        deadline = cell.env.timeout(cell.invariants.forwarding_deadline)
-        yield cell.env.any_of([collection.done, deadline])
+        deadline = self.clock.timeout(cell.invariants.forwarding_deadline)
+        yield self.clock.any_of([collection.done, deadline])
         self._rejoin_collection = None
         acks = list(collection.acks.values())
         silent = [
@@ -479,8 +479,14 @@ class MembershipManager:
         return RejoinOutcome(readmitted=True, acks=acks, silent=silent)
 
 
-class RecoveryCoordinator:
-    """Bootstraps a rejoining (or fresh standby) cell from a live donor."""
+class RecoveryStage:
+    """Resync this cell from a donor, serve as one, and hold the gate meanwhile.
+
+    While a resync is in flight (:attr:`recovering`) half-restored state
+    must neither serve a transaction nor anchor a fingerprint: the ingress
+    sheds client arrivals (:meth:`sheds_client`), the peer stage parks
+    forwards (:meth:`parks`) and the cycle stage takes no snapshot.
+    """
 
     #: Resync+rejoin attempts before a recovery gives up.  More than one
     #: is needed exactly when the deployment is serving traffic *during*
@@ -498,9 +504,46 @@ class RecoveryCoordinator:
     BACKFILL_ROUNDS = 8
     BACKFILL_SETTLE = 0.05
 
-    def __init__(self, cell: "BlockumulusCell") -> None:
+    def __init__(self, cell: "BlockumulusCell", clock: Clock) -> None:
         self.cell = cell
+        self.clock = clock
         self.last_result: Optional[RecoveryResult] = None
+        #: Client arrivals shed because a resync was in flight.
+        self.shed = 0
+        # Work parked while a resync is in flight (None: no resync is).
+        self._parked: Optional[list[tuple[Callable[..., Any], tuple[Any, ...]]]] = None
+
+    # ------------------------------------------------------------------
+    # The gate a resync holds
+    # ------------------------------------------------------------------
+    @property
+    def recovering(self) -> bool:
+        """Whether a resync is in flight (no snapshot is taken meanwhile)."""
+        return self._parked is not None
+
+    def sheds_client(self) -> bool:
+        """Whether a client arrival must be shed, counting it if so.
+
+        It gets backpressure's OVERLOADED outcome: the client retries
+        elsewhere, and no protocol trace is left.
+        """
+        if self._parked is None:
+            return False
+        self.shed += 1
+        return True
+
+    def parks(self, handler: Callable[..., Generator[Event, Any, None]], *args: Any) -> bool:
+        """Whether ``handler(*args)`` must wait for the resync, parking it if so.
+
+        The ledger must stay aligned with the donor's stream (the replay
+        fails on interleaved admissions).  A resync settles well inside the
+        forwarding deadline; a failed one re-crashes the cell, which drops
+        the parked work like in-flight traffic at a crash.
+        """
+        if self._parked is None:
+            return False
+        self._parked.append((handler, args))
+        return True
 
     # ------------------------------------------------------------------
     # Accounting helpers
@@ -524,25 +567,21 @@ class RecoveryCoordinator:
     ) -> Generator[Event, Any, RecoveryResult]:
         """Download, restore, replay, prove, and rejoin (a process).
 
-        Returns a :class:`RecoveryResult`; ``ok`` is False when the donor
-        is unreachable, the ledgers diverged, or any replayed entry's
-        execution fingerprint failed to match the donor's record.  A
-        failed recovery re-crashes the cell (it may hold half-restored
-        state, so letting it run — and anchor fingerprints — would be
-        worse than staying down); the operator can retry with a different
-        donor via :meth:`BlockumulusDeployment.recover_cell`.
-
-        A rejoin vote that merely *raced live traffic* — every peer
-        answered, but their state had moved past the synced tail by the
-        time they voted — is retried with a fresh delta sync, up to
-        :data:`REJOIN_ATTEMPTS` attempts in total, so recovering under
-        load converges instead of failing spuriously.
+        The gate (:attr:`recovering`) holds throughout.  Returns a
+        :class:`RecoveryResult`; ``ok`` is False when the donor is
+        unreachable or hostile, the ledgers diverged, or the readmission
+        vote failed :data:`REJOIN_ATTEMPTS` times (each retry on a fresh
+        delta sync, as a vote that raced live traffic can pass on one).  A
+        failed recovery re-crashes the cell, since half-restored state is
+        worse than staying down; the operator can retry with another donor
+        (:meth:`BlockumulusDeployment.recover_cell`).  A successful one
+        re-handles the forwards it parked.
         """
         cell = self.cell
-        started_at = cell.env.now
+        started_at = self.clock.now
         messages_before, bytes_before = self._traffic_totals()
         skews = 0
-        cell.recovering = True
+        self._parked = self._parked or []  # a resync already in flight keeps its work
         try:
             for attempt in range(1, self.REJOIN_ATTEMPTS + 1):
                 # Each attempt reports afresh, except for what the whole
@@ -572,9 +611,9 @@ class RecoveryCoordinator:
                 yield from self._exclude_silent(silent)
                 skews = result.fingerprint_skews
         finally:
-            cell.recovering = False
+            parked, self._parked = self._parked or [], None
         messages_after, bytes_after = self._traffic_totals()
-        result.completed_at = cell.env.now
+        result.completed_at = self.clock.now
         result.messages_used = messages_after - messages_before
         result.bytes_used = bytes_after - bytes_before
         self.last_result = result
@@ -582,7 +621,11 @@ class RecoveryCoordinator:
             # Half-restored state must not serve traffic or anchor
             # fingerprints; go back down until the operator retries.
             cell.crash()
-        cell.peer.drain_recovery_forwards()
+        if not cell.fault.crashed:
+            # A forward whose entry the backfill already admitted takes the
+            # duplicate path and confirms from the recorded outcome.
+            for handler, args in parked:
+                self.clock.process(handler(*args))
         return result
 
     def _resync_body(
@@ -695,7 +738,7 @@ class RecoveryCoordinator:
                     return
             else:
                 dry = 0
-            yield cell.env.timeout(self.BACKFILL_SETTLE)
+            yield self.clock.timeout(self.BACKFILL_SETTLE)
 
     def _exclude_silent(self, silent: Sequence[Address]) -> Generator[Event, Any, None]:
         """Open exclusion votes on peers that ignored the rejoin vote.
@@ -708,7 +751,7 @@ class RecoveryCoordinator:
         answer (a process).
         """
         cell = self.cell
-        cycle = cell.consensus.cycle_of(cell.env.now)
+        cycle = cell.consensus.cycle_of(self.clock.now)
         proposed = False
         for address in silent:
             if not cell.consensus.is_active(address):
@@ -720,17 +763,44 @@ class RecoveryCoordinator:
         if proposed:
             # Give the live peers time to probe the suspects and vote
             # before the next attempt measures its quorum.
-            yield cell.env.timeout(MembershipManager.PROBE_DEADLINE + 1.0)
+            yield self.clock.timeout(MembershipManager.PROBE_DEADLINE + 1.0)
+
+    def _serve_sync(self, src_node: str, envelope: Envelope, request: SyncRequest) -> None:
+        """The donor half of ``CELL_SYNC``: the bundle :meth:`_fetch_sync_state` reads.
+
+        Any consortium cell may ask, also one this cell holds excluded.  A
+        first sync carries the latest snapshot and the entries from
+        ``min(since_sequence, snapshot.last_sequence + 1)``: the requester
+        rolls back to the snapshot (:meth:`_restore_snapshot`) and
+        re-executes forward.  A ``delta_only`` sync carries the entries
+        from ``since_sequence`` alone, bytes proportional to the gap.
+        """
+        cell = self.cell
+        snapshot_wire = None
+        start = request.since_sequence
+        if not request.delta_only and cell.snapshots.latest_cycle is not None:
+            latest = cell.snapshots.latest()
+            snapshot_wire = latest.to_wire(include_state=True)
+            start = min(start, latest.last_sequence + 1)
+        bundle = SyncState(
+            donor=cell.address,
+            snapshot=snapshot_wire,
+            entries=tuple(cell.ledger.sync_segment(start)),
+            excluded=tuple(address.hex() for address in cell.consensus.excluded_cells()),
+            head=len(cell.ledger),
+        )
+        cell.metrics.increment(f"{cell.node_name}/syncs_served")
+        cell.reply(src_node, envelope, Opcode.CELL_SYNC_STATE, bundle.to_data())
 
     def _fetch_sync_state(
         self, donor: Address, donor_node: str, delta_only: bool = False
     ) -> Generator[Event, Any, Optional[SyncState]]:
         """One CELL_SYNC round-trip to the donor (None on timeout).
 
-        ``delta_only`` asks the donor to skip the snapshot payload and
-        ship just the ledger entries past this cell's head — what rejoin
-        retries and the post-readmit backfill use, so only the first
-        attempt of a recovery ever moves a full snapshot.
+        ``delta_only`` asks the donor (:meth:`_serve_sync`) to skip the
+        snapshot payload and ship just the ledger entries past this cell's
+        head — what rejoin retries and the post-readmit backfill use, so
+        only the first attempt of a recovery ever moves a full snapshot.
         """
         cell = self.cell
         sync = SyncRequest(since_sequence=len(cell.ledger), delta_only=delta_only)
@@ -753,7 +823,7 @@ class RecoveryCoordinator:
         """
         cell = self.cell
         excluded = set(bundle.excluded)
-        cycle = cell.consensus.cycle_of(cell.env.now)
+        cycle = cell.consensus.cycle_of(self.clock.now)
         for address in cell.invariants.cell_addresses:
             if address == cell.address:
                 continue

@@ -158,7 +158,7 @@ ROUTES: dict[Opcode, Route] = {
                               DROP_MEMBERSHIP),
     Opcode.CELL_REJOIN_ACK: Route(Sender.CELL, RejoinAck, "membership.resolve_reply",
                                   DROP_MEMBERSHIP, delayed=False),
-    Opcode.CELL_SYNC: Route(Sender.CELL, SyncRequest, "read._serve_sync", DROP_MEMBERSHIP),
+    Opcode.CELL_SYNC: Route(Sender.CELL, SyncRequest, "recovery._serve_sync", DROP_MEMBERSHIP),
     Opcode.CELL_SYNC_STATE: Route(Sender.CELL, SyncState, "membership.resolve_reply",
                                   DROP_MEMBERSHIP, delayed=False),
     # Auditor -> cell.

@@ -11,9 +11,13 @@ state, and reaches the others only through their public methods:
 * :class:`ServiceStage` — a transaction this cell services end to end:
   admit → forward → execute → confirmations → aggregated receipt;
 * :class:`PeerStage` — a transaction a peer forwarded: admit → execute →
-  confirm, and the forwards buffered while a resync is in flight;
+  confirm;
 * :class:`CycleStage` — the report cycle: snapshot, anchor, contingencies;
 * :class:`ReadStage` — the read-only requests.
+
+The recovery stage, :class:`~repro.core.recovery.RecoveryStage`, lives
+with the resync it runs: both halves of ``CELL_SYNC`` and the gate a
+resync holds over the ingress and the peer and cycle stages.
 
 Each stage gets a :class:`~repro.sim.environment.Clock` and takes time from
 nothing else; the cell it serves supplies identity, shared protocol state
@@ -32,7 +36,6 @@ from ..ethchain.provider import Web3Provider
 from ..messages import requests
 from ..messages.batch import BatchError, ForwardedTransactions
 from ..messages.envelope import Envelope
-from ..messages.membership import SyncRequest, SyncState
 from ..messages.opcodes import Opcode
 from ..sim.environment import Clock
 from ..sim.events import Event
@@ -445,10 +448,6 @@ class PeerStage:
         self.cell = cell
         self.clock = clock
         self.execute = execute
-        # While a resync is in flight the ledger must stay donor-aligned, so
-        # forwarded transactions wait here instead of being admitted; they
-        # drain as soon as the resync settles.
-        self._recovery_forward_buffer: list[tuple[str, Address, Envelope]] = []
 
     def _serve_forwards(
         self, src_node: str, forward: Envelope, body: ForwardedTransactions
@@ -481,15 +480,7 @@ class PeerStage:
             # delivered: drop the work exactly as per-transaction traffic
             # arriving after the crash would have been dropped.
             return
-        if cell.recovering:
-            # Mid-resync the ledger must stay aligned with the donor's
-            # stream (the replay path hard-fails on interleaved local
-            # admissions), so park the forward and re-handle it once the
-            # resync settles.  Recovery completes well inside the
-            # forwarding deadline, so the confirmation still reaches the
-            # origin in time; if the recovery fails, the re-crashed cell
-            # drops the buffer exactly like in-flight traffic at a crash.
-            self._recovery_forward_buffer.append((src_node, origin, client_envelope))
+        if cell.recovery.parks(self._handle_forwarded, src_node, origin, client_envelope):
             return
         if not client_envelope.verify():
             self._confirm(src_node, origin, client_envelope, client_envelope.payload.hash_hex(),
@@ -508,8 +499,8 @@ class PeerStage:
             entry = yield from self.execute.admit(client_envelope)
         except LedgerError:
             # Already admitted: a duplicate submission through another
-            # cell, or a forward drained from the recovery buffer whose
-            # entry the post-readmit backfill admitted first.
+            # cell, or a forward parked during a resync whose entry the
+            # post-readmit backfill admitted first.
             duplicate = cell.ledger.get(client_envelope.payload.hash_hex())
             yield from self._confirm_duplicate(src_node, origin, duplicate)
             return
@@ -565,22 +556,6 @@ class PeerStage:
             src_node, origin, duplicate.envelope, duplicate.tx_id, duplicate.contract or "",
             fingerprint_hex, status=status, error=error,
         )
-
-    def drain_recovery_forwards(self) -> None:
-        """Re-handle the forwards that arrived mid-resync.
-
-        Called by the recovery coordinator once ``recovering`` clears.
-        After a *failed* recovery the cell is crashed again and the
-        buffered work is dropped, exactly like in-flight traffic at a
-        crash; after a successful one each forward runs through the
-        normal handler — entries the backfill already admitted take the
-        duplicate path and confirm from the recorded outcome.
-        """
-        buffered, self._recovery_forward_buffer = self._recovery_forward_buffer, []
-        if self.cell.fault.crashed:
-            return
-        for src_node, origin, client_envelope in buffered:
-            self.clock.process(self._handle_forwarded(src_node, origin, client_envelope))
 
     def _confirm(
         self,
@@ -667,7 +642,7 @@ class CycleStage:
         while True:
             next_deadline = cell.consensus.next_deadline(clock.now)
             yield clock.timeout(max(0.0, next_deadline - clock.now))
-            if cell.fault.crashed or cell.recovering:
+            if cell.fault.crashed or cell.recovery.recovering:
                 continue
             completed_cycle = cell.consensus.cycle_of(clock.now) - 1
             if completed_cycle < 0:
@@ -758,7 +733,7 @@ class CycleStage:
 
 
 # ----------------------------------------------------------------------
-# Read: subscriptions, queries, liveness, auditors and resync donors
+# Read: subscriptions, queries, liveness and auditors
 # ----------------------------------------------------------------------
 class ReadStage:
     """The requests a cell answers from its state without changing it."""
@@ -807,38 +782,3 @@ class ReadStage:
         first, last = request.first_cycle, request.last_cycle
         response = LedgerResponse(first, last, tuple(cell.ledger.segment(first, last)))
         cell.reply(src_node, envelope, Opcode.LEDGER_RESPONSE, response.to_data())
-
-    def _serve_sync(self, src_node: str, envelope: Envelope, request: SyncRequest) -> None:
-        """Serve a recovering peer the snapshot + ledger tail it is missing.
-
-        Any consortium cell may ask — including one this cell currently
-        holds excluded, since the whole point of the request is to get back
-        into the quorum.
-        """
-        cell = self.cell
-        snapshot_wire = None
-        start = request.since_sequence
-        if request.delta_only:
-            # Rejoin retries and the post-readmit backfill already carry
-            # the snapshot from their first sync: ship only the entries
-            # past the requester's head, so repeated catch-up rounds cost
-            # bytes proportional to the gap, not to the state size.
-            pass
-        elif cell.snapshots.latest_cycle is not None:
-            latest = cell.snapshots.latest()
-            snapshot_wire = latest.to_wire(include_state=True)
-            # If the snapshot predates what the requester already has, the
-            # requester will roll back to the snapshot boundary — ship the
-            # whole post-snapshot tail so it can re-execute forward again.
-            start = min(start, latest.last_sequence + 1)
-        bundle = SyncState(
-            donor=cell.address,
-            snapshot=snapshot_wire,
-            entries=tuple(cell.ledger.sync_segment(start)),
-            excluded=tuple(
-                address.hex() for address in cell.consensus.excluded_cells()
-            ),
-            head=len(cell.ledger),
-        )
-        cell.metrics.increment(f"{cell.node_name}/syncs_served")
-        cell.reply(src_node, envelope, Opcode.CELL_SYNC_STATE, bundle.to_data())

@@ -2,13 +2,13 @@
 
 Blockumulus is permissionless for clients, but — like the ISP model — a
 client buys access through one of the cells, which charges for transferred
-data or active time rather than per-transaction fees.  Each cell runs its
-own :class:`PricingPolicy`, competing with the other access providers.
+data or active time rather than per-transaction fees.  Every cell here
+charges by the one :class:`PricingPolicy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..crypto.keys import Address
@@ -18,16 +18,15 @@ class SubscriptionError(Exception):
     """Raised when a client without a valid subscription submits work."""
 
 
-@dataclass(frozen=True)
 class PricingPolicy:
-    """A cell's access pricing."""
+    """Every cell's access pricing: constants, as no deployment prices differently."""
 
     #: Price per megabyte of client traffic (both directions).
-    price_per_mbyte: float = 0.05
+    price_per_mbyte = 0.05
     #: Price per hour of active subscription time.
-    price_per_hour: float = 0.0
+    price_per_hour = 0.0
     #: One-time activation fee.
-    activation_fee: float = 0.0
+    activation_fee = 0.0
 
     def traffic_cost(self, transferred_bytes: int) -> float:
         """Cost of ``transferred_bytes`` of client traffic."""
@@ -75,8 +74,8 @@ class Subscription:
 class SubscriptionManager:
     """Tracks all subscriptions held with one cell."""
 
-    def __init__(self, policy: PricingPolicy | None = None, enforce: bool = True) -> None:
-        self.policy = policy or PricingPolicy()
+    def __init__(self, enforce: bool = True) -> None:
+        self.policy = PricingPolicy()
         self.enforce = enforce
         self._subscriptions: dict[Address, Subscription] = {}
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from typing import Iterator
 
 from .keccak import keccak256
 from .secp256k1 import (
@@ -77,12 +78,14 @@ class Signature:
         return cls.from_bytes(bytes.fromhex(text))
 
 
-def _rfc6979_nonce(private_key: int, message_hash: bytes) -> int:
-    """Derive the deterministic nonce ``k`` per RFC 6979 with HMAC-SHA256.
+def _rfc6979_nonces(private_key: int, message_hash: bytes) -> Iterator[int]:
+    """The deterministic nonce candidates ``k`` of RFC 6979 with HMAC-SHA256.
 
-    Both HMAC seeds take ``bits2octets(h1)``, the digest reduced mod ``N``
-    (section 2.3.4; step 3.2 d), which differs from the raw digest only
-    when that is at least ``N``.
+    The first is the nonce; a signer that cannot use a candidate (``r`` or
+    ``s`` is 0) takes the next, which continues the same HMAC-DRBG (section
+    3.2 step h.3).  Both HMAC seeds take ``bits2octets(h1)``, the digest
+    reduced mod ``N`` (section 2.3.4; step 3.2 d), which differs from the
+    raw digest only when that is at least ``N``.
     """
     holder = private_key.to_bytes(32, "big")
     reduced = (int.from_bytes(message_hash, "big") % N).to_bytes(32, "big")
@@ -96,7 +99,7 @@ def _rfc6979_nonce(private_key: int, message_hash: bytes) -> int:
         v = hmac.new(k, v, hashlib.sha256).digest()
         candidate = int.from_bytes(v, "big")
         if 1 <= candidate < N:
-            return candidate
+            yield candidate
         k = hmac.new(k, v + b"\x00", hashlib.sha256).digest()
         v = hmac.new(k, v, hashlib.sha256).digest()
 
@@ -108,23 +111,18 @@ def sign_hash(private_key: int, message_hash: bytes) -> Signature:
     if not (1 <= private_key < N):
         raise SignatureError("private key out of range")
     z = int.from_bytes(message_hash, "big")
-    while True:
-        k = _rfc6979_nonce(private_key, message_hash)
+    for k in _rfc6979_nonces(private_key, message_hash):
         point = scalar_multiply(k, GENERATOR)
         r = point.x % N
-        if r == 0:
-            message_hash = keccak256(message_hash)
-            continue
         s = (pow(k, -1, N) * (z + r * private_key)) % N
-        if s == 0:
-            message_hash = keccak256(message_hash)
-            continue
-        recovery_id = point.y & 1
-        # Enforce low-s form (as Ethereum does) and flip the recovery bit.
-        if s > N // 2:
-            s = N - s
-            recovery_id ^= 1
-        return Signature(r=r, s=s, v=recovery_id)
+        if r and s:
+            break
+    recovery_id = point.y & 1
+    # Enforce low-s form (as Ethereum does) and flip the recovery bit.
+    if s > N // 2:
+        s = N - s
+        recovery_id ^= 1
+    return Signature(r=r, s=s, v=recovery_id)
 
 
 def sign_message(private_key: int, message: bytes) -> Signature:

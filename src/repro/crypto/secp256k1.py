@@ -257,22 +257,28 @@ def _walk_table(
     """
     full = 1 << width
     negate = scalar < 0
-    scalar = abs(scalar)
+    if negate:
+        scalar = -scalar
     for row in table:
         if not scalar:
             break
         digit = scalar & (full - 1)
         scalar >>= width
         if digit > full >> 1:
-            digit -= full
+            # The digit ``digit - full``: subtract, and carry one up.
             scalar += 1
-        if digit:
-            px, py = row[abs(digit) - 1]
-            if (digit < 0) != negate:
+            px, py = row[full - digit - 1]
+            if not negate:
                 py = P - py
-            if beta != 1:
-                px = (px * beta) % P
-            x, y, z = _jacobian_add_affine(x, y, z, px, py)
+        elif digit:
+            px, py = row[digit - 1]
+            if negate:
+                py = P - py
+        else:
+            continue
+        if beta != 1:
+            px = (px * beta) % P
+        x, y, z = _jacobian_add_affine(x, y, z, px, py)
     return x, y, z
 
 
@@ -336,8 +342,8 @@ def double_scalar_multiply(u1: int, u2: int, point: Point) -> Point:
             _split_scalar(u2), (odd, [((BETA * px) % P, py) for px, py in odd])
         ):
             sign = -1 if half < 0 else 1
-            for position, digit in _wnaf(abs(half), 5):
-                px, py = table[abs(digit) >> 1]
+            for position, digit in _wnaf(half * sign, 5):
+                px, py = table[(digit if digit > 0 else -digit) >> 1]
                 terms.append((position, px, py if digit * sign > 0 else P - py))
         terms.sort(key=itemgetter(0), reverse=True)
         height = 0

@@ -10,7 +10,7 @@ import pytest
 from repro.core import DataSnapshot, LedgerError, SnapshotError, TransactionLedger
 from repro.core.consensus import ConsensusError, OverlayConsensus
 from repro.core.config import SystemInvariants
-from repro.core.recovery import RecoveryCoordinator
+from repro.core.recovery import RecoveryStage
 from repro.crypto import PrivateKey
 from repro.client import BlockumulusClient, FastMoneyClient
 from repro.messages import (
@@ -229,7 +229,7 @@ RESYNC_FAILURES = {
     ),
     "quorum not reached": (
         lambda data, n: _with_entries(data),
-        "readmission quorum not reached", RecoveryCoordinator.REJOIN_ATTEMPTS,
+        "readmission quorum not reached", RecoveryStage.REJOIN_ATTEMPTS,
     ),
     "donor silent after readmission": (
         lambda data, n: None if n else _with_entries(data, data["entries"][0]),

@@ -13,8 +13,15 @@ CLIENT = PrivateKey.from_seed("sub-client").address
 OTHER = PrivateKey.from_seed("sub-other").address
 
 
-def test_pricing_policy_costs():
-    policy = PricingPolicy(price_per_mbyte=0.10, price_per_hour=0.5, activation_fee=1.0)
+def _price(monkeypatch, **prices):
+    """Every cell's pricing, at other prices for one test."""
+    for name, value in prices.items():
+        monkeypatch.setattr(PricingPolicy, name, value)
+
+
+def test_pricing_policy_costs(monkeypatch):
+    _price(monkeypatch, price_per_mbyte=0.10, price_per_hour=0.5, activation_fee=1.0)
+    policy = PricingPolicy()
     assert policy.traffic_cost(2_000_000) == pytest.approx(0.2)
     assert policy.time_cost(1_800) == pytest.approx(0.25)
 
@@ -55,9 +62,9 @@ def test_unsubscribe_unknown_client_rejected():
         SubscriptionManager().unsubscribe(CLIENT, now=1.0)
 
 
-def test_billing_accumulates_traffic_and_time():
-    policy = PricingPolicy(price_per_mbyte=1.0, price_per_hour=3.6, activation_fee=2.0)
-    manager = SubscriptionManager(policy=policy, enforce=True)
+def test_billing_accumulates_traffic_and_time(monkeypatch):
+    _price(monkeypatch, price_per_mbyte=1.0, price_per_hour=3.6, activation_fee=2.0)
+    manager = SubscriptionManager(enforce=True)
     manager.subscribe(CLIENT, now=0.0)
     manager.record_traffic(CLIENT, 500_000)
     manager.record_traffic(CLIENT, 500_000)
@@ -75,9 +82,9 @@ def test_traffic_for_unknown_client_is_ignored():
         manager.bill(OTHER, now=1.0)
 
 
-def test_billing_stops_at_close_time():
-    policy = PricingPolicy(price_per_hour=1.0)
-    manager = SubscriptionManager(policy=policy)
+def test_billing_stops_at_close_time(monkeypatch):
+    _price(monkeypatch, price_per_hour=1.0)
+    manager = SubscriptionManager()
     manager.subscribe(CLIENT, now=0.0)
     manager.unsubscribe(CLIENT, now=3_600.0)
     assert manager.bill(CLIENT, now=7_200.0) == pytest.approx(1.0)

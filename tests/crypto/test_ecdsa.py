@@ -1,6 +1,7 @@
 """Deterministic ECDSA signing, verification, and recovery."""
 
 import hashlib
+import hmac
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ from repro.crypto.ecdsa import (
     N,
     Signature,
     SignatureError,
-    _rfc6979_nonce,
+    _rfc6979_nonces,
     recover_public_key,
     recovers_to,
     sign_hash,
@@ -19,6 +20,7 @@ from repro.crypto.ecdsa import (
     verify_hash,
     verify_message,
 )
+from repro.crypto import ecdsa
 from repro.crypto.keccak import keccak256
 from repro.crypto.keys import PrivateKey
 from repro.crypto.secp256k1 import (
@@ -302,10 +304,63 @@ PUBLISHED_SIGNATURES = [
 ]
 
 
+def _nonce(secret, message_hash):
+    """The nonce a signature uses: the first RFC 6979 candidate."""
+    return next(_rfc6979_nonces(secret, message_hash))
+
+
+def _hmac_drbg_candidates(secret, message_hash, count):
+    """RFC 6979 section 3.2 written out step by step: the first ``count`` values of ``k``."""
+    def mac(key, data):
+        return hmac.new(key, data, hashlib.sha256).digest()
+
+    x = secret.to_bytes(32, "big")
+    h1 = (int.from_bytes(message_hash, "big") % N).to_bytes(32, "big")
+    V, K = b"\x01" * 32, b"\x00" * 32  # steps b, c
+    K = mac(K, V + b"\x00" + x + h1)  # step d
+    V = mac(K, V)  # step e
+    K = mac(K, V + b"\x01" + x + h1)  # step f
+    V = mac(K, V)  # step g
+    candidates = []
+    while len(candidates) < count:
+        V = mac(K, V)  # step h.2, one 256-bit block
+        if 1 <= int.from_bytes(V, "big") < N:
+            candidates.append(int.from_bytes(V, "big"))
+        K = mac(K, V + b"\x00")  # step h.3
+        V = mac(K, V)
+    return candidates
+
+
+def test_a_nonce_that_gives_r_zero_is_followed_by_the_drbgs_next_candidate(monkeypatch):
+    """Step h.3: an unusable ``k`` continues the same HMAC-DRBG.
+
+    ``r == 0`` cannot be reached with real inputs, so the first point the
+    signer computes is replaced by one whose ``x`` is ``N``.
+    """
+    real = ecdsa.scalar_multiply
+    calls = []
+
+    def first_gives_r_zero(k, point):
+        calls.append(k)
+        return SimpleNamespace(x=N, y=0) if len(calls) == 1 else real(k, point)
+
+    monkeypatch.setattr(ecdsa, "scalar_multiply", first_gives_r_zero)
+    secret = 0xC0FFEE
+    first, second = _hmac_drbg_candidates(secret, SATOSHI, 2)
+    signature = sign_hash(secret, SATOSHI)
+
+    assert calls == [first, second]
+    z = int.from_bytes(SATOSHI, "big")
+    r = real(second).x % N
+    s = pow(second, -1, N) * (z + r * secret) % N
+    assert (signature.r, signature.s) == (r, min(s, N - s))
+    assert verify_hash(real(secret), SATOSHI, signature)
+
+
 @pytest.mark.parametrize("secret,message_hash,expected", PUBLISHED_NONCES,
                          ids=["key-1", "key-N-1", "key-1-tears"])
 def test_published_rfc6979_nonces(secret, message_hash, expected):
-    assert _rfc6979_nonce(secret, message_hash) == expected
+    assert _nonce(secret, message_hash) == expected
 
 
 @pytest.mark.parametrize("secret,message_hash,r,s,v", PUBLISHED_SIGNATURES,
@@ -324,6 +379,6 @@ def test_the_nonce_reduces_a_digest_at_or_above_the_order():
     top = b"\xff" * 32
     residue = ((2**256 - 1) % N).to_bytes(32, "big")
     for secret in (1, 0xC0FFEE, N - 1):
-        assert _rfc6979_nonce(secret, top) == _rfc6979_nonce(secret, residue)
+        assert _nonce(secret, top) == _nonce(secret, residue)
     below = (N - 1).to_bytes(32, "big")
-    assert _rfc6979_nonce(1, below) != _rfc6979_nonce(1, residue)
+    assert _nonce(1, below) != _nonce(1, residue)

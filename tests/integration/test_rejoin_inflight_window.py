@@ -13,13 +13,13 @@ chaos traffic hits the few-millisecond window: a watcher process admits
 a transaction at every live peer the instant the donor serves the sync,
 which is provably inside the sync→vote gap.  With backfill the recovery
 converges (the ack-carried admitted heads trigger a delta fetch); with
-``RecoveryCoordinator._backfill`` patched out the old window reopens and
+``RecoveryStage._backfill`` patched out the old window reopens and
 the rejoiner's ledger and state demonstrably diverge.
 """
 
 from repro.client import BlockumulusClient, FastMoneyClient
 from repro.contracts.community import FastMoney
-from repro.core.recovery import RecoveryCoordinator
+from repro.core.recovery import RecoveryStage
 from repro.messages import Envelope, Opcode
 from tests.conftest import make_deployment
 
@@ -170,7 +170,7 @@ def test_inflight_window_is_lost_without_backfill(monkeypatch):
         return
         yield
 
-    monkeypatch.setattr(RecoveryCoordinator, "_backfill", no_backfill)
+    monkeypatch.setattr(RecoveryStage, "_backfill", no_backfill)
     recovery = deployment.recover_cell(2)
     deployment.env.run(recovery)
     result = recovery.value
