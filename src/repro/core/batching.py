@@ -161,7 +161,7 @@ class BatchDispatcher:
                 dst_node,
                 queue.recipient,
                 Opcode.TX_CONFIRM,
-                ConfirmationBatch.of(confirmations).to_data(),
+                ConfirmationBatch(tuple(confirmations)).to_data(),
                 len(confirmations),
             )
 

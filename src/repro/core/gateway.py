@@ -225,7 +225,7 @@ class CrossShardGateway:
             return
         self._vote(
             src_node, envelope, body, phase, ok=result.confirmed,
-            receipt=self.cell.service.compact(result),
+            receipt=result.receipt,
             error=None if result.confirmed else result.failure_reason(),
         )
 
@@ -385,7 +385,7 @@ class CrossShardGateway:
             return
         minted = VoucherReply(
             "minted", body.xtx, voucher=voucher,
-            receipt=cell.service.compact(result),
+            receipt=result.receipt,
         )
         cell.reply(src_node, envelope, Opcode.XSHARD_VOUCHER, minted.to_data())
 
@@ -431,7 +431,7 @@ class CrossShardGateway:
             return
         redeemed = VoucherReply(
             "redeemed", body.xtx, duplicate=False,
-            receipt=cell.service.compact(result),
+            receipt=result.receipt,
         )
         cell.reply(src_node, envelope, Opcode.XSHARD_VOUCHER, redeemed.to_data())
         if cell.fault.duplicate_voucher:

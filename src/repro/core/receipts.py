@@ -2,14 +2,15 @@
 
 After executing a forwarded transaction, each consortium cell returns a
 signed *confirmation* carrying the resulting contract fingerprint.  The
-service cell verifies that the fingerprints agree with its own execution,
-serializes the confirmations into an *aggregated receipt*, and returns it
-to the client (Section III-D3).  The receipt is the client's cryptographic
-proof that every cell executed the transaction identically.  Its
-confirmations all state the same transaction, so it carries that statement
-once and, per co-signing cell, only the cell, its timestamp and its
-signature.  On its way to the client that signed the transaction it drops
-what that client holds already (:class:`CompactReceipt`).
+service cell verifies that the fingerprints agree with its own execution
+and returns the *aggregated receipt* they co-sign to the client (Section
+III-D3).  The receipt is the client's cryptographic proof that every cell
+executed the transaction identically.  Its confirmations all state the
+same transaction, so it carries that statement once and, per co-signing
+cell, only the cell, its timestamp and its signature.  The service cell
+builds it straight from the confirmations in the form it sends, without
+what the client that signed the transaction holds already
+(:class:`CompactReceipt`); the client rebuilds the full receipt.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from ..crypto.keys import Address
-from ..encoding import canonical_json
 from ..messages import wire
 from ..messages.envelope import Envelope
 from ..messages.signer import SignedStatement, Signer
@@ -132,11 +132,6 @@ class ConfirmationBatch(wire.Body, error=ReceiptError):
     def __len__(self) -> int:
         return len(self.confirmations)
 
-    @classmethod
-    def of(cls, confirmations: list[LinkConfirmation]) -> "ConfirmationBatch":
-        """Build a batch from link items of already-signed confirmations."""
-        return cls(confirmations=tuple(confirmations))
-
 
 @dataclass(frozen=True)
 class CoSigner(wire.Body, error=ReceiptError, what="receipt co-signer"):
@@ -161,8 +156,9 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
     ``fingerprint`` and ``status`` — and each co-signer adds only its cell,
     timestamp and signature (:class:`CoSigner`), the shape of a quorum
     certificate.  :attr:`confirmations` rebuilds every co-signer's full
-    signed statement from the two, so a receipt whose co-signers signed
-    different statements cannot be expressed: :meth:`of` refuses to build one.
+    signed statement from the two, so a co-signer that signed another
+    statement does not verify.  The client builds one, with
+    :meth:`CompactReceipt.rebuild`.
     """
 
     tx_id: str = wire.text()
@@ -180,43 +176,6 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
     def __post_init__(self) -> None:
         if self.status != "executed":
             raise ReceiptError(f"a receipt states an executed transaction, not {self.status!r}")
-
-    @classmethod
-    def of(
-        cls,
-        confirmations: Iterable[Confirmation],
-        *,
-        tx_id: str,
-        contract: str,
-        fingerprint_hex: str,
-        **fields: Any,
-    ) -> "AggregatedReceipt":
-        """The receipt co-signed by ``confirmations``, which must all state it.
-
-        Raises :class:`ReceiptError` for a confirmation of another
-        transaction, contract or fingerprint, one that is not ``executed``,
-        or one that carries an error.
-        """
-        statement = (tx_id, contract, fingerprint_hex, "executed", None)
-        cosigners = []
-        for confirmation in confirmations:
-            signed = (
-                confirmation.tx_id, confirmation.contract, confirmation.fingerprint_hex,
-                confirmation.status, confirmation.error,
-            )
-            if signed != statement:
-                raise ReceiptError(
-                    f"cell {confirmation.cell.hex()} signed {signed!r}, "
-                    f"not the receipt's {statement!r}"
-                )
-            cosigners.append(CoSigner(
-                confirmation.cell, confirmation.timestamp, confirmation.signature,
-                confirmation.scheme,
-            ))
-        return cls(
-            tx_id=tx_id, contract=contract, fingerprint_hex=fingerprint_hex, status="executed",
-            cosigners=tuple(cosigners), **fields,
-        )
 
     @property
     def confirmations(self) -> tuple[Confirmation, ...]:
@@ -257,10 +216,6 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
             if not set(expected_cells).issubset(signed):
                 return False
         return True
-
-    def byte_size(self) -> int:
-        """Serialized size in bytes (feeds the Table II accounting)."""
-        return len(canonical_json.dump_bytes(self.to_wire()))
 
 
 @dataclass(frozen=True)
@@ -309,32 +264,38 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
 
     @classmethod
     def of(
-        cls, receipt: AggregatedReceipt, request: Envelope, scheme: str, timestamp: float
+        cls,
+        own: Confirmation,
+        peers: Iterable[Confirmation],
+        request: Envelope,
+        *,
+        method: str,
+        result: Any,
+        cycle: int,
+        scheme: str,
+        moment: float,
     ) -> "CompactReceipt":
-        """``receipt`` as a reply signed with ``scheme`` at ``timestamp`` carries it.
+        """The receipt ``own`` and ``peers`` co-sign, as a reply carries it.
 
-        ``request`` is the client-signed transaction the receipt is of.
-        Raises :class:`ReceiptError` for a receipt of another transaction,
-        or one whose first co-signer is not its service cell.
+        ``own`` is the service cell's confirmation of ``request``, the
+        client-signed transaction, and the receipt completes when the
+        service cell co-signs; the reply is signed with ``scheme`` at
+        ``moment``.  The caller has judged that every peer signed the
+        statement ``own`` states.
         """
-        if receipt.tx_id != request.payload.hash_hex():
-            raise ReceiptError(f"receipt of {receipt.tx_id}, not of the request it answers")
-        if not receipt.cosigners or receipt.cosigners[0].cell != receipt.service_cell:
-            raise ReceiptError("the service cell must be a receipt's first co-signer")
-        own, *peers = receipt.cosigners
-        moment = round(timestamp, 6)
+        moment = round(moment, 6)
+        signed_at = round(own.timestamp, 6)
         return cls(
-            receipt.fingerprint_hex, receipt.cycle, receipt.result, own.signature,
+            own.fingerprint_hex, cycle, result, own.signature,
             tuple(
                 CompactCoSigner(peer.cell, peer.timestamp, peer.signature,
                                 _unless(peer.scheme, scheme))
                 for peer in peers
             ),
-            contract=_unless(receipt.contract, called_contract(request)),
-            method=_unless(receipt.method, called_method(request)),
-            submitted_at=_unless(round(receipt.submitted_at, 6), request.payload.timestamp),
-            completed_at=_unless(round(receipt.completed_at, 6), moment),
-            timestamp=_unless(round(own.timestamp, 6), moment),
+            contract=_unless(own.contract, called_contract(request)),
+            method=_unless(method, called_method(request)),
+            completed_at=_unless(signed_at, moment),
+            timestamp=_unless(signed_at, moment),
             scheme=_unless(own.scheme, scheme),
         )
 

@@ -43,13 +43,7 @@ from ..sim.resources import Resource
 from .executor import ExecutionOutcome
 from .lanes import LaneScheduler
 from .ledger import LedgerEntry, LedgerError
-from .receipts import (
-    AggregatedReceipt,
-    CompactReceipt,
-    Confirmation,
-    ConfirmationBatch,
-    LinkConfirmation,
-)
+from .receipts import CompactReceipt, Confirmation, ConfirmationBatch, LinkConfirmation
 from .replies import LedgerResponse, QueryResult, ReceiptReply, SnapshotResponse, SubscriptionAck
 from .routes import DROP_FORWARD
 from .subscription import SubscriptionError
@@ -171,7 +165,8 @@ class _ServiceResult:
 
     entry: Optional[LedgerEntry] = None
     outcome: Optional[ExecutionOutcome] = None
-    receipt: Optional[AggregatedReceipt] = None
+    #: The receipt, as the reply to the transaction's signer carries it.
+    receipt: Optional[CompactReceipt] = None
     missing: list[Address] = dataclasses.field(default_factory=list)
     mismatched: list[Address] = dataclasses.field(default_factory=list)
     rejected: list[Confirmation] = dataclasses.field(default_factory=list)
@@ -251,9 +246,10 @@ class ServiceStage:
 
         cell.subscriptions.record_transaction(envelope.sender)
 
-        receipt = self.compact(result)
-        if receipt is not None:
-            cell.reply(src_node, envelope, Opcode.TX_RECEIPT, ReceiptReply(receipt).to_data())
+        if result.receipt is not None:
+            cell.reply(
+                src_node, envelope, Opcode.TX_RECEIPT, ReceiptReply(result.receipt).to_data()
+            )
             return
 
         # Failure path: the transaction reverts from the client's viewpoint.
@@ -266,14 +262,6 @@ class ServiceStage:
             tx_id=result.entry.tx_id,
             missing_cells=tuple(address.hex() for address in result.missing),
             mismatched_cells=tuple(address.hex() for address in result.mismatched),
-        )
-
-    def compact(self, result: _ServiceResult) -> Optional[CompactReceipt]:
-        """``result``'s receipt as a reply this cell signs now carries it to the client."""
-        if result.receipt is None or result.entry is None:
-            return None
-        return CompactReceipt.of(
-            result.receipt, result.entry.envelope, self.cell.signer.scheme, self.clock.now
         )
 
     def pipeline(self, envelope: Envelope) -> Generator[Event, Any, _ServiceResult]:
@@ -355,7 +343,12 @@ class ServiceStage:
         pending: _PendingTransaction,
         active_peers: dict[Address, str],
     ) -> _ServiceResult:
-        """Judge the collected confirmations; sign the receipt if all agree."""
+        """Judge the collected confirmations; sign the receipt if all agree.
+
+        This is the one judge of co-signers: a peer's confirmation joins the
+        receipt only if it states what this cell signs.  The receipt is built
+        in the form the reply that answers now carries it.
+        """
         cell = self.cell
         missing = [address for address in active_peers if address not in pending.confirmations]
         mismatched: list[Address] = []
@@ -382,7 +375,7 @@ class ServiceStage:
                     address, entry.cycle, reason="forwarding deadline missed"
                 )
 
-        receipt: Optional[AggregatedReceipt] = None
+        receipt: Optional[CompactReceipt] = None
         if outcome.ok and not missing and not mismatched and not rejected:
             own_confirmation = Confirmation.create(
                 cell.signer,
@@ -392,17 +385,15 @@ class ServiceStage:
                 status="executed",
                 timestamp=self.clock.now,
             )
-            receipt = AggregatedReceipt.of(
-                (own_confirmation, *pending.confirmations.values()),
-                tx_id=entry.tx_id,
-                contract=outcome.contract,
-                fingerprint_hex=expected_fingerprint,
+            receipt = CompactReceipt.of(
+                own_confirmation,
+                pending.confirmations.values(),
+                entry.envelope,
                 method=outcome.method,
                 result=outcome.result,
-                service_cell=cell.address,
                 cycle=entry.cycle,
-                submitted_at=entry.envelope.payload.timestamp,
-                completed_at=self.clock.now,
+                scheme=cell.signer.scheme,
+                moment=self.clock.now,
             )
         return _ServiceResult(
             entry=entry,

@@ -130,7 +130,7 @@ class ReferenceBatchDispatcher:
                 dst_node,
                 queue.recipient,
                 Opcode.TX_CONFIRM,
-                ConfirmationBatch.of(confirmations).to_data(),
+                ConfirmationBatch(tuple(confirmations)).to_data(),
                 len(confirmations),
             )
 

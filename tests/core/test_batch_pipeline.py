@@ -47,8 +47,8 @@ def test_confirmation_batch_round_trip_preserves_signatures():
         )
         for index in range(3)
     ]
-    batch = ConfirmationBatch.of(
-        [LinkConfirmation.of(confirmation, forwarded) for confirmation in confirmations]
+    batch = ConfirmationBatch(
+        tuple(LinkConfirmation.of(confirmation, forwarded) for confirmation in confirmations)
     )
     # Full canonical-JSON round trip, as the envelope data field travels.
     raw = canonical_json.loads(canonical_json.dump_bytes(batch.to_data()))

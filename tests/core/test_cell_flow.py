@@ -28,7 +28,26 @@ def test_transfer_produces_verifiable_receipt(deployment):
 
 
 
-def test_a_peer_signing_the_fingerprint_under_another_contract_is_mismatched(deployment):
+MISMATCH = "fingerprint mismatch across consortium cells"
+#: How a peer's signed confirmation can differ from the statement the service
+#: cell signs: what the peer signs instead, the client's error, and the
+#: service cell's ``fingerprint_mismatches``.  A confirmation of another
+#: transaction never meets this one: the service cell files each under its
+#: own ``tx_id`` (``test_a_confirmation_is_filed_under_its_own_transaction``).
+ANOTHER_STATEMENT = {
+    # The right execution fingerprint, signed for a contract that was not called.
+    "contract": (dict(contract="fastmoney-v2"), MISMATCH, 1),
+    "fingerprint": (dict(fingerprint_hex="0x" + "99" * 32), MISMATCH, 1),
+    "executed with an error": (dict(error="late"), MISMATCH, 1),
+    "rejected": (dict(status="rejected", error="insufficient balance"), "insufficient balance", 0),
+}
+
+
+@pytest.mark.parametrize("signed, error, mismatches", ANOTHER_STATEMENT.values(),
+                         ids=ANOTHER_STATEMENT)
+def test_a_peer_confirmation_of_another_statement_earns_no_receipt(
+    deployment, signed, error, mismatches
+):
     """A receipt carries one statement: a confirmation of another cannot join it."""
     client = BlockumulusClient(deployment)
     fastmoney = FastMoneyClient(client)
@@ -36,17 +55,46 @@ def test_a_peer_signing_the_fingerprint_under_another_contract_is_mismatched(dep
     peer = deployment.cell(1)
     confirm = peer.peer._confirm
 
-    def confirm_under_another_name(dst_node, origin, reply_nonce, tx_id, _contract, *rest, **kw):
-        # The right execution fingerprint, signed for a contract that was not called.
-        confirm(dst_node, origin, reply_nonce, tx_id, "fastmoney-v2", *rest, **kw)
+    def confirm_another_statement(
+        dst_node, origin, client_envelope, tx_id, contract, fingerprint_hex, status, error=None
+    ):
+        statement = dict(contract=contract, fingerprint_hex=fingerprint_hex, status=status,
+                         error=error)
+        confirm(dst_node, origin, client_envelope, tx_id, **{**statement, **signed})
 
-    peer.peer._confirm = confirm_under_another_name
+    peer.peer._confirm = confirm_another_statement
     result = run(deployment, fastmoney.transfer("0x" + "ab" * 20, 40))
     assert not result.ok and result.receipt is None
-    assert result.error == "fingerprint mismatch across consortium cells"
+    assert result.error == error
     assert deployment.cell(0).metrics.counter(
         f"{deployment.cell(0).node_name}/fingerprint_mismatches"
-    ) == 1
+    ) == mismatches
+
+
+def test_a_confirmation_is_filed_under_its_own_transaction(deployment):
+    """Two transactions pending at once: each peer confirmation reaches its own only."""
+    service, peer = deployment.cell(0), deployment.cell(1)
+    client = BlockumulusClient(deployment)
+    forwarded = [
+        client.endpoint.sign(
+            service.address, Opcode.TX_SUBMIT,
+            {"contract": "fastmoney", "method": "faucet", "args": {"amount": amount}},
+        )
+        for amount in (1, 2)
+    ]
+    pending = {}
+    for envelope in forwarded:
+        entry = service.ledger.admit(envelope, cycle=0)
+        pending[entry.tx_id] = _PendingTransaction(deployment.env, entry.tx_id, {peer.address})
+        service.service._pending[entry.tx_id] = pending[entry.tx_id]
+    first, second = pending
+    confirmation = Confirmation.create(
+        peer.signer, second, "fastmoney", "0x" + "00" * 32, "executed", deployment.env.now
+    )
+    _send_confirmation(deployment, peer, confirmation, forwarded[1])
+    assert pending[first].confirmations == {} and not pending[first].all_received.triggered
+    assert pending[second].confirmations == {peer.address: confirmation}
+    assert pending[second].all_received.triggered
 
 
 @pytest.mark.parametrize("service, lied_to", [(0, True), (1, False)])
@@ -214,7 +262,7 @@ def test_duplicate_submission_rejected(deployment):
 def _send_confirmation(deployment, sender, confirmation, forwarded) -> None:
     """``sender`` sends the service cell a ``TX_CONFIRM`` carrying ``confirmation``."""
     service = deployment.cell(0)
-    batch = ConfirmationBatch.of([LinkConfirmation.of(confirmation, forwarded)])
+    batch = ConfirmationBatch((LinkConfirmation.of(confirmation, forwarded),))
     sender.endpoint.send(service.node_name, service.address, Opcode.TX_CONFIRM, batch.to_data())
     deployment.run(until=deployment.env.now + 1.0)
 

@@ -161,8 +161,8 @@ class RouteProbe:
                 target_group=1, target_contract="pay",
             ).to_data(),
             Opcode.TX_FORWARD: ForwardBatch.of([forwarded]).to_data(),
-            Opcode.TX_CONFIRM: ConfirmationBatch.of(
-                [LinkConfirmation.of(confirmation, submission)]
+            Opcode.TX_CONFIRM: ConfirmationBatch(
+                (LinkConfirmation.of(confirmation, submission),)
             ).to_data(),
             Opcode.CELL_EXCLUDE: ExclusionProposal(self.third.address, 0, "probe").to_data(),
             Opcode.CELL_EXCLUDE_VOTE: vote.to_data(),
@@ -199,7 +199,7 @@ class RouteProbe:
             self.peer.signer, tx_id=entry.tx_id, contract="pay",
             fingerprint_hex=FINGERPRINT, status="executed", timestamp=0.0,
         )
-        return ConfirmationBatch.of([LinkConfirmation.of(confirmation, submission)]).to_data()
+        return ConfirmationBatch((LinkConfirmation.of(confirmation, submission),)).to_data()
 
     def send(self, envelope: Envelope) -> None:
         self.sharded.network.send("probe", self.cell.node_name, envelope, envelope.byte_size())

@@ -5,7 +5,13 @@ import json
 
 import pytest
 
-from repro.core.receipts import AggregatedReceipt, CompactReceipt, Confirmation, ReceiptError
+from repro.core.receipts import (
+    AggregatedReceipt,
+    CompactReceipt,
+    Confirmation,
+    CoSigner,
+    ReceiptError,
+)
 from repro.core.replies import ReceiptReply, ReplyError
 from repro.core.routes import read_reply
 from repro.encoding import canonical_json
@@ -28,11 +34,19 @@ def make_confirmation(
     )
 
 
+def cosigner(confirmation):
+    """What ``confirmation`` adds to a receipt that states its transaction."""
+    return CoSigner(
+        confirmation.cell, confirmation.timestamp, confirmation.signature, confirmation.scheme
+    )
+
+
 def make_receipt(confirmations):
-    return AggregatedReceipt.of(
-        confirmations, tx_id=TX_ID, contract="fastmoney", fingerprint_hex=FP,
-        method="transfer", result={"amount": 5}, service_cell=CELL_A.address, cycle=1,
+    return AggregatedReceipt(
+        tx_id=TX_ID, contract="fastmoney", method="transfer", result={"amount": 5},
+        service_cell=CELL_A.address, fingerprint_hex=FP, status="executed", cycle=1,
         submitted_at=1.0, completed_at=3.5,
+        cosigners=tuple(cosigner(confirmation) for confirmation in confirmations),
     )
 
 
@@ -80,25 +94,6 @@ def test_receipt_rejects_missing_expected_cell():
     assert not receipt.verify(expected_cells=[CELL_A.address, CELL_B.address])
 
 
-def test_receipt_rejects_mismatched_fingerprint():
-    bad = make_confirmation(CELL_B, fingerprint="0x" + "99" * 32)
-    with pytest.raises(ReceiptError):
-        make_receipt([make_confirmation(CELL_A), bad])
-
-
-def test_receipt_rejects_rejected_confirmation():
-    with pytest.raises(ReceiptError):
-        make_receipt([make_confirmation(CELL_A, status="rejected")])
-
-
-@pytest.mark.parametrize("statement", [
-    {"tx_id": "0x" + "33" * 32}, {"contract": "cas"}, {"error": "late"},
-], ids=["tx_id", "contract", "error"])
-def test_receipt_refuses_a_cosigner_of_another_statement(statement):
-    with pytest.raises(ReceiptError):
-        make_receipt([make_confirmation(CELL_A), make_confirmation(CELL_B, **statement)])
-
-
 def test_receipt_states_an_executed_transaction():
     wire_form = make_receipt([make_confirmation(CELL_A)]).to_wire()
     with pytest.raises(ReceiptError):
@@ -126,7 +121,7 @@ def test_receipt_wire_roundtrip_and_size():
     restored = AggregatedReceipt.from_wire(receipt.to_wire())
     assert restored.verify()
     assert restored.tx_id == receipt.tx_id
-    assert receipt.byte_size() > 500
+    assert len(canonical_json.dump_bytes(receipt.to_wire())) > 500
 
 
 def test_malformed_receipt_wire_rejected():
@@ -146,21 +141,29 @@ REQUEST = Envelope.create(
 REPLIED_AT = 3.5
 
 
-def served(
-    request=REQUEST, contract="fastmoney", method="transfer", submitted_at=1.0,
-    completed_at=REPLIED_AT, own_at=REPLIED_AT, peer=CELL_B,
-):
-    """The receipt cell A (the service cell) builds for ``request``."""
-    tx_id = request.payload.hash_hex()
-    confirmations = [
+def served(contract="fastmoney", method="transfer", own_at=REPLIED_AT, peer=CELL_B,
+           scheme=CELL_A.scheme):
+    """Cell A's (the service cell's) compact receipt for ``REQUEST``, and the receipt it states.
+
+    Cell A replies at ``REPLIED_AT`` under ``scheme``; the receipt completes
+    when cell A co-signs, at ``own_at``.
+    """
+    tx_id = REQUEST.payload.hash_hex()
+    own, peer_confirmation = (
         Confirmation.create(cell, tx_id, contract, FP, "executed", timestamp)
         for cell, timestamp in ((CELL_A, own_at), (peer, 3.25))
-    ]
-    return AggregatedReceipt.of(
-        confirmations, tx_id=tx_id, contract=contract, fingerprint_hex=FP, method=method,
-        result={"amount": 5}, service_cell=CELL_A.address, cycle=1,
-        submitted_at=submitted_at, completed_at=completed_at,
     )
+    compact = CompactReceipt.of(
+        own, [peer_confirmation], REQUEST, method=method, result={"amount": 5}, cycle=1,
+        scheme=scheme, moment=REPLIED_AT,
+    )
+    receipt = AggregatedReceipt(
+        tx_id=tx_id, contract=contract, method=method, result={"amount": 5},
+        service_cell=CELL_A.address, fingerprint_hex=FP, status="executed", cycle=1,
+        submitted_at=REQUEST.payload.timestamp, completed_at=own_at,
+        cosigners=(cosigner(own), cosigner(peer_confirmation)),
+    )
+    return compact, receipt
 
 
 def reply_to(request, compact, scheme=None, at=REPLIED_AT):
@@ -177,17 +180,16 @@ def reply_to(request, compact, scheme=None, at=REPLIED_AT):
     return Envelope(payload=payload, signature=b"\x00" * 65, scheme=scheme)
 
 
-def delivered(receipt, request=REQUEST, scheme=None):
-    """``receipt`` sent compact under ``scheme`` and rebuilt by the client from ``request``."""
-    compact = CompactReceipt.of(receipt, REQUEST, scheme or CELL_A.scheme, REPLIED_AT)
+def delivered(compact, request=REQUEST, scheme=None):
+    """``compact`` sent under ``scheme`` and rebuilt by the client from ``request``."""
     reply = reply_to(REQUEST, compact, scheme)
     wire_form = reply.data["receipt"]
     return wire_form, read_reply(reply, Opcode.TX_RECEIPT).receipt.rebuild(request, reply)
 
 
 def test_a_compact_receipt_rebuilds_the_receipt_its_service_cell_built():
-    receipt = served()
-    wire_form, rebuilt = delivered(receipt)
+    compact, receipt = served()
+    wire_form, rebuilt = delivered(compact)
     assert rebuilt == receipt
     assert rebuilt.cosigners[0].cell == rebuilt.service_cell == CELL_A.address
     assert rebuilt.verify(expected_cells=[CELL_A.address, CELL_B.address])
@@ -195,38 +197,59 @@ def test_a_compact_receipt_rebuilds_the_receipt_its_service_cell_built():
     assert canonical_json.dump_bytes(rebuilt.to_wire()) == canonical_json.dump_bytes(
         receipt.to_wire()
     )
-    assert len(canonical_json.dump_bytes(wire_form)) < receipt.byte_size() - 300
+    assert len(canonical_json.dump_bytes(wire_form)) < (
+        len(canonical_json.dump_bytes(receipt.to_wire())) - 300
+    )
 
 
 def test_nothing_the_client_can_derive_travels():
-    wire_form, _rebuilt = delivered(served())
+    wire_form, _rebuilt = delivered(served()[0])
     assert set(wire_form) == {"fingerprint", "cycle", "result", "signature", "cosigners"}
     assert [set(cosigner) for cosigner in wire_form["cosigners"]] == [
         {"cell", "timestamp", "signature"}
     ]
 
 
+def _sent_differently(**fields):
+    """A compact receipt that states ``fields``, as the service cell never builds one.
+
+    The client must still rebuild the receipt it states.
+    """
+    compact, receipt = served()
+    return dataclasses.replace(compact, **fields), dataclasses.replace(receipt, **fields)
+
+
 SIM_PEER = SimulatedSigner("receipt-sim-peer")
 DIFFERING = {
-    "contract": (dict(contract="cas"), lambda wire_form: wire_form["contract"] == "cas"),
-    "method": (dict(method="faucet"), lambda wire_form: wire_form["method"] == "faucet"),
+    "contract": (
+        lambda: served(contract="cas"), lambda wire_form: wire_form["contract"] == "cas"
+    ),
+    "method": (
+        lambda: served(method="faucet"), lambda wire_form: wire_form["method"] == "faucet"
+    ),
     "submitted_at": (
-        dict(submitted_at=0.75), lambda wire_form: wire_form["submitted_at"] == 0.75
+        lambda: _sent_differently(submitted_at=0.75),
+        lambda wire_form: wire_form["submitted_at"] == 0.75,
     ),
     "completed_at": (
-        dict(completed_at=3.75), lambda wire_form: wire_form["completed_at"] == 3.75
+        lambda: _sent_differently(completed_at=3.75),
+        lambda wire_form: wire_form["completed_at"] == 3.75,
     ),
-    "own timestamp": (dict(own_at=3.4), lambda wire_form: wire_form["timestamp"] == 3.4),
+    "own timestamp": (
+        lambda: served(own_at=3.4),
+        lambda wire_form: wire_form["timestamp"] == wire_form["completed_at"] == 3.4,
+    ),
     "peer scheme": (
-        dict(peer=SIM_PEER), lambda wire_form: wire_form["cosigners"][0]["scheme"] == "sim"
+        lambda: served(peer=SIM_PEER),
+        lambda wire_form: wire_form["cosigners"][0]["scheme"] == "sim",
     ),
 }
 
 
-@pytest.mark.parametrize("fields, travels", DIFFERING.values(), ids=DIFFERING)
-def test_a_field_that_differs_from_the_derived_value_travels_and_rebuilds(fields, travels):
-    receipt = served(**fields)
-    wire_form, rebuilt = delivered(receipt)
+@pytest.mark.parametrize("sent, travels", DIFFERING.values(), ids=DIFFERING)
+def test_a_field_that_differs_from_the_derived_value_travels_and_rebuilds(sent, travels):
+    compact, receipt = sent()
+    wire_form, rebuilt = delivered(compact)
     assert travels(wire_form)
     assert rebuilt == receipt
     assert rebuilt.verify(expected_cells=[CELL_A.address])
@@ -236,8 +259,8 @@ def test_a_field_that_differs_from_the_derived_value_travels_and_rebuilds(fields
 
 
 def test_a_service_cell_scheme_other_than_the_replys_travels():
-    receipt = served()
-    wire_form, rebuilt = delivered(receipt, scheme="sim")
+    compact, receipt = served(scheme="sim")
+    wire_form, rebuilt = delivered(compact, scheme="sim")
     assert wire_form["scheme"] == wire_form["cosigners"][0]["scheme"] == "ecdsa"
     assert rebuilt == receipt and rebuilt.verify()
 
@@ -248,23 +271,9 @@ def test_a_receipt_rebuilt_against_another_request_does_not_verify():
         data={"contract": "fastmoney", "method": "transfer", "args": {"amount": 6}},
         timestamp=1.0, nonce="0x03",
     )
-    _wire_form, rebuilt = delivered(served(), request=other)
+    _wire_form, rebuilt = delivered(served()[0], request=other)
     assert rebuilt.tx_id == other.payload.hash_hex()
     assert not rebuilt.verify()
-
-
-def test_only_a_receipt_of_the_request_with_its_service_cell_first_is_compacted():
-    with pytest.raises(ReceiptError):
-        CompactReceipt.of(served(), Envelope.create(
-            signer=CLIENT, recipient=CELL_A.address, operation=Opcode.TX_SUBMIT,
-            data=REQUEST.data, timestamp=1.0, nonce="0x04",
-        ), CELL_A.scheme, REPLIED_AT)
-    receipt = served()
-    with pytest.raises(ReceiptError):
-        CompactReceipt.of(
-            dataclasses.replace(receipt, cosigners=receipt.cosigners[::-1]), REQUEST,
-            CELL_A.scheme, REPLIED_AT,
-        )
 
 
 MALFORMED = {
@@ -283,8 +292,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("spoil", MALFORMED.values(), ids=MALFORMED)
 def test_a_malformed_compact_receipt_is_a_reply_error(spoil):
-    compact = CompactReceipt.of(served(), REQUEST, CELL_A.scheme, REPLIED_AT)
-    sent = json.loads(canonical_json.dumps(compact.to_wire()))
+    sent = json.loads(canonical_json.dumps(served()[0].to_wire()))
     reply = Envelope.create(
         signer=CELL_A, recipient=CLIENT.address, operation=Opcode.TX_RECEIPT,
         data={"receipt": spoil(sent)}, timestamp=REPLIED_AT, nonce="0x05",

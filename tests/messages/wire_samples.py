@@ -60,6 +60,12 @@ re-recorded, from this file — ``bodies.ForwardBatch``,
 comparison showed every other entry, ``bodies.SyncState``,
 ``replies.LEDGER_RESPONSE`` and ``bodies.AggregatedReceipt`` included,
 byte-identical.
+
+The receipt builders have changed since without moving a byte, and nothing
+was re-recorded: ``AggregatedReceipt.of`` is gone, so the sample receipt is
+built with the constructor, and ``CompactReceipt.of`` builds the compact
+receipt from the service cell's own confirmation, its peers', the request
+and the reply's scheme and moment, as the service cell does.
 """
 
 import json
@@ -82,6 +88,7 @@ def build():
         CompactReceipt,
         Confirmation,
         ConfirmationBatch,
+        CoSigner,
         LinkConfirmation,
     )
     from repro.core.replies import (
@@ -159,27 +166,27 @@ def build():
     confirmation, rejected = statements["Confirmation"], statements["Confirmation/rejected"]
     vote, ack = statements["ExclusionVote"], statements["RejoinAck"]
     xvote, voucher = statements["CrossShardVote"], statements["CrossShardVoucher"]
-    receipt = AggregatedReceipt.of(
-        [confirmation], tx_id=TX_ID, contract="fastmoney", fingerprint_hex=FINGERPRINT,
-        method="transfer", result={"amount": 5}, service_cell=peer, cycle=1,
+    receipt = AggregatedReceipt(
+        tx_id=TX_ID, contract="fastmoney", method="transfer", result={"amount": 5},
+        service_cell=peer, fingerprint_hex=FINGERPRINT, status="executed", cycle=1,
         submitted_at=1.0000004, completed_at=3.4999996,
+        cosigners=(CoSigner(
+            confirmation.cell, confirmation.timestamp, confirmation.signature,
+            confirmation.scheme,
+        ),),
     )
     # ``called``'s receipt as its service cell (the signer) replies with it
     # at 3.5: its peer signed another moment, which travels.
     called_id = called.payload.hash_hex()
-    served = AggregatedReceipt.of(
-        [
-            Confirmation.create(signer, called_id, "fastmoney", FINGERPRINT, "executed", 3.5),
-            Confirmation.create(
-                SimulatedSigner("golden-peer"), called_id, "fastmoney", FINGERPRINT, "executed",
-                3.2500004,
-            ),
-        ],
-        tx_id=called_id, contract="fastmoney", fingerprint_hex=FINGERPRINT, method="transfer",
-        result={"amount": 5}, service_cell=signer.address, cycle=1, submitted_at=1.25,
-        completed_at=3.5,
+    compact = CompactReceipt.of(
+        Confirmation.create(signer, called_id, "fastmoney", FINGERPRINT, "executed", 3.5),
+        [Confirmation.create(
+            SimulatedSigner("golden-peer"), called_id, "fastmoney", FINGERPRINT, "executed",
+            3.2500004,
+        )],
+        called, method="transfer", result={"amount": 5}, cycle=1, scheme=signer.scheme,
+        moment=3.5,
     )
-    compact = CompactReceipt.of(served, called, signer.scheme, 3.5)
     # A cross-shard body nests its inner transaction without the identities
     # of the outer envelope, which has the same ones.
     nested = inner.to_link(with_sender=False)
@@ -210,9 +217,9 @@ def build():
             xtx="0xa1", phase="redeem", group=1, transaction=nested,
             voucher=voucher.to_wire(),
         ).to_data(),
-        "ConfirmationBatch": ConfirmationBatch.of([
+        "ConfirmationBatch": ConfirmationBatch((
             LinkConfirmation.of(confirmation, called), LinkConfirmation.of(rejected, inner),
-        ]).to_data(),
+        )).to_data(),
         "AggregatedReceipt": receipt.to_wire(),
         "ForwardBatch": ForwardBatch.of([inner, admitted]).to_data(),
         "LedgerEntry.summary": executed.summary(),

@@ -26,6 +26,7 @@ from repro.core.receipts import (
     CompactReceipt,
     Confirmation,
     ConfirmationBatch,
+    CoSigner,
     LinkConfirmation,
     called_contract,
 )
@@ -495,6 +496,18 @@ COSIGNERS = {
 fingerprints = st.binary(min_size=32, max_size=32).map(lambda digest: "0x" + digest.hex())
 
 
+def cosigned(confirmations, **fields):
+    """The receipt ``confirmations`` co-sign, the first by its service cell."""
+    return AggregatedReceipt(
+        **fields, service_cell=confirmations[0].cell, status="executed",
+        cosigners=tuple(
+            CoSigner(confirmation.cell, confirmation.timestamp, confirmation.signature,
+                     confirmation.scheme)
+            for confirmation in confirmations
+        ),
+    )
+
+
 @st.composite
 def receipts(draw, scheme):
     """A receipt co-signed by one to three cells, each at its own moment."""
@@ -506,10 +519,11 @@ def receipts(draw, scheme):
         Confirmation.create(cell, status="executed", timestamp=draw(ATOMS["seconds"]), **statement)
         for cell in cells
     ]
-    return AggregatedReceipt.of(
-        confirmations, **statement, method=draw(ids), result=draw(json_values),
-        service_cell=cells[0].address, cycle=draw(st.integers(0, 10**6)),
-        submitted_at=draw(ATOMS["seconds"]), completed_at=draw(ATOMS["seconds"]),
+    return cosigned(
+        confirmations, tx_id=statement["tx_id"], contract=statement["contract"],
+        fingerprint_hex=statement["fingerprint_hex"], method=draw(ids), result=draw(json_values),
+        cycle=draw(st.integers(0, 10**6)), submitted_at=draw(ATOMS["seconds"]),
+        completed_at=draw(ATOMS["seconds"]),
     )
 
 
@@ -654,11 +668,13 @@ def test_a_contract_other_than_the_called_one_travels_and_still_verifies(scheme,
 # ----------------------------------------------------------------------
 @st.composite
 def replied(draw):
-    """``(request, receipt, reply scheme, reply moment)``: a receipt about to be sent compact.
+    """``(request, compact receipt, the receipt it states, reply scheme, reply moment)``.
 
-    The first co-signer is the service cell.  Every field the client can
-    derive — from its request, or from the reply's scheme and moment —
-    is drawn either equal to that or otherwise.
+    The service cell builds the compact receipt from its own confirmation
+    and its peers'.  Every field the client can derive — from its request,
+    or from the reply's scheme and moment — is drawn either equal to that or
+    otherwise, except the submission time: the service cell reads it off the
+    request.
     """
     cells = draw(st.lists(
         st.sampled_from(COSIGNERS["sim"] + COSIGNERS["ecdsa"]), min_size=1, max_size=3,
@@ -674,21 +690,24 @@ def replied(draw):
         tx_id=request.payload.hash_hex(), contract=draw(st.just(called) | ids),
         fingerprint_hex=draw(fingerprints),
     )
-    confirmations = [
+    own, *peers = [
         Confirmation.create(
             cell, status="executed", timestamp=draw(st.just(moment) | ATOMS["seconds"]),
             **statement,
         )
         for cell in cells
     ]
-    receipt = AggregatedReceipt.of(
-        confirmations, **statement, method=draw(st.just(method) | ids),
-        result=draw(json_values), service_cell=cells[0].address,
+    fields = dict(
+        method=draw(st.just(method) | ids), result=draw(json_values),
         cycle=draw(st.integers(0, 10**6)),
-        submitted_at=draw(st.just(request.payload.timestamp) | ATOMS["seconds"]),
-        completed_at=draw(st.just(moment) | ATOMS["seconds"]),
     )
-    return request, receipt, draw(st.sampled_from(["sim", "ecdsa"])), moment
+    scheme = draw(st.sampled_from(["sim", "ecdsa"]))
+    compact = CompactReceipt.of(own, peers, request, **fields, scheme=scheme, moment=moment)
+    receipt = cosigned(
+        [own, *peers], **statement, **fields, submitted_at=request.payload.timestamp,
+        completed_at=own.timestamp,
+    )
+    return request, compact, receipt, scheme, moment
 
 
 def _reply(request, sender, scheme, moment, data):
@@ -701,15 +720,14 @@ def _reply(request, sender, scheme, moment, data):
 @settings(max_examples=30, deadline=None)
 @given(served=replied())
 def test_a_receipt_sent_compact_rebuilds_exactly_from_the_request_and_the_reply(served):
-    request, receipt, scheme, moment = served
-    sent = json.loads(as_json(CompactReceipt.of(receipt, request, scheme, moment).to_wire()))
+    request, compact, receipt, scheme, moment = served
+    sent = json.loads(as_json(compact.to_wire()))
     # What the client derives travels only where the receipt states otherwise.
-    assert not {"tx_id", "service_cell", "status"} & set(sent)
+    assert not {"tx_id", "service_cell", "status", "submitted_at"} & set(sent)
     own, *peers = receipt.cosigners
     derived = {
         "contract": (receipt.contract, called_contract(request)),
         "method": (receipt.method, request.data["method"]),
-        "submitted_at": (receipt.submitted_at, request.payload.timestamp),
         "completed_at": (receipt.completed_at, moment),
         "timestamp": (own.timestamp, moment),
         "scheme": (own.scheme, scheme),
@@ -729,8 +747,8 @@ def test_a_receipt_sent_compact_rebuilds_exactly_from_the_request_and_the_reply(
 @settings(max_examples=20, deadline=None)
 @given(served=replied())
 def test_a_compact_receipt_rebuilt_from_another_request_verifies_for_no_cosigner(served):
-    request, receipt, scheme, moment = served
-    sent = CompactReceipt.of(receipt, request, scheme, moment).to_wire()
+    request, compact, receipt, scheme, moment = served
+    sent = compact.to_wire()
     other = Envelope.create(
         signer=SIGNER, recipient=request.recipient, operation=Opcode.TX_SUBMIT,
         data=request.data, timestamp=request.payload.timestamp, nonce=request.nonce + "'",

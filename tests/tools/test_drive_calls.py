@@ -147,3 +147,39 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
         messages for (_, messages), _, _ in cell_link
     )
     assert per_message <= CELL_LINK_BYTES_OUTSIDE_DATA
+
+
+#: A ratchet: receipt-family constructions per transaction of the smoke
+#: drives at seed 2021 once the service cell builds its receipt in the form
+#: it sends (16.30 and 21.81; 19.40 and 26.41 before), rounded up to 0.1.
+RECEIPT_FAMILY_PER_TX = {"burst_sim": 16.3, "xshard_burst": 21.9}
+RECEIPT_FAMILY = {
+    "Confirmation", "LinkConfirmation", "ConfirmationBatch", "CoSigner", "AggregatedReceipt",
+    "CompactCoSigner", "CompactReceipt", "ReceiptReply",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(RECEIPT_FAMILY_PER_TX))
+def test_objects_counts_what_one_drive_builds_and_ratchets_the_receipt_family(workload):
+    """``--objects``: constructions per transaction by class, the same on every run."""
+    command = [sys.executable, str(TOOL), "--smoke", "--objects", "--workload", workload,
+               "--seed", "2021"]
+    first = subprocess.run(command, capture_output=True, text=True)
+    assert first.returncode == 0, first.stderr
+    assert subprocess.run(command, capture_output=True, text=True).stdout == first.stdout
+    header, *rows = first.stdout.splitlines()
+    family = float(re.fullmatch(
+        rf"{workload}  seed=2021  smoke=True  receipt_family_per_tx=(\d+\.\d\d)", header
+    )[1])
+    counted = {}
+    for row in rows:
+        match = re.fullmatch(r"  +(\d+\.\d\d)  (\w+)( +receipt family)?", row)
+        assert match, row
+        counted[match[2]] = (float(match[1]), match[3] is not None)
+    assert {name for name, (_, member) in counted.items() if member} == RECEIPT_FAMILY
+    assert {"Payload", "Envelope", "ErrorReply", "VoucherReply"} <= set(counted)
+    assert family == pytest.approx(
+        sum(per_tx for per_tx, member in counted.values() if member), abs=0.01 * len(counted)
+    )
+    assert counted["CompactReceipt"][0] > 0
+    assert family <= RECEIPT_FAMILY_PER_TX[workload]

@@ -6,7 +6,8 @@ The host clock of the shared box cannot resolve a change of a few per cent
 can: it is a pure function of the workload and the seed, so it repeats to
 the digit and a parent/change pair compares as two integers.
 
-    python tools/drive_calls.py [--workload NAME] [--seed N] [--smoke] [--sample | --bytes]
+    python tools/drive_calls.py [--workload NAME] [--seed N] [--smoke]
+                                [--sample | --bytes | --objects]
 
 builds the workload exactly as ``bench/run.py`` does (``bench.workloads``
 is imported, nothing under ``bench/`` is edited), profiles the one
@@ -43,12 +44,23 @@ Every opcode also gets a line that splits a message into its data field
 (canonical-JSON bytes of ``D``) and the rest: the envelope header, the
 signature and the network framing, which are what a change to the envelope
 itself moves.
+
+``--objects`` counts what the drive builds: it wraps, from outside and for
+the drive alone, the ``__init__`` of every dataclass declared in
+:mod:`repro.core.receipts` and :mod:`repro.core.replies`, and of ``Payload``
+and ``Envelope``, and prints the constructions per transaction of each.
+The *receipt family* is every class of ``core/receipts.py`` plus
+``ReceiptReply``: the objects one transaction's receipt is held in on its
+way from the co-signing cells to the client.  A decoder that builds an
+object builds it through ``__init__``, so decoded objects count too.  Like
+the call count it repeats to the digit.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import gc
 import os
 import signal
@@ -237,6 +249,59 @@ def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
                       f"  {(size - item_bytes) / count:>7.1f} B/msg besides the {item}s")
 
 
+def _counted_classes() -> tuple[list[type], set[type]]:
+    """The classes ``--objects`` counts, and those of them that make up the receipt family."""
+    from repro.core import receipts, replies
+    from repro.messages.envelope import Envelope
+    from repro.messages.payload import Payload
+
+    declared = {
+        module: [
+            value for value in vars(module).values()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+            and value.__module__ == module.__name__
+        ]
+        for module in (receipts, replies)
+    }
+    family = {*declared[receipts], replies.ReceiptReply}
+    return [*declared[receipts], *declared[replies], Payload, Envelope], family
+
+
+def count_drive_objects(workload_name: str, seed: int, smoke: bool) -> tuple[int, Counter[type]]:
+    """Transactions attempted, and the constructions of each counted class in one drive."""
+    classes = _counted_classes()[0]
+    built: Counter[type] = Counter()
+
+    def counting(cls: type, init: Any) -> Any:
+        def counted_init(self: Any, *args: Any, **kwargs: Any) -> None:
+            built[cls] += 1
+            init(self, *args, **kwargs)
+        return counted_init
+
+    workload, deployment = _built(workload_name, seed, smoke)
+    originals = {cls: cls.__dict__["__init__"] for cls in classes}
+    for cls, init in originals.items():
+        setattr(cls, "__init__", counting(cls, init))
+    try:
+        driven = workload.drive(deployment, smoke)
+    finally:
+        for cls, init in originals.items():
+            setattr(cls, "__init__", init)
+    observed = workload.observe(deployment, driven)
+    return observed.attempted, built
+
+
+def _print_objects(workload_name: str, seed: int, smoke: bool) -> None:
+    attempted, built = count_drive_objects(workload_name, seed, smoke)
+    classes, family = _counted_classes()
+    in_family = sum(built[cls] for cls in family)
+    print(f"{workload_name}  seed={seed}  smoke={smoke}"
+          f"  receipt_family_per_tx={in_family / attempted:.2f}")
+    for cls in sorted(classes, key=lambda cls: (-built[cls], cls.__name__)):
+        marker = "receipt family" if cls in family else ""
+        print(f"  {built[cls] / attempted:>8.2f}  {cls.__name__:<22}{marker}".rstrip())
+
+
 def _file_of(path: str) -> str:
     if path == "~":
         return "(builtins)"
@@ -265,6 +330,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                        help="print sampled CPU shares by function instead of call counts")
     shown.add_argument("--bytes", action="store_true",
                        help="print wire bytes and messages per transaction by opcode instead")
+    shown.add_argument("--objects", action="store_true",
+                       help="print receipt, reply and envelope constructions per transaction")
     args = parser.parse_args(argv)
     if args.workload is None:
         for name in workloads.WORKLOADS:
@@ -272,13 +339,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                        "--workload", name, "--seed", str(args.seed)]
             child = subprocess.run(
                 command + ["--smoke"] * args.smoke + ["--sample"] * args.sample
-                + ["--bytes"] * args.bytes
+                + ["--bytes"] * args.bytes + ["--objects"] * args.objects
             )
             if child.returncode != 0:
                 return child.returncode
         return 0
     if args.bytes:
         _print_bytes(args.workload, args.seed, args.smoke)
+        return 0
+    if args.objects:
+        _print_objects(args.workload, args.seed, args.smoke)
         return 0
     if args.sample:
         samples, cpu_seconds, inclusive, own = sample_drive(args.workload, args.seed, args.smoke)
