@@ -11,12 +11,14 @@ module provides the shared vocabulary:
   of every group passes its per-cycle audit, and the deployment-level
   shard digest recomputes (optionally against a published digest and
   fingerprint history, which localizes tampering to a group and cycle).
+* :class:`EscrowPair` — the one reading of a cross-shard transaction's
+  (source, target) escrow records, for every oracle that needs one.
 * :func:`run_conservation_oracle` — value conservation over every
   FastMoney-family instance: per-instance ``balances + held escrow ==
   supply``, cross-shard escrow pairs in legal states (a credit without a
-  matching settle is minted value; a refund *and* a settle of one hold is
-  a double spend), and the global ``minted == supply + in-transit``
-  identity.
+  settled source hold is minted value; a redeemed voucher whose source
+  was reclaimed is a double spend), and the global ``minted == supply +
+  in-transit`` identity.
 
 Oracles never use privileged state access to *decide* — the audit oracle
 talks to cells over the signed message interface exactly as the paper's
@@ -188,16 +190,118 @@ def fastmoney_instances(
     return instances
 
 
+#: The amount-mismatch finding of a delivered pair, by (source, target) status.
+_DELIVERED = {
+    ("settled", "credited"): "settled {} but credited {}",
+    ("voucher", "redeemed"): "vouched {} but redeemed {}",
+}
+
+
+@dataclass(frozen=True)
+class EscrowPair:
+    """One cross-shard transaction's two escrow records, read once.
+
+    ``source`` is the FastMoney record (direction ``out``) on the instance
+    the value leaves, ``target`` the one (direction ``in``) on the
+    instance it enters; either is None when its instance holds no record.
+    Each record carries the ``instance`` and ``group`` it was read from.
+    ``docs/TESTING.md`` tabulates what every joint state means.
+    """
+
+    xtx: str
+    source: Optional[dict[str, Any]] = None
+    target: Optional[dict[str, Any]] = None
+
+    @property
+    def source_status(self) -> Optional[str]:
+        return None if self.source is None else self.source["status"]
+
+    @property
+    def target_status(self) -> Optional[str]:
+        return None if self.target is None else self.target["status"]
+
+    def findings(self) -> list[str]:
+        """Why this joint state is illegal (one finding at most); empty when it is legal."""
+        source, target = self.source_status, self.target_status
+        out, into = (record and repr(record["instance"]) for record in (self.source, self.target))
+        # A credit needs a settled source hold, a settle a live target, a
+        # redeem an unreclaimed voucher, and a delivered pair one amount.
+        if target == "credited" and source != "settled":
+            found = f"credited on {into} without a settled source hold (value minted)"
+        elif source == "settled" and target is None:
+            found = f"settled on {out} with no target escrow record at all"
+        elif source == "settled" and target == "cancelled":
+            found = f"settled on {out} but cancelled on {into} (contradictory decisions)"
+        elif target == "redeemed" and source is None:
+            found = f"voucher redeemed on {into} with no minted source voucher (value minted)"
+        elif target == "redeemed" and source == "voucher_reclaimed":
+            found = f"voucher redeemed on {into} but reclaimed on {out} (double spend)"
+        elif target == "redeemed" and source != "voucher":
+            found = (f"redeemed on {into} but the source record on {out} has status "
+                     f"{source!r}, not a minted voucher")
+        elif (source, target) in _DELIVERED and (
+            int(self.source["amount"]) != int(self.target["amount"])
+        ):
+            found = _DELIVERED[source, target].format(self.source["amount"], self.target["amount"])
+        else:
+            return []
+        return [f"xtx {self.xtx}: {found}"]
+
+    @property
+    def in_transit(self) -> int:
+        """Value out of the source's supply and not yet in the target's: a
+        settled hold whose credit is still expected, or an unredeemed voucher."""
+        source, target = self.source_status, self.target_status
+        if source == "settled" and target == "expected":
+            return int(self.source["amount"])
+        if source == "voucher" and target != "redeemed":
+            return int(self.source["amount"])
+        return 0
+
+    @property
+    def transfer(self) -> Optional[dict[str, Any]]:
+        """The committed transfer, ``{xtx, sender, to, amount}``: a settled hold
+        (credited or not yet) whose target names the recipient, or a redeemed voucher."""
+        source, target = self.source_status, self.target_status
+        if target is None or not (
+            source == "settled" or (source == "voucher" and target == "redeemed")
+        ):
+            return None
+        return {"xtx": self.xtx, "sender": self.source["from"], "to": self.target["to"],
+                "amount": int(self.source["amount"])}
+
+    @property
+    def adjustment(self) -> Optional[tuple[str, int]]:
+        """``(account, amount)`` of escrowed value no balance holds: a held hold
+        or an unredeemed voucher is its sender's, a settled hold whose credit is
+        still expected its recipient's."""
+        source, target = self.source_status, self.target_status
+        if source == "held":
+            return self.source["from"], int(self.source["amount"])
+        if source == "voucher" and target != "redeemed":
+            return self.source["from"], int(self.source["amount"])
+        if source == "settled" and target == "expected":
+            return self.target["to"], int(self.source["amount"])
+        return None
+
+    @property
+    def commit_legs(self) -> tuple[str, ...]:
+        """The decided moves of value that executed: ``settled`` on the
+        source, then ``credited`` or ``redeemed`` on the target."""
+        legs = (self.source_status, self.target_status)
+        return tuple(leg for leg in legs if leg in ("settled", "credited", "redeemed"))
+
+
 def registry_escrows(
     registries: Sequence[ContractRegistry], base_name: Optional[str] = None
-) -> dict[str, dict[str, dict[str, Any]]]:
-    """All cross-shard escrow records, keyed ``xtx -> direction -> record``.
+) -> dict[str, EscrowPair]:
+    """Every cross-shard escrow pair, keyed and ordered by ``xtx``.
 
     Each record is augmented with the instance name and group it was read
     from.  ``base_name`` restricts the harvest to one application's
     per-group instances (e.g. ``fastmoney`` / ``fastmoney@s1``).
     """
-    escrows: dict[str, dict[str, dict[str, Any]]] = {}
+    records: dict[str, dict[str, dict[str, Any]]] = {}
     for group_index, name, contract in fastmoney_instances(registries):
         if base_name is not None and name.split("@s", 1)[0] != base_name:
             continue
@@ -206,13 +310,16 @@ def registry_escrows(
             enriched = dict(record)
             enriched["instance"] = name
             enriched["group"] = group_index
-            escrows.setdefault(xtx, {})[record["direction"]] = enriched
-    return escrows
+            records.setdefault(xtx, {})[record["direction"]] = enriched
+    return {
+        xtx: EscrowPair(xtx, pair.get("out"), pair.get("in"))
+        for xtx, pair in sorted(records.items())
+    }
 
 
 def harvest_escrows(
     deployment: ShardedDeployment, base_name: Optional[str] = None
-) -> dict[str, dict[str, dict[str, Any]]]:
+) -> dict[str, EscrowPair]:
     """:func:`registry_escrows` of a deployment's cell groups."""
     return registry_escrows(group_registries(deployment), base_name)
 
@@ -252,17 +359,17 @@ def run_conservation_oracle(
     * **per instance** — ``sum(balances) + sum(held out-escrows) ==
       supply``: an invariant of the contract's own bookkeeping, so any
       violation means the state itself was corrupted;
-    * **escrow pairing** — each cross-shard transaction's (source,
-      target) escrow pair is in a legal joint state: a credit requires a
-      settle (else value was minted), a fast-path redeem requires a
-      minted voucher that was not reclaimed, and a
-      settled/refunded/reclaimed hold is terminal exactly once (else
-      value was double-spent);
+    * **escrow pairing** — each cross-shard transaction's
+      :class:`EscrowPair` is in a legal joint state: a credit needs a
+      settled source hold (else value was minted), a settle needs a
+      target record that was not cancelled, a fast-path redeem needs a minted
+      voucher that was not reclaimed (a reclaimed one is a double
+      spend), and the two legs of a delivered transfer carry one amount;
     * **global** — ``sum(minted) == sum(supplies) + in-transit``, where
       in-transit is value settled out of a source instance whose credit
       has not (yet) executed on the target — escrowed by the protocol,
-      recoverable with the commit certificate, and reported in the
-      metrics so a stuck decision is visible.
+      recoverable with the commit certificate — plus every unredeemed
+      voucher, reported in the metrics so a stuck decision is visible.
     """
     findings: list[str] = []
     instances = fastmoney_instances(group_registries(deployment))
@@ -290,63 +397,9 @@ def run_conservation_oracle(
             )
 
     escrows = harvest_escrows(deployment)
-    in_transit = 0
-    for xtx, pair in sorted(escrows.items()):
-        out = pair.get("out")
-        into = pair.get("in")
-        if into is not None and into["status"] == "credited":
-            if out is None or out["status"] != "settled":
-                findings.append(
-                    f"xtx {xtx}: credited on {into['instance']!r} without a "
-                    f"settled source hold (value minted)"
-                )
-            elif int(out["amount"]) != int(into["amount"]):
-                findings.append(
-                    f"xtx {xtx}: settled {out['amount']} but credited {into['amount']}"
-                )
-        if out is not None and out["status"] == "settled":
-            if into is None:
-                findings.append(
-                    f"xtx {xtx}: settled on {out['instance']!r} with no target "
-                    f"escrow record at all"
-                )
-            elif into["status"] == "expected":
-                # Decision made (a commit certificate existed) but the
-                # credit has not executed: value in transit, conserved.
-                in_transit += int(out["amount"])
-            elif into["status"] == "cancelled":
-                findings.append(
-                    f"xtx {xtx}: settled on {out['instance']!r} but cancelled on "
-                    f"{into['instance']!r} (contradictory decisions)"
-                )
-        # Fast-path voucher pairing: a redeem needs a minted, unreclaimed
-        # source voucher; an outstanding voucher is value in transit (it
-        # redeems with the voucher or reclaims after its deadline).
-        if into is not None and into["status"] == "redeemed":
-            if out is None:
-                findings.append(
-                    f"xtx {xtx}: voucher redeemed on {into['instance']!r} with "
-                    f"no minted source voucher (value minted)"
-                )
-            elif out["status"] == "voucher_reclaimed":
-                findings.append(
-                    f"xtx {xtx}: voucher redeemed on {into['instance']!r} but "
-                    f"reclaimed on {out['instance']!r} (double spend)"
-                )
-            elif out["status"] != "voucher":
-                findings.append(
-                    f"xtx {xtx}: redeemed on {into['instance']!r} but the "
-                    f"source record on {out['instance']!r} has status "
-                    f"{out['status']!r}, not a minted voucher"
-                )
-            elif int(out["amount"]) != int(into["amount"]):
-                findings.append(
-                    f"xtx {xtx}: vouched {out['amount']} but redeemed "
-                    f"{into['amount']}"
-                )
-        if out is not None and out["status"] == "voucher":
-            if into is None or into.get("status") != "redeemed":
-                in_transit += int(out["amount"])
+    for pair in escrows.values():
+        findings.extend(pair.findings())
+    in_transit = sum(pair.in_transit for pair in escrows.values())
 
     minted_total = sum(minted.values())
     if minted_total != total_supply + in_transit:

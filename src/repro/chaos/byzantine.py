@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..audit.oracles import OracleResult, harvest_escrows
+from ..audit.oracles import EscrowPair, OracleResult, harvest_escrows
 from ..client.sharded import CrossShardResult
 from ..core.faults import FAULT_TABLE, Family, ScheduledFault
 from .runner import ScenarioRun, check_scenario
@@ -115,6 +115,16 @@ def _attribute_anchored(
     return None
 
 
+#: What each executed commit leg of a lied-about transaction proves
+#: (:attr:`~repro.audit.oracles.EscrowPair.commit_legs`), ``{mode}`` the lie.
+_UNDETECTED = {
+    "settled": "source hold settled despite a {mode}d vote",
+    "credited": "target credited despite a {mode}d vote",
+    "redeemed": "target redeemed a voucher whose signature never verified "
+    "against the directory",
+}
+
+
 def _attribute_lying_gateway(
     run: ScenarioRun,
     fault: ScheduledFault,
@@ -135,22 +145,8 @@ def _attribute_lying_gateway(
     escrows = harvest_escrows(run.deployment, CHAOS_CONTRACT)
     undetected: list[str] = []
     for xtx in sorted(lied):
-        pair = escrows.get(xtx, {})
-        out = pair.get("out")
-        into = pair.get("in")
-        if out is not None and out["status"] == "settled":
-            undetected.append(
-                f"xtx {xtx}: source hold settled despite a {mode}d vote"
-            )
-        if into is not None and into["status"] == "credited":
-            undetected.append(
-                f"xtx {xtx}: target credited despite a {mode}d vote"
-            )
-        if into is not None and into["status"] == "redeemed":
-            undetected.append(
-                f"xtx {xtx}: target redeemed a voucher whose signature "
-                f"never verified against the directory"
-            )
+        for leg in escrows.get(xtx, EscrowPair(xtx)).commit_legs:
+            undetected.append(f"xtx {xtx}: {_UNDETECTED[leg].format(mode=mode)}")
     committed_results = [
         result
         for result in run.workload.results
@@ -196,10 +192,9 @@ def _attribute_lying_gateway(
                 f"xtx {xtx}: decision={result.decision!r} ok={result.ok} "
                 f"error={result.error!r}"
             )
-        pair = escrows.get(xtx, {})
-        out = pair.get("out")
-        if out is not None:
-            evidence.append(f"xtx {xtx}: source hold status={out['status']!r}")
+        status = escrows.get(xtx, EscrowPair(xtx)).source_status
+        if status is not None:
+            evidence.append(f"xtx {xtx}: source hold status={status!r}")
     refusals = sum(
         run.deployment.metrics.counter(
             f"{cell.node_name}/xshard_certificate_refusals"

@@ -43,7 +43,7 @@ from ..audit.oracles import (
     run_conservation_oracle,
 )
 from ..client.sharded import CrossShardResult
-from ..client.workload import MixedWorkloadReport, instance_names, run_mixed_operations
+from ..client.workload import MixedWorkloadReport, run_mixed_operations
 from ..contracts.community.ballot import Ballot
 from ..contracts.community.dividend_pool import DividendPool
 from ..contracts.registry import ContractRegistry
@@ -223,11 +223,11 @@ def harvest_committed(
     Returns ``(calls, cross_transfers)``: ``calls`` are the executed
     plain entries in per-group ledger order, each as
     ``{group, sender, contract, method, args, tx_id, timestamp}`` (the
-    signed payload's); ``cross_transfers`` are
-    the cross-shard escrow transfers whose source hold *settled* — i.e.
-    a commit certificate existed — as ``{xtx, sender, to, amount}``
-    (whether or not the target credit has executed yet: that value is in
-    transit, and the specification delivers it).
+    signed payload's); ``cross_transfers`` are the
+    :attr:`~repro.audit.oracles.EscrowPair.transfer` of every escrow pair
+    that has one — a settled source hold (a commit certificate existed),
+    whether or not its target credit has executed yet (that value is in
+    transit, and the specification delivers it), or a redeemed voucher.
     """
     calls: list[dict[str, Any]] = []
     for group in deployment.groups:
@@ -249,34 +249,11 @@ def harvest_committed(
                     "timestamp": entry.envelope.payload.timestamp,
                 }
             )
-    cross: list[dict[str, Any]] = []
-    for xtx, pair in sorted(harvest_escrows(deployment, base_name).items()):
-        out = pair.get("out")
-        into = pair.get("in")
-        if out is None:
-            continue
-        if out["status"] == "voucher":
-            # Fast path: a minted voucher whose credit *redeemed* is a
-            # complete transfer.  An unredeemed one is value in transit
-            # (the conservation oracle counts it); the specification cannot
-            # place it, and the semantic harvest hands it back to its
-            # sender on both sides.
-            if into is None or into.get("status") != "redeemed":
-                continue
-        elif out["status"] != "settled":
-            continue
-        elif into is None:
-            # Conservation reports this; the differential cannot place
-            # the value without a target record.
-            continue
-        cross.append(
-            {
-                "xtx": xtx,
-                "sender": out["from"],
-                "to": into["to"],
-                "amount": int(out["amount"]),
-            }
-        )
+    cross = [
+        transfer
+        for pair in harvest_escrows(deployment, base_name).values()
+        if (transfer := pair.transfer) is not None
+    ]
     return calls, cross
 
 
@@ -290,10 +267,11 @@ def harvest_semantics(
     registries (:func:`~repro.audit.oracles.group_registries`) or the specification's.
 
     FastMoney balances are summed per account across the application's
-    per-group instances and *adjusted for escrowed value*: a still-held
-    hold logically belongs to its sender, and a settled-but-uncredited
-    hold to its recipient — the two in-flight states a chaotic shutdown
-    can legally leave behind.  CAS, ballot, and dividend-pool state is
+    per-group instances and *adjusted for escrowed value*
+    (:attr:`~repro.audit.oracles.EscrowPair.adjustment`): a still-held
+    hold or an unredeemed voucher logically belongs to its sender, and a
+    settled-but-uncredited hold to its recipient — the in-flight states a
+    chaotic shutdown can legally leave behind.  CAS, ballot, and dividend-pool state is
     harvested from their semantic key ranges (blob references, tallies
     and votes, invested positions), which are timestamp- and
     transaction-id-free by construction.
@@ -305,30 +283,10 @@ def harvest_semantics(
         for key, value in contract.store.items("balance/"):
             account = key.split("/", 1)[1]
             balances[account] = balances.get(account, 0) + int(value)
-    for _xtx, pair in registry_escrows(registries, base_name).items():
-        out = pair.get("out")
-        into = pair.get("in")
-        if out is not None and out["status"] == "held":
-            owner = out["from"]
-            balances[owner] = balances.get(owner, 0) + int(out["amount"])
-        elif (
-            out is not None
-            and out["status"] == "voucher"
-            and (into is None or into.get("status") != "redeemed")
-        ):
-            # An outstanding (lost, refused, or not-yet-redeemed) voucher
-            # still logically belongs to its sender: the escrowed debit
-            # reclaims after the voucher deadline.
-            owner = out["from"]
-            balances[owner] = balances.get(owner, 0) + int(out["amount"])
-        elif (
-            out is not None
-            and out["status"] == "settled"
-            and into is not None
-            and into["status"] == "expected"
-        ):
-            recipient = into["to"]
-            balances[recipient] = balances.get(recipient, 0) + int(out["amount"])
+    for pair in registry_escrows(registries, base_name).values():
+        if (adjustment := pair.adjustment) is not None:
+            owner, amount = adjustment
+            balances[owner] = balances.get(owner, 0) + amount
 
     cas: dict[str, int] = {}
     ballots: dict[str, Any] = {}
@@ -442,17 +400,7 @@ def check_scenario(
     """
     run = run_scenario(spec)
     results: list[OracleResult] = []
-    minted = {}
-    instances = instance_names(run.deployment, CHAOS_CONTRACT)
-    for group, name in enumerate(instances):
-        minted[name] = sum(
-            amount
-            for signer, amount, home in zip(
-                run.workload.accounts, run.workload.genesis, run.workload.homes
-            )
-            if home == group
-        )
-    results.append(run_conservation_oracle(run.deployment, minted))
+    results.append(run_conservation_oracle(run.deployment, run.workload.minted))
     results.append(run_differential_oracle(run))
     if replay:
         results.append(run_replay_oracle(run))

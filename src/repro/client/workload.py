@@ -262,6 +262,23 @@ def instance_names(deployment: ShardedDeployment, base_name: str) -> list[str]:
     ]
 
 
+def deploy_genesis(
+    deployment: ShardedDeployment, base_name: str, genesis: Sequence[dict[str, int]]
+) -> dict[str, int]:
+    """Deploy one FastMoney instance of ``base_name`` per cell group, faucet off.
+
+    ``genesis[group]`` maps account hex to the balance that group's
+    instance is funded with.  Returns the value minted into each
+    instance, by name: the conservation oracle's ``minted``.
+    """
+    minted: dict[str, int] = {}
+    for group, name in enumerate(instance_names(deployment, base_name)):
+        params = {"genesis_balances": genesis[group], "allow_faucet": False}
+        deployment.deploy_contract_instances([FastMoney(name, params=params)], group=group)
+        minted[name] = sum(genesis[group].values())
+    return minted
+
+
 def collect_replies(
     env: Environment, events: Sequence[Optional[Event]], timeout: float
 ) -> list[Optional[Any]]:
@@ -563,18 +580,12 @@ def run_contended_transfers(
     # Genesis funding per instance: cold account i lives on its home
     # group's instance; hot accounts are funded everywhere so intra-group
     # conflicts exist on every shard.
-    for group, name in enumerate(instance_names(deployment, CONTENDED_CONTRACT)):
-        genesis = {
-            signer.address.hex(): amount
-            for index, signer in enumerate(cold_signers)
-            if index % shards == group
-        }
-        for signer in hot_signers:
-            genesis[signer.address.hex()] = amount * count  # never runs dry
-        prototype = FastMoney(
-            name, params={"genesis_balances": genesis, "allow_faucet": False}
-        )
-        deployment.deploy_contract_instances([prototype], group=group)
+    hot_genesis = {signer.address.hex(): amount * count for signer in hot_signers}
+    deploy_genesis(deployment, CONTENDED_CONTRACT, [
+        {**{signer.address.hex(): amount for index, signer in enumerate(cold_signers)
+            if index % shards == group}, **hot_genesis}  # hot accounts never run dry
+        for group in range(shards)
+    ])
 
     apps = [
         ShardedFastMoneyClient(pool, base_name=CONTENDED_CONTRACT)
@@ -706,8 +717,8 @@ class MixedWorkloadReport:
     )
     #: Account signers, in index order (accounts[i] is op sender i).
     accounts: list[Any] = field(default_factory=list)
-    #: Home cell group of each account under the workload's shard map.
-    homes: list[int] = field(default_factory=list)
+    #: Genesis funding per FastMoney instance name (conservation input).
+    minted: dict[str, int] = field(default_factory=dict)
     #: Genesis balance each account was funded with, by index.
     genesis: list[int] = field(default_factory=list)
 
@@ -787,21 +798,18 @@ def run_mixed_operations(
     if genesis is not None:
         funding.update(genesis)
     shards = deployment.shard_count
-    instances = instance_names(deployment, base_name)
     homes = [
         ShardedFastMoneyClient.account_home(base_name, signer.address, shards)
         for signer in signers
     ]
-    for group, name in enumerate(instances):
-        group_genesis = {
+    minted = deploy_genesis(deployment, base_name, [
+        {
             signers[index].address.hex(): amount
             for index, amount in sorted(funding.items())
             if homes[index] == group and amount > 0
         }
-        prototype = FastMoney(
-            name, params={"genesis_balances": group_genesis, "allow_faucet": False}
-        )
-        deployment.deploy_contract_instances([prototype], group=group)
+        for group in range(shards)
+    ])
 
     pool_clients = build_client_pools(deployment, pools)
 
@@ -829,7 +837,7 @@ def run_mixed_operations(
         base_name=base_name,
         operations=list(operations),
         accounts=signers,
-        homes=homes,
+        minted=minted,
         genesis=[funding.get(index, 0) for index in range(accounts)],
     )
     env = deployment.env

@@ -68,7 +68,6 @@ class RecoveryResult:
     donor: str
     ok: bool
     reason: Optional[str] = None
-    snapshot_cycle: Optional[int] = None
     backfilled: int = 0
     replayed: int = 0
     #: Local post-crash entries rolled back because the donor snapshot was
@@ -96,11 +95,6 @@ class RecoveryResult:
     #: snapshot transfers happen exactly once per recovery, so this is the
     #: count that bounds recovery traffic under load.
     delta_syncs: int = 0
-    #: Active-view peers that never answered the last rejoin vote (hex
-    #: addresses).  Crashed-but-unexcluded peers land here; the
-    #: coordinator opens exclusion votes on them so the next attempt's
-    #: quorum is measured against peers that can actually answer.
-    silent_peers: list[str] = field(default_factory=list)
     #: Replayed entries whose donor-recorded execution fingerprint did not
     #: match the ledger-order replay.  A live donor executes entries as
     #: they clear its execution gate — under concurrent traffic that is not
@@ -652,7 +646,6 @@ class RecoveryStage:
                 snapshot = DataSnapshot.from_wire(bundle.snapshot, cell_id=cell.node_name)
             except SnapshotError as exc:
                 raise _ResyncFailure(f"malformed donor snapshot: {exc}") from exc
-            result.snapshot_cycle = snapshot.cycle
             replay_base = snapshot.last_sequence
             self._restore_snapshot(snapshot, result)
 
@@ -676,7 +669,6 @@ class RecoveryStage:
         )
         result.readmitted = outcome.readmitted
         result.ack_count = len(outcome.acks)
-        result.silent_peers = [address.hex() for address in outcome.silent]
         cell.metrics.increment(f"{cell.node_name}/recoveries")
         if not outcome.readmitted:
             # Either peers answered but their state had moved past our

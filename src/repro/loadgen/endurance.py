@@ -40,10 +40,9 @@ from ..client.workload import (
     build_client_pools,
     collect_replies,
     cross_target,
-    instance_names,
+    deploy_genesis,
     validate_cross_rate,
 )
-from ..contracts.community import FastMoney
 from ..core.sharding import ShardedDeployment
 from ..crypto.hashing import fast_hash
 from ..encoding import canonical_json
@@ -362,18 +361,14 @@ def run_endurance(
         user: primary.make_client_signer(f"endurance/user/{user}")
         for user in sorted(spend)
     }
-    for group, name in enumerate(instance_names(deployment, ENDURANCE_CONTRACT)):
-        genesis = {
+    report.minted = deploy_genesis(deployment, ENDURANCE_CONTRACT, [
+        {
             report.accounts[user].address.hex(): amount
             for user, amount in sorted(spend.items())
             if user % shards == group
         }
-        deployment.deploy_contract_instances(
-            [FastMoney(name, params={"genesis_balances": genesis,
-                                     "allow_faucet": False})],
-            group=group,
-        )
-        report.minted[name] = sum(genesis.values())
+        for group in range(shards)
+    ])
     report.genesis_by_account = {
         report.accounts[user].address.hex(): amount
         for user, amount in sorted(spend.items())

@@ -142,8 +142,8 @@ def test_lying_gateway_leaves_zero_half_commits(byzantine_outcomes):
         assert lied, "the lying gateway must have had a vote to lie about"
         escrows = harvest_escrows(run.deployment, CHAOS_CONTRACT)
         for xtx in lied:
-            pair = escrows.get(xtx, {})
-            out, into = pair.get("out"), pair.get("in")
+            pair = escrows.get(xtx)
+            out, into = (None, None) if pair is None else (pair.source, pair.target)
             if out is not None:
                 assert out["status"] != "settled", f"seed {seed} xtx {xtx}"
             if into is not None:

@@ -10,7 +10,10 @@ fields the body classes declare (:mod:`repro.messages.wire`, the reply
 classes of :mod:`repro.core.replies` included): family error, signer and
 domain tag, and every field's key and kind.  The ``fault-kinds`` block of
 ``docs/FAULTS.md`` is generated from :data:`repro.core.faults.FAULT_TABLE`,
-the one declaration of every scheduled fault kind.  Without arguments the script
+the one declaration of every scheduled fault kind; the ``escrow-states``
+block of ``docs/TESTING.md`` by evaluating
+:class:`repro.audit.oracles.EscrowPair` over every joint state of a
+cross-shard escrow pair.  Without arguments the script
 fails (exit status 1, with a diff) when a committed block differs from what
 the declarations render; ``--write`` regenerates them.  Used by the
 ``docs`` CI job and ``tests/docs/test_doc_links.py``.
@@ -25,6 +28,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.audit.oracles import EscrowPair  # noqa: E402
 from repro.core.faults import FAULT_TABLE, Family  # noqa: E402
 from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES  # noqa: E402
 from repro.messages import wire  # noqa: E402
@@ -33,6 +37,12 @@ from repro.messages.signer import SignedStatement  # noqa: E402
 
 ARCHITECTURE = REPO_ROOT / "docs" / "ARCHITECTURE.md"
 FAULTS = REPO_ROOT / "docs" / "FAULTS.md"
+TESTING = REPO_ROOT / "docs" / "TESTING.md"
+
+#: The statuses FastMoney writes on a cross-shard transfer's source and
+#: target instance; None is "no record".
+SOURCE_STATUSES = ("held", "settled", "refunded", "reclaimed", "voucher", "voucher_reclaimed", None)
+TARGET_STATUSES = ("expected", "credited", "cancelled", "redeemed", None)
 
 
 def _subclasses(cls: type) -> list[type]:
@@ -125,11 +135,50 @@ def render_fault_kinds() -> str:
     return "\n".join(lines)
 
 
+def render_escrow_states() -> str:
+    """The Markdown block of every (source, target) escrow state, as the oracles read it."""
+    pairs = [
+        EscrowPair(
+            "x",
+            source and {"status": source, "from": "sender", "to": "recipient", "amount": 1,
+                        "instance": "source"},
+            target and {"status": target, "to": "recipient", "amount": 1, "instance": "target"},
+        )
+        for source in SOURCE_STATUSES
+        for target in TARGET_STATUSES
+        if source or target
+    ]
+    lines = [
+        f"{len(pairs)} joint states: {sum(not pair.findings() for pair in pairs)} legal, "
+        f"{sum(bool(pair.findings()) for pair in pairs)} a finding.  *In transit*: counted in "
+        "the global `minted == supplies + in-transit` check.  *Committed*: the transfer the "
+        "differential oracle hands to the specification.  *Owner*: whose balance the semantic "
+        "harvest credits with the escrowed value (— when a balance already holds it, or nothing "
+        "does).",
+        "",
+        "| Source | Target | Conservation verdict | In transit | Committed | Owner |",
+        "| --- | --- | --- | --- | --- | --- |",
+    ]
+    for pair in pairs:
+        verdict = "; ".join(
+            finding.removeprefix(f"xtx {pair.xtx}: ") for finding in pair.findings()
+        )
+        source, target = pair.source_status, pair.target_status
+        lines.append(
+            f"| {f'`{source}`' if source else '—'} | {f'`{target}`' if target else '—'} "
+            f"| {verdict or 'legal'} | {'the amount' if pair.in_transit else '—'} "
+            f"| {'yes' if pair.transfer is not None else '—'} "
+            f"| {pair.adjustment[0] if pair.adjustment is not None else '—'} |"
+        )
+    return "\n".join(lines)
+
+
 #: (document, marker name, what renders the block between its markers)
 BLOCKS = (
     (ARCHITECTURE, "opcode-table", render),
     (ARCHITECTURE, "wire-bodies", render_wire_bodies),
     (FAULTS, "fault-kinds", render_fault_kinds),
+    (TESTING, "escrow-states", render_escrow_states),
 )
 
 
