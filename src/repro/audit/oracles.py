@@ -205,12 +205,16 @@ class EscrowPair:
     the value leaves, ``target`` the one (direction ``in``) on the
     instance it enters; either is None when its instance holds no record.
     Each record carries the ``instance`` and ``group`` it was read from.
-    ``docs/TESTING.md`` tabulates what every joint state means.
+    ``others`` holds every further record of either direction, in instance
+    order: FastMoney refuses a reused xtx per instance only, so a
+    coordinator can open one xtx on two instances, and each such record is
+    a finding.  ``docs/TESTING.md`` tabulates what every joint state means.
     """
 
     xtx: str
     source: Optional[dict[str, Any]] = None
     target: Optional[dict[str, Any]] = None
+    others: tuple[dict[str, Any], ...] = ()
 
     @property
     def source_status(self) -> Optional[str]:
@@ -221,7 +225,22 @@ class EscrowPair:
         return None if self.target is None else self.target["status"]
 
     def findings(self) -> list[str]:
-        """Why this joint state is illegal (one finding at most); empty when it is legal."""
+        """Why this joint state is illegal: the pairing rule ``source`` and
+        ``target`` break (one at most), then one finding per record in
+        ``others``; empty when it is legal."""
+        found = self._pairing_finding()
+        findings = [] if found is None else [f"xtx {self.xtx}: {found}"]
+        for record in self.others:
+            side, first = (
+                ("source", self.source) if record["direction"] == "out" else ("target", self.target)
+            )
+            findings.append(
+                f"xtx {self.xtx}: two {side} escrow records, on {first['instance']!r} and "
+                f"{record['instance']!r} (xtx reused)"
+            )
+        return findings
+
+    def _pairing_finding(self) -> Optional[str]:
         source, target = self.source_status, self.target_status
         out, into = (record and repr(record["instance"]) for record in (self.source, self.target))
         # A credit needs a settled source hold, a settle a live target, a
@@ -244,8 +263,8 @@ class EscrowPair:
         ):
             found = _DELIVERED[source, target].format(self.source["amount"], self.target["amount"])
         else:
-            return []
-        return [f"xtx {self.xtx}: {found}"]
+            return None
+        return found
 
     @property
     def in_transit(self) -> int:
@@ -261,11 +280,13 @@ class EscrowPair:
     @property
     def transfer(self) -> Optional[dict[str, Any]]:
         """The committed transfer, ``{xtx, sender, to, amount}``: a settled hold
-        (credited or not yet) whose target names the recipient, or a redeemed voucher."""
+        (credited or not yet) whose target names the recipient, or a redeemed
+        voucher — of a legal pair only, so a state the conservation oracle
+        refuses is never handed to the specification as committed."""
         source, target = self.source_status, self.target_status
         if target is None or not (
             source == "settled" or (source == "voucher" and target == "redeemed")
-        ):
+        ) or self.findings():
             return None
         return {"xtx": self.xtx, "sender": self.source["from"], "to": self.target["to"],
                 "amount": int(self.source["amount"])}
@@ -287,8 +308,9 @@ class EscrowPair:
     @property
     def commit_legs(self) -> tuple[str, ...]:
         """The decided moves of value that executed: ``settled`` on the
-        source, then ``credited`` or ``redeemed`` on the target."""
-        legs = (self.source_status, self.target_status)
+        source, then ``credited`` or ``redeemed`` on the target, then those
+        of ``others``."""
+        legs = (self.source_status, self.target_status, *(r["status"] for r in self.others))
         return tuple(leg for leg in legs if leg in ("settled", "credited", "redeemed"))
 
 
@@ -298,10 +320,12 @@ def registry_escrows(
     """Every cross-shard escrow pair, keyed and ordered by ``xtx``.
 
     Each record is augmented with the instance name and group it was read
-    from.  ``base_name`` restricts the harvest to one application's
-    per-group instances (e.g. ``fastmoney`` / ``fastmoney@s1``).
+    from, and every record is kept: the first of each direction, in
+    instance order, is the pair's, the rest are its ``others``.
+    ``base_name`` restricts the harvest to one application's per-group
+    instances (e.g. ``fastmoney`` / ``fastmoney@s1``).
     """
-    records: dict[str, dict[str, dict[str, Any]]] = {}
+    records: dict[str, dict[str, list[dict[str, Any]]]] = {}
     for group_index, name, contract in fastmoney_instances(registries):
         if base_name is not None and name.split("@s", 1)[0] != base_name:
             continue
@@ -310,11 +334,13 @@ def registry_escrows(
             enriched = dict(record)
             enriched["instance"] = name
             enriched["group"] = group_index
-            records.setdefault(xtx, {})[record["direction"]] = enriched
-    return {
-        xtx: EscrowPair(xtx, pair.get("out"), pair.get("in"))
-        for xtx, pair in sorted(records.items())
-    }
+            sides = records.setdefault(xtx, {"out": [], "in": []})
+            sides[record["direction"]].append(enriched)
+    pairs = {}
+    for xtx, sides in sorted(records.items()):
+        out, into = sides["out"] or [None], sides["in"] or [None]
+        pairs[xtx] = EscrowPair(xtx, out[0], into[0], (*out[1:], *into[1:]))
+    return pairs
 
 
 def harvest_escrows(
@@ -364,7 +390,8 @@ def run_conservation_oracle(
       settled source hold (else value was minted), a settle needs a
       target record that was not cancelled, a fast-path redeem needs a minted
       voucher that was not reclaimed (a reclaimed one is a double
-      spend), and the two legs of a delivered transfer carry one amount;
+      spend), the two legs of a delivered transfer carry one amount, and
+      no instance besides the pair's holds a record of the xtx;
     * **global** — ``sum(minted) == sum(supplies) + in-transit``, where
       in-transit is value settled out of a source instance whose credit
       has not (yet) executed on the target — escrowed by the protocol,

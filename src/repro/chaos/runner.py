@@ -224,10 +224,11 @@ def harvest_committed(
     plain entries in per-group ledger order, each as
     ``{group, sender, contract, method, args, tx_id, timestamp}`` (the
     signed payload's); ``cross_transfers`` are the
-    :attr:`~repro.audit.oracles.EscrowPair.transfer` of every escrow pair
-    that has one — a settled source hold (a commit certificate existed),
-    whether or not its target credit has executed yet (that value is in
-    transit, and the specification delivers it), or a redeemed voucher.
+    :attr:`~repro.audit.oracles.EscrowPair.transfer` of every legal escrow
+    pair that has one — a settled source hold (a commit certificate
+    existed), whether or not its target credit has executed yet (that value
+    is in transit, and the specification delivers it), or a redeemed
+    voucher.  A pair the conservation oracle refuses commits nothing.
     """
     calls: list[dict[str, Any]] = []
     for group in deployment.groups:

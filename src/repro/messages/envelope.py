@@ -13,8 +13,7 @@ from typing import Any, Optional
 
 from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address
-from ..encoding import canonical_json
-from ..encoding.hexutil import strip_0x
+from ..encoding import base64url, canonical_json
 from . import wire
 from .opcodes import Opcode
 from .payload import Payload, PayloadError
@@ -69,6 +68,16 @@ def _require_depth(value: Any, remaining: int) -> None:
             _require_depth(item, remaining - 1)
 
 
+def _read_signature(text: Any) -> bytes:
+    """The 65 bytes of a wire signature; what is not one is refused naming the key."""
+    try:
+        if type(text) is not str:
+            raise ValueError(f"expected {wire.signature.name}, not {text!r}")
+        return base64url.decode(text, 65)
+    except ValueError as exc:
+        raise ValueError(f"signature: {exc}") from exc
+
+
 class NonceFactory:
     """Deterministic generator of unique message nonces (η).
 
@@ -82,10 +91,10 @@ class NonceFactory:
         self._counter = 0
 
     def next(self) -> str:
-        """Produce the next unique nonce."""
+        """Produce the next unique nonce: 12 digest bytes, as 16 base64url characters."""
         self._counter += 1
         digest = fast_hash(self._owner.value + self._counter.to_bytes(8, "big"))
-        return "0x" + digest[:12].hex()
+        return base64url.encode(digest[:12])
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,7 @@ class Envelope:
         """JSON-serializable wire form (the HTTP request/response body)."""
         return {
             "payload": self.payload.to_dict(),
-            "signature": "0x" + self.signature.hex(),
+            "signature": base64url.encode(self.signature),
             "scheme": self.scheme,
         }
 
@@ -160,9 +169,9 @@ class Envelope:
         A splice around the payload's carried bytes, not an encode: the
         three keys of :meth:`to_wire` are already in sorted order.
         """
-        return b'{"payload":%b,"scheme":%b,"signature":"0x%b"}' % (
+        return b'{"payload":%b,"scheme":%b,"signature":"%b"}' % (
             self.payload.canonical_bytes(), _scheme_json(self.scheme),
-            self.signature.hex().encode(),
+            base64url.encode(self.signature).encode(),
         )
 
     def to_link(self, with_sender: bool = True) -> dict[str, Any]:
@@ -178,7 +187,7 @@ class Envelope:
             del payload["reply_to"]
         if not with_sender:
             del payload["sender"]
-        link = {"payload": payload, "signature": "0x" + self.signature.hex()}
+        link = {"payload": payload, "signature": base64url.encode(self.signature)}
         if self.scheme != DEFAULT_SCHEME:
             link["scheme"] = self.scheme
         return link
@@ -193,8 +202,8 @@ class Envelope:
         """
         scheme = self.scheme
         tag = b"" if scheme == DEFAULT_SCHEME else b'"scheme":%b,' % _scheme_json(scheme)
-        return b'{"payload":%b,%b"signature":"0x%b"}' % (
-            self.payload.link_bytes(), tag, self.signature.hex().encode()
+        return b'{"payload":%b,%b"signature":"%b"}' % (
+            self.payload.link_bytes(), tag, base64url.encode(self.signature).encode()
         )
 
     def byte_size(self) -> int:
@@ -243,7 +252,7 @@ class Envelope:
             if isinstance(raw, (bytes, str)):
                 raw = _bounded_json(raw)
             payload = Payload.from_dict(raw["payload"])
-            signature = bytes.fromhex(strip_0x(raw["signature"]))
+            signature = _read_signature(raw["signature"])
             scheme = raw.get("scheme", DEFAULT_SCHEME)
             if not isinstance(scheme, str):
                 raise TypeError("scheme must be a string")

@@ -32,6 +32,7 @@ from operator import methodcaller
 from typing import Any, Callable, ClassVar, NamedTuple, Optional, Self
 
 from ..crypto.keys import Address
+from ..encoding import base64url
 from ..encoding.hexutil import strip_0x, to_hex
 
 
@@ -97,11 +98,8 @@ def _whole_microseconds(value: float) -> float:
 
 
 def _signature(value: str) -> bytes:
-    """Hex, ``0x`` optional, exactly 65 bytes."""
-    signature = bytes.fromhex(strip_0x(value))
-    if len(signature) != 65:
-        raise ValueError("must be exactly 65 bytes")
-    return signature
+    """Exactly 65 bytes as unpadded base64url (87 characters)."""
+    return base64url.decode(value, 65)
 
 
 def _emit_text(value: Any) -> Optional[str]:
@@ -135,7 +133,8 @@ seconds = Kind(
     emit=_emit_seconds,
 )
 address = Kind("address", (str,), Address.from_hex, Address.hex, emit=_emit_address)
-signature = Kind("signature", (str,), _signature, to_hex)
+#: 65 bytes as unpadded base64url (:mod:`repro.encoding.base64url`).
+signature = Kind("base64url signature", (str,), _signature, base64url.encode)
 #: Raw bytes (a fingerprint) as ``0x``-prefixed hex.
 digest = Kind("hex bytes", (str,), lambda value: bytes.fromhex(strip_0x(value)), to_hex)
 #: A JSON object some later stage reads (an inner envelope's wire form).

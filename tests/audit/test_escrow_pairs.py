@@ -10,7 +10,8 @@ pair on two fresh instances and pins what the oracles make of it:
 
 * the conservation oracle's findings, exact text and order;
 * its ``in_transit`` metric;
-* whether the differential oracle's committed set lists the transfer;
+* whether the differential oracle's committed set lists the transfer
+  (never for a pair the conservation oracle finds illegal);
 * the balance adjustment of the semantic harvest (whose balance the
   escrowed value belongs to while no balance holds it).
 
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.audit.oracles import run_conservation_oracle
+from repro.audit.oracles import harvest_escrows, run_conservation_oracle
 from repro.chaos.runner import harvest_committed, harvest_semantics
 from repro.contracts.community.fastmoney import FastMoney
 from repro.contracts.registry import ContractRegistry
@@ -88,9 +89,9 @@ ROWS = {
     ("settled", "cancelled"): (
         [f"xtx {XTX}: settled on {SOURCE_INSTANCE!r} but cancelled on "
          f"{TARGET_INSTANCE!r} (contradictory decisions)"],
-        0, True, {},
+        0, False, {},
     ),
-    ("settled", "redeemed"): ([_not_a_voucher("settled")], 0, True, {}),
+    ("settled", "redeemed"): ([_not_a_voucher("settled")], 0, False, {}),
     ("settled", None): (
         [f"xtx {XTX}: settled on {SOURCE_INSTANCE!r} with no target escrow record at all"],
         0, False, {},
@@ -132,10 +133,10 @@ ROWS = {
 #: Amount-mismatch rows: (source, target, source amount, target amount).
 MISMATCHES = {
     ("settled", "credited", AMOUNT, 5): (
-        [f"xtx {XTX}: settled {AMOUNT} but credited 5"], 0, True, {},
+        [f"xtx {XTX}: settled {AMOUNT} but credited 5"], 0, False, {},
     ),
     ("voucher", "redeemed", AMOUNT, 5): (
-        [f"xtx {XTX}: vouched {AMOUNT} but redeemed 5"], 0, True, {},
+        [f"xtx {XTX}: vouched {AMOUNT} but redeemed 5"], 0, False, {},
     ),
 }
 
@@ -153,22 +154,28 @@ def test_the_table_covers_every_joint_state():
 
 
 def _pair_deployment(source, target, source_amount, target_amount):
-    """Two one-cell groups, each with one FastMoney instance, holding the pair.
+    """Two one-cell groups, each with one FastMoney instance, holding the pair."""
+    return _deployment(
+        (SOURCE_INSTANCE, source and _source_record(source, source_amount)),
+        (TARGET_INSTANCE, target and _target_record(target, target_amount)),
+    )
+
+
+def _deployment(*instances):
+    """One one-cell group per ``(instance name, escrow record or None)``.
 
     Each instance's supply is what its balances (none) plus its held
     escrow sum to, so only the pairing and in-transit terms can move the
     oracle's verdict.
     """
     registries = []
-    for name, status, record in (
-        (SOURCE_INSTANCE, source, _source_record(source, source_amount)),
-        (TARGET_INSTANCE, target, _target_record(target, target_amount)),
-    ):
+    for name, record in instances:
         registry = ContractRegistry()
         contract = registry.register(FastMoney(name))
-        if status is not None:
+        if record is not None:
             contract.store.put(f"xshard/{XTX}", record)
-        contract.store.put("supply", source_amount if status == "held" else 0)
+        held = record is not None and record["status"] == "held"
+        contract.store.put("supply", record["amount"] if held else 0)
         registries.append(registry)
     deployment = SimpleNamespace(
         groups=[
@@ -202,3 +209,45 @@ def test_every_oracle_reads_the_pair_as_the_table_says(case):
     assert cross == ([transfer] if committed else [])
 
     assert harvest_semantics(registries, BASE)["balances"] == adjusted
+
+
+def test_a_reused_xtx_keeps_every_record_and_names_both_instances():
+    """One xtx opened on two target instances: the second record is a
+    finding naming both, and no transfer of it is committed."""
+    deployment, registries = _deployment(
+        ("fm", _source_record("settled", AMOUNT)),
+        ("fm@s1", _target_record("credited", AMOUNT)),
+        ("fm@s2", _target_record("expected", AMOUNT)),
+    )
+    (pair,) = harvest_escrows(deployment).values()
+    assert (pair.source["instance"], pair.target["instance"]) == ("fm", "fm@s1")
+    assert [(record["instance"], record["status"]) for record in pair.others] == [
+        ("fm@s2", "expected")
+    ]
+    assert pair.commit_legs == ("settled", "credited")
+
+    verdict = run_conservation_oracle(deployment, {"fm": 0, "fm@s1": 0, "fm@s2": 0})
+    assert verdict.findings == [
+        f"xtx {XTX}: two target escrow records, on 'fm@s1' and 'fm@s2' (xtx reused)"
+    ]
+    assert verdict.metrics["in_transit"] == 0
+    assert verdict.metrics["escrow_pairs"] == 1
+    assert harvest_committed(deployment, BASE) == ([], [])
+    assert harvest_semantics(registries, BASE)["balances"] == {}
+
+
+def test_every_further_record_is_a_leg_and_a_finding():
+    """A double credit and a second source hold: each extra record is named."""
+    deployment, _registries = _deployment(
+        ("fm", _source_record("settled", AMOUNT)),
+        ("fm@s1", _target_record("credited", AMOUNT)),
+        ("fm@s2", _target_record("credited", AMOUNT)),
+        ("fm@s3", _source_record("held", AMOUNT)),
+    )
+    (pair,) = harvest_escrows(deployment).values()
+    assert pair.commit_legs == ("settled", "credited", "credited")
+    assert pair.findings() == [
+        f"xtx {XTX}: two source escrow records, on 'fm' and 'fm@s3' (xtx reused)",
+        f"xtx {XTX}: two target escrow records, on 'fm@s1' and 'fm@s2' (xtx reused)",
+    ]
+    assert pair.transfer is None

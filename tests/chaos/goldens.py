@@ -70,6 +70,15 @@ that change's own tree: the artifacts of the same 58 recoverable runs and
 ~75–90 B shorter and so arrives sooner.  No fault log moved and every
 oracle verdict still passes; ``specs`` and ``search`` are untouched.
 
+And once more, by the change that writes every signature and message
+nonce as unpadded base64url instead of ``0x`` hex, from that change's own
+tree: the artifacts of all 88 recoverable runs and all 12 Byzantine runs
+moved, batching-off runs included.  A nonce is part of the signed payload,
+so every transaction id and ledger digest differs, besides every message
+being 45 B shorter per signature and 10 B per nonce.  No fault log moved
+and every oracle verdict still passes; ``specs`` and ``search`` are
+untouched.
+
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
 rewrites nothing else; entries that did not move come out byte-identical.

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.crypto.ecdsa import Signature
-from repro.encoding import canonical_json
+from repro.encoding import base64url, canonical_json
 from repro.messages import signer as signer_module
 from repro.messages import wire
 from repro.messages.opcodes import Opcode
@@ -150,14 +150,14 @@ def test_every_statement_class_has_a_sample():
 
 
 @by_statement
-def test_statement_signature_without_0x_prefix_keeps_every_byte(name):
+def test_statement_signature_travels_as_base64url_of_every_byte(name):
     statement = STATEMENTS[name]
     wire = statement.to_wire()
-    assert wire["signature"].startswith("0x")
-    wire["signature"] = wire["signature"][2:]
+    assert wire["signature"] == base64url.encode(statement.signature)
+    assert len(wire["signature"]) == 87
     restored = type(statement).from_wire(wire)
     assert restored.signature == statement.signature
-    assert restored == type(statement).from_wire(statement.to_wire()) and restored.verify()
+    assert restored.to_wire() == wire and restored.verify()
 
 
 @pytest.mark.parametrize("signature", ["0x" + "ab" * 64, "0x" + "ab" * 66, "ab" * 64, "0x", 7])

@@ -66,6 +66,18 @@ was re-recorded: ``AggregatedReceipt.of`` is gone, so the sample receipt is
 built with the constructor, and ``CompactReceipt.of`` builds the compact
 receipt from the service cell's own confirmation, its peers', the request
 and the reply's scheme and moment, as the service cell does.
+
+A fifth change moved bytes on purpose: a signature travels as 87
+characters of unpadded base64url instead of ``0x`` and 130 hex digits
+(``repro.encoding.base64url``).  The table was converted, not re-recorded:
+a script replaced each of the 42 ``0x``-hex signature texts by the
+base64url of the same 65 bytes, checked that each decodes back to them and
+that nothing else differs, and then compared the converted table with this
+file's samples.  No entry had to be re-signed: no sample's signed bytes
+embed a signature (the samples' nonces are fixed texts, not a
+``NonceFactory``'s), so every ``statements`` body and signature — still
+the raw signature as hex, a record of the bytes and not a wire text — is
+byte-identical.
 """
 
 import json

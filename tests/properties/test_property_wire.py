@@ -156,7 +156,7 @@ ATOMS = {
     "number": st.integers(-10**9, 10**9) | st.floats(allow_nan=False, allow_infinity=False),
     "seconds": st.integers(-10**6, 10**12).map(lambda micros: round(micros / 1_000_000, 6)),
     "address": st.binary(min_size=20, max_size=20).map(Address),
-    "signature": st.binary(min_size=65, max_size=65),
+    "base64url signature": st.binary(min_size=65, max_size=65),
     "hex bytes": st.binary(max_size=40),
     "object": objects,
     "any": json_values,

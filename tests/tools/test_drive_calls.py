@@ -12,8 +12,13 @@ TOOL = REPO_ROOT / "tools" / "drive_calls.py"
 
 #: A ratchet: the bytes per cell<->cell message outside its data field
 #: (envelope header, signature, framing) on the smoke ``xshard_burst``,
-#: 379.99 B once messages travel in their link form, rounded up to 10 B.
-CELL_LINK_BYTES_OUTSIDE_DATA = 380
+#: 379.99 B once messages travel in their link form, 324.96 B once a
+#: signature and a nonce travel as base64url, rounded up to 10 B.
+CELL_LINK_BYTES_OUTSIDE_DATA = 330
+
+#: The text bytes of one binary field by width, quotes included: a nonce
+#: (12) and a signature (65) as unpadded base64url, the rest as 0x-hex.
+TEXT_BYTES = {12: 16 + 2, 16: 2 + 32 + 2, 20: 2 + 40 + 2, 32: 2 + 64 + 2, 65: 87 + 2}
 
 
 def _counted(*arguments: str) -> dict[str, int]:
@@ -88,12 +93,26 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
     first = subprocess.run(command, capture_output=True, text=True)
     assert first.returncode == 0, first.stderr
     assert subprocess.run(command, capture_output=True, text=True).stdout == first.stdout
-    header, *rows = first.stdout.splitlines()
+    header, *rows, widths = first.stdout.splitlines()
     total, network = map(float, re.fullmatch(
         r"xshard_burst  seed=\d+  smoke=True  wire_bytes_per_tx=(\d+\.\d)  network=(\d+\.\d)",
         header,
     ).groups())
     assert total == network > 0
+    # The binary fields by width: each field takes its width's text (quotes
+    # included), so count and text bytes agree, and they fit in the total.
+    assert widths.startswith("  binary fields by width  ")
+    fields = {
+        int(width): (float(count), float(text))
+        for width, count, text in re.findall(
+            r"  (\d+)B (\d+\.\d{3})/tx (\d+\.\d) B/tx", widths
+        )
+    }
+    assert list(fields) == [12, 16, 20, 32, 65]
+    for width, (count, text) in fields.items():
+        assert count > 0, width
+        assert text == pytest.approx(count * TEXT_BYTES[width], abs=0.1), width
+    assert sum(text for _count, text in fields.values()) < total
     links, split, outside = {}, {}, {}
     for row in rows:
         link = re.fullmatch(r"  (\S+) +(\d+\.\d) B/tx +\d+\.\d{3} msgs/tx", row)

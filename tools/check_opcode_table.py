@@ -154,7 +154,8 @@ def render_escrow_states() -> str:
         "the global `minted == supplies + in-transit` check.  *Committed*: the transfer the "
         "differential oracle hands to the specification.  *Owner*: whose balance the semantic "
         "harvest credits with the escrowed value (— when a balance already holds it, or nothing "
-        "does).",
+        "does).  A further record of either direction for one xtx (a reused xtx) is one more "
+        "finding, naming both instances, and the pair then commits nothing.",
         "",
         "| Source | Target | Conservation verdict | In transit | Committed | Owner |",
         "| --- | --- | --- | --- | --- | --- |",

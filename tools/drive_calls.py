@@ -43,7 +43,11 @@ network framing).  The replies that can carry a receipt (``tx_receipt``,
 Every opcode also gets a line that splits a message into its data field
 (canonical-JSON bytes of ``D``) and the rest: the envelope header, the
 signature and the network framing, which are what a change to the envelope
-itself moves.
+itself moves.  A last line counts the binary fields of every message by
+width — 12 bytes (a nonce), 16 (a cross-shard id), 20 (an address), 32 (a
+transaction id or fingerprint) and 65 (a signature) — with the text bytes
+they take, quotes included: the split a change to how bytes are written
+as text is sized from.
 
 ``--objects`` counts what the drive builds: it wraps, from outside and for
 the drive alone, the ``__init__`` of every dataclass declared in
@@ -63,6 +67,7 @@ import cProfile
 import dataclasses
 import gc
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -181,13 +186,53 @@ CARRIED = {
 }
 
 
-def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, int, Traffic]:
-    """Transactions attempted, network bytes and the traffic by link and opcode of one run."""
-    from repro.encoding.canonical_json import dump_bytes
+#: The widths of the binary fields counted apart, in bytes.
+WIDTHS = (12, 16, 20, 32, 65)
+#: Keys whose text is unpadded base64url of one width: a signature, a nonce.
+BASE64URL_KEYS = {"signature": 65, "nonce": 12, "reply_to": 12}
+_HEX = re.compile(r"0x(?:[0-9a-f]{2})+")
+
+#: width in bytes -> [fields, text bytes]
+Fields = dict[int, list[int]]
+
+
+def tally_binary_fields(value: Any, fields: Fields, key: Optional[str] = None) -> None:
+    """Add every binary field of a parsed wire form to ``fields`` by width.
+
+    A binary field is a ``0x``-hex string anywhere, or the base64url text
+    under a :data:`BASE64URL_KEYS` key; its text bytes include the quotes.
+    """
+    from repro.encoding import base64url
+
+    if type(value) is dict:
+        for name, item in value.items():
+            tally_binary_fields(item, fields, name)
+    elif type(value) is list:
+        for item in value:
+            tally_binary_fields(item, fields, key)
+    elif type(value) is str:
+        width = BASE64URL_KEYS.get(key or "")
+        if width is None or len(value) != base64url.text_length(width):
+            if not _HEX.fullmatch(value):
+                return
+            width = len(value) // 2 - 1
+        if width in WIDTHS:
+            counts = fields.setdefault(width, [0, 0])
+            counts[0] += 1
+            counts[1] += len(value) + 2
+
+
+def count_drive_bytes(
+    workload_name: str, seed: int, smoke: bool
+) -> tuple[int, int, Traffic, Fields]:
+    """Transactions attempted, network bytes, the traffic by link and opcode
+    and the binary fields by width of one run."""
+    from repro.encoding.canonical_json import dump_bytes, loads
     from repro.messages.endpoint import Endpoint
 
     #: (source node, destination node, opcode) -> [bytes, messages, items, item bytes, data bytes]
     sent: dict[tuple[str, str, str], list[int]] = {}
+    fields: Fields = {}
     post = Endpoint.post
 
     def counted_post(endpoint: Any, dst_node: str, envelope: Any) -> bool:
@@ -198,6 +243,7 @@ def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, 
             tally[0] += endpoint.network.wire_size(envelope.byte_size())
             tally[1] += 1
             tally[4] += len(dump_bytes(envelope.data))
+            tally_binary_fields(loads(envelope.link_bytes()), fields)
             key = CARRIED.get(opcode)
             carried = None if key is None else envelope.data.get(key)
             if carried is not None:
@@ -222,11 +268,11 @@ def count_drive_bytes(workload_name: str, seed: int, smoke: bool) -> tuple[int, 
         tally = traffic.setdefault((link, opcode), [0, 0, 0, 0, 0])
         for index, count in enumerate(counts):
             tally[index] += count
-    return observed.attempted, observed.wire_bytes, traffic
+    return observed.attempted, observed.wire_bytes, traffic, fields
 
 
 def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
-    attempted, network_bytes, traffic = count_drive_bytes(workload_name, seed, smoke)
+    attempted, network_bytes, traffic, fields = count_drive_bytes(workload_name, seed, smoke)
     counted = sum(counts[0] for counts in traffic.values())
     print(f"{workload_name}  seed={seed}  smoke={smoke}  wire_bytes_per_tx="
           f"{counted / attempted:.1f}  network={network_bytes / attempted:.1f}")
@@ -247,6 +293,10 @@ def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
                 item = "receipt" if CARRIED[opcode] == "receipt" else "item"
                 print(f"      {items / count:>7.2f} {item}s/msg  {item_bytes / items:>7.1f} B/{item}"
                       f"  {(size - item_bytes) / count:>7.1f} B/msg besides the {item}s")
+    print("  binary fields by width" + "".join(
+        f"  {width}B {count / attempted:.3f}/tx {text / attempted:.1f} B/tx"
+        for width in WIDTHS for count, text in [fields.get(width, [0, 0])]
+    ))
 
 
 def _counted_classes() -> tuple[list[type], set[type]]:
