@@ -568,8 +568,7 @@ class ShardedAuditor:
         :meth:`verify_shard_digest`).
         """
         group_reports = {
-            auditor.deployment.config.node_namespace or str(index): auditor.cross_audit(cycle)
-            for index, auditor in enumerate(self.group_auditors)
+            index: auditor.cross_audit(cycle) for index, auditor in enumerate(self.group_auditors)
         }
         digest_report = self.verify_shard_digest(
             cycle,

@@ -142,12 +142,12 @@ def run_audit_oracle(
     except Exception as exc:  # noqa: BLE001 - an unauditable deployment is a finding
         findings.append(f"audit could not complete: {exc}")
     else:
-        for namespace, reports in outcome["groups"].items():
+        for index, reports in outcome["groups"].items():
             for report in reports:
                 audited_cells += 1
                 for finding in report.findings:
                     findings.append(
-                        f"[group {namespace or '0'}] cell {finding.cell} cycle "
+                        f"[group {index}] cell {finding.cell} cycle "
                         f"{finding.cycle}: {finding.kind}: {finding.details}"
                     )
         digest_report = outcome["digest"]

@@ -171,7 +171,7 @@ class BlockumulusClient:
             waiter,
             Opcode.TX_RECEIPT,
             lambda body, reply: TransactionResult(
-                True, submitted_at, self.env.now, receipt=body.receipt.rebuild(request, reply),
+                True, submitted_at, self.env.now, receipt=body.rebuild(request, reply),
                 tx_id=request.payload.hash_hex(),
             ),
             # Silence, the cell's own words for a refusal, or a malformed reply.

@@ -709,7 +709,7 @@ class ShardedClient:
         inner = self._sign_call(signer, target_group, redeem)
         body = CrossShardVoucherTransfer(
             xtx=xtx, phase="redeem", group=target_group,
-            transaction=inner.to_link(with_sender=False), voucher=voucher.to_wire(),
+            transaction=inner.to_link(with_sender=False), voucher=voucher,
         )
         reply = yield self._send_phase(signer, target_group, body.to_data(), Opcode.XSHARD_VOUCHER)
         if reply is None:

@@ -31,7 +31,6 @@ from ..messages.opcodes import Opcode
 from ..messages.signer import SignedStatement
 from ..messages.xshard import (
     CrossShardDecision,
-    CrossShardError,
     CrossShardPrepare,
     CrossShardVote,
     CrossShardVoucher,
@@ -381,7 +380,6 @@ class CrossShardGateway:
             # never leaves, and the source holder reclaims after the
             # deadline (the lost-voucher recovery path).
             cell.fault.record("voucher_loss", xtx=body.xtx)
-            cell.metrics.increment(f"{cell.node_name}/xshard_vouchers_dropped")
             return
         minted = VoucherReply(
             "minted", body.xtx, voucher=voucher,
@@ -394,11 +392,8 @@ class CrossShardGateway:
     ) -> Generator[Event, Any, None]:
         """Verify a voucher against the directory and credit its recipient."""
         cell = self.cell
-        try:
-            voucher = CrossShardVoucher.from_wire(body.voucher or {})
-        except CrossShardError as exc:
-            self.cell.refuse(src_node, envelope, str(exc))
-            return
+        voucher = body.voucher
+        assert voucher is not None  # the body refuses a redeem without one
         if voucher.xtx != body.xtx:
             refusal: Optional[str] = "voucher is for a different cross-shard transaction"
         elif voucher.target_group != self.group:

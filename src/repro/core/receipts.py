@@ -15,12 +15,12 @@ what the client that signed the transaction holds already
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional
 
 from ..crypto.keys import Address
 from ..messages import wire
-from ..messages.envelope import Envelope
+from ..messages.envelope import DEFAULT_SCHEME, Envelope
 from ..messages.signer import SignedStatement, Signer
 
 
@@ -139,13 +139,16 @@ class CoSigner(wire.Body, error=ReceiptError, what="receipt co-signer"):
 
     Every co-signer signed the same :class:`Confirmation` but for its own
     ``cell`` and ``timestamp``; the statement they share travels once, on
-    the receipt.
+    the receipt.  An :class:`AggregatedReceipt` states every co-signer's
+    scheme; a :class:`CompactReceipt` only one that is not the carrying
+    reply's.
     """
 
     cell: Address = wire.address()
     timestamp: float = wire.seconds()
     signature: bytes = wire.signature()
-    scheme: str = wire.text(default="ecdsa")
+    #: None: in a compact receipt, the scheme of the reply that carries it.
+    scheme: Optional[str] = wire.text(omit_none=True, default=None)
 
 
 @dataclass(frozen=True)
@@ -176,6 +179,12 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
     def __post_init__(self) -> None:
         if self.status != "executed":
             raise ReceiptError(f"a receipt states an executed transaction, not {self.status!r}")
+        if any(cosigner.scheme is None for cosigner in self.cosigners):
+            # The portable form states every scheme; one it leaves out is ECDSA.
+            object.__setattr__(self, "cosigners", tuple(
+                replace(cosigner, scheme=DEFAULT_SCHEME) if cosigner.scheme is None else cosigner
+                for cosigner in self.cosigners
+            ))
 
     @property
     def confirmations(self) -> tuple[Confirmation, ...]:
@@ -219,30 +228,21 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
 
 
 @dataclass(frozen=True)
-class CompactCoSigner(wire.Body, error=ReceiptError, what="receipt co-signer"):
-    """A peer's :class:`CoSigner` in a :class:`CompactReceipt`: no scheme if it is the reply's."""
-
-    cell: Address = wire.address()
-    timestamp: float = wire.seconds()
-    signature: bytes = wire.signature()
-    #: None: the scheme of the reply that carries the receipt.
-    scheme: Optional[str] = wire.text(omit_none=True, default=None)
-
-
-@dataclass(frozen=True)
 class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
     """An :class:`AggregatedReceipt` on its way to the client that signed its transaction.
 
-    It carries what that client lacks: the fingerprint, the cycle, the
-    result, the service cell's own signature and each peer co-signer.  The
-    client's own request states the transaction id, the called contract
-    and method and the submission time; the reply envelope that carries
-    the receipt states the service cell (its sender), the signature scheme
-    and the completion time, which is also the service cell's co-signing
-    moment.  Each of those travels only where the receipt states something
-    else, and :meth:`rebuild` puts the receipt back together from the
-    three.  Only the holder of the request can: the portable, third-party
-    checkable form stays :meth:`AggregatedReceipt.to_wire`.
+    It is the whole data field of a ``TX_RECEIPT``, and carries what that
+    client lacks: the fingerprint, the cycle, the result, the service
+    cell's own signature and each peer co-signer.  The client's own request
+    states the transaction id, the called contract and method and the
+    submission time; the reply envelope that carries the receipt states the
+    service cell (its sender), the signature scheme and the service cell's
+    co-signing moment, which completes the receipt.  The contract, the
+    method, that moment and each scheme travel only where the receipt
+    states something else, and :meth:`rebuild` puts the receipt back
+    together from the three.  Only the holder of the request can: the
+    portable, third-party checkable form stays
+    :meth:`AggregatedReceipt.to_wire`.
     """
 
     fingerprint_hex: str = wire.text("fingerprint")
@@ -250,15 +250,11 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
     result: Any = wire.anything()
     #: The service cell's co-signature; its peers' follow in ``cosigners``.
     signature: bytes = wire.signature()
-    cosigners: tuple[CompactCoSigner, ...] = wire.list_of(wire.nested(CompactCoSigner))(
-        default=()
-    )
+    cosigners: tuple[CoSigner, ...] = wire.list_of(wire.nested(CoSigner))(default=())
     #: None, each: what the request or the reply envelope states.
     contract: Optional[str] = wire.text(omit_none=True, default=None)
     method: Optional[str] = wire.text(omit_none=True, default=None)
-    submitted_at: Optional[float] = wire.seconds(omit_none=True, default=None)
-    completed_at: Optional[float] = wire.seconds(omit_none=True, default=None)
-    #: The service cell's co-signing moment and scheme.
+    #: The service cell's co-signing moment, which completes the receipt, and scheme.
     timestamp: Optional[float] = wire.seconds(omit_none=True, default=None)
     scheme: Optional[str] = wire.text(omit_none=True, default=None)
 
@@ -284,18 +280,15 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
         statement ``own`` states.
         """
         moment = round(moment, 6)
-        signed_at = round(own.timestamp, 6)
         return cls(
             own.fingerprint_hex, cycle, result, own.signature,
             tuple(
-                CompactCoSigner(peer.cell, peer.timestamp, peer.signature,
-                                _unless(peer.scheme, scheme))
+                CoSigner(peer.cell, peer.timestamp, peer.signature, _unless(peer.scheme, scheme))
                 for peer in peers
             ),
             contract=_unless(own.contract, called_contract(request)),
             method=_unless(method, called_method(request)),
-            completed_at=_unless(signed_at, moment),
-            timestamp=_unless(signed_at, moment),
+            timestamp=_unless(round(own.timestamp, 6), moment),
             scheme=_unless(own.scheme, scheme),
         )
 
@@ -305,9 +298,10 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
         It verifies only if ``request`` is the transaction its co-signers
         signed and ``reply`` came from its service cell.
         """
-        scheme, moment = reply.scheme, reply.payload.timestamp
+        scheme = reply.scheme
+        completed_at = reply.payload.timestamp if self.timestamp is None else self.timestamp
         own = CoSigner(
-            reply.sender, moment if self.timestamp is None else self.timestamp, self.signature,
+            reply.sender, completed_at, self.signature,
             scheme if self.scheme is None else self.scheme,
         )
         peers = (
@@ -324,9 +318,7 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
             fingerprint_hex=self.fingerprint_hex,
             status="executed",
             cycle=self.cycle,
-            submitted_at=(
-                request.payload.timestamp if self.submitted_at is None else self.submitted_at
-            ),
-            completed_at=moment if self.completed_at is None else self.completed_at,
+            submitted_at=request.payload.timestamp,
+            completed_at=completed_at,
             cosigners=(own, *peers),
         )

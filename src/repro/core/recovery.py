@@ -463,7 +463,6 @@ class MembershipManager:
         ]
         agreeing = tuple(ack for ack in acks if ack.agree)
         if len(agreeing) < required:
-            cell.metrics.increment(f"{cell.node_name}/rejoin_rejected")
             return RejoinOutcome(readmitted=False, acks=acks, silent=silent)
         update = MembershipUpdate(
             action="readmit", subject=cell.address, cycle=handshake_cycle, acks=agreeing

@@ -3,12 +3,13 @@
 A response is the same signed payload tuple as a request (Section III-C2),
 and its opcode alone decides how the data field is read.  The bodies of the
 opcodes a cell emits in answer to clients and auditors are declared here
-on the wire codec (:mod:`repro.messages.wire`): the cell and the gateway
-build them and send ``to_data()``, and every requester reads them through
-:func:`repro.core.routes.read_reply`, which looks the class up in
-:data:`repro.core.routes.REPLIES`.  (What cells answer *each other* — a
-vote, an ack, a resync bundle, a ``PONG`` — is a routed opcode whose body
-the ingress stage parses like any request's.)
+on the wire codec (:mod:`repro.messages.wire`) — all but a ``TX_RECEIPT``'s,
+which is the :class:`~repro.core.receipts.CompactReceipt` itself: the cell
+and the gateway build them and send ``to_data()``, and every requester
+reads them through :func:`repro.core.routes.read_reply`, which looks the
+class up in :data:`repro.core.routes.REPLIES`.  (What cells answer *each
+other* — a vote, an ack, a resync bundle, a ``PONG`` — is a routed opcode
+whose body the ingress stage parses like any request's.)
 """
 
 from __future__ import annotations
@@ -56,18 +57,6 @@ class ErrorReply(wire.Body, error=ReplyError, what="refusal"):
 
 
 @dataclass(frozen=True)
-class ReceiptReply(wire.Body, error=ReplyError):
-    """``TX_RECEIPT``: the aggregated multi-signature receipt of a transaction.
-
-    Like every receipt a cell sends the client that signed its transaction,
-    it is a :class:`~repro.core.receipts.CompactReceipt`: the client
-    rebuilds it from its request and this reply's envelope.
-    """
-
-    receipt: CompactReceipt = wire.nested(CompactReceipt)()
-
-
-@dataclass(frozen=True)
 class SubscriptionAck(wire.Body, error=ReplyError):
     """``SUBSCRIBE_ACK``: the access subscription a cell opened."""
 
@@ -87,9 +76,9 @@ class QueryResult(wire.Body, error=ReplyError):
 class VoteReply(wire.Body, error=ReplyError):
     """``XSHARD_VOTE``: a gateway's signed vote on one 2PC phase.
 
-    ``receipt`` is the inner transaction's, compact as in
-    :class:`ReceiptReply` (the coordinator signed that transaction);
-    ``error`` says why a no-vote was cast.
+    ``receipt`` is the inner transaction's, compact as the data field of a
+    ``TX_RECEIPT`` (the coordinator signed that transaction); ``error``
+    says why a no-vote was cast.
     """
 
     vote: CrossShardVote = wire.nested(CrossShardVote)()

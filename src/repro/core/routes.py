@@ -47,12 +47,11 @@ from ..messages.xshard import (
     CrossShardPrepare,
     CrossShardVoucherTransfer,
 )
-from .receipts import ConfirmationBatch
+from .receipts import CompactReceipt, ConfirmationBatch
 from .replies import (
     ErrorReply,
     LedgerResponse,
     QueryResult,
-    ReceiptReply,
     ReplyError,
     SnapshotResponse,
     SubscriptionAck,
@@ -176,7 +175,7 @@ ROUTES: dict[Opcode, Route] = {
 #: What a cell answers a client or an auditor with: the class that builds
 #: and parses the data field of each reply opcode.
 REPLIES: dict[Opcode, type[wire.Body]] = {
-    Opcode.TX_RECEIPT: ReceiptReply,
+    Opcode.TX_RECEIPT: CompactReceipt,
     Opcode.TX_ERROR: ErrorReply,
     Opcode.SUBSCRIBE_ACK: SubscriptionAck,
     Opcode.QUERY_RESULT: QueryResult,
@@ -198,7 +197,8 @@ def read_reply(reply: Optional[Envelope], expected: Opcode, silence: str = "no r
     says what that means to the requester) or the envelope of the cell
     that was asked.  A ``TX_ERROR`` is raised in the cell's own words with
     its body attached, any other opcode as unexpected, and a data field
-    the declared class refuses as malformed.  Nothing is read leniently.
+    the declared class refuses, in whatever family's error, as malformed.
+    Nothing is read leniently.
     """
     if reply is None:
         raise ReplyError(silence)
@@ -207,4 +207,7 @@ def read_reply(reply: Optional[Envelope], expected: Opcode, silence: str = "no r
         raise ReplyError(refusal.error, refusal)
     if reply.operation is not expected:
         raise ReplyError(f"unexpected reply {reply.operation.value}")
-    return REPLIES[expected].from_data(reply.data)
+    try:
+        return REPLIES[expected].from_data(reply.data)
+    except ValueError as exc:  # every body family's error is one
+        raise ReplyError(str(exc)) from exc

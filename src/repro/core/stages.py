@@ -44,7 +44,7 @@ from .executor import ExecutionOutcome
 from .lanes import LaneScheduler
 from .ledger import LedgerEntry, LedgerError
 from .receipts import CompactReceipt, Confirmation, ConfirmationBatch, LinkConfirmation
-from .replies import LedgerResponse, QueryResult, ReceiptReply, SnapshotResponse, SubscriptionAck
+from .replies import LedgerResponse, QueryResult, SnapshotResponse, SubscriptionAck
 from .routes import DROP_FORWARD
 from .subscription import SubscriptionError
 
@@ -247,9 +247,7 @@ class ServiceStage:
         cell.subscriptions.record_transaction(envelope.sender)
 
         if result.receipt is not None:
-            cell.reply(
-                src_node, envelope, Opcode.TX_RECEIPT, ReceiptReply(result.receipt).to_data()
-            )
+            cell.reply(src_node, envelope, Opcode.TX_RECEIPT, result.receipt.to_data())
             return
 
         # Failure path: the transaction reverts from the client's viewpoint.
@@ -366,9 +364,7 @@ class ServiceStage:
                 # Not the statement this cell signs: a receipt cannot carry it.
                 mismatched.append(address)
         for address in missing:
-            newly_excluded = cell.consensus.record_miss(address, entry.cycle)
-            if newly_excluded:
-                cell.metrics.increment(f"{cell.node_name}/cells_excluded")
+            if cell.consensus.record_miss(address, entry.cycle):
                 # Spread the observation: open a consortium-wide vote so the
                 # other cells stop forwarding to the dead peer as well.
                 cell.membership.propose_exclusion(
@@ -699,7 +695,6 @@ class CycleStage:
             }
         )
         cell.metrics.increment(f"{cell.node_name}/reports_submitted")
-        cell.metrics.series(f"{cell.node_name}/report_gas").add(receipt.gas_used)
 
     def _execute_contingencies(self) -> Generator[Event, Any, None]:
         cell = self.cell

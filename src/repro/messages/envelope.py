@@ -163,17 +163,6 @@ class Envelope:
             "scheme": self.scheme,
         }
 
-    def wire_bytes(self) -> bytes:
-        """Canonical JSON encoding of the wire form.
-
-        A splice around the payload's carried bytes, not an encode: the
-        three keys of :meth:`to_wire` are already in sorted order.
-        """
-        return b'{"payload":%b,"scheme":%b,"signature":"%b"}' % (
-            self.payload.canonical_bytes(), _scheme_json(self.scheme),
-            base64url.encode(self.signature).encode(),
-        )
-
     def to_link(self, with_sender: bool = True) -> dict[str, Any]:
         """The link form as a JSON object, for an envelope nested in another.
 
@@ -195,10 +184,11 @@ class Envelope:
     def link_bytes(self) -> bytes:
         """What travels on a link: the canonical JSON of :meth:`to_link`.
 
-        A splice around :meth:`Payload.link_bytes`, like :meth:`wire_bytes`.
-        The signed bytes are :meth:`Payload.canonical_bytes`, unchanged: a
-        receiver rebuilds them with :meth:`from_link`, under its own
-        identity, so a message verifies only where it was signed to go.
+        A splice around :meth:`Payload.link_bytes`, not an encode: its keys
+        are already in sorted order.  The signed bytes are
+        :meth:`Payload.canonical_bytes`, unchanged: a receiver rebuilds them
+        with :meth:`from_link`, under its own identity, so a message
+        verifies only where it was signed to go.
         """
         scheme = self.scheme
         tag = b"" if scheme == DEFAULT_SCHEME else b'"scheme":%b,' % _scheme_json(scheme)

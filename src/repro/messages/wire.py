@@ -102,6 +102,14 @@ def _signature(value: str) -> bytes:
     return base64url.decode(value, 65)
 
 
+def _hex_bytes(value: str) -> bytes:
+    """``0x`` and lowercase hex digits, as :func:`to_hex` writes them."""
+    decoded = bytes.fromhex(strip_0x(value))
+    if to_hex(decoded) != value:
+        raise ValueError("is not 0x-prefixed lowercase hex")
+    return decoded
+
+
 def _emit_text(value: Any) -> Optional[str]:
     return quote(value) if type(value) is str else None
 
@@ -136,7 +144,7 @@ address = Kind("address", (str,), Address.from_hex, Address.hex, emit=_emit_addr
 #: 65 bytes as unpadded base64url (:mod:`repro.encoding.base64url`).
 signature = Kind("base64url signature", (str,), _signature, base64url.encode)
 #: Raw bytes (a fingerprint) as ``0x``-prefixed hex.
-digest = Kind("hex bytes", (str,), lambda value: bytes.fromhex(strip_0x(value)), to_hex)
+digest = Kind("hex bytes", (str,), _hex_bytes, to_hex)
 #: A JSON object some later stage reads (an inner envelope's wire form).
 obj = Kind("object", (dict,))
 anything = Kind("any")

@@ -286,7 +286,9 @@ class CrossShardVoucherTransfer(
     # redeem carries the voucher.
     target_group: Optional[int] = wire.integer(omit_none=True, default=None)
     target_contract: Optional[str] = wire.text(omit_none=True, default=None)
-    voucher: Optional[dict[str, Any]] = wire.obj(omit_none=True, default=None)
+    voucher: Optional[CrossShardVoucher] = wire.nested(CrossShardVoucher)(
+        omit_none=True, default=None
+    )
 
     def __post_init__(self) -> None:
         if not self.xtx:

@@ -159,3 +159,18 @@ def test_malformed_publications_are_unverifiable_not_silently_ok(
         auditor.localize_fingerprint_mismatch(0, [])
     with pytest.raises(AuditError, match="group fingerprints"):
         auditor.localize_fingerprint_mismatch(0, [honest[0][:1]])
+
+
+def test_every_finding_names_its_group_by_index():
+    """Anchor agreement and the cells' own audits label the lying cell's group alike."""
+    deployment = make_sharded_deployment(
+        2, consortium_size=3, report_period=15.0, eth_block_interval=2.0,
+        signature_scheme="sim",
+    )
+    deployment.group(1).deployment.cells[2].fault.tamper_fingerprint = True
+    deployment.run(until=50.0)
+    result = run_audit_oracle(deployment, cycle=1)
+    anchors = anchor_findings(result)
+    assert not result.passed and anchors
+    assert len(result.findings) > len(anchors)
+    assert all(finding.startswith("[group 1] ") for finding in result.findings), result.findings

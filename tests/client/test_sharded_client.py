@@ -10,11 +10,12 @@ from repro.client.sharded import (
     ShardedClient,
     ShardedFastMoneyClient,
 )
-from repro.messages import Envelope, Opcode
+from repro.messages import Envelope, Opcode, SimulatedSigner
 from repro.messages.xshard import (
     CrossShardDecision,
     CrossShardPrepare,
     CrossShardVote,
+    CrossShardVoucher,
     CrossShardVoucherTransfer,
 )
 from tests.conftest import make_deployment, make_sharded_deployment
@@ -284,8 +285,12 @@ def xshard_request(kind, xtx, inner_wire, names):
             xtx=xtx, phase="mint", group=0, transaction=inner_wire,
             target_group=1, target_contract=names[1],
         ).to_data()
+    # A well-formed voucher: the refusal comes before anyone checks its issuer.
+    voucher = CrossShardVoucher.create(
+        SimulatedSigner("voucher-issuer"), xtx, 1, 0, names[0], "0x" + "66" * 20, 10, 99.0
+    )
     return Opcode.XSHARD_VOUCHER, CrossShardVoucherTransfer(
-        xtx=xtx, phase="redeem", group=0, transaction=inner_wire, voucher={},
+        xtx=xtx, phase="redeem", group=0, transaction=inner_wire, voucher=voucher,
     ).to_data()
 
 

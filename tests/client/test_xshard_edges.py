@@ -387,8 +387,7 @@ def redeem_voucher(deployment, client, alice, names, xtx, voucher):
           "expires_at": voucher.expires_at}),
     )
     body = CrossShardVoucherTransfer(
-        xtx=xtx, phase="redeem", group=1, transaction=inner.to_wire(),
-        voucher=voucher.to_wire(),
+        xtx=xtx, phase="redeem", group=1, transaction=inner.to_wire(), voucher=voucher,
     )
     return send_voucher(deployment, client, alice, 1, body)
 
@@ -498,6 +497,39 @@ def test_expired_voucher_refuses_redeem_and_the_source_reclaims():
     assert source.query("balance_of", {"account": alice.address.hex()}) == FUNDING
     assert escrow_status(deployment, 0, names[0], xtx)["status"] == "voucher_reclaimed"
     assert_conserved(deployment, expect_in_transit=0)
+
+
+def test_a_garbled_voucher_is_refused_at_ingress():
+    """A redeem body parses its voucher: a garbled one never reaches the gateway."""
+    from repro.messages.xshard import CrossShardVoucherTransfer
+
+    deployment, alice, names, client = build()
+    recipient = "0x" + "7e" * 20
+    xtx = client.next_xtx()
+    expires = deployment.env.now + 50.0
+    voucher = mint_voucher(
+        deployment, client, alice, names, xtx, 20, recipient, expires, expires + 5.0
+    )
+    inner = client._sign_call(
+        alice, 1,
+        (names[1], "xshard_voucher_redeem",
+         {"xtx": xtx, "to": recipient, "amount": 20, "expires_at": expires}),
+    )
+    data = CrossShardVoucherTransfer(
+        xtx=xtx, phase="redeem", group=1, transaction=inner.to_wire(), voucher=voucher,
+    ).to_data()
+    data["voucher"]["amount"] = "20"  # a number as text
+    _request, waiter = client.clients[1].request(Opcode.XSHARD_VOUCHER, data, signer=alice)
+    reply = run_event(deployment, waiter)
+    assert reply.operation == Opcode.TX_ERROR
+    assert reply.data["error"].startswith(
+        f"malformed {CrossShardVoucherTransfer.WHAT}: voucher: "
+    ), reply.data["error"]
+    gateway = deployment.group(1).cells[0]
+    assert gateway.metrics.counter(f"{gateway.node_name}/malformed_messages") == 1
+    assert gateway.metrics.counter(f"{gateway.node_name}/xshard_voucher_refusals") == 0
+    assert escrow_status(deployment, 0, names[0], xtx)["status"] == "voucher"
+    assert_conserved(deployment, expect_in_transit=20)
 
 
 def test_forged_voucher_is_refused_before_any_credit():

@@ -37,6 +37,7 @@ from repro.messages.xshard import (
     CrossShardDecision,
     CrossShardPrepare,
     CrossShardVote,
+    CrossShardVoucher,
     CrossShardVoucherTransfer,
 )
 from tests.conftest import make_deployment, make_sharded_deployment
@@ -447,6 +448,7 @@ def test_the_statement_matrix_covers_every_statement_a_route_carries():
         (Opcode.CELL_EXCLUDE_VOTE, "ExclusionVote"), (Opcode.CELL_REJOIN_ACK, "RejoinAck"),
         (Opcode.MEMBERSHIP_UPDATE, "ExclusionVote"), (Opcode.MEMBERSHIP_UPDATE, "RejoinAck"),
         (Opcode.XSHARD_COMMIT, "CrossShardVote"), (Opcode.XSHARD_ABORT, "CrossShardVote"),
+        (Opcode.XSHARD_VOUCHER, "CrossShardVoucher"),
     }
 
 
@@ -459,6 +461,8 @@ def wrongly_typed_statements(statement, item, signer, subject):
         RejoinAck: dict(rejoiner=subject, cycle=0, fingerprint_hex=FINGERPRINT, agree=True,
                         admitted_head=3),
         CrossShardVote: dict(xtx="0xfeed", group=0, participants=(0, 1), phase="prepare", ok=True),
+        CrossShardVoucher: dict(xtx="0xfeed", source_group=1, target_group=0, contract="pay",
+                                recipient=subject.hex(), amount=5, expires_at=99.0),
     }[statement]
     for value in WRONG_VALUES:
         if type(value) in item.kind.types:
@@ -478,8 +482,10 @@ def test_most_of_the_statement_matrix_can_be_signed_and_sent():
         len(list(wrongly_typed_statements(statement, item, signer, signer.address)))
         for _opcode, _path, statement, item in (param.values for param in STATEMENT_FIELDS)
     )
-    # The rest (addresses, phases) are refused by ``create``.  183 are built:
-    # 261 (floor 200) when three routes carried a Confirmation, 39 each.
+    # The rest (addresses, phases) are refused by ``create``.  234 are built,
+    # 51 of them vouchers a redeem carries (183 before its voucher was a
+    # parsed statement); 261 (floor 200) when three routes carried a
+    # Confirmation, 39 each.
     assert built >= 180
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.client import BlockumulusClient, FastMoneyClient
 from repro.core.receipts import (
     AggregatedReceipt,
     CompactReceipt,
@@ -12,11 +13,12 @@ from repro.core.receipts import (
     CoSigner,
     ReceiptError,
 )
-from repro.core.replies import ReceiptReply, ReplyError
+from repro.core.replies import ReplyError
 from repro.core.routes import read_reply
 from repro.encoding import canonical_json
 from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner
 from repro.messages.payload import Payload
+from tests.conftest import make_deployment
 
 CELL_A = EcdsaSigner.from_seed("receipt-cell-a")
 CELL_B = EcdsaSigner.from_seed("receipt-cell-b")
@@ -124,6 +126,18 @@ def test_receipt_wire_roundtrip_and_size():
     assert len(canonical_json.dump_bytes(receipt.to_wire())) > 500
 
 
+def test_a_portable_cosigner_without_a_scheme_reads_as_ecdsa():
+    receipt = make_receipt([make_confirmation(CELL_A), make_confirmation(CELL_B)])
+    wire_form = receipt.to_wire()
+    del wire_form["cosigners"][1]["scheme"]
+    parsed = AggregatedReceipt.from_wire(wire_form)
+    assert [cosigner.scheme for cosigner in parsed.cosigners] == ["ecdsa", "ecdsa"]
+    assert parsed == receipt and parsed.verify()
+    assert canonical_json.dump_bytes(parsed.to_wire()) == canonical_json.dump_bytes(
+        receipt.to_wire()
+    )
+
+
 def test_malformed_receipt_wire_rejected():
     with pytest.raises(ReceiptError):
         AggregatedReceipt.from_wire({"tx_id": TX_ID})
@@ -168,7 +182,7 @@ def served(contract="fastmoney", method="transfer", own_at=REPLIED_AT, peer=CELL
 
 def reply_to(request, compact, scheme=None, at=REPLIED_AT):
     """Cell A's ``TX_RECEIPT`` envelope carrying ``compact``, as the client receives it."""
-    data = json.loads(canonical_json.dumps(ReceiptReply(compact).to_data()))
+    data = json.loads(canonical_json.dumps(compact.to_data()))
     if scheme is None:
         return Envelope.create(
             signer=CELL_A, recipient=CLIENT.address, operation=Opcode.TX_RECEIPT, data=data,
@@ -183,8 +197,7 @@ def reply_to(request, compact, scheme=None, at=REPLIED_AT):
 def delivered(compact, request=REQUEST, scheme=None):
     """``compact`` sent under ``scheme`` and rebuilt by the client from ``request``."""
     reply = reply_to(REQUEST, compact, scheme)
-    wire_form = reply.data["receipt"]
-    return wire_form, read_reply(reply, Opcode.TX_RECEIPT).receipt.rebuild(request, reply)
+    return reply.data, read_reply(reply, Opcode.TX_RECEIPT).rebuild(request, reply)
 
 
 def test_a_compact_receipt_rebuilds_the_receipt_its_service_cell_built():
@@ -210,15 +223,6 @@ def test_nothing_the_client_can_derive_travels():
     ]
 
 
-def _sent_differently(**fields):
-    """A compact receipt that states ``fields``, as the service cell never builds one.
-
-    The client must still rebuild the receipt it states.
-    """
-    compact, receipt = served()
-    return dataclasses.replace(compact, **fields), dataclasses.replace(receipt, **fields)
-
-
 SIM_PEER = SimulatedSigner("receipt-sim-peer")
 DIFFERING = {
     "contract": (
@@ -227,17 +231,8 @@ DIFFERING = {
     "method": (
         lambda: served(method="faucet"), lambda wire_form: wire_form["method"] == "faucet"
     ),
-    "submitted_at": (
-        lambda: _sent_differently(submitted_at=0.75),
-        lambda wire_form: wire_form["submitted_at"] == 0.75,
-    ),
-    "completed_at": (
-        lambda: _sent_differently(completed_at=3.75),
-        lambda wire_form: wire_form["completed_at"] == 3.75,
-    ),
     "own timestamp": (
-        lambda: served(own_at=3.4),
-        lambda wire_form: wire_form["timestamp"] == wire_form["completed_at"] == 3.4,
+        lambda: served(own_at=3.4), lambda wire_form: wire_form["timestamp"] == 3.4
     ),
     "peer scheme": (
         lambda: served(peer=SIM_PEER),
@@ -281,12 +276,11 @@ MALFORMED = {
     "short signature": lambda sent: {**sent, "signature": "0x00"},
     "cycle as text": lambda sent: {**sent, "cycle": "1"},
     "null contract": lambda sent: {**sent, "contract": None},
-    "time as text": lambda sent: {**sent, "completed_at": "3.5"},
+    "time as text": lambda sent: {**sent, "timestamp": "3.5"},
     "cosigner without a cell": lambda sent: {
         **sent, "cosigners": [{"timestamp": 3.25, "signature": sent["signature"]}]
     },
     "cosigners as an object": lambda sent: {**sent, "cosigners": {}},
-    "a list": lambda sent: [sent],
 }
 
 
@@ -295,8 +289,24 @@ def test_a_malformed_compact_receipt_is_a_reply_error(spoil):
     sent = json.loads(canonical_json.dumps(served()[0].to_wire()))
     reply = Envelope.create(
         signer=CELL_A, recipient=CLIENT.address, operation=Opcode.TX_RECEIPT,
-        data={"receipt": spoil(sent)}, timestamp=REPLIED_AT, nonce="0x05",
+        data=spoil(sent), timestamp=REPLIED_AT, nonce="0x05",
         reply_to=REQUEST.nonce,
     )
     with pytest.raises(ReplyError, match="malformed"):
         read_reply(reply, Opcode.TX_RECEIPT)
+
+
+def test_a_garbled_receipt_is_a_failed_transaction_not_an_exception():
+    deployment = make_deployment(signature_scheme="sim")
+    client = BlockumulusClient(deployment)
+    cell = client.service_cell
+
+    def garbled(src_node, envelope, _body):
+        cell.reply(src_node, envelope, Opcode.TX_RECEIPT, {"fingerprint": 7})
+
+    cell.service._serve_submission = garbled
+    event = FastMoneyClient(client).faucet(10)
+    deployment.env.run(event)
+    result = event.value
+    assert not result.ok and result.receipt is None
+    assert result.error.startswith("malformed compact receipt: "), result.error

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.keys import PrivateKey
+from repro.encoding import canonical_json
 from repro.messages import BatchError, Envelope, ForwardBatch, Opcode
 from repro.messages.batch import ForwardedTransactions
 from repro.messages.signer import EcdsaSigner
@@ -44,7 +45,7 @@ def test_forward_batch_round_trip_preserves_client_signatures(cell_signer):
         nonce="0x" + "ab" * 12,
     )
     # Full wire round trip of the outer envelope.
-    parsed_outer = Envelope.from_wire(outer.wire_bytes())
+    parsed_outer = Envelope.from_wire(canonical_json.dump_bytes(outer.to_wire()))
     assert parsed_outer.verify()
     assert parsed_outer.operation == Opcode.TX_FORWARD
 

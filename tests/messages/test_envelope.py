@@ -30,7 +30,7 @@ def test_envelope_verifies(deployment=None):
 
 def test_wire_roundtrip_preserves_verification():
     envelope = make_envelope()
-    restored = Envelope.from_wire(envelope.wire_bytes())
+    restored = Envelope.from_wire(canonical_json.dump_bytes(envelope.to_wire()))
     assert restored.verify()
     assert restored.payload == envelope.payload
     assert restored.signature == envelope.signature
@@ -56,7 +56,7 @@ def test_simulated_signer_roundtrip():
     envelope = make_envelope(signer=signer)
     assert envelope.scheme == "sim"
     assert envelope.verify()
-    assert Envelope.from_wire(envelope.wire_bytes()).verify()
+    assert Envelope.from_wire(canonical_json.dump_bytes(envelope.to_wire())).verify()
 
 
 def test_simulated_signature_rejects_tampering():
@@ -85,7 +85,7 @@ def test_from_wire_rejects_garbage():
 def test_from_wire_refuses_an_operation_the_protocol_retired(retired):
     # Nothing sends these any more; a peer that still does is refused at
     # the parse rather than handed to whichever route took their place.
-    wire = make_envelope().wire_bytes().decode()
+    wire = canonical_json.dump_bytes(make_envelope().to_wire()).decode()
     assert '"operation":"tx_submit"' in wire
     assert retired not in {opcode.value for opcode in Opcode}
     with pytest.raises(EnvelopeError, match="malformed envelope"):
@@ -97,7 +97,8 @@ def test_from_wire_refuses_an_operation_the_protocol_retired(retired):
 # ----------------------------------------------------------------------
 def hostile(replacement: str) -> bytes:
     """The wire bytes of a good envelope with ``"amount":1`` swapped out inside D."""
-    wire = make_envelope(signer=SimulatedSigner("hostile-bytes")).wire_bytes().decode()
+    envelope = make_envelope(signer=SimulatedSigner("hostile-bytes"))
+    wire = canonical_json.dump_bytes(envelope.to_wire()).decode()
     assert '"amount":1' in wire
     return wire.replace('"amount":1', '"amount":' + replacement).encode()
 
@@ -127,7 +128,7 @@ def test_from_wire_accepts_nesting_up_to_the_documented_depth():
 
 
 def test_from_wire_refuses_bytes_beyond_the_documented_size(monkeypatch):
-    good = make_envelope().wire_bytes()
+    good = canonical_json.dump_bytes(make_envelope().to_wire())
     monkeypatch.setattr("repro.messages.envelope.MAX_WIRE_BYTES", len(good))
     assert Envelope.from_wire(good).verify()
     with pytest.raises(EnvelopeError, match=f"larger than {len(good)} bytes"):
@@ -179,7 +180,9 @@ def test_the_link_form_round_trips_under_its_recipient(envelope):
         restored = Envelope.from_link(raw, RECIPIENT)
         assert restored == envelope and restored.verify()
         assert restored.link_bytes() == envelope.link_bytes()
-        assert restored.wire_bytes() == envelope.wire_bytes()
+        assert canonical_json.dump_bytes(restored.to_wire()) == canonical_json.dump_bytes(
+            envelope.to_wire()
+        )
     under_another = Envelope.from_link(envelope.link_bytes(), OTHER_CELL)
     assert under_another.recipient == OTHER_CELL and not under_another.verify()
 
@@ -190,7 +193,7 @@ def test_the_link_form_leaves_out_the_recipient_a_null_reply_to_and_the_ecdsa_ta
     for left_out in (b'"recipient"', RECIPIENT.hex().encode(), b'"reply_to"', b'"scheme"'):
         assert left_out not in link
     # 57 B of recipient, 16 B of null reply_to, 17 B of scheme tag.
-    assert len(envelope.wire_bytes()) - len(link) == 57 + 16 + 17
+    assert len(canonical_json.dump_bytes(envelope.to_wire())) - len(link) == 57 + 16 + 17
     # What is not the receiver's to supply still travels.
     assert b'"scheme":"sim"' in make_envelope(signer=SimulatedSigner("link-sim")).link_bytes()
     replied = Envelope.create(SIGNER, RECIPIENT, Opcode.TX_ERROR, {}, 1.0, "0x1", reply_to="0x2")
@@ -232,8 +235,9 @@ def test_malformed_link_bytes_raise_envelope_error(raw):
 def test_what_a_receiver_supplies_wins_over_what_a_link_form_carries():
     """Undeclared keys are ignored, as by every parser of the wire module."""
     envelope = make_envelope()
-    assert Envelope.from_link(envelope.wire_bytes(), RECIPIENT) == envelope
-    relayed = Envelope.from_link(envelope.wire_bytes(), OTHER_CELL)
+    wire = canonical_json.dump_bytes(envelope.to_wire())
+    assert Envelope.from_link(wire, RECIPIENT) == envelope
+    relayed = Envelope.from_link(wire, OTHER_CELL)
     assert relayed.recipient == OTHER_CELL and not relayed.verify()
     forged = Envelope.from_link(envelope.to_link(), RECIPIENT, OTHER_CELL)
     assert forged.sender == OTHER_CELL and not forged.verify()
@@ -260,7 +264,6 @@ def test_unknown_scheme_tag_is_sized_like_a_full_encode_and_never_verifies():
     wire = envelope.to_wire()
     wire["scheme"] = 'rsa"\u00e9'
     odd = Envelope.from_wire(wire)
-    assert odd.wire_bytes() == canonical_json.dump_bytes(odd.to_wire())
     assert odd.link_bytes() == canonical_json.dump_bytes(odd.to_link())
     assert odd.byte_size() == len(odd.link_bytes())
     assert not odd.verify()

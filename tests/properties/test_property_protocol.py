@@ -8,6 +8,7 @@ from repro.core.consensus import OverlayConsensus
 from repro.crypto.keys import PrivateKey
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.hashing import fast_hash
+from repro.encoding import canonical_json
 from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner
 
 CELLS = tuple(PrivateKey.from_seed(f"prop-cell-{i}").address for i in range(3))
@@ -55,7 +56,7 @@ def test_envelope_roundtrip_verifies_for_both_schemes(data, timestamp):
             signer=signer, recipient=CELLS[0], operation=Opcode.TX_SUBMIT,
             data={"args": data}, timestamp=timestamp, nonce="0x01",
         )
-        restored = Envelope.from_wire(envelope.wire_bytes())
+        restored = Envelope.from_wire(canonical_json.dump_bytes(envelope.to_wire()))
         assert restored.verify()
         assert restored.payload.hash() == envelope.payload.hash()
 

@@ -223,7 +223,7 @@ def _transfer(_body, kwargs, draw) -> None:
     if kwargs["phase"] == "mint":
         kwargs.update(target_group=draw(st.integers(0, 7)), target_contract=draw(ids))
     else:
-        kwargs["voucher"] = draw(objects)
+        kwargs["voucher"] = draw(instances(CrossShardVoucher))
 
 
 def _voucher_reply(_body, kwargs, draw) -> None:
@@ -392,7 +392,7 @@ hostile_fragments = hostile_json.map(json.dumps) | st.sampled_from(
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_arbitrary_bytes_are_an_envelope_or_refused_and_an_accepted_one_can_verify(data):
-    good = data.draw(envelopes()).wire_bytes()
+    good = canonical_json.dump_bytes(data.draw(envelopes()).to_wire())
     assert b'"amount":' in good
     raw = data.draw(
         st.binary(max_size=64)
@@ -723,12 +723,11 @@ def test_a_receipt_sent_compact_rebuilds_exactly_from_the_request_and_the_reply(
     request, compact, receipt, scheme, moment = served
     sent = json.loads(as_json(compact.to_wire()))
     # What the client derives travels only where the receipt states otherwise.
-    assert not {"tx_id", "service_cell", "status", "submitted_at"} & set(sent)
+    assert not {"tx_id", "service_cell", "status", "submitted_at", "completed_at"} & set(sent)
     own, *peers = receipt.cosigners
     derived = {
         "contract": (receipt.contract, called_contract(request)),
         "method": (receipt.method, request.data["method"]),
-        "completed_at": (receipt.completed_at, moment),
         "timestamp": (own.timestamp, moment),
         "scheme": (own.scheme, scheme),
     }
@@ -737,7 +736,7 @@ def test_a_receipt_sent_compact_rebuilds_exactly_from_the_request_and_the_reply(
     assert [("scheme" in peer) for peer in sent["cosigners"]] == [
         peer.scheme != scheme for peer in peers
     ]
-    reply = _reply(request, receipt.service_cell, scheme, moment, {"receipt": sent})
+    reply = _reply(request, receipt.service_cell, scheme, moment, sent)
     rebuilt = CompactReceipt.from_wire(sent).rebuild(request, reply)
     assert rebuilt == receipt
     assert as_json(rebuilt.to_wire()) == as_json(receipt.to_wire())
@@ -753,6 +752,6 @@ def test_a_compact_receipt_rebuilt_from_another_request_verifies_for_no_cosigner
         signer=SIGNER, recipient=request.recipient, operation=Opcode.TX_SUBMIT,
         data=request.data, timestamp=request.payload.timestamp, nonce=request.nonce + "'",
     )
-    reply = _reply(other, receipt.service_cell, scheme, moment, {"receipt": sent})
+    reply = _reply(other, receipt.service_cell, scheme, moment, sent)
     rebuilt = CompactReceipt.from_wire(sent).rebuild(other, reply)
     assert not any(confirmation.verify() for confirmation in rebuilt.confirmations)

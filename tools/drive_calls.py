@@ -23,9 +23,10 @@ measures what a user pays.
 without a profiler, takes a stack sample on every millisecond of process
 CPU time (``ITIMER_PROF``), and prints each function's *inclusive* share
 (samples with it anywhere on the stack) and *self* share (samples with it
-on top; a builtin's time is its Python caller's).  cProfile's per-call
-overhead inflates functions that make many small calls, so it misranks
-the hot path; a sampler does not.  Sample shares are readings of a clock:
+on top; a builtin's time is its Python caller's).  Only samples taken
+inside the drive count, so the drive is on every one of them.  cProfile's
+per-call overhead inflates functions that make many small calls, so it
+misranks the hot path; a sampler does not.  Sample shares are readings of a clock:
 they move a little from run to run, unlike the call count.
 
 ``--bytes`` attributes the benchmark's ``wire_bytes_per_tx`` instead: it
@@ -39,7 +40,8 @@ envelopes, ``tx_confirm``: confirmations) a second line splits a message
 into its items and the rest: items per message, canonical-JSON bytes per
 item, and the bytes per message that are not items (envelope, signature,
 network framing).  The replies that can carry a receipt (``tx_receipt``,
-``xshard_vote``, ``xshard_voucher``) get the same line for their receipts.
+whose whole data field is one, ``xshard_vote``, ``xshard_voucher``) get the
+same line for their receipts.
 Every opcode also gets a line that splits a message into its data field
 (canonical-JSON bytes of ``D``) and the rest: the envelope header, the
 signature and the network framing, which are what a change to the envelope
@@ -53,11 +55,11 @@ as text is sized from.
 the drive alone, the ``__init__`` of every dataclass declared in
 :mod:`repro.core.receipts` and :mod:`repro.core.replies`, and of ``Payload``
 and ``Envelope``, and prints the constructions per transaction of each.
-The *receipt family* is every class of ``core/receipts.py`` plus
-``ReceiptReply``: the objects one transaction's receipt is held in on its
-way from the co-signing cells to the client.  A decoder that builds an
-object builds it through ``__init__``, so decoded objects count too.  Like
-the call count it repeats to the digit.
+The *receipt family* is every class of ``core/receipts.py``: the objects
+one transaction's receipt is held in on its way from the co-signing cells
+to the client.  A decoder that builds an object builds it through
+``__init__``, so decoded objects count too.  Like the call count it
+repeats to the digit.
 """
 
 from __future__ import annotations
@@ -133,39 +135,39 @@ def sample_drive(
 
     Returns (samples, CPU seconds of the drive, inclusive and self samples
     per function).  The kernel may deliver the timer more coarsely than
-    asked; samples / CPU seconds is the rate it achieved.  Frames of this
-    tool (the caller of ``drive``) are left out, so a share is of the drive
-    alone.  A function on the stack twice counts once in a sample's
-    inclusive tally.
+    asked; samples / CPU seconds is the rate it achieved.  A sample counts
+    only if the drive's own frame is on its stack: the timer runs a little
+    before the drive starts and after it returns.  Frames of this tool (the
+    caller of ``drive``) are left out, so a share is of the drive alone.  A
+    function on the stack twice counts once in a sample's inclusive tally.
     """
     workload, deployment = _built(workload_name, seed, smoke)
     inclusive: Counter[tuple[str, int, str]] = Counter()
     own: Counter[tuple[str, int, str]] = Counter()
     samples = 0
     here = sample_drive.__code__.co_filename
+    drive = workload.drive
+    driving = getattr(drive, "__func__", drive).__code__
 
     def on_sample(_signum: int, frame: Optional[FrameType]) -> None:
         nonlocal samples
-        seen: set[CodeType] = set()
-        top = True
+        stack: list[CodeType] = []
         while frame is not None:
-            code = frame.f_code
+            if frame.f_code.co_filename != here:
+                stack.append(frame.f_code)
             frame = frame.f_back
-            if code.co_filename == here:
-                continue
-            if top:
-                own[cProfile.label(code)] += 1
-                top = False
-            if code not in seen:
-                seen.add(code)
-                inclusive[cProfile.label(code)] += 1
+        if driving not in stack:
+            return
+        own[cProfile.label(stack[0])] += 1
+        for code in set(stack):
+            inclusive[cProfile.label(code)] += 1
         samples += 1
 
     previous = signal.signal(signal.SIGPROF, on_sample)
     started = time.process_time()
     signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL, SAMPLE_INTERVAL)
     try:
-        driven = workload.drive(deployment, smoke)
+        driven = drive(deployment, smoke)
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0, 0)
         cpu_seconds = time.process_time() - started
@@ -178,11 +180,13 @@ def sample_drive(
 #: link is "client<->cell" or "cell<->cell".
 Traffic = dict[tuple[str, str], list[int]]
 
-#: The opcodes whose data field carries items worth sizing apart: the key
-#: of a list, or of one receipt (present only on replies that carry one).
-CARRIED = {
-    "tx_forward": "transactions", "tx_confirm": "confirmations",
-    "tx_receipt": "receipt", "xshard_vote": "receipt", "xshard_voucher": "receipt",
+#: The opcodes whose data field carries items worth sizing apart: what an
+#: item is, and the key of their list or of the one receipt (present only
+#: on the replies that carry one; None: the data field is the receipt).
+CARRIED: dict[str, tuple[str, Optional[str]]] = {
+    "tx_forward": ("item", "transactions"), "tx_confirm": ("item", "confirmations"),
+    "tx_receipt": ("receipt", None), "xshard_vote": ("receipt", "receipt"),
+    "xshard_voucher": ("receipt", "receipt"),
 }
 
 
@@ -244,12 +248,13 @@ def count_drive_bytes(
             tally[1] += 1
             tally[4] += len(dump_bytes(envelope.data))
             tally_binary_fields(loads(envelope.link_bytes()), fields)
-            key = CARRIED.get(opcode)
-            carried = None if key is None else envelope.data.get(key)
-            if carried is not None:
-                items = carried if type(carried) is list else [carried]
-                tally[2] += len(items)
-                tally[3] += sum(len(dump_bytes(item)) for item in items)
+            if opcode in CARRIED:
+                key = CARRIED[opcode][1]
+                carried = envelope.data if key is None else envelope.data.get(key)
+                if carried is not None:
+                    items = carried if type(carried) is list else [carried]
+                    tally[2] += len(items)
+                    tally[3] += sum(len(dump_bytes(item)) for item in items)
         return delivered
 
     setattr(Endpoint, "post", counted_post)
@@ -290,7 +295,7 @@ def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
             print(f"      {data_bytes / count:>7.1f} B/msg of data"
                   f"  {(size - data_bytes) / count:>7.1f} B/msg outside data")
             if items:
-                item = "receipt" if CARRIED[opcode] == "receipt" else "item"
+                item = CARRIED[opcode][0]
                 print(f"      {items / count:>7.2f} {item}s/msg  {item_bytes / items:>7.1f} B/{item}"
                       f"  {(size - item_bytes) / count:>7.1f} B/msg besides the {item}s")
     print("  binary fields by width" + "".join(
@@ -313,7 +318,7 @@ def _counted_classes() -> tuple[list[type], set[type]]:
         ]
         for module in (receipts, replies)
     }
-    family = {*declared[receipts], replies.ReceiptReply}
+    family = set(declared[receipts])
     return [*declared[receipts], *declared[replies], Payload, Envelope], family
 
 
