@@ -10,10 +10,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 _SRC = Path(__file__).resolve().parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+
+#: Every ``@given`` draws the same examples on every run (a seed derived
+#: from the test itself), so a property that can fail fails in every run
+#: rather than in some.  A test's own ``@settings`` overrides only what it
+#: names, so this applies to all of them.
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 def pytest_addoption(parser):

@@ -404,7 +404,7 @@ class ShardedAuditor:
     def __init__(self, deployment: "ShardedDeployment") -> None:
         self.deployment = deployment
         self.group_auditors = [
-            Auditor(group.deployment, node_name=f"sharded-auditor-g{group.index}")
+            Auditor(group, node_name=f"sharded-auditor-g{group.index}")
             for group in deployment.groups
         ]
 
@@ -528,7 +528,7 @@ class ShardedAuditor:
             report.add("shard_digest_unverifiable", str(exc))
             return report
         report.checked_transactions = sum(
-            len(group.deployment.cells[0].ledger) for group in self.deployment.groups
+            len(group.cells[0].ledger) for group in self.deployment.groups
         )
         report.details = recomputed
         if published is not None and recomputed != published:

@@ -88,12 +88,11 @@ def run_audit_oracle(
     # cell is unreachable and aborts the interactive audits below.
     anchored_cycles = 0
     for group in deployment.groups:
-        group_deployment = group.deployment
         for check_cycle in range(cycle + 1):
             anchors = {
                 cell_index: anchored
-                for cell_index in range(len(group_deployment.cells))
-                if (anchored := group_deployment.anchored_report(check_cycle, cell_index))
+                for cell_index in range(len(group.cells))
+                if (anchored := group.anchored_report(check_cycle, cell_index))
                 is not None
             }
             anchored_cycles += bool(anchors)
@@ -105,7 +104,7 @@ def run_audit_oracle(
                 majority = [value for value, count in counts.items() if count == top]
                 if len(majority) == 1:
                     outliers = sorted(
-                        group_deployment.cells[index].node_name
+                        group.cells[index].node_name
                         for index, value in anchors.items()
                         if value != majority[0]
                     )
@@ -120,7 +119,7 @@ def run_audit_oracle(
                     # who — name every side rather than coin-flipping an
                     # outlier; the succession audit assigns blame.
                     sides = ", ".join(
-                        f"{group_deployment.cells[index].node_name}="
+                        f"{group.cells[index].node_name}="
                         f"0x{value.hex()[:16]}..."
                         for index, value in sorted(anchors.items())
                     )

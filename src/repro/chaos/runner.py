@@ -174,7 +174,7 @@ def collect_artifacts(deployment: ShardedDeployment, spec: ScenarioSpec,
 def run_scenario(spec: ScenarioSpec) -> ScenarioRun:
     """Execute one scenario: build, inject, drive, settle, snapshot."""
     deployment = ShardedDeployment(spec.config())
-    primary = deployment.group(0).deployment
+    primary = deployment.group(0)
     addresses = [
         primary.make_client_signer(seed).address.hex()
         for seed in spec.account_seeds()

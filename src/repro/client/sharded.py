@@ -163,7 +163,7 @@ class ShardedClient:
     ) -> None:
         self.deployment = deployment
         self.env = deployment.env
-        primary = deployment.group(0).deployment
+        primary = deployment.group(0)
         # The default identity seed must be deterministic (a process-wide
         # counter, like BlockumulusClient's), never an object id — seeded
         # runs must mint identical client addresses run over run.
@@ -174,7 +174,7 @@ class ShardedClient:
         #: One per-group client, all speaking with this client's identity.
         self.clients: list[BlockumulusClient] = [
             BlockumulusClient(
-                group.deployment,
+                group,
                 signer=self.signer,
                 service_cell_index=service_cell_index,
                 node_name=(
@@ -309,7 +309,7 @@ class ShardedClient:
         client = self._gateway_clients[group]
         if client is None:
             client = BlockumulusClient(
-                self.deployment.group(group).deployment,
+                self.deployment.group(group),
                 signer=self.signer,
                 service_cell_index=GATEWAY_CELL_INDEX,
                 node_name=(

@@ -236,7 +236,7 @@ def build_client_pools(
     if pools < 1:
         raise WorkloadError("at least one client pool is required")
     deployment = deployment.as_sharded()
-    primary = deployment.group(0).deployment
+    primary = deployment.group(0)
     clients = [
         ShardedClient(
             deployment,
@@ -444,7 +444,7 @@ def run_burst_cas_uploads(
         raise WorkloadError(f"blob_bytes must be positive, got {blob_bytes!r}")
     deployment = deployment.as_sharded()
     clients = build_client_pools(deployment, pools)
-    primary = deployment.group(0).deployment
+    primary = deployment.group(0)
     report = _new_report("fig9", deployment, count, label)
     rng = deployment.seeds.stream("workload-cas")
     events = []
@@ -569,7 +569,7 @@ def run_contended_transfers(
     if hot_accounts < 1:
         raise WorkloadError("at least one hot account is required")
     shards = deployment.shard_count
-    primary = deployment.group(0).deployment
+    primary = deployment.group(0)
 
     cold_signers = [
         primary.make_client_signer(f"contention-account/{index}") for index in range(count)
@@ -791,7 +791,7 @@ def run_mixed_operations(
         op.validate(accounts)
 
     deployment = deployment.as_sharded()
-    primary = deployment.group(0).deployment
+    primary = deployment.group(0)
     signers = [primary.make_client_signer(seed) for seed in account_seeds]
 
     funding = plan_mixed_genesis(operations, accounts)

@@ -24,7 +24,6 @@ from .lanes import (
 from .ledger import LedgerEntry, LedgerError, TransactionLedger
 from .receipts import AggregatedReceipt, Confirmation, ConfirmationBatch, ReceiptError
 from .sharding import (
-    CellGroup,
     ShardMap,
     ShardedDeployment,
     ShardingError,
@@ -44,7 +43,6 @@ __all__ = [
     "BatchDispatcher",
     "BlockumulusCell",
     "BlockumulusDeployment",
-    "CellGroup",
     "CellStanding",
     "Confirmation",
     "ConfirmationBatch",

@@ -101,8 +101,6 @@ class DeploymentConfig:
     auto_report: bool = True
     #: Ethereum target block interval in seconds (Ropsten-like).
     eth_block_interval: float = 13.0
-    #: Deploy the standard community contracts (FastMoney etc.) at boot.
-    deploy_default_contracts: bool = True
     #: Coalesce inter-cell forwards/confirmations into per-destination batch
     #: envelopes, flushed at most once per scheduling quantum.  Disable for
     #: the per-transaction ablation that reproduces the paper's Table II
@@ -126,14 +124,9 @@ class DeploymentConfig:
     #: makes :class:`~repro.core.sharding.ShardedDeployment` build N
     #: consortium groups of ``consortium_size`` cells each, sharing one
     #: simulation environment, network fabric, and anchor chain.  A plain
-    #: :class:`~repro.core.deployment.BlockumulusDeployment` ignores the
-    #: knob (it always builds exactly one group).
+    #: :class:`~repro.core.deployment.BlockumulusDeployment` is one group
+    #: and refuses any other value.
     shard_count: int = 1
-    #: Prefix for this deployment's network node names (e.g. ``"g1/"``).
-    #: A sharded deployment gives each cell group its own namespace so the
-    #: groups can share one network fabric without name collisions; the
-    #: empty default keeps the historical ``cell-<i>`` names.
-    node_namespace: str = ""
     #: Per-cell admission limit: the maximum number of client transactions
     #: a cell services concurrently (``TX_SUBMIT`` plus new cross-shard
     #: prepares).  ``None`` (default) keeps today's unbounded behaviour
@@ -160,10 +153,6 @@ class DeploymentConfig:
             raise ConfigError("shard_count must be at least 1")
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ConfigError("max_inflight must be at least 1 (or None for unbounded)")
-
-    def cell_name(self, index: int) -> str:
-        """Canonical node name of cell ``index`` (namespaced per group)."""
-        return f"{self.node_namespace}cell-{index}"
 
     def make_invariants(self, cell_addresses: list[Address], t0: float) -> SystemInvariants:
         """Freeze the system invariants once cell identities are known."""

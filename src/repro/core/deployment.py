@@ -6,20 +6,19 @@ Ethereum node with the :class:`SnapshotRegistry` anchor contract, M cells
 with their system bContracts and the default community bContracts, and the
 metrics registry — mirroring the paper's test setup of Section VI-B.
 
-A deployment normally owns all of that infrastructure.  It can also be
-built *inside* shared infrastructure by passing pre-existing ``env`` /
-``network`` / ``metrics`` / ``eth_node`` objects: this is how
-:class:`~repro.core.sharding.ShardedDeployment` places several independent
-cell groups (one deployment each, namespaced through
-:attr:`DeploymentConfig.node_namespace`) on one simulation clock, one
-network fabric, and one anchor chain, so cross-group protocols and global
-throughput measurements are meaningful.  When nothing is passed, behaviour
-is exactly the historical single-group deployment.
+A deployment is one cell group.  The clock, network, metrics and Ethereum
+node it runs on are one :class:`Infrastructure` value, built by
+:func:`build_infrastructure`: a plain deployment builds its own, and a
+:class:`~repro.core.sharding.ShardedDeployment` builds one and places each
+of its groups on it, so cross-group protocols and global throughput
+measurements share one clock, one fabric and one anchor chain.  Both go
+through the one group builder, :meth:`BlockumulusDeployment._build`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from ..contracts.community import default_community_contracts
 from ..crypto.keys import Address, PrivateKey
@@ -35,7 +34,7 @@ from ..sim.metrics import MetricsRegistry
 from ..sim.network import Network
 from ..sim.rng import SeedSequence
 from .cell import BlockumulusCell
-from .config import DeploymentConfig, SystemInvariants
+from .config import ConfigError, DeploymentConfig, SystemInvariants
 
 if TYPE_CHECKING:
     from .sharding import ShardedDeployment
@@ -44,55 +43,92 @@ if TYPE_CHECKING:
 CELL_ETH_FUNDING_WEI = 1_000 * 10 ** 18
 
 
+class Infrastructure(NamedTuple):
+    """What every cell group of one simulation shares."""
+
+    env: Environment
+    network: Network
+    metrics: MetricsRegistry
+    eth_node: EthereumNode
+
+
+def build_infrastructure(config: DeploymentConfig, seeds: SeedSequence) -> Infrastructure:
+    """The clock, network fabric, metrics and Ethereum node of ``config``."""
+    env = Environment()
+    chain_config = ChainConfig(
+        target_block_interval=config.eth_block_interval, fee_schedule=FeeSchedule()
+    )
+    return Infrastructure(
+        env=env,
+        network=Network(env, seeds.stream("network"), default_latency=config.client_cell_latency),
+        metrics=MetricsRegistry(),
+        eth_node=EthereumNode(env, seeds.stream("ethereum"), config=chain_config),
+    )
+
+
 class BlockumulusDeployment:
-    """A fully wired Blockumulus system inside one simulation environment.
+    """A fully wired Blockumulus consortium: one cell group.
 
     Construction is eager and synchronous: when ``__init__`` returns, the
     cells exist, are registered on the network, hold their system and
-    (optionally) default community bContracts, and the non-standby cells'
-    report-cycle lifecycles are started.  Nothing has *executed* yet —
-    drive the simulation with :meth:`run` / :meth:`run_cycles`.
+    default community bContracts, and the non-standby cells' report-cycle
+    lifecycles are started.  Nothing has *executed* yet — drive the
+    simulation with :meth:`run` / :meth:`run_cycles`.
 
-    Parameters
-    ----------
-    config:
-        Operational knobs (consortium size, latency and service models,
-        batching/lanes, standby provisioning, …).  Defaults to
-        ``DeploymentConfig()``.
-    env, network, metrics, eth_node:
-        Optional shared infrastructure.  Any of them may be passed
-        individually; whatever is omitted is created privately, exactly
-        as before these parameters existed.  Callers that share a network
-        across deployments must give each deployment a distinct
-        ``config.node_namespace`` so cell node names cannot collide, and
-        a distinct ``config.deployment_id`` so cell identities and the
-        anchor-registry address differ.
+    ``config`` holds the operational knobs (consortium size, latency and
+    service models, batching/lanes, standby provisioning, …) and defaults to
+    ``DeploymentConfig()``.  A plain deployment is one group, so a
+    ``shard_count`` other than 1 is refused: several groups are a
+    :class:`~repro.core.sharding.ShardedDeployment`.
     """
 
-    def __init__(
-        self,
-        config: Optional[DeploymentConfig] = None,
-        *,
-        env: Optional[Environment] = None,
-        network: Optional[Network] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        eth_node: Optional[EthereumNode] = None,
+    def __init__(self, config: Optional[DeploymentConfig] = None) -> None:
+        config = config or DeploymentConfig()
+        if config.shard_count != 1:
+            raise ConfigError(
+                f"a BlockumulusDeployment is one cell group, not shard_count="
+                f"{config.shard_count}; build several with ShardedDeployment"
+            )
+        self._build(config, build_infrastructure(config, SeedSequence(config.seed)))
+
+    @classmethod
+    def _group(
+        cls, config: DeploymentConfig, infrastructure: Infrastructure, index: int
+    ) -> "BlockumulusDeployment":
+        """Group ``index`` of a :class:`~repro.core.sharding.ShardedDeployment`."""
+        deployment = cls.__new__(cls)
+        deployment._build(config, infrastructure, group=index)
+        return deployment
+
+    def _build(
+        self, config: DeploymentConfig, infrastructure: Infrastructure, group: Optional[int] = None
     ) -> None:
-        self.config = config or DeploymentConfig()
-        self.seeds = SeedSequence(self.config.seed)
-        self.env = env if env is not None else Environment()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.network = network if network is not None else self.build_network(
-            self.env, self.seeds, self.config
-        )
+        """Build one cell group on ``infrastructure`` (the one group builder).
+
+        A deployment built alone (``group`` None) is group 0 and deploys the
+        default community contracts itself.  Group ``g`` of a sharded
+        deployment leaves them to the shard map and runs on ``seed + g``;
+        when there are several groups it is told apart by a ``/g<g>``
+        deployment-id suffix and a ``g<g>/`` node-name prefix, while a
+        single group keeps the configured id and the historical
+        ``cell-<i>`` names — it is the plain deployment, bit for bit.
+        """
+        node_prefix = ""
+        if group is not None:
+            deployment_id = config.deployment_id
+            if config.shard_count > 1:
+                deployment_id, node_prefix = f"{deployment_id}/g{group}", f"g{group}/"
+            config = replace(config, deployment_id=deployment_id, seed=config.seed + group)
+        self.index = group or 0
+        self.config = config
+        self.seeds = SeedSequence(config.seed)
+        self.infrastructure = infrastructure
+        self.env, self.network, self.metrics, self.eth_node = infrastructure
 
         # --- Simulated public Ethereum chain with the anchor contract -----
         # A shared chain hosts one SnapshotRegistry per deployment: the
         # registry address is derived from the deployment id, so groups of
         # a sharded deployment anchor into disjoint contracts.
-        self.eth_node = eth_node if eth_node is not None else self.build_eth_node(
-            self.env, self.seeds, self.config
-        )
         self.eth = Web3Provider(self.eth_node)
 
         # --- Cell identities ----------------------------------------------
@@ -137,7 +173,7 @@ class BlockumulusDeployment:
             cell = BlockumulusCell(
                 env=self.env,
                 index=index,
-                node_name=self.config.cell_name(index),
+                node_name=f"{node_prefix}cell-{index}",
                 signer=self.cell_signers[index],
                 eth_key=self.cell_eth_keys[index],
                 invariants=self.invariants,
@@ -160,7 +196,7 @@ class BlockumulusDeployment:
                         cell.node_name, other.node_name, self.config.cell_cell_latency
                     )
 
-        if self.config.deploy_default_contracts:
+        if group is None:
             self.deploy_community_contract_instances(default_community_contracts())
 
         # Standby cells boot excluded in every cell's membership view (their
@@ -179,32 +215,6 @@ class BlockumulusDeployment:
             if index not in self.standby_indices:
                 cell.start()
                 self._started.add(index)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def build_network(env: Environment, seeds: SeedSequence, config: DeploymentConfig) -> Network:
-        """The canonical network fabric for one configuration.
-
-        Shared single point of truth between a private deployment and a
-        :class:`~repro.core.sharding.ShardedDeployment` building the
-        fabric its groups will share — the wiring cannot drift apart.
-        """
-        return Network(
-            env, seeds.stream("network"), default_latency=config.client_cell_latency
-        )
-
-    @staticmethod
-    def build_eth_node(
-        env: Environment, seeds: SeedSequence, config: DeploymentConfig
-    ) -> EthereumNode:
-        """The canonical simulated Ethereum node for one configuration."""
-        chain_config = ChainConfig(
-            target_block_interval=config.eth_block_interval,
-            fee_schedule=FeeSchedule(),
-        )
-        return EthereumNode(env, seeds.stream("ethereum"), config=chain_config)
 
     def _make_signer(self, seed: str) -> Signer:
         if self.config.signature_scheme == "sim":

@@ -158,13 +158,10 @@ class CrossShardGateway:
         return inner
 
     def _record(self, xtx: str, kind: str, ok: bool) -> None:
-        """Move ``xtx`` to the state a ``kind`` outcome implies, and count it."""
+        """Move ``xtx`` to the state a ``kind`` outcome implies."""
         state = _OUTCOME_STATES[kind][0 if ok else 1]
         if state is not None:
             self._xshard_state[xtx] = state
-        self.cell.metrics.increment(
-            f"{self.cell.node_name}/xshard_{kind}_{'ok' if ok else 'failed'}"
-        )
 
     def _service_inner(
         self, envelope: Envelope, inner: Envelope, xtx: str, kind: str

@@ -40,8 +40,8 @@ see :mod:`repro.messages.xshard` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Optional, Sequence
 
 from ..contracts.community import default_community_contracts
 from ..contracts.system.cas import ContentAddressableStorage
@@ -49,13 +49,11 @@ from ..contracts.system.deployer import CommunityDeployer
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address
-from ..sim.environment import Environment
-from ..sim.metrics import MetricsRegistry
 from ..sim.rng import SeedSequence
 from ..sim.events import Process
 from .cell import BlockumulusCell
 from .config import DeploymentConfig
-from .deployment import BlockumulusDeployment
+from .deployment import BlockumulusDeployment, build_infrastructure
 from .lanes import AccessFootprint
 
 
@@ -186,45 +184,25 @@ class ShardMap:
         return {"shard_count": self.shard_count, "pins": dict(sorted(self.pins.items()))}
 
 
-@dataclass
-class CellGroup:
-    """One shard: a full Blockumulus consortium owning part of the namespace."""
+def _agreed_fingerprint(group: BlockumulusDeployment, cycle: int) -> str:
+    """The group's agreed per-cycle execution fingerprint.
 
-    index: int
-    deployment: BlockumulusDeployment
-
-    @property
-    def cells(self) -> list[BlockumulusCell]:
-        """The group's consortium cells."""
-        return self.deployment.cells
-
-    @property
-    def gateway(self) -> BlockumulusCell:
-        """The group's designated cross-shard gateway cell."""
-        return self.deployment.cells[GATEWAY_CELL_INDEX]
-
-    def live_cells(self) -> list[BlockumulusCell]:
-        """Cells currently running (not crashed)."""
-        return [cell for cell in self.deployment.cells if not cell.fault.crashed]
-
-    def cycle_execution_fingerprint(self, cycle: int) -> str:
-        """The group's agreed per-cycle execution fingerprint.
-
-        Every live cell of the group must report the same
-        :meth:`~repro.core.ledger.TransactionLedger.cycle_execution_fingerprint`;
-        divergence means the group itself is inconsistent, which the
-        within-group confirmation protocol should have caught — so it is
-        surfaced as an error rather than papered over.
-        """
-        fingerprints = {
-            cell.ledger.cycle_execution_fingerprint(cycle) for cell in self.live_cells()
-        }
-        if len(fingerprints) != 1:
-            raise ShardingError(
-                f"group {self.index} cells disagree on cycle {cycle}: "
-                f"{sorted(fingerprints)}"
-            )
-        return fingerprints.pop()
+    Every live (not crashed) cell of the group must report the same
+    :meth:`~repro.core.ledger.TransactionLedger.cycle_execution_fingerprint`;
+    divergence means the group itself is inconsistent, which the
+    within-group confirmation protocol should have caught — so it is
+    surfaced as an error rather than papered over.
+    """
+    fingerprints = {
+        cell.ledger.cycle_execution_fingerprint(cycle)
+        for cell in group.cells
+        if not cell.fault.crashed
+    }
+    if len(fingerprints) != 1:
+        raise ShardingError(
+            f"group {group.index} cells disagree on cycle {cycle}: {sorted(fingerprints)}"
+        )
+    return fingerprints.pop()
 
 
 def chain_shard_digest(
@@ -269,97 +247,76 @@ class ShardedDeployment:
     """N independent cell groups sharing one simulation, network, and chain.
 
     This is the one deployment front door: every ``shard_count`` —
-    including 1 — is built by the same steps.  The shared environment,
-    network fabric, metrics registry and anchor chain are created once;
-    each group ``g`` is a :class:`BlockumulusDeployment` built inside them
-    from a derived config (seed offset by ``g``, no default contracts);
-    the default community contracts are then deployed once each, on their
-    hash-assigned owning groups, and every cell receives the shard
-    directory that enables its cross-shard gateway role.
+    including 1 — is built by the same steps.  The shared
+    :class:`~repro.core.deployment.Infrastructure` (environment, network
+    fabric, metrics registry and anchor chain) is built once; each group
+    ``g`` is a :class:`BlockumulusDeployment` built on it by the one group
+    builder, which also names the group (see
+    :meth:`BlockumulusDeployment._build`: a single group keeps the
+    configured id, node names and seed, so it is the unsharded pipeline
+    bit for bit); the default community contracts are then deployed once
+    each, on their hash-assigned owning groups, and every cell receives
+    the shard directory that enables its cross-shard gateway role.
 
-    Only the *naming* depends on the group count.  Several groups are
-    told apart by a ``/g<g>`` deployment-id suffix and a ``g<g>/`` node
-    namespace; a single group keeps the configured ``deployment_id`` and
-    ``node_namespace`` (and ``seed + 0``), so its cell identities, node
-    names and every named RNG stream are exactly those of a plain
-    :class:`BlockumulusDeployment` of the same config — the unsharded
-    pipeline is one group, bit for bit.
-
-    An already-built consortium enters through :meth:`over`.
+    ``groups`` adopts consortiums that are already built, on one
+    infrastructure, instead of building ``config.shard_count`` new ones:
+    that is how :meth:`over` views a plain deployment.  Adopted groups
+    build nothing and are not reshaped; the community contracts they hold
+    are read off each group's cell 0 and stay where they are.
     """
 
-    def __init__(self, config: Optional[DeploymentConfig] = None) -> None:
-        config = config or DeploymentConfig()
-        seeds = SeedSequence(config.seed)
-        env = Environment()
-        metrics = MetricsRegistry()
-        network = BlockumulusDeployment.build_network(env, seeds, config)
-        eth_node = BlockumulusDeployment.build_eth_node(env, seeds, config)
-        deployments = []
-        for index in range(config.shard_count):
-            # The one place the group count shows: several groups need
-            # distinct ids and node names, a single group keeps its own.
-            naming: dict[str, str] = {}
-            if config.shard_count > 1:
-                naming["deployment_id"] = f"{config.deployment_id}/g{index}"
-                naming["node_namespace"] = f"g{index}/"
-            group_config = replace(
-                config, seed=config.seed + index, deploy_default_contracts=False, **naming
-            )
-            deployments.append(
-                BlockumulusDeployment(
-                    group_config, env=env, network=network, metrics=metrics, eth_node=eth_node
-                )
-            )
-        self._bind(config, deployments)
-        if config.deploy_default_contracts:
-            self.deploy_contract_instances(default_community_contracts())
+    def __init__(
+        self,
+        config: Optional[DeploymentConfig] = None,
+        groups: Sequence[BlockumulusDeployment] = (),
+    ) -> None:
+        self.config = config = config or DeploymentConfig()
+        self.seeds = SeedSequence(config.seed)
+        built = not groups
+        if built:
+            infrastructure = build_infrastructure(config, self.seeds)
+            groups = [
+                BlockumulusDeployment._group(config, infrastructure, index)
+                for index in range(config.shard_count)
+            ]
+        self.groups = list(groups)
+        self.infrastructure = self.groups[0].infrastructure
+        self.env, self.network, self.metrics, self.eth_node = self.infrastructure
+        self.shard_map = ShardMap(len(self.groups))
+        #: Community contracts deployed through this front door: name -> group.
+        self.contract_locations: dict[str, int] = {}
+        for group in self.groups:
+            for name in group.cell(0).contracts.names():
+                if name not in NAMESPACE_SHARDED_CONTRACTS:
+                    self.shard_map.pin(name, group.index)
+                    self.contract_locations[name] = group.index
+        if not built:
+            return
+        self.deploy_contract_instances(default_community_contracts())
         directory = self.gateway_directory()
         for group in self.groups:
             for cell in group.cells:
                 cell.install_shard_directory(
-                    group.index, directory, gateway=(cell is group.gateway)
+                    group.index, directory, gateway=(cell.index == GATEWAY_CELL_INDEX)
                 )
 
     @classmethod
     def over(cls, deployment: BlockumulusDeployment) -> "ShardedDeployment":
         """The one-group view of an already-built consortium.
 
-        The view shares the consortium's config, environment, network,
-        metrics and anchor chain and builds nothing: it is how workloads,
-        oracles and clients written against the front door accept a plain
+        The view shares the consortium's config and infrastructure and
+        builds nothing: it is how workloads, oracles and clients written
+        against the front door accept a plain
         :class:`BlockumulusDeployment`.  The community contracts already
         deployed are read off cell 0's registry, so a view taken later
         still routes to what an earlier one deployed.  The cells stay
         unsharded (no gateway role): one group has nobody to cross to.
         """
-        view = cls.__new__(cls)
-        view._bind(deployment.config, [deployment])
-        for name in deployment.cell(0).contracts.names():
-            if name not in NAMESPACE_SHARDED_CONTRACTS:
-                view.shard_map.pin(name, 0)
-                view.contract_locations[name] = 0
-        return view
+        return cls(deployment.config, [deployment])
 
     def as_sharded(self) -> "ShardedDeployment":
         """Itself — so callers take this or a plain deployment alike."""
         return self
-
-    def _bind(self, config: DeploymentConfig, deployments: list[BlockumulusDeployment]) -> None:
-        """Adopt ``deployments`` (all on one shared infrastructure) as the groups."""
-        shared = deployments[0]
-        self.config = config
-        self.seeds = SeedSequence(config.seed)
-        self.env = shared.env
-        self.network = shared.network
-        self.metrics = shared.metrics
-        self.eth_node = shared.eth_node
-        self.groups = [
-            CellGroup(index, deployment) for index, deployment in enumerate(deployments)
-        ]
-        self.shard_map = ShardMap(len(deployments))
-        #: Community contracts deployed through this front door: name -> group.
-        self.contract_locations: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Accessors
@@ -376,16 +333,19 @@ class ShardedDeployment:
         carry *the* gateway's signature, and sibling cells refuse XSHARD
         traffic altogether.
         """
-        return {group.index: frozenset({group.gateway.address}) for group in self.groups}
+        return {
+            group.index: frozenset({group.cells[GATEWAY_CELL_INDEX].address})
+            for group in self.groups
+        }
 
-    def group(self, index: int) -> CellGroup:
+    def group(self, index: int) -> BlockumulusDeployment:
         """Cell group by index."""
         try:
             return self.groups[index]
         except IndexError:
             raise ShardingError(f"no cell group with index {index}") from None
 
-    def group_of_contract(self, contract: str) -> CellGroup:
+    def group_of_contract(self, contract: str) -> BlockumulusDeployment:
         """The group that owns ``contract``; unknown contracts are an error.
 
         Namespace-sharded system contracts (CAS, deployer) exist on every
@@ -421,7 +381,7 @@ class ShardedDeployment:
                 prototype.name
             )
             self.shard_map.pin(prototype.name, target)
-            self.groups[target].deployment.deploy_community_contract_instances([prototype])
+            self.groups[target].deploy_community_contract_instances([prototype])
             self.contract_locations[prototype.name] = target
             placements[prototype.name] = target
         return placements
@@ -429,7 +389,7 @@ class ShardedDeployment:
     # ------------------------------------------------------------------
     # Dynamic membership (per-group crash / recover / standby surface)
     # ------------------------------------------------------------------
-    # Thin, validated delegates to the owning group's BlockumulusDeployment,
+    # Thin, validated delegates to the owning group,
     # so fault injectors (repro.chaos) and tests can target "cell c of
     # group g" without reaching into deployment internals — and so a bad
     # target fails loudly through ShardingError instead of an IndexError.
@@ -437,17 +397,17 @@ class ShardedDeployment:
     def crash_cell(self, group: int, cell: int) -> None:
         """Crash cell ``cell`` of group ``group`` (drops in-flight work)."""
         self._group_cell(group, cell)
-        self.group(group).deployment.crash_cell(cell)
+        self.group(group).crash_cell(cell)
 
     def exclude_cell(self, group: int, cell: int, cycle: Optional[int] = None) -> None:
         """Scripted consortium exclusion of one group member (Section V)."""
         self._group_cell(group, cell)
-        self.group(group).deployment.exclude_cell(cell, cycle=cycle)
+        self.group(group).exclude_cell(cell, cycle=cycle)
 
     def restore_cell(self, group: int, cell: int) -> None:
         """Bring a crashed cell's process and network endpoint back up."""
         self._group_cell(group, cell)
-        self.group(group).deployment.restore_cell(cell)
+        self.group(group).restore_cell(cell)
 
     def recover_cell(self, group: int, cell: int, donor_index: Optional[int] = None) -> Process:
         """Run the full resync+rejoin recovery of one group member.
@@ -456,22 +416,19 @@ class ShardedDeployment:
         underlying :meth:`BlockumulusDeployment.recover_cell` does).
         """
         self._group_cell(group, cell)
-        return self.group(group).deployment.recover_cell(cell, donor_index=donor_index)
+        return self.group(group).recover_cell(cell, donor_index=donor_index)
 
     def activate_standby(self, group: int, cell: int, donor_index: Optional[int] = None) -> Process:
         """Bootstrap a provisioned standby cell of one group into its quorum."""
         self._group_cell(group, cell)
-        return self.group(group).deployment.activate_standby(cell, donor_index=donor_index)
+        return self.group(group).activate_standby(cell, donor_index=donor_index)
 
     def _group_cell(self, group: int, cell: int) -> BlockumulusCell:
         """The addressed cell, or a ShardingError naming the bad coordinate."""
-        deployment = self.group(group).deployment
-        if not 0 <= cell < len(deployment.cells):
-            raise ShardingError(
-                f"group {group} has no cell {cell} "
-                f"(cells are [0, {len(deployment.cells)}))"
-            )
-        return deployment.cells[cell]
+        cells = self.group(group).cells
+        if not 0 <= cell < len(cells):
+            raise ShardingError(f"group {group} has no cell {cell} (cells are [0, {len(cells)}))")
+        return cells[cell]
 
     # ------------------------------------------------------------------
     # Simulation driving
@@ -490,7 +447,7 @@ class ShardedDeployment:
     # ------------------------------------------------------------------
     def group_cycle_fingerprints(self, cycle: int) -> list[str]:
         """Per-group agreed execution fingerprints for one cycle, in order."""
-        return [group.cycle_execution_fingerprint(cycle) for group in self.groups]
+        return [_agreed_fingerprint(group, cycle) for group in self.groups]
 
     def shard_digest(self, through_cycle: int) -> str:
         """The chained deployment digest over cycles ``0..through_cycle``.
@@ -518,5 +475,5 @@ class ShardedDeployment:
             "contract_locations": dict(sorted(self.contract_locations.items())),
             "network_bytes": self.network.total_bytes(),
             "network_messages": self.network.total_messages(),
-            "groups": [group.deployment.statistics() for group in self.groups],
+            "groups": [group.statistics() for group in self.groups],
         }

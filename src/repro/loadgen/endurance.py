@@ -353,7 +353,7 @@ def run_endurance(
 
     # Mint accounts and genesis funding for the users that actually appear.
     shards = deployment.shard_count
-    primary = deployment.group(0).deployment
+    primary = deployment.group(0)
     spend: dict[int, int] = {}
     for arrival in report.schedule:
         spend[arrival.user] = spend.get(arrival.user, 0) + plan.amount

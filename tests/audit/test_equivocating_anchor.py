@@ -47,7 +47,7 @@ def anchored_group(consortium_size, liar=None, kind="equivocate"):
         signature_scheme="sim",
     )
     if liar is not None:
-        setattr(deployment.group(0).deployment.cells[liar].fault, kind, True)
+        setattr(deployment.group(0).cells[liar].fault, kind, True)
     deployment.run(until=50.0)
     return deployment
 
@@ -82,7 +82,7 @@ def test_anchor_agreement_names_the_cell_that_anchored_apart(kind, liar):
 @pytest.mark.parametrize("kind", ["equivocate", "tamper_fingerprint"])
 def test_a_split_pair_is_reported_with_both_sides_and_no_outlier(kind):
     deployment = anchored_group(2, liar=1, kind=kind)
-    cells = deployment.group(0).deployment
+    group = deployment.group(0)
     result = run_audit_oracle(deployment, cycle=1)
     findings = anchor_findings(result)
     assert [finding.split(":")[0] for finding in findings] == [
@@ -91,7 +91,7 @@ def test_a_split_pair_is_reported_with_both_sides_and_no_outlier(kind):
     for cycle, finding in enumerate(findings):
         assert "with no majority" in finding and "diverge(s)" not in finding
         for index in (0, 1):
-            anchored = cells.anchored_report(cycle, index).hex()[:16]
+            anchored = group.anchored_report(cycle, index).hex()[:16]
             assert f"cell-{index}=0x{anchored}..." in finding
 
 
@@ -167,7 +167,7 @@ def test_every_finding_names_its_group_by_index():
         2, consortium_size=3, report_period=15.0, eth_block_interval=2.0,
         signature_scheme="sim",
     )
-    deployment.group(1).deployment.cells[2].fault.tamper_fingerprint = True
+    deployment.group(1).cells[2].fault.tamper_fingerprint = True
     deployment.run(until=50.0)
     result = run_audit_oracle(deployment, cycle=1)
     anchors = anchor_findings(result)

@@ -85,7 +85,7 @@ def test_cas_calls_route_by_digest_not_by_contract():
 
 def test_in_group_submit_and_query_reach_the_owning_group():
     deployment = make_sharded_deployment(2)
-    alice = deployment.group(0).deployment.make_client_signer("alice")
+    alice = deployment.group(0).make_client_signer("alice")
     names = pay_instances(deployment, alice)
     client = ShardedClient(deployment, signer=alice)
     recipient = "0x" + "22" * 20
@@ -108,7 +108,7 @@ def test_in_group_submit_and_query_reach_the_owning_group():
 # ----------------------------------------------------------------------
 def test_cross_shard_transfer_commits_atomically():
     deployment = make_sharded_deployment(2)
-    alice = deployment.group(0).deployment.make_client_signer("alice")
+    alice = deployment.group(0).make_client_signer("alice")
     names = pay_instances(deployment, alice)
     client = ShardedClient(deployment, signer=alice)
     app = ShardedFastMoneyClient(client, base_name="pay")
@@ -149,7 +149,7 @@ def test_cross_shard_transfer_commits_atomically():
 
 def test_cross_shard_transfer_aborts_on_insufficient_funds():
     deployment = make_sharded_deployment(2)
-    alice = deployment.group(0).deployment.make_client_signer("alice")
+    alice = deployment.group(0).make_client_signer("alice")
     names = pay_instances(deployment, alice, amount=10)
     client = ShardedClient(deployment, signer=alice)
     app = ShardedFastMoneyClient(client, base_name="pay")
@@ -189,7 +189,7 @@ def test_account_hashing_splits_accounts_across_groups():
 # ----------------------------------------------------------------------
 def test_commit_without_a_certificate_is_refused():
     deployment = make_sharded_deployment(2)
-    alice = deployment.group(0).deployment.make_client_signer("alice")
+    alice = deployment.group(0).make_client_signer("alice")
     names = pay_instances(deployment, alice)
     client = ShardedClient(deployment, signer=alice)
     xtx = client.next_xtx()
@@ -227,7 +227,7 @@ def test_commit_without_a_certificate_is_refused():
 
 def test_commit_without_prepare_is_refused():
     deployment = make_sharded_deployment(2)
-    alice = deployment.group(0).deployment.make_client_signer("alice")
+    alice = deployment.group(0).make_client_signer("alice")
     names = pay_instances(deployment, alice)
     client = ShardedClient(deployment, signer=alice)
     settle = client._sign_call(alice, 0, (names[0], "xshard_settle", {"xtx": "0x99"}))
@@ -246,7 +246,7 @@ def test_commit_without_prepare_is_refused():
 def test_inner_envelope_for_another_gateway_is_rejected():
     """One signed inner transaction cannot be replayed onto a second group."""
     deployment = make_sharded_deployment(2)
-    alice = deployment.group(0).deployment.make_client_signer("alice")
+    alice = deployment.group(0).make_client_signer("alice")
     names = pay_instances(deployment, alice)
     client = ShardedClient(deployment, signer=alice)
     xtx = client.next_xtx()
@@ -315,7 +315,7 @@ def test_cells_without_the_gateway_role_refuse_xshard_traffic(where, refusal, ki
     """
     if where == "sibling":
         sharded = make_sharded_deployment(2)
-        deployment = sharded.group(0).deployment
+        deployment = sharded.group(0)
         alice = deployment.make_client_signer("alice")
         names = pay_instances(sharded, alice)
         coordinator = ShardedClient(sharded, signer=alice)
@@ -366,7 +366,7 @@ def test_abort_after_all_yes_votes_is_refused():
     which does not exist.
     """
     deployment = make_sharded_deployment(2)
-    alice = deployment.group(0).deployment.make_client_signer("alice")
+    alice = deployment.group(0).make_client_signer("alice")
     names = pay_instances(deployment, alice)
     client = ShardedClient(deployment, signer=alice)
     xtx = client.next_xtx()

@@ -25,6 +25,7 @@ import pytest
 from repro.audit import run_conservation_oracle
 from repro.client.sharded import ShardedClient
 from repro.contracts.community import FastMoney
+from repro.core.sharding import GATEWAY_CELL_INDEX
 from repro.messages import Opcode
 from repro.messages.xshard import CrossShardDecision, CrossShardPrepare, CrossShardVote
 from tests.conftest import make_sharded_deployment
@@ -36,7 +37,7 @@ FUNDING = 100
 def build():
     """A two-group deployment with alice funded on both instances."""
     deployment = make_sharded_deployment(2)
-    alice = deployment.group(0).deployment.make_client_signer("xedge/alice")
+    alice = deployment.group(0).make_client_signer("xedge/alice")
     names = []
     for group in range(2):
         name = f"{BASE}@s{group}"
@@ -790,7 +791,7 @@ def test_async_fast_path_refuses_a_forged_voucher_before_promising():
 
     deployment, alice, names, client = build()
     app = ShardedFastMoneyClient(client, base_name=BASE)
-    forger = deployment.group(0).gateway
+    forger = deployment.group(0).cells[GATEWAY_CELL_INDEX]
     forger.fault.lying_gateway = "voucher"
     result = run_event(
         deployment,

@@ -14,6 +14,7 @@ from repro.client.workload import run_burst_transfers
 from repro.contracts.community import FastMoney
 from repro.core.cell import OVERLOADED_ERROR
 from repro.core.config import ConfigError
+from repro.core.sharding import GATEWAY_CELL_INDEX
 from repro.messages import Envelope, Opcode
 from repro.messages.envelope import NonceFactory
 from repro.messages.xshard import (
@@ -122,8 +123,8 @@ class IngressProbe:
             signature_scheme="sim",
         )
         self.env = self.sharded.env
-        self.deployment = self.sharded.group(0).deployment
-        self.cell = self.sharded.group(0).gateway
+        self.deployment = self.sharded.group(0)
+        self.cell = self.sharded.group(0).cells[GATEWAY_CELL_INDEX]
         self.alice = self.deployment.make_client_signer("alice")
         self.nonces = NonceFactory(self.alice.address)
         self.sharded.deploy_contract_instances(

@@ -46,7 +46,6 @@ def test_invariants_validation():
 def test_deployment_config_defaults_are_valid():
     config = DeploymentConfig()
     assert config.consortium_size == 2
-    assert config.cell_name(3) == "cell-3"
 
 
 def test_deployment_config_validation():

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from repro.core import BlockumulusCell, DeploymentConfig
+from repro.core import BlockumulusCell, ConfigError, DeploymentConfig
 from repro.messages import EcdsaSigner, SimulatedSigner
 from tests.conftest import make_deployment
 
@@ -39,9 +39,10 @@ def test_default_contracts_deployed_identically_everywhere():
     assert deployment.cell(0).contracts.get("fastmoney") is not deployment.cell(1).contracts.get("fastmoney")
 
 
-def test_default_contract_deployment_can_be_disabled():
-    deployment = make_deployment(deploy_default_contracts=False)
-    assert deployment.cell(0).contracts.names() == ["system.cas", "system.deployer"]
+@pytest.mark.parametrize("shards", [2, 4])
+def test_a_plain_deployment_refuses_several_groups(shards):
+    with pytest.raises(ConfigError, match="ShardedDeployment"):
+        make_deployment(shard_count=shards)
 
 
 def test_signature_scheme_selection():

@@ -20,6 +20,7 @@ from repro.contracts.community import FastMoney
 from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
 from repro.core.recovery import MembershipManager
 from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES, Sender
+from repro.core.sharding import GATEWAY_CELL_INDEX
 from repro.messages import Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch
 from repro.messages.envelope import NonceFactory
@@ -87,7 +88,7 @@ def test_every_opcode_a_cell_answers_with_has_a_declared_body():
 
 
 def test_every_routed_opcode_has_a_parser_and_a_handler():
-    cell = make_sharded_deployment(2, signature_scheme="sim").group(0).gateway
+    cell = make_sharded_deployment(2, signature_scheme="sim").group(0).cells[GATEWAY_CELL_INDEX]
     for opcode, route in ROUTES.items():
         assert (route.body is None) == (opcode is Opcode.PING), opcode
         assert callable(attrgetter(route.handler)(cell)), route.handler
@@ -106,7 +107,7 @@ class RouteProbe:
     def __init__(self) -> None:
         self.sharded = make_sharded_deployment(2, consortium_size=3, signature_scheme="sim")
         self.env = self.sharded.env
-        self.deployment = self.sharded.group(0).deployment
+        self.deployment = self.sharded.group(0)
         self.cell, self.peer, self.third = self.deployment.cells
         self.client = self.deployment.make_client_signer("mallory")
         self.nonces = NonceFactory(self.client.address)

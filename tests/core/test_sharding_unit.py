@@ -115,13 +115,15 @@ def test_single_shard_is_the_plain_deployment_by_the_same_construction_path():
     deployment = make_sharded_deployment(1)
     assert deployment.shard_count == 1
     group = deployment.group(0)
-    assert group.deployment.config.node_namespace == ""
-    assert group.deployment.config.deployment_id == deployment.config.deployment_id
-    assert group.deployment.config.seed == deployment.config.seed
+    assert group.index == 0
+    assert group.config.deployment_id == deployment.config.deployment_id
+    assert group.config.seed == deployment.config.seed
     assert [cell.node_name for cell in group.cells] == ["cell-0", "cell-1"]
     plain = make_deployment()
+    assert plain.index == 0
+    assert [cell.node_name for cell in plain.cells] == ["cell-0", "cell-1"]
     assert [cell.address for cell in group.cells] == [cell.address for cell in plain.cells]
-    assert group.deployment.registry_contract.address == plain.registry_contract.address
+    assert group.registry_contract.address == plain.registry_contract.address
     # The default contracts are all recorded as owned by group 0.
     assert set(deployment.contract_locations) == {"fastmoney", "ballot", "dividendpool"}
     assert set(deployment.contract_locations.values()) == {0}
@@ -131,7 +133,7 @@ def test_view_over_a_plain_consortium_builds_nothing_and_sees_earlier_deployment
     plain = make_deployment()
     view = plain.as_sharded()
     assert view.as_sharded() is view
-    assert view.shard_count == 1 and view.group(0).deployment is plain
+    assert view.shard_count == 1 and view.group(0) is plain
     assert (view.config, view.env, view.network, view.metrics, view.eth_node) == (
         plain.config, plain.env, plain.network, plain.metrics, plain.eth_node
     )
@@ -151,10 +153,16 @@ def test_multi_shard_groups_are_namespaced_and_disjoint():
     assert deployment.shard_count == 3
     names = [cell.node_name for group in deployment.groups for cell in group.cells]
     assert len(names) == len(set(names)) == 6
-    assert all(name.startswith(f"g{g}/") for g in range(3)
-               for name in (deployment.group(g).cells[0].node_name,))
-    ids = {group.deployment.config.deployment_id for group in deployment.groups}
-    assert len(ids) == 3
+    assert [[cell.node_name for cell in group.cells] for group in deployment.groups] == [
+        [f"g{g}/cell-0", f"g{g}/cell-1"] for g in range(3)
+    ]
+    assert [group.index for group in deployment.groups] == [0, 1, 2]
+    assert [group.config.deployment_id for group in deployment.groups] == [
+        f"{deployment.config.deployment_id}/g{g}" for g in range(3)
+    ]
+    assert [group.config.seed for group in deployment.groups] == [
+        deployment.config.seed + g for g in range(3)
+    ]
     # Every default community contract lives on exactly one group, where
     # it is actually deployed; the other groups do not carry it.
     for name, owner in deployment.contract_locations.items():
@@ -162,9 +170,9 @@ def test_multi_shard_groups_are_namespaced_and_disjoint():
             deployed = group.cells[0].contracts.contains(name)
             assert deployed == (group.index == owner)
     # All groups share one environment, network, and anchor chain.
-    assert len({id(group.deployment.env) for group in deployment.groups}) == 1
-    assert len({id(group.deployment.network) for group in deployment.groups}) == 1
-    assert len({id(group.deployment.eth_node) for group in deployment.groups}) == 1
+    assert len({id(group.env) for group in deployment.groups}) == 1
+    assert len({id(group.network) for group in deployment.groups}) == 1
+    assert len({id(group.eth_node) for group in deployment.groups}) == 1
 
 
 def test_shard_directory_is_installed_on_every_cell():

@@ -41,7 +41,7 @@ def test_every_posted_envelope_round_trips_under_its_receivers_identity(
     groups = getattr(deployment, "groups", None)
     cells = {
         cell.node_name: cell.address
-        for each in ([group.deployment for group in groups] if groups else [deployment])
+        for each in (groups or [deployment])
         for cell in each.cells
     }
     requesters = {envelope.nonce: envelope.sender for _dst, envelope in posted}

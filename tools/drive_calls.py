@@ -264,8 +264,7 @@ def count_drive_bytes(
     finally:
         setattr(Endpoint, "post", post)
     observed = workload.observe(deployment, driven)
-    groups = getattr(deployment, "groups", None)
-    deployments = [group.deployment for group in groups] if groups else [deployment]
+    deployments = getattr(deployment, "groups", None) or [deployment]
     cells = {cell.node_name for each in deployments for cell in each.cells}
     traffic: Traffic = {}
     for (src, dst, opcode), counts in sent.items():
