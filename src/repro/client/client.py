@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..core.deployment import BlockumulusDeployment
-from ..core.receipts import AggregatedReceipt
+from ..core.receipts import AggregatedReceipt, CompactReceipt
 from ..core.replies import ReplyError
 from ..core.routes import read_reply
 from ..crypto.keys import Address
@@ -166,19 +166,43 @@ class BlockumulusClient:
             {"contract": contract, "method": method, "args": args},
             signer=signer,
         )
-        # The transaction is the one this client signed, whatever a reply says.
-        return self._answer(
-            waiter,
-            Opcode.TX_RECEIPT,
-            lambda body, reply: TransactionResult(
-                True, submitted_at, self.env.now, receipt=body.rebuild(request, reply),
-                tx_id=request.payload.hash_hex(),
-            ),
-            # Silence, the cell's own words for a refusal, or a malformed reply.
-            lambda error: TransactionResult(
+        # The transaction is the one this client signed, whatever a reply says
+        # (its id is taken once answered: taking it lets the signed bytes go).
+
+        def refused(error: str) -> TransactionResult:
+            # Silence, the cell's own words for a refusal, a malformed reply
+            # or a receipt that proves nothing.
+            return TransactionResult(
                 False, submitted_at, self.env.now, error=error, tx_id=request.payload.hash_hex()
-            ),
-        )
+            )
+
+        def receipted(body: CompactReceipt, reply: Envelope) -> TransactionResult:
+            receipt = body.rebuild(request, reply)
+            error = self.receipt_refusal(receipt)
+            if error is not None:
+                self.deployment.metrics.increment(f"{self.node_name}/refused_receipts")
+                return refused(error)
+            return TransactionResult(
+                True, submitted_at, self.env.now, receipt=receipt, tx_id=receipt.tx_id
+            )
+
+        return self._answer(waiter, Opcode.TX_RECEIPT, receipted, refused)
+
+    def receipt_refusal(self, receipt: AggregatedReceipt) -> Optional[str]:
+        """Why ``receipt`` does not confirm this client's transaction, or None if it does.
+
+        Every co-signer must be a cell of the consortium the deployment
+        registered (its system invariants), the service cell must be one of
+        them, and every co-signature must verify over the statement the
+        receipt states — whose fingerprint the client derived from its own
+        request and the result it was told.
+        """
+        is_cell = self.deployment.invariants.is_cell
+        if not all(is_cell(cosigner.cell) for cosigner in receipt.cosigners):
+            return "receipt co-signed by a cell outside the consortium"
+        if not receipt.verify(expected_cells=[self.service_cell.address]):
+            return "receipt failed verification"
+        return None
 
     def query(self, contract: str, view: str, args: dict[str, Any] | None = None) -> Event:
         """Read-only state query served by the service cell alone."""

@@ -43,6 +43,7 @@ from ..messages.envelope import Envelope
 from ..messages.opcodes import Opcode
 from ..sim.metrics import MetricsRegistry
 from .receipts import ConfirmationBatch, LinkConfirmation
+from .routes import travels_signed
 
 
 @dataclass
@@ -173,7 +174,7 @@ class BatchDispatcher:
         data: dict[str, Any],
         item_count: int,
     ) -> None:
-        self.endpoint.send(dst_node, recipient, operation, data)
+        self.endpoint.send(dst_node, recipient, operation, data, signed=travels_signed(operation))
         self.batches_sent += 1
         self.items_coalesced += item_count
         if self.metrics is not None:

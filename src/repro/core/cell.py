@@ -51,7 +51,7 @@ from .gateway import CrossShardGateway
 from .ledger import TransactionLedger
 from .recovery import MembershipManager, RecoveryStage
 from .replies import ErrorReply
-from .routes import ROUTES, Admission, Route, Sender
+from .routes import ROUTES, Admission, Route, Sender, travels_signed
 from .snapshot import SnapshotEngine
 from .stages import CycleStage, ExecuteStage, PeerStage, ReadStage, ServiceStage
 from .subscription import SubscriptionManager
@@ -233,10 +233,16 @@ class BlockumulusCell:
     def reply(
         self, dst_node: str, request: Envelope, operation: Opcode, data: dict[str, Any]
     ) -> None:
-        """Sign and send a reply to ``request`` (crashed cells stay silent)."""
+        """Sign and send a reply to ``request`` (crashed cells stay silent).
+
+        A reply the route table sends unsigned (``travels_signed``) is stamped instead.
+        """
         if self.fault.crashed:
             return
-        reply = self.endpoint.sign(request.sender, operation, data, reply_to=request.nonce)
+        endpoint = self.endpoint
+        reply = (endpoint.sign if travels_signed(operation) else endpoint.stamp)(
+            request.sender, operation, data, reply_to=request.nonce
+        )
         if request.sender in self._client_nodes:
             self.subscriptions.record_traffic(request.sender, reply.byte_size())
         self.endpoint.post(dst_node, reply)
@@ -295,13 +301,15 @@ class BlockumulusCell:
         signed for another cell — a peer's forward relayed here, a
         client's submission replayed onto a sibling — does not verify.
         The simulator delivers the envelope itself, where that is this one
-        comparison.  Returns what the handler returned (for a delayed
-        route, the generator that keeps serving), None after a refusal.
+        comparison.  On a route that travels unsigned the handler checks
+        the statements of the body instead of the envelope.  Returns what
+        the handler returned (for a delayed route, the generator that keeps
+        serving), None after a refusal.
         """
         entitled = envelope.recipient == self.address and (
             route.sender is not Sender.CELL or self.invariants.is_cell(envelope.sender)
         )
-        if not envelope.verify() or not entitled:
+        if (route.signed and not envelope.verify()) or not entitled:
             self.refuse_unauthenticated(src_node, envelope)
             return None
         try:

@@ -20,18 +20,9 @@ from ..contracts.context import BContractError, InvocationContext
 from ..contracts.registry import ContractRegistry
 from ..contracts.state_store import AccessSet, MutationJournal
 from ..contracts.system.cas import ContentAddressableStorage
-from ..crypto.fingerprint import canonical_bytes
-from ..crypto.hashing import fast_hash
 from ..messages.requests import RequestError, named_call
 from .ledger import LedgerEntry
-from .receipts import called_contract, called_method
-
-#: ``canonical_bytes`` of the six-key execution-fingerprint dict: its keys in
-#: sorted order, each followed by its encoded value (text as ``s<len>:<utf-8>``).
-_EXECUTION_SHAPE = (
-    b"d6:s8:contracts%d:%b" b"s5:error%b" b"s6:methods%d:%b"
-    b"s6:result%b" b"s6:statuss%d:%b" b"s5:tx_ids%d:%b"
-)
+from .receipts import called_contract, called_method, execution_fingerprint
 
 
 @dataclass(frozen=True)
@@ -78,26 +69,13 @@ class ExecutionOutcome:
         transactions without spurious mismatches, matching the paper's
         observation of zero failures.
 
-        The hashed bytes are ``canonical_bytes`` of the dict of those six
-        fields, written from its fixed shape — the keys in sorted order,
-        each text field encoded in place — so only ``result`` goes through
-        the generic encoder.
+        It is :func:`~repro.core.receipts.execution_fingerprint` of them,
+        which a client recomputes from its own request and the result its
+        receipt carries.
         """
-        contract, method = self.contract.encode(), self.method.encode()
-        status, tx_id = self.status.encode(), self.tx_id.encode()
-        if self.error is None:
-            error = b"n"
-        else:
-            raw = self.error.encode()
-            error = b"s%d:%b" % (len(raw), raw)
-        return fast_hash(_EXECUTION_SHAPE % (
-            len(contract), contract,
-            error,
-            len(method), method,
-            canonical_bytes(self.result),
-            len(status), status,
-            len(tx_id), tx_id,
-        ))
+        return execution_fingerprint(
+            self.tx_id, self.contract, self.method, self.status, self.result, self.error
+        )
 
     def execution_fingerprint_hex(self) -> str:
         """0x-prefixed execution fingerprint."""

@@ -9,8 +9,9 @@ executed the transaction identically.  Its confirmations all state the
 same transaction, so it carries that statement once and, per co-signing
 cell, only the cell, its timestamp and its signature.  The service cell
 builds it straight from the confirmations in the form it sends, without
-what the client that signed the transaction holds already
-(:class:`CompactReceipt`); the client rebuilds the full receipt.
+what the client that signed the transaction holds already or derives
+(:class:`CompactReceipt`); the client rebuilds the full receipt and checks
+it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional
 
+from ..crypto.fingerprint import canonical_bytes
+from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address
 from ..messages import wire
 from ..messages.envelope import DEFAULT_SCHEME, Envelope
@@ -26,6 +29,47 @@ from ..messages.signer import SignedStatement, Signer
 
 class ReceiptError(ValueError):
     """Raised for malformed or unverifiable receipts."""
+
+
+#: ``canonical_bytes`` of the six-key execution-fingerprint dict: its keys in
+#: sorted order, each followed by its encoded value (text as ``s<len>:<utf-8>``).
+_EXECUTION_SHAPE = (
+    b"d6:s8:contracts%d:%b" b"s5:error%b" b"s6:methods%d:%b"
+    b"s6:result%b" b"s6:statuss%d:%b" b"s5:tx_ids%d:%b"
+)
+
+
+def execution_fingerprint(
+    tx_id: str, contract: str, method: str, status: str, result: Any, error: Optional[str]
+) -> bytes:
+    """The fingerprint a confirmation states about one execution.
+
+    The hashed bytes are ``canonical_bytes`` of the dict of those six
+    fields, written from its fixed shape — the keys in sorted order, each
+    text field encoded in place — so only ``result`` goes through the
+    generic encoder.  Of an executed call it is a function of what the
+    client signed and the result it is told, so the client derives it.
+    """
+    contract_raw, method_raw = contract.encode(), method.encode()
+    status_raw, tx_id_raw = status.encode(), tx_id.encode()
+    if error is None:
+        error_raw = b"n"
+    else:
+        raw = error.encode()
+        error_raw = b"s%d:%b" % (len(raw), raw)
+    return fast_hash(_EXECUTION_SHAPE % (
+        len(contract_raw), contract_raw,
+        error_raw,
+        len(method_raw), method_raw,
+        canonical_bytes(result),
+        len(status_raw), status_raw,
+        len(tx_id_raw), tx_id_raw,
+    ))
+
+
+def executed_fingerprint_hex(tx_id: str, contract: str, method: str, result: Any) -> str:
+    """0x-hex :func:`execution_fingerprint` of a call that executed and returned ``result``."""
+    return "0x" + execution_fingerprint(tx_id, contract, method, "executed", result, None).hex()
 
 
 @dataclass(frozen=True)
@@ -214,9 +258,14 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
         ``expected_cells`` lets a client require that specific consortium
         members signed.  Each signature is checked over the statement the
         receipt states, so a receipt whose shared fields were changed after
-        signing verifies for none of its co-signers.
+        signing verifies for none of its co-signers; and that statement's
+        fingerprint must be the one its transaction, call and ``result``
+        give (:func:`executed_fingerprint_hex`), so the co-signatures bind
+        the method and the result too.
         """
-        if not self.cosigners:
+        if not self.cosigners or self.fingerprint_hex != executed_fingerprint_hex(
+            self.tx_id, self.contract, self.method, self.result
+        ):
             return False
         if not all(confirmation.verify() for confirmation in self.confirmations):
             return False
@@ -232,20 +281,20 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
     """An :class:`AggregatedReceipt` on its way to the client that signed its transaction.
 
     It is the whole data field of a ``TX_RECEIPT``, and carries what that
-    client lacks: the fingerprint, the cycle, the result, the service
-    cell's own signature and each peer co-signer.  The client's own request
-    states the transaction id, the called contract and method and the
-    submission time; the reply envelope that carries the receipt states the
-    service cell (its sender), the signature scheme and the service cell's
-    co-signing moment, which completes the receipt.  The contract, the
-    method, that moment and each scheme travel only where the receipt
+    client lacks: the cycle, the result, the service cell's own signature
+    and each peer co-signer.  The client's own request states the
+    transaction id, the called contract and method and the submission time;
+    the fingerprint the co-signers signed is derived from those and the
+    result; the reply envelope that carries the receipt states the service
+    cell (the cell the client asked), the signature scheme and the service
+    cell's co-signing moment, which completes the receipt.  The contract,
+    the method, that moment and each scheme travel only where the receipt
     states something else, and :meth:`rebuild` puts the receipt back
     together from the three.  Only the holder of the request can: the
     portable, third-party checkable form stays
     :meth:`AggregatedReceipt.to_wire`.
     """
 
-    fingerprint_hex: str = wire.text("fingerprint")
     cycle: int = wire.integer()
     result: Any = wire.anything()
     #: The service cell's co-signature; its peers' follow in ``cosigners``.
@@ -281,7 +330,7 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
         """
         moment = round(moment, 6)
         return cls(
-            own.fingerprint_hex, cycle, result, own.signature,
+            cycle, result, own.signature,
             tuple(
                 CoSigner(peer.cell, peer.timestamp, peer.signature, _unless(peer.scheme, scheme))
                 for peer in peers
@@ -295,8 +344,10 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
     def rebuild(self, request: Envelope, reply: Envelope) -> AggregatedReceipt:
         """The receipt, from the client's own ``request`` and the ``reply`` that carried this.
 
-        It verifies only if ``request`` is the transaction its co-signers
-        signed and ``reply`` came from its service cell.
+        Its fingerprint is the one ``request``'s call and the carried
+        result give, so it verifies only if ``request`` is the transaction
+        its co-signers signed, ``result`` is what they executed and
+        ``reply`` came from its service cell.
         """
         scheme = reply.scheme
         completed_at = reply.payload.timestamp if self.timestamp is None else self.timestamp
@@ -309,13 +360,16 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
                      scheme if peer.scheme is None else peer.scheme)
             for peer in self.cosigners
         )
+        tx_id = request.payload.hash_hex()
+        contract = called_contract(request) if self.contract is None else self.contract
+        method = called_method(request) if self.method is None else self.method
         return AggregatedReceipt(
-            tx_id=request.payload.hash_hex(),
-            contract=called_contract(request) if self.contract is None else self.contract,
-            method=called_method(request) if self.method is None else self.method,
+            tx_id=tx_id,
+            contract=contract,
+            method=method,
             result=self.result,
             service_cell=reply.sender,
-            fingerprint_hex=self.fingerprint_hex,
+            fingerprint_hex=executed_fingerprint_hex(tx_id, contract, method, self.result),
             status="executed",
             cycle=self.cycle,
             submitted_at=request.payload.timestamp,

@@ -403,24 +403,30 @@ class ServiceStage:
     def _accept_confirmations(
         self, src_node: str, envelope: Envelope, batch: ConfirmationBatch
     ) -> None:
-        """Route the confirmations of a ``TX_CONFIRM``.
+        """Route the confirmations of a ``TX_CONFIRM``, which travels unsigned.
 
         Each is rebuilt from this cell's own ledger entry and the envelope,
-        so it verifies only if the envelope's sender signed it; one for a
-        transaction this cell never admitted is refused like a bad signature.
+        so it verifies only if the envelope's claimed sender signed it; one
+        for a transaction this cell never admitted is refused like a bad
+        signature.  The batch is taken whole or not at all: the first item
+        that fails refuses it, so a forged batch costs one signature check,
+        as checking a signed envelope did.
         """
         cell = self.cell
+        confirmations = []
         for item in batch.confirmations:
             try:
                 entry = cell.ledger.get(item.tx_id)
             except LedgerError:
                 cell.refuse_unauthenticated(src_node, envelope)
-                continue
+                return
             confirmation = item.confirmation(envelope.sender, envelope.scheme, entry.envelope)
             if not confirmation.verify():
                 cell.refuse_unauthenticated(src_node, envelope)
-                continue
-            pending = self._pending.get(item.tx_id)
+                return
+            confirmations.append(confirmation)
+        for confirmation in confirmations:
+            pending = self._pending.get(confirmation.tx_id)
             if pending is not None:
                 pending.add(confirmation)
 

@@ -1,7 +1,9 @@
 """One way to talk to a cell: sign, send, await (Section III-C2).
 
-Every request *and response* is the same signed payload tuple, and a reply
-names its request in ``τ`` (``reply_to``).  Clients, cells and auditors each
+Every request *and response* is the same payload tuple, signed but for the
+two opcodes whose reader checks the co-signatures they carry instead (the
+route table says which), and a reply names its request in ``τ``
+(``reply_to``).  Clients, cells and auditors each
 hold one :class:`Endpoint`, which alone knows how a message gets its nonce
 and clock stamp, how it reaches the network, and how a reply finds the
 request it answers.  It is the only caller of ``Envelope.create`` and
@@ -69,6 +71,19 @@ class Endpoint:
             reply_to=reply_to,
         )
 
+    def stamp(
+        self,
+        recipient: Address,
+        operation: Opcode,
+        data: dict[str, Any],
+        reply_to: Optional[str] = None,
+    ) -> Envelope:
+        """An envelope that travels unsigned, stamped with the current time and no nonce."""
+        signer = self.signer
+        return Envelope.unsigned(
+            signer.address, signer.scheme, recipient, operation, data, self.env.now, reply_to
+        )
+
     def post(self, dst_node: str, envelope: Envelope) -> bool:
         """Hand ``envelope`` to the network; False if it never left.
 
@@ -86,9 +101,11 @@ class Endpoint:
         operation: Opcode,
         data: dict[str, Any],
         reply_to: Optional[str] = None,
+        signed: bool = True,
     ) -> bool:
-        """Sign and post a message nobody waits on; False if it never left."""
-        return self.post(dst_node, self.sign(recipient, operation, data, reply_to))
+        """Sign (or :meth:`stamp`) and post a message nobody waits on; False if it never left."""
+        envelope = (self.sign if signed else self.stamp)(recipient, operation, data, reply_to)
+        return self.post(dst_node, envelope)
 
     def ask(
         self,
@@ -127,7 +144,10 @@ class Endpoint:
         asked: whoever sees a request learns its nonce, so the nonce alone
         must not let a third party answer, and a reply travels without its
         recipient (the requester supplies it, see ``Envelope.from_link``).
-        That request keeps waiting.
+        That request keeps waiting.  An unsigned reply travels without its
+        sender too: on a link the requester reads it as the asked cell's,
+        so only what the reply carries — a receipt's co-signatures, which
+        the requester checks — tells a forged one from the cell's own.
         """
         reply_to = reply.payload.reply_to
         if reply_to is None or reply_to not in self._pending:

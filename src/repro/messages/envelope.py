@@ -99,17 +99,28 @@ class NonceFactory:
 
 @dataclass(frozen=True)
 class Envelope:
-    """A payload plus the sender's signature (and its scheme tag)."""
+    """A payload plus the sender's signature (and its scheme tag).
+
+    An envelope without a signature travels unsigned, and so without a
+    nonce: what it carries is checked by its reader (a receipt's
+    co-signatures, each confirmation of a batch), not through the message.
+    Its scheme is still its sender's, which what it carries may name.
+    """
 
     payload: Payload
-    signature: bytes
+    signature: Optional[bytes]
     scheme: str = DEFAULT_SCHEME
     #: Size of the link form; the bytes themselves live on the payload.
     _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.signature) != 65:
+        if self.signature is None:
+            if self.payload.nonce is not None:
+                raise EnvelopeError("an unsigned envelope carries no nonce")
+        elif len(self.signature) != 65:
             raise EnvelopeError("signature must be exactly 65 bytes")
+        elif self.payload.nonce is None:
+            raise EnvelopeError("a signed envelope carries a nonce")
 
     # ------------------------------------------------------------------
     # Construction and verification
@@ -138,13 +149,39 @@ class Envelope:
         signature = signer.sign(payload.canonical_bytes())
         return cls(payload=payload, signature=signature, scheme=signer.scheme)
 
+    @classmethod
+    def unsigned(
+        cls,
+        sender: Address,
+        scheme: str,
+        recipient: Address,
+        operation: Opcode,
+        data: dict[str, Any],
+        timestamp: float,
+        reply_to: Optional[str] = None,
+    ) -> "Envelope":
+        """An envelope from ``sender`` (who signs with ``scheme``) that travels unsigned."""
+        payload = Payload(
+            sender=sender,
+            recipient=recipient,
+            operation=operation,
+            nonce=None,
+            timestamp=timestamp,
+            data=data,
+            reply_to=reply_to,
+        )
+        return cls(payload=payload, signature=None, scheme=scheme)
+
     def verify(self) -> bool:
         """Check the signature against the payload's claimed sender.
 
         This is the authenticity check the service cell performs on every
         incoming transaction (Section III-D3): the signature must verify
-        *and* the recovered identity must equal the sender field.
+        *and* the recovered identity must equal the sender field.  An
+        unsigned envelope proves nothing: False.
         """
+        if self.signature is None:
+            return False
         return verify_signature(
             self.scheme,
             self.payload.sender,
@@ -157,26 +194,30 @@ class Envelope:
     # ------------------------------------------------------------------
     def to_wire(self) -> dict[str, Any]:
         """JSON-serializable wire form (the HTTP request/response body)."""
-        return {
-            "payload": self.payload.to_dict(),
-            "signature": base64url.encode(self.signature),
-            "scheme": self.scheme,
-        }
+        wire_form = {"payload": self.payload.to_dict(), "scheme": self.scheme}
+        if self.signature is not None:
+            wire_form["signature"] = base64url.encode(self.signature)
+        return wire_form
 
     def to_link(self, with_sender: bool = True) -> dict[str, Any]:
         """The link form as a JSON object, for an envelope nested in another.
 
         The wire form without what its receiver supplies: the recipient, a
-        null ``reply_to`` and the ``ecdsa`` tag — and, ``with_sender=False``,
-        the sender, where the outer envelope has the same one.
+        null ``reply_to`` and the ``ecdsa`` tag — and the sender, where the
+        outer envelope has the same one (``with_sender=False``) or the
+        envelope is an unsigned reply (see :meth:`Payload.link_bytes`).
         """
         payload = self.payload.to_dict()
         del payload["recipient"]
         if payload["reply_to"] is None:
             del payload["reply_to"]
+        elif self.signature is None:
+            with_sender = False
         if not with_sender:
             del payload["sender"]
-        link = {"payload": payload, "signature": base64url.encode(self.signature)}
+        link: dict[str, Any] = {"payload": payload}
+        if self.signature is not None:
+            link["signature"] = base64url.encode(self.signature)
         if self.scheme != DEFAULT_SCHEME:
             link["scheme"] = self.scheme
         return link
@@ -190,10 +231,12 @@ class Envelope:
         with :meth:`from_link`, under its own identity, so a message
         verifies only where it was signed to go.
         """
-        scheme = self.scheme
-        tag = b"" if scheme == DEFAULT_SCHEME else b'"scheme":%b,' % _scheme_json(scheme)
-        return b'{"payload":%b,%b"signature":"%b"}' % (
-            self.payload.link_bytes(), tag, base64url.encode(self.signature).encode()
+        scheme, signature = self.scheme, self.signature
+        tag = b"" if scheme == DEFAULT_SCHEME else b',"scheme":%b' % _scheme_json(scheme)
+        if signature is None:
+            return b'{"payload":%b%b}' % (self.payload.link_bytes(), tag)
+        return b'{"payload":%b%b,"signature":"%b"}' % (
+            self.payload.link_bytes(), tag, base64url.encode(signature).encode()
         )
 
     def byte_size(self) -> int:
@@ -219,7 +262,8 @@ class Envelope:
         ``recipient`` is what the receiver supplies: a cell its own address,
         a requester the identity that signed the request, a cell reading a
         nested client envelope the outer envelope's sender (a forward) —
-        and ``sender`` too, where the outer envelope has the same one.
+        and ``sender`` too, where the outer envelope has the same one or,
+        for an unsigned reply, the requester the cell it asked.
         Bytes are bounded as in :meth:`from_wire`.
         """
         try:
@@ -242,7 +286,7 @@ class Envelope:
             if isinstance(raw, (bytes, str)):
                 raw = _bounded_json(raw)
             payload = Payload.from_dict(raw["payload"])
-            signature = _read_signature(raw["signature"])
+            signature = _read_signature(raw["signature"]) if "signature" in raw else None
             scheme = raw.get("scheme", DEFAULT_SCHEME)
             if not isinstance(scheme, str):
                 raise TypeError("scheme must be a string")
@@ -292,7 +336,8 @@ class LinkEnvelope(wire.Body, error=EnvelopeError, what="link envelope"):
     """
 
     payload: dict[str, Any] = wire.obj()
-    signature: bytes = wire.signature()
+    #: None: a message that travels unsigned.
+    signature: Optional[bytes] = wire.signature(omit_none=True, default=None)
     scheme: str = wire.text(default=DEFAULT_SCHEME)
 
     def envelope(self, recipient: Address, sender: Optional[Address] = None) -> Envelope:

@@ -30,6 +30,10 @@ _HORIZON = 2.0**53 / 1e6
 _RECIPIENT_KEY = b',"recipient":"'
 _RECIPIENT_LEN = len(_RECIPIENT_KEY) + 42 + 1  # "0x", 40 hex digits, the closing quote
 _NULL_REPLY_LEN = len(b',"reply_to":null')
+#: And what an unsigned reply leaves out besides: its sender, which the
+#: requester supplies (the cell it asked).
+_SENDER_KEY = b',"sender":"'
+_SENDER_LEN = len(_SENDER_KEY) + 42 + 1
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,14 @@ class Payload:
     Fields mirror the paper's tuple: ``sender`` (As), ``recipient`` (Ar),
     ``operation`` (O), ``nonce`` (η, a random message id), ``reply_to``
     (τ, the nonce of the message being answered, if any), ``timestamp``
-    (t), and ``data`` (D, whose schema depends on the operation).
+    (t), and ``data`` (D, whose schema depends on the operation).  A
+    message that travels unsigned has no nonce: nothing binds an id to it.
     """
 
     sender: Address
     recipient: Address
     operation: Opcode
-    nonce: str
+    nonce: Optional[str]
     timestamp: float
     data: dict[str, Any] = field(default_factory=dict)
     reply_to: Optional[str] = None
@@ -60,8 +65,8 @@ class Payload:
             raise PayloadError("sender and recipient must be Address instances")
         if not isinstance(self.operation, Opcode):
             raise PayloadError("operation must be an Opcode")
-        if type(self.nonce) is not str or not self.nonce:
-            raise PayloadError("payload nonce must be a non-empty string")
+        if self.nonce is not None and (type(self.nonce) is not str or not self.nonce):
+            raise PayloadError("payload nonce must be a non-empty string or None")
         if self.reply_to is not None and type(self.reply_to) is not str:
             raise PayloadError("payload reply_to must be a string or None")
         if type(self.timestamp) not in (int, float) or not -_HORIZON < self.timestamp < _HORIZON:
@@ -75,8 +80,8 @@ class Payload:
         object.__setattr__(self, "timestamp", round(float(self.timestamp), 6))
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form used for canonical serialization."""
-        return {
+        """Plain-dict form used for canonical serialization (no ``nonce`` key if None)."""
+        plain = {
             "sender": self.sender.hex(),
             "recipient": self.recipient.hex(),
             "operation": self.operation.value,
@@ -85,6 +90,9 @@ class Payload:
             "timestamp": self.timestamp,
             "data": self.data,
         }
+        if self.nonce is None:
+            del plain["nonce"]
+        return plain
 
     def canonical_bytes(self) -> bytes:
         """The exact bytes that get signed: encoded once, then carried.
@@ -96,10 +104,10 @@ class Payload:
         """
         encoded = self._canonical
         if encoded is None:
-            reply_to = self.reply_to
+            reply_to, nonce = self.reply_to, self.nonce
+            nonce_field = "" if nonce is None else f',"nonce":{_quote(nonce)}'
             encoded = (
-                f'{{"data":{canonical_json.dumps(self.data)}'
-                f',"nonce":{_quote(self.nonce)}'
+                f'{{"data":{canonical_json.dumps(self.data)}{nonce_field}'
                 f',"operation":{_quote(self.operation.value)}'
                 f',"recipient":"{self.recipient.hex()}"'
                 f',"reply_to":{"null" if reply_to is None else _quote(reply_to)}'
@@ -112,15 +120,20 @@ class Payload:
     def link_bytes(self) -> bytes:
         """:meth:`canonical_bytes` without what every receiver supplies.
 
-        That is the recipient, and ``reply_to`` while it is null.  A splice,
-        not an encode: the recipient is the last ``,"recipient":"`` in the
-        bytes, since only ``data`` comes before it and every text after
-        ``data`` is a quoted string, whose quotes are escaped.
+        That is the recipient, and ``reply_to`` while it is null — and the
+        sender of an unsigned reply (no nonce, a ``reply_to``), which its
+        requester supplies.  A splice, not an encode: the recipient is the
+        last ``,"recipient":"`` in the bytes and the sender the last
+        ``,"sender":"``, since only ``data`` comes before them and every
+        text after ``data`` is a quoted string, whose quotes are escaped.
         """
         canonical = self.canonical_bytes()
         start = canonical.rfind(_RECIPIENT_KEY)
         end = start + _RECIPIENT_LEN + (_NULL_REPLY_LEN if self.reply_to is None else 0)
-        return canonical[:start] + canonical[end:]
+        if self.nonce is not None or self.reply_to is None:
+            return canonical[:start] + canonical[end:]
+        sender = canonical.rfind(_SENDER_KEY)
+        return canonical[:start] + canonical[end:sender] + canonical[sender + _SENDER_LEN:]
 
     def hash(self) -> bytes:
         """Hash of the canonical payload (the message/transaction id).
@@ -167,7 +180,7 @@ class Payload:
                 sender=Address.from_hex(raw["sender"]) if sender is None else sender,
                 recipient=Address.from_hex(raw["recipient"]) if recipient is None else recipient,
                 operation=Opcode(raw["operation"]),
-                nonce=raw["nonce"],
+                nonce=raw.get("nonce"),
                 reply_to=raw.get("reply_to"),
                 timestamp=raw["timestamp"],
                 data=dict(data),

@@ -36,6 +36,14 @@ RECIPIENT_BYTES = len(',"recipient":"0x' + "00" * 20 + '"')
 #: tooling writes 65 bytes as ``0x`` and 130 hex digits, ours is 87
 #: characters of base64url.
 HEX_SIGNATURE_BYTES = len("0x" + "00" * 65) - 87
+#: What the paper's receipt reply carries and ours does not: the reply is a
+#: signed message M = {P, Sig(P)} there (a hex signature, a nonce and the
+#: sender), ours travels unsigned, and its receipt states the fingerprint,
+#: which our client derives.
+UNSIGNED_REPLY_BYTES = (
+    len(',"signature":"0x' + "00" * 65 + '"') + len(',"nonce":"' + "A" * 16 + '"')
+    + len(',"sender":"0x' + "00" * 20 + '"') + len(',"fingerprint":"0x' + "00" * 32 + '"')
+)
 
 
 def test_per_transaction_bytes_in_paper_ballpark(profiles):
@@ -43,7 +51,7 @@ def test_per_transaction_bytes_in_paper_ballpark(profiles):
     # Paper (2 cells): payment 1,140/559 bytes; forward 667/947 bytes.
     paper_form = two.client_cell_payment.outbound + RECIPIENT_BYTES + HEX_SIGNATURE_BYTES
     assert 500 < paper_form < 1_200
-    assert 800 < two.client_cell_payment.inbound < 3_000
+    assert 800 < two.client_cell_payment.inbound + UNSIGNED_REPLY_BYTES < 3_000
     assert 500 < two.cell_cell_forward.outbound < 2_500
     assert 400 < two.cell_cell_forward.inbound < 2_000
 

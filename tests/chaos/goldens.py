@@ -79,6 +79,15 @@ being 45 B shorter per signature and 10 B per nonce.  No fault log moved
 and every oracle verdict still passes; ``specs`` and ``search`` are
 untouched.
 
+And once more, by the change that sends a ``TX_RECEIPT`` and a
+``TX_CONFIRM`` unsigned (no signature, no nonce; a receipt reply also no
+sender) and a compact receipt without the fingerprint its client derives,
+from that change's own tree: the artifacts of the same 58 recoverable runs
+and 8 of the 12 Byzantine runs (3–6, 8–11) moved, because those messages
+are 266 B and 129 B shorter, so they arrive sooner, and a cell's nonce
+sequence no longer advances for them.  No fault log moved and every
+oracle verdict still passes; ``specs`` and ``search`` are untouched.
+
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
 rewrites nothing else; entries that did not move come out byte-identical.

@@ -110,7 +110,6 @@ HOSTILE = {
 }
 
 
-@pytest.mark.xfail(strict=True, reason="the client does not check its receipt yet")
 @pytest.mark.parametrize("tamper, error", HOSTILE.values(), ids=HOSTILE)
 def test_a_tampered_receipt_is_refused(tamper, error):
     results, refused = submitted(tamper)
@@ -120,7 +119,6 @@ def test_a_tampered_receipt_is_refused(tamper, error):
     assert refused == len(results)
 
 
-@pytest.mark.xfail(strict=True, reason="the client does not check its receipt yet")
 def test_another_transactions_receipt_is_refused():
     (first, second), refused = submitted(replay_the_first)
     assert first.ok and first.receipt.tx_id == first.tx_id

@@ -60,7 +60,7 @@ class _Endpoint:
     def silent(self) -> bool:
         return self.crashed
 
-    def send(self, dst_node, recipient, operation, data) -> None:
+    def send(self, dst_node, recipient, operation, data, signed=True) -> None:
         assert recipient == _DESTINATIONS[dst_node]
         if operation is Opcode.TX_FORWARD:
             items = tuple(

@@ -1,12 +1,14 @@
 """End-to-end transaction flows through a deployment (Fig. 7)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.client import BallotClient, BlockumulusClient, CasClient, FastMoneyClient
 from repro.client import deploy_contract_source
 from repro.core.stages import _PendingTransaction
 from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
-from repro.messages import ForwardBatch, Opcode
+from repro.messages import Envelope, ForwardBatch, Opcode, SimulatedSigner
 from tests.conftest import make_deployment
 
 
@@ -263,8 +265,62 @@ def _send_confirmation(deployment, sender, confirmation, forwarded) -> None:
     """``sender`` sends the service cell a ``TX_CONFIRM`` carrying ``confirmation``."""
     service = deployment.cell(0)
     batch = ConfirmationBatch((LinkConfirmation.of(confirmation, forwarded),))
-    sender.endpoint.send(service.node_name, service.address, Opcode.TX_CONFIRM, batch.to_data())
+    sender.endpoint.send(service.node_name, service.address, Opcode.TX_CONFIRM, batch.to_data(),
+                         signed=False)
     deployment.run(until=deployment.env.now + 1.0)
+
+
+def _pending_faucets(deployment, count):
+    """``count`` faucet calls the service cell admitted and waits on its peer for."""
+    service, peer = deployment.cell(0), deployment.cell(1)
+    client = BlockumulusClient(deployment)
+    forwarded, pending = [], []
+    for amount in range(1, count + 1):
+        envelope = client.endpoint.sign(
+            service.address, Opcode.TX_SUBMIT,
+            {"contract": "fastmoney", "method": "faucet", "args": {"amount": amount}},
+        )
+        entry = service.ledger.admit(envelope, cycle=0)
+        pending.append(_PendingTransaction(deployment.env, entry.tx_id, {peer.address}))
+        service.service._pending[entry.tx_id] = pending[-1]
+        forwarded.append(envelope)
+    return forwarded, pending
+
+
+@pytest.mark.parametrize("honest_first", [0, 2], ids=["all forged", "forged after two honest"])
+def test_an_unsigned_confirmation_batch_is_refused_whole_at_its_first_forged_item(
+    honest_first,
+):
+    """A ``TX_CONFIRM`` travels unsigned: each item is checked under the claimed
+    sender, and the first that fails refuses the batch — one tick, and a forged
+    batch costs one signature check, as the envelope's signature did."""
+    deployment = make_deployment(signature_scheme="sim")
+    service, peer = deployment.cell(0), deployment.cell(1)
+    forwarded, pending = _pending_faucets(deployment, 5)
+    forger = SimulatedSigner("cell-flow/forger")
+    items = tuple(
+        LinkConfirmation.of(Confirmation.create(
+            peer.signer if index < honest_first else forger, envelope.payload.hash_hex(),
+            "fastmoney", "0x" + "00" * 32, "executed", deployment.env.now,
+        ), envelope)
+        for index, envelope in enumerate(forwarded)
+    )
+    # Anyone can claim to be the peer: the envelope carries no signature.
+    deployment.network.register("forger")
+    forged = Envelope.unsigned(
+        peer.address, peer.signer.scheme, service.address, Opcode.TX_CONFIRM,
+        ConfirmationBatch(items).to_data(), deployment.env.now,
+    )
+    checks = []
+    verify = Confirmation.verify
+    with mock.patch.object(
+        Confirmation, "verify", lambda statement: checks.append(statement) or verify(statement)
+    ):
+        deployment.network.send("forger", service.node_name, forged, forged.byte_size())
+        deployment.run(until=deployment.env.now + 1.0)
+    assert len(checks) == honest_first + 1
+    assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
+    assert all(each.confirmations == {} for each in pending)
 
 
 def test_a_confirmation_for_a_transaction_never_admitted_is_refused():

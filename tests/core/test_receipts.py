@@ -12,18 +12,19 @@ from repro.core.receipts import (
     Confirmation,
     CoSigner,
     ReceiptError,
+    executed_fingerprint_hex,
 )
 from repro.core.replies import ReplyError
 from repro.core.routes import read_reply
 from repro.encoding import canonical_json
 from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner
-from repro.messages.payload import Payload
 from tests.conftest import make_deployment
 
 CELL_A = EcdsaSigner.from_seed("receipt-cell-a")
 CELL_B = EcdsaSigner.from_seed("receipt-cell-b")
 TX_ID = "0x" + "11" * 32
-FP = "0x" + "22" * 32
+#: What every co-signer of ``make_receipt``'s receipt states: its call's fingerprint.
+FP = executed_fingerprint_hex(TX_ID, "fastmoney", "transfer", {"amount": 5})
 
 
 def make_confirmation(
@@ -89,6 +90,25 @@ def test_receipt_verifies_with_matching_confirmations():
     assert receipt.verify(expected_cells=[CELL_A.address, CELL_B.address])
     assert receipt.latency == pytest.approx(2.5)
     assert set(receipt.cells()) == {CELL_A.address.hex(), CELL_B.address.hex()}
+
+
+CHANGED = {
+    "result": {"result": {"lie": True}},
+    "method": {"method": "faucet"},
+    "contract": {"contract": "cas"},
+    "fingerprint": {"fingerprint_hex": "0x" + "22" * 32},
+}
+
+
+@pytest.mark.parametrize("change", CHANGED.values(), ids=CHANGED)
+def test_a_receipt_whose_statement_was_changed_does_not_verify(change):
+    """Every co-signature binds the result and the method too: the fingerprint
+    the co-signers signed is the one the call and its result give."""
+    receipt = make_receipt([make_confirmation(CELL_A), make_confirmation(CELL_B)])
+    assert receipt.verify()
+    changed = dataclasses.replace(receipt, **change)
+    assert not changed.verify()
+    assert not AggregatedReceipt.from_wire(changed.to_wire()).verify()
 
 
 def test_receipt_rejects_missing_expected_cell():
@@ -163,8 +183,9 @@ def served(contract="fastmoney", method="transfer", own_at=REPLIED_AT, peer=CELL
     when cell A co-signs, at ``own_at``.
     """
     tx_id = REQUEST.payload.hash_hex()
+    fingerprint = executed_fingerprint_hex(tx_id, contract, method, {"amount": 5})
     own, peer_confirmation = (
-        Confirmation.create(cell, tx_id, contract, FP, "executed", timestamp)
+        Confirmation.create(cell, tx_id, contract, fingerprint, "executed", timestamp)
         for cell, timestamp in ((CELL_A, own_at), (peer, 3.25))
     )
     compact = CompactReceipt.of(
@@ -173,7 +194,7 @@ def served(contract="fastmoney", method="transfer", own_at=REPLIED_AT, peer=CELL
     )
     receipt = AggregatedReceipt(
         tx_id=tx_id, contract=contract, method=method, result={"amount": 5},
-        service_cell=CELL_A.address, fingerprint_hex=FP, status="executed", cycle=1,
+        service_cell=CELL_A.address, fingerprint_hex=fingerprint, status="executed", cycle=1,
         submitted_at=REQUEST.payload.timestamp, completed_at=own_at,
         cosigners=(cosigner(own), cosigner(peer_confirmation)),
     )
@@ -181,17 +202,15 @@ def served(contract="fastmoney", method="transfer", own_at=REPLIED_AT, peer=CELL
 
 
 def reply_to(request, compact, scheme=None, at=REPLIED_AT):
-    """Cell A's ``TX_RECEIPT`` envelope carrying ``compact``, as the client receives it."""
+    """Cell A's unsigned ``TX_RECEIPT`` carrying ``compact``, as the client receives it.
+
+    ``scheme``: another scheme than the one its sender's confirmations use.
+    """
     data = json.loads(canonical_json.dumps(compact.to_data()))
-    if scheme is None:
-        return Envelope.create(
-            signer=CELL_A, recipient=CLIENT.address, operation=Opcode.TX_RECEIPT, data=data,
-            timestamp=at, nonce="0x02", reply_to=request.nonce,
-        )
-    # A reply under another scheme than its sender's confirmations (never verifies).
-    payload = Payload(CELL_A.address, CLIENT.address, Opcode.TX_RECEIPT, "0x02", at, data,
-                      request.nonce)
-    return Envelope(payload=payload, signature=b"\x00" * 65, scheme=scheme)
+    return Envelope.unsigned(
+        CELL_A.address, scheme or CELL_A.scheme, CLIENT.address, Opcode.TX_RECEIPT, data, at,
+        reply_to=request.nonce,
+    )
 
 
 def delivered(compact, request=REQUEST, scheme=None):
@@ -217,7 +236,7 @@ def test_a_compact_receipt_rebuilds_the_receipt_its_service_cell_built():
 
 def test_nothing_the_client_can_derive_travels():
     wire_form, _rebuilt = delivered(served()[0])
-    assert set(wire_form) == {"fingerprint", "cycle", "result", "signature", "cosigners"}
+    assert set(wire_form) == {"cycle", "result", "signature", "cosigners"}
     assert [set(cosigner) for cosigner in wire_form["cosigners"]] == [
         {"cell", "timestamp", "signature"}
     ]

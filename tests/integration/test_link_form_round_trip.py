@@ -2,15 +2,17 @@
 
 A message travels without what its receiver supplies: a cell reads it under
 its own address, a requester under the identity that signed the request it
-answers.  Here every envelope posted during a smoke ``burst_sim`` and
-``xshard_burst`` drive goes through ``link_bytes()`` and back under exactly
-that identity, and must come back equal; the client envelopes it nests come
-back under the identities of the envelope around them.
+answers — and an unsigned reply as the cell it asked.  Here every envelope
+posted during a smoke ``burst_sim`` and ``xshard_burst`` drive goes through
+``link_bytes()`` and back under exactly those identities, and must come back
+equal, signed exactly where the route table says so; the client envelopes
+it nests come back under the identities of the envelope around them.
 """
 
 import pytest
 
 from repro.core.receipts import called_contract
+from repro.core.routes import travels_signed
 from repro.messages.batch import ForwardedTransactions
 from repro.messages.endpoint import Endpoint
 from repro.messages.envelope import Envelope
@@ -27,11 +29,11 @@ def test_every_posted_envelope_round_trips_under_its_receivers_identity(
 ):
     from bench.workloads import WORKLOADS
 
-    posted: list[tuple[str, Envelope]] = []
+    posted: list[tuple[str, str, Envelope]] = []
     post = Endpoint.post
 
     def recorded_post(endpoint, dst_node, envelope):
-        posted.append((dst_node, envelope))
+        posted.append((endpoint.node_name, dst_node, envelope))
         return post(endpoint, dst_node, envelope)
 
     monkeypatch.setattr(Endpoint, "post", recorded_post)
@@ -44,17 +46,27 @@ def test_every_posted_envelope_round_trips_under_its_receivers_identity(
         for each in (groups or [deployment])
         for cell in each.cells
     }
-    requesters = {envelope.nonce: envelope.sender for _dst, envelope in posted}
+    # A sharded client's per-group nodes share one signer, and so nonces.
+    requests = {(src_node, envelope.nonce): envelope for src_node, _dst, envelope in posted}
+    addresses = set(cells.values())
 
-    nested = 0
-    for dst_node, envelope in posted:
+    nested = unsigned = 0
+    for _src, dst_node, envelope in posted:
+        sender = None
         if dst_node in cells:
             supplied = cells[dst_node]
         else:
-            supplied = requesters[envelope.payload.reply_to]
+            request = requests[dst_node, envelope.payload.reply_to]
+            supplied = request.sender
+            if envelope.signature is None:
+                sender = request.recipient  # the cell that was asked
         assert supplied == envelope.recipient
-        read = Envelope.from_link(envelope.link_bytes(), supplied)
-        assert read == envelope and read.verify()
+        read = Envelope.from_link(envelope.link_bytes(), supplied, sender)
+        # A client signs what it sends; a cell signs as the route table says.
+        signed = envelope.sender not in addresses or travels_signed(envelope.operation)
+        assert read == envelope and read.verify() is signed
+        assert (read.signature is not None) is signed and (read.nonce is not None) is signed
+        unsigned += not signed
         assert read.byte_size() == envelope.byte_size() == len(envelope.link_bytes())
         if read.operation is Opcode.TX_FORWARD:
             items = ForwardedTransactions.from_data(read.data).envelopes(read.sender)
@@ -64,4 +76,4 @@ def test_every_posted_envelope_round_trips_under_its_receivers_identity(
             inner = Envelope.from_link(read.data["transaction"], supplied, read.sender)
             assert inner.verify() and called_contract(inner)
             nested += 1
-    assert len(posted) > 100 and nested > 10
+    assert len(posted) > 100 and nested > 10 and unsigned > 10

@@ -218,11 +218,14 @@ def test_the_nonces_of_one_node_are_one_sequence_across_sign_ask_and_batch_flush
     endpoint.send("cell", cell.address, Opcode.PING, {})
     env.run()
 
-    sent = [signed, for_another, *cell.inbox]
     assert [envelope.operation for envelope in cell.inbox] == [
         Opcode.PING, Opcode.TX_FORWARD, Opcode.TX_CONFIRM, Opcode.PING,
     ]
     assert cell.inbox[0] == request
+    # A confirmation batch travels unsigned and draws no nonce.
+    unsigned = cell.inbox.pop(2)
+    assert unsigned.signature is None and unsigned.nonce is None
+    sent = [signed, for_another, *cell.inbox]
     assert [envelope.nonce for envelope in sent] == [expected.next() for _ in sent]
     # The throwaway identity signed; the nonce and the clock are still the node's.
     assert for_another.sender != asker.address and for_another.verify()

@@ -70,7 +70,7 @@ def test_byte_size_reports_canonical_length():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("reply_to", ["a"]), ("reply_to", 7), ("nonce", 7), ("nonce", ["0xabc"]), ("nonce", None),
+        ("reply_to", ["a"]), ("reply_to", 7), ("nonce", 7), ("nonce", ["0xabc"]), ("nonce", b"0xabc"),
         ("timestamp", "7"), ("timestamp", True), ("timestamp", None), ("timestamp", float("nan")),
         ("timestamp", float("inf")), ("timestamp", 10**400), ("data", [["a", 1]]),
     ],

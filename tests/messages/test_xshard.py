@@ -61,7 +61,7 @@ def test_vote_envelope_data_carries_receipt_and_error():
     from repro.core.replies import VoteReply
 
     vote = make_vote("cell-a", 0)
-    receipt = CompactReceipt("0x22", 1, {"moved": 1}, b"\x01" * 65)
+    receipt = CompactReceipt(1, {"moved": 1}, b"\x01" * 65)
     data = VoteReply(vote, receipt=receipt).to_data()
     assert data == {**vote.to_data(), "receipt": receipt.to_wire()}  # no "error" while unset
     assert CrossShardVote.from_data(data) == vote

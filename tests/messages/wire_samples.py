@@ -89,6 +89,17 @@ checked it equals the old entry's ``receipt`` and that every other entry —
 ``bodies.AggregatedReceipt``, ``bodies.CrossShardVote/reply`` and
 ``bodies.CrossShardVoucherTransfer/redeem`` (whose ``voucher`` is now a
 nested ``CrossShardVoucher``) included — is byte-identical.
+
+A seventh: a compact receipt no longer carries its fingerprint, which the
+client derives from its own request and the carried result.  Only the
+five entries that embed one were re-recorded — ``replies.TX_RECEIPT``,
+``replies.XSHARD_VOTE/receipt``, ``replies.XSHARD_VOUCHER/minted`` /
+``/redeemed`` and ``bodies.CrossShardVote/reply`` — by a script that
+checked each equals its old entry without the receipt's ``fingerprint``
+key and that the 62 other entries (every statement's body and signature,
+``bodies.AggregatedReceipt`` and ``bodies.ConfirmationBatch`` included)
+are byte-identical.  A ``TX_RECEIPT`` and a ``TX_CONFIRM`` now travel
+unsigned, but no entry here holds an envelope.
 """
 
 import json

@@ -29,6 +29,7 @@ from repro.core.receipts import (
     CoSigner,
     LinkConfirmation,
     called_contract,
+    executed_fingerprint_hex,
 )
 from repro.core.replies import VoucherReply
 from repro.core.routes import REPLIES, ROUTES
@@ -100,7 +101,7 @@ def declared_bodies() -> list[type]:
         if route.body is not None:
             visit(route.body)
     for reply in REPLIES.values():
-        visit(reply)
+        visit(reply.body)
     for statement in _subclasses(SignedStatement):
         visit(statement)
     # Bodies no route parses on a cell: receipts that clients and auditors
@@ -122,7 +123,7 @@ def test_every_route_body_and_statement_is_declared_or_a_listed_exception():
             assert route.body.__name__ in names, opcode
     assert {cls.__name__ for cls in _subclasses(SignedStatement)} <= names
     # What a cell answers with is declared on the codec, without exception.
-    assert {reply.__name__ for reply in REPLIES.values()} <= names
+    assert {reply.body.__name__ for reply in REPLIES.values()} <= names
     # The golden table and the ingress matrix lean on the same discovery.
     assert {"Confirmation", "SyncEntry", "EntrySummary", "AggregatedReceipt"} <= names
 
@@ -514,14 +515,16 @@ def receipts(draw, scheme):
     cells = draw(
         st.lists(st.sampled_from(COSIGNERS[scheme]), min_size=1, max_size=3, unique_by=id)
     )
-    statement = dict(tx_id=draw(ids), contract=draw(ids), fingerprint_hex=draw(fingerprints))
+    tx_id, contract, method, result = draw(ids), draw(ids), draw(ids), draw(json_values)
+    # The co-signers sign the fingerprint the call and its result give.
+    fingerprint = executed_fingerprint_hex(tx_id, contract, method, result)
+    statement = dict(tx_id=tx_id, contract=contract, fingerprint_hex=fingerprint)
     confirmations = [
         Confirmation.create(cell, status="executed", timestamp=draw(ATOMS["seconds"]), **statement)
         for cell in cells
     ]
     return cosigned(
-        confirmations, tx_id=statement["tx_id"], contract=statement["contract"],
-        fingerprint_hex=statement["fingerprint_hex"], method=draw(ids), result=draw(json_values),
+        confirmations, **statement, method=method, result=result,
         cycle=draw(st.integers(0, 10**6)), submitted_at=draw(ATOMS["seconds"]),
         completed_at=draw(ATOMS["seconds"]),
     )
@@ -686,9 +689,15 @@ def replied(draw):
         data={"contract": called, "method": method, "args": {}},
         timestamp=draw(ATOMS["seconds"]), nonce=draw(ids),
     )
+    tx_id, contract = request.payload.hash_hex(), draw(st.just(called) | ids)
+    fields = dict(
+        method=draw(st.just(method) | ids), result=draw(json_values),
+        cycle=draw(st.integers(0, 10**6)),
+    )
     statement = dict(
-        tx_id=request.payload.hash_hex(), contract=draw(st.just(called) | ids),
-        fingerprint_hex=draw(fingerprints),
+        tx_id=tx_id, contract=contract,
+        fingerprint_hex=executed_fingerprint_hex(tx_id, contract, fields["method"],
+                                                 fields["result"]),
     )
     own, *peers = [
         Confirmation.create(
@@ -697,10 +706,6 @@ def replied(draw):
         )
         for cell in cells
     ]
-    fields = dict(
-        method=draw(st.just(method) | ids), result=draw(json_values),
-        cycle=draw(st.integers(0, 10**6)),
-    )
     scheme = draw(st.sampled_from(["sim", "ecdsa"]))
     compact = CompactReceipt.of(own, peers, request, **fields, scheme=scheme, moment=moment)
     receipt = cosigned(
@@ -711,10 +716,9 @@ def replied(draw):
 
 
 def _reply(request, sender, scheme, moment, data):
-    """A reply envelope as the client reads it (its signature is not what is tested)."""
-    payload = Payload(sender, request.sender, Opcode.TX_RECEIPT, "0xfeed", moment, data,
-                      request.nonce)
-    return Envelope(payload=payload, signature=b"\x00" * 65, scheme=scheme)
+    """A ``TX_RECEIPT`` as the client reads it: unsigned, from the cell it asked."""
+    return Envelope.unsigned(sender, scheme, request.sender, Opcode.TX_RECEIPT, data, moment,
+                             reply_to=request.nonce)
 
 
 @settings(max_examples=30, deadline=None)

@@ -30,7 +30,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.audit.oracles import EscrowPair  # noqa: E402
 from repro.core.faults import FAULT_TABLE, Family  # noqa: E402
-from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES  # noqa: E402
+from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES, travels_signed  # noqa: E402
 from repro.messages import wire  # noqa: E402
 from repro.messages.opcodes import Opcode  # noqa: E402
 from repro.messages.signer import SignedStatement  # noqa: E402
@@ -80,20 +80,23 @@ def render() -> str:
         f"{len(Opcode)} opcodes: {len(ROUTES)} routed, {len(REPLY_ONLY)} reply-only; "
         f"{len(REPLIES)} carry a declared reply body.",
         "",
-        "| Opcode | Sender | Served | Admission | Body `D` | Refused as | Handler | Body as a cell's reply |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- |",
+        "| Opcode | Sender | Signed | Served | Admission | Body `D` | Refused as | Handler "
+        "| Body as a cell's reply |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
     ]
     for opcode in Opcode:
         route = ROUTES.get(opcode)
-        reply = f"`{REPLIES[opcode].__name__}`" if opcode in REPLIES else "—"
+        reply = f"`{REPLIES[opcode].body.__name__}`" if opcode in REPLIES else "—"
+        signed = "yes" if travels_signed(opcode) else "**no**"
         if route is None:
             lines.append(
-                f"| `{opcode.name}` | — | reply-only: a cell emits it | | | | | {reply} |"
+                f"| `{opcode.name}` | — | {signed} | reply-only: a cell emits it "
+                f"| | | | | {reply} |"
             )
             continue
         refusal = route.refusal
         lines.append(
-            f"| `{opcode.name}` | {route.sender.value} "
+            f"| `{opcode.name}` | {route.sender.value} | {signed} "
             f"| {'after the auth delay' if route.delayed else 'on delivery'} "
             f"| {route.admission.value if route.admission is not None else '—'} "
             f"| {f'`{route.body.__name__}`' if route.body is not None else '—'} "
