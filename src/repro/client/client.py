@@ -12,7 +12,9 @@ What the client says goes through its message endpoint
 (:mod:`repro.messages.endpoint`), and what it hears back is read through
 :func:`repro.core.routes.read_reply` into the body the cell declared for
 that reply — or one error text: "service cell is unreachable", the cell's
-own words for a refusal, or the reader's for a malformed reply.
+own words for a refusal, the reader's for a malformed reply, or why a
+receipt does not confirm the transaction (the client checks every receipt
+it is sent, see :meth:`BlockumulusClient.receipt_refusal`).
 """
 
 from __future__ import annotations
@@ -166,12 +168,12 @@ class BlockumulusClient:
             {"contract": contract, "method": method, "args": args},
             signer=signer,
         )
-        # The transaction is the one this client signed, whatever a reply says
-        # (its id is taken once answered: taking it lets the signed bytes go).
 
         def refused(error: str) -> TransactionResult:
             # Silence, the cell's own words for a refusal, a malformed reply
-            # or a receipt that proves nothing.
+            # or a receipt that proves nothing.  The transaction is the one
+            # this client signed, whatever a reply says; its id is taken only
+            # once answered, since taking it lets the signed bytes go.
             return TransactionResult(
                 False, submitted_at, self.env.now, error=error, tx_id=request.payload.hash_hex()
             )

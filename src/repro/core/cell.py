@@ -245,7 +245,7 @@ class BlockumulusCell:
         )
         if request.sender in self._client_nodes:
             self.subscriptions.record_traffic(request.sender, reply.byte_size())
-        self.endpoint.post(dst_node, reply)
+        endpoint.post(dst_node, reply)
 
     def refuse(self, dst_node: str, request: Envelope, error: str, **details: Any) -> None:
         """Answer ``request`` with a plain ``TX_ERROR`` (never a signed statement)."""

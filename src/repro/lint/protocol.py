@@ -128,9 +128,8 @@ def _route_rows(source: SourceFile) -> list[tuple[str, Optional[ast.expr], int]]
 
 def _reply_body(value: ast.expr) -> ast.expr:
     """The class a reply row names: ``Class``, or the body of ``Reply(Class, …)``."""
-    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "Reply":
-        keywords = {keyword.arg: keyword.value for keyword in value.keywords}
-        return value.args[0] if value.args else keywords.get("body", value)
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "Reply" and value.args:
+        return value.args[0]
     return value
 
 

@@ -3,7 +3,10 @@
 Section III-C2: every Blockumulus request and response is a payload tuple
 P plus the sender's signature over its canonical bytes; Section III-D3
 makes verifying that signature (and that the recovered identity equals the
-claimed sender) the first step of serving any transaction.
+claimed sender) the first step of serving any transaction.  The one
+departure: the two opcodes whose reader checks every co-signature they
+carry travel as ``{P}`` alone, without a nonce (the route table in
+:mod:`repro.core.routes` names them).
 """
 
 from __future__ import annotations
@@ -280,7 +283,8 @@ class Envelope:
         Bytes (what a socket hands over) are bounded first — at most
         :data:`MAX_WIRE_BYTES` long, at most :data:`MAX_WIRE_DEPTH` deep,
         no non-finite number — so that nothing accepted here can make a
-        later ``verify()`` raise.
+        later ``verify()`` raise.  One without a signature reads as
+        unsigned, and so verifies for nobody.
         """
         try:
             if isinstance(raw, (bytes, str)):

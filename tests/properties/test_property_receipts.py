@@ -5,9 +5,9 @@ own request and the ``result`` the receipt carries
 (``repro.core.receipts.executed_fingerprint_hex``).  The cells hashed the
 result their contract returned; the client hashes what it parsed off the
 wire.  The two agree only if ``canonical_bytes`` cannot tell a result from
-its canonical-JSON round trip.  Here hypothesis drives every method and
-view of every contract a deployment ships with drawn arguments, and checks
-that for each result one returns.
+its canonical-JSON round trip.  Here every method and view of every
+contract a deployment ships runs once or more, in an order in which each
+succeeds, with values hypothesis draws, and every result is checked.
 """
 
 from hypothesis import given, settings
