@@ -80,6 +80,8 @@ class ForwardedTransactions(wire.Body, error=BatchError):
     def __post_init__(self) -> None:
         if not self.transactions:
             raise BatchError("a forward batch must carry at least one transaction")
+        if any(item.signature is None for item in self.transactions):
+            raise BatchError("a forwarded transaction must carry its client's signature")
 
     def envelopes(self, forwarder: Address) -> list[Envelope]:
         """Every client envelope, read under ``forwarder``: one that was

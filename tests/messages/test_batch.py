@@ -111,7 +111,11 @@ def test_empty_and_malformed_batches_rejected(cell_signer):
         ForwardBatch.from_data({"transactions": [{"payload": "garbage"}]}).envelopes(forwarder)
     with pytest.raises(BatchError):
         ForwardedTransactions.from_data({"transactions": [{"payload": "garbage"}]})
-
+    # Only a message whose reader checks what it carries travels unsigned.
+    unsigned = client_envelope(0, forwarder).to_link()
+    del unsigned["signature"]
+    with pytest.raises(BatchError, match="client's signature"):
+        ForwardedTransactions.from_data({"transactions": [unsigned]})
 
 
 def test_a_forward_item_that_names_another_recipient_is_still_read_under_its_forwarder(

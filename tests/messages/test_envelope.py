@@ -215,6 +215,37 @@ def test_a_nested_link_form_may_leave_out_its_sender_too():
         Envelope.from_link(nested, RECIPIENT)  # nobody supplies the sender
 
 
+@pytest.mark.parametrize("signer", [SIGNER, SimulatedSigner("link-sim")], ids=["ecdsa", "sim"])
+def test_an_unsigned_reply_travels_without_signature_nonce_and_sender(signer):
+    """Its requester supplies the cell it asked, as it supplies itself."""
+    unsigned = Envelope.unsigned(
+        signer.address, signer.scheme, RECIPIENT, Opcode.TX_RECEIPT, {"cycle": 0}, 2.5,
+        reply_to="0xabcd",
+    )
+    signed = Envelope.create(signer, RECIPIENT, Opcode.TX_RECEIPT, {"cycle": 0}, 2.5,
+                             "AAAAAAAAAAAAAAAA", reply_to="0xabcd")
+    link = unsigned.link_bytes()
+    assert link == canonical_json.dump_bytes(unsigned.to_link())
+    assert set(unsigned.to_link()["payload"]) == {"data", "operation", "reply_to", "timestamp"}
+    # The signature (102 B), the nonce (27 B) and the sender (54 B) stay home.
+    assert len(signed.link_bytes()) - len(link) == 102 + 27 + 54
+    restored = Envelope.from_link(link, RECIPIENT, signer.address)
+    assert restored == unsigned and not restored.verify()
+    assert Envelope.from_link(link, RECIPIENT, OTHER_CELL).sender == OTHER_CELL
+    # Without a reply_to nothing supplies the sender: it travels.
+    batch = Envelope.unsigned(signer.address, signer.scheme, RECIPIENT, Opcode.TX_CONFIRM, {},
+                              2.5)
+    assert Envelope.from_link(batch.link_bytes(), RECIPIENT) == batch
+
+
+def test_a_signature_and_a_nonce_travel_together_or_not_at_all():
+    payload = make_envelope().payload
+    with pytest.raises(EnvelopeError):
+        Envelope(payload=payload, signature=None)
+    with pytest.raises(EnvelopeError):
+        Envelope(payload=dataclasses.replace(payload, nonce=None), signature=b"\x00" * 65)
+
+
 def hostile_link(replacement: str) -> bytes:
     link = make_envelope(signer=SimulatedSigner("hostile-bytes")).link_bytes().decode()
     return link.replace('"amount":1', '"amount":' + replacement).encode()

@@ -38,7 +38,7 @@ from repro.crypto.keys import Address
 from repro.encoding import canonical_json
 from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch, ForwardedTransactions
-from repro.messages.envelope import EnvelopeError
+from repro.messages.envelope import EnvelopeError, LinkEnvelope
 from repro.messages.membership import MembershipUpdate
 from repro.messages.payload import Payload, PayloadError
 from repro.messages.requests import LedgerRequest, StateQuery, TransactionCall
@@ -268,6 +268,10 @@ RULES = {
     AggregatedReceipt: lambda _body, kwargs, _draw: kwargs.update(status="executed"),
     ForwardBatch: _at_least_one("transactions"),
     ForwardedTransactions: _at_least_one("transactions"),
+    # A nested envelope is a client's, signed; only a top-level one may not be.
+    LinkEnvelope: lambda _body, kwargs, draw: kwargs.update(
+        signature=draw(values(wire.signature))
+    ),
 }
 
 
