@@ -75,28 +75,15 @@ def test_a_peer_confirmation_of_another_statement_earns_no_receipt(
 
 def test_a_confirmation_is_filed_under_its_own_transaction(deployment):
     """Two transactions pending at once: each peer confirmation reaches its own only."""
-    service, peer = deployment.cell(0), deployment.cell(1)
-    client = BlockumulusClient(deployment)
-    forwarded = [
-        client.endpoint.sign(
-            service.address, Opcode.TX_SUBMIT,
-            {"contract": "fastmoney", "method": "faucet", "args": {"amount": amount}},
-        )
-        for amount in (1, 2)
-    ]
-    pending = {}
-    for envelope in forwarded:
-        entry = service.ledger.admit(envelope, cycle=0)
-        pending[entry.tx_id] = _PendingTransaction(deployment.env, entry.tx_id, {peer.address})
-        service.service._pending[entry.tx_id] = pending[entry.tx_id]
-    first, second = pending
+    peer = deployment.cell(1)
+    forwarded, (first, second) = _pending_faucets(deployment, 2)
     confirmation = Confirmation.create(
-        peer.signer, second, "fastmoney", "0x" + "00" * 32, "executed", deployment.env.now
+        peer.signer, second.tx_id, "fastmoney", "0x" + "00" * 32, "executed", deployment.env.now
     )
     _send_confirmation(deployment, peer, confirmation, forwarded[1])
-    assert pending[first].confirmations == {} and not pending[first].all_received.triggered
-    assert pending[second].confirmations == {peer.address: confirmation}
-    assert pending[second].all_received.triggered
+    assert first.confirmations == {} and not first.all_received.triggered
+    assert second.confirmations == {peer.address: confirmation}
+    assert second.all_received.triggered
 
 
 @pytest.mark.parametrize("service, lied_to", [(0, True), (1, False)])
