@@ -309,7 +309,7 @@ class BlockumulusCell:
         entitled = envelope.recipient == self.address and (
             route.sender is not Sender.CELL or self.invariants.is_cell(envelope.sender)
         )
-        if (route.signed and not envelope.verify()) or not entitled:
+        if (travels_signed(envelope.operation) and not envelope.verify()) or not entitled:
             self.refuse_unauthenticated(src_node, envelope)
             return None
         try:

@@ -10,10 +10,9 @@ are :data:`REPLY_ONLY`).  The ingress stage of
 :class:`~repro.core.cell.BlockumulusCell` reads the row and runs
 slot → auth delay → ``verify()`` → sender class → body parser → handler, so
 handlers start from an authenticated envelope and a typed body; requesters
-read what comes back through :func:`read_reply`.  Each row also says
-whether its opcode travels signed: a ``TX_CONFIRM`` and a ``TX_RECEIPT``
-do not, because their reader checks every co-signature they carry and
-the envelope's signature would prove nothing more.  The static analyzer
+read what comes back through :func:`read_reply`.  The two opcodes that
+travel unsigned, because their reader checks every co-signature they
+carry, are :data:`UNSIGNED`.  The static analyzer
 (``PROTO001``/``PROTO002``) and the opcode reference in
 ``docs/ARCHITECTURE.md`` read the same rows.
 """
@@ -126,10 +125,6 @@ class Route:
     #: authentication delay.  False: handled synchronously on delivery.
     delayed: bool = True
     admission: Optional[Admission] = None
-    #: False: travels unsigned, so ingress checks no envelope signature;
-    #: the handler verifies every signed statement of the body under the
-    #: claimed sender, which is all the envelope's signature would prove.
-    signed: bool = True
 
 
 ROUTES: dict[Opcode, Route] = {
@@ -152,7 +147,7 @@ ROUTES: dict[Opcode, Route] = {
     Opcode.TX_FORWARD: Route(Sender.CELL, ForwardedTransactions, "peer._serve_forwards",
                              DROP_FORWARD),
     Opcode.TX_CONFIRM: Route(Sender.CELL, ConfirmationBatch, "service._accept_confirmations",
-                             DROP_CONFIRMATION, delayed=False, signed=False),
+                             DROP_CONFIRMATION, delayed=False),
     # Dynamic membership and crash recovery (Section V).
     Opcode.CELL_EXCLUDE: Route(Sender.CELL, ExclusionProposal, "membership.handle_proposal",
                                DROP_MEMBERSHIP),
@@ -179,39 +174,34 @@ ROUTES: dict[Opcode, Route] = {
                        DROP_MEMBERSHIP, delayed=False),
 }
 
-@dataclass(frozen=True)
-class Reply:
-    """One opcode a cell answers a client or an auditor with."""
-
-    #: The class that builds and parses the data field.
-    body: type[wire.Body]
-    #: False: travels unsigned, and without its sender, which the requester
-    #: supplies (the cell it asked); the requester checks every field it
-    #: reads against co-signatures instead.
-    signed: bool = True
-
-
-#: What a cell answers a client or an auditor with, and how it travels.
-REPLIES: dict[Opcode, Reply] = {
-    Opcode.TX_RECEIPT: Reply(CompactReceipt, signed=False),
-    Opcode.TX_ERROR: Reply(ErrorReply),
-    Opcode.SUBSCRIBE_ACK: Reply(SubscriptionAck),
-    Opcode.QUERY_RESULT: Reply(QueryResult),
-    Opcode.XSHARD_VOTE: Reply(VoteReply),
-    Opcode.XSHARD_VOUCHER: Reply(VoucherReply),  # a request on its way in, see ROUTES
-    Opcode.SNAPSHOT_RESPONSE: Reply(SnapshotResponse),
-    Opcode.LEDGER_RESPONSE: Reply(LedgerResponse),
+#: What a cell answers a client or an auditor with: the class that builds
+#: and parses the data field of each reply opcode.
+REPLIES: dict[Opcode, type[wire.Body]] = {
+    Opcode.TX_RECEIPT: CompactReceipt,
+    Opcode.TX_ERROR: ErrorReply,
+    Opcode.SUBSCRIBE_ACK: SubscriptionAck,
+    Opcode.QUERY_RESULT: QueryResult,
+    Opcode.XSHARD_VOTE: VoteReply,
+    Opcode.XSHARD_VOUCHER: VoucherReply,  # a request on its way in, see ROUTES
+    Opcode.SNAPSHOT_RESPONSE: SnapshotResponse,
+    Opcode.LEDGER_RESPONSE: LedgerResponse,
 }
 
 #: Opcodes a cell emits and never serves; one arriving at a cell is counted
 #: as ``unhandled_<opcode>`` and dropped.
 REPLY_ONLY: frozenset[Opcode] = frozenset(REPLIES) - frozenset(ROUTES)
 
+#: Opcodes that travel unsigned.  Their reader checks every co-signature
+#: the body carries, which is all the envelope's signature would prove: a
+#: cell verifies each confirmation of a ``TX_CONFIRM`` under the claimed
+#: sender, and a client each co-signer of its ``TX_RECEIPT``, whose sender
+#: does not travel either (the client supplies the cell it asked).
+UNSIGNED: frozenset[Opcode] = frozenset({Opcode.TX_CONFIRM, Opcode.TX_RECEIPT})
+
 
 def travels_signed(opcode: Opcode) -> bool:
-    """Whether a cell signs what it sends as ``opcode``: its ``REPLIES`` row, else its route."""
-    reply = REPLIES.get(opcode)
-    return (ROUTES[opcode] if reply is None else reply).signed
+    """Whether a message sent as ``opcode`` is signed (every one not :data:`UNSIGNED`)."""
+    return opcode not in UNSIGNED
 
 
 def read_reply(reply: Optional[Envelope], expected: Opcode, silence: str = "no reply") -> Any:
@@ -232,6 +222,6 @@ def read_reply(reply: Optional[Envelope], expected: Opcode, silence: str = "no r
     if reply.operation is not expected:
         raise ReplyError(f"unexpected reply {reply.operation.value}")
     try:
-        return REPLIES[expected].body.from_data(reply.data)
+        return REPLIES[expected].from_data(reply.data)
     except ValueError as exc:  # every body family's error is one
         raise ReplyError(str(exc)) from exc

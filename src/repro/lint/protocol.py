@@ -12,7 +12,7 @@ checked statically over the whole tree:
 * ``PROTO001`` — every member of :class:`repro.messages.opcodes.Opcode`
   must be declared in the route module: as the key of an
   ``Opcode.X: Route(...)`` row of ``ROUTES`` (an opcode a cell serves), of
-  an ``Opcode.X: Reply(Class)`` row of ``REPLIES`` (one it answers with; the
+  an ``Opcode.X: Class`` row of ``REPLIES`` (one it answers with; the
   reply-only opcodes are the ``REPLIES`` keys that have no route), or of
   one row in each — never of two rows of the same table.  An undeclared
   opcode is either dead protocol surface or a handler someone forgot to
@@ -126,15 +126,8 @@ def _route_rows(source: SourceFile) -> list[tuple[str, Optional[ast.expr], int]]
     return rows
 
 
-def _reply_body(value: ast.expr) -> ast.expr:
-    """The class a reply row names: ``Class``, or the body of ``Reply(Class, …)``."""
-    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "Reply" and value.args:
-        return value.args[0]
-    return value
-
-
 def _reply_rows(source: SourceFile) -> list[tuple[str, ast.expr, int]]:
-    """``(opcode member, class expression, line)`` of every ``Opcode.X: Reply(Class)`` row."""
+    """``(opcode member, class expression, line)`` of every ``Opcode.X: Class`` reply row."""
     for node in ast.walk(source.tree):
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
             isinstance(target, ast.Name) and target.id == "REPLIES"
@@ -143,7 +136,7 @@ def _reply_rows(source: SourceFile) -> list[tuple[str, ast.expr, int]]:
             table = node.value
             if isinstance(table, ast.Dict):
                 return [
-                    (name, _reply_body(value), key.lineno)
+                    (name, value, key.lineno)
                     for key, value in zip(table.keys, table.values)
                     if key is not None and (name := _opcode_name(key)) is not None
                 ]
@@ -228,7 +221,7 @@ def _check_opcode_wiring(sources: Sequence[SourceFile]) -> Iterator[Finding]:
                 f"opcode {name} is declared {count} times in {ROUTES_MODULE} "
                 "(one Route row, one REPLIES row, or one of each)",
                 "add an Opcode.X: Route(...) row naming its sender, body and handler, an "
-                "Opcode.X: Reply(Class) row in REPLIES, or remove the dead opcode",
+                "Opcode.X: Class row in REPLIES, or remove the dead opcode",
                 f"opcode:{name}",
             )
 

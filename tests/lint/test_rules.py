@@ -514,16 +514,6 @@ def test_proto001_reads_the_reply_only_opcodes_off_the_replies_table(tree):
     assert "TX_ERROR is declared 0 times" in findings[0].message
 
 
-@pytest.mark.parametrize("row", ["Reply(ErrorReply)", "Reply(ErrorReply, signed=False)"])
-def test_proto002_reads_the_class_of_a_reply_row(tree, row):
-    write_protocol_tree(tree, routes=ROUTES.replace("TX_ERROR: ErrorReply}", f"TX_ERROR: {row}}}"))
-    assert lint_paths([tree.root]) == []
-    write_protocol_tree(tree, routes=ROUTES.replace(
-        "TX_ERROR: ErrorReply}", f"TX_ERROR: {row.replace('ErrorReply', 'NoSuchReply')}}}"
-    ))
-    assert rules_of(lint_paths([tree.root])) == ["PROTO002"]
-
-
 def test_proto002_fires_on_a_row_without_a_body_parser(tree):
     write_protocol_tree(
         tree,

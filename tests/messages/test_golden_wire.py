@@ -65,7 +65,7 @@ def test_every_reply_opcode_has_a_recorded_shape_and_reads_back():
         opcode.name for opcode in REPLIES
     }
     for name, reply in replies.items():
-        assert REPLIES[Opcode[name.partition("/")[0]]].body is type(reply), name
+        assert REPLIES[Opcode[name.partition("/")[0]]] is type(reply), name
         # (The samples hold unrounded times, so compare what is sent again.)
         read = type(reply).from_data(GOLD["replies"][name])
         assert as_json(read.to_data()) == as_json(GOLD["replies"][name]), name

@@ -86,7 +86,7 @@ def render() -> str:
     ]
     for opcode in Opcode:
         route = ROUTES.get(opcode)
-        reply = f"`{REPLIES[opcode].body.__name__}`" if opcode in REPLIES else "—"
+        reply = f"`{REPLIES[opcode].__name__}`" if opcode in REPLIES else "—"
         signed = "yes" if travels_signed(opcode) else "**no**"
         if route is None:
             lines.append(
