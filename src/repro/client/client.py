@@ -197,12 +197,14 @@ class BlockumulusClient:
         registered (its system invariants), the service cell must be one of
         them, and every co-signature must verify over the statement the
         receipt states — whose fingerprint the client derived from its own
-        request and the result it was told.
+        request and the result it was told.  A co-signature is checked
+        against the cell's public key, which the client holds with the
+        consortium's addresses, rather than by recovering the key.
         """
         is_cell = self.deployment.invariants.is_cell
         if not all(is_cell(cosigner.cell) for cosigner in receipt.cosigners):
             return "receipt co-signed by a cell outside the consortium"
-        if not receipt.verify(expected_cells=[self.service_cell.address]):
+        if not receipt.verify([self.service_cell.address], self.deployment.cell_keys):
             return "receipt failed verification"
         return None
 

@@ -17,11 +17,11 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
-from ..crypto.keys import Address
+from ..crypto.keys import Address, PublicKey
 from ..messages import wire
 from ..messages.envelope import DEFAULT_SCHEME, Envelope
 from ..messages.signer import SignedStatement, Signer
@@ -252,11 +252,16 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
         """Hex addresses of every cell that signed the receipt."""
         return [cosigner.cell.hex() for cosigner in self.cosigners]
 
-    def verify(self, expected_cells: Optional[list[Address]] = None) -> bool:
+    def verify(
+        self,
+        expected_cells: Optional[list[Address]] = None,
+        known_keys: Optional[Mapping[Address, PublicKey]] = None,
+    ) -> bool:
         """Verify every co-signer's signature (and optionally cell coverage).
 
         ``expected_cells`` lets a client require that specific consortium
-        members signed.  Each signature is checked over the statement the
+        members signed, and ``known_keys`` check a co-signer whose key the
+        client holds against that key instead of recovering it.  Each signature is checked over the statement the
         receipt states, so a receipt whose shared fields were changed after
         signing verifies for none of its co-signers; and that statement's
         fingerprint must be the one its transaction, call and ``result``
@@ -267,7 +272,11 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
             self.tx_id, self.contract, self.method, self.result
         ):
             return False
-        if not all(confirmation.verify() for confirmation in self.confirmations):
+        keys = known_keys or {}
+        if not all(
+            confirmation.verify(keys.get(confirmation.cell))
+            for confirmation in self.confirmations
+        ):
             return False
         if expected_cells is not None:
             signed = {cosigner.cell for cosigner in self.cosigners}

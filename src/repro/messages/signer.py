@@ -200,10 +200,10 @@ class SignedStatement(wire.Body):
             members.append(prefix + text)
         return ("{" + ",".join(members) + "}").encode()
 
-    def verify(self) -> bool:
-        """Check the signer's signature over the statement body."""
+    def verify(self, known_key: Optional[PublicKey] = None) -> bool:
+        """Check the signer's signature over the statement body (see :func:`verify_signature`)."""
         return verify_signature(
-            self.scheme, getattr(self, self.SIGNER), self.body(), self.signature
+            self.scheme, getattr(self, self.SIGNER), self.body(), self.signature, known_key
         )
 
     @classmethod
@@ -280,10 +280,29 @@ def register_consortium_keys(signers: Iterable[Signer]) -> None:
         if isinstance(signer, EcdsaSigner):
             address = signer.address.value
             if _CONSORTIUM_KEYS.get(address) is None:
-                _CONSORTIUM_KEYS.put(address, PublicKey(signer.key.public_key.point))
+                _CONSORTIUM_KEYS.put(address, signer.key.public_key)
 
 
-def verify_signature(scheme: str, address: Address, message: bytes, signature: bytes) -> bool:
+def consortium_keys(signers: Iterable[Signer]) -> dict[Address, PublicKey]:
+    """The public key of each of these ECDSA signers, by address, as a client holds them.
+
+    The same objects :func:`register_consortium_keys` registers, so a
+    key's table is built once whoever checks against it first.
+    """
+    return {
+        signer.address: signer.key.public_key
+        for signer in signers
+        if isinstance(signer, EcdsaSigner)
+    }
+
+
+def verify_signature(
+    scheme: str,
+    address: Address,
+    message: bytes,
+    signature: bytes,
+    known_key: Optional[PublicKey] = None,
+) -> bool:
     """Verify a signature under either scheme.
 
     For ECDSA the sender address must match the address recovered from the
@@ -291,7 +310,9 @@ def verify_signature(scheme: str, address: Address, message: bytes, signature: b
     sender is a registered consortium key, the ECDSA check asks whether
     the signature recovers to that key without recovering it
     (:func:`register_consortium_keys`): the same verdict, for less than
-    half the curve work.
+    half the curve work.  So does ``known_key``, the public key of ``address``
+    where the caller holds it itself: a client holds its consortium's
+    (:func:`consortium_keys`), whether or not this process registered them.
 
     A successful ECDSA check is remembered under exactly the three values
     that were checked, so a repeat costs a dictionary lookup (no Keccak pass,
@@ -304,7 +325,7 @@ def verify_signature(scheme: str, address: Address, message: bytes, signature: b
             return True
         try:
             parsed = Signature.from_bytes(signature)
-            known = _CONSORTIUM_KEYS.get(address.value)
+            known = known_key or _CONSORTIUM_KEYS.get(address.value)
             if known is not None:
                 verified = known.is_recovered_from(message, parsed)
             else:
