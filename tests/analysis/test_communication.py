@@ -51,6 +51,9 @@ def test_per_transaction_bytes_in_paper_ballpark(profiles):
     # Paper (2 cells): payment 1,140/559 bytes; forward 667/947 bytes.
     paper_form = two.client_cell_payment.outbound + RECIPIENT_BYTES + HEX_SIGNATURE_BYTES
     assert 500 < paper_form < 1_200
+    # The reply itself, pinned at its measured size (852 B while it was
+    # signed and carried the fingerprint), and in the paper's form.
+    assert two.client_cell_payment.inbound <= 586
     assert 800 < two.client_cell_payment.inbound + UNSIGNED_REPLY_BYTES < 3_000
     assert 500 < two.cell_cell_forward.outbound < 2_500
     assert 400 < two.cell_cell_forward.inbound < 2_000
