@@ -122,7 +122,7 @@ class Auditor:
     # ------------------------------------------------------------------
     def _on_message(self, src_node: str, payload: Any, size: int) -> None:
         if isinstance(payload, Envelope):
-            self.endpoint.resolve(payload)
+            self.endpoint.resolve(src_node, payload)
 
     def _fetch(
         self, cell_index: int, operation: Opcode, data: dict[str, Any], expected: Opcode

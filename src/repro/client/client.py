@@ -118,10 +118,11 @@ class BlockumulusClient:
         """Network handler: hand a reply envelope to the request it answers.
 
         Unsolicited or duplicate messages, and replies from anyone but the
-        service cell, are dropped silently (a client never serves requests).
+        service cell or over another link, are dropped silently (a client
+        never serves requests).
         """
         if isinstance(payload, Envelope):
-            self.endpoint.resolve(payload)
+            self.endpoint.resolve(src_node, payload)
 
     # ------------------------------------------------------------------
     # Public API

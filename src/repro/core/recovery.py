@@ -207,7 +207,7 @@ class MembershipManager:
         """Route an authenticated PONG / CELL_SYNC_STATE / CELL_REJOIN_ACK body."""
         if isinstance(body, RejoinAck):
             self._on_rejoin_ack(src_node, envelope, body)
-        elif not self.cell.endpoint.resolve(envelope, body):
+        elif not self.cell.endpoint.resolve(src_node, envelope, body):
             # Another cell answering in the asked peer's name: a third
             # party's PONG must not vouch for a suspect, nor its state
             # pass for the donor's.

@@ -128,32 +128,34 @@ class Endpoint:
         waiter = self.env.event()
         if not self.post(dst_node, request):
             return request, waiter.succeed(None)
-        self._pending[request.nonce] = (recipient, request.sender, waiter)
+        self._pending[request.nonce] = (dst_node, recipient, request.sender, waiter)
         if deadline is None:
             return request, waiter
         return request, _Answer(self, request, waiter, self.env.timeout(deadline))
 
-    def resolve(self, reply: Envelope, answer: Any = None) -> bool:
-        """Hand ``reply`` to the request it names, if the cell asked sent it.
+    def resolve(self, src_node: str, reply: Envelope, answer: Any = None) -> bool:
+        """Hand ``reply`` from ``src_node`` to the request it names, if the cell asked sent it.
 
         The request's event fires with ``answer`` (a receiver that already
         parsed the reply passes the typed body), else with the envelope.
         A reply nobody waits for is dropped.  False only when a pending
         request is answered by someone other than the cell that was asked,
-        or in a reply addressed to someone other than the identity that
-        asked: whoever sees a request learns its nonce, so the nonce alone
-        must not let a third party answer, and a reply travels without its
-        recipient (the requester supplies it, see ``Envelope.from_link``).
-        That request keeps waiting.  An unsigned reply travels without its
-        sender too: on a link the requester reads it as the asked cell's,
-        so only what the reply carries — a receipt's co-signatures, which
-        the requester checks — tells a forged one from the cell's own.
+        over another link than the one to the node asked, or in a reply
+        addressed to someone other than the identity that asked: whoever
+        sees a request learns its nonce, so the nonce alone must not let a
+        third party answer, and a reply travels without its recipient (the
+        requester supplies it, see ``Envelope.from_link``).  That request
+        keeps waiting.  An unsigned reply travels without its sender too,
+        which the requester supplies as the asked cell's; the link it
+        arrives on is what vouches for that (the connection a REST request
+        is answered on), so a peer that learned the nonce from a forward
+        cannot answer in the asked cell's name.
         """
         reply_to = reply.payload.reply_to
         if reply_to is None or reply_to not in self._pending:
             return True
-        asked, requester, waiter = self._pending[reply_to]
-        if reply.sender != asked or reply.recipient != requester:
+        asked_node, asked, requester, waiter = self._pending[reply_to]
+        if src_node != asked_node or reply.sender != asked or reply.recipient != requester:
             return False
         del self._pending[reply_to]
         waiter.succeed(reply if answer is None else answer)

@@ -276,11 +276,9 @@ def register_consortium_keys(signers: Iterable[Signer]) -> None:
     A key already registered keeps its entry, and the table it may have
     built.  Simulated signers need nothing: they registered themselves.
     """
-    for signer in signers:
-        if isinstance(signer, EcdsaSigner):
-            address = signer.address.value
-            if _CONSORTIUM_KEYS.get(address) is None:
-                _CONSORTIUM_KEYS.put(address, signer.key.public_key)
+    for address, key in consortium_keys(signers).items():
+        if _CONSORTIUM_KEYS.get(address.value) is None:
+            _CONSORTIUM_KEYS.put(address.value, key)
 
 
 def consortium_keys(signers: Iterable[Signer]) -> dict[Address, PublicKey]:

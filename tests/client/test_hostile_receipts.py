@@ -6,7 +6,9 @@ one tampering, and requires the client to end the submission with
 report the transaction as confirmed.  The rows are the ways a service cell
 can tamper with a receipt that its peers co-signed honestly: it changes
 what the receipt states, adds a co-signer, forges one or answers with
-another transaction's receipt.
+another transaction's receipt.  A peer that learned the client's nonce
+from the forward may also answer first, in the service cell's name; the
+client takes a reply only over the link to the cell it asked.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ from repro.core.receipts import (
     called_contract,
     called_method,
 )
-from repro.messages import Opcode, SimulatedSigner
+from repro.messages import Envelope, Opcode, SimulatedSigner
 from tests.conftest import make_deployment
 
 OUTSIDER = SimulatedSigner("hostile-receipts/outsider")
@@ -124,6 +126,36 @@ def test_another_transactions_receipt_is_refused():
     assert first.ok and first.receipt.tx_id == first.tx_id
     assert (second.ok, second.error, second.receipt) == (False, FAILED, None)
     assert refused == 1
+
+
+def test_a_peer_answering_first_in_the_service_cells_name_is_not_heard():
+    deployment = make_deployment(signature_scheme="sim")
+    client = BlockumulusClient(deployment)
+    peer = deployment.cell(1)
+    honest = peer.peer._serve_forwards
+
+    def forward_and_forge(src_node, forward, body):
+        honest(src_node, forward, body)
+        for request in body.envelopes(forward.sender):
+            # On a link an unsigned reply's sender does not travel, so the
+            # peer can write it as the asked cell's.
+            forged = CompactReceipt(0, {"lie": True}, b"\x00" * 65).to_data()
+            reply = Envelope.unsigned(client.service_cell.address, "sim", request.sender,
+                                      Opcode.TX_RECEIPT, forged, deployment.env.now,
+                                      reply_to=request.nonce)
+            deployment.network.send(peer.node_name, client.node_name, reply, reply.byte_size())
+
+    peer.peer._serve_forwards = forward_and_forge
+    heard, resolve = [], client.endpoint.resolve
+    client.endpoint.resolve = lambda src_node, reply: heard.append(src_node) or resolve(
+        src_node, reply
+    )
+    event = FastMoneyClient(client).faucet(5)
+    deployment.env.run(event)
+    result = event.value
+    assert heard == [peer.node_name, client.service_cell.node_name]  # the forgery came first
+    assert result.ok and result.receipt.result != {"lie": True}
+    assert deployment.metrics.counters.get(f"{client.node_name}/refused_receipts", 0) == 0
 
 
 @pytest.mark.xfail(

@@ -22,7 +22,7 @@ class Node:
 
     def deliver(self, src_node, envelope, size):
         self.inbox.append(envelope)
-        self.endpoint.resolve(envelope)
+        self.endpoint.resolve(src_node, envelope)
 
     @property
     def address(self):
@@ -74,8 +74,26 @@ def test_a_reply_from_another_sender_resolves_nothing_and_the_request_keeps_wait
     other.answer(asker, request)  # the right nonce, the wrong cell
     env.run()
     assert len(asker.inbox) == 1 and not waiter.triggered
-    assert asker.endpoint.resolve(asker.inbox[0]) is False, "told apart from an unsolicited message"
+    assert asker.endpoint.resolve("other", asker.inbox[0]) is False, (
+        "told apart from an unsolicited message"
+    )
     assert list(asker.endpoint._pending) == [request.nonce]
+    cell.answer(asker, request)
+    assert env.run(waiter).sender == cell.address
+
+
+def test_a_reply_in_the_asked_cells_name_over_another_link_keeps_the_request_waiting(net):
+    env, network, asker, cell, other = net
+    request, waiter = ask(asker, cell)
+    env.run()
+    # An unsigned reply's sender does not travel: the requester supplies the
+    # cell it asked, so only the link tells who answered.
+    forged = Envelope.unsigned(cell.address, "sim", asker.address, Opcode.PONG, {}, env.now,
+                               reply_to=request.nonce)
+    network.send("other", "asker", forged, forged.byte_size())
+    env.run()
+    assert asker.inbox == [forged] and not waiter.triggered
+    assert asker.endpoint.resolve("other", forged) is False
     cell.answer(asker, request)
     assert env.run(waiter).sender == cell.address
 
@@ -90,13 +108,14 @@ def test_unsolicited_and_duplicate_replies_are_dropped(net):
     first = env.run(waiter)
     env.run()
     assert len(asker.inbox) == 3 and waiter.value is first
-    assert all(asker.endpoint.resolve(envelope) for envelope in asker.inbox)
+    assert all(asker.endpoint.resolve("cell", envelope) for envelope in asker.inbox)
 
 
 def test_resolve_can_fire_the_waiter_with_the_body_its_caller_already_parsed(net):
     env, _network, asker, cell, _other = net
     request, waiter = ask(asker, cell)
-    asker.endpoint.resolve(cell.endpoint.sign(asker.address, Opcode.PONG, {}, request.nonce), "body")
+    reply = cell.endpoint.sign(asker.address, Opcode.PONG, {}, request.nonce)
+    asker.endpoint.resolve("cell", reply, "body")
     assert env.run(waiter) == "body"
 
 
@@ -188,7 +207,7 @@ def test_a_deadline_wait_resumes_its_caller_where_a_race_against_a_timer_would(n
             env.run(until=env.now + 0.5)
             for request in requests:  # both replies resolve in one step
                 asker.endpoint.resolve(
-                    cell.endpoint.sign(asker.address, Opcode.PONG, {}, request.nonce)
+                    "cell", cell.endpoint.sign(asker.address, Opcode.PONG, {}, request.nonce)
                 )
         env.run()
         return resumed

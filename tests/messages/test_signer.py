@@ -13,6 +13,7 @@ from repro.messages.signer import (
     EcdsaSigner,
     SignedStatement,
     SimulatedSigner,
+    consortium_keys,
     register_consortium_keys,
     verify_signature,
 )
@@ -68,8 +69,12 @@ def test_garbage_ecdsa_signature_rejected():
 # -- registered consortium keys: checked by key, never a different verdict -------
 
 
-def _verdicts(signer, other, message=b"consortium message"):
-    """Verdicts on one honest signature and on each way to spoil it."""
+def _verdicts(signer, other, message=b"consortium message", held=None):
+    """Verdicts on one honest signature and on each way to spoil it.
+
+    ``held``: keys by address that the verifier holds itself, each passed
+    for the address a case claims.
+    """
     signature = signer.sign(message)
     parsed = Signature.from_bytes(signature)
     wrong_v = Signature(r=parsed.r, s=parsed.s, v=parsed.v ^ 1).to_bytes()
@@ -84,7 +89,7 @@ def _verdicts(signer, other, message=b"consortium message"):
     verdicts = []
     for case in cases:
         signer_module._VERIFIED_ECDSA.clear()
-        verdicts.append(verify_signature("ecdsa", *case))
+        verdicts.append(verify_signature("ecdsa", *case, (held or {}).get(case[0])))
     return verdicts
 
 
@@ -100,6 +105,22 @@ def test_a_registered_key_is_checked_by_key_with_the_verdicts_of_recovery(monkey
 
     monkeypatch.setattr(signer_module, "recover_address", no_recovery)
     assert _verdicts(signer, other) == recovered
+
+
+def test_a_held_key_is_checked_by_key_with_the_verdicts_of_recovery_unregistered(monkeypatch):
+    signer, other = EcdsaSigner.from_seed("consortium-a"), EcdsaSigner.from_seed("consortium-b")
+    keys = signer_module.BoundedMemo(4)
+    monkeypatch.setattr(signer_module, "_CONSORTIUM_KEYS", keys)
+    recovered = _verdicts(signer, other)
+    held = consortium_keys([signer, other, SimulatedSigner("consortium-a")])
+    assert set(held) == {signer.address, other.address}
+
+    def no_recovery(*args):
+        pytest.fail("a held key was recovered")
+
+    monkeypatch.setattr(signer_module, "recover_address", no_recovery)
+    assert _verdicts(signer, other, held=held) == recovered
+    assert len(keys) == 0
 
 
 def test_registration_keeps_the_first_entry_skips_sim_and_clear_registry_drops_it(monkeypatch):
@@ -124,6 +145,14 @@ def test_a_deployment_registers_its_cells_standbys_included_and_no_client(monkey
     client = deployment.make_client_signer("consortium-client")
     assert set(keys) == {cell.address.value for cell in deployment.cells}
     assert len(deployment.cells) == 3 and client.address.value not in set(keys)
+
+
+def test_the_keys_a_deployment_hands_its_clients_are_the_registered_ones(monkeypatch):
+    keys = signer_module.BoundedMemo(64)
+    monkeypatch.setattr(signer_module, "_CONSORTIUM_KEYS", keys)
+    deployment = make_deployment(standby_cells=1)
+    assert set(deployment.cell_keys) == {cell.address for cell in deployment.cells}
+    assert all(keys.get(address.value) is key for address, key in deployment.cell_keys.items())
 
 
 def test_an_opcode_prints_as_its_wire_value():
