@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..core.deployment import BlockumulusDeployment
-from ..core.receipts import AggregatedReceipt, CompactReceipt
+from ..core.receipts import AggregatedReceipt, CompactReceipt, ReceiptError
 from ..core.replies import ReplyError
 from ..core.routes import read_reply
 from ..crypto.keys import Address
 from ..messages.endpoint import Endpoint
-from ..messages.envelope import Envelope
+from ..messages.envelope import Envelope, NonceFactory
 from ..messages.opcodes import Opcode
 from ..messages.signer import Signer
 from ..sim.events import Event
@@ -88,6 +88,7 @@ class BlockumulusClient:
         signer: Optional[Signer] = None,
         service_cell_index: int = 0,
         node_name: Optional[str] = None,
+        nonces: Optional[NonceFactory] = None,
     ) -> None:
         self.deployment = deployment
         self.env = deployment.env
@@ -96,7 +97,7 @@ class BlockumulusClient:
         self.node_name = node_name or f"client-{type(self)._counter}"
         self.signer = signer or deployment.make_client_signer(f"client/{self.node_name}")
         self.service_cell = deployment.cell(service_cell_index)
-        self.endpoint = Endpoint(self.env, self.network, self.node_name, self.signer)
+        self.endpoint = Endpoint(self.env, self.network, self.node_name, self.signer, nonces=nonces)
         self.nonces = self.endpoint.nonces
         self.network.register(self.node_name, handler=self._on_message)
         self.network.set_link(
@@ -180,16 +181,33 @@ class BlockumulusClient:
             )
 
         def receipted(body: CompactReceipt, reply: Envelope) -> TransactionResult:
-            receipt = body.rebuild(request, reply)
-            error = self.receipt_refusal(receipt)
-            if error is not None:
-                self.deployment.metrics.increment(f"{self.node_name}/refused_receipts")
+            receipt, error = self.checked_receipt(body, request, reply)
+            if receipt is None:
                 return refused(error)
             return TransactionResult(
                 True, submitted_at, self.env.now, receipt=receipt, tx_id=receipt.tx_id
             )
 
         return self._answer(waiter, Opcode.TX_RECEIPT, receipted, refused)
+
+    def checked_receipt(
+        self, body: CompactReceipt, request: Envelope, reply: Envelope
+    ) -> tuple[Optional[AggregatedReceipt], str]:
+        """The receipt ``reply`` carries of ``request``, rebuilt and checked.
+
+        That is ``(receipt, "")`` when it confirms the transaction, else
+        ``(None, why)`` and one tick of ``<client node>/refused_receipts``.
+        """
+        try:
+            receipt = body.rebuild(request, reply, self.deployment.invariants.cell_addresses)
+        except ReceiptError:
+            error: Optional[str] = "receipt failed verification"
+        else:
+            error = self.receipt_refusal(receipt)
+        if error is None:
+            return receipt, ""
+        self.deployment.metrics.increment(f"{self.node_name}/refused_receipts")
+        return None, error
 
     def receipt_refusal(self, receipt: AggregatedReceipt) -> Optional[str]:
         """Why ``receipt`` does not confirm this client's transaction, or None if it does.

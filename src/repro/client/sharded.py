@@ -48,14 +48,14 @@ from ..core.sharding import (
 )
 from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address
-from ..messages.envelope import Envelope
+from ..messages.envelope import Envelope, NonceFactory
 from ..messages.opcodes import Opcode
 from ..messages.signer import Signer
 from ..messages.xshard import (
+    CompactVoucher,
     CrossShardDecision,
     CrossShardPrepare,
     CrossShardVote,
-    CrossShardVoucher,
     CrossShardVoucherTransfer,
 )
 from ..sim.events import Event
@@ -97,13 +97,6 @@ class ParticipantPlan:
     prepare: Call
     commit: Call
     abort: Call
-
-
-def _inner_receipt(
-    answer: Union[VoteReply, VoucherReply], inner: Envelope, reply: Envelope
-) -> Optional[AggregatedReceipt]:
-    """The receipt a gateway's ``reply`` carries of ``inner``, rebuilt from what was signed."""
-    return None if answer.receipt is None else answer.receipt.rebuild(inner, reply)
 
 
 @dataclass
@@ -171,6 +164,9 @@ class ShardedClient:
         self.signer = signer or primary.make_client_signer(
             f"sharded-client/{node_basename or type(self)._counter}"
         )
+        #: The identity's one nonce sequence, which every per-group node
+        #: draws from: one (sender, nonce) pair signs one request.
+        self.nonces = NonceFactory(self.signer.address)
         #: One per-group client, all speaking with this client's identity.
         self.clients: list[BlockumulusClient] = [
             BlockumulusClient(
@@ -180,6 +176,7 @@ class ShardedClient:
                 node_name=(
                     f"{node_basename}@g{group.index}" if node_basename is not None else None
                 ),
+                nonces=self.nonces,
             )
             for group in deployment.groups
         ]
@@ -317,6 +314,7 @@ class ShardedClient:
                     if self._node_basename is not None
                     else None
                 ),
+                nonces=self.nonces,
             )
             self._gateway_clients[group] = client
         return client
@@ -344,6 +342,31 @@ class ShardedClient:
         )
         return answer
 
+    def _inner_outcome(
+        self,
+        group: int,
+        answer: Union[VoteReply, VoucherReply],
+        inner: Envelope,
+        reply: Envelope,
+        ok: bool = True,
+        error: Optional[str] = None,
+        vote: Optional[CrossShardVote] = None,
+    ) -> PhaseOutcome:
+        """The outcome of a gateway's ``reply`` to ``inner``, its inner receipt checked.
+
+        The receipt is checked as a direct submission's is
+        (:meth:`BlockumulusClient.checked_receipt`, by the group's
+        invariants and cell keys): one that fails makes the phase not ok.
+        """
+        if answer.receipt is None:
+            return PhaseOutcome(ok=ok, vote=vote, error=error)
+        receipt, refusal = self._gateway_client(group).checked_receipt(
+            answer.receipt, inner, reply
+        )
+        if receipt is None:
+            return PhaseOutcome(ok=False, vote=vote, error=f"inner {refusal}")
+        return PhaseOutcome(ok=ok, vote=vote, receipt=receipt, error=error)
+
     def _parse_vote(
         self,
         reply: Optional[Envelope],
@@ -368,9 +391,7 @@ class ShardedClient:
             or vote.voter != reply.sender
         ):
             return PhaseOutcome(ok=False, error="gateway vote failed verification")
-        return PhaseOutcome(
-            ok=vote.ok, vote=vote, receipt=_inner_receipt(answer, inner, reply), error=answer.error
-        )
+        return self._inner_outcome(group, answer, inner, reply, vote.ok, answer.error, vote)
 
     def _collect_votes(
         self,
@@ -622,7 +643,7 @@ class ShardedClient:
         # Leg 1: the source gateway mints (escrowed debit + signed voucher).
         inner = self._sign_call(signer, source_group, mint)
         body = CrossShardVoucherTransfer(
-            xtx=xtx, phase="mint", group=source_group,
+            phase="mint", group=source_group,
             transaction=inner.to_link(with_sender=False),
             target_group=target_group, target_contract=redeem[0],
         )
@@ -639,10 +660,22 @@ class ShardedClient:
             minted = read_reply(reply, Opcode.XSHARD_VOUCHER)
         except ReplyError as exc:
             return result(False, "abort", error=str(exc))
-        voucher = minted.voucher
-        if minted.phase != "minted" or voucher is None:
+        if minted.phase != "minted" or minted.signature is None:
             return result(False, "abort", error="malformed voucher mint reply")
-        mint_outcome = PhaseOutcome(ok=True, receipt=_inner_receipt(minted, inner, reply))
+        mint_outcome = self._inner_outcome(source_group, minted, inner, reply)
+        if not mint_outcome.ok:
+            return result(
+                False, "abort", in_transit=True, prepare={source_group: mint_outcome},
+                error=(
+                    f"voucher mint refused ({mint_outcome.error}); an outstanding "
+                    "voucher reclaims after its deadline"
+                ),
+            )
+        # The voucher the gateway asked signed, as the redeem carries it.
+        voucher = CompactVoucher(
+            reply.sender, source_group, minted.signature,
+            None if reply.scheme == signer.scheme else reply.scheme,
+        )
 
         if not await_redeem:
             # The asynchronous commit point: once the client holds a
@@ -651,7 +684,10 @@ class ShardedClient:
             # deadline, after which the escrow reclaims.  The signature
             # check is load-bearing for the early ok, so a forged
             # voucher is refused here, before the promise is made.
-            refusal = voucher.verify_against(self.deployment.gateway_directory())
+            # It is rebuilt from this mint call, which names what it vouches for.
+            refusal = voucher.voucher(
+                target_group, redeem[0], mint[2], signer.scheme
+            ).verify_against(self.deployment.gateway_directory())
             if refusal is not None:
                 return result(
                     False, "abort", in_transit=True,
@@ -689,7 +725,7 @@ class ShardedClient:
         target_group: int,
         redeem: Call,
         xtx: str,
-        voucher: CrossShardVoucher,
+        voucher: CompactVoucher,
         mint_outcome: PhaseOutcome,
         submitted_at: float,
     ) -> Generator[Event, Any, CrossShardResult]:
@@ -708,8 +744,9 @@ class ShardedClient:
 
         inner = self._sign_call(signer, target_group, redeem)
         body = CrossShardVoucherTransfer(
-            xtx=xtx, phase="redeem", group=target_group,
-            transaction=inner.to_link(with_sender=False), voucher=voucher,
+            phase="redeem", group=target_group,
+            transaction=inner.to_link(with_sender=False),
+            voucher=voucher,
         )
         reply = yield self._send_phase(signer, target_group, body.to_data(), Opcode.XSHARD_VOUCHER)
         if reply is None:
@@ -734,8 +771,16 @@ class ShardedClient:
                     "is in transit until redeemed or reclaimed"
                 ),
             )
-        receipt = _inner_receipt(redeemed, inner, reply)
-        return result(True, acks={target_group: PhaseOutcome(ok=True, receipt=receipt)})
+        outcome = self._inner_outcome(target_group, redeemed, inner, reply)
+        if not outcome.ok:
+            return result(
+                False, in_transit=True, acks={target_group: outcome},
+                error=(
+                    f"voucher redeemed but refused ({outcome.error}); value is in "
+                    "transit until redeemed or reclaimed"
+                ),
+            )
+        return result(True, acks={target_group: outcome})
 
 
 class ShardedFastMoneyClient:

@@ -162,7 +162,7 @@ class BatchDispatcher:
                 dst_node,
                 queue.recipient,
                 Opcode.TX_CONFIRM,
-                ConfirmationBatch(tuple(confirmations)).to_data(),
+                ConfirmationBatch(tuple(confirmations)).data_at(self.endpoint.env.now),
                 len(confirmations),
             )
 

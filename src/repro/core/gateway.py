@@ -31,13 +31,15 @@ from ..messages.opcodes import Opcode
 from ..messages.signer import SignedStatement
 from ..messages.xshard import (
     CrossShardDecision,
+    CrossShardError,
     CrossShardPrepare,
     CrossShardVote,
     CrossShardVoucher,
     CrossShardVoucherTransfer,
+    voucher_terms,
 )
 from ..sim.events import Event
-from .receipts import CompactReceipt
+from .receipts import CompactReceipt, called_contract
 from .replies import VoteReply, VoucherReply
 from .subscription import SubscriptionError
 
@@ -124,10 +126,7 @@ class CrossShardGateway:
     # The inner client-signed transaction (shared by every kind)
     # ------------------------------------------------------------------
     def _inner_transaction(
-        self,
-        envelope: Envelope,
-        body: Union[_PhaseBody, CrossShardVoucherTransfer],
-        method: Optional[str] = None,
+        self, envelope: Envelope, body: Union[_PhaseBody, CrossShardVoucherTransfer]
     ) -> Optional[Envelope]:
         """Parse and authenticate the request's inner transaction.
 
@@ -139,9 +138,6 @@ class CrossShardGateway:
         the namespace partition the routing layer guarantees.  Both
         identities travel only on the outer envelope: the inner one is
         read under them, and verifies only if it was signed for them.
-        Voucher legs pass their ``method``: it and the inner xtx must
-        match the outer request, so a gateway never signs a voucher (or
-        credits one) over a transaction that does something else.
         Returns None for an inner transaction this gateway must not
         service.
         """
@@ -151,10 +147,6 @@ class CrossShardGateway:
             return None
         if not inner.verify() or inner.operation != Opcode.TX_SUBMIT:
             return None
-        if method is not None:
-            data = inner.data
-            if data.get("method") != method or data.get("args", {}).get("xtx") != body.xtx:
-                return None
         return inner
 
     def _record(self, xtx: str, kind: str, ok: bool) -> None:
@@ -298,70 +290,81 @@ class CrossShardGateway:
         self,
         src_node: str,
         envelope: Envelope,
-        body: CrossShardVoucherTransfer,
+        xtx: str,
+        kind: str,
         inner: Optional[Envelope],
-        invalid: str,
     ) -> Generator[Event, Any, Optional["_ServiceResult"]]:
         """Service a voucher leg's inner transaction, answering failures.
 
         Returns the result of a fully confirmed leg; None once the leg
-        has ended (refused with ``invalid``, failed, censored, crashed).
+        has ended (refused, failed, censored, crashed).
         """
-        kind = f"voucher_{body.phase}"
         if inner is None:
             # Refused before anything executes: no debit, no credit, and
             # the xtx is poisoned against a later well-formed leg
             # (single-use ids, exactly as in the 2PC state machine).
-            self._record(body.xtx, kind, ok=False)
-            self.cell.refuse(src_node, envelope, invalid, xtx=body.xtx)
+            self._record(xtx, kind, ok=False)
+            self.cell.refuse(
+                src_node, envelope, "inner transaction invalid for this gateway", xtx=xtx
+            )
             return None
-        result = yield from self._service_inner(envelope, inner, body.xtx, kind)
+        result = yield from self._service_inner(envelope, inner, xtx, kind)
         if result is not None and not result.confirmed:
-            self.cell.refuse(src_node, envelope, result.failure_reason(), xtx=body.xtx)
+            self.cell.refuse(src_node, envelope, result.failure_reason(), xtx=xtx)
             return None
         return result
 
     def _serve_voucher(
         self, src_node: str, envelope: Envelope, body: CrossShardVoucherTransfer
     ) -> Generator[Event, Any, None]:
-        """Serve one voucher leg; cross-shard ids are single-use."""
-        state = self._xshard_state.get(body.xtx)
+        """Serve one voucher leg; cross-shard ids are single-use.
+
+        The leg's inner transaction must call this phase's voucher method
+        and name the cross-shard transaction it belongs to.
+        """
+        inner = self._inner_transaction(envelope, body)
+        args = None if inner is None else inner.data.get("args")
+        xtx = args.get("xtx") if type(args) is dict else None
+        if (
+            inner is None or type(xtx) is not str or not xtx
+            or inner.data.get("method") != f"xshard_voucher_{body.phase}"
+        ):
+            self.cell.refuse(src_node, envelope, "inner transaction invalid for this gateway")
+            return
+        state = self._xshard_state.get(xtx)
         if state == "voucher-redeemed" and body.phase == "redeem":
             # The redeemed-voucher registry: duplicate delivery is a
             # no-op acknowledged as such, never a second credit.
-            self._acknowledge_duplicate(src_node, envelope, body.xtx)
+            self._acknowledge_duplicate(src_node, envelope)
         elif state is not None:
             self.cell.refuse(
-                src_node, envelope,
-                f"cross-shard transaction {body.xtx} was already used", xtx=body.xtx,
+                src_node, envelope, f"cross-shard transaction {xtx} was already used", xtx=xtx,
             )
         elif body.phase == "mint":
-            yield from self._serve_mint(src_node, envelope, body)
+            yield from self._serve_mint(src_node, envelope, body, inner, args)
         else:
-            yield from self._serve_redeem(src_node, envelope, body)
+            yield from self._serve_redeem(
+                src_node, envelope, body, inner, called_contract(inner), args
+            )
 
     def _serve_mint(
-        self, src_node: str, envelope: Envelope, body: CrossShardVoucherTransfer
+        self, src_node: str, envelope: Envelope, body: CrossShardVoucherTransfer,
+        inner: Envelope, args: dict[str, Any],
     ) -> Generator[Event, Any, None]:
-        """Service a voucher mint and reply with the signed voucher."""
+        """Service the mint call ``inner`` (of ``args``) and reply with the voucher's signature."""
         cell = self.cell
-        inner = self._inner_transaction(envelope, body, "xshard_voucher_mint")
-        if inner is not None:
-            args = inner.data.get("args", {})
-            try:
-                recipient = str(args["to"])
-                amount = int(args["amount"])
-                expires_at = float(args["expires_at"])
-            except (KeyError, TypeError, ValueError):
-                inner = None
-        result = yield from self._voucher_leg(
-            src_node, envelope, body, inner, "inner transaction invalid for this gateway"
-        )
+        xtx = args["xtx"]
+        try:
+            _xtx, recipient, amount, expires_at = voucher_terms(args)
+        except CrossShardError:
+            yield from self._voucher_leg(src_node, envelope, xtx, "voucher_mint", None)
+            return
+        result = yield from self._voucher_leg(src_node, envelope, xtx, "voucher_mint", inner)
         if result is None:
             return
         assert body.target_group is not None
         voucher = CrossShardVoucher.create(
-            cell.signer, body.xtx, self.group, body.target_group,
+            cell.signer, xtx, self.group, body.target_group,
             str(body.target_contract), recipient, amount, expires_at,
         )
         if cell.fault.lying_gateway == "voucher":
@@ -369,32 +372,37 @@ class CrossShardGateway:
             # emitted voucher's signature cannot verify — every
             # directory check at the destination must refuse it, so the
             # value stays in transit and nothing credits.
-            cell.fault.record("lying_gateway", mode="voucher", xtx=body.xtx, honest_ok=True)
+            cell.fault.record("lying_gateway", mode="voucher", xtx=xtx, honest_ok=True)
             cell.metrics.increment(f"{cell.node_name}/xshard_vouchers_forged")
             voucher = _forged(voucher)
         if cell.fault.drop_voucher:
             # The voucher is lost in flight: the debit stands, the reply
             # never leaves, and the source holder reclaims after the
             # deadline (the lost-voucher recovery path).
-            cell.fault.record("voucher_loss", xtx=body.xtx)
+            cell.fault.record("voucher_loss", xtx=xtx)
             return
-        minted = VoucherReply(
-            "minted", body.xtx, voucher=voucher,
-            receipt=result.receipt,
-        )
+        # The client rebuilds the voucher from its own mint call and this
+        # gateway: the reply carries only what it lacks, the signature.
+        minted = VoucherReply("minted", signature=voucher.signature, receipt=result.receipt)
         cell.reply(src_node, envelope, Opcode.XSHARD_VOUCHER, minted.to_data())
 
     def _serve_redeem(
-        self, src_node: str, envelope: Envelope, body: CrossShardVoucherTransfer
+        self, src_node: str, envelope: Envelope, body: CrossShardVoucherTransfer,
+        inner: Envelope, contract: str, args: dict[str, Any],
     ) -> Generator[Event, Any, None]:
-        """Verify a voucher against the directory and credit its recipient."""
+        """Rebuild the voucher the redeem call ``inner`` spends, verify it and credit.
+
+        The voucher is completed from the called ``contract``, its ``args``
+        and this group, so it verifies only if the issuer signed exactly
+        that credit — nothing more, nowhere else.
+        """
         cell = self.cell
-        voucher = body.voucher
-        assert voucher is not None  # the body refuses a redeem without one
-        if voucher.xtx != body.xtx:
-            refusal: Optional[str] = "voucher is for a different cross-shard transaction"
-        elif voucher.target_group != self.group:
-            refusal = f"voucher targets group {voucher.target_group}, not this group"
+        xtx = args["xtx"]
+        assert body.voucher is not None  # the body refuses a redeem without one
+        try:
+            voucher = body.voucher.voucher(self.group, contract, args, envelope.scheme)
+        except CrossShardError:
+            refusal: Optional[str] = "inner transaction does not match the voucher"
         else:
             refusal = voucher.verify_against(self.directory)
         if refusal is not None:
@@ -402,41 +410,24 @@ class CrossShardGateway:
             # credit — the voucher analogue of certificate refusals,
             # counted for the chaos attribution oracle.
             cell.metrics.increment(f"{cell.node_name}/xshard_voucher_refusals")
-            self.cell.refuse(src_node, envelope, refusal, xtx=body.xtx)
+            cell.refuse(src_node, envelope, refusal, xtx=xtx)
             return
-        inner = self._inner_transaction(envelope, body, "xshard_voucher_redeem")
-        if inner is not None:
-            args = inner.data.get("args", {})
-            if (
-                str(args.get("to")) != voucher.recipient
-                or args.get("amount") != voucher.amount
-                or args.get("expires_at") != voucher.expires_at
-                or inner.data.get("contract") != voucher.contract
-            ):
-                # The inner credit must spend exactly what the voucher
-                # vouches for — nothing more, nowhere else.
-                inner = None
-        result = yield from self._voucher_leg(
-            src_node, envelope, body, inner, "inner transaction does not match the voucher"
-        )
+        result = yield from self._voucher_leg(src_node, envelope, xtx, "voucher_redeem", inner)
         if result is None:
             return
-        redeemed = VoucherReply(
-            "redeemed", body.xtx, duplicate=False,
-            receipt=result.receipt,
-        )
+        redeemed = VoucherReply("redeemed", receipt=result.receipt)
         cell.reply(src_node, envelope, Opcode.XSHARD_VOUCHER, redeemed.to_data())
         if cell.fault.duplicate_voucher:
             # The network redelivers the redeem: the registry answers it
             # as a duplicate without touching the pipeline — observable
             # through the metric, inert on state.
-            cell.fault.record("voucher_duplication", xtx=body.xtx)
-            self._acknowledge_duplicate(src_node, envelope, body.xtx)
+            cell.fault.record("voucher_duplication", xtx=xtx)
+            self._acknowledge_duplicate(src_node, envelope)
 
-    def _acknowledge_duplicate(self, src_node: str, envelope: Envelope, xtx: str) -> None:
+    def _acknowledge_duplicate(self, src_node: str, envelope: Envelope) -> None:
         """Answer a redeem the registry already holds: counted, never re-credited."""
         self.cell.metrics.increment(f"{self.cell.node_name}/xshard_voucher_duplicates")
         self.cell.reply(
             src_node, envelope, Opcode.XSHARD_VOUCHER,
-            VoucherReply("redeemed", xtx, duplicate=True).to_data(),
+            VoucherReply("redeemed", duplicate=True).to_data(),
         )

@@ -17,7 +17,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional, Sequence, cast
 
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
@@ -119,41 +119,93 @@ def _unless(value: Any, derived: Any) -> Any:
     return None if value == derived else value
 
 
+def _others(consortium: Sequence[Address], cell: Address) -> list[Address]:
+    """The cells of ``consortium`` but ``cell``, in consortium order."""
+    return [member for member in consortium if member != cell]
+
+
 @dataclass(frozen=True)
 class LinkConfirmation(wire.Body, error=ReceiptError):
     """A :class:`Confirmation` on the cell↔cell link: what the service cell lacks.
 
     The signing cell and its scheme are the envelope's, and the contract,
     unless the signer named another, is the one the service cell's own
-    ledger entry calls; :meth:`confirmation` rebuilds the signed statement,
-    which verifies only for the cell, contract and transaction it was signed for.
+    ledger entry calls.  An executed call's fingerprint and status travel
+    only where the signer's fingerprint is not its own execution's: the
+    service cell states its own execution's in their place, so a peer that
+    executed the call differently signed a statement that does not verify
+    (``fingerprint_hex`` and ``status`` are None together).  The timestamp
+    travels only where it is not the carrying ``TX_CONFIRM``'s
+    (:meth:`ConfirmationBatch.data_at`).  :meth:`confirmation` rebuilds
+    the signed statement, which verifies only for the cell, contract,
+    transaction and execution it was signed for.
     """
 
     tx_id: str = wire.text()
-    fingerprint_hex: str = wire.text("fingerprint")
-    status: str = wire.text()
-    timestamp: float = wire.seconds()
     signature: bytes = wire.signature()
+    #: None, both: the service cell's own execution of the call, which executed.
+    fingerprint_hex: Optional[str] = wire.text("fingerprint", omit_none=True, default=None)
+    status: Optional[str] = wire.text(omit_none=True, default=None)
+    #: None: the timestamp of the ``TX_CONFIRM`` that carries the item.
+    timestamp: Optional[float] = wire.seconds(omit_none=True, default=None)
     error: Optional[str] = wire.text(omit_none=True, default=None)
     #: None: the contract the forwarded client envelope calls.
     contract: Optional[str] = wire.text(omit_none=True, default=None)
 
+    def __post_init__(self) -> None:
+        if (self.fingerprint_hex is None) != (self.status is None):
+            raise ReceiptError("a link confirmation states its fingerprint and status together")
+        if self.fingerprint_hex is None and self.error is not None:
+            raise ReceiptError("a confirmation of an executed call states no error")
+
     @classmethod
-    def of(cls, confirmation: Confirmation, client_envelope: Envelope) -> "LinkConfirmation":
-        """The link item of ``confirmation`` about the transaction in ``client_envelope``."""
+    def of(
+        cls, confirmation: Confirmation, client_envelope: Envelope, own_fingerprint: str = ""
+    ) -> "LinkConfirmation":
+        """The link item of ``confirmation`` about the transaction in ``client_envelope``.
+
+        ``own_fingerprint`` is the fingerprint the signer's own execution
+        gives: a confirmation of an executed call that states it leaves it
+        and the status to the service cell.
+        """
         contract = confirmation.contract
+        derived = (
+            confirmation.status == "executed" and confirmation.error is None
+            and confirmation.fingerprint_hex == own_fingerprint
+        )
         return cls(
-            confirmation.tx_id, confirmation.fingerprint_hex, confirmation.status,
-            confirmation.timestamp, confirmation.signature, confirmation.error,
+            confirmation.tx_id, confirmation.signature,
+            None if derived else confirmation.fingerprint_hex,
+            None if derived else confirmation.status,
+            confirmation.timestamp, confirmation.error,
             None if contract == called_contract(client_envelope) else contract,
         )
 
-    def confirmation(self, cell: Address, scheme: str, client_envelope: Envelope) -> Confirmation:
-        """The full statement ``cell`` signed, if this item came from ``cell``."""
+    def confirmation(
+        self,
+        cell: Address,
+        scheme: str,
+        client_envelope: Envelope,
+        moment: float,
+        executed_fingerprint: Optional[str] = None,
+    ) -> Confirmation:
+        """The full statement ``cell`` signed, if this item came from ``cell``.
+
+        ``moment`` is the carrying ``TX_CONFIRM``'s timestamp, and
+        ``executed_fingerprint`` the fingerprint of the receiver's own
+        execution, which an item without one states.
+        """
+        if self.fingerprint_hex is None:
+            if executed_fingerprint is None:
+                raise ReceiptError("the item states the receiver's fingerprint, which is unknown")
+            fingerprint_hex, status = executed_fingerprint, "executed"
+        else:
+            fingerprint_hex, status = self.fingerprint_hex, str(self.status)
         return Confirmation(
             cell=cell, tx_id=self.tx_id,
             contract=called_contract(client_envelope) if self.contract is None else self.contract,
-            fingerprint_hex=self.fingerprint_hex, status=self.status, timestamp=self.timestamp,
+            fingerprint_hex=fingerprint_hex, status=status,
+            timestamp=moment if self.timestamp is None else self.timestamp,
             error=self.error, signature=self.signature, scheme=scheme,
         )
 
@@ -176,6 +228,18 @@ class ConfirmationBatch(wire.Body, error=ReceiptError):
     def __len__(self) -> int:
         return len(self.confirmations)
 
+    def data_at(self, moment: float) -> dict[str, Any]:
+        """The data field of a ``TX_CONFIRM`` stamped ``moment`` that carries this batch.
+
+        An item signed at that moment leaves its timestamp to the envelope.
+        """
+        data = self.to_data()
+        moment = round(moment, 6)
+        for item in data["confirmations"]:
+            if item.get("timestamp") == moment:
+                del item["timestamp"]
+        return data
+
 
 @dataclass(frozen=True)
 class CoSigner(wire.Body, error=ReceiptError, what="receipt co-signer"):
@@ -184,11 +248,13 @@ class CoSigner(wire.Body, error=ReceiptError, what="receipt co-signer"):
     Every co-signer signed the same :class:`Confirmation` but for its own
     ``cell`` and ``timestamp``; the statement they share travels once, on
     the receipt.  An :class:`AggregatedReceipt` states every co-signer's
-    scheme; a :class:`CompactReceipt` only one that is not the carrying
-    reply's.
+    cell and scheme; a :class:`CompactReceipt` a scheme only where it is
+    not the carrying reply's, and the cells only where they are not the
+    consortium's other cells in consortium order.
     """
 
-    cell: Address = wire.address()
+    #: None: in a compact receipt, the consortium cell in this one's place.
+    cell: Optional[Address] = wire.address(omit_none=True)
     timestamp: float = wire.seconds()
     signature: bytes = wire.signature()
     #: None: in a compact receipt, the scheme of the reply that carries it.
@@ -223,6 +289,8 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
     def __post_init__(self) -> None:
         if self.status != "executed":
             raise ReceiptError(f"a receipt states an executed transaction, not {self.status!r}")
+        if any(cosigner.cell is None for cosigner in self.cosigners):
+            raise ReceiptError("a receipt names every co-signer")
         if any(cosigner.scheme is None for cosigner in self.cosigners):
             # The portable form states every scheme; one it leaves out is ECDSA.
             object.__setattr__(self, "cosigners", tuple(
@@ -235,7 +303,7 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
         """Every co-signer's full signed statement, rebuilt from the shared fields."""
         return tuple(
             Confirmation(
-                cell=cosigner.cell, tx_id=self.tx_id, contract=self.contract,
+                cell=cast(Address, cosigner.cell), tx_id=self.tx_id, contract=self.contract,
                 fingerprint_hex=self.fingerprint_hex, status=self.status,
                 timestamp=cosigner.timestamp, signature=cosigner.signature,
                 scheme=cosigner.scheme,
@@ -250,7 +318,7 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
 
     def cells(self) -> list[str]:
         """Hex addresses of every cell that signed the receipt."""
-        return [cosigner.cell.hex() for cosigner in self.cosigners]
+        return [cast(Address, cosigner.cell).hex() for cosigner in self.cosigners]
 
     def verify(
         self,
@@ -296,10 +364,12 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
     the fingerprint the co-signers signed is derived from those and the
     result; the reply envelope that carries the receipt states the service
     cell (the cell the client asked), the signature scheme and the service
-    cell's co-signing moment, which completes the receipt.  The contract,
-    the method, that moment and each scheme travel only where the receipt
+    cell's co-signing moment, which completes the receipt; and the
+    consortium, which the client knows, names the peer co-signers when they
+    are its other cells in its order.  The contract, the method, that
+    moment, each scheme and the peers' cells travel only where the receipt
     states something else, and :meth:`rebuild` puts the receipt back
-    together from the three.  Only the holder of the request can: the
+    together from the four.  Only the holder of the request can: the
     portable, third-party checkable form stays
     :meth:`AggregatedReceipt.to_wire`.
     """
@@ -316,6 +386,10 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
     timestamp: Optional[float] = wire.seconds(omit_none=True, default=None)
     scheme: Optional[str] = wire.text(omit_none=True, default=None)
 
+    def __post_init__(self) -> None:
+        if len({cosigner.cell is None for cosigner in self.cosigners}) > 1:
+            raise ReceiptError("a compact receipt names all of its peer co-signers or none")
+
     @classmethod
     def of(
         cls,
@@ -328,6 +402,7 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
         cycle: int,
         scheme: str,
         moment: float,
+        consortium: Sequence[Address],
     ) -> "CompactReceipt":
         """The receipt ``own`` and ``peers`` co-sign, as a reply carries it.
 
@@ -335,13 +410,19 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
         client-signed transaction, and the receipt completes when the
         service cell co-signs; the reply is signed with ``scheme`` at
         ``moment``.  The caller has judged that every peer signed the
-        statement ``own`` states.
+        statement ``own`` states, and lists them in the order of the
+        ``consortium``'s cells.
         """
         moment = round(moment, 6)
+        peers = tuple(peers)
+        named = [peer.cell for peer in peers] != _others(consortium, own.cell)
         return cls(
             cycle, result, own.signature,
             tuple(
-                CoSigner(peer.cell, peer.timestamp, peer.signature, _unless(peer.scheme, scheme))
+                CoSigner(
+                    peer.cell if named else None, peer.timestamp, peer.signature,
+                    _unless(peer.scheme, scheme),
+                )
                 for peer in peers
             ),
             contract=_unless(own.contract, called_contract(request)),
@@ -350,13 +431,17 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
             scheme=_unless(own.scheme, scheme),
         )
 
-    def rebuild(self, request: Envelope, reply: Envelope) -> AggregatedReceipt:
+    def rebuild(
+        self, request: Envelope, reply: Envelope, consortium: Sequence[Address]
+    ) -> AggregatedReceipt:
         """The receipt, from the client's own ``request`` and the ``reply`` that carried this.
 
         Its fingerprint is the one ``request``'s call and the carried
         result give, so it verifies only if ``request`` is the transaction
         its co-signers signed, ``result`` is what they executed and
-        ``reply`` came from its service cell.
+        ``reply`` came from its service cell.  Unnamed peer co-signers are
+        the other cells of ``consortium``, the deployment's, in its order;
+        a receipt with another number of them raises :class:`ReceiptError`.
         """
         scheme = reply.scheme
         completed_at = reply.payload.timestamp if self.timestamp is None else self.timestamp
@@ -364,10 +449,15 @@ class CompactReceipt(wire.Body, error=ReceiptError, what="compact receipt"):
             reply.sender, completed_at, self.signature,
             scheme if self.scheme is None else self.scheme,
         )
+        cells: Sequence[Optional[Address]] = [peer.cell for peer in self.cosigners]
+        if self.cosigners and self.cosigners[0].cell is None:
+            cells = _others(consortium, reply.sender)
+            if len(cells) != len(self.cosigners):
+                raise ReceiptError("an unnamed co-signer list is not the consortium's other cells")
         peers = (
-            CoSigner(peer.cell, peer.timestamp, peer.signature,
+            CoSigner(cell, peer.timestamp, peer.signature,
                      scheme if peer.scheme is None else peer.scheme)
-            for peer in self.cosigners
+            for cell, peer in zip(cells, self.cosigners)
         )
         tx_id = request.payload.hash_hex()
         contract = called_contract(request) if self.contract is None else self.contract

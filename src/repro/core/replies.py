@@ -20,7 +20,7 @@ from typing import Any, Optional
 from ..crypto.keys import Address
 from ..messages import wire
 from ..messages.membership import LedgerRecord
-from ..messages.xshard import CrossShardVote, CrossShardVoucher
+from ..messages.xshard import CrossShardVote
 from .receipts import CompactReceipt
 from .snapshot import DataSnapshot
 
@@ -92,17 +92,18 @@ class VoteReply(wire.Body, error=ReplyError):
 class VoucherReply(wire.Body, error=ReplyError):
     """``XSHARD_VOUCHER`` as a reply: a voucher leg the gateway completed.
 
-    ``minted`` carries the signed voucher; ``redeemed`` says whether the
-    registry already held the redemption (``duplicate``: acknowledged,
-    never credited twice).  ``receipt`` is the inner transaction's, as in
-    :class:`VoteReply`.
+    ``minted`` carries the voucher's signature: the client that signed the
+    mint call rebuilds the :class:`~repro.messages.xshard.CrossShardVoucher`
+    from that call and the gateway it asked.  ``redeemed`` is flagged
+    ``duplicate`` where the registry already held the redemption
+    (acknowledged, never credited twice).  ``receipt`` is the inner
+    transaction's, as in :class:`VoteReply`, which also states the
+    cross-shard transaction.
     """
 
     phase: str = wire.text()
-    xtx: str = wire.text()
-    voucher: Optional[CrossShardVoucher] = wire.nested(CrossShardVoucher)(
-        omit_none=True, default=None
-    )
+    signature: Optional[bytes] = wire.signature(omit_none=True, default=None)
+    #: True, or None: only a duplicate redemption is flagged.
     duplicate: Optional[bool] = wire.flag(omit_none=True, default=None)
     receipt: Optional[CompactReceipt] = wire.nested(CompactReceipt)(
         omit_none=True, default=None
@@ -111,8 +112,10 @@ class VoucherReply(wire.Body, error=ReplyError):
     def __post_init__(self) -> None:
         if self.phase not in ("minted", "redeemed"):
             raise ReplyError(f"unknown voucher reply phase {self.phase!r}")
-        if self.phase == "minted" and self.voucher is None:
-            raise ReplyError("a minted reply must carry the voucher")
+        if (self.phase == "minted") != (self.signature is not None):
+            raise ReplyError("a minted reply, and only one, carries the voucher's signature")
+        if self.duplicate is False:
+            raise ReplyError("only a duplicate redemption is flagged")
 
 
 @dataclass(frozen=True)

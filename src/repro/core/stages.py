@@ -201,13 +201,62 @@ class _PendingTransaction:
         self.expected_cells = set(expected_cells)
         self.confirmations: dict[Address, Confirmation] = {}
         self.all_received: Event = clock.event()
+        #: The fingerprint of this cell's own execution, once it ran ("" before).
+        self.fingerprint_hex = ""
+        #: Peers whose own item, stating this cell's execution, did not
+        #: verify: they executed the call differently.
+        self.refuted: set[Address] = set()
+        #: The latest such item of each peer, waiting for this cell's execution.
+        self._waiting: dict[Address, tuple[str, float, LinkConfirmation, Envelope]] = {}
 
     def add(self, confirmation: Confirmation) -> None:
         """Record one confirmation, firing the completion event if done."""
         if confirmation.cell not in self.expected_cells:
             return
         self.confirmations[confirmation.cell] = confirmation
-        if len(self.confirmations) >= len(self.expected_cells) and not self.all_received.triggered:
+        self._settle()
+
+    def offer(
+        self, cell: Address, scheme: str, moment: float, item: LinkConfirmation,
+        client_envelope: Envelope,
+    ) -> None:
+        """Take ``cell``'s own item that states this cell's execution, checked once it ran."""
+        if not self.fingerprint_hex:
+            self._waiting[cell] = (scheme, moment, item, client_envelope)
+        else:
+            self._check(cell, scheme, moment, item, client_envelope)
+
+    def executed(self, fingerprint_hex: str) -> None:
+        """This cell's execution gives ``fingerprint_hex``: check the items that waited for it."""
+        self.fingerprint_hex = fingerprint_hex
+        waiting, self._waiting = self._waiting, {}
+        for cell, offered in waiting.items():
+            self._check(cell, *offered)
+
+    def _check(
+        self, cell: Address, scheme: str, moment: float, item: LinkConfirmation,
+        client_envelope: Envelope,
+    ) -> None:
+        if cell not in self.expected_cells or cell in self.confirmations:
+            return
+        confirmation = item.confirmation(
+            cell, scheme, client_envelope, moment, self.fingerprint_hex
+        )
+        if confirmation.verify():
+            self.add(confirmation)
+        else:
+            # The peer's own answer, like a stated mismatch: it ends the wait.
+            self.refuted.add(cell)
+            self._settle()
+
+    def _settle(self) -> None:
+        """Fire the completion event once every expected peer answered."""
+        if self.all_received.triggered:
+            return
+        answered = len(self.confirmations)
+        if self.refuted:
+            answered += len(self.refuted - self.confirmations.keys())
+        if answered >= len(self.expected_cells):
             self.all_received.succeed(self.confirmations)
 
 
@@ -288,6 +337,7 @@ class ServiceStage:
 
         # Execute locally while peers work in parallel.
         outcome = yield from execute.run(entry)
+        pending.executed(outcome.execution_fingerprint_hex())
 
         # Wait for all confirmations or the forwarding deadline.  A peer runs
         # this transaction only after everything ranked before it, so its
@@ -348,10 +398,20 @@ class ServiceStage:
         in the form the reply that answers now carries it.
         """
         cell = self.cell
-        missing = [address for address in active_peers if address not in pending.confirmations]
-        mismatched: list[Address] = []
+        missing = [
+            address for address in active_peers
+            if address not in pending.confirmations and address not in pending.refuted
+        ]
+        # A peer whose own item stating this cell's execution failed signed
+        # another execution: it answered, so it is judged like a stated mismatch.
+        mismatched = [
+            address for address in active_peers
+            if address in pending.refuted and address not in pending.confirmations
+        ] if pending.refuted else []
         rejected: list[Confirmation] = []
-        expected_fingerprint = outcome.execution_fingerprint_hex()
+        expected_fingerprint = pending.fingerprint_hex
+        for address in mismatched:
+            cell.consensus.record_success(address)
         for address, confirmation in pending.confirmations.items():
             cell.consensus.record_success(address)
             if confirmation.status != "executed":
@@ -381,15 +441,20 @@ class ServiceStage:
                 status="executed",
                 timestamp=self.clock.now,
             )
+            consortium = cell.invariants.cell_addresses
+            peers = list(pending.confirmations.values())
+            if len(peers) > 1:
+                peers.sort(key=lambda peer: consortium.index(peer.cell))
             receipt = CompactReceipt.of(
                 own_confirmation,
-                pending.confirmations.values(),
+                peers,
                 entry.envelope,
                 method=outcome.method,
                 result=outcome.result,
                 cycle=entry.cycle,
                 scheme=cell.signer.scheme,
                 moment=self.clock.now,
+                consortium=consortium,
             )
         return _ServiceResult(
             entry=entry,
@@ -408,26 +473,44 @@ class ServiceStage:
         Each is rebuilt from this cell's own ledger entry and the envelope,
         so it verifies only if the envelope's claimed sender signed it; one
         for a transaction this cell never admitted is refused like a bad
-        signature.  The batch is taken whole or not at all: the first item
-        that fails refuses it, so a forged batch costs one signature check,
-        as checking a signed envelope did.
+        signature.  An item that states its own fingerprint is checked at
+        once, and the batch is taken whole or not at all: the first such
+        item that fails refuses it, so a forged batch costs one signature
+        check, as checking a signed envelope did.  An item that leaves the
+        fingerprint to this cell's own execution cannot tell a forgery from
+        a peer that executed differently when it fails, so it is taken only
+        over the link to the cell it names, like an unsigned reply: from
+        anywhere else it refuses the batch, unchecked.  Such an item goes
+        to the transaction's wait, which checks it once this cell executed
+        the call (and drops it unchecked if nothing waits for it any more).
         """
         cell = self.cell
-        confirmations = []
+        sender, scheme, moment = envelope.sender, envelope.scheme, envelope.timestamp
+        own_link = cell.peers.get(sender) == src_node
+        accepted: list[tuple[LinkConfirmation, LedgerEntry, Optional[Confirmation]]] = []
         for item in batch.confirmations:
             try:
                 entry = cell.ledger.get(item.tx_id)
             except LedgerError:
                 cell.refuse_unauthenticated(src_node, envelope)
                 return
-            confirmation = item.confirmation(envelope.sender, envelope.scheme, entry.envelope)
-            if not confirmation.verify():
+            confirmation = None
+            if item.fingerprint_hex is not None:
+                confirmation = item.confirmation(sender, scheme, entry.envelope, moment)
+                if not confirmation.verify():
+                    cell.refuse_unauthenticated(src_node, envelope)
+                    return
+            elif not own_link:
                 cell.refuse_unauthenticated(src_node, envelope)
                 return
-            confirmations.append(confirmation)
-        for confirmation in confirmations:
-            pending = self._pending.get(confirmation.tx_id)
-            if pending is not None:
+            accepted.append((item, entry, confirmation))
+        for item, entry, confirmation in accepted:
+            pending = self._pending.get(item.tx_id)
+            if pending is None:
+                continue
+            if confirmation is None:
+                pending.offer(sender, scheme, moment, item, entry.envelope)
+            else:
                 pending.add(confirmation)
 
 
@@ -569,6 +652,7 @@ class PeerStage:
         cell = self.cell
         if cell.fault.crashed:
             return
+        own_fingerprint = fingerprint_hex
         if cell.fault.equivocate and status == "executed":
             # Equivocation: sign a *different* execution fingerprint for
             # roughly half the service cells (split deterministically by
@@ -590,7 +674,7 @@ class PeerStage:
         )
         # Routing at the receiver is by tx_id, so no reply_to is needed.
         cell.batcher.queue_confirmation(
-            dst_node, origin, LinkConfirmation.of(confirmation, client_envelope)
+            dst_node, origin, LinkConfirmation.of(confirmation, client_envelope, own_fingerprint)
         )
 
 

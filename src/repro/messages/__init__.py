@@ -26,6 +26,7 @@ from .opcodes import Opcode
 from .payload import Payload, PayloadError
 from .signer import EcdsaSigner, SimulatedSigner, Signer, verify_signature
 from .xshard import (
+    CompactVoucher,
     CrossShardDecision,
     CrossShardError,
     CrossShardPrepare,
@@ -36,6 +37,7 @@ from .xshard import (
 
 __all__ = [
     "BatchError",
+    "CompactVoucher",
     "CrossShardDecision",
     "CrossShardError",
     "CrossShardPrepare",

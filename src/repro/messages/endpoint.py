@@ -34,14 +34,16 @@ class Endpoint:
         node_name: str,
         signer: Signer,
         silent: Callable[[], bool] = lambda: False,
+        nonces: Optional[NonceFactory] = None,
     ) -> None:
         self.env = env
         self.network = network
         self.node_name = node_name
         self.signer = signer
-        #: The node's one nonce sequence: requests, replies and batch
-        #: flushes all draw from it.
-        self.nonces = NonceFactory(signer.address)
+        #: The signer's one nonce sequence: requests, replies and batch
+        #: flushes all draw from it, and so do the other nodes it is handed
+        #: to (the per-group nodes of one client identity).
+        self.nonces = NonceFactory(signer.address) if nonces is None else nonces
         #: True while nothing may leave the node (a crashed cell emits nothing).
         self.silent = silent
         #: Request nonce -> (the cell that was asked, the identity that asked,

@@ -323,6 +323,11 @@ class Envelope:
         return self.payload.nonce
 
     @property
+    def timestamp(self) -> float:
+        """The sender's clock stamp, in whole microseconds."""
+        return self.payload.timestamp
+
+    @property
     def data(self) -> dict[str, Any]:
         """The operation-specific data field."""
         return self.payload.data

@@ -68,7 +68,8 @@ class Kind:
         :func:`dataclasses.field` like every other option) makes the key
         optional on the wire.  ``signed=False`` keeps the field out of the
         bytes a statement signs; ``omit_none`` leaves the key out while the
-        field is ``None`` (give it ``default=None``: absent means ``None``).
+        field is ``None``, and an absent key means ``None`` (give it
+        ``default=None`` unless a field without a default follows it).
         """
         return dataclasses.field(
             metadata={"wire": (self, key, signed, omit_none)}, **field_options
@@ -210,7 +211,7 @@ def fields(body: type) -> tuple[Field, ...]:
     for item in dataclasses.fields(body):
         if "wire" in item.metadata:
             kind, key, signed, omit_none = item.metadata["wire"]
-            required = dataclasses.MISSING is item.default is item.default_factory
+            required = not omit_none and dataclasses.MISSING is item.default is item.default_factory
             declared.append(Field(item.name, key or item.name, kind, required, signed, omit_none))
     return tuple(sorted(declared, key=lambda item: not item.signed))
 
@@ -263,7 +264,7 @@ class Body:
             if type(raw) is not dict:
                 raise ValueError(f"expected an object, not {raw!r}")
             values = {}
-            for name, key, kind, required, _signed, _omit_none in fields(cls):
+            for name, key, kind, required, _signed, omit_none in fields(cls):
                 if key in raw:
                     value = raw[key]
                     if kind.types and type(value) not in kind.types:
@@ -271,6 +272,8 @@ class Body:
                     values[name] = value if kind.decode is None else kind.decode(value)
                 elif required:
                     raise ValueError("is missing")
+                elif omit_none:
+                    values[name] = None
             key = None  # what __post_init__ refuses is a rule across fields
             return cls(**values)
         except ValueError as exc:

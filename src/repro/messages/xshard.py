@@ -261,6 +261,68 @@ class CrossShardVoucher(SignedStatement, error=CrossShardError, what="cross-shar
         return None
 
 
+def voucher_terms(args: Any) -> tuple[str, str, int, float]:
+    """The xtx, recipient, amount and expiry a voucher leg's call arguments name.
+
+    The mint and the redeem call name them alike, and they are what the
+    voucher states: the source gateway signs them off its mint call, the
+    client rebuilds the voucher from its own and the destination gateway
+    from the redeem call.  Arguments that name no credit raise
+    :class:`CrossShardError`.
+    """
+    if type(args) is not dict:
+        raise CrossShardError("voucher call arguments must be an object")
+    xtx, recipient = args.get("xtx"), args.get("to")
+    amount, expires_at = args.get("amount"), args.get("expires_at")
+    if type(xtx) is not str or not xtx or type(recipient) is not str:
+        raise CrossShardError("a voucher call names its xtx and recipient as text")
+    if type(amount) is not int or type(expires_at) not in (int, float):
+        raise CrossShardError("a voucher call names an integer amount and a numeric expiry")
+    return xtx, recipient, amount, float(expires_at)
+
+
+@dataclass(frozen=True)
+class CompactVoucher(wire.Body, error=CrossShardError, what="compact voucher"):
+    """A :class:`CrossShardVoucher` on its way to the destination gateway: what it lacks.
+
+    The redeem's inner transaction states the xtx, the contract, the
+    recipient, the amount and the expiry the voucher vouches for, and the
+    destination gateway is the target group's; :meth:`voucher` rebuilds the
+    signed statement from them, so it verifies only if the issuer signed
+    exactly the credit the redeem spends, for this group.
+    """
+
+    issuer: Address = wire.address()
+    source_group: int = wire.integer()
+    signature: bytes = wire.signature()
+    #: None: the scheme of the request that carries it.
+    scheme: Optional[str] = wire.text(omit_none=True, default=None)
+
+    @classmethod
+    def of(cls, voucher: CrossShardVoucher, scheme: str) -> "CompactVoucher":
+        """``voucher`` as a request signed with ``scheme`` carries it."""
+        return cls(
+            voucher.issuer, voucher.source_group, voucher.signature,
+            None if voucher.scheme == scheme else voucher.scheme,
+        )
+
+    def voucher(
+        self, target_group: int, contract: str, args: Any, scheme: str
+    ) -> CrossShardVoucher:
+        """The voucher the redeem call ``contract``/``args`` spends on ``target_group``.
+
+        ``scheme`` is the carrying request's; arguments that name no credit
+        raise :class:`CrossShardError`.
+        """
+        xtx, recipient, amount, expires_at = voucher_terms(args)
+        return CrossShardVoucher(
+            issuer=self.issuer, xtx=xtx, source_group=self.source_group,
+            target_group=target_group, contract=contract, recipient=recipient,
+            amount=amount, expires_at=expires_at, signature=self.signature,
+            scheme=scheme if self.scheme is None else self.scheme,
+        )
+
+
 @dataclass(frozen=True)
 class CrossShardVoucherTransfer(
     wire.Body, error=CrossShardError, what="cross-shard voucher request"
@@ -269,16 +331,17 @@ class CrossShardVoucherTransfer(
 
     ``phase="mint"`` asks the *source* gateway to service the inner
     client-signed ``xshard_voucher_mint`` transaction and, on a full
-    receipt, reply with a signed :class:`CrossShardVoucher` bound to
-    ``target_group``/``target_contract``.  ``phase="redeem"`` asks the
-    *destination* gateway to verify the attached ``voucher`` against the
-    shard directory and service the inner ``xshard_voucher_redeem``
-    transaction (idempotent per xtx).  As in 2PC, the inner state change
-    is always an ordinary client-signed ``TX_SUBMIT`` envelope serviced
-    through the group's normal pipeline.
+    receipt, reply with the signature of a :class:`CrossShardVoucher`
+    bound to ``target_group``/``target_contract``.  ``phase="redeem"``
+    asks the *destination* gateway to rebuild the voucher from the
+    attached :class:`CompactVoucher` and the inner
+    ``xshard_voucher_redeem`` transaction, verify it against the shard
+    directory and service that transaction (idempotent per xtx).  As in
+    2PC, the inner state change is always an ordinary client-signed
+    ``TX_SUBMIT`` envelope serviced through the group's normal pipeline,
+    and it names the cross-shard transaction (``args.xtx``).
     """
 
-    xtx: str = wire.text()
     phase: str = wire.text()
     group: int = wire.integer()
     transaction: dict[str, Any] = wire.obj()
@@ -286,13 +349,11 @@ class CrossShardVoucherTransfer(
     # redeem carries the voucher.
     target_group: Optional[int] = wire.integer(omit_none=True, default=None)
     target_contract: Optional[str] = wire.text(omit_none=True, default=None)
-    voucher: Optional[CrossShardVoucher] = wire.nested(CrossShardVoucher)(
+    voucher: Optional[CompactVoucher] = wire.nested(CompactVoucher)(
         omit_none=True, default=None
     )
 
     def __post_init__(self) -> None:
-        if not self.xtx:
-            raise CrossShardError("a cross-shard transaction needs an id")
         if self.phase not in VOUCHER_PHASES:
             raise CrossShardError(f"unknown voucher phase {self.phase!r}")
         if self.phase == "mint":

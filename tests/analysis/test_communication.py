@@ -23,10 +23,11 @@ def test_client_request_size_roughly_constant_across_consortium_sizes(profiles):
 def test_reply_grows_with_consortium_size(profiles):
     two, four = profiles
     growth = four.client_cell_payment.inbound - two.client_cell_payment.inbound
-    # Two extra co-signers ride in the receipt, each only a cell, a timestamp
-    # and a base64url signature (the statement travels once): 2 x 177 = 354
-    # bytes (2 x 222 while a signature travelled as 0x-hex).
-    assert growth > 320
+    # Two extra co-signers ride in the receipt, each only a timestamp and a
+    # base64url signature (the statement travels once, and the consortium
+    # names the co-signers): 249 bytes, 2 x ~125 (2 x 177 while each named
+    # its cell, 2 x 222 while a signature also travelled as 0x-hex).
+    assert growth > 230
 
 
 #: What the paper's payment request carries and the link form does not: its
@@ -39,10 +40,19 @@ HEX_SIGNATURE_BYTES = len("0x" + "00" * 65) - 87
 #: What the paper's receipt reply carries and ours does not: the reply is a
 #: signed message M = {P, Sig(P)} there (a hex signature, a nonce and the
 #: sender), ours travels unsigned, and its receipt states the fingerprint,
-#: which our client derives.
+#: which our client derives, and its peer co-signer's address, which our
+#: client knows as the consortium's other cell.
 UNSIGNED_REPLY_BYTES = (
     len(',"signature":"0x' + "00" * 65 + '"') + len(',"nonce":"' + "A" * 16 + '"')
     + len(',"sender":"0x' + "00" * 20 + '"') + len(',"fingerprint":"0x' + "00" * 32 + '"')
+    + len(',"cell":"0x' + "00" * 20 + '"')
+)
+#: What the paper's confirmation carries and ours leaves to its reader: the
+#: fingerprint and status of the call the service cell executed itself, and
+#: the timestamp of the ``TX_CONFIRM`` that carries it.
+DERIVED_CONFIRMATION_BYTES = (
+    len(',"fingerprint":"0x' + "00" * 32 + '"') + len(',"status":"executed"')
+    + len(',"timestamp":12.345678')
 )
 
 
@@ -51,12 +61,16 @@ def test_per_transaction_bytes_in_paper_ballpark(profiles):
     # Paper (2 cells): payment 1,140/559 bytes; forward 667/947 bytes.
     paper_form = two.client_cell_payment.outbound + RECIPIENT_BYTES + HEX_SIGNATURE_BYTES
     assert 500 < paper_form < 1_200
-    # The reply itself, pinned at its measured size (852 B while it was
-    # signed and carried the fingerprint), and in the paper's form.
-    assert two.client_cell_payment.inbound <= 586
+    # The reply itself, pinned at its measured size (586 B while it named
+    # its peer co-signer, 852 B while it was also signed and carried the
+    # fingerprint), and in the paper's form.
+    assert two.client_cell_payment.inbound <= 534
     assert 800 < two.client_cell_payment.inbound + UNSIGNED_REPLY_BYTES < 3_000
     assert 500 < two.cell_cell_forward.outbound < 2_500
-    assert 400 < two.cell_cell_forward.inbound < 2_000
+    # The confirmation, pinned at its measured size (505 B while it stated
+    # what its reader derives), and in the paper's form.
+    assert two.cell_cell_forward.inbound <= 381
+    assert 400 < two.cell_cell_forward.inbound + DERIVED_CONFIRMATION_BYTES < 2_000
 
 
 def test_fingerprint_row_present(profiles):

@@ -88,6 +88,19 @@ are 266 B and 129 B shorter, so they arrive sooner, and a cell's nonce
 sequence no longer advances for them.  No fault log moved and every
 oracle verdict still passes; ``specs`` and ``search`` are untouched.
 
+And once more, by the change that sends three more statements as
+signatures their reader rebuilds — a link confirmation without the
+fingerprint, status and timestamp its service cell derives, a receipt
+without its peer co-signers' cells where they are the consortium's other
+cells, a voucher leg without the voucher its reader rebuilds and without
+the outer ``xtx`` — and gives a sharded client's per-group nodes one nonce
+sequence, from that change's own tree: the artifacts of 60 of the 88
+recoverable runs (4–11, 16–23, 28–35, 40–47, 52–59, 64–71, 76–83, 102,
+124, 142, 172) and 9 of the 12 Byzantine runs (3–11) moved, because those
+messages are shorter and arrive sooner, and a sharded client's nonces,
+and so its transaction ids, differ.  No fault log moved and every oracle
+verdict still passes; ``specs`` and ``search`` are untouched.
+
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
 rewrites nothing else; entries that did not move come out byte-identical.

@@ -12,6 +12,7 @@ from repro.client.sharded import (
 )
 from repro.messages import Envelope, Opcode, SimulatedSigner
 from repro.messages.xshard import (
+    CompactVoucher,
     CrossShardDecision,
     CrossShardPrepare,
     CrossShardVote,
@@ -282,7 +283,7 @@ def xshard_request(kind, xtx, inner_wire, names):
         ).to_data()
     if kind == "mint":
         return Opcode.XSHARD_VOUCHER, CrossShardVoucherTransfer(
-            xtx=xtx, phase="mint", group=0, transaction=inner_wire,
+            phase="mint", group=0, transaction=inner_wire,
             target_group=1, target_contract=names[1],
         ).to_data()
     # A well-formed voucher: the refusal comes before anyone checks its issuer.
@@ -290,7 +291,8 @@ def xshard_request(kind, xtx, inner_wire, names):
         SimulatedSigner("voucher-issuer"), xtx, 1, 0, names[0], "0x" + "66" * 20, 10, 99.0
     )
     return Opcode.XSHARD_VOUCHER, CrossShardVoucherTransfer(
-        xtx=xtx, phase="redeem", group=0, transaction=inner_wire, voucher=voucher,
+        phase="redeem", group=0, transaction=inner_wire,
+        voucher=CompactVoucher.of(voucher, voucher.scheme),
     ).to_data()
 
 

@@ -357,8 +357,9 @@ def send_voucher(deployment, client, alice, group, body):
 
 
 def mint_voucher(deployment, client, alice, names, xtx, amount, recipient,
-                 expires_at, reclaim_after):
-    """Drive one mint leg by hand and return the signed voucher."""
+                 expires_at, reclaim_after, target_contract=None):
+    """Drive one mint leg by hand and return the voucher, rebuilt from the mint call."""
+    from repro.core.replies import VoucherReply
     from repro.messages.xshard import CrossShardVoucher, CrossShardVoucherTransfer
 
     inner = client._sign_call(
@@ -367,28 +368,35 @@ def mint_voucher(deployment, client, alice, names, xtx, amount, recipient,
          {"xtx": xtx, "to": recipient, "amount": amount,
           "expires_at": expires_at, "reclaim_after": reclaim_after}),
     )
+    target_contract = target_contract or names[1]
     body = CrossShardVoucherTransfer(
-        xtx=xtx, phase="mint", group=0, transaction=inner.to_wire(),
-        target_group=1, target_contract=names[1],
+        phase="mint", group=0, transaction=inner.to_wire(),
+        target_group=1, target_contract=target_contract,
     )
     reply = send_voucher(deployment, client, alice, 0, body)
     assert reply.operation == Opcode.XSHARD_VOUCHER, reply.data
-    assert reply.data["phase"] == "minted"
-    return CrossShardVoucher.from_wire(reply.data["voucher"])
+    minted = VoucherReply.from_data(reply.data)
+    assert minted.phase == "minted" and set(reply.data) == {"phase", "signature", "receipt"}
+    return CrossShardVoucher(
+        issuer=reply.sender, xtx=xtx, source_group=0, target_group=1, contract=target_contract,
+        recipient=recipient, amount=amount, expires_at=float(expires_at),
+        signature=minted.signature, scheme=reply.scheme,
+    )
 
 
-def redeem_voucher(deployment, client, alice, names, xtx, voucher):
-    """Drive one redeem leg spending exactly what the voucher vouches for."""
-    from repro.messages.xshard import CrossShardVoucherTransfer
+def redeem_voucher(deployment, client, alice, names, xtx, voucher, **spent):
+    """Drive one redeem leg spending what the voucher vouches for (or ``spent``)."""
+    from repro.messages.xshard import CompactVoucher, CrossShardVoucherTransfer
 
     inner = client._sign_call(
         alice, 1,
         (names[1], "xshard_voucher_redeem",
          {"xtx": xtx, "to": voucher.recipient, "amount": voucher.amount,
-          "expires_at": voucher.expires_at}),
+          "expires_at": voucher.expires_at, **spent}),
     )
     body = CrossShardVoucherTransfer(
-        xtx=xtx, phase="redeem", group=1, transaction=inner.to_wire(), voucher=voucher,
+        phase="redeem", group=1, transaction=inner.to_wire(),
+        voucher=CompactVoucher.of(voucher, alice.scheme),
     )
     return send_voucher(deployment, client, alice, 1, body)
 
@@ -449,7 +457,7 @@ def test_duplicate_voucher_redeem_is_a_metered_no_op():
     )
     reply = redeem_voucher(deployment, client, alice, names, xtx, voucher)
     assert reply.operation == Opcode.XSHARD_VOUCHER
-    assert reply.data["phase"] == "redeemed" and reply.data["duplicate"] is False
+    assert reply.data["phase"] == "redeemed" and "duplicate" not in reply.data
     # The network redelivers the redeem: the redeemed-voucher registry
     # answers it without touching the pipeline, and counts it.
     dup = redeem_voucher(deployment, client, alice, names, xtx, voucher)
@@ -502,7 +510,7 @@ def test_expired_voucher_refuses_redeem_and_the_source_reclaims():
 
 def test_a_garbled_voucher_is_refused_at_ingress():
     """A redeem body parses its voucher: a garbled one never reaches the gateway."""
-    from repro.messages.xshard import CrossShardVoucherTransfer
+    from repro.messages.xshard import CompactVoucher, CrossShardVoucherTransfer
 
     deployment, alice, names, client = build()
     recipient = "0x" + "7e" * 20
@@ -517,9 +525,10 @@ def test_a_garbled_voucher_is_refused_at_ingress():
          {"xtx": xtx, "to": recipient, "amount": 20, "expires_at": expires}),
     )
     data = CrossShardVoucherTransfer(
-        xtx=xtx, phase="redeem", group=1, transaction=inner.to_wire(), voucher=voucher,
+        phase="redeem", group=1, transaction=inner.to_wire(),
+        voucher=CompactVoucher.of(voucher, alice.scheme),
     ).to_data()
-    data["voucher"]["amount"] = "20"  # a number as text
+    data["voucher"]["source_group"] = "0"  # a number as text
     _request, waiter = client.clients[1].request(Opcode.XSHARD_VOUCHER, data, signer=alice)
     reply = run_event(deployment, waiter)
     assert reply.operation == Opcode.TX_ERROR
@@ -563,7 +572,7 @@ def test_forged_voucher_is_refused_before_any_credit():
     # The genuine voucher still redeems — the refusal burned nothing.
     ok_reply = redeem_voucher(deployment, client, alice, names, xtx, voucher)
     assert ok_reply.operation == Opcode.XSHARD_VOUCHER
-    assert ok_reply.data["phase"] == "redeemed" and ok_reply.data["duplicate"] is False
+    assert ok_reply.data["phase"] == "redeemed" and "duplicate" not in ok_reply.data
     assert target.query("balance_of", {"account": recipient}) == 20
     assert_conserved(deployment, expect_in_transit=0)
 
@@ -807,4 +816,119 @@ def test_async_fast_path_refuses_a_forged_voucher_before_promising():
     # The debit really happened; the value sits in transit until the
     # source reclaims it after the voucher deadline.
     assert escrow_status(deployment, 0, names[0], result.xtx)["status"] == "voucher"
+    assert_conserved(deployment, expect_in_transit=15)
+
+
+# ----------------------------------------------------------------------
+# A voucher travels as its signature: each reader rebuilds what was signed
+# ----------------------------------------------------------------------
+MISMATCHED_REDEEMS = {
+    "amount": dict(spent={"amount": 21}),
+    "recipient": dict(spent={"to": "0x" + "7a" * 20}),
+    "expiry": dict(spent={"expires_at": 1_000.0}),
+    "contract": dict(target_contract="elsewhere@s1"),
+    "issuer outside the source group": dict(issuer_group=1),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHED_REDEEMS.values(), ids=MISMATCHED_REDEEMS)
+def test_a_redeem_other_than_what_the_issuer_signed_is_refused_before_any_credit(case):
+    """The destination completes the voucher from the redeem: one that spends
+    another amount, recipient, expiry or contract, or names an issuer outside
+    the source group, is a voucher nobody signed."""
+    from dataclasses import replace
+
+    deployment, alice, names, client = build()
+    recipient = "0x" + "7b" * 20
+    xtx = client.next_xtx()
+    expires = deployment.env.now + 50.0
+    voucher = mint_voucher(
+        deployment, client, alice, names, xtx, 20, recipient, expires, expires + 5.0,
+        target_contract=case.get("target_contract"),
+    )
+    if "issuer_group" in case:
+        voucher = replace(
+            voucher, issuer=deployment.group(case["issuer_group"]).cells[GATEWAY_CELL_INDEX].address
+        )
+    reply = redeem_voucher(deployment, client, alice, names, xtx, voucher, **case.get("spent", {}))
+    assert reply.operation == Opcode.TX_ERROR
+    expected = (
+        "voucher issuer is not a known gateway cell of group 0" if "issuer_group" in case
+        else "voucher carries an invalid issuer signature"
+    )
+    assert reply.data["error"] == expected
+    gateway = deployment.group(1).cells[0]
+    assert gateway.metrics.counter(f"{gateway.node_name}/xshard_voucher_refusals") == 1
+    assert len(gateway.ledger) == 0  # refused before the credit was even admitted
+    assert escrow_status(deployment, 0, names[0], xtx)["status"] == "voucher"
+    assert_conserved(deployment, expect_in_transit=20)
+
+
+def _rewriting_minted_replies(gateway, rewrite):
+    """Make ``gateway`` pass the data of each minted ``XSHARD_VOUCHER`` reply through ``rewrite``."""
+    honest = gateway.reply
+
+    def reply(dst_node, request, operation, data):
+        if operation is Opcode.XSHARD_VOUCHER and data.get("phase") == "minted":
+            data = rewrite(dict(data))
+        honest(dst_node, request, operation, data)
+
+    gateway.reply = reply
+
+
+def test_async_fast_path_refuses_a_voucher_signed_for_another_credit():
+    """The client rebuilds the voucher from its own mint call: a gateway that
+    signed another amount gives a signature that fails before the early ok."""
+    from repro.client.sharded import ShardedFastMoneyClient
+    from repro.encoding import base64url
+    from repro.messages.xshard import CrossShardVoucher
+
+    deployment, alice, names, client = build()
+    app = ShardedFastMoneyClient(client, base_name=BASE)
+    gateway = deployment.group(0).cells[GATEWAY_CELL_INDEX]
+    recipient = "0x" + "7e" * 20
+
+    def signed_for_more(data):
+        terms = list(gateway.ledger)[-1].envelope.data["args"]
+        voucher = CrossShardVoucher.create(
+            gateway.signer, terms["xtx"], 0, 1, names[1], recipient, terms["amount"] + 1,
+            float(terms["expires_at"]),
+        )
+        return {**data, "signature": base64url.encode(voucher.signature)}
+
+    _rewriting_minted_replies(gateway, signed_for_more)
+    result = run_event(
+        deployment,
+        app.transfer_cross(0, 1, recipient, 15, signer=alice,
+                           fast_path=True, await_redeem=False),
+    )
+    assert not result.ok and result.decision == "abort"
+    assert result.in_transit and result.redeem is None
+    assert "voucher carries an invalid issuer signature" in (result.error or "")
+    assert escrow_status(deployment, 0, names[0], result.xtx)["status"] == "voucher"
+    assert_conserved(deployment, expect_in_transit=15)
+
+
+def test_a_minted_reply_whose_receipt_states_another_result_is_refused():
+    """The coordinator checks the inner receipt of a voucher leg as a direct
+    submission's: a gateway that rewrites the mint's result fails the phase."""
+    from repro.client.sharded import ShardedFastMoneyClient
+
+    deployment, alice, names, client = build()
+    app = ShardedFastMoneyClient(client, base_name=BASE)
+    gateway = deployment.group(0).cells[GATEWAY_CELL_INDEX]
+    _rewriting_minted_replies(
+        gateway, lambda data: {**data, "receipt": {**data["receipt"], "result": {"lie": True}}}
+    )
+    result = run_event(
+        deployment,
+        app.transfer_cross(0, 1, "0x" + "7c" * 20, 15, signer=alice, fast_path=True),
+    )
+    assert not result.ok and result.decision == "abort" and result.in_transit
+    assert result.error.startswith("voucher mint refused (inner receipt failed verification)")
+    assert result.prepare[0].receipt is None and not result.prepare[0].ok
+    asker = client._gateway_client(0)
+    assert deployment.metrics.counters.get(f"{asker.node_name}/refused_receipts") == 1
+    # Nothing was redeemed on the strength of the lie; the debit reclaims later.
+    assert escrow_status(deployment, 1, names[1], result.xtx) is None
     assert_conserved(deployment, expect_in_transit=15)

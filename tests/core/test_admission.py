@@ -162,7 +162,7 @@ class IngressProbe:
             )
         elif kind == "voucher":
             operation, body = Opcode.XSHARD_VOUCHER, CrossShardVoucherTransfer(
-                xtx=xtx, phase="mint", group=group, target_group=1, target_contract="pay",
+                phase="mint", group=group, target_group=1, target_contract="pay",
                 transaction=inner("xshard_voucher_mint", {
                     "xtx": xtx, "to": BOB, "amount": 1, "expires_at": 500.0,
                 }).to_wire(),

@@ -58,7 +58,7 @@ def test_confirmation_batch_round_trip_preserves_signatures():
         # What the receiver holds already — the signer, its scheme and the
         # called contract — does not travel.
         assert {"cell", "scheme", "contract"}.isdisjoint(item.to_wire())
-        rebuilt = item.confirmation(signer.address, signer.scheme, forwarded)
+        rebuilt = item.confirmation(signer.address, signer.scheme, forwarded, moment=2.5)
         assert rebuilt == original and rebuilt.verify()
         assert rebuilt.body() == original.body()
 

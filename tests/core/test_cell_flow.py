@@ -310,6 +310,58 @@ def test_an_unsigned_confirmation_batch_is_refused_whole_at_its_first_forged_ite
     assert all(each.confirmations == {} for each in pending)
 
 
+def test_items_without_their_fingerprint_are_taken_only_over_the_named_peers_link():
+    """An item that leaves its fingerprint to the service cell cannot tell a
+    forgery from another execution when it fails, so from any link but the
+    named peer's its batch is refused whole on arrival, before any signature
+    check; over the peer's own link, each transaction keeps one waiting item
+    of the peer, its latest."""
+    deployment = make_deployment(signature_scheme="sim")
+    service, peer = deployment.cell(0), deployment.cell(1)
+    forwarded, pending = _pending_faucets(deployment, 5)
+    forger = SimulatedSigner("cell-flow/forger")
+    fingerprint = "0x" + "00" * 32
+
+    def batch(signer):
+        items = tuple(
+            LinkConfirmation.of(Confirmation.create(
+                signer, envelope.payload.hash_hex(), "fastmoney", fingerprint, "executed",
+                deployment.env.now,
+            ), envelope, fingerprint)
+            for envelope in forwarded
+        )
+        assert all(item.fingerprint_hex is None for item in items)
+        return Envelope.unsigned(
+            peer.address, peer.signer.scheme, service.address, Opcode.TX_CONFIRM,
+            ConfirmationBatch(items).to_data(), deployment.env.now,
+        )
+
+    deployment.network.register("forger")
+    checks = []
+    verify = Confirmation.verify
+    with mock.patch.object(
+        Confirmation, "verify", lambda statement: checks.append(statement) or verify(statement)
+    ):
+        forged = batch(forger)
+        deployment.network.send("forger", service.node_name, forged, forged.byte_size())
+        deployment.run(until=deployment.env.now + 1.0)
+        assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
+        assert all(each._waiting == {} and each.confirmations == {} for each in pending)
+        for signer in (forger, peer.signer):
+            own = batch(signer)
+            deployment.network.send(peer.node_name, service.node_name, own, own.byte_size())
+        deployment.run(until=deployment.env.now + 1.0)
+    assert checks == []
+    assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
+    for each, envelope in zip(pending, forwarded):
+        assert list(each._waiting) == [peer.address]
+        waiting = each._waiting[peer.address][2]
+        assert Confirmation.create(
+            peer.signer, envelope.payload.hash_hex(), "fastmoney", fingerprint, "executed",
+            waiting.timestamp,
+        ).signature == waiting.signature
+
+
 def test_a_confirmation_for_a_transaction_never_admitted_is_refused():
     """Nothing to rebuild it from: counted like a bad signature, never pending."""
     deployment = make_deployment(signature_scheme="sim")

@@ -173,10 +173,12 @@ REQUEST = Envelope.create(
     timestamp=1.0, nonce="0x01",
 )
 REPLIED_AT = 3.5
+#: The deployment of cells A and B, in consortium order.
+CONSORTIUM = (CELL_A.address, CELL_B.address)
 
 
 def served(contract="fastmoney", method="transfer", own_at=REPLIED_AT, peer=CELL_B,
-           scheme=CELL_A.scheme):
+           scheme=CELL_A.scheme, consortium=CONSORTIUM):
     """Cell A's (the service cell's) compact receipt for ``REQUEST``, and the receipt it states.
 
     Cell A replies at ``REPLIED_AT`` under ``scheme``; the receipt completes
@@ -190,7 +192,7 @@ def served(contract="fastmoney", method="transfer", own_at=REPLIED_AT, peer=CELL
     )
     compact = CompactReceipt.of(
         own, [peer_confirmation], REQUEST, method=method, result={"amount": 5}, cycle=1,
-        scheme=scheme, moment=REPLIED_AT,
+        scheme=scheme, moment=REPLIED_AT, consortium=consortium,
     )
     receipt = AggregatedReceipt(
         tx_id=tx_id, contract=contract, method=method, result={"amount": 5},
@@ -216,7 +218,7 @@ def reply_to(request, compact, scheme=None, at=REPLIED_AT):
 def delivered(compact, request=REQUEST, scheme=None):
     """``compact`` sent under ``scheme`` and rebuilt by the client from ``request``."""
     reply = reply_to(REQUEST, compact, scheme)
-    return reply.data, read_reply(reply, Opcode.TX_RECEIPT).rebuild(request, reply)
+    return reply.data, read_reply(reply, Opcode.TX_RECEIPT).rebuild(request, reply, CONSORTIUM)
 
 
 def test_a_compact_receipt_rebuilds_the_receipt_its_service_cell_built():
@@ -237,8 +239,9 @@ def test_a_compact_receipt_rebuilds_the_receipt_its_service_cell_built():
 def test_nothing_the_client_can_derive_travels():
     wire_form, _rebuilt = delivered(served()[0])
     assert set(wire_form) == {"cycle", "result", "signature", "cosigners"}
+    # The peer is the consortium's other cell: it goes unnamed.
     assert [set(cosigner) for cosigner in wire_form["cosigners"]] == [
-        {"cell", "timestamp", "signature"}
+        {"timestamp", "signature"}
     ]
 
 
@@ -256,6 +259,11 @@ DIFFERING = {
     "peer scheme": (
         lambda: served(peer=SIM_PEER),
         lambda wire_form: wire_form["cosigners"][0]["scheme"] == "sim",
+    ),
+    # Another co-signer than the consortium's other cell is named.
+    "peer cell": (
+        lambda: served(peer=SIM_PEER),
+        lambda wire_form: wire_form["cosigners"][0]["cell"] == SIM_PEER.address.hex(),
     ),
 }
 
@@ -279,6 +287,22 @@ def test_a_service_cell_scheme_other_than_the_replys_travels():
     assert rebuilt == receipt and rebuilt.verify()
 
 
+def test_unnamed_co_signers_are_the_consortiums_other_cells_in_its_order():
+    """While a cell of a larger consortium is excluded the peers are named; an
+    unnamed list of another length than the other cells is refused."""
+    third = EcdsaSigner.from_seed("receipt-cell-c").address
+    compact, receipt = served(consortium=(CELL_A.address, third, CELL_B.address))
+    wire_form, rebuilt = delivered(compact)
+    assert wire_form["cosigners"][0]["cell"] == CELL_B.address.hex()
+    assert rebuilt == receipt and rebuilt.verify()
+    unnamed, _receipt = served()
+    reply = reply_to(REQUEST, unnamed)
+    with pytest.raises(ReceiptError, match="consortium's other cells"):
+        unnamed.rebuild(REQUEST, reply, (CELL_A.address, third, CELL_B.address))
+    # In another order the unnamed peer is rebuilt as another cell: no co-signature.
+    assert not unnamed.rebuild(REQUEST, reply, (third, CELL_A.address)).verify()
+
+
 def test_a_receipt_rebuilt_against_another_request_does_not_verify():
     other = Envelope.create(
         signer=CLIENT, recipient=CELL_A.address, operation=Opcode.TX_SUBMIT,
@@ -296,8 +320,11 @@ MALFORMED = {
     "cycle as text": lambda sent: {**sent, "cycle": "1"},
     "null contract": lambda sent: {**sent, "contract": None},
     "time as text": lambda sent: {**sent, "timestamp": "3.5"},
-    "cosigner without a cell": lambda sent: {
-        **sent, "cosigners": [{"timestamp": 3.25, "signature": sent["signature"]}]
+    "one co-signer named, another not": lambda sent: {
+        **sent, "cosigners": [
+            *sent["cosigners"],
+            {"cell": CELL_B.address.hex(), "timestamp": 3.25, "signature": sent["signature"]},
+        ]
     },
     "cosigners as an object": lambda sent: {**sent, "cosigners": {}},
 }

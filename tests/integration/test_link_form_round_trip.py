@@ -23,10 +23,8 @@ XSHARD_REQUESTS = (
 )
 
 
-@pytest.mark.parametrize("workload_name", ["burst_sim", "xshard_burst"])
-def test_every_posted_envelope_round_trips_under_its_receivers_identity(
-    workload_name, monkeypatch
-):
+def _posted(workload_name, monkeypatch):
+    """Every ``(source node, destination node, envelope)`` a smoke drive posted, and its cells."""
     from bench.workloads import WORKLOADS
 
     posted: list[tuple[str, str, Envelope]] = []
@@ -46,8 +44,15 @@ def test_every_posted_envelope_round_trips_under_its_receivers_identity(
         for each in (groups or [deployment])
         for cell in each.cells
     }
-    # A sharded client's per-group nodes share one signer, and so nonces.
-    requests = {(src_node, envelope.nonce): envelope for src_node, _dst, envelope in posted}
+    return posted, cells
+
+
+@pytest.mark.parametrize("workload_name", ["burst_sim", "xshard_burst"])
+def test_every_posted_envelope_round_trips_under_its_receivers_identity(
+    workload_name, monkeypatch
+):
+    posted, cells = _posted(workload_name, monkeypatch)
+    requests = {envelope.nonce: envelope for _src, _dst, envelope in posted}
     addresses = set(cells.values())
 
     nested = unsigned = 0
@@ -56,7 +61,7 @@ def test_every_posted_envelope_round_trips_under_its_receivers_identity(
         if dst_node in cells:
             supplied = cells[dst_node]
         else:
-            request = requests[dst_node, envelope.payload.reply_to]
+            request = requests[envelope.payload.reply_to]
             supplied = request.sender
             if envelope.signature is None:
                 sender = request.recipient  # the cell that was asked
@@ -77,3 +82,14 @@ def test_every_posted_envelope_round_trips_under_its_receivers_identity(
             assert inner.verify() and called_contract(inner)
             nested += 1
     assert len(posted) > 100 and nested > 10 and unsigned > 10
+
+
+def test_a_sharded_clients_nodes_sign_no_sender_nonce_pair_twice(monkeypatch):
+    """One identity, one nonce sequence: a client's per-group nodes draw from it,
+    so one (sender, nonce) pair signs one message — the paper's η is a unique id."""
+    posted, _cells = _posted("xshard_burst", monkeypatch)
+    signed = [
+        (envelope.sender, envelope.nonce) for _src, _dst, envelope in posted
+        if envelope.signature is not None
+    ]
+    assert len(signed) > 100 and len(set(signed)) == len(signed)

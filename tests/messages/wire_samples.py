@@ -100,6 +100,24 @@ key and that the 62 other entries (every statement's body and signature,
 ``bodies.AggregatedReceipt`` and ``bodies.ConfirmationBatch`` included)
 are byte-identical.  A ``TX_RECEIPT`` and a ``TX_CONFIRM`` now travel
 unsigned, but no entry here holds an envelope.
+
+An eighth: three more statements travel as signatures whose reader
+rebuilds what was signed.  A link confirmation of an executed call leaves
+out the fingerprint and status its signer's own execution gives (the
+service cell states its own) and a timestamp that is the carrying
+``TX_CONFIRM``'s; a compact receipt leaves out its peer co-signers' cells
+where they are the consortium's other cells in its order; a minted voucher
+reply carries only the voucher's signature, a redeem a ``CompactVoucher``
+(issuer, source group, signature), and neither leg nor its reply carries
+the outer ``xtx`` or a false ``duplicate``.  The ten entries that embed
+one were re-recorded — ``replies.TX_RECEIPT``, ``replies.XSHARD_VOTE/receipt``,
+``replies.XSHARD_VOUCHER/minted`` / ``/redeemed`` / ``/duplicate``,
+``bodies.CrossShardVote/reply``, ``bodies.CrossShardVoucherTransfer/mint``
+/ ``/redeem`` and ``bodies.ConfirmationBatch``, and the new
+``bodies.CompactReceipt/named`` (a receipt while a third cell is excluded)
+— by a script that checked each differs from its old entry only by the
+keys that left, and that every other entry (every statement's body and
+signature, ``bodies.AggregatedReceipt`` included) is byte-identical.
 """
 
 import json
@@ -147,6 +165,7 @@ def build():
         SyncState,
     )
     from repro.messages.xshard import (
+        CompactVoucher,
         CrossShardDecision,
         CrossShardPrepare,
         CrossShardVote,
@@ -209,17 +228,23 @@ def build():
         ),),
     )
     # ``called``'s receipt as its service cell (the signer) replies with it
-    # at 3.5: its peer signed another moment, which travels.
+    # at 3.5: its peer signed another moment, which travels.  The peer is the
+    # consortium's other cell, so it goes unnamed; while a third cell is
+    # excluded, it is named.
     called_id = called.payload.hash_hex()
-    compact = CompactReceipt.of(
+    cosigned = (
         Confirmation.create(signer, called_id, "fastmoney", FINGERPRINT, "executed", 3.5),
         [Confirmation.create(
             SimulatedSigner("golden-peer"), called_id, "fastmoney", FINGERPRINT, "executed",
             3.2500004,
         )],
-        called, method="transfer", result={"amount": 5}, cycle=1, scheme=signer.scheme,
-        moment=3.5,
+        called,
     )
+    served = dict(method="transfer", result={"amount": 5}, cycle=1, scheme=signer.scheme,
+                  moment=3.5)
+    compact = CompactReceipt.of(*cosigned, **served, consortium=(signer.address, peer))
+    excluded = SimulatedSigner("golden-excluded").address
+    named = CompactReceipt.of(*cosigned, **served, consortium=(signer.address, excluded, peer))
     # A cross-shard body nests its inner transaction without the identities
     # of the outer envelope, which has the same ones.
     nested = inner.to_link(with_sender=False)
@@ -243,15 +268,19 @@ def build():
             decision="commit", votes=(xvote,), **shape
         ).to_data(),
         "CrossShardVoucherTransfer/mint": CrossShardVoucherTransfer(
-            xtx="0xa1", phase="mint", group=0, transaction=nested,
+            phase="mint", group=0, transaction=nested,
             target_group=1, target_contract="pay@1",
         ).to_data(),
         "CrossShardVoucherTransfer/redeem": CrossShardVoucherTransfer(
-            xtx="0xa1", phase="redeem", group=1, transaction=nested, voucher=voucher,
+            phase="redeem", group=1, transaction=nested,
+            voucher=CompactVoucher.of(voucher, signer.scheme),
         ).to_data(),
+        # Sent at the executed one's moment, whose fingerprint is its signer's own.
         "ConfirmationBatch": ConfirmationBatch((
-            LinkConfirmation.of(confirmation, called), LinkConfirmation.of(rejected, inner),
-        )).to_data(),
+            LinkConfirmation.of(confirmation, called, FINGERPRINT),
+            LinkConfirmation.of(rejected, inner, FINGERPRINT),
+        )).data_at(confirmation.timestamp),
+        "CompactReceipt/named": named.to_data(),
         "AggregatedReceipt": receipt.to_wire(),
         "ForwardBatch": ForwardBatch.of([inner, admitted]).to_data(),
         "LedgerEntry.summary": executed.summary(),
@@ -279,11 +308,11 @@ def build():
         "XSHARD_VOTE/bare": VoteReply(xvote),
         "XSHARD_VOTE/receipt": VoteReply(xvote, receipt=compact),
         "XSHARD_VOTE/error": VoteReply(xvote, error="execution rejected"),
-        "XSHARD_VOUCHER/minted": VoucherReply("minted", "0xa1", voucher=voucher, receipt=compact),
-        "XSHARD_VOUCHER/redeemed": VoucherReply(
-            "redeemed", "0xa1", duplicate=False, receipt=compact
+        "XSHARD_VOUCHER/minted": VoucherReply(
+            "minted", signature=voucher.signature, receipt=compact
         ),
-        "XSHARD_VOUCHER/duplicate": VoucherReply("redeemed", "0xa1", duplicate=True),
+        "XSHARD_VOUCHER/redeemed": VoucherReply("redeemed", receipt=compact),
+        "XSHARD_VOUCHER/duplicate": VoucherReply("redeemed", duplicate=True),
         "SNAPSHOT_RESPONSE": SnapshotResponse(snapshot),
         "LEDGER_RESPONSE": LedgerResponse(2, 2, tuple(ledger.segment(2, 2))),
     }

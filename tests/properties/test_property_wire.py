@@ -46,11 +46,13 @@ from repro.messages.signer import SignedStatement
 from repro.messages.xshard import (
     PHASES,
     VOUCHER_PHASES,
+    CompactVoucher,
     CrossShardDecision,
     CrossShardPrepare,
     CrossShardVote,
     CrossShardVoucher,
     CrossShardVoucherTransfer,
+    voucher_terms,
 )
 
 SIGNER = SimulatedSigner("property-wire-signer")
@@ -219,21 +221,19 @@ def _voucher(_body, kwargs, draw) -> None:
 
 
 def _transfer(_body, kwargs, draw) -> None:
-    kwargs["xtx"] = draw(ids)
     kwargs["phase"] = draw(st.sampled_from(VOUCHER_PHASES))
     if kwargs["phase"] == "mint":
         kwargs.update(target_group=draw(st.integers(0, 7)), target_contract=draw(ids))
     else:
-        kwargs["voucher"] = draw(instances(CrossShardVoucher))
+        kwargs["voucher"] = draw(instances(CompactVoucher))
 
 
 def _voucher_reply(_body, kwargs, draw) -> None:
-    kwargs["xtx"] = draw(ids)
     kwargs["phase"] = draw(st.sampled_from(["minted", "redeemed"]))
     if kwargs["phase"] == "minted":
-        kwargs["voucher"] = draw(instances(CrossShardVoucher))
+        kwargs["signature"] = draw(values(wire.signature))
     else:
-        kwargs["duplicate"] = draw(st.booleans())
+        kwargs["duplicate"] = draw(st.sampled_from([True, None]))
 
 
 def _at_least_one(name):
@@ -265,6 +265,8 @@ RULES = {
         last_cycle=kwargs["first_cycle"] + draw(st.integers(0, 5))
     ),
     ConfirmationBatch: _at_least_one("confirmations"),
+    # A co-signer goes unnamed only inside a compact receipt's unnamed list.
+    CoSigner: lambda _body, kwargs, draw: kwargs.update(cell=draw(values(wire.address))),
     AggregatedReceipt: lambda _body, kwargs, _draw: kwargs.update(status="executed"),
     ForwardBatch: _at_least_one("transactions"),
     ForwardedTransactions: _at_least_one("transactions"),
@@ -614,15 +616,26 @@ def linked(draw, scheme, contract=None):
 @given(data=st.data())
 def test_a_link_confirmation_round_trips_and_rebuilds_the_signed_statement(scheme, data):
     cell, forwarded, confirmation = data.draw(linked(scheme))
-    item = LinkConfirmation.of(confirmation, forwarded)
-    sent = json.loads(as_json(item.to_wire()))
-    # What the receiver holds does not travel; an error and another contract do.
+    # The signer's own execution gives the fingerprint it signed, or (an
+    # equivocating signer) another; the batch is stamped at its moment or later.
+    own = data.draw(st.just(confirmation.fingerprint_hex) | fingerprints)
+    moment = data.draw(st.just(confirmation.timestamp) | ATOMS["seconds"])
+    batch = ConfirmationBatch((LinkConfirmation.of(confirmation, forwarded, own),))
+    (sent,) = json.loads(as_json(batch.data_at(moment)))["confirmations"]
+    # What the receiver holds or derives does not travel; an error, another
+    # contract, another moment and a fingerprint not the signer's own do.
     assert not {"cell", "scheme"} & set(sent)
     assert ("contract" in sent) == (confirmation.contract != called_contract(forwarded))
     assert ("error" in sent) == (confirmation.error is not None)
+    derived = confirmation.status == "executed" and confirmation.error is None and (
+        confirmation.fingerprint_hex == own
+    )
+    assert ("fingerprint" in sent) is ("status" in sent) is (not derived)
+    assert ("timestamp" in sent) == (confirmation.timestamp != moment)
     parsed = LinkConfirmation.from_wire(sent)
-    assert parsed == item
-    rebuilt = parsed.confirmation(cell.address, cell.scheme, forwarded)
+    assert json.loads(as_json(parsed.to_wire())) == sent
+    # The receiver states its own execution's fingerprint: the signer's, if they agree.
+    rebuilt = parsed.confirmation(cell.address, cell.scheme, forwarded, moment, own)
     assert rebuilt.body() == confirmation.body()
     assert rebuilt == confirmation and rebuilt.verify()
 
@@ -634,18 +647,30 @@ def test_a_link_confirmation_rebuilt_for_another_sender_contract_or_transaction_
     scheme, data
 ):
     cell, forwarded, confirmation = data.draw(linked(scheme))
-    sent = json.loads(as_json(LinkConfirmation.of(confirmation, forwarded).to_wire()))
-    sender = cell
-    change = data.draw(st.sampled_from(["sender", "contract", "tx_id"]))
+    own = confirmation.fingerprint_hex
+    sent = json.loads(as_json(LinkConfirmation.of(confirmation, forwarded, own).to_wire()))
+    sender, moment = cell, confirmation.timestamp
+    change = data.draw(st.sampled_from(["sender", "contract", "tx_id", "execution", "moment"]))
     if change == "sender":
         sender = data.draw(st.sampled_from([
             other for other in COSIGNERS[scheme] if other.address != cell.address
         ]))
     elif change == "contract":
         sent["contract"] = data.draw(ids.filter(lambda name: name != confirmation.contract))
-    else:
+    elif change == "tx_id":
         sent["tx_id"] = data.draw(ids.filter(lambda tx_id: tx_id != confirmation.tx_id))
-    rebuilt = LinkConfirmation.from_wire(sent).confirmation(sender.address, sender.scheme, forwarded)
+    elif change == "execution":
+        # The receiver executed the call otherwise: its fingerprint is not the signer's.
+        sent.pop("fingerprint", None)
+        sent.pop("status", None)
+        sent.pop("error", None)
+        own = data.draw(fingerprints.filter(lambda fingerprint: fingerprint != own))
+    else:
+        sent.pop("timestamp", None)
+        moment = data.draw(ATOMS["seconds"].filter(lambda at: at != confirmation.timestamp))
+    rebuilt = LinkConfirmation.from_wire(sent).confirmation(
+        sender.address, sender.scheme, forwarded, moment, own
+    )
     assert not rebuilt.verify()
 
 
@@ -666,7 +691,9 @@ def test_a_contract_other_than_the_called_one_travels_and_still_verifies(scheme,
         data={"contract": called + "-other", "method": "transfer", "args": {}},
         timestamp=1.5, nonce="0x01",
     )):
-        rebuilt = item.confirmation(cell.address, cell.scheme, receivers_entry)
+        rebuilt = item.confirmation(
+            cell.address, cell.scheme, receivers_entry, confirmation.timestamp
+        )
         assert rebuilt.contract == confirmation.contract and rebuilt.verify()
 
 
@@ -675,13 +702,14 @@ def test_a_contract_other_than_the_called_one_travels_and_still_verifies(scheme,
 # ----------------------------------------------------------------------
 @st.composite
 def replied(draw):
-    """``(request, compact receipt, the receipt it states, reply scheme, reply moment)``.
+    """``(request, compact receipt, the receipt it states, reply scheme, reply
+    moment, consortium)``.
 
     The service cell builds the compact receipt from its own confirmation
     and its peers'.  Every field the client can derive — from its request,
-    or from the reply's scheme and moment — is drawn either equal to that or
-    otherwise, except the submission time: the service cell reads it off the
-    request.
+    from the reply's scheme and moment, or from the consortium — is drawn
+    either equal to that or otherwise, except the submission time: the
+    service cell reads it off the request.
     """
     cells = draw(st.lists(
         st.sampled_from(COSIGNERS["sim"] + COSIGNERS["ecdsa"]), min_size=1, max_size=3,
@@ -711,12 +739,18 @@ def replied(draw):
         for cell in cells
     ]
     scheme = draw(st.sampled_from(["sim", "ecdsa"]))
-    compact = CompactReceipt.of(own, peers, request, **fields, scheme=scheme, moment=moment)
+    # The co-signers, or a consortium with one more cell (one excluded).
+    consortium = [cell.address for cell in cells]
+    if draw(st.booleans()):
+        consortium.insert(draw(st.integers(0, len(consortium))), draw(ATOMS["address"]))
+    compact = CompactReceipt.of(
+        own, peers, request, **fields, scheme=scheme, moment=moment, consortium=consortium
+    )
     receipt = cosigned(
         [own, *peers], **statement, **fields, submitted_at=request.payload.timestamp,
         completed_at=own.timestamp,
     )
-    return request, compact, receipt, scheme, moment
+    return request, compact, receipt, scheme, moment, consortium
 
 
 def _reply(request, sender, scheme, moment, data):
@@ -728,10 +762,14 @@ def _reply(request, sender, scheme, moment, data):
 @settings(max_examples=30, deadline=None)
 @given(served=replied())
 def test_a_receipt_sent_compact_rebuilds_exactly_from_the_request_and_the_reply(served):
-    request, compact, receipt, scheme, moment = served
+    request, compact, receipt, scheme, moment, consortium = served
     sent = json.loads(as_json(compact.to_wire()))
     # What the client derives travels only where the receipt states otherwise.
     assert not {"tx_id", "service_cell", "status", "submitted_at", "completed_at"} & set(sent)
+    others = [cell for cell in consortium if cell != receipt.service_cell]
+    assert [("cell" in peer) for peer in sent["cosigners"]] == [
+        [peer.cell for peer in receipt.cosigners[1:]] != others
+    ] * len(sent["cosigners"])
     own, *peers = receipt.cosigners
     derived = {
         "contract": (receipt.contract, called_contract(request)),
@@ -745,7 +783,7 @@ def test_a_receipt_sent_compact_rebuilds_exactly_from_the_request_and_the_reply(
         peer.scheme != scheme for peer in peers
     ]
     reply = _reply(request, receipt.service_cell, scheme, moment, sent)
-    rebuilt = CompactReceipt.from_wire(sent).rebuild(request, reply)
+    rebuilt = CompactReceipt.from_wire(sent).rebuild(request, reply, consortium)
     assert rebuilt == receipt
     assert as_json(rebuilt.to_wire()) == as_json(receipt.to_wire())
     assert rebuilt.verify(expected_cells=[cosigner.cell for cosigner in receipt.cosigners])
@@ -754,12 +792,52 @@ def test_a_receipt_sent_compact_rebuilds_exactly_from_the_request_and_the_reply(
 @settings(max_examples=20, deadline=None)
 @given(served=replied())
 def test_a_compact_receipt_rebuilt_from_another_request_verifies_for_no_cosigner(served):
-    request, compact, receipt, scheme, moment = served
+    request, compact, receipt, scheme, moment, consortium = served
     sent = compact.to_wire()
     other = Envelope.create(
         signer=SIGNER, recipient=request.recipient, operation=Opcode.TX_SUBMIT,
         data=request.data, timestamp=request.payload.timestamp, nonce=request.nonce + "'",
     )
     reply = _reply(other, receipt.service_cell, scheme, moment, sent)
-    rebuilt = CompactReceipt.from_wire(sent).rebuild(other, reply)
+    rebuilt = CompactReceipt.from_wire(sent).rebuild(other, reply, consortium)
     assert not any(confirmation.verify() for confirmation in rebuilt.confirmations)
+
+
+# ----------------------------------------------------------------------
+# The voucher legs: a voucher without what its reader's call states
+# ----------------------------------------------------------------------
+@schemes
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_compact_voucher_rebuilds_the_signed_voucher_from_the_redeem_call(scheme, data):
+    """The redeem call and the destination's group complete the voucher, byte for
+    byte as its issuer signed it; a call that spends anything else does not verify."""
+    issuer = data.draw(st.sampled_from(COSIGNERS[scheme]))
+    source, target = data.draw(groups)[:2]
+    contract = data.draw(ids)
+    args = {
+        "xtx": data.draw(ids), "to": data.draw(ids), "amount": data.draw(ATOMS["integer"]),
+        "expires_at": data.draw(st.integers(0, 10**9) | ATOMS["seconds"]),
+    }
+    xtx, recipient, amount, expires_at = voucher_terms(args)
+    voucher = CrossShardVoucher.create(
+        issuer, xtx, source, target, contract, recipient, amount, expires_at
+    )
+    carried = data.draw(st.sampled_from(["sim", "ecdsa"]))
+    sent = json.loads(as_json(CompactVoucher.of(voucher, carried).to_wire()))
+    assert set(sent) == {"issuer", "source_group", "signature"} | (
+        {"scheme"} if carried != issuer.scheme else set()
+    )
+    compact = CompactVoucher.from_wire(sent)
+    rebuilt = compact.voucher(target, contract, args, carried)
+    assert rebuilt.body() == voucher.body() and rebuilt == voucher and rebuilt.verify()
+    key = data.draw(st.sampled_from(["to", "amount", "expires_at", "contract", "group"]))
+    if key == "contract":
+        other = compact.voucher(target, contract + "'", args, carried)
+    elif key == "group":
+        other = compact.voucher(target + 1 if target + 1 != source else target + 2,
+                                contract, args, carried)
+    else:
+        spent = {**args, key: args[key] + ("'" if key == "to" else 1)}
+        other = compact.voucher(target, contract, spent, carried)
+    assert not other.verify()

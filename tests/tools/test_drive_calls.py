@@ -162,7 +162,7 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
         if items:
             split[(link_name, opcode_name)] = (opcode_row, *map(float, items.group(1, 3, 4)))
             continue
-        opcode = re.fullmatch(r"    ([a-z_]+) +(\d+\.\d) B/tx +(\d+\.\d{3}) msgs/tx", row)
+        opcode = re.fullmatch(r"    ([a-z_/]+) +(\d+\.\d) B/tx +(\d+\.\d{3}) msgs/tx", row)
         assert opcode, row
         current[1] += float(opcode[2])
         link_name, opcode_name = list(links)[-1], opcode[1]
@@ -171,12 +171,17 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
     for link_bytes, opcode_bytes in links.values():
         assert opcode_bytes == pytest.approx(link_bytes, abs=0.1 * len(rows))
     assert sum(link_bytes for link_bytes, _ in links.values()) == pytest.approx(total, abs=0.2)
-    assert "    tx_receipt" in first.stdout and "    xshard_voucher" in first.stdout
+    assert "    tx_receipt" in first.stdout
+    # A voucher transfer prints as its four legs, a row each.
+    assert {opcode for _link, opcode in outside if opcode.startswith("xshard_voucher")} == {
+        f"xshard_voucher/{leg}" for leg in ("mint", "minted", "redeem", "redeemed")
+    }
     # The two list-carrying opcodes split into their items and the rest, and
     # the replies that carry a receipt into their receipts and the rest.
     assert set(split) == {
         ("cell<->cell", "tx_forward"), ("cell<->cell", "tx_confirm"),
-        ("client<->cell", "tx_receipt"), ("client<->cell", "xshard_voucher"),
+        ("client<->cell", "tx_receipt"), ("client<->cell", "xshard_voucher/minted"),
+        ("client<->cell", "xshard_voucher/redeemed"),
     }
     for (_link, opcode), split_row in split.items():
         (opcode_bytes, messages), per_message, per_item, besides = split_row
@@ -199,35 +204,76 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
     assert per_message <= CELL_LINK_BYTES_OUTSIDE_DATA
 
 
-#: A ratchet: the smoke ``burst_sim`` at seed 2021 as ``--bytes`` prints it.
-#: A ``tx_receipt`` and a ``tx_confirm`` travel unsigned: B/msg outside the
-#: data field 172.8 and 196.8 (355.9 and 325.8 with a signature and a nonce,
-#: and for a receipt the sender).  A receipt is 427.5 B (510.5 while it
-#: carried the fingerprint its client derives).  A field re-added to either
-#: fails here; a change that moves them on purpose re-records them.
-UNSIGNED_OUTSIDE_DATA = {"tx_receipt": 172.8, "tx_confirm": 196.8}
-BYTES_PER_RECEIPT = 427.5
-
-
-def test_bytes_pins_what_an_unsigned_receipt_and_confirmation_cost():
-    command = [sys.executable, str(TOOL), "--smoke", "--bytes", "--workload", "burst_sim",
+def _printed_bytes(workload):
+    """``--bytes`` of the smoke ``workload`` at seed 2021, the same on a second run:
+    per opcode row, (B/msg of data, B/msg outside data, B per item or receipt)."""
+    command = [sys.executable, str(TOOL), "--smoke", "--bytes", "--workload", workload,
                "--seed", "2021"]
     first = subprocess.run(command, capture_output=True, text=True)
     assert first.returncode == 0, first.stderr
     assert subprocess.run(command, capture_output=True, text=True).stdout == first.stdout
-    outside, per_receipt, opcode = {}, None, None
+    printed, opcode = {}, None
     for row in first.stdout.splitlines():
-        named = re.fullmatch(r"    ([a-z_]+) +\d+\.\d B/tx +\d+\.\d{3} msgs/tx", row)
+        named = re.fullmatch(r"    ([a-z_/]+) +\d+\.\d B/tx +\d+\.\d{3} msgs/tx", row)
         if named:
             opcode = named[1]
-        data = re.fullmatch(r" +\d+\.\d B/msg of data +(\d+\.\d) B/msg outside data", row)
+            printed[opcode] = [None, None, None]
+        data = re.fullmatch(r" +(\d+\.\d) B/msg of data +(\d+\.\d) B/msg outside data", row)
         if data:
-            outside[opcode] = float(data[1])
-        receipts = re.fullmatch(r" +\d+\.\d\d receipts/msg +(\d+\.\d) B/receipt .*", row)
-        if receipts:
-            per_receipt = float(receipts[1])
-    assert {opcode: outside[opcode] for opcode in UNSIGNED_OUTSIDE_DATA} == UNSIGNED_OUTSIDE_DATA
-    assert per_receipt == BYTES_PER_RECEIPT
+            printed[opcode][:2] = float(data[1]), float(data[2])
+        carried = re.fullmatch(r" +\d+\.\d\d (?:item|receipt)s/msg +(\d+\.\d) B/.*", row)
+        if carried:
+            printed[opcode][2] = float(carried[1])
+    return printed
+
+
+#: A ratchet: the smoke ``burst_sim`` at seed 2021 as ``--bytes`` prints it.
+#: A ``tx_receipt`` and a ``tx_confirm`` travel unsigned: B/msg outside the
+#: data field 172.9 and 196.8 (355.9 and 325.8 with a signature and a nonce,
+#: and for a receipt the sender).  A receipt is 375.5 B (427.5 while it
+#: named the co-signer that is the consortium's other cell, 510.5 while it
+#: also carried the fingerprint its client derives).  A field re-added to
+#: either fails here; a change that moves them on purpose re-records them.
+UNSIGNED_OUTSIDE_DATA = {"tx_receipt": 172.9, "tx_confirm": 196.8}
+BYTES_PER_RECEIPT = 375.5
+
+
+def test_bytes_pins_what_an_unsigned_receipt_and_confirmation_cost():
+    printed = _printed_bytes("burst_sim")
+    assert {
+        opcode: printed[opcode][1] for opcode in UNSIGNED_OUTSIDE_DATA
+    } == UNSIGNED_OUTSIDE_DATA
+    assert printed["tx_receipt"][2] == BYTES_PER_RECEIPT
+
+
+#: A ratchet: the smoke ``xshard_burst`` at seed 2021 as ``--bytes`` prints
+#: it, for the statements that travel as signatures their reader rebuilds.
+#: A ``tx_confirm`` item is 181.1 B (304.0 while it carried the fingerprint,
+#: status and timestamp its service cell holds); a voucher leg, data and
+#: the rest, is 868.0 / 856.7 / 972.0 / 744.1 B per message for mint /
+#: minted / redeem / redeemed (while the voucher and the outer xtx travelled
+#: whole, the minted and redeem legs carried the whole voucher); a receipt
+#: is 362.4 B on a ``tx_receipt`` and 367.0 / 354.1 B on the minted /
+#: redeemed replies (each ~52 B more while its co-signer was named).
+BYTES_PER_CONFIRMATION = 181.1
+BYTES_PER_VOUCHER_LEG = {
+    "xshard_voucher/mint": 868.0, "xshard_voucher/minted": 856.7,
+    "xshard_voucher/redeem": 972.0, "xshard_voucher/redeemed": 744.1,
+}
+BYTES_PER_XSHARD_RECEIPT = {
+    "tx_receipt": 362.4, "xshard_voucher/minted": 367.0, "xshard_voucher/redeemed": 354.1,
+}
+
+
+def test_bytes_pins_what_compact_confirmations_vouchers_and_receipts_cost():
+    printed = _printed_bytes("xshard_burst")
+    assert printed["tx_confirm"][2] == BYTES_PER_CONFIRMATION
+    assert {
+        leg: round(printed[leg][0] + printed[leg][1], 1) for leg in BYTES_PER_VOUCHER_LEG
+    } == BYTES_PER_VOUCHER_LEG
+    assert {
+        opcode: printed[opcode][2] for opcode in BYTES_PER_XSHARD_RECEIPT
+    } == BYTES_PER_XSHARD_RECEIPT
 
 
 #: A ratchet: receipt-family constructions per transaction of the smoke
@@ -235,8 +281,9 @@ def test_bytes_pins_what_an_unsigned_receipt_and_confirmation_cost():
 #: one ``Confirmation`` per co-signer (16.30 and 21.81; 14.23 and 19.60
 #: before; 16.30 and 21.81 with a reply wrapper around the compact
 #: receipt, 19.40 and 26.41 before the service cell built its receipt in
-#: the form it sends), rounded up to 0.1.
-RECEIPT_FAMILY_PER_TX = {"burst_sim": 16.3, "xshard_burst": 21.9}
+#: the form it sends), rounded up to 0.1.  ``xshard_burst`` 22.60 once the
+#: sharded client checks the inner receipts of its voucher legs too.
+RECEIPT_FAMILY_PER_TX = {"burst_sim": 16.3, "xshard_burst": 22.6}
 RECEIPT_FAMILY = {
     "Confirmation", "LinkConfirmation", "ConfirmationBatch", "CoSigner", "AggregatedReceipt",
     "CompactReceipt",

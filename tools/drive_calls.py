@@ -41,7 +41,9 @@ into its items and the rest: items per message, canonical-JSON bytes per
 item, and the bytes per message that are not items (envelope, signature,
 network framing).  The replies that can carry a receipt (``tx_receipt``,
 whose whole data field is one, ``xshard_vote``, ``xshard_voucher``) get the
-same line for their receipts.
+same line for their receipts.  ``xshard_voucher`` is printed as its four
+legs, ``xshard_voucher/mint`` / ``minted`` / ``redeem`` / ``redeemed``
+(the ``phase`` of the request or reply), a row each.
 Every opcode also gets a line that splits a message into its data field
 (canonical-JSON bytes of ``D``) and the rest: the envelope header, the
 signature and the network framing, which are what a change to the envelope
@@ -190,6 +192,9 @@ CARRIED: dict[str, tuple[str, Optional[str]]] = {
 }
 
 
+#: The opcodes printed a row per leg, named by the ``phase`` of the request or reply.
+LEGS = {"xshard_voucher"}
+
 #: The widths of the binary fields counted apart, in bytes.
 WIDTHS = (12, 16, 20, 32, 65)
 #: Keys whose text is unpadded base64url of one width: a signature, a nonce.
@@ -243,7 +248,8 @@ def count_drive_bytes(
         delivered = post(endpoint, dst_node, envelope)
         if delivered:
             opcode = envelope.operation.value
-            tally = sent.setdefault((endpoint.node_name, dst_node, opcode), [0, 0, 0, 0, 0])
+            row = f"{opcode}/{envelope.data.get('phase')}" if opcode in LEGS else opcode
+            tally = sent.setdefault((endpoint.node_name, dst_node, row), [0, 0, 0, 0, 0])
             tally[0] += endpoint.network.wire_size(envelope.byte_size())
             tally[1] += 1
             tally[4] += len(dump_bytes(envelope.data))
@@ -287,14 +293,14 @@ def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
         )
         size = sum(counts[0] for counts, _ in rows)
         count = sum(counts[1] for counts, _ in rows)
-        print(f"  {link:<22}{size / attempted:>10.1f} B/tx  {count / attempted:>7.3f} msgs/tx")
+        print(f"  {link:<26}{size / attempted:>10.1f} B/tx  {count / attempted:>7.3f} msgs/tx")
         for (size, count, items, item_bytes, data_bytes), opcode in rows:
-            print(f"    {opcode:<20}{size / attempted:>10.1f} B/tx"
+            print(f"    {opcode:<24}{size / attempted:>10.1f} B/tx"
                   f"  {count / attempted:>7.3f} msgs/tx")
             print(f"      {data_bytes / count:>7.1f} B/msg of data"
                   f"  {(size - data_bytes) / count:>7.1f} B/msg outside data")
             if items:
-                item = CARRIED[opcode][0]
+                item = CARRIED[opcode.split("/")[0]][0]
                 print(f"      {items / count:>7.2f} {item}s/msg  {item_bytes / items:>7.1f} B/{item}"
                       f"  {(size - item_bytes) / count:>7.1f} B/msg besides the {item}s")
     print("  binary fields by width" + "".join(
