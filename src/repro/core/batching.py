@@ -6,8 +6,8 @@ flowing back (Fig. 7 steps 2-3).  Sent individually this is O(N * cells)
 network messages for N simultaneous transactions — the dominant event count
 in the paper's 20,000-transaction stress runs.  The :class:`BatchDispatcher`
 instead queues outgoing forwards and confirmations per destination cell and
-flushes each queue as a single signed batch envelope, so the same burst
-costs O(cells) messages per *scheduling quantum*.
+flushes each queue as a single batch envelope, so the same burst costs
+O(cells) messages per *scheduling quantum*.
 
 The quantum is a rate bound, not a delay: a destination gets at most one
 flush per quantum, and no item waits longer than one.  A flush is armed for
@@ -26,9 +26,11 @@ confirmations) is preserved inside the batches.  With batching disabled
 (``quantum=None``: the paper's per-transaction messages) each item leaves
 at once, as a list of one.
 
-A batch is signed and sent by the cell's message endpoint
-(:mod:`repro.messages.endpoint`) like everything else the cell says; the
-dispatcher holds no signer, nonce factory or network of its own.
+A batch is stamped and sent by the cell's message endpoint
+(:mod:`repro.messages.endpoint`) like everything else the cell says — a
+``TX_FORWARD`` and a ``TX_CONFIRM`` travel unsigned, the link naming their
+sender — and the dispatcher holds no signer, nonce factory or network of
+its own.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class BatchDispatcher:
     ) -> None:
         if quantum is not None and quantum < 0:
             raise ValueError("the batch quantum cannot be negative")
-        #: The cell's endpoint signs and sends each batch.  Its ``silent``
+        #: The cell's endpoint stamps and sends each batch.  Its ``silent``
         #: gate is checked at flush time: a cell that crashed between
         #: queueing and flushing must not emit the batch (a per-transaction
         #: sender would already have gone silent), so crash behaviour is

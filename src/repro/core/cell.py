@@ -301,15 +301,20 @@ class BlockumulusCell:
         signed for another cell — a peer's forward relayed here, a
         client's submission replayed onto a sibling — does not verify.
         The simulator delivers the envelope itself, where that is this one
-        comparison.  On a route that travels unsigned the handler checks
-        the statements of the body instead of the envelope.  Returns what
-        the handler returned (for a delayed route, the generator that keeps
-        serving), None after a refusal.
+        comparison.  A message that travels unsigned travels without its
+        sender too: the link it arrives on names it, so a cell-to-cell one
+        is taken only from the node of the peer it names — the simulator's
+        form of reading it under the peer at the other end of the link —
+        and its handler checks the statements of the body instead of the
+        envelope.  Returns what the handler returned (for a delayed route,
+        the generator that keeps serving), None after a refusal.
         """
+        signed, sender = travels_signed(envelope.operation), envelope.sender
         entitled = envelope.recipient == self.address and (
-            route.sender is not Sender.CELL or self.invariants.is_cell(envelope.sender)
+            route.sender is not Sender.CELL
+            or (self.invariants.is_cell(sender) if signed else self.peers.get(sender) == src_node)
         )
-        if (travels_signed(envelope.operation) and not envelope.verify()) or not entitled:
+        if (signed and not envelope.verify()) or not entitled:
             self.refuse_unauthenticated(src_node, envelope)
             return None
         try:
@@ -325,7 +330,8 @@ class BlockumulusCell:
     def refuse_unauthenticated(self, src_node: str, envelope: Envelope) -> None:
         """Count (and on answered routes report) a message of unproven origin.
 
-        A bad envelope signature or a sender of the wrong class, found by
+        A bad envelope signature, a sender of the wrong class or an
+        unsigned message from another link than its sender's, found by
         ingress — or a signed statement in the body that is not the
         envelope sender's own, found by its handler.
         """

@@ -10,9 +10,10 @@ are :data:`REPLY_ONLY`).  The ingress stage of
 :class:`~repro.core.cell.BlockumulusCell` reads the row and runs
 slot → auth delay → ``verify()`` → sender class → body parser → handler, so
 handlers start from an authenticated envelope and a typed body; requesters
-read what comes back through :func:`read_reply`.  The two opcodes that
-travel unsigned, because their reader checks every co-signature they
-carry, are :data:`UNSIGNED`.  The static analyzer
+read what comes back through :func:`read_reply`.  The three opcodes that
+travel unsigned, because their reader checks every signature they carry
+and the link they arrive on names their sender, are :data:`UNSIGNED`.
+The static analyzer
 (``PROTO001``/``PROTO002``) and the opcode reference in
 ``docs/ARCHITECTURE.md`` read the same rows.
 """
@@ -69,7 +70,7 @@ class Sender(Enum):
     """
 
     CLIENT = "client"  # any identity
-    CELL = "cell"      # a member of the consortium
+    CELL = "cell"      # a member of the consortium (unsigned: over that member's link)
     ANYONE = "anyone"  # any identity: auditors and liveness probes
 
 
@@ -191,12 +192,17 @@ REPLIES: dict[Opcode, type[wire.Body]] = {
 #: as ``unhandled_<opcode>`` and dropped.
 REPLY_ONLY: frozenset[Opcode] = frozenset(REPLIES) - frozenset(ROUTES)
 
-#: Opcodes that travel unsigned.  Their reader checks every co-signature
-#: the body carries, which is all the envelope's signature would prove: a
-#: cell verifies each confirmation of a ``TX_CONFIRM`` under the claimed
-#: sender, and a client each co-signer of its ``TX_RECEIPT``, whose sender
-#: does not travel either (the client supplies the cell it asked).
-UNSIGNED: frozenset[Opcode] = frozenset({Opcode.TX_CONFIRM, Opcode.TX_RECEIPT})
+#: Opcodes that travel unsigned, and so without their sender: the link a
+#: message arrives on names it (the connection a REST request is answered
+#: on), which is all the envelope's signature would add to what its reader
+#: checks.  A cell takes a ``TX_FORWARD`` or a ``TX_CONFIRM`` only over the
+#: link to the cell it names, verifies each forwarded transaction under its
+#: client's signature and each confirmation under the cell's own; a client
+#: takes a ``TX_RECEIPT`` only over the link to the cell it asked, and
+#: checks every co-signer.
+UNSIGNED: frozenset[Opcode] = frozenset(
+    {Opcode.TX_FORWARD, Opcode.TX_CONFIRM, Opcode.TX_RECEIPT}
+)
 
 
 def travels_signed(opcode: Opcode) -> bool:

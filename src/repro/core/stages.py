@@ -333,6 +333,7 @@ class ServiceStage:
         self._pending[entry.tx_id] = pending
         forwarded = yield from self._forward_to_peers(envelope, active_peers)
         if not forwarded:
+            del self._pending[entry.tx_id]
             return _ServiceResult(entry=entry, aborted=True)
 
         # Execute locally while peers work in parallel.
@@ -470,23 +471,20 @@ class ServiceStage:
     ) -> None:
         """Route the confirmations of a ``TX_CONFIRM``, which travels unsigned.
 
-        Each is rebuilt from this cell's own ledger entry and the envelope,
-        so it verifies only if the envelope's claimed sender signed it; one
-        for a transaction this cell never admitted is refused like a bad
-        signature.  An item that states its own fingerprint is checked at
-        once, and the batch is taken whole or not at all: the first such
-        item that fails refuses it, so a forged batch costs one signature
-        check, as checking a signed envelope did.  An item that leaves the
-        fingerprint to this cell's own execution cannot tell a forgery from
-        a peer that executed differently when it fails, so it is taken only
-        over the link to the cell it names, like an unsigned reply: from
-        anywhere else it refuses the batch, unchecked.  Such an item goes
-        to the transaction's wait, which checks it once this cell executed
-        the call (and drops it unchecked if nothing waits for it any more).
+        Ingress took it only over the link to the cell it names.  Each item
+        is rebuilt from this cell's own ledger entry and the envelope, so it
+        verifies only if that cell signed it; one for a transaction this
+        cell never admitted is refused like a bad signature.  An item that
+        states its own fingerprint is checked at once, and the batch is
+        taken whole or not at all: the first such item that fails refuses
+        it, so a forged batch costs one signature check, as checking a
+        signed envelope did.  An item that leaves the fingerprint to this
+        cell's own execution goes to the transaction's wait, which checks
+        it once this cell executed the call (and drops it unchecked if
+        nothing waits for it any more).
         """
         cell = self.cell
         sender, scheme, moment = envelope.sender, envelope.scheme, envelope.timestamp
-        own_link = cell.peers.get(sender) == src_node
         accepted: list[tuple[LinkConfirmation, LedgerEntry, Optional[Confirmation]]] = []
         for item in batch.confirmations:
             try:
@@ -500,9 +498,6 @@ class ServiceStage:
                 if not confirmation.verify():
                     cell.refuse_unauthenticated(src_node, envelope)
                     return
-            elif not own_link:
-                cell.refuse_unauthenticated(src_node, envelope)
-                return
             accepted.append((item, entry, confirmation))
         for item, entry, confirmation in accepted:
             pending = self._pending.get(item.tx_id)
@@ -528,14 +523,14 @@ class PeerStage:
     def _serve_forwards(
         self, src_node: str, forward: Envelope, body: ForwardedTransactions
     ) -> None:
-        """Fan out the transactions of one authenticated ``TX_FORWARD``.
+        """Fan out the transactions of one ``TX_FORWARD``, taken over its forwarder's link.
 
         The authentication overhead was paid once for the message — this is
         where the batched pipeline saves cell time on top of network messages.
-        Each client envelope is read under the forwarder, to which its client
-        addressed it (one relayed from another cell fails its signature
-        check), and runs in its own process (parallel up to the service
-        model's invocation limit).
+        Each client envelope is read as a ``TX_SUBMIT`` to the forwarder, to
+        which its client addressed it (one relayed from another cell fails
+        its signature check), and runs in its own process (parallel up to
+        the service model's invocation limit).
         """
         cell = self.cell
         try:

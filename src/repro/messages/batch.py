@@ -5,10 +5,11 @@ consortium cell as an individual signed message, so a burst of N
 simultaneous transactions costs O(N * cells) network events (Fig. 7
 steps 2-3).  A ``TX_FORWARD`` carries a list of the client envelopes
 queued for one destination cell during one scheduling quantum (one, with
-batching off): the outer envelope carries the forwarding cell's signature,
-every inner item keeps its client's, so the receiving cell can still
-authenticate each transaction independently — under the forwarding cell,
-to which the client addressed it.
+batching off).  The outer envelope travels unsigned — the link it arrives
+on names the forwarding cell — and every inner item keeps its client's
+signature, so the receiving cell authenticates each transaction on its
+own: as a ``TX_SUBMIT`` to the forwarding cell, which is what its client
+signed.
 
 Only the forward bodies live here; the confirmation batch is defined next
 to :class:`repro.core.receipts.Confirmation` to avoid a layering cycle
@@ -23,6 +24,7 @@ from typing import Any, Iterable
 from ..crypto.keys import Address
 from . import wire
 from .envelope import Envelope, EnvelopeError, LinkEnvelope
+from .opcodes import Opcode
 
 
 class BatchError(ValueError):
@@ -36,8 +38,9 @@ class ForwardBatch(wire.Body, error=BatchError):
     The batch stores the *link forms* of the client envelopes, which is
     exactly what rides inside the outer envelope's data field: each leaves
     out its recipient, which is the forwarding cell, the outer envelope's
-    sender.  Parsing and client-signature verification stay
-    per-transaction on the receiver.
+    sender, and its opcode, which is ``TX_SUBMIT`` (the only one a cell
+    services and so forwards).  Parsing and client-signature verification
+    stay per-transaction on the receiver.
     """
 
     transactions: tuple[dict[str, Any], ...] = wire.list_of(wire.obj)()
@@ -51,8 +54,15 @@ class ForwardBatch(wire.Body, error=BatchError):
 
     @classmethod
     def of(cls, envelopes: Iterable[Envelope]) -> "ForwardBatch":
-        """Build a batch from client envelopes addressed to the forwarding cell."""
-        return cls(transactions=tuple(envelope.to_link() for envelope in envelopes))
+        """Build a batch from client ``TX_SUBMIT``s addressed to the forwarding cell."""
+        transactions = []
+        for envelope in envelopes:
+            if envelope.operation is not Opcode.TX_SUBMIT:
+                raise BatchError(f"only a tx_submit is forwarded, not {envelope.operation.value}")
+            link = envelope.to_link()
+            del link["payload"]["operation"]
+            transactions.append(link)
+        return cls(transactions=tuple(transactions))
 
     def envelopes(self, forwarder: Address) -> list[Envelope]:
         """Parse every inner client envelope under ``forwarder`` (structure check only).
@@ -70,9 +80,10 @@ class ForwardedTransactions(wire.Body, error=BatchError):
     The receiving cell's view of a :class:`ForwardBatch`: every item is a
     structurally sound link envelope by the time a handler sees it.  Its
     recipient is the forwarder, which the handler knows once the message is
-    authenticated: :meth:`envelopes` supplies it, and refuses the whole
-    message for one item whose payload cannot be read, as ingress refuses
-    it for one that is not a link envelope at all.
+    authenticated, and its opcode ``TX_SUBMIT``: :meth:`envelopes` supplies
+    both, and refuses the whole message for one item whose payload cannot
+    be read, as ingress refuses it for one that is not a link envelope at
+    all.
     """
 
     transactions: tuple[LinkEnvelope, ...] = wire.list_of(wire.nested(LinkEnvelope))()
@@ -84,9 +95,12 @@ class ForwardedTransactions(wire.Body, error=BatchError):
             raise BatchError("a forwarded transaction must carry its client's signature")
 
     def envelopes(self, forwarder: Address) -> list[Envelope]:
-        """Every client envelope, read under ``forwarder``: one that was
-        signed for another cell fails its ``verify()``."""
+        """Every client envelope, read as a ``TX_SUBMIT`` to ``forwarder``:
+        one that was signed for another cell, or as another opcode, fails
+        its ``verify()``."""
         try:
-            return [item.envelope(forwarder) for item in self.transactions]
+            return [
+                item.envelope(forwarder, operation=Opcode.TX_SUBMIT) for item in self.transactions
+            ]
         except EnvelopeError as exc:
             raise BatchError(f"malformed forwarded transaction: {exc}") from exc

@@ -1,8 +1,9 @@
 """One way to talk to a cell: sign, send, await (Section III-C2).
 
 Every request *and response* is the same payload tuple, signed but for the
-two opcodes whose reader checks the co-signatures they carry instead (the
-route table says which), and a reply names its request in ``τ``
+opcodes whose reader checks the signatures they carry instead and takes
+them only over the link of their sender (the route table says which), and
+a reply names its request in ``τ``
 (``reply_to``).  Clients, cells and auditors each
 hold one :class:`Endpoint`, which alone knows how a message gets its nonce
 and clock stamp, how it reaches the network, and how a reply finds the

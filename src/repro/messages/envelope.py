@@ -4,9 +4,10 @@ Section III-C2: every Blockumulus request and response is a payload tuple
 P plus the sender's signature over its canonical bytes; Section III-D3
 makes verifying that signature (and that the recovered identity equals the
 claimed sender) the first step of serving any transaction.  The one
-departure: the two opcodes whose reader checks every co-signature they
-carry travel as ``{P}`` alone, without a nonce (the route table in
-:mod:`repro.core.routes` names them).
+departure: the opcodes whose reader checks every signature they carry
+travel as ``{P}`` alone, without a nonce, and leave their sender to the
+link they arrive on (the route table in :mod:`repro.core.routes` names
+them).
 """
 
 from __future__ import annotations
@@ -106,8 +107,10 @@ class Envelope:
 
     An envelope without a signature travels unsigned, and so without a
     nonce: what it carries is checked by its reader (a receipt's
-    co-signatures, each confirmation of a batch), not through the message.
-    Its scheme is still its sender's, which what it carries may name.
+    co-signatures, each confirmation of a batch, each forwarded client
+    transaction), not through the message, and its sender is the node at
+    the other end of the link.  Its scheme is still its sender's, which
+    what it carries may name.
     """
 
     payload: Payload
@@ -208,15 +211,13 @@ class Envelope:
         The wire form without what its receiver supplies: the recipient, a
         null ``reply_to`` and the ``ecdsa`` tag — and the sender, where the
         outer envelope has the same one (``with_sender=False``) or the
-        envelope is an unsigned reply (see :meth:`Payload.link_bytes`).
+        envelope travels unsigned (see :meth:`Payload.link_bytes`).
         """
         payload = self.payload.to_dict()
         del payload["recipient"]
         if payload["reply_to"] is None:
             del payload["reply_to"]
-        elif self.signature is None:
-            with_sender = False
-        if not with_sender:
+        if not with_sender or self.signature is None:
             del payload["sender"]
         link: dict[str, Any] = {"payload": payload}
         if self.signature is not None:
@@ -266,7 +267,8 @@ class Envelope:
         a requester the identity that signed the request, a cell reading a
         nested client envelope the outer envelope's sender (a forward) —
         and ``sender`` too, where the outer envelope has the same one or,
-        for an unsigned reply, the requester the cell it asked.
+        for an unsigned message, the one the link names: a requester the
+        cell it asked, a cell the peer at the other end.
         Bytes are bounded as in :meth:`from_wire`.
         """
         try:
@@ -340,8 +342,8 @@ class LinkEnvelope(wire.Body, error=EnvelopeError, what="link envelope"):
     What a receiver holds of a nested envelope before it knows under whom
     to read it (``TX_FORWARD`` items are parsed with their message, the
     forwarder is known once it is authenticated); :meth:`envelope` supplies
-    them, as :class:`~repro.core.receipts.LinkConfirmation` does for a
-    confirmation.
+    them — and the opcode, where the outer message fixes it — as
+    :class:`~repro.core.receipts.LinkConfirmation` does for a confirmation.
     """
 
     payload: dict[str, Any] = wire.obj()
@@ -349,11 +351,16 @@ class LinkEnvelope(wire.Body, error=EnvelopeError, what="link envelope"):
     signature: Optional[bytes] = wire.signature(omit_none=True, default=None)
     scheme: str = wire.text(default=DEFAULT_SCHEME)
 
-    def envelope(self, recipient: Address, sender: Optional[Address] = None) -> Envelope:
-        """The envelope read under ``recipient`` (and ``sender``); it verifies
-        only if it was signed for them."""
+    def envelope(
+        self,
+        recipient: Address,
+        sender: Optional[Address] = None,
+        operation: Optional[Opcode] = None,
+    ) -> Envelope:
+        """The envelope read under ``recipient`` (and ``sender``, ``operation``);
+        it verifies only if it was signed for them."""
         try:
-            payload = Payload.from_dict(self.payload, recipient, sender)
+            payload = Payload.from_dict(self.payload, recipient, sender, operation)
         except PayloadError as exc:
             raise EnvelopeError(f"malformed link envelope: {exc}") from exc
         return Envelope(payload=payload, signature=self.signature, scheme=self.scheme)

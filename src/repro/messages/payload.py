@@ -30,8 +30,9 @@ _HORIZON = 2.0**53 / 1e6
 _RECIPIENT_KEY = b',"recipient":"'
 _RECIPIENT_LEN = len(_RECIPIENT_KEY) + 42 + 1  # "0x", 40 hex digits, the closing quote
 _NULL_REPLY_LEN = len(b',"reply_to":null')
-#: And what an unsigned reply leaves out besides: its sender, which the
-#: requester supplies (the cell it asked).
+#: And what an unsigned message leaves out besides: its sender, which the
+#: link it arrives on names (a requester supplies the cell it asked, a cell
+#: the peer at the other end).
 _SENDER_KEY = b',"sender":"'
 _SENDER_LEN = len(_SENDER_KEY) + 42 + 1
 
@@ -121,16 +122,16 @@ class Payload:
         """:meth:`canonical_bytes` without what every receiver supplies.
 
         That is the recipient, and ``reply_to`` while it is null — and the
-        sender of an unsigned reply (no nonce, a ``reply_to``), which its
-        requester supplies.  A splice, not an encode: the recipient is the
-        last ``,"recipient":"`` in the bytes and the sender the last
+        sender of an unsigned message (no nonce), which the link it arrives
+        on names.  A splice, not an encode: the recipient is the last
+        ``,"recipient":"`` in the bytes and the sender the last
         ``,"sender":"``, since only ``data`` comes before them and every
         text after ``data`` is a quoted string, whose quotes are escaped.
         """
         canonical = self.canonical_bytes()
         start = canonical.rfind(_RECIPIENT_KEY)
         end = start + _RECIPIENT_LEN + (_NULL_REPLY_LEN if self.reply_to is None else 0)
-        if self.nonce is not None or self.reply_to is None:
+        if self.nonce is not None:
             return canonical[:start] + canonical[end:]
         sender = canonical.rfind(_SENDER_KEY)
         return canonical[:start] + canonical[end:sender] + canonical[sender + _SENDER_LEN:]
@@ -163,12 +164,13 @@ class Payload:
         raw: dict[str, Any],
         recipient: Optional[Address] = None,
         sender: Optional[Address] = None,
+        operation: Optional[Opcode] = None,
     ) -> "Payload":
         """Rebuild a payload from its plain-dict form, coercing nothing.
 
         The field types are checked where every payload is (``__post_init__``);
         a hex field that is not a string fails inside ``Address.from_hex``.
-        ``recipient`` / ``sender``, when given, are the identities the
+        ``recipient`` / ``sender`` / ``operation``, when given, are what the
         receiver supplies, read in place of their keys (which a link form
         leaves out, and which are ignored if present).
         """
@@ -179,7 +181,7 @@ class Payload:
             return cls(
                 sender=Address.from_hex(raw["sender"]) if sender is None else sender,
                 recipient=Address.from_hex(raw["recipient"]) if recipient is None else recipient,
-                operation=Opcode(raw["operation"]),
+                operation=Opcode(raw["operation"]) if operation is None else operation,
                 nonce=raw.get("nonce"),
                 reply_to=raw.get("reply_to"),
                 timestamp=raw["timestamp"],

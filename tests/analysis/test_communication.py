@@ -47,12 +47,21 @@ UNSIGNED_REPLY_BYTES = (
     + len(',"sender":"0x' + "00" * 20 + '"') + len(',"fingerprint":"0x' + "00" * 32 + '"')
     + len(',"cell":"0x' + "00" * 20 + '"')
 )
+#: What the paper's forward carries and ours does not: the forward is a
+#: signed message there (a hex signature, a nonce and the sender), ours
+#: travels unsigned over the forwarding cell's link, which names it, and its
+#: client transaction leaves out its opcode, always ``tx_submit``.
+UNSIGNED_FORWARD_BYTES = (
+    len(',"signature":"0x' + "00" * 65 + '"') + len(',"nonce":"' + "A" * 16 + '"')
+    + len(',"sender":"0x' + "00" * 20 + '"') + len(',"operation":"tx_submit"')
+)
 #: What the paper's confirmation carries and ours leaves to its reader: the
-#: fingerprint and status of the call the service cell executed itself, and
-#: the timestamp of the ``TX_CONFIRM`` that carries it.
+#: fingerprint and status of the call the service cell executed itself, the
+#: timestamp of the ``TX_CONFIRM`` that carries it, and its sender, which
+#: the link names.
 DERIVED_CONFIRMATION_BYTES = (
     len(',"fingerprint":"0x' + "00" * 32 + '"') + len(',"status":"executed"')
-    + len(',"timestamp":12.345678')
+    + len(',"timestamp":12.345678') + len(',"sender":"0x' + "00" * 20 + '"')
 )
 
 
@@ -66,10 +75,14 @@ def test_per_transaction_bytes_in_paper_ballpark(profiles):
     # fingerprint), and in the paper's form.
     assert two.client_cell_payment.inbound <= 534
     assert 800 < two.client_cell_payment.inbound + UNSIGNED_REPLY_BYTES < 3_000
-    assert 500 < two.cell_cell_forward.outbound < 2_500
-    # The confirmation, pinned at its measured size (505 B while it stated
-    # what its reader derives), and in the paper's form.
-    assert two.cell_cell_forward.inbound <= 381
+    # The forward, pinned at its measured size (693 B while it was signed
+    # and its item named its opcode), and in the paper's form.
+    assert two.cell_cell_forward.outbound <= 486
+    assert 500 < two.cell_cell_forward.outbound + UNSIGNED_FORWARD_BYTES < 2_500
+    # The confirmation, pinned at its measured size (381 B while its sender
+    # travelled, 505 B while it also stated what its reader derives), and in
+    # the paper's form.
+    assert two.cell_cell_forward.inbound <= 327
     assert 400 < two.cell_cell_forward.inbound + DERIVED_CONFIRMATION_BYTES < 2_000
 
 

@@ -101,6 +101,17 @@ messages are shorter and arrive sooner, and a sharded client's nonces,
 and so its transaction ids, differ.  No fault log moved and every oracle
 verdict still passes; ``specs`` and ``search`` are untouched.
 
+And once more, by the change that sends a ``TX_FORWARD`` unsigned (no
+signature, no nonce) and every unsigned message without its sender, which
+the link it arrives on names, and a forward item without its opcode
+(always ``tx_submit``), from that change's own tree: the artifacts of the
+same 58 recoverable runs (4–11, 16–23, 28–35, 41–46, 52–59, 64–71, 76–83,
+102, 124, 142, 172) and 9 of the 12 Byzantine runs (0, 3–6, 8–11) moved,
+because a forward is ~207 B and a confirmation 54 B shorter, so they
+arrive sooner, and a cell's nonce sequence no longer advances for a
+forward.  No fault log moved and every oracle verdict still passes;
+``specs`` and ``search`` are untouched.
+
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
 rewrites nothing else; entries that did not move come out byte-identical.

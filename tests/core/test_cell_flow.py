@@ -278,9 +278,10 @@ def _pending_faucets(deployment, count):
 def test_an_unsigned_confirmation_batch_is_refused_whole_at_its_first_forged_item(
     honest_first,
 ):
-    """A ``TX_CONFIRM`` travels unsigned: each item is checked under the claimed
-    sender, and the first that fails refuses the batch — one tick, and a forged
-    batch costs one signature check, as the envelope's signature did."""
+    """A ``TX_CONFIRM`` travels unsigned: each item is checked under the cell
+    whose link it arrived on, and the first that fails refuses the batch —
+    one tick, and a forged batch costs one signature check, as the envelope's
+    signature did.  From any other link it is refused before any check."""
     deployment = make_deployment(signature_scheme="sim")
     service, peer = deployment.cell(0), deployment.cell(1)
     forwarded, pending = _pending_faucets(deployment, 5)
@@ -292,7 +293,8 @@ def test_an_unsigned_confirmation_batch_is_refused_whole_at_its_first_forged_ite
         ), envelope)
         for index, envelope in enumerate(forwarded)
     )
-    # Anyone can claim to be the peer: the envelope carries no signature.
+    # Whoever sits on the peer's link can speak in its name: the envelope
+    # carries no signature.  From anywhere else it is not even read.
     deployment.network.register("forger")
     forged = Envelope.unsigned(
         peer.address, peer.signer.scheme, service.address, Opcode.TX_CONFIRM,
@@ -305,17 +307,21 @@ def test_an_unsigned_confirmation_batch_is_refused_whole_at_its_first_forged_ite
     ):
         deployment.network.send("forger", service.node_name, forged, forged.byte_size())
         deployment.run(until=deployment.env.now + 1.0)
+        assert checks == []
+        deployment.network.send(peer.node_name, service.node_name, forged, forged.byte_size())
+        deployment.run(until=deployment.env.now + 1.0)
     assert len(checks) == honest_first + 1
-    assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
+    assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 2
     assert all(each.confirmations == {} for each in pending)
 
 
 def test_items_without_their_fingerprint_are_taken_only_over_the_named_peers_link():
     """An item that leaves its fingerprint to the service cell cannot tell a
-    forgery from another execution when it fails, so from any link but the
-    named peer's its batch is refused whole on arrival, before any signature
-    check; over the peer's own link, each transaction keeps one waiting item
-    of the peer, its latest."""
+    forgery from another execution when it fails; ingress takes a
+    ``TX_CONFIRM`` only over the named peer's link, so from any other its
+    batch is refused whole on arrival, before any signature check.  Over
+    the peer's own link, each transaction keeps one waiting item of the
+    peer, its latest."""
     deployment = make_deployment(signature_scheme="sim")
     service, peer = deployment.cell(0), deployment.cell(1)
     forwarded, pending = _pending_faucets(deployment, 5)
@@ -426,7 +432,8 @@ def test_client_envelopes_relayed_in_another_cells_forward_are_rejected_and_run_
         lambda _src, _envelope, batch: answered.extend(batch.confirmations)
     )
     relay.endpoint.send(
-        peer.node_name, peer.address, Opcode.TX_FORWARD, ForwardBatch.of(envelopes).to_data()
+        peer.node_name, peer.address, Opcode.TX_FORWARD, ForwardBatch.of(envelopes).to_data(),
+        signed=False,
     )
     deployment.run(until=deployment.env.now + deployment.config.forwarding_deadline + 1.0)
     # Each is confirmed under the id of what cell 1 read: the payload
@@ -437,3 +444,24 @@ def test_client_envelopes_relayed_in_another_cells_forward_are_rejected_and_run_
     ]
     tx_ids = {envelope.payload.hash_hex() for envelope in envelopes + read}
     assert not any(cell.ledger.contains(tx_id) for cell in deployment.cells for tx_id in tx_ids)
+
+
+def test_a_service_cell_that_crashes_while_forwarding_keeps_no_pending_transaction():
+    """The pipeline aborts when the cell crashes between two forwards: the
+    transaction it was waiting on leaves its pending table, as it does on
+    every other way out."""
+    deployment = make_deployment(consortium_size=3, signature_scheme="sim")
+    service = deployment.cell(0)
+    fastmoney = FastMoneyClient(BlockumulusClient(deployment))
+    assert fastmoney.client.service_cell is service
+    queued = []
+
+    def crash_on_the_first_forward(dst_node, recipient, client_envelope):
+        queued.append(client_envelope)
+        service.crash()
+
+    service.batcher.queue_forward = crash_on_the_first_forward
+    fastmoney.faucet(10)
+    deployment.run(until=deployment.env.now + 30.0)
+    assert len(queued) == 1 and service.ledger.contains(queued[0].payload.hash_hex())
+    assert service.service._pending == {}

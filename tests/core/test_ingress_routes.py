@@ -9,6 +9,9 @@ the simulation must keep running, the route's *declared* counter must tick
 exactly once (with one ``TX_ERROR`` where the route answers), and nothing
 the protocol owns may move.  As the control, the same well-formed sample
 from the entitled sender passes ingress with no refusal counter moving.
+The entitled sender of a cell-to-cell route that travels unsigned speaks
+over its own link (the peer's node), so that every malformed row reaches
+its parser; from any other node ingress refuses it before.
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ import pytest
 from repro.contracts.community import FastMoney
 from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
 from repro.core.recovery import MembershipManager
-from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES, Sender
+from repro.core.routes import REPLIES, REPLY_ONLY, ROUTES, Sender, travels_signed
 from repro.core.sharding import GATEWAY_CELL_INDEX
 from repro.messages import Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch
@@ -132,6 +135,26 @@ class RouteProbe:
         """A signer of the class the route admits."""
         return self.peer.signer if ROUTES[opcode].sender is Sender.CELL else self.client
 
+    def entitled_node(self, opcode) -> str:
+        """The node the entitled sender speaks from: a cell-to-cell message that
+        travels unsigned is taken only over the link of the cell it names."""
+        if ROUTES[opcode].sender is Sender.CELL and not travels_signed(opcode):
+            return self.peer.node_name
+        return "probe"
+
+    def send_entitled(self, opcode, data, recipient=None, src=None) -> None:
+        """``data`` as the route's entitled sender sends it: signed where the
+        table says so, over its own link (or ``src``)."""
+        signer = self.entitled_signer(opcode)
+        if travels_signed(opcode):
+            envelope = self.envelope(opcode, data, signer=signer, recipient=recipient)
+        else:
+            envelope = Envelope.unsigned(
+                signer.address, signer.scheme, recipient or self.cell.address, opcode, data,
+                self.env.now,
+            )
+        self.send(envelope, src or self.entitled_node(opcode))
+
     def well_formed(self, opcode) -> dict:
         """A data field the route's parser accepts."""
         call = {"contract": "pay", "method": "transfer", "args": {"to": "0x" + "55" * 20, "amount": 1}}
@@ -203,8 +226,8 @@ class RouteProbe:
         )
         return ConfirmationBatch((LinkConfirmation.of(confirmation, submission),)).to_data()
 
-    def send(self, envelope: Envelope) -> None:
-        self.sharded.network.send("probe", self.cell.node_name, envelope, envelope.byte_size())
+    def send(self, envelope: Envelope, src: str = "probe") -> None:
+        self.sharded.network.send(src, self.cell.node_name, envelope, envelope.byte_size())
 
     def protocol_state(self) -> dict:
         """Everything a refused message must leave exactly as it was."""
@@ -301,7 +324,7 @@ def test_the_well_formed_sample_from_its_sender_passes_ingress(opcode):
     change alone, not a sample the route would refuse anyway."""
     probe = RouteProbe()
     data = probe.passing(opcode)
-    probe.send(probe.envelope(opcode, data, signer=probe.entitled_signer(opcode)))
+    probe.send_entitled(opcode, data)
     probe.settle()
     assert probe.refusal_ticks() == {}
     assert all(
@@ -356,13 +379,32 @@ def test_an_envelope_addressed_to_another_cell_is_refused_on_every_route(opcode)
     probe = RouteProbe()
     data = probe.passing(opcode)
     before = probe.protocol_state()
-    probe.send(probe.envelope(
-        opcode, data, signer=probe.entitled_signer(opcode), recipient=probe.third.address
-    ))
+    probe.send_entitled(opcode, data, recipient=probe.third.address)
     probe.settle()
     assert_refused(
         probe, opcode, ROUTES[opcode].refusal.auth_counter, before, "authentication failed"
     )
+
+
+@pytest.mark.parametrize("link", ["outsider", "third cell"])
+@pytest.mark.parametrize(
+    "opcode",
+    [op for op in ROUTED if ROUTES[op].sender is Sender.CELL and not travels_signed(op)],
+    ids=lambda opcode: opcode.value,
+)
+def test_an_unsigned_cell_message_is_taken_only_over_the_link_of_the_cell_it_names(
+    opcode, link
+):
+    """Nothing signs it, so the link names its sender: the peer's own sample,
+    sent from any other node — a third cell's included — is refused."""
+    probe = RouteProbe()
+    data = probe.passing(opcode)
+    before = probe.protocol_state()
+    probe.send_entitled(
+        opcode, data, src="probe" if link == "outsider" else probe.third.node_name
+    )
+    probe.settle()
+    assert_refused(probe, opcode, ROUTES[opcode].refusal.auth_counter, before)
 
 
 def test_a_forward_item_unreadable_under_its_forwarder_refuses_the_whole_forward():
@@ -372,9 +414,7 @@ def test_a_forward_item_unreadable_under_its_forwarder_refuses_the_whole_forward
     before = probe.protocol_state()
     (good,) = probe.well_formed(Opcode.TX_FORWARD)["transactions"]
     bad = {**good, "payload": {**good["payload"], "nonce": 7}}
-    probe.send(probe.envelope(
-        Opcode.TX_FORWARD, {"transactions": [good, bad]}, signer=probe.peer.signer
-    ))
+    probe.send_entitled(Opcode.TX_FORWARD, {"transactions": [good, bad]})
     probe.settle()
     assert_refused(probe, Opcode.TX_FORWARD, ROUTES[Opcode.TX_FORWARD].refusal.malformed_counter,
                    before)
@@ -390,7 +430,7 @@ def test_a_malformed_body_is_refused_on_every_route(opcode, shape):
     probe = RouteProbe()
     before = probe.protocol_state()
     data = {} if shape == "empty" else WRONGLY_TYPED[opcode]
-    probe.send(probe.envelope(opcode, data, signer=probe.entitled_signer(opcode)))
+    probe.send_entitled(opcode, data)
     probe.settle()
     try:
         ROUTES[opcode].body.from_data(data)
@@ -504,7 +544,7 @@ def test_a_well_signed_statement_with_a_wrongly_typed_field_is_a_malformed_body(
         data = hostile.to_data() if not path else probe.well_formed(opcode)
         for key, listed in path:
             data[key] = [hostile.to_wire()] if listed else hostile.to_wire()
-        probe.send(probe.envelope(opcode, data, signer=probe.entitled_signer(opcode)))
+        probe.send_entitled(opcode, data)
         probe.settle()  # used to raise TypeError: unhashable type for ``tx_id: []``
         sent += 1
         assert probe.refusal_ticks() == {ROUTES[opcode].refusal.malformed_counter: sent}

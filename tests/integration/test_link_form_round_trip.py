@@ -2,11 +2,14 @@
 
 A message travels without what its receiver supplies: a cell reads it under
 its own address, a requester under the identity that signed the request it
-answers — and an unsigned reply as the cell it asked.  Here every envelope
-posted during a smoke ``burst_sim`` and ``xshard_burst`` drive goes through
-``link_bytes()`` and back under exactly those identities, and must come back
-equal, signed exactly where the route table says so; the client envelopes
-it nests come back under the identities of the envelope around them.
+answers — and an unsigned message as sent by the node at the other end of
+its link: a requester the cell it asked, a cell the peer whose link it
+arrived on.  Here every envelope posted during a smoke ``burst_sim`` and
+``xshard_burst`` drive goes through ``link_bytes()`` and back under exactly
+those identities, and must come back equal, signed exactly where the route
+table says so; the client envelopes it nests come back under the identities
+of the envelope around them, a forward item as a ``TX_SUBMIT`` to its
+forwarder, equal to what its client signed.
 """
 
 import pytest
@@ -52,14 +55,22 @@ def test_every_posted_envelope_round_trips_under_its_receivers_identity(
     workload_name, monkeypatch
 ):
     posted, cells = _posted(workload_name, monkeypatch)
-    requests = {envelope.nonce: envelope for _src, _dst, envelope in posted}
+    requests = {
+        envelope.nonce: envelope for _src, _dst, envelope in posted if envelope.nonce is not None
+    }
     addresses = set(cells.values())
 
-    nested = unsigned = 0
-    for _src, dst_node, envelope in posted:
+    # (sender, nonce) -> a client's TX_SUBMIT, posted itself or nested in a
+    # cross-shard request; and every forward item, as its receiver reads it.
+    submitted: dict = {}
+    forwarded: list[Envelope] = []
+    unsigned = 0
+    for src_node, dst_node, envelope in posted:
         sender = None
         if dst_node in cells:
             supplied = cells[dst_node]
+            if envelope.signature is None:
+                sender = cells[src_node]  # the peer at the other end of the link
         else:
             request = requests[envelope.payload.reply_to]
             supplied = request.sender
@@ -73,15 +84,18 @@ def test_every_posted_envelope_round_trips_under_its_receivers_identity(
         assert (read.signature is not None) is signed and (read.nonce is not None) is signed
         unsigned += not signed
         assert read.byte_size() == envelope.byte_size() == len(envelope.link_bytes())
-        if read.operation is Opcode.TX_FORWARD:
-            items = ForwardedTransactions.from_data(read.data).envelopes(read.sender)
-            assert all(item.verify() and item.recipient == read.sender for item in items)
-            nested += len(items)
+        if read.operation is Opcode.TX_SUBMIT:
+            submitted[(read.sender, read.nonce)] = read
+        elif read.operation is Opcode.TX_FORWARD:
+            forwarded += ForwardedTransactions.from_data(read.data).envelopes(read.sender)
         elif read.operation in XSHARD_REQUESTS and dst_node in cells:
             inner = Envelope.from_link(read.data["transaction"], supplied, read.sender)
             assert inner.verify() and called_contract(inner)
-            nested += 1
-    assert len(posted) > 100 and nested > 10 and unsigned > 10
+            submitted[(inner.sender, inner.nonce)] = inner
+    for item in forwarded:
+        assert item.operation is Opcode.TX_SUBMIT and item.verify()
+        assert submitted[(item.sender, item.nonce)] == item
+    assert len(posted) > 100 and len(forwarded) > 10 and unsigned > 10
 
 
 def test_a_sharded_clients_nodes_sign_no_sender_nonce_pair_twice(monkeypatch):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.crypto.keys import PrivateKey
-from repro.encoding import canonical_json
 from repro.messages import BatchError, Envelope, ForwardBatch, Opcode
 from repro.messages.batch import ForwardedTransactions
 from repro.messages.signer import EcdsaSigner
@@ -36,17 +35,13 @@ def test_forward_batch_round_trip_preserves_client_signatures(cell_signer):
     originals = [client_envelope(i, cell_signer.address) for i in range(4)]
     batch = ForwardBatch.of(originals)
 
-    outer = Envelope.create(
-        signer=cell_signer,
-        recipient=recipient,
-        operation=Opcode.TX_FORWARD,
-        data=batch.to_data(),
-        timestamp=10.0,
-        nonce="0x" + "ab" * 12,
+    # The outer envelope travels unsigned: the link names the forwarder.
+    outer = Envelope.unsigned(
+        cell_signer.address, cell_signer.scheme, recipient, Opcode.TX_FORWARD,
+        batch.to_data(), 10.0,
     )
-    # Full wire round trip of the outer envelope.
-    parsed_outer = Envelope.from_wire(canonical_json.dump_bytes(outer.to_wire()))
-    assert parsed_outer.verify()
+    parsed_outer = Envelope.from_link(outer.link_bytes(), recipient, cell_signer.address)
+    assert parsed_outer == outer and parsed_outer.signature is None
     assert parsed_outer.operation == Opcode.TX_FORWARD
 
     parsed_batch = ForwardBatch.from_data(parsed_outer.data)
@@ -65,7 +60,29 @@ def test_forward_items_leave_out_what_the_receiver_supplies(cell_signer):
     item = client_envelope(0, cell_signer.address)
     link = ForwardBatch.of([item]).transactions[0]
     assert set(link) == {"payload", "signature"}
-    assert set(link["payload"]) == {"data", "nonce", "operation", "sender", "timestamp"}
+    # A forward item is a TX_SUBMIT, which its receiver supplies too.
+    assert set(link["payload"]) == {"data", "nonce", "sender", "timestamp"}
+    (read,) = ForwardedTransactions.from_data({"transactions": [link]}).envelopes(
+        cell_signer.address
+    )
+    assert read == item and read.operation is Opcode.TX_SUBMIT and read.verify()
+
+
+def test_only_a_tx_submit_is_forwarded_and_an_item_always_reads_as_one(cell_signer):
+    """A client envelope of another opcode, carried with its opcode named,
+    is still read as a ``TX_SUBMIT``: its signature fails, nothing runs."""
+    forwarder = cell_signer.address
+    query = Envelope.create(
+        signer=make_signer("batch-client-0"), recipient=forwarder,
+        operation=Opcode.QUERY_STATE, data={"contract": "fastmoney", "view": "total"},
+        timestamp=1.0, nonce="0x" + "ef" * 12,
+    )
+    with pytest.raises(BatchError, match="only a tx_submit"):
+        ForwardBatch.of([client_envelope(0, forwarder), query])
+    (read,) = ForwardedTransactions.from_data({"transactions": [query.to_link()]}).envelopes(
+        forwarder
+    )
+    assert read.operation is Opcode.TX_SUBMIT and not read.verify()
 
 
 def test_a_forward_item_read_under_another_forwarder_fails_verification(cell_signer):
@@ -79,22 +96,13 @@ def test_a_forward_item_read_under_another_forwarder_fails_verification(cell_sig
     assert forwarded.verify()
 
 
-def test_tampered_outer_batch_fails_verification(cell_signer):
-    recipient = make_signer("batch-peer").address
-    batch = ForwardBatch.of([client_envelope(0, cell_signer.address)])
-    outer = Envelope.create(
-        signer=cell_signer,
-        recipient=recipient,
-        operation=Opcode.TX_FORWARD,
-        data=batch.to_data(),
-        timestamp=1.0,
-        nonce="0x" + "cd" * 12,
-    )
-    wire = outer.to_wire()
-    wire["payload"]["data"]["transactions"].append(
-        client_envelope(9, cell_signer.address).to_link()
-    )
-    assert not Envelope.from_wire(wire).verify()
+def test_an_item_tampered_on_the_way_fails_its_clients_signature(cell_signer):
+    """Nothing signs the outer envelope: each item stands on its client's signature."""
+    forwarder = cell_signer.address
+    (link,) = ForwardBatch.of([client_envelope(0, forwarder)]).transactions
+    link["payload"]["data"]["args"]["amount"] = 1_000
+    (read,) = ForwardedTransactions.from_data({"transactions": [link]}).envelopes(forwarder)
+    assert not read.verify()
 
 
 def test_empty_and_malformed_batches_rejected(cell_signer):

@@ -241,9 +241,10 @@ def test_the_nonces_of_one_node_are_one_sequence_across_sign_ask_and_batch_flush
         Opcode.PING, Opcode.TX_FORWARD, Opcode.TX_CONFIRM, Opcode.PING,
     ]
     assert cell.inbox[0] == request
-    # A confirmation batch travels unsigned and draws no nonce.
-    unsigned = cell.inbox.pop(2)
-    assert unsigned.signature is None and unsigned.nonce is None
+    # A forward and a confirmation batch travel unsigned and draw no nonce.
+    unsigned = cell.inbox[1:3]
+    del cell.inbox[1:3]
+    assert all(batch.signature is None and batch.nonce is None for batch in unsigned)
     sent = [signed, for_another, *cell.inbox]
     assert [envelope.nonce for envelope in sent] == [expected.next() for _ in sent]
     # The throwaway identity signed; the nonce and the clock are still the node's.

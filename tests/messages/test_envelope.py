@@ -217,7 +217,8 @@ def test_a_nested_link_form_may_leave_out_its_sender_too():
 
 @pytest.mark.parametrize("signer", [SIGNER, SimulatedSigner("link-sim")], ids=["ecdsa", "sim"])
 def test_an_unsigned_reply_travels_without_signature_nonce_and_sender(signer):
-    """Its requester supplies the cell it asked, as it supplies itself."""
+    """Its requester supplies the cell it asked, as it supplies itself; every
+    unsigned message leaves its sender to the link it arrives on."""
     unsigned = Envelope.unsigned(
         signer.address, signer.scheme, RECIPIENT, Opcode.TX_RECEIPT, {"cycle": 0}, 2.5,
         reply_to="0xabcd",
@@ -232,10 +233,14 @@ def test_an_unsigned_reply_travels_without_signature_nonce_and_sender(signer):
     restored = Envelope.from_link(link, RECIPIENT, signer.address)
     assert restored == unsigned and not restored.verify()
     assert Envelope.from_link(link, RECIPIENT, OTHER_CELL).sender == OTHER_CELL
-    # Without a reply_to nothing supplies the sender: it travels.
+    # A cell-to-cell message without a reply_to leaves it too: the receiving
+    # cell supplies the peer at the other end of the link.
     batch = Envelope.unsigned(signer.address, signer.scheme, RECIPIENT, Opcode.TX_CONFIRM, {},
                               2.5)
-    assert Envelope.from_link(batch.link_bytes(), RECIPIENT) == batch
+    assert set(batch.to_link()["payload"]) == {"data", "operation", "timestamp"}
+    assert Envelope.from_link(batch.link_bytes(), RECIPIENT, signer.address) == batch
+    with pytest.raises(EnvelopeError):
+        Envelope.from_link(batch.link_bytes(), RECIPIENT)  # nobody supplies the sender
 
 
 def test_a_signature_and_a_nonce_travel_together_or_not_at_all():

@@ -118,6 +118,12 @@ one were re-recorded — ``replies.TX_RECEIPT``, ``replies.XSHARD_VOTE/receipt``
 — by a script that checked each differs from its old entry only by the
 keys that left, and that every other entry (every statement's body and
 signature, ``bodies.AggregatedReceipt`` included) is byte-identical.
+
+A ninth: a ``TX_FORWARD`` item leaves out its opcode, which is always
+``tx_submit`` and which the receiving cell supplies.  Only
+``bodies.ForwardBatch`` was re-recorded, by a script that checked each of
+its items equals its old one without ``"operation":"tx_submit"`` and that
+every other entry is byte-identical.
 """
 
 import json

@@ -427,10 +427,10 @@ addresses = st.binary(min_size=20, max_size=20).map(Address)
 
 
 @st.composite
-def addressed_envelopes(draw):
+def addressed_envelopes(draw, operations=tuple(Opcode)):
     return Envelope.create(
         signer=draw(st.sampled_from([SIGNER, ECDSA_SIGNER])), recipient=draw(addresses),
-        operation=draw(st.sampled_from(list(Opcode))), data=draw(objects),
+        operation=draw(st.sampled_from(list(operations))), data=draw(objects),
         timestamp=draw(ATOMS["seconds"]), nonce=draw(ids.filter(bool)),
         reply_to=draw(st.none() | st.text(max_size=12)),
     )
@@ -475,14 +475,21 @@ def test_arbitrary_link_bytes_are_an_envelope_or_refused_and_an_accepted_one_can
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), other=addresses)
 def test_a_nested_envelope_rebuilt_under_the_wrong_outer_identity_fails(data, other):
-    """A forward item under another forwarder, an xshard inner transaction
-    under another coordinator or gateway."""
-    inner = data.draw(addressed_envelopes())
+    """A forward item under another forwarder or as another opcode than
+    ``TX_SUBMIT``, an xshard inner transaction under another coordinator or
+    gateway."""
+    inner = data.draw(addressed_envelopes(operations=[Opcode.TX_SUBMIT]))
     forwarder = inner.recipient
     (forwarded,) = ForwardedTransactions.from_data(
         ForwardBatch.of([inner]).to_data()
     ).envelopes(forwarder)
     assert forwarded == inner and forwarded.verify()
+    another = data.draw(addressed_envelopes())
+    (read,) = ForwardedTransactions.from_data(
+        {"transactions": [another.to_link()]}
+    ).envelopes(another.recipient)
+    assert read.operation is Opcode.TX_SUBMIT
+    assert read.verify() is (another.operation is Opcode.TX_SUBMIT)
     nested = inner.to_link(with_sender=False)
     assert Envelope.from_link(nested, inner.recipient, inner.sender).verify()
     if other not in (inner.recipient, inner.sender):

@@ -15,8 +15,10 @@ TOOL = REPO_ROOT / "tools" / "drive_calls.py"
 #: A ratchet: the bytes per cell<->cell message outside its data field
 #: (envelope header, signature, framing) on the smoke ``xshard_burst``,
 #: 379.99 B once messages travel in their link form, 324.96 B once a
-#: signature and a nonce travel as base64url, rounded up to 10 B.
-CELL_LINK_BYTES_OUTSIDE_DATA = 330
+#: signature and a nonce travel as base64url, 141.4 B once a forward travels
+#: unsigned and an unsigned message leaves its sender to the link, rounded
+#: up to 10 B.
+CELL_LINK_BYTES_OUTSIDE_DATA = 150
 
 #: The text bytes of one binary field by width, quotes included: a nonce
 #: (12) and a signature (65) as unpadded base64url, the rest as 0x-hex.
@@ -228,14 +230,19 @@ def _printed_bytes(workload):
 
 
 #: A ratchet: the smoke ``burst_sim`` at seed 2021 as ``--bytes`` prints it.
-#: A ``tx_receipt`` and a ``tx_confirm`` travel unsigned: B/msg outside the
-#: data field 172.9 and 196.8 (355.9 and 325.8 with a signature and a nonce,
-#: and for a receipt the sender).  A receipt is 375.5 B (427.5 while it
-#: named the co-signer that is the consortium's other cell, 510.5 while it
-#: also carried the fingerprint its client derives).  A field re-added to
-#: either fails here; a change that moves them on purpose re-records them.
-UNSIGNED_OUTSIDE_DATA = {"tx_receipt": 172.9, "tx_confirm": 196.8}
-BYTES_PER_RECEIPT = 375.5
+#: A ``tx_receipt``, a ``tx_forward`` and a ``tx_confirm`` travel unsigned
+#: and without their sender: B/msg outside the data field 172.9, 142.9 and
+#: 142.9 (355.9, 325.9 and 325.8 with a signature, a nonce and the sender;
+#: 196.8 for a confirmation while only its sender travelled).  A forward
+#: item is 348.4 B (372.4 while it named its opcode, always ``tx_submit``).
+#: A receipt is 375.4 B (375.5 before forwards shrank, which moved the
+#: timestamps its result states; 427.5 while it named the co-signer that is
+#: the consortium's other cell, 510.5 while it also carried the fingerprint
+#: its client derives).  A field re-added to any of them fails here; a
+#: change that moves them on purpose re-records them.
+UNSIGNED_OUTSIDE_DATA = {"tx_receipt": 172.9, "tx_forward": 142.9, "tx_confirm": 142.9}
+BYTES_PER_RECEIPT = 375.4
+BYTES_PER_FORWARD_ITEM = 348.4
 
 
 def test_bytes_pins_what_an_unsigned_receipt_and_confirmation_cost():
@@ -244,24 +251,30 @@ def test_bytes_pins_what_an_unsigned_receipt_and_confirmation_cost():
         opcode: printed[opcode][1] for opcode in UNSIGNED_OUTSIDE_DATA
     } == UNSIGNED_OUTSIDE_DATA
     assert printed["tx_receipt"][2] == BYTES_PER_RECEIPT
+    assert printed["tx_forward"][2] == BYTES_PER_FORWARD_ITEM
 
 
 #: A ratchet: the smoke ``xshard_burst`` at seed 2021 as ``--bytes`` prints
 #: it, for the statements that travel as signatures their reader rebuilds.
-#: A ``tx_confirm`` item is 181.1 B (304.0 while it carried the fingerprint,
+#: A ``tx_confirm`` item is 180.8 B (304.0 while it carried the fingerprint,
 #: status and timestamp its service cell holds); a voucher leg, data and
-#: the rest, is 868.0 / 856.7 / 972.0 / 744.1 B per message for mint /
+#: the rest, is 868.0 / 856.8 / 972.0 / 744.2 B per message for mint /
 #: minted / redeem / redeemed (while the voucher and the outer xtx travelled
 #: whole, the minted and redeem legs carried the whole voucher); a receipt
-#: is 362.4 B on a ``tx_receipt`` and 367.0 / 354.1 B on the minted /
-#: redeemed replies (each ~52 B more while its co-signer was named).
-BYTES_PER_CONFIRMATION = 181.1
+#: is 362.4 B on a ``tx_receipt`` and 367.0 / 354.2 B on the minted /
+#: redeemed replies (each ~52 B more while its co-signer was named).  The
+#: confirmation item, the minted and redeemed legs and the redeemed receipt
+#: were 181.1, 856.7, 744.1 and 354.1 B until forwards travelled unsigned:
+#: shorter forwards arrive sooner, and the timestamps these state took
+#: other digits.  Sized as long as before, the same drive prints the old
+#: figures.
+BYTES_PER_CONFIRMATION = 180.8
 BYTES_PER_VOUCHER_LEG = {
-    "xshard_voucher/mint": 868.0, "xshard_voucher/minted": 856.7,
-    "xshard_voucher/redeem": 972.0, "xshard_voucher/redeemed": 744.1,
+    "xshard_voucher/mint": 868.0, "xshard_voucher/minted": 856.8,
+    "xshard_voucher/redeem": 972.0, "xshard_voucher/redeemed": 744.2,
 }
 BYTES_PER_XSHARD_RECEIPT = {
-    "tx_receipt": 362.4, "xshard_voucher/minted": 367.0, "xshard_voucher/redeemed": 354.1,
+    "tx_receipt": 362.4, "xshard_voucher/minted": 367.0, "xshard_voucher/redeemed": 354.2,
 }
 
 
