@@ -13,18 +13,31 @@ auditors later replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from ..crypto.fingerprint import canonical_bytes
 from ..crypto.hashing import fast_hash
+from ..crypto.keys import Address
 from ..messages.envelope import Envelope
-from ..messages.membership import EntrySummary, LedgerRecord, SyncEntry
+from ..messages.membership import EntrySummary, LedgerRecord, ReplayEntry, SyncEntry
+from ..messages.opcodes import Opcode
 from ..sim.environment import Clock
 from ..sim.resources import Resource
 
 
 class LedgerError(Exception):
     """Raised for invalid ledger operations."""
+
+
+#: How many leading bytes of a transaction id name it where the receiver
+#: holds the transaction (a confirmation item): a third party hits another
+#: client's transaction only by a 2^64 search.
+TX_REF_BYTES = 8
+
+
+def tx_ref(tx_id: str) -> str:
+    """The first :data:`TX_REF_BYTES` bytes of ``tx_id``, as 0x-prefixed hex."""
+    return tx_id[: 2 + 2 * TX_REF_BYTES]
 
 
 @dataclass
@@ -72,6 +85,9 @@ class TransactionLedger:
         self.cell_id = cell_id
         self._entries: list[LedgerEntry] = []
         self._by_tx_id: dict[str, LedgerEntry] = {}
+        #: The entries by :func:`tx_ref` of their id; a ground collision
+        #: of two ids keeps both.
+        self._by_ref: dict[str, tuple[LedgerEntry, ...]] = {}
         #: The admission mutex (capacity-1 resource): the "mutex-based
         #: storage" of Section V-A.
         self.mutex = Resource(env, capacity=1, name=f"{cell_id}-ledger-mutex")
@@ -103,9 +119,14 @@ class TransactionLedger:
             envelope=envelope,
             contingency=contingency,
         )
-        self._entries.append(entry)
-        self._by_tx_id[tx_id] = entry
+        self._append(entry)
         return entry
+
+    def _append(self, entry: LedgerEntry) -> None:
+        self._entries.append(entry)
+        self._by_tx_id[entry.tx_id] = entry
+        ref = tx_ref(entry.tx_id)
+        self._by_ref[ref] = self._by_ref.get(ref, ()) + (entry,)
 
     def entry_at(self, sequence: int) -> LedgerEntry:
         """Fetch the ledger entry with the given sequence number."""
@@ -123,6 +144,10 @@ class TransactionLedger:
             return self._by_tx_id[tx_id]
         except KeyError:
             raise LedgerError(f"unknown transaction {tx_id}") from None
+
+    def named_by(self, ref: str) -> tuple[LedgerEntry, ...]:
+        """The entries whose id begins with ``ref`` (a :func:`tx_ref`); usually one."""
+        return self._by_ref.get(ref, ())
 
     # ------------------------------------------------------------------
     # Execution bookkeeping
@@ -211,18 +236,52 @@ class TransactionLedger:
     # ------------------------------------------------------------------
     # Resync support (crash recovery, Section V)
     # ------------------------------------------------------------------
-    def sync_segment(self, since_sequence: int) -> list[SyncEntry]:
-        """Export of every entry from ``since_sequence`` on, for a resync bundle.
+    def sync_segment(self, since_sequence: int, until: Optional[int] = None) -> list[SyncEntry]:
+        """Export of every entry from ``since_sequence`` (up to ``until``), for a resync bundle.
 
-        This is what a donor cell ships to a recovering peer: the summary
+        The full record a donor cell ships where the recovering peer backfills
+        an entry without executing it (or a delta round): the summary
         (including the per-entry execution fingerprint), the signed client
-        envelope, and the recorded result, so the recovering cell can both
-        backfill its ledger and check its own replay entry by entry.
+        envelope, and the recorded result.
         """
         return [
             SyncEntry(entry.record(), entry.envelope.to_wire(), entry.result)
-            for entry in self._entries[max(0, since_sequence):]
+            for entry in self._entries[max(0, since_sequence):until]
         ]
+
+    def replay_segment(
+        self, first: int, consortium: Sequence[Address], held: Sequence[str] = ()
+    ) -> list[ReplayEntry]:
+        """The entries from ``first`` on, as a recovering peer re-executes them.
+
+        Each carries what the replay checks read and its client envelope in
+        link form, without the recipient (its index in ``consortium``, when
+        it is a consortium cell) and a ``TX_SUBMIT`` opcode: the peer derives
+        the tx id, the result and the outcome by executing.  An entry whose
+        id is in ``held`` — the peer's own entries past the boundary it named
+        — travels as its position there.
+        """
+        positions = {tx_id: index for index, tx_id in enumerate(held)}
+        cells = {address: index for index, address in enumerate(consortium)}
+        replay = []
+        for entry in self._entries[max(0, first):]:
+            position = positions.get(entry.tx_id)
+            link = to = None
+            if position is None:
+                envelope = entry.envelope
+                link = envelope.to_link()
+                payload = link["payload"]
+                to = cells.get(envelope.recipient)
+                if to is None:
+                    payload["recipient"] = envelope.recipient.hex()
+                if envelope.operation is Opcode.TX_SUBMIT:
+                    del payload["operation"]
+            replay.append(ReplayEntry(
+                sequence=entry.sequence, cycle=entry.cycle, status=entry.status,
+                fingerprint=entry.fingerprint, contingency=entry.contingency or None,
+                envelope=link, to=to, held=position,
+            ))
+        return replay
 
     def backfill(self, envelope: Envelope, summary: EntrySummary, result: Any) -> LedgerEntry:
         """Install a donor-provided entry whose effects a snapshot already covers.
@@ -256,8 +315,7 @@ class TransactionLedger:
             contract=summary.contract,
             contingency=summary.contingency,
         )
-        self._entries.append(entry)
-        self._by_tx_id[tx_id] = entry
+        self._append(entry)
         return entry
 
     def truncate(self, last_sequence: int) -> int:
@@ -276,6 +334,12 @@ class TransactionLedger:
         del self._entries[keep:]
         for entry in removed:
             self._by_tx_id.pop(entry.tx_id, None)
+            ref = tx_ref(entry.tx_id)
+            kept = tuple(other for other in self._by_ref.get(ref, ()) if other is not entry)
+            if kept:
+                self._by_ref[ref] = kept
+            else:
+                self._by_ref.pop(ref, None)
         return len(removed)
 
     def sync_digest(self) -> list[tuple[int, str, str, Any]]:

@@ -25,6 +25,7 @@ from ..crypto.keys import Address, PublicKey
 from ..messages import wire
 from ..messages.envelope import DEFAULT_SCHEME, Envelope
 from ..messages.signer import SignedStatement, Signer
+from .ledger import tx_ref
 
 
 class ReceiptError(ValueError):
@@ -128,9 +129,11 @@ def _others(consortium: Sequence[Address], cell: Address) -> list[Address]:
 class LinkConfirmation(wire.Body, error=ReceiptError):
     """A :class:`Confirmation` on the cell↔cell link: what the service cell lacks.
 
-    The signing cell and its scheme are the envelope's, and the contract,
-    unless the signer named another, is the one the service cell's own
-    ledger entry calls.  An executed call's fingerprint and status travel
+    The transaction is named by the first bytes of its id (:func:`tx_ref`):
+    the service cell holds it, and rebuilds the full id from its own
+    ledger entry.  The signing cell and its scheme are the envelope's, and
+    the contract, unless the signer named another, is the one that entry
+    calls.  An executed call's fingerprint and status travel
     only where the signer's fingerprint is not its own execution's: the
     service cell states its own execution's in their place, so a peer that
     executed the call differently signed a statement that does not verify
@@ -141,6 +144,7 @@ class LinkConfirmation(wire.Body, error=ReceiptError):
     transaction and execution it was signed for.
     """
 
+    #: The :func:`tx_ref` of the transaction's id.
     tx_id: str = wire.text()
     signature: bytes = wire.signature()
     #: None, both: the service cell's own execution of the call, which executed.
@@ -174,7 +178,7 @@ class LinkConfirmation(wire.Body, error=ReceiptError):
             and confirmation.fingerprint_hex == own_fingerprint
         )
         return cls(
-            confirmation.tx_id, confirmation.signature,
+            tx_ref(confirmation.tx_id), confirmation.signature,
             None if derived else confirmation.fingerprint_hex,
             None if derived else confirmation.status,
             confirmation.timestamp, confirmation.error,
@@ -189,7 +193,8 @@ class LinkConfirmation(wire.Body, error=ReceiptError):
         moment: float,
         executed_fingerprint: Optional[str] = None,
     ) -> Confirmation:
-        """The full statement ``cell`` signed, if this item came from ``cell``.
+        """The full statement ``cell`` signed, if this item came from ``cell``
+        about the transaction in ``client_envelope``, whose id it states.
 
         ``moment`` is the carrying ``TX_CONFIRM``'s timestamp, and
         ``executed_fingerprint`` the fingerprint of the receiver's own
@@ -202,7 +207,7 @@ class LinkConfirmation(wire.Body, error=ReceiptError):
         else:
             fingerprint_hex, status = self.fingerprint_hex, str(self.status)
         return Confirmation(
-            cell=cell, tx_id=self.tx_id,
+            cell=cell, tx_id=client_envelope.payload.hash_hex(),
             contract=called_contract(client_envelope) if self.contract is None else self.contract,
             fingerprint_hex=fingerprint_hex, status=status,
             timestamp=moment if self.timestamp is None else self.timestamp,

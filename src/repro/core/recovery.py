@@ -38,14 +38,16 @@ from typing import Any, Callable, Generator, Optional, Sequence, TYPE_CHECKING
 from ..contracts.context import BContractError
 from ..crypto.fingerprint import snapshot_fingerprint
 from ..crypto.keys import Address
-from ..messages.envelope import Envelope
+from ..messages.envelope import Envelope, EnvelopeError, LinkEnvelope
 from ..messages.membership import (
-    EntrySummary,
     ExclusionProposal,
     ExclusionVote,
     MembershipUpdate,
     RejoinAck,
     RejoinRequest,
+    ReplayEntry,
+    SnapshotBasis,
+    SyncEntry,
     SyncRequest,
     SyncState,
 )
@@ -53,7 +55,7 @@ from ..messages.opcodes import Opcode
 from ..messages.requests import Pong
 from ..sim.environment import Clock
 from ..sim.events import Event
-from .ledger import LedgerError
+from .ledger import LedgerEntry, LedgerError
 from .snapshot import DataSnapshot, SnapshotError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,6 +72,9 @@ class RecoveryResult:
     reason: Optional[str] = None
     backfilled: int = 0
     replayed: int = 0
+    #: Replayed entries this cell already held, which the donor named
+    #: instead of shipping (a first sync built on this cell's own snapshot).
+    referenced: int = 0
     #: Local post-crash entries rolled back because the donor snapshot was
     #: older than this cell's ledger head (they are re-executed from the
     #: donor tail).
@@ -628,11 +633,19 @@ class RecoveryStage:
 
         Raises :class:`_ResyncFailure` at the step that fails.  Every
         attempt after the first is a delta sync on top of the state the
-        first one restored.
+        first one restored.  The first names this cell's latest retained
+        snapshot: a donor that retains the same one ships none, and this
+        cell restores its own and replays the donor's entries past it.
         """
         cell = self.cell
+        first = result.attempts == 1
+        own = self._nameable_snapshot() if first else None
+        held = [] if own is None else [
+            cell.ledger.entry_at(sequence)
+            for sequence in range(own.last_sequence + 1, len(cell.ledger))
+        ]
         bundle = yield from self._fetch_sync_state(
-            donor, donor_node, delta_only=result.attempts > 1
+            donor, donor_node, delta_only=not first, own=own, held=held
         )
         if bundle is None:
             raise _ResyncFailure("donor unreachable or sync request timed out")
@@ -640,7 +653,17 @@ class RecoveryStage:
 
         replay_base = -1
         snapshot: Optional[DataSnapshot] = None
-        if bundle.snapshot is not None:
+        held_envelopes: list[Envelope] = []
+        if bundle.basis is not None:
+            if own is None or bundle.basis != _basis_of(own) or bundle.snapshot is not None:
+                raise _ResyncFailure(
+                    f"donor built on snapshot {bundle.basis.cycle} "
+                    f"(last sequence {bundle.basis.last_sequence}), which this cell did not name"
+                )
+            held_envelopes = [entry.envelope for entry in held]
+            replay_base = own.last_sequence
+            self._restore_snapshot(own, result)
+        elif bundle.snapshot is not None:
             try:
                 snapshot = DataSnapshot.from_wire(bundle.snapshot, cell_id=cell.node_name)
             except SnapshotError as exc:
@@ -648,7 +671,8 @@ class RecoveryStage:
             replay_base = snapshot.last_sequence
             self._restore_snapshot(snapshot, result)
 
-        yield from self._replay_entries(bundle, replay_base, result)
+        yield from self._replay_entries(bundle.entries, replay_base, result)
+        yield from self._replay_entries(bundle.replay, replay_base, result, held_envelopes)
         result.fingerprint_matched = True
 
         if snapshot is not None and (
@@ -659,6 +683,8 @@ class RecoveryStage:
 
         if snapshot is not None:
             basis_cycle = snapshot.cycle
+        elif bundle.basis is not None:
+            basis_cycle = bundle.basis.cycle
         else:
             # Delta-only retries ride on the snapshot adopted by the
             # first attempt (0 for a consortium that never snapshotted).
@@ -683,6 +709,22 @@ class RecoveryStage:
         # our head until the donor runs dry.
         yield from self._backfill(donor, donor_node, outcome.acks, result)
         result.ok = True
+
+    def _nameable_snapshot(self) -> Optional[DataSnapshot]:
+        """This cell's latest retained snapshot, if a resync can build on it.
+
+        It must hold the state of every contract it fingerprints, and the
+        ledger must still reach its boundary.
+        """
+        cell = self.cell
+        if cell.snapshots.latest_cycle is None:
+            return None
+        latest = cell.snapshots.latest()
+        if latest.last_sequence >= len(cell.ledger) or not all(
+            name in latest.state_export for name in latest.contract_fingerprints
+        ):
+            return None
+        return latest
 
     def _backfill(
         self,
@@ -720,7 +762,7 @@ class RecoveryStage:
             if bundle is None:
                 raise _ResyncFailure("donor unreachable during post-readmit backfill")
             applied_before = result.replayed
-            yield from self._replay_entries(bundle, -1, result)
+            yield from self._replay_entries(bundle.entries, -1, result)
             applied = result.replayed - applied_before
             result.live_backfilled += applied
             if applied == 0 and bundle.head <= len(cell.ledger):
@@ -760,31 +802,61 @@ class RecoveryStage:
         """The donor half of ``CELL_SYNC``: the bundle :meth:`_fetch_sync_state` reads.
 
         Any consortium cell may ask, also one this cell holds excluded.  A
-        first sync carries the latest snapshot and the entries from
-        ``min(since_sequence, snapshot.last_sequence + 1)``: the requester
-        rolls back to the snapshot (:meth:`_restore_snapshot`) and
-        re-executes forward.  A ``delta_only`` sync carries the entries
-        from ``since_sequence`` alone, bytes proportional to the gap.
+        first sync whose named snapshot this cell retains too (same cycle,
+        boundary and fingerprint) ships no snapshot: it states that basis
+        and replays every entry past its boundary, each held one as its
+        position in the request's ``held``.  Any other first sync carries
+        the latest snapshot, the full records of the entries from
+        ``since_sequence`` up to its boundary, which the requester
+        backfills, and the entries past it: the requester rolls back to
+        the snapshot (:meth:`_restore_snapshot`) and re-executes forward.
+        A ``delta_only`` sync carries the full records from
+        ``since_sequence`` alone, bytes proportional to the gap.
         """
         cell = self.cell
-        snapshot_wire = None
+        ledger, consortium = cell.ledger, cell.invariants.cell_addresses
+        snapshot_wire: Optional[dict[str, Any]] = None
+        basis: Optional[SnapshotBasis] = None
         start = request.since_sequence
-        if not request.delta_only and cell.snapshots.latest_cycle is not None:
-            latest = cell.snapshots.latest()
-            snapshot_wire = latest.to_wire(include_state=True)
-            start = min(start, latest.last_sequence + 1)
+        entries: list[SyncEntry] = []
+        replay: list[ReplayEntry] = []
+        if request.delta_only:
+            entries = ledger.sync_segment(start)
+        elif request.basis is not None and self._retains(request.basis):
+            basis = request.basis
+            replay = ledger.replay_segment(basis.last_sequence + 1, consortium, request.held)
+        else:
+            boundary = start - 1
+            if cell.snapshots.latest_cycle is not None:
+                latest = cell.snapshots.latest()
+                snapshot_wire = latest.to_wire(include_state=True)
+                boundary = latest.last_sequence
+                entries = ledger.sync_segment(min(start, boundary + 1), boundary + 1)
+            replay = ledger.replay_segment(boundary + 1, consortium)
         bundle = SyncState(
             donor=cell.address,
             snapshot=snapshot_wire,
-            entries=tuple(cell.ledger.sync_segment(start)),
+            basis=basis,
+            entries=tuple(entries),
+            replay=tuple(replay),
             excluded=tuple(address.hex() for address in cell.consensus.excluded_cells()),
-            head=len(cell.ledger),
+            head=len(ledger),
         )
         cell.metrics.increment(f"{cell.node_name}/syncs_served")
         cell.reply(src_node, envelope, Opcode.CELL_SYNC_STATE, bundle.to_data())
 
+    def _retains(self, basis: SnapshotBasis) -> bool:
+        """Whether this cell retains the snapshot ``basis`` names, as it names it."""
+        snapshots = self.cell.snapshots
+        return snapshots.has(basis.cycle) and _basis_of(snapshots.get(basis.cycle)) == basis
+
     def _fetch_sync_state(
-        self, donor: Address, donor_node: str, delta_only: bool = False
+        self,
+        donor: Address,
+        donor_node: str,
+        delta_only: bool = False,
+        own: Optional[DataSnapshot] = None,
+        held: Sequence[LedgerEntry] = (),
     ) -> Generator[Event, Any, Optional[SyncState]]:
         """One CELL_SYNC round-trip to the donor (None on timeout).
 
@@ -792,9 +864,16 @@ class RecoveryStage:
         snapshot payload and ship just the ledger entries past this cell's
         head — what rejoin retries and the post-readmit backfill use, so
         only the first attempt of a recovery ever moves a full snapshot.
+        ``own`` names this cell's snapshot for the donor to build on, and
+        ``held`` its entries past that snapshot's boundary.
         """
         cell = self.cell
-        sync = SyncRequest(since_sequence=len(cell.ledger), delta_only=delta_only)
+        sync = SyncRequest(
+            since_sequence=len(cell.ledger),
+            delta_only=delta_only,
+            basis=None if own is None else _basis_of(own),
+            held=tuple(entry.tx_id for entry in held),
+        )
         _request, bundle = cell.endpoint.ask(
             donor_node, donor, Opcode.CELL_SYNC, sync.to_data(),
             deadline=cell.invariants.forwarding_deadline,
@@ -857,51 +936,64 @@ class RecoveryStage:
                 cell.contracts.exclude(name)
 
     def _replay_entries(
-        self, bundle: SyncState, replay_base: int, result: RecoveryResult
+        self,
+        entries: Sequence[SyncEntry | ReplayEntry],
+        replay_base: int,
+        result: RecoveryResult,
+        held: Sequence[Envelope] = (),
     ) -> Generator[Event, Any, None]:
         """Backfill snapshot-covered entries and re-execute the tail.
 
         Proof step 2: every re-executed entry's post-execution contract
         fingerprint must equal the donor's recorded one — matching the
         consortium's execution fingerprints entry by entry is what
-        qualifies the cell to rejoin the confirmation quorum.  Raises
-        :class:`_ResyncFailure` at the first entry that cannot be replayed.
+        qualifies the cell to rejoin the confirmation quorum.  An entry
+        lands exactly at the local head: one past it is a gap.  A replayed
+        entry (:class:`ReplayEntry`) names a client envelope this cell
+        held by its position in ``held``.  Raises :class:`_ResyncFailure`
+        at the first entry that cannot be replayed.
         """
         cell = self.cell
-        for item in bundle.entries:
-            summary = item.summary
-            sequence = summary.sequence
-            if sequence < len(cell.ledger):
-                local_tx = cell.ledger.entry_at(sequence).tx_id
-                if local_tx == summary.tx_id:
+        ledger = cell.ledger
+        for item in entries:
+            record: Optional[SyncEntry] = None
+            if isinstance(item, ReplayEntry):
+                sequence, cycle, status = item.sequence, item.cycle, item.status
+                fingerprint, contingency = item.fingerprint, bool(item.contingency)
+                envelope = self._replayed_envelope(item, held)
+            else:
+                record, summary = item, item.summary
+                sequence, cycle, status = summary.sequence, summary.cycle, summary.status
+                fingerprint, contingency = summary.fingerprint, summary.contingency
+                envelope = self._verified(item.envelope, sequence)
+            if sequence < len(ledger):
+                tx_id = envelope.payload.hash_hex()
+                if ledger.entry_at(sequence).tx_id == tx_id:
                     continue
-                self._drop_admitted_suffix(sequence, summary, result)
+                self._drop_admitted_suffix(sequence, tx_id, result)
                 # The admitted-only local suffix is gone; fall through and
                 # admit the donor's entry at this now-free sequence.
-            try:
-                envelope = Envelope.from_wire(item.envelope)
-            except ValueError as exc:
-                raise _ResyncFailure(
-                    f"malformed donor ledger entry at sequence {sequence}: {exc}"
-                ) from exc
-            if not envelope.verify():
-                raise _ResyncFailure(
-                    f"donor ledger entry {sequence} has an invalid client signature"
-                )
             if sequence <= replay_base:
+                if record is None:
+                    raise _ResyncFailure(
+                        f"donor ledger entry {sequence} lies within the snapshot "
+                        f"without its record"
+                    )
                 try:
-                    cell.ledger.backfill(envelope, summary, item.result)
+                    ledger.backfill(envelope, record.summary, record.result)
                 except LedgerError as exc:
                     raise _ResyncFailure(f"ledger backfill failed: {exc}") from exc
                 result.backfilled += 1
                 continue
+            if sequence != len(ledger):
+                raise _ResyncFailure(
+                    f"donor ledger entry {sequence} does not follow local head {len(ledger)}"
+                )
             # Re-execute the post-snapshot tail, paying the same simulated
             # CPU cost as live execution so recovery latency is honest.
             yield from cell.execute.cpu.use(cell.service_model.invoke_cpu)
             try:
-                entry = cell.ledger.admit(
-                    envelope, cycle=summary.cycle, contingency=summary.contingency
-                )
+                entry = ledger.admit(envelope, cycle=cycle, contingency=contingency)
             except LedgerError as exc:
                 raise _ResyncFailure(f"ledger replay admission failed: {exc}") from exc
             try:
@@ -909,14 +1001,11 @@ class RecoveryStage:
             except BContractError as exc:
                 raise _ResyncFailure(f"replay of sequence {sequence} failed: {exc}") from exc
             if outcome.ok:
-                cell.ledger.mark_executed(
+                ledger.mark_executed(
                     outcome.tx_id, outcome.contract, outcome.result, outcome.fingerprint
                 )
             else:
-                cell.ledger.mark_rejected(
-                    outcome.tx_id, outcome.contract, outcome.error or ""
-                )
-            donor_status = summary.status
+                ledger.mark_rejected(outcome.tx_id, outcome.contract, outcome.error or "")
             # A donor status of "admitted" is not a claim about execution:
             # the donor simply had not executed the entry yet when it
             # served the sync (the backfill phase fetches exactly such
@@ -926,16 +1015,12 @@ class RecoveryStage:
             # overlap), but transactions whose conflicting outcomes commute
             # end the same either way; a status that differs from the
             # donor's recorded one is a divergence and fails below.
-            if donor_status != "admitted" and outcome.status != donor_status:
+            if status != "admitted" and outcome.status != status:
                 raise _ResyncFailure(
                     f"replay of sequence {sequence} diverged: local status "
-                    f"{outcome.status!r} vs donor {donor_status!r}"
+                    f"{outcome.status!r} vs donor {status!r}"
                 )
-            if (
-                summary.fingerprint is not None
-                and outcome.ok
-                and outcome.fingerprint != summary.fingerprint
-            ):
+            if fingerprint is not None and outcome.ok and outcome.fingerprint != fingerprint:
                 # Not fatal: the donor executes entries as they clear its
                 # execution gate, which under concurrent traffic is not
                 # ledger order, so its recorded per-entry fingerprint can
@@ -944,10 +1029,52 @@ class RecoveryStage:
                 # the readmission vote over the full combined fingerprint.
                 result.fingerprint_skews += 1
             result.replayed += 1
+            if isinstance(item, ReplayEntry) and item.held is not None:
+                result.referenced += 1
 
-    def _drop_admitted_suffix(
-        self, sequence: int, summary: EntrySummary, result: RecoveryResult
-    ) -> None:
+    def _verified(self, wire_form: dict[str, Any], sequence: int) -> Envelope:
+        """The client envelope of a donor's full record, checked."""
+        try:
+            envelope = Envelope.from_wire(wire_form)
+        except ValueError as exc:
+            raise _ResyncFailure(
+                f"malformed donor ledger entry at sequence {sequence}: {exc}"
+            ) from exc
+        return self._signed_by_its_client(envelope, sequence)
+
+    def _replayed_envelope(self, item: ReplayEntry, held: Sequence[Envelope]) -> Envelope:
+        """The client envelope of a replayed entry: one this cell held, or the
+        link form read under the consortium cell it names, checked."""
+        sequence = item.sequence
+        if item.held is not None:
+            if item.held >= len(held):
+                raise _ResyncFailure(
+                    f"donor ledger entry {sequence} names held entry {item.held}, "
+                    f"which this cell does not hold"
+                )
+            return held[item.held]
+        consortium = self.cell.invariants.cell_addresses
+        try:
+            link = LinkEnvelope.from_wire(item.envelope)
+            if item.to is not None and item.to >= len(consortium):
+                raise EnvelopeError(f"recipient {item.to} is no consortium cell")
+            envelope = link.envelope(
+                None if item.to is None else consortium[item.to],
+                operation=None if "operation" in link.payload else Opcode.TX_SUBMIT,
+            )
+        except EnvelopeError as exc:
+            raise _ResyncFailure(
+                f"malformed donor ledger entry at sequence {sequence}: {exc}"
+            ) from exc
+        return self._signed_by_its_client(envelope, sequence)
+
+    @staticmethod
+    def _signed_by_its_client(envelope: Envelope, sequence: int) -> Envelope:
+        if not envelope.verify():
+            raise _ResyncFailure(f"donor ledger entry {sequence} has an invalid client signature")
+        return envelope
+
+    def _drop_admitted_suffix(self, sequence: int, tx_id: str, result: RecoveryResult) -> None:
         """Roll back a local admitted-only suffix that diverged from the donor.
 
         A cell can crash holding entries it admitted but never executed
@@ -966,7 +1093,14 @@ class RecoveryStage:
                 local_tx = cell.ledger.entry_at(sequence).tx_id
                 raise _ResyncFailure(
                     f"ledger divergence at sequence {sequence}: "
-                    f"local {local_tx} vs donor {summary.tx_id} "
+                    f"local {local_tx} vs donor {tx_id} "
                     f"with executed entries in the divergent suffix"
                 )
         result.truncated += cell.ledger.truncate(sequence - 1)
+
+
+def _basis_of(snapshot: DataSnapshot) -> SnapshotBasis:
+    """What a resync request or bundle states of ``snapshot``."""
+    return SnapshotBasis(
+        cycle=snapshot.cycle, last_sequence=snapshot.last_sequence, fingerprint=snapshot.fingerprint
+    )

@@ -28,7 +28,7 @@ nothing else; the cell it serves supplies identity, shared protocol state
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, NamedTuple, Optional
 
 from ..crypto.keys import Address, PrivateKey
 from ..ethchain.contracts.snapshot_registry import SnapshotRegistry
@@ -193,6 +193,17 @@ class _ServiceResult:
         return "transaction reverted"
 
 
+class _Offer(NamedTuple):
+    """A peer's item that states this cell's execution, as it waits for it."""
+
+    scheme: str
+    moment: float
+    item: LinkConfirmation
+    client_envelope: Envelope
+    #: Other ledger entries the item's id prefix names.
+    rivals: int
+
+
 class _PendingTransaction:
     """Book-keeping for a transaction this cell is servicing."""
 
@@ -206,8 +217,10 @@ class _PendingTransaction:
         #: Peers whose own item, stating this cell's execution, did not
         #: verify: they executed the call differently.
         self.refuted: set[Address] = set()
-        #: The latest such item of each peer, waiting for this cell's execution.
-        self._waiting: dict[Address, tuple[str, float, LinkConfirmation, Envelope]] = {}
+        #: The latest such item of each peer, waiting for this cell's
+        #: execution; more than one where an item's id prefix also names
+        #: other entries (:meth:`offer`).
+        self._waiting: dict[Address, list[_Offer]] = {}
 
     def add(self, confirmation: Confirmation) -> None:
         """Record one confirmation, firing the completion event if done."""
@@ -218,33 +231,39 @@ class _PendingTransaction:
 
     def offer(
         self, cell: Address, scheme: str, moment: float, item: LinkConfirmation,
-        client_envelope: Envelope,
+        client_envelope: Envelope, rivals: int = 0,
     ) -> None:
-        """Take ``cell``'s own item that states this cell's execution, checked once it ran."""
-        if not self.fingerprint_hex:
-            self._waiting[cell] = (scheme, moment, item, client_envelope)
-        else:
-            self._check(cell, scheme, moment, item, client_envelope)
+        """Take ``cell``'s own item that states this cell's execution, checked once it ran.
+
+        ``rivals`` counts the other ledger entries the item's id prefix
+        names: such an item may be about one of them, so it joins only if it
+        verifies, refutes nothing if not, and waits beside up to ``rivals``
+        other items of the same peer.
+        """
+        offered = _Offer(scheme, moment, item, client_envelope, rivals)
+        if self.fingerprint_hex:
+            self._check(cell, offered)
+            return
+        waiting = self._waiting.get(cell, [])
+        self._waiting[cell] = [*waiting[max(0, len(waiting) - rivals):], offered]
 
     def executed(self, fingerprint_hex: str) -> None:
         """This cell's execution gives ``fingerprint_hex``: check the items that waited for it."""
         self.fingerprint_hex = fingerprint_hex
         waiting, self._waiting = self._waiting, {}
-        for cell, offered in waiting.items():
-            self._check(cell, *offered)
+        for cell, offers in waiting.items():
+            for offered in offers:
+                self._check(cell, offered)
 
-    def _check(
-        self, cell: Address, scheme: str, moment: float, item: LinkConfirmation,
-        client_envelope: Envelope,
-    ) -> None:
+    def _check(self, cell: Address, offered: "_Offer") -> None:
         if cell not in self.expected_cells or cell in self.confirmations:
             return
-        confirmation = item.confirmation(
-            cell, scheme, client_envelope, moment, self.fingerprint_hex
+        confirmation = offered.item.confirmation(
+            cell, offered.scheme, offered.client_envelope, offered.moment, self.fingerprint_hex
         )
         if confirmation.verify():
             self.add(confirmation)
-        else:
+        elif not offered.rivals:
             # The peer's own answer, like a stated mismatch: it ends the wait.
             self.refuted.add(cell)
             self._settle()
@@ -472,41 +491,52 @@ class ServiceStage:
         """Route the confirmations of a ``TX_CONFIRM``, which travels unsigned.
 
         Ingress took it only over the link to the cell it names.  Each item
-        is rebuilt from this cell's own ledger entry and the envelope, so it
-        verifies only if that cell signed it; one for a transaction this
-        cell never admitted is refused like a bad signature.  An item that
-        states its own fingerprint is checked at once, and the batch is
-        taken whole or not at all: the first such item that fails refuses
-        it, so a forged batch costs one signature check, as checking a
-        signed envelope did.  An item that leaves the fingerprint to this
-        cell's own execution goes to the transaction's wait, which checks
-        it once this cell executed the call (and drops it unchecked if
-        nothing waits for it any more).
+        names its transaction by an id prefix and is rebuilt from this
+        cell's own ledger entry and the envelope, so it verifies only if
+        that cell signed it; one whose prefix names no entry this cell
+        admitted is refused like a bad signature.  An item that states its
+        own fingerprint is checked at once, and the batch is taken whole or
+        not at all: the first such item that verifies for no entry its
+        prefix names refuses it, so a forged batch costs one signature
+        check, as checking a signed envelope did.  An item that leaves the
+        fingerprint to this cell's own execution goes to the wait of every
+        transaction its prefix names, which checks it once this cell
+        executed the call (and drops it unchecked if nothing waits for it
+        any more).  A prefix names more than one entry only where a client
+        ground two of its own ids to collide: such an item joins the
+        transaction it verifies for, and refuses nothing else.
         """
         cell = self.cell
         sender, scheme, moment = envelope.sender, envelope.scheme, envelope.timestamp
-        accepted: list[tuple[LinkConfirmation, LedgerEntry, Optional[Confirmation]]] = []
+        accepted: list[
+            tuple[LinkConfirmation, tuple[LedgerEntry, ...], Optional[Confirmation]]
+        ] = []
         for item in batch.confirmations:
-            try:
-                entry = cell.ledger.get(item.tx_id)
-            except LedgerError:
-                cell.refuse_unauthenticated(src_node, envelope)
-                return
+            entries = cell.ledger.named_by(item.tx_id)
             confirmation = None
             if item.fingerprint_hex is not None:
-                confirmation = item.confirmation(sender, scheme, entry.envelope, moment)
-                if not confirmation.verify():
-                    cell.refuse_unauthenticated(src_node, envelope)
-                    return
-            accepted.append((item, entry, confirmation))
-        for item, entry, confirmation in accepted:
-            pending = self._pending.get(item.tx_id)
-            if pending is None:
-                continue
-            if confirmation is None:
-                pending.offer(sender, scheme, moment, item, entry.envelope)
-            else:
-                pending.add(confirmation)
+                for entry in entries:
+                    confirmation = item.confirmation(sender, scheme, entry.envelope, moment)
+                    if confirmation.verify():
+                        entries = (entry,)
+                        break
+                else:
+                    entries = ()
+            if not entries:
+                cell.refuse_unauthenticated(src_node, envelope)
+                return
+            accepted.append((item, entries, confirmation))
+        for item, entries, confirmation in accepted:
+            for entry in entries:
+                pending = self._pending.get(entry.tx_id)
+                if pending is None:
+                    continue
+                if confirmation is None:
+                    pending.offer(
+                        sender, scheme, moment, item, entry.envelope, rivals=len(entries) - 1
+                    )
+                else:
+                    pending.add(confirmation)
 
 
 # ----------------------------------------------------------------------

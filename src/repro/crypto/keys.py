@@ -11,6 +11,8 @@ from __future__ import annotations
 import secrets  # lint: disable=DET001 — entropy is quarantined in PrivateKey.generate below
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any
+from weakref import WeakValueDictionary
 
 from .ecdsa import Signature, recover_public_key, recovers_to, sign_hash, verify_hash
 from .keccak import keccak256
@@ -30,15 +32,48 @@ class AddressError(ValueError):
     """Raised for malformed addresses."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False)
 class Address:
-    """A 20-byte account address, printed as 0x-prefixed hex."""
+    """A 20-byte account address, printed as 0x-prefixed hex.
+
+    There is one instance per 20-byte value while any is alive
+    (:data:`_INSTANCES`), so two addresses are equal exactly when they are
+    the same object: an address keys a dict or a set — the pending,
+    aggregate and peer maps of every cell — by the builtin identity hash
+    and equality, without a Python-level call.  A copy, a deep copy or an
+    unpickled address is that same instance.  Addresses order by value.
+    """
 
     value: bytes
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bytes) or len(self.value) != 20:
+    def __new__(cls, value: bytes) -> "Address":
+        if not isinstance(value, bytes) or len(value) != 20:
             raise AddressError("an address is exactly 20 bytes")
+        known = _INSTANCES.get(value)
+        if known is None:
+            known = _INSTANCES[value] = super().__new__(cls)
+        return known
+
+    def __copy__(self) -> "Address":
+        return self
+
+    def __deepcopy__(self, _memo: dict[int, Any]) -> "Address":
+        return self
+
+    def __reduce__(self) -> tuple[type["Address"], tuple[bytes]]:
+        return Address, (self.value,)
+
+    def __lt__(self, other: object) -> bool:
+        return self.value < other.value if isinstance(other, Address) else NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        return self.value <= other.value if isinstance(other, Address) else NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        return self.value > other.value if isinstance(other, Address) else NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        return self.value >= other.value if isinstance(other, Address) else NotImplemented
 
     @classmethod
     def from_hex(cls, text: str) -> "Address":
@@ -99,6 +134,9 @@ class Address:
     def __repr__(self) -> str:
         return f"Address({self.hex()!r})"
 
+
+#: The one live :class:`Address` of each 20-byte value.
+_INSTANCES: "WeakValueDictionary[bytes, Address]" = WeakValueDictionary()
 
 #: Process-wide memo of :meth:`Address.from_hex`, oldest entry evicted first.
 _PARSED_ADDRESSES: BoundedMemo[str, Address] = BoundedMemo(4096)

@@ -18,6 +18,8 @@ from .membership import (
     MembershipUpdate,
     RejoinAck,
     RejoinRequest,
+    ReplayEntry,
+    SnapshotBasis,
     SyncEntry,
     SyncRequest,
     SyncState,
@@ -60,8 +62,10 @@ __all__ = [
     "PayloadError",
     "RejoinAck",
     "RejoinRequest",
+    "ReplayEntry",
     "SimulatedSigner",
     "Signer",
+    "SnapshotBasis",
     "SyncEntry",
     "SyncRequest",
     "SyncState",

@@ -190,6 +190,20 @@ class MembershipUpdate(wire.Body, error=MembershipError):
 
 
 @dataclass(frozen=True)
+class SnapshotBasis(wire.Body, error=MembershipError):
+    """Which retained snapshot a resync builds on.
+
+    Its report cycle, the last ledger sequence it covers and its combined
+    fingerprint: two cells whose snapshots agree on all three hold the same
+    contract state at the same ledger boundary.
+    """
+
+    cycle: int = wire.natural()
+    last_sequence: int = wire.integer()
+    fingerprint: bytes = wire.digest()
+
+
+@dataclass(frozen=True)
 class SyncRequest(wire.Body, error=MembershipError):
     """A recovering cell's request for a snapshot plus the ledger tail.
 
@@ -199,10 +213,18 @@ class SyncRequest(wire.Body, error=MembershipError):
     holds a restored basis (an earlier full sync this recovery): the donor
     skips the snapshot and ships just the entries past ``since_sequence``,
     which is what keeps retry and backfill traffic bounded under load.
+
+    A first sync names the requester's latest retained snapshot
+    (``basis``) and the ids of its own ledger entries past that snapshot's
+    boundary (``held``, in ledger order).  A donor that retains the same
+    snapshot ships none: it builds on the requester's and sends each held
+    entry as its position in ``held``.
     """
 
     since_sequence: int = wire.natural()
     delta_only: bool = wire.flag(default=False)
+    basis: Optional[SnapshotBasis] = wire.nested(SnapshotBasis)(omit_none=True, default=None)
+    held: tuple[str, ...] = wire.list_of(wire.text)(default=())
 
 
 @dataclass(frozen=True)
@@ -249,20 +271,50 @@ class SyncEntry(LedgerRecord):
 
 
 @dataclass(frozen=True)
+class ReplayEntry(wire.Body, error=MembershipError):
+    """One ledger entry a recovering cell re-executes: what its checks read.
+
+    Where the entry sits (``sequence``, ``cycle``), what the donor's
+    execution decided (``status`` and the per-entry ``fingerprint``) and
+    whether it came through the on-chain contingency channel (``True`` or
+    absent).  The tx id, result, contract and error are the replay's own.
+    The client envelope travels in link form (``envelope``), its recipient
+    the consortium cell at index ``to`` and its opcode ``TX_SUBMIT`` unless
+    its payload names them — or, when the recovering cell holds it, as its
+    position in the request's ``held`` list.
+    """
+
+    sequence: int = wire.natural()
+    cycle: int = wire.integer()
+    status: str = wire.text()
+    fingerprint: Optional[bytes] = wire.optional(wire.digest)(omit_none=True, default=None)
+    contingency: Optional[bool] = wire.optional(wire.flag)(omit_none=True, default=None)
+    envelope: Optional[dict[str, Any]] = wire.optional(wire.obj)(omit_none=True, default=None)
+    to: Optional[int] = wire.optional(wire.natural)(omit_none=True, default=None)
+    held: Optional[int] = wire.optional(wire.natural)(omit_none=True, default=None)
+
+    def __post_init__(self) -> None:
+        if (self.envelope is None) == (self.held is None):
+            raise MembershipError("a replayed entry carries its envelope or a held position")
+
+
+@dataclass(frozen=True)
 class SyncState(wire.Body, error=MembershipError):
     """A donor cell's resync bundle: snapshot + post-snapshot ledger tail.
 
     ``snapshot`` is the donor's latest data snapshot in wire form (None if
-    the donor has not taken one yet); ``entries`` are the donor's ledger
-    entries from the snapshot boundary (or the requested sequence,
-    whichever is earlier) onward, each carrying the summary (with
-    per-entry execution fingerprint), the signed client envelope, and the
-    recorded result.  ``excluded`` is the donor's current membership view
-    (hex addresses of excluded cells) so the requester can refresh its own
-    stale view along with its state.  ``head`` is the donor's ledger
-    length at serve time: the requester tracks it across delta rounds so
-    each follow-up sync asks for exactly the entries past what the donor
-    already shipped.
+    the donor has not taken one yet, or builds on the requester's own:
+    then ``basis`` states that snapshot as the donor retains it).
+    ``entries`` are the full records of the entries the requester
+    backfills (at or below a shipped snapshot's boundary), or of every
+    entry past the requested sequence in a delta round; ``replay`` the
+    entries past the boundary, in the donor's ledger order, as the
+    requester re-executes them.  ``excluded`` is the donor's current
+    membership view (hex addresses of excluded cells) so the requester can
+    refresh its own stale view along with its state.  ``head`` is the
+    donor's ledger length at serve time: the requester tracks it across
+    delta rounds so each follow-up sync asks for exactly the entries past
+    what the donor already shipped.
     """
 
     donor: Address = wire.address()
@@ -270,3 +322,5 @@ class SyncState(wire.Body, error=MembershipError):
     entries: tuple[SyncEntry, ...] = wire.list_of(wire.nested(SyncEntry))()
     head: int = wire.integer()
     excluded: tuple[str, ...] = wire.list_of(wire.text)(default=())
+    basis: Optional[SnapshotBasis] = wire.nested(SnapshotBasis)(omit_none=True, default=None)
+    replay: tuple[ReplayEntry, ...] = wire.list_of(wire.nested(ReplayEntry))(default=())

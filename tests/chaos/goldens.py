@@ -112,6 +112,17 @@ arrive sooner, and a cell's nonce sequence no longer advances for a
 forward.  No fault log moved and every oracle verdict still passes;
 ``specs`` and ``search`` are untouched.
 
+And once more, by the change that names a confirmation's transaction by
+the first 8 bytes of its id and lets a rejoin's donor build on the
+rejoiner's own retained snapshot (no snapshot shipped, held entries by
+position, replayed entries without the fields replay derives), from that
+change's own tree: the artifacts of 36 of the 88 recoverable runs (4, 6–10,
+16, 18–20, 22, 23, 28, 32, 34, 35, 42, 46, 52, 54, 56, 58, 64–66, 68, 70,
+76, 78–80, 82, 83, 102, 142, 172) and 3 of the 12 Byzantine runs (4, 8,
+11) moved, because confirmations are 48 B shorter and resync bundles
+smaller, so they arrive sooner.  No fault log moved and every oracle
+verdict still passes; ``specs`` and ``search`` are untouched.
+
 A deliberate re-record names its sections —
 ``PYTHONPATH=src python tests/chaos/goldens.py <repo root> runs`` — and
 rewrites nothing else; entries that did not move come out byte-identical.

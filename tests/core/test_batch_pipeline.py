@@ -35,10 +35,11 @@ def test_confirmation_batch_round_trip_preserves_signatures():
         operation=Opcode.TX_SUBMIT, data={"contract": "fastmoney", "method": "faucet"},
         timestamp=1.0, nonce="0x01",
     )
+    tx_id = forwarded.payload.hash_hex()
     confirmations = [
         Confirmation.create(
             signer,
-            tx_id=f"0x{index:064x}",
+            tx_id=tx_id,
             contract="fastmoney",
             fingerprint_hex="0x" + "11" * 32,
             status="executed" if index % 2 == 0 else "rejected",
@@ -55,9 +56,10 @@ def test_confirmation_batch_round_trip_preserves_signatures():
     parsed = ConfirmationBatch.from_data(raw)
     assert len(parsed) == 3
     for original, item in zip(confirmations, parsed.confirmations):
-        # What the receiver holds already — the signer, its scheme and the
-        # called contract — does not travel.
+        # What the receiver holds already — the signer, its scheme, the
+        # called contract and all but 8 bytes of the tx id — does not travel.
         assert {"cell", "scheme", "contract"}.isdisjoint(item.to_wire())
+        assert item.tx_id == tx_id[:18]
         rebuilt = item.confirmation(signer.address, signer.scheme, forwarded, moment=2.5)
         assert rebuilt == original and rebuilt.verify()
         assert rebuilt.body() == original.body()

@@ -37,8 +37,9 @@ def _forward(item: int) -> Envelope:
 
 
 def _confirmation(item: int) -> LinkConfirmation:
+    # The item number leads the tx id: the link item carries its first 8 bytes.
     confirmation = Confirmation.create(
-        _SIGNER, f"0x{item:064x}", "pay", "0x" + "00" * 32, "executed", 0.0
+        _SIGNER, f"0x{item:016x}" + "00" * 24, "pay", "0x" + "00" * 32, "executed", 0.0
     )
     return LinkConfirmation.of(confirmation, _forward(item))
 

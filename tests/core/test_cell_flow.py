@@ -6,6 +6,7 @@ import pytest
 
 from repro.client import BallotClient, BlockumulusClient, CasClient, FastMoneyClient
 from repro.client import deploy_contract_source
+from repro.core.ledger import tx_ref
 from repro.core.stages import _PendingTransaction
 from repro.core.receipts import Confirmation, ConfirmationBatch, LinkConfirmation
 from repro.messages import Envelope, ForwardBatch, Opcode, SimulatedSigner
@@ -361,7 +362,8 @@ def test_items_without_their_fingerprint_are_taken_only_over_the_named_peers_lin
     assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
     for each, envelope in zip(pending, forwarded):
         assert list(each._waiting) == [peer.address]
-        waiting = each._waiting[peer.address][2]
+        [offered] = each._waiting[peer.address]
+        waiting = offered.item
         assert Confirmation.create(
             peer.signer, envelope.payload.hash_hex(), "fastmoney", fingerprint, "executed",
             waiting.timestamp,
@@ -388,6 +390,83 @@ def test_a_confirmation_for_a_transaction_never_admitted_is_refused():
     assert not service.ledger.contains(tx_id)
     assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
     assert pending.confirmations == {} and not pending.all_received.triggered
+
+
+def _confirm_batch(deployment, items) -> None:
+    """The peer sends the service cell a ``TX_CONFIRM`` carrying ``items``, over its own link."""
+    service, peer = deployment.cell(0), deployment.cell(1)
+    peer.endpoint.send(service.node_name, service.address, Opcode.TX_CONFIRM,
+                       ConfirmationBatch(tuple(items)).to_data(), signed=False)
+    deployment.run(until=deployment.env.now + 1.0)
+
+
+def test_an_item_whose_prefix_names_no_entry_refuses_its_batch_with_one_tick():
+    """The item names its transaction by 8 bytes of its id; none of the
+    service cell's entries begins with them, so the batch, with the honest
+    item beside it, is refused as one with a bad signature would be."""
+    deployment = make_deployment(signature_scheme="sim")
+    service, peer = deployment.cell(0), deployment.cell(1)
+    forwarded, pending = _pending_faucets(deployment, 2)
+    unknown = BlockumulusClient(deployment).endpoint.sign(
+        service.address, Opcode.TX_SUBMIT,
+        {"contract": "fastmoney", "method": "faucet", "args": {"amount": 9}},
+    )
+    assert service.ledger.named_by(tx_ref(unknown.payload.hash_hex())) == ()
+    items = [
+        LinkConfirmation.of(Confirmation.create(
+            peer.signer, envelope.payload.hash_hex(), "fastmoney", "0x" + "00" * 32,
+            "executed", deployment.env.now,
+        ), envelope)
+        for envelope in (forwarded[0], unknown)
+    ]
+    assert [len(item.tx_id) for item in items] == [18, 18]
+    _confirm_batch(deployment, items)
+    assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 1
+    assert all(each.confirmations == {} and each._waiting == {} for each in pending)
+
+
+def test_an_item_whose_prefix_names_two_entries_joins_the_one_it_verifies_for(monkeypatch):
+    """With the prefix narrowed to no bytes at all, every item names both of
+    the service cell's entries.  An item that states its fingerprint joins
+    the transaction its signature verifies for at once; one that leaves it
+    to the service cell's execution waits on both and joins its own once
+    each executed.  Nothing is refused, and no transaction counts the peer
+    as having refuted it."""
+    import repro.core.ledger as ledger_module
+
+    monkeypatch.setattr(ledger_module, "TX_REF_BYTES", 0)
+    deployment = make_deployment(signature_scheme="sim")
+    service, peer = deployment.cell(0), deployment.cell(1)
+    forwarded, pending = _pending_faucets(deployment, 2)
+    assert len(service.ledger.named_by("0x")) == 2
+    stated, own = "0x" + "00" * 32, "0x" + "11" * 32
+
+    def items(fingerprint, own_fingerprint=""):
+        return [
+            LinkConfirmation.of(Confirmation.create(
+                peer.signer, envelope.payload.hash_hex(), "fastmoney", fingerprint, "executed",
+                deployment.env.now,
+            ), envelope, own_fingerprint)
+            for envelope in reversed(forwarded)
+        ]
+
+    _confirm_batch(deployment, items(stated))
+    assert [each.confirmations[peer.address].tx_id for each in pending] == [
+        envelope.payload.hash_hex() for envelope in forwarded
+    ]
+    for each in pending:
+        each.confirmations.clear()
+    fingerprintless = items(own, own)
+    assert all(item.tx_id == "0x" and item.fingerprint_hex is None for item in fingerprintless)
+    _confirm_batch(deployment, fingerprintless)
+    assert all(len(each._waiting[peer.address]) == 2 for each in pending)
+    for each in pending:
+        each.executed(own)
+    assert [each.confirmations[peer.address].tx_id for each in pending] == [
+        envelope.payload.hash_hex() for envelope in forwarded
+    ]
+    assert all(each.refuted == set() for each in pending)
+    assert service.metrics.counter(f"{service.node_name}/confirm_auth_failures") == 0
 
 
 def test_a_confirmation_relayed_by_another_cell_does_not_verify(four_cell_deployment):
@@ -440,7 +519,8 @@ def test_client_envelopes_relayed_in_another_cells_forward_are_rejected_and_run_
     # addressed to cell 2, which nobody signed.
     read = ForwardBatch.of(envelopes).envelopes(relay.address)
     assert [(item.tx_id, item.status, item.error) for item in answered] == [
-        (envelope.payload.hash_hex(), "rejected", "client signature invalid") for envelope in read
+        (tx_ref(envelope.payload.hash_hex()), "rejected", "client signature invalid")
+        for envelope in read
     ]
     tx_ids = {envelope.payload.hash_hex() for envelope in envelopes + read}
     assert not any(cell.ledger.contains(tx_id) for cell in deployment.cells for tx_id in tx_ids)

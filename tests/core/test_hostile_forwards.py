@@ -15,6 +15,7 @@ signed: they are confirmed rejected.
 import pytest
 
 from repro.client import BlockumulusClient
+from repro.core.ledger import tx_ref
 from repro.messages import Envelope, ForwardBatch, Opcode
 from tests.conftest import make_deployment
 
@@ -103,7 +104,8 @@ def test_a_peer_that_re_wraps_a_forward_gets_nothing_run():
     assert forward_auth_failures(deployment) == 1
     read = ForwardBatch.of(envelopes).envelopes(relay.address)
     assert [(item.tx_id, item.status, item.error) for item in answered] == [
-        (envelope.payload.hash_hex(), "rejected", "client signature invalid") for envelope in read
+        (tx_ref(envelope.payload.hash_hex()), "rejected", "client signature invalid")
+        for envelope in read
     ]
     assert protocol_state(deployment) == before
     assert ran_nowhere(deployment, envelopes + read)

@@ -25,9 +25,11 @@ def _faucets(deployment, money, count):
         assert deployment.env.run(money.faucet(1)).ok
 
 
-def _ask_for_sync(deployment, asker, donor, since_sequence, delta_only):
+def _ask_for_sync(deployment, asker, donor, since_sequence, delta_only, basis=None, held=()):
     """The ``SyncState`` ``donor`` answers a ``CELL_SYNC`` from ``asker`` with."""
-    request = SyncRequest(since_sequence=since_sequence, delta_only=delta_only)
+    request = SyncRequest(
+        since_sequence=since_sequence, delta_only=delta_only, basis=basis, held=held
+    )
     _request, waiter = asker.endpoint.ask(
         donor.node_name, donor.address, Opcode.CELL_SYNC, request.to_data(), deadline=1.0
     )
@@ -54,26 +56,31 @@ def donor_deployment():
     return deployment
 
 
-#: (delta_only, since_sequence) -> (a snapshot is sent, the entries' sequences).
+#: (delta_only, since_sequence) -> (a snapshot is sent, the sequences of the
+#: full records, which the asker backfills or a delta round carries, and of
+#: the entries it replays).
 BUNDLE_POLICY = {
-    "first sync past the snapshot rolls back to its boundary": (False, 5, True, [3, 4, 5]),
-    "first sync behind the snapshot starts where asked": (False, 1, True, [1, 2, 3, 4, 5]),
-    "delta sync starts where asked": (True, 5, False, [5]),
-    "delta sync behind the snapshot starts where asked": (True, 1, False, [1, 2, 3, 4, 5]),
-    "delta sync at the head is empty": (True, 6, False, []),
+    "first sync past the snapshot rolls back to its boundary": (False, 5, True, [], [3, 4, 5]),
+    "first sync behind the snapshot starts where asked": (False, 1, True, [1, 2], [3, 4, 5]),
+    "delta sync starts where asked": (True, 5, False, [5], []),
+    "delta sync behind the snapshot starts where asked": (True, 1, False, [1, 2, 3, 4, 5], []),
+    "delta sync at the head is empty": (True, 6, False, [], []),
 }
 
 
 @pytest.mark.parametrize(
-    "delta_only, since, with_snapshot, sequences", BUNDLE_POLICY.values(), ids=BUNDLE_POLICY
+    "delta_only, since, with_snapshot, records, replayed", BUNDLE_POLICY.values(),
+    ids=BUNDLE_POLICY,
 )
 def test_the_donor_sends_the_bundle_its_policy_names(
-    donor_deployment, delta_only, since, with_snapshot, sequences
+    donor_deployment, delta_only, since, with_snapshot, records, replayed
 ):
     donor, asker = donor_deployment.cell(0), donor_deployment.cell(1)
     bundle = _ask_for_sync(donor_deployment, asker, donor, since, delta_only)
 
-    assert [item.summary.sequence for item in bundle.entries] == sequences
+    assert [item.summary.sequence for item in bundle.entries] == records
+    assert [item.sequence for item in bundle.replay] == replayed
+    assert bundle.basis is None
     assert bundle.head == len(donor.ledger) == 6
     assert bundle.donor == donor.address
     if with_snapshot:
@@ -95,8 +102,8 @@ def test_a_donor_without_a_snapshot_sends_entries_from_where_asked():
     assert donor.snapshots.latest_cycle is None
 
     bundle = _ask_for_sync(deployment, deployment.cell(1), donor, 1, delta_only=False)
-    assert bundle.snapshot is None
-    assert [item.summary.sequence for item in bundle.entries] == [1, 2]
+    assert bundle.snapshot is None and bundle.entries == ()
+    assert [item.sequence for item in bundle.replay] == [1, 2]
     assert deployment.metrics.counter(f"{donor.node_name}/syncs_served") == 1
 
 

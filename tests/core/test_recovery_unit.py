@@ -150,8 +150,8 @@ def _signed_call_without_a_method():
     ).to_wire()
 
 
-def _with_entries(data, *entries):
-    data["entries"] = list(entries)
+def _with_replay(data, *entries):
+    data["replay"] = list(entries)
     return data
 
 
@@ -170,72 +170,129 @@ def _edited(data, path, value):
 
 
 #: (how the donor tampers with the n-th CELL_SYNC_STATE it sends, or None to
-#: stay silent; the exact reason the recovery reports, with ``{A}`` / ``{B}``
-#: the tx ids of ledger entries 0 and 1; how many attempts it took).
-#: The first sync carries entries 1 (B, a faucet cell 2 missed) and 2 (a
-#: refused transfer, which moved no state).  Recorded by the code that
-#: returned error strings, before resync failures were raised.
+#: stay silent, given also the full records of the donor's ledger; the exact
+#: reason the recovery reports, with ``{A}`` / ``{B}`` the tx ids of ledger
+#: entries 0 and 1; how many attempts it took).  The first sync replays
+#: entries 1 (B, a faucet cell 2 missed) and 2 (a refused transfer, which
+#: moved no state): no snapshot was taken, so both travel as replayed
+#: entries.  Recorded by the code that returned error strings, before
+#: resync failures were raised; a replayed entry's envelope is read in link
+#: form since it travels so.
 RESYNC_FAILURES = {
     "silent donor": (
-        lambda data, n: None,
+        lambda data, n, records: None,
         "donor unreachable or sync request timed out", 1,
     ),
     "malformed snapshot": (
-        lambda data, n: {**data, "snapshot": {"cycle": "x"}},
+        lambda data, n, records: {**data, "snapshot": {"cycle": "x"}},
         "malformed donor snapshot: malformed snapshot wire form: cycle must be int", 1,
     ),
     "restored state off its fingerprint": (
-        lambda data, n: {**data, "snapshot": _forged_snapshot(
+        lambda data, n, records: {**data, "snapshot": _forged_snapshot(
             contract_fingerprints={"fastmoney": "0x" + "11" * 32},
             state_export={"fastmoney": {}}, last_sequence=0,
         )},
         "restored state of 'fastmoney' does not match the donor fingerprint", 1,
     ),
     "malformed ledger entry": (
-        lambda data, n: _edited(data, ("entries", 0, "envelope"), {}),
-        "malformed donor ledger entry at sequence 1: malformed envelope: 'payload'", 1,
+        lambda data, n, records: _edited(data, ("replay", 0, "envelope"), {}),
+        "malformed donor ledger entry at sequence 1: malformed link envelope: payload: is missing",
+        1,
     ),
     "invalid client signature": (
-        lambda data, n: _edited(
-            data, ("entries", 0, "envelope", "payload", "data", "args", "amount"), 4
+        lambda data, n, records: _edited(
+            data, ("replay", 0, "envelope", "payload", "data", "args", "amount"), 4
         ),
         "donor ledger entry 1 has an invalid client signature", 1,
     ),
     "backfill off the local head": (
-        lambda data, n: _with_entries(
-            {**data, "snapshot": _forged_snapshot(last_sequence=2)},
-            _resequenced(data["entries"][0], 2),
-        ),
+        lambda data, n, records: {
+            **data, "snapshot": _forged_snapshot(last_sequence=2),
+            "entries": [_resequenced(records[1], 2)], "replay": [],
+        },
         "ledger backfill failed: backfill sequence 2 does not follow local head 1", 1,
     ),
     "replayed entry admitted twice": (
-        lambda data, n: _with_entries(
-            data, data["entries"][0], _resequenced(data["entries"][0], 2)
+        lambda data, n, records: _with_replay(
+            data, data["replay"][0], {**data["replay"][0], "sequence": 2}
         ),
         "ledger replay admission failed: transaction {B} is already in the ledger", 1,
     ),
     "replayed call without a method": (
-        lambda data, n: _edited(data, ("entries", 0, "envelope"), _signed_call_without_a_method()),
+        lambda data, n, records: _with_replay(data, {
+            "sequence": 1, "cycle": 0, "status": "rejected",
+            "envelope": _signed_call_without_a_method(),
+        }),
         "replay of sequence 1 failed: transaction does not name a method", 1,
     ),
     "replay status divergence": (
-        lambda data, n: _edited(data, ("entries", 0, "summary", "status"), "rejected"),
+        lambda data, n, records: _edited(data, ("replay", 0, "status"), "rejected"),
         "replay of sequence 1 diverged: local status 'executed' vs donor 'rejected'", 1,
     ),
     "executed entry in the divergent suffix": (
-        lambda data, n: _with_entries(data, _resequenced(data["entries"][0], 0)),
+        lambda data, n, records: _with_replay(data, {**data["replay"][0], "sequence": 0}),
         "ledger divergence at sequence 0: local {A} vs donor {B} "
         "with executed entries in the divergent suffix", 1,
     ),
     "quorum not reached": (
-        lambda data, n: _with_entries(data),
+        lambda data, n, records: {**data, "entries": [], "replay": []},
         "readmission quorum not reached", RecoveryStage.REJOIN_ATTEMPTS,
     ),
     "donor silent after readmission": (
-        lambda data, n: None if n else _with_entries(data, data["entries"][0]),
+        lambda data, n, records: None if n else _with_replay(data, data["replay"][0]),
         "donor unreachable during post-readmit backfill", 1,
     ),
+    "replayed entry past the local head": (
+        lambda data, n, records: _with_replay(data, data["replay"][1]),
+        "donor ledger entry 2 does not follow local head 1", 1,
+    ),
+    "replayed entry within the snapshot without its record": (
+        lambda data, n, records: {**data, "snapshot": _forged_snapshot(last_sequence=1)},
+        "donor ledger entry 1 lies within the snapshot without its record", 1,
+    ),
+    "replayed entry naming an entry the cell does not hold": (
+        lambda data, n, records: _with_replay(
+            data, {key: value for key, value in data["replay"][0].items()
+                   if key not in ("envelope", "to")} | {"held": 0},
+        ),
+        "donor ledger entry 1 names held entry 0, which this cell does not hold", 1,
+    ),
 }
+
+
+def _recover_through(deployment, tamper=None):
+    """Recover cell 2 from cell 1, which tampers with each CELL_SYNC_STATE it sends.
+
+    Returns the result and the data fields of the bundles as sent.
+    """
+    donor = deployment.cell(1)
+    honest_reply = donor.reply
+    syncs = itertools.count()
+    sent = []
+
+    def reply(dst_node, request, operation, data):
+        if operation is Opcode.CELL_SYNC_STATE:
+            if tamper is not None:
+                records = [record.to_wire() for record in donor.ledger.sync_segment(0)]
+                data = tamper(copy.deepcopy(data), next(syncs), records)
+                if data is None:
+                    return
+            sent.append(data)
+        honest_reply(dst_node, request, operation, data)
+
+    donor.reply = reply
+    recovery = deployment.recover_cell(2, donor_index=1)
+    return deployment.env.run(recovery), sent
+
+
+def _assert_down_after(deployment, result, reason, attempts):
+    rejoiner = deployment.cell(2)
+    assert result.reason == reason
+    assert result.ok is False and result.attempts == attempts
+    assert rejoiner.fault.crashed and not deployment.network.is_online(rejoiner.node_name)
+    assert rejoiner.recovery.last_result is result
+    assert result.completed_at == deployment.env.now > result.started_at
+    assert result.messages_used > 0 and result.bytes_used > 0
 
 
 @pytest.mark.parametrize("tamper, reason, attempts", RESYNC_FAILURES.values(), ids=RESYNC_FAILURES)
@@ -252,28 +309,125 @@ def test_a_hostile_donor_fails_the_resync_with_its_reason_and_the_cell_goes_back
     deployment.exclude_cell(2)
     deployment.env.run(money.faucet(3))
     assert not deployment.env.run(money.transfer("0x" + "7b" * 20, 100)).ok
-    donor, rejoiner = deployment.cell(1), deployment.cell(2)
-    honest_reply = donor.reply
-    syncs = itertools.count()
+    result, _sent = _recover_through(deployment, tamper)
 
-    def reply(dst_node, request, operation, data):
-        if operation is Opcode.CELL_SYNC_STATE:
-            data = tamper(copy.deepcopy(data), next(syncs))
-            if data is None:
-                return
-        honest_reply(dst_node, request, operation, data)
-
-    donor.reply = reply
-    recovery = deployment.recover_cell(2, donor_index=1)
-    result = deployment.env.run(recovery)
-
+    donor = deployment.cell(1)
     tx_ids = {"A": donor.ledger.entry_at(0).tx_id, "B": donor.ledger.entry_at(1).tx_id}
-    assert result.reason == reason.format(**tx_ids)
-    assert result.ok is False and result.attempts == attempts
-    assert rejoiner.fault.crashed and not deployment.network.is_online(rejoiner.node_name)
-    assert rejoiner.recovery.last_result is result
-    assert result.completed_at == deployment.env.now > result.started_at
-    assert result.messages_used > 0 and result.bytes_used > 0
+    _assert_down_after(deployment, result, reason.format(**tx_ids), attempts)
+
+
+# ----------------------------------------------------------------------
+# A first sync built on the rejoiner's own retained snapshot
+# ----------------------------------------------------------------------
+def _rejoiner_with_a_snapshot(diverged):
+    """Cell 2 holds a cycle-0 snapshot; it crashes and misses one faucet.
+
+    Every cell ran faucet A before the cycle-0 deadline and faucet B after
+    it; cells 0 and 1 ran faucet C once cell 2 had crashed.  With
+    ``diverged``, cell 2 was excluded before the deadline, and so missed
+    faucet D before it and B after it: its snapshot is not its peers'.
+    """
+    deployment = make_deployment(consortium_size=3, signature_scheme="sim")
+    money = FastMoneyClient(BlockumulusClient(
+        deployment, signer=SimulatedSigner("recovery-unit/keyed"), node_name="recovery-unit-keyed"
+    ))
+    deployment.env.run(money.faucet(5))
+    if diverged:
+        deployment.exclude_cell(2)
+        deployment.env.run(money.faucet(7))
+    deployment.run(until=deployment.config.report_period + 1.0)
+    deployment.env.run(money.faucet(2))
+    deployment.crash_cell(2)
+    deployment.exclude_cell(2)
+    deployment.env.run(money.faucet(3))
+    own, donors = deployment.cell(2).snapshots.latest(), deployment.cell(1).snapshots.latest()
+    assert (own.cycle, donors.cycle) == (0, 0)
+    assert (own.fingerprint == donors.fingerprint) is not diverged
+    return deployment
+
+
+def test_a_rejoiner_whose_snapshot_the_donor_retains_gets_only_the_entries_past_it():
+    deployment = _rejoiner_with_a_snapshot(diverged=False)
+    donor, rejoiner = deployment.cell(1), deployment.cell(2)
+    result, [bundle] = _recover_through(deployment)
+
+    assert result.ok and result.readmitted, result.reason
+    # Faucet B, which cell 2 held, travels as its position in the request's
+    # ``held``; faucet C in link form, without the fields replay derives.
+    assert bundle["snapshot"] is None and bundle["entries"] == []
+    assert bundle["basis"]["cycle"] == 0 and bundle["basis"]["last_sequence"] == 0
+    held, shipped = bundle["replay"]
+    assert held == {"sequence": 1, "cycle": 1, "status": "executed", "held": 0,
+                    "fingerprint": held["fingerprint"]}
+    assert {"tx_id", "result", "contract", "error", "admitted_at"}.isdisjoint(shipped)
+    assert {"recipient", "operation", "reply_to"}.isdisjoint(shipped["envelope"]["payload"])
+    assert shipped["to"] == 0  # the client's service cell, in consortium order
+    assert (result.replayed, result.referenced, result.backfilled) == (2, 1, 0)
+    assert rejoiner.ledger.sync_digest() == donor.ledger.sync_digest()
+    assert rejoiner.snapshots.latest_cycle == 0
+
+
+def test_a_rejoiner_whose_snapshot_differs_from_the_donors_gets_the_full_bundle():
+    deployment = _rejoiner_with_a_snapshot(diverged=True)
+    donor, rejoiner = deployment.cell(1), deployment.cell(2)
+    result, [bundle] = _recover_through(deployment)
+
+    assert result.ok and result.readmitted, result.reason
+    assert bundle["snapshot"]["last_sequence"] == 1 and "basis" not in bundle
+    # Faucet D, within the donor's snapshot, is backfilled from its full
+    # record; B and C are replayed past it.
+    assert [record["summary"]["sequence"] for record in bundle["entries"]] == [1]
+    assert [item["sequence"] for item in bundle["replay"]] == [2, 3]
+    assert all("held" not in item for item in bundle["replay"])
+    assert (result.replayed, result.referenced, result.backfilled) == (2, 0, 1)
+    assert rejoiner.ledger.sync_digest() == donor.ledger.sync_digest()
+
+
+def _drop_entry(data, index):
+    data["replay"].pop(index)
+    return data
+
+
+def _as_held(item, position):
+    return {key: value for key, value in item.items() if key not in ("envelope", "to")} | {
+        "held": position
+    }
+
+
+def _built_on_the_donors_own(data):
+    """The fallback bundle with the donor's snapshot stated as a basis and not shipped."""
+    shipped = data["snapshot"]
+    data["basis"] = {key: shipped[key] for key in ("cycle", "last_sequence", "fingerprint")}
+    data["snapshot"] = None
+    return data
+
+
+#: (whether cell 2's snapshot differs from the donor's; how the donor
+#: tampers with its first CELL_SYNC_STATE; the reason the recovery reports).
+KEYED_RESYNC_FAILURES = {
+    "entries from past another boundary": (
+        False, lambda data, n, records: _drop_entry(data, 0),
+        "donor ledger entry 2 does not follow local head 1",
+    ),
+    "a reference to an entry the rejoiner does not hold": (
+        False,
+        lambda data, n, records: _edited(data, ("replay", 1), _as_held(data["replay"][1], 1)),
+        "donor ledger entry 2 names held entry 1, which this cell does not hold",
+    ),
+    "no snapshot shipped although the fingerprints differ": (
+        True, lambda data, n, records: _built_on_the_donors_own(data),
+        "donor built on snapshot 0 (last sequence 1), which this cell did not name",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "diverged, tamper, reason", KEYED_RESYNC_FAILURES.values(), ids=KEYED_RESYNC_FAILURES
+)
+def test_a_hostile_donor_of_a_sync_built_on_a_snapshot_fails_it(diverged, tamper, reason):
+    deployment = _rejoiner_with_a_snapshot(diverged)
+    result, _sent = _recover_through(deployment, tamper)
+    _assert_down_after(deployment, result, reason, 1)
 
 
 def test_entry_at_bounds(env):

@@ -167,6 +167,7 @@ def build():
         MembershipUpdate,
         RejoinAck,
         RejoinRequest,
+        SnapshotBasis,
         SyncRequest,
         SyncState,
     )
@@ -251,6 +252,7 @@ def build():
     compact = CompactReceipt.of(*cosigned, **served, consortium=(signer.address, peer))
     excluded = SimulatedSigner("golden-excluded").address
     named = CompactReceipt.of(*cosigned, **served, consortium=(signer.address, excluded, peer))
+    basis = SnapshotBasis(cycle=1, last_sequence=-1, fingerprint=b"\x66" * 32)
     # A cross-shard body nests its inner transaction without the identities
     # of the outer envelope, which has the same ones.
     nested = inner.to_link(with_sender=False)
@@ -263,9 +265,22 @@ def build():
         "MembershipUpdate/exclude": MembershipUpdate("exclude", peer, 3, votes=(vote,)).to_data(),
         "MembershipUpdate/readmit": MembershipUpdate("readmit", peer, 3, acks=(ack,)).to_data(),
         "SyncRequest": SyncRequest(4, delta_only=True).to_data(),
+        "SyncRequest/basis": SyncRequest(
+            4, basis=basis, held=(TX_ID, admitted.payload.hash_hex())
+        ).to_data(),
         "SyncState": SyncState(
             donor=peer, snapshot={"cycle": 1, "fingerprint": FINGERPRINT},
             entries=tuple(ledger.sync_segment(0)), excluded=(peer.hex(),), head=2,
+        ).to_data(),
+        # Built on the requester's own snapshot: the executed entry travels
+        # in link form to the consortium's second cell, the contingency one
+        # as its position in the request's ``held``.
+        "SyncState/basis": SyncState(
+            donor=peer, snapshot=None, basis=basis, entries=(),
+            replay=tuple(ledger.replay_segment(
+                0, (signer.address, peer), held=(TX_ID, admitted.payload.hash_hex())
+            )),
+            head=2,
         ).to_data(),
         "CrossShardPrepare": CrossShardPrepare(**shape).to_data(),
         "CrossShardVote": xvote.to_data(),

@@ -39,7 +39,7 @@ from repro.encoding import canonical_json
 from repro.messages import EcdsaSigner, Envelope, Opcode, SimulatedSigner, wire
 from repro.messages.batch import ForwardBatch, ForwardedTransactions
 from repro.messages.envelope import EnvelopeError, LinkEnvelope
-from repro.messages.membership import MembershipUpdate
+from repro.messages.membership import MembershipUpdate, ReplayEntry
 from repro.messages.payload import Payload, PayloadError
 from repro.messages.requests import LedgerRequest, StateQuery, TransactionCall
 from repro.messages.signer import SignedStatement
@@ -249,6 +249,18 @@ def _membership_update(body, kwargs, draw) -> None:
     _at_least_one("votes" if kwargs["action"] == "exclude" else "acks")(body, kwargs, draw)
 
 
+def _replayed(_body, kwargs, draw) -> None:
+    """A replayed entry carries its envelope (and may name its recipient) or a held position."""
+    kwargs.update(
+        fingerprint=draw(st.none() | values(wire.digest)),
+        contingency=draw(st.sampled_from([True, None])),
+    )
+    if draw(st.booleans()):
+        kwargs.update(envelope=draw(objects), to=draw(st.none() | values(wire.natural)))
+    else:
+        kwargs["held"] = draw(values(wire.natural))
+
+
 #: What ``__post_init__`` demands across fields and a random draw would
 #: almost never meet: the rules, not the fields, are listed here.
 RULES = {
@@ -261,6 +273,7 @@ RULES = {
     CrossShardVoucherTransfer: _transfer,
     VoucherReply: _voucher_reply,
     MembershipUpdate: _membership_update,
+    ReplayEntry: _replayed,
     LedgerRequest: lambda _body, kwargs, draw: kwargs.update(
         last_cycle=kwargs["first_cycle"] + draw(st.integers(0, 5))
     ),
@@ -632,6 +645,8 @@ def test_a_link_confirmation_round_trips_and_rebuilds_the_signed_statement(schem
     # What the receiver holds or derives does not travel; an error, another
     # contract, another moment and a fingerprint not the signer's own do.
     assert not {"cell", "scheme"} & set(sent)
+    # The transaction is named by the first 8 bytes of its id.
+    assert sent["tx_id"] == confirmation.tx_id[:18]
     assert ("contract" in sent) == (confirmation.contract != called_contract(forwarded))
     assert ("error" in sent) == (confirmation.error is not None)
     derived = confirmation.status == "executed" and confirmation.error is None and (
@@ -665,7 +680,12 @@ def test_a_link_confirmation_rebuilt_for_another_sender_contract_or_transaction_
     elif change == "contract":
         sent["contract"] = data.draw(ids.filter(lambda name: name != confirmation.contract))
     elif change == "tx_id":
-        sent["tx_id"] = data.draw(ids.filter(lambda tx_id: tx_id != confirmation.tx_id))
+        # Read under another transaction of the receiver's, which states its id.
+        forwarded = Envelope.create(
+            signer=SIGNER, recipient=cell.address, operation=Opcode.TX_SUBMIT,
+            data=forwarded.data, timestamp=1.5,
+            nonce=data.draw(ids.filter(lambda nonce: nonce != forwarded.nonce)),
+        )
     elif change == "execution":
         # The receiver executed the call otherwise: its fingerprint is not the signer's.
         sent.pop("fingerprint", None)
@@ -693,6 +713,8 @@ def test_a_contract_other_than_the_called_one_travels_and_still_verifies(scheme,
         assert item.contract is None
         return
     assert item.to_wire()["contract"] == confirmation.contract
+    # Whatever contract the receiver's entry calls; the entry states the id,
+    # so the statement verifies under its own transaction only.
     for receivers_entry in (forwarded, Envelope.create(
         signer=SIGNER, recipient=cell.address, operation=Opcode.TX_SUBMIT,
         data={"contract": called + "-other", "method": "transfer", "args": {}},
@@ -701,7 +723,8 @@ def test_a_contract_other_than_the_called_one_travels_and_still_verifies(scheme,
         rebuilt = item.confirmation(
             cell.address, cell.scheme, receivers_entry, confirmation.timestamp
         )
-        assert rebuilt.contract == confirmation.contract and rebuilt.verify()
+        assert rebuilt.contract == confirmation.contract
+        assert rebuilt.verify() is (receivers_entry is forwarded)
 
 
 # ----------------------------------------------------------------------

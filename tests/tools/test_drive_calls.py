@@ -142,8 +142,11 @@ def test_bytes_attributes_every_wire_byte_to_an_opcode_and_a_link():
         )
     }
     assert list(fields) == [12, 16, 20, 32, 65]
+    # No 32-byte field is left on this drive: the last, a confirmation
+    # item's tx id, travels as its first 8 bytes.
+    assert fields[32] == (0.0, 0.0)
     for width, (count, text) in fields.items():
-        assert count > 0, width
+        assert count > 0 or width == 32, width
         assert text == pytest.approx(count * TEXT_BYTES[width], abs=0.1), width
     assert sum(text for _count, text in fields.values()) < total
     links, split, outside = {}, {}, {}
@@ -256,25 +259,26 @@ def test_bytes_pins_what_an_unsigned_receipt_and_confirmation_cost():
 
 #: A ratchet: the smoke ``xshard_burst`` at seed 2021 as ``--bytes`` prints
 #: it, for the statements that travel as signatures their reader rebuilds.
-#: A ``tx_confirm`` item is 180.8 B (304.0 while it carried the fingerprint,
-#: status and timestamp its service cell holds); a voucher leg, data and
-#: the rest, is 868.0 / 856.8 / 972.0 / 744.2 B per message for mint /
-#: minted / redeem / redeemed (while the voucher and the outer xtx travelled
-#: whole, the minted and redeem legs carried the whole voucher); a receipt
-#: is 362.4 B on a ``tx_receipt`` and 367.0 / 354.2 B on the minted /
-#: redeemed replies (each ~52 B more while its co-signer was named).  The
-#: confirmation item, the minted and redeemed legs and the redeemed receipt
-#: were 181.1, 856.7, 744.1 and 354.1 B until forwards travelled unsigned:
-#: shorter forwards arrive sooner, and the timestamps these state took
-#: other digits.  Sized as long as before, the same drive prints the old
-#: figures.
-BYTES_PER_CONFIRMATION = 180.8
+#: A ``tx_confirm`` item is 132.9 B (180.8 while it named its transaction
+#: by the whole 32-byte id rather than its first 8 bytes, 304.0 while it
+#: also carried the fingerprint, status and timestamp its service cell
+#: holds); a voucher leg, data and the rest, is 866.0 / 857.0 / 970.2 /
+#: 744.9 B per message for mint / minted / redeem / redeemed (while the
+#: voucher and the outer xtx travelled whole, the minted and redeem legs
+#: carried the whole voucher); a receipt is 363.1 B on a ``tx_receipt`` and
+#: 367.0 / 354.9 B on the minted / redeemed replies (each ~52 B more while
+#: its co-signer was named).  The legs and receipts were 868.0 / 856.8 /
+#: 972.0 / 744.2 and 362.4 / 367.0 / 354.2 B until confirmation items
+#: shrank: shorter confirmations arrive sooner, and the timestamps these
+#: state took other digits.  Sized as long as before, the same drive
+#: prints the old figures.
+BYTES_PER_CONFIRMATION = 132.9
 BYTES_PER_VOUCHER_LEG = {
-    "xshard_voucher/mint": 868.0, "xshard_voucher/minted": 856.8,
-    "xshard_voucher/redeem": 972.0, "xshard_voucher/redeemed": 744.2,
+    "xshard_voucher/mint": 866.0, "xshard_voucher/minted": 857.0,
+    "xshard_voucher/redeem": 970.2, "xshard_voucher/redeemed": 744.9,
 }
 BYTES_PER_XSHARD_RECEIPT = {
-    "tx_receipt": 362.4, "xshard_voucher/minted": 367.0, "xshard_voucher/redeemed": 354.2,
+    "tx_receipt": 363.1, "xshard_voucher/minted": 367.0, "xshard_voucher/redeemed": 354.9,
 }
 
 
@@ -289,14 +293,44 @@ def test_bytes_pins_what_compact_confirmations_vouchers_and_receipts_cost():
     } == BYTES_PER_XSHARD_RECEIPT
 
 
+#: A ratchet: the resync bundle of the smoke ``openloop_crash`` at seed
+#: 2021 as ``--bytes`` prints it.  Its victim is excluded, crashes and
+#: rejoins in one round, and the donor retains the snapshot the victim
+#: names: no snapshot travels (the bundle carried a 24,403 B one, and 21
+#: entries of 915.5 B each, while every first sync shipped the donor's),
+#: an entry past the snapshot travels in 513.8 B without the fields replay
+#: derives, and an entry the victim held as its position in 138.0 B.
+SYNC_BUNDLE_PARTS = {"snapshot": 0.0, "entry": 513.8, "reference": 138.0}
+
+
+def test_bytes_splits_a_resync_bundle_into_snapshot_entries_and_references():
+    command = [sys.executable, str(TOOL), "--smoke", "--bytes", "--workload", "openloop_crash",
+               "--seed", "2021"]
+    printed = subprocess.run(command, capture_output=True, text=True)
+    assert printed.returncode == 0, printed.stderr
+    [(messages, snapshot, shipped, entry, references, reference)] = re.findall(
+        r"    cell_sync_state +\d+\.\d B/tx +(\d+\.\d{3}) msgs/tx\n.*\n"
+        r" +(\d+\.\d) B/msg of snapshot +(\d+\.\d\d) shipped entries/msg +(\d+\.\d) B/entry"
+        r" +(\d+\.\d\d) references/msg +(\d+\.\d) B/reference\n",
+        printed.stdout,
+    )
+    assert float(messages) > 0 and float(shipped) > 0 and float(references) > 0
+    assert {
+        "snapshot": float(snapshot), "entry": float(entry), "reference": float(reference)
+    } == SYNC_BUNDLE_PARTS
+
+
 #: A ratchet: receipt-family constructions per transaction of the smoke
 #: drives at seed 2021 once the client checks its receipt, which rebuilds
 #: one ``Confirmation`` per co-signer (16.30 and 21.81; 14.23 and 19.60
 #: before; 16.30 and 21.81 with a reply wrapper around the compact
 #: receipt, 19.40 and 26.41 before the service cell built its receipt in
 #: the form it sends), rounded up to 0.1.  ``xshard_burst`` 22.60 once the
-#: sharded client checks the inner receipts of its voucher legs too.
-RECEIPT_FAMILY_PER_TX = {"burst_sim": 16.3, "xshard_burst": 22.6}
+#: sharded client checks the inner receipts of its voucher legs too, and
+#: 22.62 once confirmation items name their transaction by 8 bytes of its
+#: id: they arrive sooner, and 0.02 more confirmation batches per
+#: transaction leave (sized as long as before, the drive counts 22.60).
+RECEIPT_FAMILY_PER_TX = {"burst_sim": 16.3, "xshard_burst": 22.7}
 RECEIPT_FAMILY = {
     "Confirmation", "LinkConfirmation", "ConfirmationBatch", "CoSigner", "AggregatedReceipt",
     "CompactReceipt",

@@ -178,9 +178,12 @@ def sample_drive(
     return samples, cpu_seconds, dict(inclusive), dict(own)
 
 
-#: (link, opcode) -> [bytes, messages, items, item bytes, data bytes]; the
-#: link is "client<->cell" or "cell<->cell".
+#: (link, opcode) -> [bytes, messages, items, item bytes, data bytes,
+#: snapshot bytes, shipped entries, their bytes, references, their bytes];
+#: the link is "client<->cell" or "cell<->cell".
 Traffic = dict[tuple[str, str], list[int]]
+#: The opcode whose data field is split into a snapshot, shipped entries and references.
+SYNC_BUNDLE = "cell_sync_state"
 
 #: The opcodes whose data field carries items worth sizing apart: what an
 #: item is, and the key of their list or of the one receipt (present only
@@ -239,7 +242,7 @@ def count_drive_bytes(
     from repro.encoding.canonical_json import dump_bytes, loads
     from repro.messages.endpoint import Endpoint
 
-    #: (source node, destination node, opcode) -> [bytes, messages, items, item bytes, data bytes]
+    #: (source node, destination node, opcode) -> the counts of a :data:`Traffic` row
     sent: dict[tuple[str, str, str], list[int]] = {}
     fields: Fields = {}
     post = Endpoint.post
@@ -249,7 +252,7 @@ def count_drive_bytes(
         if delivered:
             opcode = envelope.operation.value
             row = f"{opcode}/{envelope.data.get('phase')}" if opcode in LEGS else opcode
-            tally = sent.setdefault((endpoint.node_name, dst_node, row), [0, 0, 0, 0, 0])
+            tally = sent.setdefault((endpoint.node_name, dst_node, row), [0] * 10)
             tally[0] += endpoint.network.wire_size(envelope.byte_size())
             tally[1] += 1
             tally[4] += len(dump_bytes(envelope.data))
@@ -261,6 +264,14 @@ def count_drive_bytes(
                     items = carried if type(carried) is list else [carried]
                     tally[2] += len(items)
                     tally[3] += sum(len(dump_bytes(item)) for item in items)
+            if opcode == SYNC_BUNDLE:
+                bundle = envelope.data
+                if bundle.get("snapshot") is not None:
+                    tally[5] += len(dump_bytes(bundle["snapshot"]))
+                for entry in [*bundle.get("entries", ()), *bundle.get("replay", ())]:
+                    part = 8 if "held" in entry else 6
+                    tally[part] += 1
+                    tally[part + 1] += len(dump_bytes(entry))
         return delivered
 
     setattr(Endpoint, "post", counted_post)
@@ -275,7 +286,7 @@ def count_drive_bytes(
     traffic: Traffic = {}
     for (src, dst, opcode), counts in sent.items():
         link = "cell<->cell" if src in cells and dst in cells else "client<->cell"
-        tally = traffic.setdefault((link, opcode), [0, 0, 0, 0, 0])
+        tally = traffic.setdefault((link, opcode), [0] * 10)
         for index, count in enumerate(counts):
             tally[index] += count
     return observed.attempted, observed.wire_bytes, traffic, fields
@@ -294,7 +305,7 @@ def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
         size = sum(counts[0] for counts, _ in rows)
         count = sum(counts[1] for counts, _ in rows)
         print(f"  {link:<26}{size / attempted:>10.1f} B/tx  {count / attempted:>7.3f} msgs/tx")
-        for (size, count, items, item_bytes, data_bytes), opcode in rows:
+        for (size, count, items, item_bytes, data_bytes, *bundle), opcode in rows:
             print(f"    {opcode:<24}{size / attempted:>10.1f} B/tx"
                   f"  {count / attempted:>7.3f} msgs/tx")
             print(f"      {data_bytes / count:>7.1f} B/msg of data"
@@ -303,6 +314,13 @@ def _print_bytes(workload_name: str, seed: int, smoke: bool) -> None:
                 item = CARRIED[opcode.split("/")[0]][0]
                 print(f"      {items / count:>7.2f} {item}s/msg  {item_bytes / items:>7.1f} B/{item}"
                       f"  {(size - item_bytes) / count:>7.1f} B/msg besides the {item}s")
+            if opcode == SYNC_BUNDLE:
+                snapshot, shipped, shipped_bytes, references, reference_bytes = bundle
+                print(f"      {snapshot / count:>7.1f} B/msg of snapshot"
+                      f"  {shipped / count:>7.2f} shipped entries/msg"
+                      f"  {shipped_bytes / max(shipped, 1):>7.1f} B/entry"
+                      f"  {references / count:>7.2f} references/msg"
+                      f"  {reference_bytes / max(references, 1):>7.1f} B/reference")
     print("  binary fields by width" + "".join(
         f"  {width}B {count / attempted:.3f}/tx {text / attempted:.1f} B/tx"
         for width in WIDTHS for count, text in [fields.get(width, [0, 0])]
