@@ -24,7 +24,7 @@ from ..crypto.hashing import fast_hash
 from ..crypto.keys import Address, PublicKey
 from ..messages import wire
 from ..messages.envelope import DEFAULT_SCHEME, Envelope
-from ..messages.signer import SignedStatement, Signer
+from ..messages.signer import SignedStatement, Signer, verify_signature
 from .ledger import tx_ref
 
 
@@ -346,9 +346,19 @@ class AggregatedReceipt(wire.Body, error=ReceiptError, what="receipt"):
         ):
             return False
         keys = known_keys or {}
+        # Each co-signer's statement differs from the others' only in its
+        # cell and timestamp: check its bytes without building it.
+        shared = {
+            "tx_id": self.tx_id, "contract": self.contract,
+            "fingerprint_hex": self.fingerprint_hex, "status": self.status, "error": None,
+        }
         if not all(
-            confirmation.verify(keys.get(confirmation.cell))
-            for confirmation in self.confirmations
+            verify_signature(
+                cast(str, cosigner.scheme), cast(Address, cosigner.cell),
+                Confirmation.body_of(cell=cosigner.cell, timestamp=cosigner.timestamp, **shared),
+                cosigner.signature, keys.get(cast(Address, cosigner.cell)),
+            )
+            for cosigner in self.cosigners
         ):
             return False
         if expected_cells is not None:

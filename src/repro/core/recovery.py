@@ -635,7 +635,9 @@ class RecoveryStage:
         attempt after the first is a delta sync on top of the state the
         first one restored.  The first names this cell's latest retained
         snapshot: a donor that retains the same one ships none, and this
-        cell restores its own and replays the donor's entries past it.
+        cell restores its own and replays the donor's entries past it,
+        rebuilding each later snapshot the donor retains as the replay
+        crosses its boundary.
         """
         cell = self.cell
         first = result.attempts == 1
@@ -651,44 +653,42 @@ class RecoveryStage:
             raise _ResyncFailure("donor unreachable or sync request timed out")
         self._adopt_membership_view(bundle)
 
-        replay_base = -1
-        snapshot: Optional[DataSnapshot] = None
-        held_envelopes: list[Envelope] = []
         if bundle.basis is not None:
             if own is None or bundle.basis != _basis_of(own) or bundle.snapshot is not None:
                 raise _ResyncFailure(
                     f"donor built on snapshot {bundle.basis.cycle} "
                     f"(last sequence {bundle.basis.last_sequence}), which this cell did not name"
                 )
-            held_envelopes = [entry.envelope for entry in held]
-            replay_base = own.last_sequence
             self._restore_snapshot(own, result)
-        elif bundle.snapshot is not None:
-            try:
-                snapshot = DataSnapshot.from_wire(bundle.snapshot, cell_id=cell.node_name)
-            except SnapshotError as exc:
-                raise _ResyncFailure(f"malformed donor snapshot: {exc}") from exc
-            replay_base = snapshot.last_sequence
-            self._restore_snapshot(snapshot, result)
-
-        yield from self._replay_entries(bundle.entries, replay_base, result)
-        yield from self._replay_entries(bundle.replay, replay_base, result, held_envelopes)
-        result.fingerprint_matched = True
-
-        if snapshot is not None and (
-            cell.snapshots.latest_cycle is None
-            or snapshot.cycle > cell.snapshots.latest_cycle
-        ):
-            cell.snapshots.adopt(snapshot)
-
-        if snapshot is not None:
-            basis_cycle = snapshot.cycle
-        elif bundle.basis is not None:
-            basis_cycle = bundle.basis.cycle
+            rebuilt = yield from self._replay_past(
+                own, bundle, [entry.envelope for entry in held], result
+            )
+            for later in rebuilt:
+                cell.snapshots.adopt(later)
+            basis_cycle = (rebuilt[-1] if rebuilt else own).cycle
         else:
+            if bundle.newer:
+                raise _ResyncFailure("donor stated later snapshots without a basis")
+            replay_base = -1
+            snapshot: Optional[DataSnapshot] = None
+            if bundle.snapshot is not None:
+                try:
+                    snapshot = DataSnapshot.from_wire(bundle.snapshot, cell_id=cell.node_name)
+                except SnapshotError as exc:
+                    raise _ResyncFailure(f"malformed donor snapshot: {exc}") from exc
+                replay_base = snapshot.last_sequence
+                self._restore_snapshot(snapshot, result)
+            yield from self._apply_records(bundle.entries, replay_base, result)
+            yield from self._replay_entries(bundle.replay, replay_base, result)
+            if snapshot is not None and (
+                cell.snapshots.latest_cycle is None
+                or snapshot.cycle > cell.snapshots.latest_cycle
+            ):
+                cell.snapshots.adopt(snapshot)
             # Delta-only retries ride on the snapshot adopted by the
             # first attempt (0 for a consortium that never snapshotted).
-            basis_cycle = cell.snapshots.latest_cycle or 0
+            basis_cycle = snapshot.cycle if snapshot is not None else cell.snapshots.latest_cycle or 0
+        result.fingerprint_matched = True
         outcome = yield from cell.membership.request_rejoin(
             basis_cycle=basis_cycle, last_sequence=len(cell.ledger) - 1
         )
@@ -726,6 +726,58 @@ class RecoveryStage:
             return None
         return latest
 
+    def _replay_past(
+        self,
+        own: DataSnapshot,
+        bundle: SyncState,
+        held: Sequence[Envelope],
+        result: RecoveryResult,
+    ) -> Generator[Event, Any, list[DataSnapshot]]:
+        """Replay a bundle built on ``own``, rebuilding each later snapshot it states.
+
+        The donor states every snapshot it retains past ``own`` (its
+        cycle, boundary and combined fingerprint).  Once the replay has
+        admitted the entry at a stated boundary, this cell builds its own
+        snapshot of that cycle, which must have the stated fingerprint:
+        the recovered cell then holds the snapshots its auditors ask for,
+        as the donor's shipped one was held before.  Returns them, oldest
+        first, for the caller to retain once the replay has succeeded;
+        raises :class:`_ResyncFailure` at a boundary the replay does not
+        end on or a fingerprint it does not reproduce (a process).
+        """
+        snapshots = self.cell.snapshots
+        rebuilt: list[DataSnapshot] = []
+        replay, previous = bundle.replay, _basis_of(own)
+        try:
+            for stated in bundle.newer:
+                cut = next(
+                    (at for at, item in enumerate(replay) if item.sequence > stated.last_sequence),
+                    len(replay),
+                )
+                yield from self._replay_entries(replay[:cut], own.last_sequence, result, held)
+                replay = replay[cut:]
+                if stated.cycle <= previous.cycle or stated.last_sequence != len(self.cell.ledger) - 1:
+                    raise _ResyncFailure(
+                        f"donor stated snapshot {stated.cycle} (last sequence "
+                        f"{stated.last_sequence}), which its replay past snapshot "
+                        f"{previous.cycle} does not end on"
+                    )
+                rebuilt.append(snapshots.build(
+                    stated.cycle, self.clock.now, own.first_sequence, stated.last_sequence
+                ))
+                if rebuilt[-1].fingerprint != stated.fingerprint:
+                    raise _ResyncFailure(
+                        f"replay to the boundary of snapshot {stated.cycle} does not "
+                        f"reproduce the donor's fingerprint"
+                    )
+                previous = stated
+            yield from self._replay_entries(replay, own.last_sequence, result, held)
+        except BaseException:
+            for snapshot in rebuilt:
+                snapshot.release_state()
+            raise
+        return rebuilt
+
     def _backfill(
         self,
         donor: Address,
@@ -762,7 +814,7 @@ class RecoveryStage:
             if bundle is None:
                 raise _ResyncFailure("donor unreachable during post-readmit backfill")
             applied_before = result.replayed
-            yield from self._replay_entries(bundle.entries, -1, result)
+            yield from self._apply_records(bundle.entries, -1, result)
             applied = result.replayed - applied_before
             result.live_backfilled += applied
             if applied == 0 and bundle.head <= len(cell.ledger):
@@ -804,8 +856,9 @@ class RecoveryStage:
         Any consortium cell may ask, also one this cell holds excluded.  A
         first sync whose named snapshot this cell retains too (same cycle,
         boundary and fingerprint) ships no snapshot: it states that basis
-        and replays every entry past its boundary, each held one as its
-        position in the request's ``held``.  Any other first sync carries
+        and every later snapshot it retains, and replays every entry past
+        the basis's boundary, each held one as its position in the
+        request's ``held``.  Any other first sync carries
         the latest snapshot, the full records of the entries from
         ``since_sequence`` up to its boundary, which the requester
         backfills, and the entries past it: the requester rolls back to
@@ -820,11 +873,16 @@ class RecoveryStage:
         start = request.since_sequence
         entries: list[SyncEntry] = []
         replay: list[ReplayEntry] = []
+        newer: list[SnapshotBasis] = []
         if request.delta_only:
             entries = ledger.sync_segment(start)
         elif request.basis is not None and self._retains(request.basis):
             basis = request.basis
             replay = ledger.replay_segment(basis.last_sequence + 1, consortium, request.held)
+            newer = [
+                _basis_of(cell.snapshots.get(cycle))
+                for cycle in cell.snapshots.retained_cycles() if cycle > basis.cycle
+            ]
         else:
             boundary = start - 1
             if cell.snapshots.latest_cycle is not None:
@@ -839,6 +897,7 @@ class RecoveryStage:
             basis=basis,
             entries=tuple(entries),
             replay=tuple(replay),
+            newer=tuple(newer),
             excluded=tuple(address.hex() for address in cell.consensus.excluded_cells()),
             head=len(ledger),
         )
@@ -935,102 +994,149 @@ class RecoveryStage:
             if cell.contracts.contains(name):
                 cell.contracts.exclude(name)
 
-    def _replay_entries(
-        self,
-        entries: Sequence[SyncEntry | ReplayEntry],
-        replay_base: int,
-        result: RecoveryResult,
-        held: Sequence[Envelope] = (),
+    def _apply_records(
+        self, records: Sequence[SyncEntry], replay_base: int, result: RecoveryResult
     ) -> Generator[Event, Any, None]:
-        """Backfill snapshot-covered entries and re-execute the tail.
+        """Backfill the donor's full records a snapshot covers and re-execute the rest.
 
-        Proof step 2: every re-executed entry's post-execution contract
-        fingerprint must equal the donor's recorded one — matching the
-        consortium's execution fingerprints entry by entry is what
-        qualifies the cell to rejoin the confirmation quorum.  An entry
-        lands exactly at the local head: one past it is a gap.  A replayed
-        entry (:class:`ReplayEntry`) names a client envelope this cell
-        held by its position in ``held``.  Raises :class:`_ResyncFailure`
-        at the first entry that cannot be replayed.
+        A record at or below ``replay_base`` (a shipped snapshot's
+        boundary) is recorded with its result, unexecuted; one past it, as
+        every record of a delta round, is re-executed
+        (:meth:`_reexecute`).  Raises :class:`_ResyncFailure` at the first
+        record that cannot be applied.
         """
-        cell = self.cell
-        ledger = cell.ledger
-        for item in entries:
-            record: Optional[SyncEntry] = None
-            if isinstance(item, ReplayEntry):
-                sequence, cycle, status = item.sequence, item.cycle, item.status
-                fingerprint, contingency = item.fingerprint, bool(item.contingency)
-                envelope = self._replayed_envelope(item, held)
-            else:
-                record, summary = item, item.summary
-                sequence, cycle, status = summary.sequence, summary.cycle, summary.status
-                fingerprint, contingency = summary.fingerprint, summary.contingency
-                envelope = self._verified(item.envelope, sequence)
-            if sequence < len(ledger):
-                tx_id = envelope.payload.hash_hex()
-                if ledger.entry_at(sequence).tx_id == tx_id:
-                    continue
-                self._drop_admitted_suffix(sequence, tx_id, result)
-                # The admitted-only local suffix is gone; fall through and
-                # admit the donor's entry at this now-free sequence.
+        ledger = self.cell.ledger
+        for record in records:
+            summary = record.summary
+            sequence = summary.sequence
+            if sequence < len(ledger) and ledger.entry_at(sequence).tx_id == summary.tx_id:
+                # Held already: the record is discarded unread, so its
+                # envelope is neither parsed nor verified.
+                continue
+            envelope = self._verified(record.envelope, sequence)
+            if self._holds(sequence, envelope, result):
+                continue
             if sequence <= replay_base:
-                if record is None:
-                    raise _ResyncFailure(
-                        f"donor ledger entry {sequence} lies within the snapshot "
-                        f"without its record"
-                    )
                 try:
-                    ledger.backfill(envelope, record.summary, record.result)
+                    ledger.backfill(envelope, summary, record.result)
                 except LedgerError as exc:
                     raise _ResyncFailure(f"ledger backfill failed: {exc}") from exc
                 result.backfilled += 1
                 continue
-            if sequence != len(ledger):
+            yield from self._reexecute(
+                envelope, sequence, summary.cycle, summary.status, summary.fingerprint,
+                summary.contingency, result,
+            )
+
+    def _replay_entries(
+        self,
+        entries: Sequence[ReplayEntry],
+        replay_base: int,
+        result: RecoveryResult,
+        held: Sequence[Envelope] = (),
+    ) -> Generator[Event, Any, None]:
+        """Re-execute the donor's entries past ``replay_base``, in its order.
+
+        Each names its client envelope in link form, or one this cell
+        held by its position in ``held``.  Raises :class:`_ResyncFailure`
+        at the first entry that cannot be replayed.
+        """
+        for item in entries:
+            envelope = self._replayed_envelope(item, held)
+            if self._holds(item.sequence, envelope, result):
+                continue
+            if item.sequence <= replay_base:
                 raise _ResyncFailure(
-                    f"donor ledger entry {sequence} does not follow local head {len(ledger)}"
+                    f"donor ledger entry {item.sequence} lies within the snapshot "
+                    f"without its record"
                 )
-            # Re-execute the post-snapshot tail, paying the same simulated
-            # CPU cost as live execution so recovery latency is honest.
-            yield from cell.execute.cpu.use(cell.service_model.invoke_cpu)
-            try:
-                entry = ledger.admit(envelope, cycle=cycle, contingency=contingency)
-            except LedgerError as exc:
-                raise _ResyncFailure(f"ledger replay admission failed: {exc}") from exc
-            try:
-                outcome = cell.executor.execute(entry)
-            except BContractError as exc:
-                raise _ResyncFailure(f"replay of sequence {sequence} failed: {exc}") from exc
-            if outcome.ok:
-                ledger.mark_executed(
-                    outcome.tx_id, outcome.contract, outcome.result, outcome.fingerprint
-                )
-            else:
-                ledger.mark_rejected(outcome.tx_id, outcome.contract, outcome.error or "")
-            # A donor status of "admitted" is not a claim about execution:
-            # the donor simply had not executed the entry yet when it
-            # served the sync (the backfill phase fetches exactly such
-            # entries).  Executing ahead of the donor is safe.  Replay runs
-            # the tail serially in ledger order, which is not the order live
-            # execution used (the lane gate grants by rank, and lanes
-            # overlap), but transactions whose conflicting outcomes commute
-            # end the same either way; a status that differs from the
-            # donor's recorded one is a divergence and fails below.
-            if status != "admitted" and outcome.status != status:
-                raise _ResyncFailure(
-                    f"replay of sequence {sequence} diverged: local status "
-                    f"{outcome.status!r} vs donor {status!r}"
-                )
-            if fingerprint is not None and outcome.ok and outcome.fingerprint != fingerprint:
-                # Not fatal: the donor executes entries as they clear its
-                # execution gate, which under concurrent traffic is not
-                # ledger order, so its recorded per-entry fingerprint can
-                # capture a different intermediate state than this
-                # ledger-order replay.  Real state divergence is caught by
-                # the readmission vote over the full combined fingerprint.
-                result.fingerprint_skews += 1
-            result.replayed += 1
-            if isinstance(item, ReplayEntry) and item.held is not None:
+            yield from self._reexecute(
+                envelope, item.sequence, item.cycle, item.status, item.fingerprint,
+                bool(item.contingency), result,
+            )
+            if item.held is not None:
                 result.referenced += 1
+
+    def _holds(self, sequence: int, envelope: Envelope, result: RecoveryResult) -> bool:
+        """Whether this cell's entry at ``sequence`` is the donor's.
+
+        A local entry there that is another transaction is rolled back
+        with the rest of its admitted-only suffix
+        (:meth:`_drop_admitted_suffix`), freeing the sequence for the
+        donor's.
+        """
+        ledger = self.cell.ledger
+        if sequence >= len(ledger):
+            return False
+        tx_id = envelope.payload.hash_hex()
+        if ledger.entry_at(sequence).tx_id == tx_id:
+            return True
+        self._drop_admitted_suffix(sequence, tx_id, result)
+        return False
+
+    def _reexecute(
+        self,
+        envelope: Envelope,
+        sequence: int,
+        cycle: int,
+        status: str,
+        fingerprint: Optional[bytes],
+        contingency: bool,
+        result: RecoveryResult,
+    ) -> Generator[Event, Any, None]:
+        """Admit and execute the donor's entry at ``sequence`` at the local head.
+
+        Proof step 2: every re-executed entry's outcome must be the donor's
+        recorded one — matching the consortium's execution entry by entry
+        is what qualifies the cell to rejoin the confirmation quorum.  An
+        entry lands exactly at the local head: one past it is a gap.
+        """
+        cell = self.cell
+        ledger = cell.ledger
+        if sequence != len(ledger):
+            raise _ResyncFailure(
+                f"donor ledger entry {sequence} does not follow local head {len(ledger)}"
+            )
+        # Re-execute the post-snapshot tail, paying the same simulated
+        # CPU cost as live execution so recovery latency is honest.
+        yield from cell.execute.cpu.use(cell.service_model.invoke_cpu)
+        try:
+            entry = ledger.admit(envelope, cycle=cycle, contingency=contingency)
+        except LedgerError as exc:
+            raise _ResyncFailure(f"ledger replay admission failed: {exc}") from exc
+        try:
+            outcome = cell.executor.execute(entry)
+        except BContractError as exc:
+            raise _ResyncFailure(f"replay of sequence {sequence} failed: {exc}") from exc
+        if outcome.ok:
+            ledger.mark_executed(
+                outcome.tx_id, outcome.contract, outcome.result, outcome.fingerprint
+            )
+        else:
+            ledger.mark_rejected(outcome.tx_id, outcome.contract, outcome.error or "")
+        # A donor status of "admitted" is not a claim about execution:
+        # the donor simply had not executed the entry yet when it
+        # served the sync (the backfill phase fetches exactly such
+        # entries).  Executing ahead of the donor is safe.  Replay runs
+        # the tail serially in ledger order, which is not the order live
+        # execution used (the lane gate grants by rank, and lanes
+        # overlap), but transactions whose conflicting outcomes commute
+        # end the same either way; a status that differs from the
+        # donor's recorded one is a divergence and fails below.
+        if status != "admitted" and outcome.status != status:
+            raise _ResyncFailure(
+                f"replay of sequence {sequence} diverged: local status "
+                f"{outcome.status!r} vs donor {status!r}"
+            )
+        if fingerprint is not None and outcome.ok and outcome.fingerprint != fingerprint:
+            # Not fatal: the donor executes entries as they clear its
+            # execution gate, which under concurrent traffic is not
+            # ledger order, so its recorded per-entry fingerprint can
+            # capture a different intermediate state than this
+            # ledger-order replay.  Real state divergence is caught by
+            # the readmission vote over the full combined fingerprint.
+            result.fingerprint_skews += 1
+        result.replayed += 1
 
     def _verified(self, wire_form: dict[str, Any], sequence: int) -> Envelope:
         """The client envelope of a donor's full record, checked."""

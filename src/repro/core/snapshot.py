@@ -213,11 +213,29 @@ class SnapshotEngine:
         last_sequence: int,
         include_state: bool = True,
     ) -> DataSnapshot:
-        """Clone and fingerprint every non-excluded contract."""
+        """Clone and fingerprint every non-excluded contract, and retain the result."""
         if self._latest_cycle is not None and cycle <= self._latest_cycle:
             raise SnapshotError(
                 f"snapshot for cycle {cycle} taken out of order (latest is {self._latest_cycle})"
             )
+        return self._retain(
+            self.build(cycle, timestamp, first_sequence, last_sequence, include_state)
+        )
+
+    def build(
+        self,
+        cycle: int,
+        timestamp: float,
+        first_sequence: int,
+        last_sequence: int,
+        include_state: bool = True,
+    ) -> DataSnapshot:
+        """The snapshot :meth:`take_snapshot` would take now, not retained.
+
+        A recovering cell builds the snapshots it missed as its replay
+        crosses their boundaries, and retains them (:meth:`adopt`) only once
+        the whole replay has succeeded; one it drops releases its state.
+        """
         fingerprints: dict[str, bytes] = {}
         types: dict[str, str] = {}
         for contract in self.registry:
@@ -226,40 +244,39 @@ class SnapshotEngine:
             clone = contract.clone_snapshot()
             fingerprints[contract.name] = clone.fingerprint
             types[contract.name] = contract.TYPE
-        combined = snapshot_fingerprint(fingerprints)
-        snapshot = DataSnapshot(
+        return DataSnapshot(
             cycle=cycle,
             taken_at=timestamp,
             cell_id=self.cell_id,
             contract_fingerprints=fingerprints,
             excluded_contracts=tuple(self.registry.excluded()),
             contract_types=types,
-            fingerprint=combined,
+            fingerprint=snapshot_fingerprint(fingerprints),
             state_export=(
                 LazySnapshotExport(self.registry.export_all_lazy()) if include_state else {}
             ),
             first_sequence=first_sequence,
             last_sequence=last_sequence,
         )
-        self._snapshots[cycle] = snapshot
-        self._latest_cycle = cycle
-        self._prune()
-        return snapshot
 
     def adopt(self, snapshot: DataSnapshot) -> DataSnapshot:
-        """Install a donor's snapshot as this cell's own (crash recovery).
+        """Install a snapshot this cell did not take at its deadline (crash recovery).
 
         A cell that was down for one or more report cycles cannot take the
-        snapshots it missed; adopting the donor's latest snapshot re-anchors
-        the engine's cycle sequence so (a) ``take_snapshot`` succeeds at the
-        next boundary and (b) auditors running the succession audit on the
-        recovered cell find the predecessor snapshot they need.
+        snapshots it missed; adopting the donor's latest snapshot, or the
+        ones it rebuilt on replay, re-anchors the engine's cycle sequence
+        so (a) ``take_snapshot`` succeeds at the next boundary and (b)
+        auditors running the succession audit on the recovered cell find
+        the predecessor snapshot they need.
         """
         if self._latest_cycle is not None and snapshot.cycle <= self._latest_cycle:
             raise SnapshotError(
                 f"cannot adopt snapshot for cycle {snapshot.cycle}: "
                 f"local engine is already at cycle {self._latest_cycle}"
             )
+        return self._retain(snapshot)
+
+    def _retain(self, snapshot: DataSnapshot) -> DataSnapshot:
         self._snapshots[snapshot.cycle] = snapshot
         self._latest_cycle = snapshot.cycle
         self._prune()

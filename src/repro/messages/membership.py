@@ -304,7 +304,9 @@ class SyncState(wire.Body, error=MembershipError):
 
     ``snapshot`` is the donor's latest data snapshot in wire form (None if
     the donor has not taken one yet, or builds on the requester's own:
-    then ``basis`` states that snapshot as the donor retains it).
+    then ``basis`` states that snapshot as the donor retains it, and
+    ``newer`` the donor's later retained snapshots, oldest first, which
+    the requester rebuilds as its replay crosses their boundaries).
     ``entries`` are the full records of the entries the requester
     backfills (at or below a shipped snapshot's boundary), or of every
     entry past the requested sequence in a delta round; ``replay`` the
@@ -324,3 +326,4 @@ class SyncState(wire.Body, error=MembershipError):
     excluded: tuple[str, ...] = wire.list_of(wire.text)(default=())
     basis: Optional[SnapshotBasis] = wire.nested(SnapshotBasis)(omit_none=True, default=None)
     replay: tuple[ReplayEntry, ...] = wire.list_of(wire.nested(ReplayEntry))(default=())
+    newer: tuple[SnapshotBasis, ...] = wire.list_of(wire.nested(SnapshotBasis))(default=())

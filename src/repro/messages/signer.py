@@ -189,16 +189,16 @@ class SignedStatement(wire.Body):
         """
         if self._body is not None:
             return self._body
-        members = []
-        for prefix, name, emit, encode, omit_none in _signed_plan(type(self)):
-            value = getattr(self, name)
-            if value is None and omit_none:
-                continue
-            text = emit(value)
-            if text is None:
-                text = canonical_json.dumps(value if encode is None else encode(value))
-            members.append(prefix + text)
-        return ("{" + ",".join(members) + "}").encode()
+        return _signed_bytes(type(self), self.__getattribute__)
+
+    @classmethod
+    def body_of(cls, **values: Any) -> bytes:
+        """What :meth:`body` gives for a statement of ``values``, which is not built.
+
+        For a reader that only checks signatures: ``values`` names every
+        signed field by its attribute.
+        """
+        return _signed_bytes(cls, {"KIND": cls.KIND, **values}.__getitem__)
 
     def verify(self, known_key: Optional[PublicKey] = None) -> bool:
         """Check the signer's signature over the statement body (see :func:`verify_signature`)."""
@@ -220,6 +220,20 @@ class SignedStatement(wire.Body):
         object.__setattr__(statement, "_body", body)
         object.__setattr__(statement, "signature", signer.sign(body))
         return statement
+
+
+def _signed_bytes(statement: type[SignedStatement], value: Callable[[str], Any]) -> bytes:
+    """The bytes a ``statement`` signs, each signed field's value read by ``value(name)``."""
+    members = []
+    for prefix, name, emit, encode, omit_none in _signed_plan(statement):
+        item = value(name)
+        if item is None and omit_none:
+            continue
+        text = emit(item)
+        if text is None:
+            text = canonical_json.dumps(item if encode is None else encode(item))
+        members.append(prefix + text)
+    return ("{" + ",".join(members) + "}").encode()
 
 
 def _generic(_value: Any) -> None:

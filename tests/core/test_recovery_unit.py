@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from repro.audit import Auditor
 from repro.core import DataSnapshot, LedgerError, SnapshotError, TransactionLedger
 from repro.core.consensus import ConsensusError, OverlayConsensus
 from repro.core.config import SystemInvariants
@@ -319,13 +320,15 @@ def test_a_hostile_donor_fails_the_resync_with_its_reason_and_the_cell_goes_back
 # ----------------------------------------------------------------------
 # A first sync built on the rejoiner's own retained snapshot
 # ----------------------------------------------------------------------
-def _rejoiner_with_a_snapshot(diverged):
+def _rejoiner_with_a_snapshot(diverged, across=False):
     """Cell 2 holds a cycle-0 snapshot; it crashes and misses one faucet.
 
     Every cell ran faucet A before the cycle-0 deadline and faucet B after
     it; cells 0 and 1 ran faucet C once cell 2 had crashed.  With
     ``diverged``, cell 2 was excluded before the deadline, and so missed
     faucet D before it and B after it: its snapshot is not its peers'.
+    With ``across``, cell 2 stays down past the cycle-1 deadline, at which
+    its peers snapshot faucet C's state.
     """
     deployment = make_deployment(consortium_size=3, signature_scheme="sim")
     money = FastMoneyClient(BlockumulusClient(
@@ -340,8 +343,11 @@ def _rejoiner_with_a_snapshot(diverged):
     deployment.crash_cell(2)
     deployment.exclude_cell(2)
     deployment.env.run(money.faucet(3))
-    own, donors = deployment.cell(2).snapshots.latest(), deployment.cell(1).snapshots.latest()
-    assert (own.cycle, donors.cycle) == (0, 0)
+    if across:
+        deployment.run(until=2 * deployment.config.report_period + 1.0)
+    own, donors = deployment.cell(2).snapshots.get(0), deployment.cell(1).snapshots.get(0)
+    assert deployment.cell(2).snapshots.latest_cycle == 0
+    assert deployment.cell(1).snapshots.latest_cycle == (1 if across else 0)
     assert (own.fingerprint == donors.fingerprint) is not diverged
     return deployment
 
@@ -365,6 +371,41 @@ def test_a_rejoiner_whose_snapshot_the_donor_retains_gets_only_the_entries_past_
     assert (result.replayed, result.referenced, result.backfilled) == (2, 1, 0)
     assert rejoiner.ledger.sync_digest() == donor.ledger.sync_digest()
     assert rejoiner.snapshots.latest_cycle == 0
+    assert bundle["newer"] == []
+
+
+def test_a_rejoiner_down_across_a_boundary_rebuilds_the_donors_later_snapshot_and_audits_clean():
+    deployment = _rejoiner_with_a_snapshot(diverged=False, across=True)
+    donor, rejoiner = deployment.cell(1), deployment.cell(2)
+    result, [bundle] = _recover_through(deployment)
+
+    assert result.ok and result.readmitted, result.reason
+    # The donor states its cycle-1 snapshot, whose boundary is faucet C,
+    # and ships none: cell 2 builds its own as its replay admits C.
+    assert bundle["snapshot"] is None and bundle["basis"]["cycle"] == 0
+    donors = donor.snapshots.get(1)
+    assert bundle["newer"] == [{
+        "cycle": 1, "last_sequence": 2, "fingerprint": donors.fingerprint_hex(),
+    }]
+    assert [item["sequence"] for item in bundle["replay"]] == [1, 2]
+    assert rejoiner.snapshots.retained_cycles() == [0, 1]
+    rebuilt = rejoiner.snapshots.get(1)
+    assert (rebuilt.fingerprint, rebuilt.last_sequence) == (donors.fingerprint, 2)
+    assert rebuilt.materialized_state() == donors.materialized_state()
+
+    # Cell 2 serves the predecessor a succession audit of cycle 2 replays
+    # from, and a recovery audit of cycle 1 finds it equal to the donor's.
+    money = FastMoneyClient(BlockumulusClient(
+        deployment, signer=SimulatedSigner("recovery-unit/after"), node_name="recovery-unit-after"
+    ))
+    assert deployment.env.run(money.faucet(4)).ok
+    deployment.run(until=3 * deployment.config.report_period + 1.0)
+    auditor = Auditor(deployment)
+    audit = auditor.run_audit(2, 2)
+    assert audit.passed, audit.issues
+    assert audit.checked_transactions == 1
+    recovery = auditor.run_recovery_audit(2, 1, cycle=1)
+    assert recovery.passed and recovery.cycle == 1, recovery.issues
 
 
 def test_a_rejoiner_whose_snapshot_differs_from_the_donors_gets_the_full_bundle():
@@ -381,6 +422,23 @@ def test_a_rejoiner_whose_snapshot_differs_from_the_donors_gets_the_full_bundle(
     assert all("held" not in item for item in bundle["replay"])
     assert (result.replayed, result.referenced, result.backfilled) == (2, 0, 1)
     assert rejoiner.ledger.sync_digest() == donor.ledger.sync_digest()
+
+
+def test_a_full_record_of_an_entry_the_cell_holds_is_skipped_unread():
+    """A delta round re-sends entries the cell admitted meanwhile: their
+    envelopes are neither parsed nor verified, only their ids compared."""
+    deployment = _rejoiner_with_a_snapshot(diverged=False)
+    result, _sent = _recover_through(deployment)
+    assert result.ok, result.reason
+    rejoiner = deployment.cell(2)
+    [record] = deployment.cell(1).ledger.sync_segment(1, 2)
+    assert rejoiner.ledger.entry_at(1).tx_id == record.summary.tx_id
+    unreadable = dataclasses.replace(record, envelope={"payload": "unreadable"})
+    replayed, head = result.replayed, len(rejoiner.ledger)
+    deployment.env.run(deployment.env.process(
+        rejoiner.recovery._apply_records([unreadable], -1, result)
+    ))
+    assert (result.replayed, len(rejoiner.ledger)) == (replayed, head)
 
 
 def _drop_entry(data, index):
@@ -402,30 +460,57 @@ def _built_on_the_donors_own(data):
     return data
 
 
-#: (whether cell 2's snapshot differs from the donor's; how the donor
-#: tampers with its first CELL_SYNC_STATE; the reason the recovery reports).
+def _later(data, **fields):
+    data["newer"] = [{"cycle": 1, "last_sequence": 2, "fingerprint": "0x" + "66" * 32} | fields]
+    return data
+
+
+#: (how cell 2 came to hold its snapshot, as ``_rejoiner_with_a_snapshot``
+#: takes it; how the donor tampers with its first CELL_SYNC_STATE; the
+#: reason the recovery reports).
 KEYED_RESYNC_FAILURES = {
     "entries from past another boundary": (
-        False, lambda data, n, records: _drop_entry(data, 0),
+        {"diverged": False}, lambda data, n, records: _drop_entry(data, 0),
         "donor ledger entry 2 does not follow local head 1",
     ),
     "a reference to an entry the rejoiner does not hold": (
-        False,
+        {"diverged": False},
         lambda data, n, records: _edited(data, ("replay", 1), _as_held(data["replay"][1], 1)),
         "donor ledger entry 2 names held entry 1, which this cell does not hold",
     ),
     "no snapshot shipped although the fingerprints differ": (
-        True, lambda data, n, records: _built_on_the_donors_own(data),
+        {"diverged": True}, lambda data, n, records: _built_on_the_donors_own(data),
         "donor built on snapshot 0 (last sequence 1), which this cell did not name",
+    ),
+    "a later snapshot whose fingerprint the replay does not reproduce": (
+        {"diverged": False, "across": True},
+        lambda data, n, records: _edited(data, ("newer", 0, "fingerprint"), "0x" + "66" * 32),
+        "replay to the boundary of snapshot 1 does not reproduce the donor's fingerprint",
+    ),
+    "a later snapshot past the replayed entries": (
+        {"diverged": False, "across": True},
+        lambda data, n, records: _edited(data, ("newer", 0, "last_sequence"), 3),
+        "donor stated snapshot 1 (last sequence 3), which its replay past snapshot 0 "
+        "does not end on",
+    ),
+    "a later snapshot no later than the basis": (
+        {"diverged": False, "across": True},
+        lambda data, n, records: _edited(data, ("newer", 0, "cycle"), 0),
+        "donor stated snapshot 0 (last sequence 2), which its replay past snapshot 0 "
+        "does not end on",
+    ),
+    "a later snapshot without a basis": (
+        {"diverged": True}, lambda data, n, records: _later(data),
+        "donor stated later snapshots without a basis",
     ),
 }
 
 
 @pytest.mark.parametrize(
-    "diverged, tamper, reason", KEYED_RESYNC_FAILURES.values(), ids=KEYED_RESYNC_FAILURES
+    "setup, tamper, reason", KEYED_RESYNC_FAILURES.values(), ids=KEYED_RESYNC_FAILURES
 )
-def test_a_hostile_donor_of_a_sync_built_on_a_snapshot_fails_it(diverged, tamper, reason):
-    deployment = _rejoiner_with_a_snapshot(diverged)
+def test_a_hostile_donor_of_a_sync_built_on_a_snapshot_fails_it(setup, tamper, reason):
+    deployment = _rejoiner_with_a_snapshot(**setup)
     result, _sent = _recover_through(deployment, tamper)
     _assert_down_after(deployment, result, reason, 1)
 

@@ -261,6 +261,10 @@ def test_body_equals_the_generic_encoding_of_the_signed_fields(statement):
     on_the_wire = canonical_json.loads(canonical_json.dumps(statement.to_wire()))
     parsed = type(statement).from_wire(on_the_wire)
     assert parsed.body() == statement.body()
+    # Nor only from an instance: the signed fields' values, unbuilt.
+    signed = {item.name: getattr(statement, item.name)
+              for item in wire.fields(type(statement)) if item.signed}
+    assert type(statement).body_of(**signed) == statement.body()
 
 
 def test_a_value_of_another_type_takes_the_generic_encoder():

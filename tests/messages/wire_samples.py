@@ -274,12 +274,14 @@ def build():
         ).to_data(),
         # Built on the requester's own snapshot: the executed entry travels
         # in link form to the consortium's second cell, the contingency one
-        # as its position in the request's ``held``.
+        # as its position in the request's ``held``; the donor retains one
+        # later snapshot, whose boundary is the executed entry.
         "SyncState/basis": SyncState(
             donor=peer, snapshot=None, basis=basis, entries=(),
             replay=tuple(ledger.replay_segment(
                 0, (signer.address, peer), held=(TX_ID, admitted.payload.hash_hex())
             )),
+            newer=(SnapshotBasis(cycle=2, last_sequence=0, fingerprint=b"\x77" * 32),),
             head=2,
         ).to_data(),
         "CrossShardPrepare": CrossShardPrepare(**shape).to_data(),

@@ -326,11 +326,13 @@ def test_bytes_splits_a_resync_bundle_into_snapshot_entries_and_references():
 #: before; 16.30 and 21.81 with a reply wrapper around the compact
 #: receipt, 19.40 and 26.41 before the service cell built its receipt in
 #: the form it sends), rounded up to 0.1.  ``xshard_burst`` 22.60 once the
-#: sharded client checks the inner receipts of its voucher legs too, and
-#: 22.62 once confirmation items name their transaction by 8 bytes of its
-#: id: they arrive sooner, and 0.02 more confirmation batches per
-#: transaction leave (sized as long as before, the drive counts 22.60).
-RECEIPT_FAMILY_PER_TX = {"burst_sim": 16.3, "xshard_burst": 22.7}
+#: sharded client checks the inner receipts of its voucher legs too.  14.23
+#: and 19.56 once a receipt's check reads each co-signer's signed bytes
+#: without building its ``Confirmation`` (16.30 and 22.62 before, the
+#: latter with one confirmation batch more than 22.60 counted: confirmation
+#: items that name their transaction by 8 bytes of its id arrive sooner,
+#: and the drive's 57 batches split its items otherwise than its 56 did).
+RECEIPT_FAMILY_PER_TX = {"burst_sim": 14.3, "xshard_burst": 19.6}
 RECEIPT_FAMILY = {
     "Confirmation", "LinkConfirmation", "ConfirmationBatch", "CoSigner", "AggregatedReceipt",
     "CompactReceipt",
