@@ -15,8 +15,8 @@ fingerprint matching, quorum rejoin).  Recorded per run:
 A final matrix point recovers the cell **while the consortium is serving
 open-loop traffic**: the rejoin handshake's admitted-head extension and
 the post-readmit backfill have to close the in-flight window, retries
-must fetch only deltas (exactly one full snapshot transfer per
-recovery), and every client receipt issued during the recovery must
+must fetch only deltas (one first sync per recovery, which moves at most
+one snapshot), and every client receipt issued during the recovery must
 still be honoured.
 
 Results land in ``benchmarks/output/recovery.txt`` and the machine-readable
@@ -103,8 +103,8 @@ def _recovery_under_load_run(log_length: int) -> dict:
 
     * the rejoin converges without quiescing (the pre-fix corpus had to
       stop traffic before every recovery),
-    * retries and backfill move **deltas only** — exactly one full
-      snapshot transfer per recovery regardless of attempts,
+    * retries and backfill move **deltas only** — one first sync per
+      recovery, which moves at most one snapshot, regardless of attempts,
     * every client receipt issued during the window is still honoured.
     """
     deployment = azure_deployment(cells=3, report_period=600.0)
@@ -140,7 +140,7 @@ def _recovery_under_load_run(log_length: int) -> dict:
     submitted_during = len(in_flight)
     deployment.run(until=env.now + 5.0)  # drain receipts + readmit commits
 
-    # Delta bound: one full snapshot transfer, everything else deltas.
+    # Delta bound: one first sync, everything else deltas.
     syncs_served = deployment.metrics.counter("cell-0/syncs_served") - syncs_before
     assert syncs_served == 1 + result.delta_syncs
     assert result.delta_syncs <= (result.attempts - 1) + result.backfill_rounds
@@ -226,7 +226,7 @@ def test_recovery_latency_and_message_cost():
     lines.append(
         f"under-load point: {under_load['load_rate_hz']:.0f} tx/s open-loop arrivals "
         f"throughout recovery, {under_load['submitted_during_recovery']} submitted "
-        f"mid-recovery, every receipt honoured, one snapshot transfer + "
+        f"mid-recovery, every receipt honoured, one first sync + "
         f"{under_load['delta_syncs']} delta sync(s)"
     )
     write_output("recovery", "\n".join(lines))

@@ -15,19 +15,19 @@ letting the consortium actually *recover*:
 
 * :class:`RecoveryStage` — the resync half, run by a rejoining (or
   brand-new standby) cell, with the donor half that answers it and the
-  gate the cell holds meanwhile.  It downloads the donor's latest anchored
-  snapshot and post-snapshot ledger tail in one ``CELL_SYNC`` exchange,
-  restores contract state, backfills the ledger entries the snapshot
-  already covers, replays the remainder through its own executor while
-  matching the donor's recorded per-entry execution fingerprints, adopts
-  the snapshot into its snapshot engine, requests readmission with the
-  quorum handshake above, and — because state fingerprints cannot see
+  gate the cell holds meanwhile.  Its first ``CELL_SYNC`` names the cell's
+  latest snapshot, which a donor retaining it builds on; any other ships
+  its own latest.  Every bundle is applied one way: restore its base
+  snapshot, backfill the full records the base covers, and replay the
+  entries past it through the cell's own executor, matching the donor's
+  recorded outcomes.  The cell then requests readmission with the quorum
+  handshake above, and — because state fingerprints cannot see
   transactions peers *admitted* but had not executed when they voted —
-  runs a post-readmit delta backfill that fetches exactly that gap
-  before the cell resumes anchoring.  The result is a cell whose ledger,
-  contract state, and future snapshot fingerprints are indistinguishable
-  from a cell that never crashed, even when the consortium kept serving
-  full-rate traffic throughout the recovery.
+  replays exactly that gap in post-readmit delta rounds before it
+  resumes anchoring.  The result is a cell whose ledger, contract state,
+  and future snapshot fingerprints are indistinguishable from a cell
+  that never crashed, even when the consortium kept serving full-rate
+  traffic throughout the recovery.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class RecoveryResult:
-    """Outcome of one crash→resync→rejoin cycle, for tests and benchmarks."""
+    """Outcome of one crash→resync→rejoin cycle, counted over all its attempts."""
 
     cell: str
     donor: str
@@ -88,16 +88,16 @@ class RecoveryResult:
     #: sync and the fingerprint vote, so the coordinator re-syncs the
     #: delta and retries a bounded number of times).
     attempts: int = 1
-    #: Entries admitted *after* the first full sync — by delta retries and
-    #: the post-readmit backfill phase.  Under quiesced traffic this is 0;
+    #: Entries replayed *after* the first sync — by delta retries and the
+    #: post-readmit backfill phase.  Under quiesced traffic this is 0;
     #: under load it is exactly the in-flight window the rejoin vote's
     #: state fingerprints could not see.
     live_backfilled: int = 0
     #: Post-readmit backfill rounds run (0 when every agreeing ack's
     #: admitted head was already covered by the synced ledger).
     backfill_rounds: int = 0
-    #: Delta-only CELL_SYNC round-trips (retries + backfill rounds); full
-    #: snapshot transfers happen exactly once per recovery, so this is the
+    #: Delta-only CELL_SYNC round-trips (retries + backfill rounds); only
+    #: the first sync of a recovery can move a snapshot, so this is the
     #: count that bounds recovery traffic under load.
     delta_syncs: int = 0
     #: Replayed entries whose donor-recorded execution fingerprint did not
@@ -576,30 +576,20 @@ class RecoveryStage:
         re-handles the forwards it parked.
         """
         cell = self.cell
-        started_at = self.clock.now
+        result = RecoveryResult(
+            cell=cell.node_name, donor=donor.hex(), ok=False, started_at=self.clock.now
+        )
         messages_before, bytes_before = self._traffic_totals()
-        skews = 0
         self._parked = self._parked or []  # a resync already in flight keeps its work
         try:
             for attempt in range(1, self.REJOIN_ATTEMPTS + 1):
-                # Each attempt reports afresh, except for what the whole
-                # recovery spent: one delta sync per retry, and the replay
-                # skews of every attempt.
-                result = RecoveryResult(
-                    cell=cell.node_name,
-                    donor=donor.hex(),
-                    ok=False,
-                    attempts=attempt,
-                    delta_syncs=attempt - 1,
-                    fingerprint_skews=skews,
-                    started_at=started_at,
-                )
+                result.attempts = attempt
                 try:
                     yield from self._resync_body(donor, donor_node, result)
                     break
                 except _ResyncFailure as failure:
-                    result.reason = failure.reason
                     if not failure.retryable or attempt == self.REJOIN_ATTEMPTS:
+                        result.reason = failure.reason
                         break
                     silent = failure.silent
                 # Active-view peers that never answered are most likely
@@ -607,7 +597,6 @@ class RecoveryStage:
                 # voting them out before retrying, instead of waiting out
                 # their crash window.
                 yield from self._exclude_silent(silent)
-                skews = result.fingerprint_skews
         finally:
             parked, self._parked = self._parked or [], None
         messages_after, bytes_after = self._traffic_totals()
@@ -629,15 +618,12 @@ class RecoveryStage:
     def _resync_body(
         self, donor: Address, donor_node: str, result: RecoveryResult
     ) -> Generator[Event, Any, None]:
-        """One attempt, filling ``result`` in (a process).
+        """One attempt, adding to ``result`` (a process).
 
-        Raises :class:`_ResyncFailure` at the step that fails.  Every
-        attempt after the first is a delta sync on top of the state the
-        first one restored.  The first names this cell's latest retained
-        snapshot: a donor that retains the same one ships none, and this
-        cell restores its own and replays the donor's entries past it,
-        rebuilding each later snapshot the donor retains as the replay
-        crosses its boundary.
+        Raises :class:`_ResyncFailure` at the step that fails.  The first
+        attempt names this cell's latest retained snapshot and the entries
+        it holds past it; every later one is a delta round on top of the
+        state the first restored.
         """
         cell = self.cell
         first = result.attempts == 1
@@ -646,48 +632,20 @@ class RecoveryStage:
             cell.ledger.entry_at(sequence)
             for sequence in range(own.last_sequence + 1, len(cell.ledger))
         ]
+        if not first:
+            result.delta_syncs += 1
         bundle = yield from self._fetch_sync_state(
             donor, donor_node, delta_only=not first, own=own, held=held
         )
         if bundle is None:
             raise _ResyncFailure("donor unreachable or sync request timed out")
         self._adopt_membership_view(bundle)
-
-        if bundle.basis is not None:
-            if own is None or bundle.basis != _basis_of(own) or bundle.snapshot is not None:
-                raise _ResyncFailure(
-                    f"donor built on snapshot {bundle.basis.cycle} "
-                    f"(last sequence {bundle.basis.last_sequence}), which this cell did not name"
-                )
-            self._restore_snapshot(own, result)
-            rebuilt = yield from self._replay_past(
-                own, bundle, [entry.envelope for entry in held], result
-            )
-            for later in rebuilt:
-                cell.snapshots.adopt(later)
-            basis_cycle = (rebuilt[-1] if rebuilt else own).cycle
-        else:
-            if bundle.newer:
-                raise _ResyncFailure("donor stated later snapshots without a basis")
-            replay_base = -1
-            snapshot: Optional[DataSnapshot] = None
-            if bundle.snapshot is not None:
-                try:
-                    snapshot = DataSnapshot.from_wire(bundle.snapshot, cell_id=cell.node_name)
-                except SnapshotError as exc:
-                    raise _ResyncFailure(f"malformed donor snapshot: {exc}") from exc
-                replay_base = snapshot.last_sequence
-                self._restore_snapshot(snapshot, result)
-            yield from self._apply_records(bundle.entries, replay_base, result)
-            yield from self._replay_entries(bundle.replay, replay_base, result)
-            if snapshot is not None and (
-                cell.snapshots.latest_cycle is None
-                or snapshot.cycle > cell.snapshots.latest_cycle
-            ):
-                cell.snapshots.adopt(snapshot)
-            # Delta-only retries ride on the snapshot adopted by the
-            # first attempt (0 for a consortium that never snapshotted).
-            basis_cycle = snapshot.cycle if snapshot is not None else cell.snapshots.latest_cycle or 0
+        replayed = result.replayed
+        basis_cycle = yield from self._apply_bundle(
+            bundle, result, own, [entry.envelope for entry in held]
+        )
+        if not first:
+            result.live_backfilled += result.replayed - replayed
         result.fingerprint_matched = True
         outcome = yield from cell.membership.request_rejoin(
             basis_cycle=basis_cycle, last_sequence=len(cell.ledger) - 1
@@ -726,52 +684,103 @@ class RecoveryStage:
             return None
         return latest
 
+    def _apply_bundle(
+        self, bundle: SyncState, result: RecoveryResult,
+        own: Optional[DataSnapshot] = None, held: Sequence[Envelope] = (),
+    ) -> Generator[Event, Any, int]:
+        """Apply one ``CELL_SYNC_STATE``, whichever round it answers (a process).
+
+        Restores the base (:meth:`_base_of`), backfills the full records at
+        or below its boundary, replays the entries past it
+        (:meth:`_replay_past`) and adopts whichever of the base and the
+        rebuilt snapshots is newer than this cell's latest.  Returns the
+        cycle the rejoin vote names: the newest of those, or else this
+        cell's latest (0 if it has none).
+        """
+        base = self._base_of(bundle, own)
+        boundary = -1
+        if base is not None:
+            self._restore_snapshot(base, result)
+            boundary = base.last_sequence
+        self._backfill_records(bundle.entries, boundary, result)
+        rebuilt = yield from self._replay_past(base, bundle, held, result)
+        snapshots = self.cell.snapshots
+        restored = rebuilt if base is None else [base, *rebuilt]
+        for snapshot in restored:
+            if snapshots.latest_cycle is None or snapshot.cycle > snapshots.latest_cycle:
+                snapshots.adopt(snapshot)
+        return restored[-1].cycle if restored else snapshots.latest_cycle or 0
+
+    def _base_of(self, bundle: SyncState, own: Optional[DataSnapshot]) -> Optional[DataSnapshot]:
+        """The snapshot ``bundle`` builds on: ``own`` where it states that
+        basis, else the donor's shipped one, or none.
+
+        Raises :class:`_ResyncFailure` for a basis this cell did not name,
+        later snapshots stated without one, or a malformed snapshot.
+        """
+        if bundle.basis is not None:
+            if own is None or bundle.basis != _basis_of(own) or bundle.snapshot is not None:
+                raise _ResyncFailure(
+                    f"donor built on snapshot {bundle.basis.cycle} "
+                    f"(last sequence {bundle.basis.last_sequence}), which this cell did not name"
+                )
+            return own
+        if bundle.newer:
+            raise _ResyncFailure("donor stated later snapshots without a basis")
+        if bundle.snapshot is None:
+            return None
+        try:
+            return DataSnapshot.from_wire(bundle.snapshot, cell_id=self.cell.node_name)
+        except SnapshotError as exc:
+            raise _ResyncFailure(f"malformed donor snapshot: {exc}") from exc
+
     def _replay_past(
-        self,
-        own: DataSnapshot,
-        bundle: SyncState,
-        held: Sequence[Envelope],
+        self, base: Optional[DataSnapshot], bundle: SyncState, held: Sequence[Envelope],
         result: RecoveryResult,
     ) -> Generator[Event, Any, list[DataSnapshot]]:
-        """Replay a bundle built on ``own``, rebuilding each later snapshot it states.
+        """Replay a bundle's entries past ``base``, rebuilding each later snapshot it states.
 
-        The donor states every snapshot it retains past ``own`` (its
-        cycle, boundary and combined fingerprint).  Once the replay has
-        admitted the entry at a stated boundary, this cell builds its own
-        snapshot of that cycle, which must have the stated fingerprint:
-        the recovered cell then holds the snapshots its auditors ask for,
-        as the donor's shipped one was held before.  Returns them, oldest
-        first, for the caller to retain once the replay has succeeded;
-        raises :class:`_ResyncFailure` at a boundary the replay does not
-        end on or a fingerprint it does not reproduce (a process).
+        A bundle built on this cell's own snapshot states every snapshot
+        the donor retains past it (its cycle, boundary and combined
+        fingerprint).  Once the replay has admitted the entry at a stated
+        boundary, this cell builds its own snapshot of that cycle, which
+        must have the stated fingerprint: the recovered cell then holds the
+        snapshots its auditors ask for, as the donor's shipped one was held
+        before.  Returns them, oldest first, for the caller to retain once
+        the replay has succeeded; raises :class:`_ResyncFailure` at a
+        boundary the replay does not end on or a fingerprint it does not
+        reproduce (a process).
         """
         snapshots = self.cell.snapshots
         rebuilt: list[DataSnapshot] = []
-        replay, previous = bundle.replay, _basis_of(own)
+        replay = bundle.replay
+        boundary, first, previous = (
+            (-1, 0, -1) if base is None else (base.last_sequence, base.first_sequence, base.cycle)
+        )
         try:
             for stated in bundle.newer:
                 cut = next(
                     (at for at, item in enumerate(replay) if item.sequence > stated.last_sequence),
                     len(replay),
                 )
-                yield from self._replay_entries(replay[:cut], own.last_sequence, result, held)
+                yield from self._replay_entries(replay[:cut], boundary, result, held)
                 replay = replay[cut:]
-                if stated.cycle <= previous.cycle or stated.last_sequence != len(self.cell.ledger) - 1:
+                if stated.cycle <= previous or stated.last_sequence != len(self.cell.ledger) - 1:
                     raise _ResyncFailure(
                         f"donor stated snapshot {stated.cycle} (last sequence "
                         f"{stated.last_sequence}), which its replay past snapshot "
-                        f"{previous.cycle} does not end on"
+                        f"{previous} does not end on"
                     )
                 rebuilt.append(snapshots.build(
-                    stated.cycle, self.clock.now, own.first_sequence, stated.last_sequence
+                    stated.cycle, self.clock.now, first, stated.last_sequence
                 ))
                 if rebuilt[-1].fingerprint != stated.fingerprint:
                     raise _ResyncFailure(
                         f"replay to the boundary of snapshot {stated.cycle} does not "
                         f"reproduce the donor's fingerprint"
                     )
-                previous = stated
-            yield from self._replay_entries(replay, own.last_sequence, result, held)
+                previous = stated.cycle
+            yield from self._replay_entries(replay, boundary, result, held)
         except BaseException:
             for snapshot in rebuilt:
                 snapshot.release_state()
@@ -791,7 +800,8 @@ class RecoveryStage:
         if any head is past this cell's ledger, peers admitted
         transactions our sync missed.  Delta-fetch from the donor until
         two consecutive rounds apply nothing and the donor's own head is
-        covered — in-flight admissions settle between rounds.  Raises
+        covered — in-flight admissions settle between rounds.  Each round
+        is applied like any other bundle (:meth:`_apply_bundle`).  Raises
         :class:`_ResyncFailure` on divergence (a process).
         """
         cell = self.cell
@@ -814,7 +824,7 @@ class RecoveryStage:
             if bundle is None:
                 raise _ResyncFailure("donor unreachable during post-readmit backfill")
             applied_before = result.replayed
-            yield from self._apply_records(bundle.entries, -1, result)
+            yield from self._apply_bundle(bundle, result)
             applied = result.replayed - applied_before
             result.live_backfilled += applied
             if applied == 0 and bundle.head <= len(cell.ledger):
@@ -858,13 +868,13 @@ class RecoveryStage:
         boundary and fingerprint) ships no snapshot: it states that basis
         and every later snapshot it retains, and replays every entry past
         the basis's boundary, each held one as its position in the
-        request's ``held``.  Any other first sync carries
-        the latest snapshot, the full records of the entries from
-        ``since_sequence`` up to its boundary, which the requester
-        backfills, and the entries past it: the requester rolls back to
-        the snapshot (:meth:`_restore_snapshot`) and re-executes forward.
-        A ``delta_only`` sync carries the full records from
-        ``since_sequence`` alone, bytes proportional to the gap.
+        request's ``held``.  Any other first sync carries the latest
+        snapshot, the full records of the entries from ``since_sequence``
+        up to its boundary, which the requester backfills, and the entries
+        past it: the requester rolls back to the snapshot
+        (:meth:`_restore_snapshot`) and re-executes forward.  A
+        ``delta_only`` sync is one that ships no snapshot: it replays the
+        entries from ``since_sequence``, bytes proportional to the gap.
         """
         cell = self.cell
         ledger, consortium = cell.ledger, cell.invariants.cell_addresses
@@ -874,9 +884,7 @@ class RecoveryStage:
         entries: list[SyncEntry] = []
         replay: list[ReplayEntry] = []
         newer: list[SnapshotBasis] = []
-        if request.delta_only:
-            entries = ledger.sync_segment(start)
-        elif request.basis is not None and self._retains(request.basis):
+        if request.basis is not None and self._retains(request.basis):
             basis = request.basis
             replay = ledger.replay_segment(basis.last_sequence + 1, consortium, request.held)
             newer = [
@@ -885,7 +893,7 @@ class RecoveryStage:
             ]
         else:
             boundary = start - 1
-            if cell.snapshots.latest_cycle is not None:
+            if cell.snapshots.latest_cycle is not None and not request.delta_only:
                 latest = cell.snapshots.latest()
                 snapshot_wire = latest.to_wire(include_state=True)
                 boundary = latest.last_sequence
@@ -920,9 +928,9 @@ class RecoveryStage:
         """One CELL_SYNC round-trip to the donor (None on timeout).
 
         ``delta_only`` asks the donor (:meth:`_serve_sync`) to skip the
-        snapshot payload and ship just the ledger entries past this cell's
-        head — what rejoin retries and the post-readmit backfill use, so
-        only the first attempt of a recovery ever moves a full snapshot.
+        snapshot payload and replay just the ledger entries past this
+        cell's head — what rejoin retries and the post-readmit backfill
+        use, so only the first attempt of a recovery can move a snapshot.
         ``own`` names this cell's snapshot for the donor to build on, and
         ``held`` its entries past that snapshot's boundary.
         """
@@ -973,7 +981,7 @@ class RecoveryStage:
         donor's tail.  Raises :class:`_ResyncFailure` on a mismatch.
         """
         cell = self.cell
-        result.truncated = cell.ledger.truncate(snapshot.last_sequence)
+        result.truncated += cell.ledger.truncate(snapshot.last_sequence)
         state_export = snapshot.materialized_state()
         for name, state in state_export.items():
             if not cell.contracts.contains(name):
@@ -994,58 +1002,67 @@ class RecoveryStage:
             if cell.contracts.contains(name):
                 cell.contracts.exclude(name)
 
-    def _apply_records(
-        self, records: Sequence[SyncEntry], replay_base: int, result: RecoveryResult
-    ) -> Generator[Event, Any, None]:
-        """Backfill the donor's full records a snapshot covers and re-execute the rest.
+    def _backfill_records(
+        self, records: Sequence[SyncEntry], boundary: int, result: RecoveryResult
+    ) -> None:
+        """Record the donor's full records of what its shipped snapshot covers.
 
-        A record at or below ``replay_base`` (a shipped snapshot's
-        boundary) is recorded with its result, unexecuted; one past it, as
-        every record of a delta round, is re-executed
-        (:meth:`_reexecute`).  Raises :class:`_ResyncFailure` at the first
-        record that cannot be applied.
+        Each is recorded with its result, unexecuted: the restored state
+        already holds its effects.  Raises :class:`_ResyncFailure` at a
+        record past ``boundary`` (the snapshot's) or one that cannot be
+        recorded.
         """
         ledger = self.cell.ledger
         for record in records:
             summary = record.summary
             sequence = summary.sequence
-            if sequence < len(ledger) and ledger.entry_at(sequence).tx_id == summary.tx_id:
+            if sequence > boundary:
+                raise _ResyncFailure(
+                    f"donor ledger entry {sequence} lies past the snapshot with its full record"
+                )
+            if self._holds(sequence, summary.tx_id):
                 # Held already: the record is discarded unread, so its
                 # envelope is neither parsed nor verified.
                 continue
-            envelope = self._verified(record.envelope, sequence)
-            if self._holds(sequence, envelope, result):
-                continue
-            if sequence <= replay_base:
-                try:
-                    ledger.backfill(envelope, summary, record.result)
-                except LedgerError as exc:
-                    raise _ResyncFailure(f"ledger backfill failed: {exc}") from exc
-                result.backfilled += 1
-                continue
-            yield from self._reexecute(
-                envelope, sequence, summary.cycle, summary.status, summary.fingerprint,
-                summary.contingency, result,
-            )
+            try:
+                envelope = Envelope.from_wire(record.envelope)
+            except ValueError as exc:
+                raise _ResyncFailure(
+                    f"malformed donor ledger entry at sequence {sequence}: {exc}"
+                ) from exc
+            self._signed_by_its_client(envelope, sequence)
+            self._drop_admitted_suffix(sequence, summary.tx_id, result)
+            try:
+                ledger.backfill(envelope, summary, record.result)
+            except LedgerError as exc:
+                raise _ResyncFailure(f"ledger backfill failed: {exc}") from exc
+            result.backfilled += 1
 
     def _replay_entries(
-        self,
-        entries: Sequence[ReplayEntry],
-        replay_base: int,
-        result: RecoveryResult,
+        self, entries: Sequence[ReplayEntry], boundary: int, result: RecoveryResult,
         held: Sequence[Envelope] = (),
     ) -> Generator[Event, Any, None]:
-        """Re-execute the donor's entries past ``replay_base``, in its order.
+        """Re-execute the donor's entries past ``boundary``, in its order.
 
         Each names its client envelope in link form, or one this cell
-        held by its position in ``held``.  Raises :class:`_ResyncFailure`
-        at the first entry that cannot be replayed.
+        held by its position in ``held``.  An entry this cell holds at its
+        position already is skipped before its signature is checked.
+        Raises :class:`_ResyncFailure` at the first entry that cannot be
+        replayed.
         """
+        ledger = self.cell.ledger
         for item in entries:
             envelope = self._replayed_envelope(item, held)
-            if self._holds(item.sequence, envelope, result):
+            # Hashing drops the payload's encoding, which the signature
+            # check reads: past the head, where nothing is held, check first.
+            if item.sequence < len(ledger) and self._holds(
+                item.sequence, envelope.payload.hash_hex()
+            ):
                 continue
-            if item.sequence <= replay_base:
+            if item.held is None:
+                self._signed_by_its_client(envelope, item.sequence)
+            self._drop_admitted_suffix(item.sequence, envelope.payload.hash_hex(), result)
+            if item.sequence <= boundary:
                 raise _ResyncFailure(
                     f"donor ledger entry {item.sequence} lies within the snapshot "
                     f"without its record"
@@ -1057,22 +1074,10 @@ class RecoveryStage:
             if item.held is not None:
                 result.referenced += 1
 
-    def _holds(self, sequence: int, envelope: Envelope, result: RecoveryResult) -> bool:
-        """Whether this cell's entry at ``sequence`` is the donor's.
-
-        A local entry there that is another transaction is rolled back
-        with the rest of its admitted-only suffix
-        (:meth:`_drop_admitted_suffix`), freeing the sequence for the
-        donor's.
-        """
+    def _holds(self, sequence: int, tx_id: str) -> bool:
+        """Whether this cell's entry at ``sequence`` is the donor's ``tx_id``."""
         ledger = self.cell.ledger
-        if sequence >= len(ledger):
-            return False
-        tx_id = envelope.payload.hash_hex()
-        if ledger.entry_at(sequence).tx_id == tx_id:
-            return True
-        self._drop_admitted_suffix(sequence, tx_id, result)
-        return False
+        return sequence < len(ledger) and ledger.entry_at(sequence).tx_id == tx_id
 
     def _reexecute(
         self,
@@ -1138,19 +1143,10 @@ class RecoveryStage:
             result.fingerprint_skews += 1
         result.replayed += 1
 
-    def _verified(self, wire_form: dict[str, Any], sequence: int) -> Envelope:
-        """The client envelope of a donor's full record, checked."""
-        try:
-            envelope = Envelope.from_wire(wire_form)
-        except ValueError as exc:
-            raise _ResyncFailure(
-                f"malformed donor ledger entry at sequence {sequence}: {exc}"
-            ) from exc
-        return self._signed_by_its_client(envelope, sequence)
-
     def _replayed_envelope(self, item: ReplayEntry, held: Sequence[Envelope]) -> Envelope:
         """The client envelope of a replayed entry: one this cell held, or the
-        link form read under the consortium cell it names, checked."""
+        link form read under the consortium cell it names (its signature
+        not yet checked)."""
         sequence = item.sequence
         if item.held is not None:
             if item.held >= len(held):
@@ -1172,7 +1168,7 @@ class RecoveryStage:
             raise _ResyncFailure(
                 f"malformed donor ledger entry at sequence {sequence}: {exc}"
             ) from exc
-        return self._signed_by_its_client(envelope, sequence)
+        return envelope
 
     @staticmethod
     def _signed_by_its_client(envelope: Envelope, sequence: int) -> Envelope:
@@ -1181,7 +1177,8 @@ class RecoveryStage:
         return envelope
 
     def _drop_admitted_suffix(self, sequence: int, tx_id: str, result: RecoveryResult) -> None:
-        """Roll back a local admitted-only suffix that diverged from the donor.
+        """Roll back the local suffix from ``sequence`` (none past the head),
+        which is not the donor's ``tx_id``: it must be admitted-only.
 
         A cell can crash holding entries it admitted but never executed
         (or forwarded) — the batch dispatcher flushes on a quantum, so a

@@ -210,8 +210,8 @@ class SyncRequest(wire.Body, error=MembershipError):
     ``since_sequence`` is the first ledger sequence number the requester is
     missing; the donor answers with its latest snapshot and every entry
     from that sequence onward.  With ``delta_only`` the requester already
-    holds a restored basis (an earlier full sync this recovery): the donor
-    skips the snapshot and ships just the entries past ``since_sequence``,
+    holds a restored basis (an earlier sync this recovery): the donor
+    ships no snapshot and replays just the entries from ``since_sequence``,
     which is what keeps retry and backfill traffic bounded under load.
 
     A first sync names the requester's latest retained snapshot
@@ -261,10 +261,10 @@ class LedgerRecord(wire.Body, error=MembershipError):
 
 @dataclass(frozen=True)
 class SyncEntry(LedgerRecord):
-    """One ledger entry of a resync bundle: the record plus the recorded result.
+    """One ledger entry a shipped snapshot covers: the record plus the recorded result.
 
-    The replay skips what the recovering cell already holds, and backfills
-    what a snapshot covers with this result instead of re-executing it.
+    The recovering cell backfills it with this result instead of
+    re-executing it, and skips it unread where it holds it already.
     """
 
     result: Any = wire.anything(default=None)
@@ -308,15 +308,15 @@ class SyncState(wire.Body, error=MembershipError):
     ``newer`` the donor's later retained snapshots, oldest first, which
     the requester rebuilds as its replay crosses their boundaries).
     ``entries`` are the full records of the entries the requester
-    backfills (at or below a shipped snapshot's boundary), or of every
-    entry past the requested sequence in a delta round; ``replay`` the
-    entries past the boundary, in the donor's ledger order, as the
-    requester re-executes them.  ``excluded`` is the donor's current
-    membership view (hex addresses of excluded cells) so the requester can
-    refresh its own stale view along with its state.  ``head`` is the
-    donor's ledger length at serve time: the requester tracks it across
-    delta rounds so each follow-up sync asks for exactly the entries past
-    what the donor already shipped.
+    backfills, at or below a shipped snapshot's boundary; ``replay`` every
+    entry past that boundary (or past the basis's, or from the requested
+    sequence), in the donor's ledger order, as the requester re-executes
+    them.  ``excluded`` is the donor's current membership view (hex
+    addresses of excluded cells) so the requester can refresh its own
+    stale view along with its state.  ``head`` is the donor's ledger
+    length at serve time: the requester tracks it across delta rounds so
+    each follow-up sync asks for exactly the entries past what the donor
+    already shipped.
     """
 
     donor: Address = wire.address()

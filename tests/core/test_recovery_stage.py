@@ -57,13 +57,12 @@ def donor_deployment():
 
 
 #: (delta_only, since_sequence) -> (a snapshot is sent, the sequences of the
-#: full records, which the asker backfills or a delta round carries, and of
-#: the entries it replays).
+#: full records, which the asker backfills, and of the entries it replays).
 BUNDLE_POLICY = {
     "first sync past the snapshot rolls back to its boundary": (False, 5, True, [], [3, 4, 5]),
     "first sync behind the snapshot starts where asked": (False, 1, True, [1, 2], [3, 4, 5]),
-    "delta sync starts where asked": (True, 5, False, [5], []),
-    "delta sync behind the snapshot starts where asked": (True, 1, False, [1, 2, 3, 4, 5], []),
+    "delta sync starts where asked": (True, 5, False, [], [5]),
+    "delta sync behind the snapshot starts where asked": (True, 1, False, [], [1, 2, 3, 4, 5]),
     "delta sync at the head is empty": (True, 6, False, [], []),
 }
 

@@ -11,7 +11,7 @@ from repro.audit import Auditor
 from repro.core import DataSnapshot, LedgerError, SnapshotError, TransactionLedger
 from repro.core.consensus import ConsensusError, OverlayConsensus
 from repro.core.config import SystemInvariants
-from repro.core.recovery import RecoveryStage
+from repro.core.recovery import RecoveryStage, _ResyncFailure
 from repro.crypto import PrivateKey
 from repro.client import BlockumulusClient, FastMoneyClient
 from repro.messages import (
@@ -251,6 +251,10 @@ RESYNC_FAILURES = {
         lambda data, n, records: {**data, "snapshot": _forged_snapshot(last_sequence=1)},
         "donor ledger entry 1 lies within the snapshot without its record", 1,
     ),
+    "full record past the snapshot": (
+        lambda data, n, records: {**data, "entries": [records[1]]},
+        "donor ledger entry 1 lies past the snapshot with its full record", 1,
+    ),
     "replayed entry naming an entry the cell does not hold": (
         lambda data, n, records: _with_replay(
             data, {key: value for key, value in data["replay"][0].items()
@@ -320,15 +324,17 @@ def test_a_hostile_donor_fails_the_resync_with_its_reason_and_the_cell_goes_back
 # ----------------------------------------------------------------------
 # A first sync built on the rejoiner's own retained snapshot
 # ----------------------------------------------------------------------
-def _rejoiner_with_a_snapshot(diverged, across=False):
+def _rejoiner_with_a_snapshot(diverged, across=False, readmitted=False):
     """Cell 2 holds a cycle-0 snapshot; it crashes and misses one faucet.
 
     Every cell ran faucet A before the cycle-0 deadline and faucet B after
     it; cells 0 and 1 ran faucet C once cell 2 had crashed.  With
     ``diverged``, cell 2 was excluded before the deadline, and so missed
     faucet D before it and B after it: its snapshot is not its peers'.
-    With ``across``, cell 2 stays down past the cycle-1 deadline, at which
-    its peers snapshot faucet C's state.
+    With ``readmitted`` too, its peers readmit it after the deadline, so
+    it holds B at sequence 1, where they hold D.  With ``across``, cell 2
+    stays down past the cycle-1 deadline, at which its peers snapshot
+    faucet C's state.
     """
     deployment = make_deployment(consortium_size=3, signature_scheme="sim")
     money = FastMoneyClient(BlockumulusClient(
@@ -339,6 +345,11 @@ def _rejoiner_with_a_snapshot(diverged, across=False):
         deployment.exclude_cell(2)
         deployment.env.run(money.faucet(7))
     deployment.run(until=deployment.config.report_period + 1.0)
+    if readmitted:
+        for peer in deployment.cells[:2]:
+            peer.consensus.readmit(
+                deployment.cell(2).address, peer.consensus.cycle_of(deployment.env.now)
+            )
     deployment.env.run(money.faucet(2))
     deployment.crash_cell(2)
     deployment.exclude_cell(2)
@@ -424,9 +435,27 @@ def test_a_rejoiner_whose_snapshot_differs_from_the_donors_gets_the_full_bundle(
     assert rejoiner.ledger.sync_digest() == donor.ledger.sync_digest()
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 12 and 1: a shipped snapshot's sync keeps the rejoiner's own "
+    "entries below the donor's boundary, so the replay meets B, held at another position, "
+    "and fails 'already in the ledger'",
+)
+def test_a_rejoiner_whose_ledger_below_the_donors_boundary_is_in_another_order_recovers():
+    deployment = _rejoiner_with_a_snapshot(diverged=True, readmitted=True)
+    donor, rejoiner = deployment.cell(1), deployment.cell(2)
+    assert rejoiner.ledger.entry_at(1).tx_id == donor.ledger.entry_at(2).tx_id
+    result, [bundle] = _recover_through(deployment)
+
+    assert bundle["snapshot"]["last_sequence"] == 1
+    assert result.ok, result.reason
+    assert rejoiner.ledger.sync_digest() == donor.ledger.sync_digest()
+
+
 def test_a_full_record_of_an_entry_the_cell_holds_is_skipped_unread():
-    """A delta round re-sends entries the cell admitted meanwhile: their
-    envelopes are neither parsed nor verified, only their ids compared."""
+    """A backfilled record of an entry the cell holds at its position: its
+    envelope is neither parsed nor verified, only its id compared."""
     deployment = _rejoiner_with_a_snapshot(diverged=False)
     result, _sent = _recover_through(deployment)
     assert result.ok, result.reason
@@ -434,11 +463,33 @@ def test_a_full_record_of_an_entry_the_cell_holds_is_skipped_unread():
     [record] = deployment.cell(1).ledger.sync_segment(1, 2)
     assert rejoiner.ledger.entry_at(1).tx_id == record.summary.tx_id
     unreadable = dataclasses.replace(record, envelope={"payload": "unreadable"})
+    backfilled, head = result.backfilled, len(rejoiner.ledger)
+    rejoiner.recovery._backfill_records([unreadable], 1, result)
+    assert (result.backfilled, len(rejoiner.ledger)) == (backfilled, head)
+
+
+def test_a_replayed_entry_the_cell_holds_is_skipped_before_its_signature_is_checked():
+    """A delta round replays entries the cell admitted meanwhile: one held
+    at its position is skipped, a bad signature and all."""
+    deployment = _rejoiner_with_a_snapshot(diverged=False)
+    result, _sent = _recover_through(deployment)
+    assert result.ok, result.reason
+    rejoiner, donor = deployment.cell(2), deployment.cell(1)
+    held, other = donor.ledger.replay_segment(1, deployment.invariants.cell_addresses)
+    assert rejoiner.ledger.entry_at(1).tx_id == donor.ledger.entry_at(1).tx_id
+    forged = dataclasses.replace(
+        held, envelope={**held.envelope, "signature": other.envelope["signature"]}
+    )
     replayed, head = result.replayed, len(rejoiner.ledger)
     deployment.env.run(deployment.env.process(
-        rejoiner.recovery._apply_records([unreadable], -1, result)
+        rejoiner.recovery._replay_entries([forged], -1, result)
     ))
     assert (result.replayed, len(rejoiner.ledger)) == (replayed, head)
+    # The same entry at the head, which the cell does not hold, is checked.
+    with pytest.raises(_ResyncFailure, match="entry 3 has an invalid client signature"):
+        deployment.env.run(deployment.env.process(rejoiner.recovery._replay_entries(
+            [dataclasses.replace(forged, sequence=3)], -1, result
+        )))
 
 
 def _drop_entry(data, index):

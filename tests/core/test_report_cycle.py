@@ -1,6 +1,10 @@
 """Report-cycle lifecycle: snapshots, anchoring, gas accounting."""
 
+import pytest
+
 from repro.client import BlockumulusClient, FastMoneyClient
+from repro.messages import SimulatedSigner
+from repro.sim import CellServiceModel, ConstantLatency
 from tests.conftest import make_deployment
 
 
@@ -61,3 +65,48 @@ def test_fingerprints_stable_when_no_transactions_flow():
     cycles = cell.snapshots.retained_cycles()
     fingerprints = {cell.snapshots.get(cycle).fingerprint for cycle in cycles}
     assert len(fingerprints) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the report stage pauses admission, not execution, and takes "
+    "the snapshot's last sequence from the admitted entries",
+)
+def test_a_snapshot_covers_only_entries_that_have_executed():
+    """Three faucets arrive just before the cycle-0 deadline at cells that
+    execute one call at a time, 50 ms each."""
+    deployment = make_deployment(
+        signature_scheme="sim", report_period=5.0,
+        service_model=CellServiceModel(
+            invoke_overhead=ConstantLatency(0.05), auth_overhead=ConstantLatency(0.002),
+            aggregate_overhead_per_cell=0.001, invoke_cpu=0.0005,
+            forward_cpu_per_cell=0.0002, max_parallel_invocations=1,
+        ),
+    )
+    unexecuted = []
+    for cell in deployment.cells:
+        def take(cycle, timestamp, first_sequence, last_sequence,
+                 cell=cell, real=cell.snapshots.take_snapshot):
+            unexecuted.extend(
+                (cell.node_name, entry.sequence) for entry in cell.ledger
+                if entry.sequence <= last_sequence and entry.status == "admitted"
+            )
+            return real(cycle=cycle, timestamp=timestamp,
+                        first_sequence=first_sequence, last_sequence=last_sequence)
+
+        cell.snapshots.take_snapshot = take
+    money = FastMoneyClient(BlockumulusClient(
+        deployment, signer=SimulatedSigner("report-cycle/late"), node_name="report-cycle-late"
+    ))
+
+    def arrivals():
+        yield deployment.env.timeout(4.9)
+        for _ in range(3):
+            money.faucet(1)
+            yield deployment.env.timeout(0.02)
+
+    deployment.env.process(arrivals())
+    deployment.run(until=6.0)
+    assert deployment.cell(0).snapshots.get(0).last_sequence == 2
+    assert unexecuted == []

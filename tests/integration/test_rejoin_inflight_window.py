@@ -225,7 +225,9 @@ def test_silent_peer_is_excluded_instead_of_waited_out():
     — but cell 1 can never answer.  Instead of failing forever (or the
     corpus having to schedule activations after every crash window), the
     coordinator names cell 1 silent, votes it out with cell 0's help,
-    and the retry succeeds against the shrunken, reachable quorum.
+    and the retry succeeds against the shrunken, reachable quorum.  One
+    result reports both attempts: the first replays the transfer cell 2
+    missed, the retry one that cell 0 admitted during the failed vote.
     """
     deployment = make_deployment(consortium_size=3, report_period=600.0)
     client = BlockumulusClient(
@@ -241,14 +243,21 @@ def test_silent_peer_is_excluded_instead_of_waited_out():
 
     deployment.crash_cell(2)
     deployment.exclude_cell(2)
+    missed = fastmoney.transfer("0x" + "ab" * 20, 2)
+    deployment.env.run(missed)
+    assert missed.value.ok
     deployment.crash_cell(1)  # silent: crashed but never excluded
 
     recovery = deployment.recover_cell(2)
+    deployment.run(until=deployment.env.now + 1.0)  # inside the first vote
+    fastmoney.transfer("0x" + "ac" * 20, 1)
     deployment.env.run(recovery)
     result = recovery.value
     assert result.ok and result.readmitted, result.reason
+    assert result.reason is None
     assert result.attempts == 2  # one failed vote, one against the live quorum
-    assert result.delta_syncs >= 1  # the retry re-fetched only the delta
+    assert result.delta_syncs == 1  # the retry re-fetched only the delta
+    assert (result.replayed, result.live_backfilled) == (2, 1)
     deployment.run(until=deployment.env.now + 1.0)  # commits land everywhere
 
     # The silent peer was voted out everywhere that is still live.
